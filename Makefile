@@ -5,7 +5,7 @@ FUZZTIME ?= 20s
 # under it so unrelated churn doesn't flake the gate).
 COVER_MIN ?= 80.0
 
-.PHONY: build test race vet fmt bench benchartifact benchcmp benchsmoke obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
+.PHONY: build test race vet fmt bench benchartifact benchcmp benchsmoke benchtest obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
 
 # BENCH_ARTIFACT is the checked-in benchmark snapshot this PR sequence
 # tracks; benchcmp diffs a fresh run against it.
@@ -27,10 +27,15 @@ fmt:
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: formatting, static analysis, then the full suite
-# under the race detector (the parallel query pipeline is enabled by
-# default, so every test exercises the concurrent paths).
-check: fmt vet race
+# benchtest runs the unit tests of the gateable benchmark, which is its own
+# module (benchmark/go.mod) and so is not part of ./... here.
+benchtest:
+	cd benchmark && $(GO) test ./...
+
+# check is the CI gate: formatting, static analysis, the full suite under
+# the race detector (the parallel query pipeline is enabled by default, so
+# every test exercises the concurrent paths), then the benchmark's tests.
+check: fmt vet race benchtest
 
 # bench regenerates benchall_output.txt (untracked; see .gitignore) from
 # the full default-scale evaluation, then refreshes the machine-readable
@@ -93,7 +98,7 @@ mutatesmoke:
 # top of the checked-in seed corpora. `go test -fuzz` accepts only one
 # matching target per invocation, so discover and loop.
 fuzzsmoke:
-	@for pkg in ./internal/idblock ./internal/index ./internal/pattern; do \
+	@for pkg in ./internal/idblock ./internal/index ./internal/pattern ./internal/xmltree; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test $$pkg -run="^$$target$$" -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \

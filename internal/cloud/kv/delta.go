@@ -44,7 +44,23 @@ type deltaCell struct {
 	// stamps monotonic across folds, so a cache entry filled before a
 	// fold can never alias a post-fold state.
 	foldedStamp uint64
+	// retired counts the tombstones folded on this key, and is the high
+	// part of every stamp. A live tombstone does not move the stamp, so
+	// postings cached while it is live still hold the removed owner's
+	// items, under whatever stamp the visible replace entries give. The
+	// fold deletes those items from the main store: from then on no stamp
+	// handed out before may be handed out again, and a version alone
+	// cannot promise that, because a replace entry newer than the
+	// tombstone may fold with it and leave its own version as the stamp.
+	retired uint64
 }
+
+// stampVersionBits is the low half of a stamp, which holds a version; the
+// key's count of retired tombstones is the high half. Corpus versions count
+// mutations and a tombstone is one mutation's, so neither half fills before
+// the corpus has seen 2^32 mutations; Capture panics rather than hand out a
+// stamp that has wrapped.
+const stampVersionBits = 32
 
 // DeltaEntry is one versioned overlay record.
 type DeltaEntry struct {
@@ -62,7 +78,9 @@ type Overlay struct {
 	// when a replace entry becomes visible or when any entry folds, and
 	// deliberately does NOT advance for a live tombstone — deletions are
 	// applied to the shared cached posting at decode time instead of
-	// evicting it.
+	// evicting it. Folding a tombstone moves it past every stamp handed
+	// out while the tombstone was live. Equal stamps mean equal postings;
+	// a stamp is not a version.
 	Stamp uint64
 	// Replaces maps owner -> full replacement items; the owner's
 	// main-store items must be dropped and these used instead.
@@ -127,7 +145,8 @@ func (d *Delta) Capture(table string, keys []string, ver uint64) map[string]Over
 		if c == nil {
 			continue
 		}
-		ov := Overlay{Stamp: c.foldedStamp}
+		var ov Overlay
+		newest := c.foldedStamp // the newest state the reader sees: a fold or a replace entry
 		for owner, es := range c.owners {
 			latest := latestAt(es, ver)
 			if latest == nil {
@@ -143,11 +162,15 @@ func (d *Delta) Capture(table string, keys []string, ver uint64) map[string]Over
 					ov.Replaces = map[string][]Item{}
 				}
 				ov.Replaces[owner] = latest.Items
-				if latest.Version > ov.Stamp {
-					ov.Stamp = latest.Version
+				if latest.Version > newest {
+					newest = latest.Version
 				}
 			}
 		}
+		if newest>>stampVersionBits != 0 || c.retired>>(64-stampVersionBits) != 0 {
+			panic("kv: delta stamp overflow")
+		}
+		ov.Stamp = c.retired<<stampVersionBits | newest
 		if ov.Stamp == 0 && ov.Replaces == nil && ov.Tombstones == nil {
 			continue
 		}
@@ -209,7 +232,8 @@ func (d *Delta) Pending(horizon uint64) []FoldUnit {
 
 // Commit retires the folded units after their main-store writes landed:
 // entries at or below each unit's covered version are dropped, the folded
-// base advances, and the key's stamp becomes at least the folded version.
+// base advances, and the key's stamp becomes at least the folded version —
+// and, where a tombstone folded, one no reader has seen.
 func (d *Delta) Commit(units []FoldUnit) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -233,6 +257,7 @@ func (d *Delta) Commit(units []FoldUnit) {
 		}
 		if u.Entry.Tombstone {
 			delete(c.folded, u.Owner)
+			c.retired++
 		} else {
 			c.folded[u.Owner] = u.Entry.Items
 		}

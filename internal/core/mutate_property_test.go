@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -430,6 +431,72 @@ func TestShardedDeletePostingCacheFreshness(t *testing.T) {
 	for j := range base {
 		if got[j] != base[j] {
 			t.Fatalf("after re-insert row %d: want %q, got %q", j, base[j], got[j])
+		}
+	}
+}
+
+// TestTombstoneFoldMovesPostingCacheStamp is the four-step sequence that
+// the gateable benchmark's mixed read/write walk ran into: on a mutable
+// warehouse with the posting cache on, remove D, insert a new document E
+// that shares D's keys, query, compact, query again. The first query caches
+// every key's postings — D's items still among them, its tombstone being
+// subtracted on the way out — under the stamp of E's replace entry. The
+// fold retires the tombstone; were the keys' stamp still E's version, the
+// second query would hit those postings, take D for a candidate and fail
+// with "D absent at corpus version N".
+func TestTombstoneFoldMovesPostingCacheStamp(t *testing.T) {
+	docs := propertyCorpus(333)
+	w, err := New(Config{
+		Strategy:          index.TwoLUPI,
+		MutableCorpus:     true,
+		PostingCacheBytes: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := ec2.Launch(w.ledger, ec2.XL)
+	for _, d := range docs {
+		if err := w.UpdateDocument(in, d.URI, d.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.CompactNow(in); err != nil {
+		t.Fatal(err)
+	}
+	const text = `//item[/name{val}]`
+	base, _ := answerRows(t, w, in, text)
+	victim := base[0][:strings.IndexByte(base[0], '|')]
+	var victimData []byte
+	for _, d := range docs {
+		if d.URI == victim {
+			victimData = d.Data
+		}
+	}
+	const twin = "twin-of-the-removed.xml"
+	var want []string
+	for _, r := range base {
+		if rest, ok := strings.CutPrefix(r, victim+"|"); ok {
+			r = twin + "|" + rest
+		}
+		want = append(want, r)
+	}
+	sort.Strings(want)
+
+	if err := w.RemoveDocument(in, victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.UpdateDocument(in, twin, victimData); err != nil {
+		t.Fatal(err)
+	}
+	for _, when := range []string{"tombstone live", "tombstone folded", "warm after the fold"} {
+		if when == "tombstone folded" {
+			if _, err := w.CompactNow(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, _ := answerRows(t, w, in, text)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: got %v, want %v", when, got, want)
 		}
 	}
 }

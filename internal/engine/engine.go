@@ -316,8 +316,9 @@ func (p *plan) evalPattern(pi int, doc *xmltree.Document) [][]string {
 		candidates = append(candidates, n)
 	}
 	var rows [][]string
+	var scratch []*xmltree.Node
 	for _, c := range candidates {
-		rows = append(rows, p.matchAt(root, c)...)
+		rows = append(rows, p.matchAt(root, c, &scratch)...)
 	}
 	return rows
 }
@@ -325,16 +326,23 @@ func (p *plan) evalPattern(pi int, doc *xmltree.Document) [][]string {
 // matchAt returns the partial column tuples for embeddings of the pattern
 // subtree rooted at q where q maps to doc node n. Label and axis of q
 // itself are the caller's responsibility; predicates are checked here.
-func (p *plan) matchAt(q *pattern.Node, n *xmltree.Node) [][]string {
+// scratch is a stack of candidate lists shared by the whole descent: every
+// level appends its candidates and pops them when done.
+func (p *plan) matchAt(q *pattern.Node, n *xmltree.Node, scratch *[]*xmltree.Node) [][]string {
 	if q.Pred.Kind != pattern.NoPred && !q.Pred.Matches(n.Value()) {
 		return nil
 	}
 	rows := [][]string{make([]string, len(p.cols))}
 	for _, qc := range q.Children {
 		var childRows [][]string
-		for _, m := range childMatches(n, qc) {
-			childRows = append(childRows, p.matchAt(qc, m)...)
+		base := len(*scratch)
+		*scratch = appendChildMatches(*scratch, n, qc)
+		// A deeper level may move the stack; this level's run stays where
+		// it was read from.
+		for _, m := range (*scratch)[base:] {
+			childRows = append(childRows, p.matchAt(qc, m, scratch)...)
 		}
+		*scratch = (*scratch)[:base]
 		if len(childRows) == 0 {
 			return nil
 		}
@@ -359,23 +367,17 @@ func (p *plan) matchAt(q *pattern.Node, n *xmltree.Node) [][]string {
 	return rows
 }
 
-// childMatches lists the document nodes reachable from n along the axis of
-// qc that carry qc's label and kind.
-func childMatches(n *xmltree.Node, qc *pattern.Node) []*xmltree.Node {
-	var out []*xmltree.Node
-	var visit func(m *xmltree.Node, depth int)
-	visit = func(m *xmltree.Node, depth int) {
-		for _, c := range m.Children {
-			matchKind := qc.IsAttr == (c.Kind == xmltree.Attribute)
-			if c.Label == qc.Label && matchKind {
-				out = append(out, c)
-			}
-			if qc.Axis == pattern.Descendant && c.Kind == xmltree.Element {
-				visit(c, depth+1)
-			}
+// appendChildMatches appends to out the document nodes reachable from n
+// along the axis of qc that carry qc's label and kind, in document order.
+func appendChildMatches(out []*xmltree.Node, n *xmltree.Node, qc *pattern.Node) []*xmltree.Node {
+	for _, c := range n.Children {
+		if c.Label == qc.Label && qc.IsAttr == (c.Kind == xmltree.Attribute) {
+			out = append(out, c)
+		}
+		if qc.Axis == pattern.Descendant && c.Kind == xmltree.Element {
+			out = appendChildMatches(out, c, qc)
 		}
 	}
-	visit(n, 0)
 	return out
 }
 

@@ -332,3 +332,45 @@ func TestColumnNames(t *testing.T) {
 		t.Errorf("ColumnNames = %v, want %v", got, want)
 	}
 }
+
+// appendChildMatches is called once per pattern edge per candidate node; it
+// must find its matches, in document order and on both axes, without
+// allocating when the caller's slice has room.
+func TestAppendChildMatchesDoesNotAllocate(t *testing.T) {
+	doc, err := xmltree.Parse("d.xml", []byte(`<a id="1"><b>x</b><c><b id="2">y</b></c><b/></a>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := doc.Root
+	for _, tc := range []struct {
+		qc   pattern.Node
+		want []int32 // pre ranks
+	}{
+		{pattern.Node{Label: "b", Axis: pattern.Child}, []int32{3, 9}},
+		{pattern.Node{Label: "b", Axis: pattern.Descendant}, []int32{3, 6, 9}},
+		{pattern.Node{Label: "id", IsAttr: true, Axis: pattern.Child}, []int32{2}},
+		{pattern.Node{Label: "id", IsAttr: true, Axis: pattern.Descendant}, []int32{2, 7}},
+		{pattern.Node{Label: "id", Axis: pattern.Descendant}, nil},
+	} {
+		buf := make([]*xmltree.Node, 1, 8)
+		var got []*xmltree.Node
+		allocs := testing.AllocsPerRun(100, func() {
+			got = appendChildMatches(buf, root, &tc.qc)
+		})
+		if allocs != 0 {
+			t.Errorf("%+v: %v allocs per call, want 0", tc.qc, allocs)
+		}
+		var pres []int32
+		for _, n := range got[1:] {
+			pres = append(pres, n.ID.Pre)
+		}
+		if len(pres) != len(tc.want) {
+			t.Fatalf("%+v: matched %v, want %v", tc.qc, pres, tc.want)
+		}
+		for i := range pres {
+			if pres[i] != tc.want[i] {
+				t.Fatalf("%+v: matched %v, want %v", tc.qc, pres, tc.want)
+			}
+		}
+	}
+}

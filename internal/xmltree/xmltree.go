@@ -18,14 +18,42 @@
 // n1.post > n2.post (the paper's Section 5 states "n1.post < n2.post",
 // which contradicts its own Figure 3 numbers; we follow the figure), and n1
 // is the parent of n2 iff additionally n1.depth+1 == n2.depth.
+//
+// # The scanner and its contract
+//
+// Parse (scan.go) is one pass over the document held as one string. It
+// finds markup with strings.IndexByte, takes names, text and attribute
+// values as sub-slices of that string, and builds a new string only for a
+// run that holds a reference, a \r, or several pieces (text around a
+// comment, a CDATA section). Labels are the exception: each distinct label
+// is copied once into a per-document table, so a Label kept after the
+// Document is dropped does not keep the document's text alive, and the
+// table is the NodesByLabel index. Nodes come out of one slab sized from
+// the input, and all Children slices out of another.
+//
+// What Parse accepts is defined by the encoding/xml tokenizer it replaced
+// (Decoder.Token in strict mode, no Entity map, no CharsetReader), which
+// the tests keep as an oracle: for every input the oracle accepts, Parse
+// accepts and yields the same nodes, in the same order, with the same Kind,
+// Label, Text, ID and Content; for every input the oracle rejects, Parse
+// rejects. That includes the oracle's own departures from XML 1.0: only
+// the five predefined entities exist, attribute values keep their tabs and
+// newlines, a DOCTYPE is skipped unread, an XML declaration is checked
+// wherever it stands, an attribute whose prefix is bound to the URL "xmlns"
+// is taken for a name space declaration. The leniencies, inputs the oracle
+// rejects and Parse accepts, are these and no others:
+//
+//   - Non-ASCII characters in element, attribute and processing-instruction
+//     names are not checked against the Unicode name tables: any valid
+//     UTF-8 sequence is a name character. ASCII characters are checked.
+//
+// Error messages are the scanner's own and carry a line number.
 package xmltree
 
 import (
-	"bytes"
 	"encoding/xml"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -82,13 +110,15 @@ func (id NodeID) Less(other NodeID) bool { return id.Pre < other.Pre }
 
 // Node is one tree node.
 type Node struct {
-	Kind NodeKind
-	// Label is the element or attribute name; empty for text nodes.
+	// Label is the element or attribute name; empty for text nodes. It is
+	// the document's own copy of the name and shares no memory with Text.
 	Label string
 	// Text is the character data of a Text node or the value of an
-	// Attribute node; empty for elements.
+	// Attribute node; empty for elements. It usually is a sub-slice of the
+	// document's text, so a Text kept past the Document keeps that text.
 	Text string
 	ID   NodeID
+	Kind NodeKind
 
 	Parent *Node
 	// Children lists attribute nodes first, then element and text
@@ -105,132 +135,18 @@ type Document struct {
 	// contribution of this document.
 	SourceBytes int64
 
-	nodes   []*Node // in pre order; nodes[pre-1]
-	byLabel map[string][]*Node
+	nodes []*Node // in pre order; nodes[pre-1]
+	// labels is the table Parse interned the labels in, and byLabel the
+	// nodes of each of its entries in document order. Text nodes are under
+	// "".
+	labels  map[string]int32
+	byLabel [][]*Node
 }
 
 // Parse errors.
 var (
 	ErrEmptyDocument = errors.New("xmltree: document has no root element")
 )
-
-// Parse builds the tree for one document.
-func Parse(uri string, data []byte) (*Document, error) {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	doc := &Document{URI: uri, SourceBytes: int64(len(data))}
-
-	var (
-		stack   []*Node
-		pre     int32
-		post    int32
-		pending strings.Builder // accumulated character data
-	)
-
-	flushText := func() {
-		if pending.Len() == 0 {
-			return
-		}
-		s := pending.String()
-		pending.Reset()
-		if strings.TrimSpace(s) == "" {
-			return
-		}
-		if len(stack) == 0 {
-			return // character data outside the root: ignore
-		}
-		parent := stack[len(stack)-1]
-		pre++
-		post++
-		n := &Node{
-			Kind:   Text,
-			Text:   s,
-			ID:     NodeID{Pre: pre, Post: post, Depth: parent.ID.Depth + 1},
-			Parent: parent,
-		}
-		parent.Children = append(parent.Children, n)
-		doc.nodes = append(doc.nodes, n)
-	}
-
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parsing %s: %w", uri, err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			flushText()
-			if doc.Root != nil && len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parsing %s: multiple root elements", uri)
-			}
-			var parent *Node
-			depth := int32(1)
-			if len(stack) > 0 {
-				parent = stack[len(stack)-1]
-				depth = parent.ID.Depth + 1
-			}
-			pre++
-			el := &Node{
-				Kind:   Element,
-				Label:  t.Name.Local,
-				ID:     NodeID{Pre: pre, Depth: depth},
-				Parent: parent,
-			}
-			if parent != nil {
-				parent.Children = append(parent.Children, el)
-			} else {
-				doc.Root = el
-			}
-			doc.nodes = append(doc.nodes, el)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				pre++
-				post++
-				an := &Node{
-					Kind:   Attribute,
-					Label:  a.Name.Local,
-					Text:   a.Value,
-					ID:     NodeID{Pre: pre, Post: post, Depth: depth + 1},
-					Parent: el,
-				}
-				el.Children = append(el.Children, an)
-				doc.nodes = append(doc.nodes, an)
-			}
-			stack = append(stack, el)
-		case xml.EndElement:
-			flushText()
-			el := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			post++
-			el.ID.Post = post
-		case xml.CharData:
-			pending.Write(t)
-		default:
-			// Comments, directives and processing instructions carry no
-			// indexable content.
-		}
-	}
-	if doc.Root == nil {
-		return nil, fmt.Errorf("%w: %s", ErrEmptyDocument, uri)
-	}
-	doc.buildLabelIndex()
-	return doc, nil
-}
-
-// buildLabelIndex materializes the label → nodes map. Parse calls it
-// eagerly so that a parsed document is immutable afterwards and can be read
-// from any number of goroutines (the query pipeline evaluates one document
-// on several workers).
-func (d *Document) buildLabelIndex() {
-	d.byLabel = make(map[string][]*Node)
-	for _, n := range d.nodes {
-		d.byLabel[n.Label] = append(d.byLabel[n.Label], n)
-	}
-}
 
 // NodeCount returns the number of nodes (elements, attributes, texts).
 func (d *Document) NodeCount() int { return len(d.nodes) }
@@ -249,15 +165,14 @@ func (d *Document) NodeByPre(pre int32) *Node {
 
 // NodesByLabel returns the element or attribute nodes carrying the given
 // label, in document order. Text nodes, having no label, are returned for
-// label "". Parse builds the underlying map eagerly, so concurrent calls on
-// a parsed document are safe; the lazy fallback only serves documents
-// assembled by hand, which are single-goroutine by construction. Callers
+// label "". A parsed document is immutable, so concurrent calls are safe
+// (the query pipeline evaluates one document on several workers). Callers
 // must not modify the result.
 func (d *Document) NodesByLabel(label string) []*Node {
-	if d.byLabel == nil {
-		d.buildLabelIndex()
+	if i, ok := d.labels[label]; ok {
+		return d.byLabel[i]
 	}
-	return d.byLabel[label]
+	return nil
 }
 
 // Value returns the string value of a node as defined in Section 4 of the
@@ -267,6 +182,14 @@ func (n *Node) Value() string {
 	switch n.Kind {
 	case Attribute, Text:
 		return n.Text
+	}
+	// <name>text</name>: one text node after the attributes is the value.
+	kids := n.Children
+	for len(kids) > 0 && kids[0].Kind == Attribute {
+		kids = kids[1:]
+	}
+	if len(kids) == 1 && kids[0].Kind == Text {
+		return kids[0].Text
 	}
 	var b strings.Builder
 	n.appendText(&b)
