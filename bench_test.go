@@ -278,11 +278,73 @@ func BenchmarkExtract(b *testing.B) {
 	for _, s := range index.All() {
 		b.Run(s.Name(), func(b *testing.B) {
 			b.SetBytes(int64(len(gd.Data)))
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				index.Extract(s, doc, index.DefaultOptions())
 			}
 		})
 	}
+	// The gateable benchmark's documents (benchmark/corpus.go: 400 x 16 KB,
+	// generator seed 42, 2LUPI on the DynamoDB limits); one op is one
+	// document.
+	b.Run("16KB/2LUPI", func(b *testing.B) {
+		docs, bytes := gateCorpus(b)
+		parsed := make([]*xmltree.Document, len(docs))
+		for i, d := range docs {
+			if parsed[i], err = xmltree.Parse(d.URI, d.Data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		opts := index.OptionsFor(dynamodb.New(meter.NewLedger()))
+		b.SetBytes(bytes / int64(len(docs)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			index.Extract(index.TwoLUPI, parsed[i%len(parsed)], opts)
+		}
+	})
+}
+
+// gateCorpus generates the corpus of the gateable benchmark and returns it
+// with its size in bytes.
+func gateCorpus(b *testing.B) ([]xmark.Doc, int64) {
+	b.Helper()
+	cfg := xmark.DefaultConfig(400)
+	cfg.Seed = 42
+	cfg.TargetDocBytes = 16 << 10
+	docs := make([]xmark.Doc, cfg.Docs)
+	var bytes int64
+	for i := range docs {
+		docs[i] = xmark.GenerateDoc(cfg, i)
+		bytes += int64(len(docs[i].Data))
+	}
+	return docs, bytes
+}
+
+// BenchmarkBulkBuild is one from-scratch bulk build of the gateable
+// benchmark's corpus, as its index-build workload does it: submit every
+// document, then index the corpus on eight large instances with BulkLoad
+// on. ns/op is per build; docs/s is the rate.
+func BenchmarkBulkBuild(b *testing.B) {
+	docs, bytes := gateCorpus(b)
+	b.SetBytes(bytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, d := range docs {
+			if err := w.SubmitDocument(d.URI, d.Data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := w.IndexCorpusOn(ec2.LaunchFleet(w.Ledger(), ec2.Large, 8), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(docs)*b.N)/b.Elapsed().Seconds(), "docs/s")
 }
 
 func BenchmarkLookup(b *testing.B) {

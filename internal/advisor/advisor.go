@@ -106,18 +106,11 @@ func New(docs []*xmltree.Document, cfg Config) (*Advisor, error) {
 		}
 		a.sample = append(a.sample, d)
 		totalBytes += d.SourceBytes
-		keys := make(map[string]bool)
-		paths := make(map[string]bool)
-		for _, n := range d.Nodes() {
-			for _, k := range index.NodeKeys(n) {
-				keys[k] = true
-				paths[index.PathOf(n, k)] = true
-			}
-		}
-		for k := range keys {
+		keys, paths := index.KeysAndPaths(d)
+		for _, k := range keys {
 			a.Summary.KeyDocs[k]++
 		}
-		for p := range paths {
+		for _, p := range paths {
 			a.Summary.PathDocs[p]++
 		}
 	}

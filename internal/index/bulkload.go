@@ -2,6 +2,7 @@ package index
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 // request carries a full batch and the billed request count drops to the
 // floor of ceil(items/limit) per table.
 //
-// Items are built by the same entryItems helper as WriteExtraction, so the
+// Items are built by the same tableItems helper as WriteExtraction, so the
 // store contents are byte-identical to the per-document path; content-derived
 // range keys (ItemRangeKey) keep coalesced retries idempotent exactly as
 // they do per-document writes.
@@ -134,14 +135,16 @@ func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 	d := &bulkDoc{uri: ex.URI}
 	b.fifo = append(b.fifo, d)
 	for _, table := range sortedTables(ex) {
-		for _, e := range ex.Tables[table] {
-			d.stats.Entries++
-			b.total.Entries++
-			for _, item := range entryItems(ex.URI, table, e, b.itemBudget) {
-				b.buffers[table] = append(b.buffers[table], pendingItem{item: item, size: item.Size(), doc: d})
-				d.pending++
-			}
+		entries := ex.Tables[table]
+		d.stats.Entries += len(entries)
+		b.total.Entries += len(entries)
+		items := tableItems(ex.URI, table, entries, b.itemBudget)
+		buf := slices.Grow(b.buffers[table], len(items))
+		for _, item := range items {
+			buf = append(buf, pendingItem{item: item, size: item.Size(), doc: d})
 		}
+		b.buffers[table] = buf
+		d.pending += len(items)
 		for len(b.buffers[table]) >= b.flushItems {
 			if err := b.flushTable(table); err != nil {
 				return b.release(), err

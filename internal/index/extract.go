@@ -1,8 +1,9 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/xmltree"
 )
@@ -148,96 +149,85 @@ func DefaultOptions() Options {
 	return Options{BinaryIDs: true, MaxValueBytes: 48 << 10}
 }
 
-// keyInfo accumulates everything indexable about one key of one document.
-type keyInfo struct {
-	paths map[string]bool
-	ids   []xmltree.NodeID
-}
-
-// Extract computes I(d) for the strategy (Table 2).
+// Extract computes I(d) for the strategy (Table 2): per table, one entry
+// per key of the document in sorted key order, holding nothing (LU), the
+// key's label paths in sorted order (LUP) or its identifiers in pre order
+// (LUI). The collector's pass yields keys, (key, prefix) pairs and
+// identifier lists; this function turns them into entries. Path values and
+// the Values slices are capacity-limited sub-slices of one buffer each, so
+// the document costs a handful of allocations, not one per value.
 func Extract(s Strategy, doc *xmltree.Document, opts Options) *Extraction {
 	if opts.MaxValueBytes == 0 {
 		opts.MaxValueBytes = DefaultOptions().MaxValueBytes
 	}
-	infos := collect(doc, opts.SkipWords)
-	keys := make([]string, 0, len(infos))
-	for k := range infos {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	luTable, pathTable, idTable := s.luTableName(), s.pathTableName(), s.idTableName()
+	c := collect(doc, opts.SkipWords, pathTable != "", idTable != "")
+	keys := c.sortedKeys()
 
-	ex := &Extraction{URI: doc.URI, Tables: make(map[string][]Entry)}
-	add := func(table string, e Entry) {
-		if table == "" {
-			return
-		}
-		ex.Tables[table] = append(ex.Tables[table], e)
+	ex := &Extraction{URI: doc.URI, Tables: make(map[string][]Entry, 2)}
+	entries := make([]Entry, len(keys)*len(s.Tables()))
+	table := func() []Entry {
+		t := entries[:0:len(keys)]
+		entries = entries[len(keys):]
+		return t
+	}
+	add := func(t []Entry, e Entry) []Entry {
 		ex.Entries++
 		ex.Bytes += int64(len(e.Key))
 		for _, v := range e.Values {
 			ex.Bytes += int64(len(v))
 		}
+		return append(t, e)
 	}
-	for _, k := range keys {
-		info := infos[k]
-		add(s.luTableName(), Entry{Key: k, Values: [][]byte{nil}})
-		if t := s.pathTableName(); t != "" {
-			paths := make([]string, 0, len(info.paths))
-			for p := range info.paths {
-				paths = append(paths, p)
+
+	if luTable != "" {
+		t, none := table(), make([][]byte, len(keys))
+		for i, sk := range keys {
+			t = add(t, Entry{Key: sk.key, Values: none[i : i+1 : i+1]})
+		}
+		ex.Tables[luTable] = t
+	}
+	if pathTable != "" {
+		buf := make([]byte, 0, c.pathBytes)
+		values := make([][]byte, len(c.links))
+		t := table()
+		for _, sk := range keys {
+			ks := &c.keys[sk.k]
+			paths := values[:ks.nPaths:ks.nPaths]
+			values = values[ks.nPaths:]
+			first := len(buf)
+			for i, l := 0, ks.head; l >= 0; i, l = i+1, c.links[l].next {
+				start := len(buf)
+				buf = c.appendPath(buf, c.links[l].prefix, sk.k)
+				paths[i] = buf[start:len(buf):len(buf)]
 			}
-			sort.Strings(paths)
-			values := make([][]byte, len(paths))
-			var plainBytes int64
-			for i, p := range paths {
-				values[i] = []byte(p)
-				plainBytes += int64(len(p))
-			}
+			plainBytes := len(buf) - first
+			slices.SortFunc(paths, bytes.Compare)
 			if opts.CompressPaths {
 				// Adaptive: front-coding pays a header per path, so short
 				// single-path lists can come out larger — keep whichever
 				// encoding is smaller (readers handle both).
-				comp := EncodePathsCompressed(paths, opts.MaxValueBytes)
-				var compBytes int64
+				comp := frontCode(paths, opts.MaxValueBytes)
+				compBytes := 0
 				for _, v := range comp {
-					compBytes += int64(len(v))
+					compBytes += len(v)
 				}
 				if compBytes < plainBytes {
-					values = comp
+					paths = comp
 				}
 			}
-			add(t, Entry{Key: k, Values: values})
+			t = add(t, Entry{Key: sk.key, Values: paths})
 		}
-		if t := s.idTableName(); t != "" {
-			add(t, Entry{Key: k, Values: EncodeIDsPayload(info.ids, opts.BinaryIDs, opts.MaxValueBytes, opts.IDPayload)})
+		ex.Tables[pathTable] = t
+	}
+	if idTable != "" {
+		ids := c.dealIDs(doc.Nodes())
+		t := table()
+		for _, sk := range keys {
+			ks := &c.keys[sk.k]
+			t = add(t, Entry{Key: sk.key, Values: EncodeIDsPayload(ids[ks.idOff:ks.idOff+ks.nID:ks.idOff+ks.nID], opts.BinaryIDs, opts.MaxValueBytes, opts.IDPayload)})
 		}
+		ex.Tables[idTable] = t
 	}
 	return ex
-}
-
-// collect gathers, in one pass over the document, the paths and sorted
-// identifier lists of every key. Nodes are visited in pre order, so each
-// key's identifier list is already sorted by pre — the property the LUI
-// look-up relies on to avoid sort operators (Section 5.3).
-func collect(doc *xmltree.Document, skipWords bool) map[string]*keyInfo {
-	infos := make(map[string]*keyInfo)
-	get := func(k string) *keyInfo {
-		info, ok := infos[k]
-		if !ok {
-			info = &keyInfo{paths: make(map[string]bool)}
-			infos[k] = info
-		}
-		return info
-	}
-	for _, n := range doc.Nodes() {
-		if skipWords && n.Kind == xmltree.Text {
-			continue
-		}
-		for _, k := range NodeKeys(n) {
-			info := get(k)
-			info.paths[PathOf(n, k)] = true
-			info.ids = append(info.ids, n.ID)
-		}
-	}
-	return infos
 }

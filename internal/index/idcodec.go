@@ -52,7 +52,11 @@ func EncodeIDsBinary(ids []xmltree.NodeID, maxBlob int) [][]byte {
 	// inputs — it round-trips them through the decoder's modular int32
 	// arithmetic instead (the codec fuzz targets exercise this).
 	var tmp [3 * binary.MaxVarintLen64]byte
-	for _, id := range ids {
+	for i, id := range ids {
+		if buf == nil {
+			// Most triples take three to five bytes.
+			buf = make([]byte, 0, min(maxBlob, 4*(len(ids)-i)+4))
+		}
 		n := binary.PutUvarint(tmp[:], uint64(id.Pre-prevPre))
 		n += binary.PutUvarint(tmp[n:], uint64(id.Post))
 		n += binary.PutUvarint(tmp[n:], uint64(id.Depth))

@@ -78,8 +78,37 @@ func NodeKeys(n *xmltree.Node) []string {
 
 // escapeComponent makes a key safe to embed as one path component.
 func escapeComponent(key string) string {
-	key = strings.ReplaceAll(key, "%", "%25")
-	return strings.ReplaceAll(key, "/", "%2F")
+	if escapedLen(key) == len(key) {
+		return key
+	}
+	return string(appendEscaped(nil, key))
+}
+
+// appendEscaped appends the escaped form of a key: "%" as "%25", "/" as
+// "%2F".
+func appendEscaped[K ~string | ~[]byte](dst []byte, key K) []byte {
+	for i := 0; i < len(key); i++ {
+		switch b := key[i]; b {
+		case '%':
+			dst = append(dst, "%25"...)
+		case '/':
+			dst = append(dst, "%2F"...)
+		default:
+			dst = append(dst, b)
+		}
+	}
+	return dst
+}
+
+// escapedLen is the length of the escaped form of a key.
+func escapedLen[K ~string | ~[]byte](key K) int {
+	n := len(key)
+	for i := 0; i < len(key); i++ {
+		if key[i] == '%' || key[i] == '/' {
+			n += 2
+		}
+	}
+	return n
 }
 
 // PathOf returns the stored label path of a node, using the given key for

@@ -25,21 +25,27 @@ const pathBlockMarker = 0x01
 // maxValue bytes. Paths are sorted first (the order is irrelevant to the
 // LUP look-up, which treats the list as a set).
 func EncodePathsCompressed(paths []string, maxValue int) [][]byte {
+	sorted := append([]string(nil), paths...)
+	sort.Strings(sorted)
+	return frontCode(sorted, maxValue)
+}
+
+// frontCode front-codes a sorted path list, held as strings or as byte
+// slices, into blocks of at most maxValue bytes.
+func frontCode[P ~string | ~[]byte](sorted []P, maxValue int) [][]byte {
 	if maxValue <= 0 {
 		maxValue = 1 << 20
 	}
-	sorted := append([]string(nil), paths...)
-	sort.Strings(sorted)
 	var blocks [][]byte
 	var buf []byte
-	prev := ""
+	var prev P
 	var tmp [2 * binary.MaxVarintLen32]byte
 	flush := func() {
 		if len(buf) > 1 {
 			blocks = append(blocks, buf)
 		}
 		buf = nil
-		prev = ""
+		prev = prev[:0]
 	}
 	for _, p := range sorted {
 		if buf == nil {
@@ -67,7 +73,7 @@ func EncodePathsCompressed(paths []string, maxValue int) [][]byte {
 	return blocks
 }
 
-func commonPrefix(a, b string) int {
+func commonPrefix[P ~string | ~[]byte](a, b P) int {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)

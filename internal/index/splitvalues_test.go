@@ -2,13 +2,32 @@ package index
 
 import (
 	"bytes"
+	"strings"
 	"testing"
+
+	"repro/internal/cloud/kv"
 )
 
 // splitValues assigns each value group an ordinal, and ItemRangeKey derives
 // item identity from that ordinal — so the grouping must be a pure function
 // of the input (ordinal stability) or re-written documents would leave
 // orphaned items behind. These tests pin the edge cases down.
+
+// splitValues returns the groups tableItems packs an entry's values into,
+// one per item, for an entry whose key and URI take fixed bytes.
+func splitValues(values [][]byte, budget, fixed int64) [][]kv.Value {
+	e := Entry{Key: strings.Repeat("k", int(fixed)), Values: values}
+	var groups [][]kv.Value
+	for _, item := range tableItems("", "tbl", []Entry{e}, budget) {
+		groups = append(groups, item.Attrs[0].Values)
+	}
+	return groups
+}
+
+// entryItems is tableItems for one entry.
+func entryItems(uri, table string, e Entry, itemBudget int64) []kv.Item {
+	return tableItems(uri, table, []Entry{e}, itemBudget)
+}
 
 func collectGroups(t *testing.T, values [][]byte, budget, fixed int64) [][][]byte {
 	t.Helper()

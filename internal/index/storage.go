@@ -33,19 +33,34 @@ import (
 // delivery into exactly-once index contents with no coordination.
 //
 // The key is the first 16 bytes of a domain-separated SHA-256, hex encoded
-// — the same width as the UUIDs it replaces.
+// — the same width as the UUIDs it replaces. The hashed pre-image is each of
+// uri, table and key behind its length, then the ordinal, all big-endian
+// uint32; it is built in one buffer and hashed in one call, so the only
+// allocation is the returned string.
 func ItemRangeKey(uri, table, key string, ordinal int) string {
-	h := sha256.New()
-	var len4 [4]byte
-	for _, part := range []string{uri, table, key} {
-		binary.BigEndian.PutUint32(len4[:], uint32(len(part)))
-		h.Write(len4[:])
-		h.Write([]byte(part))
-	}
-	binary.BigEndian.PutUint32(len4[:], uint32(ordinal))
-	h.Write(len4[:])
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16])
+	var buf [256]byte
+	return rangeKey(rangeKeyHead(buf[:0], uri, table), key, ordinal)
+}
+
+// rangeKeyHead appends the part of the pre-image that the items of one
+// document under one table share.
+func rangeKeyHead(dst []byte, uri, table string) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(uri)))
+	dst = append(dst, uri...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(table)))
+	return append(dst, table...)
+}
+
+// rangeKey completes the pre-image in the spare capacity behind head (or in
+// a new array if it does not fit) and returns the range key.
+func rangeKey(head []byte, key string, ordinal int) string {
+	pre := binary.BigEndian.AppendUint32(head, uint32(len(key)))
+	pre = append(pre, key...)
+	pre = binary.BigEndian.AppendUint32(pre, uint32(ordinal))
+	sum := sha256.Sum256(pre)
+	var text [32]byte
+	hex.Encode(text[:], sum[:16])
+	return string(text[:])
 }
 
 // UUIDGen produces RFC 4122-shaped version-4 identifiers from a seeded
@@ -199,14 +214,12 @@ func WriteExtraction(store kv.Store, ex *Extraction, caches ...*PostingCache) (t
 	}
 
 	for _, table := range sortedTables(ex) {
-		for _, e := range ex.Tables[table] {
-			stats.Entries++
-			for _, item := range entryItems(ex.URI, table, e, itemBudget) {
-				batch = append(batch, item)
-				if len(batch) == batchLimit {
-					if err := flush(table); err != nil {
-						return total, stats, err
-					}
+		stats.Entries += len(ex.Tables[table])
+		for _, item := range tableItems(ex.URI, table, ex.Tables[table], itemBudget) {
+			batch = append(batch, item)
+			if len(batch) == batchLimit {
+				if err := flush(table); err != nil {
+					return total, stats, err
 				}
 			}
 		}
@@ -229,22 +242,62 @@ func itemBudgetFor(lim kv.Limits) int64 {
 	return budget
 }
 
-// entryItems builds the store items of one extraction entry: values are
-// packed under the item budget, and each chunk's range key is derived from
-// (document, table, key, ordinal). The same entry always yields the same
+// tableItems builds the store items of one document's entries under one
+// table, in entry order: an entry's values are packed under the item budget
+// into one item or several, and each item's range key is derived from
+// (document, table, key, ordinal). The same entries always yield the same
 // items, which is what makes every write path — per-document, bulk-loaded,
-// or a retry of either — idempotent and mutually byte-identical.
-func entryItems(uri, table string, e Entry, itemBudget int64) []kv.Item {
-	groups := splitValues(e.Values, itemBudget, int64(len(e.Key)+len(uri)))
-	items := make([]kv.Item, len(groups))
-	for ordinal, values := range groups {
-		items[ordinal] = kv.Item{
-			HashKey:  e.Key,
-			RangeKey: ItemRangeKey(uri, table, e.Key, ordinal),
-			Attrs:    []kv.Attr{{Name: uri, Values: values}},
+// or a retry of either — idempotent and mutually byte-identical. The items'
+// Attrs and Values are capacity-limited sub-slices of one array each, and
+// the range keys are hashed out of one buffer.
+func tableItems(uri, table string, entries []Entry, itemBudget int64) []kv.Item {
+	nValues := 0
+	for _, e := range entries {
+		nValues += len(e.Values)
+	}
+	items := make([]kv.Item, 0, len(entries))
+	attrs := make([]kv.Attr, 0, len(entries))
+	values := make([]kv.Value, 0, nValues)
+	var buf [256]byte
+	head := rangeKeyHead(buf[:0], uri, table)
+	for _, e := range entries {
+		avail := max(itemBudget-int64(len(e.Key)+len(uri)), 1)
+		rest := e.Values
+		// An entry without values still is one item: LU stores bare presence
+		// this way.
+		for ordinal := 0; ordinal == 0 || len(rest) > 0; ordinal++ {
+			n := groupLen(rest, avail)
+			start := len(values)
+			for _, v := range rest[:n] {
+				values = append(values, kv.Value(v))
+			}
+			rest = rest[n:]
+			if len(attrs) == cap(attrs) {
+				attrs = make([]kv.Attr, 0, len(entries)) // the items so far keep the full one
+			}
+			attrs = append(attrs, kv.Attr{Name: uri, Values: values[start:len(values):len(values)]})
+			items = append(items, kv.Item{
+				HashKey:  e.Key,
+				RangeKey: rangeKey(head, e.Key, ordinal),
+				Attrs:    attrs[len(attrs)-1 : len(attrs) : len(attrs)],
+			})
 		}
 	}
 	return items
+}
+
+// groupLen returns how many of the leading values go into the next item:
+// as many as fit in avail bytes, and at least one, so a value larger than
+// the budget rides alone instead of being dropped or cut.
+func groupLen(values [][]byte, avail int64) int {
+	var size int64
+	for i, v := range values {
+		if i > 0 && size+int64(len(v)) > avail {
+			return i
+		}
+		size += int64(len(v))
+	}
+	return len(values)
 }
 
 // ExtractionItems returns the store items every write path would generate
@@ -258,9 +311,17 @@ func ExtractionItems(lim kv.Limits, ex *Extraction) map[string]map[string][]kv.I
 	itemBudget := itemBudgetFor(lim)
 	out := make(map[string]map[string][]kv.Item, len(ex.Tables))
 	for _, table := range sortedTables(ex) {
-		byKey := make(map[string][]kv.Item)
-		for _, e := range ex.Tables[table] {
-			byKey[e.Key] = append(byKey[e.Key], entryItems(ex.URI, table, e, itemBudget)...)
+		byKey := make(map[string][]kv.Item, len(ex.Tables[table]))
+		items := tableItems(ex.URI, table, ex.Tables[table], itemBudget)
+		for len(items) > 0 {
+			// An extraction has one entry per key, and an entry's items are
+			// adjacent.
+			n := 1
+			for n < len(items) && items[n].HashKey == items[0].HashKey {
+				n++
+			}
+			byKey[items[0].HashKey] = items[:n:n]
+			items = items[n:]
 		}
 		out[table] = byKey
 	}
@@ -278,31 +339,6 @@ func sortedTables(ex *Extraction) []string {
 		tables[0], tables[1] = tables[1], tables[0]
 	}
 	return tables
-}
-
-// splitValues packs values into groups whose total size fits the item
-// budget (minus fixed overhead), preserving order.
-func splitValues(values [][]byte, budget, fixed int64) [][]kv.Value {
-	avail := budget - fixed
-	if avail < 1 {
-		avail = 1
-	}
-	var groups [][]kv.Value
-	var cur []kv.Value
-	var size int64
-	for _, v := range values {
-		vs := int64(len(v))
-		if len(cur) > 0 && size+vs > avail {
-			groups = append(groups, cur)
-			cur, size = nil, 0
-		}
-		cur = append(cur, kv.Value(v))
-		size += vs
-	}
-	if len(cur) > 0 || len(groups) == 0 {
-		groups = append(groups, cur)
-	}
-	return groups
 }
 
 // PostingKind selects which sub-index a read targets.

@@ -266,26 +266,31 @@ func (n *Node) Path() []*Node {
 	return rev
 }
 
-// Words splits a string value into the words under which full-text (w‖word)
-// index keys are created: maximal runs of letters and digits. Matching is
-// case-sensitive, as in the paper's examples (wOlympia, w1854).
+// NextWord returns the first word of s that starts at or after byte offset
+// i, and the offset just past it; the word is "" once none is left. A word
+// is a maximal run of letters and digits, the unit full-text (w‖word) index
+// keys are created under. Matching is case-sensitive, as in the paper's
+// examples (wOlympia, w1854). The word is a sub-slice of s, so a loop
+//
+//	for w, i := NextWord(s, 0); w != ""; w, i = NextWord(s, i) { ... }
+//
+// visits the words of s without allocating.
+func NextWord(s string, i int) (word string, next int) {
+	for i < len(s) && !wordByte[s[i]] {
+		i++
+	}
+	start := i
+	for i < len(s) && wordByte[s[i]] {
+		i++
+	}
+	return s[start:i], i
+}
+
+// Words returns the words of s, in order.
 func Words(s string) []string {
 	var words []string
-	start := -1
-	for i, r := range s {
-		if isWordRune(r) {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		if start >= 0 {
-			words = append(words, s[start:i])
-			start = -1
-		}
-	}
-	if start >= 0 {
-		words = append(words, s[start:])
+	for w, i := NextWord(s, 0); w != ""; w, i = NextWord(s, i) {
+		words = append(words, w)
 	}
 	return words
 }
@@ -293,13 +298,24 @@ func Words(s string) []string {
 // ContainsWord reports whether the word w occurs in the value s, the
 // semantics of the contains(c) predicate.
 func ContainsWord(s, w string) bool {
-	for _, got := range Words(s) {
+	for got, i := NextWord(s, 0); got != ""; got, i = NextWord(s, i) {
 		if got == w {
 			return true
 		}
 	}
 	return false
 }
+
+// wordByte tells whether a byte belongs to a word. Every byte of a
+// non-ASCII character does (and so does a byte that is not valid UTF-8,
+// which a range over the string would read as U+FFFD), so words can be cut
+// byte by byte without decoding.
+var wordByte = func() (t [256]bool) {
+	for b := range t {
+		t[b] = isWordRune(rune(b))
+	}
+	return t
+}()
 
 func isWordRune(r rune) bool {
 	switch {

@@ -224,6 +224,67 @@ func TestWords(t *testing.T) {
 	}
 }
 
+// wordsByRune is Words as it was before NextWord: a range over the runes.
+func wordsByRune(s string) []string {
+	var words []string
+	start := -1
+	for i, r := range s {
+		if isWordRune(r) {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 {
+			words = append(words, s[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		words = append(words, s[start:])
+	}
+	return words
+}
+
+// NextWord cuts byte by byte; the definition is by rune. Both must agree,
+// and the iterator and ContainsWord must not allocate.
+func TestNextWordAgreesWithRunes(t *testing.T) {
+	inputs := []string{
+		"", " ", "a", " a", "a ", "The Lion Hunt", "  a,b;c  ", "year=1854!",
+		"1863-1", "snake_case and kebab-case", "-", "_", "--a__", "a-_-b",
+		"naïve café", "Ångström", "日本語 テキスト", "x y", "é", "—dash—",
+		"bad\xffutf8", "\xff", "a\xc3", "\xe6\x97", "tab\tnew\nline\r.",
+		"<&>\"'", "a.b.c.d", strings.Repeat("word ", 100),
+	}
+	for _, in := range inputs {
+		want := wordsByRune(in)
+		if got := Words(in); !reflect.DeepEqual(got, want) {
+			t.Errorf("Words(%q) = %q, by rune %q", in, got, want)
+		}
+		i := 0
+		for _, w := range want {
+			var got string
+			if got, i = NextWord(in, i); got != w {
+				t.Fatalf("NextWord(%q) = %q, want %q", in, got, w)
+			}
+			if !ContainsWord(in, w) {
+				t.Errorf("ContainsWord(%q, %q) = false", in, w)
+			}
+		}
+		if got, next := NextWord(in, i); got != "" || next != len(in) {
+			t.Errorf("NextWord(%q, %d) past the last word = %q, %d", in, i, got, next)
+		}
+	}
+	text := strings.Repeat("The Lion Hunt, 1854; ", 50) + "Olympia"
+	if n := testing.AllocsPerRun(100, func() {
+		if !ContainsWord(text, "Olympia") || ContainsWord(text, "Olymp") {
+			t.Fatal("ContainsWord wrong")
+		}
+	}); n != 0 {
+		t.Errorf("ContainsWord allocates %v times, want 0", n)
+	}
+}
+
 // Structural invariants that must hold for every parsed document:
 // pre/post/depth are consistent, and the ancestor test agrees with the tree.
 func checkInvariants(t *testing.T, d *Document) {
