@@ -61,10 +61,12 @@ benchcmp:
 benchsmoke:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...
 
-# obs-smoke boots a small warehouse, runs one query, scrapes the Prometheus
-# exporter once over HTTP and verifies the payload parses.
+# obs-smoke boots a small mutable warehouse, runs one query and a short
+# serve-mixed-rw-style write walk, scrapes the Prometheus exporter once over
+# HTTP, verifies the payload parses and that the index store's kv.arena.*
+# metrics (live and dead bytes, chunks, rewrites) are all non-zero.
 obs-smoke:
-	$(GO) run ./cmd/xwh -corpus paintings -query '//painting[/name{val}]' -obs-smoke
+	$(GO) run ./cmd/xwh -mutable -compact-every 4 -docs 16 -strategy 2LUPI -query '//item[/name{val}]' -obs-smoke
 
 # servesmoke stands the query daemon up on a loopback port, drives a short
 # seeded closed-loop loadgen burst against it, asserts zero errors plus a
@@ -98,7 +100,7 @@ mutatesmoke:
 # top of the checked-in seed corpora. `go test -fuzz` accepts only one
 # matching target per invocation, so discover and loop.
 fuzzsmoke:
-	@for pkg in ./internal/idblock ./internal/index ./internal/pattern ./internal/xmltree; do \
+	@for pkg in ./internal/cloud/kv ./internal/idblock ./internal/index ./internal/pattern ./internal/xmltree; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test $$pkg -run="^$$target$$" -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \

@@ -347,6 +347,39 @@ func BenchmarkBulkBuild(b *testing.B) {
 	b.ReportMetric(float64(len(docs)*b.N)/b.Elapsed().Seconds(), "docs/s")
 }
 
+// BenchmarkLookupQuery/gate is the index look-up of the gateable benchmark's
+// serve-selective workload without the HTTP harness: q1-q5 under 2LUPI over
+// the gate corpus, one look-up goroutine, no cache. ns/op is per query.
+func BenchmarkLookupQuery(b *testing.B) {
+	b.Run("gate", func(b *testing.B) {
+		docs, _ := gateCorpus(b)
+		w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, d := range docs {
+			if err := w.SubmitDocument(d.URI, d.Data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := w.IndexCorpusOn(ec2.LaunchFleet(w.Ledger(), ec2.Large, 8), nil); err != nil {
+			b.Fatal(err)
+		}
+		var queries []*pattern.Query
+		for _, q := range workload.XMark()[:5] {
+			queries = append(queries, q.Parse())
+		}
+		opts := index.LookupOptions{Concurrency: 1}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := index.LookupQuery(w.Store(), index.TwoLUPI, queries[i%len(queries)], opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkLookup(b *testing.B) {
 	c, env, _ := benchSetup(b)
 	q := workload.XMark()[3].Parse() // the two-branch split-feature query
@@ -486,6 +519,65 @@ func BenchmarkIDCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// memStoreGroup returns a table "t" holding one hash key "key" of n items
+// shaped like the index's: one URI attribute with one 80-byte value under a
+// 16-byte content-hash range key.
+func memStoreGroup(b *testing.B, n int) (*kv.MemStore, []kv.Item) {
+	b.Helper()
+	store := dynamodb.New(meter.NewLedger())
+	if err := store.CreateTable("t"); err != nil {
+		b.Fatal(err)
+	}
+	items := make([]kv.Item, n)
+	for i := range items {
+		items[i] = kv.Item{
+			HashKey:  "key",
+			RangeKey: fmt.Sprintf("%016x", uint64(i)*0x9e3779b97f4a7c15),
+			Attrs:    []kv.Attr{{Name: fmt.Sprintf("doc-%03d.xml", i), Values: []kv.Value{make(kv.Value, 80)}}},
+		}
+		if _, err := store.Put("t", items[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return store, items
+}
+
+// BenchmarkMemStoreGet reads one hash key of 1, 40 and 400 items.
+func BenchmarkMemStoreGet(b *testing.B) {
+	for _, n := range []int{1, 40, 400} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			store, items := memStoreGroup(b, n)
+			b.SetBytes(int64(n) * items[0].Size())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got, _, err := store.Get("t", "key"); err != nil || len(got) != n {
+					b.Fatal(len(got), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMemStorePut overwrites the items of one hash key of 1, 40 and 400
+// items in turn (range keys are content hashes, so puts land at random
+// positions of the group), which also pays for the arena rewrites.
+func BenchmarkMemStorePut(b *testing.B) {
+	for _, n := range []int{1, 40, 400} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			store, items := memStoreGroup(b, n)
+			b.SetBytes(items[0].Size())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := store.Put("t", items[i%n]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkDynamoDBPut(b *testing.B) {

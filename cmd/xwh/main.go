@@ -144,12 +144,18 @@ func main() {
 		}
 	}
 
-	var loaded int
+	var (
+		loaded int
+		docsIn []xmark.Doc // what was loaded, for the -obs-smoke write walk
+	)
 	submit := func(uri string, data []byte) {
 		if err := wh.SubmitDocument(uri, data); err != nil {
 			log.Fatalf("submitting %s: %v", uri, err)
 		}
 		loaded++
+		if *obsSmoke {
+			docsIn = append(docsIn, xmark.Doc{URI: uri, Data: data})
+		}
 	}
 	switch {
 	case *corpus == "paintings":
@@ -325,6 +331,9 @@ func main() {
 		fmt.Printf("\ntrace of %s:\n%s", id, obs.FormatTree(spans))
 	}
 	if *obsSmoke {
+		if err := smokeWrites(wh, fleet, processor, docsIn); err != nil {
+			log.Fatalf("obs-smoke: %v", err)
+		}
 		if err := smokeScrape(metricsAt, wh); err != nil {
 			log.Fatalf("obs-smoke: %v", err)
 		}
@@ -399,9 +408,35 @@ func serveMetrics(addr string, wh *core.Warehouse) (string, error) {
 	return ln.Addr().String(), nil
 }
 
+// smokeWrites is a short write walk in the manner of the benchmark's
+// serve-mixed-rw workload, so that the write-side metrics have something to
+// report when smokeScrape reads them: one and a half passes over the corpus,
+// each step removing a document and adding it back with its neighbour's
+// content. One pass overwrites about as many index bytes as are stored,
+// which makes the store rewrite its tables once; the half pass after it
+// leaves dead bytes behind.
+func smokeWrites(wh *core.Warehouse, fleet []*ec2.Instance, in *ec2.Instance, corpus []xmark.Doc) error {
+	for i := 0; i < len(corpus)*3/2; i++ {
+		uri := corpus[i%len(corpus)].URI
+		if err := wh.RemoveDocument(in, uri); err != nil {
+			return err
+		}
+		if err := wh.SubmitDocument(uri, corpus[(i+1)%len(corpus)].Data); err != nil {
+			return err
+		}
+		if _, err := wh.IndexCorpusOn(fleet, nil); err != nil {
+			return err
+		}
+	}
+	_, err := wh.CompactNow(in)
+	return err
+}
+
 // smokeScrape fetches /metrics over HTTP once (starting an ephemeral
-// listener when none is serving) and verifies the payload parses as
-// Prometheus text format.
+// listener when none is serving), verifies the payload parses as
+// Prometheus text format, and checks that the index store's arena metrics
+// all report something after smokeWrites: a stage that reports zero is a
+// bug.
 func smokeScrape(serving string, wh *core.Warehouse) error {
 	if serving == "" {
 		var err error
@@ -425,6 +460,20 @@ func smokeScrape(serving string, wh *core.Warehouse) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("exporter returned no samples")
 	}
+	arena := map[string]float64{
+		"xwh_kv_arena_live_bytes": 0, "xwh_kv_arena_dead_bytes": 0,
+		"xwh_kv_arena_chunks": 0, "xwh_kv_arena_rewrites_total": 0,
+	}
+	for _, sm := range samples {
+		if _, ok := arena[sm.Name]; ok {
+			arena[sm.Name] = sm.Value
+		}
+	}
+	for name, v := range arena {
+		if v <= 0 {
+			return fmt.Errorf("%s = %v after a write walk, want > 0 (%v)", name, v, arena)
+		}
+	}
 	for _, probe := range []string{"/healthz", "/readyz"} {
 		pr, err := http.Get("http://" + serving + probe)
 		if err != nil {
@@ -437,5 +486,8 @@ func smokeScrape(serving string, wh *core.Warehouse) error {
 	}
 	fmt.Printf("obs-smoke: scraped and parsed %d samples from http://%s/metrics; /healthz and /readyz ok\n",
 		len(samples), serving)
+	fmt.Printf("obs-smoke: index store arena after the write walk: %.0f live and %.0f dead bytes in %.0f chunks, %.0f rewrites\n",
+		arena["xwh_kv_arena_live_bytes"], arena["xwh_kv_arena_dead_bytes"],
+		arena["xwh_kv_arena_chunks"], arena["xwh_kv_arena_rewrites_total"])
 	return nil
 }

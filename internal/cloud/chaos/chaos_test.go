@@ -322,7 +322,7 @@ func TestEveryNthCustomError(t *testing.T) {
 		t.Errorf("failures = %d, Injected = %d, want 3 and 3", failures, faulty.Injected())
 	}
 
-	// Default error class is throttling, like the deprecated kv.FaultInjector.
+	// Default error class is throttling.
 	def := &chaos.EveryNth{Store: base, FailEvery: 1}
 	if _, err := def.Put("t", item("h", "r", "v")); !errors.Is(err, kv.ErrThrottled) {
 		t.Errorf("default injected error = %v, want ErrThrottled", err)

@@ -205,9 +205,8 @@ func (c *Store) DeleteItem(table, hashKey, rangeKey string) (time.Duration, erro
 // EveryNth wraps a kv.Store and makes every n-th data operation fail with
 // a fixed error before reaching the underlying store. Unlike the
 // probabilistic Store wrapper it is exactly periodic, which makes retry
-// budgets and counters easy to assert in tests. It supersedes the
-// deprecated kv.FaultInjector and additionally supports failure classes
-// beyond throttling via Err.
+// budgets and counters easy to assert in tests. Err selects the failure
+// class.
 type EveryNth struct {
 	kv.Store
 	// FailEvery makes operation number k fail whenever k % FailEvery == 0

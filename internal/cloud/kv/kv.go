@@ -10,6 +10,29 @@
 // Index code is written against this interface so that the same strategies
 // run on DynamoDB (this paper) and SimpleDB (the predecessor system [8]
 // used in the Section 8.4 comparison).
+//
+// # Reads return read-only views
+//
+// The items a Get, BatchGet or DumpTable returns are views: their Values
+// and RangeKeys point into the store's own memory, and nothing is copied on
+// the way out. A view stays valid, and keeps its bytes, for as long as the
+// caller holds it, whatever is put, overwritten or deleted meanwhile. In
+// return the caller must not write into a returned Value (appending to one
+// is fine: it has no spare capacity, so the append copies), and code that
+// keeps store bytes beyond the request that read them copies what it keeps,
+// as the index's posting cache does, because a retained Value pins the
+// whole chunk of store memory it lies in. MemStore checksums every item;
+// DumpTable, which every differential test calls, and the store's own
+// housekeeping panic when they meet an item that was written through.
+//
+// # One implementation
+//
+// MemStore is the only store: both simulated services are a MemStore with
+// their own limits, latency model and overheads. Its layout (arena.go) is
+// physical and invisible through the Store interface: every size, latency
+// and metering record it reports is the modeled service's, derived from
+// Item.Size. Sharded, Retry, Delta and the chaos store wrap a Store and
+// pass views through untouched.
 package kv
 
 import (
@@ -225,7 +248,9 @@ type Limits struct {
 
 // Store is the key-value service interface used by the index layer.
 // Every data operation returns the modeled latency the caller must charge
-// to its virtual machine timeline.
+// to its virtual machine timeline. Items passed to a put are copied in;
+// items returned by a get are read-only views of the store's memory (see
+// the package documentation), not private copies.
 type Store interface {
 	// Backend names the implementation ("dynamodb" or "simpledb"); it is
 	// also the service name under which requests are metered and billed.
@@ -242,7 +267,7 @@ type Store interface {
 	// BatchPut inserts up to Limits().BatchPutItems items in one request.
 	BatchPut(table string, items []Item) (time.Duration, error)
 	// Get returns all items with the given hash key, in ascending range
-	// key order.
+	// key order, as read-only views.
 	Get(table, hashKey string) ([]Item, time.Duration, error)
 	// BatchGet performs up to Limits().BatchGetKeys Get operations in one
 	// request.

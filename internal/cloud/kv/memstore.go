@@ -48,15 +48,11 @@ type Config struct {
 	Ledger *meter.Ledger
 }
 
-type table struct {
-	groups     map[string]map[string]Item // hash key -> range key -> item
-	userBytes  int64
-	items      int64
-	attrValues int64 // attribute name/value pairs, for overhead accounting
-}
-
 // MemStore is the in-memory Store implementation shared by the DynamoDB and
-// SimpleDB simulators. It is safe for concurrent use.
+// SimpleDB simulators. It is safe for concurrent use. Its tables are laid
+// out as arena.go describes; everything it reports about sizes, latencies
+// and metering is the modeled service's, computed from the items' billed
+// sizes.
 type MemStore struct {
 	cfg Config
 
@@ -65,7 +61,11 @@ type MemStore struct {
 	clients int
 }
 
-var _ Store = (*MemStore)(nil)
+var (
+	_ Store      = (*MemStore)(nil)
+	_ MultiStore = (*MemStore)(nil)
+	_ Dumper     = (*MemStore)(nil)
+)
 
 // NewMemStore builds a store from cfg. It panics if cfg.Ledger is nil,
 // since an unmetered store would silently break the cost study.
@@ -92,7 +92,7 @@ func (s *MemStore) CreateTable(name string) error {
 	if _, ok := s.tables[name]; ok {
 		return fmt.Errorf("%w: %q", ErrTableExists, name)
 	}
-	s.tables[name] = &table{groups: make(map[string]map[string]Item)}
+	s.tables[name] = newTable()
 	return nil
 }
 
@@ -135,65 +135,29 @@ func (s *MemStore) UnregisterClient() {
 	s.mu.Unlock()
 }
 
-func (s *MemStore) validate(item Item) error {
+// validate checks an item against the store's limits and returns its billed
+// size.
+func (s *MemStore) validate(item Item) (int64, error) {
 	if item.HashKey == "" {
-		return ErrEmptyKey
+		return 0, ErrEmptyKey
 	}
 	lim := s.cfg.Limits
-	if lim.MaxItemBytes > 0 && item.Size() > lim.MaxItemBytes {
-		return fmt.Errorf("%w: %d bytes > %d", ErrItemTooLarge, item.Size(), lim.MaxItemBytes)
+	size := item.Size()
+	if lim.MaxItemBytes > 0 && size > lim.MaxItemBytes {
+		return 0, fmt.Errorf("%w: %d bytes > %d", ErrItemTooLarge, size, lim.MaxItemBytes)
 	}
 	for _, a := range item.Attrs {
 		for _, v := range a.Values {
 			if lim.MaxValueBytes > 0 && int64(len(v)) > lim.MaxValueBytes {
-				return fmt.Errorf("%w: attribute %q value of %d bytes > %d",
+				return 0, fmt.Errorf("%w: attribute %q value of %d bytes > %d",
 					ErrValueTooLarge, a.Name, len(v), lim.MaxValueBytes)
 			}
 			if !lim.SupportsBinary && !utf8.Valid(v) {
-				return fmt.Errorf("%w: attribute %q", ErrNotText, a.Name)
+				return 0, fmt.Errorf("%w: attribute %q", ErrNotText, a.Name)
 			}
 		}
 	}
-	return nil
-}
-
-func copyItem(item Item) Item {
-	c := Item{HashKey: item.HashKey, RangeKey: item.RangeKey, Attrs: make([]Attr, len(item.Attrs))}
-	for i, a := range item.Attrs {
-		ca := Attr{Name: a.Name, Values: make([]Value, len(a.Values))}
-		for j, v := range a.Values {
-			ca.Values[j] = append(Value(nil), v...)
-		}
-		c.Attrs[i] = ca
-	}
-	return c
-}
-
-func attrValuePairs(item Item) int64 {
-	var n int64
-	for _, a := range item.Attrs {
-		n += int64(len(a.Values))
-	}
-	return n
-}
-
-// putLocked stores one validated item, maintaining size accounting.
-func (t *table) putLocked(item Item) {
-	g, ok := t.groups[item.HashKey]
-	if !ok {
-		g = make(map[string]Item)
-		t.groups[item.HashKey] = g
-	}
-	if old, ok := g[item.RangeKey]; ok {
-		t.userBytes -= old.Size()
-		t.items--
-		t.attrValues -= attrValuePairs(old)
-	}
-	c := copyItem(item)
-	g[item.RangeKey] = c
-	t.userBytes += c.Size()
-	t.items++
-	t.attrValues += attrValuePairs(c)
+	return size, nil
 }
 
 // writeLatency computes the modeled duration of a write of the given payload.
@@ -232,73 +196,12 @@ func (s *MemStore) latency(bytes, unitBytes int64, clientRate, capacity float64)
 
 // Put implements Store.
 func (s *MemStore) Put(tbl string, item Item) (time.Duration, error) {
-	return s.putBatch(tbl, []Item{item}, false)
+	return s.BatchPutMulti([]TableItems{{Table: tbl, Items: []Item{item}}})
 }
 
 // BatchPut implements Store.
 func (s *MemStore) BatchPut(tbl string, items []Item) (time.Duration, error) {
-	if lim := s.cfg.Limits.BatchPutItems; lim > 0 && len(items) > lim {
-		return 0, fmt.Errorf("%w: %d items > %d", ErrBatchTooLarge, len(items), lim)
-	}
-	return s.putBatch(tbl, items, true)
-}
-
-func (s *MemStore) putBatch(tbl string, items []Item, batch bool) (time.Duration, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[tbl]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
-	}
-	var bytes int64
-	for _, it := range items {
-		if err := s.validate(it); err != nil {
-			return 0, err
-		}
-		bytes += it.Size()
-	}
-	for _, it := range items {
-		t.putLocked(it)
-	}
-	d := s.writeLatency(bytes)
-	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, int64(len(items)), bytes)
-	_ = batch
-	return d, nil
-}
-
-// Get implements Store.
-func (s *MemStore) Get(tbl, hashKey string) ([]Item, time.Duration, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	items, bytes, err := s.getLocked(tbl, hashKey)
-	if err != nil {
-		return nil, 0, err
-	}
-	d := s.readLatency(bytes)
-	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, 1, bytes)
-	return items, d, nil
-}
-
-// BatchGet implements Store.
-func (s *MemStore) BatchGet(tbl string, hashKeys []string) (map[string][]Item, time.Duration, error) {
-	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && len(hashKeys) > lim {
-		return nil, 0, fmt.Errorf("%w: %d keys > %d", ErrBatchTooLarge, len(hashKeys), lim)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string][]Item, len(hashKeys))
-	var bytes int64
-	for _, k := range hashKeys {
-		items, b, err := s.getLocked(tbl, k)
-		if err != nil {
-			return nil, 0, err
-		}
-		out[k] = items
-		bytes += b
-	}
-	d := s.readLatency(bytes)
-	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, int64(len(hashKeys)), bytes)
-	return out, d, nil
+	return s.BatchPutMulti([]TableItems{{Table: tbl, Items: items}})
 }
 
 // BatchPutMulti implements MultiStore: every group lands in one request,
@@ -306,7 +209,8 @@ func (s *MemStore) BatchGet(tbl string, hashKeys []string) (map[string][]Item, t
 // metered and latency-modeled exactly like a single-table batch of the same
 // items, so a sharding layer splitting one logical batch across partitions
 // costs precisely what the unsharded batch would. The single-batch item
-// limit applies to the total across groups.
+// limit applies to the total across groups. Nothing is stored unless every
+// item is valid.
 func (s *MemStore) BatchPutMulti(groups []TableItems) (time.Duration, error) {
 	var total int
 	for _, g := range groups {
@@ -323,21 +227,43 @@ func (s *MemStore) BatchPutMulti(groups []TableItems) (time.Duration, error) {
 			return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, g.Table)
 		}
 		for _, it := range g.Items {
-			if err := s.validate(it); err != nil {
+			size, err := s.validate(it)
+			if err != nil {
 				return 0, err
 			}
-			bytes += it.Size()
+			bytes += size
 		}
 	}
 	for _, g := range groups {
 		t := s.tables[g.Table]
 		for _, it := range g.Items {
-			t.putLocked(it)
+			t.put(it)
 		}
+		t.maybeRewrite()
 	}
-	d := s.writeLatency(bytes)
 	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, int64(total), bytes)
-	return d, nil
+	return s.writeLatency(bytes), nil
+}
+
+// Get implements Store.
+func (s *MemStore) Get(tbl, hashKey string) ([]Item, time.Duration, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	items, bytes, err := s.getLocked(tbl, hashKey)
+	if err != nil {
+		return nil, 0, err
+	}
+	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, 1, bytes)
+	return items, s.readLatency(bytes), nil
+}
+
+// BatchGet implements Store.
+func (s *MemStore) BatchGet(tbl string, hashKeys []string) (map[string][]Item, time.Duration, error) {
+	results, d, err := s.BatchGetMulti([]TableKeys{{Table: tbl, Keys: hashKeys}})
+	if err != nil {
+		return nil, 0, err
+	}
+	return results[0], d, nil
 }
 
 // BatchGetMulti implements MultiStore, the read-side counterpart of
@@ -368,9 +294,25 @@ func (s *MemStore) BatchGetMulti(groups []TableKeys) ([]map[string][]Item, time.
 		}
 		results[i] = out
 	}
-	d := s.readLatency(bytes)
 	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, int64(total), bytes)
-	return results, d, nil
+	return results, s.readLatency(bytes), nil
+}
+
+// getLocked returns read-only views of a hash key's items and their billed
+// size.
+func (s *MemStore) getLocked(tbl, hashKey string) ([]Item, int64, error) {
+	if hashKey == "" {
+		return nil, 0, ErrEmptyKey
+	}
+	t, ok := s.tables[tbl]
+	if !ok {
+		return nil, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
+	}
+	g := t.groups[hashKey]
+	if g == nil {
+		return nil, 0, nil
+	}
+	return t.view(g, false), g.sum.bytes, nil
 }
 
 // DeleteItem implements Store. The write is metered like a put of the
@@ -385,42 +327,11 @@ func (s *MemStore) DeleteItem(tbl, hashKey, rangeKey string) (time.Duration, err
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
 	}
+	t.delete(hashKey, rangeKey)
+	t.maybeRewrite()
 	keyBytes := int64(len(hashKey) + len(rangeKey))
-	if g, ok := t.groups[hashKey]; ok {
-		if old, ok := g[rangeKey]; ok {
-			t.userBytes -= old.Size()
-			t.items--
-			t.attrValues -= attrValuePairs(old)
-			delete(g, rangeKey)
-			if len(g) == 0 {
-				delete(t.groups, hashKey)
-			}
-		}
-	}
 	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, 1, keyBytes)
 	return s.writeLatency(keyBytes), nil
-}
-
-func (s *MemStore) getLocked(tbl, hashKey string) ([]Item, int64, error) {
-	if hashKey == "" {
-		return nil, 0, ErrEmptyKey
-	}
-	t, ok := s.tables[tbl]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
-	}
-	g := t.groups[hashKey]
-	if len(g) == 0 {
-		return nil, 0, nil
-	}
-	items := make([]Item, 0, len(g))
-	var bytes int64
-	for _, it := range g {
-		items = append(items, copyItem(it))
-		bytes += it.Size()
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].RangeKey < items[j].RangeKey })
-	return items, bytes, nil
 }
 
 // TableBytes implements Store.
@@ -428,9 +339,14 @@ func (s *MemStore) TableBytes(tbl string) int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if t, ok := s.tables[tbl]; ok {
-		return t.userBytes
+		return t.sum.bytes
 	}
 	return 0
+}
+
+// overhead is the modeled service's auxiliary bytes for a table.
+func (s *MemStore) overhead(t *table) int64 {
+	return t.items*s.cfg.PerItemOverhead + t.sum.values*s.cfg.PerAttrValueOverhead
 }
 
 // OverheadBytes implements Store.
@@ -438,7 +354,7 @@ func (s *MemStore) OverheadBytes(tbl string) int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if t, ok := s.tables[tbl]; ok {
-		return t.items*s.cfg.PerItemOverhead + t.attrValues*s.cfg.PerAttrValueOverhead
+		return s.overhead(t)
 	}
 	return 0
 }
@@ -449,15 +365,27 @@ func (s *MemStore) TotalBytes() int64 {
 	defer s.mu.RUnlock()
 	var n int64
 	for _, t := range s.tables {
-		n += t.userBytes + t.items*s.cfg.PerItemOverhead + t.attrValues*s.cfg.PerAttrValueOverhead
+		n += t.sum.bytes + s.overhead(t)
 	}
 	return n
 }
 
+// ItemCount implements Store.
+func (s *MemStore) ItemCount(tbl string) int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if t, ok := s.tables[tbl]; ok {
+		return t.items
+	}
+	return 0
+}
+
 // DumpTable returns every item of a table in deterministic order (hash
-// key, then range key). It is a verification/debugging helper outside the
-// billed Store API; differential tests use it to compare whole-store
-// contents across runs.
+// key, then range key), as read-only views like a Get's. It is a
+// verification/debugging helper outside the billed Store API; differential
+// tests use it to compare whole-store contents across runs. It verifies
+// every item's checksum on the way, so each of those tests also proves that
+// no reader wrote through a view: it panics if one did.
 func (s *MemStore) DumpTable(tbl string) []Item {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -470,27 +398,38 @@ func (s *MemStore) DumpTable(tbl string) []Item {
 		hashKeys = append(hashKeys, hk)
 	}
 	sort.Strings(hashKeys)
-	var out []Item
+	out := make([]Item, 0, t.items)
 	for _, hk := range hashKeys {
-		g := t.groups[hk]
-		rangeKeys := make([]string, 0, len(g))
-		for rk := range g {
-			rangeKeys = append(rangeKeys, rk)
-		}
-		sort.Strings(rangeKeys)
-		for _, rk := range rangeKeys {
-			out = append(out, copyItem(g[rk]))
-		}
+		out = append(out, t.view(t.groups[hk], true)...)
 	}
 	return out
 }
 
-// ItemCount implements Store.
-func (s *MemStore) ItemCount(tbl string) int64 {
+// ArenaStats is the physical footprint of one table's arena (arena.go), as
+// opposed to the modeled sizes TableBytes and OverheadBytes report.
+type ArenaStats struct {
+	LiveBytes int64 // encoded records of stored items
+	DeadBytes int64 // records retired by overwrites and deletes, not yet dropped
+	Chunks    int64
+	Rewrites  int64 // times the table was copied into fresh chunks
+}
+
+// Metric names under which the warehouse publishes the ArenaStats of its
+// index tables, summed: three gauges and a counter.
+const (
+	MetricArenaLiveBytes = "kv.arena.live_bytes"
+	MetricArenaDeadBytes = "kv.arena.dead_bytes"
+	MetricArenaChunks    = "kv.arena.chunks"
+	MetricArenaRewrites  = "kv.arena.rewrites"
+)
+
+// ArenaStats returns a table's physical footprint (zero for a missing table).
+func (s *MemStore) ArenaStats(tbl string) ArenaStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if t, ok := s.tables[tbl]; ok {
-		return t.items
+	t, ok := s.tables[tbl]
+	if !ok {
+		return ArenaStats{}
 	}
-	return 0
+	return ArenaStats{LiveBytes: t.live, DeadBytes: t.dead, Chunks: int64(len(t.chunks)), Rewrites: t.rewrites}
 }

@@ -217,17 +217,6 @@ func TestSimpleDBRejectsBinaryAndLargeValues(t *testing.T) {
 	}
 }
 
-func TestGetResultIsACopy(t *testing.T) {
-	s := newDynamo(t)
-	s.Put("idx", item("k", "u", attr("a", "orig")))
-	items, _, _ := s.Get("idx", "k")
-	items[0].Attrs[0].Values[0][0] = 'X'
-	again, _, _ := s.Get("idx", "k")
-	if string(again[0].Attr("a")[0]) != "orig" {
-		t.Error("store data aliased with Get result")
-	}
-}
-
 func TestSizeAccounting(t *testing.T) {
 	s := newDynamo(t)
 	it := item("key1", "uuid-1", attr("doc.xml", "/a/b", "/a/c"))

@@ -385,82 +385,3 @@ func (r *Retry) BatchGetContext(ctx context.Context, table string, hashKeys []st
 		total += b
 	}
 }
-
-// FaultInjector wraps a store and makes every n-th data operation fail
-// with ErrThrottled before reaching the underlying store.
-//
-// Deprecated: use chaos.EveryNth (internal/cloud/chaos), which also
-// supports failure classes beyond ErrThrottled, or a seeded chaos.Plan for
-// probabilistic injection. This type remains so existing tests compile.
-type FaultInjector struct {
-	Store
-	// FailEvery makes operation number k fail whenever k % FailEvery == 0
-	// (1-based). Zero disables injection.
-	FailEvery int
-
-	mu    sync.Mutex
-	count int
-}
-
-func (f *FaultInjector) trip() error {
-	if f.FailEvery <= 0 {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.count++
-	if f.count%f.FailEvery == 0 {
-		return fmt.Errorf("%w (injected, op %d)", ErrThrottled, f.count)
-	}
-	return nil
-}
-
-// Injected reports how many operations were observed.
-func (f *FaultInjector) Injected() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.FailEvery <= 0 {
-		return 0
-	}
-	return f.count / f.FailEvery
-}
-
-// Put implements Store with injection.
-func (f *FaultInjector) Put(table string, item Item) (time.Duration, error) {
-	if err := f.trip(); err != nil {
-		return 0, err
-	}
-	return f.Store.Put(table, item)
-}
-
-// BatchPut implements Store with injection.
-func (f *FaultInjector) BatchPut(table string, items []Item) (time.Duration, error) {
-	if err := f.trip(); err != nil {
-		return 0, err
-	}
-	return f.Store.BatchPut(table, items)
-}
-
-// DeleteItem implements Store with injection.
-func (f *FaultInjector) DeleteItem(table, hashKey, rangeKey string) (time.Duration, error) {
-	if err := f.trip(); err != nil {
-		return 0, err
-	}
-	return f.Store.DeleteItem(table, hashKey, rangeKey)
-}
-
-// Get implements Store with injection.
-func (f *FaultInjector) Get(table, hashKey string) ([]Item, time.Duration, error) {
-	if err := f.trip(); err != nil {
-		return nil, 0, err
-	}
-	return f.Store.Get(table, hashKey)
-}
-
-// BatchGet implements Store with injection.
-func (f *FaultInjector) BatchGet(table string, hashKeys []string) (map[string][]Item, time.Duration, error) {
-	if err := f.trip(); err != nil {
-		return nil, 0, err
-	}
-	return f.Store.BatchGet(table, hashKeys)
-}

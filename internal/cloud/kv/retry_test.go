@@ -45,22 +45,6 @@ func TestRetryHidesTransientThrottling(t *testing.T) {
 	}
 }
 
-// The deprecated alias must keep compiling and injecting until its users
-// migrate to chaos.EveryNth.
-func TestDeprecatedFaultInjectorStillWorks(t *testing.T) {
-	base := dynamodb.New(meter.NewLedger())
-	if err := base.CreateTable("t"); err != nil {
-		t.Fatal(err)
-	}
-	faulty := &kv.FaultInjector{Store: base, FailEvery: 1}
-	if _, err := faulty.Put("t", item("k", "a", attr("a", "v"))); !errors.Is(err, kv.ErrThrottled) {
-		t.Errorf("err = %v, want throttled", err)
-	}
-	if faulty.Injected() != 1 {
-		t.Errorf("Injected = %d, want 1", faulty.Injected())
-	}
-}
-
 func TestRetryChargesBackoffTime(t *testing.T) {
 	base := dynamodb.New(meter.NewLedger())
 	base.CreateTable("t")

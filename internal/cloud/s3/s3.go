@@ -10,6 +10,12 @@
 // The latency model charges a fixed round trip plus payload transfer at a
 // configurable bandwidth; every request is metered for billing (STput$,
 // STget$ of Table 3).
+//
+// Put stores a private copy of what it is given. Get returns a read-only
+// view: the Object's Data and Meta are the stored ones, not copies, and the
+// caller must not write to them. An overwrite or delete replaces the stored
+// slice and never edits it, so a view taken earlier keeps the bytes it was
+// taken with.
 package s3
 
 import (
@@ -153,7 +159,8 @@ func (s *Service) Put(bkt, key string, data []byte, userMeta map[string]string) 
 	return s.transfer(int64(len(data))), nil
 }
 
-// Get retrieves an object and returns the modeled latency.
+// Get retrieves an object, as a read-only view of the stored Data and Meta,
+// and returns the modeled latency.
 func (s *Service) Get(bkt, key string) (Object, time.Duration, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -165,16 +172,8 @@ func (s *Service) Get(bkt, key string) (Object, time.Duration, error) {
 	if !ok {
 		return Object{}, 0, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bkt, key)
 	}
-	cp := o
-	cp.Data = append([]byte(nil), o.Data...)
-	if o.Meta != nil {
-		cp.Meta = make(map[string]string, len(o.Meta))
-		for k, v := range o.Meta {
-			cp.Meta[k] = v
-		}
-	}
 	s.ledger.Record(Backend, "get", 1, 1, int64(len(o.Data)))
-	return cp, s.transfer(int64(len(o.Data))), nil
+	return o, s.transfer(int64(len(o.Data))), nil
 }
 
 // Head returns an object's metadata without its payload.

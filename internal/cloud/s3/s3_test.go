@@ -127,15 +127,29 @@ func TestByteAccounting(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
+// Get hands out the stored object, not a copy; what makes that safe is that
+// Put copies what it is given and that an overwrite or delete replaces the
+// stored slice and never edits it.
+func TestGetReturnsStableView(t *testing.T) {
 	s := newSvc(t)
-	s.Put("wh", "k", []byte("orig"), map[string]string{"m": "1"})
+	data, meta := []byte("orig"), map[string]string{"m": "1"}
+	s.Put("wh", "k", data, meta)
+	data[0], meta["m"] = 'X', "2" // the caller's own buffers stay the caller's
 	o, _, _ := s.Get("wh", "k")
-	o.Data[0] = 'X'
-	o.Meta["m"] = "2"
+	if string(o.Data) != "orig" || o.Meta["m"] != "1" {
+		t.Fatalf("Put kept the caller's buffers: %q %v", o.Data, o.Meta)
+	}
 	again, _, _ := s.Get("wh", "k")
-	if string(again.Data) != "orig" || again.Meta["m"] != "1" {
-		t.Error("Get result aliases stored object")
+	if &again.Data[0] != &o.Data[0] {
+		t.Error("Get copied the object")
+	}
+	s.Put("wh", "k", []byte("new!"), map[string]string{"m": "3"})
+	if string(o.Data) != "orig" || o.Meta["m"] != "1" || o.Version != 1 {
+		t.Errorf("an overwrite reached the earlier view: %q %v v%d", o.Data, o.Meta, o.Version)
+	}
+	s.Delete("wh", "k")
+	if string(o.Data) != "orig" {
+		t.Errorf("a delete reached the earlier view: %q", o.Data)
 	}
 }
 

@@ -403,7 +403,7 @@ func New(cfg Config) (*Warehouse, error) {
 	if ledger == nil {
 		ledger = meter.NewLedger()
 	}
-	var baseStore kv.Store
+	var baseStore *kv.MemStore
 	switch cfg.Backend {
 	case "", dynamodb.Backend:
 		baseStore = dynamodb.New(ledger)
@@ -442,6 +442,7 @@ func New(cfg Config) (*Warehouse, error) {
 		met:            resolveMetrics(reg),
 	}
 	w.lookupOpts.Joins = &w.met.joins
+	publishArenaStats(reg, baseStore)
 	if cfg.CoalesceLookups {
 		w.flight = resilience.NewGroup()
 		w.flight.Sink = reg
@@ -511,6 +512,28 @@ func New(cfg Config) (*Warehouse, error) {
 		return nil, err
 	}
 	return w, nil
+}
+
+// publishArenaStats registers the index store's physical footprint, summed
+// over its tables, as the kv.arena.* metrics, read from the store whenever
+// the registry is exported. A table rewrite runs under the store's write
+// lock; dead_bytes closing in on live_bytes and a step in rewrites are how
+// such a stall on a mutable warehouse is told from /metrics.
+func publishArenaStats(reg *obs.Registry, store *kv.MemStore) {
+	total := func() (sum kv.ArenaStats) {
+		for _, t := range store.Tables() {
+			st := store.ArenaStats(t)
+			sum.LiveBytes += st.LiveBytes
+			sum.DeadBytes += st.DeadBytes
+			sum.Chunks += st.Chunks
+			sum.Rewrites += st.Rewrites
+		}
+		return sum
+	}
+	reg.GaugeFunc(kv.MetricArenaLiveBytes, func() int64 { return total().LiveBytes })
+	reg.GaugeFunc(kv.MetricArenaDeadBytes, func() int64 { return total().DeadBytes })
+	reg.GaugeFunc(kv.MetricArenaChunks, func() int64 { return total().Chunks })
+	reg.CounterFunc(kv.MetricArenaRewrites, func() int64 { return total().Rewrites })
 }
 
 // Ledger exposes the metering ledger (billing, experiment measurements).

@@ -161,3 +161,55 @@ func TestTracedSpanTree(t *testing.T) {
 		}
 	}
 }
+
+// The index store's physical footprint is on the registry as kv.arena.*,
+// read from the store at export time: live bytes and chunks after indexing,
+// dead bytes after a removal, and a rewrite once the removals have killed
+// as many bytes as stay live.
+func TestArenaMetrics(t *testing.T) {
+	docs := obsTestCorpus()
+	w, _ := indexCorpus(t, Config{Strategy: index.TwoLUPI}, 2, docs)
+	value := func(name string) int64 {
+		t.Helper()
+		var buf strings.Builder
+		if err := obs.WriteProm(&buf, w.Registry()); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := obs.ParseProm(strings.NewReader(buf.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			if s.Name == name {
+				return int64(s.Value)
+			}
+		}
+		t.Fatalf("%s is not exported", name)
+		return 0
+	}
+	live := value("xwh_kv_arena_live_bytes")
+	if live <= 0 || value("xwh_kv_arena_chunks") <= 0 {
+		t.Fatalf("after indexing: live_bytes %d, chunks %d, want both > 0", live, value("xwh_kv_arena_chunks"))
+	}
+	if dead, rewrites := value("xwh_kv_arena_dead_bytes"), value("xwh_kv_arena_rewrites_total"); dead != 0 || rewrites != 0 {
+		t.Fatalf("after indexing alone: dead_bytes %d, rewrites %d, want 0 and 0", dead, rewrites)
+	}
+	in := ec2.Launch(w.Ledger(), ec2.Large)
+	if err := w.RemoveDocument(in, docs[0].URI); err != nil {
+		t.Fatal(err)
+	}
+	if dead := value("xwh_kv_arena_dead_bytes"); dead <= 0 || value("xwh_kv_arena_live_bytes") >= live {
+		t.Errorf("after one removal: dead_bytes %d, live_bytes %d (was %d)", dead, value("xwh_kv_arena_live_bytes"), live)
+	}
+	for _, d := range docs[1:] {
+		if err := w.RemoveDocument(in, d.URI); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rewrites := value("xwh_kv_arena_rewrites_total"); rewrites <= 0 {
+		t.Errorf("after removing every document: rewrites %d, want > 0", rewrites)
+	}
+	if got := value("xwh_kv_arena_live_bytes"); got != 0 {
+		t.Errorf("after removing every document: live_bytes %d, want 0", got)
+	}
+}

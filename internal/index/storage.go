@@ -582,6 +582,11 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 				if err != nil {
 					return nil, d, fmt.Errorf("key %q: %w", k, err)
 				}
+				if opt.Cache != nil {
+					// Before the postings are shared with coalesced
+					// waiters: the cache fill below keeps them.
+					detachPostings(postings)
+				}
 				fc.postings[k] = postings
 			}
 			return fc, d, nil
@@ -769,6 +774,29 @@ func decodeItems(items []kv.Item, kind PostingKind, binaryIDs bool) (map[string]
 		}
 	}
 	return postings, nil
+}
+
+// detachPostings copies what one key's decoded postings still share with
+// the store: the raw path values (one buffer for the key) and the encoded
+// payloads of lazy identifier sets. A Get returns read-only views of the
+// store's memory, which is fine for the length of a request; postings that
+// go into the cache would keep whole store chunks alive for bytes the
+// cache's budget does not count.
+func detachPostings(postings map[string]*Posting) {
+	n := 0
+	for _, p := range postings {
+		for _, v := range p.PathVals {
+			n += len(v)
+		}
+	}
+	buf := make([]byte, 0, n)
+	for _, p := range postings {
+		for i, v := range p.PathVals {
+			buf = append(buf, v...)
+			p.PathVals[i] = buf[len(buf)-len(v) : len(buf) : len(buf)]
+		}
+		p.blocked.Detach()
+	}
 }
 
 // finishIDPosting fixes a decoded identifier posting into its final shape.

@@ -32,6 +32,30 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// A func-backed gauge or counter reports what its function returns at the
+// time it is read, through every exporter, and ignores Set and Add.
+func TestGaugeFuncAndCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	var state int64 = 7
+	r.GaugeFunc("store.bytes", func() int64 { return state })
+	r.CounterFunc("store.rewrites", func() int64 { return state / 2 })
+	r.Gauge("store.bytes").Set(1000)
+	r.Counter("store.rewrites").Add(1000)
+	if g, c := r.Gauge("store.bytes").Value(), r.Counter("store.rewrites").Value(); g != 7 || c != 3 {
+		t.Errorf("gauge %d, counter %d, want 7 and 3", g, c)
+	}
+	state = 20
+	var buf bytes.Buffer
+	if err := WriteProm(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"xwh_store_bytes 20\n", "xwh_store_rewrites_total 10\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("WriteProm missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", time.Millisecond, 10*time.Millisecond, 100*time.Millisecond)

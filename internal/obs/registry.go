@@ -36,7 +36,8 @@ import (
 // Counter is a monotonically increasing metric. The zero value is unusable;
 // obtain counters from a Registry. All methods are nil-safe.
 type Counter struct {
-	v atomic.Int64
+	v  atomic.Int64
+	fn func() int64 // set by Registry.CounterFunc: the value lives elsewhere
 }
 
 // Add increments the counter by delta (no-op on nil).
@@ -54,12 +55,16 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
+	if c.fn != nil {
+		return c.fn()
+	}
 	return c.v.Load()
 }
 
 // Gauge is a metric that can go up and down. All methods are nil-safe.
 type Gauge struct {
-	v atomic.Int64
+	v  atomic.Int64
+	fn func() int64 // set by Registry.GaugeFunc: the value lives elsewhere
 }
 
 // Set replaces the gauge value (no-op on nil).
@@ -80,6 +85,9 @@ func (g *Gauge) Add(delta int64) {
 func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
+	}
+	if g.fn != nil {
+		return g.fn()
 	}
 	return g.v.Load()
 }
@@ -302,6 +310,24 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
+}
+
+// GaugeFunc makes the named gauge report f() whenever it is read, for state
+// that something else already keeps and that changes too often to be pushed
+// (the index store's arena sizes change with every put). Set and Add no
+// longer affect it. Register at wiring time, before the registry is served;
+// f must be safe for concurrent use.
+func (r *Registry) GaugeFunc(name string, f func() int64) {
+	if g := r.Gauge(name); g != nil {
+		g.fn = f
+	}
+}
+
+// CounterFunc is GaugeFunc for a counter; f must never decrease.
+func (r *Registry) CounterFunc(name string, f func() int64) {
+	if c := r.Counter(name); c != nil {
+		c.fn = f
+	}
 }
 
 // Histogram returns the named histogram, creating it with the given bucket
