@@ -5,7 +5,7 @@ FUZZTIME ?= 20s
 # under it so unrelated churn doesn't flake the gate).
 COVER_MIN ?= 80.0
 
-.PHONY: build test race vet fmt bench benchartifact benchcmp benchsmoke benchtest obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
+.PHONY: build test race vet fmt bench benchartifact benchcmp benchsmoke benchtest benchgate obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
 
 # BENCH_ARTIFACT is the checked-in benchmark snapshot this PR sequence
 # tracks; benchcmp diffs a fresh run against it.
@@ -56,6 +56,15 @@ benchcmp:
 	$(GO) run ./cmd/benchall -artifact /tmp/bench_head.json -scale tiny
 	$(GO) run ./cmd/benchall -compare $(BENCH_ARTIFACT) /tmp/bench_head.json
 
+# benchgate runs the gateable benchmark for a short, fixed length and holds
+# its deterministic metrics to the checked-in reference: every workload must
+# report ok_ops_share 1 and the reference's modeled_ms_per_op and
+# index_bytes_per_corpus_byte (cmd/benchgate/reference.json; see the command's
+# doc for what is printed and not gated, and for -update).
+benchgate:
+	bash benchmark/run.sh --seed 42 --seconds 5 --trace 0
+	$(GO) run ./cmd/benchgate
+
 # benchsmoke runs every Go benchmark exactly once — the CI smoke check
 # that the benchmark harness itself still works.
 benchsmoke:
@@ -64,7 +73,9 @@ benchsmoke:
 # obs-smoke boots a small mutable warehouse, runs one query and a short
 # serve-mixed-rw-style write walk, scrapes the Prometheus exporter once over
 # HTTP, verifies the payload parses and that the index store's kv.arena.*
-# metrics (live and dead bytes, chunks, rewrites) are all non-zero.
+# metrics (live and dead bytes, chunks, rewrites) are all non-zero and that
+# the query built some, but not all, of the nodes it scanned
+# (xmltree.nodes.built < xmltree.nodes.scanned).
 obs-smoke:
 	$(GO) run ./cmd/xwh -mutable -compact-every 4 -docs 16 -strategy 2LUPI -query '//item[/name{val}]' -obs-smoke
 

@@ -321,6 +321,80 @@ func gateCorpus(b *testing.B) ([]xmark.Doc, int64) {
 	return docs, bytes
 }
 
+// gateWarehouse bulk-builds the gateable benchmark's immutable warehouse over
+// docs: 2LUPI, indexed on eight large instances.
+func gateWarehouse(b *testing.B, docs []xmark.Doc) *core.Warehouse {
+	b.Helper()
+	w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range docs {
+		if err := w.SubmitDocument(d.URI, d.Data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := w.IndexCorpusOn(ec2.LaunchFleet(w.Ledger(), ec2.Large, 8), nil); err != nil {
+		b.Fatal(err)
+	}
+	return w
+}
+
+// scanQueries are the queries of the gateable benchmark's serve-scan
+// workload: q6, q7, q9 and q10, 80-160 candidate documents each.
+func scanQueries() []workload.Query {
+	all := workload.XMark()
+	return []workload.Query{all[5], all[6], all[8], all[9]}
+}
+
+// BenchmarkScanQuery/gate is a request of the gateable benchmark's serve-scan
+// workload without the HTTP harness: the whole pipeline of RunQueryOn (look-up,
+// fetch, parse, evaluate, results) under 2LUPI over the gate corpus. ns/op is
+// per query.
+func BenchmarkScanQuery(b *testing.B) {
+	b.Run("gate", func(b *testing.B) {
+		docs, _ := gateCorpus(b)
+		w := gateWarehouse(b, docs)
+		in := ec2.LaunchFleet(w.Ledger(), ec2.Large, 1)[0]
+		queries := scanQueries()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := w.RunQueryOn(in, queries[i%len(queries)].Text, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkEvalQuery/gate is the evaluator alone on the same queries: every
+// pattern over all 400 documents of the gate corpus, parsed whole, as the
+// benchmark's ground truth and every index-less caller run it. ns/op is per
+// query.
+func BenchmarkEvalQuery(b *testing.B) {
+	b.Run("gate", func(b *testing.B) {
+		docs, _ := gateCorpus(b)
+		parsed := make([]*xmltree.Document, len(docs))
+		for i, d := range docs {
+			var err error
+			if parsed[i], err = xmltree.Parse(d.URI, d.Data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var queries []*pattern.Query
+		for _, q := range scanQueries() {
+			queries = append(queries, q.Parse())
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.EvalQueryOnDocs(queries[i%len(queries)], parsed); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkBulkBuild is one from-scratch bulk build of the gateable
 // benchmark's corpus, as its index-build workload does it: submit every
 // document, then index the corpus on eight large instances with BulkLoad
@@ -353,18 +427,7 @@ func BenchmarkBulkBuild(b *testing.B) {
 func BenchmarkLookupQuery(b *testing.B) {
 	b.Run("gate", func(b *testing.B) {
 		docs, _ := gateCorpus(b)
-		w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, d := range docs {
-			if err := w.SubmitDocument(d.URI, d.Data); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := w.IndexCorpusOn(ec2.LaunchFleet(w.Ledger(), ec2.Large, 8), nil); err != nil {
-			b.Fatal(err)
-		}
+		w := gateWarehouse(b, docs)
 		var queries []*pattern.Query
 		for _, q := range workload.XMark()[:5] {
 			queries = append(queries, q.Parse())

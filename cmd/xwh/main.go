@@ -435,8 +435,8 @@ func smokeWrites(wh *core.Warehouse, fleet []*ec2.Instance, in *ec2.Instance, co
 // smokeScrape fetches /metrics over HTTP once (starting an ephemeral
 // listener when none is serving), verifies the payload parses as
 // Prometheus text format, and checks that the index store's arena metrics
-// all report something after smokeWrites: a stage that reports zero is a
-// bug.
+// all report something after smokeWrites, and the query path's node counters
+// after the query: a stage that reports zero is a bug.
 func smokeScrape(serving string, wh *core.Warehouse) error {
 	if serving == "" {
 		var err error
@@ -474,6 +474,20 @@ func smokeScrape(serving string, wh *core.Warehouse) error {
 			return fmt.Errorf("%s = %v after a write walk, want > 0 (%v)", name, v, arena)
 		}
 	}
+	// The query before the scrape parsed its candidate documents under its
+	// projection: it counted every node and built the ones it reads.
+	var scanned, built float64
+	for _, sm := range samples {
+		switch sm.Name {
+		case "xwh_xmltree_nodes_scanned_total":
+			scanned = sm.Value
+		case "xwh_xmltree_nodes_built_total":
+			built = sm.Value
+		}
+	}
+	if built <= 0 || built >= scanned {
+		return fmt.Errorf("xmltree.nodes: %v built of %v scanned after a query, want 0 < built < scanned", built, scanned)
+	}
 	for _, probe := range []string{"/healthz", "/readyz"} {
 		pr, err := http.Get("http://" + serving + probe)
 		if err != nil {
@@ -489,5 +503,6 @@ func smokeScrape(serving string, wh *core.Warehouse) error {
 	fmt.Printf("obs-smoke: index store arena after the write walk: %.0f live and %.0f dead bytes in %.0f chunks, %.0f rewrites\n",
 		arena["xwh_kv_arena_live_bytes"], arena["xwh_kv_arena_dead_bytes"],
 		arena["xwh_kv_arena_chunks"], arena["xwh_kv_arena_rewrites_total"])
+	fmt.Printf("obs-smoke: the query path built %.0f of the %.0f nodes it scanned\n", built, scanned)
 	return nil
 }

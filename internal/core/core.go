@@ -350,6 +350,11 @@ type coreMetrics struct {
 	cacheEvictions       *obs.Counter
 	joins                index.JoinCounters
 
+	// Nodes the query-path parses counted in the candidate documents, and
+	// how many of them they built for the evaluator.
+	nodesScanned *obs.Counter
+	nodesBuilt   *obs.Counter
+
 	queryResponse  *obs.Histogram
 	queryLookup    *obs.Histogram
 	queryPlan      *obs.Histogram
@@ -387,6 +392,9 @@ func resolveMetrics(r *obs.Registry) coreMetrics {
 			BlocksSkipped:         r.Counter("index.join.blocks_skipped"),
 			ContainersIntersected: r.Counter("index.join.containers_intersected"),
 		},
+
+		nodesScanned: r.Counter("xmltree.nodes.scanned"),
+		nodesBuilt:   r.Counter("xmltree.nodes.built"),
 
 		queryResponse:  r.Histogram("core.query.response"),
 		queryLookup:    r.Histogram("core.query.lookup"),

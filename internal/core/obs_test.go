@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -211,5 +212,45 @@ func TestArenaMetrics(t *testing.T) {
 	}
 	if got := value("xwh_kv_arena_live_bytes"); got != 0 {
 		t.Errorf("after removing every document: live_bytes %d, want 0", got)
+	}
+}
+
+// The eval span says what the fetch-and-evaluate step skipped: the nodes the
+// projected parse counted and the ones it built, which the registry sums as
+// xmltree.nodes.*, and its wall time split into fetch + parse and matching.
+func TestEvalSpanCountsNodesScannedAndBuilt(t *testing.T) {
+	w, _ := indexCorpus(t, Config{Strategy: index.TwoLUPI, Trace: true}, 2, obsTestCorpus())
+	in := ec2.Launch(w.ledger, ec2.XL)
+	var scanned, built int64
+	for _, q := range []workload.Query{workload.XMark()[5], workload.XMark()[9]} {
+		_, st, err := w.RunQueryOn(in, q.Text, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eval obs.SpanRecord
+		for _, r := range w.Tracer().QuerySpans(st.ID) {
+			if r.Name == obs.SpanEval {
+				eval = r
+			}
+		}
+		attr := func(key string) int64 {
+			v, err := strconv.ParseInt(eval.Attr(key), 10, 64)
+			if err != nil {
+				t.Errorf("%s: %s span attribute %s = %q", q.Name, obs.SpanEval, key, eval.Attr(key))
+			}
+			return v
+		}
+		s, b := attr("nodes_scanned"), attr("nodes_built")
+		if attr("docs") != int64(st.DocsFetched) || st.DocsFetched == 0 || b <= 0 || b >= s {
+			t.Errorf("%s: %d documents, %d of %d nodes built, want some and not all", q.Name, attr("docs"), b, s)
+		}
+		if wall := eval.Wall.Microseconds(); attr("fetch_parse_us")+attr("match_us") > wall {
+			t.Errorf("%s: fetch_parse_us %d + match_us %d exceed the span's %d us", q.Name, attr("fetch_parse_us"), attr("match_us"), wall)
+		}
+		scanned, built = scanned+s, built+b
+	}
+	reg := w.Registry()
+	if s, b := reg.Counter("xmltree.nodes.scanned").Value(), reg.Counter("xmltree.nodes.built").Value(); s != scanned || b != built {
+		t.Errorf("the registry counts %d scanned and %d built nodes, the spans %d and %d", s, b, scanned, built)
 	}
 }

@@ -202,8 +202,13 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 	// first-error-wins cancellation; the modeled time is then scheduled on
 	// the instance in URI order, so modeled times, billing and error
 	// reporting are identical to the sequential pipeline at any pool size.
-	fetched, ferr := w.fetchDocuments(uris, view)
+	// The parse builds only the nodes the query can read; the modeled parse
+	// and evaluation times go by the documents' bytes as before.
+	fetchStart := time.Now()
+	fetched, ferr := w.fetchDocuments(uris, view, engine.ProjectionOf(q))
+	matchStart := time.Now()
 	docs := make(map[string]*xmltree.Document, len(uris))
+	var scanned, built int64
 	for i, r := range fetched {
 		if r.err != nil {
 			esp.SetError(r.err)
@@ -211,6 +216,8 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 			return nil, stats, r.err
 		}
 		docs[uris[i]] = r.doc
+		scanned += int64(r.doc.NodesScanned())
+		built += int64(r.doc.NodeCount())
 		task := r.fetch +
 			in.ComputeDuration(r.bytes, w.Perf.ParseBytesPerECUSec) +
 			in.ComputeDuration(r.bytes, w.Perf.EvalBytesPerECUSec)
@@ -239,8 +246,14 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 	stats.ResultRows = len(result.Rows)
 	stats.ResultBytes = result.Bytes()
 	w.met.queryFetchEval.ObserveModeled(stats.FetchEvalTime)
+	w.met.nodesScanned.Add(scanned)
+	w.met.nodesBuilt.Add(built)
 	esp.SetModeled(stats.FetchEvalTime)
 	esp.SetAttrInt("rows", int64(stats.ResultRows))
+	esp.SetAttrInt("nodes_scanned", scanned)
+	esp.SetAttrInt("nodes_built", built)
+	esp.SetAttrInt("fetch_parse_us", matchStart.Sub(fetchStart).Microseconds())
+	esp.SetAttrInt("match_us", time.Since(matchStart).Microseconds())
 	esp.End()
 
 	// Step 14: write the results to the file store.
@@ -271,12 +284,12 @@ type fetchedDoc struct {
 	err   error
 }
 
-// fetchDocuments retrieves and parses the candidate documents, one task per
-// URI, on a pool of at most docWorkers goroutines. The first failing task
-// (in URI order — the order the sequential pipeline would hit it) closes a
-// cancel channel, so no new tasks start after an error. The returned error
-// only signals that cancellation fired; callers scan the slice in order for
-// the authoritative per-URI error.
+// fetchDocuments retrieves the candidate documents and parses them under
+// proj, one task per URI, on a pool of at most docWorkers goroutines. The
+// first failing task (in URI order — the order the sequential pipeline would
+// hit it) closes a cancel channel, so no new tasks start after an error. The
+// returned error only signals that cancellation fired; callers scan the
+// slice in order for the authoritative per-URI error.
 //
 // With a pinned view, each document resolves at the view's corpus version:
 // superseded versions read their retained snapshot bytes from the
@@ -284,10 +297,10 @@ type fetchedDoc struct {
 // store as always. A concurrent update can overwrite the file between the
 // resolution and the fetch, so the fetched bytes are re-checked against
 // the view afterwards — the retained copy wins if the fetch raced.
-func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View) ([]fetchedDoc, error) {
+func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltree.Projection) ([]fetchedDoc, error) {
 	results := make([]fetchedDoc, len(uris))
 	parseInto := func(i int, data []byte, fetch time.Duration) error {
-		doc, err := xmltree.Parse(uris[i], data)
+		doc, err := xmltree.ParseProjected(uris[i], data, proj)
 		if err != nil {
 			results[i].err = err
 			return err

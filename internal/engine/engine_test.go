@@ -374,3 +374,47 @@ func TestAppendChildMatchesDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// A branch of a pattern that fills no column is an existence test: however
+// many embeddings it has, it stops at the first, allocates nothing and
+// multiplies no rows.
+func TestOutputlessBranchAllocatesNothing(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`<a><k>v</k>`)
+	for i := 0; i < 200; i++ {
+		b.WriteString(`<b id="1"><c>x</c><c>y</c></b>`)
+	}
+	b.WriteString(`</a>`)
+	doc, err := xmltree.Parse("d.xml", []byte(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPlan(pattern.MustParse(`//a[/k{val}, /b[/c="y", /@id], //c, /b[/c="z"]]`))
+	root := p.roots[0]
+	if len(root.emit) != 1 || len(root.tests) != 3 {
+		t.Fatalf("%d emitting and %d output-less children, want 1 and 3", len(root.emit), len(root.tests))
+	}
+	want := []bool{true, true, false}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i, k := range root.tests {
+			if k.embedsBelow(doc.Root) != want[i] {
+				t.Fatalf("branch %d: embedsBelow is %v", i, !want[i])
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("the output-less branches allocate %v times per evaluation, want 0", allocs)
+	}
+
+	// Without the branch that fails: one row before any deduplication, from
+	// a row slab, a row list and a candidate stack.
+	p = newPlan(pattern.MustParse(`//a[/k{val}, /b[/c="y", /@id], //c]`))
+	var rows []Row
+	allocs = testing.AllocsPerRun(100, func() { rows = p.evalPattern(0, doc) })
+	if len(rows) != 1 || rows[0].Cols[0] != "v" {
+		t.Fatalf("rows %v, want the one of <k>", rows)
+	}
+	if allocs > 3 {
+		t.Errorf("%v allocations for one row beside 600 embeddings of output-less branches, want at most 3", allocs)
+	}
+}

@@ -8,7 +8,9 @@ import (
 
 // FuzzParseDifferential holds the scanner to the encoding/xml oracle under
 // the contract of the package doc: same tree where the oracle accepts, a
-// rejection where it rejects, but for the listed leniencies. The seeds are
+// rejection where it rejects, but for the listed leniencies. Its second arm
+// holds ParseProjected to Parse: under every projection tried, the same
+// verdict with the same error text, and the nodes of the full tree. The seeds are
 // the edge table, the leniencies, two generated documents and the files of
 // testdata/fuzz/FuzzParseDifferential.
 func FuzzParseDifferential(f *testing.F) {
@@ -26,5 +28,6 @@ func FuzzParseDifferential(f *testing.F) {
 	f.Add(xmark.Paintings()[0].Data)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAgainstReference(t, data)
+		checkProjections(t, data)
 	})
 }

@@ -116,3 +116,49 @@ func parseReference(uri string, data []byte) (*Document, error) {
 	}
 	return doc, nil
 }
+
+// contentReference is Content as it was before writeXML wrote its escapes
+// straight into the builder, moved here verbatim: encoding/xml's EscapeText
+// over a copy of every value, and a list of every element's non-attribute
+// children. checkAgainstReference holds Content to it on every accepted
+// input.
+func contentReference(n *Node) string {
+	var b strings.Builder
+	writeXMLReference(n, &b)
+	return b.String()
+}
+
+func writeXMLReference(n *Node, b *strings.Builder) {
+	switch n.Kind {
+	case Text:
+		xml.EscapeText(b, []byte(n.Text))
+	case Attribute:
+		b.WriteString(n.Label)
+		b.WriteString(`="`)
+		xml.EscapeText(b, []byte(n.Text))
+		b.WriteString(`"`)
+	case Element:
+		b.WriteString("<")
+		b.WriteString(n.Label)
+		var rest []*Node
+		for _, c := range n.Children {
+			if c.Kind == Attribute {
+				b.WriteString(" ")
+				writeXMLReference(c, b)
+			} else {
+				rest = append(rest, c)
+			}
+		}
+		if len(rest) == 0 {
+			b.WriteString("/>")
+			return
+		}
+		b.WriteString(">")
+		for _, c := range rest {
+			writeXMLReference(c, b)
+		}
+		b.WriteString("</")
+		b.WriteString(n.Label)
+		b.WriteString(">")
+	}
+}

@@ -8,21 +8,71 @@ import (
 
 // Parse builds the tree for one document.
 func Parse(uri string, data []byte) (*Document, error) {
+	return ParseProjected(uri, data, nil)
+}
+
+// Keep says how much of the elements that carry one label a query reads.
+type Keep uint8
+
+const (
+	// KeepNode builds the element itself.
+	KeepNode Keep = 1 << iota
+	// KeepText builds the element and every text node below it, which is
+	// what Value reads.
+	KeepText
+	// KeepAll builds the element and every node below it, which is what
+	// Content reads.
+	KeepAll
+)
+
+// Projection names the nodes of a document a query can read; see
+// ParseProjected. An element is built when its label has any Keep flag, an
+// attribute when its name is in Attributes (attributes and elements are
+// looked up apart, so one name can be wanted as either).
+type Projection struct {
+	Elements   map[string]Keep
+	Attributes map[string]bool
+}
+
+// ParseProjected is Parse building only the nodes proj names: the same scan
+// with the same checks, and so the same verdict and error text on every
+// input, and the same count of every node into pre, post and depth, but a
+// Node only for
+//
+//   - an element whose label is in proj.Elements,
+//   - an attribute whose name is in proj.Attributes,
+//   - a text node below an element whose label is flagged KeepText,
+//   - any node below an element whose label is flagged KeepAll.
+//
+// A built node has the Label, Text, Kind and ID it has in the full tree. Its
+// Parent is its nearest built ancestor and its Children are its nearest built
+// descendants in document order, so Value of a KeepText element and Content
+// of a KeepAll element return what they return on the full tree, and the
+// axes can be read from ID.Depth. Document.Root is nil when the root element
+// was not built; a document of which nothing is built is not an error. A nil
+// proj builds everything.
+func ParseProjected(uri string, data []byte, proj *Projection) (*Document, error) {
 	// The copy is the one the document keeps: Text strings are sub-slices
 	// of it, so the caller's buffer is free to change afterwards.
-	p := parser{
-		src:      string(data),
-		labels:   make(map[string]int32, 32),
-		labelTab: make([]labelEntry, 1, 32),
+	p := parser{src: string(data), proj: proj}
+	// Room for the labels of an XMark document, or for the ones the
+	// projection can let through.
+	room := 32
+	if proj == nil {
+		p.outer = KeepAll
+	} else {
+		room = len(proj.Elements) + len(proj.Attributes) + 1
 	}
+	p.labels = make(map[string]int32, room)
+	p.labelTab = make([]labelEntry, 1, room+1)
 	p.tagsLeft = strings.Count(p.src, "<")
 	if err := p.scan(); err != nil {
 		return nil, fmt.Errorf("xmltree: parsing %s: %w", uri, err)
 	}
-	if p.root == nil {
+	if !p.sawRoot {
 		return nil, fmt.Errorf("%w: %s", ErrEmptyDocument, uri)
 	}
-	doc := &Document{URI: uri, Root: p.root, SourceBytes: int64(len(data)), labels: p.labels}
+	doc := &Document{URI: uri, Root: p.root, SourceBytes: int64(len(data)), scanned: int(p.pre), labels: p.labels}
 	doc.nodes, doc.byLabel = p.indexes()
 	return doc, nil
 }
@@ -33,7 +83,14 @@ type parser struct {
 	src string
 	pos int // next unread byte
 
-	root      *Node
+	// proj is the projection, nil for a full parse, and outer what the level
+	// above the root element hands down: KeepAll for a full parse, which so
+	// never looks at proj. pre and post count every node, built or not.
+	proj  *Projection
+	outer Keep
+
+	root      *Node // the root element, if it was built
+	sawRoot   bool
 	pre, post int32
 
 	// Nodes are handed out of slab in pre order; a full slab moves to
@@ -68,7 +125,13 @@ type parser struct {
 }
 
 type openElem struct {
-	el     *Node
+	el *Node // nil for an element the projection dropped
+	// parent is what the nodes directly inside take for their Parent: el, or
+	// for a dropped element its nearest built ancestor.
+	parent *Node
+	// keep is what the element's label and the labels of the elements
+	// around it ask for: KeepText and KeepAll reach everything inside.
+	keep   Keep
 	name   string // as written in the start tag, prefix included
 	kids   int    // len(parser.kids) when the element opened
 	nsMark int    // len(parser.ns) when the element opened
@@ -368,11 +431,15 @@ func (p *parser) flushText() {
 	}
 	p.pre++
 	p.post++
+	o := &p.open[len(p.open)-1]
+	if o.keep&(KeepText|KeepAll) == 0 {
+		return
+	}
 	n := p.newNode(0)
 	n.Kind = Text
 	n.Text = s
 	n.ID = NodeID{Pre: p.pre, Post: p.post, Depth: int32(len(p.open)) + 1}
-	n.Parent = p.open[len(p.open)-1].el
+	n.Parent = o.parent
 	p.kids = append(p.kids, n)
 }
 
@@ -457,7 +524,7 @@ func (p *parser) startTag() error {
 	}
 
 	p.flushText()
-	if p.root != nil && len(p.open) == 0 {
+	if p.sawRoot && len(p.open) == 0 {
 		return p.errorf(at, "multiple root elements")
 	}
 	nsMark := len(p.ns)
@@ -466,31 +533,48 @@ func (p *parser) startTag() error {
 			p.ns = append(p.ns, nsBinding{a.local, a.value == "xmlns"})
 		}
 	}
+	o := openElem{keep: p.outer, name: name, nsMark: nsMark}
+	if len(p.open) > 0 {
+		up := &p.open[len(p.open)-1]
+		o.keep, o.parent = up.keep, up.parent
+	}
+	built := o.keep&KeepAll != 0
+	if !built {
+		own := p.proj.Elements[local]
+		built = own != 0
+		o.keep |= own
+	}
 	depth := int32(len(p.open)) + 1
 	p.pre++
-	el := p.newNode(p.label(local))
-	el.Kind = Element
-	el.ID = NodeID{Pre: p.pre, Depth: depth}
-	if len(p.open) > 0 {
-		el.Parent = p.open[len(p.open)-1].el
-	} else {
-		p.root = el
+	if built {
+		el := p.newNode(p.label(local))
+		el.Kind = Element
+		el.ID = NodeID{Pre: p.pre, Depth: depth}
+		el.Parent = o.parent
+		if len(p.open) == 0 {
+			p.root = el
+		}
+		o.el, o.parent = el, el
 	}
-	kidMark := len(p.kids)
+	p.sawRoot = true
+	o.kids = len(p.kids)
 	for _, a := range p.attrs {
 		if p.dropAttr(a) {
 			continue
 		}
 		p.pre++
 		p.post++
+		if o.keep&KeepAll == 0 && !p.proj.Attributes[a.local] {
+			continue
+		}
 		an := p.newNode(p.label(a.local))
 		an.Kind = Attribute
 		an.Text = a.value
 		an.ID = NodeID{Pre: p.pre, Post: p.post, Depth: depth + 1}
-		an.Parent = el
+		an.Parent = o.parent
 		p.kids = append(p.kids, an)
 	}
-	p.open = append(p.open, openElem{el: el, name: name, kids: kidMark, nsMark: nsMark})
+	p.open = append(p.open, o)
 	if empty {
 		p.closeElement()
 	}
@@ -593,16 +677,21 @@ func (p *parser) closeElement() {
 	o := p.open[len(p.open)-1]
 	p.open = p.open[:len(p.open)-1]
 	p.ns = p.ns[:o.nsMark]
+	p.post++
+	if o.el == nil {
+		// What was built inside a dropped element stays in kids, for the
+		// next built element around it.
+		return
+	}
 	if kids := p.kids[o.kids:]; len(kids) > 0 {
 		if len(kids) > cap(p.kidSlab)-len(p.kidSlab) {
-			p.kidSlab = make([]*Node, 0, p.chunkSize(len(p.kids)))
+			p.kidSlab = make([]*Node, 0, p.chunkSize(len(p.kids), len(p.labelOf)))
 		}
 		at := len(p.kidSlab)
 		p.kidSlab = append(p.kidSlab, kids...)
 		o.el.Children = p.kidSlab[at:len(p.kidSlab):len(p.kidSlab)]
 	}
 	p.kids = append(p.kids[:o.kids], o.el)
-	p.post++
 	o.el.ID.Post = p.post
 }
 
@@ -739,7 +828,7 @@ func (p *parser) newNode(label int32) *Node {
 		if p.slab != nil {
 			p.chunks = append(p.chunks, p.slab)
 		}
-		p.slab = make([]Node, 0, p.chunkSize(0))
+		p.slab = make([]Node, 0, p.chunkSize(0, len(p.labelOf)+1))
 		if p.labelOf == nil {
 			p.labelOf = make([]int32, 0, cap(p.slab))
 		}
@@ -757,13 +846,23 @@ func (p *parser) newNode(label int32) *Node {
 // hand and for the nodes the unread input holds, which it estimates by the
 // tags left. An element that holds text is two tags and two nodes, an
 // attribute or a second text is one node more, and an element that holds
-// elements one less. Where the guess falls short the slab grows by another
+// elements one less. Under a projection only a share of those nodes is
+// built, which is taken to be the share built so far (built nodes, the one
+// at hand included, of the p.pre counted), as if priorDropped dropped nodes
+// had come before the document: one node built early must not claim room
+// for the whole input. Where the guess falls short the slab grows by another
 // chunk, of at least a quarter of the nodes made so far: the chunks of a
 // document are few however many nodes a tag yields, and sizing one costs
 // the same wherever in the input the scan stands.
-func (p *parser) chunkSize(need int) int {
-	return max(need+p.tagsLeft+4, len(p.labelOf)/4)
+func (p *parser) chunkSize(need, built int) int {
+	left := p.tagsLeft
+	if p.proj != nil {
+		left = int(int64(left) * int64(built) / (int64(p.pre) + priorDropped))
+	}
+	return max(need+left+4, built/4)
 }
+
+const priorDropped = 16
 
 // label returns the label table's entry for name. The table copies a label
 // out of src the first time it sees it, so a Label that outlives the

@@ -48,13 +48,40 @@
 //     UTF-8 sequence is a name character. ASCII characters are checked.
 //
 // Error messages are the scanner's own and carry a line number.
+//
+// ParseProjected is the same scan with a gate in front of node construction,
+// for the query path, where a query names a handful of labels and reads a
+// tenth of a document's nodes. Under a Projection the scanner
+//
+//   - runs every check on every byte as Parse does: it accepts and rejects
+//     the same inputs with the same error text, whatever the projection;
+//   - counts every node into pre, post and depth, built or not, so a built
+//     node has the ID it has in the full tree (the index stores those IDs,
+//     and the evaluator takes the child axis from the depths);
+//   - builds a node only if the projection names it: an element by its
+//     label, an attribute by its name, a text node by an enclosing element
+//     flagged KeepText, any node by an enclosing element flagged KeepAll;
+//     a dropped element is not even interned in the label table;
+//   - links a built node to its nearest built ancestor (Parent) and its
+//     nearest built descendants in document order (Children): what is built
+//     inside a dropped element becomes a child of the next built element
+//     around it. So Value of a KeepText element concatenates the same text
+//     nodes in the same order, and Content of a KeepAll element serializes
+//     the same subtree, as on the full tree;
+//   - sizes its slabs by the share of nodes built so far, not by the tags
+//     left alone.
+//
+// Nodes, NodeByPre and NodesByLabel of a projected Document see the built
+// nodes only; Root is nil if the root element is not among them. The tests
+// hold every projected document node for node to the full one.
 package xmltree
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // NodeKind distinguishes the three node flavours the index sees.
@@ -126,16 +153,20 @@ type Node struct {
 	Children []*Node
 }
 
-// Document is a parsed XML document.
+// Document is a parsed XML document: all of its nodes from Parse, the ones a
+// projection names from ParseProjected.
 type Document struct {
 	// URI identifies the document in the warehouse (URI(d) in the paper).
-	URI  string
+	URI string
+	// Root is the root element; nil in a projected document whose root
+	// element was not built.
 	Root *Node
 	// SourceBytes is the size of the serialized input, the s(D)
 	// contribution of this document.
 	SourceBytes int64
 
-	nodes []*Node // in pre order; nodes[pre-1]
+	scanned int     // nodes the input holds, built or not
+	nodes   []*Node // the built nodes in pre order
 	// labels is the table Parse interned the labels in, and byLabel the
 	// nodes of each of its entries in document order. Text nodes are under
 	// "".
@@ -148,19 +179,25 @@ var (
 	ErrEmptyDocument = errors.New("xmltree: document has no root element")
 )
 
-// NodeCount returns the number of nodes (elements, attributes, texts).
+// NodeCount returns the number of nodes built (elements, attributes, texts).
 func (d *Document) NodeCount() int { return len(d.nodes) }
 
-// Nodes returns all nodes in document (pre) order. The slice is shared;
-// callers must not modify it.
+// NodesScanned returns the number of nodes the input holds: NodeCount for a
+// full parse, and what the scan counted, built or not, for a projected one.
+func (d *Document) NodesScanned() int { return d.scanned }
+
+// Nodes returns all built nodes in document (pre) order. The slice is
+// shared; callers must not modify it.
 func (d *Document) Nodes() []*Node { return d.nodes }
 
-// NodeByPre returns the node with the given pre rank (1-based), or nil.
+// NodeByPre returns the built node with the given pre rank (1-based), or
+// nil.
 func (d *Document) NodeByPre(pre int32) *Node {
-	if pre < 1 || int(pre) > len(d.nodes) {
+	i := sort.Search(len(d.nodes), func(i int) bool { return d.nodes[i].ID.Pre >= pre })
+	if i == len(d.nodes) || d.nodes[i].ID.Pre != pre {
 		return nil
 	}
-	return d.nodes[pre-1]
+	return d.nodes[i]
 }
 
 // NodesByLabel returns the element or attribute nodes carrying the given
@@ -220,36 +257,88 @@ func (n *Node) Content() string {
 func (n *Node) writeXML(b *strings.Builder) {
 	switch n.Kind {
 	case Text:
-		xml.EscapeText(b, []byte(n.Text))
+		escapeText(b, n.Text)
 	case Attribute:
 		b.WriteString(n.Label)
 		b.WriteString(`="`)
-		xml.EscapeText(b, []byte(n.Text))
+		escapeText(b, n.Text)
 		b.WriteString(`"`)
 	case Element:
 		b.WriteString("<")
 		b.WriteString(n.Label)
-		var rest []*Node
+		// Two walks over the children, attributes then the rest, instead of
+		// a list of the rest.
+		rest := false
 		for _, c := range n.Children {
 			if c.Kind == Attribute {
 				b.WriteString(" ")
 				c.writeXML(b)
 			} else {
-				rest = append(rest, c)
+				rest = true
 			}
 		}
-		if len(rest) == 0 {
+		if !rest {
 			b.WriteString("/>")
 			return
 		}
 		b.WriteString(">")
-		for _, c := range rest {
-			c.writeXML(b)
+		for _, c := range n.Children {
+			if c.Kind != Attribute {
+				c.writeXML(b)
+			}
 		}
 		b.WriteString("</")
 		b.WriteString(n.Label)
 		b.WriteString(">")
 	}
+}
+
+// escapeText writes s the way encoding/xml's EscapeText does, byte for byte:
+// the five markup characters, tab, newline and carriage return as references,
+// and U+FFFD for invalid UTF-8 and for characters outside XML's Char. It
+// copies the runs between them straight from s.
+func escapeText(b *strings.Builder, s string) {
+	last := 0
+	for i := 0; i < len(s); {
+		var esc string
+		width := 1
+		switch c := s[i]; {
+		case c == '"':
+			esc = "&#34;"
+		case c == '\'':
+			esc = "&#39;"
+		case c == '&':
+			esc = "&amp;"
+		case c == '<':
+			esc = "&lt;"
+		case c == '>':
+			esc = "&gt;"
+		case c == '\t':
+			esc = "&#x9;"
+		case c == '\n':
+			esc = "&#xA;"
+		case c == '\r':
+			esc = "&#xD;"
+		case c < 0x20:
+			esc = "\uFFFD"
+		case c < utf8.RuneSelf:
+			i++
+			continue
+		default:
+			var r rune
+			r, width = utf8.DecodeRuneInString(s[i:])
+			if !(r == utf8.RuneError && width == 1) && r != 0xFFFE && r != 0xFFFF {
+				i += width
+				continue
+			}
+			esc = "\uFFFD"
+		}
+		b.WriteString(s[last:i])
+		b.WriteString(esc)
+		i += width
+		last = i
+	}
+	b.WriteString(s[last:])
 }
 
 // Path returns the nodes on the label path from the document root down to n,

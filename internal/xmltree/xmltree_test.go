@@ -1,6 +1,8 @@
 package xmltree
 
 import (
+	"bytes"
+	"encoding/xml"
 	"errors"
 	"reflect"
 	"strings"
@@ -376,5 +378,38 @@ func TestInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// escapeText must write what encoding/xml's EscapeText writes for any string,
+// also for what no parsed document holds: invalid UTF-8, control characters,
+// the non-characters.
+func TestEscapeTextMatchesEncodingXML(t *testing.T) {
+	inputs := []string{
+		"", "plain", `<a b="c" d='e'>&amp;</a>`, "tab\tnl\ncr\r", "\x00\x01\x1f\x7f", "é日本😀", "\xff", "a\xc3", "\xc3(", "\xed\xa0\x80",
+		"\xef\xbf\xbd", "\xef\xbf\xbe", "\xef\xbf\xbf", "x\xef\xbf\xbey", "\xf4\x90\x80\x80", "\xc0\xaf", "]]>",
+	}
+	seed := uint64(7)
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, i%40)
+		for j := range b {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			b[j] = byte(seed >> 56)
+			if seed>>40&3 == 0 {
+				b[j] = "<>&'\"\t\n\r ax"[(seed>>32)%11]
+			}
+		}
+		inputs = append(inputs, string(b))
+	}
+	for _, in := range inputs {
+		var got strings.Builder
+		var want bytes.Buffer
+		escapeText(&got, in)
+		if err := xml.EscapeText(&want, []byte(in)); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("escapeText(%q) = %q, encoding/xml writes %q", in, got.String(), want.String())
+		}
 	}
 }
