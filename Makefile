@@ -5,11 +5,7 @@ FUZZTIME ?= 20s
 # under it so unrelated churn doesn't flake the gate).
 COVER_MIN ?= 80.0
 
-.PHONY: build test race vet fmt bench benchartifact benchcmp benchsmoke benchtest benchgate obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
-
-# BENCH_ARTIFACT is the checked-in benchmark snapshot this PR sequence
-# tracks; benchcmp diffs a fresh run against it.
-BENCH_ARTIFACT ?= BENCH_10.json
+.PHONY: build test race vet fmt bench benchsmoke benchtest benchgate obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
 
 build:
 	$(GO) build ./...
@@ -38,23 +34,9 @@ benchtest:
 check: fmt vet race benchtest
 
 # bench regenerates benchall_output.txt (untracked; see .gitignore) from
-# the full default-scale evaluation, then refreshes the machine-readable
-# benchmark artifact.
+# the full default-scale evaluation.
 bench:
 	$(GO) run ./cmd/benchall | tee benchall_output.txt
-	$(GO) run ./cmd/benchall -artifact $(BENCH_ARTIFACT) -scale tiny
-
-# benchartifact refreshes only the machine-readable snapshot (the fast
-# path CI and benchcmp use).
-benchartifact:
-	$(GO) run ./cmd/benchall -artifact $(BENCH_ARTIFACT) -scale tiny
-
-# benchcmp measures a fresh artifact and diffs it against the checked-in
-# baseline, flagging >10% ns/op regressions (informational: wall-clock
-# comparisons across machines are noisy, so CI runs this non-blocking).
-benchcmp:
-	$(GO) run ./cmd/benchall -artifact /tmp/bench_head.json -scale tiny
-	$(GO) run ./cmd/benchall -compare $(BENCH_ARTIFACT) /tmp/bench_head.json
 
 # benchgate runs the gateable benchmark for a short, fixed length and holds
 # its deterministic metrics to the checked-in reference: every workload must

@@ -8,6 +8,7 @@ package repro_test
 // paper-style tables.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -616,7 +617,7 @@ func BenchmarkMemStoreGet(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got, _, err := store.Get("t", "key"); err != nil || len(got) != n {
+				if got, _, err := store.Get(context.Background(), "t", "key"); err != nil || len(got) != n {
 					b.Fatal(len(got), err)
 				}
 			}

@@ -5,17 +5,10 @@
 //
 //	benchall [-scale tiny|small|default] [-docs N -docbytes N]
 //	         [-exp table4,fig7,...|all] [-repeats N]
-//	benchall -artifact BENCH.json [-scale ...]
-//	benchall -compare old.json new.json
 //
 // Experiments: table4, fig7, fig8, table5, fig9, fig9detail, fig10,
 // table6, fig11, fig12, fig13, table7, table8, ablations, advisor, obs,
 // shard, tail, serve, mutate.
-//
-// -artifact runs the key hot-path benchmarks plus the traced per-stage
-// table and writes a machine-readable JSON snapshot instead of the paper
-// tables. -compare diffs two such snapshots benchcmp-style and exits
-// nonzero if any benchmark's ns/op regressed by more than 10%.
 package main
 
 import (
@@ -37,28 +30,7 @@ func main() {
 	docBytes := flag.Int("docbytes", 0, "override: approximate bytes per document")
 	exps := flag.String("exp", "all", "comma-separated experiments, or 'all'")
 	repeats := flag.Int("repeats", 16, "workload repetitions for figure 10")
-	artifact := flag.String("artifact", "", "write a machine-readable benchmark artifact to this path and exit")
-	compare := flag.Bool("compare", false, "compare two artifacts (old.json new.json); exit 1 on >10% ns/op regressions")
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: benchall -compare old.json new.json")
-			os.Exit(2)
-		}
-		oldA, err := bench.ReadArtifact(flag.Arg(0))
-		check(err)
-		newA, err := bench.ReadArtifact(flag.Arg(1))
-		check(err)
-		report, regressed := bench.CompareArtifacts(oldA, newA, 0.10)
-		fmt.Print(report)
-		if len(regressed) > 0 {
-			fmt.Fprintf(os.Stderr, "benchall: %d benchmark(s) regressed >10%%: %s\n",
-				len(regressed), strings.Join(regressed, ", "))
-			os.Exit(1)
-		}
-		return
-	}
 
 	scale := bench.Default()
 	switch *scaleName {
@@ -78,15 +50,6 @@ func main() {
 	if *docBytes > 0 {
 		scale.DocBytes = *docBytes
 		scale.Name = "custom"
-	}
-
-	if *artifact != "" {
-		a, err := bench.RunArtifact(scale)
-		check(err)
-		check(bench.WriteArtifact(a, *artifact))
-		fmt.Printf("wrote %s (%d benchmarks, %d stages, %d serve points, %d mutate arms, scale %s)\n",
-			*artifact, len(a.Benchmarks), len(a.Stages), len(a.Serve), len(a.Mutate), a.Scale)
-		return
 	}
 
 	want := map[string]bool{}

@@ -1,6 +1,6 @@
 // Command benchgate turns the deterministic part of the gateable benchmark
 // into a CI gate: it proves on every change that the paper's quantities, the
-// modeled response time and the index size, did not move.
+// modeled response time, the index size and the bill, did not move.
 //
 //	bash benchmark/run.sh --seed 42 --seconds 5 --trace 0
 //	go run ./cmd/benchgate
@@ -8,16 +8,25 @@
 // (`make benchgate` runs both.) It reads the result files the run left in
 // benchmark/out and fails unless every workload of the reference was run with
 // the reference's seed and length, reports ok_ops_share 1, and has the
-// reference's modeled_ms_per_op and index_bytes_per_corpus_byte. Those two
-// depend on --seed and --seconds only, never on the machine. The other
-// end-to-end metrics are printed and not gated: the clocked ones are the
-// machine's, and billed_requests_per_op, and usd_per_1k_ops with it, move by
-// a few parts in ten thousand between runs of one commit with the timing of
-// the queues' long polls.
+// reference's value (to 1e-9 of it, which is float formatting) for every
+// metric the reference lists under that workload. The reference file is the
+// list of what is gated: modeled_ms_per_op and index_bytes_per_corpus_byte on
+// every workload, which depend on --seed and --seconds only, never on the
+// machine, and billed_requests_per_op and usd_per_1k_ops on index-build and
+// serve-selective, where every run of one commit bills the same requests (8
+// and 16 runs at these settings, none differed). On the other two the bill
+// depends on the clock through the queues' 100 ms long polls, so the
+// reference does not list it there: a serve-scan request that a loaded
+// machine stretches past a poll bills one more empty receive (2 runs of 18
+// read 127.255 or 127.26 for 127.25), and on serve-mixed-rw the two move by a
+// few parts in ten thousand in every run. Every other end-to-end metric is
+// printed and not gated: the clocked ones are the machine's.
 //
-// A change that moves the modeled time or the index size on purpose runs the
-// benchmark as above and then `go run ./cmd/benchgate -update`, which
-// rewrites the reference from the results, and says so in its description.
+// A change that moves a gated metric on purpose runs the benchmark as above
+// and then `go run ./cmd/benchgate -update`, which rewrites the reference's
+// values from the results, and says so in its description. -update keeps the
+// reference's workloads and metric names; to gate another metric, add its
+// name under the workload (any value) and run -update.
 package main
 
 import (
@@ -30,11 +39,8 @@ import (
 	"sort"
 )
 
-// gated are the metrics that must equal the reference.
-var gated = []string{"modeled_ms_per_op", "index_bytes_per_corpus_byte"}
-
-// reference is the checked-in file: the run's parameters and the gated
-// metrics of every workload.
+// reference is the checked-in file: the run's parameters and, per workload,
+// the metrics that are gated there with the values they must have.
 type reference struct {
 	Seed      int64                         `json:"seed"`
 	Seconds   int                           `json:"seconds"`
@@ -68,9 +74,6 @@ func run(refPath, outDir string, update bool) error {
 	if err != nil {
 		return err
 	}
-	if update {
-		return writeReference(refPath, results)
-	}
 	var ref reference
 	data, err := os.ReadFile(refPath)
 	if err != nil {
@@ -78,6 +81,9 @@ func run(refPath, outDir string, update bool) error {
 	}
 	if err := json.Unmarshal(data, &ref); err != nil {
 		return fmt.Errorf("%s: %w", refPath, err)
+	}
+	if update {
+		return writeReference(refPath, ref, results)
 	}
 	failed := 0
 	fail := func(format string, args ...any) {
@@ -101,7 +107,7 @@ func run(refPath, outDir string, update bool) error {
 		if ok, have := res.Metrics["ok_ops_share"]; !have || ok.Value != 1 {
 			fail("ok_ops_share is %v, want 1", ok.Value)
 		}
-		for _, name := range gated {
+		for _, name := range sortedKeys(ref.Workloads[wl]) {
 			got, have := res.Metrics[name]
 			if want := ref.Workloads[wl][name]; !have || math.Abs(got.Value-want) > 1e-9*math.Abs(want) {
 				fail("%s is %.12g, the reference has %.12g", name, got.Value, want)
@@ -138,22 +144,25 @@ func readResults(outDir string) (map[string]result, error) {
 	return results, nil
 }
 
-func writeReference(refPath string, results map[string]result) error {
-	ref := reference{Workloads: make(map[string]map[string]float64, len(results))}
-	for wl, res := range results {
-		ref.Seed, ref.Seconds = res.Seed, res.Seconds
-		ref.Workloads[wl] = make(map[string]float64, len(gated))
-		for _, name := range gated {
+// writeReference rewrites the values of the reference's metrics from the
+// results, keeping its workloads and the metric names under each.
+func writeReference(refPath string, ref reference, results map[string]result) error {
+	for i, wl := range sortedKeys(ref.Workloads) {
+		res, ok := results[wl]
+		if !ok {
+			return fmt.Errorf("%s was not run", wl)
+		}
+		if i == 0 {
+			ref.Seed, ref.Seconds = res.Seed, res.Seconds
+		} else if res.Seed != ref.Seed || res.Seconds != ref.Seconds {
+			return fmt.Errorf("%s was run with --seed %d --seconds %d, another workload with --seed %d --seconds %d", wl, res.Seed, res.Seconds, ref.Seed, ref.Seconds)
+		}
+		for name := range ref.Workloads[wl] {
 			m, ok := res.Metrics[name]
 			if !ok {
 				return fmt.Errorf("%s did not measure %s", wl, name)
 			}
 			ref.Workloads[wl][name] = m.Value
-		}
-	}
-	for wl, res := range results {
-		if res.Seed != ref.Seed || res.Seconds != ref.Seconds {
-			return fmt.Errorf("%s was run with --seed %d --seconds %d, another workload with --seed %d --seconds %d", wl, res.Seed, res.Seconds, ref.Seed, ref.Seconds)
 		}
 	}
 	data, err := json.MarshalIndent(ref, "", "  ")

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -123,7 +124,7 @@ func scatterGetTime(n int) (time.Duration, error) {
 	var total time.Duration
 	for i := 0; i < len(keys); i += lim.BatchGetKeys {
 		end := min(i+lim.BatchGetKeys, len(keys))
-		_, d, err := sh.BatchGet(table, keys[i:end])
+		_, d, err := sh.BatchGet(context.Background(), table, keys[i:end])
 		if err != nil {
 			return 0, err
 		}

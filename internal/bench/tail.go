@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -114,7 +115,7 @@ func RunTail(seed int64, shards, perShard, calls int) ([]TailPoint, error) {
 		}
 		var ds []time.Duration
 		for c := 0; c < calls; c++ {
-			_, d, err := sh.BatchGet("t", keys)
+			_, d, err := sh.BatchGet(context.Background(), "t", keys)
 			if err != nil {
 				return nil, fmt.Errorf("bench: tail call %d (hedged=%v): %w", c, hedged, err)
 			}

@@ -96,7 +96,8 @@ type Plan struct {
 	Rates Rates
 }
 
-// Counts tallies the faults injected so far, by class.
+// Counts holds the faults injected so far, by class: the shape in which a
+// reader of the sink's counters reports them (core.Warehouse.ChaosCounts).
 type Counts struct {
 	Throttles      int64
 	Internals      int64
@@ -107,9 +108,9 @@ type Counts struct {
 	Stragglers     int64
 }
 
-// CounterSink receives a copy of every fault tally as a named counter
-// increment. The obs Registry satisfies it; defining the interface here
-// keeps this package free of an obs dependency.
+// CounterSink receives every injected fault as a named counter increment;
+// the injector keeps no tally of its own. The obs Registry satisfies it;
+// defining the interface here keeps this package free of an obs dependency.
 type CounterSink interface {
 	Add(name string, delta int64)
 }
@@ -134,11 +135,10 @@ func (c Counts) Total() int64 {
 // Injector is the seeded decision source shared by the wrappers of one
 // plan. It is safe for concurrent use.
 type Injector struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
-	rates  Rates
-	counts Counts
-	sink   CounterSink
+	mu    sync.Mutex
+	rng   *rand.Rand
+	rates Rates
+	sink  CounterSink
 }
 
 // NewInjector builds the shared decision source of a plan. Rates outside
@@ -162,9 +162,9 @@ func (inj *Injector) Rates() Rates {
 	return inj.rates
 }
 
-// SetSink streams every future fault tally to sink as well (pass nil to
-// stop). The warehouse points this at its obs Registry, so the injected
-// fault counters appear in the unified metrics surface.
+// SetSink streams every future injected fault to sink (pass nil to stop).
+// The warehouse points this at its obs Registry, so the injected fault
+// counters appear in the unified metrics surface.
 func (inj *Injector) SetSink(s CounterSink) {
 	inj.mu.Lock()
 	inj.sink = s
@@ -177,17 +177,6 @@ func (inj *Injector) note(metric string) {
 	if inj.sink != nil {
 		inj.sink.Add(metric, 1)
 	}
-}
-
-// Counts returns a snapshot of the faults injected so far.
-//
-// Deprecated: when the injector feeds a warehouse, prefer the registry view
-// (core.Warehouse.ChaosCounts), which reads the same tallies from the obs
-// Registry. This accessor remains for standalone injectors and old callers.
-func (inj *Injector) Counts() Counts {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.counts
 }
 
 // hit draws one decision at probability rate. Zero rates draw nothing, so

@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -13,6 +14,31 @@ import (
 	"repro/internal/cloud/sqs"
 	"repro/internal/meter"
 )
+
+// tally is the map sink these tests install on an injector, which keeps no
+// count of its own; counts reads it back in the chaos.Counts shape.
+type tally map[string]int64
+
+func (m tally) Add(name string, delta int64) { m[name] += delta }
+
+func (m tally) counts() chaos.Counts {
+	return chaos.Counts{
+		Throttles:      m[chaos.MetricThrottles],
+		Internals:      m[chaos.MetricInternals],
+		PartialBatches: m[chaos.MetricPartialBatches],
+		DupDeliveries:  m[chaos.MetricDupDeliveries],
+		ExpiredLeases:  m[chaos.MetricExpiredLeases],
+		S3Faults:       m[chaos.MetricS3Faults],
+		Stragglers:     m[chaos.MetricStragglers],
+	}
+}
+
+// newInjector returns an injector for the plan and the tally it streams to.
+func newInjector(p chaos.Plan) (*chaos.Injector, tally) {
+	inj, m := chaos.NewInjector(p), tally{}
+	inj.SetSink(m)
+	return inj, m
+}
 
 func item(hash, rng, val string) kv.Item {
 	return kv.Item{HashKey: hash, RangeKey: rng, Attrs: []kv.Attr{{Name: "a", Values: []kv.Value{kv.Value(val)}}}}
@@ -34,9 +60,9 @@ func driveStore(t *testing.T, s kv.Store) []string {
 	}
 	_, err := s.BatchPut("t", batch)
 	note("batchPut", err)
-	_, _, err = s.Get("t", "h")
+	_, _, err = s.Get(context.Background(), "t", "h")
 	note("get", err)
-	_, _, err = s.BatchGet("t", []string{"h", "b", "missing"})
+	_, _, err = s.BatchGet(context.Background(), "t", []string{"h", "b", "missing"})
 	note("batchGet", err)
 	_, err = s.DeleteItem("t", "h", "r00")
 	note("deleteItem", err)
@@ -54,7 +80,7 @@ func TestZeroRatesAreExactPassThrough(t *testing.T) {
 	if err := base.CreateTable("t"); err != nil {
 		t.Fatal(err)
 	}
-	inj := chaos.NewInjector(chaos.Plan{Seed: 42}) // all rates zero
+	inj, faults := newInjector(chaos.Plan{Seed: 42}) // all rates zero
 	wrapped := chaos.WrapStore(base, inj)
 
 	driveStore(t, plain)
@@ -71,7 +97,7 @@ func TestZeroRatesAreExactPassThrough(t *testing.T) {
 			t.Errorf("%s: wrapped counts %+v, unwrapped %+v", op, g, w)
 		}
 	}
-	if n := inj.Counts().Total(); n != 0 {
+	if n := faults.counts().Total(); n != 0 {
 		t.Errorf("zero-rate injector recorded %d faults", n)
 	}
 }
@@ -82,10 +108,10 @@ func TestSeedDeterminism(t *testing.T) {
 		if err := base.CreateTable("t"); err != nil {
 			t.Fatal(err)
 		}
-		inj := chaos.NewInjector(chaos.Plan{Seed: seed, Rates: chaos.Rates{
+		inj, faults := newInjector(chaos.Plan{Seed: seed, Rates: chaos.Rates{
 			Throttle: 0.2, Internal: 0.1, PartialBatch: 0.5,
 		}})
-		return driveStore(t, chaos.WrapStore(base, inj)), inj.Counts()
+		return driveStore(t, chaos.WrapStore(base, inj)), faults.counts()
 	}
 	t1, c1 := run(7)
 	t2, c2 := run(7)
@@ -174,7 +200,7 @@ func TestPartialBatchGetContract(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Plan{Seed: 3, Rates: chaos.Rates{PartialBatch: 1}})
 	wrapped := chaos.WrapStore(base, inj)
 
-	out, _, err := wrapped.BatchGet("t", keys)
+	out, _, err := wrapped.BatchGet(context.Background(), "t", keys)
 	var pe *kv.PartialGetError
 	if !errors.As(err, &pe) {
 		t.Fatalf("BatchGet error = %v, want PartialGetError", err)
@@ -195,7 +221,7 @@ func TestPartialBatchGetContract(t *testing.T) {
 	inj.SetRates(chaos.Rates{PartialBatch: 0.7})
 	retry := kv.NewRetry(wrapped)
 	retry.BaseBackoff = time.Microsecond
-	merged, _, err := retry.BatchGet("t", keys)
+	merged, _, err := retry.BatchGet(context.Background(), "t", keys)
 	if err != nil {
 		t.Fatalf("retried BatchGet: %v", err)
 	}
@@ -209,7 +235,7 @@ func TestQueueDuplicateDelivery(t *testing.T) {
 	if err := q.CreateQueue("work"); err != nil {
 		t.Fatal(err)
 	}
-	inj := chaos.NewInjector(chaos.Plan{Seed: 1, Rates: chaos.Rates{DupDeliver: 1}})
+	inj, faults := newInjector(chaos.Plan{Seed: 1, Rates: chaos.Rates{DupDeliver: 1}})
 	wrapped := chaos.WrapQueues(q, inj)
 
 	if _, _, err := wrapped.Send("work", "job"); err != nil {
@@ -236,7 +262,7 @@ func TestQueueDuplicateDelivery(t *testing.T) {
 	if _, err := wrapped.Delete("work", m2.Receipt); err != nil {
 		t.Errorf("delete with current receipt: %v", err)
 	}
-	if c := inj.Counts().DupDeliveries; c != 2 {
+	if c := faults.counts().DupDeliveries; c != 2 {
 		t.Errorf("DupDeliveries = %d, want 2", c)
 	}
 }
@@ -246,7 +272,7 @@ func TestQueueForcedLeaseExpiry(t *testing.T) {
 	if err := q.CreateQueue("work"); err != nil {
 		t.Fatal(err)
 	}
-	inj := chaos.NewInjector(chaos.Plan{Seed: 1, Rates: chaos.Rates{ExpireLease: 1}})
+	inj, faults := newInjector(chaos.Plan{Seed: 1, Rates: chaos.Rates{ExpireLease: 1}})
 	wrapped := chaos.WrapQueues(q, inj)
 
 	if _, _, err := wrapped.Send("work", "job"); err != nil {
@@ -266,7 +292,7 @@ func TestQueueForcedLeaseExpiry(t *testing.T) {
 	if m2.ID != m1.ID {
 		t.Errorf("post-expiry receive returned %s, want %s", m2.ID, m1.ID)
 	}
-	if c := inj.Counts().ExpiredLeases; c != 1 {
+	if c := faults.counts().ExpiredLeases; c != 1 {
 		t.Errorf("ExpiredLeases = %d, want 1", c)
 	}
 }
@@ -276,7 +302,7 @@ func TestFilesTransientFaults(t *testing.T) {
 	if err := f.CreateBucket("b"); err != nil {
 		t.Fatal(err)
 	}
-	inj := chaos.NewInjector(chaos.Plan{Seed: 1, Rates: chaos.Rates{S3Transient: 1}})
+	inj, faults := newInjector(chaos.Plan{Seed: 1, Rates: chaos.Rates{S3Transient: 1}})
 	wrapped := chaos.WrapFiles(f, inj)
 
 	if _, err := wrapped.Put("b", "k", []byte("x"), nil); !errors.Is(err, s3.ErrTransient) {
@@ -297,7 +323,7 @@ func TestFilesTransientFaults(t *testing.T) {
 	if obj, _, err := wrapped.Get("b", "k"); err != nil || string(obj.Data) != "x" {
 		t.Errorf("get after quiesce: %q, %v", obj.Data, err)
 	}
-	if c := inj.Counts().S3Faults; c != 3 {
+	if c := faults.counts().S3Faults; c != 3 {
 		t.Errorf("S3Faults = %d, want 3", c)
 	}
 }

@@ -12,7 +12,6 @@ func (inj *Injector) s3Fault() error {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	if inj.hit(inj.rates.S3Transient) {
-		inj.counts.S3Faults++
 		inj.note(MetricS3Faults)
 		return fmt.Errorf("%w (chaos)", s3.ErrTransient)
 	}

@@ -11,7 +11,6 @@ func (inj *Injector) dupDeliver() bool {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	if inj.hit(inj.rates.DupDeliver) {
-		inj.counts.DupDeliveries++
 		inj.note(MetricDupDeliveries)
 		return true
 	}
@@ -23,7 +22,6 @@ func (inj *Injector) expireLease() bool {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	if inj.hit(inj.rates.ExpireLease) {
-		inj.counts.ExpiredLeases++
 		inj.note(MetricExpiredLeases)
 		return true
 	}

@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -65,9 +66,9 @@ func TestPerShardFaultPlan(t *testing.T) {
 
 	// Chaotic sharded run: global injector has zero rates; the target
 	// shard's plan throttles and splits batches aggressively.
-	global := chaos.NewInjector(chaos.Plan{Seed: 3})
+	global, globalFaults := newInjector(chaos.Plan{Seed: 3})
 	cs := chaos.WrapStore(dynamodb.New(meter.NewLedger()), global)
-	hot := chaos.NewInjector(chaos.Plan{Seed: 5, Rates: chaos.Rates{Throttle: 0.3, Internal: 0.1, PartialBatch: 0.5}})
+	hot, hotFaults := newInjector(chaos.Plan{Seed: 5, Rates: chaos.Rates{Throttle: 0.3, Internal: 0.1, PartialBatch: 0.5}})
 	cs.SetShardInjector(target, hot)
 	retry := kv.NewRetry(cs)
 	retry.MaxAttempts = 100
@@ -78,11 +79,11 @@ func TestPerShardFaultPlan(t *testing.T) {
 	if err := putAll(sh); err != nil {
 		t.Fatalf("sharded put under per-shard chaos: %v", err)
 	}
-	got, _, err := sh.BatchGet("idx", keys)
+	got, _, err := sh.BatchGet(context.Background(), "idx", keys)
 	if err != nil {
 		t.Fatalf("sharded get under per-shard chaos: %v", err)
 	}
-	want, _, err := ref.BatchGet("idx", keys)
+	want, _, err := ref.BatchGet(context.Background(), "idx", keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +94,11 @@ func TestPerShardFaultPlan(t *testing.T) {
 		t.Error("per-shard chaos changed final store contents")
 	}
 
-	hc := hot.Counts()
+	hc := hotFaults.counts()
 	if hc.Throttles+hc.Internals+hc.PartialBatches == 0 {
 		t.Error("targeted shard drew no faults — the per-shard plan never fired")
 	}
-	if gc := global.Counts(); gc != (chaos.Counts{}) {
+	if gc := globalFaults.counts(); gc != (chaos.Counts{}) {
 		t.Errorf("zero-rate global injector tallied faults: %+v", gc)
 	}
 }

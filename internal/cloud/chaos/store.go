@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -14,12 +15,10 @@ func (inj *Injector) kvFault() error {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
 	if inj.hit(inj.rates.Throttle) {
-		inj.counts.Throttles++
 		inj.note(MetricThrottles)
 		return fmt.Errorf("%w (chaos)", kv.ErrThrottled)
 	}
 	if inj.hit(inj.rates.Internal) {
-		inj.counts.Internals++
 		inj.note(MetricInternals)
 		return fmt.Errorf("%w (chaos)", kv.ErrInternal)
 	}
@@ -35,7 +34,6 @@ func (inj *Injector) straggleFactor() float64 {
 	if !inj.hit(inj.rates.Straggle) {
 		return 1
 	}
-	inj.counts.Stragglers++
 	inj.note(MetricStragglers)
 	f := inj.rates.StraggleFactor
 	if f < 1 {
@@ -58,7 +56,6 @@ func (inj *Injector) partialCount(n int) int {
 	if !inj.hit(inj.rates.PartialBatch) {
 		return n
 	}
-	inj.counts.PartialBatches++
 	inj.note(MetricPartialBatches)
 	return 1 + inj.rng.Intn(n-1)
 }
@@ -151,13 +148,13 @@ func (c *Store) BatchPut(table string, items []kv.Item) (time.Duration, error) {
 
 // Get implements kv.Store with injection. A straggle draw multiplies the
 // modeled latency of a successful read (the tail the hedging layer cuts).
-func (c *Store) Get(table, hashKey string) ([]kv.Item, time.Duration, error) {
+func (c *Store) Get(ctx context.Context, table, hashKey string) ([]kv.Item, time.Duration, error) {
 	inj := c.injFor(table)
 	if err := inj.kvFault(); err != nil {
 		return nil, 0, err
 	}
 	f := inj.straggleFactor()
-	items, d, err := c.Store.Get(table, hashKey)
+	items, d, err := c.Store.Get(ctx, table, hashKey)
 	if f > 1 && err == nil {
 		d = time.Duration(float64(d) * f)
 	}
@@ -168,7 +165,7 @@ func (c *Store) Get(table, hashKey string) ([]kv.Item, time.Duration, error) {
 // serves a strict non-empty prefix of the requested keys and reports the
 // remainder as unprocessed (UnprocessedKeys): the caller must re-fetch
 // only the remainder and merge.
-func (c *Store) BatchGet(table string, hashKeys []string) (map[string][]kv.Item, time.Duration, error) {
+func (c *Store) BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]kv.Item, time.Duration, error) {
 	inj := c.injFor(table)
 	if err := inj.kvFault(); err != nil {
 		return nil, 0, err
@@ -176,13 +173,13 @@ func (c *Store) BatchGet(table string, hashKeys []string) (map[string][]kv.Item,
 	f := inj.straggleFactor()
 	n := inj.partialCount(len(hashKeys))
 	if n >= len(hashKeys) {
-		out, d, err := c.Store.BatchGet(table, hashKeys)
+		out, d, err := c.Store.BatchGet(ctx, table, hashKeys)
 		if f > 1 && err == nil {
 			d = time.Duration(float64(d) * f)
 		}
 		return out, d, err
 	}
-	out, d, err := c.Store.BatchGet(table, hashKeys[:n])
+	out, d, err := c.Store.BatchGet(ctx, table, hashKeys[:n])
 	if err != nil {
 		return out, d, err
 	}
@@ -271,17 +268,17 @@ func (f *EveryNth) DeleteItem(table, hashKey, rangeKey string) (time.Duration, e
 }
 
 // Get implements kv.Store with injection.
-func (f *EveryNth) Get(table, hashKey string) ([]kv.Item, time.Duration, error) {
+func (f *EveryNth) Get(ctx context.Context, table, hashKey string) ([]kv.Item, time.Duration, error) {
 	if err := f.trip(); err != nil {
 		return nil, 0, err
 	}
-	return f.Store.Get(table, hashKey)
+	return f.Store.Get(ctx, table, hashKey)
 }
 
 // BatchGet implements kv.Store with injection.
-func (f *EveryNth) BatchGet(table string, hashKeys []string) (map[string][]kv.Item, time.Duration, error) {
+func (f *EveryNth) BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]kv.Item, time.Duration, error) {
 	if err := f.trip(); err != nil {
 		return nil, 0, err
 	}
-	return f.Store.BatchGet(table, hashKeys)
+	return f.Store.BatchGet(ctx, table, hashKeys)
 }

@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -10,8 +11,9 @@ import (
 	"repro/internal/meter"
 )
 
-// straggleStore builds a chaos-wrapped store preloaded with one row.
-func straggleStore(t *testing.T, plan chaos.Plan) (*chaos.Store, *chaos.Injector) {
+// straggleStore builds a chaos-wrapped store preloaded with one row, and
+// returns it with the tally of the faults it injects.
+func straggleStore(t *testing.T, plan chaos.Plan) (*chaos.Store, tally) {
 	t.Helper()
 	base := dynamodb.New(meter.NewLedger())
 	if err := base.CreateTable("t"); err != nil {
@@ -20,23 +22,23 @@ func straggleStore(t *testing.T, plan chaos.Plan) (*chaos.Store, *chaos.Injector
 	if _, err := base.Put("t", item("h", "r", "v")); err != nil {
 		t.Fatal(err)
 	}
-	inj := chaos.NewInjector(plan)
-	return chaos.WrapStore(base, inj), inj
+	inj, faults := newInjector(plan)
+	return chaos.WrapStore(base, inj), faults
 }
 
 func TestStragglerInjection(t *testing.T) {
 	// A guaranteed straggle multiplies the modeled read latency by the
 	// configured factor while the result stays correct.
 	clean, _ := straggleStore(t, chaos.Plan{Seed: 1})
-	cItems, cd, err := clean.Get("t", "h")
+	cItems, cd, err := clean.Get(context.Background(), "t", "h")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	slow, inj := straggleStore(t, chaos.Plan{Seed: 1, Rates: chaos.Rates{
+	slow, faults := straggleStore(t, chaos.Plan{Seed: 1, Rates: chaos.Rates{
 		Straggle: 1, StraggleFactor: 8,
 	}})
-	sItems, sd, err := slow.Get("t", "h")
+	sItems, sd, err := slow.Get(context.Background(), "t", "h")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,39 +48,39 @@ func TestStragglerInjection(t *testing.T) {
 	if want := time.Duration(float64(cd) * 8); sd != want {
 		t.Fatalf("straggled latency = %v, want %v (8x %v)", sd, want, cd)
 	}
-	if got := inj.Counts().Stragglers; got != 1 {
+	if got := faults.counts().Stragglers; got != 1 {
 		t.Fatalf("Stragglers = %d, want 1", got)
 	}
 
 	// BatchGet straggles the same way.
-	_, bd, err := slow.BatchGet("t", []string{"h"})
+	_, bd, err := slow.BatchGet(context.Background(), "t", []string{"h"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cbd, err := clean.BatchGet("t", []string{"h"})
+	_, cbd, err := clean.BatchGet(context.Background(), "t", []string{"h"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := time.Duration(float64(cbd) * 8); bd != want {
 		t.Fatalf("straggled batch latency = %v, want %v", bd, want)
 	}
-	if got := inj.Counts().Stragglers; got != 2 {
+	if got := faults.counts().Stragglers; got != 2 {
 		t.Fatalf("Stragglers = %d, want 2", got)
 	}
 }
 
 func TestStragglerDefaultFactorAndDeterminism(t *testing.T) {
 	run := func() (time.Duration, chaos.Counts) {
-		s, inj := straggleStore(t, chaos.Plan{Seed: 7, Rates: chaos.Rates{Straggle: 0.5}})
+		s, faults := straggleStore(t, chaos.Plan{Seed: 7, Rates: chaos.Rates{Straggle: 0.5}})
 		var total time.Duration
 		for i := 0; i < 20; i++ {
-			_, d, err := s.Get("t", "h")
+			_, d, err := s.Get(context.Background(), "t", "h")
 			if err != nil {
 				t.Fatal(err)
 			}
 			total += d
 		}
-		return total, inj.Counts()
+		return total, faults.counts()
 	}
 	d1, c1 := run()
 	d2, c2 := run()
@@ -91,7 +93,7 @@ func TestStragglerDefaultFactorAndDeterminism(t *testing.T) {
 	// Default factor is 10x: total must exceed the clean baseline by
 	// exactly 9 extra units per straggler.
 	clean, _ := straggleStore(t, chaos.Plan{Seed: 7})
-	_, unit, err := clean.Get("t", "h")
+	_, unit, err := clean.Get(context.Background(), "t", "h")
 	if err != nil {
 		t.Fatal(err)
 	}

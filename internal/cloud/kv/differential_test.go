@@ -2,6 +2,7 @@ package kv_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -315,8 +316,8 @@ func (d *differ) run(s *opStream) {
 			d.sameDur("DeleteItem", gd, wd)
 		case 10, 11:
 			tbl, hk := d.table(s), d.hashKey(s)
-			gi, gd, gerr := d.got.Get(tbl, hk)
-			wi, wd, werr := d.want.Get(tbl, hk)
+			gi, gd, gerr := d.got.Get(context.Background(), tbl, hk)
+			wi, wd, werr := d.want.Get(context.Background(), tbl, hk)
 			d.same("Get", gerr, werr)
 			d.sameDur("Get", gd, wd)
 			if err := sameItems(gi, wi); err != nil {
@@ -324,15 +325,15 @@ func (d *differ) run(s *opStream) {
 			}
 		case 12:
 			tbl, keys := d.table(s), d.keys(s)
-			gm, gd, gerr := d.got.BatchGet(tbl, keys)
-			wm, wd, werr := d.want.BatchGet(tbl, keys)
+			gm, gd, gerr := d.got.BatchGet(context.Background(), tbl, keys)
+			wm, wd, werr := d.want.BatchGet(context.Background(), tbl, keys)
 			d.same("BatchGet", gerr, werr)
 			d.sameDur("BatchGet", gd, wd)
 			d.sameGroups("BatchGet", gm, wm)
 		case 13:
 			groups := []kv.TableKeys{{Table: d.table(s), Keys: d.keys(s)}, {Table: d.table(s), Keys: d.keys(s)}}
-			gr, gd, gerr := d.got.BatchGetMulti(groups)
-			wr, wd, werr := d.want.BatchGetMulti(groups)
+			gr, gd, gerr := d.got.BatchGetMulti(context.Background(), groups)
+			wr, wd, werr := d.want.BatchGetMulti(context.Background(), groups)
 			d.same("BatchGetMulti", gerr, werr)
 			d.sameDur("BatchGetMulti", gd, wd)
 			if len(gr) != len(wr) {

@@ -25,6 +25,18 @@
 // DumpTable, which every differential test calls, and the store's own
 // housekeeping panic when they meet an item that was written through.
 //
+// # One read API
+//
+// Get and BatchGet (and MultiStore's BatchGetMulti) take the caller's
+// context first; there is no context-free twin. The context carries
+// cancellation and the query's resilience.Budget. Two places act on it:
+// MemStore, the bottom of every stack, calls CheckContext before it reads or
+// meters anything, and Retry calls it before every attempt and cuts its
+// backoff at the budget's deadline. Every other wrapper (Sharded, the chaos
+// stores, a test's fake) passes the context it was given to the store below
+// and neither inspects nor replaces it. Callers with nothing to cancel pass
+// context.Background(); index.LookupOptions does that for a zero Ctx.
+//
 // # One implementation
 //
 // MemStore is the only store: both simulated services are a MemStore with
@@ -178,25 +190,10 @@ func sortDegraded(e *DegradedError) *DegradedError {
 	return e
 }
 
-// ContextReader is the optional context-aware read interface of store
-// wrappers (database/sql's QueryerContext pattern: the Store interface
-// stays context-free so every existing implementation keeps compiling,
-// and wrappers that can honor deadlines opt in). The context carries the
-// query's resilience.Budget; implementations stop retrying — and stop
-// charging modeled backoff — once the context is cancelled or the
-// modeled-time budget runs out.
-type ContextReader interface {
-	GetContext(ctx context.Context, table, hashKey string) ([]Item, time.Duration, error)
-	BatchGetContext(ctx context.Context, table string, hashKeys []string) (map[string][]Item, time.Duration, error)
-}
-
-// CheckContext reports the first reason the read path must stop: context
+// CheckContext reports the first reason a read must stop: context
 // cancellation, or an exhausted modeled-time budget (resilience.ErrDeadline).
-// Nil when work may proceed. A nil context always proceeds.
+// Nil when work may proceed.
 func CheckContext(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -204,37 +201,6 @@ func CheckContext(ctx context.Context) error {
 		return resilience.ErrDeadline
 	}
 	return nil
-}
-
-// GetContext performs a context-aware Get: stores implementing
-// ContextReader get the context threaded through; plain stores get a
-// cancellation/deadline check before the (uninterruptible) call.
-// A nil context means background: no deadline, no budget.
-func GetContext(ctx context.Context, s Store, table, hashKey string) ([]Item, time.Duration, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cr, ok := s.(ContextReader); ok {
-		return cr.GetContext(ctx, table, hashKey)
-	}
-	if err := CheckContext(ctx); err != nil {
-		return nil, 0, err
-	}
-	return s.Get(table, hashKey)
-}
-
-// BatchGetContext is the batch counterpart of GetContext.
-func BatchGetContext(ctx context.Context, s Store, table string, hashKeys []string) (map[string][]Item, time.Duration, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if cr, ok := s.(ContextReader); ok {
-		return cr.BatchGetContext(ctx, table, hashKeys)
-	}
-	if err := CheckContext(ctx); err != nil {
-		return nil, 0, err
-	}
-	return s.BatchGet(table, hashKeys)
 }
 
 // Limits describes a store's hard limits and capabilities.
@@ -267,11 +233,12 @@ type Store interface {
 	// BatchPut inserts up to Limits().BatchPutItems items in one request.
 	BatchPut(table string, items []Item) (time.Duration, error)
 	// Get returns all items with the given hash key, in ascending range
-	// key order, as read-only views.
-	Get(table, hashKey string) ([]Item, time.Duration, error)
+	// key order, as read-only views. ctx carries the caller's cancellation
+	// and resilience.Budget and is never nil (see "One read API").
+	Get(ctx context.Context, table, hashKey string) ([]Item, time.Duration, error)
 	// BatchGet performs up to Limits().BatchGetKeys Get operations in one
 	// request.
-	BatchGet(table string, hashKeys []string) (map[string][]Item, time.Duration, error)
+	BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]Item, time.Duration, error)
 	// DeleteItem removes one item by its full primary key. Deleting a
 	// missing item is not an error (DynamoDB semantics).
 	DeleteItem(table, hashKey, rangeKey string) (time.Duration, error)

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -245,8 +246,12 @@ func (s *MemStore) BatchPutMulti(groups []TableItems) (time.Duration, error) {
 	return s.writeLatency(bytes), nil
 }
 
-// Get implements Store.
-func (s *MemStore) Get(tbl, hashKey string) ([]Item, time.Duration, error) {
+// Get implements Store. Like every read it stops, before anything is read
+// or metered, on a cancelled context or a spent budget.
+func (s *MemStore) Get(ctx context.Context, tbl, hashKey string) ([]Item, time.Duration, error) {
+	if err := CheckContext(ctx); err != nil {
+		return nil, 0, err
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	items, bytes, err := s.getLocked(tbl, hashKey)
@@ -258,8 +263,8 @@ func (s *MemStore) Get(tbl, hashKey string) ([]Item, time.Duration, error) {
 }
 
 // BatchGet implements Store.
-func (s *MemStore) BatchGet(tbl string, hashKeys []string) (map[string][]Item, time.Duration, error) {
-	results, d, err := s.BatchGetMulti([]TableKeys{{Table: tbl, Keys: hashKeys}})
+func (s *MemStore) BatchGet(ctx context.Context, tbl string, hashKeys []string) (map[string][]Item, time.Duration, error) {
+	results, d, err := s.BatchGetMulti(ctx, []TableKeys{{Table: tbl, Keys: hashKeys}})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -270,7 +275,10 @@ func (s *MemStore) BatchGet(tbl string, hashKeys []string) (map[string][]Item, t
 // BatchPutMulti (DynamoDB's BatchGetItem spans tables too). Result i holds
 // groups[i]'s items; the whole request is metered once with the combined
 // key count and payload. The single-batch key limit applies to the total.
-func (s *MemStore) BatchGetMulti(groups []TableKeys) ([]map[string][]Item, time.Duration, error) {
+func (s *MemStore) BatchGetMulti(ctx context.Context, groups []TableKeys) ([]map[string][]Item, time.Duration, error) {
+	if err := CheckContext(ctx); err != nil {
+		return nil, 0, err
+	}
 	var total int
 	for _, g := range groups {
 		total += len(g.Keys)

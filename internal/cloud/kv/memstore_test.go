@@ -1,6 +1,7 @@
 package kv_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -63,7 +64,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if _, err := s.Put("idx", item("ename", "u1", attr("doc1.xml", "/a/b"))); err != nil {
 		t.Fatal(err)
 	}
-	items, _, err := s.Get("idx", "ename")
+	items, _, err := s.Get(context.Background(), "idx", "ename")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestGetReturnsAllRangeKeysSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	items, _, err := s.Get("idx", "k")
+	items, _, err := s.Get(context.Background(), "idx", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestPutReplacesSamePrimaryKey(t *testing.T) {
 	s := newDynamo(t)
 	s.Put("idx", item("k", "u1", attr("a", "old"), attr("b", "x")))
 	s.Put("idx", item("k", "u1", attr("a", "new")))
-	items, _, _ := s.Get("idx", "k")
+	items, _, _ := s.Get(context.Background(), "idx", "k")
 	if len(items) != 1 {
 		t.Fatalf("got %d items, want 1", len(items))
 	}
@@ -121,14 +122,14 @@ func TestPutReplacesSamePrimaryKey(t *testing.T) {
 
 func TestGetMissingKeyAndTable(t *testing.T) {
 	s := newDynamo(t)
-	items, _, err := s.Get("idx", "nothing")
+	items, _, err := s.Get(context.Background(), "idx", "nothing")
 	if err != nil || len(items) != 0 {
 		t.Errorf("missing key: items=%v err=%v", items, err)
 	}
-	if _, _, err := s.Get("other", "k"); !errors.Is(err, kv.ErrNoSuchTable) {
+	if _, _, err := s.Get(context.Background(), "other", "k"); !errors.Is(err, kv.ErrNoSuchTable) {
 		t.Errorf("missing table: %v", err)
 	}
-	if _, _, err := s.Get("idx", ""); !errors.Is(err, kv.ErrEmptyKey) {
+	if _, _, err := s.Get(context.Background(), "idx", ""); !errors.Is(err, kv.ErrEmptyKey) {
 		t.Errorf("empty key: %v", err)
 	}
 	if _, err := s.Put("idx", item("", "u")); !errors.Is(err, kv.ErrEmptyKey) {
@@ -158,7 +159,7 @@ func TestBatchGetAndLimit(t *testing.T) {
 	s := newDynamo(t)
 	s.Put("idx", item("k1", "u", attr("a", "1")))
 	s.Put("idx", item("k2", "u", attr("a", "2")))
-	out, _, err := s.BatchGet("idx", []string{"k1", "k2", "k3"})
+	out, _, err := s.BatchGet(context.Background(), "idx", []string{"k1", "k2", "k3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestBatchGetAndLimit(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k%d", i)
 	}
-	if _, _, err := s.BatchGet("idx", keys); !errors.Is(err, kv.ErrBatchTooLarge) {
+	if _, _, err := s.BatchGet(context.Background(), "idx", keys); !errors.Is(err, kv.ErrBatchTooLarge) {
 		t.Errorf("oversized batch get: %v", err)
 	}
 }
@@ -191,7 +192,7 @@ func TestDynamoAcceptsBinaryValues(t *testing.T) {
 		Attrs: []kv.Attr{{Name: "a", Values: []kv.Value{bin}}}}); err != nil {
 		t.Fatalf("binary value rejected: %v", err)
 	}
-	items, _, _ := s.Get("idx", "k")
+	items, _, _ := s.Get(context.Background(), "idx", "k")
 	if string(items[0].Attr("a")[0]) != string(bin) {
 		t.Error("binary value corrupted")
 	}
@@ -257,8 +258,8 @@ func TestMetering(t *testing.T) {
 		items = append(items, item("k", fmt.Sprintf("u%d", i), attr("a", "v")))
 	}
 	s.BatchPut("idx", items)
-	s.Get("idx", "k")
-	s.BatchGet("idx", []string{"k", "k2"})
+	s.Get(context.Background(), "idx", "k")
+	s.BatchGet(context.Background(), "idx", []string{"k", "k2"})
 	u := led.Snapshot()
 	if got := u.Get("dynamodb", "put"); got.Calls != 1 || got.Units != 10 {
 		t.Errorf("put counts = %+v", got)
@@ -338,7 +339,7 @@ func TestConcurrentPuts(t *testing.T) {
 	if got := s.ItemCount("idx"); got != 800 {
 		t.Errorf("ItemCount = %d, want 800", got)
 	}
-	items, _, _ := s.Get("idx", "k")
+	items, _, _ := s.Get(context.Background(), "idx", "k")
 	if len(items) != 800 {
 		t.Errorf("Get returned %d items, want 800", len(items))
 	}

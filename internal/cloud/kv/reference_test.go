@@ -1,6 +1,7 @@
 package kv_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -228,7 +229,10 @@ func (s *refStore) putBatch(tbl string, items []kv.Item, batch bool) (time.Durat
 }
 
 // Get implements Store.
-func (s *refStore) Get(tbl, hashKey string) ([]kv.Item, time.Duration, error) {
+func (s *refStore) Get(ctx context.Context, tbl, hashKey string) ([]kv.Item, time.Duration, error) {
+	if err := kv.CheckContext(ctx); err != nil {
+		return nil, 0, err
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	items, bytes, err := s.getLocked(tbl, hashKey)
@@ -241,7 +245,10 @@ func (s *refStore) Get(tbl, hashKey string) ([]kv.Item, time.Duration, error) {
 }
 
 // BatchGet implements Store.
-func (s *refStore) BatchGet(tbl string, hashKeys []string) (map[string][]kv.Item, time.Duration, error) {
+func (s *refStore) BatchGet(ctx context.Context, tbl string, hashKeys []string) (map[string][]kv.Item, time.Duration, error) {
+	if err := kv.CheckContext(ctx); err != nil {
+		return nil, 0, err
+	}
 	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && len(hashKeys) > lim {
 		return nil, 0, fmt.Errorf("%w: %d keys > %d", kv.ErrBatchTooLarge, len(hashKeys), lim)
 	}
@@ -305,7 +312,10 @@ func (s *refStore) BatchPutMulti(groups []kv.TableItems) (time.Duration, error) 
 // BatchPutMulti (DynamoDB's BatchGetItem spans tables too). Result i holds
 // groups[i]'s items; the whole request is metered once with the combined
 // key count and payload. The single-batch key limit applies to the total.
-func (s *refStore) BatchGetMulti(groups []kv.TableKeys) ([]map[string][]kv.Item, time.Duration, error) {
+func (s *refStore) BatchGetMulti(ctx context.Context, groups []kv.TableKeys) ([]map[string][]kv.Item, time.Duration, error) {
+	if err := kv.CheckContext(ctx); err != nil {
+		return nil, 0, err
+	}
 	var total int
 	for _, g := range groups {
 		total += len(g.Keys)

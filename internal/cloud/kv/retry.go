@@ -180,13 +180,8 @@ func (r *Retry) classify(err error) {
 }
 
 // retry runs op until it succeeds, fails hard, or exhausts attempts,
-// accumulating modeled latency across attempts.
-func (r *Retry) retry(op func() (time.Duration, error)) (time.Duration, error) {
-	return r.retryCtx(context.Background(), op)
-}
-
-// retryCtx is the context-aware retry loop. Beyond the plain loop it
-// honors, per the query's resilience.Budget (carried in ctx):
+// accumulating modeled latency across attempts. Per the query's
+// resilience.Budget (carried in ctx) it honors:
 //
 //   - cancellation: a cancelled context returns immediately — in
 //     particular, a failure observed after cancellation does NOT charge or
@@ -199,20 +194,14 @@ func (r *Retry) retry(op func() (time.Duration, error)) (time.Duration, error) {
 //     per-query pool (replacing unbounded per-call attempt budgets); an
 //     empty pool stops with resilience.ErrRetryBudget.
 //
-// With a background context and no budget the loop is step-for-step
-// identical to the historical behaviour, including its jitter draws.
-func (r *Retry) retryCtx(ctx context.Context, op func() (time.Duration, error)) (time.Duration, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// Writes carry no query budget and pass context.Background(): the loop is
+// then bounded by MaxAttempts alone.
+func (r *Retry) retry(ctx context.Context, op func() (time.Duration, error)) (time.Duration, error) {
 	budget := resilience.FromContext(ctx)
 	var total time.Duration
 	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
+		if err := CheckContext(ctx); err != nil {
 			return total, err
-		}
-		if budget.Exhausted(total) {
-			return total, resilience.ErrDeadline
 		}
 		d, err := op()
 		total += d
@@ -236,9 +225,10 @@ func (r *Retry) retryCtx(ctx context.Context, op func() (time.Duration, error)) 
 			return total, fmt.Errorf("%w (last transient error: %v)", resilience.ErrRetryBudget, err)
 		}
 		b := r.backoff(attempt)
-		if rem, ok := budget.Headroom(total); ok && b > rem {
-			// The modeled deadline lands inside this backoff: charge only
-			// the slice up to the deadline and stop.
+		if rem, ok := budget.Headroom(total); ok && b >= rem {
+			// The modeled deadline lands inside (or at the end of) this
+			// backoff, so no attempt can follow it: charge only the slice
+			// up to the deadline and stop.
 			total += rem
 			return total, resilience.ErrDeadline
 		}
@@ -249,7 +239,7 @@ func (r *Retry) retryCtx(ctx context.Context, op func() (time.Duration, error)) 
 
 // Put implements Store with retries.
 func (r *Retry) Put(table string, item Item) (time.Duration, error) {
-	return r.retry(func() (time.Duration, error) { return r.Store.Put(table, item) })
+	return r.retry(context.Background(), func() (time.Duration, error) { return r.Store.Put(table, item) })
 }
 
 // BatchPut implements Store with retries. A partial outcome resubmits only
@@ -291,22 +281,19 @@ func (r *Retry) BatchPut(table string, items []Item) (time.Duration, error) {
 
 // DeleteItem implements Store with retries.
 func (r *Retry) DeleteItem(table, hashKey, rangeKey string) (time.Duration, error) {
-	return r.retry(func() (time.Duration, error) { return r.Store.DeleteItem(table, hashKey, rangeKey) })
+	return r.retry(context.Background(), func() (time.Duration, error) {
+		return r.Store.DeleteItem(table, hashKey, rangeKey)
+	})
 }
 
-// Get implements Store with retries.
-func (r *Retry) Get(table, hashKey string) ([]Item, time.Duration, error) {
-	return r.GetContext(context.Background(), table, hashKey)
-}
-
-// GetContext implements ContextReader: a Get whose retry loop honors the
-// context's cancellation and modeled-time budget (see retryCtx).
-func (r *Retry) GetContext(ctx context.Context, table, hashKey string) ([]Item, time.Duration, error) {
+// Get implements Store with retries; the loop honors the context's
+// cancellation and modeled-time budget (see retry).
+func (r *Retry) Get(ctx context.Context, table, hashKey string) ([]Item, time.Duration, error) {
 	var items []Item
-	d, err := r.retryCtx(ctx, func() (time.Duration, error) {
+	d, err := r.retry(ctx, func() (time.Duration, error) {
 		var d time.Duration
 		var err error
-		items, d, err = r.Store.Get(table, hashKey)
+		items, d, err = r.Store.Get(ctx, table, hashKey)
 		return d, err
 	})
 	return items, d, err
@@ -314,28 +301,17 @@ func (r *Retry) GetContext(ctx context.Context, table, hashKey string) ([]Item, 
 
 // BatchGet implements Store with retries. A partial outcome re-fetches only
 // the unprocessed keys and merges; progress refreshes the attempt budget.
-func (r *Retry) BatchGet(table string, hashKeys []string) (map[string][]Item, time.Duration, error) {
-	return r.BatchGetContext(context.Background(), table, hashKeys)
-}
-
-// BatchGetContext implements ContextReader; cancellation, deadline and
-// retry-token semantics match retryCtx.
-func (r *Retry) BatchGetContext(ctx context.Context, table string, hashKeys []string) (map[string][]Item, time.Duration, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// Cancellation, deadline and retry-token semantics match retry.
+func (r *Retry) BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]Item, time.Duration, error) {
 	budget := resilience.FromContext(ctx)
 	var total time.Duration
 	merged := make(map[string][]Item, len(hashKeys))
 	pending := hashKeys
 	for attempt := 0; ; {
-		if err := ctx.Err(); err != nil {
+		if err := CheckContext(ctx); err != nil {
 			return nil, total, err
 		}
-		if budget.Exhausted(total) {
-			return nil, total, resilience.ErrDeadline
-		}
-		out, d, err := r.Store.BatchGet(table, pending)
+		out, d, err := r.Store.BatchGet(ctx, table, pending)
 		total += d
 		for k, v := range out {
 			merged[k] = v
@@ -377,7 +353,7 @@ func (r *Retry) BatchGetContext(ctx context.Context, table string, hashKeys []st
 			return nil, total, fmt.Errorf("%w (last transient error: %v)", resilience.ErrRetryBudget, err)
 		}
 		b := r.backoff(attempt)
-		if rem, ok := budget.Headroom(total); ok && b > rem {
+		if rem, ok := budget.Headroom(total); ok && b >= rem {
 			total += rem
 			return nil, total, resilience.ErrDeadline
 		}

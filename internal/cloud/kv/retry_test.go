@@ -1,6 +1,7 @@
 package kv_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func TestRetryHidesTransientThrottling(t *testing.T) {
 	if faulty.Injected() == 0 {
 		t.Error("no faults were injected")
 	}
-	items, _, err := retry.Get("t", "k")
+	items, _, err := retry.Get(context.Background(), "t", "k")
 	if err != nil || len(items) != 20 {
 		t.Errorf("get = %d items, %v", len(items), err)
 	}

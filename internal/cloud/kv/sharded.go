@@ -95,7 +95,7 @@ type MultiStore interface {
 	BatchPutMulti(groups []TableItems) (time.Duration, error)
 	// BatchGetMulti serves every group in one request; result i corresponds
 	// to groups[i].
-	BatchGetMulti(groups []TableKeys) ([]map[string][]Item, time.Duration, error)
+	BatchGetMulti(ctx context.Context, groups []TableKeys) ([]map[string][]Item, time.Duration, error)
 }
 
 // Dumper is the verification-side interface of stores that can enumerate a
@@ -228,10 +228,9 @@ type Sharded struct {
 }
 
 var (
-	_ Store         = (*Sharded)(nil)
-	_ ShardRouter   = (*Sharded)(nil)
-	_ Dumper        = (*Sharded)(nil)
-	_ ContextReader = (*Sharded)(nil)
+	_ Store       = (*Sharded)(nil)
+	_ ShardRouter = (*Sharded)(nil)
+	_ Dumper      = (*Sharded)(nil)
 )
 
 // NewSharded returns a partition-mode sharding layer over base: logical
@@ -373,21 +372,15 @@ func (s *Sharded) Put(table string, item Item) (time.Duration, error) {
 	return s.shardStore(k).Put(s.shardTable(table, k), item)
 }
 
-// Get implements Store.
-func (s *Sharded) Get(table, hashKey string) ([]Item, time.Duration, error) {
-	return s.GetContext(context.Background(), table, hashKey)
-}
-
-// GetContext implements ContextReader, threading the context to the shard
-// store. In scatter mode the resilience hooks engage: an open breaker sheds
-// the read (DegradedError) and a straggling primary is hedged, keeping the
-// modeled first response.
-func (s *Sharded) GetContext(ctx context.Context, table, hashKey string) ([]Item, time.Duration, error) {
+// Get implements Store. In scatter mode the resilience hooks engage: an open
+// breaker sheds the read (DegradedError) and a straggling primary is hedged,
+// keeping the modeled first response.
+func (s *Sharded) Get(ctx context.Context, table, hashKey string) ([]Item, time.Duration, error) {
 	k := s.ShardOf(hashKey)
 	s.noteGet(k, 1)
 	st, tbl := s.shardStore(k), s.shardTable(table, k)
 	if !s.scatter() {
-		return GetContext(ctx, st, tbl, hashKey)
+		return st.Get(ctx, tbl, hashKey)
 	}
 	if s.Breakers != nil && !s.Breakers.Allow(k) {
 		return nil, 0, sortDegraded(&DegradedError{Shards: []int{k}, Keys: []string{hashKey}})
@@ -397,7 +390,7 @@ func (s *Sharded) GetContext(ctx context.Context, table, hashKey string) ([]Item
 	if s.Hedger != nil {
 		delay, hedge = s.Hedger.Delay()
 	}
-	items, d, err := GetContext(ctx, st, tbl, hashKey)
+	items, d, err := st.Get(ctx, tbl, hashKey)
 	if err != nil {
 		s.Breakers.Failure(k)
 		s.noteErr(k)
@@ -407,7 +400,7 @@ func (s *Sharded) GetContext(ctx context.Context, table, hashKey string) ([]Item
 	s.Hedger.Observe(k, d)
 	if hedge && d > delay {
 		s.Hedger.NoteFired()
-		items2, d2, err2 := GetContext(ctx, st, tbl, hashKey)
+		items2, d2, err2 := st.Get(ctx, tbl, hashKey)
 		if err2 == nil && delay+d2 < d {
 			s.Hedger.NoteWon()
 			items, d = items2, delay+d2
@@ -489,17 +482,11 @@ func (s *Sharded) BatchPut(table string, items []Item) (time.Duration, error) {
 // BatchGet implements Store: keys are grouped per shard and the per-shard
 // streams are merged back into one result map (each hash key lives on
 // exactly one shard, so the merge is disjoint). The request structure
-// mirrors BatchPut's three cases.
-func (s *Sharded) BatchGet(table string, hashKeys []string) (map[string][]Item, time.Duration, error) {
-	return s.BatchGetContext(context.Background(), table, hashKeys)
-}
-
-// BatchGetContext implements ContextReader. In scatter mode the fan-out
-// runs under the resilience hooks (hedging, breakers); shed shards degrade
-// the call to a partial result map returned WITH a *DegradedError listing
-// the missing keys, so callers can serve what arrived and mark the answer
-// incomplete.
-func (s *Sharded) BatchGetContext(ctx context.Context, table string, hashKeys []string) (map[string][]Item, time.Duration, error) {
+// mirrors BatchPut's three cases. In scatter mode the fan-out runs under the
+// resilience hooks (hedging, breakers); shed shards degrade the call to a
+// partial result map returned WITH a *DegradedError listing the missing
+// keys, so callers can serve what arrived and mark the answer incomplete.
+func (s *Sharded) BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]Item, time.Duration, error) {
 	groups := make([][]string, s.n)
 	for _, key := range hashKeys {
 		k := s.ShardOf(key)
@@ -513,16 +500,13 @@ func (s *Sharded) BatchGetContext(ctx context.Context, table string, hashKeys []
 	out := make(map[string][]Item, len(hashKeys))
 	if !s.scatter() {
 		if ms, ok := s.base.(MultiStore); ok {
-			if err := CheckContext(ctx); err != nil {
-				return nil, 0, err
-			}
 			var multi []TableKeys
 			for k, g := range groups {
 				if len(g) > 0 {
 					multi = append(multi, TableKeys{Table: s.shardTable(table, k), Keys: g})
 				}
 			}
-			results, d, err := ms.BatchGetMulti(multi)
+			results, d, err := ms.BatchGetMulti(ctx, multi)
 			if err != nil {
 				return nil, d, err
 			}
@@ -538,7 +522,7 @@ func (s *Sharded) BatchGetContext(ctx context.Context, table string, hashKeys []
 			if len(g) == 0 {
 				continue
 			}
-			m, d, err := BatchGetContext(ctx, s.base, s.shardTable(table, k), g)
+			m, d, err := s.base.BatchGet(ctx, s.shardTable(table, k), g)
 			total += d
 			if err != nil {
 				return nil, total, err
@@ -557,7 +541,7 @@ func (s *Sharded) BatchGetContext(ctx context.Context, table string, hashKeys []
 		}
 		k := k
 		ops[k] = func() (time.Duration, error) {
-			m, d, err := BatchGetContext(ctx, s.stores[k], table, groups[k])
+			m, d, err := s.stores[k].BatchGet(ctx, table, groups[k])
 			if err != nil {
 				return d, err
 			}

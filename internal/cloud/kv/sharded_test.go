@@ -1,6 +1,7 @@
 package kv_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -88,7 +89,7 @@ func TestShardedPartitionIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantGet, getPlain, err := plain.BatchGet("idx", keys)
+	wantGet, getPlain, err := plain.BatchGet(context.Background(), "idx", keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestShardedPartitionIdentity(t *testing.T) {
 			if putD != putPlain {
 				t.Errorf("BatchPut latency = %v, unsharded %v", putD, putPlain)
 			}
-			got, getD, err := sh.BatchGet("idx", keys)
+			got, getD, err := sh.BatchGet(context.Background(), "idx", keys)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +153,7 @@ func TestShardedSingleOpsRoute(t *testing.T) {
 	if _, err := sh.Put("idx", it); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := sh.Get("idx", "hot-key")
+	got, _, err := sh.Get(context.Background(), "idx", "hot-key")
 	if err != nil || len(got) != 1 || got[0].RangeKey != "r1" {
 		t.Fatalf("Get after Put = %v, %v", got, err)
 	}
@@ -201,11 +202,11 @@ func TestShardedFallbackWithoutMultiStore(t *testing.T) {
 		t.Errorf("fallback dump differs from unsharded dump")
 	}
 	keys := []string{"key-000", "key-003", "key-006"}
-	want, _, err := plain.BatchGet("idx", keys)
+	want, _, err := plain.BatchGet(context.Background(), "idx", keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := sh.BatchGet("idx", keys)
+	got, _, err := sh.BatchGet(context.Background(), "idx", keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestShardedScatterMode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, getD, err := sh.BatchGet("idx", keys)
+		got, getD, err := sh.BatchGet(context.Background(), "idx", keys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +300,7 @@ func TestShardedBatchLimits(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%04d", i)
 	}
-	if _, _, err := sh.BatchGet("idx", keys); err == nil {
+	if _, _, err := sh.BatchGet(context.Background(), "idx", keys); err == nil {
 		t.Errorf("BatchGet of %d keys should exceed the %d-key limit", len(keys), lim.BatchGetKeys)
 	}
 }
@@ -318,7 +319,7 @@ func TestShardedSinkCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := []string{"key-000", "key-001", "key-002"}
-	if _, _, err := sh.BatchGet("idx", keys); err != nil {
+	if _, _, err := sh.BatchGet(context.Background(), "idx", keys); err != nil {
 		t.Fatal(err)
 	}
 	var puts, gets int64

@@ -68,7 +68,7 @@ func TestRetryStopsAtModeledDeadlineMidBackoff(t *testing.T) {
 
 	deadline := 30 * time.Millisecond
 	ctx := resilience.NewContext(context.Background(), resilience.NewBudget(deadline, -1))
-	_, d, err := retry.GetContext(ctx, "t", "k")
+	_, d, err := retry.Get(ctx, "t", "k")
 	if !errors.Is(err, resilience.ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
@@ -94,7 +94,7 @@ type cancelingStore struct {
 	ops    int
 }
 
-func (c *cancelingStore) Get(table, hashKey string) ([]kv.Item, time.Duration, error) {
+func (c *cancelingStore) Get(ctx context.Context, table, hashKey string) ([]kv.Item, time.Duration, error) {
 	c.ops++
 	c.cancel()
 	return nil, 5 * time.Millisecond, kv.ErrThrottled
@@ -114,7 +114,7 @@ func TestRetryReturnsImmediatelyOnCancel(t *testing.T) {
 	retry.BaseBackoff = 10 * time.Second // a completed backoff would be visible
 	retry.MaxBackoff = 10 * time.Second
 
-	_, d, err := retry.GetContext(ctx, "t", "k")
+	_, d, err := retry.Get(ctx, "t", "k")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -129,7 +129,7 @@ func TestRetryReturnsImmediatelyOnCancel(t *testing.T) {
 	}
 
 	// A context cancelled before the call never reaches the store.
-	_, d, err = retry.GetContext(ctx, "t", "k")
+	_, d, err = retry.Get(ctx, "t", "k")
 	if !errors.Is(err, context.Canceled) || d != 0 || cs.ops != 1 {
 		t.Fatalf("pre-cancelled call: d=%v ops=%d err=%v, want 0/1/Canceled", d, cs.ops, err)
 	}
@@ -148,7 +148,7 @@ func TestRetrySharedBudgetTokens(t *testing.T) {
 
 	budget := resilience.NewBudget(0, 1) // one retry token for the whole query
 	ctx := resilience.NewContext(context.Background(), budget)
-	_, _, err := retry.GetContext(ctx, "t", "k")
+	_, _, err := retry.Get(ctx, "t", "k")
 	if !errors.Is(err, resilience.ErrRetryBudget) {
 		t.Fatalf("err = %v, want ErrRetryBudget", err)
 	}
@@ -156,7 +156,7 @@ func TestRetrySharedBudgetTokens(t *testing.T) {
 		t.Fatalf("store saw %d attempts, want 2 (initial + the single budgeted retry)", got)
 	}
 	// The pool is empty now: the next call fails without any retry.
-	_, _, err = retry.GetContext(ctx, "t", "k")
+	_, _, err = retry.Get(ctx, "t", "k")
 	if !errors.Is(err, resilience.ErrRetryBudget) {
 		t.Fatalf("second call err = %v, want ErrRetryBudget", err)
 	}
@@ -210,7 +210,7 @@ func TestScatterPerShardErrorCounters(t *testing.T) {
 	for _, g := range groups {
 		keys = append(keys, g...)
 	}
-	_, _, err := sh.BatchGet("t", keys)
+	_, _, err := sh.BatchGet(context.Background(), "t", keys)
 	if !errors.Is(err, kv.ErrInternal) {
 		t.Fatalf("err = %v, want the deterministic lowest-shard internal error", err)
 	}
@@ -257,7 +257,7 @@ func TestScatterBreakerDegradesToPartialResult(t *testing.T) {
 		keys = append(keys, g...)
 	}
 	get := func() (map[string][]kv.Item, error) {
-		out, _, err := sh.BatchGet("t", keys)
+		out, _, err := sh.BatchGet(context.Background(), "t", keys)
 		return out, err
 	}
 
@@ -425,7 +425,7 @@ func runTail(t *testing.T, f *tailFixture, calls int) ([]time.Duration, string) 
 	var ds []time.Duration
 	var dig string
 	for c := 0; c < calls; c++ {
-		out, d, err := f.sh.BatchGet("t", f.keys)
+		out, d, err := f.sh.BatchGet(context.Background(), "t", f.keys)
 		if err != nil {
 			t.Fatalf("call %d: %v", c, err)
 		}

@@ -1,6 +1,7 @@
 package kv_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -29,7 +30,7 @@ func mustPut(t testing.TB, s kv.Store, tbl string, items ...kv.Item) {
 
 func mustGet(t testing.TB, s kv.Store, tbl, hashKey string) []kv.Item {
 	t.Helper()
-	items, _, err := s.Get(tbl, hashKey)
+	items, _, err := s.Get(context.Background(), tbl, hashKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestViewSurvivesOverwriteDeleteAndRewrite(t *testing.T) {
 					t.Errorf("an early view changed under the writer: %v", err)
 					return
 				}
-				items, _, err := s.Get("idx", key((r+n)%groups))
+				items, _, err := s.Get(context.Background(), "idx", key((r+n)%groups))
 				if err != nil {
 					t.Error(err)
 					return
@@ -244,7 +245,7 @@ func TestGetAllocationsDoNotGrowWithItems(t *testing.T) {
 	for _, n := range []int{1, 40, 400} {
 		key := fmt.Sprintf("group%d", n)
 		allocs = append(allocs, testing.AllocsPerRun(50, func() {
-			if items, _, err := s.Get("idx", key); err != nil || len(items) != n {
+			if items, _, err := s.Get(context.Background(), "idx", key); err != nil || len(items) != n {
 				t.Fatal(len(items), err)
 			}
 		}))

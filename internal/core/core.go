@@ -124,11 +124,6 @@ type Config struct {
 	// CompressPaths front-codes LUP/2LUPI path lists in the index store
 	// (the improvement the paper's conclusion suggests).
 	CompressPaths bool
-	// VarintIDPayload pins binary identifier sets to the version-1
-	// delta+varint blocked blobs instead of the default bit-packed
-	// frame-of-reference payloads — an operational escape hatch; readers
-	// decode every format either way.
-	VarintIDPayload bool
 	// Seed drives the UUID generator.
 	Seed int64
 	// Ledger receives all metering; a fresh one is created when nil.
@@ -160,10 +155,6 @@ type Config struct {
 	// Off by default: the per-document write path of the earlier PRs runs
 	// unchanged.
 	BulkLoad bool
-	// BulkFlushItems overrides the per-table batch size at which the bulk
-	// loader flushes. 0 selects the store's Limits().BatchPutItems, which
-	// is also the upper bound.
-	BulkFlushItems int
 	// BulkFlushDocs bounds how many loader messages a live indexing worker
 	// accumulates (holding their leases) before force-flushing its bulk
 	// loader. 0 selects 8. Only meaningful with BulkLoad.
@@ -281,7 +272,6 @@ type Warehouse struct {
 	Perf     PerfModel
 
 	compressPaths bool
-	varintIDs     bool
 	queryWorkers  int
 	lookupOpts    index.LookupOptions
 	cache         *index.PostingCache
@@ -290,10 +280,9 @@ type Warehouse struct {
 	queryRetries  int
 	flight        *resilience.Group
 
-	bulkLoad       bool
-	bulkFlushItems int
-	bulkFlushDocs  int
-	pipelineDepth  int
+	bulkLoad      bool
+	bulkFlushDocs int
+	pipelineDepth int
 
 	ledger *meter.Ledger
 	files  fileService
@@ -427,27 +416,25 @@ func New(cfg Config) (*Warehouse, error) {
 		reg = obs.NewRegistry()
 	}
 	w := &Warehouse{
-		Strategy:       cfg.Strategy,
-		Perf:           cfg.Perf.withDefaults(),
-		compressPaths:  cfg.CompressPaths,
-		varintIDs:      cfg.VarintIDPayload,
-		queryWorkers:   cfg.QueryWorkers,
-		queryDeadline:  cfg.QueryDeadline,
-		queryRetries:   cfg.QueryRetryBudget,
-		lookupOpts:     index.LookupOptions{Concurrency: cfg.QueryLookupConcurrency},
-		bulkLoad:       cfg.BulkLoad,
-		bulkFlushItems: cfg.BulkFlushItems,
-		bulkFlushDocs:  cfg.BulkFlushDocs,
-		pipelineDepth:  cfg.PipelineDepth,
-		ledger:         ledger,
-		files:          baseFiles,
-		store:          baseStore,
-		queues:         baseQueues,
-		baseFiles:      baseFiles,
-		baseStore:      baseStore,
-		baseQueues:     baseQueues,
-		reg:            reg,
-		met:            resolveMetrics(reg),
+		Strategy:      cfg.Strategy,
+		Perf:          cfg.Perf.withDefaults(),
+		compressPaths: cfg.CompressPaths,
+		queryWorkers:  cfg.QueryWorkers,
+		queryDeadline: cfg.QueryDeadline,
+		queryRetries:  cfg.QueryRetryBudget,
+		lookupOpts:    index.LookupOptions{Concurrency: cfg.QueryLookupConcurrency},
+		bulkLoad:      cfg.BulkLoad,
+		bulkFlushDocs: cfg.BulkFlushDocs,
+		pipelineDepth: cfg.PipelineDepth,
+		ledger:        ledger,
+		files:         baseFiles,
+		store:         baseStore,
+		queues:        baseQueues,
+		baseFiles:     baseFiles,
+		baseStore:     baseStore,
+		baseQueues:    baseQueues,
+		reg:           reg,
+		met:           resolveMetrics(reg),
 	}
 	w.lookupOpts.Joins = &w.met.joins
 	publishArenaStats(reg, baseStore)
@@ -589,6 +576,7 @@ func (w *Warehouse) ChaosCounts() chaos.Counts {
 		DupDeliveries:  w.reg.Counter(chaos.MetricDupDeliveries).Value(),
 		ExpiredLeases:  w.reg.Counter(chaos.MetricExpiredLeases).Value(),
 		S3Faults:       w.reg.Counter(chaos.MetricS3Faults).Value(),
+		Stragglers:     w.reg.Counter(chaos.MetricStragglers).Value(),
 	}
 }
 
@@ -667,13 +655,10 @@ func (w *Warehouse) IndexItems() int64 {
 }
 
 // indexOptions returns the extraction options for the warehouse's store,
-// honouring the path-compression and identifier-payload settings.
+// honouring the path-compression setting.
 func (w *Warehouse) indexOptions() index.Options {
 	opts := index.OptionsFor(w.store)
 	opts.CompressPaths = w.compressPaths
-	if w.varintIDs {
-		opts.IDPayload = index.PayloadVarint
-	}
 	return opts
 }
 

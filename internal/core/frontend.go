@@ -328,7 +328,7 @@ func (w *Warehouse) bulkIndexerLoop(wk *Worker, in *ec2.Instance, opts WorkerOpt
 		group  []*heldMessage
 	)
 	reset := func() {
-		loader = index.NewBulkLoader(w.store, index.BulkOptions{FlushItems: w.bulkFlushItems, Obs: w.reg}, w.cache)
+		loader = index.NewBulkLoader(w.store, index.BulkOptions{Obs: w.reg}, w.cache)
 		group = nil
 	}
 	reset()

@@ -8,13 +8,12 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Block-decode microbenchmarks: whole-blob decode through the arena path,
-// one payload family per benchmark, same identifier set. The packed/varint
-// ratio here is the headline number the bit-packed format was built for.
-
-func benchDecodeBlocks(b *testing.B, enc func([]xmltree.NodeID, int, int) [][]byte) {
+// BenchmarkDecodeBlockPacked measures whole-blob decode of the blocked
+// format through the arena path; BenchmarkAppendVarintTriples below runs the
+// varint kernel the bit-packed payload was built to beat.
+func BenchmarkDecodeBlockPacked(b *testing.B) {
 	ids := randomSortedIDs(rand.New(rand.NewSource(7)), 1<<16)
-	blobs := enc(ids, DefaultBlockSize, 1<<20)
+	blobs := EncodePacked(ids, DefaultBlockSize, 1<<20)
 	sets := make([]*Set, 0, len(blobs))
 	var bytes int64
 	for _, blob := range blobs {
@@ -47,11 +46,8 @@ func benchDecodeBlocks(b *testing.B, enc func([]xmltree.NodeID, int, int) [][]by
 	}
 }
 
-func BenchmarkDecodeBlockVarint(b *testing.B) { benchDecodeBlocks(b, Encode) }
-func BenchmarkDecodeBlockPacked(b *testing.B) { benchDecodeBlocks(b, EncodePacked) }
-
 // BenchmarkAppendVarintTriples measures the unrolled batch decoder over a
-// legacy delta+varint stream (the non-blocked store format).
+// headerless delta+varint stream (the small-set store format).
 func BenchmarkAppendVarintTriples(b *testing.B) {
 	ids := randomSortedIDs(rand.New(rand.NewSource(8)), 1<<16)
 	var stream []byte

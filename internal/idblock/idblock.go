@@ -14,7 +14,7 @@
 //
 // Wire layout of one blob (all integers are varints):
 //
-//	magic      1 byte, 0xB1 ("blocked, version 1")
+//	magic      1 byte, 0xB2
 //	checksum   4 bytes, little-endian FNV-1a over every following byte
 //	nblocks    uvarint, >= 1
 //	headers    nblocks times:
@@ -25,22 +25,20 @@
 //	             postSpan  uvarint (maxPost - minPost)
 //	             minDepth  zigzag varint
 //	             depthSpan uvarint (maxDepth - minDepth)
-//	             plen      uvarint (payload bytes of the block)
-//	payloads   the blocks' triple streams, concatenated in header order
+//	             plen      uvarint (payload bytes of the block, >= 1)
+//	payloads   the blocks' payloads, concatenated in header order
 //
-// In a version-1 blob (magic 0xB1) each block payload is the legacy
-// delta+varint triple stream with the delta base restarted at the block
-// boundary, so any block decodes on its own. A version-2 blob (magic 0xB2)
-// keeps the identical header layout but prefixes every block payload with
-// one format byte: 0x00 for the same delta+varint stream, 0x01 for a
-// frame-of-reference bit-packed payload (see packed.go) whose columns
-// decode in one batch pass. The encoder negotiates per block, keeping
-// whichever encoding is smaller. The format is strictly validated: the
-// checksum, the exact payload byte counts and inter-block pre ordering at
-// parse time, and the header/content agreement at block-decode time. A
-// blob that fails any parse check is not a blocked blob — the index codec
-// then falls back to the legacy format, which is how pre-existing dumps
-// (whose first payload byte may collide with a magic) keep decoding.
+// Every block payload starts with one format byte: 0x00 for a delta+varint
+// triple stream with the delta base restarted at the block boundary, 0x01
+// for a frame-of-reference bit-packed payload (see packed.go) whose columns
+// decode in one batch pass. Either way a block decodes on its own. The
+// encoder negotiates per block, keeping whichever encoding is smaller. The
+// format is strictly validated: the checksum, the exact payload byte counts
+// and inter-block pre ordering at parse time, and the header/content
+// agreement at block-decode time. A blob that fails any parse check is not a
+// blocked blob — the index codec then reads it as the headerless varint
+// stream it writes for small sets, whose first byte may collide with the
+// magic.
 package idblock
 
 import (
@@ -52,14 +50,10 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Magic is the first byte of a version-1 blocked blob (bare delta+varint
-// block payloads).
-const Magic = 0xB1
-
-// Magic2 is the first byte of a version-2 blocked blob, whose block
-// payloads carry a leading format byte (varint or frame-of-reference
-// bit-packed). Headers, checksum and skip semantics are identical to
-// version 1.
+// Magic2 is the first byte of a blocked blob. (The 2 is history: the format
+// it superseded, with bare varint block payloads under another magic byte,
+// is neither written nor read, and such a blob is ErrNotBlocked like any
+// other.)
 const Magic2 = 0xB2
 
 // DefaultBlockSize is the number of identifiers per block used by the
@@ -68,12 +62,12 @@ const Magic2 = 0xB2
 const DefaultBlockSize = 128
 
 // ErrNotBlocked reports a blob that does not carry (or fails to validate
-// as) the blocked format; callers treat such blobs as legacy.
+// as) the blocked format; callers read such blobs as the headerless stream.
 var ErrNotBlocked = errors.New("idblock: not a blocked blob")
 
 // ErrCorrupt reports a block whose payload disagrees with its header — the
 // blob passed the parse-time checks, so this is real corruption, not a
-// legacy blob.
+// headerless stream.
 var ErrCorrupt = errors.New("idblock: corrupt block payload")
 
 // Header is one block's summary: everything a join needs to decide whether
@@ -87,12 +81,10 @@ type Header struct {
 
 // block pairs a header with its still-encoded payload bytes (nil when the
 // block was constructed pre-decoded via FromIDs). plen carries the header's
-// payload length between Parse's two passes; v2 marks a payload that
-// starts with a format byte.
+// payload length between Parse's two passes.
 type block struct {
 	Header
 	plen int
-	v2   bool
 	data []byte
 }
 
@@ -227,30 +219,26 @@ func (s *Set) All() ([]xmltree.NodeID, error) {
 // appendBlock decodes one payload into dst and verifies it against its
 // header: triple count, exact byte length, pre ordering, and the min/max
 // summaries must all agree — that is what lets skip logic trust a header
-// it never cross-checks against the payload. Version-2 payloads dispatch
-// on their format byte; a nil arena borrows a pooled one when the payload
+// it never cross-checks against the payload. The payload's format byte
+// selects the decoder; a nil arena borrows a pooled one when the payload
 // needs it.
 func appendBlock(dst []xmltree.NodeID, b block, a *Arena) ([]xmltree.NodeID, error) {
 	if b.data == nil {
 		return nil, fmt.Errorf("%w: block without payload", ErrCorrupt)
 	}
-	data := b.data
-	if b.v2 {
-		switch data[0] { // Parse guarantees plen >= 1
-		case payloadPacked:
-			if a == nil {
-				a = GetArena()
-				defer PutArena(a)
-			}
-			return appendBlockPacked(dst, b, a)
-		case payloadVarint:
-			data = data[1:]
-		default:
-			return nil, fmt.Errorf("%w: unknown payload format %#x", ErrCorrupt, data[0])
+	switch b.data[0] { // Parse guarantees plen >= 1
+	case payloadPacked:
+		if a == nil {
+			a = GetArena()
+			defer PutArena(a)
 		}
+		return appendBlockPacked(dst, b, a)
+	case payloadVarint: // decoded below
+	default:
+		return nil, fmt.Errorf("%w: unknown payload format %#x", ErrCorrupt, b.data[0])
 	}
 	start := len(dst)
-	dst, err := AppendVarintTriples(dst, data)
+	dst, err := AppendVarintTriples(dst, b.data[1:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -269,7 +257,7 @@ func appendBlock(dst []xmltree.NodeID, b block, a *Arena) ([]xmltree.NodeID, err
 	return dst, nil
 }
 
-// AppendVarintTriples decodes a delta+varint triple stream — the legacy
+// AppendVarintTriples decodes a delta+varint triple stream — the headerless
 // wire format and the varint block payload — appending to dst with the
 // delta base at zero. The batch fast path peels two whole triples of
 // single-byte varints per iteration (one bounds check, one combined
@@ -377,28 +365,18 @@ func IsSorted(ids []xmltree.NodeID) bool {
 	return true
 }
 
-// Encode encodes a pre-sorted identifier set into version-1 blocked blobs
-// of roughly maxBlob bytes each. A blob always holds at least one whole
-// block and a block at least one triple, so hostile caps are exceeded by at
-// most one header plus one oversized triple — the same overshoot contract
-// as the legacy codec. blockSize <= 0 selects DefaultBlockSize; maxBlob
-// <= 0 selects 1 MiB. Encode panics on unsorted input: the headers it
-// would write could silently corrupt skip decisions, so callers gate on
-// IsSorted and fall back to the legacy codec.
-func Encode(ids []xmltree.NodeID, blockSize, maxBlob int) [][]byte {
-	return encode(ids, blockSize, maxBlob, false)
-}
-
-// EncodePacked encodes a pre-sorted identifier set into version-2 blobs
-// with per-block payload negotiation: each block keeps the smaller of its
-// frame-of-reference bit-packed payload and its delta+varint payload (the
-// format byte makes the choice self-describing, so blocks of one blob may
-// mix). Same contracts as Encode otherwise.
+// EncodePacked encodes a pre-sorted identifier set into blocked blobs of
+// roughly maxBlob bytes each, with per-block payload negotiation: each block
+// keeps the smaller of its frame-of-reference bit-packed payload and its
+// delta+varint payload (the format byte makes the choice self-describing, so
+// blocks of one blob may mix). A blob always holds at least one whole block
+// and a block at least one triple, so hostile caps are exceeded by at most
+// one header plus one oversized triple — the same overshoot contract as the
+// headerless codec. blockSize <= 0 selects DefaultBlockSize; maxBlob <= 0
+// selects 1 MiB. EncodePacked panics on unsorted input: the headers it would
+// write could silently corrupt skip decisions, so callers gate on IsSorted
+// and fall back to the headerless codec.
 func EncodePacked(ids []xmltree.NodeID, blockSize, maxBlob int) [][]byte {
-	return encode(ids, blockSize, maxBlob, true)
-}
-
-func encode(ids []xmltree.NodeID, blockSize, maxBlob int, v2 bool) [][]byte {
 	if len(ids) == 0 {
 		return nil
 	}
@@ -409,18 +387,15 @@ func encode(ids []xmltree.NodeID, blockSize, maxBlob int, v2 bool) [][]byte {
 		maxBlob = 1 << 20
 	}
 	if !IsSorted(ids) {
-		panic("idblock: Encode on unsorted identifiers")
+		panic("idblock: EncodePacked on unsorted identifiers")
 	}
-	var arena *Arena
-	if v2 {
-		arena = GetArena()
-		defer PutArena(arena)
-	}
+	arena := GetArena()
+	defer PutArena(arena)
 
 	// Cut the set into blocks: at most blockSize ids each, and a payload
 	// that stops growing at the blob cap so single-block blobs stay near it.
-	// Cut decisions are made on the varint size for both versions, so the
-	// cap overshoot contract is identical; the packed alternative only ever
+	// Cut decisions are made on the varint size, which is what the cap
+	// overshoot contract is stated in; the packed alternative only ever
 	// shrinks a block after the cut.
 	type cut struct {
 		header  Header
@@ -445,14 +420,12 @@ func encode(ids []xmltree.NodeID, blockSize, maxBlob int, v2 bool) [][]byte {
 			end++
 		}
 		h := summarize(ids[start:end])
-		if v2 {
-			wPre, wPost, wDepth := headerWidths(h)
-			packable := wPre|wPost|wDepth != 0 || h.Count <= maxZeroSpanCount
-			if ps := packedPayloadSize(h); packable && ps < 1+len(payload) {
-				payload = packPayload(make([]byte, 0, ps), ids[start:end], h, arena)
-			} else {
-				payload = append([]byte{payloadVarint}, payload...)
-			}
+		wPre, wPost, wDepth := headerWidths(h)
+		packable := wPre|wPost|wDepth != 0 || h.Count <= maxZeroSpanCount
+		if ps := packedPayloadSize(h); packable && ps < 1+len(payload) {
+			payload = packPayload(make([]byte, 0, ps), ids[start:end], h, arena)
+		} else {
+			payload = append([]byte{payloadVarint}, payload...)
 		}
 		cuts = append(cuts, cut{header: h, payload: payload})
 		start = end
@@ -460,10 +433,6 @@ func encode(ids []xmltree.NodeID, blockSize, maxBlob int, v2 bool) [][]byte {
 
 	// Pack whole blocks into blobs under the cap (6 bytes cover magic,
 	// checksum and a small nblocks varint).
-	magic := byte(Magic)
-	if v2 {
-		magic = Magic2
-	}
 	var blobs [][]byte
 	for i := 0; i < len(cuts); {
 		var hdrs []byte
@@ -486,7 +455,7 @@ func encode(ids []xmltree.NodeID, blockSize, maxBlob int, v2 bool) [][]byte {
 			body = append(body, cuts[j].payload...)
 		}
 		blob := make([]byte, 0, 5+len(body))
-		blob = append(blob, magic)
+		blob = append(blob, Magic2)
 		var ck [4]byte
 		binary.LittleEndian.PutUint32(ck[:], fnv1a(body))
 		blob = append(blob, ck[:]...)
@@ -538,10 +507,10 @@ func addSpan(min int32, span uint64) (int32, bool) {
 	return int32(v), true
 }
 
-// Looks reports whether the blob starts like a blocked blob (either
-// version); only Parse knows for sure.
+// Looks reports whether the blob starts like a blocked blob; only Parse
+// knows for sure.
 func Looks(blob []byte) bool {
-	return len(blob) > 5 && (blob[0] == Magic || blob[0] == Magic2)
+	return len(blob) > 5 && blob[0] == Magic2
 }
 
 // Parse validates a blocked blob and returns its Set without decoding any
@@ -549,14 +518,13 @@ func Looks(blob []byte) bool {
 // every header is decoded and range-checked, blocks must be in pre order
 // with non-overlapping ranges, and the payload lengths must cover the
 // remaining bytes exactly. Any failure returns an error wrapping
-// ErrNotBlocked, which callers read as "treat as legacy". The checksum
-// makes a false positive on a legacy blob that merely starts with the
-// magic byte a 2^-32 event on top of the structural checks.
+// ErrNotBlocked, which callers read as "decode as a headerless stream". The
+// checksum makes a false positive on a headerless stream that merely starts
+// with the magic byte a 2^-32 event on top of the structural checks.
 func Parse(blob []byte) (*Set, error) {
 	if !Looks(blob) {
 		return nil, ErrNotBlocked
 	}
-	v2 := blob[0] == Magic2
 	want := binary.LittleEndian.Uint32(blob[1:5])
 	body := blob[5:]
 	if fnv1a(body) != want {
@@ -580,16 +548,10 @@ func Parse(blob []byte) (*Set, error) {
 			raw[i] = v
 			body = body[n:]
 		}
-		// In version 1 every triple costs at least three payload bytes, so
-		// count <= len(blob) bounds decode allocations. Version-2 packed
-		// payloads legitimately go far below a byte per id; their counts are
-		// bounded against the payload kind by checkPayloadBound below, after
-		// the payloads are sliced.
-		maxCount := uint64(len(blob))
-		if v2 {
-			maxCount = 1 << 31
-		}
-		if raw[0] == 0 || raw[0] > maxCount {
+		// Packed payloads legitimately go far below a byte per id, so the
+		// blob length does not bound a count here; checkPayloadBound bounds
+		// it against the payload kind below, after the payloads are sliced.
+		if raw[0] == 0 || raw[0] > 1<<31 {
 			return nil, fmt.Errorf("%w: bad block id count", ErrNotBlocked)
 		}
 		h := Header{Count: int(raw[0])}
@@ -612,18 +574,14 @@ func Parse(blob []byte) (*Set, error) {
 		if h.MaxDepth, ok = addSpan(h.MinDepth, raw[6]); !ok {
 			return nil, fmt.Errorf("%w: depth span out of range", ErrNotBlocked)
 		}
-		minPlen := 3 * uint64(h.Count)
-		if v2 {
-			minPlen = 1
-		}
-		if raw[7] < minPlen || raw[7] > uint64(len(blob)) {
+		if raw[7] < 1 || raw[7] > uint64(len(blob)) {
 			return nil, fmt.Errorf("%w: payload length out of range", ErrNotBlocked)
 		}
 		if len(s.blocks) > 0 && h.MinPre < s.blocks[len(s.blocks)-1].MaxPre {
 			return nil, fmt.Errorf("%w: blocks out of pre order", ErrNotBlocked)
 		}
 		payloadTotal += raw[7]
-		s.blocks = append(s.blocks, block{Header: h, plen: int(raw[7]), v2: v2})
+		s.blocks = append(s.blocks, block{Header: h, plen: int(raw[7])})
 		s.total += h.Count
 	}
 	if payloadTotal != uint64(len(body)) {
@@ -635,11 +593,9 @@ func Parse(blob []byte) (*Set, error) {
 		s.blocks[i].data = body[off : off+plen : off+plen]
 		off += plen
 	}
-	if v2 {
-		for i := range s.blocks {
-			if err := checkPayloadBound(&s.blocks[i]); err != nil {
-				return nil, err
-			}
+	for i := range s.blocks {
+		if err := checkPayloadBound(&s.blocks[i]); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil

@@ -1,6 +1,8 @@
 package idblock
 
 import (
+	"encoding/hex"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -39,7 +41,7 @@ func TestRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for _, n := range []int{1, 2, 100, 128, 129, 1000, 5000} {
 		ids := randomSortedIDs(r, n)
-		blobs := Encode(ids, DefaultBlockSize, 4096)
+		blobs := EncodePacked(ids, DefaultBlockSize, 4096)
 		sets := parseAll(t, blobs)
 		merged, ok := Merge(sets)
 		if !ok {
@@ -67,7 +69,7 @@ func TestRoundTripDuplicatePres(t *testing.T) {
 		{Pre: 5, Post: 3, Depth: 4},
 		{Pre: 7, Post: 1, Depth: 1},
 	}
-	blobs := Encode(ids, 2, 1<<20)
+	blobs := EncodePacked(ids, 2, 1<<20)
 	sets := parseAll(t, blobs)
 	merged, ok := Merge(sets)
 	if !ok {
@@ -85,7 +87,7 @@ func TestRoundTripDuplicatePres(t *testing.T) {
 func TestHeadersSummarizePayloads(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	ids := randomSortedIDs(r, 1000)
-	blobs := Encode(ids, 64, 2048)
+	blobs := EncodePacked(ids, 64, 2048)
 	for _, s := range parseAll(t, blobs) {
 		for i := 0; i < s.Blocks(); i++ {
 			got, err := s.Block(i)
@@ -106,11 +108,11 @@ func TestEncodeRespectsMaxBlob(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	ids := randomSortedIDs(r, 3000)
 	const maxBlob = 512
-	blobs := Encode(ids, DefaultBlockSize, maxBlob)
+	blobs := EncodePacked(ids, DefaultBlockSize, maxBlob)
 	if len(blobs) < 2 {
 		t.Fatalf("expected multiple blobs, got %d", len(blobs))
 	}
-	// Same overshoot contract as the legacy codec: at most one header plus
+	// Same overshoot contract as the headerless codec: at most one header plus
 	// one triple beyond the cap.
 	for i, b := range blobs {
 		if len(b) > maxBlob+96 {
@@ -125,15 +127,15 @@ func TestEncodePanicsOnUnsorted(t *testing.T) {
 			t.Fatal("expected panic on unsorted input")
 		}
 	}()
-	Encode([]xmltree.NodeID{{Pre: 9}, {Pre: 1}}, 0, 0)
+	EncodePacked([]xmltree.NodeID{{Pre: 9}, {Pre: 1}}, 0, 0)
 }
 
 func TestParseRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":     nil,
-		"short":     {Magic, 1, 2, 3},
+		"short":     {Magic2, 1, 2, 3},
 		"not magic": {0x00, 1, 2, 3, 4, 5, 6, 7},
-		"bad body":  {Magic, 0, 0, 0, 0, 0xff, 0xff, 0xff},
+		"bad body":  {Magic2, 0, 0, 0, 0, 0xff, 0xff, 0xff},
 	}
 	for name, blob := range cases {
 		if _, err := Parse(blob); err == nil {
@@ -145,7 +147,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 func TestParseRejectsFlippedBits(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	ids := randomSortedIDs(r, 300)
-	blobs := Encode(ids, 32, 1<<20)
+	blobs := EncodePacked(ids, 32, 1<<20)
 	if len(blobs) != 1 {
 		t.Fatalf("want 1 blob, got %d", len(blobs))
 	}
@@ -160,12 +162,30 @@ func TestParseRejectsFlippedBits(t *testing.T) {
 }
 
 func TestLegacyLikeBlobFallsThrough(t *testing.T) {
-	// A legacy delta+varint blob whose first byte happens to be the magic
-	// (first Pre with low byte 0xB1, e.g. 177). Parse must reject it so the
-	// codec falls back to the legacy decoder.
-	legacy := []byte{0xB1, 0x01, 0x05, 0x03, 0x02, 0x01, 0x04, 0x02}
-	if _, err := Parse(legacy); err == nil {
-		t.Fatal("Parse accepted a legacy-shaped blob")
+	// A headerless delta+varint stream whose first byte happens to be the
+	// magic (first Pre with low byte 0xB2, e.g. 178). Parse must reject it
+	// so the codec decodes it as the stream it is.
+	stream := []byte{Magic2, 0x01, 0x05, 0x03, 0x02, 0x01, 0x04, 0x02}
+	if _, err := Parse(stream); err == nil {
+		t.Fatal("Parse accepted a stream-shaped blob")
+	}
+}
+
+// formerV1Blob is a blob of the retired format that started with 0xB1 and
+// had bare varint block payloads: five identifiers in three blocks, checksum
+// valid, written by the encoder this package no longer has.
+const formerV1Blob = "b10b10f9db03020201060502010602080204030401060112000e00040003010801010302040203020502090702"
+
+func TestFormerV1BlobIsNotBlocked(t *testing.T) {
+	blob, err := hex.DecodeString(formerV1Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Looks(blob) {
+		t.Fatal("Looks takes a 0xB1 blob for a blocked one")
+	}
+	if _, err := Parse(blob); !errors.Is(err, ErrNotBlocked) {
+		t.Fatalf("Parse(0xB1 blob) = %v, want ErrNotBlocked", err)
 	}
 }
 
@@ -193,7 +213,7 @@ func TestFromIDs(t *testing.T) {
 func TestMergeOrdersSegments(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	ids := randomSortedIDs(r, 900)
-	blobs := Encode(ids, 32, 700)
+	blobs := EncodePacked(ids, 32, 700)
 	if len(blobs) < 3 {
 		t.Fatalf("want >=3 blobs, got %d", len(blobs))
 	}
@@ -228,7 +248,7 @@ func TestMergeDetectsOverlap(t *testing.T) {
 func TestAppendBlockReusesBuffer(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ids := randomSortedIDs(r, 200)
-	blobs := Encode(ids, 64, 1<<20)
+	blobs := EncodePacked(ids, 64, 1<<20)
 	s := parseAll(t, blobs)[0]
 	buf := make([]xmltree.NodeID, 0, 256)
 	var got []xmltree.NodeID
@@ -247,7 +267,7 @@ func TestAppendBlockReusesBuffer(t *testing.T) {
 func TestBlockMemoization(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	ids := randomSortedIDs(r, 100)
-	s := parseAll(t, Encode(ids, 32, 1<<20))[0]
+	s := parseAll(t, EncodePacked(ids, 32, 1<<20))[0]
 	a, err := s.Block(0)
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,10 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Frame-of-reference bit-packed block payloads (version-2 blobs, payload
-// format byte 0x01). The block header already carries the per-block minima
-// and spans, so the payload stores only fixed-width offsets against those
-// minima, column by column:
+// Frame-of-reference bit-packed block payloads (payload format byte 0x01).
+// The block header already carries the per-block minima and spans, so the
+// payload stores only fixed-width offsets against those minima, column by
+// column:
 //
 //	fmt     1 byte, 0x01
 //	wPre    1 byte, bit width of the pre offset column (0..32)
@@ -28,9 +28,9 @@ import (
 // derived from the header spans, so a column whose values are all equal
 // costs zero payload bytes.
 
-// payload format bytes, the first payload byte of every version-2 block.
+// payload format bytes, the first payload byte of every block.
 const (
-	payloadVarint = 0x00 // delta+varint triple stream, as in version 1
+	payloadVarint = 0x00 // delta+varint triple stream
 	payloadPacked = 0x01 // frame-of-reference bit-packed columns
 )
 
@@ -96,7 +96,7 @@ func packedPayloadSize(h Header) int {
 		packedBytes(h.Count, wDepth)
 }
 
-// checkPayloadBound validates a version-2 block's payload kind against its
+// checkPayloadBound validates a block's payload kind against its
 // header at parse time, before any decode-time allocation: a varint payload
 // needs at least three bytes per triple, and a packed payload must carry
 // exactly the column widths the header spans imply — so any block with a

@@ -47,9 +47,23 @@ func sortByPre(ids []xmltree.NodeID) {
 	}
 }
 
-// TestPackedRoundTripWidths pins packed-vs-varint decode equality across
-// the bit widths and block sizes the issue calls out, plus the
-// power-of-two kernel widths.
+// outlierIDs builds a sorted set on which the encoder's negotiation keeps
+// the varint payload: components that fit one varint byte, except every
+// eighth post, which forces a 29-bit packed column on its whole block.
+func outlierIDs(n int) []xmltree.NodeID {
+	ids := make([]xmltree.NodeID, n)
+	for i := range ids {
+		ids[i] = xmltree.NodeID{Pre: int32(i + 1), Post: int32(i % 100), Depth: int32(1 + i%5)}
+		if i%8 == 0 {
+			ids[i].Post = 1 << 28
+		}
+	}
+	return ids
+}
+
+// TestPackedRoundTripWidths pins the packed round trip across the bit
+// widths and block sizes the issue calls out, plus the power-of-two kernel
+// widths.
 func TestPackedRoundTripWidths(t *testing.T) {
 	r := rand.New(rand.NewSource(811))
 	for _, w := range []int{0, 1, 2, 4, 7, 8, 16, 17, 31, 32} {
@@ -57,8 +71,7 @@ func TestPackedRoundTripWidths(t *testing.T) {
 			for _, n := range []int{1, 3, 129, 1000} {
 				ids := idsWithWidth(r, n, w)
 				packed := EncodePacked(ids, bs, 1<<20)
-				varint := Encode(ids, bs, 1<<20)
-				var gotP, gotV []xmltree.NodeID
+				var gotP []xmltree.NodeID
 				for _, blob := range packed {
 					s, err := Parse(blob)
 					if err != nil {
@@ -70,22 +83,8 @@ func TestPackedRoundTripWidths(t *testing.T) {
 					}
 					gotP = append(gotP, all...)
 				}
-				for _, blob := range varint {
-					s, err := Parse(blob)
-					if err != nil {
-						t.Fatalf("Parse varint: %v", err)
-					}
-					all, err := s.All()
-					if err != nil {
-						t.Fatalf("decode varint: %v", err)
-					}
-					gotV = append(gotV, all...)
-				}
 				if !reflect.DeepEqual(gotP, ids) {
 					t.Fatalf("w=%d bs=%d n=%d: packed round trip mismatch", w, bs, n)
-				}
-				if !reflect.DeepEqual(gotP, gotV) {
-					t.Fatalf("w=%d bs=%d n=%d: packed and varint decodes disagree", w, bs, n)
 				}
 			}
 		}
@@ -119,35 +118,29 @@ func TestPackedColKernels(t *testing.T) {
 	}
 }
 
-// TestEncodePackedNegotiation checks the per-block size negotiation: a
-// packed blob is never larger than its varint twin on wide random sets,
-// and a tiny set whose varint stream is cheaper keeps the varint payload.
+// TestEncodePackedNegotiation checks the per-block size negotiation: wide
+// random sets pack, and a tiny set whose varint stream is no larger keeps
+// the varint payload.
 func TestEncodePackedNegotiation(t *testing.T) {
-	r := rand.New(rand.NewSource(813))
-	ids := randomSortedIDs(r, 1000)
-	sizeOf := func(blobs [][]byte) int {
-		n := 0
-		for _, b := range blobs {
-			n += len(b)
+	ids := randomSortedIDs(rand.New(rand.NewSource(813)), 1000)
+	for _, s := range parseAll(t, EncodePacked(ids, DefaultBlockSize, 1<<20)) {
+		for i := range s.blocks {
+			if s.blocks[i].data[0] != payloadPacked {
+				t.Fatalf("block %d of a wide random set kept the varint payload", i)
+			}
 		}
-		return n
-	}
-	packed := sizeOf(EncodePacked(ids, DefaultBlockSize, 1<<20))
-	varint := sizeOf(Encode(ids, DefaultBlockSize, 1<<20))
-	// The packed side pays one format byte per block; beyond that it only
-	// ever replaces a payload with a smaller one.
-	blocks := (len(ids) + DefaultBlockSize - 1) / DefaultBlockSize
-	if packed > varint+blocks {
-		t.Fatalf("packed %d bytes > varint %d + %d format bytes", packed, varint, blocks)
 	}
 
-	// One triple with zero spans: 4 packed bytes lose to 3 varint bytes
+	// One triple with zero spans: 4 packed bytes do not beat 3 varint bytes
 	// plus the format byte, so negotiation must keep varint.
 	one := []xmltree.NodeID{{Pre: 1, Post: 1, Depth: 1}}
 	blob := EncodePacked(one, 1, 1<<20)[0]
 	s, err := Parse(blob)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
+	}
+	if s.blocks[0].data[0] != payloadVarint {
+		t.Fatal("single-triple block did not keep the varint payload")
 	}
 	got, err := s.All()
 	if err != nil {
@@ -224,15 +217,19 @@ func TestPackedCorruptPayloads(t *testing.T) {
 // payload kinds at zero allocations: a warmed arena plus a pre-sized
 // destination buffer decode whole blocks with no per-op garbage.
 func TestAppendBlockArenaZeroAllocs(t *testing.T) {
-	ids := randomSortedIDs(rand.New(rand.NewSource(816)), 1024)
 	for _, enc := range []struct {
-		name  string
-		blobs [][]byte
+		name string
+		kind byte
+		ids  []xmltree.NodeID
 	}{
-		{"packed", EncodePacked(ids, DefaultBlockSize, 1<<20)},
-		{"varint-v1", Encode(ids, DefaultBlockSize, 1<<20)},
+		{"packed", payloadPacked, randomSortedIDs(rand.New(rand.NewSource(816)), 1024)},
+		{"varint", payloadVarint, outlierIDs(1024)},
 	} {
-		sets := parseAll(t, enc.blobs)
+		ids := enc.ids
+		sets := parseAll(t, EncodePacked(ids, DefaultBlockSize, 1<<20))
+		if kind := sets[0].blocks[0].data[0]; kind != enc.kind {
+			t.Fatalf("%s: first block has payload kind %#x", enc.name, kind)
+		}
 		arena := &Arena{}
 		dst := make([]xmltree.NodeID, 0, len(ids))
 		allocs := testing.AllocsPerRun(100, func() {

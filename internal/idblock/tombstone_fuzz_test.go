@@ -21,15 +21,17 @@ func FuzzMergeTombstones(f *testing.F) {
 			dead = append(dead, id)
 		}
 	}
-	for _, bs := range []int{1, 16, 128} {
-		segs := Encode(ids, bs, 1<<20)
-		deads := Encode(dead, bs, 1<<20)
-		f.Add(segs[0], deads[0])
-		if p := EncodePacked(ids, bs, 1<<20); len(p) > 0 {
-			f.Add(p[0], deads[0])
-		}
+	// Segments whose blocks keep the varint payload, and ones that pack.
+	vids := outlierIDs(240)
+	var vdead []xmltree.NodeID
+	for i := 0; i < len(vids); i += 5 {
+		vdead = append(vdead, vids[i])
 	}
-	f.Add([]byte{Magic, 0}, []byte{Magic2, 1})
+	for _, bs := range []int{1, 16, 128} {
+		f.Add(EncodePacked(vids, bs, 1<<20)[0], EncodePacked(vdead, bs, 1<<20)[0])
+		f.Add(EncodePacked(ids, bs, 1<<20)[0], EncodePacked(dead, bs, 1<<20)[0])
+	}
+	f.Add([]byte{Magic2, 0}, []byte{Magic2, 1})
 	f.Fuzz(func(t *testing.T, segBlob, deadBlob []byte) {
 		seg, err := Parse(segBlob)
 		if err != nil {

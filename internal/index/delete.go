@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/cloud/kv"
@@ -40,7 +41,9 @@ func DeleteDocument(store kv.Store, s Strategy, doc *xmltree.Document, opts Opti
 	for _, table := range sortedTables(ex) {
 		for _, e := range ex.Tables[table] {
 			st.Keys++
-			items, d, err := store.Get(table, e.Key)
+			// Removal is a write: no query budget governs it and nothing
+			// cancels it half-way.
+			items, d, err := store.Get(context.Background(), table, e.Key)
 			if err != nil {
 				return total, st, err
 			}

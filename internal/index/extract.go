@@ -137,11 +137,6 @@ type Options struct {
 	// paper's conclusion suggests). Compressed and plain entries can
 	// coexist; readers decode transparently.
 	CompressPaths bool
-	// IDPayload selects the blocked-blob payload family for binary
-	// identifier sets. The zero value emits bit-packed frame-of-reference
-	// payloads; PayloadVarint pins the version-1 delta+varint blobs.
-	// Readers decode every format regardless.
-	IDPayload IDPayload
 }
 
 // DefaultOptions returns extraction options for a DynamoDB-backed index.
@@ -225,7 +220,7 @@ func Extract(s Strategy, doc *xmltree.Document, opts Options) *Extraction {
 		t := table()
 		for _, sk := range keys {
 			ks := &c.keys[sk.k]
-			t = add(t, Entry{Key: sk.key, Values: EncodeIDsPayload(ids[ks.idOff:ks.idOff+ks.nID:ks.idOff+ks.nID], opts.BinaryIDs, opts.MaxValueBytes, opts.IDPayload)})
+			t = add(t, Entry{Key: sk.key, Values: EncodeIDs(ids[ks.idOff:ks.idOff+ks.nID:ks.idOff+ks.nID], opts.BinaryIDs, opts.MaxValueBytes)})
 		}
 		ex.Tables[idTable] = t
 	}

@@ -123,14 +123,14 @@ func FuzzDecodeIDsBinary(f *testing.F) {
 	f.Add([]byte{0x80})                                                             // truncated uvarint
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 1}) // > int32
 	f.Add(EncodeIDsBinary([]xmltree.NodeID{{Pre: 3, Post: 3, Depth: 2}, {Pre: 6, Post: 8, Depth: 3}}, 0)[0])
-	// Blocked-format seeds in both payload families: a valid blob, a
-	// bit-flipped copy (the checksum must bounce it to the legacy path
-	// without a panic), a truncated prefix, and a bare magic byte.
-	// EncodeIDsBlocked emits version-2 packed payloads; the varint twin
-	// pins the version-1 wire format.
+	// Blocked-format seeds in both payload families (a set that packs, and
+	// one whose block keeps the varint payload): a valid blob, a bit-flipped
+	// copy (the checksum must bounce it to the stream decoder without a
+	// panic), a truncated prefix, and the magic byte bare and with a
+	// checksum that cannot match.
 	for _, blocked := range [][]byte{
 		EncodeIDsBlocked(genSortedIDs(64, 42), 0)[0],
-		EncodeIDsBlockedVarint(genSortedIDs(64, 42), 0)[0],
+		EncodeIDsBlocked(outlierIDs(64, 42), 0)[0],
 	} {
 		f.Add(blocked)
 		flipped := append([]byte(nil), blocked...)
@@ -138,20 +138,19 @@ func FuzzDecodeIDsBinary(f *testing.F) {
 		f.Add(flipped)
 		f.Add(blocked[:len(blocked)/2])
 	}
-	f.Add([]byte{0xB1})
 	f.Add([]byte{0xB2})
+	f.Add([]byte{0xB2, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		ids, err := DecodeIDsBinary(blob)
 		if err != nil {
 			return
 		}
-		// Whatever decoded must survive every writer the store can use:
-		// the legacy stream and both blocked payload families (the latter
-		// fall back to the legacy stream on unsorted hostile decodes).
+		// Whatever decoded must survive both writers the store uses: the
+		// headerless stream and the blocked format (which falls back to the
+		// stream on unsorted hostile decodes).
 		for _, blobs := range [][][]byte{
 			EncodeIDsBinary(ids, 0),
 			EncodeIDsBlocked(ids, 0),
-			EncodeIDsBlockedVarint(ids, 0),
 		} {
 			if got := decodeAllBinary(t, blobs); !idsEqual(got, ids) {
 				t.Fatalf("re-encode of accepted blob %x: got %v, want %v", blob, got, ids)

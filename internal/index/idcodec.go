@@ -18,14 +18,13 @@ import (
 // forbids binary values, so its codec is plain text — one of the reasons
 // the predecessor system [8] needed many more, larger items (Tables 7-8).
 //
-// Two binary formats coexist. The legacy format is a bare delta+varint
-// triple stream (EncodeIDsBinary). The blocked format (package idblock)
-// prefixes per-block summary headers so the join kernels can skip whole
-// blocks without decoding; it is what the write path emits today. The
-// decoder accepts both — existing dumps keep working — distinguishing them
-// by the blocked magic byte plus a checksum and strict structural
-// validation, so a legacy blob whose first byte collides with the magic
-// still falls through to the legacy decoder.
+// Binary stores hold two formats, chosen by set size (blockedMinIDs). A
+// small set is a headerless delta+varint triple stream (EncodeIDsBinary). A
+// large one is a blocked blob (package idblock): per-block summary headers
+// over bit-packed or varint payloads, so the join kernels can skip whole
+// blocks without decoding. The decoder tells them apart by the blocked magic
+// byte plus a checksum and strict structural validation, so a headerless
+// stream whose first byte collides with the magic still decodes as a stream.
 
 // ErrCorruptIDSet reports an undecodable identifier blob.
 var ErrCorruptIDSet = errors.New("index: corrupt identifier set")
@@ -78,55 +77,26 @@ func EncodeIDsBinary(ids []xmltree.NodeID, maxBlob int) [][]byte {
 // worth its framing: magic, checksum and one header cost ~20 bytes, which
 // dwarfs a handful of delta-varint triples (and a set that small decodes in
 // nanoseconds anyway). Small sets — the long tail of per-document postings
-// — keep the legacy encoding; the decoder accepts both, so the cut-off is
-// a pure encoding choice.
+// — are written headerless; the decoder accepts both, so the cut-off is a
+// pure encoding choice.
 const blockedMinIDs = 32
-
-// IDPayload selects the per-block payload family the blocked writer emits.
-// The zero value is the frame-of-reference bit-packed format (with per-block
-// negotiation falling back to varint where varint is smaller); PayloadVarint
-// pins the pure delta+varint version-1 blobs, kept as an operational escape
-// hatch and for byte-compatibility tests against pre-packed dumps. Readers
-// accept every format regardless of this knob.
-type IDPayload int
-
-const (
-	// PayloadPacked emits version-2 blobs: per block, the smaller of a
-	// bit-packed frame-of-reference payload and a delta+varint payload.
-	PayloadPacked IDPayload = iota
-	// PayloadVarint emits version-1 blobs with delta+varint payloads only.
-	PayloadVarint
-)
 
 // EncodeIDsBlocked encodes a pre-sorted identifier set into blocked blobs
 // (package idblock) of at most maxBlob bytes: summary headers over
 // bit-packed or delta+varint block payloads, so that look-ups can skip
 // blocks without decoding them. Sets too small to amortize the framing, and
 // unsorted inputs (which only hostile re-encodes of corrupt blobs produce,
-// never the extraction pipeline), fall back to the legacy stream format.
+// never the extraction pipeline), are written as the headerless stream.
 func EncodeIDsBlocked(ids []xmltree.NodeID, maxBlob int) [][]byte {
-	return encodeIDsBlocked(ids, maxBlob, PayloadPacked)
-}
-
-// EncodeIDsBlockedVarint is EncodeIDsBlocked pinned to version-1
-// delta+varint payloads.
-func EncodeIDsBlockedVarint(ids []xmltree.NodeID, maxBlob int) [][]byte {
-	return encodeIDsBlocked(ids, maxBlob, PayloadVarint)
-}
-
-func encodeIDsBlocked(ids []xmltree.NodeID, maxBlob int, payload IDPayload) [][]byte {
 	if len(ids) < blockedMinIDs || !idblock.IsSorted(ids) {
 		return EncodeIDsBinary(ids, maxBlob)
-	}
-	if payload == PayloadVarint {
-		return idblock.Encode(ids, idblock.DefaultBlockSize, maxBlob)
 	}
 	return idblock.EncodePacked(ids, idblock.DefaultBlockSize, maxBlob)
 }
 
 // DecodeIDsBinary decodes one binary blob in either binary format: blocked
 // blobs are parsed, fully decoded and pre-sized from their block-header
-// counts; anything else takes the legacy path.
+// counts; anything else is a headerless stream.
 func DecodeIDsBinary(blob []byte) ([]xmltree.NodeID, error) {
 	if idblock.Looks(blob) {
 		if s, err := idblock.Parse(blob); err == nil {
@@ -136,17 +106,17 @@ func DecodeIDsBinary(blob []byte) ([]xmltree.NodeID, error) {
 			}
 			return ids, nil
 		}
-		// Parse failures mean "not the blocked format": a legacy payload
-		// whose first delta byte happens to equal the magic.
+		// Parse failures mean "not the blocked format": a stream whose
+		// first delta byte happens to equal the magic.
 	}
-	return decodeIDsLegacy(blob)
+	return decodeIDsStream(blob)
 }
 
-// decodeIDsLegacy decodes a legacy delta+varint stream through the unrolled
-// batch decoder. The output is pre-sized from the byte length — a triple is
-// at least three bytes, so len/3 bounds the count — which keeps the decode
-// at one allocation (the codec benchmarks assert this).
-func decodeIDsLegacy(blob []byte) ([]xmltree.NodeID, error) {
+// decodeIDsStream decodes a headerless delta+varint stream through the
+// unrolled batch decoder. The output is pre-sized from the byte length — a
+// triple is at least three bytes, so len/3 bounds the count — which keeps
+// the decode at one allocation (the codec benchmarks assert this).
+func decodeIDsStream(blob []byte) ([]xmltree.NodeID, error) {
 	if len(blob) == 0 {
 		return nil, nil
 	}
@@ -219,8 +189,8 @@ func DecodeIDs(v []byte, binaryIDs bool) ([]xmltree.NodeID, error) {
 
 // DecodeIDSet decodes one stored identifier value into its lazy blocked
 // form when possible: a valid blocked blob returns its parsed Set — headers
-// only, no payload decoded. Legacy and text values decode eagerly and are
-// returned as a plain slice with a nil Set.
+// only, no payload decoded. Headerless and text values decode eagerly and
+// are returned as a plain slice with a nil Set.
 func DecodeIDSet(v []byte, binaryIDs bool) (*idblock.Set, []xmltree.NodeID, error) {
 	if binaryIDs && idblock.Looks(v) {
 		if s, err := idblock.Parse(v); err == nil {
@@ -233,17 +203,10 @@ func DecodeIDSet(v []byte, binaryIDs bool) (*idblock.Set, []xmltree.NodeID, erro
 
 // EncodeIDs encodes a sorted identifier set in the codec chosen by
 // binaryIDs, splitting values at maxValue bytes. Binary stores get the
-// blocked format (packed payloads); DecodeIDs accepts it along with the
-// version-1 blocked and legacy stream formats.
+// blocked format, or the headerless stream for small sets.
 func EncodeIDs(ids []xmltree.NodeID, binaryIDs bool, maxValue int) [][]byte {
-	return EncodeIDsPayload(ids, binaryIDs, maxValue, PayloadPacked)
-}
-
-// EncodeIDsPayload is EncodeIDs with an explicit blocked-payload choice;
-// text stores ignore the payload knob.
-func EncodeIDsPayload(ids []xmltree.NodeID, binaryIDs bool, maxValue int, payload IDPayload) [][]byte {
 	if binaryIDs {
-		return encodeIDsBlocked(ids, maxValue, payload)
+		return EncodeIDsBlocked(ids, maxValue)
 	}
 	return EncodeIDsText(ids, maxValue)
 }

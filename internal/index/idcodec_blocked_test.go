@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -119,6 +120,27 @@ func TestBlockedLegacyInterop(t *testing.T) {
 		if set != nil || len(eager) == 0 {
 			t.Fatalf("DecodeIDSet(legacy) = (%v, %d ids), want eager ids only", set, len(eager))
 		}
+	}
+}
+
+// TestFormerV1BlobDecodesAsStream: a valid blob of the retired 0xB1 format
+// (five identifiers in three blocks, checksum right, written by the encoder
+// idblock no longer has) is not a blocked blob any more. DecodeIDsBinary and
+// DecodeIDSet treat it exactly as any headerless stream with that first
+// byte: the stream decoder's verdict, whatever it is, and no lazy set.
+func TestFormerV1BlobDecodesAsStream(t *testing.T) {
+	blob, err := hex.DecodeString("b10b10f9db03020201060502010602080204030401060112000e00040003010801010302040203020502090702")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIDs, wantErr := decodeIDsStream(blob)
+	gotIDs, gotErr := DecodeIDsBinary(blob)
+	if gotErr != wantErr || !reflect.DeepEqual(gotIDs, wantIDs) {
+		t.Fatalf("DecodeIDsBinary = (%v, %v), the stream decoder gives (%v, %v)", gotIDs, gotErr, wantIDs, wantErr)
+	}
+	set, eager, err := DecodeIDSet(blob, true)
+	if set != nil || err != wantErr || !reflect.DeepEqual(eager, wantIDs) {
+		t.Fatalf("DecodeIDSet = (%v, %v, %v), want no set and the stream decoder's (%v, %v)", set, eager, err, wantIDs, wantErr)
 	}
 }
 

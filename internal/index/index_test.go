@@ -369,10 +369,11 @@ func loadCorpus(t *testing.T, store kv.Store, s Strategy, docs []xmark.Doc) {
 func TestStorageRoundTrip(t *testing.T) {
 	store := newStore(t, LUI)
 	loadCorpus(t, store, LUI, xmark.Paintings()[:2])
-	postings, _, err := ReadKey(store, LUI.TableName(flatTable), "ename", IDPosting, true)
+	byKey, _, err := ReadKeys(store, LUI.TableName(flatTable), []string{"ename"}, IDPosting, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	postings := byKey["ename"]
 	if len(postings) != 2 {
 		t.Fatalf("postings for ename = %v", postings)
 	}
@@ -412,11 +413,11 @@ func TestStorageSplitsOversizedEntries(t *testing.T) {
 	if stats.Items <= stats.Entries {
 		t.Skipf("no splitting occurred (items=%d entries=%d)", stats.Items, stats.Entries)
 	}
-	postings, _, err := ReadKey(sdb, LUI.TableName(flatTable), "wcommon", IDPosting, false)
+	byKey, _, err := ReadKeys(sdb, LUI.TableName(flatTable), []string{"wcommon"}, IDPosting, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := postings["big.xml"].IDs
+	ids := byKey["wcommon"]["big.xml"].IDs
 	if len(ids) != 401 { // 1 text node in <t> + 400 in <x>
 		t.Errorf("wcommon IDs = %d, want 401", len(ids))
 	}

@@ -118,13 +118,13 @@ type LookupOptions struct {
 	// operate-on-compressed kernels (blocks read / blocks skipped /
 	// containers intersected). A nil Joins makes every update a no-op.
 	Joins *JoinCounters
-	// Ctx, when non-nil, carries cancellation — and, via
-	// resilience.NewContext, the query's modeled-time/retry budget —
-	// through every store read and join kernel. A look-up stops with
-	// context.Canceled/DeadlineExceeded or resilience.ErrDeadline as soon
-	// as the context is done or the budget's modeled deadline is spent; the
-	// store latencies it accumulates are charged to the budget. A nil Ctx
-	// (the default) never cancels and charges nothing.
+	// Ctx carries cancellation — and, via resilience.NewContext, the
+	// query's modeled-time/retry budget — through every store read and join
+	// kernel. A look-up stops with context.Canceled/DeadlineExceeded or
+	// resilience.ErrDeadline as soon as the context is done or the budget's
+	// modeled deadline is spent; the store latencies it accumulates are
+	// charged to the budget. A nil Ctx (the default) stands for
+	// context.Background(): it never cancels and charges nothing.
 	Ctx context.Context
 	// Flight, when non-nil, coalesces concurrent identical index fetches
 	// across look-ups (single-flight): a cache-fill stampede on a hot key
@@ -142,12 +142,17 @@ type LookupOptions struct {
 }
 
 // resolveLookup flattens the optional trailing options of the exported
-// look-up entry points.
+// look-up entry points. It is the one place a zero Ctx becomes
+// context.Background(): everything below reads opt.Ctx as is.
 func resolveLookup(opts []LookupOptions) LookupOptions {
-	if len(opts) == 0 {
-		return LookupOptions{}
+	var opt LookupOptions
+	if len(opts) > 0 {
+		opt = opts[0]
 	}
-	return opts[0]
+	if opt.Ctx == nil {
+		opt.Ctx = context.Background()
+	}
+	return opt
 }
 
 // workers returns the effective worker-pool size.

@@ -28,46 +28,43 @@ func decodeViaSet(t *testing.T, blob []byte) []xmltree.NodeID {
 	return all
 }
 
-// TestIDPayloadDifferential pins decode equality across the three binary
-// encodings of the same identifier set — packed-blocked, varint-blocked and
-// the legacy stream — through both the eager and the lazy decode routes,
-// across the widths and set sizes the block kernels specialize on.
-func TestIDPayloadDifferential(t *testing.T) {
+// outlierIDs is genSortedIDs with every eighth post pushed out to 1<<28, so
+// that the blocked writer's per-block negotiation keeps the varint payload.
+func outlierIDs(n int, seed int64) []xmltree.NodeID {
+	ids := genSortedIDs(n, seed)
+	for i := 0; i < n; i += 8 {
+		ids[i].Post = 1 << 28
+	}
+	return ids
+}
+
+// TestIDCodecDifferential pins decode equality across the two binary
+// encodings of the same identifier set — blocked (on sets that pack and on
+// sets that keep the varint payload) and the headerless stream — through
+// both the eager and the lazy decode routes, across the widths and set sizes
+// the block kernels specialize on.
+func TestIDCodecDifferential(t *testing.T) {
 	for _, n := range []int{1, 31, 32, 129, 1000} {
 		for seed := int64(1); seed <= 3; seed++ {
-			ids := genSortedIDs(n, seed)
-			encodings := map[string][][]byte{
-				"packed": EncodeIDsPayload(ids, true, 0, PayloadPacked),
-				"varint": EncodeIDsBlockedVarint(ids, 0),
-				"legacy": EncodeIDsBinary(ids, 0),
-			}
-			for name, blobs := range encodings {
-				var eager, lazy []xmltree.NodeID
-				for _, b := range blobs {
-					eager = append(eager, decodeAllBinary(t, [][]byte{b})...)
-					lazy = append(lazy, decodeViaSet(t, b)...)
-				}
-				if !idsEqual(eager, ids) {
-					t.Fatalf("n=%d seed=%d %s: eager decode mismatch", n, seed, name)
-				}
-				if !idsEqual(lazy, ids) {
-					t.Fatalf("n=%d seed=%d %s: lazy decode mismatch", n, seed, name)
-				}
-			}
-			// Above the blocked cut-off the packed encoding must not be
-			// larger than its varint twin by more than the per-block format
-			// byte (the negotiation guarantee).
-			if n >= blockedMinIDs {
-				size := func(blobs [][]byte) int {
-					total := 0
+			for shape, ids := range map[string][]xmltree.NodeID{
+				"dense":   genSortedIDs(n, seed),
+				"outlier": outlierIDs(n, seed),
+			} {
+				for name, blobs := range map[string][][]byte{
+					"blocked": EncodeIDs(ids, true, 0),
+					"stream":  EncodeIDsBinary(ids, 0),
+				} {
+					var eager, lazy []xmltree.NodeID
 					for _, b := range blobs {
-						total += len(b)
+						eager = append(eager, decodeAllBinary(t, [][]byte{b})...)
+						lazy = append(lazy, decodeViaSet(t, b)...)
 					}
-					return total
-				}
-				p, v := size(encodings["packed"]), size(encodings["varint"])
-				if p > v {
-					t.Errorf("n=%d seed=%d: packed %d bytes > varint %d", n, seed, p, v)
+					if !idsEqual(eager, ids) {
+						t.Fatalf("n=%d seed=%d %s %s: eager decode mismatch", n, seed, shape, name)
+					}
+					if !idsEqual(lazy, ids) {
+						t.Fatalf("n=%d seed=%d %s %s: lazy decode mismatch", n, seed, shape, name)
+					}
 				}
 			}
 		}
@@ -75,14 +72,12 @@ func TestIDPayloadDifferential(t *testing.T) {
 }
 
 // TestPostingsBytesPackedCharge is the cache-accounting regression: a
-// blocked posting is charged its actual payload bytes, so a packed posting
-// must charge less than a varint posting over the same identifier set, and
-// both charges must equal the documented formula exactly.
+// blocked posting is charged its actual payload bytes, whichever payload its
+// blocks kept, and the charge must equal the documented formula exactly.
 func TestPostingsBytesPackedCharge(t *testing.T) {
-	ids := genSortedIDs(512, 9)
 	k := cacheKey{table: "tbl", key: "eitem"}
-	charge := func(blob []byte) int64 {
-		set, rest, err := DecodeIDSet(blob, true)
+	for _, ids := range [][]xmltree.NodeID{genSortedIDs(512, 9), outlierIDs(512, 9)} {
+		set, rest, err := DecodeIDSet(EncodeIDsBlocked(ids, 0)[0], true)
 		if err != nil || set == nil {
 			t.Fatalf("DecodeIDSet: set=%v rest=%d err=%v", set, len(rest), err)
 		}
@@ -98,12 +93,6 @@ func TestPostingsBytesPackedCharge(t *testing.T) {
 		if got != want {
 			t.Fatalf("postingsBytes = %d, want %d", got, want)
 		}
-		return got
-	}
-	packed := charge(EncodeIDsBlocked(ids, 0)[0])
-	varint := charge(EncodeIDsBlockedVarint(ids, 0)[0])
-	if packed >= varint {
-		t.Errorf("packed posting charged %d bytes, varint %d; packed should be cheaper", packed, varint)
 	}
 }
 

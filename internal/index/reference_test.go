@@ -70,7 +70,7 @@ func extractReference(s Strategy, doc *xmltree.Document, opts Options) *Extracti
 			add(t, Entry{Key: k, Values: values})
 		}
 		if t := s.idTableName(); t != "" {
-			add(t, Entry{Key: k, Values: EncodeIDsPayload(info.ids, opts.BinaryIDs, opts.MaxValueBytes, opts.IDPayload)})
+			add(t, Entry{Key: k, Values: EncodeIDs(info.ids, opts.BinaryIDs, opts.MaxValueBytes)})
 		}
 	}
 	return ex

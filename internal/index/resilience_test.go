@@ -25,11 +25,11 @@ type gatedStore struct {
 	calls   int
 }
 
-func (g *gatedStore) BatchGet(table string, keys []string) (map[string][]kv.Item, time.Duration, error) {
+func (g *gatedStore) BatchGet(ctx context.Context, table string, keys []string) (map[string][]kv.Item, time.Duration, error) {
 	g.calls++
 	g.entered <- struct{}{}
 	<-g.release
-	return g.Store.BatchGet(table, keys)
+	return g.Store.BatchGet(ctx, table, keys)
 }
 
 // A cache-fill stampede on one hot key coalesces to a single billed store

@@ -361,11 +361,11 @@ const (
 // path — blocked holds the lazy set and IDs stays nil: only block headers
 // were decoded, and payloads decode on demand (memoized inside the Set, so
 // a cached Posting keeps its decoded blocks across look-ups). Otherwise —
-// legacy blobs, text values, mixed segments — IDs is materialized eagerly
-// in pre order, and IDSet wraps it as a single pre-decoded block on first
-// use, so join kernels see one interface either way. The wrap is deferred
-// and memoized because most decoded postings never reach a join: their
-// URIs fall out of the candidate intersection first.
+// headerless streams, text values, mixed segments — IDs is materialized
+// eagerly in pre order, and IDSet wraps it as a single pre-decoded block on
+// first use, so join kernels see one interface either way. The wrap is
+// deferred and memoized because most decoded postings never reach a join:
+// their URIs fall out of the candidate intersection first.
 type Posting struct {
 	URI string
 	// PathVals holds the raw stored path values — plain path strings or
@@ -430,17 +430,6 @@ func (p *Posting) DecodedPaths() ([]string, error) {
 	return out, nil
 }
 
-// ReadKey fetches and decodes every item under one hash key of a table,
-// merging items by URI. Identifier lists are merged in pre order.
-func ReadKey(store kv.Store, table, key string, kind PostingKind, binaryIDs bool) (map[string]*Posting, time.Duration, error) {
-	items, d, err := store.Get(table, key)
-	if err != nil {
-		return nil, 0, err
-	}
-	postings, err := decodeItems(items, kind, binaryIDs)
-	return postings, d, err
-}
-
 // ReadStats summarizes one ReadKeys call for LookupStats accounting. Only
 // keys actually fetched from the store count toward the billed quantities
 // (GetOps, GetTime, Bytes); cache hits are reported separately.
@@ -477,9 +466,6 @@ type ReadStats struct {
 // chunk order, and key sets of distinct chunks are disjoint.
 func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opts ...LookupOptions) (out map[string]map[string]*Posting, rs ReadStats, err error) {
 	opt := resolveLookup(opts)
-	if err := kv.CheckContext(opt.Ctx); err != nil {
-		return nil, rs, err
-	}
 	// The query's modeled-time budget is charged once, on exit, with the
 	// summed store latency: chunks never observe each other's charges, so
 	// the read's outcome is identical at any Concurrency level.
@@ -550,7 +536,7 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 		}
 		chunk := fetch[start:end]
 		run := func() (any, time.Duration, error) {
-			got, d, err := kv.BatchGetContext(opt.Ctx, store, table, chunk)
+			got, d, err := store.BatchGet(opt.Ctx, table, chunk)
 			var degraded []string
 			if err != nil {
 				de := kv.AsDegraded(err)
@@ -802,9 +788,10 @@ func detachPostings(postings map[string]*Posting) {
 // finishIDPosting fixes a decoded identifier posting into its final shape.
 // All-blocked segments that tile the pre axis merge into one lazy Set —
 // items arrive ordered by range key, not content, and Merge restores pre
-// order from the headers alone. Anything else (legacy values, overlapping
-// segments) materializes: decode everything, restore pre order, and wrap
-// the result as a single-block Set so the join kernels are format-blind.
+// order from the headers alone. Anything else (headerless values,
+// overlapping segments) materializes: decode everything, restore pre order,
+// and wrap the result as a single-block Set so the join kernels are
+// format-blind.
 func finishIDPosting(p *Posting, segs []*idblock.Set) error {
 	if p.IDs == nil {
 		if merged, ok := idblock.Merge(segs); ok {

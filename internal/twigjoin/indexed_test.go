@@ -9,29 +9,18 @@ import (
 	"repro/internal/xmltree"
 )
 
-// blockEncoders are the two blocked wire encoders the indexed-join tests
-// exercise: version-1 delta+varint payloads and version-2 bit-packed
-// payloads. Every indexed-vs-decoded differential runs under both.
-var blockEncoders = []struct {
-	name string
-	fn   func([]xmltree.NodeID, int, int) [][]byte
-}{
-	{"varint", idblock.Encode},
-	{"packed", idblock.EncodePacked},
-}
-
 // toIndexed converts decoded streams to blocked sets by a full
 // encode/parse/merge round trip with a small block size, so multi-block
 // skipping is exercised even on small documents. Empty streams are left out
 // of the map — MatchIndexed must treat missing streams as empty.
-func toIndexed(t *testing.T, streams Streams, blockSize int, enc func([]xmltree.NodeID, int, int) [][]byte) IndexedStreams {
+func toIndexed(t *testing.T, streams Streams, blockSize int) IndexedStreams {
 	t.Helper()
 	st := IndexedStreams{}
 	for q, s := range streams {
 		if len(s) == 0 {
 			continue
 		}
-		blobs := enc(s, blockSize, 1<<10)
+		blobs := idblock.EncodePacked(s, blockSize, 1<<10)
 		sets := make([]*idblock.Set, 0, len(blobs))
 		for _, b := range blobs {
 			set, err := idblock.Parse(b)
@@ -50,7 +39,7 @@ func toIndexed(t *testing.T, streams Streams, blockSize int, enc func([]xmltree.
 }
 
 // toIndexedDecoded wraps each stream as a pre-decoded single-block set, the
-// shape cached postings take when the store held legacy blobs.
+// shape cached postings take when the store held headerless streams.
 func toIndexedDecoded(streams Streams) IndexedStreams {
 	st := IndexedStreams{}
 	for q, s := range streams {
@@ -81,8 +70,7 @@ func TestMatchIndexedSimpleTwig(t *testing.T) {
 		tr := tree(t, c.q)
 		streams := StreamsFromDocument(tr, d)
 		for _, st := range []IndexedStreams{
-			toIndexed(t, streams, 2, idblock.Encode),
-			toIndexed(t, streams, 2, idblock.EncodePacked),
+			toIndexed(t, streams, 2),
 			toIndexedDecoded(streams),
 		} {
 			got, err := MatchIndexed(tr, st, nil)
@@ -140,27 +128,25 @@ func TestIndexedAgreesWithDecoded(t *testing.T) {
 			wantMatch := Match(q, streams)
 			wantCands := Candidates(q, streams)
 			for _, bs := range []int{1, 3, 7, 128} {
-				for _, be := range blockEncoders {
-					st := toIndexed(t, streams, bs, be.fn)
-					var js JoinStats
-					gotMatch, err := MatchIndexed(q, st, &js)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gotMatch != wantMatch {
-						t.Errorf("doc %d query %s bs %d %s: MatchIndexed=%v, Match=%v",
-							i, qs, bs, be.name, gotMatch, wantMatch)
-					}
-					gotCands, err := CandidatesIndexed(q, st, &js)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !streamsEqual(gotCands, wantCands) {
-						t.Errorf("doc %d query %s bs %d %s: CandidatesIndexed=%v, Candidates=%v",
-							i, qs, bs, be.name, gotCands, wantCands)
-					}
-					totals.Add(js)
+				st := toIndexed(t, streams, bs)
+				var js JoinStats
+				gotMatch, err := MatchIndexed(q, st, &js)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if gotMatch != wantMatch {
+					t.Errorf("doc %d query %s bs %d: MatchIndexed=%v, Match=%v",
+						i, qs, bs, gotMatch, wantMatch)
+				}
+				gotCands, err := CandidatesIndexed(q, st, &js)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !streamsEqual(gotCands, wantCands) {
+					t.Errorf("doc %d query %s bs %d: CandidatesIndexed=%v, Candidates=%v",
+						i, qs, bs, gotCands, wantCands)
+				}
+				totals.Add(js)
 			}
 			st := toIndexedDecoded(streams)
 			if gotMatch, err := MatchIndexed(q, st, nil); err != nil || gotMatch != wantMatch {
@@ -200,33 +186,31 @@ func TestSemijoinIndexedAgreesWithSemijoin(t *testing.T) {
 			for _, n := range d.NodesByLabel(pr.desc) {
 				ds = append(ds, n.ID)
 			}
-			for _, be := range blockEncoders {
-				aset, dset := idblock.FromIDs(as), idblock.FromIDs(ds)
-				if len(as) >= 4 {
-					aset = encodeSet(t, as, 4, be.fn)
+			aset, dset := idblock.FromIDs(as), idblock.FromIDs(ds)
+			if len(as) >= 4 {
+				aset = encodeSet(t, as, 4)
+			}
+			if len(ds) >= 4 {
+				dset = encodeSet(t, ds, 4)
+			}
+			for _, axis := range []pattern.Axis{pattern.Descendant, pattern.Child} {
+				want := Semijoin(as, ds, axis)
+				got, err := SemijoinIndexed(aset, dset, axis, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if len(ds) >= 4 {
-					dset = encodeSet(t, ds, 4, be.fn)
-				}
-				for _, axis := range []pattern.Axis{pattern.Descendant, pattern.Child} {
-					want := Semijoin(as, ds, axis)
-					got, err := SemijoinIndexed(aset, dset, axis, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !streamsEqual(got, want) {
-						t.Errorf("doc %d %s/%s axis %v %s: SemijoinIndexed=%v, Semijoin=%v",
-							i, pr.anc, pr.desc, axis, be.name, got, want)
-					}
+				if !streamsEqual(got, want) {
+					t.Errorf("doc %d %s/%s axis %v: SemijoinIndexed=%v, Semijoin=%v",
+						i, pr.anc, pr.desc, axis, got, want)
 				}
 			}
 		}
 	}
 }
 
-func encodeSet(t *testing.T, ids Stream, blockSize int, enc func([]xmltree.NodeID, int, int) [][]byte) *idblock.Set {
+func encodeSet(t *testing.T, ids Stream, blockSize int) *idblock.Set {
 	t.Helper()
-	blobs := enc(ids, blockSize, 1<<20)
+	blobs := idblock.EncodePacked(ids, blockSize, 1<<20)
 	sets := make([]*idblock.Set, 0, len(blobs))
 	for _, b := range blobs {
 		s, err := idblock.Parse(b)
