@@ -8,7 +8,7 @@
 //
 // Experiments: table4, fig7, fig8, table5, fig9, fig9detail, fig10,
 // table6, fig11, fig12, fig13, table7, table8, ablations, advisor, obs,
-// shard, tail, serve, mutate.
+// serve, mutate.
 package main
 
 import (
@@ -28,7 +28,8 @@ func main() {
 	scaleName := flag.String("scale", "default", "corpus scale: tiny, small or default")
 	docs := flag.Int("docs", 0, "override: number of documents")
 	docBytes := flag.Int("docbytes", 0, "override: approximate bytes per document")
-	exps := flag.String("exp", "all", "comma-separated experiments, or 'all'")
+	exps := flag.String("exp", "all", "comma-separated experiments, or 'all': table4, fig7, fig8, table5, "+
+		"fig9, fig9detail, fig10, table6, fig11, fig12, fig13, table7, table8, ablations, advisor, obs, serve, mutate")
 	repeats := flag.Int("repeats", 16, "workload repetitions for figure 10")
 	flag.Parse()
 
@@ -150,16 +151,6 @@ func main() {
 		rows, _, err := bench.RunObs(corpus)
 		check(err)
 		fmt.Println(bench.ObsTable(rows))
-	}
-	if sel("shard") {
-		rows, err := bench.RunShard(corpus)
-		check(err)
-		fmt.Println(bench.ShardTable(rows))
-	}
-	if sel("tail") {
-		points, err := bench.RunTail(42, 8, 5, 160)
-		check(err)
-		fmt.Println(bench.TailTable(points))
 	}
 	if sel("serve") {
 		// The serving ladder needs one indexed 2LUPI warehouse; reuse the

@@ -61,11 +61,9 @@ func main() {
 	// Verify nothing was lost: the query must see every matching document.
 	qp := wh.StartQueryProcessor(ec2.Launch(wh.Ledger(), ec2.XL), core.WorkerOptions{})
 	defer qp.Stop()
-	id, err := wh.SubmitQuery(`//painting[/name{val}]`, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out, err := wh.AwaitResult(id, 10*time.Second)
+	fe := core.NewFrontend(wh)
+	defer fe.Close()
+	out, err := fe.Do(`//painting[/name{val}]`, true, 10*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,22 +46,12 @@ type Rates struct {
 	ExpireLease float64
 	// S3Transient fails a file-store Get/Put/Delete with s3.ErrTransient.
 	S3Transient float64
-	// Straggle makes a kv read operation (Get/BatchGet) a straggler: the
-	// operation succeeds but its modeled latency is multiplied by
-	// StraggleFactor. This is the tail the hedging layer is built against
-	// — real cloud stores exhibit exactly this occasionally-slow regime.
-	Straggle float64
-	// StraggleFactor is the latency multiplier of a straggling operation
-	// (default 10 when Straggle > 0). It is a factor, not a probability,
-	// so it is not clamped to [0, 1]; values below 1 are raised to 1.
-	StraggleFactor float64
 }
 
 // zero reports whether every rate is zero (pass-through mode).
 func (r Rates) zero() bool {
 	return r.Throttle == 0 && r.Internal == 0 && r.PartialBatch == 0 &&
-		r.DupDeliver == 0 && r.ExpireLease == 0 && r.S3Transient == 0 &&
-		r.Straggle == 0
+		r.DupDeliver == 0 && r.ExpireLease == 0 && r.S3Transient == 0
 }
 
 func clamp01(v float64) float64 {
@@ -81,10 +71,6 @@ func (r Rates) clamped() Rates {
 	r.DupDeliver = clamp01(r.DupDeliver)
 	r.ExpireLease = clamp01(r.ExpireLease)
 	r.S3Transient = clamp01(r.S3Transient)
-	r.Straggle = clamp01(r.Straggle)
-	if r.StraggleFactor != 0 && r.StraggleFactor < 1 {
-		r.StraggleFactor = 1
-	}
 	return r
 }
 
@@ -105,7 +91,6 @@ type Counts struct {
 	DupDeliveries  int64
 	ExpiredLeases  int64
 	S3Faults       int64
-	Stragglers     int64
 }
 
 // CounterSink receives every injected fault as a named counter increment;
@@ -123,13 +108,12 @@ const (
 	MetricDupDeliveries  = "chaos.dup_deliveries"
 	MetricExpiredLeases  = "chaos.expired_leases"
 	MetricS3Faults       = "chaos.s3_faults"
-	MetricStragglers     = "chaos.stragglers"
 )
 
 // Total sums the injected faults across classes.
 func (c Counts) Total() int64 {
 	return c.Throttles + c.Internals + c.PartialBatches +
-		c.DupDeliveries + c.ExpiredLeases + c.S3Faults + c.Stragglers
+		c.DupDeliveries + c.ExpiredLeases + c.S3Faults
 }
 
 // Injector is the seeded decision source shared by the wrappers of one

@@ -29,7 +29,6 @@ func (m tally) counts() chaos.Counts {
 		DupDeliveries:  m[chaos.MetricDupDeliveries],
 		ExpiredLeases:  m[chaos.MetricExpiredLeases],
 		S3Faults:       m[chaos.MetricS3Faults],
-		Stragglers:     m[chaos.MetricStragglers],
 	}
 }
 

@@ -25,23 +25,6 @@ func (inj *Injector) kvFault() error {
 	return nil
 }
 
-// straggleFactor draws the straggler decision for one kv read operation,
-// returning the modeled-latency multiplier to apply (1 when the operation
-// is not a straggler). Zero rates draw nothing.
-func (inj *Injector) straggleFactor() float64 {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	if !inj.hit(inj.rates.Straggle) {
-		return 1
-	}
-	inj.note(MetricStragglers)
-	f := inj.rates.StraggleFactor
-	if f < 1 {
-		f = 10
-	}
-	return f
-}
-
 // partialCount draws the partial-batch decision for a batch of n elements.
 // It returns n when the batch should complete, otherwise the number of
 // elements to process — at least 1 and strictly less than n, so a retry
@@ -81,13 +64,12 @@ func WrapStore(s kv.Store, inj *Injector) *Store {
 func (c *Store) Unwrap() kv.Store { return c.Store }
 
 // SetShardInjector installs a per-shard fault plan: operations against
-// shard-suffixed physical tables ("T@shard", the naming of kv.Sharded in
-// partition mode) draw their faults from inj instead of the store-wide
-// injector. This lets a chaos schedule target one hot partition — the
-// per-shard failure mode real DynamoDB exhibits — while other shards stay
-// healthy. Passing a nil injector removes the plan. Safe for concurrent
-// use, but plans are normally installed before traffic starts so fault
-// schedules stay reproducible.
+// shard-suffixed physical tables ("T@shard", the naming of kv.Sharded) draw
+// their faults from inj instead of the store-wide injector. This lets a
+// chaos schedule target one hot partition — the per-shard failure mode real
+// DynamoDB exhibits — while other shards stay healthy. Passing a nil
+// injector removes the plan. Safe for concurrent use, but plans are normally
+// installed before traffic starts so fault schedules stay reproducible.
 func (c *Store) SetShardInjector(shard int, inj *Injector) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -146,19 +128,12 @@ func (c *Store) BatchPut(table string, items []kv.Item) (time.Duration, error) {
 	return d, &kv.PartialPutError{Unprocessed: rest}
 }
 
-// Get implements kv.Store with injection. A straggle draw multiplies the
-// modeled latency of a successful read (the tail the hedging layer cuts).
+// Get implements kv.Store with injection.
 func (c *Store) Get(ctx context.Context, table, hashKey string) ([]kv.Item, time.Duration, error) {
-	inj := c.injFor(table)
-	if err := inj.kvFault(); err != nil {
+	if err := c.injFor(table).kvFault(); err != nil {
 		return nil, 0, err
 	}
-	f := inj.straggleFactor()
-	items, d, err := c.Store.Get(ctx, table, hashKey)
-	if f > 1 && err == nil {
-		d = time.Duration(float64(d) * f)
-	}
-	return items, d, err
+	return c.Store.Get(ctx, table, hashKey)
 }
 
 // BatchGet implements kv.Store with injection. An injected partial outcome
@@ -170,21 +145,13 @@ func (c *Store) BatchGet(ctx context.Context, table string, hashKeys []string) (
 	if err := inj.kvFault(); err != nil {
 		return nil, 0, err
 	}
-	f := inj.straggleFactor()
 	n := inj.partialCount(len(hashKeys))
 	if n >= len(hashKeys) {
-		out, d, err := c.Store.BatchGet(ctx, table, hashKeys)
-		if f > 1 && err == nil {
-			d = time.Duration(float64(d) * f)
-		}
-		return out, d, err
+		return c.Store.BatchGet(ctx, table, hashKeys)
 	}
 	out, d, err := c.Store.BatchGet(ctx, table, hashKeys[:n])
 	if err != nil {
 		return out, d, err
-	}
-	if f > 1 {
-		d = time.Duration(float64(d) * f)
 	}
 	rest := make([]string, len(hashKeys)-n)
 	copy(rest, hashKeys[n:])

@@ -3,6 +3,7 @@ package kv_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -24,19 +25,20 @@ func TestReadsStopOnContext(t *testing.T) {
 	for _, g := range shardKeys(4, 2) {
 		keys = append(keys, g...)
 	}
-	stacks := map[string]func(ls []*meter.Ledger) kv.Store{
-		"memstore":          func(ls []*meter.Ledger) kv.Store { return dynamodb.New(ls[0]) },
-		"sharded-partition": func(ls []*meter.Ledger) kv.Store { return kv.NewSharded(dynamodb.New(ls[0]), 4) }, // BatchGetMulti
-		"sharded-scatter": func(ls []*meter.Ledger) kv.Store {
-			return kv.NewShardedStores([]kv.Store{dynamodb.New(ls[0]), dynamodb.New(ls[1]), dynamodb.New(ls[2]), dynamodb.New(ls[3])})
-		},
-		"retry": func(ls []*meter.Ledger) kv.Store { return kv.NewRetry(dynamodb.New(ls[0])) },
-		"chaos-under-retry": func(ls []*meter.Ledger) kv.Store {
-			inj := chaos.NewInjector(chaos.Plan{Seed: 3, Rates: chaos.Rates{Throttle: 0.3, PartialBatch: 0.5}})
-			r := kv.NewRetry(chaos.WrapStore(dynamodb.New(ls[0]), inj))
-			r.MaxAttempts = 100
-			return r
-		},
+	chaosUnderRetry := func(l *meter.Ledger) kv.Store {
+		inj := chaos.NewInjector(chaos.Plan{Seed: 3, Rates: chaos.Rates{Throttle: 0.3, PartialBatch: 0.5}})
+		r := kv.NewRetry(chaos.WrapStore(dynamodb.New(l), inj))
+		r.MaxAttempts = 100
+		return r
+	}
+	stacks := map[string]func(l *meter.Ledger) kv.Store{
+		"memstore":          func(l *meter.Ledger) kv.Store { return dynamodb.New(l) },
+		"sharded":           func(l *meter.Ledger) kv.Store { return kv.NewSharded(dynamodb.New(l), 4) }, // BatchGetMulti
+		"retry":             func(l *meter.Ledger) kv.Store { return kv.NewRetry(dynamodb.New(l)) },
+		"chaos-under-retry": chaosUnderRetry,
+		// What core.New builds for Chaos + IndexShards > 1: Retry is not a
+		// MultiStore, so Sharded hands the context to one BatchGet per shard.
+		"sharded-over-retry-over-chaos": func(l *meter.Ledger) kv.Store { return kv.NewSharded(chaosUnderRetry(l), 4) },
 	}
 	load := func(s kv.Store) {
 		t.Helper()
@@ -70,15 +72,10 @@ func TestReadsStopOnContext(t *testing.T) {
 		{"live", resilience.NewContext(context.Background(), resilience.NewBudget(time.Hour, -1)), nil},
 	}
 	for name, build := range stacks {
-		ledgers := []*meter.Ledger{meter.NewLedger(), meter.NewLedger(), meter.NewLedger(), meter.NewLedger()}
-		s := build(ledgers)
+		ledger := meter.NewLedger()
+		s := build(ledger)
 		load(s)
-		gets := func() (n int64) {
-			for _, l := range ledgers {
-				n += l.Snapshot().Get(s.Backend(), "get").Calls
-			}
-			return n
-		}
+		gets := func() int64 { return ledger.Snapshot().Get(s.Backend(), "get").Calls }
 		for _, c := range cases {
 			before := gets()
 			one, _, errGet := s.Get(c.ctx, "t", keys[0])
@@ -98,6 +95,28 @@ func TestReadsStopOnContext(t *testing.T) {
 			if !reflect.DeepEqual(one, wantAll[keys[0]]) || !reflect.DeepEqual(all, wantAll) {
 				t.Errorf("%s, %s: items differ from the bare MemStore's", name, c.name)
 			}
+		}
+	}
+}
+
+// shardKeys returns n hash keys routing to each of the given shards.
+func shardKeys(shards, perShard int) [][]string {
+	out := make([][]string, shards)
+	for i := 0; ; i++ {
+		key := fmt.Sprintf("key%05d", i)
+		k := kv.ShardIndex(key, shards)
+		if len(out[k]) < perShard {
+			out[k] = append(out[k], key)
+		}
+		done := true
+		for _, g := range out {
+			if len(g) < perShard {
+				done = false
+				break
+			}
+		}
+		if done {
+			return out
 		}
 	}
 }

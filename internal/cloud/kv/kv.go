@@ -51,7 +51,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/resilience"
@@ -155,39 +154,6 @@ type PartialGetError struct {
 
 func (e *PartialGetError) Error() string {
 	return fmt.Sprintf("kv: batch get partially served (%d unprocessed keys)", len(e.UnprocessedKeys))
-}
-
-// DegradedError reports a partial scatter-mode read: the listed shards were
-// shed by their circuit breakers, so the listed hash keys are missing from
-// the returned result. Every other shard's data IS present — callers that
-// can serve partial answers should do so and mark them Incomplete rather
-// than fail the whole query on one bad shard.
-type DegradedError struct {
-	// Shards lists the shed shard indexes, ascending.
-	Shards []int
-	// Keys lists the hash keys that were not read, sorted.
-	Keys []string
-}
-
-func (e *DegradedError) Error() string {
-	return fmt.Sprintf("kv: degraded read (%d shards shed, %d keys missing)", len(e.Shards), len(e.Keys))
-}
-
-// AsDegraded returns the DegradedError in err's chain, or nil.
-func AsDegraded(err error) *DegradedError {
-	var de *DegradedError
-	if errors.As(err, &de) {
-		return de
-	}
-	return nil
-}
-
-// sortDegraded normalizes a DegradedError's slices for deterministic
-// reporting.
-func sortDegraded(e *DegradedError) *DegradedError {
-	sort.Ints(e.Shards)
-	sort.Strings(e.Keys)
-	return e
 }
 
 // CheckContext reports the first reason a read must stop: context

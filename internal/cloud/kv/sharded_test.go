@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/cloud/dynamodb"
 	"repro/internal/cloud/kv"
@@ -72,8 +71,8 @@ func loadBatch(n int) []kv.Item {
 	return items
 }
 
-// TestShardedPartitionIdentity is the heart of the tentpole: a partition-
-// mode sharded store over a MultiStore base must produce the same modeled
+// TestShardedPartitionIdentity is the heart of the sharding layer: a
+// sharded store over a MultiStore base must produce the same modeled
 // latencies, the same metered calls/units/bytes, the same read results and
 // the same merged dumps as the unsharded store, for every shard count.
 func TestShardedPartitionIdentity(t *testing.T) {
@@ -218,72 +217,7 @@ func TestShardedFallbackWithoutMultiStore(t *testing.T) {
 	}
 }
 
-// TestShardedScatterMode checks the independent-stores construction: reads
-// and writes fan out concurrently, the combined duration is the slowest
-// shard's, and repeated runs are deterministic.
-func TestShardedScatterMode(t *testing.T) {
-	items := loadBatch(20)
-	keys := []string{"key-000", "key-001", "key-002", "key-003", "key-004", "key-005", "key-006"}
-
-	run := func() (time.Duration, time.Duration, []kv.Item, map[string][]kv.Item) {
-		stores := make([]kv.Store, 4)
-		ledger := meter.NewLedger()
-		for i := range stores {
-			stores[i] = dynamodb.New(ledger)
-		}
-		sh := kv.NewShardedStores(stores)
-		if err := sh.CreateTable("idx"); err != nil {
-			t.Fatal(err)
-		}
-		putD, err := sh.BatchPut("idx", items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, getD, err := sh.BatchGet(context.Background(), "idx", keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return putD, getD, sh.DumpTable("idx"), got
-	}
-
-	putA, getA, dumpA, resA := run()
-	putB, getB, dumpB, resB := run()
-	if putA != putB || getA != getB {
-		t.Errorf("scatter latencies not deterministic: put %v/%v get %v/%v", putA, putB, getA, getB)
-	}
-	if !reflect.DeepEqual(dumpA, dumpB) || !reflect.DeepEqual(resA, resB) {
-		t.Errorf("scatter results not deterministic across runs")
-	}
-
-	// Scatter durations are max-combined, so they must not exceed what the
-	// same batch costs on one store (equal when one shard dominates).
-	single := dynamodb.New(meter.NewLedger())
-	if err := single.CreateTable("idx"); err != nil {
-		t.Fatal(err)
-	}
-	seqD, err := single.BatchPut("idx", items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if putA > seqD {
-		t.Errorf("scatter put %v slower than single-store batch %v", putA, seqD)
-	}
-
-	// Contents must match the partition-mode layout item-for-item.
-	partLedger := meter.NewLedger()
-	part := kv.NewSharded(dynamodb.New(partLedger), 4)
-	if err := part.CreateTable("idx"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := part.BatchPut("idx", items); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dumpA, part.DumpTable("idx")) {
-		t.Errorf("scatter dump differs from partition-mode dump")
-	}
-}
-
-// TestShardedBatchLimits: the partition-mode multi request applies the
+// TestShardedBatchLimits: the multi-table request applies the
 // provider's batch ceiling to the whole logical batch, exactly like the
 // unsharded store, so sharding cannot smuggle oversized batches through.
 func TestShardedBatchLimits(t *testing.T) {

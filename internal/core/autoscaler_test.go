@@ -84,19 +84,18 @@ func TestAutoScalerQueryModule(t *testing.T) {
 	})
 	defer scaler.Stop()
 
-	var ids []string
+	fe := NewFrontend(w)
+	defer fe.Close()
+	var outcomes []<-chan *QueryOutcome
 	for i := 0; i < 8; i++ {
-		id, err := w.SubmitQuery(`//painting[/name{val}]`, true)
+		_, ch, err := fe.Submit(`//painting[/name{val}]`, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
+		outcomes = append(outcomes, ch)
 	}
-	for _, id := range ids {
-		out, err := w.AwaitResult(id, 15*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, ch := range outcomes {
+		out := awaitOutcome(t, ch, 15*time.Second)
 		if out.Err != nil {
 			t.Fatal(out.Err)
 		}

@@ -332,8 +332,6 @@ type coreMetrics struct {
 	lookupStoreRetries   *obs.Counter
 	lookupGetTimeNS      *obs.Counter
 	lookupCoalescedKeys  *obs.Counter
-	lookupDegradedKeys   *obs.Counter
-	lookupIncomplete     *obs.Counter
 	cacheHits            *obs.Counter
 	cacheMisses          *obs.Counter
 	cacheEvictions       *obs.Counter
@@ -371,8 +369,6 @@ func resolveMetrics(r *obs.Registry) coreMetrics {
 		lookupStoreRetries:   r.Counter("index.lookup.store_retries"),
 		lookupGetTimeNS:      r.Counter("index.lookup.get_time_ns"),
 		lookupCoalescedKeys:  r.Counter("index.lookup.coalesced_keys"),
-		lookupDegradedKeys:   r.Counter("index.lookup.degraded_keys"),
-		lookupIncomplete:     r.Counter("index.lookup.incomplete"),
 		cacheHits:            r.Counter("index.cache.hits"),
 		cacheMisses:          r.Counter("index.cache.misses"),
 		cacheEvictions:       r.Counter("index.cache.evictions"),
@@ -576,7 +572,6 @@ func (w *Warehouse) ChaosCounts() chaos.Counts {
 		DupDeliveries:  w.reg.Counter(chaos.MetricDupDeliveries).Value(),
 		ExpiredLeases:  w.reg.Counter(chaos.MetricExpiredLeases).Value(),
 		S3Faults:       w.reg.Counter(chaos.MetricS3Faults).Value(),
-		Stragglers:     w.reg.Counter(chaos.MetricStragglers).Value(),
 	}
 }
 
@@ -613,8 +608,6 @@ func (w *Warehouse) LookupTotals() index.LookupStats {
 		CacheEvictions: w.met.cacheEvictions.Value(),
 		StoreRetries:   w.met.lookupStoreRetries.Value(),
 		CoalescedKeys:  w.met.lookupCoalescedKeys.Value(),
-		DegradedKeys:   w.met.lookupDegradedKeys.Value(),
-		Incomplete:     w.met.lookupIncomplete.Value() > 0,
 	}
 }
 
@@ -701,22 +694,17 @@ func (w *Warehouse) noteLookup(lst index.LookupStats) {
 	w.met.lookupStoreRetries.Add(lst.StoreRetries)
 	w.met.lookupGetTimeNS.Add(int64(lst.GetTime))
 	w.met.lookupCoalescedKeys.Add(lst.CoalescedKeys)
-	w.met.lookupDegradedKeys.Add(lst.DegradedKeys)
-	if lst.Incomplete {
-		w.met.lookupIncomplete.Inc()
-	}
 	w.met.cacheHits.Add(lst.CacheHits)
 	w.met.cacheMisses.Add(lst.CacheMisses)
 	w.met.cacheEvictions.Add(lst.CacheEvictions)
 }
 
 // queryContext builds one query's context, carrying its fresh modeled-time
-// and retry budget, or returns nil when neither tail-latency bound is
-// configured — the look-up then runs the exact historical path with no
-// budget bookkeeping at all.
+// and retry budget, or returns the background context when neither bound is
+// configured.
 func (w *Warehouse) queryContext() context.Context {
 	if w.queryDeadline <= 0 && w.queryRetries <= 0 {
-		return nil
+		return context.Background()
 	}
 	tokens := -1 // unlimited unless a pool is configured
 	if w.queryRetries > 0 {

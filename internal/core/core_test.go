@@ -186,11 +186,9 @@ func TestLivePipelineEndToEnd(t *testing.T) {
 	// One live query processor; query through the front end (7-8, 16-18).
 	qp := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), WorkerOptions{})
 	defer qp.Stop()
-	id, err := w.SubmitQuery(`//painting[/name~"Lion", /painter[/name[/last{val}]]]`, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := w.AwaitResult(id, 10*time.Second)
+	fe := NewFrontend(w)
+	defer fe.Close()
+	out, err := fe.Do(`//painting[/name~"Lion", /painter[/name[/last{val}]]]`, true, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,33 +235,14 @@ func TestErrorQueryReportedThroughResponseQueue(t *testing.T) {
 	w := newWarehouse(t, index.LU)
 	qp := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{})
 	defer qp.Stop()
-	id, err := w.SubmitQuery(`not a ( valid query`, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := w.AwaitResult(id, 5*time.Second)
+	fe := NewFrontend(w)
+	defer fe.Close()
+	out, err := fe.Do(`not a ( valid query`, true, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Err == nil || !errors.Is(out.Err, ErrQueryFailed) {
 		t.Errorf("outcome error = %v", out.Err)
-	}
-}
-
-func TestAwaitResultSkipsForeignResponses(t *testing.T) {
-	w := newWarehouse(t, index.LU)
-	qp := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{})
-	defer qp.Stop()
-	// Two queries; await the second first.
-	idA, _ := w.SubmitQuery(`//painting`, true)
-	idB, _ := w.SubmitQuery(`//museum`, true)
-	outB, err := w.AwaitResult(idB, 10*time.Second)
-	if err != nil || outB.Err != nil {
-		t.Fatalf("await B: %v / %v", err, outB)
-	}
-	outA, err := w.AwaitResult(idA, 10*time.Second)
-	if err != nil || outA.Err != nil {
-		t.Fatalf("await A: %v / %v", err, outA)
 	}
 }
 

@@ -10,20 +10,19 @@ import (
 // This file implements the serving front end: a response dispatcher that
 // lets many concurrent clients share the warehouse's query pipeline.
 //
-// RunQueryOn and AwaitResult assume one interactive caller: under
-// concurrency each waiter polls the response queue, re-leasing every
-// message that is not its own, so N waiters cost O(N) billed receives per
-// response and bounce messages between leases. The Frontend replaces that
-// with the shape a real server uses — SubmitQuery per request, ONE receive
-// loop on the response queue that routes each response to its waiting
-// caller by query ID, fetches the result object (step 17 of Figure 1),
-// meters the egress, and deletes the response message exactly once.
+// RunQueryOn assumes one interactive caller. The Frontend has the shape a
+// real server uses — SubmitQuery per request, ONE receive loop on the
+// response queue that routes each response to its waiting caller by query
+// ID, fetches the result object (step 17 of Figure 1), meters the egress,
+// and deletes the response message exactly once. Were every waiter to poll
+// the response queue itself, N waiters would cost O(N) billed receives per
+// response and bounce messages between leases.
 
 // Frontend multiplexes concurrent clients over the warehouse's query and
 // response queues. Create with NewFrontend, issue queries with Do (or
 // Submit + the returned channel), and Close when done. A warehouse should
-// have at most one running Frontend, and the interactive helpers
-// (RunQueryOn, AwaitResult) must not race with it for the response queue.
+// have at most one running Frontend, and the interactive RunQueryOn must
+// not race with it for the response queue.
 type Frontend struct {
 	w *Warehouse
 
@@ -157,7 +156,9 @@ func (f *Frontend) dispatch() {
 			// Not registered yet: the processor can finish between
 			// SubmitQuery returning and the caller's entry appearing, or the
 			// response belongs to someone else entirely. Re-lease it briefly
-			// and pick it up on a later pass, exactly as AwaitResult does.
+			// and pick it up on a later pass; releasing it outright would
+			// make the oldest-first receive hand it back before any newer
+			// response.
 			f.w.queues.ChangeVisibility(ResponseQueue, m.Receipt, 100*time.Millisecond)
 			continue
 		}

@@ -19,6 +19,63 @@ func startFrontendWarehouse(t *testing.T) (*Warehouse, *Frontend, *Worker) {
 	return w, NewFrontend(w), qp
 }
 
+// awaitOutcome receives the outcome of a Frontend.Submit, failing the test
+// if it does not arrive in time.
+func awaitOutcome(t *testing.T, ch <-chan *QueryOutcome, timeout time.Duration) *QueryOutcome {
+	t.Helper()
+	select {
+	case out := <-ch:
+		return out
+	case <-time.After(timeout):
+		t.Fatal("timed out waiting for a query outcome")
+		return nil
+	}
+}
+
+// Responses are routed by query ID, not by arrival order. A response nobody
+// registered for sits at the head of the response queue (oldest first) and
+// is stepped over, not consumed and not allowed to block the ones behind it;
+// of two registered queries, the caller that waits for the later one first
+// gets the later one's rows, and the earlier one's caller still gets its own.
+func TestFrontendRoutesResponsesByID(t *testing.T) {
+	w, f, qp := startFrontendWarehouse(t)
+	defer qp.Stop()
+	defer f.Close()
+
+	if _, err := w.SubmitQuery(`//painter`, true); err != nil { // foreign: no waiter
+		t.Fatal(err)
+	}
+	idA, chA, err := f.Submit(`//painting[/name{val}]`, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idB, chB, err := f.Submit(`//museum[/name{val}]`, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outB := awaitOutcome(t, chB, 10*time.Second)
+	outA := awaitOutcome(t, chA, 10*time.Second)
+	for _, c := range []struct {
+		name string
+		id   string
+		out  *QueryOutcome
+		rows int
+	}{{"A", idA, outA, 9}, {"B", idB, outB, 4}} {
+		if c.out.Err != nil {
+			t.Fatalf("%s: %v", c.name, c.out.Err)
+		}
+		if c.out.ID != c.id || len(c.out.Result.Rows) != c.rows {
+			t.Errorf("%s: outcome %s with %d rows, want %s with %d", c.name, c.out.ID, len(c.out.Result.Rows), c.id, c.rows)
+		}
+	}
+	if n := f.Pending(); n != 0 {
+		t.Fatalf("Pending = %d after both outcomes delivered", n)
+	}
+	if n := w.queues.Len(ResponseQueue); n != 1 {
+		t.Errorf("response queue holds %d messages, want the 1 foreign response", n)
+	}
+}
+
 // Concurrent Do calls share one dispatcher: every caller gets its own
 // query's outcome, and nothing is left pending afterwards.
 func TestFrontendConcurrentDo(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 	"time"
 
@@ -58,55 +57,6 @@ func (w *Warehouse) SubmitQuery(queryText string, useIndex bool) (string, error)
 	}
 	w.met.submitQueries.Inc()
 	return id, nil
-}
-
-// AwaitResult blocks until the response for the given query arrives
-// (steps 16-18) or the timeout elapses. Responses for other queries are
-// released back to the queue.
-func (w *Warehouse) AwaitResult(id string, timeout time.Duration) (*QueryOutcome, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, fmt.Errorf("core: timed out waiting for result of %s", id)
-		}
-		m, _, err := w.queues.ReceiveWait(ResponseQueue, 30*time.Second, remaining)
-		if err != nil {
-			return nil, err
-		}
-		if m == nil {
-			continue
-		}
-		var resp responseMessage
-		if err := json.Unmarshal([]byte(m.Body), &resp); err != nil {
-			return nil, err
-		}
-		if resp.ID != id {
-			// Not ours: put it back with a short lease. Releasing it
-			// outright would make the oldest-first receive hand us the
-			// same message again before any newer response.
-			if _, err := w.queues.ChangeVisibility(ResponseQueue, m.Receipt, 100*time.Millisecond); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if _, err := w.queues.Delete(ResponseQueue, m.Receipt); err != nil {
-			return nil, err
-		}
-		if resp.Error != "" {
-			return &QueryOutcome{ID: id, Err: fmt.Errorf("%w: %s", ErrQueryFailed, resp.Error)}, nil
-		}
-		obj, _, err := w.files.Get(Bucket, resp.ResultKey)
-		if err != nil {
-			return nil, err
-		}
-		w.ledger.AddEgress(int64(len(obj.Data)))
-		result, err := decodeResult(obj.Data)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryOutcome{ID: id, Result: result}, nil
-	}
 }
 
 // QueryOutcome is what the front end hands back to the user.

@@ -66,7 +66,9 @@ func TestQueryProcessorCrashRecovery(t *testing.T) {
 		Visibility: 50 * time.Millisecond,
 		WorkDelay:  300 * time.Millisecond,
 	})
-	id, err := w.SubmitQuery(`//painting[/name{val}]`, true)
+	fe := NewFrontend(w)
+	defer fe.Close()
+	_, ch, err := fe.Submit(`//painting[/name{val}]`, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +78,7 @@ func TestQueryProcessorCrashRecovery(t *testing.T) {
 	// A healthy processor picks the redelivered message up and answers.
 	rescuer := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), WorkerOptions{})
 	defer rescuer.Stop()
-	out, err := w.AwaitResult(id, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := awaitOutcome(t, ch, 10*time.Second)
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
@@ -113,6 +112,8 @@ func TestConcurrentQueriesOverLiveFleet(t *testing.T) {
 		{`//museum[/name{val}]`, 4},
 		{`for $p in //painting where $p/year = "1854" return $p/description`, 1},
 	}
+	fe := NewFrontend(w)
+	defer fe.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -120,12 +121,7 @@ func TestConcurrentQueriesOverLiveFleet(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			q := queries[i%len(queries)]
-			id, err := w.SubmitQuery(q.text, true)
-			if err != nil {
-				errs <- err
-				return
-			}
-			out, err := w.AwaitResult(id, 15*time.Second)
+			out, err := fe.Do(q.text, true, 15*time.Second)
 			if err != nil {
 				errs <- fmt.Errorf("query %d: %w", i, err)
 				return

@@ -63,12 +63,6 @@ type QueryStats struct {
 	DocIDsFromIndex int
 	DocsFetched     int
 
-	// Incomplete marks a degraded answer: one or more index shards were
-	// shed by their circuit breakers during the look-up, so the result is a
-	// lower bound — documents whose postings lived on the shed shards may
-	// be missing. Lookup.DegradedKeys counts the keys that were not read.
-	Incomplete bool
-
 	ResultRows  int
 	ResultBytes int64
 
@@ -151,7 +145,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 		if view != nil {
 			lopts.View = view
 		}
-		// Each query gets a fresh modeled-time/retry budget (nil when no
+		// Each query gets a fresh modeled-time/retry budget (none when no
 		// deadline or retry pool is configured); the look-up charges its
 		// store latencies against it and stops once it is spent.
 		lopts.Ctx = w.queryContext()
@@ -164,7 +158,6 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 		perPattern = sets
 		stats.GetOps = lst.GetOps
 		stats.LookupGetTime = lst.GetTime
-		stats.Incomplete = lst.Incomplete
 		stats.PlanTime = in.ComputeDuration(lst.BytesFetched, w.Perf.PlanBytesPerECUSec)
 		stats.Lookup = lst
 		in.RunOn(0, lst.GetTime+stats.PlanTime)

@@ -81,9 +81,6 @@ func TestQueryDeadlineEnforcedAndHarmless(t *testing.T) {
 		t.Fatalf("budgeted run billed %d gets in %v, unbudgeted %d in %v — the budget must not perturb the read path",
 			gst.GetOps, gst.LookupGetTime, pst.GetOps, pst.LookupGetTime)
 	}
-	if gst.Incomplete {
-		t.Fatal("healthy run marked Incomplete")
-	}
 }
 
 // With every store read throttled and a single shared retry token, a query
@@ -153,14 +150,13 @@ func TestCoalesceLookupsKeepsAnswers(t *testing.T) {
 	}
 }
 
-// The Incomplete marker and the degraded/coalesced key counts aggregate into
-// the warehouse look-up totals.
+// The coalesced key counts aggregate into the warehouse look-up totals.
 func TestLookupTotalsCarryResilienceCounters(t *testing.T) {
 	w := newWarehouse(t, index.LUP)
-	w.noteLookup(index.LookupStats{DegradedKeys: 3, CoalescedKeys: 2, Incomplete: true})
+	w.noteLookup(index.LookupStats{CoalescedKeys: 2})
 	w.noteLookup(index.LookupStats{CoalescedKeys: 1})
 	tot := w.LookupTotals()
-	if tot.DegradedKeys != 3 || tot.CoalescedKeys != 3 || !tot.Incomplete {
-		t.Fatalf("totals = %+v, want 3 degraded, 3 coalesced, Incomplete", tot)
+	if tot.CoalescedKeys != 3 {
+		t.Fatalf("totals = %+v, want 3 coalesced", tot)
 	}
 }

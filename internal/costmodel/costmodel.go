@@ -118,26 +118,6 @@ func QueryCostIndexed(p pricing.PriceBook, q QueryMetrics) USD {
 		p.QSRequest*3
 }
 
-// ProvisionedThroughputCost is the hourly-provisioning charge of a
-// hash-partitioned index: DynamoDB provisions capacity per table, so an
-// index split into `shards` partitions each holding writeUnits write and
-// readUnits read capacity bills
-//
-//	shards x (writeUnits x IDXwu$h + readUnits x IDXru$h) x hours
-//
-// This is the term the request-based model of Section 7 omits (2012
-// DynamoDB billed provisioned capacity on top of per-request charges): the
-// price of the throughput head-room that lets a sharded index absorb N
-// times the write rate of a single table. The shard benchmark surfaces it
-// next to the modeled indexing speed-up.
-func ProvisionedThroughputCost(p pricing.PriceBook, shards int, writeUnits, readUnits float64, hours float64) USD {
-	if shards < 1 {
-		shards = 1
-	}
-	perShard := USD(writeUnits)*p.IDXWriteUnitHour + USD(readUnits)*p.IDXReadUnitHour
-	return USD(shards) * perShard * USD(hours)
-}
-
 // UpdateMetrics carries the write-path quantities of a mutable warehouse
 // over an operating window: the document mutations applied and the billed
 // re-writes the delta compactor issued folding them into the main index.

@@ -58,13 +58,6 @@ type LookupStats struct {
 	// identical fetch instead of issuing a billed request (single-flight
 	// coalescing; zero unless LookupOptions.Flight is set).
 	CoalescedKeys int64
-	// DegradedKeys counts index keys skipped because their shards were shed
-	// by an open circuit breaker, and Incomplete marks the look-up's URI
-	// list as a lower bound: documents whose postings lived on shed shards
-	// may be missing. Complete look-ups always have Incomplete false, so
-	// callers can serve degraded answers explicitly instead of failing.
-	DegradedKeys int64
-	Incomplete   bool
 }
 
 func (s *LookupStats) add(o LookupStats) {
@@ -77,8 +70,6 @@ func (s *LookupStats) add(o LookupStats) {
 	s.CacheEvictions += o.CacheEvictions
 	s.StoreRetries += o.StoreRetries
 	s.CoalescedKeys += o.CoalescedKeys
-	s.DegradedKeys += o.DegradedKeys
-	s.Incomplete = s.Incomplete || o.Incomplete
 }
 
 // statsFromRead folds a ReadKeys summary into look-up statistics.
@@ -92,8 +83,6 @@ func statsFromRead(rs ReadStats) LookupStats {
 		CacheEvictions: rs.CacheEvictions,
 		StoreRetries:   rs.StoreRetries,
 		CoalescedKeys:  rs.CoalescedKeys,
-		DegradedKeys:   rs.DegradedKeys,
-		Incomplete:     rs.Incomplete,
 	}
 }
 
@@ -309,11 +298,6 @@ func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKi
 	get := opt.Span.Child(obs.SpanIndexGet)
 	get.SetAttr("table", table)
 	get.SetAttrInt("keys", int64(len(keys)))
-	hsrc := kv.AsHedgeStatsSource(store)
-	var hs0 resilience.HedgeStats
-	if hsrc != nil {
-		hs0 = hsrc.HedgeStats()
-	}
 	postings, rs, err := ReadKeys(store, table, keys, kind, binaryIDs, opt)
 	get.SetModeled(rs.GetTime)
 	get.SetAttrInt("get_ops", rs.GetOps)
@@ -321,15 +305,11 @@ func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKi
 	if rs.CoalescedKeys > 0 {
 		get.SetAttrInt("coalesced_keys", rs.CoalescedKeys)
 	}
-	if rs.Incomplete {
-		get.SetAttrInt("degraded_keys", rs.DegradedKeys)
-	}
 	if rt := kv.AsShardRouter(store); rt != nil && rt.ShardCount() > 1 {
-		// Annotate the scatter-gather fan-out: how the fetched keys spread
-		// over the store's partitions. The child span carries the same
-		// modeled time as the read — sharded batches are billed as one
-		// request — so per-stage tables show the scatter without double
-		// counting.
+		// Annotate how the fetched keys spread over the store's partitions.
+		// The child span carries the same modeled time as the read —
+		// sharded batches are billed as one request — so per-stage tables
+		// show the scatter without double counting.
 		sc := get.Child(obs.SpanScatter)
 		sc.SetAttrInt("shards", int64(rt.ShardCount()))
 		perShard := make([]int64, rt.ShardCount())
@@ -348,14 +328,6 @@ func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKi
 		}
 		sc.SetAttrInt("shards_touched", int64(touched))
 		sc.SetAttrInt("max_shard_keys", maxKeys)
-		if hsrc != nil {
-			// The hedges fired while serving this read (delta against the
-			// store-lifetime counters; approximate under concurrent reads,
-			// whose hedges land in whichever read is in flight).
-			hs := hsrc.HedgeStats()
-			sc.SetAttrInt("hedge_fired", hs.Fired-hs0.Fired)
-			sc.SetAttrInt("hedge_won", hs.Won-hs0.Won)
-		}
 		sc.SetModeled(rs.GetTime)
 		sc.SetError(err)
 		sc.End()

@@ -3,14 +3,10 @@ package index
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/cloud/chaos"
-	"repro/internal/cloud/dynamodb"
 	"repro/internal/cloud/kv"
-	"repro/internal/meter"
 	"repro/internal/pattern"
 	"repro/internal/resilience"
 	"repro/internal/xmark"
@@ -107,74 +103,6 @@ func TestReadKeysCoalescesCacheFill(t *testing.T) {
 	}
 	if out["ename"]["manet.xml"] != pa {
 		t.Fatal("cache does not hold the leader's parsed posting")
-	}
-}
-
-// A scatter read whose shard is shed by an open circuit breaker degrades to
-// a partial posting map with the Incomplete marker set, instead of failing
-// the look-up.
-func TestReadKeysDegradedScatterMarksIncomplete(t *testing.T) {
-	base0 := dynamodb.New(meter.NewLedger())
-	base1 := dynamodb.New(meter.NewLedger())
-	for _, b := range []kv.Store{base0, base1} {
-		if err := b.CreateTable("t"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Two keys per shard, with URI-posting items on the healthy shard.
-	groups := make([][]string, 2)
-	for i := 0; len(groups[0]) < 2 || len(groups[1]) < 2; i++ {
-		key := fmt.Sprintf("key%04d", i)
-		k := kv.ShardIndex(key, 2)
-		if len(groups[k]) < 2 {
-			groups[k] = append(groups[k], key)
-		}
-	}
-	for k, base := range []kv.Store{base0, base1} {
-		for _, key := range groups[k] {
-			it := kv.Item{HashKey: key, RangeKey: "r", Attrs: []kv.Attr{{Name: "doc.xml", Values: []kv.Value{[]byte("x")}}}}
-			if _, err := base.Put("t", it); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	failing := &chaos.EveryNth{Store: base1, FailEvery: 1, Err: kv.ErrInternal}
-	sh := kv.NewShardedStores([]kv.Store{base0, failing})
-	br := resilience.NewBreakerSet(2)
-	br.FailThreshold = 1
-	br.OpenOps = 100
-	sh.Breakers = br
-	keys := append(append([]string(nil), groups[0]...), groups[1]...)
-
-	// First read trips shard 1's breaker and fails whole.
-	if _, _, err := ReadKeys(sh, "t", keys, URIPosting, false); !errors.Is(err, kv.ErrInternal) {
-		t.Fatalf("first read err = %v, want internal", err)
-	}
-	// With the breaker open the shard is shed: partial result, no error.
-	out, rs, err := ReadKeys(sh, "t", keys, URIPosting, false)
-	if err != nil {
-		t.Fatalf("degraded read err = %v, want partial success", err)
-	}
-	if !rs.Incomplete || rs.DegradedKeys != int64(len(groups[1])) {
-		t.Fatalf("stats = %+v, want Incomplete with %d degraded keys", rs, len(groups[1]))
-	}
-	if rs.GetOps != int64(len(groups[0])) {
-		t.Fatalf("GetOps = %d, want only the %d healthy-shard keys billed", rs.GetOps, len(groups[0]))
-	}
-	for _, key := range groups[0] {
-		if out[key]["doc.xml"] == nil {
-			t.Fatalf("healthy shard key %q missing from partial result", key)
-		}
-	}
-	for _, key := range groups[1] {
-		if out[key] != nil {
-			t.Fatalf("shed shard key %q present in partial result", key)
-		}
-	}
-	// The marker flows into look-up statistics.
-	ls := statsFromRead(rs)
-	if !ls.Incomplete || ls.DegradedKeys != rs.DegradedKeys {
-		t.Fatalf("LookupStats = %+v, want Incomplete carried over", ls)
 	}
 }
 

@@ -450,11 +450,6 @@ type ReadStats struct {
 	// waiters share the leader's decoded postings and modeled latency but
 	// bill no request and fetch no bytes.
 	CoalescedKeys int64
-	// DegradedKeys counts keys that were not read because their shards were
-	// shed by an open circuit breaker; Incomplete marks the result as a
-	// lower bound — the missing keys simply have no postings in it.
-	DegradedKeys int64
-	Incomplete   bool
 }
 
 // ReadKeys batch-fetches several hash keys and returns per-key postings.
@@ -521,10 +516,9 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 		postings  map[string]map[string]*Posting
 		d         time.Duration
 		bytes     int64
-		gets      int64    // keys billed against the store
-		coalesced int64    // keys served by an in-flight twin fetch
-		degraded  []string // keys shed by open circuit breakers
-		fill      bool     // whether this call fills the cache (leader side)
+		gets      int64 // keys billed against the store
+		coalesced int64 // keys served by an in-flight twin fetch
+		fill      bool  // whether this call fills the cache (leader side)
 		err       error
 	}
 	results := make([]chunkResult, chunks)
@@ -537,21 +531,10 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 		chunk := fetch[start:end]
 		run := func() (any, time.Duration, error) {
 			got, d, err := store.BatchGet(opt.Ctx, table, chunk)
-			var degraded []string
 			if err != nil {
-				de := kv.AsDegraded(err)
-				if de == nil {
-					return nil, d, err
-				}
-				// Partial scatter read: the shed shards' keys are absent
-				// from got. Serve what arrived and mark the read degraded
-				// rather than fail the whole look-up on one bad shard.
-				degraded = de.Keys
+				return nil, d, err
 			}
-			fc := &flightChunk{
-				postings: make(map[string]map[string]*Posting, len(got)),
-				degraded: degraded,
-			}
+			fc := &flightChunk{postings: make(map[string]map[string]*Posting, len(got))}
 			for _, k := range chunk {
 				items := got[k]
 				for _, it := range items {
@@ -592,10 +575,10 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 			return chunkResult{err: err}
 		}
 		fc := v.(*flightChunk)
-		cr := chunkResult{postings: fc.postings, d: d, degraded: fc.degraded, fill: leader}
+		cr := chunkResult{postings: fc.postings, d: d, fill: leader}
 		if leader {
 			cr.bytes = fc.bytes
-			cr.gets = int64(len(chunk)) - int64(len(fc.degraded))
+			cr.gets = int64(len(chunk))
 		} else {
 			// A coalesced chunk shares the leader's postings and waits out
 			// the leader's modeled latency, but bills nothing.
@@ -635,10 +618,6 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 		rs.Bytes += cr.bytes
 		rs.GetOps += cr.gets
 		rs.CoalescedKeys += cr.coalesced
-		if len(cr.degraded) > 0 {
-			rs.Incomplete = true
-			rs.DegradedKeys += int64(len(cr.degraded))
-		}
 		for k, postings := range cr.postings {
 			out[k] = postings
 			if cr.fill && opt.Cache != nil {
@@ -669,13 +648,12 @@ func applyViewTombstones(out map[string]map[string]*Posting, overlays map[string
 }
 
 // flightChunk is the unit shared through a single-flight group: the decoded
-// postings of one store chunk, with its billed payload size and the keys
-// its circuit breakers shed. Waiters receive the leader's pointer, so a
-// coalesced cache fill hands every caller the same parsed structures.
+// postings of one store chunk, with its billed payload size. Waiters receive
+// the leader's pointer, so a coalesced cache fill hands every caller the
+// same parsed structures.
 type flightChunk struct {
 	postings map[string]map[string]*Posting
 	bytes    int64
-	degraded []string
 }
 
 // flightKey identifies one chunk fetch for coalescing. Two concurrent

@@ -39,11 +39,6 @@ type PriceBook struct {
 	IDXMonthGB USD // IDX$m,GB: storing 1 GB of index for one month
 	IDXPut     USD // IDXput$: per row inserted
 	IDXGet     USD // IDXget$: per row retrieved
-	// Provisioned throughput, billed per capacity-unit-hour and per table
-	// (so per shard when the index is hash-partitioned). 2012 DynamoDB
-	// charged $0.01/hour per 10 write units and per 50 read units.
-	IDXWriteUnitHour USD // one provisioned write unit for one hour
-	IDXReadUnitHour  USD // one provisioned read unit for one hour
 
 	// Legacy index store (SimpleDB), for the comparison with [8].
 	SDBMonthGB USD
@@ -64,14 +59,12 @@ type PriceBook struct {
 // (September-October 2012).
 func Singapore2012() PriceBook {
 	return PriceBook{
-		STMonthGB:        0.125,
-		STPut:            0.000011,
-		STGet:            0.0000011,
-		IDXMonthGB:       1.14,
-		IDXPut:           0.00000032,
-		IDXGet:           0.000000032,
-		IDXWriteUnitHour: 0.001,
-		IDXReadUnitHour:  0.0002,
+		STMonthGB:  0.125,
+		STPut:      0.000011,
+		STGet:      0.0000011,
+		IDXMonthGB: 1.14,
+		IDXPut:     0.00000032,
+		IDXGet:     0.000000032,
 		// SimpleDB (2012): billed by box-usage; expressed here as
 		// effective per-request prices, an order of magnitude above
 		// DynamoDB, plus the 0.275 $/GB-month storage price the paper

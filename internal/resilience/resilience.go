@@ -1,11 +1,7 @@
-// Package resilience provides the seeded, vtime-deterministic tail-latency
-// primitives of the query read path: a per-query modeled-time Budget
-// (deadline + shared retry tokens, carried in a context.Context), a
-// single-flight Group that coalesces concurrent identical index reads, a
-// Hedger that issues a second request against scatter-mode shard stragglers
-// after a quantile-derived delay, and a per-shard circuit BreakerSet that
-// sheds traffic to failing shards so a query degrades to a partial result
-// instead of failing outright.
+// Package resilience provides the vtime-deterministic primitives that bound
+// a query's read path: a per-query modeled-time Budget (deadline + shared
+// retry tokens, carried in a context.Context) and a single-flight Group that
+// coalesces concurrent identical index reads.
 //
 // Everything here operates on MODELED durations — the virtual latencies the
 // cloud substrate returns — never on wall-clock time, and draws no
@@ -28,16 +24,10 @@ type CounterSink interface {
 	Add(name string, delta int64)
 }
 
-// Counter names streamed to the primitives' sinks.
+// Counter names streamed to a Group's sink.
 const (
-	MetricHedgeFired      = "resilience.hedge.fired"
-	MetricHedgeWon        = "resilience.hedge.won"
-	MetricHedgeWasted     = "resilience.hedge.wasted_bill"
 	MetricCoalesceHits    = "resilience.coalesce.hits"
 	MetricCoalesceLeaders = "resilience.coalesce.leaders"
-	MetricBreakerOpen     = "resilience.breaker.open"
-	MetricBreakerHalfOpen = "resilience.breaker.half_open"
-	MetricBreakerShed     = "resilience.breaker.shed"
 )
 
 // deadlineError is the modeled-deadline failure. It matches

@@ -215,148 +215,3 @@ func TestGroupNil(t *testing.T) {
 		t.Fatalf("nil group passthrough got (%v,%v,%v,%v)", v, d, leader, err)
 	}
 }
-
-func TestHedgerDelayQuantile(t *testing.T) {
-	h := NewHedger(2)
-	h.MinSamples = 4
-	if _, ok := h.Delay(); ok {
-		t.Fatal("cold hedger must not arm")
-	}
-	// 10 samples 1ms..10ms across two shards; 0.9 quantile (nearest rank
-	// over sorted window, idx = round(0.9*9) = 8) = 9ms.
-	for i := 1; i <= 10; i++ {
-		h.Observe(i%2, time.Duration(i)*time.Millisecond)
-	}
-	d, ok := h.Delay()
-	if !ok || d != 9*time.Millisecond {
-		t.Fatalf("Delay = %v,%v want 9ms,true", d, ok)
-	}
-	// Determinism: same observations, same delay.
-	h2 := NewHedger(2)
-	h2.MinSamples = 4
-	for i := 1; i <= 10; i++ {
-		h2.Observe(i%2, time.Duration(i)*time.Millisecond)
-	}
-	if d2, _ := h2.Delay(); d2 != d {
-		t.Fatalf("delay not deterministic: %v vs %v", d2, d)
-	}
-}
-
-func TestHedgerWindowBounded(t *testing.T) {
-	h := NewHedger(1)
-	h.Window = 4
-	for i := 0; i < 100; i++ {
-		h.Observe(0, time.Duration(i+1)*time.Millisecond)
-	}
-	if n := len(h.rings[0]); n != 4 {
-		t.Fatalf("ring grew to %d, want 4", n)
-	}
-}
-
-func TestHedgerCounters(t *testing.T) {
-	h := NewHedger(1)
-	sink := newSink()
-	h.Sink = sink
-	h.NoteFired()
-	h.NoteFired()
-	h.NoteWon()
-	h.NoteWasted()
-	st := h.Stats()
-	if st.Fired != 2 || st.Won != 1 || st.WastedBill != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if sink.get(MetricHedgeFired) != 2 || sink.get(MetricHedgeWon) != 1 || sink.get(MetricHedgeWasted) != 1 {
-		t.Fatalf("sink = %v", sink.m)
-	}
-}
-
-func TestBreakerTransitions(t *testing.T) {
-	b := NewBreakerSet(2)
-	b.FailThreshold = 3
-	b.OpenOps = 2
-	sink := newSink()
-	b.Sink = sink
-
-	// Closed: failures below threshold keep passing.
-	for i := 0; i < 2; i++ {
-		if !b.Allow(0) {
-			t.Fatal("closed breaker must allow")
-		}
-		b.Failure(0)
-	}
-	if b.State(0) != BreakerClosed {
-		t.Fatalf("state = %v, want closed", b.State(0))
-	}
-	// A success resets the consecutive-failure count.
-	b.Success(0)
-	b.Failure(0)
-	b.Failure(0)
-	if b.State(0) != BreakerClosed {
-		t.Fatal("reset failure count should keep breaker closed")
-	}
-	// Third consecutive failure opens.
-	b.Failure(0)
-	if b.State(0) != BreakerOpen {
-		t.Fatalf("state = %v, want open", b.State(0))
-	}
-	// Open sheds OpenOps operations, then goes half-open.
-	if b.Allow(0) {
-		t.Fatal("open breaker must shed")
-	}
-	if b.State(0) != BreakerOpen {
-		t.Fatal("one shed left")
-	}
-	if b.Allow(0) {
-		t.Fatal("second shed")
-	}
-	if b.State(0) != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State(0))
-	}
-	// Half-open admits exactly one probe.
-	if !b.Allow(0) {
-		t.Fatal("half-open must admit a probe")
-	}
-	if b.Allow(0) {
-		t.Fatal("second concurrent probe must be shed")
-	}
-	// Probe failure reopens.
-	b.Failure(0)
-	if b.State(0) != BreakerOpen {
-		t.Fatalf("state = %v, want open after failed probe", b.State(0))
-	}
-	b.Allow(0)
-	b.Allow(0) // back to half-open
-	if !b.Allow(0) {
-		t.Fatal("probe after reopen")
-	}
-	// Probe success recloses.
-	b.Success(0)
-	if b.State(0) != BreakerClosed {
-		t.Fatalf("state = %v, want closed after probe success", b.State(0))
-	}
-	if !b.Allow(0) {
-		t.Fatal("reclosed breaker must allow")
-	}
-
-	// Shard 1 was never touched.
-	if b.State(1) != BreakerClosed || !b.Allow(1) {
-		t.Fatal("independent shard affected")
-	}
-
-	st := b.Stats()
-	if st.Opens != 2 || st.HalfOpens != 2 || st.Sheds != 5 {
-		t.Fatalf("stats = %+v, want {2 2 5}", st)
-	}
-	if sink.get(MetricBreakerOpen) != 2 || sink.get(MetricBreakerHalfOpen) != 2 || sink.get(MetricBreakerShed) != 5 {
-		t.Fatalf("sink = %v", sink.m)
-	}
-}
-
-func TestBreakerNil(t *testing.T) {
-	var b *BreakerSet
-	if !b.Allow(0) || b.State(0) != BreakerClosed {
-		t.Fatal("nil breaker must pass everything")
-	}
-	b.Success(0)
-	b.Failure(0) // must not panic
-}

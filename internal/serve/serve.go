@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -28,6 +29,17 @@ const DefaultQueryTimeout = 30 * time.Second
 
 // MaxDocumentBytes bounds one PUT /document body.
 const MaxDocumentBytes = 16 << 20
+
+// MaxQueryBytes bounds one POST /query body.
+const MaxQueryBytes = 1 << 20
+
+// Timeouts of the listener Start opens: how long a client may take to send
+// a request's headers, and how long an idle keep-alive connection is kept.
+// There is no write timeout: QueryTimeout already bounds a response.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // Config assembles a Server.
 type Config struct {
@@ -190,7 +202,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxQueryBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				ErrorResponse{Error: fmt.Sprintf("serve: query body exceeds %d bytes", MaxQueryBytes)})
+			return
+		}
 		writeError(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -419,7 +437,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.httpSrv = &http.Server{Handler: s.Handler()}
+	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	s.httpErrCh = make(chan error, 1)
 	go func() { s.httpErrCh <- s.httpSrv.Serve(ln) }()
 	return ln.Addr().String(), nil

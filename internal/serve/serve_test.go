@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -77,6 +78,45 @@ func decodeError(t *testing.T, resp *http.Response) ErrorResponse {
 		t.Fatal(err)
 	}
 	return er
+}
+
+// A /query body over MaxQueryBytes is refused with 413 before anything is
+// admitted, and the server goes on answering.
+func TestOversizeQueryBodyIs413(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := New(Config{Backend: &fakeBackend{}, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	url := "http://" + addr
+	if s.httpSrv.ReadHeaderTimeout <= 0 || s.httpSrv.IdleTimeout <= 0 {
+		t.Errorf("listener timeouts unset: read header %v, idle %v", s.httpSrv.ReadHeaderTimeout, s.httpSrv.IdleTimeout)
+	}
+
+	resp := postQuery(t, url, "", validQuery(t)+strings.Repeat(" ", MaxQueryBytes))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413", resp.StatusCode)
+	}
+	if er := decodeError(t, resp); !strings.Contains(er.Error, fmt.Sprint(MaxQueryBytes)) {
+		t.Errorf("413 body %q does not name the %d-byte limit", er.Error, MaxQueryBytes)
+	}
+	if got := reg.Counter("serve.admitted").Value(); got != 0 {
+		t.Errorf("serve.admitted = %d after a refused body, want 0", got)
+	}
+
+	resp = postQuery(t, url, "", validQuery(t))
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the refusal: status %d, want 200", resp.StatusCode)
+	}
+	if got := reg.Counter("serve.admitted").Value(); got != 1 {
+		t.Errorf("serve.admitted = %d, want 1", got)
+	}
 }
 
 // Queue-full shedding is deterministic: with one worker held and the
