@@ -5,7 +5,7 @@ FUZZTIME ?= 20s
 # under it so unrelated churn doesn't flake the gate).
 COVER_MIN ?= 80.0
 
-.PHONY: build test race vet fmt bench benchsmoke benchtest benchgate obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
+.PHONY: build test race vet fmt bench benchsmoke benchtest benchgate liverepeat obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,13 @@ benchtest:
 # the race detector (the parallel query pipeline is enabled by default, so
 # every test exercises the concurrent paths), then the benchmark's tests.
 check: fmt vet race benchtest
+
+# liverepeat runs the tests of the live pipeline (front end, dispatcher,
+# worker loop, crash recovery) ten times under the race detector: their
+# outcomes depend on goroutine timing, and it took that many repetitions to
+# find the flakes they once had. About 30 s on two cores.
+liverepeat:
+	$(GO) test -race -count=10 -run 'TestFrontend|TestLivePipelineEndToEnd|TestQueryProcessorCrashRecovery|TestFaultToleranceIndexerCrash|TestConcurrentQueriesOverLiveFleet|TestErrorQueryReportedThroughResponseQueue|TestDriverStepsOverForeignResponse' ./internal/core/
 
 # bench regenerates benchall_output.txt (untracked; see .gitignore) from
 # the full default-scale evaluation.

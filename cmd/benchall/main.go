@@ -7,29 +7,32 @@
 //	         [-exp table4,fig7,...|all] [-repeats N]
 //
 // Experiments: table4, fig7, fig8, table5, fig9, fig9detail, fig10,
-// table6, fig11, fig12, fig13, table7, table8, ablations, advisor, obs,
-// serve, mutate.
+// table6, fig11, fig12, fig13, table7, table8, ablations, advisor. A name
+// that is none of these (nor "all") exits 2 with the list.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cloud/ec2"
 	"repro/internal/core"
-	"repro/internal/index"
 )
+
+// experiments lists what -exp accepts besides "all".
+var experiments = []string{"table4", "fig7", "fig8", "table5", "fig9", "fig9detail", "fig10",
+	"table6", "fig11", "fig12", "fig13", "table7", "table8", "ablations", "advisor"}
 
 func main() {
 	scaleName := flag.String("scale", "default", "corpus scale: tiny, small or default")
 	docs := flag.Int("docs", 0, "override: number of documents")
 	docBytes := flag.Int("docbytes", 0, "override: approximate bytes per document")
-	exps := flag.String("exp", "all", "comma-separated experiments, or 'all': table4, fig7, fig8, table5, "+
-		"fig9, fig9detail, fig10, table6, fig11, fig12, fig13, table7, table8, ablations, advisor, obs, serve, mutate")
+	exps := flag.String("exp", "all", "comma-separated experiments, or 'all': "+strings.Join(experiments, ", "))
 	repeats := flag.Int("repeats", 16, "workload repetitions for figure 10")
 	flag.Parse()
 
@@ -55,7 +58,12 @@ func main() {
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(e)] = true
+		e = strings.TrimSpace(e)
+		if e != "all" && !slices.Contains(experiments, e) {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; valid: all, %s\n", e, strings.Join(experiments, ", "))
+			os.Exit(2)
+		}
+		want[e] = true
 	}
 	all := want["all"]
 	sel := func(name string) bool { return all || want[name] }
@@ -146,32 +154,6 @@ func main() {
 		if sel("table8") {
 			fmt.Println(bench.Table8(rows))
 		}
-	}
-	if sel("obs") {
-		rows, _, err := bench.RunObs(corpus)
-		check(err)
-		fmt.Println(bench.ObsTable(rows))
-	}
-	if sel("serve") {
-		// The serving ladder needs one indexed 2LUPI warehouse; reuse the
-		// env's when another experiment already built it.
-		var sw *core.Warehouse
-		if env != nil {
-			sw = env.Warehouse(bench.AccessPath(index.TwoLUPI.Name()))
-		} else {
-			sw, _, _, err = bench.BuildWarehouse(corpus, index.TwoLUPI, "", 8, ec2.Large)
-			check(err)
-		}
-		points, err := bench.RunServe(sw, 42, 4)
-		check(err)
-		fmt.Println(bench.ServeTable(points))
-	}
-	if sel("mutate") {
-		// The mixed read/write ladder builds its own mutable warehouses
-		// (one per arm) so compaction counters and billing stay isolated.
-		points, err := bench.RunMutate(corpus, 42, 4)
-		check(err)
-		fmt.Println(bench.MutateTable(points))
 	}
 	if sel("advisor") {
 		out, err := bench.RunAdvisorAccuracy(env, 2)

@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/cloud/ec2"
 	"repro/internal/core"
 	"repro/internal/index"
-	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -41,39 +39,3 @@ func BenchmarkProcessQuery(b *testing.B) { benchQuery(b, false) }
 // BenchmarkProcessQueryObs runs the same query with the span journal
 // enabled; compare against BenchmarkProcessQuery for the tracing overhead.
 func BenchmarkProcessQueryObs(b *testing.B) { benchQuery(b, true) }
-
-// The observability experiment: the table renders, covers both pipeline
-// sides, and the journal did not overflow.
-func TestObsExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shape test")
-	}
-	c, err := NewCorpus(Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, w, err := RunObs(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stages := map[string]bool{}
-	for _, r := range rows {
-		stages[r.Stage] = true
-		if r.Spans <= 0 {
-			t.Errorf("stage %s has no spans", r.Stage)
-		}
-	}
-	for _, want := range []string{obs.SpanIndexDoc, obs.SpanExtract, obs.SpanUpload,
-		obs.SpanQuery, obs.SpanProcess, obs.SpanLookup, obs.SpanIndexGet, obs.SpanEval, obs.SpanResults} {
-		if !stages[want] {
-			t.Errorf("stage %s missing from the table (got %v)", want, rows)
-		}
-	}
-	out := ObsTable(rows)
-	if !strings.Contains(out, "Observability") || !strings.Contains(out, obs.SpanLookup) {
-		t.Errorf("table incomplete:\n%s", out)
-	}
-	if w.Tracer() == nil {
-		t.Fatal("traced warehouse has no tracer")
-	}
-}

@@ -14,13 +14,18 @@
 //	      (13), evaluate, results to S3 (14), query response queue (15)
 //	front end: response (16) -> fetch results (17) -> return (18)
 //
-// The package offers both the live pipeline (StartIndexer /
-// StartQueryProcessor spawn workers that poll the queues, renew message
-// leases, and survive instance crashes through SQS redelivery) and
-// deterministic synchronous drivers (IndexCorpusOn, RunQueryOn) that the
-// experiment harness uses: they issue exactly the same service requests —
-// so metering and billing match the cost model — but schedule work
-// round-robin over the fleet for reproducible modeled times.
+// Every step exists once. The live pipeline runs them on goroutines:
+// StartIndexer / StartQueryProcessor spawn workers that poll the queues,
+// renew message leases and survive instance crashes through SQS redelivery
+// (one loop, runWorker, with a handler per module); SubmitQuery or a
+// Frontend — one dispatcher routing responses to many callers by query ID —
+// is the front end. The deterministic synchronous drivers the experiment
+// harness uses call the same steps inline: RunQueryOn is steps 7-18 on the
+// calling goroutine, so it issues exactly the same service requests — and
+// metering and billing match the cost model — while IndexCorpusOn schedules
+// documents round-robin over a fleet for reproducible modeled times. The
+// response queue is shared: a receiver consumes only the responses it
+// awaits and steps over the rest (DESIGN.md §5b).
 package core
 
 import (
@@ -28,7 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cloud/chaos"
@@ -124,7 +129,8 @@ type Config struct {
 	// CompressPaths front-codes LUP/2LUPI path lists in the index store
 	// (the improvement the paper's conclusion suggests).
 	CompressPaths bool
-	// Seed drives the UUID generator.
+	// Seed is read by nothing: index range keys are content-derived and
+	// Chaos carries its own seed. It stays because the benchmark module sets it.
 	Seed int64
 	// Ledger receives all metering; a fresh one is created when nil.
 	Ledger *meter.Ledger
@@ -152,8 +158,7 @@ type Config struct {
 	// keys are content-derived, so coalescing changes request packing
 	// only); billed BatchPut requests drop to the per-table floor of
 	// ceil(items/batch limit), and modeled upload time shrinks with them.
-	// Off by default: the per-document write path of the earlier PRs runs
-	// unchanged.
+	// Off by default.
 	BulkLoad bool
 	// BulkFlushDocs bounds how many loader messages a live indexing worker
 	// accumulates (holding their leases) before force-flushing its bulk
@@ -165,21 +170,14 @@ type Config struct {
 	// only real wall-clock time changes.
 	PipelineDepth int
 
-	// Obs is the metrics registry the warehouse records into; a fresh one
-	// is created when nil. Registry metrics are always on — they are plain
-	// atomic counters and mutex-guarded histograms, never service calls, so
-	// they change neither billing nor results.
-	Obs *obs.Registry
 	// Trace enables the pipeline span tracer. Spans diff the ledger and
-	// enter a bounded journal; like the registry they are side-effect-free,
-	// and their sequential IDs draw no randomness, so a traced run is
-	// byte-identical to an untraced one (the obs differential tests assert
-	// this). Off by default: span bookkeeping costs a ledger snapshot per
-	// span, which the hot query path should not pay unless asked.
+	// enter a bounded journal (obs.DefaultJournalCapacity, oldest dropped
+	// first); like the registry's always-on metrics they are side-effect-free
+	// and draw no randomness, so a traced run is byte-identical to an
+	// untraced one (the obs differential tests assert this). Off by default:
+	// a span costs a ledger snapshot, which the hot query path should not pay
+	// unless asked.
 	Trace bool
-	// TraceCapacity bounds the span journal (default
-	// obs.DefaultJournalCapacity); the oldest spans are dropped beyond it.
-	TraceCapacity int
 
 	// IndexShards hash-partitions every index table across that many
 	// physical partitions (kv.Sharded): each posting routes to the shard
@@ -289,9 +287,8 @@ type Warehouse struct {
 	store  kv.Store
 	queues queueService
 
-	// The unwrapped services, for inspection (dumps, queue lengths) and for
-	// the accessors that existing callers rely on; identical to the fields
-	// above when no chaos layer is configured.
+	// The unwrapped services, for inspection (dumps, queue lengths) and the
+	// accessors; identical to the fields above when no chaos layer is set.
 	baseFiles  *s3.Service
 	baseStore  kv.Store
 	baseQueues *sqs.Service
@@ -308,8 +305,7 @@ type Warehouse struct {
 	tracer *obs.Tracer // nil unless Config.Trace
 	met    coreMetrics
 
-	mu       sync.Mutex
-	querySeq int
+	querySeq atomic.Int64
 }
 
 // coreMetrics holds the warehouse's hot-path instruments, resolved once at
@@ -407,10 +403,7 @@ func New(cfg Config) (*Warehouse, error) {
 	}
 	baseFiles := s3.New(ledger)
 	baseQueues := sqs.New(ledger)
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	w := &Warehouse{
 		Strategy:      cfg.Strategy,
 		Perf:          cfg.Perf.withDefaults(),
@@ -440,7 +433,7 @@ func New(cfg Config) (*Warehouse, error) {
 		w.lookupOpts.Flight = w.flight
 	}
 	if cfg.Trace {
-		w.tracer = obs.NewTracer(ledger, cfg.TraceCapacity)
+		w.tracer = obs.NewTracer(ledger, 0)
 	}
 	if cfg.Chaos != nil {
 		// One injector drives all three wrappers, so a single seed fixes
@@ -675,12 +668,8 @@ func (w *Warehouse) DocumentURIs() ([]string, error) {
 // response queue.
 var ErrQueryFailed = errors.New("core: query processing failed")
 
-func (w *Warehouse) nextQueryID() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.querySeq++
-	return fmt.Sprintf("q-%06d", w.querySeq)
-}
+// nextQueryID is step 7: the ID a query's messages, result and spans carry.
+func (w *Warehouse) nextQueryID() string { return fmt.Sprintf("q-%06d", w.querySeq.Add(1)) }
 
 // PostingCache exposes the hot-key posting cache, or nil when disabled.
 func (w *Warehouse) PostingCache() *index.PostingCache { return w.cache }

@@ -2,20 +2,20 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cloud/ec2"
+	"repro/internal/cloud/sqs"
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
 )
 
-// This file implements the front end (steps 1-3, 7-8 and 16-18 of
-// Figure 1) and the live worker loops of the two modules. Workers poll
-// their queue, renew their message lease while working, and delete the
-// message only on success — so a crashed instance's work is redelivered to
-// another worker (the fault-tolerance mechanism of Section 3).
+// This file implements the front end's steps (1-3, 7-8 and 16-18 of
+// Figure 1) and the live workers of the two modules.
 
 // SubmitDocument stores a document in the file store and enqueues a
 // loading request (steps 1-3).
@@ -37,26 +37,83 @@ func (w *Warehouse) SubmitDocument(uri string, data []byte) error {
 	return err
 }
 
-// SubmitQuery enqueues a query (steps 7-8) and returns its identifier.
+// SubmitQuery enqueues a query (steps 7-8) and returns its identifier. The
+// response is for whoever collects it: a Frontend only routes the queries
+// submitted through it.
 func (w *Warehouse) SubmitQuery(queryText string, useIndex bool) (string, error) {
 	id := w.nextQueryID()
-	sp := w.tracer.Start(obs.SpanSubmitQuery)
+	if err := w.sendQuery(nil, id, queryText, useIndex); err != nil {
+		return "", err
+	}
+	return id, nil
+}
+
+// sendQuery is step 8: send the query message under the ID the caller drew.
+// The send's modeled time goes on a "submit.query" span, a root or a child
+// of parent, and is added to parent.
+func (w *Warehouse) sendQuery(parent *obs.Span, id, queryText string, useIndex bool) error {
+	sp := w.tracer.ChildOf(parent, obs.SpanSubmitQuery)
 	sp.SetAttr("id", id)
 	defer sp.End()
-	msg := queryMessage{ID: id, Query: queryText, Strategy: w.Strategy.Name(), NoIndex: !useIndex}
-	body, err := json.Marshal(msg)
-	if err != nil {
-		sp.SetError(err)
-		return "", err
-	}
+	body, _ := json.Marshal(queryMessage{ID: id, Query: queryText, Strategy: w.Strategy.Name(), NoIndex: !useIndex}) // strings and a bool: cannot fail
 	_, send, err := w.queues.Send(QueryQueue, string(body))
 	sp.SetModeled(send)
-	if err != nil {
-		sp.SetError(err)
-		return "", err
+	sp.SetError(err)
+	if err == nil {
+		parent.AddModeled(send)
+		w.met.submitQueries.Inc()
 	}
-	w.met.submitQueries.Inc()
-	return id, nil
+	return err
+}
+
+// readResponse decodes a received response message (step 16). A malformed
+// one is unroutable and is deleted, not bounced forever (ok is false).
+func (w *Warehouse) readResponse(m *sqs.Message) (resp responseMessage, ok bool) {
+	if err := json.Unmarshal([]byte(m.Body), &resp); err != nil {
+		w.queues.Delete(ResponseQueue, m.Receipt)
+		return resp, false
+	}
+	return resp, true
+}
+
+// stepOver is the routing rule for a response its receiver does not await:
+// it is another caller's, so it is never deleted, only re-leased briefly and
+// found again on a later pass. Releasing it outright would make the
+// oldest-first receive hand it straight back.
+func (w *Warehouse) stepOver(m *sqs.Message) {
+	w.queues.ChangeVisibility(ResponseQueue, m.Receipt, 100*time.Millisecond)
+}
+
+// collectResult is steps 16-18 for a response its receiver has claimed:
+// delete the message, then fetch and decode the result object and meter its
+// egress. The message goes first, so that a failing fetch cannot leave it
+// queued to be paired with a later query. The modeled time of the fetch and
+// of recv, the receive that delivered the message, goes on a "fetch.results"
+// span carrying the query's ID, parented like sendQuery's.
+func (w *Warehouse) collectResult(parent *obs.Span, resp responseMessage, receipt string, recv time.Duration) (res *engine.Result, err error) {
+	sp := w.tracer.ChildOf(parent, obs.SpanFetchResults)
+	sp.SetAttr("id", resp.ID)
+	modeled := recv
+	defer func() {
+		sp.SetError(err)
+		sp.SetModeled(modeled)
+		sp.End()
+		parent.AddModeled(modeled)
+	}()
+	if _, err = w.queues.Delete(ResponseQueue, receipt); err != nil {
+		return nil, err
+	}
+	if resp.Error != "" {
+		return nil, fmt.Errorf("%w: %s", ErrQueryFailed, resp.Error)
+	}
+	obj, get, err := w.files.Get(Bucket, resp.ResultKey)
+	if err != nil {
+		return nil, err
+	}
+	modeled += get
+	w.ledger.AddEgress(int64(len(obj.Data)))
+	sp.SetAttrInt("bytes", int64(len(obj.Data)))
+	return decodeResult(obj.Data)
 }
 
 // QueryOutcome is what the front end hands back to the user.
@@ -74,81 +131,46 @@ type Worker struct {
 	crashed chan struct{}
 	done    sync.WaitGroup
 
-	mu          sync.Mutex
-	processed   int
-	failures    int
-	redelivered int
+	processed, failures, redelivered atomic.Int64
 }
 
 // Processed reports how many messages the worker completed.
-func (wk *Worker) Processed() int {
-	wk.mu.Lock()
-	defer wk.mu.Unlock()
-	return wk.processed
-}
+func (wk *Worker) Processed() int { return int(wk.processed.Load()) }
 
 // Failures reports how many messages the worker failed on.
-func (wk *Worker) Failures() int {
-	wk.mu.Lock()
-	defer wk.mu.Unlock()
-	return wk.failures
-}
+func (wk *Worker) Failures() int { return int(wk.failures.Load()) }
 
 // Redeliveries reports how many of the worker's received messages were
 // redeliveries (receive count above one) — deliveries absorbed by the
 // idempotent write path after crashes, lease expiries or duplicate
 // delivery.
-func (wk *Worker) Redeliveries() int {
-	wk.mu.Lock()
-	defer wk.mu.Unlock()
-	return wk.redelivered
-}
-
-// noteReceive records a delivery; redeliveries also bump the given
-// registry counter (nil-safe).
-func (wk *Worker) noteReceive(receiveCount int, redeliveries *obs.Counter) {
-	if receiveCount > 1 {
-		wk.mu.Lock()
-		wk.redelivered++
-		wk.mu.Unlock()
-		redeliveries.Inc()
-	}
-}
+func (wk *Worker) Redeliveries() int { return int(wk.redelivered.Load()) }
 
 // Stop drains the worker gracefully: it finishes (and acknowledges) its
 // current message, then exits.
-func (wk *Worker) Stop() {
-	select {
-	case <-wk.stop:
-	default:
-		close(wk.stop)
-	}
-	wk.done.Wait()
-}
+func (wk *Worker) Stop() { shutDown(wk.stop, &wk.done) }
 
 // Crash kills the worker abruptly: its current message is neither finished
 // nor deleted, so the lease will expire and another worker takes over.
-func (wk *Worker) Crash() {
-	select {
-	case <-wk.crashed:
-	default:
-		close(wk.crashed)
-	}
-	wk.done.Wait()
-}
+func (wk *Worker) Crash() { shutDown(wk.crashed, &wk.done) }
 
-func newWorker(in *ec2.Instance) *Worker {
-	return &Worker{Instance: in, stop: make(chan struct{}), crashed: make(chan struct{})}
+// shutDown closes a stop signal, unless it is closed already, and waits for
+// the goroutine that watches it.
+func shutDown(signal chan struct{}, done *sync.WaitGroup) {
+	select {
+	case <-signal:
+	default:
+		close(signal)
+	}
+	done.Wait()
 }
 
 func (wk *Worker) stopped() bool {
 	select {
 	case <-wk.stop:
 		return true
-	case <-wk.crashed:
-		return true
 	default:
-		return false
+		return wk.crashedNow()
 	}
 }
 
@@ -174,70 +196,118 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	return o
 }
 
+// settlement is how a live worker's message ended: processed, failed, or
+// dropped — not acknowledged (a crash, a lost lease, a response that could
+// not be posted), so that another delivery settles it and this one counts
+// as neither.
+type settlement uint8
+
+const (
+	dropped settlement = iota
+	processed
+	failed
+)
+
+// noteSettled counts a settled message on the worker and in the registry.
+func (w *Warehouse) noteSettled(wk *Worker, s settlement) {
+	switch s {
+	case processed:
+		wk.processed.Add(1)
+		w.met.workerProcessed.Inc()
+	case failed:
+		wk.failures.Add(1)
+		w.met.workerFailures.Inc()
+	}
+}
+
+// startWorker runs a live worker's loop on its own goroutine; Stop and Crash
+// wait for it to return.
+func startWorker(in *ec2.Instance, run func(wk *Worker)) *Worker {
+	wk := &Worker{Instance: in, stop: make(chan struct{}), crashed: make(chan struct{})}
+	wk.done.Add(1)
+	go func() {
+		defer wk.done.Done()
+		run(wk)
+	}()
+	return wk
+}
+
+// lease is how every live loop takes its next message: one long poll, a
+// redelivery counted on the worker and in the registry, the lease renewed
+// from here on (release stops that and reports whether the worker has
+// crashed), WorkDelay sat out. msg is nil when the poll came back empty.
+func (w *Warehouse) lease(wk *Worker, queue string, opts WorkerOptions) (msg *sqs.Message, rtt time.Duration, release func() (crashed bool)) {
+	msg, rtt, err := w.queues.ReceiveWait(queue, opts.Visibility, opts.Poll)
+	if err != nil || msg == nil {
+		return nil, 0, nil
+	}
+	if msg.ReceiveCount > 1 {
+		wk.redelivered.Add(1)
+		w.met.workerRedeliveries.Inc()
+	}
+	release = w.renewLease(wk, queue, msg.Receipt, opts.Visibility)
+	if opts.WorkDelay > 0 {
+		time.Sleep(opts.WorkDelay)
+	}
+	return msg, rtt, release
+}
+
+// runWorker is the live loop of both modules: lease a message, let handle
+// work on it, count how handle settled it. handle does the module's job,
+// calls release and only then, unless crashed, acknowledges the message;
+// rtt is the receive's modeled time. Only a successful handle deletes a
+// message, so a crashed or failing instance's work is redelivered to another
+// worker once its lease lapses (the fault-tolerance mechanism of Section 3).
+func (w *Warehouse) runWorker(wk *Worker, queue string, opts WorkerOptions,
+	handle func(msg *sqs.Message, rtt time.Duration, release func() (crashed bool)) settlement) {
+	for !wk.stopped() {
+		msg, rtt, release := w.lease(wk, queue, opts)
+		if msg == nil {
+			continue
+		}
+		if wk.crashedNow() {
+			release()
+			return
+		}
+		w.noteSettled(wk, handle(msg, rtt, release))
+	}
+}
+
 // StartIndexer launches the indexing module on an instance (steps 4-6).
 // With Config.BulkLoad set, the worker accumulates a group of loader
 // messages (holding all their leases) and ships their items through a
 // cross-document bulk loader; see bulkIndexerLoop.
 func (w *Warehouse) StartIndexer(in *ec2.Instance, opts WorkerOptions) *Worker {
 	opts = opts.withDefaults()
-	wk := newWorker(in)
-	wk.done.Add(1)
-	go func() {
-		defer wk.done.Done()
+	return startWorker(in, func(wk *Worker) {
 		w.store.RegisterClient()
 		defer w.store.UnregisterClient()
 		if w.bulkLoad {
 			w.bulkIndexerLoop(wk, in, opts)
 			return
 		}
-		for !wk.stopped() {
-			msg, rtt, err := w.queues.ReceiveWait(LoaderQueue, opts.Visibility, opts.Poll)
-			if err != nil || msg == nil {
-				continue
-			}
-			wk.noteReceive(msg.ReceiveCount, w.met.workerRedeliveries)
+		w.runWorker(wk, LoaderQueue, opts, func(msg *sqs.Message, rtt time.Duration, release func() bool) settlement {
 			dsp := w.tracer.Start(obs.SpanIndexDoc)
 			dsp.SetAttr("uri", msg.Body)
-			stopRenew := w.renewLease(wk, LoaderQueue, msg.Receipt, opts.Visibility)
-			if opts.WorkDelay > 0 {
-				time.Sleep(opts.WorkDelay)
-			}
-			if wk.crashedNow() {
-				stopRenew()
-				dsp.End()
-				return
-			}
+			defer dsp.End()
 			res, err := w.indexDocument(in, msg.Body, dsp)
-			stopRenew()
-			if wk.crashedNow() {
-				dsp.End()
-				return
+			if release() {
+				return dropped
 			}
 			if err != nil {
 				dsp.SetError(err)
-				dsp.End()
-				wk.mu.Lock()
-				wk.failures++
-				wk.mu.Unlock()
-				w.met.workerFailures.Inc()
-				continue // lease will expire; the message is retried
+				return failed // not deleted: the lease expires and the message is retried
 			}
 			if _, err := w.queues.Delete(LoaderQueue, msg.Receipt); err != nil {
 				// Lease lost: another worker owns the message now; our
 				// index writes are idempotent at the entry level.
-				dsp.End()
-				continue
+				return dropped
 			}
 			in.Run(rtt + res.ExtractTime + res.UploadTime)
 			dsp.SetModeled(rtt + res.ExtractTime + res.UploadTime)
-			dsp.End()
-			wk.mu.Lock()
-			wk.processed++
-			wk.mu.Unlock()
-			w.met.workerProcessed.Inc()
-		}
-	}()
-	return wk
+			return processed
+		})
+	})
 }
 
 // heldMessage is one loader message a bulk indexing worker is sitting on:
@@ -248,7 +318,7 @@ type heldMessage struct {
 	rtt       time.Duration
 	res       IndexTaskResult
 	span      *obs.Span // index.doc root; ended at settle or abandon
-	stopRenew func()
+	stopRenew func() bool
 	settled   bool // deleted (or given up on) before the group flush
 }
 
@@ -308,10 +378,7 @@ func (w *Warehouse) bulkIndexerLoop(wk *Worker, in *ec2.Instance, opts WorkerOpt
 			in.Run(h.rtt + h.res.ExtractTime + dl.Upload)
 			h.span.SetModeled(h.rtt + h.res.ExtractTime + dl.Upload)
 			h.span.End()
-			wk.mu.Lock()
-			wk.processed++
-			wk.mu.Unlock()
-			w.met.workerProcessed.Inc()
+			w.noteSettled(wk, processed)
 		}
 	}
 	abandon := func() {
@@ -319,10 +386,7 @@ func (w *Warehouse) bulkIndexerLoop(wk *Worker, in *ec2.Instance, opts WorkerOpt
 			if !h.settled {
 				h.stopRenew()
 				h.span.End()
-				wk.mu.Lock()
-				wk.failures++
-				wk.mu.Unlock()
-				w.met.workerFailures.Inc()
+				w.noteSettled(wk, failed)
 			}
 		}
 		reset()
@@ -352,21 +416,13 @@ func (w *Warehouse) bulkIndexerLoop(wk *Worker, in *ec2.Instance, opts WorkerOpt
 		}
 	}()
 	for !wk.stopped() {
-		msg, rtt, err := w.queues.ReceiveWait(LoaderQueue, opts.Visibility, opts.Poll)
-		if err != nil {
-			continue
-		}
+		msg, rtt, stopRenew := w.lease(wk, LoaderQueue, opts)
 		if msg == nil {
 			flushGroup() // idle: do not sit on held leases
 			continue
 		}
-		wk.noteReceive(msg.ReceiveCount, w.met.workerRedeliveries)
 		dsp := w.tracer.Start(obs.SpanIndexDoc)
 		dsp.SetAttr("uri", msg.Body)
-		stopRenew := w.renewLease(wk, LoaderQueue, msg.Receipt, opts.Visibility)
-		if opts.WorkDelay > 0 {
-			time.Sleep(opts.WorkDelay)
-		}
 		if wk.crashedNow() {
 			stopRenew()
 			dsp.End()
@@ -382,10 +438,7 @@ func (w *Warehouse) bulkIndexerLoop(wk *Worker, in *ec2.Instance, opts WorkerOpt
 			stopRenew()
 			dsp.SetError(err)
 			dsp.End()
-			wk.mu.Lock()
-			wk.failures++
-			wk.mu.Unlock()
-			w.met.workerFailures.Inc()
+			w.noteSettled(wk, failed)
 			continue // lease will expire; the message is retried
 		}
 		group = append(group, &heldMessage{receipt: msg.Receipt, rtt: rtt, res: res, span: dsp, stopRenew: stopRenew})
@@ -408,70 +461,23 @@ func (w *Warehouse) bulkIndexerLoop(wk *Worker, in *ec2.Instance, opts WorkerOpt
 }
 
 // StartQueryProcessor launches the query-processor module on an instance
-// (steps 9-15).
+// (steps 9-15); the queue round trips are not charged to the instance.
 func (w *Warehouse) StartQueryProcessor(in *ec2.Instance, opts WorkerOptions) *Worker {
 	opts = opts.withDefaults()
-	wk := newWorker(in)
-	wk.done.Add(1)
-	go func() {
-		defer wk.done.Done()
-		for !wk.stopped() {
-			msg, _, err := w.queues.ReceiveWait(QueryQueue, opts.Visibility, opts.Poll)
-			if err != nil || msg == nil {
-				continue
+	return startWorker(in, func(wk *Worker) {
+		w.runWorker(wk, QueryQueue, opts, func(msg *sqs.Message, _ time.Duration, release func() bool) settlement {
+			root := w.tracer.Start(obs.SpanQuery)
+			resp, _ := w.answerQuery(in, msg.Body, root, nil)
+			root.End()
+			if release() || w.postResponse(resp, msg.Receipt) != nil {
+				return dropped
 			}
-			wk.noteReceive(msg.ReceiveCount, w.met.workerRedeliveries)
-			stopRenew := w.renewLease(wk, QueryQueue, msg.Receipt, opts.Visibility)
-			if opts.WorkDelay > 0 {
-				time.Sleep(opts.WorkDelay)
-			}
-			if wk.crashedNow() {
-				stopRenew()
-				return
-			}
-			var qm queryMessage
-			var resp responseMessage
-			if err := json.Unmarshal([]byte(msg.Body), &qm); err != nil {
-				resp = responseMessage{Error: err.Error()}
-			} else {
-				resp.ID = qm.ID
-				root := w.tracer.Start(obs.SpanQuery)
-				root.SetAttr("id", qm.ID)
-				if _, stats, err := w.processQuery(in, qm, root); err != nil {
-					resp.Error = err.Error()
-					root.SetError(err)
-				} else {
-					resp.ResultKey = resultsPrefix + qm.ID
-					root.SetModeled(stats.ResponseTime)
-				}
-				root.End()
-			}
-			stopRenew()
-			if wk.crashedNow() {
-				return
-			}
-			body, _ := json.Marshal(resp)
-			if _, _, err := w.queues.Send(ResponseQueue, string(body)); err != nil {
-				continue
-			}
-			if _, err := w.queues.Delete(QueryQueue, msg.Receipt); err != nil {
-				continue
-			}
-			wk.mu.Lock()
 			if resp.Error != "" {
-				wk.failures++
-			} else {
-				wk.processed++
+				return failed // answered and consumed all the same
 			}
-			wk.mu.Unlock()
-			if resp.Error != "" {
-				w.met.workerFailures.Inc()
-			} else {
-				w.met.workerProcessed.Inc()
-			}
-		}
-	}()
-	return wk
+			return processed
+		})
+	})
 }
 
 func (wk *Worker) crashedNow() bool {
@@ -485,8 +491,8 @@ func (wk *Worker) crashedNow() bool {
 
 // renewLease keeps a message invisible while the worker processes it,
 // renewing at half the visibility period. The returned function stops the
-// renewal loop.
-func (w *Warehouse) renewLease(wk *Worker, queue, receipt string, visibility time.Duration) func() {
+// renewal loop and reports whether the worker has crashed.
+func (w *Warehouse) renewLease(wk *Worker, queue, receipt string, visibility time.Duration) func() (crashed bool) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -509,10 +515,11 @@ func (w *Warehouse) renewLease(wk *Worker, queue, receipt string, visibility tim
 		}
 	}()
 	var once sync.Once
-	return func() {
+	return func() bool {
 		once.Do(func() {
 			close(stop)
 			wg.Wait()
 		})
+		return wk.crashedNow()
 	}
 }

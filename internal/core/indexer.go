@@ -215,7 +215,7 @@ func (w *Warehouse) perDocIndexLoop(fleet []*ec2.Instance, report *IndexReport, 
 			w.nackLoaderMessage(msg.Receipt)
 			return fmt.Errorf("core: indexing %s: %w", msg.Body, err)
 		}
-		drtt, err := w.deleteLoaderMessage(msg.Receipt)
+		drtt, err := w.queues.Delete(LoaderQueue, msg.Receipt)
 		if err != nil {
 			dsp.SetError(err)
 			dsp.End()
@@ -352,7 +352,7 @@ func (w *Warehouse) bulkIndexLoop(fleet []*ec2.Instance, report *IndexReport, pe
 			usp.SetModeled(dl.Upload)
 			usp.End()
 			w.met.indexUpload.ObserveModeled(dl.Upload)
-			drtt, err := w.deleteLoaderMessage(fl.t.msg.Receipt)
+			drtt, err := w.queues.Delete(LoaderQueue, fl.t.msg.Receipt)
 			if err != nil {
 				fl.t.span.SetError(err)
 				fl.t.span.End()
@@ -430,10 +430,6 @@ func (w *Warehouse) bulkIndexLoop(fleet []*ec2.Instance, report *IndexReport, pe
 		}
 	}
 	return nil
-}
-
-func (w *Warehouse) deleteLoaderMessage(receipt string) (time.Duration, error) {
-	return w.queues.Delete(LoaderQueue, receipt)
 }
 
 // nackLoaderMessage releases a leased loader message back to visible. A

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cloud/ec2"
 	"repro/internal/index"
@@ -160,6 +161,101 @@ func TestTracedSpanTree(t *testing.T) {
 		if !strings.Contains(tree, want) {
 			t.Errorf("FormatTree output missing %q:\n%s", want, tree)
 		}
+	}
+}
+
+// TestIndexingSpanTree is TestTracedSpanTree's sibling for the write side:
+// under the per-document and the bulk driver alike, every document is one
+// root index.doc span naming its URI, with an extract and an upload child
+// that carry modeled time.
+func TestIndexingSpanTree(t *testing.T) {
+	docs := obsTestCorpus()
+	for _, bulk := range []bool{false, true} {
+		w, _ := indexCorpus(t, Config{Strategy: index.TwoLUPI, Trace: true, BulkLoad: bulk}, 2, docs)
+		roots := map[int64]string{} // index.doc span ID -> URI
+		children := map[string]map[string]int{}
+		spans := w.Tracer().Spans()
+		for _, r := range spans {
+			if r.Name == obs.SpanIndexDoc {
+				if r.Parent != 0 || r.Modeled <= 0 || r.Err != "" {
+					t.Errorf("bulk=%v: %s span %+v, want a clean root with modeled time", bulk, obs.SpanIndexDoc, r)
+				}
+				roots[r.ID] = r.Attr("uri")
+				children[r.Attr("uri")] = map[string]int{}
+			}
+		}
+		for _, r := range spans {
+			if uri, ok := roots[r.Parent]; ok {
+				children[uri][r.Name]++
+				if r.Modeled <= 0 {
+					t.Errorf("bulk=%v: %s of %s has no modeled time", bulk, r.Name, uri)
+				}
+			}
+		}
+		if len(children) != len(docs) {
+			t.Errorf("bulk=%v: %d documents traced, want %d", bulk, len(children), len(docs))
+		}
+		for _, d := range docs {
+			if got := children[d.URI]; len(got) != 2 || got[obs.SpanExtract] != 1 || got[obs.SpanUpload] != 1 {
+				t.Errorf("bulk=%v: %s has children %v, want one %s and one %s", bulk, d.URI, got, obs.SpanExtract, obs.SpanUpload)
+			}
+		}
+	}
+}
+
+// TestServedSpanTree is the live side of TestTracedSpanTree: a query through
+// Frontend.Do and a live processor leaves three trees under its ID — the
+// front end's submit.query, the processor's query → process → ..., and the
+// dispatcher's fetch.results (steps 16-18) — so Tracer.QuerySpans shows the
+// whole round trip.
+func TestServedSpanTree(t *testing.T) {
+	w, _ := indexCorpus(t, Config{Strategy: index.TwoLUPI, Trace: true}, 2, obsTestCorpus())
+	qp := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), WorkerOptions{})
+	defer qp.Stop()
+	fe := NewFrontend(w)
+	defer fe.Close()
+	out, err := fe.Do(workload.XMark()[2].Text, true, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+
+	spans := w.Tracer().QuerySpans(out.ID)
+	byName := map[string]obs.SpanRecord{}
+	byID := map[int64]obs.SpanRecord{}
+	for _, r := range spans {
+		byName[r.Name] = r
+		byID[r.ID] = r
+	}
+	for _, name := range []string{obs.SpanSubmitQuery, obs.SpanQuery, obs.SpanFetchResults} {
+		r, ok := byName[name]
+		if !ok {
+			t.Errorf("no %s span for query %s (got %v)", name, out.ID, spans)
+			continue
+		}
+		if r.Parent != 0 || r.Attr("id") != out.ID || r.Modeled <= 0 {
+			t.Errorf("%s span %+v, want a root carrying id %s and modeled time", name, r, out.ID)
+		}
+	}
+	for name, parent := range map[string]string{
+		obs.SpanProcess: obs.SpanQuery,
+		obs.SpanLookup:  obs.SpanProcess,
+		obs.SpanEval:    obs.SpanProcess,
+		obs.SpanResults: obs.SpanProcess,
+	} {
+		r, ok := byName[name]
+		if !ok {
+			t.Errorf("span %s missing from the tree", name)
+			continue
+		}
+		if got := byID[r.Parent].Name; got != parent {
+			t.Errorf("span %s nested under %q, want %q", name, got, parent)
+		}
+	}
+	if got, want := byName[obs.SpanFetchResults].Attr("bytes"), strconv.FormatInt(int64(len(encodeResult(out.Result))), 10); got != want {
+		t.Errorf("%s fetched %s bytes, the result encodes to %s", obs.SpanFetchResults, got, want)
 	}
 }
 

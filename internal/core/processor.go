@@ -21,7 +21,8 @@ import (
 // This file implements the query processor module (steps 9-15 of Figure 1):
 // retrieve a query message, look up the index, fetch the candidate
 // documents from the file store, evaluate the query with the local engine,
-// write the results to the file store and post a response message.
+// write the results to the file store and post a response message — and the
+// synchronous driver that runs the whole query side inline.
 
 // queryMessage is the payload of the query request queue.
 type queryMessage struct {
@@ -72,23 +73,47 @@ type QueryStats struct {
 	Lookup index.LookupStats
 }
 
-// processQuery executes one query message on one instance and returns the
-// result rows plus statistics. It performs the exact service calls of
-// Figure 1's steps 10-14; the modeled time is scheduled on the instance.
-// When tracing is on, the work is recorded as a "process" span under parent
-// (nil parent roots it), with lookup/eval/results children; parent may
-// always be nil, and every span operation degrades to a no-op when the
-// tracer is off.
-func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs.Span) (res *engine.Result, stats QueryStats, err error) {
-	return w.processQueryView(in, msg, parent, nil)
+// answerQuery is steps 9-14 for one received query message: decode it,
+// process it on the instance and build the response for step 15. root is the
+// caller's "query" span, which learns the ID here (a live processor cannot
+// know it sooner). A message that does not decode gets an ID-less error
+// response, so that it is consumed instead of redelivered forever.
+func (w *Warehouse) answerQuery(in *ec2.Instance, body string, root *obs.Span, view *mutate.View) (responseMessage, QueryStats) {
+	var msg queryMessage
+	if err := json.Unmarshal([]byte(body), &msg); err != nil {
+		root.SetError(err)
+		return responseMessage{Error: err.Error()}, QueryStats{}
+	}
+	root.SetAttr("id", msg.ID)
+	stats, err := w.processQuery(in, msg, root, view)
+	root.AddModeled(stats.ResponseTime)
+	if err != nil {
+		root.SetError(err)
+		return responseMessage{ID: msg.ID, Error: err.Error()}, stats
+	}
+	return responseMessage{ID: msg.ID, ResultKey: resultsPrefix + msg.ID}, stats
 }
 
-// processQueryView is processQuery pinned to an explicit snapshot view.
-// On a mutable corpus a nil view pins the current version at admission and
-// releases it when the query settles; every index look-up and document
-// fetch of the query then sees that one consistent corpus version, no
-// matter how much indexing churn or compaction runs concurrently.
-func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent *obs.Span, view *mutate.View) (res *engine.Result, stats QueryStats, err error) {
+// postResponse is step 15: post the response, then delete the query message
+// it answers. Neither call is charged to an instance.
+func (w *Warehouse) postResponse(resp responseMessage, receipt string) error {
+	body, _ := json.Marshal(resp) // two strings: cannot fail
+	if _, _, err := w.queues.Send(ResponseQueue, string(body)); err != nil {
+		return err
+	}
+	_, err := w.queues.Delete(QueryQueue, receipt)
+	return err
+}
+
+// processQuery executes one query message on one instance: the exact
+// service calls of Figure 1's steps 10-14, the modeled time scheduled on the
+// instance, the result written to the file store under the query's ID. A
+// nil view on a mutable corpus pins the current version at admission and
+// releases it when the query settles, so that every look-up and document
+// fetch of the query sees one consistent corpus version whatever indexing
+// churn or compaction runs concurrently. When tracing is on, the work is a
+// "process" span under parent, with lookup/eval/results children.
+func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs.Span, view *mutate.View) (stats QueryStats, err error) {
 	stats = QueryStats{ID: msg.ID, Strategy: msg.Strategy}
 	if msg.NoIndex {
 		stats.Strategy = "none"
@@ -97,7 +122,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 		view = w.corpus.Pin()
 		defer view.Release()
 	}
-	sp := w.tracer.ChildOf(parent, obs.SpanProcess)
+	sp := parent.Child(obs.SpanProcess)
 	sp.SetAttr("id", msg.ID)
 	wallStart := time.Now()
 	defer func() {
@@ -113,7 +138,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 	}()
 	q, err := ParseQueryText(msg.Query)
 	if err != nil {
-		return nil, stats, err
+		return stats, err
 	}
 
 	in.TL.Level()
@@ -131,7 +156,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 			var err error
 			uris, err = w.DocumentURIs()
 			if err != nil {
-				return nil, stats, err
+				return stats, err
 			}
 		}
 		perPattern = make([][]string, len(q.Patterns))
@@ -153,7 +178,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 		if err != nil {
 			lsp.SetError(err)
 			lsp.End()
-			return nil, stats, err
+			return stats, err
 		}
 		perPattern = sets
 		stats.GetOps = lst.GetOps
@@ -206,7 +231,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 		if r.err != nil {
 			esp.SetError(r.err)
 			esp.End()
-			return nil, stats, r.err
+			return stats, r.err
 		}
 		docs[uris[i]] = r.doc
 		scanned += int64(r.doc.NodesScanned())
@@ -222,7 +247,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 		// never let a cancelled pool pass silently.
 		esp.SetError(ferr)
 		esp.End()
-		return nil, stats, ferr
+		return stats, ferr
 	}
 	docSets := make([][]*xmltree.Document, len(perPattern))
 	for i, us := range perPattern {
@@ -234,7 +259,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 	if err != nil {
 		esp.SetError(err)
 		esp.End()
-		return nil, stats, err
+		return stats, err
 	}
 	stats.ResultRows = len(result.Rows)
 	stats.ResultBytes = result.Bytes()
@@ -256,7 +281,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 	if err != nil {
 		rsp.SetError(err)
 		rsp.End()
-		return nil, stats, err
+		return stats, err
 	}
 	in.RunOn(0, putDur)
 	rsp.SetModeled(putDur)
@@ -265,7 +290,7 @@ func (w *Warehouse) processQueryView(in *ec2.Instance, msg queryMessage, parent 
 
 	in.TL.Level()
 	stats.ResponseTime = in.TL.Elapsed() - t0
-	return result, stats, nil
+	return stats, nil
 }
 
 // fetchedDoc is the outcome of one step-13 task: the parsed document plus
@@ -415,13 +440,15 @@ func decodeResult(data []byte) (*engine.Result, error) {
 	return &r, nil
 }
 
-// RunQueryOn executes one query synchronously on one instance, issuing the
-// very same queue/store requests as the live pipeline: the front end sends
-// the query message (step 8), the processor receives it (9), processes it
-// (10-14), posts the response (15) and deletes the query message; the front
-// end then receives the response (16), fetches the results (17), returns
-// them (18) and deletes the response message. useIndex=false is the
-// "no index" baseline of Section 8.
+// RunQueryOn executes one query synchronously on one instance: the live
+// pipeline's own steps called inline, hence the very same queue/store
+// requests. The front end sends the query message (sendQuery, steps 7-8);
+// the processor receives it (9), answers it (answerQuery, 10-14) and posts
+// the response (postResponse, 15); the front end receives the response (16)
+// and collects the result (collectResult, 17-18). The driver only adds the
+// schedule: non-waiting receives, the query receive's round trip charged to
+// the instance's coordinating core, one "query" span over the round trip.
+// useIndex=false is the "no index" baseline of Section 8.
 func (w *Warehouse) RunQueryOn(in *ec2.Instance, queryText string, useIndex bool) (*engine.Result, QueryStats, error) {
 	return w.runQueryView(in, queryText, useIndex, nil)
 }
@@ -438,20 +465,10 @@ func (w *Warehouse) RunQueryOnView(in *ec2.Instance, queryText string, view *mut
 func (w *Warehouse) runQueryView(in *ec2.Instance, queryText string, useIndex bool, view *mutate.View) (*engine.Result, QueryStats, error) {
 	id := w.nextQueryID()
 	root := w.tracer.Start(obs.SpanQuery)
-	root.SetAttr("id", id)
 	defer root.End()
-	msg := queryMessage{ID: id, Query: queryText, Strategy: w.Strategy.Name(), NoIndex: !useIndex}
-	body, _ := json.Marshal(msg)
-	ssp := root.Child(obs.SpanSubmitQuery)
-	_, sendDur, err := w.queues.Send(QueryQueue, string(body))
-	ssp.SetModeled(sendDur)
-	ssp.SetError(err)
-	ssp.End()
-	if err != nil {
+	if err := w.sendQuery(root, id, queryText, useIndex); err != nil {
 		return nil, QueryStats{}, err
 	}
-	w.met.submitQueries.Inc()
-	root.AddModeled(sendDur)
 	got, rtt, err := w.queues.Receive(QueryQueue, 10*time.Minute)
 	if err != nil {
 		return nil, QueryStats{}, err
@@ -461,66 +478,28 @@ func (w *Warehouse) runQueryView(in *ec2.Instance, queryText string, useIndex bo
 	}
 	in.RunOn(0, rtt)
 	root.AddModeled(rtt)
-	var parsed queryMessage
-	if err := json.Unmarshal([]byte(got.Body), &parsed); err != nil {
-		return nil, QueryStats{}, err
-	}
-
-	_, stats, perr := w.processQueryView(in, parsed, root, view)
-	root.AddModeled(stats.ResponseTime)
-	resp := responseMessage{ID: parsed.ID}
-	if perr != nil {
-		resp.Error = perr.Error()
-	} else {
-		resp.ResultKey = resultsPrefix + parsed.ID
-	}
-	rbody, _ := json.Marshal(resp)
-	if _, _, err := w.queues.Send(ResponseQueue, string(rbody)); err != nil {
+	answer, stats := w.answerQuery(in, got.Body, root, view)
+	if err := w.postResponse(answer, got.Receipt); err != nil {
 		return nil, stats, err
 	}
-	if _, err := w.queues.Delete(QueryQueue, got.Receipt); err != nil {
-		return nil, stats, err
-	}
-	if perr != nil {
-		root.SetError(perr)
-		// Consume the error response as the front end would; leaving it
-		// queued would pair it with the NEXT query's fetch and poison every
-		// later answer on this warehouse.
-		if rm, _, err := w.queues.Receive(ResponseQueue, time.Minute); err == nil && rm != nil {
-			w.queues.Delete(ResponseQueue, rm.Receipt)
+	for {
+		m, frtt, err := w.queues.Receive(ResponseQueue, time.Minute)
+		if err != nil {
+			return nil, stats, err
 		}
-		return nil, stats, fmt.Errorf("%w: %v", ErrQueryFailed, perr)
+		if m == nil {
+			return nil, stats, fmt.Errorf("core: no response for query %s", id)
+		}
+		resp, ok := w.readResponse(m)
+		if !ok {
+			continue
+		}
+		if resp.ID != id {
+			// Another caller's: a query submitted live and not collected yet.
+			w.stepOver(m)
+			continue
+		}
+		res, err := w.collectResult(root, resp, m.Receipt, frtt)
+		return res, stats, err
 	}
-
-	// Front-end side (steps 16-18).
-	fsp := root.Child(obs.SpanFetchResults)
-	bail := func(err error) error { fsp.SetError(err); fsp.End(); return err }
-	rm, frtt, err := w.queues.Receive(ResponseQueue, time.Minute)
-	if err != nil {
-		return nil, stats, bail(err)
-	}
-	if rm == nil {
-		return nil, stats, bail(fmt.Errorf("core: response message missing"))
-	}
-	var response responseMessage
-	if err := json.Unmarshal([]byte(rm.Body), &response); err != nil {
-		return nil, stats, bail(err)
-	}
-	obj, getDur, err := w.files.Get(Bucket, response.ResultKey)
-	if err != nil {
-		return nil, stats, bail(err)
-	}
-	w.ledger.AddEgress(int64(len(obj.Data)))
-	if _, err := w.queues.Delete(ResponseQueue, rm.Receipt); err != nil {
-		return nil, stats, bail(err)
-	}
-	final, err := decodeResult(obj.Data)
-	if err != nil {
-		return nil, stats, bail(err)
-	}
-	fsp.SetModeled(frtt + getDur)
-	fsp.SetAttrInt("bytes", int64(len(obj.Data)))
-	fsp.End()
-	root.AddModeled(frtt + getDur)
-	return final, stats, nil
 }

@@ -463,20 +463,6 @@ func TestSimpleDBIndexLargerThanDynamo(t *testing.T) {
 	}
 }
 
-func TestUUIDGen(t *testing.T) {
-	g := NewUUIDGen(7)
-	a, b := g.Next(), g.Next()
-	if a == b {
-		t.Error("consecutive UUIDs equal")
-	}
-	if len(a) != 36 || a[14] != '4' {
-		t.Errorf("malformed UUID %q", a)
-	}
-	if NewUUIDGen(7).Next() != a {
-		t.Error("UUIDGen not deterministic per seed")
-	}
-}
-
 func TestStrategyNames(t *testing.T) {
 	for _, s := range All() {
 		got, err := ByName(s.Name())

@@ -72,20 +72,6 @@ func (s *LookupStats) add(o LookupStats) {
 	s.CoalescedKeys += o.CoalescedKeys
 }
 
-// statsFromRead folds a ReadKeys summary into look-up statistics.
-func statsFromRead(rs ReadStats) LookupStats {
-	return LookupStats{
-		GetOps:         rs.GetOps,
-		GetTime:        rs.GetTime,
-		BytesFetched:   rs.Bytes,
-		CacheHits:      rs.CacheHits,
-		CacheMisses:    rs.CacheMisses,
-		CacheEvictions: rs.CacheEvictions,
-		StoreRetries:   rs.StoreRetries,
-		CoalescedKeys:  rs.CoalescedKeys,
-	}
-}
-
 // LookupOptions tunes the execution of a look-up without changing its
 // result: any concurrency level and any cache state return byte-identical
 // URI lists.
@@ -294,14 +280,14 @@ func (a *augmented) queryPaths() [][]QueryStep {
 // readKeysSpanned is ReadKeys wrapped in an index.get span (a no-op chain
 // when opt.Span is nil): the raw store reads of one look-up phase, with the
 // billed get count, bytes and modeled store latency annotated.
-func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opt LookupOptions) (map[string]map[string]*Posting, ReadStats, error) {
+func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opt LookupOptions) (map[string]map[string]*Posting, LookupStats, error) {
 	get := opt.Span.Child(obs.SpanIndexGet)
 	get.SetAttr("table", table)
 	get.SetAttrInt("keys", int64(len(keys)))
 	postings, rs, err := ReadKeys(store, table, keys, kind, binaryIDs, opt)
 	get.SetModeled(rs.GetTime)
 	get.SetAttrInt("get_ops", rs.GetOps)
-	get.SetAttrInt("bytes", rs.Bytes)
+	get.SetAttrInt("bytes", rs.BytesFetched)
 	if rs.CoalescedKeys > 0 {
 		get.SetAttrInt("coalesced_keys", rs.CoalescedKeys)
 	}
@@ -341,11 +327,10 @@ func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKi
 // query and intersect the URI sets.
 func lookupLU(store kv.Store, table string, aug *augmented, opt LookupOptions) ([]string, LookupStats, error) {
 	keys := aug.distinctKeys()
-	postings, rs, err := readKeysSpanned(store, table, keys, URIPosting, false, opt)
+	postings, stats, err := readKeysSpanned(store, table, keys, URIPosting, false, opt)
 	if err != nil {
 		return nil, LookupStats{}, err
 	}
-	stats := statsFromRead(rs)
 	var uriSets []map[string]*Posting
 	for _, k := range keys {
 		uriSets = append(uriSets, postings[k])
@@ -367,11 +352,10 @@ func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions) 
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	postings, rs, err := readKeysSpanned(store, table, keys, PathPosting, false, opt)
+	postings, stats, err := readKeysSpanned(store, table, keys, PathPosting, false, opt)
 	if err != nil {
 		return nil, LookupStats{}, err
 	}
-	stats := statsFromRead(rs)
 
 	var uriSets []map[string]*Posting
 	for _, qp := range paths {
@@ -401,11 +385,10 @@ func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions) 
 // considered — the semijoin with the LUP result R1.
 func lookupLUI(store kv.Store, table string, aug *augmented, reduce map[string]bool, opt LookupOptions) ([]string, LookupStats, error) {
 	keys := aug.distinctKeys()
-	postings, rs, err := readKeysSpanned(store, table, keys, IDPosting, store.Limits().SupportsBinary, opt)
+	postings, stats, err := readKeysSpanned(store, table, keys, IDPosting, store.Limits().SupportsBinary, opt)
 	if err != nil {
 		return nil, LookupStats{}, err
 	}
-	stats := statsFromRead(rs)
 
 	// Candidate URIs must appear under every key (and pass the reduction).
 	// The bitmap intersector returns them already sorted, which fixes the

@@ -252,46 +252,3 @@ func TestAugmentEqContainsIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestUUIDGenFork checks reproducibility and independence of forked
-// generators.
-func TestUUIDGenFork(t *testing.T) {
-	parent := NewUUIDGen(7)
-	a1 := parent.Fork(1).Next()
-	a2 := parent.Fork(2).Next()
-	if a1 == a2 {
-		t.Error("sibling forks produced the same identifier")
-	}
-	if NewUUIDGen(7).Fork(1).Next() != a1 {
-		t.Error("fork not reproducible for the same seed and index")
-	}
-	if parent.Next() == a1 {
-		t.Error("parent stream collides with child stream")
-	}
-
-	// Concurrent children never collide (and the race detector sees no
-	// shared state between them).
-	const workers, per = 8, 200
-	ids := make([][]string, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g := parent.Fork(100 + i)
-			for j := 0; j < per; j++ {
-				ids[i] = append(ids[i], g.Next())
-			}
-		}(i)
-	}
-	wg.Wait()
-	seen := make(map[string]bool, workers*per)
-	for _, list := range ids {
-		for _, id := range list {
-			if seen[id] {
-				t.Fatalf("duplicate identifier %s across forks", id)
-			}
-			seen[id] = true
-		}
-	}
-}

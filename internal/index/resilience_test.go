@@ -45,7 +45,7 @@ func TestReadKeysCoalescesCacheFill(t *testing.T) {
 
 	type result struct {
 		out map[string]map[string]*Posting
-		rs  ReadStats
+		rs  LookupStats
 		err error
 	}
 	read := func(ch chan result) {
@@ -76,10 +76,10 @@ func TestReadKeysCoalescesCacheFill(t *testing.T) {
 	if gs.calls != 1 {
 		t.Fatalf("store saw %d batch gets, want 1 — the stampede must coalesce", gs.calls)
 	}
-	if a.rs.GetOps != 1 || a.rs.Bytes == 0 || a.rs.CoalescedKeys != 0 {
+	if a.rs.GetOps != 1 || a.rs.BytesFetched == 0 || a.rs.CoalescedKeys != 0 {
 		t.Fatalf("leader stats = %+v, want 1 billed get", a.rs)
 	}
-	if b.rs.GetOps != 0 || b.rs.Bytes != 0 || b.rs.CoalescedKeys != 1 {
+	if b.rs.GetOps != 0 || b.rs.BytesFetched != 0 || b.rs.CoalescedKeys != 1 {
 		t.Fatalf("follower stats = %+v, want 0 billed gets and 1 coalesced key", b.rs)
 	}
 	if b.rs.GetTime != a.rs.GetTime {

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,66 +62,11 @@ func rangeKey(head []byte, key string, ordinal int) string {
 	return string(text[:])
 }
 
-// UUIDGen produces RFC 4122-shaped version-4 identifiers from a seeded
-// PRNG. The paper uses UUIDs as DynamoDB range keys so that items can be
-// inserted concurrently from multiple virtual machines without overwrites
-// (Section 6); the index layer has since moved to deterministic
-// content-derived range keys (ItemRangeKey) for idempotency, and the
-// generator remains for code that needs reproducible identifiers. It is
-// safe for concurrent use, but the single lock serializes all callers;
-// concurrent users should each Fork their own generator instead of
-// sharing one.
-type UUIDGen struct {
-	seed int64
-	mu   sync.Mutex
-	rng  *rand.Rand
-}
-
-// NewUUIDGen returns a generator; distinct loader instances should use
-// distinct seeds.
-func NewUUIDGen(seed int64) *UUIDGen {
-	return &UUIDGen{seed: seed, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Fork derives the i-th child generator from the parent's seed. Children
-// are lock-independent of the parent and of each other, so a pool of i
-// workers each holding Fork(i) generates identifiers with no contention;
-// for a fixed worker count the identifier streams are reproducible. The
-// child seed mixes seed and i through splitmix64 so that sibling streams do
-// not overlap in practice.
-func (g *UUIDGen) Fork(i int) *UUIDGen {
-	z := uint64(g.seed) + (uint64(i)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return NewUUIDGen(int64(z ^ (z >> 31)))
-}
-
-// Next returns a fresh identifier.
-func (g *UUIDGen) Next() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var b [16]byte
-	g.rng.Read(b[:])
-	b[6] = (b[6] & 0x0f) | 0x40 // version 4
-	b[8] = (b[8] & 0x3f) | 0x80 // variant 10
-	return fmt.Sprintf("%x-%x-%x-%x-%x", b[0:4], b[4:6], b[6:8], b[8:10], b[10:16])
-}
-
 // CreateTables creates the strategy's tables on the store. It is a no-op
 // for tables that already exist.
 func CreateTables(store kv.Store, s Strategy) error {
 	for _, t := range s.Tables() {
 		if err := store.CreateTable(t); err != nil && !errors.Is(err, kv.ErrTableExists) {
-			return err
-		}
-	}
-	return nil
-}
-
-// DropTables deletes the strategy's tables, ignoring missing ones.
-func DropTables(store kv.Store, s Strategy) error {
-	for _, t := range s.Tables() {
-		if err := store.DeleteTable(t); err != nil && !errors.Is(err, kv.ErrNoSuchTable) {
 			return err
 		}
 	}
@@ -430,36 +374,17 @@ func (p *Posting) DecodedPaths() ([]string, error) {
 	return out, nil
 }
 
-// ReadStats summarizes one ReadKeys call for LookupStats accounting. Only
-// keys actually fetched from the store count toward the billed quantities
-// (GetOps, GetTime, Bytes); cache hits are reported separately.
-type ReadStats struct {
-	GetOps         int64         // index keys fetched from the store
-	GetTime        time.Duration // summed modeled store latency
-	Bytes          int64         // payload bytes fetched from the store
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
-	// StoreRetries counts store-level retry attempts absorbed during this
-	// read, when the store is a kv.Retry (or any kv.RetryStatsSource). The
-	// number is exact for a store serving one reader and advisory under
-	// concurrent readers, whose retries land in whichever read is in flight.
-	StoreRetries int64
-	// CoalescedKeys counts keys served by joining another in-flight
-	// identical fetch (single-flight coalescing, LookupOptions.Flight): the
-	// waiters share the leader's decoded postings and modeled latency but
-	// bill no request and fetch no bytes.
-	CoalescedKeys int64
-}
-
 // ReadKeys batch-fetches several hash keys and returns per-key postings.
 // Keys resident in opts' cache are served from it without touching the
 // store; the misses are split into store-batch-limit chunks fanned out over
 // a bounded worker pool (opts' Concurrency), with items decoded on the
 // fetch goroutines. The result and the billed statistics are identical to
 // a sequential read: per-chunk latencies and byte counts are summed in
-// chunk order, and key sets of distinct chunks are disjoint.
-func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opts ...LookupOptions) (out map[string]map[string]*Posting, rs ReadStats, err error) {
+// chunk order, and key sets of distinct chunks are disjoint. The statistics
+// are the read's share of a look-up's (TwigCandidates stays zero): only keys
+// actually fetched from the store count toward GetOps, GetTime and
+// BytesFetched.
+func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opts ...LookupOptions) (out map[string]map[string]*Posting, rs LookupStats, err error) {
 	opt := resolveLookup(opts)
 	// The query's modeled-time budget is charged once, on exit, with the
 	// summed store latency: chunks never observe each other's charges, so
@@ -615,7 +540,7 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 			return nil, rs, cr.err
 		}
 		rs.GetTime += cr.d
-		rs.Bytes += cr.bytes
+		rs.BytesFetched += cr.bytes
 		rs.GetOps += cr.gets
 		rs.CoalescedKeys += cr.coalesced
 		for k, postings := range cr.postings {
@@ -632,7 +557,7 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 // postings on the way out — after cache fills, so the cache keeps the
 // version-agnostic carrier and each pinned view applies its own deletes at
 // decode time.
-func applyViewTombstones(out map[string]map[string]*Posting, overlays map[string]kv.Overlay, kind PostingKind, binaryIDs bool, rs ReadStats) (map[string]map[string]*Posting, ReadStats, error) {
+func applyViewTombstones(out map[string]map[string]*Posting, overlays map[string]kv.Overlay, kind PostingKind, binaryIDs bool, rs LookupStats) (map[string]map[string]*Posting, LookupStats, error) {
 	for k, ov := range overlays {
 		postings, ok := out[k]
 		if !ok || len(ov.Tombstones) == 0 {

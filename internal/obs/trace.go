@@ -175,7 +175,7 @@ func (s *Span) Child(name string) *Span {
 
 // ChildOf begins a child of parent, or a root span when parent is nil.
 // It is the form used by code paths that may or may not have been handed
-// a parent (e.g. processQuery called directly vs. under RunQueryOn).
+// a parent (e.g. core's sendQuery, live vs. under RunQueryOn).
 func (t *Tracer) ChildOf(parent *Span, name string) *Span {
 	if t == nil {
 		return nil

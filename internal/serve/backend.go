@@ -93,17 +93,6 @@ func (b *WarehouseBackend) Remove(uri string) error {
 	return b.w.RemoveDocument(b.writeIn, uri)
 }
 
-// WriteHours reports the write instance's modeled busy time in hours —
-// the VM share of the mutation cost. Zero for immutable warehouses.
-func (b *WarehouseBackend) WriteHours() float64 {
-	if b.writeIn == nil {
-		return 0
-	}
-	b.writeMu.Lock()
-	defer b.writeMu.Unlock()
-	return b.writeIn.Elapsed().Hours()
-}
-
 // Do submits the query and waits up to timeout for its routed response.
 func (b *WarehouseBackend) Do(queryText string, useIndex bool, timeout time.Duration) (*core.QueryOutcome, error) {
 	return b.frontend.Do(queryText, useIndex, timeout)
@@ -121,9 +110,6 @@ func (b *WarehouseBackend) Close() error {
 	b.frontend.Close()
 	return nil
 }
-
-// Warehouse exposes the underlying warehouse (for billing snapshots).
-func (b *WarehouseBackend) Warehouse() *core.Warehouse { return b.w }
 
 var (
 	_ Backend      = (*WarehouseBackend)(nil)
