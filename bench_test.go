@@ -8,8 +8,12 @@ package repro_test
 // paper-style tables.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"testing"
 
@@ -22,6 +26,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/meter"
 	"repro/internal/pattern"
+	"repro/internal/serve"
 	"repro/internal/twigjoin"
 	"repro/internal/workload"
 	"repro/internal/xmark"
@@ -365,6 +370,64 @@ func BenchmarkScanQuery(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+}
+
+// BenchmarkServeQuery/gate is BenchmarkScanQuery/gate served: the same corpus
+// and queries through serve.New over a serve.WarehouseBackend with one query
+// processor, on a loopback listener. One op is one POST /query, its body read
+// whole and decoded into serve.QueryResponse, as the gateable benchmark's
+// client does. Unlike RunQueryOn, which decodes the stored result object,
+// this path sees what the front end and the handler do with it.
+func BenchmarkServeQuery(b *testing.B) {
+	b.Run("gate", func(b *testing.B) {
+		docs, _ := gateCorpus(b)
+		w := gateWarehouse(b, docs)
+		s, err := serve.New(serve.Config{
+			Backend:  serve.NewWarehouseBackend(w, 1, ec2.XL, core.WorkerOptions{}),
+			Registry: w.Registry(),
+			Limits:   serve.Limits{Workers: 1, QueueDepth: 8},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		addr, err := s.Start("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Shutdown(context.Background())
+		var bodies [][]byte
+		for _, q := range scanQueries() {
+			body, _ := json.Marshal(serve.QueryRequest{Query: q.Text, UseIndex: true})
+			bodies = append(bodies, body)
+		}
+		url := "http://" + addr + "/query"
+		client := &http.Client{}
+		defer client.CloseIdleConnections()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			resp, err := client.Post(url, "application/json", bytes.NewReader(bodies[i%len(bodies)]))
+			if err != nil {
+				b.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				b.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			var qr serve.QueryResponse
+			if err := json.Unmarshal(body, &qr); err != nil {
+				b.Fatal(err)
+			}
+			if qr.RowCount == 0 || qr.RowCount != len(qr.Rows) {
+				b.Fatalf("rowCount %d with %d rows", qr.RowCount, len(qr.Rows))
+			}
+		}
+		b.StopTimer()
 	})
 }
 

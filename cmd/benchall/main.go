@@ -9,6 +9,10 @@
 // Experiments: table4, fig7, fig8, table5, fig9, fig9detail, fig10,
 // table6, fig11, fig12, fig13, table7, table8, ablations, advisor. A name
 // that is none of these (nor "all") exits 2 with the list.
+//
+// Standard output is byte-deterministic: two runs with the same flags print
+// the same bytes. The wall-clock time of the run ("done in …") goes to
+// standard error.
 package main
 
 import (
@@ -177,7 +181,9 @@ func main() {
 		fmt.Println(semi)
 	}
 
-	fmt.Printf("done in %s\n", time.Since(start).Round(time.Millisecond))
+	// The one clocked line goes to stderr, so that stdout is the same bytes on
+	// every run.
+	fmt.Fprintf(os.Stderr, "done in %s\n", time.Since(start).Round(time.Millisecond))
 }
 
 func check(err error) {

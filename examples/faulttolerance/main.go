@@ -71,5 +71,5 @@ func main() {
 		log.Fatal(out.Err)
 	}
 	fmt.Printf("query over the recovered index returned %d paintings — no document lost\n",
-		len(out.Result.Rows))
+		out.Rows)
 }

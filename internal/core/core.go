@@ -321,6 +321,9 @@ type coreMetrics struct {
 	workerFailures     *obs.Counter
 	workerRedeliveries *obs.Counter
 	leaseRenewals      *obs.Counter
+	// Long polls of the live loops (workers and the dispatcher) that came
+	// back empty: each is a billed receive that delivered nothing.
+	receiveEmpty *obs.Counter
 
 	lookupGetOps         *obs.Counter
 	lookupBytes          *obs.Counter
@@ -358,6 +361,7 @@ func resolveMetrics(r *obs.Registry) coreMetrics {
 		workerFailures:     r.Counter("core.worker.failures"),
 		workerRedeliveries: r.Counter("core.worker.redeliveries"),
 		leaseRenewals:      r.Counter("core.worker.lease_renewals"),
+		receiveEmpty:       r.Counter("sqs.receive.empty"),
 
 		lookupGetOps:         r.Counter("index.lookup.get_ops"),
 		lookupBytes:          r.Counter("index.lookup.bytes_fetched"),

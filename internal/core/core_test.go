@@ -195,8 +195,8 @@ func TestLivePipelineEndToEnd(t *testing.T) {
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
-	if len(out.Result.Rows) != 2 {
-		t.Errorf("rows = %d, want 2", len(out.Result.Rows))
+	if out.Rows != 2 {
+		t.Errorf("rows = %d, want 2", out.Rows)
 	}
 }
 

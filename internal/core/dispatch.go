@@ -135,7 +135,11 @@ func (f *Frontend) dispatch() {
 		default:
 		}
 		m, rtt, err := f.w.queues.ReceiveWait(ResponseQueue, 30*time.Second, 100*time.Millisecond)
-		if err != nil || m == nil {
+		if err != nil {
+			continue
+		}
+		if m == nil {
+			f.w.met.receiveEmpty.Inc()
 			continue
 		}
 		resp, ok := f.w.readResponse(m)
@@ -153,7 +157,9 @@ func (f *Frontend) dispatch() {
 			continue
 		}
 		out := &QueryOutcome{ID: resp.ID}
-		out.Result, out.Err = f.w.collectResult(nil, resp, m.Receipt, rtt)
+		if out.Body, out.Err = f.w.collectResult(nil, resp, m.Receipt, rtt); out.Err == nil {
+			out.Rows = resp.Rows
+		}
 		ch <- out
 	}
 }

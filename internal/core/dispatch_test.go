@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cloud/ec2"
+	"repro/internal/engine"
 	"repro/internal/index"
 )
 
@@ -30,6 +31,17 @@ func awaitOutcome(t *testing.T, ch <-chan *QueryOutcome, timeout time.Duration) 
 		t.Fatal("timed out waiting for a query outcome")
 		return nil
 	}
+}
+
+// mustDecode decodes an outcome's result object, failing the test if it does
+// not decode.
+func mustDecode(t *testing.T, out *QueryOutcome) *engine.Result {
+	t.Helper()
+	res, err := decodeResult(out.Body)
+	if err != nil {
+		t.Fatalf("outcome %s: %v", out.ID, err)
+	}
+	return res
 }
 
 // Responses are routed by query ID, not by arrival order. A response nobody
@@ -64,8 +76,8 @@ func TestFrontendRoutesResponsesByID(t *testing.T) {
 		if c.out.Err != nil {
 			t.Fatalf("%s: %v", c.name, c.out.Err)
 		}
-		if c.out.ID != c.id || len(c.out.Result.Rows) != c.rows {
-			t.Errorf("%s: outcome %s with %d rows, want %s with %d", c.name, c.out.ID, len(c.out.Result.Rows), c.id, c.rows)
+		if c.out.ID != c.id || c.out.Rows != c.rows || len(mustDecode(t, c.out).Rows) != c.rows {
+			t.Errorf("%s: outcome %s with %d rows, want %s with %d", c.name, c.out.ID, c.out.Rows, c.id, c.rows)
 		}
 	}
 	if n := f.Pending(); n != 0 {
@@ -96,7 +108,7 @@ func TestFrontendConcurrentDo(t *testing.T) {
 				return
 			}
 			errs[i] = out.Err
-			if out.Err == nil && len(out.Result.Rows) == 0 {
+			if out.Err == nil && out.Rows == 0 {
 				t.Errorf("client %d: empty result", i)
 			}
 		}(i)

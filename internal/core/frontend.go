@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cloud/ec2"
 	"repro/internal/cloud/sqs"
-	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
 )
@@ -85,12 +84,13 @@ func (w *Warehouse) stepOver(m *sqs.Message) {
 }
 
 // collectResult is steps 16-18 for a response its receiver has claimed:
-// delete the message, then fetch and decode the result object and meter its
-// egress. The message goes first, so that a failing fetch cannot leave it
-// queued to be paired with a later query. The modeled time of the fetch and
-// of recv, the receive that delivered the message, goes on a "fetch.results"
-// span carrying the query's ID, parented like sendQuery's.
-func (w *Warehouse) collectResult(parent *obs.Span, resp responseMessage, receipt string, recv time.Duration) (res *engine.Result, err error) {
+// delete the message, then fetch the result object, meter its egress and
+// return its bytes, a read-only view of the file store's memory. The message
+// goes first, so that a failing fetch cannot leave it queued to be paired
+// with a later query. The modeled time of the fetch and of recv, the receive
+// that delivered the message, goes on a "fetch.results" span carrying the
+// query's ID, parented like sendQuery's.
+func (w *Warehouse) collectResult(parent *obs.Span, resp responseMessage, receipt string, recv time.Duration) (body []byte, err error) {
 	sp := w.tracer.ChildOf(parent, obs.SpanFetchResults)
 	sp.SetAttr("id", resp.ID)
 	modeled := recv
@@ -113,14 +113,21 @@ func (w *Warehouse) collectResult(parent *obs.Span, resp responseMessage, receip
 	modeled += get
 	w.ledger.AddEgress(int64(len(obj.Data)))
 	sp.SetAttrInt("bytes", int64(len(obj.Data)))
-	return decodeResult(obj.Data)
+	return obj.Data, nil
 }
 
-// QueryOutcome is what the front end hands back to the user.
+// QueryOutcome is what the front end hands back to the user: the result
+// object the processor stored at step 14, as fetched at step 17 and never
+// decoded. Body is that object's JSON — engine.Result in its tagged wire form,
+// {"columns":…,"rows":[{"uri":…,"cols":…},…]} — and is a read-only view of the
+// file store's memory, not a copy: a caller must not write into it. Rows is
+// the row count the processor's response message carried. Both are zero when
+// Err is set.
 type QueryOutcome struct {
-	ID     string
-	Result *engine.Result
-	Err    error
+	ID   string
+	Body []byte
+	Rows int
+	Err  error
 }
 
 // Worker is a live module worker bound to one virtual instance.
@@ -235,10 +242,15 @@ func startWorker(in *ec2.Instance, run func(wk *Worker)) *Worker {
 // lease is how every live loop takes its next message: one long poll, a
 // redelivery counted on the worker and in the registry, the lease renewed
 // from here on (release stops that and reports whether the worker has
-// crashed), WorkDelay sat out. msg is nil when the poll came back empty.
+// crashed), WorkDelay sat out. msg is nil when the poll came back empty,
+// which counts as sqs.receive.empty.
 func (w *Warehouse) lease(wk *Worker, queue string, opts WorkerOptions) (msg *sqs.Message, rtt time.Duration, release func() (crashed bool)) {
 	msg, rtt, err := w.queues.ReceiveWait(queue, opts.Visibility, opts.Poll)
-	if err != nil || msg == nil {
+	if err != nil {
+		return nil, 0, nil
+	}
+	if msg == nil {
+		w.met.receiveEmpty.Inc()
 		return nil, 0, nil
 	}
 	if msg.ReceiveCount > 1 {

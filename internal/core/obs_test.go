@@ -86,8 +86,9 @@ func TestObsDifferential(t *testing.T) {
 func TestTracedSpanTree(t *testing.T) {
 	docs := obsTestCorpus()
 
+	var w *Warehouse
 	trace := func() (spans []obs.SpanRecord, id string) {
-		w, _ := indexCorpus(t, Config{Strategy: index.TwoLUPI, Trace: true}, 2, docs)
+		w, _ = indexCorpus(t, Config{Strategy: index.TwoLUPI, Trace: true}, 2, docs)
 		in := ec2.Launch(w.ledger, ec2.XL)
 		_, st, err := w.RunQueryOn(in, workload.XMark()[2].Text, true)
 		if err != nil {
@@ -96,6 +97,22 @@ func TestTracedSpanTree(t *testing.T) {
 		return w.Tracer().QuerySpans(st.ID), st.ID
 	}
 	spans, id := trace()
+
+	// The driver never long-polls, so it bills no empty receive; a live
+	// worker with nothing to do bills one per poll, and the registry counts
+	// them.
+	empty := w.Registry().Counter("sqs.receive.empty")
+	if n := empty.Value(); n != 0 {
+		t.Errorf("sqs.receive.empty = %d after a driver-only run, want 0", n)
+	}
+	idle := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), WorkerOptions{Poll: 5 * time.Millisecond})
+	for deadline := time.Now().Add(5 * time.Second); empty.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	idle.Stop()
+	if empty.Value() == 0 {
+		t.Error("sqs.receive.empty = 0 after an idle worker polled")
+	}
 	if len(spans) == 0 {
 		t.Fatalf("no spans recorded for query %s", id)
 	}
@@ -254,7 +271,7 @@ func TestServedSpanTree(t *testing.T) {
 			t.Errorf("span %s nested under %q, want %q", name, got, parent)
 		}
 	}
-	if got, want := byName[obs.SpanFetchResults].Attr("bytes"), strconv.FormatInt(int64(len(encodeResult(out.Result))), 10); got != want {
+	if got, want := byName[obs.SpanFetchResults].Attr("bytes"), strconv.Itoa(len(encodeResult(mustDecode(t, out)))); got != want {
 		t.Errorf("%s fetched %s bytes, the result encodes to %s", obs.SpanFetchResults, got, want)
 	}
 }

@@ -32,10 +32,13 @@ type queryMessage struct {
 	NoIndex  bool   `json:"noIndex,omitempty"`
 }
 
-// responseMessage is the payload of the query response queue.
+// responseMessage is the payload of the query response queue. Rows is the
+// result's row count, so that the front end can hand the result object on
+// without decoding it.
 type responseMessage struct {
 	ID        string `json:"id"`
 	ResultKey string `json:"resultKey,omitempty"`
+	Rows      int    `json:"rows,omitempty"`
 	Error     string `json:"error,omitempty"`
 }
 
@@ -91,7 +94,7 @@ func (w *Warehouse) answerQuery(in *ec2.Instance, body string, root *obs.Span, v
 		root.SetError(err)
 		return responseMessage{ID: msg.ID, Error: err.Error()}, stats
 	}
-	return responseMessage{ID: msg.ID, ResultKey: resultsPrefix + msg.ID}, stats
+	return responseMessage{ID: msg.ID, ResultKey: resultsPrefix + msg.ID, Rows: stats.ResultRows}, stats
 }
 
 // postResponse is step 15: post the response, then delete the query message
@@ -421,8 +424,9 @@ func ParseQueryText(text string) (*pattern.Query, error) {
 	return pattern.Parse(text)
 }
 
-// encodeResult serializes a result for the file store (step 14); the front
-// end decodes it at step 17.
+// encodeResult serializes a result for the file store (step 14), once, in
+// the wire form of a served answer: the live front end hands the object's
+// bytes through (QueryOutcome.Body), only the synchronous driver decodes them.
 func encodeResult(r *engine.Result) []byte {
 	b, err := json.Marshal(r)
 	if err != nil {
@@ -445,9 +449,10 @@ func decodeResult(data []byte) (*engine.Result, error) {
 // requests. The front end sends the query message (sendQuery, steps 7-8);
 // the processor receives it (9), answers it (answerQuery, 10-14) and posts
 // the response (postResponse, 15); the front end receives the response (16)
-// and collects the result (collectResult, 17-18). The driver only adds the
-// schedule: non-waiting receives, the query receive's round trip charged to
-// the instance's coordinating core, one "query" span over the round trip.
+// and collects the result object (collectResult, 17-18). The driver only adds
+// the schedule — non-waiting receives, the query receive's round trip charged
+// to the instance's coordinating core, one "query" span over the round trip —
+// and the decoding of the object, which the live front end hands on as bytes.
 // useIndex=false is the "no index" baseline of Section 8.
 func (w *Warehouse) RunQueryOn(in *ec2.Instance, queryText string, useIndex bool) (*engine.Result, QueryStats, error) {
 	return w.runQueryView(in, queryText, useIndex, nil)
@@ -499,7 +504,11 @@ func (w *Warehouse) runQueryView(in *ec2.Instance, queryText string, useIndex bo
 			w.stepOver(m)
 			continue
 		}
-		res, err := w.collectResult(root, resp, m.Receipt, frtt)
+		body, err := w.collectResult(root, resp, m.Receipt, frtt)
+		if err != nil {
+			return nil, stats, err
+		}
+		res, err := decodeResult(body)
 		return res, stats, err
 	}
 }

@@ -24,13 +24,16 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Row is one result tuple.
+// Row is one result tuple. The JSON tags are the wire form of a served
+// answer (package serve splices the stored result object into its body);
+// they are as long as the field names, so a stored result object is as long
+// as it was before it had them.
 type Row struct {
 	// URI is the document (or, after a value join, the list of documents,
 	// joined with "+") the row stems from.
-	URI string
+	URI string `json:"uri"`
 	// Cols holds one string per output column of the query.
-	Cols []string
+	Cols []string `json:"cols"`
 }
 
 // Bytes returns the payload size of the row, the unit in which the paper
@@ -47,8 +50,8 @@ func (r Row) Bytes() int64 {
 type Result struct {
 	// Columns names the output columns, one per val/cont annotation in
 	// pattern order, e.g. "painting/name.val".
-	Columns []string
-	Rows    []Row
+	Columns []string `json:"columns"`
+	Rows    []Row    `json:"rows"`
 }
 
 // Bytes sums the payload of all rows.

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -77,7 +78,11 @@ type ResponseRow struct {
 	Cols []string `json:"cols,omitempty"`
 }
 
-// QueryResponse is the POST /query success body.
+// QueryResponse is the schema of the POST /query success body, as clients
+// decode it. The server does not encode it: it splices the stored result
+// object's members (engine.Result's tagged form) between the ID and the two
+// counters (see answerBody), so an empty columns, rows or cols list arrives as
+// null rather than left out — the same thing once decoded.
 type QueryResponse struct {
 	ID        string        `json:"id"`
 	Columns   []string      `json:"columns,omitempty"`
@@ -267,9 +272,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	s.reg.Histogram("serve.latency").ObserveWall(elapsed)
 
-	err := res.err
-	if err == nil && res.out != nil && res.out.Err != nil {
-		err = res.out.Err
+	out, err := res.out, res.err
+	if err == nil {
+		err = out.Err
+	}
+	var body []byte
+	if err == nil {
+		body, err = answerBody(out, elapsed)
 	}
 	if err != nil {
 		s.reg.Counter("serve.failed").Inc()
@@ -278,21 +287,46 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.Counter("serve.completed").Inc()
+	span.SetAttr("query.id", out.ID)
+	span.SetAttrInt("rows", int64(out.Rows))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
 
-	resp := QueryResponse{ElapsedMs: float64(elapsed) / float64(time.Millisecond)}
-	if res.out != nil {
-		resp.ID = res.out.ID
-		span.SetAttr("query.id", res.out.ID)
-		if res.out.Result != nil {
-			resp.Columns = res.out.Result.Columns
-			for _, row := range res.out.Result.Rows {
-				resp.Rows = append(resp.Rows, ResponseRow{URI: row.URI, Cols: row.Cols})
-			}
-			resp.RowCount = len(res.out.Result.Rows)
+// answerBody builds the POST /query success body (QueryResponse's schema)
+// without decoding the answer: {"id":…, then the members of the stored result
+// object as they are, then "rowCount" and "elapsedMs"}.
+func answerBody(out *core.QueryOutcome, elapsed time.Duration) ([]byte, error) {
+	obj := out.Body
+	if len(obj) <= 2 || obj[0] != '{' || obj[len(obj)-1] != '}' {
+		return nil, fmt.Errorf("serve: result of %s is not a result object: %.40q", out.ID, obj)
+	}
+	b := make([]byte, 0, len(obj)+len(out.ID)+64)
+	b = append(b, `{"id":`...)
+	b = appendString(b, out.ID)
+	b = append(b, ',')
+	b = append(b, obj[1:len(obj)-1]...)
+	b = append(b, `,"rowCount":`...)
+	b = strconv.AppendInt(b, int64(out.Rows), 10)
+	b = append(b, `,"elapsedMs":`...)
+	b = strconv.AppendFloat(b, float64(elapsed)/float64(time.Millisecond), 'f', -1, 64)
+	return append(b, "}\n"...), nil
+}
+
+// appendString appends s as a JSON string. Query IDs need no escaping and
+// are copied as they are; anything else goes through encoding/json.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string: cannot fail
+			return append(b, q...)
 		}
 	}
-	span.SetAttrInt("rows", int64(resp.RowCount))
-	writeJSON(w, http.StatusOK, resp)
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // WriteResponse is the PUT/DELETE /document success body.

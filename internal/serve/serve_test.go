@@ -36,10 +36,11 @@ func (f *fakeBackend) Do(query string, useIndex bool, timeout time.Duration) (*c
 	if f.release != nil {
 		<-f.release
 	}
-	return &core.QueryOutcome{ID: "q-fake", Result: &engine.Result{
+	body, err := json.Marshal(&engine.Result{
 		Columns: []string{"c"},
 		Rows:    []engine.Row{{URI: "doc", Cols: []string{"v"}}},
-	}}, nil
+	})
+	return &core.QueryOutcome{ID: "q-fake", Body: body, Rows: 1}, err
 }
 
 func (f *fakeBackend) Close() error { return nil }
