@@ -5,7 +5,7 @@ FUZZTIME ?= 20s
 # under it so unrelated churn doesn't flake the gate).
 COVER_MIN ?= 80.0
 
-.PHONY: build test race vet fmt bench benchsmoke benchtest benchgate liverepeat obs-smoke servesmoke mutatesmoke check fuzzsmoke coverage
+.PHONY: build test race vet fmt bench benchsmoke benchtest benchgate papergate liverepeat obs-smoke check fuzzsmoke coverage
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,14 @@ bench:
 benchgate:
 	bash benchmark/run.sh --seed 42 --seconds 5 --trace 0
 	$(GO) run ./cmd/benchgate
+
+# papergate prints the paper's whole evaluation at the default scale and
+# diffs it against the checked-in golden: every table and figure, byte for
+# byte (about 30 s). The tiny scale is held the same way by the suite
+# (cmd/benchall's TestGoldenTiny); `go test ./cmd/benchall -update` rewrites
+# both goldens when a change moves a number on purpose.
+papergate:
+	$(GO) run ./cmd/benchall | diff -u cmd/benchall/testdata/default.golden -
 
 # benchsmoke runs every Go benchmark exactly once — the CI smoke check
 # that the benchmark harness itself still works.
