@@ -78,39 +78,11 @@ benchsmoke:
 obs-smoke:
 	$(GO) run ./cmd/xwh -mutable -compact-every 4 -docs 16 -strategy 2LUPI -query '//item[/name{val}]' -obs-smoke
 
-# servesmoke stands the query daemon up on a loopback port, drives a short
-# seeded closed-loop loadgen burst against it, asserts zero errors plus a
-# live serve.admitted counter on /metrics, then drains it with SIGTERM.
-servesmoke:
-	$(GO) build -o /tmp/xwh_smoke ./cmd/xwh
-	$(GO) build -o /tmp/loadgen_smoke ./cmd/loadgen
-	/tmp/xwh_smoke serve -corpus paintings -addr 127.0.0.1:18980 -serve-workers 4 & \
-		pid=$$!; \
-		/tmp/loadgen_smoke -addr http://127.0.0.1:18980 -wait-ready 30s \
-			-requests 40 -concurrency 4 -seed 7 -dist zipf -queries paintings \
-			-check-metrics; rc=$$?; \
-		kill -TERM $$pid 2>/dev/null; wait $$pid; exit $$rc
-
-# mutatesmoke stands a mutable-corpus daemon up on a loopback port, drives
-# a seeded mixed read/write loadgen burst (every 3rd request a document
-# write, every 4th write a DELETE), asserts zero errors plus live serve
-# metrics, then drains it with SIGTERM.
-mutatesmoke:
-	$(GO) build -o /tmp/xwh_smoke ./cmd/xwh
-	$(GO) build -o /tmp/loadgen_smoke ./cmd/loadgen
-	/tmp/xwh_smoke serve -mutable -docs 24 -addr 127.0.0.1:18981 -serve-workers 4 & \
-		pid=$$!; \
-		/tmp/loadgen_smoke -addr http://127.0.0.1:18981 -wait-ready 30s \
-			-requests 48 -concurrency 4 -seed 7 -queries xmark \
-			-write-every 3 -write-docs 24 -remove-every 4 \
-			-check-metrics; rc=$$?; \
-		kill -TERM $$pid 2>/dev/null; wait $$pid; exit $$rc
-
 # fuzzsmoke runs every native fuzz target for FUZZTIME of live mutation on
 # top of the checked-in seed corpora. `go test -fuzz` accepts only one
 # matching target per invocation, so discover and loop.
 fuzzsmoke:
-	@for pkg in ./internal/cloud/kv ./internal/idblock ./internal/index ./internal/pattern ./internal/serve ./internal/xmltree; do \
+	@for pkg in ./internal/cloud/kv ./internal/idblock ./internal/index ./internal/obs ./internal/pattern ./internal/serve ./internal/xmltree; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test $$pkg -run="^$$target$$" -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \

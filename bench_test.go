@@ -68,7 +68,7 @@ func BenchmarkTable4Indexing(b *testing.B) {
 		b.Run(s.Name(), func(b *testing.B) {
 			var modeled float64
 			for i := 0; i < b.N; i++ {
-				_, rep, _, err := bench.BuildWarehouse(c, s, "", 8, ec2.Large)
+				_, rep, _, err := bench.BuildWarehouseCfg(c, core.Config{Strategy: s}, 8, ec2.Large)
 				if err != nil {
 					b.Fatal(err)
 				}

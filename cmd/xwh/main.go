@@ -31,7 +31,8 @@
 // endpoints (/metrics, /metrics.json, /trace.json, /healthz, /readyz);
 // admission control is tuned with -serve-queue, -tenant-qps, -tenant-burst
 // and -tenant-inflight, and the per-query resilience budgets with
-// -deadline, -retry-budget and -coalesce. Drive it with cmd/loadgen.
+// -deadline, -retry-budget and -coalesce. On SIGINT/SIGTERM it drains
+// every admitted request and exits 0.
 //
 // With -mutable the warehouse runs a mutable corpus: -update and -remove
 // mutate documents atomically before querying, -compact-every sets the

@@ -26,7 +26,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cloud/dynamodb"
 	"repro/internal/cloud/ec2"
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -232,56 +231,6 @@ func (a *Advisor) fill(e *Estimate) {
 		ProcessingHours: e.Time.Hours(),
 		VMType:          a.vm.Name,
 	})
-}
-
-// BuildEstimate predicts what indexing the corpus under a strategy would
-// produce and cost, extrapolated from sample extraction.
-type BuildEstimate struct {
-	Strategy index.Strategy
-	// Entries and Items are the predicted index entry and store item
-	// counts (|op(D,I)| under per-row billing).
-	Entries int64
-	Items   int64
-	// RawBytes is the predicted sr(D,I).
-	RawBytes int64
-	// Cost is the predicted build cost under the Section 7 model, with
-	// indexing time derived from the store's write capacity.
-	Cost pricing.USD
-}
-
-// EstimateBuild extracts the sample under the strategy and scales the
-// counts to the full corpus; the monetary estimate follows ci$(D,I) with
-// the indexing time approximated by the index volume over the store's
-// aggregate write capacity (the paper's observed bottleneck).
-func (a *Advisor) EstimateBuild(s index.Strategy) BuildEstimate {
-	opts := index.DefaultOptions()
-	var entries, bytes int64
-	for _, d := range a.sample {
-		ex := index.Extract(s, d, opts)
-		entries += int64(ex.Entries)
-		bytes += ex.Bytes
-	}
-	scale := a.Summary.scaleFactor()
-	est := BuildEstimate{
-		Strategy: s,
-		Entries:  int64(float64(entries) * scale),
-		RawBytes: int64(float64(bytes) * scale),
-	}
-	// One item per entry at these entry sizes; oversized entries split,
-	// which the scaled byte volume captures well enough for an estimate.
-	est.Items = est.Entries
-	// Upload-bound indexing time: write units over aggregate capacity.
-	perf := dynamodb.DefaultPerf()
-	units := float64(est.RawBytes)/float64(perf.WriteUnitBytes) + float64(est.Items)
-	hours := units / perf.WriteCapacityUnits / 3600
-	est.Cost = costmodel.IndexBuildCost(a.book, costmodel.DatasetMetrics{
-		Docs:          int64(a.Summary.TotalDocs),
-		IndexPutOps:   est.Items,
-		IndexingHours: hours,
-		VMType:        a.vm.Name,
-		VMCount:       1,
-	})
-	return est
 }
 
 // Recommendation is the advisor's verdict for a workload.

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/pricing"
-
 	"repro/internal/cloud/dynamodb"
 	"repro/internal/cloud/ec2"
 	"repro/internal/index"
@@ -219,46 +217,5 @@ func TestEstimateQueryValidates(t *testing.T) {
 	a, _ := New(docs, Config{})
 	if _, err := a.EstimateQuery(&pattern.Query{}); err == nil {
 		t.Error("invalid query accepted")
-	}
-}
-
-func TestEstimateBuildTracksMeasured(t *testing.T) {
-	docs := corpus(t, 80)
-	a, err := New(docs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Measure the real thing on a bare store.
-	store := dynamodb.New(meter.NewLedger())
-	for _, s := range index.All() {
-		if err := index.CreateTables(store, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opts := index.OptionsFor(store)
-	measured := map[index.Strategy]int64{}
-	for _, d := range docs {
-		for _, s := range index.All() {
-			if _, st, err := index.LoadDocument(store, s, d, opts); err != nil {
-				t.Fatal(err)
-			} else {
-				measured[s] += int64(st.Items)
-			}
-		}
-	}
-	var prev pricing.USD
-	for _, s := range index.All() {
-		est := a.EstimateBuild(s)
-		ratio := float64(est.Items) / float64(measured[s])
-		if ratio < 0.8 || ratio > 1.25 {
-			t.Errorf("%s: estimated %d items, measured %d (ratio %.2f)", s.Name(), est.Items, measured[s], ratio)
-		}
-		if est.Cost <= 0 {
-			t.Errorf("%s: non-positive cost estimate", s.Name())
-		}
-		if s == index.TwoLUPI && est.Cost <= prev {
-			t.Errorf("2LUPI build (%v) not costlier than LUI (%v)", est.Cost, prev)
-		}
-		prev = est.Cost
 	}
 }

@@ -106,16 +106,9 @@ func (c *Corpus) MB() float64 { return float64(c.Bytes) / (1 << 20) }
 // Strategies under study, in the paper's order.
 func Strategies() []index.Strategy { return index.All() }
 
-// BuildWarehouse provisions a warehouse on the given backend, uploads the
+// BuildWarehouseCfg provisions a warehouse configured by cfg, uploads the
 // corpus (front-end steps 1-3) and indexes it on a fleet. It returns the
 // warehouse, the indexing report and the fleet used.
-func BuildWarehouse(c *Corpus, s index.Strategy, backend string, fleetSize int, typ ec2.InstanceType) (*core.Warehouse, core.IndexReport, []*ec2.Instance, error) {
-	return BuildWarehouseCfg(c, core.Config{Strategy: s, Backend: backend}, fleetSize, typ)
-}
-
-// BuildWarehouseCfg is BuildWarehouse with full control over the warehouse
-// configuration, so experiments can toggle bulk loading, pipeline depth or
-// caching on the indexing path.
 func BuildWarehouseCfg(c *Corpus, cfg core.Config, fleetSize int, typ ec2.InstanceType) (*core.Warehouse, core.IndexReport, []*ec2.Instance, error) {
 	w, err := core.New(cfg)
 	if err != nil {

@@ -106,7 +106,7 @@ func TestBulkLoadRequestReduction(t *testing.T) {
 	c := bulkAcceptanceCorpus(t)
 	for _, s := range Strategies() {
 		t.Run(s.Name(), func(t *testing.T) {
-			perDocW, perDocRep, _, err := BuildWarehouse(c, s, "", 8, ec2.Large)
+			perDocW, perDocRep, _, err := BuildWarehouseCfg(c, core.Config{Strategy: s}, 8, ec2.Large)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud/ec2"
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/index"
 	"repro/internal/pricing"
@@ -24,7 +25,7 @@ func TestCostModelAgreesWithMeteredBilling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, rep, _, err := BuildWarehouse(c, index.LUP, "", 8, ec2.Large)
+	w, rep, _, err := BuildWarehouseCfg(c, core.Config{Strategy: index.LUP}, 8, ec2.Large)
 	if err != nil {
 		t.Fatal(err)
 	}

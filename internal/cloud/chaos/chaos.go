@@ -82,17 +82,6 @@ type Plan struct {
 	Rates Rates
 }
 
-// Counts holds the faults injected so far, by class: the shape in which a
-// reader of the sink's counters reports them (core.Warehouse.ChaosCounts).
-type Counts struct {
-	Throttles      int64
-	Internals      int64
-	PartialBatches int64
-	DupDeliveries  int64
-	ExpiredLeases  int64
-	S3Faults       int64
-}
-
 // CounterSink receives every injected fault as a named counter increment;
 // the injector keeps no tally of its own. The obs Registry satisfies it;
 // defining the interface here keeps this package free of an obs dependency.
@@ -100,7 +89,7 @@ type CounterSink interface {
 	Add(name string, delta int64)
 }
 
-// Counter names streamed to a CounterSink, one per Counts field.
+// Counter names streamed to a CounterSink, one per fault class.
 const (
 	MetricThrottles      = "chaos.throttles"
 	MetricInternals      = "chaos.internals"
@@ -109,12 +98,6 @@ const (
 	MetricExpiredLeases  = "chaos.expired_leases"
 	MetricS3Faults       = "chaos.s3_faults"
 )
-
-// Total sums the injected faults across classes.
-func (c Counts) Total() int64 {
-	return c.Throttles + c.Internals + c.PartialBatches +
-		c.DupDeliveries + c.ExpiredLeases + c.S3Faults
-}
 
 // Injector is the seeded decision source shared by the wrappers of one
 // plan. It is safe for concurrent use.
@@ -137,13 +120,6 @@ func (inj *Injector) SetRates(r Rates) {
 	inj.mu.Lock()
 	inj.rates = r.clamped()
 	inj.mu.Unlock()
-}
-
-// Rates returns the current fault rates.
-func (inj *Injector) Rates() Rates {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.rates
 }
 
 // SetSink streams every future injected fault to sink (pass nil to stop).

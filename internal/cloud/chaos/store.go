@@ -50,9 +50,6 @@ func (inj *Injector) partialCount(n int) int {
 type Store struct {
 	kv.Store
 	inj *Injector
-
-	mu       sync.RWMutex
-	shardInj map[int]*Injector
 }
 
 // WrapStore wraps s with fault injection driven by inj.
@@ -63,44 +60,9 @@ func WrapStore(s kv.Store, inj *Injector) *Store {
 // Unwrap returns the wrapped store.
 func (c *Store) Unwrap() kv.Store { return c.Store }
 
-// SetShardInjector installs a per-shard fault plan: operations against
-// shard-suffixed physical tables ("T@shard", the naming of kv.Sharded) draw
-// their faults from inj instead of the store-wide injector. This lets a
-// chaos schedule target one hot partition — the per-shard failure mode real
-// DynamoDB exhibits — while other shards stay healthy. Passing a nil
-// injector removes the plan. Safe for concurrent use, but plans are normally
-// installed before traffic starts so fault schedules stay reproducible.
-func (c *Store) SetShardInjector(shard int, inj *Injector) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if inj == nil {
-		delete(c.shardInj, shard)
-		return
-	}
-	if c.shardInj == nil {
-		c.shardInj = make(map[int]*Injector)
-	}
-	c.shardInj[shard] = inj
-}
-
-// injFor resolves the injector governing an operation on the given
-// (possibly shard-suffixed) table name.
-func (c *Store) injFor(table string) *Injector {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.shardInj) > 0 {
-		if _, shard, ok := kv.SplitShardTable(table); ok {
-			if inj, ok := c.shardInj[shard]; ok {
-				return inj
-			}
-		}
-	}
-	return c.inj
-}
-
 // Put implements kv.Store with injection.
 func (c *Store) Put(table string, item kv.Item) (time.Duration, error) {
-	if err := c.injFor(table).kvFault(); err != nil {
+	if err := c.inj.kvFault(); err != nil {
 		return 0, err
 	}
 	return c.Store.Put(table, item)
@@ -111,11 +73,10 @@ func (c *Store) Put(table string, item kv.Item) (time.Duration, error) {
 // and reports the remainder as unprocessed, exactly like BatchWriteItem's
 // UnprocessedItems: the caller must resubmit only the remainder.
 func (c *Store) BatchPut(table string, items []kv.Item) (time.Duration, error) {
-	inj := c.injFor(table)
-	if err := inj.kvFault(); err != nil {
+	if err := c.inj.kvFault(); err != nil {
 		return 0, err
 	}
-	n := inj.partialCount(len(items))
+	n := c.inj.partialCount(len(items))
 	if n >= len(items) {
 		return c.Store.BatchPut(table, items)
 	}
@@ -130,7 +91,7 @@ func (c *Store) BatchPut(table string, items []kv.Item) (time.Duration, error) {
 
 // Get implements kv.Store with injection.
 func (c *Store) Get(ctx context.Context, table, hashKey string) ([]kv.Item, time.Duration, error) {
-	if err := c.injFor(table).kvFault(); err != nil {
+	if err := c.inj.kvFault(); err != nil {
 		return nil, 0, err
 	}
 	return c.Store.Get(ctx, table, hashKey)
@@ -141,11 +102,10 @@ func (c *Store) Get(ctx context.Context, table, hashKey string) ([]kv.Item, time
 // remainder as unprocessed (UnprocessedKeys): the caller must re-fetch
 // only the remainder and merge.
 func (c *Store) BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]kv.Item, time.Duration, error) {
-	inj := c.injFor(table)
-	if err := inj.kvFault(); err != nil {
+	if err := c.inj.kvFault(); err != nil {
 		return nil, 0, err
 	}
-	n := inj.partialCount(len(hashKeys))
+	n := c.inj.partialCount(len(hashKeys))
 	if n >= len(hashKeys) {
 		return c.Store.BatchGet(ctx, table, hashKeys)
 	}
@@ -160,7 +120,7 @@ func (c *Store) BatchGet(ctx context.Context, table string, hashKeys []string) (
 
 // DeleteItem implements kv.Store with injection.
 func (c *Store) DeleteItem(table, hashKey, rangeKey string) (time.Duration, error) {
-	if err := c.injFor(table).kvFault(); err != nil {
+	if err := c.inj.kvFault(); err != nil {
 		return 0, err
 	}
 	return c.Store.DeleteItem(table, hashKey, rangeKey)

@@ -50,9 +50,6 @@ func TypeByName(name string) (InstanceType, error) {
 	return InstanceType{}, fmt.Errorf("ec2: unknown instance type %q", name)
 }
 
-// ECU returns the total compute units of the type.
-func (t InstanceType) ECU() float64 { return float64(t.Cores) * t.ECUPerCore }
-
 // Instance is a launched virtual machine.
 type Instance struct {
 	ID   string
@@ -64,7 +61,6 @@ type Instance struct {
 
 	mu     sync.Mutex
 	billed time.Duration // portion of TL already billed
-	done   bool
 }
 
 var launchSeq struct {
@@ -134,32 +130,11 @@ func (in *Instance) RunOn(core int, d time.Duration) {
 func (in *Instance) bill() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.done {
-		return
-	}
 	e := in.TL.Elapsed()
 	if e > in.billed {
 		in.ledger.AddInstanceSeconds(in.Type.Name, (e - in.billed).Seconds())
 		in.billed = e
 	}
-}
-
-// Elapsed reports the instance's modeled busy (wall) time.
-func (in *Instance) Elapsed() time.Duration { return in.TL.Elapsed() }
-
-// Terminate stops billing the instance. Further Run calls panic.
-func (in *Instance) Terminate() {
-	in.bill()
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.done = true
-}
-
-// Terminated reports whether the instance was terminated.
-func (in *Instance) Terminated() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.done
 }
 
 // FleetElapsed reports the modeled wall-clock time of a phase executed by a

@@ -280,18 +280,3 @@ func (d *Delta) Len() int {
 	}
 	return n
 }
-
-// Items returns the total item count buffered across live entries.
-func (d *Delta) Items() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for _, c := range d.keys {
-		for _, es := range c.owners {
-			for _, e := range es {
-				n += len(e.Items)
-			}
-		}
-	}
-	return n
-}

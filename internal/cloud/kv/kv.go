@@ -94,16 +94,6 @@ func (it Item) Size() int64 {
 	return n
 }
 
-// Attr returns the values of the named attribute, or nil if absent.
-func (it Item) Attr(name string) []Value {
-	for _, a := range it.Attrs {
-		if a.Name == name {
-			return a.Values
-		}
-	}
-	return nil
-}
-
 // Errors shared by store implementations.
 var (
 	ErrNoSuchTable   = errors.New("kv: no such table")

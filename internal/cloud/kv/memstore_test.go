@@ -71,11 +71,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if len(items) != 1 {
 		t.Fatalf("got %d items", len(items))
 	}
-	vs := items[0].Attr("doc1.xml")
+	vs := valuesOf(items[0], "doc1.xml")
 	if len(vs) != 1 || string(vs[0]) != "/a/b" {
 		t.Errorf("attr values = %v", vs)
 	}
-	if items[0].Attr("missing") != nil {
+	if valuesOf(items[0], "missing") != nil {
 		t.Error("missing attribute must return nil")
 	}
 }
@@ -109,10 +109,10 @@ func TestPutReplacesSamePrimaryKey(t *testing.T) {
 	if len(items) != 1 {
 		t.Fatalf("got %d items, want 1", len(items))
 	}
-	if items[0].Attr("b") != nil {
+	if valuesOf(items[0], "b") != nil {
 		t.Error("replacement must drop attributes absent from the new item")
 	}
-	if string(items[0].Attr("a")[0]) != "new" {
+	if string(valuesOf(items[0], "a")[0]) != "new" {
 		t.Error("replacement did not overwrite attribute")
 	}
 	if got := s.ItemCount("idx"); got != 1 {
@@ -193,7 +193,7 @@ func TestDynamoAcceptsBinaryValues(t *testing.T) {
 		t.Fatalf("binary value rejected: %v", err)
 	}
 	items, _, _ := s.Get(context.Background(), "idx", "k")
-	if string(items[0].Attr("a")[0]) != string(bin) {
+	if string(valuesOf(items[0], "a")[0]) != string(bin) {
 		t.Error("binary value corrupted")
 	}
 }
@@ -363,4 +363,14 @@ func TestAccountingProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// valuesOf returns the values of it's attribute name, or nil.
+func valuesOf(it kv.Item, name string) []kv.Value {
+	for _, a := range it.Attrs {
+		if a.Name == name {
+			return a.Values
+		}
+	}
+	return nil
 }

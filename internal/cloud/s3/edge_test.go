@@ -3,17 +3,15 @@ package s3
 import (
 	"errors"
 	"testing"
-
-	"repro/internal/meter"
 )
 
-func TestHeadMissing(t *testing.T) {
+func TestGetMissing(t *testing.T) {
 	s := newSvc(t)
-	if _, _, err := s.Head("wh", "nope"); !errors.Is(err, ErrNoSuchKey) {
-		t.Errorf("Head missing = %v", err)
+	if _, _, err := s.Get("wh", "nope"); !errors.Is(err, ErrNoSuchKey) {
+		t.Errorf("Get missing = %v", err)
 	}
-	if _, _, err := s.Head("nope", "k"); !errors.Is(err, ErrNoSuchBucket) {
-		t.Errorf("Head missing bucket = %v", err)
+	if _, _, err := s.Get("nope", "k"); !errors.Is(err, ErrNoSuchBucket) {
+		t.Errorf("Get missing bucket = %v", err)
 	}
 }
 
@@ -55,21 +53,5 @@ func TestZeroByteObject(t *testing.T) {
 	}
 	if s.BucketBytes("wh") != 0 {
 		t.Errorf("bytes = %d", s.BucketBytes("wh"))
-	}
-}
-
-func TestBucketsListing(t *testing.T) {
-	s := New(meter.NewLedger())
-	for _, b := range []string{"zeta", "alpha"} {
-		if err := s.CreateBucket(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.Buckets()
-	if len(got) != 2 || got[0] != "alpha" || got[1] != "zeta" {
-		t.Errorf("Buckets = %v", got)
-	}
-	if s.BucketBytes("missing") != 0 || s.ObjectCount("missing") != 0 {
-		t.Error("missing bucket gauges non-zero")
 	}
 }

@@ -111,18 +111,6 @@ func (s *Service) CreateBucket(name string) error {
 	return nil
 }
 
-// Buckets lists bucket names, sorted.
-func (s *Service) Buckets() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.buckets))
-	for n := range s.buckets {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Put stores (or overwrites) an object and returns the modeled latency.
 func (s *Service) Put(bkt, key string, data []byte, userMeta map[string]string) (time.Duration, error) {
 	if key == "" {
@@ -174,22 +162,6 @@ func (s *Service) Get(bkt, key string) (Object, time.Duration, error) {
 	}
 	s.ledger.Record(Backend, "get", 1, 1, int64(len(o.Data)))
 	return o, s.transfer(int64(len(o.Data))), nil
-}
-
-// Head returns an object's metadata without its payload.
-func (s *Service) Head(bkt, key string) (size int64, version int64, err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	b, ok := s.buckets[bkt]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrNoSuchBucket, bkt)
-	}
-	o, ok := b.objects[key]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bkt, key)
-	}
-	s.ledger.Record(Backend, "head", 1, 1, 0)
-	return int64(len(o.Data)), o.Version, nil
 }
 
 // Delete removes an object. Deleting a missing key is not an error,
@@ -248,14 +220,4 @@ func (s *Service) TotalBytes() int64 {
 		n += b.bytes
 	}
 	return n
-}
-
-// ObjectCount returns the number of objects in a bucket.
-func (s *Service) ObjectCount(bkt string) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if b, ok := s.buckets[bkt]; ok {
-		return int64(len(b.objects))
-	}
-	return 0
 }

@@ -100,15 +100,6 @@ func TestListPrefix(t *testing.T) {
 	}
 }
 
-func TestHead(t *testing.T) {
-	s := newSvc(t)
-	s.Put("wh", "k", []byte("12345"), nil)
-	size, version, err := s.Head("wh", "k")
-	if err != nil || size != 5 || version != 1 {
-		t.Errorf("Head = (%d, %d, %v)", size, version, err)
-	}
-}
-
 func TestByteAccounting(t *testing.T) {
 	s := newSvc(t)
 	s.CreateBucket("other")
@@ -122,8 +113,11 @@ func TestByteAccounting(t *testing.T) {
 	if got := s.TotalBytes(); got != 85 {
 		t.Errorf("TotalBytes = %d, want 85", got)
 	}
-	if got := s.ObjectCount("wh"); got != 2 {
-		t.Errorf("ObjectCount = %d, want 2", got)
+	if keys, _, _ := s.List("wh", ""); len(keys) != 2 {
+		t.Errorf("List = %v, want 2 keys", keys)
+	}
+	if s.BucketBytes("missing") != 0 {
+		t.Error("missing bucket has bytes")
 	}
 }
 
@@ -203,7 +197,7 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := s.ObjectCount("wh"); got != 4 {
-		t.Errorf("ObjectCount = %d, want 4", got)
+	if keys, _, _ := s.List("wh", ""); len(keys) != 4 {
+		t.Errorf("List = %v, want 4 keys", keys)
 	}
 }

@@ -28,7 +28,6 @@ package sqs
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -80,7 +79,6 @@ type queue struct {
 type Service struct {
 	rtt    time.Duration
 	ledger *meter.Ledger
-	now    func() time.Time
 
 	mu     sync.Mutex
 	queues map[string]*queue
@@ -92,11 +90,8 @@ func New(ledger *meter.Ledger) *Service {
 	if ledger == nil {
 		panic("sqs: ledger is required")
 	}
-	return &Service{rtt: DefaultRTT, ledger: ledger, now: time.Now, queues: make(map[string]*queue)}
+	return &Service{rtt: DefaultRTT, ledger: ledger, queues: make(map[string]*queue)}
 }
-
-// SetClock overrides the time source (tests only).
-func (s *Service) SetClock(now func() time.Time) { s.now = now }
 
 // CreateQueue creates an empty queue.
 func (s *Service) CreateQueue(name string) error {
@@ -153,25 +148,13 @@ func (s *Service) redriveLocked(q *queue, m *storedMessage) bool {
 	}
 	delete(q.messages, m.id)
 	s.seq++
-	moved := &storedMessage{id: m.id, body: m.body, seq: s.seq, visibleAt: s.now()}
+	moved := &storedMessage{id: m.id, body: m.body, seq: s.seq, visibleAt: time.Now()}
 	dlq.messages[m.id] = moved
 	select {
 	case dlq.notify <- struct{}{}:
 	default:
 	}
 	return true
-}
-
-// Queues lists queue names, sorted.
-func (s *Service) Queues() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.queues))
-	for n := range s.queues {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (s *Service) getQueue(name string) (*queue, error) {
@@ -192,7 +175,7 @@ func (s *Service) Send(queueName, body string) (string, time.Duration, error) {
 	}
 	s.seq++
 	id := fmt.Sprintf("m-%08d", s.seq)
-	q.messages[id] = &storedMessage{id: id, body: body, seq: s.seq, visibleAt: s.now()}
+	q.messages[id] = &storedMessage{id: id, body: body, seq: s.seq, visibleAt: time.Now()}
 	s.ledger.Record(Backend, "send", 1, 1, int64(len(body)))
 	notify := q.notify
 	s.mu.Unlock()
@@ -214,7 +197,7 @@ func (s *Service) Receive(queueName string, visibility time.Duration) (*Message,
 	if err != nil {
 		return nil, 0, err
 	}
-	now := s.now()
+	now := time.Now()
 	s.ledger.Record(Backend, "receive", 1, 1, 0)
 	for {
 		var oldest *storedMessage
@@ -259,7 +242,7 @@ func (s *Service) ReceiveWait(queueName string, visibility, maxWait time.Duratio
 			return nil, 0, err
 		}
 		notify := q.notify
-		now := s.now()
+		now := time.Now()
 		var oldest *storedMessage
 		var nextVisible time.Time
 		for {
@@ -355,7 +338,7 @@ func (s *Service) ChangeVisibility(queueName, receipt string, visibility time.Du
 	s.ledger.Record(Backend, "changeVisibility", 1, 1, 0)
 	for _, m := range q.messages {
 		if m.receipt == receipt && receipt != "" {
-			m.visibleAt = s.now().Add(visibility)
+			m.visibleAt = time.Now().Add(visibility)
 			if visibility <= 0 {
 				// Releasing the lease: wake a waiting receiver.
 				select {

@@ -17,9 +17,9 @@
 // Every step exists once. The live pipeline runs them on goroutines:
 // StartIndexer / StartQueryProcessor spawn workers that poll the queues,
 // renew message leases and survive instance crashes through SQS redelivery
-// (one loop, runWorker, with a handler per module); SubmitQuery or a
-// Frontend — one dispatcher routing responses to many callers by query ID —
-// is the front end. The deterministic synchronous drivers the experiment
+// (one loop, runWorker, with a handler per module); a Frontend — one
+// dispatcher routing responses to many callers by query ID — is the front
+// end. The deterministic synchronous drivers the experiment
 // harness uses call the same steps inline: RunQueryOn is steps 7-18 on the
 // calling goroutine, so it issues exactly the same service requests — and
 // metering and billing match the cost model — while IndexCorpusOn schedules
@@ -554,28 +554,10 @@ func (w *Warehouse) Registry() *obs.Registry { return w.reg }
 // Tracer exposes the pipeline span tracer, or nil when Config.Trace is off.
 func (w *Warehouse) Tracer() *obs.Tracer { return w.tracer }
 
-// ChaosCounts reports the faults injected so far (zero value when no chaos
-// layer is configured). It is a thin view over the obs Registry: the
-// injector streams every tally into the registry's chaos.* counters, and
-// this accessor reads them back.
-func (w *Warehouse) ChaosCounts() chaos.Counts {
-	if w.chaosInj == nil {
-		return chaos.Counts{}
-	}
-	return chaos.Counts{
-		Throttles:      w.reg.Counter(chaos.MetricThrottles).Value(),
-		Internals:      w.reg.Counter(chaos.MetricInternals).Value(),
-		PartialBatches: w.reg.Counter(chaos.MetricPartialBatches).Value(),
-		DupDeliveries:  w.reg.Counter(chaos.MetricDupDeliveries).Value(),
-		ExpiredLeases:  w.reg.Counter(chaos.MetricExpiredLeases).Value(),
-		S3Faults:       w.reg.Counter(chaos.MetricS3Faults).Value(),
-	}
-}
-
 // RetryStats reports the degradation absorbed by the store retry layer
-// (zero value when no chaos layer is configured). Like ChaosCounts it is a
-// registry view: the retry wrapper mirrors every counter into the
-// registry's kv.retry.* metrics.
+// (zero value when no chaos layer is configured). It is a registry view:
+// the retry wrapper mirrors every counter into the registry's kv.retry.*
+// metrics, as the chaos injector does its fault tallies into chaos.*.
 func (w *Warehouse) RetryStats() kv.RetryStats {
 	if w.retry == nil {
 		return kv.RetryStats{}
@@ -588,36 +570,6 @@ func (w *Warehouse) RetryStats() kv.RetryStats {
 		ItemsResubmitted: w.reg.Counter(kv.MetricItemsResubmitted).Value(),
 		KeysRefetched:    w.reg.Counter(kv.MetricKeysRefetched).Value(),
 		GaveUp:           w.reg.Counter(kv.MetricGaveUp).Value(),
-	}
-}
-
-// LookupTotals reports the cumulative look-up statistics of every query the
-// warehouse processed, read from the obs Registry (the per-query numbers
-// are in each QueryStats.Lookup).
-func (w *Warehouse) LookupTotals() index.LookupStats {
-	return index.LookupStats{
-		GetOps:         w.met.lookupGetOps.Value(),
-		GetTime:        time.Duration(w.met.lookupGetTimeNS.Value()),
-		BytesFetched:   w.met.lookupBytes.Value(),
-		TwigCandidates: int(w.met.lookupTwigCandidates.Value()),
-		CacheHits:      w.met.cacheHits.Value(),
-		CacheMisses:    w.met.cacheMisses.Value(),
-		CacheEvictions: w.met.cacheEvictions.Value(),
-		StoreRetries:   w.met.lookupStoreRetries.Value(),
-		CoalescedKeys:  w.met.lookupCoalescedKeys.Value(),
-	}
-}
-
-// CoalesceStats reports the single-flight coalescing counters (zero value
-// when Config.CoalesceLookups is off). Like ChaosCounts it is a registry
-// view: the flight group streams its counters into the registry.
-func (w *Warehouse) CoalesceStats() resilience.GroupStats {
-	if w.flight == nil {
-		return resilience.GroupStats{}
-	}
-	return resilience.GroupStats{
-		Hits:    w.reg.Counter(resilience.MetricCoalesceHits).Value(),
-		Leaders: w.reg.Counter(resilience.MetricCoalesceLeaders).Value(),
 	}
 }
 
@@ -675,11 +627,8 @@ var ErrQueryFailed = errors.New("core: query processing failed")
 // nextQueryID is step 7: the ID a query's messages, result and spans carry.
 func (w *Warehouse) nextQueryID() string { return fmt.Sprintf("q-%06d", w.querySeq.Add(1)) }
 
-// PostingCache exposes the hot-key posting cache, or nil when disabled.
-func (w *Warehouse) PostingCache() *index.PostingCache { return w.cache }
-
-// noteLookup folds one look-up's statistics into the registry counters;
-// LookupTotals reads them back.
+// noteLookup folds one look-up's statistics into the registry's
+// index.lookup.* and index.cache.* counters.
 func (w *Warehouse) noteLookup(lst index.LookupStats) {
 	w.met.lookupGetOps.Add(lst.GetOps)
 	w.met.lookupBytes.Add(lst.BytesFetched)

@@ -99,13 +99,6 @@ func (f *Frontend) abandon(id string) {
 	}
 }
 
-// Pending reports how many submitted queries are still awaiting responses.
-func (f *Frontend) Pending() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.pending)
-}
-
 // Close stops the dispatcher. In-flight waiters receive a frontend-closed
 // error; the query processors keep draining the query queue independently.
 func (f *Frontend) Close() { shutDown(f.stop, &f.done) }
@@ -151,7 +144,8 @@ func (f *Frontend) dispatch() {
 			if wasAbandoned {
 				f.w.queues.Delete(ResponseQueue, m.Receipt)
 			} else {
-				// Not this front end's: SubmitQuery's caller collects it.
+				// Not this front end's: a synchronous driver's (RunQueryOn),
+				// which collects it itself.
 				f.w.stepOver(m)
 			}
 			continue

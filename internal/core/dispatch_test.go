@@ -20,6 +20,26 @@ func startFrontendWarehouse(t *testing.T) (*Warehouse, *Frontend, *Worker) {
 	return w, NewFrontend(w), qp
 }
 
+// submitForeign enqueues a query (steps 7-8) for which no front end waits,
+// the way a synchronous driver's query shares the response queue, and
+// returns its ID.
+func submitForeign(t *testing.T, w *Warehouse, queryText string) string {
+	t.Helper()
+	id := w.nextQueryID()
+	if err := w.sendQuery(nil, id, queryText, true); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// pending is how many submitted queries the front end still awaits
+// responses for.
+func pending(f *Frontend) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.pending)
+}
+
 // awaitOutcome receives the outcome of a Frontend.Submit, failing the test
 // if it does not arrive in time.
 func awaitOutcome(t *testing.T, ch <-chan *QueryOutcome, timeout time.Duration) *QueryOutcome {
@@ -54,9 +74,7 @@ func TestFrontendRoutesResponsesByID(t *testing.T) {
 	defer qp.Stop()
 	defer f.Close()
 
-	if _, err := w.SubmitQuery(`//painter`, true); err != nil { // foreign: no waiter
-		t.Fatal(err)
-	}
+	submitForeign(t, w, `//painter`) // foreign: no waiter
 	idA, chA, err := f.Submit(`//painting[/name{val}]`, true)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +98,7 @@ func TestFrontendRoutesResponsesByID(t *testing.T) {
 			t.Errorf("%s: outcome %s with %d rows, want %s with %d", c.name, c.out.ID, c.out.Rows, c.id, c.rows)
 		}
 	}
-	if n := f.Pending(); n != 0 {
+	if n := pending(f); n != 0 {
 		t.Fatalf("Pending = %d after both outcomes delivered", n)
 	}
 	if n := w.queues.Len(ResponseQueue); n != 1 {
@@ -119,7 +137,7 @@ func TestFrontendConcurrentDo(t *testing.T) {
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
-	if n := f.Pending(); n != 0 {
+	if n := pending(f); n != 0 {
 		t.Fatalf("Pending = %d after all outcomes delivered", n)
 	}
 }
@@ -136,7 +154,7 @@ func TestFrontendTimeoutAbandons(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("Do with zero timeout = %v, want timeout error", err)
 	}
-	if n := f.Pending(); n != 0 {
+	if n := pending(f); n != 0 {
 		t.Fatalf("Pending = %d after abandon", n)
 	}
 	// The abandoned query's response must not poison this one.
@@ -162,7 +180,7 @@ func TestFrontendCloseUnblocksWaiters(t *testing.T) {
 		errCh <- err
 	}()
 	// Let the submit land before closing.
-	for f.Pending() == 0 {
+	for pending(f) == 0 {
 		time.Sleep(5 * time.Millisecond)
 	}
 	f.Close()

@@ -36,17 +36,6 @@ func (w *Warehouse) SubmitDocument(uri string, data []byte) error {
 	return err
 }
 
-// SubmitQuery enqueues a query (steps 7-8) and returns its identifier. The
-// response is for whoever collects it: a Frontend only routes the queries
-// submitted through it.
-func (w *Warehouse) SubmitQuery(queryText string, useIndex bool) (string, error) {
-	id := w.nextQueryID()
-	if err := w.sendQuery(nil, id, queryText, useIndex); err != nil {
-		return "", err
-	}
-	return id, nil
-}
-
 // sendQuery is step 8: send the query message under the ID the caller drew.
 // The send's modeled time goes on a "submit.query" span, a root or a child
 // of parent, and is added to parent.
@@ -138,20 +127,11 @@ type Worker struct {
 	crashed chan struct{}
 	done    sync.WaitGroup
 
-	processed, failures, redelivered atomic.Int64
+	processed atomic.Int64
 }
 
 // Processed reports how many messages the worker completed.
 func (wk *Worker) Processed() int { return int(wk.processed.Load()) }
-
-// Failures reports how many messages the worker failed on.
-func (wk *Worker) Failures() int { return int(wk.failures.Load()) }
-
-// Redeliveries reports how many of the worker's received messages were
-// redeliveries (receive count above one) — deliveries absorbed by the
-// idempotent write path after crashes, lease expiries or duplicate
-// delivery.
-func (wk *Worker) Redeliveries() int { return int(wk.redelivered.Load()) }
 
 // Stop drains the worker gracefully: it finishes (and acknowledges) its
 // current message, then exits.
@@ -222,7 +202,6 @@ func (w *Warehouse) noteSettled(wk *Worker, s settlement) {
 		wk.processed.Add(1)
 		w.met.workerProcessed.Inc()
 	case failed:
-		wk.failures.Add(1)
 		w.met.workerFailures.Inc()
 	}
 }
@@ -254,7 +233,6 @@ func (w *Warehouse) lease(wk *Worker, queue string, opts WorkerOptions) (msg *sq
 		return nil, 0, nil
 	}
 	if msg.ReceiveCount > 1 {
-		wk.redelivered.Add(1)
 		w.met.workerRedeliveries.Inc()
 	}
 	release = w.renewLease(wk, queue, msg.Receipt, opts.Visibility)

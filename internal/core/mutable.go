@@ -22,13 +22,14 @@ import (
 func (w *Warehouse) Corpus() *mutate.Corpus { return w.corpus }
 
 // UpdateDocument atomically replaces a document's content and index
-// contribution: the new bytes are stored in the file store, parsed and
-// extracted on the instance, and applied to the corpus as one version
-// bump — a delete+insert over the idempotent write path. Queries pinned
-// before the bump keep answering from the old content; queries admitted
-// after see only the new. Re-running a crashed update converges to the
-// byte-identical state of a clean one: the file put overwrites, and an
-// identical re-apply is a no-op.
+// contribution: the new bytes are parsed and extracted on the instance,
+// stored in the file store, and applied to the corpus as one version bump —
+// a delete+insert over the idempotent write path. Bytes that do not parse
+// are rejected before anything is stored. Queries pinned before the bump
+// keep answering from the old content; queries admitted after see only the
+// new. Re-running a crashed update converges to the byte-identical state of
+// a clean one: the file put overwrites, and an identical re-apply is a
+// no-op.
 //
 // Updates require Config.MutableCorpus: without the corpus manifest there
 // is no record of the old contribution to supersede, and a crash between
@@ -40,17 +41,19 @@ func (w *Warehouse) UpdateDocument(in *ec2.Instance, uri string, data []byte) er
 	sp := w.tracer.Start(obs.SpanIndexDoc)
 	sp.SetAttr("uri", uri)
 	defer sp.End()
-	put, err := w.files.Put(Bucket, DocKey(uri), data, nil)
-	if err != nil {
-		sp.SetError(err)
-		return fmt.Errorf("core: updating %s: %w", uri, err)
-	}
+	// Parse before the put: content that does not parse must never replace
+	// the stored file the manifest still points at.
 	doc, err := xmltree.Parse(uri, data)
 	if err != nil {
 		sp.SetError(err)
 		return err
 	}
 	ex := index.Extract(w.Strategy, doc, w.indexOptions())
+	put, err := w.files.Put(Bucket, DocKey(uri), data, nil)
+	if err != nil {
+		sp.SetError(err)
+		return fmt.Errorf("core: updating %s: %w", uri, err)
+	}
 	compute := in.ComputeDuration(int64(len(data)), w.Perf.ParseBytesPerECUSec) +
 		in.ComputeDuration(ex.Bytes, w.Perf.ExtractBytesPerECUSec)
 	w.met.indexExtract.ObserveModeled(compute)

@@ -132,10 +132,10 @@ func TestChaosMutableUpdateDifferential(t *testing.T) {
 	}
 	mutableLifecycle(t, chaotic, docs, true)
 
-	if n := chaotic.ChaosCounts().Total(); n == 0 {
+	if n, byClass := chaosFaults(chaotic); n == 0 {
 		t.Error("chaotic run injected no faults")
 	} else {
-		t.Logf("chaos: %+v", chaotic.ChaosCounts())
+		t.Logf("chaos: %v", byClass)
 		t.Logf("retry: %+v", chaotic.RetryStats())
 	}
 	for _, w := range []*Warehouse{clean, chaotic} {

@@ -379,9 +379,10 @@ func TestShardedDeletePostingCacheFreshness(t *testing.T) {
 	}
 
 	// Warm pass: same version, so the second run must serve from cache.
-	h0, _, _ := w.PostingCache().Counters()
+	hits := w.Registry().Counter("index.cache.hits")
+	h0 := hits.Value()
 	again, _ := answerRows(t, w, in, text)
-	if h1, _, _ := w.PostingCache().Counters(); h1 <= h0 {
+	if h1 := hits.Value(); h1 <= h0 {
 		t.Errorf("warm re-run served no posting-cache hits (%d -> %d)", h0, h1)
 	}
 	for j := range base {

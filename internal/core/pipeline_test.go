@@ -164,10 +164,7 @@ func TestDriverStepsOverForeignResponse(t *testing.T) {
 	w := newWarehouse(t, index.LU)
 	loadPaintings(t, w, ec2.LaunchFleet(w.ledger, ec2.Large, 1))
 
-	idA, err := w.SubmitQuery(`//painting[/name{val}]`, true) // 9 rows, never collected
-	if err != nil {
-		t.Fatal(err)
-	}
+	idA := submitForeign(t, w, `//painting[/name{val}]`) // 9 rows, never collected
 	qp := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), WorkerOptions{})
 	for deadline := time.Now().Add(10 * time.Second); w.queues.Len(ResponseQueue) == 0 && time.Now().Before(deadline); {
 		time.Sleep(5 * time.Millisecond)

@@ -49,7 +49,7 @@ func TestPoisonDocumentGoesToDeadLetters(t *testing.T) {
 	if wk.Processed() != 4 {
 		t.Errorf("processed %d documents, want 4", wk.Processed())
 	}
-	if wk.Failures() < 1 {
+	if w.Registry().Counter("core.worker.failures").Value() < 1 {
 		t.Error("no failures recorded for the poison document")
 	}
 

@@ -152,7 +152,7 @@ func TestRemoveDocumentInvalidatesPostingCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, _, _ := w.cache.Counters()
+	hits := w.Registry().Counter("index.cache.hits").Value()
 	if hits == 0 || len(again.Rows) != 2 {
 		t.Fatalf("cache not primed: hits=%d rows=%d", hits, len(again.Rows))
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cloud/ec2"
 	"repro/internal/engine"
 	"repro/internal/index"
+	"repro/internal/resilience"
 )
 
 const tailQuery = `//painting[/name~"Lion", /painter[/name[/last{val}]]]`
@@ -115,7 +116,7 @@ func TestQueryRetryBudgetExhaustion(t *testing.T) {
 
 // CoalesceLookups routes every query read through the single-flight group
 // without changing any answer; with a single front end the group only ever
-// sees leaders, and the counters surface through CoalesceStats.
+// sees leaders, and the counters surface in the registry.
 func TestCoalesceLookupsKeepsAnswers(t *testing.T) {
 	plain, pin := tailWarehouse(t, Config{Strategy: index.LUP})
 	res, _, err := plain.RunQueryOn(pin, tailQuery, true)
@@ -123,8 +124,8 @@ func TestCoalesceLookupsKeepsAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := renderRows(res)
-	if cs := plain.CoalesceStats(); cs.Leaders != 0 || cs.Hits != 0 {
-		t.Fatalf("coalescing disabled but stats = %+v", cs)
+	if l, h := coalesceCounts(plain); l != 0 || h != 0 {
+		t.Fatalf("coalescing disabled but %d leaders, %d hits", l, h)
 	}
 
 	coal, cin := tailWarehouse(t, Config{Strategy: index.LUP, CoalesceLookups: true})
@@ -141,13 +142,20 @@ func TestCoalesceLookupsKeepsAnswers(t *testing.T) {
 			t.Fatalf("row %d: %q coalesced, %q plain", i, got[i], want[i])
 		}
 	}
-	cs := coal.CoalesceStats()
-	if cs.Leaders == 0 {
+	leaders, hits := coalesceCounts(coal)
+	if leaders == 0 {
 		t.Fatal("coalescing enabled but no reads went through the flight group")
 	}
-	if cs.Hits != 0 {
-		t.Fatalf("sequential queries coalesced %d times — the group must not act as a cache", cs.Hits)
+	if hits != 0 {
+		t.Fatalf("sequential queries coalesced %d times — the group must not act as a cache", hits)
 	}
+}
+
+// coalesceCounts reads the flight group's leader and hit counters from the
+// registry.
+func coalesceCounts(w *Warehouse) (leaders, hits int64) {
+	r := w.Registry()
+	return r.Counter(resilience.MetricCoalesceLeaders).Value(), r.Counter(resilience.MetricCoalesceHits).Value()
 }
 
 // The coalesced key counts aggregate into the warehouse look-up totals.
@@ -155,8 +163,7 @@ func TestLookupTotalsCarryResilienceCounters(t *testing.T) {
 	w := newWarehouse(t, index.LUP)
 	w.noteLookup(index.LookupStats{CoalescedKeys: 2})
 	w.noteLookup(index.LookupStats{CoalescedKeys: 1})
-	tot := w.LookupTotals()
-	if tot.CoalescedKeys != 3 {
-		t.Fatalf("totals = %+v, want 3 coalesced", tot)
+	if got := w.Registry().Counter("index.lookup.coalesced_keys").Value(); got != 3 {
+		t.Fatalf("index.lookup.coalesced_keys = %d, want 3", got)
 	}
 }

@@ -173,18 +173,11 @@ func (s *Set) Block(i int) ([]xmltree.NodeID, error) {
 	return ids, nil
 }
 
-// AppendBlock decodes the i-th block into dst without touching the memo —
-// the allocation-free path for callers that pool their buffers. Packed
-// payloads decode through a pooled arena; callers that loop over blocks
-// should hold one arena and use AppendBlockArena instead.
-func (s *Set) AppendBlock(dst []xmltree.NodeID, i int) ([]xmltree.NodeID, error) {
-	return s.AppendBlockArena(dst, i, nil)
-}
-
-// AppendBlockArena is AppendBlock decoding through the caller's arena: a
-// packed payload unpacks its columns into it, so a loop over blocks reuses
-// one arena and the steady-state decode allocates nothing. A nil arena
-// borrows one from the pool for the duration of the call.
+// AppendBlockArena decodes the i-th block into dst without touching the
+// memo, through the caller's arena: a packed payload unpacks its columns
+// into it, so a loop over blocks reuses one arena and the steady-state
+// decode allocates nothing. A nil arena borrows one from the pool for the
+// duration of the call.
 func (s *Set) AppendBlockArena(dst []xmltree.NodeID, i int, a *Arena) ([]xmltree.NodeID, error) {
 	s.mu.Lock()
 	memo := s.decoded

@@ -253,14 +253,14 @@ func TestAppendBlockReusesBuffer(t *testing.T) {
 	buf := make([]xmltree.NodeID, 0, 256)
 	var got []xmltree.NodeID
 	for i := 0; i < s.Blocks(); i++ {
-		dec, err := s.AppendBlock(buf[:0], i)
+		dec, err := s.AppendBlockArena(buf[:0], i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got = append(got, dec...)
 	}
 	if !reflect.DeepEqual(got, ids) {
-		t.Fatal("AppendBlock mismatch")
+		t.Fatal("AppendBlockArena mismatch")
 	}
 }
 

@@ -72,9 +72,9 @@ func TestMergeTombstonesSubtracts(t *testing.T) {
 	var per []xmltree.NodeID
 	for i := 0; i < merged.Blocks(); i++ {
 		var err error
-		per, err = merged.AppendBlock(per, i)
+		per, err = merged.AppendBlockArena(per, i, nil)
 		if err != nil {
-			t.Fatalf("AppendBlock(%d): %v", i, err)
+			t.Fatalf("AppendBlockArena(%d): %v", i, err)
 		}
 	}
 	if !reflect.DeepEqual(per, want) {

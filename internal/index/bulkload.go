@@ -81,7 +81,6 @@ type BulkLoader struct {
 
 	buffers map[string][]pendingItem // per table, FIFO in Add order
 	fifo    []*bulkDoc               // docs in Add order, not yet released
-	total   LoadStats
 	closed  bool
 
 	// Flush instruments, resolved once at construction (nil-safe no-ops
@@ -137,7 +136,6 @@ func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 	for _, table := range sortedTables(ex) {
 		entries := ex.Tables[table]
 		d.stats.Entries += len(entries)
-		b.total.Entries += len(entries)
 		items := tableItems(ex.URI, table, entries, b.itemBudget)
 		buf := slices.Grow(b.buffers[table], len(items))
 		for _, item := range items {
@@ -185,14 +183,6 @@ func (b *BulkLoader) Close() ([]DocLoad, error) {
 	return done, err
 }
 
-// Total reports the aggregate statistics of everything flushed so far. It
-// equals the sum of the released DocLoads' Stats once all documents are
-// released.
-func (b *BulkLoader) Total() LoadStats { return b.total }
-
-// Pending reports how many added documents have not been fully flushed yet.
-func (b *BulkLoader) Pending() int { return len(b.fifo) }
-
 // flushTable ships one batch — the oldest buffered items of the table, up
 // to the flush threshold — and attributes its cost to the contributing
 // documents. The posting caches are invalidated for every item in the
@@ -225,9 +215,6 @@ func (b *BulkLoader) flushTable(table string) error {
 	if err != nil {
 		return err
 	}
-	b.total.Requests++
-	b.total.Items += n
-	b.total.Bytes += bytes
 	b.metFlushes.Inc()
 	b.metItems.Add(int64(n))
 	b.metBytes.Add(bytes)

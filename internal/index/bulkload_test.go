@@ -104,9 +104,6 @@ func TestBulkLoaderMatchesWriteExtraction(t *testing.T) {
 			if got.Entries != want.Entries || got.Items != want.Items || got.Bytes != want.Bytes {
 				t.Errorf("bulk stats %+v, per-doc %+v", got, want)
 			}
-			if got != loader.Total() {
-				t.Errorf("summed doc stats %+v != loader total %+v", got, loader.Total())
-			}
 			if got.Requests != bulk.putCalls {
 				t.Errorf("attributed requests %d, issued %d", got.Requests, bulk.putCalls)
 			}
@@ -137,10 +134,13 @@ func TestBulkLoaderRequestFloor(t *testing.T) {
 		exs := extractCorpus(t, s, store, docs)
 		loader := NewBulkLoader(store, BulkOptions{})
 		perTable := make(map[string]int)
+		requests := 0
 		for _, ex := range exs {
-			if _, err := loader.Add(ex); err != nil {
+			dls, err := loader.Add(ex)
+			if err != nil {
 				t.Fatal(err)
 			}
+			requests += sumRequests(dls)
 			budget := itemBudgetFor(store.Limits())
 			for _, tbl := range sortedTables(ex) {
 				for _, e := range ex.Tables[tbl] {
@@ -148,22 +148,33 @@ func TestBulkLoaderRequestFloor(t *testing.T) {
 				}
 			}
 		}
-		if _, err := loader.Close(); err != nil {
+		dls, err := loader.Close()
+		if err != nil {
 			t.Fatal(err)
 		}
+		requests += sumRequests(dls)
 		limit := store.Limits().BatchPutItems
 		floor := 0
 		for _, n := range perTable {
 			floor += (n + limit - 1) / limit
 		}
-		if got := loader.Total().Requests; got != floor {
-			t.Errorf("%s: requests %d, want packing floor %d", s.Name(), got, floor)
+		if requests != floor {
+			t.Errorf("%s: requests %d, want packing floor %d", s.Name(), requests, floor)
 		}
 	}
 }
 
+// sumRequests adds up the batch requests attributed to released documents.
+func sumRequests(dls []DocLoad) int {
+	n := 0
+	for _, dl := range dls {
+		n += dl.Stats.Requests
+	}
+	return n
+}
+
 // TestBulkLoaderSmallFlushAndPending exercises a sub-limit flush threshold
-// and the Pending/release bookkeeping.
+// and the pending/release bookkeeping.
 func TestBulkLoaderSmallFlushAndPending(t *testing.T) {
 	docs := testCorpus()[:6]
 	store := newStore(t, LU)
@@ -176,8 +187,8 @@ func TestBulkLoaderSmallFlushAndPending(t *testing.T) {
 			t.Fatal(err)
 		}
 		released += len(dls)
-		if released+loader.Pending() != 0 && released+loader.Pending() > len(exs) {
-			t.Fatalf("released %d + pending %d exceeds added docs", released, loader.Pending())
+		if released+len(loader.fifo) != 0 && released+len(loader.fifo) > len(exs) {
+			t.Fatalf("released %d + pending %d exceeds added docs", released, len(loader.fifo))
 		}
 	}
 	dls, err := loader.Close()
@@ -185,8 +196,8 @@ func TestBulkLoaderSmallFlushAndPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	released += len(dls)
-	if released != len(exs) || loader.Pending() != 0 {
-		t.Fatalf("released %d (pending %d), want all %d", released, loader.Pending(), len(exs))
+	if released != len(exs) || len(loader.fifo) != 0 {
+		t.Fatalf("released %d (pending %d), want all %d", released, len(loader.fifo), len(exs))
 	}
 	if _, err := loader.Add(exs[0]); !errors.Is(err, ErrLoaderClosed) {
 		t.Errorf("Add after Close = %v, want ErrLoaderClosed", err)
@@ -331,16 +342,21 @@ func TestBulkLoaderMeteredRequests(t *testing.T) {
 	}
 	exs := extractCorpus(t, LU, store, docs)
 	loader := NewBulkLoader(store, BulkOptions{})
+	requests := 0
 	for _, ex := range exs {
-		if _, err := loader.Add(ex); err != nil {
+		dls, err := loader.Add(ex)
+		if err != nil {
 			t.Fatal(err)
 		}
+		requests += sumRequests(dls)
 	}
-	if _, err := loader.Close(); err != nil {
+	dls, err := loader.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
+	requests += sumRequests(dls)
 	billed := ledger.Snapshot().Get(dynamodb.Backend, "put").Calls
-	if billed != int64(loader.Total().Requests) {
-		t.Errorf("ledger billed %d put calls, loader reports %d", billed, loader.Total().Requests)
+	if billed != int64(requests) {
+		t.Errorf("ledger billed %d put calls, loader attributes %d", billed, requests)
 	}
 }

@@ -76,10 +76,7 @@ const DefaultCacheBytes = 64 << 20
 // A single cache must only ever front a single store: keys do not embed a
 // store identity.
 type PostingCache struct {
-	shards    [cacheShards]cacheShard
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
+	shards [cacheShards]cacheShard
 
 	// storeShards is the shard count of the fronted store (0 or 1 when
 	// unsharded); see SetStoreShards.
@@ -151,10 +148,8 @@ func (c *PostingCache) get(k cacheKey) (map[string]*Posting, bool) {
 	}
 	sh.mu.Unlock()
 	if !ok {
-		c.misses.Add(1)
 		return nil, false
 	}
-	c.hits.Add(1)
 	return el.Value.(*cacheEntry).postings, true
 }
 
@@ -187,7 +182,6 @@ func (c *PostingCache) put(k cacheKey, postings map[string]*Posting) int64 {
 		}
 	}
 	sh.mu.Unlock()
-	c.evictions.Add(evicted)
 	return evicted
 }
 
@@ -242,23 +236,6 @@ func (c *PostingCache) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Bytes returns the approximate resident posting bytes.
-func (c *PostingCache) Bytes() int64 {
-	var n int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.bytes
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Counters returns the lifetime hit / miss / eviction totals.
-func (c *PostingCache) Counters() (hits, misses, evictions int64) {
-	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
 
 // postingsBytes approximates the resident size of a decoded posting set:

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -216,30 +215,5 @@ func TestPathMatcherFallback(t *testing.T) {
 				t.Errorf("MatchValue(%d steps, %q) = %v, want %v", len(tc.steps), tc.path, got, tc.want)
 			}
 		}
-	}
-}
-
-// TestDecodedPathsHelper: the Posting accessor materializes exactly what
-// DecodePathValue yields over each raw value, in order.
-func TestDecodedPathsHelper(t *testing.T) {
-	paths := []string{"/ea/eb", "/ea/ec", "/ename"}
-	p := &Posting{URI: "u"}
-	p.PathVals = append(p.PathVals, []byte("/plain"))
-	p.PathVals = append(p.PathVals, EncodePathsCompressed(paths, 0)[0])
-	got, err := p.DecodedPaths()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]string{"/plain"}, sortedPaths(paths)...)
-	if len(got) != len(want) {
-		t.Fatalf("DecodedPaths = %q, want %q", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DecodedPaths[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-	if !bytes.Equal(p.PathVals[0], []byte("/plain")) {
-		t.Fatal("DecodedPaths mutated the raw values")
 	}
 }

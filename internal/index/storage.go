@@ -359,21 +359,6 @@ func (p *Posting) DecodedIDs() ([]xmltree.NodeID, error) {
 	return p.blocked.All()
 }
 
-// DecodedPaths materializes the posting's path list as strings. The
-// matcher path (lookupLUP) never needs this; it exists for callers that
-// want the expanded list — tests, debugging, differentials.
-func (p *Posting) DecodedPaths() ([]string, error) {
-	var out []string
-	for _, v := range p.PathVals {
-		paths, err := DecodePathValue(v)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, paths...)
-	}
-	return out, nil
-}
-
 // ReadKeys batch-fetches several hash keys and returns per-key postings.
 // Keys resident in opts' cache are served from it without touching the
 // store; the misses are split into store-batch-limit chunks fanned out over

@@ -162,22 +162,9 @@ type Compact struct {
 	egress    int64
 }
 
-// Compact returns the current reading.
-func (l *Ledger) Compact() Compact {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Compact{
-		ops:       l.ops[:len(l.ops):len(l.ops)],
-		counts:    append([]Counts(nil), l.counts...),
-		instTypes: l.instTypes[:len(l.instTypes):len(l.instTypes)],
-		instSecs:  append([]float64(nil), l.instSecs...),
-		egress:    l.egress,
-	}
-}
-
-// CompactInto is Compact reusing prev's backing arrays when they are large
-// enough, for callers that take readings in a loop (the obs tracer recycles
-// them through a pool).
+// CompactInto returns the current reading, reusing prev's backing arrays
+// when they are large enough, for callers that take readings in a loop (the
+// obs tracer recycles them through a pool). A zero prev takes a fresh one.
 func (l *Ledger) CompactInto(prev Compact) Compact {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -190,9 +177,10 @@ func (l *Ledger) CompactInto(prev Compact) Compact {
 	}
 }
 
-// SubSince diffs the ledger's live state against an earlier compact
-// reading, like Compact().Sub(prev) without materialising the second
-// reading.
+// SubSince returns the activity since prev, an earlier compact reading of
+// this ledger, without materialising a second reading: the non-zero op
+// deltas in first-recorded order, the non-zero per-type instance seconds,
+// and the egress delta.
 func (l *Ledger) SubSince(prev Compact) (ops []OpDelta, inst []TypeSeconds, egress int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -234,56 +222,6 @@ type OpDelta struct {
 type TypeSeconds struct {
 	Type    string
 	Seconds float64
-}
-
-// Sub returns the activity between prev (the earlier reading, possibly of
-// a shorter table) and c: the non-zero op deltas in first-recorded order,
-// the non-zero per-type instance seconds, and the egress delta. Both
-// readings must come from the same ledger.
-func (c Compact) Sub(prev Compact) (ops []OpDelta, inst []TypeSeconds, egress int64) {
-	for i, ct := range c.counts {
-		var p Counts
-		if i < len(prev.counts) {
-			p = prev.counts[i]
-		}
-		if d := ct.sub(p); d != (Counts{}) {
-			if ops == nil {
-				ops = make([]OpDelta, 0, len(c.counts)-i)
-			}
-			ops = append(ops, OpDelta{c.ops[i], d})
-		}
-	}
-	for i, s := range c.instSecs {
-		var p float64
-		if i < len(prev.instSecs) {
-			p = prev.instSecs[i]
-		}
-		if d := s - p; d != 0 {
-			if inst == nil {
-				inst = make([]TypeSeconds, 0, len(c.instSecs)-i)
-			}
-			inst = append(inst, TypeSeconds{c.instTypes[i], d})
-		}
-	}
-	return ops, inst, c.egress - prev.egress
-}
-
-// NewUsage assembles a Usage from explicit components — the inverse of a
-// recorded diff (the obs span journal rehydrates billed usage this way,
-// e.g. to price a span with pricing.PriceBook.Bill).
-func NewUsage(ops map[Op]Counts, instanceSeconds map[string]float64, egressBytes int64) Usage {
-	u := Usage{
-		ops:             make(map[Op]Counts, len(ops)),
-		instanceSeconds: make(map[string]float64, len(instanceSeconds)),
-		egressBytes:     egressBytes,
-	}
-	for k, v := range ops {
-		u.ops[k] = v
-	}
-	for k, v := range instanceSeconds {
-		u.instanceSeconds[k] = v
-	}
-	return u
 }
 
 func (u Usage) clone() Usage {
@@ -357,28 +295,6 @@ func (u Usage) ServiceCalls(service string) int64 {
 	for k, v := range u.ops {
 		if k.Service == service {
 			n += v.Calls
-		}
-	}
-	return n
-}
-
-// ServiceUnits sums the Units of every operation of the given service.
-func (u Usage) ServiceUnits(service string) int64 {
-	var n int64
-	for k, v := range u.ops {
-		if k.Service == service {
-			n += v.Units
-		}
-	}
-	return n
-}
-
-// ServiceBytes sums the Bytes of every operation of the given service.
-func (u Usage) ServiceBytes(service string) int64 {
-	var n int64
-	for k, v := range u.ops {
-		if k.Service == service {
-			n += v.Bytes
 		}
 	}
 	return n

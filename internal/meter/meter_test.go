@@ -33,12 +33,6 @@ func TestServiceAggregates(t *testing.T) {
 	if got := u.ServiceCalls("s3"); got != 5 {
 		t.Errorf("ServiceCalls(s3) = %d, want 5", got)
 	}
-	if got := u.ServiceUnits("s3"); got != 5 {
-		t.Errorf("ServiceUnits(s3) = %d, want 5", got)
-	}
-	if got := u.ServiceBytes("s3"); got != 300 {
-		t.Errorf("ServiceBytes(s3) = %d, want 300", got)
-	}
 	if got := u.ServiceCalls("sqs"); got != 5 {
 		t.Errorf("ServiceCalls(sqs) = %d, want 5", got)
 	}
@@ -156,14 +150,14 @@ func TestCompactSub(t *testing.T) {
 	l := NewLedger()
 	l.Record("s3", "get", 1, 1, 10)
 	l.AddInstanceSeconds("l", 5)
-	before := l.Compact()
+	before := l.CompactInto(Compact{})
 	l.Record("s3", "get", 4, 4, 40)
 	l.Record("sqs", "send", 1, 1, 1)
 	l.AddInstanceSeconds("l", 7)
 	l.AddInstanceSeconds("xl", 2)
 	l.AddEgress(100)
 
-	ops, inst, egress := l.Compact().Sub(before)
+	ops, inst, egress := l.SubSince(before)
 	want := []OpDelta{
 		{Op{"s3", "get"}, Counts{4, 4, 40}},
 		{Op{"sqs", "send"}, Counts{1, 1, 1}},
@@ -188,52 +182,21 @@ func TestCompactSub(t *testing.T) {
 	if egress != 100 {
 		t.Errorf("egress = %d, want 100", egress)
 	}
-
-	// SubSince diffs the live state and must agree with the two-reading form.
-	ops2, inst2, egress2 := l.SubSince(before)
-	if len(ops2) != len(ops) || len(inst2) != len(inst) || egress2 != egress {
-		t.Fatalf("SubSince = (%+v, %+v, %d), want (%+v, %+v, %d)", ops2, inst2, egress2, ops, inst, egress)
-	}
-	for i := range ops {
-		if ops2[i] != ops[i] {
-			t.Errorf("SubSince ops[%d] = %+v, want %+v", i, ops2[i], ops[i])
-		}
-	}
 }
 
 func TestCompactIntoReuses(t *testing.T) {
 	l := NewLedger()
 	l.Record("s3", "get", 1, 1, 10)
 	l.AddInstanceSeconds("l", 1)
-	scratch := l.Compact()
+	scratch := l.CompactInto(Compact{})
 	l.Record("s3", "put", 2, 2, 20)
 	c := l.CompactInto(scratch)
-	ops, _, _ := l.Compact().Sub(Compact{})
-	got, _, _ := c.Sub(Compact{})
-	if len(got) != len(ops) {
-		t.Fatalf("CompactInto reading has %d ops, want %d", len(got), len(ops))
+	// A complete reading: nothing happened since it was taken.
+	if ops, inst, egress := l.SubSince(c); ops != nil || inst != nil || egress != 0 {
+		t.Fatalf("activity since the CompactInto reading = (%+v, %+v, %d), want none", ops, inst, egress)
 	}
-	for i := range ops {
-		if got[i] != ops[i] {
-			t.Errorf("ops[%d] = %+v, want %+v", i, got[i], ops[i])
-		}
-	}
-}
-
-func TestNewUsageRoundTrip(t *testing.T) {
-	u := NewUsage(
-		map[Op]Counts{{"dynamodb", "get"}: {3, 3, 300}},
-		map[string]float64{"xl": 4.5},
-		77,
-	)
-	if got := u.Get("dynamodb", "get"); got != (Counts{3, 3, 300}) {
-		t.Errorf("Get = %+v", got)
-	}
-	if got := u.InstanceSeconds("xl"); got != 4.5 {
-		t.Errorf("InstanceSeconds = %v, want 4.5", got)
-	}
-	if got := u.EgressBytes(); got != 77 {
-		t.Errorf("EgressBytes = %d, want 77", got)
+	if ops, _, _ := l.SubSince(Compact{}); len(ops) != 2 {
+		t.Fatalf("activity since the start = %+v, want the get and the put", ops)
 	}
 }
 
@@ -259,7 +222,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			base := l.Compact()
+			base := l.CompactInto(Compact{})
 			for j := 0; j < 200; j++ {
 				if c := l.Snapshot().Get("dynamodb", "get"); c.Calls != c.Units || c.Bytes != 2*c.Calls {
 					t.Errorf("torn snapshot: %+v", c)

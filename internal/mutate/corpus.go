@@ -226,12 +226,6 @@ func (c *Corpus) MutationsSinceCompact() int64 {
 	return c.mutations
 }
 
-// BufferedItems returns the store items currently held by the write
-// buffer, across all live versions.
-func (c *Corpus) BufferedItems() int {
-	return c.delta.Items()
-}
-
 // BufferedEntries returns the live overlay entry count.
 func (c *Corpus) BufferedEntries() int {
 	return c.delta.Len()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -167,8 +166,8 @@ type PromSample struct {
 // ParseProm is a minimal validator/parser for the Prometheus text format:
 // it accepts comment and blank lines, requires every other line to be
 // `name[{labels}] value`, and returns the parsed samples. It exists so the
-// obs-smoke target can assert the exporter's output is well-formed without
-// a Prometheus dependency.
+// obs-smoke target and the xwh serve smoke test can assert the exporter's
+// output is well-formed without a Prometheus dependency.
 func ParseProm(rd io.Reader) ([]PromSample, error) {
 	var out []PromSample
 	sc := bufio.NewScanner(rd)
@@ -259,50 +258,10 @@ func Handler(r *Registry, tr *Tracer, ready ...func() error) http.Handler {
 	return mux
 }
 
-// StageOrder sorts span/stage names into the canonical Figure 1 pipeline
-// order (write side first, then read side); unknown names sort after known
-// ones, alphabetically. Used by the benchall per-stage table and tests.
-func StageOrder(names []string) {
-	rank := map[string]int{
-		SpanSubmitDocument: 0,
-		SpanIndexDoc:       1,
-		SpanLease:          2,
-		SpanExtract:        3,
-		SpanUpload:         4,
-		SpanCompact:        5,
-		SpanAdmit:          6,
-		SpanQuery:          7,
-		SpanSubmitQuery:    8,
-		SpanProcess:        9,
-		SpanLookup:         10,
-		SpanIndexGet:       11,
-		SpanScatter:        12,
-		SpanSemijoin:       13,
-		SpanTwigJoin:       14,
-		SpanEval:           15,
-		SpanResults:        16,
-		SpanFetchResults:   17,
-	}
-	sort.SliceStable(names, func(i, j int) bool {
-		ri, iok := rank[names[i]]
-		rj, jok := rank[names[j]]
-		switch {
-		case iok && jok:
-			return ri < rj
-		case iok:
-			return true
-		case jok:
-			return false
-		default:
-			return names[i] < names[j]
-		}
-	})
-}
-
 // Span names of the Figure 1 pipeline stages. Write side: a document is
-// submitted (steps 1-3), then a worker leases its loader message, extracts
-// the index entries and uploads them (steps 4-7; "upload" covers both the
-// per-document path and a bulk loader flush share). Read side: a query is
+// submitted (steps 1-3), then a worker extracts the index entries and
+// uploads them (steps 4-7; "upload" covers both the per-document path and a
+// bulk loader flush share). Read side: a query is
 // submitted (steps 8-9), processed (10-14: index lookup — itself split
 // into raw gets, the LUP⋉LUI semijoin and the twig join — then
 // per-document eval and the results write), and its results fetched
@@ -310,7 +269,6 @@ func StageOrder(names []string) {
 const (
 	SpanSubmitDocument = "submit.document"
 	SpanIndexDoc       = "index.doc"
-	SpanLease          = "lease"
 	SpanExtract        = "extract"
 	SpanUpload         = "upload"
 	// SpanCompact wraps one delta-compaction pass of a mutable corpus: the

@@ -59,21 +59,6 @@ type SpanRecord struct {
 	Egress   int64         `json:"egress_bytes,omitempty"`
 }
 
-// LedgerDiff rebuilds the meter usage incurred under the span, suitable for
-// pricing.PriceBook.Bill. The record stores only the flattened diff (maps
-// are too expensive for the hot path); this reassembles it on demand.
-func (r SpanRecord) LedgerDiff() meter.Usage {
-	ops := make(map[meter.Op]meter.Counts, len(r.Ops))
-	for _, o := range r.Ops {
-		ops[meter.Op{Service: o.Service, Name: o.Op}] = meter.Counts{Calls: o.Calls, Units: o.Units, Bytes: o.Bytes}
-	}
-	inst := make(map[string]float64, len(r.Inst))
-	for _, i := range r.Inst {
-		inst[i.Type] = i.Seconds
-	}
-	return meter.NewUsage(ops, inst, r.Egress)
-}
-
 // Attr returns the value of the named attribute ("" if absent).
 func (r SpanRecord) Attr(key string) string {
 	for _, a := range r.Attrs {
@@ -102,12 +87,11 @@ type Tracer struct {
 	ledger *meter.Ledger
 	snaps  sync.Pool // *meter.Compact before-readings, recycled across spans
 
-	mu      sync.Mutex
-	nextID  int64
-	ring    []SpanRecord
-	head    int // next write position
-	n       int // filled entries
-	dropped int64
+	mu     sync.Mutex
+	nextID int64
+	ring   []SpanRecord
+	head   int // next write position
+	n      int // filled entries
 }
 
 // DefaultJournalCapacity bounds the span journal when no capacity is given.
@@ -299,9 +283,7 @@ func (s *Span) End() {
 	}
 
 	t.mu.Lock()
-	if t.n == len(t.ring) {
-		t.dropped++
-	} else {
+	if t.n < len(t.ring) {
 		t.n++
 	}
 	t.ring[t.head] = rec
@@ -322,17 +304,6 @@ func (t *Tracer) Spans() []SpanRecord {
 		out = append(out, t.ring[(start+i)%len(t.ring)])
 	}
 	return out
-}
-
-// Dropped reports how many finished spans have been evicted from the
-// journal since creation.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // QuerySpans returns the span trees whose root carries attribute "id" ==

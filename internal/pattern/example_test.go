@@ -21,16 +21,6 @@ func ExampleParse() {
 	// rendered: //painting[/name{val}, /year in ("1854","1865"]]
 }
 
-func ExampleTree_RootToLeafPaths() {
-	q := pattern.MustParse(`//painting[/name, //painter[/name]]`)
-	for _, p := range q.Patterns[0].RootToLeafPaths() {
-		fmt.Println(p)
-	}
-	// Output:
-	// //painting/name
-	// //painting//painter/name
-}
-
 func ExamplePred_Matches() {
 	year := pattern.Pred{Kind: pattern.Range, Lo: "1854", Hi: "1865", LoStrict: true}
 	fmt.Println(year.Matches("1854"), year.Matches("1860"), year.Matches("1865"))

@@ -225,48 +225,6 @@ func (t *Tree) Walk(visit func(*Node)) {
 	}
 }
 
-// Nodes returns the pattern's nodes in preorder.
-func (t *Tree) Nodes() []*Node {
-	var out []*Node
-	t.Walk(func(n *Node) { out = append(out, n) })
-	return out
-}
-
-// Outputs returns the annotated (val/cont) nodes in preorder: the columns
-// of the pattern's result.
-func (t *Tree) Outputs() []*Node {
-	var out []*Node
-	t.Walk(func(n *Node) {
-		if n.Val || n.Cont {
-			out = append(out, n)
-		}
-	})
-	return out
-}
-
-// Vars maps variable names to their nodes.
-func (q *Query) Vars() map[string]*Node {
-	vars := make(map[string]*Node)
-	for _, t := range q.Patterns {
-		t.Walk(func(n *Node) {
-			if n.Var != "" {
-				vars[n.Var] = n
-			}
-		})
-	}
-	return vars
-}
-
-// Outputs returns the annotated nodes across all patterns, in pattern then
-// preorder: the result columns of the query.
-func (q *Query) Outputs() []*Node {
-	var out []*Node
-	for _, t := range q.Patterns {
-		out = append(out, t.Outputs()...)
-	}
-	return out
-}
-
 // Validate checks structural well-formedness: at least one pattern, parent
 // pointers consistent, attribute nodes childless and without cont, join
 // variables defined exactly once.
@@ -318,51 +276,6 @@ func (q *Query) Validate() error {
 		}
 	}
 	return nil
-}
-
-// PathStep is one step of a root-to-leaf query path.
-type PathStep struct {
-	Axis   Axis
-	Label  string
-	IsAttr bool
-}
-
-// Path is a root-to-leaf label path through a pattern, the unit the LUP
-// look-up matches against indexed data paths (Section 5.2).
-type Path []PathStep
-
-func (p Path) String() string {
-	var b strings.Builder
-	for _, s := range p {
-		b.WriteString(s.Axis.String())
-		if s.IsAttr {
-			b.WriteString("@")
-		}
-		b.WriteString(s.Label)
-	}
-	return b.String()
-}
-
-// RootToLeafPaths decomposes the pattern into its root-to-leaf paths, in
-// left-to-right leaf order. The first step carries the root's axis.
-func (t *Tree) RootToLeafPaths() []Path {
-	var out []Path
-	var rec func(n *Node, prefix Path)
-	rec = func(n *Node, prefix Path) {
-		step := PathStep{Axis: n.Axis, Label: n.Label, IsAttr: n.IsAttr}
-		path := append(append(Path{}, prefix...), step)
-		if len(n.Children) == 0 {
-			out = append(out, path)
-			return
-		}
-		for _, c := range n.Children {
-			rec(c, path)
-		}
-	}
-	if t.Root != nil {
-		rec(t.Root, nil)
-	}
-	return out
 }
 
 // Labels returns the distinct node labels of the query (attribute labels

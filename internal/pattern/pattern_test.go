@@ -66,9 +66,8 @@ func TestParseAttributesAndVars(t *testing.T) {
 	if q.Joins[0] != (JoinCond{A: "a", B: "b"}) {
 		t.Errorf("join = %+v", q.Joins[0])
 	}
-	vars := q.Vars()
-	if vars["a"] == nil || !vars["a"].IsAttr || vars["a"].Label != "id" {
-		t.Errorf("$a = %+v", vars["a"])
+	if a := q.Patterns[0].Children()[1].Children[0]; a.Var != "a" || !a.IsAttr || a.Label != "id" {
+		t.Errorf("$a = %+v", a)
 	}
 }
 
@@ -153,26 +152,6 @@ func TestPredMatches(t *testing.T) {
 	}
 }
 
-func TestRootToLeafPaths(t *testing.T) {
-	q := MustParse(`//painting[/name{val}, //painter[/name[/last]]]`)
-	paths := q.Patterns[0].RootToLeafPaths()
-	if len(paths) != 2 {
-		t.Fatalf("paths = %d", len(paths))
-	}
-	if got := paths[0].String(); got != "//painting/name" {
-		t.Errorf("path 0 = %q", got)
-	}
-	if got := paths[1].String(); got != "//painting//painter/name/last" {
-		t.Errorf("path 1 = %q", got)
-	}
-	// Single-node pattern: one path of one step.
-	q = MustParse(`//item`)
-	paths = q.Patterns[0].RootToLeafPaths()
-	if len(paths) != 1 || paths[0].String() != "//item" {
-		t.Errorf("paths = %v", paths)
-	}
-}
-
 func TestLabels(t *testing.T) {
 	q := MustParse(`//museum[/name, //painting[/@id $a]], //painting[/@id $b] where $a = $b`)
 	got := q.Labels()
@@ -184,9 +163,17 @@ func TestLabels(t *testing.T) {
 
 func TestOutputs(t *testing.T) {
 	q := MustParse(`//painting[/name{val}, /description{cont}, /year]`)
-	outs := q.Outputs()
-	if len(outs) != 2 || outs[0].Label != "name" || outs[1].Label != "description" {
-		t.Errorf("outputs = %v", outs)
+	var outs []string
+	q.Patterns[0].Walk(func(n *Node) {
+		if n.Val {
+			outs = append(outs, n.Label+"{val}")
+		}
+		if n.Cont {
+			outs = append(outs, n.Label+"{cont}")
+		}
+	})
+	if strings.Join(outs, " ") != "name{val} description{cont}" {
+		t.Errorf("output annotations = %v", outs)
 	}
 }
 

@@ -33,22 +33,6 @@ func NewBudget(deadline time.Duration, retryTokens int) *Budget {
 	return b
 }
 
-// Deadline returns the modeled deadline (0 when none, also on nil).
-func (b *Budget) Deadline() time.Duration {
-	if b == nil {
-		return 0
-	}
-	return b.deadline
-}
-
-// Spent returns the modeled time charged so far.
-func (b *Budget) Spent() time.Duration {
-	if b == nil {
-		return 0
-	}
-	return time.Duration(b.spent.Load())
-}
-
 // Charge records d of consumed modeled time.
 func (b *Budget) Charge(d time.Duration) {
 	if b == nil || d <= 0 {
@@ -96,18 +80,6 @@ func (b *Budget) TakeRetry() bool {
 			return true
 		}
 	}
-}
-
-// RetriesLeft returns the remaining retry tokens (-1 for unlimited).
-func (b *Budget) RetriesLeft() int {
-	if b == nil {
-		return -1
-	}
-	n := b.retries.Load()
-	if n < 0 {
-		return -1
-	}
-	return int(n)
 }
 
 type budgetKey struct{}

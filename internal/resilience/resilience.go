@@ -35,9 +35,8 @@ const (
 // wall-clock deadlines uniformly.
 type deadlineError struct{}
 
-func (deadlineError) Error() string   { return "resilience: modeled query deadline exceeded" }
-func (deadlineError) Timeout() bool   { return true }
-func (deadlineError) Temporary() bool { return true }
+func (deadlineError) Error() string { return "resilience: modeled query deadline exceeded" }
+func (deadlineError) Timeout() bool { return true }
 func (deadlineError) Is(target error) bool {
 	return target == context.DeadlineExceeded
 }

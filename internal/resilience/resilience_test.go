@@ -58,7 +58,7 @@ func TestBudgetNoDeadline(t *testing.T) {
 		t.Fatal("no deadline never exhausts")
 	}
 	var nilB *Budget
-	if nilB.Exhausted(time.Hour) || !nilB.TakeRetry() || nilB.RetriesLeft() != -1 {
+	if nilB.Exhausted(time.Hour) || !nilB.TakeRetry() {
 		t.Fatal("nil budget must be a no-op")
 	}
 	nilB.Charge(time.Hour) // must not panic
@@ -71,9 +71,6 @@ func TestBudgetRetryTokens(t *testing.T) {
 	}
 	if b.TakeRetry() {
 		t.Fatal("third take must fail")
-	}
-	if got := b.RetriesLeft(); got != 0 {
-		t.Fatalf("RetriesLeft = %d, want 0", got)
 	}
 	unlimited := NewBudget(0, -1)
 	for i := 0; i < 100; i++ {
@@ -179,10 +176,6 @@ func TestGroupCoalesces(t *testing.T) {
 	}
 	if leaders != 1 {
 		t.Fatalf("%d leaders, want 1", leaders)
-	}
-	st := g.Stats()
-	if st.Leaders != 1 || st.Hits != waiters-1 {
-		t.Fatalf("stats = %+v", st)
 	}
 	if sink.get(MetricCoalesceLeaders) != 1 || sink.get(MetricCoalesceHits) != int64(waiters-1) {
 		t.Fatalf("sink counters wrong: %v", sink.m)

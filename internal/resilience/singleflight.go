@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -25,9 +24,6 @@ type Group struct {
 
 	mu sync.Mutex
 	m  map[string]*flightCall
-
-	hits    atomic.Int64
-	leaders atomic.Int64
 }
 
 type flightCall struct {
@@ -40,19 +36,6 @@ type flightCall struct {
 
 // NewGroup returns an empty group.
 func NewGroup() *Group { return &Group{} }
-
-// GroupStats is a snapshot of a Group's counters.
-type GroupStats struct {
-	// Hits counts follower calls that shared a leader's in-flight result.
-	Hits int64
-	// Leaders counts calls that actually executed the function.
-	Leaders int64
-}
-
-// Stats returns a snapshot of the group's cumulative counters.
-func (g *Group) Stats() GroupStats {
-	return GroupStats{Hits: g.hits.Load(), Leaders: g.leaders.Load()}
-}
 
 // Waiting reports how many followers are currently blocked on key's
 // in-flight call (0 when none is in flight). Tests use it to release a
@@ -67,8 +50,7 @@ func (g *Group) Waiting(key string) int {
 	return 0
 }
 
-func (g *Group) bump(c *atomic.Int64, metric string) {
-	c.Add(1)
+func (g *Group) bump(metric string) {
 	if g.Sink != nil {
 		g.Sink.Add(metric, 1)
 	}
@@ -88,7 +70,7 @@ func (g *Group) Do(key string, fn func() (any, time.Duration, error)) (v any, d 
 		c.waiters++
 		g.mu.Unlock()
 		c.wg.Wait()
-		g.bump(&g.hits, MetricCoalesceHits)
+		g.bump(MetricCoalesceHits)
 		return c.val, c.dur, false, c.err
 	}
 	c := new(flightCall)
@@ -105,6 +87,6 @@ func (g *Group) Do(key string, fn func() (any, time.Duration, error)) (v any, d 
 	delete(g.m, key)
 	g.mu.Unlock()
 	c.wg.Done()
-	g.bump(&g.leaders, MetricCoalesceLeaders)
+	g.bump(MetricCoalesceLeaders)
 	return c.val, c.dur, true, c.err
 }

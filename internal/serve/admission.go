@@ -91,6 +91,11 @@ type tenantBucket struct {
 // Admission applies the per-tenant quotas. The queue bound itself is
 // enforced by the server's bounded channel; Admit/Refund bracket the
 // enqueue attempt so a queue-full shed returns the tenant's token.
+//
+// A tenant has a bucket only while it differs from a fresh one: with no
+// quota configured no bucket is made, and a bucket with nothing in flight
+// that has refilled to the burst is dropped. The X-Tenant header is the
+// client's to choose, so the map must not grow with the values it sends.
 type Admission struct {
 	limits Limits
 	now    func() time.Time
@@ -98,6 +103,7 @@ type Admission struct {
 	mu       sync.Mutex
 	tenants  map[string]*tenantBucket
 	inflight int
+	swept    time.Time // when idle buckets were last dropped
 }
 
 // NewAdmission builds the quota layer. now is the clock (nil selects
@@ -112,13 +118,49 @@ func NewAdmission(limits Limits, now func() time.Time) *Admission {
 // Limits returns the effective (default-resolved) limits.
 func (a *Admission) Limits() Limits { return a.limits }
 
-func (a *Admission) bucket(tenant string) *tenantBucket {
-	tb := a.tenants[tenant]
-	if tb == nil {
-		tb = &tenantBucket{tokens: float64(a.limits.TenantBurst), last: a.now()}
-		a.tenants[tenant] = tb
+// quotas reports whether any per-tenant quota is configured.
+func (a *Admission) quotas() bool {
+	return a.limits.TenantQPS > 0 || a.limits.TenantInflight > 0
+}
+
+// refill credits tb with the tokens accrued since its last refill, up to
+// the burst.
+func (a *Admission) refill(tb *tenantBucket, now time.Time) {
+	tb.tokens += now.Sub(tb.last).Seconds() * a.limits.TenantQPS
+	if cap := float64(a.limits.TenantBurst); tb.tokens > cap {
+		tb.tokens = cap
 	}
-	return tb
+	tb.last = now
+}
+
+// idle reports whether tb is indistinguishable from a fresh bucket at now:
+// nothing in flight and, under a rate quota, refilled to the burst.
+func (a *Admission) idle(tb *tenantBucket, now time.Time) bool {
+	if tb.inflight > 0 {
+		return false
+	}
+	return a.limits.TenantQPS == 0 ||
+		tb.tokens+now.Sub(tb.last).Seconds()*a.limits.TenantQPS >= float64(a.limits.TenantBurst)
+}
+
+// sweep drops every idle bucket, at most once per refill period (the time
+// an empty bucket takes to refill to the burst), so the cost is amortised
+// over the admissions that made the buckets. Without a rate quota a bucket
+// is dropped as soon as it goes idle, and there is nothing to sweep.
+func (a *Admission) sweep(now time.Time) {
+	if a.limits.TenantQPS == 0 {
+		return
+	}
+	period := time.Duration(float64(a.limits.TenantBurst) / a.limits.TenantQPS * float64(time.Second))
+	if now.Sub(a.swept) < period {
+		return
+	}
+	a.swept = now
+	for tenant, tb := range a.tenants {
+		if a.idle(tb, now) {
+			delete(a.tenants, tenant)
+		}
+	}
 }
 
 // Admit accounts one request for the tenant, or explains why it is shed.
@@ -127,17 +169,22 @@ func (a *Admission) bucket(tenant string) *tenantBucket {
 func (a *Admission) Admit(tenant string) *Rejection {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	tb := a.bucket(tenant)
+	if !a.quotas() {
+		a.inflight++
+		return nil
+	}
+	now := a.now()
+	a.sweep(now)
+	tb := a.tenants[tenant]
+	if tb == nil {
+		tb = &tenantBucket{tokens: float64(a.limits.TenantBurst), last: now}
+		a.tenants[tenant] = tb
+	}
 	if a.limits.TenantInflight > 0 && tb.inflight >= a.limits.TenantInflight {
 		return &Rejection{Reason: ReasonQuotaInflight, Tenant: tenant, RetryAfter: time.Second}
 	}
 	if a.limits.TenantQPS > 0 {
-		now := a.now()
-		tb.tokens += now.Sub(tb.last).Seconds() * a.limits.TenantQPS
-		if cap := float64(a.limits.TenantBurst); tb.tokens > cap {
-			tb.tokens = cap
-		}
-		tb.last = now
+		a.refill(tb, now)
 		if tb.tokens < 1 {
 			wait := time.Duration((1 - tb.tokens) / a.limits.TenantQPS * float64(time.Second))
 			if wait < time.Millisecond {
@@ -156,10 +203,7 @@ func (a *Admission) Admit(tenant string) *Rejection {
 func (a *Admission) Release(tenant string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if tb := a.tenants[tenant]; tb != nil && tb.inflight > 0 {
-		tb.inflight--
-		a.inflight--
-	}
+	a.forget(tenant, a.release(tenant))
 }
 
 // Refund undoes an Admit whose request never reached the queue: the
@@ -168,19 +212,37 @@ func (a *Admission) Release(tenant string) {
 func (a *Admission) Refund(tenant string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	tb := a.tenants[tenant]
-	if tb == nil {
-		return
-	}
-	if tb.inflight > 0 {
-		tb.inflight--
-		a.inflight--
-	}
-	if a.limits.TenantQPS > 0 {
+	tb := a.release(tenant)
+	if tb != nil && a.limits.TenantQPS > 0 {
 		tb.tokens++
 		if cap := float64(a.limits.TenantBurst); tb.tokens > cap {
 			tb.tokens = cap
 		}
+	}
+	a.forget(tenant, tb)
+}
+
+// release frees one of the tenant's in-flight slots and returns its bucket
+// (nil when it has none).
+func (a *Admission) release(tenant string) *tenantBucket {
+	if !a.quotas() {
+		if a.inflight > 0 {
+			a.inflight--
+		}
+		return nil
+	}
+	tb := a.tenants[tenant]
+	if tb != nil && tb.inflight > 0 {
+		tb.inflight--
+		a.inflight--
+	}
+	return tb
+}
+
+// forget drops the tenant's bucket once it is idle.
+func (a *Admission) forget(tenant string, tb *tenantBucket) {
+	if tb != nil && a.idle(tb, a.now()) {
+		delete(a.tenants, tenant)
 	}
 }
 

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/cloud/ec2"
 	"repro/internal/core"
 	"repro/internal/engine"
 )
@@ -232,6 +234,38 @@ func FuzzQueryRequest(f *testing.F) {
 		var v any
 		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
 			t.Fatalf("body %q: status %d with a reply that is not JSON: %v", data, rec.Code, err)
+		}
+	})
+}
+
+// FuzzDocumentWrite: whatever the uri and body of a PUT /document on a
+// mutable warehouse, the server answers 200, 400, 413 or 500, and a fixed
+// query over the corpus still answers 200 afterwards — no write, accepted
+// or refused, may leave the corpus unable to answer. More seeds are in
+// testdata.
+func FuzzDocumentWrite(f *testing.F) {
+	f.Add("delacroix.xml", []byte("<painting><name>broken"))
+	f.Add("new.xml", []byte("<painting><name>Fresh</name></painting>"))
+	f.Add("", []byte("<a/>"))
+	w := buildMutablePaintingsWarehouse(f)
+	s, err := New(Config{Backend: NewWarehouseBackend(w, 1, ec2.XL, core.WorkerOptions{}), Limits: Limits{Workers: 1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Shutdown(context.Background()) })
+	h := s.Handler()
+	query, _ := json.Marshal(QueryRequest{Query: "//painting[/name{val}]", UseIndex: true})
+	f.Fuzz(func(t *testing.T, uri string, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/document?uri="+url.QueryEscape(uri), bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusInternalServerError:
+		default:
+			t.Fatalf("PUT uri=%q body %q: status %d: %s", uri, body, rec.Code, rec.Body.Bytes())
+		}
+		if q := serveQuery(h, query); q.Code != http.StatusOK {
+			t.Fatalf("after PUT uri=%q body %q (status %d): query status %d: %s",
+				uri, body, rec.Code, q.Code, q.Body.Bytes())
 		}
 	})
 }

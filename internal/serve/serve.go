@@ -57,7 +57,7 @@ type Config struct {
 	// Tracer receives one serve.admit span per request; nil disables spans.
 	Tracer *obs.Tracer
 	// Bill, when set, serves the warehouse's metered invoice at
-	// /billing.json so the load harness can derive $/1M-queries.
+	// /billing.json: what the queries and writes served so far have cost.
 	Bill func() pricing.Invoice
 	// Ready lists extra readiness checks mounted on /readyz alongside the
 	// server's own queue-accepting check.

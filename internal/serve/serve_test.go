@@ -17,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/obs"
+	"repro/internal/pricing"
 	"repro/internal/workload"
 	"repro/internal/xmark"
 )
@@ -375,9 +376,7 @@ func TestServeEndToEndMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseURL := "http://" + addr
-	if err := WaitReady(baseURL, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waitReady(t, baseURL)
 
 	// Every query, several times, concurrently.
 	type answer struct {
@@ -429,7 +428,7 @@ func TestServeEndToEndMatchesOneShot(t *testing.T) {
 	if got := reg.Counter("serve.admitted").Value(); got != rounds*int64(len(queries)) {
 		t.Errorf("serve.admitted = %d, want %d", got, rounds*len(queries))
 	}
-	if err := CheckServeMetrics(baseURL); err != nil {
+	if err := checkServeMetrics(baseURL); err != nil {
 		t.Errorf("metrics check: %v", err)
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -437,48 +436,158 @@ func TestServeEndToEndMatchesOneShot(t *testing.T) {
 	}
 }
 
-// RunLoad against a live daemon: the seeded closed-loop run completes with
-// zero errors and produces a sane report.
-func TestRunLoadClosedLoop(t *testing.T) {
-	w := buildPaintingsWarehouse(t)
-	backend := NewWarehouseBackend(w, 2, ec2.XL, core.WorkerOptions{})
-	reg := obs.NewRegistry()
-	s, err := New(Config{Backend: backend, Registry: reg, Limits: Limits{Workers: 4, QueueDepth: 32}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseURL := "http://" + addr
-
-	rep, err := RunLoad(LoadOptions{
-		BaseURL:     baseURL,
-		Queries:     workload.Paintings(),
-		Dist:        workload.DistZipf,
-		Seed:        7,
-		Requests:    24,
-		Concurrency: 4,
-		UseIndex:    true,
+// The billing endpoint serves the metered invoice, and Limits reports the
+// effective (defaulted) admission config.
+func TestBillingEndpointRoundTrip(t *testing.T) {
+	srv, err := New(Config{
+		Backend: &fakeBackend{},
+		Limits:  Limits{Workers: 2, QueueDepth: 4},
+		Bill: func() pricing.Invoice {
+			return pricing.Invoice{Lines: map[string]pricing.USD{"s3": 1.25, "sqs": 0.25}}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Errors != 0 {
-		t.Errorf("errors = %d, want 0\n%s", rep.Errors, rep)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.Completed != rep.Offered {
-		t.Errorf("completed = %d, offered = %d (no quotas configured)", rep.Completed, rep.Offered)
+	defer shutdown(t, srv)
+
+	lim := srv.Limits()
+	if lim.Workers != 2 || lim.QueueDepth != 4 {
+		t.Fatalf("Limits = %+v", lim)
 	}
-	if rep.P50 <= 0 || rep.P99 < rep.P50 || rep.Max < rep.P99 {
-		t.Errorf("percentiles out of order: p50=%s p99=%s max=%s", rep.P50, rep.P99, rep.Max)
+	resp, err := http.Get("http://" + addr + "/billing.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.ThroughputQPS <= 0 {
-		t.Errorf("throughput = %f, want > 0", rep.ThroughputQPS)
+	var doc struct {
+		Total float64 `json:"total"`
 	}
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || doc.Total != 1.5 {
+		t.Fatalf("billing = %d %+v %v, want 200 and total 1.5", resp.StatusCode, doc, err)
+	}
+
+	// A daemon without a Bill hook simply has no /billing.json.
+	noBill, err := New(Config{Backend: &fakeBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr2, err := noBill.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, noBill)
+	resp, err = http.Get("http://" + addr2 + "/billing.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		t.Fatal("expected no billing endpoint without a Bill hook")
+	}
+}
+
+func shutdown(t *testing.T, s *Server) {
+	t.Helper()
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// waitReady polls the daemon's /readyz until it answers 200, failing the
+// test after five seconds.
+func waitReady(t *testing.T, baseURL string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := http.Get(baseURL + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s/readyz not ready after 5s", baseURL)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// checkServeMetrics scrapes /metrics and asserts the serving counters are
+// live: the exposition parses and xwh_serve_admitted_total is non-zero, so
+// traffic really flowed through admission control.
+func checkServeMetrics(baseURL string) error {
+	resp, err := http.Get(baseURL + "/metrics")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("/metrics answered %d", resp.StatusCode)
+	}
+	samples, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		return err
+	}
+	for _, s := range samples {
+		if s.Name == "xwh_serve_admitted_total" && s.Value > 0 {
+			return nil
+		}
+	}
+	return fmt.Errorf("xwh_serve_admitted_total missing or zero in /metrics")
+}
+
+// The tenant map holds only buckets that differ from a fresh one, so a
+// client rotating X-Tenant values cannot grow it: with quotas off no tenant
+// gets a bucket, an in-flight quota drops a bucket when its last request
+// ends, and a rate quota drops the buckets of quiet tenants once they have
+// refilled.
+func TestAdmissionForgetsIdleTenants(t *testing.T) {
+	const tenants = 10000
+	churn := func(a *Admission) {
+		t.Helper()
+		for i := 0; i < tenants; i++ {
+			tenant := fmt.Sprintf("tenant-%d", i)
+			if rej := a.Admit(tenant); rej != nil {
+				t.Fatalf("admit %s: %v", tenant, rej)
+			}
+			a.Release(tenant)
+		}
+	}
+
+	off := NewAdmission(Limits{Workers: 1}, nil)
+	churn(off)
+	if n := len(off.tenants); n != 0 {
+		t.Errorf("quotas off: %d buckets, want none", n)
+	}
+	if got := off.Inflight(); got != 0 {
+		t.Errorf("quotas off: inflight = %d after every release, want 0", got)
+	}
+
+	inflight := NewAdmission(Limits{Workers: 1, TenantInflight: 2}, nil)
+	churn(inflight)
+	if n := len(inflight.tenants); n != 0 {
+		t.Errorf("in-flight quota: %d buckets with nothing in flight, want none", n)
+	}
+
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	rate := NewAdmission(Limits{Workers: 1, TenantQPS: 2, TenantBurst: 2}, clk.now)
+	churn(rate)
+	if n := len(rate.tenants); n != tenants {
+		t.Fatalf("rate quota: %d buckets, want %d partly spent ones", n, tenants)
+	}
+	clk.advance(time.Second) // refills every bucket to the burst
+	if rej := rate.Admit("next"); rej != nil {
+		t.Fatal(rej)
+	}
+	if n := len(rate.tenants); n != 1 {
+		t.Errorf("rate quota: %d buckets after the others refilled, want only the new tenant's", n)
 	}
 }
 

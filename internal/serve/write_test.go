@@ -5,11 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"sort"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cloud/ec2"
 	"repro/internal/core"
@@ -20,12 +21,12 @@ import (
 )
 
 // Tests of the daemon's write surface: PUT/DELETE /document over a mutable
-// warehouse, rejection when the corpus is immutable, and the mixed
-// read/write load harness.
+// warehouse, rejection when the corpus is immutable, and concurrent clients
+// mixing queries and writes.
 
 // buildMutablePaintingsWarehouse loads and indexes the paintings corpus
 // into a mutable-corpus warehouse.
-func buildMutablePaintingsWarehouse(t *testing.T) *core.Warehouse {
+func buildMutablePaintingsWarehouse(t testing.TB) *core.Warehouse {
 	t.Helper()
 	w, err := core.New(core.Config{Strategy: index.TwoLUPI, MutableCorpus: true, CompactEveryDocs: 4})
 	if err != nil {
@@ -104,9 +105,7 @@ func TestDocumentWriteEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseURL := "http://" + addr
-	if err := WaitReady(baseURL, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	waitReady(t, baseURL)
 
 	// Find a workload query whose answer spans at least two documents.
 	var query string
@@ -200,6 +199,33 @@ func TestDocumentWriteEndpoint(t *testing.T) {
 	}
 }
 
+// A PUT whose body does not parse is refused and leaves the document as it
+// was: the next query over it still answers 200 with the old rows.
+func TestMalformedPutKeepsDocument(t *testing.T) {
+	w := buildMutablePaintingsWarehouse(t)
+	s, err := New(Config{Backend: NewWarehouseBackend(w, 1, ec2.XL, core.WorkerOptions{}), Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, s)
+	baseURL := "http://" + addr
+	const query = `//painting[/name{val}]`
+	before := queryRows(t, baseURL, query)
+
+	resp := doDocument(t, http.MethodPut, baseURL, "delacroix.xml", []byte("<painting><name>broken"))
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		t.Fatal("PUT of a body that does not parse answered 200")
+	}
+	if got := queryRows(t, baseURL, query); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Errorf("after the refused PUT:\n got %v\nwant %v", got, before)
+	}
+}
+
 // A daemon over an immutable warehouse refuses writes with 501.
 func TestDocumentWriteRejectedWhenImmutable(t *testing.T) {
 	w := buildPaintingsWarehouse(t)
@@ -222,10 +248,10 @@ func TestDocumentWriteRejectedWhenImmutable(t *testing.T) {
 	}
 }
 
-// The mixed read/write load harness: a seeded closed-loop run interleaving
-// queries, updates and removes completes with zero errors and accounts
-// every write.
-func TestRunLoadMixedWrites(t *testing.T) {
+// Four clients interleave queries, updates and removes against a mutable
+// daemon: every request succeeds, and the write counters account every
+// write.
+func TestConcurrentMixedWrites(t *testing.T) {
 	w := buildMutablePaintingsWarehouse(t)
 	backend := NewWarehouseBackend(w, 2, ec2.XL, core.WorkerOptions{})
 	reg := obs.NewRegistry()
@@ -237,39 +263,33 @@ func TestRunLoadMixedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseURL := "http://" + addr
 
-	var pool []WriteDoc
-	for _, d := range xmark.Paintings() {
-		pool = append(pool, WriteDoc{URI: d.URI, Data: d.Data})
-	}
-	rep, err := RunLoad(LoadOptions{
-		BaseURL:     "http://" + addr,
-		Queries:     workload.Paintings(),
-		Dist:        workload.DistUniform,
-		Seed:        7,
-		Requests:    24,
-		Concurrency: 4,
-		UseIndex:    true,
-		WriteEvery:  3,
-		WriteDocs:   pool,
-		RemoveEvery: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Errorf("errors = %d, want 0\n%s", rep.Errors, rep)
-	}
-	if rep.Completed != rep.Offered {
-		t.Errorf("completed = %d, offered = %d", rep.Completed, rep.Offered)
-	}
 	// 24 requests, every 3rd a write: 8 writes, of which every 4th (2) is a
 	// remove.
-	if rep.Updates != 6 || rep.Removes != 2 {
-		t.Errorf("updates = %d removes = %d, want 6 and 2\n%s", rep.Updates, rep.Removes, rep)
+	const requests, clients = 24, 4
+	jobs := make(chan int, requests)
+	for i := 1; i <= requests; i++ {
+		jobs <- i
 	}
-	if rep.WriteP95 <= 0 {
-		t.Errorf("write p95 = %s, want > 0", rep.WriteP95)
+	close(jobs)
+	errs := make(chan error, requests)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				errs <- mixedRequest(baseURL, i)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 	if got := reg.Counter("serve.updates").Value(); got != 6 {
 		t.Errorf("serve.updates = %d, want 6", got)
@@ -277,7 +297,43 @@ func TestRunLoadMixedWrites(t *testing.T) {
 	if got := reg.Counter("serve.removes").Value(); got != 2 {
 		t.Errorf("serve.removes = %d, want 2", got)
 	}
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
+	shutdown(t, s)
+}
+
+// mixedRequest issues request i (from 1) of a mixed sequence over the
+// paintings corpus: every 3rd request writes the next document round-robin,
+// as a DELETE every 4th write and a PUT otherwise; the others are workload
+// queries in turn. Any answer but 200 is an error.
+func mixedRequest(baseURL string, i int) error {
+	var req *http.Request
+	var err error
+	if i%3 == 0 {
+		writes := i / 3
+		docs := xmark.Paintings()
+		d := docs[(writes-1)%len(docs)]
+		target := baseURL + "/document?uri=" + url.QueryEscape(d.URI)
+		if writes%4 == 0 {
+			req, err = http.NewRequest(http.MethodDelete, target, nil)
+		} else {
+			req, err = http.NewRequest(http.MethodPut, target, bytes.NewReader(d.Data))
+		}
+	} else {
+		qs := workload.Paintings()
+		body, _ := json.Marshal(QueryRequest{Query: qs[i%len(qs)].Text, UseIndex: true})
+		req, err = http.NewRequest(http.MethodPost, baseURL+"/query", bytes.NewReader(body))
 	}
+	if err != nil {
+		return err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("%s %s: status %d: %s", req.Method, req.URL, resp.StatusCode, msg)
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
 }

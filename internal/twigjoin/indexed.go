@@ -30,9 +30,9 @@ import (
 //     boundary and advances by exponential search — a merge when the sides
 //     are balanced, a binary search when one side is much smaller.
 //
-// The kernels are exact: MatchIndexed and CandidatesIndexed agree
-// elementwise with Match and Candidates on every input (the differential
-// tests assert this on seeded random corpora).
+// The kernel is exact: candidatesIndexed agrees elementwise with Candidates,
+// and so MatchIndexed with Match, on every input (the differential tests
+// assert this on seeded random corpora).
 
 // IndexedStreams maps each pattern node to its blocked identifier set.
 type IndexedStreams map[*pattern.Node]*idblock.Set
@@ -381,85 +381,4 @@ func MatchIndexedCtx(ctx context.Context, t *pattern.Tree, st IndexedStreams, js
 	matched := cv.n > 0
 	cv.release()
 	return matched, nil
-}
-
-// CandidatesIndexed returns the same candidate set as Candidates, computed
-// over blocked sets. The returned stream is freshly allocated.
-func CandidatesIndexed(t *pattern.Tree, st IndexedStreams, js *JoinStats) (Stream, error) {
-	return CandidatesIndexedCtx(nil, t, st, js)
-}
-
-// CandidatesIndexedCtx is CandidatesIndexed with cancellation, checked once
-// per pattern node. A nil ctx never cancels.
-func CandidatesIndexedCtx(ctx context.Context, t *pattern.Tree, st IndexedStreams, js *JoinStats) (Stream, error) {
-	if t == nil || t.Root == nil {
-		return nil, nil
-	}
-	if js == nil {
-		js = &JoinStats{}
-	}
-	cv, err := candidatesIndexed(ctx, t.Root, st, js, t.Root.Axis == pattern.Child, -1)
-	if err != nil || cv == nil {
-		return nil, err
-	}
-	var out Stream
-	if cv.ids != nil {
-		out = append(out, cv.ids...)
-	} else {
-		all, err := cv.set.All()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, all...)
-	}
-	cv.release()
-	return out, nil
-}
-
-// SemijoinIndexed returns the elements of ancestors having at least one
-// descendant (Child: child) in descendants, like Semijoin but over blocked
-// sets: ancestor blocks are discarded on their headers, survivors decode
-// into a pooled scratch buffer, and the descendant side is probed with a
-// galloping block cursor. Both sets are in pre order; the result preserves
-// it and is freshly allocated.
-func SemijoinIndexed(ancestors, descendants *idblock.Set, axis pattern.Axis, js *JoinStats) (Stream, error) {
-	if js == nil {
-		js = &JoinStats{}
-	}
-	if ancestors.Len() == 0 || descendants.Len() == 0 {
-		return nil, nil
-	}
-	dv := &candView{set: descendants, sum: setSummary(descendants), n: descendants.Len()}
-	var cur probeCursor
-	var out Stream
-	scratch := streamPool.Get().(*Stream)
-	arena := idblock.GetArena()
-	defer func() {
-		idblock.PutArena(arena)
-		*scratch = (*scratch)[:0]
-		streamPool.Put(scratch)
-	}()
-	for bi := 0; bi < ancestors.Blocks(); bi++ {
-		h := ancestors.Header(bi)
-		if !blockCanMatch(h, dv, axis) {
-			js.BlocksSkipped++
-			continue
-		}
-		js.BlocksRead++
-		buf, err := ancestors.AppendBlockArena([]xmltree.NodeID((*scratch)[:0]), bi, arena)
-		if err != nil {
-			return nil, err
-		}
-		*scratch = Stream(buf)
-		for _, a := range buf {
-			m, err := hasMatchBelowView(a, dv, axis, &cur, js)
-			if err != nil {
-				return nil, err
-			}
-			if m {
-				out = append(out, a)
-			}
-		}
-	}
-	return out, nil
 }

@@ -92,9 +92,6 @@ func TestMatchIndexedEmptyAndMissing(t *testing.T) {
 	if got, err := MatchIndexed(nil, IndexedStreams{}, nil); err != nil || got {
 		t.Errorf("MatchIndexed(nil tree) = %v, %v", got, err)
 	}
-	if got, err := CandidatesIndexed(nil, IndexedStreams{}, nil); err != nil || got != nil {
-		t.Errorf("CandidatesIndexed(nil tree) = %v, %v", got, err)
-	}
 }
 
 // Differential property: on generated corpus documents, the block-skipping
@@ -138,12 +135,9 @@ func TestIndexedAgreesWithDecoded(t *testing.T) {
 					t.Errorf("doc %d query %s bs %d: MatchIndexed=%v, Match=%v",
 						i, qs, bs, gotMatch, wantMatch)
 				}
-				gotCands, err := CandidatesIndexed(q, st, &js)
-				if err != nil {
-					t.Fatal(err)
-				}
+				gotCands := candidatesIndexedAll(t, q, st, &js)
 				if !streamsEqual(gotCands, wantCands) {
-					t.Errorf("doc %d query %s bs %d: CandidatesIndexed=%v, Candidates=%v",
+					t.Errorf("doc %d query %s bs %d: candidatesIndexed=%v, Candidates=%v",
 						i, qs, bs, gotCands, wantCands)
 				}
 				totals.Add(js)
@@ -162,68 +156,27 @@ func TestIndexedAgreesWithDecoded(t *testing.T) {
 	}
 }
 
-func TestSemijoinIndexedAgreesWithSemijoin(t *testing.T) {
-	pairs := []struct{ anc, desc string }{
-		{"item", "name"},
-		{"person", "education"},
-		{"site", "text"},
-		{"name", "item"}, // inverted: usually empty output
-		{"mail", "text"},
-	}
-	cfg := xmark.DefaultConfig(10)
-	cfg.TargetDocBytes = 4 << 10
-	for i := 0; i < cfg.Docs; i++ {
-		gd := xmark.GenerateDoc(cfg, i)
-		d, err := xmltree.Parse(gd.URI, gd.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pr := range pairs {
-			var as, ds Stream
-			for _, n := range d.NodesByLabel(pr.anc) {
-				as = append(as, n.ID)
-			}
-			for _, n := range d.NodesByLabel(pr.desc) {
-				ds = append(ds, n.ID)
-			}
-			aset, dset := idblock.FromIDs(as), idblock.FromIDs(ds)
-			if len(as) >= 4 {
-				aset = encodeSet(t, as, 4)
-			}
-			if len(ds) >= 4 {
-				dset = encodeSet(t, ds, 4)
-			}
-			for _, axis := range []pattern.Axis{pattern.Descendant, pattern.Child} {
-				want := Semijoin(as, ds, axis)
-				got, err := SemijoinIndexed(aset, dset, axis, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !streamsEqual(got, want) {
-					t.Errorf("doc %d %s/%s axis %v: SemijoinIndexed=%v, Semijoin=%v",
-						i, pr.anc, pr.desc, axis, got, want)
-				}
-			}
-		}
-	}
-}
-
-func encodeSet(t *testing.T, ids Stream, blockSize int) *idblock.Set {
+// candidatesIndexedAll materializes the whole candidate set the indexed
+// kernel computes for q's root, the set MatchIndexed stops at the first
+// element of.
+func candidatesIndexedAll(t *testing.T, q *pattern.Tree, st IndexedStreams, js *JoinStats) Stream {
 	t.Helper()
-	blobs := idblock.EncodePacked(ids, blockSize, 1<<20)
-	sets := make([]*idblock.Set, 0, len(blobs))
-	for _, b := range blobs {
-		s, err := idblock.Parse(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sets = append(sets, s)
+	cv, err := candidatesIndexed(nil, q.Root, st, js, q.Root.Axis == pattern.Child, -1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s, ok := idblock.Merge(sets)
-	if !ok {
-		t.Fatal("Merge rejected encoder output")
+	if cv == nil {
+		return nil
 	}
-	return s
+	defer cv.release()
+	if cv.ids != nil {
+		return append(Stream(nil), cv.ids...)
+	}
+	all, err := cv.set.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return all
 }
 
 func streamsEqual(a, b Stream) bool {

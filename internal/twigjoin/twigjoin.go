@@ -32,16 +32,6 @@ import (
 // Stream is a list of structural identifiers sorted by pre rank.
 type Stream []xmltree.NodeID
 
-// Sort orders the stream by pre rank in place.
-func (s Stream) Sort() {
-	sort.Slice(s, func(i, j int) bool { return s[i].Pre < s[j].Pre })
-}
-
-// IsSorted reports whether the stream is in pre order.
-func (s Stream) IsSorted() bool {
-	return sort.SliceIsSorted(s, func(i, j int) bool { return s[i].Pre < s[j].Pre })
-}
-
 // Streams maps each pattern node to its input stream.
 type Streams map[*pattern.Node]Stream
 

@@ -9,8 +9,7 @@
 // A Timeline models one virtual machine: it has one lane per core. Work
 // items are placed on lanes with a greedy least-loaded policy, which models
 // a multi-threaded worker pool without requiring real concurrency. The
-// elapsed time of a timeline is the maximum lane occupancy; the busy time is
-// the sum over lanes (useful for billing CPU effort).
+// elapsed time of a timeline is the maximum lane occupancy.
 //
 // Timelines are safe for concurrent use.
 package vtime
@@ -34,13 +33,6 @@ func New(n int) *Timeline {
 		panic(fmt.Sprintf("vtime: timeline must have at least one lane, got %d", n))
 	}
 	return &Timeline{lanes: make([]time.Duration, n)}
-}
-
-// Lanes reports the number of lanes.
-func (t *Timeline) Lanes() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.lanes)
 }
 
 // Advance adds d to the given lane. It panics if lane is out of range or d
@@ -95,17 +87,6 @@ func (t *Timeline) Elapsed() time.Duration {
 	return max
 }
 
-// Busy reports the total occupied time summed over all lanes.
-func (t *Timeline) Busy() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var sum time.Duration
-	for _, occ := range t.lanes {
-		sum += occ
-	}
-	return sum
-}
-
 // Level raises every lane to the timeline's current elapsed time. It models
 // a synchronization barrier: after Level, no lane can absorb new work
 // "in the past" of the barrier.
@@ -143,27 +124,4 @@ func MaxElapsed(ts ...*Timeline) time.Duration {
 		}
 	}
 	return max
-}
-
-// SumBusy returns the total busy time across the given timelines; this is
-// the "total effort" the paper relates to monetary cost.
-func SumBusy(ts ...*Timeline) time.Duration {
-	var sum time.Duration
-	for _, t := range ts {
-		sum += t.Busy()
-	}
-	return sum
-}
-
-// Hours converts a duration to fractional hours, the unit in which virtual
-// machine usage is billed (Section 7.2 of the paper).
-func Hours(d time.Duration) float64 {
-	return d.Hours()
-}
-
-// FormatHHMM renders a duration in the "hh:mm" style used by Table 4 of the
-// paper.
-func FormatHHMM(d time.Duration) string {
-	total := int(d.Round(time.Minute) / time.Minute)
-	return fmt.Sprintf("%d:%02d", total/60, total%60)
 }

@@ -7,6 +7,17 @@ import (
 	"time"
 )
 
+// busy is the total occupied time summed over tl's lanes.
+func busy(tl *Timeline) time.Duration {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	var sum time.Duration
+	for _, occ := range tl.lanes {
+		sum += occ
+	}
+	return sum
+}
+
 func TestNewPanicsOnZeroLanes(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -36,7 +47,7 @@ func TestElapsedIsMaxLane(t *testing.T) {
 	if got := tl.Elapsed(); got != 7*time.Second {
 		t.Errorf("Elapsed = %v, want 7s", got)
 	}
-	if got := tl.Busy(); got != 9*time.Second {
+	if got := busy(tl); got != 9*time.Second {
 		t.Errorf("Busy = %v, want 9s", got)
 	}
 }
@@ -62,7 +73,7 @@ func TestScheduleGreedyApproximation(t *testing.T) {
 	if got := tl.Elapsed(); got != 10*time.Second {
 		t.Errorf("Elapsed = %v, want 10s", got)
 	}
-	if got := tl.Busy(); got != 18*time.Second {
+	if got := busy(tl); got != 18*time.Second {
 		t.Errorf("Busy = %v, want 18s", got)
 	}
 }
@@ -84,7 +95,7 @@ func TestResetClearsLanes(t *testing.T) {
 	tl := New(2)
 	tl.Schedule(time.Minute)
 	tl.Reset()
-	if tl.Elapsed() != 0 || tl.Busy() != 0 {
+	if tl.Elapsed() != 0 || busy(tl) != 0 {
 		t.Error("Reset did not clear the timeline")
 	}
 }
@@ -96,8 +107,8 @@ func TestMaxElapsedAndSumBusy(t *testing.T) {
 	if got := MaxElapsed(a, b); got != 9*time.Second {
 		t.Errorf("MaxElapsed = %v, want 9s", got)
 	}
-	if got := SumBusy(a, b); got != 13*time.Second {
-		t.Errorf("SumBusy = %v, want 13s", got)
+	if got := busy(a) + busy(b); got != 13*time.Second {
+		t.Errorf("summed Busy = %v, want 13s", got)
 	}
 	if got := MaxElapsed(); got != 0 {
 		t.Errorf("MaxElapsed() = %v, want 0", got)
@@ -117,26 +128,8 @@ func TestConcurrentSchedule(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := tl.Busy(); got != 800*time.Millisecond {
+	if got := busy(tl); got != 800*time.Millisecond {
 		t.Errorf("Busy = %v, want 800ms", got)
-	}
-}
-
-func TestFormatHHMM(t *testing.T) {
-	cases := []struct {
-		d    time.Duration
-		want string
-	}{
-		{0, "0:00"},
-		{24 * time.Minute, "0:24"},
-		{2*time.Hour + 11*time.Minute, "2:11"},
-		{7*time.Hour + 46*time.Minute, "7:46"},
-		{90 * time.Second, "0:02"}, // rounds to nearest minute
-	}
-	for _, c := range cases {
-		if got := FormatHHMM(c.d); got != c.want {
-			t.Errorf("FormatHHMM(%v) = %q, want %q", c.d, got, c.want)
-		}
 	}
 }
 
@@ -155,7 +148,7 @@ func TestScheduleProperties(t *testing.T) {
 				maxTask = d
 			}
 		}
-		if tl.Busy() != sum {
+		if busy(tl) != sum {
 			return false
 		}
 		e := tl.Elapsed()

@@ -42,7 +42,7 @@ func TestWorkloadShape(t *testing.T) {
 	for _, q := range qs {
 		p := q.Parse()
 		for _, tr := range p.Patterns {
-			nodes += len(tr.Nodes())
+			tr.Walk(func(*pattern.Node) { nodes++ })
 		}
 	}
 	if avg := float64(nodes) / float64(len(qs)); avg < 5 || avg > 14 {

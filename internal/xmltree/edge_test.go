@@ -94,7 +94,7 @@ func TestDeepNesting(t *testing.T) {
 	if deepest.ID.Depth != depth {
 		t.Errorf("deepest depth = %d, want %d", deepest.ID.Depth, depth)
 	}
-	if !d.Root.ID.IsAncestorOf(deepest.ID) {
+	if !isAncestorOf(d.Root.ID, deepest.ID) {
 		t.Error("root not ancestor of deepest node")
 	}
 }

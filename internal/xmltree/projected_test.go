@@ -104,15 +104,6 @@ func checkProjected(t testing.TB, data []byte, proj *Projection, full *Document)
 		}
 		byLabel[got.Label] = append(byLabel[got.Label], got)
 	}
-	byPre := map[int32]*Node{}
-	for _, n := range pd.Nodes() {
-		byPre[n.ID.Pre] = n
-	}
-	for pre := int32(0); pre <= int32(full.NodeCount())+1; pre++ {
-		if got := pd.NodeByPre(pre); got != byPre[pre] {
-			fail("NodeByPre(%d) returns %v, want %v", pre, got, byPre[pre])
-		}
-	}
 	for _, n := range full.Nodes() {
 		got, want := pd.NodesByLabel(n.Label), byLabel[n.Label]
 		if len(got) != len(want) {
@@ -298,7 +289,7 @@ func TestProjectionNamedCases(t *testing.T) {
 	})
 	t.Run("nothing is kept", func(t *testing.T) {
 		d := parse(t, `<a><b c="1">x</b></a>`, &Projection{Elements: map[string]Keep{"z": KeepAll}})
-		if d.Root != nil || d.NodeCount() != 0 || d.NodesScanned() != 4 || d.NodesByLabel("a") != nil || d.NodeByPre(1) != nil {
+		if d.Root != nil || d.NodeCount() != 0 || d.NodesScanned() != 4 || d.NodesByLabel("a") != nil {
 			t.Fatalf("root %v, %d nodes built, %d scanned", d.Root, d.NodeCount(), d.NodesScanned())
 		}
 		if _, err := ParseProjected("d.xml", []byte(" <!-- no root --> "), &Projection{}); err == nil {

@@ -71,7 +71,7 @@
 //   - sizes its slabs by the share of nodes built so far, not by the tags
 //     left alone.
 //
-// Nodes, NodeByPre and NodesByLabel of a projected Document see the built
+// Nodes and NodesByLabel of a projected Document see the built
 // nodes only; Root is nil if the root element is not among them. The tests
 // hold every projected document node for node to the full one.
 package xmltree
@@ -79,7 +79,6 @@ package xmltree
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"unicode/utf8"
 )
@@ -120,20 +119,6 @@ type NodeID struct {
 func (id NodeID) String() string {
 	return fmt.Sprintf("(%d, %d, %d)", id.Pre, id.Post, id.Depth)
 }
-
-// IsAncestorOf reports whether the node identified by id is a strict
-// ancestor of the node identified by other (within the same document).
-func (id NodeID) IsAncestorOf(other NodeID) bool {
-	return id.Pre < other.Pre && id.Post > other.Post
-}
-
-// IsParentOf reports whether id identifies the parent of other.
-func (id NodeID) IsParentOf(other NodeID) bool {
-	return id.IsAncestorOf(other) && id.Depth+1 == other.Depth
-}
-
-// Less orders identifiers by pre rank (document order).
-func (id NodeID) Less(other NodeID) bool { return id.Pre < other.Pre }
 
 // Node is one tree node.
 type Node struct {
@@ -189,16 +174,6 @@ func (d *Document) NodesScanned() int { return d.scanned }
 // Nodes returns all built nodes in document (pre) order. The slice is
 // shared; callers must not modify it.
 func (d *Document) Nodes() []*Node { return d.nodes }
-
-// NodeByPre returns the built node with the given pre rank (1-based), or
-// nil.
-func (d *Document) NodeByPre(pre int32) *Node {
-	i := sort.Search(len(d.nodes), func(i int) bool { return d.nodes[i].ID.Pre >= pre })
-	if i == len(d.nodes) || d.nodes[i].ID.Pre != pre {
-		return nil
-	}
-	return d.nodes[i]
-}
 
 // NodesByLabel returns the element or attribute nodes carrying the given
 // label, in document order. Text nodes, having no label, are returned for
@@ -339,20 +314,6 @@ func escapeText(b *strings.Builder, s string) {
 		last = i
 	}
 	b.WriteString(s[last:])
-}
-
-// Path returns the nodes on the label path from the document root down to n,
-// inclusive (the inPath(n) of Section 5). Text nodes contribute themselves
-// as the last step.
-func (n *Node) Path() []*Node {
-	var rev []*Node
-	for cur := n; cur != nil; cur = cur.Parent {
-		rev = append(rev, cur)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }
 
 // NextWord returns the first word of s that starts at or after byte offset

@@ -78,23 +78,23 @@ func TestAncestorAndParentTests(t *testing.T) {
 	painterName := d.NodesByLabel("name")[1]
 	first := d.NodesByLabel("first")[0]
 
-	if !painting.ID.IsAncestorOf(painterName.ID) {
+	if !isAncestorOf(painting.ID, painterName.ID) {
 		t.Error("painting must be ancestor of painter/name")
 	}
-	if painting.ID.IsParentOf(painterName.ID) {
+	if isParentOf(painting.ID, painterName.ID) {
 		t.Error("painting must not be parent of painter/name (depth gap)")
 	}
 	painter := d.NodesByLabel("painter")[0]
-	if !painter.ID.IsParentOf(painterName.ID) {
+	if !isParentOf(painter.ID, painterName.ID) {
 		t.Error("painter must be parent of its name")
 	}
-	if !painterName.ID.IsParentOf(first.ID) {
+	if !isParentOf(painterName.ID, first.ID) {
 		t.Error("name must be parent of first")
 	}
-	if painterName.ID.IsAncestorOf(painting.ID) {
+	if isAncestorOf(painterName.ID, painting.ID) {
 		t.Error("descendant claimed to be ancestor")
 	}
-	if painterName.ID.IsAncestorOf(painterName.ID) {
+	if isAncestorOf(painterName.ID, painterName.ID) {
 		t.Error("node must not be its own ancestor")
 	}
 }
@@ -165,9 +165,11 @@ func TestWhitespaceBetweenElementsIgnored(t *testing.T) {
 func TestPath(t *testing.T) {
 	d := mustParse(t, "manet.xml", manetXML)
 	last := d.NodesByLabel("last")[0]
+	// The label path from the root (inPath of Section 5), read up the
+	// Parent links.
 	var labels []string
-	for _, n := range last.Path() {
-		labels = append(labels, n.Label)
+	for n := last; n != nil; n = n.Parent {
+		labels = append([]string{n.Label}, labels...)
 	}
 	want := []string{"painting", "painter", "name", "last"}
 	if !reflect.DeepEqual(labels, want) {
@@ -189,15 +191,19 @@ func TestParseErrors(t *testing.T) {
 
 func TestNodeByPre(t *testing.T) {
 	d := mustParse(t, "manet.xml", manetXML)
-	for _, n := range d.Nodes() {
-		if got := d.NodeByPre(n.ID.Pre); got != n {
-			t.Errorf("NodeByPre(%d) mismatched", n.ID.Pre)
+	for i, n := range d.Nodes() {
+		if n.ID.Pre != int32(i+1) {
+			t.Errorf("Nodes()[%d] has pre %d, want %d", i, n.ID.Pre, i+1)
 		}
 	}
-	if d.NodeByPre(0) != nil || d.NodeByPre(int32(d.NodeCount()+1)) != nil {
-		t.Error("out-of-range pre must return nil")
-	}
 }
+
+// isAncestorOf reports whether a identifies a strict ancestor of b: a
+// starts before b and ends after it.
+func isAncestorOf(a, b NodeID) bool { return a.Pre < b.Pre && a.Post > b.Post }
+
+// isParentOf reports whether a identifies the parent of b.
+func isParentOf(a, b NodeID) bool { return isAncestorOf(a, b) && a.Depth+1 == b.Depth }
 
 func TestWords(t *testing.T) {
 	cases := []struct {
@@ -300,7 +306,7 @@ func checkInvariants(t *testing.T, d *Document) {
 		seenPre[n.ID.Pre] = true
 		seenPost[n.ID.Post] = true
 		if n.Parent != nil {
-			if !n.Parent.ID.IsParentOf(n.ID) {
+			if !isParentOf(n.Parent.ID, n.ID) {
 				t.Fatalf("parent test fails for %v under %v", n.ID, n.Parent.ID)
 			}
 		} else if n.ID.Depth != 1 {
@@ -322,8 +328,8 @@ func checkInvariants(t *testing.T, d *Document) {
 					break
 				}
 			}
-			if got := a.ID.IsAncestorOf(b.ID); got != want {
-				t.Fatalf("IsAncestorOf(%v, %v) = %v, want %v", a.ID, b.ID, got, want)
+			if got := isAncestorOf(a.ID, b.ID); got != want {
+				t.Fatalf("isAncestorOf(%v, %v) = %v, want %v", a.ID, b.ID, got, want)
 			}
 		}
 	}

@@ -57,15 +57,6 @@ func Parse(src string) (*pattern.Query, error) {
 	return q, nil
 }
 
-// MustParse is Parse for statically known queries.
-func MustParse(src string) *pattern.Query {
-	q, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 // --- lexer ---------------------------------------------------------------
 
 type tkind uint8

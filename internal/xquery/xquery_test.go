@@ -159,9 +159,12 @@ func TestFlippedComparison(t *testing.T) {
 }
 
 func TestTranslationStructure(t *testing.T) {
-	q := MustParse(`for $m in //museum, $p in //painting
+	q, err := Parse(`for $m in //museum, $p in //painting
 		where $m//painting/@id = $p/@id
 		return (string($m/name), $p/name)`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(q.Patterns) != 2 {
 		t.Fatalf("patterns = %d", len(q.Patterns))
 	}
