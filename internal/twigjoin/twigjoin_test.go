@@ -1,10 +1,10 @@
 package twigjoin
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/idblock"
 	"repro/internal/pattern"
 	"repro/internal/xmark"
 	"repro/internal/xmltree"
@@ -87,7 +87,7 @@ func TestCandidatesReturnRoots(t *testing.T) {
 	if len(c) != 2 {
 		t.Fatalf("candidates = %v, want 2 roots", c)
 	}
-	if !isSorted(c) {
+	if !idblock.IsSorted(c) {
 		t.Error("candidates not in pre order")
 	}
 }
@@ -239,7 +239,7 @@ func TestSemijoinProperty(t *testing.T) {
 			ds = append(ds, n.ID)
 		}
 		out := Semijoin(as, ds, pattern.Descendant)
-		if !isSorted(out) || len(out) > len(as) {
+		if !idblock.IsSorted(out) || len(out) > len(as) {
 			return false
 		}
 		in := map[xmltree.NodeID]bool{}
@@ -256,9 +256,4 @@ func TestSemijoinProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
 	}
-}
-
-// isSorted reports whether s is in pre order.
-func isSorted(s Stream) bool {
-	return sort.SliceIsSorted(s, func(i, j int) bool { return s[i].Pre < s[j].Pre })
 }
