@@ -10,17 +10,15 @@
 // the reference's seed and length, reports ok_ops_share 1, and has the
 // reference's value (to 1e-9 of it, which is float formatting) for every
 // metric the reference lists under that workload. The reference file is the
-// list of what is gated: modeled_ms_per_op and index_bytes_per_corpus_byte on
-// every workload, which depend on --seed and --seconds only, never on the
-// machine, and billed_requests_per_op and usd_per_1k_ops on index-build and
-// serve-selective, where every run of one commit bills the same requests (8
-// and 16 runs at these settings, none differed). On the other two the bill
-// depends on the clock through the queues' 100 ms long polls, so the
-// reference does not list it there: a serve-scan request that a loaded
-// machine stretches past a poll bills one more empty receive (2 runs of 18
-// read 127.255 or 127.26 for 127.25), and on serve-mixed-rw the two move by a
-// few parts in ten thousand in every run. Every other end-to-end metric is
-// printed and not gated: the clocked ones are the machine's.
+// list of what is gated: modeled_ms_per_op, index_bytes_per_corpus_byte,
+// billed_requests_per_op and usd_per_1k_ops on every workload, which depend on
+// --seed and --seconds only, never on the machine. The bill is among them
+// because the live loops (query processors, the response dispatcher) wait for
+// work in one 20 s long poll that shutdown cancels, so a run bills only the
+// receives that deliver plus one last wait per loop, however long its
+// requests take (ten runs at these settings, none differed). Every other
+// end-to-end metric is printed and not gated: the clocked ones are the
+// machine's.
 //
 // A change that moves a gated metric on purpose runs the benchmark as above
 // and then `go run ./cmd/benchgate -update`, which rewrites the reference's

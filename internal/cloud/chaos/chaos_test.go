@@ -238,13 +238,13 @@ func TestQueueDuplicateDelivery(t *testing.T) {
 	if _, _, err := wrapped.Send("work", "job"); err != nil {
 		t.Fatal(err)
 	}
-	m1, _, err := wrapped.Receive("work", time.Minute)
+	m1, _, err := wrapped.Receive(context.Background(), "work", time.Minute, 0)
 	if err != nil || m1 == nil {
 		t.Fatalf("first receive: %v, %v", m1, err)
 	}
 	// The injector released the lease: the same message is immediately
 	// deliverable again, while the first receiver still processes it.
-	m2, _, err := wrapped.Receive("work", time.Minute)
+	m2, _, err := wrapped.Receive(context.Background(), "work", time.Minute, 0)
 	if err != nil || m2 == nil {
 		t.Fatalf("second receive: %v, %v", m2, err)
 	}
@@ -276,13 +276,13 @@ func TestQueueForcedLeaseExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ask for a long lease; chaos silently cuts it to an eighth.
-	m1, _, err := wrapped.Receive("work", 400*time.Millisecond)
+	m1, _, err := wrapped.Receive(context.Background(), "work", 400*time.Millisecond, 0)
 	if err != nil || m1 == nil {
 		t.Fatalf("receive: %v, %v", m1, err)
 	}
 	time.Sleep(80 * time.Millisecond) // past the shortened lease, well within the requested one
 	inj.SetRates(chaos.Rates{})
-	m2, _, err := wrapped.Receive("work", time.Minute)
+	m2, _, err := wrapped.Receive(context.Background(), "work", time.Minute, 0)
 	if err != nil || m2 == nil {
 		t.Fatalf("post-expiry receive: %v, %v", m2, err)
 	}

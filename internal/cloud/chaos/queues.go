@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/cloud/sqs"
@@ -29,7 +30,7 @@ func (inj *Injector) expireLease() bool {
 }
 
 // Queues wraps an sqs.Service and injects at-least-once delivery anomalies
-// on Receive/ReceiveWait:
+// on Receive:
 //
 //   - duplicate delivery: the lease of a just-delivered message is released
 //     immediately (visibility zero), so the message is delivered again to
@@ -82,18 +83,10 @@ func (c *Queues) sabotage(queueName string, msg *sqs.Message, visibility time.Du
 	return d
 }
 
-// Receive implements the sqs receive with injection.
-func (c *Queues) Receive(queueName string, visibility time.Duration) (*sqs.Message, time.Duration, error) {
-	msg, d, err := c.Service.Receive(queueName, visibility)
-	if err != nil {
-		return msg, d, err
-	}
-	return msg, c.sabotage(queueName, msg, visibility, d), nil
-}
-
-// ReceiveWait implements the sqs long poll with injection.
-func (c *Queues) ReceiveWait(queueName string, visibility, maxWait time.Duration) (*sqs.Message, time.Duration, error) {
-	msg, d, err := c.Service.ReceiveWait(queueName, visibility, maxWait)
+// Receive implements the sqs receive with injection. It is the wrapper's
+// only receive: the embedded service's would bypass the injector.
+func (c *Queues) Receive(ctx context.Context, queueName string, visibility, wait time.Duration) (*sqs.Message, time.Duration, error) {
+	msg, d, err := c.Service.Receive(ctx, queueName, visibility, wait)
 	if err != nil {
 		return msg, d, err
 	}

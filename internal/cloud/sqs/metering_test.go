@@ -7,8 +7,8 @@ import (
 	"repro/internal/meter"
 )
 
-// Long polling bills one request per ReceiveWait call, regardless of how
-// many internal wake-ups happen — the reason the live workers can idle
+// Long polling bills one request per Receive call, regardless of how many
+// internal wake-ups happen — the reason the live workers can idle
 // cheaply.
 func TestReceiveWaitBilledOnce(t *testing.T) {
 	led := meter.NewLedger()
@@ -16,14 +16,14 @@ func TestReceiveWaitBilledOnce(t *testing.T) {
 	s.CreateQueue("q")
 	// A leased message forces several internal wake-ups while waiting.
 	s.Send("q", "held")
-	m, _, _ := s.Receive("q", 25*time.Millisecond)
+	m, _, _ := s.Receive(bg, "q", 25*time.Millisecond, 0)
 	if m == nil {
 		t.Fatal("no message")
 	}
 	before := led.Snapshot().Get(Backend, "receive").Calls
-	got, _, err := s.ReceiveWait("q", time.Minute, 100*time.Millisecond)
+	got, _, err := s.Receive(bg, "q", time.Minute, 100*time.Millisecond)
 	if err != nil || got == nil {
-		t.Fatalf("ReceiveWait = %v, %v", got, err)
+		t.Fatalf("Receive = %v, %v", got, err)
 	}
 	after := led.Snapshot().Get(Backend, "receive").Calls
 	if after-before != 1 {
@@ -36,7 +36,7 @@ func TestChangeVisibilityBilled(t *testing.T) {
 	s := New(led)
 	s.CreateQueue("q")
 	s.Send("q", "x")
-	m, _, _ := s.Receive("q", time.Minute)
+	m, _, _ := s.Receive(bg, "q", time.Minute, 0)
 	s.ChangeVisibility("q", m.Receipt, time.Minute)
 	if got := led.Snapshot().Get(Backend, "changeVisibility").Calls; got != 1 {
 		t.Errorf("changeVisibility calls = %d", got)

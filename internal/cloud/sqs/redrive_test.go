@@ -26,14 +26,14 @@ func TestPoisonMessageMovesToDeadLetterQueue(t *testing.T) {
 	s.Send("work", "poison")
 	// Two failed deliveries (leases expire immediately via zero release).
 	for i := 0; i < 2; i++ {
-		m, _, _ := s.Receive("work", time.Minute)
+		m, _, _ := s.Receive(bg, "work", time.Minute, 0)
 		if m == nil {
 			t.Fatalf("delivery %d missing", i)
 		}
 		s.ChangeVisibility("work", m.Receipt, 0) // simulate failure/crash
 	}
 	// Third receive must find nothing: the message was redriven.
-	if m, _, _ := s.Receive("work", time.Minute); m != nil {
+	if m, _, _ := s.Receive(bg, "work", time.Minute, 0); m != nil {
 		t.Fatalf("poison message delivered a third time: %+v", m)
 	}
 	if got := s.Len("work"); got != 0 {
@@ -42,7 +42,7 @@ func TestPoisonMessageMovesToDeadLetterQueue(t *testing.T) {
 	if got := s.Len("dead"); got != 1 {
 		t.Fatalf("dead-letter queue holds %d, want 1", got)
 	}
-	dm, _, _ := s.Receive("dead", time.Minute)
+	dm, _, _ := s.Receive(bg, "dead", time.Minute, 0)
 	if dm == nil || dm.Body != "poison" {
 		t.Errorf("dead letter = %+v", dm)
 	}
@@ -51,7 +51,7 @@ func TestPoisonMessageMovesToDeadLetterQueue(t *testing.T) {
 func TestHealthyMessagesUnaffectedByRedrive(t *testing.T) {
 	s := newDLQ(t, 2)
 	s.Send("work", "fine")
-	m, _, _ := s.Receive("work", time.Minute)
+	m, _, _ := s.Receive(bg, "work", time.Minute, 0)
 	if _, err := s.Delete("work", m.Receipt); err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +63,13 @@ func TestHealthyMessagesUnaffectedByRedrive(t *testing.T) {
 func TestReceiveWaitRedrives(t *testing.T) {
 	s := newDLQ(t, 1)
 	s.Send("work", "poison")
-	m, _, _ := s.Receive("work", 10*time.Millisecond)
+	m, _, _ := s.Receive(bg, "work", 10*time.Millisecond, 0)
 	if m == nil {
 		t.Fatal("first delivery missing")
 	}
 	time.Sleep(20 * time.Millisecond)
 	// The long poll must redrive rather than deliver, then time out.
-	m2, _, err := s.ReceiveWait("work", time.Minute, 50*time.Millisecond)
+	m2, _, err := s.Receive(bg, "work", time.Minute, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

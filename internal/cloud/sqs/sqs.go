@@ -6,8 +6,10 @@
 // Semantics follow SQS:
 //
 //   - Send enqueues a message;
-//   - Receive leases the oldest visible message for a visibility timeout;
-//     until the lease expires the message is invisible to other receivers;
+//   - Receive leases the oldest visible message for a visibility timeout,
+//     optionally waiting for one to arrive (long polling, up to MaxWait in
+//     SQS); until the lease expires the message is invisible to other
+//     receivers;
 //   - Delete acknowledges a message using the receipt handle of its
 //     current lease;
 //   - ChangeVisibility renews a lease.
@@ -26,6 +28,7 @@
 package sqs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -68,11 +71,22 @@ type storedMessage struct {
 
 type queue struct {
 	messages map[string]*storedMessage
-	notify   chan struct{}
+	// wake is closed, and replaced, whenever a message may have become
+	// visible sooner than a waiting receiver's timer says: a send, a lease
+	// shortened or released, a redrive into the queue. Closing wakes every
+	// waiter at once, and none misses it: a waiter takes the channel under
+	// the lock of the scan that found nothing.
+	wake chan struct{}
 	// redrive, when set, moves a message to the dead-letter queue once it
 	// has been received maxReceive times without being deleted.
 	redrive    string
 	maxReceive int
+}
+
+// wakeLocked wakes every receiver waiting on q.
+func (q *queue) wakeLocked() {
+	close(q.wake)
+	q.wake = make(chan struct{})
 }
 
 // Service is an in-memory SQS endpoint. It is safe for concurrent use.
@@ -105,7 +119,7 @@ func (s *Service) CreateQueue(name string) error {
 	}
 	s.queues[name] = &queue{
 		messages: make(map[string]*storedMessage),
-		notify:   make(chan struct{}, 1),
+		wake:     make(chan struct{}),
 	}
 	return nil
 }
@@ -150,10 +164,7 @@ func (s *Service) redriveLocked(q *queue, m *storedMessage) bool {
 	s.seq++
 	moved := &storedMessage{id: m.id, body: m.body, seq: s.seq, visibleAt: time.Now()}
 	dlq.messages[m.id] = moved
-	select {
-	case dlq.notify <- struct{}{}:
-	default:
-	}
+	dlq.wakeLocked()
 	return true
 }
 
@@ -177,32 +188,72 @@ func (s *Service) Send(queueName, body string) (string, time.Duration, error) {
 	id := fmt.Sprintf("m-%08d", s.seq)
 	q.messages[id] = &storedMessage{id: id, body: body, seq: s.seq, visibleAt: time.Now()}
 	s.ledger.Record(Backend, "send", 1, 1, int64(len(body)))
-	notify := q.notify
+	q.wakeLocked()
 	s.mu.Unlock()
-
-	select {
-	case notify <- struct{}{}:
-	default:
-	}
 	return id, s.rtt, nil
 }
 
+// MaxWait is the longest long poll SQS accepts (ReceiveMessage's
+// WaitTimeSeconds of 20).
+const MaxWait = 20 * time.Second
+
 // Receive leases the oldest visible message for the given visibility
-// timeout. It returns (nil, latency, nil) when no message is visible; the
-// empty poll is still metered, as AWS bills it.
-func (s *Service) Receive(queueName string, visibility time.Duration) (*Message, time.Duration, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, err := s.getQueue(queueName)
-	if err != nil {
-		return nil, 0, err
+// timeout. When none is visible it waits up to wait for one — a long poll;
+// wait 0 is a short poll — and returns (nil, latency, nil) if none arrives in
+// time or ctx ends the wait first. Like SQS, the call is one billed request
+// whether it delivers or not and however long it waits.
+func (s *Service) Receive(ctx context.Context, queueName string, visibility, wait time.Duration) (*Message, time.Duration, error) {
+	deadline := time.Now().Add(wait)
+	for billed := false; ; billed = true {
+		s.mu.Lock()
+		q, err := s.getQueue(queueName)
+		if err != nil {
+			s.mu.Unlock()
+			return nil, 0, err
+		}
+		if !billed {
+			s.ledger.Record(Backend, "receive", 1, 1, 0)
+		}
+		msg, nextVisible := s.leaseLocked(q, visibility)
+		wake := q.wake
+		s.mu.Unlock()
+		if msg != nil {
+			return msg, s.rtt, nil
+		}
+		sleep := time.Until(deadline)
+		if sleep <= 0 {
+			return nil, s.rtt, nil
+		}
+		// Sleep until a wake-up, the earliest lease expiry, the deadline or
+		// the end of ctx, whichever comes first.
+		if !nextVisible.IsZero() {
+			sleep = min(sleep, max(time.Until(nextVisible), time.Millisecond))
+		}
+		timer := time.NewTimer(sleep)
+		select {
+		case <-wake:
+		case <-timer.C:
+		case <-ctx.Done():
+			timer.Stop()
+			return nil, s.rtt, nil
+		}
+		timer.Stop()
 	}
+}
+
+// leaseLocked leases q's oldest visible message, redriving exhausted ones on
+// the way. With none visible it returns nil and the instant the next lease
+// expires (zero if no message is leased).
+func (s *Service) leaseLocked(q *queue, visibility time.Duration) (*Message, time.Time) {
 	now := time.Now()
-	s.ledger.Record(Backend, "receive", 1, 1, 0)
 	for {
 		var oldest *storedMessage
+		var nextVisible time.Time
 		for _, m := range q.messages {
 			if m.visibleAt.After(now) {
+				if nextVisible.IsZero() || m.visibleAt.Before(nextVisible) {
+					nextVisible = m.visibleAt
+				}
 				continue
 			}
 			if oldest == nil || m.seq < oldest.seq {
@@ -210,7 +261,7 @@ func (s *Service) Receive(queueName string, visibility time.Duration) (*Message,
 			}
 		}
 		if oldest == nil {
-			return nil, s.rtt, nil
+			return nil, nextVisible
 		}
 		if s.redriveLocked(q, oldest) {
 			continue // exhausted message moved to the dead-letter queue
@@ -224,85 +275,7 @@ func (s *Service) Receive(queueName string, visibility time.Duration) (*Message,
 			Body:         oldest.body,
 			Receipt:      oldest.receipt,
 			ReceiveCount: oldest.receiveCount,
-		}, s.rtt, nil
-	}
-}
-
-// ReceiveWait is a long poll: it behaves like Receive but waits up to
-// maxWait for a message to become visible. Like SQS long polling, the whole
-// wait is one billed request.
-func (s *Service) ReceiveWait(queueName string, visibility, maxWait time.Duration) (*Message, time.Duration, error) {
-	deadline := time.Now().Add(maxWait)
-	first := true
-	for {
-		s.mu.Lock()
-		q, err := s.getQueue(queueName)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, 0, err
-		}
-		notify := q.notify
-		now := time.Now()
-		var oldest *storedMessage
-		var nextVisible time.Time
-		for {
-			oldest = nil
-			for _, m := range q.messages {
-				if m.visibleAt.After(now) {
-					if nextVisible.IsZero() || m.visibleAt.Before(nextVisible) {
-						nextVisible = m.visibleAt
-					}
-					continue
-				}
-				if oldest == nil || m.seq < oldest.seq {
-					oldest = m
-				}
-			}
-			if oldest == nil || !s.redriveLocked(q, oldest) {
-				break
-			}
-		}
-		if first {
-			s.ledger.Record(Backend, "receive", 1, 1, 0)
-			first = false
-		}
-		if oldest != nil {
-			oldest.visibleAt = now.Add(visibility)
-			oldest.receiveCount++
-			s.seq++
-			oldest.receipt = fmt.Sprintf("r-%08d", s.seq)
-			msg := &Message{
-				ID:           oldest.id,
-				Body:         oldest.body,
-				Receipt:      oldest.receipt,
-				ReceiveCount: oldest.receiveCount,
-			}
-			s.mu.Unlock()
-			return msg, s.rtt, nil
-		}
-		s.mu.Unlock()
-
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return nil, s.rtt, nil
-		}
-		// Wake up on a new send, when an existing lease may expire, or at
-		// the poll deadline, whichever comes first.
-		wait := remaining
-		if !nextVisible.IsZero() {
-			if until := time.Until(nextVisible); until < wait {
-				wait = until
-			}
-		}
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-notify:
-		case <-timer.C:
-		}
-		timer.Stop()
+		}, time.Time{}
 	}
 }
 
@@ -338,14 +311,12 @@ func (s *Service) ChangeVisibility(queueName, receipt string, visibility time.Du
 	s.ledger.Record(Backend, "changeVisibility", 1, 1, 0)
 	for _, m := range q.messages {
 		if m.receipt == receipt && receipt != "" {
-			m.visibleAt = time.Now().Add(visibility)
-			if visibility <= 0 {
-				// Releasing the lease: wake a waiting receiver.
-				select {
-				case q.notify <- struct{}{}:
-				default:
-				}
+			visibleAt := time.Now().Add(visibility)
+			if visibleAt.Before(m.visibleAt) {
+				// Released or shortened: a waiter's timer may be too late.
+				q.wakeLocked()
 			}
+			m.visibleAt = visibleAt
 			return s.rtt, nil
 		}
 	}

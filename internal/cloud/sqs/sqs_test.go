@@ -1,6 +1,7 @@
 package sqs
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -8,6 +9,9 @@ import (
 
 	"repro/internal/meter"
 )
+
+// bg is the context of a receive nothing cancels.
+var bg = context.Background()
 
 func newSvc(t *testing.T) *Service {
 	t.Helper()
@@ -24,7 +28,7 @@ func TestSendReceiveDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := s.Receive("q", time.Minute)
+	m, _, err := s.Receive(bg, "q", time.Minute, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +47,8 @@ func TestReceiveOrderIsFIFO(t *testing.T) {
 	s := newSvc(t)
 	s.Send("q", "first")
 	s.Send("q", "second")
-	m1, _, _ := s.Receive("q", time.Minute)
-	m2, _, _ := s.Receive("q", time.Minute)
+	m1, _, _ := s.Receive(bg, "q", time.Minute, 0)
+	m2, _, _ := s.Receive(bg, "q", time.Minute, 0)
 	if m1.Body != "first" || m2.Body != "second" {
 		t.Errorf("order = %q, %q", m1.Body, m2.Body)
 	}
@@ -53,11 +57,11 @@ func TestReceiveOrderIsFIFO(t *testing.T) {
 func TestLeasedMessageInvisible(t *testing.T) {
 	s := newSvc(t)
 	s.Send("q", "job")
-	m, _, _ := s.Receive("q", time.Minute)
+	m, _, _ := s.Receive(bg, "q", time.Minute, 0)
 	if m == nil {
 		t.Fatal("no message")
 	}
-	m2, _, _ := s.Receive("q", time.Minute)
+	m2, _, _ := s.Receive(bg, "q", time.Minute, 0)
 	if m2 != nil {
 		t.Errorf("leased message redelivered: %+v", m2)
 	}
@@ -66,9 +70,9 @@ func TestLeasedMessageInvisible(t *testing.T) {
 func TestLeaseExpiryRedelivers(t *testing.T) {
 	s := newSvc(t)
 	s.Send("q", "job")
-	m1, _, _ := s.Receive("q", 20*time.Millisecond)
+	m1, _, _ := s.Receive(bg, "q", 20*time.Millisecond, 0)
 	time.Sleep(30 * time.Millisecond)
-	m2, _, _ := s.Receive("q", time.Minute)
+	m2, _, _ := s.Receive(bg, "q", time.Minute, 0)
 	if m2 == nil {
 		t.Fatal("expired lease not redelivered")
 	}
@@ -90,14 +94,14 @@ func TestLeaseExpiryRedelivers(t *testing.T) {
 func TestChangeVisibilityRenewsLease(t *testing.T) {
 	s := newSvc(t)
 	s.Send("q", "job")
-	m, _, _ := s.Receive("q", 30*time.Millisecond)
+	m, _, _ := s.Receive(bg, "q", 30*time.Millisecond, 0)
 	// Renew before expiry; after the original timeout the message must
 	// still be invisible.
 	if _, err := s.ChangeVisibility("q", m.Receipt, 500*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if m2, _, _ := s.Receive("q", time.Minute); m2 != nil {
+	if m2, _, _ := s.Receive(bg, "q", time.Minute, 0); m2 != nil {
 		t.Errorf("renewed lease redelivered: %+v", m2)
 	}
 }
@@ -105,9 +109,9 @@ func TestChangeVisibilityRenewsLease(t *testing.T) {
 func TestChangeVisibilityZeroReleases(t *testing.T) {
 	s := newSvc(t)
 	s.Send("q", "job")
-	m, _, _ := s.Receive("q", time.Minute)
+	m, _, _ := s.Receive(bg, "q", time.Minute, 0)
 	s.ChangeVisibility("q", m.Receipt, 0)
-	m2, _, _ := s.Receive("q", time.Minute)
+	m2, _, _ := s.Receive(bg, "q", time.Minute, 0)
 	if m2 == nil {
 		t.Error("released message not redelivered")
 	}
@@ -115,7 +119,7 @@ func TestChangeVisibilityZeroReleases(t *testing.T) {
 
 func TestReceiveEmptyQueue(t *testing.T) {
 	s := newSvc(t)
-	m, _, err := s.Receive("q", time.Minute)
+	m, _, err := s.Receive(bg, "q", time.Minute, 0)
 	if err != nil || m != nil {
 		t.Errorf("empty receive = (%+v, %v)", m, err)
 	}
@@ -128,21 +132,21 @@ func TestReceiveWaitBlocksUntilSend(t *testing.T) {
 		s.Send("q", "late")
 	}()
 	start := time.Now()
-	m, _, err := s.ReceiveWait("q", time.Minute, time.Second)
+	m, _, err := s.Receive(bg, "q", time.Minute, time.Second)
 	if err != nil || m == nil {
-		t.Fatalf("ReceiveWait = (%+v, %v)", m, err)
+		t.Fatalf("Receive = (%+v, %v)", m, err)
 	}
 	if time.Since(start) > 500*time.Millisecond {
-		t.Error("ReceiveWait did not wake promptly on send")
+		t.Error("Receive did not wake promptly on send")
 	}
 }
 
 func TestReceiveWaitTimesOut(t *testing.T) {
 	s := newSvc(t)
 	start := time.Now()
-	m, _, err := s.ReceiveWait("q", time.Minute, 30*time.Millisecond)
+	m, _, err := s.Receive(bg, "q", time.Minute, 30*time.Millisecond)
 	if err != nil || m != nil {
-		t.Fatalf("ReceiveWait = (%+v, %v)", m, err)
+		t.Fatalf("Receive = (%+v, %v)", m, err)
 	}
 	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
 		t.Errorf("returned too early: %v", elapsed)
@@ -152,10 +156,89 @@ func TestReceiveWaitTimesOut(t *testing.T) {
 func TestReceiveWaitPicksUpExpiredLease(t *testing.T) {
 	s := newSvc(t)
 	s.Send("q", "job")
-	s.Receive("q", 30*time.Millisecond) // lease and "crash"
-	m, _, err := s.ReceiveWait("q", time.Minute, time.Second)
+	s.Receive(bg, "q", 30*time.Millisecond, 0) // lease and "crash"
+	m, _, err := s.Receive(bg, "q", time.Minute, time.Second)
 	if err != nil || m == nil {
-		t.Fatalf("ReceiveWait after lease expiry = (%+v, %v)", m, err)
+		t.Fatalf("Receive after lease expiry = (%+v, %v)", m, err)
+	}
+}
+
+// A burst of sends to as many parked waiters delivers every message at
+// once: each send wakes every waiter, so none sleeps out its wait while a
+// message it could take sits in the queue.
+func TestReceiveBurstWakesEveryWaiter(t *testing.T) {
+	s := newSvc(t)
+	const n = 8
+	got := make(chan *Message, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			m, _, _ := s.Receive(bg, "q", time.Minute, MaxWait)
+			got <- m
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let the waiters park
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		s.Send("q", "job")
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case m := <-got:
+			if m == nil {
+				t.Fatal("a waiter came back empty")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d messages delivered after 5s", i, n)
+		}
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("burst took %v to deliver", d)
+	}
+}
+
+// Cancelling the context ends a wait at once: no message, no error, and
+// the call is billed as the one receive it is.
+func TestReceiveCancelledWait(t *testing.T) {
+	led := meter.NewLedger()
+	s := New(led)
+	s.CreateQueue("q")
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	m, _, err := s.Receive(ctx, "q", time.Minute, MaxWait)
+	if err != nil || m != nil {
+		t.Fatalf("cancelled Receive = (%+v, %v)", m, err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("cancelled wait returned after %v", d)
+	}
+	if got := led.Snapshot().Get(Backend, "receive").Calls; got != 1 {
+		t.Errorf("cancelled wait billed %d receives, want 1", got)
+	}
+}
+
+// A lease released or shortened while a receiver waits wakes it: its timer
+// was set for the old expiry.
+func TestReceiveWakesOnShortenedLease(t *testing.T) {
+	for _, vis := range []time.Duration{0, 10 * time.Millisecond} {
+		s := newSvc(t)
+		s.Send("q", "job")
+		held, _, _ := s.Receive(bg, "q", time.Minute, 0)
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			s.ChangeVisibility("q", held.Receipt, vis)
+		}()
+		start := time.Now()
+		m, _, err := s.Receive(bg, "q", time.Minute, MaxWait)
+		if err != nil || m == nil || m.ReceiveCount != 2 {
+			t.Fatalf("visibility %v: Receive = (%+v, %v)", vis, m, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("visibility %v: waiter woke after %v", vis, d)
+		}
 	}
 }
 
@@ -170,7 +253,7 @@ func TestQueueErrors(t *testing.T) {
 	if _, _, err := s.Send("nope", "x"); !errors.Is(err, ErrNoSuchQueue) {
 		t.Errorf("missing queue send: %v", err)
 	}
-	if _, _, err := s.Receive("nope", time.Minute); !errors.Is(err, ErrNoSuchQueue) {
+	if _, _, err := s.Receive(bg, "nope", time.Minute, 0); !errors.Is(err, ErrNoSuchQueue) {
 		t.Errorf("missing queue receive: %v", err)
 	}
 	if _, err := s.Delete("q", "bogus"); !errors.Is(err, ErrStaleReceipt) {
@@ -186,9 +269,9 @@ func TestMetering(t *testing.T) {
 	s := New(led)
 	s.CreateQueue("q")
 	s.Send("q", "body")
-	m, _, _ := s.Receive("q", time.Minute)
+	m, _, _ := s.Receive(bg, "q", time.Minute, 0)
 	s.Delete("q", m.Receipt)
-	s.Receive("q", time.Minute) // empty poll is billed too
+	s.Receive(bg, "q", time.Minute, 0) // empty poll is billed too
 	u := led.Snapshot()
 	if got := u.Get("sqs", "send").Calls; got != 1 {
 		t.Errorf("send calls = %d", got)
@@ -215,7 +298,7 @@ func TestConcurrentConsumersEachJobOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				m, _, _ := s.Receive("q", time.Minute)
+				m, _, _ := s.Receive(bg, "q", time.Minute, 0)
 				if m == nil {
 					return
 				}

@@ -224,31 +224,3 @@ func TestBulkIndexingRerunAfterFailure(t *testing.T) {
 		}
 	}
 }
-
-// TestBulkLiveWorkersMatchDriver: live bulk workers (group accumulation,
-// held leases, flush on group size or idle) converge to the same store as
-// the synchronous bulk driver.
-func TestBulkLiveWorkersMatchDriver(t *testing.T) {
-	docs := bulkTestCorpus()
-	driverW, _ := indexCorpus(t, Config{Strategy: index.LUI, BulkLoad: true}, 2, docs)
-
-	liveW, err := New(Config{Strategy: index.LUI, BulkLoad: true, BulkFlushDocs: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexLive(t, liveW, docs, false)
-
-	dd, ld := dumpStore(t, driverW), dumpStore(t, liveW)
-	for _, tbl := range index.LUI.Tables() {
-		if len(dd[tbl]) != len(ld[tbl]) {
-			t.Errorf("%s: driver %d items, live %d", tbl, len(dd[tbl]), len(ld[tbl]))
-			continue
-		}
-		for i := range dd[tbl] {
-			if itemLine(dd[tbl][i]) != itemLine(ld[tbl][i]) {
-				t.Errorf("%s item %d differs between driver and live workers", tbl, i)
-				break
-			}
-		}
-	}
-}

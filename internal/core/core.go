@@ -15,7 +15,7 @@
 //	front end: response (16) -> fetch results (17) -> return (18)
 //
 // Every step exists once. The live pipeline runs them on goroutines:
-// StartIndexer / StartQueryProcessor spawn workers that poll the queues,
+// StartIndexer / StartQueryProcessor spawn workers that long-poll the queues,
 // renew message leases and survive instance crashes through SQS redelivery
 // (one loop, runWorker, with a handler per module); a Frontend — one
 // dispatcher routing responses to many callers by query ID — is the front
@@ -150,20 +150,17 @@ type Config struct {
 	// GetOps), so the paper-reproduction experiments run without it.
 	PostingCacheBytes int64
 
-	// BulkLoad enables the cross-document bulk loader on the indexing
-	// path: index items from many documents are coalesced into full
-	// provider-limit batches (index.BulkLoader), and the indexing drivers
-	// overlap extraction with uploading in a bounded two-stage pipeline.
-	// Store contents are byte-identical to the per-document path (range
-	// keys are content-derived, so coalescing changes request packing
-	// only); billed BatchPut requests drop to the per-table floor of
-	// ceil(items/batch limit), and modeled upload time shrinks with them.
+	// BulkLoad enables the cross-document bulk loader on the synchronous
+	// indexing driver (IndexCorpusOn), the paper's batching arm (Table 4
+	// (cont.), Figure 7): index items from many documents are coalesced into
+	// full provider-limit batches (index.BulkLoader), and extraction overlaps
+	// uploading in a bounded two-stage pipeline. Billed BatchPut requests drop
+	// to the per-table floor of ceil(items/batch limit), and modeled upload
+	// time shrinks with them. Live indexing workers (StartIndexer) always
+	// index per document. Store contents are byte-identical either way: range
+	// keys are content-derived, so coalescing changes request packing only.
 	// Off by default.
 	BulkLoad bool
-	// BulkFlushDocs bounds how many loader messages a live indexing worker
-	// accumulates (holding their leases) before force-flushing its bulk
-	// loader. 0 selects 8. Only meaningful with BulkLoad.
-	BulkFlushDocs int
 	// PipelineDepth bounds the extraction read-ahead of the bulk indexing
 	// driver's two-stage pipeline. 0 selects 4; 1 removes the overlap.
 	// Results, modeled times and billing are identical at every depth —
@@ -257,8 +254,7 @@ type queueService interface {
 	CreateQueue(name string) error
 	SetRedrivePolicy(queueName, deadLetterQueue string, maxReceive int) error
 	Send(queueName, body string) (string, time.Duration, error)
-	Receive(queueName string, visibility time.Duration) (*sqs.Message, time.Duration, error)
-	ReceiveWait(queueName string, visibility, maxWait time.Duration) (*sqs.Message, time.Duration, error)
+	Receive(ctx context.Context, queueName string, visibility, wait time.Duration) (*sqs.Message, time.Duration, error)
 	Delete(queueName, receipt string) (time.Duration, error)
 	ChangeVisibility(queueName, receipt string, visibility time.Duration) (time.Duration, error)
 	Len(queueName string) int
@@ -279,7 +275,6 @@ type Warehouse struct {
 	flight        *resilience.Group
 
 	bulkLoad      bool
-	bulkFlushDocs int
 	pipelineDepth int
 
 	ledger *meter.Ledger
@@ -417,7 +412,6 @@ func New(cfg Config) (*Warehouse, error) {
 		queryRetries:  cfg.QueryRetryBudget,
 		lookupOpts:    index.LookupOptions{Concurrency: cfg.QueryLookupConcurrency},
 		bulkLoad:      cfg.BulkLoad,
-		bulkFlushDocs: cfg.BulkFlushDocs,
 		pipelineDepth: cfg.PipelineDepth,
 		ledger:        ledger,
 		files:         baseFiles,

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/cloud/sqs"
 )
 
 // This file implements the serving front end: a response dispatcher that
@@ -27,8 +30,10 @@ type Frontend struct {
 	pending   map[string]chan *QueryOutcome
 	abandoned map[string]bool
 
-	stop chan struct{}
-	done sync.WaitGroup
+	// ctx ends the dispatcher's wait for a response; Close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   sync.WaitGroup
 }
 
 // NewFrontend starts the response dispatcher and returns the front end.
@@ -37,8 +42,8 @@ func NewFrontend(w *Warehouse) *Frontend {
 		w:         w,
 		pending:   make(map[string]chan *QueryOutcome),
 		abandoned: make(map[string]bool),
-		stop:      make(chan struct{}),
 	}
+	f.ctx, f.cancel = context.WithCancel(context.Background())
 	f.done.Add(1)
 	go f.dispatch()
 	return f
@@ -81,7 +86,7 @@ func (f *Frontend) Do(queryText string, useIndex bool, timeout time.Duration) (*
 			return out, nil
 		}
 	case <-t.C:
-	case <-f.stop:
+	case <-f.ctx.Done():
 		return nil, fmt.Errorf("core: frontend closed while waiting for %s", id)
 	}
 	f.abandon(id)
@@ -99,9 +104,13 @@ func (f *Frontend) abandon(id string) {
 	}
 }
 
-// Close stops the dispatcher. In-flight waiters receive a frontend-closed
-// error; the query processors keep draining the query queue independently.
-func (f *Frontend) Close() { shutDown(f.stop, &f.done) }
+// Close stops the dispatcher, ending its wait at once. In-flight waiters
+// receive a frontend-closed error; the query processors keep draining the
+// query queue independently.
+func (f *Frontend) Close() {
+	f.cancel()
+	f.done.Wait()
+}
 
 // take resolves a response ID to its waiting channel (removing it), or
 // reports the ID was abandoned (consuming the abandonment).
@@ -121,13 +130,8 @@ func (f *Frontend) take(id string) (chan *QueryOutcome, bool) {
 
 func (f *Frontend) dispatch() {
 	defer f.done.Done()
-	for {
-		select {
-		case <-f.stop:
-			return
-		default:
-		}
-		m, rtt, err := f.w.queues.ReceiveWait(ResponseQueue, 30*time.Second, 100*time.Millisecond)
+	for f.ctx.Err() == nil {
+		m, rtt, err := f.w.queues.Receive(f.ctx, ResponseQueue, 30*time.Second, sqs.MaxWait)
 		if err != nil {
 			continue
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/cloud/ec2"
 	"repro/internal/cloud/sqs"
-	"repro/internal/index"
 	"repro/internal/obs"
 )
 
@@ -123,9 +123,14 @@ type QueryOutcome struct {
 type Worker struct {
 	Instance *ec2.Instance
 
-	stop    chan struct{}
-	crashed chan struct{}
-	done    sync.WaitGroup
+	// ctx ends the worker's wait for work; cancel is how Stop and Crash
+	// wake it. It never interrupts a message in progress: that is crashed's
+	// job, which renewLease and release watch.
+	ctx       context.Context
+	cancel    context.CancelFunc
+	crashed   chan struct{}
+	crashOnce sync.Once
+	done      sync.WaitGroup
 
 	processed atomic.Int64
 }
@@ -134,40 +139,25 @@ type Worker struct {
 func (wk *Worker) Processed() int { return int(wk.processed.Load()) }
 
 // Stop drains the worker gracefully: it finishes (and acknowledges) its
-// current message, then exits.
-func (wk *Worker) Stop() { shutDown(wk.stop, &wk.done) }
+// current message, then exits. An idle worker's wait ends at once.
+func (wk *Worker) Stop() {
+	wk.cancel()
+	wk.done.Wait()
+}
 
 // Crash kills the worker abruptly: its current message is neither finished
 // nor deleted, so the lease will expire and another worker takes over.
-func (wk *Worker) Crash() { shutDown(wk.crashed, &wk.done) }
-
-// shutDown closes a stop signal, unless it is closed already, and waits for
-// the goroutine that watches it.
-func shutDown(signal chan struct{}, done *sync.WaitGroup) {
-	select {
-	case <-signal:
-	default:
-		close(signal)
-	}
-	done.Wait()
+func (wk *Worker) Crash() {
+	wk.crashOnce.Do(func() { close(wk.crashed) })
+	wk.Stop()
 }
 
-func (wk *Worker) stopped() bool {
-	select {
-	case <-wk.stop:
-		return true
-	default:
-		return wk.crashedNow()
-	}
-}
-
-// WorkerOptions tunes the live loops.
+// WorkerOptions tunes the live loops. An idle loop waits for work in one
+// long poll of sqs.MaxWait, which Stop, Crash and Frontend.Close cut short.
 type WorkerOptions struct {
 	// Visibility is the message lease duration; it is renewed at
 	// Visibility/2 while processing. Default 2s (tests use shorter).
 	Visibility time.Duration
-	// Poll is the long-poll duration of an idle worker. Default 100ms.
-	Poll time.Duration
 	// WorkDelay artificially stretches real processing time (tests use it
 	// to exercise lease expiry and crashes mid-flight).
 	WorkDelay time.Duration
@@ -176,9 +166,6 @@ type WorkerOptions struct {
 func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.Visibility <= 0 {
 		o.Visibility = 2 * time.Second
-	}
-	if o.Poll <= 0 {
-		o.Poll = 100 * time.Millisecond
 	}
 	return o
 }
@@ -209,7 +196,8 @@ func (w *Warehouse) noteSettled(wk *Worker, s settlement) {
 // startWorker runs a live worker's loop on its own goroutine; Stop and Crash
 // wait for it to return.
 func startWorker(in *ec2.Instance, run func(wk *Worker)) *Worker {
-	wk := &Worker{Instance: in, stop: make(chan struct{}), crashed: make(chan struct{})}
+	wk := &Worker{Instance: in, crashed: make(chan struct{})}
+	wk.ctx, wk.cancel = context.WithCancel(context.Background())
 	wk.done.Add(1)
 	go func() {
 		defer wk.done.Done()
@@ -218,13 +206,14 @@ func startWorker(in *ec2.Instance, run func(wk *Worker)) *Worker {
 	return wk
 }
 
-// lease is how every live loop takes its next message: one long poll, a
-// redelivery counted on the worker and in the registry, the lease renewed
-// from here on (release stops that and reports whether the worker has
-// crashed), WorkDelay sat out. msg is nil when the poll came back empty,
-// which counts as sqs.receive.empty.
+// lease is how every live loop takes its next message: one long poll of up
+// to sqs.MaxWait, a redelivery counted on the worker and in the registry, the
+// lease renewed from here on (release stops that and reports whether the
+// worker has crashed), WorkDelay sat out. msg is nil when the poll came back
+// empty, because the wait ran out or Stop or Crash ended it; that counts as
+// sqs.receive.empty.
 func (w *Warehouse) lease(wk *Worker, queue string, opts WorkerOptions) (msg *sqs.Message, rtt time.Duration, release func() (crashed bool)) {
-	msg, rtt, err := w.queues.ReceiveWait(queue, opts.Visibility, opts.Poll)
+	msg, rtt, err := w.queues.Receive(wk.ctx, queue, opts.Visibility, sqs.MaxWait)
 	if err != nil {
 		return nil, 0, nil
 	}
@@ -250,7 +239,7 @@ func (w *Warehouse) lease(wk *Worker, queue string, opts WorkerOptions) (msg *sq
 // worker once its lease lapses (the fault-tolerance mechanism of Section 3).
 func (w *Warehouse) runWorker(wk *Worker, queue string, opts WorkerOptions,
 	handle func(msg *sqs.Message, rtt time.Duration, release func() (crashed bool)) settlement) {
-	for !wk.stopped() {
+	for wk.ctx.Err() == nil {
 		msg, rtt, release := w.lease(wk, queue, opts)
 		if msg == nil {
 			continue
@@ -263,19 +252,14 @@ func (w *Warehouse) runWorker(wk *Worker, queue string, opts WorkerOptions,
 	}
 }
 
-// StartIndexer launches the indexing module on an instance (steps 4-6).
-// With Config.BulkLoad set, the worker accumulates a group of loader
-// messages (holding all their leases) and ships their items through a
-// cross-document bulk loader; see bulkIndexerLoop.
+// StartIndexer launches the indexing module on an instance (steps 4-6). It
+// indexes one document per message, whatever Config.BulkLoad says: only the
+// synchronous driver batches across documents.
 func (w *Warehouse) StartIndexer(in *ec2.Instance, opts WorkerOptions) *Worker {
 	opts = opts.withDefaults()
 	return startWorker(in, func(wk *Worker) {
 		w.store.RegisterClient()
 		defer w.store.UnregisterClient()
-		if w.bulkLoad {
-			w.bulkIndexerLoop(wk, in, opts)
-			return
-		}
 		w.runWorker(wk, LoaderQueue, opts, func(msg *sqs.Message, rtt time.Duration, release func() bool) settlement {
 			dsp := w.tracer.Start(obs.SpanIndexDoc)
 			dsp.SetAttr("uri", msg.Body)
@@ -298,156 +282,6 @@ func (w *Warehouse) StartIndexer(in *ec2.Instance, opts WorkerOptions) *Worker {
 			return processed
 		})
 	})
-}
-
-// heldMessage is one loader message a bulk indexing worker is sitting on:
-// extracted, its items in the group's bulk loader, its lease being renewed
-// until the group flushes.
-type heldMessage struct {
-	receipt   string
-	rtt       time.Duration
-	res       IndexTaskResult
-	span      *obs.Span // index.doc root; ended at settle or abandon
-	stopRenew func() bool
-	settled   bool // deleted (or given up on) before the group flush
-}
-
-// bulkIndexerLoop is the live indexing worker in bulk mode. It accumulates
-// up to Config.BulkFlushDocs messages per group — extracting each document
-// as it arrives and feeding the extraction to a shared BulkLoader, while a
-// lease renewer per message keeps the whole group invisible — then closes
-// the loader and only deletes a message once its document's items are
-// durably flushed. Fault semantics compose with the §5d failure model
-// exactly like the per-document worker's:
-//
-//   - a document the loader completes early (its batches filled) is deleted
-//     as soon as Add reports it, shrinking the at-risk window;
-//   - an extraction failure skips the document (no delete): its lease
-//     expires and the message is redelivered, eventually dead-lettered;
-//   - a flush failure abandons the whole group without deleting: every
-//     message is redelivered, and the content-derived range keys make the
-//     re-extracted writes overwrite whatever part of the batch landed;
-//   - a crash stops the renewers mid-group, with the same redelivery path.
-//
-// An idle receive (nil message) force-flushes a partial group, so held
-// messages never outlive the queue's quiet period; a graceful Stop flushes
-// the final group on the way out.
-func (w *Warehouse) bulkIndexerLoop(wk *Worker, in *ec2.Instance, opts WorkerOptions) {
-	var (
-		loader *index.BulkLoader
-		group  []*heldMessage
-	)
-	reset := func() {
-		loader = index.NewBulkLoader(w.store, index.BulkOptions{Obs: w.reg}, w.cache)
-		group = nil
-	}
-	reset()
-	// settle deletes the messages of completed documents, charging the
-	// instance for their queue round trips and their share of the modeled
-	// work. DocLoads arrive in Add order, which is the group's order.
-	next := 0
-	settle := func(done []index.DocLoad) {
-		for _, dl := range done {
-			if next >= len(group) {
-				return // defensive; cannot happen with FIFO release
-			}
-			h := group[next]
-			next++
-			h.stopRenew()
-			h.settled = true
-			usp := h.span.Child(obs.SpanUpload)
-			usp.SetModeled(dl.Upload)
-			usp.End()
-			w.met.indexUpload.ObserveModeled(dl.Upload)
-			if _, err := w.queues.Delete(LoaderQueue, h.receipt); err != nil {
-				// Lease lost: another worker owns the message; our writes
-				// are idempotent, so its redelivery converges.
-				h.span.End()
-				continue
-			}
-			in.Run(h.rtt + h.res.ExtractTime + dl.Upload)
-			h.span.SetModeled(h.rtt + h.res.ExtractTime + dl.Upload)
-			h.span.End()
-			w.noteSettled(wk, processed)
-		}
-	}
-	abandon := func() {
-		for _, h := range group {
-			if !h.settled {
-				h.stopRenew()
-				h.span.End()
-				w.noteSettled(wk, failed)
-			}
-		}
-		reset()
-		next = 0
-	}
-	flushGroup := func() {
-		if len(group) == 0 {
-			return
-		}
-		done, err := loader.Close()
-		settle(done)
-		if err != nil {
-			abandon() // unsettled messages redeliver; writes are idempotent
-			return
-		}
-		reset()
-		next = 0
-	}
-	defer func() {
-		// On a crash the renewers have already quit (they watch wk.crashed)
-		// and the leases lapse; on a graceful stop the group below was
-		// flushed and this is a no-op.
-		for _, h := range group {
-			if !h.settled {
-				h.stopRenew()
-			}
-		}
-	}()
-	for !wk.stopped() {
-		msg, rtt, stopRenew := w.lease(wk, LoaderQueue, opts)
-		if msg == nil {
-			flushGroup() // idle: do not sit on held leases
-			continue
-		}
-		dsp := w.tracer.Start(obs.SpanIndexDoc)
-		dsp.SetAttr("uri", msg.Body)
-		if wk.crashedNow() {
-			stopRenew()
-			dsp.End()
-			return
-		}
-		res, ex, _, err := w.extractDocument(in, msg.Body, dsp)
-		if wk.crashedNow() {
-			stopRenew()
-			dsp.End()
-			return
-		}
-		if err != nil {
-			stopRenew()
-			dsp.SetError(err)
-			dsp.End()
-			w.noteSettled(wk, failed)
-			continue // lease will expire; the message is retried
-		}
-		group = append(group, &heldMessage{receipt: msg.Receipt, rtt: rtt, res: res, span: dsp, stopRenew: stopRenew})
-		done, err := loader.Add(ex)
-		settle(done)
-		if wk.crashedNow() {
-			return
-		}
-		if err != nil {
-			abandon()
-			continue
-		}
-		if len(group) >= w.bulkDocsLimit() {
-			flushGroup()
-		}
-	}
-	if !wk.crashedNow() {
-		flushGroup() // graceful stop: ship what we hold
-	}
 }
 
 // StartQueryProcessor launches the query-processor module on an instance

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -194,7 +195,7 @@ func (w *Warehouse) IndexCorpusOn(fleet []*ec2.Instance, uris []string) (IndexRe
 // assigned instance core.
 func (w *Warehouse) perDocIndexLoop(fleet []*ec2.Instance, report *IndexReport, perExtract, perUpload map[*ec2.Instance]time.Duration) error {
 	for i := 0; ; i++ {
-		msg, rtt, err := w.queues.Receive(LoaderQueue, 5*time.Minute)
+		msg, rtt, err := w.queues.Receive(context.Background(), LoaderQueue, 5*time.Minute, 0)
 		if err != nil {
 			return err
 		}
@@ -233,14 +234,6 @@ func (w *Warehouse) perDocIndexLoop(fleet []*ec2.Instance, report *IndexReport, 
 		perExtract[in] += res.ExtractTime
 		perUpload[in] += res.UploadTime
 	}
-}
-
-// bulkDocsLimit is the effective live-worker group size.
-func (w *Warehouse) bulkDocsLimit() int {
-	if w.bulkFlushDocs > 0 {
-		return w.bulkFlushDocs
-	}
-	return 8
 }
 
 // pipeDepth is the effective extraction read-ahead of the bulk driver.
@@ -294,7 +287,7 @@ type inflightDoc struct {
 // seeded fault schedule is also consumed in a deterministic order.
 func (w *Warehouse) bulkIndexLoop(fleet []*ec2.Instance, report *IndexReport, perExtract, perUpload map[*ec2.Instance]time.Duration) error {
 	produce := func(i int) *indexTask {
-		msg, rtt, err := w.queues.Receive(LoaderQueue, 5*time.Minute)
+		msg, rtt, err := w.queues.Receive(context.Background(), LoaderQueue, 5*time.Minute, 0)
 		if err != nil {
 			return &indexTask{err: err}
 		}

@@ -98,20 +98,22 @@ func TestTracedSpanTree(t *testing.T) {
 	}
 	spans, id := trace()
 
-	// The driver never long-polls, so it bills no empty receive; a live
-	// worker with nothing to do bills one per poll, and the registry counts
-	// them.
+	// The driver never long-polls, so it bills no empty receive. A live
+	// worker with nothing to do bills one receive and waits in it; Stop ends
+	// the wait, and the registry counts that one empty receive.
 	empty := w.Registry().Counter("sqs.receive.empty")
 	if n := empty.Value(); n != 0 {
 		t.Errorf("sqs.receive.empty = %d after a driver-only run, want 0", n)
 	}
-	idle := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), WorkerOptions{Poll: 5 * time.Millisecond})
-	for deadline := time.Now().Add(5 * time.Second); empty.Value() == 0 && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
-	}
+	before := receiveCalls(w)
+	idle := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), WorkerOptions{})
+	awaitReceive(t, w, before)
 	idle.Stop()
-	if empty.Value() == 0 {
-		t.Error("sqs.receive.empty = 0 after an idle worker polled")
+	if n := empty.Value(); n != 1 {
+		t.Errorf("sqs.receive.empty = %d after one idle worker's wait, want 1", n)
+	}
+	if n := receiveCalls(w) - before; n != 1 {
+		t.Errorf("an idle worker billed %d receives, want 1", n)
 	}
 	if len(spans) == 0 {
 		t.Fatalf("no spans recorded for query %s", id)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -189,7 +190,7 @@ func TestDriverStepsOverForeignResponse(t *testing.T) {
 		t.Fatalf("response queue holds %d messages after the driver, want the 1 foreign response", n)
 	}
 	// It is receivable again once the step-over re-lease lapses.
-	m, _, err := w.queues.ReceiveWait(ResponseQueue, time.Second, 5*time.Second)
+	m, _, err := w.queues.Receive(context.Background(), ResponseQueue, time.Second, 5*time.Second)
 	if err != nil || m == nil {
 		t.Fatalf("foreign response not receivable: %v, %v", m, err)
 	}
@@ -202,8 +203,9 @@ func TestDriverStepsOverForeignResponse(t *testing.T) {
 // comment): the ten XMark queries through RunQueryOn and through Frontend.Do
 // over one live processor, on identically built warehouses, bill equal
 // calls, units and bytes for every (service, operation) and equal egress.
-// Only the receives differ — a live loop's long polls also come back empty —
-// and the instance time, which is not a request.
+// Only the receives differ — each live loop's last wait, cut short by Stop or
+// Close, is one more, and it ends empty — and the instance time, which is not
+// a request.
 func TestDriverAndLivePipelineBillTheSameRequests(t *testing.T) {
 	docs := obsTestCorpus()
 	driver, _ := indexCorpus(t, Config{Strategy: index.TwoLUPI}, 2, docs)
@@ -241,8 +243,8 @@ func TestDriverAndLivePipelineBillTheSameRequests(t *testing.T) {
 	for op := range ops {
 		d, l := du.Get(op.Service, op.Name), lu.Get(op.Service, op.Name)
 		if op.Service == sqs.Backend && op.Name == "receive" {
-			if l.Calls < d.Calls {
-				t.Errorf("%s: live %+v, driver %+v: live polls at least as often", op, l, d)
+			if l.Calls < d.Calls || l.Calls > d.Calls+2 {
+				t.Errorf("%s: live %+v, driver %+v: want the driver's receives plus at most one last wait per live loop", op, l, d)
 			}
 			continue
 		}
@@ -252,5 +254,45 @@ func TestDriverAndLivePipelineBillTheSameRequests(t *testing.T) {
 	}
 	if du.EgressBytes() != lu.EgressBytes() || du.EgressBytes() == 0 {
 		t.Errorf("egress: live %d bytes, driver %d", lu.EgressBytes(), du.EgressBytes())
+	}
+}
+
+// An idle live loop waits in one long poll of sqs.MaxWait; Stop, Crash and
+// Frontend.Close end that wait at once instead of sitting it out.
+func TestIdleLoopsStopPromptly(t *testing.T) {
+	w := newWarehouse(t, index.LU)
+	for _, c := range []struct {
+		name  string
+		start func() (stop func())
+	}{
+		{"Worker.Stop", func() func() { return w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), WorkerOptions{}).Stop }},
+		{"Worker.Crash", func() func() { return w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{}).Crash }},
+		{"Frontend.Close", func() func() { return NewFrontend(w).Close }},
+	} {
+		before := receiveCalls(w)
+		stop := c.start()
+		awaitReceive(t, w, before)
+		start := time.Now()
+		stop()
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("%s of an idle loop took %v, want under 100ms", c.name, d)
+		}
+	}
+}
+
+// receiveCalls is how many SQS receives the warehouse has billed.
+func receiveCalls(w *Warehouse) int64 {
+	return w.ledger.Snapshot().Get(sqs.Backend, "receive").Calls
+}
+
+// awaitReceive returns once the warehouse has billed a receive since it had
+// billed before: a live loop started after that count is then waiting in its
+// long poll.
+func awaitReceive(t *testing.T, w *Warehouse, before int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); receiveCalls(w) == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no live loop polled")
+		}
 	}
 }

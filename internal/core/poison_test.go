@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -23,10 +24,7 @@ func TestPoisonDocumentGoesToDeadLetters(t *testing.T) {
 		}
 	}
 
-	wk := w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{
-		Visibility: 20 * time.Millisecond,
-		Poll:       5 * time.Millisecond,
-	})
+	wk := w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{Visibility: 20 * time.Millisecond})
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
 		if w.queues.Len(LoaderQueue) == 0 && w.queues.Len(LoaderDeadLetters) == 1 {
@@ -42,7 +40,7 @@ func TestPoisonDocumentGoesToDeadLetters(t *testing.T) {
 	if got := w.queues.Len(LoaderDeadLetters); got != 1 {
 		t.Fatalf("dead-letter queue holds %d, want 1", got)
 	}
-	m, _, err := w.queues.Receive(LoaderDeadLetters, time.Minute)
+	m, _, err := w.queues.Receive(context.Background(), LoaderDeadLetters, time.Minute, 0)
 	if err != nil || m == nil || m.Body != "broken.xml" {
 		t.Errorf("dead letter = %+v, %v", m, err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -474,7 +475,7 @@ func (w *Warehouse) runQueryView(in *ec2.Instance, queryText string, useIndex bo
 	if err := w.sendQuery(root, id, queryText, useIndex); err != nil {
 		return nil, QueryStats{}, err
 	}
-	got, rtt, err := w.queues.Receive(QueryQueue, 10*time.Minute)
+	got, rtt, err := w.queues.Receive(context.Background(), QueryQueue, 10*time.Minute, 0)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -488,7 +489,7 @@ func (w *Warehouse) runQueryView(in *ec2.Instance, queryText string, useIndex bo
 		return nil, stats, err
 	}
 	for {
-		m, frtt, err := w.queues.Receive(ResponseQueue, time.Minute)
+		m, frtt, err := w.queues.Receive(context.Background(), ResponseQueue, time.Minute, 0)
 		if err != nil {
 			return nil, stats, err
 		}

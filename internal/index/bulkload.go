@@ -29,10 +29,6 @@ var ErrLoaderClosed = errors.New("index: bulk loader closed")
 
 // BulkOptions tunes a BulkLoader.
 type BulkOptions struct {
-	// FlushItems is the per-table buffered-item count that triggers a
-	// flush. Zero selects the store's Limits().BatchPutItems; values above
-	// that limit are clamped to it (a single request cannot carry more).
-	FlushItems int
 	// Obs, when non-nil, receives the loader's flush metrics
 	// (index.bulk.flushes / items / bytes counters and the index.bulk.flush
 	// modeled-latency histogram). Nil disables them at zero cost.
@@ -76,7 +72,7 @@ type pendingItem struct {
 type BulkLoader struct {
 	store      kv.Store
 	caches     []*PostingCache
-	flushItems int
+	flushItems int // the store's batch limit: a full batch flushes
 	itemBudget int64
 
 	buffers map[string][]pendingItem // per table, FIFO in Add order
@@ -95,14 +91,6 @@ type BulkLoader struct {
 // store must be passed so flushed (and failed) batches invalidate them.
 func NewBulkLoader(store kv.Store, opts BulkOptions, caches ...*PostingCache) *BulkLoader {
 	lim := store.Limits()
-	batchLimit := lim.BatchPutItems
-	if batchLimit <= 0 {
-		batchLimit = 1
-	}
-	flush := opts.FlushItems
-	if flush <= 0 || flush > batchLimit {
-		flush = batchLimit
-	}
 	live := caches[:0:0]
 	for _, c := range caches {
 		if c != nil {
@@ -112,7 +100,7 @@ func NewBulkLoader(store kv.Store, opts BulkOptions, caches ...*PostingCache) *B
 	return &BulkLoader{
 		store:      store,
 		caches:     live,
-		flushItems: flush,
+		flushItems: max(lim.BatchPutItems, 1),
 		itemBudget: itemBudgetFor(lim),
 		buffers:    make(map[string][]pendingItem),
 		metFlushes: opts.Obs.Counter("index.bulk.flushes"),
@@ -123,7 +111,7 @@ func NewBulkLoader(store kv.Store, opts BulkOptions, caches ...*PostingCache) *B
 }
 
 // Add buffers the extraction's items and flushes any table whose buffer
-// reached the flush threshold. It returns the documents completed by those
+// holds a full batch. It returns the documents completed by those
 // flushes, in Add order. On error the failed batch's documents remain
 // pending (their items may have partially landed; the idempotent range keys
 // make a retry of the whole document converge).
@@ -184,7 +172,7 @@ func (b *BulkLoader) Close() ([]DocLoad, error) {
 }
 
 // flushTable ships one batch — the oldest buffered items of the table, up
-// to the flush threshold — and attributes its cost to the contributing
+// to the batch limit — and attributes its cost to the contributing
 // documents. The posting caches are invalidated for every item in the
 // attempted batch even when the put fails: a partial batch may have landed,
 // and a stale cached posting is the one failure mode invalidation exists to

@@ -173,13 +173,27 @@ func sumRequests(dls []DocLoad) int {
 	return n
 }
 
-// TestBulkLoaderSmallFlushAndPending exercises a sub-limit flush threshold
-// and the pending/release bookkeeping.
+// TestBulkLoaderSmallFlushAndPending exercises a small batch limit, so that
+// batches fill mid-document, and the pending/release bookkeeping.
 func TestBulkLoaderSmallFlushAndPending(t *testing.T) {
 	docs := testCorpus()[:6]
-	store := newStore(t, LU)
+	store := kv.NewMemStore(kv.Config{
+		Backend: dynamodb.Backend,
+		Limits: kv.Limits{
+			MaxItemBytes:   dynamodb.MaxItemBytes,
+			MaxValueBytes:  dynamodb.MaxItemBytes,
+			BatchPutItems:  3,
+			BatchGetKeys:   100,
+			SupportsBinary: true,
+		},
+		Perf:   dynamodb.DefaultPerf(),
+		Ledger: meter.NewLedger(),
+	})
+	if err := CreateTables(store, LU); err != nil {
+		t.Fatal(err)
+	}
 	exs := extractCorpus(t, LU, store, docs)
-	loader := NewBulkLoader(store, BulkOptions{FlushItems: 3})
+	loader := NewBulkLoader(store, BulkOptions{})
 	released := 0
 	for _, ex := range exs {
 		dls, err := loader.Add(ex)
