@@ -30,9 +30,8 @@
 // tenant via the X-Tenant header), /billing.json, and the observability
 // endpoints (/metrics, /metrics.json, /trace.json, /healthz, /readyz);
 // admission control is tuned with -serve-queue, -tenant-qps, -tenant-burst
-// and -tenant-inflight, and the per-query resilience budgets with
-// -deadline, -retry-budget and -coalesce. On SIGINT/SIGTERM it drains
-// every admitted request and exits 0.
+// and -tenant-inflight. On SIGINT/SIGTERM it drains every admitted request
+// and exits 0.
 //
 // With -mutable the warehouse runs a mutable corpus: -update and -remove
 // mutate documents atomically before querying, -compact-every sets the
@@ -116,9 +115,6 @@ func main() {
 	tenantQPS := flag.Float64("tenant-qps", 0, "serve: per-tenant sustained QPS quota (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "serve: per-tenant token-bucket burst (0 = 2x qps)")
 	tenantInflight := flag.Int("tenant-inflight", 0, "serve: per-tenant in-flight cap (0 = unlimited)")
-	queryDeadline := flag.Duration("deadline", 0, "serve: modeled per-query index-read deadline (0 = off)")
-	retryBudget := flag.Int("retry-budget", 0, "serve: per-query store-retry budget (0 = unlimited)")
-	coalesce := flag.Bool("coalesce", false, "serve: single-flight concurrent identical index fetches")
 	flag.Parse()
 
 	s, err := index.ByName(*strategy)
@@ -132,7 +128,6 @@ func main() {
 
 	wh, err := core.New(core.Config{
 		Strategy: s, Backend: *backend, Trace: mode == "trace",
-		QueryDeadline: *queryDeadline, QueryRetryBudget: *retryBudget, CoalesceLookups: *coalesce,
 		MutableCorpus: *mutable, CompactEveryDocs: *compactEvery,
 	})
 	if err != nil {

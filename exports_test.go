@@ -25,12 +25,11 @@ var keptExports = map[string]string{
 	"index.ItemRangeKey":            "definition: the content-derived range key the idempotency tests recompute",
 	"index.EncodePathsCompressed":   "oracle: the compressed path encoding the path-codec tests decode against",
 	"workload.XMarkXQuery":          "oracle: the workload in XQuery syntax, which must answer like the pattern form",
-	"cloud/chaos.EveryNth":          "fault hook: fails exactly every n-th store call, for retry-budget tests",
+	"cloud/chaos.EveryNth":          "fault hook for kv.Retry's tests",
 	"cloud/chaos.EveryNth.Injected": "fault hook: how many calls EveryNth failed",
 	"cloud/chaos.Injector.SetRates": "fault hook: quiesces or raises injection mid-run",
 	"core.Warehouse.ChaosInjector":  "fault hook: the injector whose rates SetRates changes",
 	"core.Warehouse.RunQueryOnView": "synchronisation hook: a query against a pinned snapshot",
-	"resilience.Group.Waiting":      "synchronisation hook: releases a gated leader once its followers attached",
 	"costmodel.UpdateCost":          "reserved by ROADMAP: prices the write-ahead log's puts",
 	"costmodel.PerMillionUpdates":   "reserved by ROADMAP: normalises UpdateCost per million mutations",
 }

@@ -6,18 +6,16 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/cloud/chaos"
 	"repro/internal/cloud/dynamodb"
 	"repro/internal/cloud/kv"
 	"repro/internal/meter"
-	"repro/internal/resilience"
 )
 
-// TestReadsStopOnContext runs the same three contexts — cancelled, budget
-// spent, live — through every read stack. A stopped context comes back as
-// its error from Get and BatchGet alike with no get metered after the stop,
+// TestReadsStopOnContext runs the same two contexts — cancelled and live —
+// through every read stack. A cancelled context comes back as its error
+// from Get and BatchGet alike with no get metered after the cancel,
 // whichever layer noticed (MemStore at the bottom, Retry before an attempt);
 // a live one returns items byte-equal to the bare MemStore's.
 func TestReadsStopOnContext(t *testing.T) {
@@ -60,16 +58,13 @@ func TestReadsStopOnContext(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	spent := resilience.NewBudget(time.Millisecond, -1)
-	spent.Charge(time.Millisecond)
 	cases := []struct {
 		name string
 		ctx  context.Context
 		want error // nil: the read goes through
 	}{
 		{"cancelled", cancelled, context.Canceled},
-		{"budget spent", resilience.NewContext(context.Background(), spent), resilience.ErrDeadline},
-		{"live", resilience.NewContext(context.Background(), resilience.NewBudget(time.Hour, -1)), nil},
+		{"live", context.Background(), nil},
 	}
 	for name, build := range stacks {
 		ledger := meter.NewLedger()

@@ -74,7 +74,7 @@ type DeltaEntry struct {
 
 // Overlay is what a reader captures for one hash key at one version.
 type Overlay struct {
-	// Stamp discriminates cache and coalescing identities: it advances
+	// Stamp discriminates posting-cache identities: it advances
 	// when a replace entry becomes visible or when any entry folds, and
 	// deliberately does NOT advance for a live tombstone — deletions are
 	// applied to the shared cached posting at decode time instead of

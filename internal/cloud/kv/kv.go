@@ -29,10 +29,9 @@
 //
 // Get and BatchGet (and MultiStore's BatchGetMulti) take the caller's
 // context first; there is no context-free twin. The context carries
-// cancellation and the query's resilience.Budget. Two places act on it:
-// MemStore, the bottom of every stack, calls CheckContext before it reads or
-// meters anything, and Retry calls it before every attempt and cuts its
-// backoff at the budget's deadline. Every other wrapper (Sharded, the chaos
+// cancellation. Two places act on it: MemStore, the bottom of every stack,
+// checks it before it reads or meters anything, and Retry checks it before
+// every attempt and every backoff. Every other wrapper (Sharded, the chaos
 // stores, a test's fake) passes the context it was given to the store below
 // and neither inspects nor replaces it. Callers with nothing to cancel pass
 // context.Background(); index.LookupOptions does that for a zero Ctx.
@@ -52,8 +51,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"repro/internal/resilience"
 )
 
 // Value is a single attribute value. DynamoDB accepts arbitrary binary
@@ -146,19 +143,6 @@ func (e *PartialGetError) Error() string {
 	return fmt.Sprintf("kv: batch get partially served (%d unprocessed keys)", len(e.UnprocessedKeys))
 }
 
-// CheckContext reports the first reason a read must stop: context
-// cancellation, or an exhausted modeled-time budget (resilience.ErrDeadline).
-// Nil when work may proceed.
-func CheckContext(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if resilience.FromContext(ctx).Exhausted(0) {
-		return resilience.ErrDeadline
-	}
-	return nil
-}
-
 // Limits describes a store's hard limits and capabilities.
 type Limits struct {
 	MaxItemBytes   int64 // maximum size of one item (64 KB for DynamoDB)
@@ -190,7 +174,7 @@ type Store interface {
 	BatchPut(table string, items []Item) (time.Duration, error)
 	// Get returns all items with the given hash key, in ascending range
 	// key order, as read-only views. ctx carries the caller's cancellation
-	// and resilience.Budget and is never nil (see "One read API").
+	// and is never nil (see "One read API").
 	Get(ctx context.Context, table, hashKey string) ([]Item, time.Duration, error)
 	// BatchGet performs up to Limits().BatchGetKeys Get operations in one
 	// request.

@@ -247,9 +247,9 @@ func (s *MemStore) BatchPutMulti(groups []TableItems) (time.Duration, error) {
 }
 
 // Get implements Store. Like every read it stops, before anything is read
-// or metered, on a cancelled context or a spent budget.
+// or metered, on a cancelled context.
 func (s *MemStore) Get(ctx context.Context, tbl, hashKey string) ([]Item, time.Duration, error) {
-	if err := CheckContext(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 	s.mu.RLock()
@@ -276,7 +276,7 @@ func (s *MemStore) BatchGet(ctx context.Context, tbl string, hashKeys []string) 
 // groups[i]'s items; the whole request is metered once with the combined
 // key count and payload. The single-batch key limit applies to the total.
 func (s *MemStore) BatchGetMulti(ctx context.Context, groups []TableKeys) ([]map[string][]Item, time.Duration, error) {
-	if err := CheckContext(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 	var total int

@@ -230,7 +230,7 @@ func (s *refStore) putBatch(tbl string, items []kv.Item, batch bool) (time.Durat
 
 // Get implements Store.
 func (s *refStore) Get(ctx context.Context, tbl, hashKey string) ([]kv.Item, time.Duration, error) {
-	if err := kv.CheckContext(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 	s.mu.RLock()
@@ -246,7 +246,7 @@ func (s *refStore) Get(ctx context.Context, tbl, hashKey string) ([]kv.Item, tim
 
 // BatchGet implements Store.
 func (s *refStore) BatchGet(ctx context.Context, tbl string, hashKeys []string) (map[string][]kv.Item, time.Duration, error) {
-	if err := kv.CheckContext(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && len(hashKeys) > lim {
@@ -313,7 +313,7 @@ func (s *refStore) BatchPutMulti(groups []kv.TableItems) (time.Duration, error) 
 // groups[i]'s items; the whole request is metered once with the combined
 // key count and payload. The single-batch key limit applies to the total.
 func (s *refStore) BatchGetMulti(ctx context.Context, groups []kv.TableKeys) ([]map[string][]kv.Item, time.Duration, error) {
-	if err := kv.CheckContext(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 	var total int

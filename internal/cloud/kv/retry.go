@@ -3,13 +3,10 @@ package kv
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/resilience"
 )
 
 // Retry wraps a store so that transient data-operation failures (throttling
@@ -90,7 +87,7 @@ type RetryStats struct {
 	PartialBatches   int64
 	ItemsResubmitted int64
 	KeysRefetched    int64
-	// GaveUp counts operations that exhausted the retry budget.
+	// GaveUp counts operations that exhausted their attempts.
 	GaveUp int64
 }
 
@@ -180,27 +177,14 @@ func (r *Retry) classify(err error) {
 }
 
 // retry runs op until it succeeds, fails hard, or exhausts attempts,
-// accumulating modeled latency across attempts. Per the query's
-// resilience.Budget (carried in ctx) it honors:
-//
-//   - cancellation: a cancelled context returns immediately — in
-//     particular, a failure observed after cancellation does NOT charge or
-//     complete the pending backoff wait;
-//   - the modeled deadline: when the next jittered backoff would cross the
-//     budget's deadline, only the remaining headroom is charged and the
-//     loop stops with resilience.ErrDeadline instead of sleeping through
-//     the full wait and re-attempting;
-//   - the shared retry-token pool: each retry consumes one token from the
-//     per-query pool (replacing unbounded per-call attempt budgets); an
-//     empty pool stops with resilience.ErrRetryBudget.
-//
-// Writes carry no query budget and pass context.Background(): the loop is
-// then bounded by MaxAttempts alone.
+// accumulating modeled latency across attempts. A cancelled context returns
+// immediately: in particular, a failure observed after cancellation does
+// NOT charge or complete the pending backoff wait. Writes pass
+// context.Background(): the loop is then bounded by MaxAttempts alone.
 func (r *Retry) retry(ctx context.Context, op func() (time.Duration, error)) (time.Duration, error) {
-	budget := resilience.FromContext(ctx)
 	var total time.Duration
 	for attempt := 0; ; attempt++ {
-		if err := CheckContext(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return total, err
 		}
 		d, err := op()
@@ -220,20 +204,8 @@ func (r *Retry) retry(ctx context.Context, op func() (time.Duration, error)) (ti
 		if err := ctx.Err(); err != nil {
 			return total, err
 		}
-		if !budget.TakeRetry() {
-			r.bump(&r.stats.gaveUp, MetricGaveUp, 1)
-			return total, fmt.Errorf("%w (last transient error: %v)", resilience.ErrRetryBudget, err)
-		}
-		b := r.backoff(attempt)
-		if rem, ok := budget.Headroom(total); ok && b >= rem {
-			// The modeled deadline lands inside (or at the end of) this
-			// backoff, so no attempt can follow it: charge only the slice
-			// up to the deadline and stop.
-			total += rem
-			return total, resilience.ErrDeadline
-		}
 		r.bump(&r.stats.retries, MetricRetries, 1)
-		total += b
+		total += r.backoff(attempt)
 	}
 }
 
@@ -287,7 +259,7 @@ func (r *Retry) DeleteItem(table, hashKey, rangeKey string) (time.Duration, erro
 }
 
 // Get implements Store with retries; the loop honors the context's
-// cancellation and modeled-time budget (see retry).
+// cancellation (see retry).
 func (r *Retry) Get(ctx context.Context, table, hashKey string) ([]Item, time.Duration, error) {
 	var items []Item
 	d, err := r.retry(ctx, func() (time.Duration, error) {
@@ -301,14 +273,13 @@ func (r *Retry) Get(ctx context.Context, table, hashKey string) ([]Item, time.Du
 
 // BatchGet implements Store with retries. A partial outcome re-fetches only
 // the unprocessed keys and merges; progress refreshes the attempt budget.
-// Cancellation, deadline and retry-token semantics match retry.
+// Cancellation semantics match retry.
 func (r *Retry) BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]Item, time.Duration, error) {
-	budget := resilience.FromContext(ctx)
 	var total time.Duration
 	merged := make(map[string][]Item, len(hashKeys))
 	pending := hashKeys
 	for attempt := 0; ; {
-		if err := CheckContext(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, total, err
 		}
 		out, d, err := r.Store.BatchGet(ctx, table, pending)
@@ -320,14 +291,12 @@ func (r *Retry) BatchGet(ctx context.Context, table string, hashKeys []string) (
 			return merged, total, nil
 		}
 		var pe *PartialGetError
-		progress := false
 		switch {
 		case errors.As(err, &pe):
 			r.bump(&r.stats.partialBatches, MetricPartialBatches, 1)
 			r.bump(&r.stats.keysRefetc, MetricKeysRefetched, int64(len(pe.UnprocessedKeys)))
 			if len(pe.UnprocessedKeys) < len(pending) {
 				attempt = 0 // progress refreshes the budget
-				progress = true
 			} else {
 				attempt++
 			}
@@ -345,19 +314,7 @@ func (r *Retry) BatchGet(ctx context.Context, table string, hashKeys []string) (
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, total, cerr
 		}
-		// A partial batch that made progress resubmits a strictly smaller
-		// remainder, so it terminates without drawing on the shared pool;
-		// only zero-progress and transient retries consume tokens.
-		if !progress && !budget.TakeRetry() {
-			r.bump(&r.stats.gaveUp, MetricGaveUp, 1)
-			return nil, total, fmt.Errorf("%w (last transient error: %v)", resilience.ErrRetryBudget, err)
-		}
-		b := r.backoff(attempt)
-		if rem, ok := budget.Headroom(total); ok && b >= rem {
-			total += rem
-			return nil, total, resilience.ErrDeadline
-		}
 		r.bump(&r.stats.retries, MetricRetries, 1)
-		total += b
+		total += r.backoff(attempt)
 	}
 }

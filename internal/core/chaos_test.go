@@ -252,12 +252,14 @@ func chaosDifferentialIndexing(t *testing.T, bulk bool, shards int) {
 		// nothing even under concurrent workers and injected faults.
 		Trace: true,
 		Chaos: &chaos.Plan{Seed: seed, Rates: aggressiveRates()},
-		// Injected redeliveries must not push healthy documents into the
-		// dead-letter queue: raise the redrive threshold far above what the
-		// fault rates can produce.
-		MaxLoadAttempts: 200,
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// Injected redeliveries must not push healthy documents into the
+	// dead-letter queue: raise the redrive threshold far above what the
+	// fault rates can produce.
+	if err := chaotic.Queues().SetRedrivePolicy(LoaderQueue, LoaderDeadLetters, 200); err != nil {
 		t.Fatal(err)
 	}
 	if bulk {

@@ -46,7 +46,6 @@ import (
 	"repro/internal/meter"
 	"repro/internal/mutate"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // Names of the warehouse's cloud resources.
@@ -64,8 +63,7 @@ const (
 )
 
 // MaxLoadAttempts is how many times a loading request is delivered before
-// it is moved to the dead-letter queue (the default; Config.MaxLoadAttempts
-// overrides it).
+// it is moved to the dead-letter queue.
 const MaxLoadAttempts = 5
 
 // PerfModel calibrates the modeled CPU throughput of the application code,
@@ -185,28 +183,6 @@ type Config struct {
 	// sharding differential tests assert this byte-for-byte.
 	IndexShards int
 
-	// QueryDeadline bounds each query's modeled index-read time: once a
-	// query has charged this much modeled store latency (successful reads
-	// and retry backoffs alike), its remaining reads stop — a backoff that
-	// would overshoot the deadline is cut at the boundary — and the query
-	// fails with resilience.ErrDeadline. 0 (the default) disables the
-	// deadline; queries then behave exactly as before.
-	QueryDeadline time.Duration
-	// QueryRetryBudget caps the store-level retries one query may consume
-	// across ALL of its index reads: a shared token pool replaces the
-	// per-call attempt count, so a query scattering over many shards cannot
-	// multiply its worst-case retry work. 0 (the default) keeps per-call
-	// attempts unlimited by the pool (kv.Retry's MaxAttempts still applies
-	// per call).
-	QueryRetryBudget int
-	// CoalesceLookups single-flights concurrent identical index fetches
-	// across query workers: a cache-fill stampede on a hot posting issues
-	// one billed store read shared by every waiting query. Like the posting
-	// cache this changes the billed quantities of overlapping look-ups
-	// (coalesced keys cost no GetOps), so it is off by default and the
-	// paper-reproduction experiments run without it.
-	CoalesceLookups bool
-
 	// MutableCorpus turns the warehouse into a live, mutable corpus:
 	// indexing routes through a versioned write buffer (internal/mutate)
 	// instead of writing the store directly, documents can be updated and
@@ -231,10 +207,6 @@ type Config struct {
 	// final contents independent of the injected faults; tests assert that
 	// differentially. Rates can be changed mid-run through ChaosInjector.
 	Chaos *chaos.Plan
-	// MaxLoadAttempts overrides the dead-letter redrive threshold of the
-	// loader queue (default MaxLoadAttempts). Chaos runs raise it so that
-	// injected redeliveries do not push healthy documents into the DLQ.
-	MaxLoadAttempts int
 }
 
 // fileService is the slice of the s3 API the warehouse consumes; the chaos
@@ -269,10 +241,6 @@ type Warehouse struct {
 	queryWorkers  int
 	lookupOpts    index.LookupOptions
 	cache         *index.PostingCache
-
-	queryDeadline time.Duration
-	queryRetries  int
-	flight        *resilience.Group
 
 	bulkLoad      bool
 	pipelineDepth int
@@ -325,7 +293,6 @@ type coreMetrics struct {
 	lookupTwigCandidates *obs.Counter
 	lookupStoreRetries   *obs.Counter
 	lookupGetTimeNS      *obs.Counter
-	lookupCoalescedKeys  *obs.Counter
 	cacheHits            *obs.Counter
 	cacheMisses          *obs.Counter
 	cacheEvictions       *obs.Counter
@@ -363,7 +330,6 @@ func resolveMetrics(r *obs.Registry) coreMetrics {
 		lookupTwigCandidates: r.Counter("index.lookup.twig_candidates"),
 		lookupStoreRetries:   r.Counter("index.lookup.store_retries"),
 		lookupGetTimeNS:      r.Counter("index.lookup.get_time_ns"),
-		lookupCoalescedKeys:  r.Counter("index.lookup.coalesced_keys"),
 		cacheHits:            r.Counter("index.cache.hits"),
 		cacheMisses:          r.Counter("index.cache.misses"),
 		cacheEvictions:       r.Counter("index.cache.evictions"),
@@ -408,8 +374,6 @@ func New(cfg Config) (*Warehouse, error) {
 		Perf:          cfg.Perf.withDefaults(),
 		compressPaths: cfg.CompressPaths,
 		queryWorkers:  cfg.QueryWorkers,
-		queryDeadline: cfg.QueryDeadline,
-		queryRetries:  cfg.QueryRetryBudget,
 		lookupOpts:    index.LookupOptions{Concurrency: cfg.QueryLookupConcurrency},
 		bulkLoad:      cfg.BulkLoad,
 		pipelineDepth: cfg.PipelineDepth,
@@ -425,11 +389,6 @@ func New(cfg Config) (*Warehouse, error) {
 	}
 	w.lookupOpts.Joins = &w.met.joins
 	publishArenaStats(reg, baseStore)
-	if cfg.CoalesceLookups {
-		w.flight = resilience.NewGroup()
-		w.flight.Sink = reg
-		w.lookupOpts.Flight = w.flight
-	}
 	if cfg.Trace {
 		w.tracer = obs.NewTracer(ledger, 0)
 	}
@@ -483,11 +442,7 @@ func New(cfg Config) (*Warehouse, error) {
 			return nil, err
 		}
 	}
-	maxAttempts := cfg.MaxLoadAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = MaxLoadAttempts
-	}
-	if err := w.queues.SetRedrivePolicy(LoaderQueue, LoaderDeadLetters, maxAttempts); err != nil {
+	if err := w.queues.SetRedrivePolicy(LoaderQueue, LoaderDeadLetters, MaxLoadAttempts); err != nil {
 		return nil, err
 	}
 	if err := index.CreateTables(w.store, cfg.Strategy); err != nil {
@@ -629,24 +584,9 @@ func (w *Warehouse) noteLookup(lst index.LookupStats) {
 	w.met.lookupTwigCandidates.Add(int64(lst.TwigCandidates))
 	w.met.lookupStoreRetries.Add(lst.StoreRetries)
 	w.met.lookupGetTimeNS.Add(int64(lst.GetTime))
-	w.met.lookupCoalescedKeys.Add(lst.CoalescedKeys)
 	w.met.cacheHits.Add(lst.CacheHits)
 	w.met.cacheMisses.Add(lst.CacheMisses)
 	w.met.cacheEvictions.Add(lst.CacheEvictions)
-}
-
-// queryContext builds one query's context, carrying its fresh modeled-time
-// and retry budget, or returns the background context when neither bound is
-// configured.
-func (w *Warehouse) queryContext() context.Context {
-	if w.queryDeadline <= 0 && w.queryRetries <= 0 {
-		return context.Background()
-	}
-	tokens := -1 // unlimited unless a pool is configured
-	if w.queryRetries > 0 {
-		tokens = w.queryRetries
-	}
-	return resilience.NewContext(context.Background(), resilience.NewBudget(w.queryDeadline, tokens))
 }
 
 // docWorkers is the effective step-13 worker-pool size.

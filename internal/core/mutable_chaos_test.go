@@ -125,9 +125,12 @@ func TestChaosMutableUpdateDifferential(t *testing.T) {
 		CompactEveryDocs: 7,
 		Trace:            true,
 		Chaos:            &chaos.Plan{Seed: seed, Rates: aggressiveRates()},
-		MaxLoadAttempts:  200,
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// As in TestChaosDifferentialIndexing: no healthy document dead-letters.
+	if err := chaotic.Queues().SetRedrivePolicy(LoaderQueue, LoaderDeadLetters, 200); err != nil {
 		t.Fatal(err)
 	}
 	mutableLifecycle(t, chaotic, docs, true)

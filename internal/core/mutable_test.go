@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/cloud/ec2"
+	"repro/internal/engine"
 	"repro/internal/index"
 )
 
@@ -34,4 +36,13 @@ func TestRejectedUpdateKeepsDocument(t *testing.T) {
 	if got, want := fmt.Sprint(renderRows(after)), fmt.Sprint(renderRows(before)); got != want {
 		t.Errorf("rows after a rejected update:\n got %s\nwant %s", got, want)
 	}
+}
+
+func renderRows(res *engine.Result) []string {
+	rows := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		rows[i] = fmt.Sprintf("%s|%v", r.URI, r.Cols)
+	}
+	sort.Strings(rows)
+	return rows
 }

@@ -174,10 +174,6 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 		if view != nil {
 			lopts.View = view
 		}
-		// Each query gets a fresh modeled-time/retry budget (none when no
-		// deadline or retry pool is configured); the look-up charges its
-		// store latencies against it and stops once it is spent.
-		lopts.Ctx = w.queryContext()
 		sets, lst, err := index.LookupQuery(w.store, w.Strategy, q, lopts)
 		if err != nil {
 			lsp.SetError(err)

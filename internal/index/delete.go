@@ -41,8 +41,7 @@ func DeleteDocument(store kv.Store, s Strategy, doc *xmltree.Document, opts Opti
 	for _, table := range sortedTables(ex) {
 		for _, e := range ex.Tables[table] {
 			st.Keys++
-			// Removal is a write: no query budget governs it and nothing
-			// cancels it half-way.
+			// Removal is a write: nothing cancels it half-way.
 			items, d, err := store.Get(context.Background(), table, e.Key)
 			if err != nil {
 				return total, st, err

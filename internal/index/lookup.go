@@ -11,7 +11,6 @@ import (
 	"repro/internal/cloud/kv"
 	"repro/internal/obs"
 	"repro/internal/pattern"
-	"repro/internal/resilience"
 	"repro/internal/twigjoin"
 	"repro/internal/xmltree"
 )
@@ -54,10 +53,6 @@ type LookupStats struct {
 	// degradation (throttling, injected chaos) that the result itself hides;
 	// exact for a single-reader store, advisory under concurrent readers.
 	StoreRetries int64
-	// CoalescedKeys counts index keys served by joining another in-flight
-	// identical fetch instead of issuing a billed request (single-flight
-	// coalescing; zero unless LookupOptions.Flight is set).
-	CoalescedKeys int64
 }
 
 func (s *LookupStats) add(o LookupStats) {
@@ -69,7 +64,6 @@ func (s *LookupStats) add(o LookupStats) {
 	s.CacheMisses += o.CacheMisses
 	s.CacheEvictions += o.CacheEvictions
 	s.StoreRetries += o.StoreRetries
-	s.CoalescedKeys += o.CoalescedKeys
 }
 
 // LookupOptions tunes the execution of a look-up without changing its
@@ -93,26 +87,16 @@ type LookupOptions struct {
 	// operate-on-compressed kernels (blocks read / blocks skipped /
 	// containers intersected). A nil Joins makes every update a no-op.
 	Joins *JoinCounters
-	// Ctx carries cancellation — and, via resilience.NewContext, the
-	// query's modeled-time/retry budget — through every store read and join
-	// kernel. A look-up stops with context.Canceled/DeadlineExceeded or
-	// resilience.ErrDeadline as soon as the context is done or the budget's
-	// modeled deadline is spent; the store latencies it accumulates are
-	// charged to the budget. A nil Ctx (the default) stands for
-	// context.Background(): it never cancels and charges nothing.
+	// Ctx carries cancellation to every store read: a look-up whose context
+	// is done stops with its error before the next read is billed. A nil Ctx
+	// (the default) stands for context.Background() and never cancels.
 	Ctx context.Context
-	// Flight, when non-nil, coalesces concurrent identical index fetches
-	// across look-ups (single-flight): a cache-fill stampede on a hot key
-	// collapses to one billed store read whose decoded postings every
-	// waiter shares. Like Cache, the same group must not front two
-	// different stores.
-	Flight *resilience.Group
 	// View, when non-nil, pins the look-up to a snapshot of a mutable
 	// corpus: each key's write-buffer overlay is captured before the store
 	// fetch, replacement contributions supersede the key's main-store
 	// items, and tombstones are subtracted at posting-decode time. Cache
-	// and Flight identities fold in the overlay stamp, so look-ups pinned
-	// across a mutation boundary never share a stale entry.
+	// identities fold in the overlay stamp, so look-ups pinned across a
+	// mutation boundary never share a stale entry.
 	View ReadView
 }
 
@@ -288,9 +272,6 @@ func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKi
 	get.SetModeled(rs.GetTime)
 	get.SetAttrInt("get_ops", rs.GetOps)
 	get.SetAttrInt("bytes", rs.BytesFetched)
-	if rs.CoalescedKeys > 0 {
-		get.SetAttrInt("coalesced_keys", rs.CoalescedKeys)
-	}
 	if rt := kv.AsShardRouter(store); rt != nil && rt.ShardCount() > 1 {
 		// Annotate how the fetched keys spread over the store's partitions.
 		// The child span carries the same modeled time as the read —
@@ -408,11 +389,6 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce map[string]b
 		ordered = kept
 	}
 	stats.TwigCandidates = len(ordered)
-	// The reads above charged their modeled latency to the query budget;
-	// stop before the CPU-side joins if it is now spent.
-	if err := kv.CheckContext(opt.Ctx); err != nil {
-		return nil, stats, err
-	}
 	tj := opt.Span.Child(obs.SpanTwigJoin)
 	tj.SetAttrInt("candidates", int64(len(ordered)))
 
@@ -439,7 +415,7 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce map[string]b
 		if !ok {
 			return
 		}
-		matched[ci], errs[ci] = twigjoin.MatchIndexedCtx(opt.Ctx, aug.tree, streams, &joinStats[ci])
+		matched[ci], errs[ci] = twigjoin.MatchIndexed(aug.tree, streams, &joinStats[ci])
 	}
 	if workers := min(opt.workers(), len(ordered)); workers <= 1 {
 		for ci := range ordered {

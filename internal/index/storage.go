@@ -7,15 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cloud/kv"
 	"repro/internal/idblock"
-	"repro/internal/resilience"
 	"repro/internal/xmltree"
 )
 
@@ -371,12 +368,6 @@ func (p *Posting) DecodedIDs() ([]xmltree.NodeID, error) {
 // BytesFetched.
 func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opts ...LookupOptions) (out map[string]map[string]*Posting, rs LookupStats, err error) {
 	opt := resolveLookup(opts)
-	// The query's modeled-time budget is charged once, on exit, with the
-	// summed store latency: chunks never observe each other's charges, so
-	// the read's outcome is identical at any Concurrency level.
-	defer func() {
-		resilience.FromContext(opt.Ctx).Charge(rs.GetTime)
-	}()
 	retrySrc, _ := store.(kv.RetryStatsSource)
 	var retriesBefore int64
 	if retrySrc != nil {
@@ -423,13 +414,11 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 	}
 	chunks := (len(fetch) + lim - 1) / lim
 	type chunkResult struct {
-		postings  map[string]map[string]*Posting
-		d         time.Duration
-		bytes     int64
-		gets      int64 // keys billed against the store
-		coalesced int64 // keys served by an in-flight twin fetch
-		fill      bool  // whether this call fills the cache (leader side)
-		err       error
+		postings map[string]map[string]*Posting
+		d        time.Duration
+		bytes    int64
+		gets     int64 // keys billed against the store
+		err      error
 	}
 	results := make([]chunkResult, chunks)
 	fetchChunk := func(ci int) chunkResult {
@@ -439,60 +428,32 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 			end = len(fetch)
 		}
 		chunk := fetch[start:end]
-		run := func() (any, time.Duration, error) {
-			got, d, err := store.BatchGet(opt.Ctx, table, chunk)
-			if err != nil {
-				return nil, d, err
-			}
-			fc := &flightChunk{postings: make(map[string]map[string]*Posting, len(got))}
-			for _, k := range chunk {
-				items := got[k]
-				for _, it := range items {
-					fc.bytes += it.Size()
-				}
-				// Replacement contributions from the write buffer supersede
-				// the owner's main-store items; they come from memory and
-				// bill nothing.
-				items = applyReplaces(items, overlays[k])
-				if len(items) == 0 {
-					continue
-				}
-				postings, err := decodeItems(items, kind, binaryIDs)
-				if err != nil {
-					return nil, d, fmt.Errorf("key %q: %w", k, err)
-				}
-				if opt.Cache != nil {
-					// Before the postings are shared with coalesced
-					// waiters: the cache fill below keeps them.
-					detachPostings(postings)
-				}
-				fc.postings[k] = postings
-			}
-			return fc, d, nil
-		}
-		var (
-			v      any
-			d      time.Duration
-			leader = true
-			err    error
-		)
-		if opt.Flight == nil {
-			v, d, err = run()
-		} else {
-			v, d, leader, err = opt.Flight.Do(flightKey(table, kind, binaryIDs, chunk, stampOf), run)
-		}
+		got, d, err := store.BatchGet(opt.Ctx, table, chunk)
 		if err != nil {
 			return chunkResult{err: err}
 		}
-		fc := v.(*flightChunk)
-		cr := chunkResult{postings: fc.postings, d: d, fill: leader}
-		if leader {
-			cr.bytes = fc.bytes
-			cr.gets = int64(len(chunk))
-		} else {
-			// A coalesced chunk shares the leader's postings and waits out
-			// the leader's modeled latency, but bills nothing.
-			cr.coalesced = int64(len(chunk))
+		cr := chunkResult{postings: make(map[string]map[string]*Posting, len(got)), d: d, gets: int64(len(chunk))}
+		for _, k := range chunk {
+			items := got[k]
+			for _, it := range items {
+				cr.bytes += it.Size()
+			}
+			// Replacement contributions from the write buffer supersede the
+			// owner's main-store items; they come from memory and bill
+			// nothing.
+			items = applyReplaces(items, overlays[k])
+			if len(items) == 0 {
+				continue
+			}
+			postings, err := decodeItems(items, kind, binaryIDs)
+			if err != nil {
+				return chunkResult{err: fmt.Errorf("key %q: %w", k, err)}
+			}
+			if opt.Cache != nil {
+				// The cache keeps the postings beyond this read.
+				detachPostings(postings)
+			}
+			cr.postings[k] = postings
 		}
 		return cr
 	}
@@ -527,10 +488,9 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 		rs.GetTime += cr.d
 		rs.BytesFetched += cr.bytes
 		rs.GetOps += cr.gets
-		rs.CoalescedKeys += cr.coalesced
 		for k, postings := range cr.postings {
 			out[k] = postings
-			if cr.fill && opt.Cache != nil {
+			if opt.Cache != nil {
 				rs.CacheEvictions += opt.Cache.put(cacheKey{table: table, key: k, kind: kind, ver: stampOf(k)}, postings)
 			}
 		}
@@ -555,39 +515,6 @@ func applyViewTombstones(out map[string]map[string]*Posting, overlays map[string
 		out[k] = filtered
 	}
 	return out, rs, nil
-}
-
-// flightChunk is the unit shared through a single-flight group: the decoded
-// postings of one store chunk, with its billed payload size. Waiters receive
-// the leader's pointer, so a coalesced cache fill hands every caller the
-// same parsed structures.
-type flightChunk struct {
-	postings map[string]map[string]*Posting
-	bytes    int64
-}
-
-// flightKey identifies one chunk fetch for coalescing. Two concurrent
-// fetches coalesce only when they would issue byte-identical requests and
-// decode them identically; like a PostingCache, one Flight group must not
-// front two different stores. Each key's overlay stamp is part of the
-// identity, so look-ups pinned on either side of a mutation never share a
-// leader's postings.
-func flightKey(table string, kind PostingKind, binaryIDs bool, chunk []string, stampOf func(string) uint64) string {
-	var b strings.Builder
-	b.WriteString(table)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(kind)))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatBool(binaryIDs))
-	for _, k := range chunk {
-		b.WriteByte(0)
-		b.WriteString(k)
-		if s := stampOf(k); s != 0 {
-			b.WriteByte('@')
-			b.WriteString(strconv.FormatUint(s, 10))
-		}
-	}
-	return b.String()
 }
 
 func decodeItems(items []kv.Item, kind PostingKind, binaryIDs bool) (map[string]*Posting, error) {

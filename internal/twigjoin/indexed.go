@@ -1,7 +1,6 @@
 package twigjoin
 
 import (
-	"context"
 	"sort"
 	"sync"
 
@@ -266,15 +265,7 @@ func hasMatchBelowSet(anc xmltree.NodeID, set *idblock.Set, axis pattern.Axis, c
 // the document root) and limit > 0 stops the scan after that many
 // candidates; both apply only to the root call. A nil view means an empty
 // candidate set.
-func candidatesIndexed(ctx context.Context, q *pattern.Node, st IndexedStreams, js *JoinStats, pre1 bool, limit int) (*candView, error) {
-	// One cancellation check per pattern node: the join between two checks
-	// is bounded by one node's candidate computation, so a cancelled query
-	// stops without polling inside the hot block loops.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
+func candidatesIndexed(q *pattern.Node, st IndexedStreams, js *JoinStats, pre1 bool, limit int) (*candView, error) {
 	own := st[q]
 	if own.Len() == 0 {
 		return nil, nil
@@ -289,7 +280,7 @@ func candidatesIndexed(ctx context.Context, q *pattern.Node, st IndexedStreams, 
 		}
 	}
 	for i, c := range q.Children {
-		kv, err := candidatesIndexed(ctx, c, st, js, false, -1)
+		kv, err := candidatesIndexed(c, st, js, false, -1)
 		if err != nil || kv == nil {
 			release()
 			return nil, err
@@ -361,20 +352,13 @@ scan:
 // first root candidate. Missing streams are treated as empty; js (optional)
 // accumulates the block-level work.
 func MatchIndexed(t *pattern.Tree, st IndexedStreams, js *JoinStats) (bool, error) {
-	return MatchIndexedCtx(nil, t, st, js)
-}
-
-// MatchIndexedCtx is MatchIndexed with cancellation: the join checks ctx
-// once per pattern node and returns ctx's error when it is done. A nil ctx
-// never cancels.
-func MatchIndexedCtx(ctx context.Context, t *pattern.Tree, st IndexedStreams, js *JoinStats) (bool, error) {
 	if t == nil || t.Root == nil {
 		return false, nil
 	}
 	if js == nil {
 		js = &JoinStats{}
 	}
-	cv, err := candidatesIndexed(ctx, t.Root, st, js, t.Root.Axis == pattern.Child, 1)
+	cv, err := candidatesIndexed(t.Root, st, js, t.Root.Axis == pattern.Child, 1)
 	if err != nil || cv == nil {
 		return false, err
 	}

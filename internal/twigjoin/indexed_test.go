@@ -161,7 +161,7 @@ func TestIndexedAgreesWithDecoded(t *testing.T) {
 // element of.
 func candidatesIndexedAll(t *testing.T, q *pattern.Tree, st IndexedStreams, js *JoinStats) Stream {
 	t.Helper()
-	cv, err := candidatesIndexed(nil, q.Root, st, js, q.Root.Axis == pattern.Child, -1)
+	cv, err := candidatesIndexed(q.Root, st, js, q.Root.Axis == pattern.Child, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
