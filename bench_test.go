@@ -23,8 +23,10 @@ import (
 	"repro/internal/cloud/kv"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/idblock"
 	"repro/internal/index"
 	"repro/internal/meter"
+	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/serve"
 	"repro/internal/twigjoin"
@@ -379,56 +381,62 @@ func BenchmarkScanQuery(b *testing.B) {
 // whole and decoded into serve.QueryResponse, as the gateable benchmark's
 // client does. Unlike RunQueryOn, which decodes the stored result object,
 // this path sees what the front end and the handler do with it.
+// BenchmarkServeQuery/selective is the same over q1-q5, the queries of the
+// serve-selective workload (1-6 candidate documents each), where the index
+// look-up and the twig join are most of a request.
 func BenchmarkServeQuery(b *testing.B) {
-	b.Run("gate", func(b *testing.B) {
-		docs, _ := gateCorpus(b)
-		w := gateWarehouse(b, docs)
-		s, err := serve.New(serve.Config{
-			Backend:  serve.NewWarehouseBackend(w, 1, ec2.XL, core.WorkerOptions{}),
-			Registry: w.Registry(),
-			Limits:   serve.Limits{Workers: 1, QueueDepth: 8},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		addr, err := s.Start("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Shutdown(context.Background())
-		var bodies [][]byte
-		for _, q := range scanQueries() {
-			body, _ := json.Marshal(serve.QueryRequest{Query: q.Text, UseIndex: true})
-			bodies = append(bodies, body)
-		}
-		url := "http://" + addr + "/query"
-		client := &http.Client{}
-		defer client.CloseIdleConnections()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resp, err := client.Post(url, "application/json", bytes.NewReader(bodies[i%len(bodies)]))
-			if err != nil {
-				b.Fatal(err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				b.Fatalf("status %d: %s", resp.StatusCode, body)
-			}
-			var qr serve.QueryResponse
-			if err := json.Unmarshal(body, &qr); err != nil {
-				b.Fatal(err)
-			}
-			if qr.RowCount == 0 || qr.RowCount != len(qr.Rows) {
-				b.Fatalf("rowCount %d with %d rows", qr.RowCount, len(qr.Rows))
-			}
-		}
-		b.StopTimer()
+	b.Run("gate", func(b *testing.B) { benchServe(b, scanQueries()) })
+	b.Run("selective", func(b *testing.B) { benchServe(b, workload.XMark()[:5]) })
+}
+
+func benchServe(b *testing.B, queries []workload.Query) {
+	docs, _ := gateCorpus(b)
+	w := gateWarehouse(b, docs)
+	s, err := serve.New(serve.Config{
+		Backend:  serve.NewWarehouseBackend(w, 1, ec2.XL, core.WorkerOptions{}),
+		Registry: w.Registry(),
+		Limits:   serve.Limits{Workers: 1, QueueDepth: 8},
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	var bodies [][]byte
+	for _, q := range queries {
+		body, _ := json.Marshal(serve.QueryRequest{Query: q.Text, UseIndex: true})
+		bodies = append(bodies, body)
+	}
+	url := "http://" + addr + "/query"
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := client.Post(url, "application/json", bytes.NewReader(bodies[i%len(bodies)]))
+		if err != nil {
+			b.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		var qr serve.QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			b.Fatal(err)
+		}
+		if qr.RowCount != len(qr.Rows) {
+			b.Fatalf("rowCount %d with %d rows", qr.RowCount, len(qr.Rows))
+		}
+	}
+	b.StopTimer()
 }
 
 // BenchmarkEvalQuery/gate is the evaluator alone on the same queries: every
@@ -488,23 +496,72 @@ func BenchmarkBulkBuild(b *testing.B) {
 // BenchmarkLookupQuery/gate is the index look-up of the gateable benchmark's
 // serve-selective workload without the HTTP harness: q1-q5 under 2LUPI over
 // the gate corpus, one look-up goroutine, no cache. ns/op is per query.
+//
+// BenchmarkLookupQuery/paper-shape is the look-up of q1-q10 over the paper's
+// document shape: 12 XMark documents of 2 MB each, 2LUPI. There most
+// identifier sets are large enough for the blocked format, so block
+// skipping carries real traffic. It reports the blocks the joins read and
+// skipped per query, the share of identifier bytes stored as blocked blobs,
+// and index bytes per corpus byte.
 func BenchmarkLookupQuery(b *testing.B) {
 	b.Run("gate", func(b *testing.B) {
 		docs, _ := gateCorpus(b)
-		w := gateWarehouse(b, docs)
-		var queries []*pattern.Query
-		for _, q := range workload.XMark()[:5] {
-			queries = append(queries, q.Parse())
-		}
-		opts := index.LookupOptions{Concurrency: 1}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := index.LookupQuery(w.Store(), index.TwoLUPI, queries[i%len(queries)], opts); err != nil {
+		benchLookup(b, gateWarehouse(b, docs), workload.XMark()[:5])
+	})
+	b.Run("paper-shape", func(b *testing.B) {
+		cfg := xmark.DefaultConfig(12)
+		cfg.TargetDocBytes = 2 << 20
+		docs := xmark.Generate(cfg)
+		var corpusBytes, idBytes, blockedBytes int64
+		opts := index.OptionsFor(dynamodb.New(meter.NewLedger()))
+		idTable := index.TwoLUPI.Tables()[1]
+		for _, d := range docs {
+			corpusBytes += int64(len(d.Data))
+			doc, err := xmltree.Parse(d.URI, d.Data)
+			if err != nil {
 				b.Fatal(err)
 			}
+			for _, e := range index.Extract(index.TwoLUPI, doc, opts).Tables[idTable] {
+				for _, v := range e.Values {
+					idBytes += int64(len(v))
+					if _, err := idblock.Parse(v); err == nil {
+						blockedBytes += int64(len(v))
+					}
+				}
+			}
 		}
+		w := gateWarehouse(b, docs)
+		benchLookup(b, w, workload.XMark())
+		raw, overhead := w.IndexBytes()
+		b.ReportMetric(float64(blockedBytes)/float64(idBytes), "blocked-id-bytes-share")
+		b.ReportMetric(float64(raw+overhead)/float64(corpusBytes), "index-bytes/corpus-byte")
 	})
+}
+
+// benchLookup runs the queries' 2LUPI look-ups round robin, one look-up
+// goroutine and no cache, and reports the joins' blocks read and skipped
+// per query.
+func benchLookup(b *testing.B, w *core.Warehouse, queries []workload.Query) {
+	var parsed []*pattern.Query
+	for _, q := range queries {
+		parsed = append(parsed, q.Parse())
+	}
+	reg := obs.NewRegistry()
+	joins := &index.JoinCounters{
+		BlocksRead:    reg.Counter("blocks_read"),
+		BlocksSkipped: reg.Counter("blocks_skipped"),
+	}
+	opts := index.LookupOptions{Concurrency: 1, Joins: joins}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := index.LookupQuery(w.Store(), index.TwoLUPI, parsed[i%len(parsed)], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(joins.BlocksRead.Value())/float64(b.N), "blocks-read/op")
+	b.ReportMetric(float64(joins.BlocksSkipped.Value())/float64(b.N), "blocks-skipped/op")
 }
 
 func BenchmarkLookup(b *testing.B) {

@@ -49,17 +49,7 @@ func BenchmarkDecodeBlockPacked(b *testing.B) {
 // BenchmarkAppendVarintTriples measures the unrolled batch decoder over a
 // headerless delta+varint stream (the small-set store format).
 func BenchmarkAppendVarintTriples(b *testing.B) {
-	ids := randomSortedIDs(rand.New(rand.NewSource(8)), 1<<16)
-	var stream []byte
-	var prevPre int32
-	var tmp [3 * binary.MaxVarintLen64]byte
-	for _, id := range ids {
-		n := binary.PutUvarint(tmp[:], uint64(id.Pre-prevPre))
-		n += binary.PutUvarint(tmp[n:], uint64(id.Post))
-		n += binary.PutUvarint(tmp[n:], uint64(id.Depth))
-		stream = append(stream, tmp[:n]...)
-		prevPre = id.Pre
-	}
+	stream, ids := benchStream()
 	dst := make([]xmltree.NodeID, 0, len(ids))
 	b.SetBytes(int64(len(stream)))
 	b.ReportAllocs()
@@ -74,4 +64,35 @@ func BenchmarkAppendVarintTriples(b *testing.B) {
 	if len(dst) != len(ids) {
 		b.Fatalf("decoded %d ids, want %d", len(dst), len(ids))
 	}
+}
+
+// BenchmarkCountVarintTriples measures the validating count scan over the
+// same stream BenchmarkAppendVarintTriples decodes: the cost a look-up pays
+// for every stored headerless set it fetches but does not join.
+func BenchmarkCountVarintTriples(b *testing.B) {
+	stream, _ := benchStream()
+	b.SetBytes(int64(len(stream)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CountVarintTriples(stream); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchStream is a headerless stream of 65,536 random sorted identifiers.
+func benchStream() ([]byte, []xmltree.NodeID) {
+	ids := randomSortedIDs(rand.New(rand.NewSource(8)), 1<<16)
+	var stream []byte
+	var prevPre int32
+	var tmp [3 * binary.MaxVarintLen64]byte
+	for _, id := range ids {
+		n := binary.PutUvarint(tmp[:], uint64(id.Pre-prevPre))
+		n += binary.PutUvarint(tmp[n:], uint64(id.Post))
+		n += binary.PutUvarint(tmp[n:], uint64(id.Depth))
+		stream = append(stream, tmp[:n]...)
+		prevPre = id.Pre
+	}
+	return stream, ids
 }

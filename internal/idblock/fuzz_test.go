@@ -91,3 +91,32 @@ func FuzzParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCountVarintTriples: the allocation-free count scan accepts a stream
+// exactly when AppendVarintTriples does, and counts the triples it decodes.
+// A reader that validates with the scan and decodes later relies on both.
+func FuzzCountVarintTriples(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 1, 1})
+	f.Add([]byte{3, 3, 2, 3, 8, 3, 1, 2, 3}) // a word of terminators, then a tail
+	f.Add([]byte{3, 0x83, 0x01, 2, 6, 0x90, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 1, 2, 3, 4, 5})
+	f.Add([]byte{1, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 3, 4, 5, 6}) // 10-byte varint across words
+	f.Add([]byte{1, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 3, 4, 5, 6}) // same, 10th byte 2
+	f.Add([]byte{0x80, 0x00, 1, 1})                                                             // overlong zero: accepted
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 3, 4})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 3, 4}) // 10th byte > 1
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 1, 1})
+	f.Add([]byte{1, 1, 0x80})                      // truncated inside a varint
+	f.Add([]byte{1, 1, 1, 1})                      // four varints: not whole triples
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}) // eleven varints
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := CountVarintTriples(data)
+		ids, decErr := AppendVarintTriples(nil, data)
+		if (err == nil) != (decErr == nil) {
+			t.Fatalf("stream %x: count err=%v, decode err=%v", data, err, decErr)
+		}
+		if err == nil && n != len(ids) {
+			t.Fatalf("stream %x: count %d, decoded %d", data, n, len(ids))
+		}
+	})
+}

@@ -45,6 +45,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/xmltree"
@@ -295,6 +296,54 @@ func AppendVarintTriples(dst []xmltree.NodeID, data []byte) ([]xmltree.NodeID, e
 }
 
 var errBadVarint = errors.New("idblock: bad varint triple")
+
+// CountVarintTriples returns the number of triples in a delta+varint stream
+// without decoding it, and fails on exactly the streams AppendVarintTriples
+// rejects: a varint longer than ten bytes, a tenth byte above 1, a stream
+// that ends inside a varint, or a varint count not divisible by three.
+// Overlong encodings are accepted, as binary.Uvarint accepts them. It
+// allocates nothing, so a reader can validate every stored stream and
+// decode only the ones it uses.
+func CountVarintTriples(data []byte) (int, error) {
+	varints, run := 0, 0 // run counts the continuation bytes of the current varint
+	for len(data) > 0 {
+		// Eight bytes at a time while no varint can reach its tenth byte in
+		// them: count the terminators (high bit clear) and carry the run of
+		// continuation bytes at the word's end. Near the limit the byte step
+		// below judges.
+		if len(data) >= 8 {
+			ends := ^binary.LittleEndian.Uint64(data) & 0x8080808080808080
+			if ends == 0 && run+8 < binary.MaxVarintLen64 {
+				run += 8
+				data = data[8:]
+				continue
+			}
+			if ends != 0 && run+bits.TrailingZeros64(ends)/8 < binary.MaxVarintLen64-1 {
+				varints += bits.OnesCount64(ends)
+				run = bits.LeadingZeros64(ends) / 8
+				data = data[8:]
+				continue
+			}
+		}
+		b := data[0]
+		data = data[1:]
+		if b >= 0x80 {
+			if run++; run == binary.MaxVarintLen64 {
+				return 0, errBadVarint
+			}
+			continue
+		}
+		if run == binary.MaxVarintLen64-1 && b > 1 {
+			return 0, errBadVarint
+		}
+		varints++
+		run = 0
+	}
+	if run != 0 || varints%3 != 0 {
+		return 0, errBadVarint
+	}
+	return varints / 3, nil
+}
 
 // uvarint is binary.Uvarint with the one- and two-byte encodings inlined;
 // everything else (longer, overlong, truncated) delegates so the accept

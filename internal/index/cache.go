@@ -253,7 +253,7 @@ func postingsBytes(k cacheKey, postings map[string]*Posting) int64 {
 			n += int64(len(v))
 		}
 		n += int64(p.IDCount()) * 12 // pre, post, depth int32
-		if p.IDs == nil && p.blocked != nil {
+		if p.blocked != nil {
 			n += p.blocked.PayloadBytes() + int64(p.blocked.Blocks())*48
 		}
 		n += 48 // map slot and struct overhead

@@ -12,8 +12,8 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Decoded postings keep the raw path values and the payloads of lazy
-// identifier sets, which for a fresh store read are views of the store's
+// Decoded postings keep the raw path values, the raw identifier streams
+// and the payloads of lazy identifier sets, which for a fresh store read are views of the store's
 // memory: a 16 KB value keeps the 256 KB chunk around it alive. That is fine
 // for the length of a request and wrong for the posting cache, whose budget
 // counts the 16 KB; a cache fill detaches what it keeps. The test reads one
@@ -30,6 +30,10 @@ func TestPostingCacheDoesNotPinArena(t *testing.T) {
 	if set, _, err := DecodeIDSet(blob, true); err != nil || set == nil {
 		t.Fatalf("identifier fixture is not a lazily decoded blocked set: %v %v", set, err)
 	}
+	streams := EncodeIDsBinary(ids, dynamodb.MaxItemBytes/2)
+	if len(streams) != 1 || parseBlocked(streams[0]) != nil {
+		t.Fatalf("stream fixture is %d values, or reads as a blocked blob", len(streams))
+	}
 	fixtures := []struct {
 		name  string
 		kind  PostingKind
@@ -37,6 +41,7 @@ func TestPostingCacheDoesNotPinArena(t *testing.T) {
 	}{
 		{"paths", PathPosting, []byte("/" + strings.Repeat("site/regions/", valueBytes/13))},
 		{"ids", IDPosting, blob},
+		{"stream", IDPosting, streams[0]},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {

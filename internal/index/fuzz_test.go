@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cloud/kv"
 	"repro/internal/pattern"
 	"repro/internal/xmltree"
 )
@@ -116,13 +117,17 @@ func FuzzIDCodecRoundTrip(f *testing.F) {
 
 // FuzzDecodeIDsBinary: the binary decoder never panics, and anything it
 // accepts survives re-encoding — including hostile blobs whose uvarints
-// overflow int32, which round-trip through modular arithmetic.
+// overflow int32, which round-trip through modular arithmetic. A headerless
+// stream held raw by a look-up decodes to exactly the eager path's
+// identifiers (checkRawPosting).
 func FuzzDecodeIDsBinary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 1})
 	f.Add([]byte{0x80})                                                             // truncated uvarint
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 1}) // > int32
 	f.Add(EncodeIDsBinary([]xmltree.NodeID{{Pre: 3, Post: 3, Depth: 2}, {Pre: 6, Post: 8, Depth: 3}}, 0)[0])
+	f.Add([]byte{5, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1}) // a pre delta of -1: decodes unsorted
+	f.Add([]byte{1, 1, 1, 1})                                  // not whole triples
 	// Blocked-format seeds in both payload families (a set that packs, and
 	// one whose block keeps the varint payload): a valid blob, a bit-flipped
 	// copy (the checksum must bounce it to the stream decoder without a
@@ -142,6 +147,9 @@ func FuzzDecodeIDsBinary(f *testing.F) {
 	f.Add([]byte{0xB2, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		ids, err := DecodeIDsBinary(blob)
+		if parseBlocked(blob) == nil {
+			checkRawPosting(t, blob, ids, err)
+		}
 		if err != nil {
 			return
 		}
@@ -157,6 +165,45 @@ func FuzzDecodeIDsBinary(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkRawPosting holds a headerless stream the way a look-up holds it —
+// one value under one URI, validated and counted but not decoded — and
+// checks it against the eager path: the read fails exactly when the decode
+// does, and the posting decodes to the identifiers the same set decodes to
+// when it arrives as text, which always takes the eager path.
+func checkRawPosting(t *testing.T, blob []byte, ids []xmltree.NodeID, decodeErr error) {
+	t.Helper()
+	item := func(v []byte) []kv.Item {
+		return []kv.Item{{HashKey: "k", RangeKey: "r", Attrs: []kv.Attr{{Name: "d.xml", Values: []kv.Value{v}}}}}
+	}
+	lazy, err := decodeItems(item(blob), IDPosting, true)
+	if (err == nil) != (decodeErr == nil) {
+		t.Fatalf("stream %x: read err=%v, decode err=%v", blob, err, decodeErr)
+	}
+	if err != nil {
+		return
+	}
+	var text []byte
+	for _, v := range EncodeIDsText(ids, 0) {
+		text = append(text, v...)
+	}
+	eager, err := decodeItems(item(text), IDPosting, false)
+	if err != nil {
+		t.Fatalf("text of accepted stream %x: %v", blob, err)
+	}
+	p, e := lazy["d.xml"], eager["d.xml"]
+	if len(ids) > 0 && (p.raw == nil || p.wrapped.Load() != nil) {
+		t.Fatalf("stream %x: a one-stream posting is not held raw", blob)
+	}
+	got, err := p.DecodedIDs()
+	if err != nil {
+		t.Fatalf("stream %x: raw posting: %v", blob, err)
+	}
+	want, _ := e.DecodedIDs()
+	if !idsEqual(got, want) || p.IDCount() != e.IDCount() || p.IDSet().Len() != len(want) {
+		t.Fatalf("stream %x: raw posting decoded %v (count %d), eager %v (count %d)", blob, got, p.IDCount(), want, e.IDCount())
+	}
 }
 
 // FuzzDecodeIDsText: the text decoder never panics and is stable under

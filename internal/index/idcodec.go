@@ -98,18 +98,28 @@ func EncodeIDsBlocked(ids []xmltree.NodeID, maxBlob int) [][]byte {
 // blobs are parsed, fully decoded and pre-sized from their block-header
 // counts; anything else is a headerless stream.
 func DecodeIDsBinary(blob []byte) ([]xmltree.NodeID, error) {
-	if idblock.Looks(blob) {
-		if s, err := idblock.Parse(blob); err == nil {
-			ids, err := s.All()
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorruptIDSet, err)
-			}
-			return ids, nil
+	if s := parseBlocked(blob); s != nil {
+		ids, err := s.All()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorruptIDSet, err)
 		}
-		// Parse failures mean "not the blocked format": a stream whose
-		// first delta byte happens to equal the magic.
+		return ids, nil
 	}
 	return decodeIDsStream(blob)
+}
+
+// parseBlocked returns the parsed Set of a blocked blob, or nil when the
+// blob is a headerless stream. Parse failures mean "not the blocked
+// format": a stream whose first delta byte happens to equal the magic.
+func parseBlocked(blob []byte) *idblock.Set {
+	if !idblock.Looks(blob) {
+		return nil
+	}
+	s, err := idblock.Parse(blob)
+	if err != nil {
+		return nil
+	}
+	return s
 }
 
 // decodeIDsStream decodes a headerless delta+varint stream through the
@@ -192,12 +202,14 @@ func DecodeIDs(v []byte, binaryIDs bool) ([]xmltree.NodeID, error) {
 // only, no payload decoded. Headerless and text values decode eagerly and
 // are returned as a plain slice with a nil Set.
 func DecodeIDSet(v []byte, binaryIDs bool) (*idblock.Set, []xmltree.NodeID, error) {
-	if binaryIDs && idblock.Looks(v) {
-		if s, err := idblock.Parse(v); err == nil {
-			return s, nil, nil
-		}
+	if !binaryIDs {
+		ids, err := DecodeIDsText(v)
+		return nil, ids, err
 	}
-	ids, err := DecodeIDs(v, binaryIDs)
+	if s := parseBlocked(v); s != nil {
+		return s, nil, nil
+	}
+	ids, err := decodeIDsStream(v)
 	return nil, ids, err
 }
 

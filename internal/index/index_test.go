@@ -379,8 +379,9 @@ func TestStorageRoundTrip(t *testing.T) {
 	}
 	manet := postings["manet.xml"]
 	want := []xmltree.NodeID{{Pre: 3, Post: 3, Depth: 2}, {Pre: 6, Post: 8, Depth: 3}}
-	if !reflect.DeepEqual(manet.IDs, want) {
-		t.Errorf("manet ename IDs = %v, want %v", manet.IDs, want)
+	got, err := manet.DecodedIDs()
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("manet ename IDs = %v (%v), want %v", got, err, want)
 	}
 }
 
@@ -417,7 +418,10 @@ func TestStorageSplitsOversizedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := byKey["wcommon"]["big.xml"].IDs
+	ids, err := byKey["wcommon"]["big.xml"].DecodedIDs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ids) != 401 { // 1 text node in <t> + 400 in <x>
 		t.Errorf("wcommon IDs = %d, want 401", len(ids))
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cloud/kv"
+	"repro/internal/idblock"
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/twigjoin"
@@ -321,7 +322,11 @@ func lookupLU(store kv.Store, table string, aug *augmented, opt LookupOptions) (
 
 // lookupLUP implements Section 5.2: for each root-to-leaf query path, look
 // up the key of its last step and keep the URIs having a stored data path
-// that matches the query path; intersect across query paths.
+// that matches the query path; intersect across query paths. A URI that
+// some last-step key lacks cannot survive the intersection, so the keys'
+// URI sets are intersected first and the path matchers run only over the
+// URIs every key holds. Every path value was validated at decode time, so
+// skipping the others hides no error.
 func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions) ([]string, LookupStats, error) {
 	paths := aug.queryPaths()
 	keySet := make(map[string]bool)
@@ -338,26 +343,40 @@ func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions) 
 		return nil, LookupStats{}, err
 	}
 
-	var uriSets []map[string]*Posting
-	for _, qp := range paths {
-		last := qp[len(qp)-1].Key
-		matcher := NewPathMatcher(qp)
-		matched := make(map[string]*Posting)
-		for uri, post := range postings[last] {
-			for _, v := range post.PathVals {
-				ok, err := matcher.MatchValue(v)
-				if err != nil {
-					return nil, LookupStats{}, err
-				}
-				if ok {
-					matched[uri] = post
-					break
-				}
+	uriSets := make([]map[string]*Posting, len(keys))
+	for i, k := range keys {
+		uriSets[i] = postings[k]
+	}
+	matchers := make([]*PathMatcher, len(paths))
+	for i, qp := range paths {
+		matchers[i] = NewPathMatcher(qp)
+	}
+	var out []string
+	for _, uri := range intersectURIs(uriSets, opt.Joins) {
+		ok := true
+		for i, qp := range paths {
+			if ok, err = matchesAny(matchers[i], postings[qp[len(qp)-1].Key][uri]); err != nil {
+				return nil, LookupStats{}, err
+			}
+			if !ok {
+				break
 			}
 		}
-		uriSets = append(uriSets, matched)
+		if ok {
+			out = append(out, uri)
+		}
 	}
-	return intersectURIs(uriSets, opt.Joins), stats, nil
+	return out, stats, nil
+}
+
+// matchesAny reports whether any of the posting's path values matches.
+func matchesAny(m *PathMatcher, p *Posting) (bool, error) {
+	for _, v := range p.PathVals {
+		if ok, err := m.MatchValue(v); ok || err != nil {
+			return ok, err
+		}
+	}
+	return false, nil
 }
 
 // lookupLUI implements Sections 5.3-5.4: fetch the identifier streams of
@@ -397,24 +416,27 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce map[string]b
 	// are in sorted order so the output (and any future tie-breaking) never
 	// depends on scheduling; per-candidate join stats are summed in that
 	// same order, keeping the obs counters deterministic too.
+	//
+	// Only here do identifier sets decode: a raw posting on its first IDSet,
+	// a blocked one block by block inside the join. decoded counts the
+	// postings handed to the join, at most one per (candidate, key).
 	matched := make([]bool, len(ordered))
 	joinStats := make([]twigjoin.JoinStats, len(ordered))
 	errs := make([]error, len(ordered))
+	decoded := make([]int, len(ordered))
 	matchOne := func(ci int) {
 		uri := ordered[ci]
-		streams := make(twigjoin.IndexedStreams)
-		ok := true
-		aug.tree.Walk(func(n *pattern.Node) {
-			p := postings[aug.keys[n]][uri]
+		sets := make(map[string]*idblock.Set, len(keys))
+		for _, k := range keys {
+			p := postings[k][uri]
 			if p == nil || p.IDCount() == 0 {
-				ok = false
 				return
 			}
-			streams[n] = p.IDSet()
-		})
-		if !ok {
-			return
+			sets[k] = p.IDSet()
+			decoded[ci]++
 		}
+		streams := make(twigjoin.IndexedStreams)
+		aug.tree.Walk(func(n *pattern.Node) { streams[n] = sets[aug.keys[n]] })
 		matched[ci], errs[ci] = twigjoin.MatchIndexed(aug.tree, streams, &joinStats[ci])
 	}
 	if workers := min(opt.workers(), len(ordered)); workers <= 1 {
@@ -440,10 +462,13 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce map[string]b
 		wg.Wait()
 	}
 	var total twigjoin.JoinStats
-	for _, js := range joinStats {
+	postingsDecoded := 0
+	for ci, js := range joinStats {
 		total.Add(js)
+		postingsDecoded += decoded[ci]
 	}
 	opt.Joins.addJoin(total)
+	tj.SetAttrInt("postings_decoded", int64(postingsDecoded))
 	tj.SetAttrInt("blocks_read", total.BlocksRead)
 	tj.SetAttrInt("blocks_skipped", total.BlocksSkipped)
 	for _, err := range errs {

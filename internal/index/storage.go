@@ -296,16 +296,23 @@ const (
 
 // Posting is the merged index content of one key for one document.
 //
-// Identifier postings come in one of two interchangeable shapes. When every
-// stored value of the (key, URI) pair decoded as a blocked blob whose
-// segments tile the pre axis without overlap — the invariant of every write
-// path — blocked holds the lazy set and IDs stays nil: only block headers
-// were decoded, and payloads decode on demand (memoized inside the Set, so
-// a cached Posting keeps its decoded blocks across look-ups). Otherwise —
-// headerless streams, text values, mixed segments — IDs is materialized
-// eagerly in pre order, and IDSet wraps it as a single pre-decoded block on
-// first use, so join kernels see one interface either way. The wrap is
-// deferred and memoized because most decoded postings never reach a join:
+// Identifier postings come in three shapes, all read through IDCount, IDSet
+// and DecodedIDs:
+//
+//   - blocked: every stored value of the (key, URI) pair is a blocked blob
+//     and the segments tile the pre axis without overlap — the invariant of
+//     every write path. Only block headers were decoded; payloads decode on
+//     demand, memoized inside the Set.
+//   - raw: the pair stored one headerless stream (a small set, the common
+//     case). The stream was validated and its triples counted at decode
+//     time; it decodes on first use, into an exact-size slice.
+//   - eager: anything else — text values, several streams, blocked segments
+//     mixed with streams or overlapping. The identifiers were decoded and
+//     put in pre order at decode time.
+//
+// Raw and eager identifiers are published through wrapped as one
+// pre-decoded block, so join kernels see one interface either way. The raw
+// decode is deferred and memoized because most postings never reach a join:
 // their URIs fall out of the candidate intersection first.
 type Posting struct {
 	URI string
@@ -314,35 +321,44 @@ type Posting struct {
 	// can run over the compressed form without materializing every path.
 	// The slices alias the decoded store values and must not be mutated.
 	PathVals [][]byte
-	IDs      []xmltree.NodeID
 
+	raw     []byte                      // a raw posting's validated stream
+	n       int                         // identifier count unless blocked
 	blocked *idblock.Set                // lazy set decoded from blocked blobs
-	wrapped atomic.Pointer[idblock.Set] // memoized single-block wrap of IDs
+	wrapped atomic.Pointer[idblock.Set] // raw or eager identifiers, one block
+}
+
+// setIDs makes p an eager posting over ids, which must be in pre order.
+func (p *Posting) setIDs(ids []xmltree.NodeID) {
+	p.raw, p.n = nil, len(ids)
+	p.wrapped.Store(idblock.FromIDs(ids))
 }
 
 // IDCount returns the identifier count without decoding any payload.
 func (p *Posting) IDCount() int {
-	if p.IDs != nil {
-		return len(p.IDs)
+	if p.blocked != nil {
+		return p.blocked.Len()
 	}
-	return p.blocked.Len()
+	return p.n
 }
 
 // IDSet returns the blocked view of the posting's identifiers (nil when
 // the posting has none). Postings are shared between concurrent look-ups
-// and with the cache, so the eager-side wrap is memoized through an atomic
-// — racing callers may build it twice but all end up with one winner.
+// and with the cache, so a raw posting's decode is memoized through an
+// atomic — racing callers may decode it twice but all end up with one
+// winner.
 func (p *Posting) IDSet() *idblock.Set {
 	if p.blocked != nil {
 		return p.blocked
 	}
-	if len(p.IDs) == 0 {
-		return nil
-	}
-	if s := p.wrapped.Load(); s != nil {
+	if s := p.wrapped.Load(); s != nil || p.n == 0 {
 		return s
 	}
-	p.wrapped.CompareAndSwap(nil, idblock.FromIDs(p.IDs))
+	ids := mustDecodeStream(p.raw, p.n)
+	if !idblock.IsSorted(ids) {
+		sortIDs(ids)
+	}
+	p.wrapped.CompareAndSwap(nil, idblock.FromIDs(ids))
 	return p.wrapped.Load()
 }
 
@@ -350,10 +366,14 @@ func (p *Posting) IDSet() *idblock.Set {
 // returned slice is shared — with the cache, and with other look-ups — and
 // must not be mutated.
 func (p *Posting) DecodedIDs() ([]xmltree.NodeID, error) {
-	if p.IDs != nil {
-		return p.IDs, nil
+	if p.blocked != nil {
+		return p.blocked.All()
 	}
-	return p.blocked.All()
+	s := p.IDSet()
+	if s == nil {
+		return nil, nil
+	}
+	return s.Block(0) // the one pre-decoded block, no copy
 }
 
 // ReadKeys batch-fetches several hash keys and returns per-key postings.
@@ -517,18 +537,32 @@ func applyViewTombstones(out map[string]map[string]*Posting, overlays map[string
 	return out, rs, nil
 }
 
+// decodeItems assembles one key's postings from its items. The postings of
+// a key share one slab; identifier values are validated here whatever their
+// shape, so a corrupt value fails the read even if its URI never reaches a
+// join.
 func decodeItems(items []kv.Item, kind PostingKind, binaryIDs bool) (map[string]*Posting, error) {
-	// Most items carry one URI attribute, so the item count is a good size
-	// hint for the posting map.
-	postings := make(map[string]*Posting, len(items))
-	// Identifier values stay lazy when they can: blocked blobs contribute
-	// parsed Sets (headers only), everything else decodes eagerly.
-	var segs map[string][]*idblock.Set
+	// Most items carry one URI attribute, so the attribute count bounds the
+	// posting count tightly.
+	attrs := 0
+	for _, it := range items {
+		attrs += len(it.Attrs)
+	}
+	postings := make(map[string]*Posting, attrs)
+	slab := make([]Posting, 0, attrs)
+	// The values that do not stay lazy, by URI: blocked segments (headers
+	// parsed) and eagerly decoded identifiers.
+	var (
+		segs  map[string][]*idblock.Set
+		eager map[string][]xmltree.NodeID
+	)
 	for _, it := range items {
 		for _, a := range it.Attrs {
 			p, ok := postings[a.Name]
 			if !ok {
-				p = &Posting{URI: a.Name}
+				slab = slab[:len(slab)+1]
+				p = &slab[len(slab)-1]
+				p.URI = a.Name
 				postings[a.Name] = p
 			}
 			switch kind {
@@ -546,30 +580,45 @@ func decodeItems(items []kv.Item, kind PostingKind, binaryIDs bool) (map[string]
 				}
 			case IDPosting:
 				for _, v := range a.Values {
-					set, ids, err := DecodeIDSet(v, binaryIDs)
-					if err != nil {
-						return nil, err
+					if !binaryIDs {
+						ids, err := DecodeIDsText(v)
+						if err != nil {
+							return nil, err
+						}
+						eager = appendEager(eager, p.URI, ids)
+						continue
 					}
-					switch {
-					case set != nil:
+					if set := parseBlocked(v); set != nil {
 						if segs == nil {
 							segs = make(map[string][]*idblock.Set)
 						}
-						segs[a.Name] = append(segs[a.Name], set)
-					case p.IDs == nil:
-						// The decode owns the slice; single-value entries —
-						// the common case — adopt it without a copy.
-						p.IDs = ids
-					default:
-						p.IDs = append(p.IDs, ids...)
+						segs[p.URI] = append(segs[p.URI], set)
+						continue
 					}
+					n, err := idblock.CountVarintTriples(v)
+					if err != nil {
+						return nil, ErrCorruptIDSet
+					}
+					if n == 0 {
+						continue // an empty stream adds nothing
+					}
+					if p.n == 0 && len(segs[p.URI]) == 0 && eager[p.URI] == nil {
+						p.raw, p.n = v, n // the first value: stays raw
+						continue
+					}
+					if p.raw != nil {
+						// A second value: the held stream joins the eager path.
+						eager = appendEager(eager, p.URI, mustDecodeStream(p.raw, p.n))
+						p.raw, p.n = nil, 0
+					}
+					eager = appendEager(eager, p.URI, mustDecodeStream(v, n))
 				}
 			}
 		}
 	}
 	if kind == IDPosting {
 		for uri, p := range postings {
-			if err := finishIDPosting(p, segs[uri]); err != nil {
+			if err := finishIDPosting(p, segs[uri], eager[uri]); err != nil {
 				return nil, err
 			}
 		}
@@ -577,18 +626,46 @@ func decodeItems(items []kv.Item, kind PostingKind, binaryIDs bool) (map[string]
 	return postings, nil
 }
 
+// appendEager adds decoded identifiers to a URI's eager accumulator,
+// creating the map on first use.
+func appendEager(eager map[string][]xmltree.NodeID, uri string, ids []xmltree.NodeID) map[string][]xmltree.NodeID {
+	if len(ids) == 0 {
+		return eager
+	}
+	if eager == nil {
+		eager = make(map[string][]xmltree.NodeID)
+	}
+	if prev := eager[uri]; prev != nil {
+		eager[uri] = append(prev, ids...)
+	} else {
+		eager[uri] = ids // the decode owns ids: adopt them without a copy
+	}
+	return eager
+}
+
+// mustDecodeStream decodes a stream CountVarintTriples accepted with n
+// triples into an exact-size slice.
+func mustDecodeStream(v []byte, n int) []xmltree.NodeID {
+	ids, err := idblock.AppendVarintTriples(make([]xmltree.NodeID, 0, n), v)
+	if err != nil || len(ids) != n {
+		panic(fmt.Sprintf("index: validated identifier stream of %d triples decoded to %d: %v", n, len(ids), err))
+	}
+	return ids
+}
+
 // detachPostings copies what one key's decoded postings still share with
-// the store: the raw path values (one buffer for the key) and the encoded
-// payloads of lazy identifier sets. A Get returns read-only views of the
-// store's memory, which is fine for the length of a request; postings that
-// go into the cache would keep whole store chunks alive for bytes the
-// cache's budget does not count.
+// the store: the raw path values and identifier streams (one buffer for
+// the key) and the encoded payloads of lazy identifier sets. A Get returns
+// read-only views of the store's memory, which is fine for the length of a
+// request; postings that go into the cache would keep whole store chunks
+// alive for bytes the cache's budget does not count.
 func detachPostings(postings map[string]*Posting) {
 	n := 0
 	for _, p := range postings {
 		for _, v := range p.PathVals {
 			n += len(v)
 		}
+		n += len(p.raw)
 	}
 	buf := make([]byte, 0, n)
 	for _, p := range postings {
@@ -596,34 +673,43 @@ func detachPostings(postings map[string]*Posting) {
 			buf = append(buf, v...)
 			p.PathVals[i] = buf[len(buf)-len(v) : len(buf) : len(buf)]
 		}
+		if p.raw != nil {
+			buf = append(buf, p.raw...)
+			p.raw = buf[len(buf)-len(p.raw) : len(buf) : len(buf)]
+		}
 		p.blocked.Detach()
 	}
 }
 
 // finishIDPosting fixes a decoded identifier posting into its final shape.
-// All-blocked segments that tile the pre axis merge into one lazy Set —
-// items arrive ordered by range key, not content, and Merge restores pre
-// order from the headers alone. Anything else (headerless values,
+// A raw posting is final already. All-blocked segments that tile the pre
+// axis merge into one lazy Set — items arrive ordered by range key, not
+// content, and Merge restores pre order from the headers alone. Anything
+// else (text values, several streams, streams mixed with segments,
 // overlapping segments) materializes: decode everything, restore pre order,
 // and wrap the result as a single-block Set so the join kernels are
 // format-blind.
-func finishIDPosting(p *Posting, segs []*idblock.Set) error {
-	if p.IDs == nil {
+func finishIDPosting(p *Posting, segs []*idblock.Set, ids []xmltree.NodeID) error {
+	if p.raw != nil {
+		return nil
+	}
+	if ids == nil {
 		if merged, ok := idblock.Merge(segs); ok {
 			p.blocked = merged
 			return nil
 		}
 	}
 	for _, s := range segs {
-		ids, err := s.All()
+		decoded, err := s.All()
 		if err != nil {
 			return err
 		}
-		p.IDs = append(p.IDs, ids...)
+		ids = append(ids, decoded...)
 	}
-	if !idblock.IsSorted(p.IDs) {
-		sortIDs(p.IDs)
+	if !idblock.IsSorted(ids) {
+		sortIDs(ids)
 	}
+	p.setIDs(ids)
 	return nil
 }
 

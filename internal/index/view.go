@@ -189,5 +189,7 @@ func subtractPosting(p *Posting, dead *idblock.Set) (*Posting, error) {
 	if len(kept) == 0 {
 		return nil, nil
 	}
-	return &Posting{URI: p.URI, PathVals: p.PathVals, IDs: kept}, nil
+	out := &Posting{URI: p.URI, PathVals: p.PathVals}
+	out.setIDs(kept)
+	return out, nil
 }
