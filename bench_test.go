@@ -432,7 +432,7 @@ func benchServe(b *testing.B, queries []workload.Query) {
 		if err := json.Unmarshal(body, &qr); err != nil {
 			b.Fatal(err)
 		}
-		if qr.RowCount != len(qr.Rows) {
+		if qr.RowCount == 0 || qr.RowCount != len(qr.Rows) {
 			b.Fatalf("rowCount %d with %d rows", qr.RowCount, len(qr.Rows))
 		}
 	}

@@ -202,15 +202,55 @@ func DecodeIDs(v []byte, binaryIDs bool) ([]xmltree.NodeID, error) {
 // only, no payload decoded. Headerless and text values decode eagerly and
 // are returned as a plain slice with a nil Set.
 func DecodeIDSet(v []byte, binaryIDs bool) (*idblock.Set, []xmltree.NodeID, error) {
+	c, err := classifyIDValue(v, binaryIDs)
+	if err != nil {
+		return nil, nil, err
+	}
+	if c.stream != nil {
+		return nil, mustDecodeStream(c.stream, c.n), nil
+	}
+	return c.set, c.ids, nil
+}
+
+// idValue is one stored identifier value, classified. At most one of set (a
+// blocked blob, headers parsed), stream (a validated headerless stream of n
+// triples) and ids (a decoded text value) is set; an empty value sets none.
+type idValue struct {
+	set    *idblock.Set
+	stream []byte
+	n      int
+	ids    []xmltree.NodeID
+}
+
+// classifyIDValue validates one stored identifier value and tells its
+// format. It is the one place that classifies stored values: a headerless
+// stream is counted, not decoded, so the caller chooses when to decode it.
+func classifyIDValue(v []byte, binaryIDs bool) (idValue, error) {
 	if !binaryIDs {
 		ids, err := DecodeIDsText(v)
-		return nil, ids, err
+		return idValue{ids: ids}, err
 	}
 	if s := parseBlocked(v); s != nil {
-		return s, nil, nil
+		return idValue{set: s}, nil
 	}
-	ids, err := decodeIDsStream(v)
-	return nil, ids, err
+	n, err := idblock.CountVarintTriples(v)
+	if err != nil {
+		return idValue{}, ErrCorruptIDSet
+	}
+	if n == 0 {
+		return idValue{}, nil
+	}
+	return idValue{stream: v, n: n}, nil
+}
+
+// mustDecodeStream decodes a stream CountVarintTriples accepted with n
+// triples into an exact-size slice.
+func mustDecodeStream(v []byte, n int) []xmltree.NodeID {
+	ids, err := idblock.AppendVarintTriples(make([]xmltree.NodeID, 0, n), v)
+	if err != nil || len(ids) != n {
+		panic(fmt.Sprintf("index: validated identifier stream of %d triples decoded to %d: %v", n, len(ids), err))
+	}
+	return ids
 }
 
 // EncodeIDs encodes a sorted identifier set in the codec chosen by

@@ -93,6 +93,42 @@ func TestCorruptValueOutsideCandidatesFailsLookup(t *testing.T) {
 	}
 }
 
+// A (key, URI) that stored a headerless stream and a blocked blob decodes
+// to both values' identifiers in pre order, whichever arrives first: items
+// come in range-key order, not content order, so a held raw stream must
+// join the eager path when a blocked segment follows it.
+func TestStreamMixedWithBlockedKeepsBoth(t *testing.T) {
+	ids := lazyFixtureIDs(3 + blockedMinIDs)
+	stream := EncodeIDsBinary(ids[:3], 0)[0]
+	blocked := EncodeIDsBlocked(ids[3:], 0)[0]
+	if parseBlocked(blocked) == nil || parseBlocked(stream) != nil {
+		t.Fatal("fixture values are not one stream and one blocked blob")
+	}
+	for _, order := range [][][]byte{{stream, blocked}, {blocked, stream}} {
+		var want []xmltree.NodeID
+		var items []kv.Item
+		for i, v := range order {
+			part, err := DecodeIDsBinary(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, part...)
+			items = append(items, kv.Item{HashKey: "ename", RangeKey: strconv.Itoa(i),
+				Attrs: []kv.Attr{{Name: "doc.xml", Values: []kv.Value{v}}}})
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].Pre < want[j].Pre })
+		postings, err := decodeItems(items, IDPosting, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := postings["doc.xml"]
+		got, err := p.DecodedIDs()
+		if err != nil || p.IDCount() != len(want) || p.IDSet().Len() != len(want) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("stream first %v: count %d, ids %v (%v), want %v", &order[0][0] == &stream[0], p.IDCount(), got, err, want)
+		}
+	}
+}
+
 // A raw posting costs the cache exactly what the eagerly decoded posting of
 // the same identifiers cost: eviction, and with it the bill of a cached
 // workload, must not move.
@@ -262,6 +298,21 @@ func TestLookupDecodesOnlyCandidates(t *testing.T) {
 	candidates, _ := strconv.Atoi(tj.Attr("candidates"))
 	if candidates != stats.TwigCandidates || decoded == 0 || decoded > candidates*len(keys) {
 		t.Fatalf("postings_decoded %d, candidates %d (stats %d), keys %d", decoded, candidates, stats.TwigCandidates, len(keys))
+	}
+
+	// The same look-up again shares the cached postings, whose memos the
+	// first one filled: it decodes nothing.
+	tracer = obs.NewTracer(meter.NewLedger(), 64)
+	root = tracer.Start("query")
+	again, _, err := LookupPattern(c.store, TwoLUPI, q, LookupOptions{Concurrency: 1, Cache: cache, Span: root})
+	root.End()
+	if err != nil || !reflect.DeepEqual(again, uris) {
+		t.Fatalf("repeated look-up: %v, %v; first %v", again, err, uris)
+	}
+	for _, rec := range tracer.Spans() {
+		if rec.Name == obs.SpanTwigJoin && rec.Attr("postings_decoded") != "0" {
+			t.Fatalf("repeated cached look-up: postings_decoded %s, want 0", rec.Attr("postings_decoded"))
+		}
 	}
 
 	shared, rs, err := ReadKeys(c.store, TwoLUPI.idTableName(), keys, IDPosting, true, LookupOptions{Cache: cache})

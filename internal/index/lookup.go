@@ -418,8 +418,9 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce map[string]b
 	// same order, keeping the obs counters deterministic too.
 	//
 	// Only here do identifier sets decode: a raw posting on its first IDSet,
-	// a blocked one block by block inside the join. decoded counts the
-	// postings handed to the join, at most one per (candidate, key).
+	// a blocked one block by block inside the join. decoded counts the raw
+	// postings this look-up decoded: none that an earlier look-up sharing
+	// them through the cache decoded already, none that are blocked.
 	matched := make([]bool, len(ordered))
 	joinStats := make([]twigjoin.JoinStats, len(ordered))
 	errs := make([]error, len(ordered))
@@ -432,8 +433,11 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce map[string]b
 			if p == nil || p.IDCount() == 0 {
 				return
 			}
-			sets[k] = p.IDSet()
-			decoded[ci]++
+			var fresh bool
+			sets[k], fresh = p.idSet()
+			if fresh {
+				decoded[ci]++
+			}
 		}
 		streams := make(twigjoin.IndexedStreams)
 		aug.tree.Walk(func(n *pattern.Node) { streams[n] = sets[aug.keys[n]] })

@@ -348,18 +348,25 @@ func (p *Posting) IDCount() int {
 // atomic — racing callers may decode it twice but all end up with one
 // winner.
 func (p *Posting) IDSet() *idblock.Set {
+	s, _ := p.idSet()
+	return s
+}
+
+// idSet is IDSet, also telling whether this call decoded a raw stream (the
+// memo was empty when it looked).
+func (p *Posting) idSet() (*idblock.Set, bool) {
 	if p.blocked != nil {
-		return p.blocked
+		return p.blocked, false
 	}
 	if s := p.wrapped.Load(); s != nil || p.n == 0 {
-		return s
+		return s, false
 	}
 	ids := mustDecodeStream(p.raw, p.n)
 	if !idblock.IsSorted(ids) {
 		sortIDs(ids)
 	}
 	p.wrapped.CompareAndSwap(nil, idblock.FromIDs(ids))
-	return p.wrapped.Load()
+	return p.wrapped.Load(), true
 }
 
 // DecodedIDs materializes the posting's identifiers in pre order. The
@@ -580,38 +587,34 @@ func decodeItems(items []kv.Item, kind PostingKind, binaryIDs bool) (map[string]
 				}
 			case IDPosting:
 				for _, v := range a.Values {
-					if !binaryIDs {
-						ids, err := DecodeIDsText(v)
-						if err != nil {
-							return nil, err
-						}
-						eager = appendEager(eager, p.URI, ids)
-						continue
-					}
-					if set := parseBlocked(v); set != nil {
-						if segs == nil {
-							segs = make(map[string][]*idblock.Set)
-						}
-						segs[p.URI] = append(segs[p.URI], set)
-						continue
-					}
-					n, err := idblock.CountVarintTriples(v)
+					c, err := classifyIDValue(v, binaryIDs)
 					if err != nil {
-						return nil, ErrCorruptIDSet
+						return nil, err
 					}
-					if n == 0 {
-						continue // an empty stream adds nothing
-					}
-					if p.n == 0 && len(segs[p.URI]) == 0 && eager[p.URI] == nil {
-						p.raw, p.n = v, n // the first value: stays raw
+					switch {
+					case c.stream != nil && p.n == 0 && len(segs[p.URI]) == 0 && eager[p.URI] == nil:
+						p.raw, p.n = c.stream, c.n // the first value: stays raw
 						continue
+					case c.set == nil && c.stream == nil && c.ids == nil:
+						continue // an empty value adds nothing
 					}
 					if p.raw != nil {
-						// A second value: the held stream joins the eager path.
+						// Any second value: the held stream joins the eager
+						// path, whatever the order the items arrived in.
 						eager = appendEager(eager, p.URI, mustDecodeStream(p.raw, p.n))
 						p.raw, p.n = nil, 0
 					}
-					eager = appendEager(eager, p.URI, mustDecodeStream(v, n))
+					switch {
+					case c.set != nil:
+						if segs == nil {
+							segs = make(map[string][]*idblock.Set)
+						}
+						segs[p.URI] = append(segs[p.URI], c.set)
+					case c.stream != nil:
+						eager = appendEager(eager, p.URI, mustDecodeStream(c.stream, c.n))
+					default:
+						eager = appendEager(eager, p.URI, c.ids)
+					}
 				}
 			}
 		}
@@ -641,16 +644,6 @@ func appendEager(eager map[string][]xmltree.NodeID, uri string, ids []xmltree.No
 		eager[uri] = ids // the decode owns ids: adopt them without a copy
 	}
 	return eager
-}
-
-// mustDecodeStream decodes a stream CountVarintTriples accepted with n
-// triples into an exact-size slice.
-func mustDecodeStream(v []byte, n int) []xmltree.NodeID {
-	ids, err := idblock.AppendVarintTriples(make([]xmltree.NodeID, 0, n), v)
-	if err != nil || len(ids) != n {
-		panic(fmt.Sprintf("index: validated identifier stream of %d triples decoded to %d: %v", n, len(ids), err))
-	}
-	return ids
 }
 
 // detachPostings copies what one key's decoded postings still share with
