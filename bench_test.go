@@ -504,9 +504,22 @@ func BenchmarkBulkBuild(b *testing.B) {
 // skipped per query, the share of identifier bytes stored as blocked blobs,
 // and index bytes per corpus byte.
 func BenchmarkLookupQuery(b *testing.B) {
+	var gate *core.Warehouse
+	gateOnce := func(b *testing.B) *core.Warehouse {
+		if gate == nil {
+			docs, _ := gateCorpus(b)
+			gate = gateWarehouse(b, docs)
+		}
+		return gate
+	}
 	b.Run("gate", func(b *testing.B) {
-		docs, _ := gateCorpus(b)
-		benchLookup(b, gateWarehouse(b, docs), workload.XMark()[:5])
+		benchLookup(b, gateOnce(b), workload.XMark()[:5], 1)
+	})
+	// The same look-ups with a worker pool of GOMAXPROCS (Concurrency 0, the
+	// warehouse's default), which fans out the batch gets and the
+	// per-candidate twig joins.
+	b.Run("gate-procs", func(b *testing.B) {
+		benchLookup(b, gateOnce(b), workload.XMark()[:5], 0)
 	})
 	b.Run("paper-shape", func(b *testing.B) {
 		cfg := xmark.DefaultConfig(12)
@@ -531,17 +544,17 @@ func BenchmarkLookupQuery(b *testing.B) {
 			}
 		}
 		w := gateWarehouse(b, docs)
-		benchLookup(b, w, workload.XMark())
+		benchLookup(b, w, workload.XMark(), 1)
 		raw, overhead := w.IndexBytes()
 		b.ReportMetric(float64(blockedBytes)/float64(idBytes), "blocked-id-bytes-share")
 		b.ReportMetric(float64(raw+overhead)/float64(corpusBytes), "index-bytes/corpus-byte")
 	})
 }
 
-// benchLookup runs the queries' 2LUPI look-ups round robin, one look-up
-// goroutine and no cache, and reports the joins' blocks read and skipped
-// per query.
-func benchLookup(b *testing.B, w *core.Warehouse, queries []workload.Query) {
+// benchLookup runs the queries' 2LUPI look-ups round robin at the given
+// look-up concurrency and without a cache, and reports the joins' blocks
+// read and skipped per query.
+func benchLookup(b *testing.B, w *core.Warehouse, queries []workload.Query, concurrency int) {
 	var parsed []*pattern.Query
 	for _, q := range queries {
 		parsed = append(parsed, q.Parse())
@@ -551,7 +564,7 @@ func benchLookup(b *testing.B, w *core.Warehouse, queries []workload.Query) {
 		BlocksRead:    reg.Counter("blocks_read"),
 		BlocksSkipped: reg.Counter("blocks_skipped"),
 	}
-	opts := index.LookupOptions{Concurrency: 1, Joins: joins}
+	opts := index.LookupOptions{Concurrency: concurrency, Joins: joins}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -737,9 +750,42 @@ func BenchmarkMemStoreGet(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got, _, err := store.Get(context.Background(), "t", "key"); err != nil || len(got) != n {
+				if got, _, err := kv.Get(context.Background(), store, "t", "key"); err != nil || len(got) != n {
 					b.Fatal(len(got), err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkMemStoreRead reads the same keys as BenchmarkMemStoreGet with
+// the store's own read, walking every record, attribute and value without
+// building items.
+func BenchmarkMemStoreRead(b *testing.B) {
+	for _, n := range []int{1, 40, 400} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			store, items := memStoreGroup(b, n)
+			b.SetBytes(int64(n) * items[0].Size())
+			keys := []string{"key"}
+			var values int
+			walk := func(_ string, recs *kv.Records) {
+				for recs.Next() {
+					for recs.NextAttr() {
+						for _, ok := recs.NextValue(); ok; _, ok = recs.NextValue() {
+							values++
+						}
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := store.Read(context.Background(), "t", keys, walk); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if values != b.N*n {
+				b.Fatalf("walked %d values, want %d", values, b.N*n)
 			}
 		})
 	}

@@ -7,7 +7,7 @@
 //   - kv: throttling (ErrThrottled), transient internal errors
 //     (ErrInternal), and DynamoDB-style partial batch outcomes — a
 //     BatchPut lands a strict subset of its items and reports the rest as
-//     unprocessed (BatchWriteItem's UnprocessedItems); a BatchGet serves a
+//     unprocessed (BatchWriteItem's UnprocessedItems); a Read serves a
 //     strict subset of its keys (UnprocessedKeys);
 //   - sqs: at-least-once delivery — a received message is made visible
 //     again immediately (duplicate delivery) or its lease is silently cut

@@ -57,9 +57,9 @@ func driveStore(t *testing.T, s kv.Store) []string {
 	}
 	_, err := s.BatchPut("t", batch)
 	note("batchPut", err)
-	_, _, err = s.Get(context.Background(), "t", "h")
+	_, _, err = kv.Get(context.Background(), s, "t", "h")
 	note("get", err)
-	_, _, err = s.BatchGet(context.Background(), "t", []string{"h", "b", "missing"})
+	_, _, err = kv.BatchGet(context.Background(), s, "t", []string{"h", "b", "missing"})
 	note("batchGet", err)
 	_, err = s.DeleteItem("t", "h", "r00")
 	note("deleteItem", err)
@@ -197,33 +197,41 @@ func TestPartialBatchGetContract(t *testing.T) {
 	inj := chaos.NewInjector(chaos.Plan{Seed: 3, Rates: chaos.Rates{PartialBatch: 1}})
 	wrapped := chaos.WrapStore(base, inj)
 
-	out, _, err := wrapped.BatchGet(context.Background(), "t", keys)
+	served := map[string]int{}
+	count := func(k string, _ *kv.Records) { served[k]++ }
+	_, err := wrapped.Read(context.Background(), "t", keys, count)
 	var pe *kv.PartialGetError
 	if !errors.As(err, &pe) {
-		t.Fatalf("BatchGet error = %v, want PartialGetError", err)
+		t.Fatalf("Read error = %v, want PartialGetError", err)
 	}
 	if len(pe.UnprocessedKeys) == 0 || len(pe.UnprocessedKeys) >= len(keys) {
 		t.Fatalf("unprocessed = %d keys, want a strict non-empty subset of %d", len(pe.UnprocessedKeys), len(keys))
 	}
-	if len(out)+len(pe.UnprocessedKeys) != len(keys) {
-		t.Errorf("served %d + unprocessed %d != requested %d", len(out), len(pe.UnprocessedKeys), len(keys))
+	if len(served)+len(pe.UnprocessedKeys) != len(keys) {
+		t.Errorf("served %d + unprocessed %d != requested %d", len(served), len(pe.UnprocessedKeys), len(keys))
 	}
 	for _, k := range pe.UnprocessedKeys {
-		if _, ok := out[k]; ok {
+		if served[k] != 0 {
 			t.Errorf("key %s both served and reported unprocessed", k)
 		}
 	}
 
-	// kv.Retry merges the partial results across re-fetches.
-	inj.SetRates(chaos.Rates{PartialBatch: 0.7})
+	// kv.Retry re-reads only the remainder: every key is served once,
+	// however many partial outcomes it took.
+	inj.SetRates(chaos.Rates{PartialBatch: 1})
 	retry := kv.NewRetry(wrapped)
 	retry.BaseBackoff = time.Microsecond
-	merged, _, err := retry.BatchGet(context.Background(), "t", keys)
-	if err != nil {
-		t.Fatalf("retried BatchGet: %v", err)
+	served = map[string]int{}
+	if _, err := retry.Read(context.Background(), "t", keys, count); err != nil {
+		t.Fatalf("retried Read: %v", err)
 	}
-	if len(merged) != len(keys) {
-		t.Errorf("merged result has %d keys, want %d", len(merged), len(keys))
+	for _, k := range keys {
+		if served[k] != 1 {
+			t.Errorf("key %s served %d times, want once", k, served[k])
+		}
+	}
+	if retry.RetryStats().PartialBatches == 0 {
+		t.Error("retry absorbed no partial batches at rate 1")
 	}
 }
 

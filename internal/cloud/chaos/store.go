@@ -89,33 +89,25 @@ func (c *Store) BatchPut(table string, items []kv.Item) (time.Duration, error) {
 	return d, &kv.PartialPutError{Unprocessed: rest}
 }
 
-// Get implements kv.Store with injection.
-func (c *Store) Get(ctx context.Context, table, hashKey string) ([]kv.Item, time.Duration, error) {
-	if err := c.inj.kvFault(); err != nil {
-		return nil, 0, err
-	}
-	return c.Store.Get(ctx, table, hashKey)
-}
-
-// BatchGet implements kv.Store with injection. An injected partial outcome
+// Read implements kv.Store with injection. An injected partial outcome
 // serves a strict non-empty prefix of the requested keys and reports the
-// remainder as unprocessed (UnprocessedKeys): the caller must re-fetch
-// only the remainder and merge.
-func (c *Store) BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]kv.Item, time.Duration, error) {
+// remainder as unprocessed (UnprocessedKeys): the caller must re-read only
+// the remainder.
+func (c *Store) Read(ctx context.Context, table string, hashKeys []string, visit kv.Visitor) (time.Duration, error) {
 	if err := c.inj.kvFault(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	n := c.inj.partialCount(len(hashKeys))
 	if n >= len(hashKeys) {
-		return c.Store.BatchGet(ctx, table, hashKeys)
+		return c.Store.Read(ctx, table, hashKeys, visit)
 	}
-	out, d, err := c.Store.BatchGet(ctx, table, hashKeys[:n])
+	d, err := c.Store.Read(ctx, table, hashKeys[:n], visit)
 	if err != nil {
-		return out, d, err
+		return d, err
 	}
 	rest := make([]string, len(hashKeys)-n)
 	copy(rest, hashKeys[n:])
-	return out, d, &kv.PartialGetError{UnprocessedKeys: rest}
+	return d, &kv.PartialGetError{UnprocessedKeys: rest}
 }
 
 // DeleteItem implements kv.Store with injection.
@@ -194,18 +186,10 @@ func (f *EveryNth) DeleteItem(table, hashKey, rangeKey string) (time.Duration, e
 	return f.Store.DeleteItem(table, hashKey, rangeKey)
 }
 
-// Get implements kv.Store with injection.
-func (f *EveryNth) Get(ctx context.Context, table, hashKey string) ([]kv.Item, time.Duration, error) {
+// Read implements kv.Store with injection.
+func (f *EveryNth) Read(ctx context.Context, table string, hashKeys []string, visit kv.Visitor) (time.Duration, error) {
 	if err := f.trip(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return f.Store.Get(ctx, table, hashKey)
-}
-
-// BatchGet implements kv.Store with injection.
-func (f *EveryNth) BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]kv.Item, time.Duration, error) {
-	if err := f.trip(); err != nil {
-		return nil, 0, err
-	}
-	return f.Store.BatchGet(ctx, table, hashKeys)
+	return f.Store.Read(ctx, table, hashKeys, visit)
 }

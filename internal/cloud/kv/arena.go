@@ -22,11 +22,13 @@ import (
 //
 // Nothing in a chunk is written twice: a put appends, an overwrite or delete
 // only drops the reference and counts the old record dead, and a rewrite
-// copies the live records into fresh chunks and lets the old ones go. That
-// is what lets a Get hand out views (Values and RangeKeys that alias the
-// chunk) without a copy and without holding the lock while they are read.
-// The collector sees the chunks (no pointers inside), one reference slice
-// per hash key and the interned attribute names.
+// copies the live records into fresh chunks and lets the old ones go. A
+// chunk is allocated at its full size and its slice never changes after.
+// That is what lets a read take a group's references and the chunk list
+// under the lock, walk the records after releasing it, and hand out views
+// (Values and RangeKeys that alias the chunk) without a copy. The collector
+// sees the chunks (no pointers inside), one reference slice per hash key
+// and the interned attribute names.
 
 const (
 	recPrefix = 8 // body length and checksum
@@ -72,7 +74,8 @@ func keyPrefix(rangeKey string) ref {
 }
 
 type arena struct {
-	chunks [][]byte
+	chunks [][]byte // each at its full size; the last is filled up to fill
+	fill   int
 	live   int64 // bytes of records some group references
 	dead   int64 // bytes of records retired by an overwrite or a delete
 }
@@ -83,23 +86,27 @@ type arena struct {
 // opened.
 func (a *arena) add(rec []byte, prefix ref) ref {
 	n := len(a.chunks)
-	if n == 0 || cap(a.chunks[n-1])-len(a.chunks[n-1]) < len(rec) {
+	if n == 0 || len(a.chunks[n-1])-a.fill < len(rec) {
 		if n == 1<<chunkBits {
 			panic("kv: table has outgrown its chunk index")
 		}
 		size := min(max(a.live, chunkMin), chunkMax)
-		a.chunks = append(a.chunks, make([]byte, 0, max(int(size), len(rec))))
+		a.chunks = append(a.chunks, make([]byte, max(int(size), len(rec))))
+		a.fill = 0
 		n++
 	}
-	off := len(a.chunks[n-1])
-	a.chunks[n-1] = append(a.chunks[n-1], rec...)
+	off := a.fill
+	a.fill += copy(a.chunks[n-1][off:], rec)
 	a.live += int64(len(rec))
 	return prefix<<prefixShift | ref(n-1)<<offsetBits | ref(off)
 }
 
 // record returns the whole record r addresses, length and checksum included.
-func (a *arena) record(r ref) []byte {
-	c := a.chunks[r>>offsetBits&(1<<chunkBits-1)]
+func (a *arena) record(r ref) []byte { return recordAt(a.chunks, r) }
+
+// recordAt is record over a list of chunks a read took.
+func recordAt(chunks [][]byte, r ref) []byte {
+	c := chunks[r>>offsetBits&(1<<chunkBits-1)]
 	off := int(r & (1<<offsetBits - 1))
 	end := off + recPrefix + int(binary.LittleEndian.Uint32(c[off:]))
 	return c[off:end:end]
@@ -120,16 +127,14 @@ func viewString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// tally sums, over a set of items, what the modeled service bills for them
-// and what a view of them needs slabs for.
-type tally struct {
-	bytes  int64 // Item.Size() as billed
-	attrs  int64
-	values int64 // attribute name/value pairs, for overhead accounting
+// itemTally returns one item's tally.
+func itemTally(item Item) Tally {
+	sum := Tally{Items: 1, Attrs: int64(len(item.Attrs)), Bytes: item.Size()}
+	for _, a := range item.Attrs {
+		sum.Values += int64(len(a.Values))
+	}
+	return sum
 }
-
-func (a *tally) add(b tally) { a.bytes += b.bytes; a.attrs += b.attrs; a.values += b.values }
-func (a *tally) sub(b tally) { a.bytes -= b.bytes; a.attrs -= b.attrs; a.values -= b.values }
 
 // readRangeKey returns a view of the range key a record body starts with,
 // and the offset past it.
@@ -141,22 +146,22 @@ func readRangeKey(body []byte) (string, int) {
 
 // readTally returns the tally a record body carries after its range key,
 // and the offset of the first attribute.
-func readTally(body []byte, off int) (tally, int) {
+func readTally(body []byte, off int) (Tally, int) {
 	size, n := binary.Uvarint(body[off:])
 	off += n
 	attrs, n := binary.Uvarint(body[off:])
 	off += n
 	values, n := binary.Uvarint(body[off:])
-	return tally{int64(size), int64(attrs), int64(values)}, off + n
+	return Tally{Items: 1, Attrs: int64(attrs), Values: int64(values), Bytes: int64(size)}, off + n
 }
 
 // group is the items of one hash key: references to their records in
-// ascending range key order, and their tally, which sizes a view's slabs
-// without a pass over the records.
+// ascending range key order, and their tally, which a read bills and its
+// visitor sizes its slabs by without a pass over the records. The table's
+// map holds the store's own copy of the hash key.
 type group struct {
-	key  string // the store's own copy of the hash key
 	refs []ref
-	sum  tally
+	sum  Tally
 }
 
 type table struct {
@@ -169,8 +174,7 @@ type table struct {
 	scratch []byte // encode buffer, reused under the store's write lock
 
 	// Modeled contents, as the simulated service would report them.
-	items int64
-	sum   tally
+	sum Tally
 }
 
 func newTable() *table {
@@ -178,13 +182,13 @@ func newTable() *table {
 }
 
 // encode builds item's record in the scratch buffer.
-func (t *table) encode(item Item, sum tally) []byte {
+func (t *table) encode(item Item, sum Tally) []byte {
 	b := append(t.scratch[:0], make([]byte, recPrefix)...)
 	b = binary.AppendUvarint(b, uint64(len(item.RangeKey)))
 	b = append(b, item.RangeKey...)
-	b = binary.AppendUvarint(b, uint64(sum.bytes))
-	b = binary.AppendUvarint(b, uint64(sum.attrs))
-	b = binary.AppendUvarint(b, uint64(sum.values))
+	b = binary.AppendUvarint(b, uint64(sum.Bytes))
+	b = binary.AppendUvarint(b, uint64(sum.Attrs))
+	b = binary.AppendUvarint(b, uint64(sum.Values))
 	for _, a := range item.Attrs {
 		id, ok := t.nameIDs[a.Name]
 		if !ok {
@@ -238,13 +242,10 @@ func (t *table) put(item Item) {
 	if g == nil {
 		// A copy, so that the table does not pin what the caller cut the
 		// key from.
-		g = &group{key: strings.Clone(item.HashKey)}
-		t.groups[g.key] = g
+		g = &group{}
+		t.groups[strings.Clone(item.HashKey)] = g
 	}
-	sum := tally{bytes: item.Size(), attrs: int64(len(item.Attrs))}
-	for _, a := range item.Attrs {
-		sum.values += int64(len(a.Values))
-	}
+	sum := itemTally(item)
 	i, found := t.search(g.refs, item.RangeKey)
 	r := t.add(t.encode(item, sum), keyPrefix(item.RangeKey))
 	if found {
@@ -255,7 +256,6 @@ func (t *table) put(item Item) {
 	}
 	g.sum.add(sum)
 	t.sum.add(sum)
-	t.items++
 }
 
 // delete removes one item if it exists.
@@ -283,7 +283,6 @@ func (t *table) retire(g *group, r ref) {
 	sum, _ := readTally(body, off)
 	g.sum.sub(sum)
 	t.sum.sub(sum)
-	t.items--
 	t.live -= int64(len(rec))
 	t.dead += int64(len(rec))
 }
@@ -308,41 +307,21 @@ func (t *table) maybeRewrite() {
 	t.rewrites++
 }
 
-// view materialises a group's items in range key order: one slab each of
-// Item, Attr and Value headers, whose RangeKeys and Values alias the arena.
-// Values are capacity-limited, so an append to one copies and never reaches
-// the neighbouring record. With check set every record's checksum is
-// verified first.
-func (t *table) view(g *group, check bool) []Item {
-	items := make([]Item, len(g.refs))
-	attrs := make([]Attr, g.sum.attrs)
-	values := make([]Value, g.sum.values)
-	for i, r := range g.refs {
-		rec := t.record(r)
-		if check {
-			checkRecord(rec)
+// records returns a cursor over a group's records as the table holds them
+// now, for a walk under the store's lock.
+func (t *table) records(g *group) Records {
+	return Records{sum: g.sum, refs: g.refs, chunks: t.chunks, names: t.names}
+}
+
+// view collects the items of the group of hashKey (Records.collect) under
+// the store's lock. With check set every record's checksum is verified
+// first.
+func (t *table) view(hashKey string, g *group, check bool) []Item {
+	if check {
+		for _, r := range g.refs {
+			checkRecord(t.record(r))
 		}
-		body := rec[recPrefix:]
-		rangeKey, off := readRangeKey(body)
-		sum, off := readTally(body, off)
-		for j := range attrs[:sum.attrs] {
-			id, n := binary.Uvarint(body[off:])
-			off += n
-			count, n := binary.Uvarint(body[off:])
-			off += n
-			for k := range values[:count] {
-				size, n := binary.Uvarint(body[off:])
-				off += n
-				if end := off + int(size); end > off { // an empty value stays nil
-					values[k] = body[off:end:end]
-					off = end
-				}
-			}
-			attrs[j] = Attr{Name: t.names[id], Values: values[:count:count]}
-			values = values[count:]
-		}
-		items[i] = Item{HashKey: g.key, RangeKey: rangeKey, Attrs: attrs[:sum.attrs:sum.attrs]}
-		attrs = attrs[sum.attrs:]
 	}
-	return items
+	recs := t.records(g)
+	return recs.collect(hashKey)
 }

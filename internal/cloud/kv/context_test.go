@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cloud/chaos"
@@ -15,9 +16,11 @@ import (
 
 // TestReadsStopOnContext runs the same two contexts — cancelled and live —
 // through every read stack. A cancelled context comes back as its error
-// from Get and BatchGet alike with no get metered after the cancel,
-// whichever layer noticed (MemStore at the bottom, Retry before an attempt);
-// a live one returns items byte-equal to the bare MemStore's.
+// from Get, BatchGet and Read alike, with no key visited and no get metered
+// after the cancel, whichever layer noticed (MemStore at the bottom, Retry
+// before an attempt). A live one returns items byte-equal to the bare
+// MemStore's, and Read visits every key exactly once, also where the chaos
+// store serves partial batches and Retry re-reads the remainder.
 func TestReadsStopOnContext(t *testing.T) {
 	var keys []string
 	for _, g := range shardKeys(4, 2) {
@@ -31,11 +34,11 @@ func TestReadsStopOnContext(t *testing.T) {
 	}
 	stacks := map[string]func(l *meter.Ledger) kv.Store{
 		"memstore":          func(l *meter.Ledger) kv.Store { return dynamodb.New(l) },
-		"sharded":           func(l *meter.Ledger) kv.Store { return kv.NewSharded(dynamodb.New(l), 4) }, // BatchGetMulti
+		"sharded":           func(l *meter.Ledger) kv.Store { return kv.NewSharded(dynamodb.New(l), 4) }, // ReadMulti
 		"retry":             func(l *meter.Ledger) kv.Store { return kv.NewRetry(dynamodb.New(l)) },
 		"chaos-under-retry": chaosUnderRetry,
 		// What core.New builds for Chaos + IndexShards > 1: Retry is not a
-		// MultiStore, so Sharded hands the context to one BatchGet per shard.
+		// MultiStore, so Sharded hands the context to one Read per shard.
 		"sharded-over-retry-over-chaos": func(l *meter.Ledger) kv.Store { return kv.NewSharded(chaosUnderRetry(l), 4) },
 	}
 	load := func(s kv.Store) {
@@ -51,7 +54,7 @@ func TestReadsStopOnContext(t *testing.T) {
 	}
 	ref := dynamodb.New(meter.NewLedger())
 	load(ref)
-	wantAll, _, err := ref.BatchGet(context.Background(), "t", keys)
+	wantAll, _, err := kv.BatchGet(context.Background(), ref, "t", keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,23 +76,53 @@ func TestReadsStopOnContext(t *testing.T) {
 		gets := func() int64 { return ledger.Snapshot().Get(s.Backend(), "get").Calls }
 		for _, c := range cases {
 			before := gets()
-			one, _, errGet := s.Get(c.ctx, "t", keys[0])
-			all, _, errBatch := s.BatchGet(c.ctx, "t", keys)
+			one, _, errGet := kv.Get(c.ctx, s, "t", keys[0])
+			all, _, errBatch := kv.BatchGet(c.ctx, s, "t", keys)
+			visited := map[string][]kv.Item{}
+			visits := 0
+			_, errRead := s.Read(c.ctx, "t", keys, func(k string, recs *kv.Records) {
+				visits++
+				for recs.Next() {
+					it := kv.Item{HashKey: k, RangeKey: recs.RangeKey()}
+					for recs.NextAttr() {
+						a := kv.Attr{Name: recs.Name()}
+						for v, ok := recs.NextValue(); ok; v, ok = recs.NextValue() {
+							a.Values = append(a.Values, v)
+						}
+						it.Attrs = append(it.Attrs, a)
+					}
+					visited[k] = append(visited[k], it)
+				}
+			})
 			if c.want != nil {
-				if !errors.Is(errGet, c.want) || !errors.Is(errBatch, c.want) {
-					t.Errorf("%s, %s: Get err = %v, BatchGet err = %v, want %v from both", name, c.name, errGet, errBatch, c.want)
+				if !errors.Is(errGet, c.want) || !errors.Is(errBatch, c.want) || !errors.Is(errRead, c.want) {
+					t.Errorf("%s, %s: Get err = %v, BatchGet err = %v, Read err = %v, want %v from all", name, c.name, errGet, errBatch, errRead, c.want)
+				}
+				if visits != 0 {
+					t.Errorf("%s, %s: Read visited %d keys", name, c.name, visits)
 				}
 				if after := gets(); after != before {
 					t.Errorf("%s, %s: %d gets metered after the stop", name, c.name, after-before)
 				}
 				continue
 			}
-			if errGet != nil || errBatch != nil {
-				t.Fatalf("%s, %s: Get err = %v, BatchGet err = %v", name, c.name, errGet, errBatch)
+			if errGet != nil || errBatch != nil || errRead != nil {
+				t.Fatalf("%s, %s: Get err = %v, BatchGet err = %v, Read err = %v", name, c.name, errGet, errBatch, errRead)
 			}
 			if !reflect.DeepEqual(one, wantAll[keys[0]]) || !reflect.DeepEqual(all, wantAll) {
 				t.Errorf("%s, %s: items differ from the bare MemStore's", name, c.name)
 			}
+			if visits != len(keys) {
+				t.Errorf("%s, %s: Read visited %d keys, want each of %d once", name, c.name, visits, len(keys))
+			}
+			for _, k := range keys {
+				if err := sameItems(visited[k], wantAll[k]); err != nil {
+					t.Errorf("%s, %s: Read of key %s: %v", name, c.name, k, err)
+				}
+			}
+		}
+		if src, ok := s.(kv.RetryStatsSource); ok && strings.Contains(name, "chaos") && src.RetryStats().PartialBatches == 0 {
+			t.Errorf("%s: no partial batch was served, so the re-read of the remainder went untested", name)
 		}
 	}
 }

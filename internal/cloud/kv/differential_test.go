@@ -18,7 +18,8 @@ import (
 
 // The differential tests drive kv.MemStore and the map store it replaced
 // (reference_test.go) through one sequence of operations and require that
-// nothing either of them returns or reports differs: items, modeled
+// nothing either of them returns or reports differs: the keys, tallies and
+// records a read visits, in order, the items the collectors build, modeled
 // durations, errors, the four size figures and the whole ledger. The
 // sequence is decoded from a byte string, so the seeded test and the fuzz
 // target share the interpreter; every byte string is a valid sequence.
@@ -139,6 +140,58 @@ func (d *differ) sameGroups(what string, got, want map[string][]kv.Item) {
 		}
 		if err := sameItems(g, w); err != nil {
 			d.failf("%s: key %q: %v", what, k, err)
+		}
+	}
+}
+
+// visit is what one visitor call of a read was handed: the key, its tally
+// and its records, copied as far as the visitor walked them.
+type visit struct {
+	key   string
+	sum   kv.Tally
+	items []kv.Item
+}
+
+// transcript returns a visitor that appends what it is handed to out. It
+// walks each record to a depth: 0 the range key, 1 the attribute names too,
+// 2 the first value of each attribute too, 3 everything. What it leaves
+// unread the cursor must skip.
+func transcript(out *[]visit, depth int) kv.Visitor {
+	return func(key string, recs *kv.Records) {
+		v := visit{key: key, sum: recs.Tally()}
+		for recs.Next() {
+			it := kv.Item{HashKey: key, RangeKey: strings.Clone(recs.RangeKey())}
+			for depth > 0 && recs.NextAttr() {
+				a := kv.Attr{Name: recs.Name()}
+				for n := 0; depth == 3 || (depth == 2 && n < 1); n++ {
+					val, ok := recs.NextValue()
+					if !ok {
+						break
+					}
+					a.Values = append(a.Values, bytes.Clone(val))
+				}
+				it.Attrs = append(it.Attrs, a)
+			}
+			v.items = append(v.items, it)
+		}
+		*out = append(*out, v)
+	}
+}
+
+// sameVisits requires two reads to have visited the same keys in the same
+// order with the same tallies and records.
+func (d *differ) sameVisits(what string, got, want []visit) {
+	d.t.Helper()
+	if len(got) != len(want) {
+		d.failf("%s: %d keys visited, reference %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.key != w.key || g.sum != w.sum {
+			d.failf("%s: visit %d: key %q with %+v, reference %q with %+v", what, i, g.key, g.sum, w.key, w.sum)
+		}
+		if err := sameItems(g.items, w.items); err != nil {
+			d.failf("%s: key %q: %v", what, g.key, err)
 		}
 	}
 }
@@ -314,34 +367,39 @@ func (d *differ) run(s *opStream) {
 			wd, werr := d.want.DeleteItem(tbl, hk, rk)
 			d.same("DeleteItem", gerr, werr)
 			d.sameDur("DeleteItem", gd, wd)
-		case 10, 11:
+		case 10:
 			tbl, hk := d.table(s), d.hashKey(s)
-			gi, gd, gerr := d.got.Get(context.Background(), tbl, hk)
-			wi, wd, werr := d.want.Get(context.Background(), tbl, hk)
+			gi, gd, gerr := kv.Get(context.Background(), d.got, tbl, hk)
+			wi, wd, werr := kv.Get(context.Background(), d.want, tbl, hk)
 			d.same("Get", gerr, werr)
 			d.sameDur("Get", gd, wd)
 			if err := sameItems(gi, wi); err != nil {
 				d.failf("Get(%s, %q): %v", tbl, hk, err)
 			}
-		case 12:
+		case 11:
 			tbl, keys := d.table(s), d.keys(s)
-			gm, gd, gerr := d.got.BatchGet(context.Background(), tbl, keys)
-			wm, wd, werr := d.want.BatchGet(context.Background(), tbl, keys)
+			gm, gd, gerr := kv.BatchGet(context.Background(), d.got, tbl, keys)
+			wm, wd, werr := kv.BatchGet(context.Background(), d.want, tbl, keys)
 			d.same("BatchGet", gerr, werr)
 			d.sameDur("BatchGet", gd, wd)
 			d.sameGroups("BatchGet", gm, wm)
+		case 12:
+			tbl, keys, depth := d.table(s), d.keys(s), s.next()%4
+			var got, want []visit
+			gd, gerr := d.got.Read(context.Background(), tbl, keys, transcript(&got, depth))
+			wd, werr := d.want.Read(context.Background(), tbl, keys, transcript(&want, depth))
+			d.same("Read", gerr, werr)
+			d.sameDur("Read", gd, wd)
+			d.sameVisits("Read", got, want)
 		case 13:
 			groups := []kv.TableKeys{{Table: d.table(s), Keys: d.keys(s)}, {Table: d.table(s), Keys: d.keys(s)}}
-			gr, gd, gerr := d.got.BatchGetMulti(context.Background(), groups)
-			wr, wd, werr := d.want.BatchGetMulti(context.Background(), groups)
-			d.same("BatchGetMulti", gerr, werr)
-			d.sameDur("BatchGetMulti", gd, wd)
-			if len(gr) != len(wr) {
-				d.failf("BatchGetMulti: %d results, reference %d", len(gr), len(wr))
-			}
-			for i := range wr {
-				d.sameGroups("BatchGetMulti", gr[i], wr[i])
-			}
+			depth := s.next() % 4
+			var got, want []visit
+			gd, gerr := d.got.ReadMulti(context.Background(), groups, transcript(&got, depth))
+			wd, werr := d.want.ReadMulti(context.Background(), groups, transcript(&want, depth))
+			d.same("ReadMulti", gerr, werr)
+			d.sameDur("ReadMulti", gd, wd)
+			d.sameVisits("ReadMulti", got, want)
 		case 14:
 			d.dump()
 		case 15:

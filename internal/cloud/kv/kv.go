@@ -13,28 +13,41 @@
 //
 // # Reads return read-only views
 //
-// The items a Get, BatchGet or DumpTable returns are views: their Values
-// and RangeKeys point into the store's own memory, and nothing is copied on
-// the way out. A view stays valid, and keeps its bytes, for as long as the
-// caller holds it, whatever is put, overwritten or deleted meanwhile. In
-// return the caller must not write into a returned Value (appending to one
-// is fine: it has no spare capacity, so the append copies), and code that
-// keeps store bytes beyond the request that read them copies what it keeps,
-// as the index's posting cache does, because a retained Value pins the
-// whole chunk of store memory it lies in. MemStore checksums every item;
-// DumpTable, which every differential test calls, and the store's own
-// housekeeping panic when they meet an item that was written through.
+// A read hands out views: the range keys, names and values its Records
+// cursor yields, and the items Get, BatchGet and DumpTable collect from it,
+// point into the store's own memory, and nothing is copied on the way out.
+// A view stays valid, and keeps its bytes, for as long as the caller holds
+// it, whatever is put, overwritten or deleted meanwhile. In return the
+// caller must not write into a returned Value (appending to one is fine: it
+// has no spare capacity, so the append copies), and code that keeps store
+// bytes beyond the request that read them copies what it keeps, as the
+// index's posting cache does, because a retained Value pins the whole chunk
+// of store memory it lies in. MemStore checksums every item; DumpTable,
+// which every differential test calls, and the store's own housekeeping
+// panic when they meet an item that was written through.
 //
 // # One read API
 //
-// Get and BatchGet (and MultiStore's BatchGetMulti) take the caller's
-// context first; there is no context-free twin. The context carries
-// cancellation. Two places act on it: MemStore, the bottom of every stack,
-// checks it before it reads or meters anything, and Retry checks it before
-// every attempt and every backoff. Every other wrapper (Sharded, the chaos
-// stores, a test's fake) passes the context it was given to the store below
-// and neither inspects nor replaces it. Callers with nothing to cancel pass
-// context.Background(); index.LookupOptions does that for a zero Ctx.
+// Store has one read, Read (and MultiStore its multi-table form,
+// ReadMulti): it hands a Visitor each requested hash key's Records, a
+// cursor over the key's records with their tally, and builds no item
+// structs. Get and BatchGet are package-level collectors over it for the
+// callers that want items; they are metered, timed, retried and
+// fault-injected exactly as the one read they make. A read takes the
+// caller's context first; there is no context-free twin. The context
+// carries cancellation. Two places act on it: MemStore, the bottom of every
+// stack, checks it before it reads or meters anything, and Retry checks it
+// before every attempt and every backoff. Every other wrapper (Sharded, the
+// chaos stores, a test's fake) passes the context it was given to the store
+// below and neither inspects nor replaces it. Callers with nothing to
+// cancel pass context.Background(); index.LookupOptions does that for a
+// zero Ctx.
+//
+// A read that fails has visited nothing, with two exceptions: one that
+// fails with a *PartialGetError has visited exactly the keys it does not
+// list, and Sharded over a store that is not a MultiStore may have visited
+// an earlier shard's keys when a later shard fails. Callers discard what
+// they were handed on any other error.
 //
 // # One implementation
 //
@@ -42,8 +55,8 @@
 // their own limits, latency model and overheads. Its layout (arena.go) is
 // physical and invisible through the Store interface: every size, latency
 // and metering record it reports is the modeled service's, derived from
-// Item.Size. Sharded, Retry, Delta and the chaos store wrap a Store and
-// pass views through untouched.
+// Item.Size. Sharded, Retry and the chaos store wrap a Store and pass the
+// visitor through untouched.
 package kv
 
 import (
@@ -131,10 +144,10 @@ func (e *PartialPutError) Error() string {
 	return fmt.Sprintf("kv: batch put partially applied (%d unprocessed items)", len(e.Unprocessed))
 }
 
-// PartialGetError reports a DynamoDB-style partially served BatchGet
-// (UnprocessedKeys): the returned map holds every key not listed; the
+// PartialGetError reports a DynamoDB-style partially served read
+// (BatchGetItem's UnprocessedKeys): every key not listed was visited; the
 // listed remainder was not read. Callers must re-fetch only
-// UnprocessedKeys and merge.
+// UnprocessedKeys.
 type PartialGetError struct {
 	UnprocessedKeys []string
 }
@@ -155,8 +168,8 @@ type Limits struct {
 // Store is the key-value service interface used by the index layer.
 // Every data operation returns the modeled latency the caller must charge
 // to its virtual machine timeline. Items passed to a put are copied in;
-// items returned by a get are read-only views of the store's memory (see
-// the package documentation), not private copies.
+// what a read hands out are read-only views of the store's memory (see the
+// package documentation), not private copies.
 type Store interface {
 	// Backend names the implementation ("dynamodb" or "simpledb"); it is
 	// also the service name under which requests are metered and billed.
@@ -172,13 +185,11 @@ type Store interface {
 	Put(table string, item Item) (time.Duration, error)
 	// BatchPut inserts up to Limits().BatchPutItems items in one request.
 	BatchPut(table string, items []Item) (time.Duration, error)
-	// Get returns all items with the given hash key, in ascending range
-	// key order, as read-only views. ctx carries the caller's cancellation
-	// and is never nil (see "One read API").
-	Get(ctx context.Context, table, hashKey string) ([]Item, time.Duration, error)
-	// BatchGet performs up to Limits().BatchGetKeys Get operations in one
-	// request.
-	BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]Item, time.Duration, error)
+	// Read fetches every item of up to Limits().BatchGetKeys hash keys in
+	// one request and calls visit once per requested key with a cursor over
+	// its records, in ascending range key order. ctx carries the caller's
+	// cancellation and is never nil (see "One read API").
+	Read(ctx context.Context, table string, hashKeys []string, visit Visitor) (time.Duration, error)
 	// DeleteItem removes one item by its full primary key. Deleting a
 	// missing item is not an error (DynamoDB semantics).
 	DeleteItem(table, hashKey, rangeKey string) (time.Duration, error)

@@ -246,81 +246,78 @@ func (s *MemStore) BatchPutMulti(groups []TableItems) (time.Duration, error) {
 	return s.writeLatency(bytes), nil
 }
 
-// Get implements Store. Like every read it stops, before anything is read
-// or metered, on a cancelled context.
-func (s *MemStore) Get(ctx context.Context, tbl, hashKey string) ([]Item, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	items, bytes, err := s.getLocked(tbl, hashKey)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, 1, bytes)
-	return items, s.readLatency(bytes), nil
+// Read implements Store: the one-table ReadMulti.
+func (s *MemStore) Read(ctx context.Context, tbl string, hashKeys []string, visit Visitor) (time.Duration, error) {
+	return s.ReadMulti(ctx, []TableKeys{{Table: tbl, Keys: hashKeys}}, visit)
 }
 
-// BatchGet implements Store.
-func (s *MemStore) BatchGet(ctx context.Context, tbl string, hashKeys []string) (map[string][]Item, time.Duration, error) {
-	results, d, err := s.BatchGetMulti(ctx, []TableKeys{{Table: tbl, Keys: hashKeys}})
-	if err != nil {
-		return nil, 0, err
-	}
-	return results[0], d, nil
-}
-
-// BatchGetMulti implements MultiStore, the read-side counterpart of
-// BatchPutMulti (DynamoDB's BatchGetItem spans tables too). Result i holds
-// groups[i]'s items; the whole request is metered once with the combined
-// key count and payload. The single-batch key limit applies to the total.
-func (s *MemStore) BatchGetMulti(ctx context.Context, groups []TableKeys) ([]map[string][]Item, time.Duration, error) {
+// ReadMulti implements MultiStore, the read-side counterpart of
+// BatchPutMulti (DynamoDB's BatchGetItem spans tables too). The whole
+// request is metered once with the combined key count and payload, and the
+// single-batch key limit applies to the total. Like every read it stops,
+// before anything is read or metered, on a cancelled context. Keys are
+// visited in request order, group by group, once the store's lock is
+// released: a failed read has visited nothing.
+func (s *MemStore) ReadMulti(ctx context.Context, groups []TableKeys, visit Visitor) (time.Duration, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	var total int
 	for _, g := range groups {
 		total += len(g.Keys)
 	}
 	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && total > lim {
-		return nil, 0, fmt.Errorf("%w: %d keys > %d", ErrBatchTooLarge, total, lim)
+		return 0, fmt.Errorf("%w: %d keys > %d", ErrBatchTooLarge, total, lim)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	results := make([]map[string][]Item, len(groups))
-	var bytes int64
-	for i, g := range groups {
-		out := make(map[string][]Item, len(g.Keys))
+	recs, d, err := s.take(groups, total)
+	if err != nil {
+		return 0, err
+	}
+	i := 0
+	for _, g := range groups {
 		for _, k := range g.Keys {
-			items, b, err := s.getLocked(g.Table, k)
-			if err != nil {
-				return nil, 0, err
-			}
-			out[k] = items
-			bytes += b
+			visit(k, &recs[i])
+			i++
 		}
-		results[i] = out
 	}
-	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, int64(total), bytes)
-	return results, s.readLatency(bytes), nil
+	return d, nil
 }
 
-// getLocked returns read-only views of a hash key's items and their billed
-// size.
-func (s *MemStore) getLocked(tbl, hashKey string) ([]Item, int64, error) {
-	if hashKey == "" {
-		return nil, 0, ErrEmptyKey
+// take is the part of a read that runs under the store's lock: it checks
+// every key, takes a cursor over each key's records, meters the request and
+// models its latency. A cursor holds its own copy of the group's references,
+// since writers move them in place, and the table's chunk list and names as
+// they are now, which writers only ever extend.
+func (s *MemStore) take(groups []TableKeys, total int) ([]Records, time.Duration, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	recs := make([]Records, 0, total)
+	var sum Tally
+	for _, g := range groups {
+		for _, k := range g.Keys {
+			if k == "" {
+				return nil, 0, ErrEmptyKey
+			}
+			t, ok := s.tables[g.Table]
+			if !ok {
+				return nil, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, g.Table)
+			}
+			var r Records
+			if grp := t.groups[k]; grp != nil {
+				r = t.records(grp)
+			}
+			recs = append(recs, r)
+			sum.add(r.sum)
+		}
 	}
-	t, ok := s.tables[tbl]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
+	refs := make([]ref, 0, sum.Items)
+	for i := range recs {
+		n := len(refs)
+		refs = append(refs, recs[i].refs...)
+		recs[i].refs = refs[n:]
 	}
-	g := t.groups[hashKey]
-	if g == nil {
-		return nil, 0, nil
-	}
-	return t.view(g, false), g.sum.bytes, nil
+	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, int64(total), sum.Bytes)
+	return recs, s.readLatency(sum.Bytes), nil
 }
 
 // DeleteItem implements Store. The write is metered like a put of the
@@ -347,14 +344,14 @@ func (s *MemStore) TableBytes(tbl string) int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if t, ok := s.tables[tbl]; ok {
-		return t.sum.bytes
+		return t.sum.Bytes
 	}
 	return 0
 }
 
 // overhead is the modeled service's auxiliary bytes for a table.
 func (s *MemStore) overhead(t *table) int64 {
-	return t.items*s.cfg.PerItemOverhead + t.sum.values*s.cfg.PerAttrValueOverhead
+	return t.sum.Items*s.cfg.PerItemOverhead + t.sum.Values*s.cfg.PerAttrValueOverhead
 }
 
 // OverheadBytes implements Store.
@@ -373,7 +370,7 @@ func (s *MemStore) TotalBytes() int64 {
 	defer s.mu.RUnlock()
 	var n int64
 	for _, t := range s.tables {
-		n += t.sum.bytes + s.overhead(t)
+		n += t.sum.Bytes + s.overhead(t)
 	}
 	return n
 }
@@ -383,13 +380,13 @@ func (s *MemStore) ItemCount(tbl string) int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if t, ok := s.tables[tbl]; ok {
-		return t.items
+		return t.sum.Items
 	}
 	return 0
 }
 
 // DumpTable returns every item of a table in deterministic order (hash
-// key, then range key), as read-only views like a Get's. It is a
+// key, then range key), as read-only views like a read's. It is a
 // verification/debugging helper outside the billed Store API; differential
 // tests use it to compare whole-store contents across runs. It verifies
 // every item's checksum on the way, so each of those tests also proves that
@@ -406,9 +403,9 @@ func (s *MemStore) DumpTable(tbl string) []Item {
 		hashKeys = append(hashKeys, hk)
 	}
 	sort.Strings(hashKeys)
-	out := make([]Item, 0, t.items)
+	out := make([]Item, 0, t.sum.Items)
 	for _, hk := range hashKeys {
-		out = append(out, t.view(t.groups[hk], true)...)
+		out = append(out, t.view(hk, t.groups[hk], true)...)
 	}
 	return out
 }

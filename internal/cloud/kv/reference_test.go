@@ -228,45 +228,9 @@ func (s *refStore) putBatch(tbl string, items []kv.Item, batch bool) (time.Durat
 	return d, nil
 }
 
-// Get implements Store.
-func (s *refStore) Get(ctx context.Context, tbl, hashKey string) ([]kv.Item, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	items, bytes, err := s.getLocked(tbl, hashKey)
-	if err != nil {
-		return nil, 0, err
-	}
-	d := s.readLatency(bytes)
-	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, 1, bytes)
-	return items, d, nil
-}
-
-// BatchGet implements Store.
-func (s *refStore) BatchGet(ctx context.Context, tbl string, hashKeys []string) (map[string][]kv.Item, time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && len(hashKeys) > lim {
-		return nil, 0, fmt.Errorf("%w: %d keys > %d", kv.ErrBatchTooLarge, len(hashKeys), lim)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string][]kv.Item, len(hashKeys))
-	var bytes int64
-	for _, k := range hashKeys {
-		items, b, err := s.getLocked(tbl, k)
-		if err != nil {
-			return nil, 0, err
-		}
-		out[k] = items
-		bytes += b
-	}
-	d := s.readLatency(bytes)
-	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, int64(len(hashKeys)), bytes)
-	return out, d, nil
+// Read implements Store.
+func (s *refStore) Read(ctx context.Context, tbl string, hashKeys []string, visit kv.Visitor) (time.Duration, error) {
+	return s.ReadMulti(ctx, []kv.TableKeys{{Table: tbl, Keys: hashKeys}}, visit)
 }
 
 // BatchPutMulti implements MultiStore: every group lands in one request,
@@ -308,40 +272,47 @@ func (s *refStore) BatchPutMulti(groups []kv.TableItems) (time.Duration, error) 
 	return d, nil
 }
 
-// BatchGetMulti implements MultiStore, the read-side counterpart of
-// BatchPutMulti (DynamoDB's BatchGetItem spans tables too). Result i holds
-// groups[i]'s items; the whole request is metered once with the combined
-// key count and payload. The single-batch key limit applies to the total.
-func (s *refStore) BatchGetMulti(ctx context.Context, groups []kv.TableKeys) ([]map[string][]kv.Item, time.Duration, error) {
+// ReadMulti implements MultiStore, the read-side counterpart of
+// BatchPutMulti (DynamoDB's BatchGetItem spans tables too): it copies and
+// sorts every requested key's items, meters the whole request once with
+// the combined key count and payload, and then visits the copies. The
+// single-batch key limit applies to the total.
+func (s *refStore) ReadMulti(ctx context.Context, groups []kv.TableKeys, visit kv.Visitor) (time.Duration, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	var total int
 	for _, g := range groups {
 		total += len(g.Keys)
 	}
 	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && total > lim {
-		return nil, 0, fmt.Errorf("%w: %d keys > %d", kv.ErrBatchTooLarge, total, lim)
+		return 0, fmt.Errorf("%w: %d keys > %d", kv.ErrBatchTooLarge, total, lim)
 	}
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	results := make([]map[string][]kv.Item, len(groups))
+	var got [][]kv.Item
 	var bytes int64
-	for i, g := range groups {
-		out := make(map[string][]kv.Item, len(g.Keys))
+	for _, g := range groups {
 		for _, k := range g.Keys {
 			items, b, err := s.getLocked(g.Table, k)
 			if err != nil {
-				return nil, 0, err
+				s.mu.RUnlock()
+				return 0, err
 			}
-			out[k] = items
+			got = append(got, items)
 			bytes += b
 		}
-		results[i] = out
 	}
 	d := s.readLatency(bytes)
 	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, int64(total), bytes)
-	return results, d, nil
+	s.mu.RUnlock()
+	i := 0
+	for _, g := range groups {
+		for _, k := range g.Keys {
+			visit(k, kv.ItemRecords(got[i]))
+			i++
+		}
+	}
+	return d, nil
 }
 
 // DeleteItem implements Store. The write is metered like a put of the

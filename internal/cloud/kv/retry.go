@@ -258,37 +258,20 @@ func (r *Retry) DeleteItem(table, hashKey, rangeKey string) (time.Duration, erro
 	})
 }
 
-// Get implements Store with retries; the loop honors the context's
-// cancellation (see retry).
-func (r *Retry) Get(ctx context.Context, table, hashKey string) ([]Item, time.Duration, error) {
-	var items []Item
-	d, err := r.retry(ctx, func() (time.Duration, error) {
-		var d time.Duration
-		var err error
-		items, d, err = r.Store.Get(ctx, table, hashKey)
-		return d, err
-	})
-	return items, d, err
-}
-
-// BatchGet implements Store with retries. A partial outcome re-fetches only
-// the unprocessed keys and merges; progress refreshes the attempt budget.
-// Cancellation semantics match retry.
-func (r *Retry) BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]Item, time.Duration, error) {
+// Read implements Store with retries. A partial outcome re-reads only the
+// unprocessed keys, so the visitor sees each key once; progress refreshes
+// the attempt budget. Cancellation semantics match retry.
+func (r *Retry) Read(ctx context.Context, table string, hashKeys []string, visit Visitor) (time.Duration, error) {
 	var total time.Duration
-	merged := make(map[string][]Item, len(hashKeys))
 	pending := hashKeys
 	for attempt := 0; ; {
 		if err := ctx.Err(); err != nil {
-			return nil, total, err
+			return total, err
 		}
-		out, d, err := r.Store.BatchGet(ctx, table, pending)
+		d, err := r.Store.Read(ctx, table, pending, visit)
 		total += d
-		for k, v := range out {
-			merged[k] = v
-		}
 		if err == nil {
-			return merged, total, nil
+			return total, nil
 		}
 		var pe *PartialGetError
 		switch {
@@ -305,14 +288,14 @@ func (r *Retry) BatchGet(ctx context.Context, table string, hashKeys []string) (
 			r.classify(err)
 			attempt++
 		default:
-			return nil, total, err
+			return total, err
 		}
 		if attempt >= r.attempts() {
 			r.bump(&r.stats.gaveUp, MetricGaveUp, 1)
-			return nil, total, err
+			return total, err
 		}
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, total, cerr
+			return total, cerr
 		}
 		r.bump(&r.stats.retries, MetricRetries, 1)
 		total += r.backoff(attempt)

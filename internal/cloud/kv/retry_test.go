@@ -36,7 +36,7 @@ func TestRetryHidesTransientThrottling(t *testing.T) {
 	if faulty.Injected() == 0 {
 		t.Error("no faults were injected")
 	}
-	items, _, err := retry.Get(context.Background(), "t", "k")
+	items, _, err := kv.Get(context.Background(), retry, "t", "k")
 	if err != nil || len(items) != 20 {
 		t.Errorf("get = %d items, %v", len(items), err)
 	}
@@ -205,7 +205,7 @@ func TestIndexLoadSurvivesThrottling(t *testing.T) {
 	}
 }
 
-// cancelingStore cancels the caller's context from inside a failing Get,
+// cancelingStore cancels the caller's context from inside a failing read,
 // modeling a cancellation that lands while Retry would sit out its backoff.
 type cancelingStore struct {
 	kv.Store
@@ -213,10 +213,10 @@ type cancelingStore struct {
 	ops    int
 }
 
-func (c *cancelingStore) Get(ctx context.Context, table, hashKey string) ([]kv.Item, time.Duration, error) {
+func (c *cancelingStore) Read(ctx context.Context, table string, hashKeys []string, visit kv.Visitor) (time.Duration, error) {
 	c.ops++
 	c.cancel()
-	return nil, 5 * time.Millisecond, kv.ErrThrottled
+	return 5 * time.Millisecond, kv.ErrThrottled
 }
 
 // Satellite regression: a context cancelled mid-operation makes Retry
@@ -233,7 +233,7 @@ func TestRetryReturnsImmediatelyOnCancel(t *testing.T) {
 	retry.BaseBackoff = 10 * time.Second // a completed backoff would be visible
 	retry.MaxBackoff = 10 * time.Second
 
-	_, d, err := retry.Get(ctx, "t", "k")
+	_, d, err := kv.Get(ctx, retry, "t", "k")
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -248,7 +248,7 @@ func TestRetryReturnsImmediatelyOnCancel(t *testing.T) {
 	}
 
 	// A context cancelled before the call never reaches the store.
-	_, d, err = retry.Get(ctx, "t", "k")
+	_, d, err = kv.Get(ctx, retry, "t", "k")
 	if !errors.Is(err, context.Canceled) || d != 0 || cs.ops != 1 {
 		t.Fatalf("pre-cancelled call: d=%v ops=%d err=%v, want 0/1/Canceled", d, cs.ops, err)
 	}

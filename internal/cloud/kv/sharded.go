@@ -3,7 +3,6 @@ package kv
 import (
 	"context"
 	"fmt"
-	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,9 +84,9 @@ type TableKeys struct {
 type MultiStore interface {
 	// BatchPutMulti applies every group in one request.
 	BatchPutMulti(groups []TableItems) (time.Duration, error)
-	// BatchGetMulti serves every group in one request; result i corresponds
-	// to groups[i].
-	BatchGetMulti(ctx context.Context, groups []TableKeys) ([]map[string][]Item, time.Duration, error)
+	// ReadMulti serves every group in one request: Store.Read over several
+	// tables.
+	ReadMulti(ctx context.Context, groups []TableKeys, visit Visitor) (time.Duration, error)
 }
 
 // Dumper is the verification-side interface of stores that can enumerate a
@@ -262,13 +261,6 @@ func (s *Sharded) Put(table string, item Item) (time.Duration, error) {
 	return s.base.Put(ShardTableName(table, k), item)
 }
 
-// Get implements Store.
-func (s *Sharded) Get(ctx context.Context, table, hashKey string) ([]Item, time.Duration, error) {
-	k := s.ShardOf(hashKey)
-	s.noteGet(k, 1)
-	return s.base.Get(ctx, ShardTableName(table, k), hashKey)
-}
-
 // DeleteItem implements Store.
 func (s *Sharded) DeleteItem(table, hashKey, rangeKey string) (time.Duration, error) {
 	k := s.ShardOf(hashKey)
@@ -309,11 +301,10 @@ func (s *Sharded) BatchPut(table string, items []Item) (time.Duration, error) {
 	return total, nil
 }
 
-// BatchGet implements Store: keys are grouped per shard and the per-shard
-// results are merged back into one result map (each hash key lives on
-// exactly one shard, so the merge is disjoint). The request structure
-// mirrors BatchPut's two cases.
-func (s *Sharded) BatchGet(ctx context.Context, table string, hashKeys []string) (map[string][]Item, time.Duration, error) {
+// Read implements Store: keys are grouped per shard and the visitor sees
+// each key once, shard by shard (each hash key lives on exactly one shard).
+// The request structure mirrors BatchPut's two cases.
+func (s *Sharded) Read(ctx context.Context, table string, hashKeys []string, visit Visitor) (time.Duration, error) {
 	groups := make([][]string, s.n)
 	for _, key := range hashKeys {
 		k := s.ShardOf(key)
@@ -326,27 +317,18 @@ func (s *Sharded) BatchGet(ctx context.Context, table string, hashKeys []string)
 			multi = append(multi, TableKeys{Table: ShardTableName(table, k), Keys: g})
 		}
 	}
-	out := make(map[string][]Item, len(hashKeys))
 	if ms, ok := s.base.(MultiStore); ok {
-		results, d, err := ms.BatchGetMulti(ctx, multi)
-		if err != nil {
-			return nil, d, err
-		}
-		for _, m := range results {
-			maps.Copy(out, m)
-		}
-		return out, d, nil
+		return ms.ReadMulti(ctx, multi, visit)
 	}
 	var total time.Duration
 	for _, g := range multi {
-		m, d, err := s.base.BatchGet(ctx, g.Table, g.Keys)
+		d, err := s.base.Read(ctx, g.Table, g.Keys, visit)
 		total += d
 		if err != nil {
-			return nil, total, err
+			return total, err
 		}
-		maps.Copy(out, m)
 	}
-	return out, total, nil
+	return total, nil
 }
 
 // TableBytes implements Store, summing over shards.

@@ -30,7 +30,7 @@ func mustPut(t testing.TB, s kv.Store, tbl string, items ...kv.Item) {
 
 func mustGet(t testing.TB, s kv.Store, tbl, hashKey string) []kv.Item {
 	t.Helper()
-	items, _, err := s.Get(context.Background(), tbl, hashKey)
+	items, _, err := kv.Get(context.Background(), s, tbl, hashKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,10 @@ func mustGet(t testing.TB, s kv.Store, tbl, hashKey string) []kv.Item {
 
 // A view taken before an overwrite, a delete or a rewrite of its table reads
 // the same afterwards, with readers and a writer running at once (the race
-// detector watches the arena bytes both sides touch).
+// detector watches the arena bytes both sides touch). Half the readers
+// collect items with Get, half walk records with Read after the store's
+// lock is released; every record either sees must be one whole item as the
+// writer put it.
 func TestViewSurvivesOverwriteDeleteAndRewrite(t *testing.T) {
 	s := dynamodb.New(meter.NewLedger())
 	if err := s.CreateTable("idx"); err != nil {
@@ -78,10 +81,35 @@ func TestViewSurvivesOverwriteDeleteAndRewrite(t *testing.T) {
 					t.Errorf("an early view changed under the writer: %v", err)
 					return
 				}
-				items, _, err := s.Get(context.Background(), "idx", key((r+n)%groups))
+				g := (r + n) % groups
+				var items []kv.Item
+				var err error
+				if r%2 == 0 {
+					items, _, err = kv.Get(context.Background(), s, "idx", key(g))
+				} else {
+					_, err = s.Read(context.Background(), "idx", []string{key(g)}, func(k string, recs *kv.Records) {
+						for recs.Next() {
+							it := kv.Item{HashKey: k, RangeKey: recs.RangeKey()}
+							for recs.NextAttr() {
+								a := kv.Attr{Name: recs.Name()}
+								for v, ok := recs.NextValue(); ok; v, ok = recs.NextValue() {
+									a.Values = append(a.Values, v)
+								}
+								it.Attrs = append(it.Attrs, a)
+							}
+							items = append(items, it)
+						}
+					})
+				}
 				if err != nil {
 					t.Error(err)
 					return
+				}
+				for _, it := range items {
+					if err := whole(g, it); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 				if err := hold(items).changed(); err != nil {
 					t.Error(err)
@@ -121,6 +149,24 @@ func TestViewSurvivesOverwriteDeleteAndRewrite(t *testing.T) {
 	if err := before[0].changed(); err != nil {
 		t.Errorf("view changed when its table was deleted: %v", err)
 	}
+}
+
+// whole reports whether it is an item TestViewSurvivesOverwriteDeleteAndRewrite
+// put under group g, of any version: range key, name and value agree.
+func whole(g int, it kv.Item) error {
+	var i int
+	if _, err := fmt.Sscanf(it.RangeKey, "r%03d", &i); err != nil {
+		return fmt.Errorf("range key %q: %v", it.RangeKey, err)
+	}
+	if len(it.Attrs) != 1 || it.Attrs[0].Name != fmt.Sprintf("doc-%d.xml", i%7) || len(it.Attrs[0].Values) != 1 {
+		return fmt.Errorf("item %s/%s: attributes %+v", it.HashKey, it.RangeKey, it.Attrs)
+	}
+	v := string(it.Attrs[0].Values[0])
+	unit, _, _ := strings.Cut(v, ";")
+	if !strings.HasPrefix(unit, fmt.Sprintf("%d/%d/v", g, i)) || v != strings.Repeat(unit+";", 20) {
+		return fmt.Errorf("item %s/%s: torn value %q", it.HashKey, it.RangeKey, v)
+	}
+	return nil
 }
 
 // Writing into a returned Value breaks the contract; the item's checksum
@@ -232,26 +278,53 @@ func TestRewriteFreesOldChunks(t *testing.T) {
 	}
 }
 
-// A get costs the three slabs its views are cut from, however many items
-// the hash key has.
-func TestGetAllocationsDoNotGrowWithItems(t *testing.T) {
-	s := newDynamo(t)
+// groupsOf puts hash keys "group1", "group40" and "group400" of that many
+// items each into the table "idx".
+func groupsOf(t *testing.T, s kv.Store) {
+	t.Helper()
 	for _, n := range []int{1, 40, 400} {
 		for i := 0; i < n; i++ {
 			mustPut(t, s, "idx", item(fmt.Sprintf("group%d", n), fmt.Sprintf("r%04d", i), attr("doc.xml", "/a/b/c")))
 		}
 	}
+}
+
+// A Get costs the read's two (cursors and reference copy), the three slabs
+// the items are cut from, the one-key request and the visitor that
+// collects it, however many items the hash key has.
+func TestGetAllocationsDoNotGrowWithItems(t *testing.T) {
+	s := newDynamo(t)
+	groupsOf(t, s)
 	var allocs []float64
 	for _, n := range []int{1, 40, 400} {
 		key := fmt.Sprintf("group%d", n)
 		allocs = append(allocs, testing.AllocsPerRun(50, func() {
-			if items, _, err := s.Get(context.Background(), "idx", key); err != nil || len(items) != n {
+			if items, _, err := kv.Get(context.Background(), s, "idx", key); err != nil || len(items) != n {
 				t.Fatal(len(items), err)
 			}
 		}))
 	}
-	if allocs[0] != allocs[1] || allocs[1] != allocs[2] || allocs[0] > 4 {
+	if allocs[0] != allocs[1] || allocs[1] != allocs[2] || allocs[0] > 8 {
 		t.Errorf("allocations per Get of 1, 40 and 400 items = %v, want one small constant", allocs)
+	}
+}
+
+// A Read allocates its cursors and its copy of the references, whatever
+// the number of records: nothing per record.
+func TestReadAllocationsDoNotGrowWithItems(t *testing.T) {
+	s := newDynamo(t)
+	groupsOf(t, s)
+	var allocs []float64
+	for _, n := range []int{1, 40, 400} {
+		keys := []string{fmt.Sprintf("group%d", n)}
+		allocs = append(allocs, testing.AllocsPerRun(50, func() {
+			if _, err := s.Read(context.Background(), "idx", keys, func(string, *kv.Records) {}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] != allocs[1] || allocs[1] != allocs[2] || allocs[0] > 2 {
+		t.Errorf("allocations per Read of 1, 40 and 400 items = %v, want the same two", allocs)
 	}
 }
 

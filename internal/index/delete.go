@@ -35,23 +35,29 @@ func DeleteDocument(store kv.Store, s Strategy, doc *xmltree.Document, opts Opti
 		}
 	}()
 	var (
-		total time.Duration
-		st    DeleteStats
+		total  time.Duration
+		st     DeleteStats
+		doomed []string // range keys of the key's items that are the document's
 	)
+	collect := func(_ string, recs *kv.Records) {
+		for recs.Next() {
+			if recs.AttrCount() == 1 && recs.NextAttr() && recs.Name() == doc.URI {
+				doomed = append(doomed, recs.RangeKey())
+			}
+		}
+	}
 	for _, table := range sortedTables(ex) {
 		for _, e := range ex.Tables[table] {
 			st.Keys++
+			doomed = doomed[:0]
 			// Removal is a write: nothing cancels it half-way.
-			items, d, err := store.Get(context.Background(), table, e.Key)
+			d, err := store.Read(context.Background(), table, []string{e.Key}, collect)
 			if err != nil {
 				return total, st, err
 			}
 			total += d
-			for _, it := range items {
-				if len(it.Attrs) != 1 || it.Attrs[0].Name != doc.URI {
-					continue
-				}
-				d, err := store.DeleteItem(table, it.HashKey, it.RangeKey)
+			for _, rangeKey := range doomed {
+				d, err := store.DeleteItem(table, e.Key, rangeKey)
 				if err != nil {
 					return total, st, err
 				}

@@ -24,6 +24,12 @@ import (
 // it did eager ones, concurrent readers of a shared posting agree, and only
 // candidates decode.
 
+// decodeItems runs the record decoder over items, the way a read hands it a
+// key's records.
+func decodeItems(items []kv.Item, kind PostingKind, binaryIDs bool) (map[string]*Posting, error) {
+	return decodeKey(kv.ItemRecords(items), nil, kind, binaryIDs)
+}
+
 // oneValueItems is one key's items with one value per URI, in URI order.
 func oneValueItems(key string, values map[string][]byte) []kv.Item {
 	var items []kv.Item

@@ -386,8 +386,8 @@ func (p *Posting) DecodedIDs() ([]xmltree.NodeID, error) {
 // ReadKeys batch-fetches several hash keys and returns per-key postings.
 // Keys resident in opts' cache are served from it without touching the
 // store; the misses are split into store-batch-limit chunks fanned out over
-// a bounded worker pool (opts' Concurrency), with items decoded on the
-// fetch goroutines. The result and the billed statistics are identical to
+// a bounded worker pool (opts' Concurrency), with records decoded on the
+// fetch goroutines as the store's read hands them over. The result and the billed statistics are identical to
 // a sequential read: per-chunk latencies and byte counts are summed in
 // chunk order, and key sets of distinct chunks are disjoint. The statistics
 // are the read's share of a look-up's (TwigCandidates stays zero): only keys
@@ -455,33 +455,33 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 			end = len(fetch)
 		}
 		chunk := fetch[start:end]
-		got, d, err := store.BatchGet(opt.Ctx, table, chunk)
-		if err != nil {
-			return chunkResult{err: err}
-		}
-		cr := chunkResult{postings: make(map[string]map[string]*Posting, len(got)), d: d, gets: int64(len(chunk))}
-		for _, k := range chunk {
-			items := got[k]
-			for _, it := range items {
-				cr.bytes += it.Size()
+		cr := chunkResult{postings: make(map[string]map[string]*Posting, len(chunk)), gets: int64(len(chunk))}
+		d, err := store.Read(opt.Ctx, table, chunk, func(k string, recs *kv.Records) {
+			cr.bytes += recs.Tally().Bytes
+			if cr.err != nil {
+				return
 			}
 			// Replacement contributions from the write buffer supersede the
-			// owner's main-store items; they come from memory and bill
+			// owner's main-store records; they come from memory and bill
 			// nothing.
-			items = applyReplaces(items, overlays[k])
-			if len(items) == 0 {
-				continue
-			}
-			postings, err := decodeItems(items, kind, binaryIDs)
+			postings, err := decodeKey(recs, overlays[k].Replaces, kind, binaryIDs)
 			if err != nil {
-				return chunkResult{err: fmt.Errorf("key %q: %w", k, err)}
+				cr.err = fmt.Errorf("key %q: %w", k, err)
+				return
+			}
+			if postings == nil {
+				return
 			}
 			if opt.Cache != nil {
 				// The cache keeps the postings beyond this read.
 				detachPostings(postings)
 			}
 			cr.postings[k] = postings
+		})
+		if err != nil {
+			return chunkResult{err: err}
 		}
+		cr.d = d
 		return cr
 	}
 
@@ -544,113 +544,179 @@ func applyViewTombstones(out map[string]map[string]*Posting, overlays map[string
 	return out, rs, nil
 }
 
-// decodeItems assembles one key's postings from its items. The postings of
-// a key share one slab; identifier values are validated here whatever their
-// shape, so a corrupt value fails the read even if its URI never reaches a
-// join.
-func decodeItems(items []kv.Item, kind PostingKind, binaryIDs bool) (map[string]*Posting, error) {
-	// Most items carry one URI attribute, so the attribute count bounds the
-	// posting count tightly.
-	attrs := 0
-	for _, it := range items {
-		attrs += len(it.Attrs)
+// decodeKey assembles one key's postings from its records, with the
+// overlay's replacement items merged in by range key (DESIGN §5s, "The
+// overlay merge"): a record whose only attribute names a replaced owner is
+// skipped, since replaces holds that owner's whole contribution. It returns
+// nil when there is no record to decode. The postings of a key share one
+// slab, sized from the tallies; identifier values are validated here
+// whatever their shape, so a corrupt value fails the read even if its URI
+// never reaches a join.
+func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind, binaryIDs bool) (map[string]*Posting, error) {
+	attrs := recs.Tally().Attrs
+	var repl *kv.Records
+	if len(replaces) > 0 {
+		repl = replacementRecords(replaces)
+		attrs += repl.Tally().Attrs
 	}
-	postings := make(map[string]*Posting, attrs)
-	slab := make([]Posting, 0, attrs)
-	// The values that do not stay lazy, by URI: blocked segments (headers
-	// parsed) and eagerly decoded identifiers.
-	var (
-		segs  map[string][]*idblock.Set
-		eager map[string][]xmltree.NodeID
-	)
-	for _, it := range items {
-		for _, a := range it.Attrs {
-			p, ok := postings[a.Name]
-			if !ok {
-				slab = slab[:len(slab)+1]
-				p = &slab[len(slab)-1]
-				p.URI = a.Name
-				postings[a.Name] = p
-			}
-			switch kind {
-			case URIPosting:
-				// Presence is all that matters.
-			case PathPosting:
-				for _, v := range a.Values {
-					// Validate now, retain raw: corrupt values fail here —
-					// where the old eager decode failed — and matching
-					// later runs on the compressed form.
-					if err := ValidatePathValue(v); err != nil {
-						return nil, err
-					}
-					p.PathVals = append(p.PathVals, v)
-				}
-			case IDPosting:
-				for _, v := range a.Values {
-					c, err := classifyIDValue(v, binaryIDs)
-					if err != nil {
-						return nil, err
-					}
-					switch {
-					case c.stream != nil && p.n == 0 && len(segs[p.URI]) == 0 && eager[p.URI] == nil:
-						p.raw, p.n = c.stream, c.n // the first value: stays raw
-						continue
-					case c.set == nil && c.stream == nil && c.ids == nil:
-						continue // an empty value adds nothing
-					}
-					if p.raw != nil {
-						// Any second value: the held stream joins the eager
-						// path, whatever the order the items arrived in.
-						eager = appendEager(eager, p.URI, mustDecodeStream(p.raw, p.n))
-						p.raw, p.n = nil, 0
-					}
-					switch {
-					case c.set != nil:
-						if segs == nil {
-							segs = make(map[string][]*idblock.Set)
-						}
-						segs[p.URI] = append(segs[p.URI], c.set)
-					case c.stream != nil:
-						eager = appendEager(eager, p.URI, mustDecodeStream(c.stream, c.n))
-					default:
-						eager = appendEager(eager, p.URI, c.ids)
-					}
-				}
-			}
+	if recs.Tally().Items == 0 && (repl == nil || repl.Tally().Items == 0) {
+		return nil, nil
+	}
+	d := keyDecoder{
+		kind:      kind,
+		binaryIDs: binaryIDs,
+		postings:  make(map[string]*Posting, attrs),
+		slab:      make([]Posting, 0, attrs),
+	}
+	more := repl != nil && repl.Next()
+	for recs.Next() && d.err == nil {
+		for ; more && repl.RangeKey() < recs.RangeKey() && d.err == nil; more = repl.Next() {
+			d.record(repl, nil)
 		}
+		d.record(recs, replaces)
+	}
+	for ; more && d.err == nil; more = repl.Next() {
+		d.record(repl, nil)
+	}
+	if d.err != nil || !d.fed {
+		return nil, d.err
 	}
 	if kind == IDPosting {
-		for uri, p := range postings {
-			if err := finishIDPosting(p, segs[uri], eager[uri]); err != nil {
+		for i := range d.slab {
+			p := &d.slab[i]
+			if err := finishIDPosting(p, d.segs[p], d.eager[p]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return postings, nil
+	return d.postings, nil
 }
 
-// appendEager adds decoded identifiers to a URI's eager accumulator,
+// replacementRecords returns a cursor over an overlay's replacement items
+// in ascending range key order, the order the store hands out records in.
+func replacementRecords(replaces map[string][]kv.Item) *kv.Records {
+	var items []kv.Item
+	for _, owned := range replaces {
+		items = append(items, owned...)
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i].RangeKey < items[j].RangeKey })
+	return kv.ItemRecords(items)
+}
+
+// keyDecoder is the state of one key's decode.
+type keyDecoder struct {
+	kind      PostingKind
+	binaryIDs bool
+
+	postings map[string]*Posting
+	slab     []Posting
+	fed      bool // some record was decoded
+	// The values that do not stay lazy, by posting: blocked segments
+	// (headers parsed) and eagerly decoded identifiers.
+	segs  map[*Posting][]*idblock.Set
+	eager map[*Posting][]xmltree.NodeID
+	err   error
+}
+
+// record decodes the current record of c, unless it is one that replaces
+// supersedes.
+func (d *keyDecoder) record(c *kv.Records, replaces map[string][]kv.Item) {
+	if replaces != nil && c.AttrCount() == 1 {
+		c.NextAttr()
+		if _, replaced := replaces[c.Name()]; replaced {
+			return
+		}
+		d.fed = true
+		d.attr(c)
+		return
+	}
+	d.fed = true
+	for c.NextAttr() && d.err == nil {
+		d.attr(c)
+	}
+}
+
+// attr adds the current attribute of c to its URI's posting. It is the one
+// place stored values are validated and classified.
+func (d *keyDecoder) attr(c *kv.Records) {
+	name := c.Name()
+	p, ok := d.postings[name]
+	if !ok {
+		d.slab = d.slab[:len(d.slab)+1]
+		p = &d.slab[len(d.slab)-1]
+		p.URI = name
+		d.postings[name] = p
+	}
+	switch d.kind {
+	case URIPosting:
+		// Presence is all that matters.
+	case PathPosting:
+		for v, ok := c.NextValue(); ok; v, ok = c.NextValue() {
+			// Validate now, retain raw: corrupt values fail here, and
+			// matching later runs on the compressed form.
+			if err := ValidatePathValue(v); err != nil {
+				d.err = err
+				return
+			}
+			p.PathVals = append(p.PathVals, v)
+		}
+	case IDPosting:
+		for v, ok := c.NextValue(); ok; v, ok = c.NextValue() {
+			iv, err := classifyIDValue(v, d.binaryIDs)
+			if err != nil {
+				d.err = err
+				return
+			}
+			switch {
+			case iv.stream != nil && p.n == 0 && len(d.segs[p]) == 0 && d.eager[p] == nil:
+				p.raw, p.n = iv.stream, iv.n // the first value: stays raw
+				continue
+			case iv.set == nil && iv.stream == nil && iv.ids == nil:
+				continue // an empty value adds nothing
+			}
+			if p.raw != nil {
+				// Any second value: the held stream joins the eager path,
+				// whatever the order the records arrived in.
+				d.eager = appendEager(d.eager, p, mustDecodeStream(p.raw, p.n))
+				p.raw, p.n = nil, 0
+			}
+			switch {
+			case iv.set != nil:
+				if d.segs == nil {
+					d.segs = make(map[*Posting][]*idblock.Set)
+				}
+				d.segs[p] = append(d.segs[p], iv.set)
+			case iv.stream != nil:
+				d.eager = appendEager(d.eager, p, mustDecodeStream(iv.stream, iv.n))
+			default:
+				d.eager = appendEager(d.eager, p, iv.ids)
+			}
+		}
+	}
+}
+
+// appendEager adds decoded identifiers to a posting's eager accumulator,
 // creating the map on first use.
-func appendEager(eager map[string][]xmltree.NodeID, uri string, ids []xmltree.NodeID) map[string][]xmltree.NodeID {
+func appendEager(eager map[*Posting][]xmltree.NodeID, p *Posting, ids []xmltree.NodeID) map[*Posting][]xmltree.NodeID {
 	if len(ids) == 0 {
 		return eager
 	}
 	if eager == nil {
-		eager = make(map[string][]xmltree.NodeID)
+		eager = make(map[*Posting][]xmltree.NodeID)
 	}
-	if prev := eager[uri]; prev != nil {
-		eager[uri] = append(prev, ids...)
+	if prev := eager[p]; prev != nil {
+		eager[p] = append(prev, ids...)
 	} else {
-		eager[uri] = ids // the decode owns ids: adopt them without a copy
+		eager[p] = ids // the decode owns ids: adopt them without a copy
 	}
 	return eager
 }
 
 // detachPostings copies what one key's decoded postings still share with
 // the store: the raw path values and identifier streams (one buffer for
-// the key) and the encoded payloads of lazy identifier sets. A Get returns
-// read-only views of the store's memory, which is fine for the length of a
-// request; postings that go into the cache would keep whole store chunks
+// the key) and the encoded payloads of lazy identifier sets. A read hands
+// out read-only views of the store's memory, which is fine for the length
+// of a request; postings that go into the cache would keep whole store chunks
 // alive for bytes the cache's budget does not count.
 func detachPostings(postings map[string]*Posting) {
 	n := 0
@@ -676,7 +742,7 @@ func detachPostings(postings map[string]*Posting) {
 
 // finishIDPosting fixes a decoded identifier posting into its final shape.
 // A raw posting is final already. All-blocked segments that tile the pre
-// axis merge into one lazy Set — items arrive ordered by range key, not
+// axis merge into one lazy Set — records arrive ordered by range key, not
 // content, and Merge restores pre order from the headers alone. Anything
 // else (text values, several streams, streams mixed with segments,
 // overlapping segments) materializes: decode everything, restore pre order,

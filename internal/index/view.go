@@ -1,8 +1,6 @@
 package index
 
 import (
-	"sort"
-
 	"repro/internal/cloud/kv"
 	"repro/internal/idblock"
 	"repro/internal/xmltree"
@@ -24,84 +22,15 @@ type ReadView interface {
 	Capture(table string, keys []string) map[string]kv.Overlay
 }
 
-// applyReplaces merges one key's fetched main-store items with the
-// overlay's replacement contributions: every item belonging to a replaced
-// owner is dropped (the overlay holds that owner's full contribution) and
-// the replacement items are appended. The merged slice is re-sorted by
-// range key so decoding sees the same deterministic order a store fetch of
-// the folded state would produce. Item-count accounting of the fetched
-// items is the caller's: replacements come from the warehouse's memory and
-// bill nothing.
-func applyReplaces(items []kv.Item, ov kv.Overlay) []kv.Item {
-	if len(ov.Replaces) == 0 {
-		return items
+// deadSetFor decodes the identifier contribution a tombstone retained for
+// owner into one set, the per-version tombstone consulted at posting-decode
+// time. It goes through the record decoder like any stored value.
+func deadSetFor(owner string, items []kv.Item, binaryIDs bool) (*idblock.Set, error) {
+	postings, err := decodeKey(kv.ItemRecords(items), nil, IDPosting, binaryIDs)
+	if err != nil || postings[owner] == nil {
+		return nil, err
 	}
-	merged := make([]kv.Item, 0, len(items)+len(ov.Replaces))
-	for _, it := range items {
-		if len(it.Attrs) == 1 {
-			if _, replaced := ov.Replaces[it.Attrs[0].Name]; replaced {
-				continue
-			}
-		}
-		merged = append(merged, it)
-	}
-	owners := make([]string, 0, len(ov.Replaces))
-	for owner := range ov.Replaces {
-		owners = append(owners, owner)
-	}
-	sort.Strings(owners)
-	for _, owner := range owners {
-		merged = append(merged, ov.Replaces[owner]...)
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].HashKey != merged[j].HashKey {
-			return merged[i].HashKey < merged[j].HashKey
-		}
-		return merged[i].RangeKey < merged[j].RangeKey
-	})
-	return merged
-}
-
-// deadSetFor parses the identifier contribution retained by a tombstone
-// into one merged Set — the per-version tombstone consulted at
-// posting-decode time.
-func deadSetFor(items []kv.Item, binaryIDs bool) (*idblock.Set, error) {
-	var segs []*idblock.Set
-	var eager []xmltree.NodeID
-	for _, it := range items {
-		for _, a := range it.Attrs {
-			for _, v := range a.Values {
-				set, ids, err := DecodeIDSet(v, binaryIDs)
-				if err != nil {
-					return nil, err
-				}
-				if set != nil {
-					segs = append(segs, set)
-				} else {
-					eager = append(eager, ids...)
-				}
-			}
-		}
-	}
-	if len(eager) == 0 {
-		if merged, ok := idblock.Merge(segs); ok {
-			return merged, nil
-		}
-	}
-	for _, s := range segs {
-		ids, err := s.All()
-		if err != nil {
-			return nil, err
-		}
-		eager = append(eager, ids...)
-	}
-	if len(eager) == 0 {
-		return nil, nil
-	}
-	if !idblock.IsSorted(eager) {
-		sortIDs(eager)
-	}
-	return idblock.FromIDs(eager), nil
+	return postings[owner].IDSet(), nil
 }
 
 // applyTombstones filters one key's assembled postings through the
@@ -136,7 +65,7 @@ func applyTombstones(postings map[string]*Posting, ov kv.Overlay, kind PostingKi
 		if kind != IDPosting {
 			continue
 		}
-		deadSet, err := deadSetFor(tomb, binaryIDs)
+		deadSet, err := deadSetFor(owner, tomb, binaryIDs)
 		if err != nil {
 			return nil, err
 		}
