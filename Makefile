@@ -83,7 +83,7 @@ obs-smoke:
 # top of the checked-in seed corpora. `go test -fuzz` accepts only one
 # matching target per invocation, so discover and loop.
 fuzzsmoke:
-	@for pkg in ./internal/cloud/kv ./internal/idblock ./internal/index ./internal/obs ./internal/pattern ./internal/serve ./internal/xmltree ./internal/xquery; do \
+	@for pkg in ./internal/cloud/kv ./internal/core ./internal/idblock ./internal/index ./internal/obs ./internal/pattern ./internal/serve ./internal/xmltree ./internal/xquery; do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test $$pkg -run="^$$target$$" -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \

@@ -421,26 +421,6 @@ func ParseQueryText(text string) (*pattern.Query, error) {
 	return pattern.Parse(text)
 }
 
-// encodeResult serializes a result for the file store (step 14), once, in
-// the wire form of a served answer: the live front end hands the object's
-// bytes through (QueryOutcome.Body), only the synchronous driver decodes them.
-func encodeResult(r *engine.Result) []byte {
-	b, err := json.Marshal(r)
-	if err != nil {
-		// Result values are plain strings; marshaling cannot fail.
-		panic(err)
-	}
-	return b
-}
-
-func decodeResult(data []byte) (*engine.Result, error) {
-	var r engine.Result
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("core: decoding result: %w", err)
-	}
-	return &r, nil
-}
-
 // RunQueryOn executes one query synchronously on one instance: the live
 // pipeline's own steps called inline, hence the very same queue/store
 // requests. The front end sends the query message (sendQuery, steps 7-8);

@@ -16,7 +16,9 @@ func benchDocs() []xmark.Doc {
 
 var benchSink *Document
 
-func benchParse(b *testing.B, parse func(string, []byte) (*Document, error)) {
+// benchSetup returns the benchmark's documents with b set up to report
+// bytes and allocations per document.
+func benchSetup(b *testing.B) []xmark.Doc {
 	docs := benchDocs()
 	var total int64
 	for _, d := range docs {
@@ -25,6 +27,11 @@ func benchParse(b *testing.B, parse func(string, []byte) (*Document, error)) {
 	b.SetBytes(total / int64(len(docs)))
 	b.ReportAllocs()
 	b.ResetTimer()
+	return docs
+}
+
+func benchParse(b *testing.B, parse func(string, []byte) (*Document, error)) {
+	docs := benchSetup(b)
 	for i := 0; i < b.N; i++ {
 		d := docs[i%len(docs)]
 		doc, err := parse(d.URI, d.Data)
@@ -54,7 +61,8 @@ var scanProjections = []*Projection{
 // BenchmarkParse measures the scanner; one op is one document, so MB/s of
 // full is xmltree.parse_mb_per_s of the gateable benchmark and allocs/op is
 // per document. projected is the same scan building only what a serve-scan
-// query reads, which is the parse of the query path.
+// query reads, which is the parse of the query path, and projected-parallel
+// runs it on GOMAXPROCS goroutines that share the pool of scratches.
 func BenchmarkParse(b *testing.B) {
 	b.Run("full", func(b *testing.B) { benchParse(b, Parse) })
 	b.Run("projected", func(b *testing.B) {
@@ -62,6 +70,18 @@ func BenchmarkParse(b *testing.B) {
 		benchParse(b, func(uri string, data []byte) (*Document, error) {
 			i++
 			return ParseProjected(uri, data, scanProjections[i%len(scanProjections)])
+		})
+	})
+	b.Run("projected-parallel", func(b *testing.B) {
+		docs := benchSetup(b)
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				d := docs[i%len(docs)]
+				if _, err := ParseProjected(d.URI, d.Data, scanProjections[i%len(scanProjections)]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
 		})
 	})
 }

@@ -206,6 +206,8 @@ var edgeInputs = []struct {
 	{"a name of two colons", `<::/>`, reject},
 	{"a name of one colon", `<: :=""/>`, `:=""`},
 	{"name starting with a digit", `<1a/>`, reject},
+	{"element named by a local part that is no name", `<a:1b><1b/></a:1b>`, reject},
+	{"attribute named by a local part that is no name", `<a:1b><c 1b="x"/></a:1b>`, reject},
 	{"name starting with a dash", `<a -b="1"/>`, reject},
 	{"name with dot, dash, digit", `<a.b-1 c_d.2-="1"/>`, `c_d.2-="1"`},
 	{"non-ASCII name", `<é ü="1">x</é>`, `ü="1" ="x"`},

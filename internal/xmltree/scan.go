@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Parse builds the tree for one document.
@@ -52,19 +53,21 @@ type Projection struct {
 // was not built; a document of which nothing is built is not an error. A nil
 // proj builds everything.
 func ParseProjected(uri string, data []byte, proj *Projection) (*Document, error) {
-	// The copy is the one the document keeps: Text strings are sub-slices
-	// of it, so the caller's buffer is free to change afterwards.
-	p := parser{src: string(data), proj: proj}
-	// Room for the labels of an XMark document, or for the ones the
-	// projection can let through.
-	room := 32
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	return parseWith(s, uri, data, proj)
+}
+
+// parseWith is ParseProjected on the scratch s.
+func parseWith(s *scratch, uri string, data []byte, proj *Projection) (*Document, error) {
+	s.begin()
+	// The scan reads data in place: what a built node keeps of it is copied
+	// (keep) and nothing else of it outlives the call, so the caller's
+	// buffer is free to change afterwards.
+	p := parser{scratch: s, src: unsafe.String(unsafe.SliceData(data), len(data)), proj: proj}
 	if proj == nil {
 		p.outer = KeepAll
-	} else {
-		room = len(proj.Elements) + len(proj.Attributes) + 1
 	}
-	p.labels = make(map[string]int32, room)
-	p.labelTab = make([]labelEntry, 1, room+1)
 	p.tagsLeft = strings.Count(p.src, "<")
 	if err := p.scan(); err != nil {
 		return nil, fmt.Errorf("xmltree: parsing %s: %w", uri, err)
@@ -72,16 +75,19 @@ func ParseProjected(uri string, data []byte, proj *Projection) (*Document, error
 	if !p.sawRoot {
 		return nil, fmt.Errorf("%w: %s", ErrEmptyDocument, uri)
 	}
-	doc := &Document{URI: uri, Root: p.root, SourceBytes: int64(len(data)), scanned: int(p.pre), labels: p.labels}
-	doc.nodes, doc.byLabel = p.indexes()
+	doc := &Document{URI: uri, Root: p.root, SourceBytes: int64(len(data)), scanned: int(p.pre)}
+	doc.nodes, doc.byLabel, doc.labels = p.indexes()
 	return doc, nil
 }
 
 // parser is the state of one scan. The scanner is a loop over src with an
-// explicit stack of open elements; nothing in it recurses.
+// explicit stack of open elements; nothing in it recurses. What does not
+// outlive the scan is in the pooled scratch.
 type parser struct {
-	src string
-	pos int // next unread byte
+	*scratch
+
+	src string // the caller's bytes, read in place
+	pos int    // next unread byte
 
 	// proj is the projection, nil for a full parse, and outer what the level
 	// above the root element hands down: KeepAll for a full parse, which so
@@ -100,28 +106,19 @@ type parser struct {
 	chunks   [][]Node
 	tagsLeft int
 
-	open []openElem
-	// kids holds the finished children of every open element, those of the
-	// innermost one last; an element that closes moves its run into
-	// kidSlab, which backs all Children slices.
-	kids    []*Node
+	// kidSlab backs all Children slices; see scratch.kids.
 	kidSlab []*Node
 
-	// The label table: labels maps a label to its entry in labelTab, and
-	// labelOf is the entry of every node made so far. Entry 0 is the text
-	// nodes'.
-	labels   map[string]int32
-	labelTab []labelEntry
-	labelOf  []int32
+	// text is the chunk of the text slab that keep copies into, and
+	// textNext the size of a projected parse's next chunk.
+	text     []byte
+	textNext int
 
 	// Character data since the last tag: one piece in pend (usually a
 	// sub-slice of src), or several joined in pendBuf.
 	pend     string
 	pendBuf  []byte
 	pendMany bool
-
-	attrs []rawAttr   // the attributes of the tag being scanned
-	ns    []nsBinding // xmlns:prefix declarations of the open elements
 }
 
 type openElem struct {
@@ -132,20 +129,21 @@ type openElem struct {
 	// keep is what the element's label and the labels of the elements
 	// around it ask for: KeepText and KeepAll reach everything inside.
 	keep   Keep
-	name   string // as written in the start tag, prefix included
-	kids   int    // len(parser.kids) when the element opened
-	nsMark int    // len(parser.ns) when the element opened
+	sym    int32 // the symbol of the name in the start tag, prefix included
+	kids   int   // len(parser.kids) when the element opened
+	nsMark int   // len(parser.ns) when the element opened
 }
 
-// labelEntry is one entry of the per-document label table: the document's
-// own copy of the label and how many nodes carry it.
+// labelEntry is one entry of the per-document label table: the label and
+// how many nodes carry it.
 type labelEntry struct {
 	label string
 	nodes int
 }
 
 type rawAttr struct {
-	prefix, local, value string
+	sym   int32
+	value string
 }
 
 // nsBinding records whether an xmlns:prefix declaration bound the prefix to
@@ -437,7 +435,7 @@ func (p *parser) flushText() {
 	}
 	n := p.newNode(0)
 	n.Kind = Text
-	n.Text = s
+	n.Text = p.keep(s)
 	n.ID = NodeID{Pre: p.pre, Post: p.post, Depth: int32(len(p.open)) + 1}
 	n.Parent = o.parent
 	p.kids = append(p.kids, n)
@@ -479,6 +477,28 @@ func splitName(s string) (prefix, local string, ok bool) {
 	return s[:i], s[i+1:], true
 }
 
+// scanSymbol scans a tag or attribute name at p.pos and returns its symbol; ok
+// is false where name or splitName says no name stands there.
+func (p *parser) scanSymbol() (int32, bool) {
+	name, ok := p.name()
+	if !ok {
+		return 0, false
+	}
+	return p.lookup(name)
+}
+
+// takeName moves past name if it stands at p.pos, byte for byte, and a byte
+// no name can hold follows it: what name would scan there, provided name
+// itself was scanned by name and split once already.
+func (p *parser) takeName(name string) bool {
+	end := p.pos + len(name)
+	if end >= len(p.src) || nameClass[p.src[end]] != 0 || p.src[p.pos:end] != name {
+		return false
+	}
+	p.pos = end
+	return true
+}
+
 func (p *parser) skipSpace() {
 	for p.pos < len(p.src) && isSpace(p.src[p.pos]) {
 		p.pos++
@@ -488,11 +508,7 @@ func (p *parser) skipSpace() {
 func (p *parser) startTag() error {
 	src, at := p.src, p.pos
 	p.pos++
-	name, ok := p.name()
-	if !ok {
-		return p.errorf(at, "expected element name after <")
-	}
-	_, local, ok := splitName(name)
+	sym, ok := p.scanSymbol()
 	if !ok {
 		return p.errorf(at, "expected element name after <")
 	}
@@ -529,66 +545,75 @@ func (p *parser) startTag() error {
 	}
 	nsMark := len(p.ns)
 	for _, a := range p.attrs {
-		if a.prefix == "xmlns" {
-			p.ns = append(p.ns, nsBinding{a.local, a.value == "xmlns"})
+		if s := &p.syms[a.sym]; s.prefix == "xmlns" {
+			p.ns = append(p.ns, nsBinding{p.syms[s.local].name, a.value == "xmlns"})
 		}
 	}
-	o := openElem{keep: p.outer, name: name, nsMark: nsMark}
-	if len(p.open) > 0 {
-		up := &p.open[len(p.open)-1]
-		o.keep, o.parent = up.keep, up.parent
-	}
+	o := p.push(sym, nsMark)
+	local := p.local(sym)
 	built := o.keep&KeepAll != 0
 	if !built {
-		own := p.proj.Elements[local]
-		built = own != 0
-		o.keep |= own
+		built = local.elem != 0
+		o.keep |= local.elem
 	}
-	depth := int32(len(p.open)) + 1
+	depth := int32(len(p.open))
 	p.pre++
 	if built {
 		el := p.newNode(p.label(local))
 		el.Kind = Element
 		el.ID = NodeID{Pre: p.pre, Depth: depth}
 		el.Parent = o.parent
-		if len(p.open) == 0 {
+		if depth == 1 {
 			p.root = el
 		}
 		o.el, o.parent = el, el
 	}
 	p.sawRoot = true
-	o.kids = len(p.kids)
 	for _, a := range p.attrs {
 		if p.dropAttr(a) {
 			continue
 		}
 		p.pre++
 		p.post++
-		if o.keep&KeepAll == 0 && !p.proj.Attributes[a.local] {
+		name := p.local(a.sym)
+		if o.keep&KeepAll == 0 && !name.attr {
 			continue
 		}
-		an := p.newNode(p.label(a.local))
+		an := p.newNode(p.label(name))
 		an.Kind = Attribute
-		an.Text = a.value
+		an.Text = p.keep(a.value)
 		an.ID = NodeID{Pre: p.pre, Post: p.post, Depth: depth + 1}
 		an.Parent = o.parent
 		p.kids = append(p.kids, an)
 	}
-	p.open = append(p.open, o)
 	if empty {
 		p.closeElement()
 	}
 	return nil
 }
 
+// push opens an element of symbol sym on the open stack. The entry is
+// written field by field where it lies: one built aside and copied in costs
+// the scanner a stalled load on every tag.
+func (p *parser) push(sym int32, nsMark int) *openElem {
+	keep, parent := p.outer, (*Node)(nil)
+	if n := len(p.open); n > 0 {
+		keep, parent = p.open[n-1].keep, p.open[n-1].parent
+	}
+	if len(p.open) == cap(p.open) {
+		p.open = append(p.open, openElem{})
+	} else {
+		p.open = p.open[:len(p.open)+1]
+	}
+	o := &p.open[len(p.open)-1]
+	o.el, o.parent, o.keep, o.sym, o.kids, o.nsMark = nil, parent, keep, sym, len(p.kids), nsMark
+	return o
+}
+
 // attribute scans name="value" at p.pos into p.attrs.
 func (p *parser) attribute() error {
 	src, at := p.src, p.pos
-	name, ok := p.name()
-	if !ok {
-		return p.errorf(at, "expected attribute name in element")
-	}
-	prefix, local, ok := splitName(name)
+	sym, ok := p.scanSymbol()
 	if !ok {
 		return p.errorf(at, "expected attribute name in element")
 	}
@@ -618,7 +643,7 @@ func (p *parser) attribute() error {
 		return err
 	}
 	p.pos += n + 1
-	p.attrs = append(p.attrs, rawAttr{prefix, local, value})
+	p.attrs = append(p.attrs, rawAttr{sym, value})
 	return nil
 }
 
@@ -628,14 +653,15 @@ func (p *parser) attribute() error {
 // prefix is bound to the URL "xmlns" counts as a declaration too. (It never
 // looks the prefix xml up.)
 func (p *parser) dropAttr(a rawAttr) bool {
-	if a.prefix == "xmlns" || a.local == "xmlns" {
+	s := &p.syms[a.sym]
+	if s.decl {
 		return true
 	}
-	if a.prefix == "" || a.prefix == "xml" {
+	if s.prefix == "" || s.prefix == "xml" {
 		return false
 	}
 	for i := len(p.ns) - 1; i >= 0; i-- {
-		if p.ns[i].prefix == a.prefix {
+		if p.ns[i].prefix == s.prefix {
 			return p.ns[i].isXmlns
 		}
 	}
@@ -645,12 +671,15 @@ func (p *parser) dropAttr(a rawAttr) bool {
 func (p *parser) endTag() error {
 	src, at := p.src, p.pos
 	p.pos += 2
-	name, ok := p.name()
-	if ok {
-		_, _, ok = splitName(name)
-	}
+	name, ok := p.innermostName()
 	if !ok {
-		return p.errorf(at, "expected element name after </")
+		name, ok = p.name()
+		if ok {
+			_, _, ok = splitName(name)
+		}
+		if !ok {
+			return p.errorf(at, "expected element name after </")
+		}
 	}
 	p.skipSpace()
 	if p.pos == len(src) {
@@ -663,7 +692,7 @@ func (p *parser) endTag() error {
 	if len(p.open) == 0 {
 		return p.errorf(at, "unexpected end element </%s>", name)
 	}
-	if o := p.open[len(p.open)-1].name; o != name {
+	if o := p.syms[p.open[len(p.open)-1].sym].name; o != name {
 		return p.errorf(at, "element <%s> closed by </%s>", o, name)
 	}
 	p.flushText()
@@ -671,10 +700,21 @@ func (p *parser) endTag() error {
 	return nil
 }
 
+// innermostName takes the innermost open element's name if it stands at
+// p.pos (takeName; the name is a start tag's, so name scanned it). Anything
+// else is left to name, so that every error reads as before.
+func (p *parser) innermostName() (string, bool) {
+	if len(p.open) == 0 {
+		return "", false
+	}
+	name := p.syms[p.open[len(p.open)-1].sym].name
+	return name, p.takeName(name)
+}
+
 // closeElement pops the innermost open element: its children become its
 // Children slice and it becomes a finished child of its parent.
 func (p *parser) closeElement() {
-	o := p.open[len(p.open)-1]
+	o := &p.open[len(p.open)-1]
 	p.open = p.open[:len(p.open)-1]
 	p.ns = p.ns[:o.nsMark]
 	p.post++
@@ -829,9 +869,6 @@ func (p *parser) newNode(label int32) *Node {
 			p.chunks = append(p.chunks, p.slab)
 		}
 		p.slab = make([]Node, 0, p.chunkSize(0, len(p.labelOf)+1))
-		if p.labelOf == nil {
-			p.labelOf = make([]int32, 0, cap(p.slab))
-		}
 	}
 	p.slab = p.slab[:len(p.slab)+1]
 	n := &p.slab[len(p.slab)-1]
@@ -864,33 +901,70 @@ func (p *parser) chunkSize(need, built int) int {
 
 const priorDropped = 16
 
-// label returns the label table's entry for name. The table copies a label
-// out of src the first time it sees it, so a Label that outlives the
-// document does not keep the document's text alive.
-func (p *parser) label(name string) int32 {
-	i, ok := p.labels[name]
-	if !ok {
-		i = int32(len(p.labelTab))
-		name = strings.Clone(name)
-		p.labelTab = append(p.labelTab, labelEntry{label: name})
-		p.labels[name] = i
+// label returns the label table's entry for the local name l, making one the
+// first time a node of the document carries it. The label is the symbol
+// table's copy of the name, so a Label that outlives the document does not
+// keep the document's text alive.
+func (p *parser) label(l *symbol) int32 {
+	if l.label == 0 {
+		l.label = int32(len(p.labelTab))
+		p.labelTab = append(p.labelTab, labelEntry{label: l.name})
 	}
-	return i
+	return l.label
 }
+
+// keep returns s as a built node may keep it. A sub-slice of the input is
+// copied into the text slab; a string the scanner built (references
+// decoded, pieces joined) is kept as it is.
+func (p *parser) keep(s string) string {
+	if s == "" {
+		return ""
+	}
+	off := uintptr(unsafe.Pointer(unsafe.StringData(s))) - uintptr(unsafe.Pointer(unsafe.StringData(p.src)))
+	if off >= uintptr(len(p.src)) {
+		return s
+	}
+	if len(s) > cap(p.text)-len(p.text) {
+		switch {
+		case p.proj == nil:
+			// What a full parse copies later lies after s, so one chunk
+			// holds all of it.
+			p.text = make([]byte, 0, len(p.src)-int(off))
+		case len(s) > maxTextChunk:
+			return strings.Clone(s)
+		default:
+			p.textNext = min(max(2*p.textNext, minTextChunk), maxTextChunk)
+			p.text = make([]byte, 0, max(p.textNext, len(s)))
+		}
+	}
+	at := len(p.text)
+	p.text = append(p.text, s...)
+	return unsafe.String(&p.text[at], len(s))
+}
+
+// The chunks of a projected parse's text slab double from minTextChunk to
+// maxTextChunk bytes, so that a retained Text pins little; a longer text
+// gets an allocation of its own.
+const (
+	minTextChunk = 256
+	maxTextChunk = 8 << 10
+)
 
 // indexes builds the document's two node indexes in one allocation: the
 // nodes in pre order, which is slab order, and after them the nodes of each
-// label in the order of the label table.
-func (p *parser) indexes() (nodes []*Node, byLabel [][]*Node) {
+// label in the order of the label table. labels maps each label to its
+// entry.
+func (p *parser) indexes() (nodes []*Node, byLabel [][]*Node, labels map[string]int32) {
 	n := len(p.labelOf)
 	all := make([]*Node, 2*n)
 	nodes, all = all[:n:n], all[n:]
 	byLabel = make([][]*Node, len(p.labelTab))
+	labels = make(map[string]int32, len(p.labelTab))
 	for i, e := range p.labelTab {
 		byLabel[i], all = all[:0:e.nodes], all[e.nodes:]
-	}
-	if p.labelTab[0].nodes > 0 {
-		p.labels[""] = 0
+		if i > 0 || e.nodes > 0 {
+			labels[e.label] = int32(i)
+		}
 	}
 	i := 0
 	for _, c := range append(p.chunks, p.slab) {
@@ -901,5 +975,5 @@ func (p *parser) indexes() (nodes []*Node, byLabel [][]*Node) {
 			i++
 		}
 	}
-	return nodes, byLabel
+	return nodes, byLabel, labels
 }

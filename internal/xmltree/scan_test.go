@@ -2,9 +2,11 @@ package xmltree
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The value of <name>text</name> is the text node's own string: evaluating
@@ -79,32 +81,32 @@ func TestManyNodesPerTagTakeFewChunks(t *testing.T) {
 	}
 }
 
-// A Label is the document's own copy of the name, so keeping one (an index
+// A Label is the symbol table's copy of the name, so keeping one (an index
 // key, a result column header) after the Document is dropped must not keep
-// the document's text. A Text is a sub-slice of that text and does keep it;
-// the first half of the test shows that the measurement sees the difference.
+// the document's text. A Text of a full parse is a copy in one chunk sized
+// for all of the document's text and does keep that; the first case shows
+// that the measurement sees the difference. A projected parse copies what
+// it builds into small chunks, so a Text it kept pins one of them.
 func TestRetainedLabelDoesNotPinDocumentText(t *testing.T) {
 	const docs, textBytes = 32, 512 << 10
-	data := []byte(`<root id="r"><item>` + strings.Repeat("lorem ipsum ", textBytes/12) + `</item></root>`)
+	lorem := strings.Repeat("lorem ipsum ", textBytes/12)
+	data := []byte(`<root id="r"><name>Olympia</name><item>` + lorem + `</item></root>`)
 
-	retainedBy := func(keep func(d *Document) string) uint64 {
+	retainedBy := func(proj *Projection, keep func(d *Document) string) uint64 {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		kept := make([]string, 0, docs)
-		ids := make([]NodeID, 0, docs)
 		for i := 0; i < docs; i++ {
-			d, err := Parse("r.xml", data)
+			d, err := ParseProjected("r.xml", data, proj)
 			if err != nil {
 				t.Fatal(err)
 			}
 			kept = append(kept, keep(d))
-			ids = append(ids, d.Root.ID)
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(kept)
-		runtime.KeepAlive(ids)
 		if after.HeapAlloc < before.HeapAlloc {
 			return 0
 		}
@@ -112,10 +114,136 @@ func TestRetainedLabelDoesNotPinDocumentText(t *testing.T) {
 	}
 
 	total := uint64(docs * len(data))
-	if got := retainedBy(func(d *Document) string { return d.Root.Children[0].Text }); got < total/2 {
+	if got := retainedBy(nil, func(d *Document) string { return d.Root.Children[0].Text }); got < total/2 {
 		t.Fatalf("keeping a Text retained %d of %d bytes: the measurement no longer sees a pinned document", got, total)
 	}
-	if got := retainedBy(func(d *Document) string { return d.Root.Label }); got > total/20 {
+	if got := retainedBy(nil, func(d *Document) string { return d.Root.Label }); got > total/20 {
 		t.Fatalf("keeping a Label retained %d bytes of %d of document text", got, total)
+	}
+	name := &Projection{Elements: map[string]Keep{"name": KeepText}}
+	if got := retainedBy(name, func(d *Document) string { return d.NodesByLabel("")[0].Text }); got > docs*maxTextChunk {
+		t.Fatalf("keeping a projected Text retained %d bytes, more than a %d-byte chunk per document", got, maxTextChunk)
+	}
+}
+
+// nodeDump renders everything a built node reads: kind, label, text,
+// identifier, parent and children (by pre rank), Value and Content.
+func nodeDump(d *Document) string {
+	var b strings.Builder
+	for _, n := range d.Nodes() {
+		parent := int32(0)
+		if n.Parent != nil {
+			parent = n.Parent.ID.Pre
+		}
+		fmt.Fprintf(&b, "%s %q %q %v parent=%d children=[", n.Kind, n.Label, n.Text, n.ID, parent)
+		for _, c := range n.Children {
+			fmt.Fprintf(&b, " %d", c.ID.Pre)
+		}
+		fmt.Fprintf(&b, " ] value=%q content=%q\n", n.Value(), n.Content())
+	}
+	return b.String()
+}
+
+// The scan reads the caller's bytes in place, and a document keeps a copy
+// of what it needs: overwriting the input afterwards changes no node, under
+// Parse, the serve-scan projections and one that builds whole subtrees.
+func TestDocumentKeepsNothingOfTheInput(t *testing.T) {
+	var inputs [][]byte
+	for _, d := range benchDocs() {
+		inputs = append(inputs, d.Data)
+	}
+	for _, tc := range edgeInputs {
+		inputs = append(inputs, []byte(tc.src))
+	}
+	keepAll := &Projection{ // whole subtrees of the benchmark's documents
+		Elements:   map[string]Keep{"description": KeepAll, "address": KeepAll, "bidder": KeepNode | KeepAll},
+		Attributes: map[string]bool{"person": true},
+	}
+	projs := append([]*Projection{nil, keepAll}, scanProjections...)
+	for _, data := range inputs {
+		for _, proj := range projs {
+			want, err := ParseProjected("d.xml", bytes.Clone(data), proj)
+			if err != nil {
+				continue
+			}
+			buf := bytes.Clone(data)
+			got, err := ParseProjected("d.xml", buf, proj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range buf {
+				buf[i] = "<&x\r]>\""[i%7]
+			}
+			if g, w := nodeDump(got), nodeDump(want); g != w {
+				t.Fatalf("after the input was overwritten, projection %v\n--- got\n%.2000s\n--- want\n%.2000s", proj, g, w)
+			}
+		}
+	}
+}
+
+// Names that agree in length and in their first, middle and last byte are
+// all one bucket to a hash of those bytes. The symbol table hashes whole
+// names under a seed, so 50,000 of them parse in time and allocations near
+// those of a document of the same size with one name, and the scratch they
+// filled does not go back to the pool.
+func TestManyLookalikeNamesStayLinear(t *testing.T) {
+	const names = 50_000
+	var lookalike, repeated bytes.Buffer
+	lookalike.WriteString("<r>")
+	repeated.WriteString("<r>")
+	for i := 0; i < names; i++ {
+		n := []byte("a..m..z")
+		n[1], n[2], n[4], n[5] = 'a'+byte(i%26), 'a'+byte(i/26%26), 'a'+byte(i/676%26), 'a'+byte(i/17576%26)
+		fmt.Fprintf(&lookalike, "<%s/>", n)
+		repeated.WriteString("<aaamaaz/>")
+	}
+	lookalike.WriteString("</r>")
+	repeated.WriteString("</r>")
+
+	d, err := checkAgainstReference(t, lookalike.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.NodeCount() != names+1 || len(d.labels) != names+1 {
+		t.Fatalf("%d nodes under %d labels", d.NodeCount(), len(d.labels))
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Parse("d.xml", lookalike.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 400 {
+		t.Fatalf("%v allocations for %d names", allocs, names)
+	}
+
+	best := func(data []byte) time.Duration {
+		var least time.Duration
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			if _, err := Parse("d.xml", data); err != nil {
+				t.Fatal(err)
+			}
+			if took := time.Since(start); i == 0 || took < least {
+				least = took
+			}
+		}
+		return least
+	}
+	l, r := best(lookalike.Bytes()), best(repeated.Bytes())
+	t.Logf("%d lookalike names: %v allocations, %v; one name repeated: %v", names, allocs, l, r)
+	if l > 10*r {
+		t.Fatalf("%d lookalike names parse in %v, one name repeated as often in %v", names, l, r)
+	}
+
+	var held []*scratch
+	for i := 0; i < 64; i++ {
+		s := scratchPool.Get().(*scratch)
+		if len(s.syms) > maxPooledSymbols {
+			t.Fatalf("a pooled scratch holds %d symbols", len(s.syms))
+		}
+		held = append(held, s)
+	}
+	for _, s := range held {
+		scratchPool.Put(s)
 	}
 }

@@ -21,15 +21,22 @@
 //
 // # The scanner and its contract
 //
-// Parse (scan.go) is one pass over the document held as one string. It
-// finds markup with strings.IndexByte, takes names, text and attribute
-// values as sub-slices of that string, and builds a new string only for a
-// run that holds a reference, a \r, or several pieces (text around a
-// comment, a CDATA section). Labels are the exception: each distinct label
-// is copied once into a per-document table, so a Label kept after the
-// Document is dropped does not keep the document's text alive, and the
-// table is the NodesByLabel index. Nodes come out of one slab sized from
-// the input, and all Children slices out of another.
+// Parse (scan.go) is one pass over the caller's bytes, read in place. It
+// finds markup with strings.IndexByte, reads names, text and attribute
+// values where they lie, and builds a new string only for a run that holds
+// a reference, a \r, or several pieces (text around a comment, a CDATA
+// section). What a built node keeps is copied: a Text that lies in the
+// input goes into the document's text slab, and a Label is the symbol
+// table's copy of the name. So the caller's buffer is free to change after
+// the call, a Label kept after the Document is dropped keeps no text
+// alive, and a kept Text keeps its slab chunk, all of the document's text
+// under Parse and a chunk of at most 8 KB (or the text alone, if longer)
+// under a projection. Each distinct tag and attribute name is hashed,
+// split and looked up in the projection once per document, not once per
+// tag, through a symbol table that pooled scratch state carries from parse
+// to parse along with the stacks of the scan (scratch.go). Nodes come out
+// of one slab sized from the input, all Children slices out of another,
+// and a per-document label table is the NodesByLabel index.
 //
 // What Parse accepts is defined by the encoding/xml tokenizer it replaced
 // (Decoder.Token in strict mode, no Entity map, no CharsetReader), which
@@ -123,11 +130,12 @@ func (id NodeID) String() string {
 // Node is one tree node.
 type Node struct {
 	// Label is the element or attribute name; empty for text nodes. It is
-	// the document's own copy of the name and shares no memory with Text.
+	// the parser's own copy of the name and shares no memory with Text.
 	Label string
 	// Text is the character data of a Text node or the value of an
-	// Attribute node; empty for elements. It usually is a sub-slice of the
-	// document's text, so a Text kept past the Document keeps that text.
+	// Attribute node; empty for elements. It is a copy, usually in the
+	// document's text slab, so a Text kept past the Document keeps its
+	// chunk of that slab.
 	Text string
 	ID   NodeID
 	Kind NodeKind
