@@ -467,30 +467,43 @@ func BenchmarkEvalQuery(b *testing.B) {
 	})
 }
 
-// BenchmarkBulkBuild is one from-scratch bulk build of the gateable
-// benchmark's corpus, as its index-build workload does it: submit every
-// document, then index the corpus on eight large instances with BulkLoad
-// on. ns/op is per build; docs/s is the rate.
+// BenchmarkBulkBuild is a from-scratch bulk build of the gateable
+// benchmark's corpus on eight large instances with BulkLoad on. /whole
+// submits every document, then indexes the corpus in one pass. /sliced is
+// the shape the index-build workload times (benchmark/warehouse.go,
+// buildSliced): the documents are submitted and indexed 40 at a time, on
+// one fleet and into one warehouse. ns/op is per build; docs/s is the rate.
 func BenchmarkBulkBuild(b *testing.B) {
 	docs, bytes := gateCorpus(b)
-	b.SetBytes(bytes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, d := range docs {
-			if err := w.SubmitDocument(d.URI, d.Data); err != nil {
-				b.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		slice int
+	}{{"whole", len(docs)}, {"sliced", 40}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(bytes)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true})
+				if err != nil {
+					b.Fatal(err)
+				}
+				fleet := ec2.LaunchFleet(w.Ledger(), ec2.Large, 8)
+				for rest := docs; len(rest) > 0; {
+					n := min(tc.slice, len(rest))
+					for _, d := range rest[:n] {
+						if err := w.SubmitDocument(d.URI, d.Data); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := w.IndexCorpusOn(fleet, nil); err != nil {
+						b.Fatal(err)
+					}
+					rest = rest[n:]
+				}
 			}
-		}
-		if _, err := w.IndexCorpusOn(ec2.LaunchFleet(w.Ledger(), ec2.Large, 8), nil); err != nil {
-			b.Fatal(err)
-		}
+			b.ReportMetric(float64(len(docs)*b.N)/b.Elapsed().Seconds(), "docs/s")
+		})
 	}
-	b.ReportMetric(float64(len(docs)*b.N)/b.Elapsed().Seconds(), "docs/s")
 }
 
 // BenchmarkLookupQuery/gate is the index look-up of the gateable benchmark's

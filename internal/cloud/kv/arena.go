@@ -169,9 +169,10 @@ type table struct {
 	arena
 	rewrites int64
 
-	names   []string // attribute names by id; item URIs, a few per document
-	nameIDs map[string]uint64
-	scratch []byte // encode buffer, reused under the store's write lock
+	names    []string // attribute names by id; item URIs, a few per document
+	nameIDs  map[string]uint64
+	lastName uint64 // the id encode used last: a batch's items mostly share one
+	scratch  []byte // encode buffer, reused under the store's write lock
 
 	// Modeled contents, as the simulated service would report them.
 	sum Tally
@@ -190,14 +191,7 @@ func (t *table) encode(item Item, sum Tally) []byte {
 	b = binary.AppendUvarint(b, uint64(sum.Attrs))
 	b = binary.AppendUvarint(b, uint64(sum.Values))
 	for _, a := range item.Attrs {
-		id, ok := t.nameIDs[a.Name]
-		if !ok {
-			id = uint64(len(t.names))
-			name := strings.Clone(a.Name)
-			t.names = append(t.names, name)
-			t.nameIDs[name] = id
-		}
-		b = binary.AppendUvarint(b, id)
+		b = binary.AppendUvarint(b, t.nameID(a.Name))
 		b = binary.AppendUvarint(b, uint64(len(a.Values)))
 		for _, v := range a.Values {
 			b = binary.AppendUvarint(b, uint64(len(v)))
@@ -208,6 +202,25 @@ func (t *table) encode(item Item, sum Tally) []byte {
 	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(b[recPrefix:], castagnoli))
 	t.scratch = b
 	return b
+}
+
+// nameID returns the id of an attribute name, interning the name on first
+// use. nameIDs is the source of truth; the previous record's name is checked
+// first because the items of one document, and so most of a bulk batch,
+// carry the same one.
+func (t *table) nameID(name string) uint64 {
+	if last := t.lastName; last < uint64(len(t.names)) && t.names[last] == name {
+		return last
+	}
+	id, ok := t.nameIDs[name]
+	if !ok {
+		id = uint64(len(t.names))
+		name = strings.Clone(name)
+		t.names = append(t.names, name)
+		t.nameIDs[name] = id
+	}
+	t.lastName = id
+	return id
 }
 
 func (t *table) rangeKey(r ref) string {

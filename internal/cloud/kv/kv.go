@@ -184,6 +184,10 @@ type Store interface {
 	// Put inserts or fully replaces one item.
 	Put(table string, item Item) (time.Duration, error)
 	// BatchPut inserts up to Limits().BatchPutItems items in one request.
+	// A store neither keeps the caller's slice nor writes into it, whatever
+	// the outcome: the items are copied in, and a PartialPutError's
+	// Unprocessed is a slice of its own. The index's bulk loader ships
+	// sub-slices of its buffer and reuses the slots once the call returns.
 	BatchPut(table string, items []Item) (time.Duration, error)
 	// Read fetches every item of up to Limits().BatchGetKeys hash keys in
 	// one request and calls visit once per requested key with a cursor over

@@ -19,10 +19,12 @@ import (
 // request carries a full batch and the billed request count drops to the
 // floor of ceil(items/limit) per table.
 //
-// Items are built by the same tableItems helper as WriteExtraction, so the
-// store contents are byte-identical to the per-document path; content-derived
-// range keys (ItemRangeKey) keep coalesced retries idempotent exactly as
-// they do per-document writes.
+// Items are built by the same appendTableItems helper as WriteExtraction,
+// directly into the per-table buffer the batches are shipped from, so the
+// store contents are byte-identical to the per-document path and an item is
+// built once. Content-derived range keys (ItemRangeKey, one per document,
+// table and chunk ordinal) keep coalesced retries idempotent exactly as they
+// do per-document writes.
 
 // ErrLoaderClosed is returned by Add after Close.
 var ErrLoaderClosed = errors.New("index: bulk loader closed")
@@ -60,10 +62,36 @@ type bulkDoc struct {
 	stats   LoadStats
 }
 
-type pendingItem struct {
-	item kv.Item
+// itemMeta is what the loader keeps beside a buffered item: its billed size
+// and the document it belongs to.
+type itemMeta struct {
 	size int64
 	doc  *bulkDoc
+}
+
+// tableBuffer is one table's buffer: the items in Add order, built in place
+// by appendTableItems and shipped from here, and their metadata in a
+// parallel slice. items[:head] have been flushed; compact moves the rest to
+// the front.
+type tableBuffer struct {
+	items []kv.Item
+	meta  []itemMeta
+	head  int
+}
+
+// compact moves the unflushed items to the front and clears the slots they
+// vacate, so flushed items do not keep their extraction alive.
+func (tb *tableBuffer) compact() {
+	if tb.head == 0 {
+		return
+	}
+	n := copy(tb.items, tb.items[tb.head:])
+	clear(tb.items[n:])
+	tb.items = tb.items[:n]
+	copy(tb.meta, tb.meta[tb.head:])
+	clear(tb.meta[n:])
+	tb.meta = tb.meta[:n]
+	tb.head = 0
 }
 
 // BulkLoader coalesces index items from many documents into full store
@@ -75,8 +103,8 @@ type BulkLoader struct {
 	flushItems int // the store's batch limit: a full batch flushes
 	itemBudget int64
 
-	buffers map[string][]pendingItem // per table, FIFO in Add order
-	fifo    []*bulkDoc               // docs in Add order, not yet released
+	buffers map[string]*tableBuffer
+	fifo    []*bulkDoc // docs in Add order, not yet released
 	closed  bool
 
 	// Flush instruments, resolved once at construction (nil-safe no-ops
@@ -102,7 +130,7 @@ func NewBulkLoader(store kv.Store, opts BulkOptions, caches ...*PostingCache) *B
 		caches:     live,
 		flushItems: max(lim.BatchPutItems, 1),
 		itemBudget: itemBudgetFor(lim),
-		buffers:    make(map[string][]pendingItem),
+		buffers:    make(map[string]*tableBuffer),
 		metFlushes: opts.Obs.Counter("index.bulk.flushes"),
 		metItems:   opts.Obs.Counter("index.bulk.items"),
 		metBytes:   opts.Obs.Counter("index.bulk.bytes"),
@@ -124,17 +152,20 @@ func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 	for _, table := range sortedTables(ex) {
 		entries := ex.Tables[table]
 		d.stats.Entries += len(entries)
-		items := tableItems(ex.URI, table, entries, b.itemBudget)
-		buf := slices.Grow(b.buffers[table], len(items))
-		for _, item := range items {
-			buf = append(buf, pendingItem{item: item, size: item.Size(), doc: d})
+		tb := b.buffers[table]
+		if tb == nil {
+			tb = &tableBuffer{}
+			b.buffers[table] = tb
 		}
-		b.buffers[table] = buf
-		d.pending += len(items)
-		for len(b.buffers[table]) >= b.flushItems {
-			if err := b.flushTable(table); err != nil {
-				return b.release(), err
-			}
+		start := len(tb.items)
+		tb.items = appendTableItems(tb.items, ex.URI, table, entries, b.itemBudget)
+		tb.meta = slices.Grow(tb.meta, len(tb.items)-start)
+		for _, it := range tb.items[start:] {
+			tb.meta = append(tb.meta, itemMeta{size: it.Size(), doc: d})
+		}
+		d.pending += len(tb.items) - start
+		if err := b.drain(table, tb, b.flushItems); err != nil {
+			return b.release(), err
 		}
 	}
 	d.added = true
@@ -145,17 +176,15 @@ func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 // returns the documents completed, in Add order.
 func (b *BulkLoader) Flush() ([]DocLoad, error) {
 	tables := make([]string, 0, len(b.buffers))
-	for t := range b.buffers {
-		if len(b.buffers[t]) > 0 {
+	for t, tb := range b.buffers {
+		if len(tb.items) > tb.head {
 			tables = append(tables, t)
 		}
 	}
 	sort.Strings(tables)
 	for _, t := range tables {
-		for len(b.buffers[t]) > 0 {
-			if err := b.flushTable(t); err != nil {
-				return b.release(), err
-			}
+		if err := b.drain(t, b.buffers[t], 1); err != nil {
+			return b.release(), err
 		}
 	}
 	return b.release(), nil
@@ -171,37 +200,46 @@ func (b *BulkLoader) Close() ([]DocLoad, error) {
 	return done, err
 }
 
-// flushTable ships one batch — the oldest buffered items of the table, up
-// to the batch limit — and attributes its cost to the contributing
-// documents. The posting caches are invalidated for every item in the
+// drain flushes the table's oldest batches while at least atLeast items are
+// unflushed, then compacts the buffer, whether or not a flush failed.
+func (b *BulkLoader) drain(table string, tb *tableBuffer, atLeast int) error {
+	defer tb.compact()
+	for len(tb.items)-tb.head >= atLeast {
+		if err := b.flushTable(table, tb); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// flushTable ships one batch — the oldest unflushed items of the table, up
+// to the batch limit — straight from the buffer, and attributes its cost to
+// the contributing documents. A failed batch stays at the head of the
+// buffer. The posting caches are invalidated for every item in the
 // attempted batch even when the put fails: a partial batch may have landed,
 // and a stale cached posting is the one failure mode invalidation exists to
 // prevent.
-func (b *BulkLoader) flushTable(table string) error {
-	buf := b.buffers[table]
-	n := b.flushItems
-	if n > len(buf) {
-		n = len(buf)
-	}
+func (b *BulkLoader) flushTable(table string, tb *tableBuffer) error {
+	n := min(b.flushItems, len(tb.items)-tb.head)
 	if n == 0 {
 		return nil
 	}
-	batch := make([]kv.Item, n)
-	var bytes int64
-	for i := 0; i < n; i++ {
-		batch[i] = buf[i].item
-		bytes += buf[i].size
-	}
+	batch := tb.items[tb.head : tb.head+n : tb.head+n]
+	meta := tb.meta[tb.head : tb.head+n]
 	defer func() {
 		for _, c := range b.caches {
-			for i := 0; i < n; i++ {
-				c.Invalidate(table, buf[i].item.HashKey)
+			for _, it := range batch {
+				c.Invalidate(table, it.HashKey)
 			}
 		}
 	}()
 	d, err := b.store.BatchPut(table, batch)
 	if err != nil {
 		return err
+	}
+	var bytes int64
+	for _, m := range meta {
+		bytes += m.size
 	}
 	b.metFlushes.Inc()
 	b.metItems.Add(int64(n))
@@ -212,20 +250,19 @@ func (b *BulkLoader) flushTable(table string) error {
 	// (share_i = d·cum_i/bytes − d·cum_{i−1}/bytes) makes integer-duration
 	// shares sum exactly to d, so per-document upload times add up to the
 	// total without rounding drift.
-	buf[0].doc.stats.Requests++
+	meta[0].doc.stats.Requests++
 	var cum int64
 	var prev time.Duration
-	for i := 0; i < n; i++ {
-		it := buf[i]
-		cum += it.size
+	for _, m := range meta {
+		cum += m.size
 		share := time.Duration(int64(d) * cum / bytes)
-		it.doc.upload += share - prev
+		m.doc.upload += share - prev
 		prev = share
-		it.doc.stats.Items++
-		it.doc.stats.Bytes += it.size
-		it.doc.pending--
+		m.doc.stats.Items++
+		m.doc.stats.Bytes += m.size
+		m.doc.pending--
 	}
-	b.buffers[table] = buf[n:]
+	tb.head += n
 	return nil
 }
 

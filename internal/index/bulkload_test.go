@@ -3,7 +3,12 @@ package index
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +16,7 @@ import (
 	"repro/internal/cloud/kv"
 	"repro/internal/meter"
 	"repro/internal/xmark"
+	"repro/internal/xmltree"
 )
 
 // extractCorpus parses and extracts a slice of generated documents.
@@ -372,5 +378,211 @@ func TestBulkLoaderMeteredRequests(t *testing.T) {
 	billed := ledger.Snapshot().Get(dynamodb.Backend, "put").Calls
 	if billed != int64(requests) {
 		t.Errorf("ledger billed %d put calls, loader attributes %d", billed, requests)
+	}
+}
+
+// fuzzSeedDocs parses the documents of the XML scanner's seed corpus that
+// the scanner accepts, each under its file name.
+func fuzzSeedDocs(f *testing.F) []*xmltree.Document {
+	f.Helper()
+	dir := filepath.Join("..", "xmltree", "testdata", "fuzz", "FuzzParseDifferential")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var docs []*xmltree.Document
+	for _, fi := range files {
+		raw, err := os.ReadFile(filepath.Join(dir, fi.Name()))
+		if err != nil {
+			f.Fatal(err)
+		}
+		// A seed file is the header line and one []byte("…") line.
+		_, arg, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		src, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(arg, "[]byte("), ")"))
+		if err != nil {
+			f.Fatalf("%s: %v", fi.Name(), err)
+		}
+		if d, err := xmltree.Parse(fi.Name()+".xml", []byte(src)); err == nil {
+			docs = append(docs, d)
+		}
+	}
+	if len(docs) < 4 {
+		f.Fatalf("only %d seed documents parse", len(docs))
+	}
+	return docs
+}
+
+// smallBatchStore is DynamoDB with a batch limit of limit items.
+func smallBatchStore(t *testing.T, s Strategy, limit int) *kv.MemStore {
+	t.Helper()
+	store := kv.NewMemStore(kv.Config{
+		Backend: dynamodb.Backend,
+		Limits: kv.Limits{
+			MaxItemBytes:   dynamodb.MaxItemBytes,
+			MaxValueBytes:  dynamodb.MaxItemBytes,
+			BatchPutItems:  limit,
+			BatchGetKeys:   100,
+			SupportsBinary: true,
+		},
+		Perf:   dynamodb.DefaultPerf(),
+		Ledger: meter.NewLedger(),
+	})
+	if err := CreateTables(store, s); err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// FuzzBulkLoaderMatchesWriteExtraction holds the bulk loader to the
+// per-document write path under any batch limit (1 to 30 items), any
+// sequence of the scanner's seed documents (repeats included: a reload) and
+// any Flush points: after Close every table dumps byte-identical to
+// per-document WriteExtraction, and the documents are released in Add
+// order.
+func FuzzBulkLoaderMatchesWriteExtraction(f *testing.F) {
+	docs := fuzzSeedDocs(f)
+	f.Add(uint8(0), uint8(24), uint64(0), []byte(nil))
+	f.Add(uint8(3), uint8(0), uint64(0), []byte(nil))
+	f.Add(uint8(3), uint8(2), uint64(0b1011), []byte{0, 1, 2, 3, 2, 1, 0})
+	f.Add(uint8(1), uint8(6), ^uint64(0), []byte{5, 5, 4, 3})
+	f.Add(uint8(2), uint8(29), uint64(1<<3), []byte{7, 6, 5, 4, 3, 2, 1, 0})
+	f.Fuzz(func(t *testing.T, strategy, limit uint8, flushes uint64, picks []byte) {
+		s := All()[int(strategy)%len(All())]
+		batch := 1 + int(limit)%30
+		order := docs
+		if len(picks) > 0 {
+			order = nil
+			for _, p := range picks[:min(len(picks), 32)] {
+				order = append(order, docs[int(p)%len(docs)])
+			}
+		}
+
+		perDoc := smallBatchStore(t, s, batch)
+		bulk := smallBatchStore(t, s, batch)
+		opts := OptionsFor(perDoc)
+		loader := NewBulkLoader(bulk, BulkOptions{})
+		var released []string
+		for i, d := range order {
+			ex := Extract(s, d, opts)
+			if _, _, err := WriteExtraction(perDoc, ex); err != nil {
+				t.Fatal(err)
+			}
+			dls, err := loader.Add(ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if flushes>>(i%64)&1 == 1 {
+				more, err := loader.Flush()
+				if err != nil {
+					t.Fatal(err)
+				}
+				dls = append(dls, more...)
+			}
+			for _, dl := range dls {
+				released = append(released, dl.URI)
+			}
+		}
+		dls, err := loader.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dl := range dls {
+			released = append(released, dl.URI)
+		}
+		if len(released) != len(order) {
+			t.Fatalf("released %d documents, added %d", len(released), len(order))
+		}
+		for i, d := range order {
+			if released[i] != d.URI {
+				t.Fatalf("document %d released as %s, added as %s", i, released[i], d.URI)
+			}
+		}
+		for _, tbl := range s.Tables() {
+			if a, b := perDoc.DumpTable(tbl), bulk.DumpTable(tbl); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s, batch limit %d: table %s holds %d items bulk-loaded, %d written per document, or they differ",
+					s.Name(), batch, tbl, len(b), len(a))
+			}
+		}
+	})
+}
+
+// discardStore takes batches of up to limit items and keeps nothing, so
+// allocation and retention tests see the loader alone.
+type discardStore struct {
+	kv.Store
+	limit int
+}
+
+func (s discardStore) Limits() kv.Limits {
+	return kv.Limits{MaxItemBytes: dynamodb.MaxItemBytes, BatchPutItems: s.limit, SupportsBinary: true}
+}
+
+func (discardStore) BatchPut(string, []kv.Item) (time.Duration, error) { return time.Millisecond, nil }
+
+// syntheticExtraction is a one-table extraction of n entries, one value of
+// valueBytes each.
+func syntheticExtraction(n, valueBytes int) *Extraction {
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Key: fmt.Sprintf("k%05d", i), Values: [][]byte{make([]byte, valueBytes)}}
+	}
+	return &Extraction{URI: "doc.xml", Tables: map[string][]Entry{"t": entries}, Entries: n}
+}
+
+// TestBulkLoaderAddAllocsFlat: Add builds a document's items in the buffer
+// it ships from, so its allocation count is the same for 10 entries as for
+// 1,000 — a few arrays and one range key per table, none per item. Both
+// sizes are whole batches, so every Add releases its own document.
+func TestBulkLoaderAddAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		loader := NewBulkLoader(discardStore{limit: 5}, BulkOptions{})
+		ex := syntheticExtraction(n, 8)
+		return testing.AllocsPerRun(50, func() {
+			if dls, err := loader.Add(ex); err != nil || len(dls) != 1 {
+				t.Fatalf("Add released %d documents (%v), want its own", len(dls), err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(1000)
+	t.Logf("allocations per Add: %v for 10 entries, %v for 1,000", small, large)
+	if large > small {
+		t.Errorf("Add allocates %v times for 1,000 entries, %v for 10: the count grows with the document", large, small)
+	}
+}
+
+// TestBulkLoaderDoesNotPinFlushedExtraction: once a document's items are
+// flushed the loader keeps nothing of its extraction, however long the
+// loader lives. The control keeps a few items of the document buffered
+// (a Flush not yet called) and must see the whole extraction retained —
+// its items share the document's value array — which shows the measurement
+// can fail.
+func TestBulkLoaderDoesNotPinFlushedExtraction(t *testing.T) {
+	const entries, valueBytes = 256, 16 << 10
+	retained := func(flush bool) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		loader := NewBulkLoader(discardStore{limit: 25}, BulkOptions{})
+		if _, err := loader.Add(syntheticExtraction(entries, valueBytes)); err != nil {
+			t.Fatal(err)
+		}
+		if flush {
+			if dls, err := loader.Flush(); err != nil || len(dls) != 1 {
+				t.Fatalf("Flush released %d documents (%v), want 1", len(dls), err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(loader)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	extraction := int64(entries * valueBytes)
+	pinned, flushed := retained(false), retained(true)
+	t.Logf("bytes retained of a %d-byte extraction: %d buffered, %d flushed", extraction, pinned, flushed)
+	if got := pinned; got < extraction/2 {
+		t.Fatalf("a loader holding part of a document kept %d of its %d bytes: the measurement no longer sees a pinned extraction", got, extraction)
+	}
+	if got := flushed; got > extraction/16 {
+		t.Fatalf("a loader that flushed the document kept %d of its %d bytes", got, extraction)
 	}
 }

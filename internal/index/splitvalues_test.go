@@ -13,20 +13,20 @@ import (
 // of the input (ordinal stability) or re-written documents would leave
 // orphaned items behind. These tests pin the edge cases down.
 
-// splitValues returns the groups tableItems packs an entry's values into,
+// splitValues returns the groups appendTableItems packs an entry's values into,
 // one per item, for an entry whose key and URI take fixed bytes.
 func splitValues(values [][]byte, budget, fixed int64) [][]kv.Value {
 	e := Entry{Key: strings.Repeat("k", int(fixed)), Values: values}
 	var groups [][]kv.Value
-	for _, item := range tableItems("", "tbl", []Entry{e}, budget) {
+	for _, item := range appendTableItems(nil, "", "tbl", []Entry{e}, budget) {
 		groups = append(groups, item.Attrs[0].Values)
 	}
 	return groups
 }
 
-// entryItems is tableItems for one entry.
+// entryItems is appendTableItems for one entry.
 func entryItems(uri, table string, e Entry, itemBudget int64) []kv.Item {
-	return tableItems(uri, table, []Entry{e}, itemBudget)
+	return appendTableItems(nil, uri, table, []Entry{e}, itemBudget)
 }
 
 func collectGroups(t *testing.T, values [][]byte, budget, fixed int64) [][][]byte {
@@ -125,12 +125,12 @@ func TestSplitValuesOrdinalStability(t *testing.T) {
 	// And the grouping feeds distinct, stable range keys per ordinal.
 	keys := make(map[string]bool)
 	for ordinal := range first {
-		k := ItemRangeKey("doc.xml", "tbl", "key", ordinal)
+		k := ItemRangeKey("doc.xml", "tbl", ordinal)
 		if keys[k] {
 			t.Fatalf("duplicate range key for ordinal %d", ordinal)
 		}
 		keys[k] = true
-		if k != ItemRangeKey("doc.xml", "tbl", "key", ordinal) {
+		if k != ItemRangeKey("doc.xml", "tbl", ordinal) {
 			t.Fatal("ItemRangeKey not deterministic")
 		}
 	}

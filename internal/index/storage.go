@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,25 +18,29 @@ import (
 )
 
 // ItemRangeKey derives the range key of an index item deterministically
-// from its identity: the document it came from, the table and hash key it
-// lives under, and the ordinal of the value chunk when an entry is split
-// across several items. The paper uses random UUIDs here (Section 6) so
-// that concurrent virtual machines never overwrite each other; content
-// derivation keeps that property — distinct documents and distinct chunks
-// hash to distinct keys — while additionally making writes idempotent:
-// when a crashed or redelivered indexing task re-extracts the same
-// document, it produces byte-identical items under identical keys, so a
-// re-put overwrites instead of duplicating. That turns SQS's at-least-once
-// delivery into exactly-once index contents with no coordination.
+// from its identity within its hash key: the document it came from, the
+// table, and the ordinal of the value chunk when an entry is split across
+// several items. The paper uses random UUIDs here (Section 6) so that
+// concurrent virtual machines never overwrite each other; that needs
+// uniqueness only among the items of one hash key, because the store's
+// primary key is (hash key, range key). Content derivation keeps that
+// property — distinct documents and distinct chunks hash to distinct keys —
+// while additionally making writes idempotent: when a crashed or
+// redelivered indexing task re-extracts the same document, it produces
+// byte-identical items under identical keys, so a re-put overwrites instead
+// of duplicating. That turns SQS's at-least-once delivery into exactly-once
+// index contents with no coordination.
 //
-// The key is the first 16 bytes of a domain-separated SHA-256, hex encoded
-// — the same width as the UUIDs it replaces. The hashed pre-image is each of
-// uri, table and key behind its length, then the ordinal, all big-endian
-// uint32; it is built in one buffer and hashed in one call, so the only
-// allocation is the returned string.
-func ItemRangeKey(uri, table, key string, ordinal int) string {
+// The hash key is not part of the pre-image, so the items of one document
+// under one table share one key per ordinal: a write hashes once per
+// (document, table, ordinal), not once per item. The key is the first 16
+// bytes of a SHA-256, hex encoded — the same width as the UUIDs it
+// replaces. The hashed pre-image is uri and table, each behind its length,
+// then the ordinal, all big-endian uint32; it is built in one buffer and
+// hashed in one call, so the only allocation is the returned string.
+func ItemRangeKey(uri, table string, ordinal int) string {
 	var buf [256]byte
-	return rangeKey(rangeKeyHead(buf[:0], uri, table), key, ordinal)
+	return rangeKey(rangeKeyHead(buf[:0], uri, table), ordinal)
 }
 
 // rangeKeyHead appends the part of the pre-image that the items of one
@@ -49,10 +54,8 @@ func rangeKeyHead(dst []byte, uri, table string) []byte {
 
 // rangeKey completes the pre-image in the spare capacity behind head (or in
 // a new array if it does not fit) and returns the range key.
-func rangeKey(head []byte, key string, ordinal int) string {
-	pre := binary.BigEndian.AppendUint32(head, uint32(len(key)))
-	pre = append(pre, key...)
-	pre = binary.BigEndian.AppendUint32(pre, uint32(ordinal))
+func rangeKey(head []byte, ordinal int) string {
+	pre := binary.BigEndian.AppendUint32(head, uint32(ordinal))
 	sum := sha256.Sum256(pre)
 	var text [32]byte
 	hex.Encode(text[:], sum[:16])
@@ -103,7 +106,7 @@ func OptionsFor(store kv.Store) Options {
 // writes them to the store in batch puts, returning the modeled store
 // latency and load statistics. Entries whose values exceed the store's item
 // budget are split across several items whose range keys are derived
-// deterministically from (document, table, key, chunk ordinal), so
+// deterministically from (document, table, chunk ordinal), so
 // reloading the same document overwrites its items instead of duplicating
 // them. Any caches fronting the store must be passed so their entries for
 // the touched keys are invalidated.
@@ -129,43 +132,26 @@ func WriteExtraction(store kv.Store, ex *Extraction, caches ...*PostingCache) (t
 		stats LoadStats
 	)
 	lim := store.Limits()
-	batchLimit := lim.BatchPutItems
-	if batchLimit <= 0 {
-		batchLimit = 1
-	}
+	batchLimit := max(lim.BatchPutItems, 1)
 	itemBudget := itemBudgetFor(lim)
 
-	var batch []kv.Item
-	flush := func(table string) error {
-		if len(batch) == 0 {
-			return nil
-		}
-		d, err := store.BatchPut(table, batch)
-		if err != nil {
-			return err
-		}
-		total += d
-		stats.Requests++
-		stats.Items += len(batch)
-		for _, it := range batch {
-			stats.Bytes += it.Size()
-		}
-		batch = batch[:0]
-		return nil
-	}
-
+	var items []kv.Item
 	for _, table := range sortedTables(ex) {
 		stats.Entries += len(ex.Tables[table])
-		for _, item := range tableItems(ex.URI, table, ex.Tables[table], itemBudget) {
-			batch = append(batch, item)
-			if len(batch) == batchLimit {
-				if err := flush(table); err != nil {
-					return total, stats, err
-				}
+		items = appendTableItems(items[:0], ex.URI, table, ex.Tables[table], itemBudget)
+		for rest := items; len(rest) > 0; {
+			n := min(batchLimit, len(rest))
+			d, err := store.BatchPut(table, rest[:n:n])
+			if err != nil {
+				return total, stats, err
 			}
-		}
-		if err := flush(table); err != nil {
-			return total, stats, err
+			total += d
+			stats.Requests++
+			stats.Items += n
+			for _, it := range rest[:n] {
+				stats.Bytes += it.Size()
+			}
+			rest = rest[n:]
 		}
 	}
 	return total, stats, nil
@@ -183,24 +169,31 @@ func itemBudgetFor(lim kv.Limits) int64 {
 	return budget
 }
 
-// tableItems builds the store items of one document's entries under one
-// table, in entry order: an entry's values are packed under the item budget
-// into one item or several, and each item's range key is derived from
-// (document, table, key, ordinal). The same entries always yield the same
-// items, which is what makes every write path — per-document, bulk-loaded,
-// or a retry of either — idempotent and mutually byte-identical. The items'
-// Attrs and Values are capacity-limited sub-slices of one array each, and
-// the range keys are hashed out of one buffer.
-func tableItems(uri, table string, entries []Entry, itemBudget int64) []kv.Item {
+// appendTableItems appends the store items of one document's entries under
+// one table to dst, in entry order, and returns the extended slice: an
+// entry's values are packed under the item budget into one item or several,
+// and each item's range key is derived from (document, table, ordinal). The
+// same entries always yield the same items, which is what makes every write
+// path — per-document, bulk-loaded, or a retry of either — idempotent and
+// mutually byte-identical. The new items' Attrs and Values are
+// capacity-limited sub-slices of one array each, and the items of one
+// ordinal share one range key string: ordinal 0's is hashed once per call,
+// a higher ordinal's the first time an entry reaches it.
+func appendTableItems(dst []kv.Item, uri, table string, entries []Entry, itemBudget int64) []kv.Item {
+	if len(entries) == 0 {
+		return dst
+	}
 	nValues := 0
 	for _, e := range entries {
 		nValues += len(e.Values)
 	}
-	items := make([]kv.Item, 0, len(entries))
+	items := slices.Grow(dst, len(entries))
 	attrs := make([]kv.Attr, 0, len(entries))
 	values := make([]kv.Value, 0, nValues)
 	var buf [256]byte
 	head := rangeKeyHead(buf[:0], uri, table)
+	var keyBuf [4]string
+	keys := append(keyBuf[:0], rangeKey(head, 0)) // by ordinal
 	for _, e := range entries {
 		avail := max(itemBudget-int64(len(e.Key)+len(uri)), 1)
 		rest := e.Values
@@ -217,9 +210,12 @@ func tableItems(uri, table string, entries []Entry, itemBudget int64) []kv.Item 
 				attrs = make([]kv.Attr, 0, len(entries)) // the items so far keep the full one
 			}
 			attrs = append(attrs, kv.Attr{Name: uri, Values: values[start:len(values):len(values)]})
+			if ordinal == len(keys) {
+				keys = append(keys, rangeKey(head, ordinal))
+			}
 			items = append(items, kv.Item{
 				HashKey:  e.Key,
-				RangeKey: rangeKey(head, e.Key, ordinal),
+				RangeKey: keys[ordinal],
 				Attrs:    attrs[len(attrs)-1 : len(attrs) : len(attrs)],
 			})
 		}
@@ -253,7 +249,7 @@ func ExtractionItems(lim kv.Limits, ex *Extraction) map[string]map[string][]kv.I
 	out := make(map[string]map[string][]kv.Item, len(ex.Tables))
 	for _, table := range sortedTables(ex) {
 		byKey := make(map[string][]kv.Item, len(ex.Tables[table]))
-		items := tableItems(ex.URI, table, ex.Tables[table], itemBudget)
+		items := appendTableItems(nil, ex.URI, table, ex.Tables[table], itemBudget)
 		for len(items) > 0 {
 			// An extraction has one entry per key, and an entry's items are
 			// adjacent.

@@ -48,11 +48,11 @@ func TestOverlayMergesBetweenStoreRecords(t *testing.T) {
 	tables := index.TwoLUPI.Tables()
 	between := func(uri string) bool {
 		for _, tbl := range tables {
-			lo, hi := index.ItemRangeKey("a.xml", tbl, key, 0), index.ItemRangeKey("b.xml", tbl, key, 0)
+			lo, hi := index.ItemRangeKey("a.xml", tbl, 0), index.ItemRangeKey("b.xml", tbl, 0)
 			lo, hi = min(lo, hi), max(lo, hi)
 			found := false
 			for ord := 0; ord < 4; ord++ {
-				if rk := index.ItemRangeKey(uri, tbl, key, ord); lo < rk && rk < hi {
+				if rk := index.ItemRangeKey(uri, tbl, ord); lo < rk && rk < hi {
 					found = true
 				}
 			}
