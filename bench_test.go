@@ -606,41 +606,27 @@ func BenchmarkLookup(b *testing.B) {
 	_ = c
 }
 
-// BenchmarkLookupPattern compares the sequential, parallel, cached and
-// hash-partitioned index look-up paths on the same corpus. Results are
-// identical across sub-benchmarks by construction (see
-// internal/index/parallel_test.go and internal/core/shard_property_test.go);
-// only real wall-clock time differs.
+// BenchmarkLookupPattern compares the sequential, parallel and cached index
+// look-up paths on the same corpus. Results are identical across
+// sub-benchmarks by construction (see internal/index/parallel_test.go); only
+// real wall-clock time differs.
 func BenchmarkLookupPattern(b *testing.B) {
-	c, env, _ := benchSetup(b)
+	_, env, _ := benchSetup(b)
 	q := workload.XMark()[3].Parse().Patterns[0]
 	for _, s := range index.All() {
 		w := env.Warehouse(bench.AccessPath(s.Name()))
-		// A 4-way partitioned copy of the same index, for the shard4
-		// variant: the look-up is unchanged, the store routes.
-		sharded := kv.NewSharded(dynamodb.New(meter.NewLedger()), 4)
-		if err := index.CreateTables(sharded, s); err != nil {
-			b.Fatal(err)
-		}
-		for _, doc := range c.Parsed {
-			if _, _, err := index.LoadDocument(sharded, s, doc, index.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
-		}
 		variants := []struct {
-			name  string
-			store kv.Store
-			opts  index.LookupOptions
+			name string
+			opts index.LookupOptions
 		}{
-			{"seq", w.Store(), index.LookupOptions{Concurrency: 1}},
-			{"par8", w.Store(), index.LookupOptions{Concurrency: 8}},
-			{"cached", w.Store(), index.LookupOptions{Concurrency: 8, Cache: index.NewPostingCache(index.DefaultCacheBytes)}},
-			{"shard4", sharded, index.LookupOptions{Concurrency: 8}},
+			{"seq", index.LookupOptions{Concurrency: 1}},
+			{"par8", index.LookupOptions{Concurrency: 8}},
+			{"cached", index.LookupOptions{Concurrency: 8, Cache: index.NewPostingCache(index.DefaultCacheBytes)}},
 		}
 		for _, v := range variants {
 			b.Run(s.Name()+"/"+v.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, _, err := index.LookupPattern(v.store, s, q, v.opts); err != nil {
+					if _, _, err := index.LookupPattern(w.Store(), s, q, v.opts); err != nil {
 						b.Fatal(err)
 					}
 				}

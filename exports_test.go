@@ -25,7 +25,7 @@ var keptExports = map[string]string{
 	"index.ItemRangeKey":            "definition: the content-derived range key the idempotency tests recompute",
 	"index.EncodePathsCompressed":   "oracle: the compressed path encoding the path-codec tests decode against",
 	"workload.XMarkXQuery":          "oracle: the workload in XQuery syntax, which must answer like the pattern form",
-	"cloud/kv.BatchGet":             "oracle: a read collected into items by key, which the store, chaos and sharding tests compare across stacks",
+	"cloud/kv.BatchGet":             "oracle: a read collected into items by key, which the store and chaos tests compare across stacks",
 	"cloud/chaos.EveryNth":          "fault hook for kv.Retry's tests",
 	"cloud/chaos.EveryNth.Injected": "fault hook: how many calls EveryNth failed",
 	"cloud/chaos.Injector.SetRates": "fault hook: quiesces or raises injection mid-run",

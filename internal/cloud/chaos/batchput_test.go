@@ -26,9 +26,8 @@ func contractItem(r, i int) kv.Item {
 // BatchPut contract the bulk loader relies on: the call neither writes into
 // the caller's slice nor keeps it. After each call the slice must equal a
 // pristine copy; then the test scribbles over every item it passed, and at
-// the end each stored item must still be the pristine one. Partial batches,
-// injected failures and both Sharded paths (one multi-table request over a
-// MemStore, one request per shard over Retry) are all driven.
+// the end each stored item must still be the pristine one. Partial batches
+// and injected failures are both driven.
 func TestBatchPutLeavesCallerSliceAlone(t *testing.T) {
 	faults := chaos.Rates{Throttle: 0.1, Internal: 0.1, PartialBatch: 0.6}
 	stacks := []struct {
@@ -43,10 +42,6 @@ func TestBatchPutLeavesCallerSliceAlone(t *testing.T) {
 			return kv.NewRetry(chaos.WrapStore(base, chaos.NewInjector(chaos.Plan{Seed: 5, Rates: faults})))
 		}},
 		{"every-nth", func(base *kv.MemStore) kv.Store { return &chaos.EveryNth{Store: base, FailEvery: 3} }},
-		{"sharded", func(base *kv.MemStore) kv.Store { return kv.NewSharded(base, 4) }},
-		{"sharded-retry", func(base *kv.MemStore) kv.Store {
-			return kv.NewSharded(kv.NewRetry(chaos.WrapStore(base, chaos.NewInjector(chaos.Plan{Seed: 7, Rates: faults}))), 3)
-		}},
 	}
 	for _, st := range stacks {
 		t.Run(st.name, func(t *testing.T) {
@@ -89,12 +84,7 @@ func TestBatchPutLeavesCallerSliceAlone(t *testing.T) {
 			if (st.name == "chaos" || st.name == "every-nth") && failed+partial == 0 {
 				t.Fatal("no call failed or was partial: the fault paths went undriven")
 			}
-			var dump []kv.Item
-			if sh, ok := s.(*kv.Sharded); ok {
-				dump = sh.DumpTable("t")
-			} else {
-				dump = base.DumpTable("t")
-			}
+			dump := base.DumpTable("t")
 			if len(dump) == 0 {
 				t.Fatal("nothing was stored")
 			}

@@ -22,9 +22,9 @@ import (
 // MemStore's, and Read visits every key exactly once, also where the chaos
 // store serves partial batches and Retry re-reads the remainder.
 func TestReadsStopOnContext(t *testing.T) {
-	var keys []string
-	for _, g := range shardKeys(4, 2) {
-		keys = append(keys, g...)
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%05d", i)
 	}
 	chaosUnderRetry := func(l *meter.Ledger) kv.Store {
 		inj := chaos.NewInjector(chaos.Plan{Seed: 3, Rates: chaos.Rates{Throttle: 0.3, PartialBatch: 0.5}})
@@ -34,12 +34,8 @@ func TestReadsStopOnContext(t *testing.T) {
 	}
 	stacks := map[string]func(l *meter.Ledger) kv.Store{
 		"memstore":          func(l *meter.Ledger) kv.Store { return dynamodb.New(l) },
-		"sharded":           func(l *meter.Ledger) kv.Store { return kv.NewSharded(dynamodb.New(l), 4) }, // ReadMulti
 		"retry":             func(l *meter.Ledger) kv.Store { return kv.NewRetry(dynamodb.New(l)) },
 		"chaos-under-retry": chaosUnderRetry,
-		// What core.New builds for Chaos + IndexShards > 1: Retry is not a
-		// MultiStore, so Sharded hands the context to one Read per shard.
-		"sharded-over-retry-over-chaos": func(l *meter.Ledger) kv.Store { return kv.NewSharded(chaosUnderRetry(l), 4) },
 	}
 	load := func(s kv.Store) {
 		t.Helper()
@@ -123,28 +119,6 @@ func TestReadsStopOnContext(t *testing.T) {
 		}
 		if src, ok := s.(kv.RetryStatsSource); ok && strings.Contains(name, "chaos") && src.RetryStats().PartialBatches == 0 {
 			t.Errorf("%s: no partial batch was served, so the re-read of the remainder went untested", name)
-		}
-	}
-}
-
-// shardKeys returns n hash keys routing to each of the given shards.
-func shardKeys(shards, perShard int) [][]string {
-	out := make([][]string, shards)
-	for i := 0; ; i++ {
-		key := fmt.Sprintf("key%05d", i)
-		k := kv.ShardIndex(key, shards)
-		if len(out[k]) < perShard {
-			out[k] = append(out[k], key)
-		}
-		done := true
-		for _, g := range out {
-			if len(g) < perShard {
-				done = false
-				break
-			}
-		}
-		if done {
-			return out
 		}
 	}
 }

@@ -349,18 +349,12 @@ func (d *differ) run(s *opStream) {
 			wd, werr := d.want.Put(tbl, it)
 			d.same("Put", gerr, werr)
 			d.sameDur("Put", gd, wd)
-		case 4, 5:
+		case 4, 5, 6:
 			tbl, items := d.table(s), d.items(s)
 			gd, gerr := d.got.BatchPut(tbl, items)
 			wd, werr := d.want.BatchPut(tbl, items)
 			d.same("BatchPut", gerr, werr)
 			d.sameDur("BatchPut", gd, wd)
-		case 6:
-			groups := []kv.TableItems{{Table: d.table(s), Items: d.items(s)}, {Table: d.table(s), Items: d.items(s)}}
-			gd, gerr := d.got.BatchPutMulti(groups)
-			wd, werr := d.want.BatchPutMulti(groups)
-			d.same("BatchPutMulti", gerr, werr)
-			d.sameDur("BatchPutMulti", gd, wd)
 		case 7, 8, 9:
 			tbl, hk, rk := d.table(s), d.hashKey(s), diffRangeKeys[s.next()%len(diffRangeKeys)]
 			gd, gerr := d.got.DeleteItem(tbl, hk, rk)
@@ -383,7 +377,7 @@ func (d *differ) run(s *opStream) {
 			d.same("BatchGet", gerr, werr)
 			d.sameDur("BatchGet", gd, wd)
 			d.sameGroups("BatchGet", gm, wm)
-		case 12:
+		case 12, 13:
 			tbl, keys, depth := d.table(s), d.keys(s), s.next()%4
 			var got, want []visit
 			gd, gerr := d.got.Read(context.Background(), tbl, keys, transcript(&got, depth))
@@ -391,15 +385,6 @@ func (d *differ) run(s *opStream) {
 			d.same("Read", gerr, werr)
 			d.sameDur("Read", gd, wd)
 			d.sameVisits("Read", got, want)
-		case 13:
-			groups := []kv.TableKeys{{Table: d.table(s), Keys: d.keys(s)}, {Table: d.table(s), Keys: d.keys(s)}}
-			depth := s.next() % 4
-			var got, want []visit
-			gd, gerr := d.got.ReadMulti(context.Background(), groups, transcript(&got, depth))
-			wd, werr := d.want.ReadMulti(context.Background(), groups, transcript(&want, depth))
-			d.same("ReadMulti", gerr, werr)
-			d.sameDur("ReadMulti", gd, wd)
-			d.sameVisits("ReadMulti", got, want)
 		case 14:
 			d.dump()
 		case 15:

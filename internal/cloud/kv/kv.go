@@ -28,26 +28,23 @@
 //
 // # One read API
 //
-// Store has one read, Read (and MultiStore its multi-table form,
-// ReadMulti): it hands a Visitor each requested hash key's Records, a
-// cursor over the key's records with their tally, and builds no item
-// structs. Get and BatchGet are package-level collectors over it for the
+// Store has one read, Read: it hands a Visitor each requested hash key's
+// Records, a cursor over the key's records with their tally, and builds no
+// item structs. Get and BatchGet are package-level collectors over it for the
 // callers that want items; they are metered, timed, retried and
 // fault-injected exactly as the one read they make. A read takes the
 // caller's context first; there is no context-free twin. The context
 // carries cancellation. Two places act on it: MemStore, the bottom of every
 // stack, checks it before it reads or meters anything, and Retry checks it
-// before every attempt and every backoff. Every other wrapper (Sharded, the
-// chaos stores, a test's fake) passes the context it was given to the store
+// before every attempt and every backoff. Every other wrapper (the chaos
+// stores, a test's fake) passes the context it was given to the store
 // below and neither inspects nor replaces it. Callers with nothing to
 // cancel pass context.Background(); index.LookupOptions does that for a
 // zero Ctx.
 //
-// A read that fails has visited nothing, with two exceptions: one that
-// fails with a *PartialGetError has visited exactly the keys it does not
-// list, and Sharded over a store that is not a MultiStore may have visited
-// an earlier shard's keys when a later shard fails. Callers discard what
-// they were handed on any other error.
+// A read that fails has visited nothing, with one exception: one that fails
+// with a *PartialGetError has visited exactly the keys it does not list.
+// Callers discard what they were handed on any other error.
 //
 // # One implementation
 //
@@ -55,8 +52,8 @@
 // their own limits, latency model and overheads. Its layout (arena.go) is
 // physical and invisible through the Store interface: every size, latency
 // and metering record it reports is the modeled service's, derived from
-// Item.Size. Sharded, Retry and the chaos store wrap a Store and pass the
-// visitor through untouched.
+// Item.Size. Retry and the chaos store wrap a Store and pass the visitor
+// through untouched.
 package kv
 
 import (
@@ -214,4 +211,32 @@ type Store interface {
 	// effect of Figures 7 and 10).
 	RegisterClient()
 	UnregisterClient()
+}
+
+// Dumper is the verification-side interface of stores that can enumerate a
+// table deterministically (MemStore.DumpTable); differential tests reach it
+// through AsDumper.
+type Dumper interface {
+	DumpTable(table string) []Item
+}
+
+// Unwrapper is implemented by store wrappers (Retry, the chaos store) so
+// capability probes can walk the stack.
+type Unwrapper interface {
+	Unwrap() Store
+}
+
+// AsDumper unwraps the store stack until it finds a Dumper, or returns nil.
+func AsDumper(s Store) Dumper {
+	for s != nil {
+		if d, ok := s.(Dumper); ok {
+			return d
+		}
+		u, ok := s.(Unwrapper)
+		if !ok {
+			return nil
+		}
+		s = u.Unwrap()
+	}
+	return nil
 }

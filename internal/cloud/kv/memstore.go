@@ -63,9 +63,8 @@ type MemStore struct {
 }
 
 var (
-	_ Store      = (*MemStore)(nil)
-	_ MultiStore = (*MemStore)(nil)
-	_ Dumper     = (*MemStore)(nil)
+	_ Store  = (*MemStore)(nil)
+	_ Dumper = (*MemStore)(nil)
 )
 
 // NewMemStore builds a store from cfg. It panics if cfg.Ledger is nil,
@@ -195,90 +194,57 @@ func (s *MemStore) latency(bytes, unitBytes int64, clientRate, capacity float64)
 	return d
 }
 
-// Put implements Store.
+// Put implements Store: a one-item BatchPut.
 func (s *MemStore) Put(tbl string, item Item) (time.Duration, error) {
-	return s.BatchPutMulti([]TableItems{{Table: tbl, Items: []Item{item}}})
+	return s.BatchPut(tbl, []Item{item})
 }
 
-// BatchPut implements Store.
-func (s *MemStore) BatchPut(tbl string, items []Item) (time.Duration, error) {
-	return s.BatchPutMulti([]TableItems{{Table: tbl, Items: items}})
-}
-
-// BatchPutMulti implements MultiStore: every group lands in one request,
-// the way DynamoDB's BatchWriteItem spans tables. The combined payload is
-// metered and latency-modeled exactly like a single-table batch of the same
-// items, so a sharding layer splitting one logical batch across partitions
-// costs precisely what the unsharded batch would. The single-batch item
-// limit applies to the total across groups. Nothing is stored unless every
+// BatchPut implements Store: the batch is metered as one request and
+// latency-modeled from its combined payload. Nothing is stored unless every
 // item is valid.
-func (s *MemStore) BatchPutMulti(groups []TableItems) (time.Duration, error) {
-	var total int
-	for _, g := range groups {
-		total += len(g.Items)
-	}
-	if lim := s.cfg.Limits.BatchPutItems; lim > 0 && total > lim {
-		return 0, fmt.Errorf("%w: %d items > %d", ErrBatchTooLarge, total, lim)
+func (s *MemStore) BatchPut(tbl string, items []Item) (time.Duration, error) {
+	if lim := s.cfg.Limits.BatchPutItems; lim > 0 && len(items) > lim {
+		return 0, fmt.Errorf("%w: %d items > %d", ErrBatchTooLarge, len(items), lim)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	t, ok := s.tables[tbl]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
+	}
 	var bytes int64
-	for _, g := range groups {
-		if _, ok := s.tables[g.Table]; !ok {
-			return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, g.Table)
+	for _, it := range items {
+		size, err := s.validate(it)
+		if err != nil {
+			return 0, err
 		}
-		for _, it := range g.Items {
-			size, err := s.validate(it)
-			if err != nil {
-				return 0, err
-			}
-			bytes += size
-		}
+		bytes += size
 	}
-	for _, g := range groups {
-		t := s.tables[g.Table]
-		for _, it := range g.Items {
-			t.put(it)
-		}
-		t.maybeRewrite()
+	for _, it := range items {
+		t.put(it)
 	}
-	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, int64(total), bytes)
+	t.maybeRewrite()
+	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, int64(len(items)), bytes)
 	return s.writeLatency(bytes), nil
 }
 
-// Read implements Store: the one-table ReadMulti.
+// Read implements Store. The whole request is metered once with its key
+// count and payload. Like every read it stops, before anything is read or
+// metered, on a cancelled context. Keys are visited in request order once
+// the store's lock is released: a failed read has visited nothing.
 func (s *MemStore) Read(ctx context.Context, tbl string, hashKeys []string, visit Visitor) (time.Duration, error) {
-	return s.ReadMulti(ctx, []TableKeys{{Table: tbl, Keys: hashKeys}}, visit)
-}
-
-// ReadMulti implements MultiStore, the read-side counterpart of
-// BatchPutMulti (DynamoDB's BatchGetItem spans tables too). The whole
-// request is metered once with the combined key count and payload, and the
-// single-batch key limit applies to the total. Like every read it stops,
-// before anything is read or metered, on a cancelled context. Keys are
-// visited in request order, group by group, once the store's lock is
-// released: a failed read has visited nothing.
-func (s *MemStore) ReadMulti(ctx context.Context, groups []TableKeys, visit Visitor) (time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	var total int
-	for _, g := range groups {
-		total += len(g.Keys)
+	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && len(hashKeys) > lim {
+		return 0, fmt.Errorf("%w: %d keys > %d", ErrBatchTooLarge, len(hashKeys), lim)
 	}
-	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && total > lim {
-		return 0, fmt.Errorf("%w: %d keys > %d", ErrBatchTooLarge, total, lim)
-	}
-	recs, d, err := s.take(groups, total)
+	recs, d, err := s.take(tbl, hashKeys)
 	if err != nil {
 		return 0, err
 	}
-	i := 0
-	for _, g := range groups {
-		for _, k := range g.Keys {
-			visit(k, &recs[i])
-			i++
-		}
+	for i, k := range hashKeys {
+		visit(k, &recs[i])
 	}
 	return d, nil
 }
@@ -288,27 +254,25 @@ func (s *MemStore) ReadMulti(ctx context.Context, groups []TableKeys, visit Visi
 // models its latency. A cursor holds its own copy of the group's references,
 // since writers move them in place, and the table's chunk list and names as
 // they are now, which writers only ever extend.
-func (s *MemStore) take(groups []TableKeys, total int) ([]Records, time.Duration, error) {
+func (s *MemStore) take(tbl string, hashKeys []string) ([]Records, time.Duration, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	recs := make([]Records, 0, total)
+	t, ok := s.tables[tbl]
+	recs := make([]Records, 0, len(hashKeys))
 	var sum Tally
-	for _, g := range groups {
-		for _, k := range g.Keys {
-			if k == "" {
-				return nil, 0, ErrEmptyKey
-			}
-			t, ok := s.tables[g.Table]
-			if !ok {
-				return nil, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, g.Table)
-			}
-			var r Records
-			if grp := t.groups[k]; grp != nil {
-				r = t.records(grp)
-			}
-			recs = append(recs, r)
-			sum.add(r.sum)
+	for _, k := range hashKeys {
+		if k == "" {
+			return nil, 0, ErrEmptyKey
 		}
+		if !ok { // checked per key: an empty read of a missing table succeeds
+			return nil, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
+		}
+		var r Records
+		if grp := t.groups[k]; grp != nil {
+			r = t.records(grp)
+		}
+		recs = append(recs, r)
+		sum.add(r.sum)
 	}
 	refs := make([]ref, 0, sum.Items)
 	for i := range recs {
@@ -316,7 +280,7 @@ func (s *MemStore) take(groups []TableKeys, total int) ([]Records, time.Duration
 		refs = append(refs, recs[i].refs...)
 		recs[i].refs = refs[n:]
 	}
-	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, int64(total), sum.Bytes)
+	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, int64(len(hashKeys)), sum.Bytes)
 	return recs, s.readLatency(sum.Bytes), nil
 }
 

@@ -32,9 +32,8 @@ type refStore struct {
 }
 
 var (
-	_ kv.Store      = (*refStore)(nil)
-	_ kv.MultiStore = (*refStore)(nil)
-	_ kv.Dumper     = (*refStore)(nil)
+	_ kv.Store  = (*refStore)(nil)
+	_ kv.Dumper = (*refStore)(nil)
 )
 
 func newRefStore(cfg kv.Config) *refStore {
@@ -194,7 +193,7 @@ func (s *refStore) latency(bytes, unitBytes int64, clientRate, capacity float64)
 
 // Put implements Store.
 func (s *refStore) Put(tbl string, item kv.Item) (time.Duration, error) {
-	return s.putBatch(tbl, []kv.Item{item}, false)
+	return s.BatchPut(tbl, []kv.Item{item})
 }
 
 // BatchPut implements Store.
@@ -202,10 +201,6 @@ func (s *refStore) BatchPut(tbl string, items []kv.Item) (time.Duration, error) 
 	if lim := s.cfg.Limits.BatchPutItems; lim > 0 && len(items) > lim {
 		return 0, fmt.Errorf("%w: %d items > %d", kv.ErrBatchTooLarge, len(items), lim)
 	}
-	return s.putBatch(tbl, items, true)
-}
-
-func (s *refStore) putBatch(tbl string, items []kv.Item, batch bool) (time.Duration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.tables[tbl]
@@ -224,93 +219,35 @@ func (s *refStore) putBatch(tbl string, items []kv.Item, batch bool) (time.Durat
 	}
 	d := s.writeLatency(bytes)
 	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, int64(len(items)), bytes)
-	_ = batch
 	return d, nil
 }
 
-// Read implements Store.
+// Read implements Store: it copies and sorts every requested key's items,
+// meters the whole request once, and then visits the copies.
 func (s *refStore) Read(ctx context.Context, tbl string, hashKeys []string, visit kv.Visitor) (time.Duration, error) {
-	return s.ReadMulti(ctx, []kv.TableKeys{{Table: tbl, Keys: hashKeys}}, visit)
-}
-
-// BatchPutMulti implements MultiStore: every group lands in one request,
-// the way DynamoDB's BatchWriteItem spans tables. The combined payload is
-// metered and latency-modeled exactly like a single-table batch of the same
-// items, so a sharding layer splitting one logical batch across partitions
-// costs precisely what the unsharded batch would. The single-batch item
-// limit applies to the total across groups.
-func (s *refStore) BatchPutMulti(groups []kv.TableItems) (time.Duration, error) {
-	var total int
-	for _, g := range groups {
-		total += len(g.Items)
-	}
-	if lim := s.cfg.Limits.BatchPutItems; lim > 0 && total > lim {
-		return 0, fmt.Errorf("%w: %d items > %d", kv.ErrBatchTooLarge, total, lim)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var bytes int64
-	for _, g := range groups {
-		if _, ok := s.tables[g.Table]; !ok {
-			return 0, fmt.Errorf("%w: %q", kv.ErrNoSuchTable, g.Table)
-		}
-		for _, it := range g.Items {
-			if err := s.validate(it); err != nil {
-				return 0, err
-			}
-			bytes += it.Size()
-		}
-	}
-	for _, g := range groups {
-		t := s.tables[g.Table]
-		for _, it := range g.Items {
-			t.putLocked(it)
-		}
-	}
-	d := s.writeLatency(bytes)
-	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, int64(total), bytes)
-	return d, nil
-}
-
-// ReadMulti implements MultiStore, the read-side counterpart of
-// BatchPutMulti (DynamoDB's BatchGetItem spans tables too): it copies and
-// sorts every requested key's items, meters the whole request once with
-// the combined key count and payload, and then visits the copies. The
-// single-batch key limit applies to the total.
-func (s *refStore) ReadMulti(ctx context.Context, groups []kv.TableKeys, visit kv.Visitor) (time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	var total int
-	for _, g := range groups {
-		total += len(g.Keys)
-	}
-	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && total > lim {
-		return 0, fmt.Errorf("%w: %d keys > %d", kv.ErrBatchTooLarge, total, lim)
+	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && len(hashKeys) > lim {
+		return 0, fmt.Errorf("%w: %d keys > %d", kv.ErrBatchTooLarge, len(hashKeys), lim)
 	}
 	s.mu.RLock()
-	var got [][]kv.Item
+	got := make([][]kv.Item, 0, len(hashKeys))
 	var bytes int64
-	for _, g := range groups {
-		for _, k := range g.Keys {
-			items, b, err := s.getLocked(g.Table, k)
-			if err != nil {
-				s.mu.RUnlock()
-				return 0, err
-			}
-			got = append(got, items)
-			bytes += b
+	for _, k := range hashKeys {
+		items, b, err := s.getLocked(tbl, k)
+		if err != nil {
+			s.mu.RUnlock()
+			return 0, err
 		}
+		got = append(got, items)
+		bytes += b
 	}
 	d := s.readLatency(bytes)
-	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, int64(total), bytes)
+	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, int64(len(hashKeys)), bytes)
 	s.mu.RUnlock()
-	i := 0
-	for _, g := range groups {
-		for _, k := range g.Keys {
-			visit(k, kv.ItemRecords(got[i]))
-			i++
-		}
+	for i, k := range hashKeys {
+		visit(k, kv.ItemRecords(got[i]))
 	}
 	return d, nil
 }

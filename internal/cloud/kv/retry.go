@@ -110,12 +110,8 @@ func (r *Retry) RetryStats() RetryStats {
 	}
 }
 
-// Unwrap exposes the wrapped store so capability probes (AsDumper,
-// AsShardRouter) can walk the stack. Retry deliberately does NOT forward
-// the MultiStore interface: multi-table requests through a retrying,
-// fault-injected stack would need cross-table partial-batch bookkeeping,
-// so a sharding layer above a Retry falls back to per-shard batches
-// instead.
+// Unwrap exposes the wrapped store so capability probes (AsDumper) can walk
+// the stack.
 func (r *Retry) Unwrap() Store { return r.Store }
 
 // RetryStatsSource is implemented by stores that can report retry

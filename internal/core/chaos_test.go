@@ -129,10 +129,8 @@ type tableDump map[string][]kv.Item
 
 func dumpStore(t *testing.T, w *Warehouse) tableDump {
 	t.Helper()
-	// AsDumper walks the store stack (sharding, retry and chaos wrappers) to
-	// the dumping store; a sharded warehouse dumps each logical table as the
-	// deterministic merge of its partitions, directly comparable to an
-	// unsharded dump.
+	// AsDumper walks the store stack (retry and chaos wrappers) to the
+	// dumping store.
 	dumper := kv.AsDumper(w.Store())
 	if dumper == nil {
 		t.Fatalf("store %T cannot dump tables", w.Store())
@@ -204,37 +202,27 @@ func indexByDriverReruns(t *testing.T, w *Warehouse, docs []xmark.Doc) {
 // same index store contents, same answers to all ten workload queries, and
 // an empty dead-letter queue.
 func TestChaosDifferentialIndexing(t *testing.T) {
-	chaosDifferentialIndexing(t, false, 0)
+	chaosDifferentialIndexing(t, false)
 }
 
 // TestChaosDifferentialIndexingBulkLoad runs the same differential through
-// the bulk driver (IndexCorpusOn with BulkLoad), over one shard and four:
-// coalesced cross-document batches under aggressive chaos, rerun until the
-// loader queue drains, must converge to the clean per-document live run —
-// released messages redeliver and content-derived range keys absorb the
-// re-extractions. The clean reference stays per-document, so this also
-// differentially proves bulk and per-document store contents identical.
+// the bulk driver (IndexCorpusOn with BulkLoad): coalesced cross-document
+// batches under aggressive chaos, rerun until the loader queue drains, must
+// converge to the clean per-document live run — released messages redeliver
+// and content-derived range keys absorb the re-extractions. The clean
+// reference stays per-document, so this also differentially proves bulk and
+// per-document store contents identical. The index lives in one store
+// partition, which names the subtest.
 func TestChaosDifferentialIndexingBulkLoad(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			chaosDifferentialIndexing(t, true, shards)
-		})
-	}
-}
-
-// TestChaosDifferentialIndexingSharded runs the live differential with the
-// chaotic warehouse hash-partitioned four ways: aggressive chaos and a worker
-// crash over a sharded store must still converge to the clean unsharded run —
-// the merged shard dumps are compared byte-for-byte against the single-table
-// reference.
-func TestChaosDifferentialIndexingSharded(t *testing.T) {
-	chaosDifferentialIndexing(t, false, 4)
+	t.Run("shards=1", func(t *testing.T) {
+		chaosDifferentialIndexing(t, true)
+	})
 }
 
 // chaosDifferentialIndexing indexes a chaotic warehouse by live workers with
 // a crash, or with bulk set by bulk-driver reruns, and holds it to a clean
 // live run.
-func chaosDifferentialIndexing(t *testing.T, bulk bool, shards int) {
+func chaosDifferentialIndexing(t *testing.T, bulk bool) {
 	seed := chaosSeed(t)
 	docs := chaosCorpus(seed)
 
@@ -245,9 +233,8 @@ func chaosDifferentialIndexing(t *testing.T, bulk bool, shards int) {
 	indexLive(t, clean, docs, false)
 
 	chaotic, err := New(Config{
-		Strategy:    index.TwoLUPI,
-		BulkLoad:    bulk,
-		IndexShards: shards,
+		Strategy: index.TwoLUPI,
+		BulkLoad: bulk,
 		// Tracing on the chaotic side proves the span journal perturbs
 		// nothing even under concurrent workers and injected faults.
 		Trace: true,
@@ -389,6 +376,39 @@ func TestZeroRateChaosBillingParity(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestChaosLookupStoreRetries: the look-up attributes the store retries it
+// absorbed to its query. With read throttling switched on after a clean
+// build and one look-up read in flight at a time, each query's
+// index.lookup.store_retries must grow by exactly what the warehouse's retry
+// layer counted across that query, and some query must have been retried.
+func TestChaosLookupStoreRetries(t *testing.T) {
+	seed := chaosSeed(t)
+	w, _ := buildWarehouse(t, Config{
+		Strategy:               index.TwoLUPI,
+		QueryLookupConcurrency: 1,
+		Chaos:                  &chaos.Plan{Seed: seed}, // zero rates while indexing
+	}, chaosCorpus(seed)[:6])
+	w.retry.MaxAttempts = 20 // a throttled read is retried, never given up
+	w.ChaosInjector().SetRates(chaos.Rates{Throttle: 0.5})
+	lookupRetries := w.Registry().Counter("index.lookup.store_retries")
+	in := ec2.Launch(w.ledger, ec2.Large)
+	var total int64
+	for _, q := range workload.XMark() {
+		before, storeBefore := lookupRetries.Value(), w.RetryStats().Retries
+		if _, _, err := w.RunQueryOn(in, q.Text, true); err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		got, want := lookupRetries.Value()-before, w.RetryStats().Retries-storeBefore
+		if got != want {
+			t.Errorf("%s: index.lookup.store_retries grew by %d, the retry layer by %d", q.Name, got, want)
+		}
+		total += got
+	}
+	if total == 0 {
+		t.Error("no look-up read was retried under read throttling")
 	}
 }
 

@@ -174,15 +174,6 @@ type Config struct {
 	// unless asked.
 	Trace bool
 
-	// IndexShards hash-partitions every index table across that many
-	// physical partitions (kv.Sharded): each posting routes to the shard
-	// selected by a deterministic hash of its key, and look-ups scatter-
-	// gather across shards. 0 or 1 keeps the unsharded layout. Sharded
-	// batches ship as single multi-table requests, so results, modeled
-	// times and billed cost are identical at every shard count — the
-	// sharding differential tests assert this byte-for-byte.
-	IndexShards int
-
 	// MutableCorpus turns the warehouse into a live, mutable corpus:
 	// indexing routes through a versioned write buffer (internal/mutate)
 	// instead of writing the store directly, documents can be updated and
@@ -405,21 +396,8 @@ func New(cfg Config) (*Warehouse, error) {
 		w.retry.Sink = reg
 		w.store = w.retry
 	}
-	if cfg.IndexShards > 1 {
-		// The sharding layer sits on top of the whole store stack: over the
-		// bare store it ships one multi-table request per logical batch
-		// (billing/latency identical to unsharded), over the chaos stack it
-		// falls back to per-shard batches so retry and fault semantics stay
-		// per physical partition.
-		sh := kv.NewSharded(w.store, cfg.IndexShards)
-		sh.Sink = reg
-		w.store = sh
-	}
 	if cfg.PostingCacheBytes > 0 {
 		w.cache = index.NewPostingCache(cfg.PostingCacheBytes)
-		if rt := kv.AsShardRouter(w.store); rt != nil {
-			w.cache.SetStoreShards(rt.ShardCount())
-		}
 		w.lookupOpts.Cache = w.cache
 	}
 	if cfg.MutableCorpus {
@@ -429,7 +407,7 @@ func New(cfg Config) (*Warehouse, error) {
 			// compaction provides the same batch packing.
 			return nil, fmt.Errorf("core: MutableCorpus is incompatible with BulkLoad")
 		}
-		// The corpus fronts the full store stack (retry/chaos/sharded), so
+		// The corpus fronts the full store stack (retry/chaos), so
 		// compaction folds enjoy the same fault absorption as direct writes.
 		w.corpus = mutate.NewCorpus(w.store, mutate.Options{Obs: reg})
 		w.compactEvery = cfg.CompactEveryDocs

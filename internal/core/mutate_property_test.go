@@ -27,9 +27,8 @@ import (
 //     a background writer updates documents and the compactor folds the
 //     buffer must keep returning byte-identical rows, race-clean.
 //
-//  3. Cache freshness under sharded deletes: a warmed posting cache on a
-//     hash-partitioned warehouse must never serve postings of a removed
-//     document.
+//  3. Cache freshness under deletes: a warmed posting cache must never
+//     serve postings of a removed document.
 
 // stampDoc returns document content carrying a unique revision marker as a
 // child of the root element, so every revision indexes differently and
@@ -331,18 +330,17 @@ func TestCompactionQueryInterference(t *testing.T) {
 	}
 }
 
-// TestShardedDeletePostingCacheFreshness is the regression wall for the
-// posting cache on a hash-partitioned mutable warehouse: after the cache
+// TestDeletePostingCacheFreshness is the regression wall for the posting
+// cache on a mutable warehouse: after the cache
 // is warmed, removing a document must make its rows vanish from the very
 // next answer (version-keyed cache entries for the old version must not
 // leak into the new one), compaction must not resurrect them, and
 // re-inserting the original content must restore the original answer
 // byte for byte.
-func TestShardedDeletePostingCacheFreshness(t *testing.T) {
+func TestDeletePostingCacheFreshness(t *testing.T) {
 	docs := propertyCorpus(333)
 	w, err := New(Config{
 		Strategy:          index.TwoLUPI,
-		IndexShards:       4,
 		MutableCorpus:     true,
 		PostingCacheBytes: 1 << 20,
 	})

@@ -9,22 +9,13 @@ import (
 	"repro/internal/cloud/ec2"
 	"repro/internal/index"
 	"repro/internal/pattern"
-	"repro/internal/pricing"
 	"repro/internal/xmark"
 )
 
 // Property-based differential tests over seeded random corpora and random
-// tree-pattern queries. Two obligations ride on the same generators:
-//
-//  1. Strategy agreement: LU, LUP, LUI and 2LUPI index different things,
-//     but every query must get the same answer from all four — the index
-//     only prunes the documents fetched, never the result.
-//
-//  2. Sharding transparency: a hash-partitioned warehouse (IndexShards: 4)
-//     must be indistinguishable from the unsharded one — byte-identical
-//     store dumps, identical answers, identical modeled times and an
-//     identical bill — because sharded batches ship as single multi-table
-//     requests routed by a deterministic hash.
+// tree-pattern queries. Strategy agreement: LU, LUP, LUI and 2LUPI index
+// different things, but every query must get the same answer from all four —
+// the index only prunes the documents fetched, never the result.
 
 // propertyLabels is the XMark label alphabet the random queries draw from
 // (including one label that never occurs, so empty answers are exercised).
@@ -175,86 +166,5 @@ func TestStrategiesAgreeOnRandomQueries(t *testing.T) {
 	}
 	if nonEmpty < 5 {
 		t.Fatalf("only %d of 30 random queries matched anything; generator too hostile", nonEmpty)
-	}
-}
-
-// TestShardingTransparencyOnRandomQueries is the acceptance differential:
-// shards=1 vs shards=4 must be byte-identical in store dumps, query
-// answers, modeled times and billed cost.
-func TestShardingTransparencyOnRandomQueries(t *testing.T) {
-	docs := propertyCorpus(77)
-
-	flat, flatRep := buildWarehouse(t, Config{Strategy: index.TwoLUPI}, docs)
-	shrd, shrdRep := buildWarehouse(t, Config{Strategy: index.TwoLUPI, IndexShards: 4}, docs)
-
-	// Identical indexing report: entries, items, requests and every modeled
-	// duration.
-	if flatRep != shrdRep {
-		t.Errorf("index reports differ:\n  shards=1: %+v\n  shards=4: %+v", flatRep, shrdRep)
-	}
-
-	// Byte-identical logical dumps (the sharded side merges partitions).
-	fd, sd := dumpStore(t, flat), dumpStore(t, shrd)
-	for _, tbl := range flat.Strategy.Tables() {
-		if len(fd[tbl]) != len(sd[tbl]) {
-			t.Errorf("%s: shards=1 holds %d items, shards=4 %d", tbl, len(fd[tbl]), len(sd[tbl]))
-			continue
-		}
-		for i := range fd[tbl] {
-			a, b := itemLine(fd[tbl][i]), itemLine(sd[tbl][i])
-			if a != b {
-				t.Errorf("%s item %d differs:\n  shards=1: %s\n  shards=4: %s", tbl, i, a, b)
-				break
-			}
-		}
-	}
-	if fi, si := flat.IndexItems(), shrd.IndexItems(); fi != si {
-		t.Errorf("IndexItems: shards=1 %d, shards=4 %d", fi, si)
-	}
-
-	// Identical answers and identical per-query modeled statistics.
-	flatIn := ec2.Launch(flat.ledger, ec2.XL)
-	shrdIn := ec2.Launch(shrd.ledger, ec2.XL)
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		text := randomQueryText(t, rng)
-		want, fqs := answerRows(t, flat, flatIn, text)
-		got, sqs := answerRows(t, shrd, shrdIn, text)
-		if len(got) != len(want) {
-			t.Errorf("trial %d %q: shards=1 %d rows, shards=4 %d", trial, text, len(want), len(got))
-			continue
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Errorf("trial %d %q row %d: shards=1 %q, shards=4 %q", trial, text, j, want[j], got[j])
-				break
-			}
-		}
-		fqs.ID, sqs.ID = "", "" // IDs count queries per warehouse, not content
-		fqs.Lookup, sqs.Lookup = index.LookupStats{}, index.LookupStats{}
-		if fqs != sqs {
-			t.Errorf("trial %d %q stats differ:\n  shards=1: %+v\n  shards=4: %+v", trial, text, fqs, sqs)
-		}
-	}
-
-	// Identical metering and an identical bill, to the cent and beyond.
-	fu, su := flat.Ledger().Snapshot(), shrd.Ledger().Snapshot()
-	for _, op := range []string{"put", "get"} {
-		if a, b := fu.Get("dynamodb", op), su.Get("dynamodb", op); a != b {
-			t.Errorf("dynamodb %s: shards=1 %+v, shards=4 %+v", op, a, b)
-		}
-	}
-	// Compare the invoices line by line with exact equality. (Invoice.Total
-	// sums a map, so its float result depends on iteration order — the
-	// per-service lines are the deterministic quantities.)
-	book := pricing.Singapore2012()
-	fb, sb := book.Bill(fu), book.Bill(su)
-	for svc, amount := range fb.Lines {
-		if sb.Line(svc) != amount {
-			t.Errorf("billed %s: shards=1 %s, shards=4 %s", svc, amount, sb.Line(svc))
-		}
-	}
-	if len(fb.Lines) != len(sb.Lines) {
-		t.Errorf("invoices bill different services:\n  shards=1:\n%s  shards=4:\n%s", fb, sb)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // request carries a full batch and the billed request count drops to the
 // floor of ceil(items/limit) per table.
 //
-// Items are built by the same appendTableItems helper as WriteExtraction,
+// Items are built by the same appendDocItems helper as WriteExtraction,
 // directly into the per-table buffer the batches are shipped from, so the
 // store contents are byte-identical to the per-document path and an item is
 // built once. Content-derived range keys (ItemRangeKey, one per document,
@@ -70,7 +70,7 @@ type itemMeta struct {
 }
 
 // tableBuffer is one table's buffer: the items in Add order, built in place
-// by appendTableItems and shipped from here, and their metadata in a
+// by appendDocItems and shipped from here, and their metadata in a
 // parallel slice. items[:head] have been flushed; compact moves the rest to
 // the front.
 type tableBuffer struct {
@@ -158,7 +158,7 @@ func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 			b.buffers[table] = tb
 		}
 		start := len(tb.items)
-		tb.items = appendTableItems(tb.items, ex.URI, table, entries, b.itemBudget)
+		tb.items = appendDocItems(tb.items, ex.URI, table, entries, b.itemBudget)
 		tb.meta = slices.Grow(tb.meta, len(tb.items)-start)
 		for _, it := range tb.items[start:] {
 			tb.meta = append(tb.meta, itemMeta{size: it.Size(), doc: d})

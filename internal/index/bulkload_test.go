@@ -224,6 +224,57 @@ func TestBulkLoaderSmallFlushAndPending(t *testing.T) {
 	}
 }
 
+// TestBulkLoaderInvalidatesCacheOnFlush: a successful bulk flush must
+// invalidate the cached postings of every key it wrote, so the next read
+// through the cache sees the bulk-loaded document beside the earlier one.
+func TestBulkLoaderInvalidatesCacheOnFlush(t *testing.T) {
+	store := newStore(t, LU)
+	exs := extractCorpus(t, LU, store, testCorpus()[:2])
+	table := LU.Tables()[0]
+	cache := NewPostingCache(1 << 20)
+	inFirst := make(map[string]bool)
+	for _, e := range exs[0].Tables[table] {
+		inFirst[e.Key] = true
+	}
+	key := ""
+	for _, e := range exs[1].Tables[table] {
+		if inFirst[e.Key] {
+			key = e.Key
+			break
+		}
+	}
+	if key == "" {
+		t.Fatal("no shared key between the first two documents")
+	}
+	readThrough := func() map[string]*Posting {
+		t.Helper()
+		out, _, err := ReadKeys(store, table, []string{key}, URIPosting, false, LookupOptions{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out[key]
+	}
+	if _, _, err := WriteExtraction(store, exs[0], cache); err != nil {
+		t.Fatal(err)
+	}
+	readThrough() // warm the entry
+
+	loader := NewBulkLoader(store, BulkOptions{}, cache)
+	if _, err := loader.Add(exs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := readThrough()
+	if got[exs[1].URI] == nil {
+		t.Errorf("bulk-loaded write did not invalidate the cached entry of %q", key)
+	}
+	if got[exs[0].URI] == nil {
+		t.Errorf("read after invalidation lost the earlier document")
+	}
+}
+
 // failingStore fails every BatchPut after the first n.
 type failingStore struct {
 	kv.Store

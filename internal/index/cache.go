@@ -3,9 +3,6 @@ package index
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
-
-	"repro/internal/cloud/kv"
 )
 
 // This file implements the hot-key posting cache. The paper's look-up cost
@@ -26,16 +23,11 @@ import (
 // between look-ups and must not be mutated by readers.
 
 // cacheKey identifies one cached read: a hash key of a table, decoded under
-// one posting kind. When the cache fronts a sharded store (SetStoreShards),
-// the store shard the key routes to becomes part of the identity, so an
-// entry cached for shard k can only ever be hit or invalidated through
-// shard k — a write routed to one partition cannot leave a stale entry
-// attributed to another.
+// one posting kind.
 type cacheKey struct {
 	table string
 	key   string
 	kind  PostingKind
-	shard int
 	// ver is the key's write-buffer overlay stamp when the cache fronts a
 	// mutable corpus (0 otherwise, and for keys no mutation ever touched).
 	// A replace entry or a compaction fold advances the stamp, so reads
@@ -77,28 +69,6 @@ const DefaultCacheBytes = 64 << 20
 // store identity.
 type PostingCache struct {
 	shards [cacheShards]cacheShard
-
-	// storeShards is the shard count of the fronted store (0 or 1 when
-	// unsharded); see SetStoreShards.
-	storeShards atomic.Int32
-}
-
-// SetStoreShards tells the cache how many partitions the fronted store
-// hashes its keys across. Every get, put and invalidation then derives the
-// key's store shard with the same routing hash the store uses
-// (kv.ShardIndex) and folds it into the cache identity. Call it once at
-// wiring time, before the cache serves traffic.
-func (c *PostingCache) SetStoreShards(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.storeShards.Store(int32(n))
-}
-
-// keyShard resolves the store shard a hash key routes to (0 when the
-// fronted store is unsharded).
-func (c *PostingCache) keyShard(key string) int {
-	return kv.ShardIndex(key, int(c.storeShards.Load()))
 }
 
 // NewPostingCache returns a cache bounded to roughly maxBytes of decoded
@@ -139,7 +109,6 @@ func (c *PostingCache) shardOf(k cacheKey) *cacheShard {
 // get returns the cached postings for the key, or (nil, false). The
 // returned map is shared: callers must treat it as immutable.
 func (c *PostingCache) get(k cacheKey) (map[string]*Posting, bool) {
-	k.shard = c.keyShard(k.key)
 	sh := c.shardOf(k)
 	sh.mu.Lock()
 	el, ok := sh.entries[k]
@@ -156,7 +125,6 @@ func (c *PostingCache) get(k cacheKey) (map[string]*Posting, bool) {
 // put inserts (or replaces) the postings of a key and returns how many
 // entries were evicted to make room.
 func (c *PostingCache) put(k cacheKey, postings map[string]*Posting) int64 {
-	k.shard = c.keyShard(k.key)
 	e := &cacheEntry{key: k, postings: postings, bytes: postingsBytes(k, postings)}
 	sh := c.shardOf(k)
 	sh.mu.Lock()
@@ -190,9 +158,8 @@ func (c *PostingCache) put(k cacheKey, postings map[string]*Posting) int64 {
 // carriers of the key. Writers call it after mutating the store so readers
 // refetch fresh postings.
 func (c *PostingCache) Invalidate(table, key string) {
-	shard := c.keyShard(key)
 	for _, kind := range []PostingKind{URIPosting, PathPosting, IDPosting} {
-		k := cacheKey{table: table, key: key, kind: kind, shard: shard}
+		k := cacheKey{table: table, key: key, kind: kind}
 		sh := c.shardOf(k)
 		sh.mu.Lock()
 		if el, ok := sh.entries[k]; ok {

@@ -44,18 +44,18 @@ func TestItemRangeKeyGolden(t *testing.T) {
 			t.Errorf("ItemRangeKey(%.20q, %q, %d) = %s, want %s", g.uri, g.table, g.ordinal, got, g.want)
 		}
 	}
-	// appendTableItems hashes each ordinal's key once and hands the one
+	// appendDocItems hashes each ordinal's key once and hands the one
 	// string to every item of that ordinal.
 	entries := []Entry{{Key: "ename", Values: [][]byte{[]byte("ab"), []byte("cd")}}, {Key: "adesc " + long}}
-	items := appendTableItems(nil, "doc.xml", "idx_2LUPI_ids", entries, int64(len("ename")+len("doc.xml"))+2)
+	items := appendDocItems(nil, "doc.xml", "idx_2LUPI_ids", entries, int64(len("ename")+len("doc.xml"))+2)
 	if len(items) != 3 {
 		t.Fatalf("%d items, want 3", len(items))
 	}
 	if items[0].RangeKey != golden[1].want || items[1].RangeKey != golden[2].want {
-		t.Errorf("appendTableItems range keys %s, %s; want %s, %s", items[0].RangeKey, items[1].RangeKey, golden[1].want, golden[2].want)
+		t.Errorf("appendDocItems range keys %s, %s; want %s, %s", items[0].RangeKey, items[1].RangeKey, golden[1].want, golden[2].want)
 	}
 	if items[2].RangeKey != golden[1].want {
-		t.Errorf("appendTableItems range key of the long entry %s, want %s", items[2].RangeKey, golden[1].want)
+		t.Errorf("appendDocItems range key of the long entry %s, want %s", items[2].RangeKey, golden[1].want)
 	}
 	if unsafe.StringData(items[2].RangeKey) != unsafe.StringData(items[0].RangeKey) {
 		t.Error("the two ordinal-0 items carry separately built range keys")
@@ -95,7 +95,7 @@ func TestItemRangeKeyDeterministicAndDistinct(t *testing.T) {
 	// The hash key is not part of the identity, by design: the store's
 	// primary key is (hash key, range key), so the same (uri, table,
 	// ordinal) under two hash keys may, and does, share one range key.
-	items := appendTableItems(nil, "u1", "t", []Entry{{Key: "k"}, {Key: "k2"}}, 1<<10)
+	items := appendDocItems(nil, "u1", "t", []Entry{{Key: "k"}, {Key: "k2"}}, 1<<10)
 	if len(items) != 2 || items[0].RangeKey != a || items[1].RangeKey != a {
 		t.Errorf("range keys of (u1, t, 0) under keys k and k2: %v, want %s for both", items, a)
 	}

@@ -273,33 +273,6 @@ func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKi
 	get.SetModeled(rs.GetTime)
 	get.SetAttrInt("get_ops", rs.GetOps)
 	get.SetAttrInt("bytes", rs.BytesFetched)
-	if rt := kv.AsShardRouter(store); rt != nil && rt.ShardCount() > 1 {
-		// Annotate how the fetched keys spread over the store's partitions.
-		// The child span carries the same modeled time as the read —
-		// sharded batches are billed as one request — so per-stage tables
-		// show the scatter without double counting.
-		sc := get.Child(obs.SpanScatter)
-		sc.SetAttrInt("shards", int64(rt.ShardCount()))
-		perShard := make([]int64, rt.ShardCount())
-		for _, k := range keys {
-			perShard[rt.ShardOf(k)]++
-		}
-		touched := 0
-		maxKeys := int64(0)
-		for _, n := range perShard {
-			if n > 0 {
-				touched++
-			}
-			if n > maxKeys {
-				maxKeys = n
-			}
-		}
-		sc.SetAttrInt("shards_touched", int64(touched))
-		sc.SetAttrInt("max_shard_keys", maxKeys)
-		sc.SetModeled(rs.GetTime)
-		sc.SetError(err)
-		sc.End()
-	}
 	get.SetError(err)
 	get.End()
 	return postings, rs, err

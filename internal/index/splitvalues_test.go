@@ -13,20 +13,20 @@ import (
 // of the input (ordinal stability) or re-written documents would leave
 // orphaned items behind. These tests pin the edge cases down.
 
-// splitValues returns the groups appendTableItems packs an entry's values into,
+// splitValues returns the groups appendDocItems packs an entry's values into,
 // one per item, for an entry whose key and URI take fixed bytes.
 func splitValues(values [][]byte, budget, fixed int64) [][]kv.Value {
 	e := Entry{Key: strings.Repeat("k", int(fixed)), Values: values}
 	var groups [][]kv.Value
-	for _, item := range appendTableItems(nil, "", "tbl", []Entry{e}, budget) {
+	for _, item := range appendDocItems(nil, "", "tbl", []Entry{e}, budget) {
 		groups = append(groups, item.Attrs[0].Values)
 	}
 	return groups
 }
 
-// entryItems is appendTableItems for one entry.
+// entryItems is appendDocItems for one entry.
 func entryItems(uri, table string, e Entry, itemBudget int64) []kv.Item {
-	return appendTableItems(nil, uri, table, []Entry{e}, itemBudget)
+	return appendDocItems(nil, uri, table, []Entry{e}, itemBudget)
 }
 
 func collectGroups(t *testing.T, values [][]byte, budget, fixed int64) [][][]byte {

@@ -138,7 +138,7 @@ func WriteExtraction(store kv.Store, ex *Extraction, caches ...*PostingCache) (t
 	var items []kv.Item
 	for _, table := range sortedTables(ex) {
 		stats.Entries += len(ex.Tables[table])
-		items = appendTableItems(items[:0], ex.URI, table, ex.Tables[table], itemBudget)
+		items = appendDocItems(items[:0], ex.URI, table, ex.Tables[table], itemBudget)
 		for rest := items; len(rest) > 0; {
 			n := min(batchLimit, len(rest))
 			d, err := store.BatchPut(table, rest[:n:n])
@@ -169,7 +169,7 @@ func itemBudgetFor(lim kv.Limits) int64 {
 	return budget
 }
 
-// appendTableItems appends the store items of one document's entries under
+// appendDocItems appends the store items of one document's entries under
 // one table to dst, in entry order, and returns the extended slice: an
 // entry's values are packed under the item budget into one item or several,
 // and each item's range key is derived from (document, table, ordinal). The
@@ -179,7 +179,7 @@ func itemBudgetFor(lim kv.Limits) int64 {
 // capacity-limited sub-slices of one array each, and the items of one
 // ordinal share one range key string: ordinal 0's is hashed once per call,
 // a higher ordinal's the first time an entry reaches it.
-func appendTableItems(dst []kv.Item, uri, table string, entries []Entry, itemBudget int64) []kv.Item {
+func appendDocItems(dst []kv.Item, uri, table string, entries []Entry, itemBudget int64) []kv.Item {
 	if len(entries) == 0 {
 		return dst
 	}
@@ -249,7 +249,7 @@ func ExtractionItems(lim kv.Limits, ex *Extraction) map[string]map[string][]kv.I
 	out := make(map[string]map[string][]kv.Item, len(ex.Tables))
 	for _, table := range sortedTables(ex) {
 		byKey := make(map[string][]kv.Item, len(ex.Tables[table]))
-		items := appendTableItems(nil, ex.URI, table, ex.Tables[table], itemBudget)
+		items := appendDocItems(nil, ex.URI, table, ex.Tables[table], itemBudget)
 		for len(items) > 0 {
 			// An extraction has one entry per key, and an entry's items are
 			// adjacent.

@@ -87,7 +87,7 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// NewCorpus wraps a store (typically the retry/chaos/sharded stack) as a
+// NewCorpus wraps a store (typically the retry/chaos stack) as a
 // mutable corpus.
 func NewCorpus(store kv.Store, opts Options) *Corpus {
 	reg := opts.Obs

@@ -282,15 +282,11 @@ const (
 	// children are the per-query pipeline spans.
 	SpanAdmit = "serve.admit"
 
-	SpanQuery       = "query"
-	SpanSubmitQuery = "submit.query"
-	SpanProcess     = "process"
-	SpanLookup      = "lookup"
-	SpanIndexGet    = "index.get"
-	// SpanScatter annotates an index.get served by a sharded store: the
-	// scatter-gather fan-out across partitions, with the shard count and
-	// per-shard key distribution attached.
-	SpanScatter      = "lookup.scatter"
+	SpanQuery        = "query"
+	SpanSubmitQuery  = "submit.query"
+	SpanProcess      = "process"
+	SpanLookup       = "lookup"
+	SpanIndexGet     = "index.get"
 	SpanSemijoin     = "semijoin"
 	SpanTwigJoin     = "twigjoin"
 	SpanEval         = "eval"
