@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -295,7 +296,7 @@ func BenchmarkExtract(b *testing.B) {
 	// The gateable benchmark's documents (benchmark/corpus.go: 400 x 16 KB,
 	// generator seed 42, 2LUPI on the DynamoDB limits); one op is one
 	// document.
-	b.Run("16KB/2LUPI", func(b *testing.B) {
+	gate := func(b *testing.B) []*xmltree.Document {
 		docs, bytes := gateCorpus(b)
 		parsed := make([]*xmltree.Document, len(docs))
 		for i, d := range docs {
@@ -303,13 +304,28 @@ func BenchmarkExtract(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		opts := index.OptionsFor(dynamodb.New(meter.NewLedger()))
 		b.SetBytes(bytes / int64(len(docs)))
 		b.ReportAllocs()
 		b.ResetTimer()
+		return parsed
+	}
+	opts := index.OptionsFor(dynamodb.New(meter.NewLedger()))
+	b.Run("16KB/2LUPI", func(b *testing.B) {
+		parsed := gate(b)
 		for i := 0; i < b.N; i++ {
 			index.Extract(index.TwoLUPI, parsed[i%len(parsed)], opts)
 		}
+	})
+	// The same on every core at once, as live workers and mutable writes
+	// extract: each goroutine takes its pass state from the shared pool.
+	b.Run("16KB/2LUPI-parallel", func(b *testing.B) {
+		parsed := gate(b)
+		var next atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				index.Extract(index.TwoLUPI, parsed[int(next.Add(1))%len(parsed)], opts)
+			}
+		})
 	})
 }
 

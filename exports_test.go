@@ -24,6 +24,7 @@ var keptExports = map[string]string{
 	"engine.EvalPatternOnDoc":       "ablation: BenchmarkEvalPattern, one pattern evaluated on a parsed document",
 	"index.ItemRangeKey":            "definition: the content-derived range key the idempotency tests recompute",
 	"index.EncodePathsCompressed":   "oracle: the compressed path encoding the path-codec tests decode against",
+	"index.EncodeIDsBinary":         "ablation: BenchmarkIDCodec, the headerless identifier stream without the blocked format",
 	"workload.XMarkXQuery":          "oracle: the workload in XQuery syntax, which must answer like the pattern form",
 	"cloud/kv.BatchGet":             "oracle: a read collected into items by key, which the store and chaos tests compare across stacks",
 	"cloud/chaos.EveryNth":          "fault hook for kv.Retry's tests",

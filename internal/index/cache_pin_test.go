@@ -26,7 +26,7 @@ func TestPostingCacheDoesNotPinArena(t *testing.T) {
 	for i := range ids {
 		ids[i] = xmltree.NodeID{Pre: int32(3 * i), Post: int32(5 * i), Depth: int32(i % 9)}
 	}
-	blob := EncodeIDsBlocked(ids, dynamodb.MaxItemBytes/2)[0]
+	blob := EncodeIDs(ids, true, dynamodb.MaxItemBytes/2)[0]
 	if set, _, err := DecodeIDSet(blob, true); err != nil || set == nil {
 		t.Fatalf("identifier fixture is not a lazily decoded blocked set: %v %v", set, err)
 	}

@@ -1,8 +1,12 @@
 package index
 
 import (
+	"cmp"
+	"encoding/binary"
 	"slices"
 	"strings"
+	"sync"
+	"unsafe"
 
 	"repro/internal/xmltree"
 )
@@ -30,6 +34,10 @@ import (
 //
 // What comes out is, by construction and by TestExtractMatchesReference,
 // what one NodeKeys and one PathOf call per key occurrence would give.
+//
+// A collector is pooled: its tables and slices are cleared between
+// documents, not made again, and nothing an extraction returns points into
+// them.
 type collector struct {
 	paths, ids bool // what to record besides the keys
 
@@ -52,7 +60,8 @@ type collector struct {
 	links     []pathLink // the prefixes of each key, chained from keyState.head
 	pathBytes int        // the length of all the links' paths together
 
-	log []occurrence // (key, node) in visit order
+	log   []occurrence     // (key, node) in visit order
+	dealt []xmltree.NodeID // the log dealt out by key; see dealIDs
 }
 
 type attrVal struct {
@@ -81,36 +90,34 @@ type occurrence struct {
 	node int32 // index into Document.Nodes
 }
 
-// collect runs the pass. paths and ids select what is recorded besides the
-// set of keys.
-func collect(doc *xmltree.Document, skipWords, paths, ids bool) *collector {
-	nodes := doc.Nodes()
-	// Size hints only, from what XMark-like documents hold: a distinct word
-	// per 64 bytes, one and a half times as many keys, of 8 bytes, twice as
-	// many (key, prefix) pairs, three key occurrences per node.
-	hint := int(doc.SourceBytes / 64)
-	c := &collector{
-		paths:    paths,
-		ids:      ids,
+var collectorPool = sync.Pool{New: func() any {
+	return &collector{
 		elems:    make(map[string]int32),
 		attrs:    make(map[string]int32),
+		words:    make(map[string]int32),
 		attrVals: make(map[attrVal]int32),
-		keys:     make([]keyState, 0, hint+hint/2),
-		keyBuf:   make([]byte, 0, 12*hint),
+		seen:     make(map[uint64]int32),
 	}
-	if !skipWords {
-		c.words = make(map[string]int32, hint)
-	}
+}}
+
+// maxPooledBytes bounds what a pooled collector holds. One odd document (a
+// deep one has a prefix per level, each as long as its depth) must not make
+// every later extraction carry its high-water mark: a collector that grew
+// past this is left to the garbage collector. A 16 KB XMark document needs
+// about 80 KB, a 64 KB one about a quarter of the bound.
+const maxPooledBytes = 1 << 20
+
+// collect runs the pass on a collector from the pool; the caller gives it
+// back with release. paths and ids select what is recorded besides the set
+// of keys.
+func collect(doc *xmltree.Document, skipWords, paths, ids bool) *collector {
+	c := collectorPool.Get().(*collector)
+	c.paths, c.ids = paths, ids
 	if paths {
-		c.seen = make(map[uint64]int32, 2*hint)
-		c.links = make([]pathLink, 0, 2*hint)
-		c.prefixEnd = []int{0}
-		c.open = []int32{0}
+		c.prefixEnd = append(c.prefixEnd, 0)
+		c.open = append(c.open, 0)
 	}
-	if ids {
-		c.log = make([]occurrence, 0, 3*len(nodes))
-	}
-	for i, n := range nodes {
+	for i, n := range doc.Nodes() {
 		node := int32(i)
 		var parent int32 // the prefix of the enclosing element
 		if paths {
@@ -142,6 +149,38 @@ func collect(doc *xmltree.Document, skipWords, paths, ids bool) *collector {
 		}
 	}
 	return c
+}
+
+// release clears c and returns it to the pool. The maps' keys are the
+// document's labels and text, so clearing them is also what keeps the pool
+// from pinning the document.
+func (c *collector) release() {
+	if c.size() > maxPooledBytes {
+		return
+	}
+	clear(c.elems)
+	clear(c.attrs)
+	clear(c.words)
+	clear(c.attrVals)
+	clear(c.seen)
+	c.keys, c.keyBuf = c.keys[:0], c.keyBuf[:0]
+	c.prefixBuf, c.prefixEnd, c.open = c.prefixBuf[:0], c.prefixEnd[:0], c.open[:0]
+	c.links, c.pathBytes = c.links[:0], 0
+	c.log, c.dealt = c.log[:0], c.dealt[:0]
+	collectorPool.Put(c)
+}
+
+// size is about the bytes c holds: its slices' capacity, and for the maps,
+// which keep the room they grew to, about 32 bytes an entry.
+func (c *collector) size() int {
+	return bytesOf(c.keys) + bytesOf(c.keyBuf) + bytesOf(c.prefixBuf) + bytesOf(c.prefixEnd) +
+		bytesOf(c.open) + bytesOf(c.links) + bytesOf(c.log) + bytesOf(c.dealt) +
+		32*(len(c.keys)+len(c.seen))
+}
+
+func bytesOf[T any](s []T) int {
+	var z T
+	return cap(s) * int(unsafe.Sizeof(z))
 }
 
 // intern returns the key of kind prefix (e, a or w) for the given label,
@@ -251,8 +290,9 @@ func (c *collector) pathLen(prefix, k int32) int {
 
 // sortedKey is one key of the document with its string.
 type sortedKey struct {
-	key string
-	k   int32
+	key  string
+	head uint64 // the key's first 8 bytes, big-endian, zero-padded
+	k    int32
 }
 
 // sortedKeys returns the keys in string order. Their strings are sub-slices
@@ -262,16 +302,26 @@ func (c *collector) sortedKeys() []sortedKey {
 	out := make([]sortedKey, len(c.keys))
 	for k := range c.keys {
 		ks := &c.keys[k]
-		out[k] = sortedKey{key: all[ks.off:ks.end], k: int32(k)}
+		var head [8]byte
+		copy(head[:], c.keyBuf[ks.off:ks.end])
+		out[k] = sortedKey{key: all[ks.off:ks.end], head: binary.BigEndian.Uint64(head[:]), k: int32(k)}
 	}
 	// No two keys share a string: the kinds differ in their first byte, and
-	// an attribute name holds no space, so it is no name-value key.
-	slices.SortFunc(out, func(a, b sortedKey) int { return strings.Compare(a.key, b.key) })
+	// an attribute name holds no space, so it is no name-value key. Unequal
+	// heads order like their strings (a short key's zero padding is no
+	// greater than any byte); equal heads fall through to the strings.
+	slices.SortFunc(out, func(a, b sortedKey) int {
+		if a.head != b.head {
+			return cmp.Compare(a.head, b.head)
+		}
+		return strings.Compare(a.key, b.key)
+	})
 	return out
 }
 
 // dealIDs returns every logged identifier, grouped by key: the identifiers
-// of key k are the nID ones from idOff on, in pre order.
+// of key k are the nID ones from idOff on, in pre order. The slice is the
+// collector's, good until release.
 func (c *collector) dealIDs(nodes []*xmltree.Node) []xmltree.NodeID {
 	var off int32
 	for k := range c.keys {
@@ -280,7 +330,8 @@ func (c *collector) dealIDs(nodes []*xmltree.Node) []xmltree.NodeID {
 		off += ks.nID
 		ks.nID = 0
 	}
-	ids := make([]xmltree.NodeID, len(c.log))
+	ids := slices.Grow(c.dealt, len(c.log))[:len(c.log)]
+	c.dealt = ids
 	for _, o := range c.log {
 		ks := &c.keys[o.key]
 		ids[ks.idOff+ks.nID] = nodes[o.node].ID
@@ -294,6 +345,7 @@ func (c *collector) dealIDs(nodes []*xmltree.Node) []xmltree.NodeID {
 // yield over all nodes, each string once, keys in sorted order.
 func KeysAndPaths(doc *xmltree.Document) (keys, paths []string) {
 	c := collect(doc, false, true, false)
+	defer c.release()
 	sorted := c.sortedKeys()
 	keys = make([]string, len(sorted))
 	paths = make([]string, 0, len(c.links))

@@ -148,15 +148,18 @@ func DefaultOptions() Options {
 // per key of the document in sorted key order, holding nothing (LU), the
 // key's label paths in sorted order (LUP) or its identifiers in pre order
 // (LUI). The collector's pass yields keys, (key, prefix) pairs and
-// identifier lists; this function turns them into entries. Path values and
-// the Values slices are capacity-limited sub-slices of one buffer each, so
-// the document costs a handful of allocations, not one per value.
+// identifier lists; this function turns them into entries. Path values,
+// headerless identifier values and the Values slices are capacity-limited
+// sub-slices of one buffer each, fresh per document, so the document costs
+// a handful of allocations, not one per value, and nothing it returns
+// points into the pooled collector.
 func Extract(s Strategy, doc *xmltree.Document, opts Options) *Extraction {
 	if opts.MaxValueBytes == 0 {
 		opts.MaxValueBytes = DefaultOptions().MaxValueBytes
 	}
 	luTable, pathTable, idTable := s.luTableName(), s.pathTableName(), s.idTableName()
 	c := collect(doc, opts.SkipWords, pathTable != "", idTable != "")
+	defer c.release()
 	keys := c.sortedKeys()
 
 	ex := &Extraction{URI: doc.URI, Tables: make(map[string][]Entry, 2)}
@@ -217,10 +220,25 @@ func Extract(s Strategy, doc *xmltree.Document, opts Options) *Extraction {
 	}
 	if idTable != "" {
 		ids := c.dealIDs(doc.Nodes())
+		// The headerless streams, almost every binary value at Web-document
+		// sizes, share one buffer; a triple takes three to five bytes.
+		var buf []byte
+		if opts.BinaryIDs {
+			streamIDs := 0
+			for k := range c.keys {
+				if n := int(c.keys[k].nID); n < blockedMinIDs {
+					streamIDs += n
+				}
+			}
+			buf = make([]byte, 0, 5*streamIDs)
+		}
+		values := make([][]byte, 0, len(keys))
 		t := table()
 		for _, sk := range keys {
 			ks := &c.keys[sk.k]
-			t = add(t, Entry{Key: sk.key, Values: EncodeIDs(ids[ks.idOff:ks.idOff+ks.nID:ks.idOff+ks.nID], opts.BinaryIDs, opts.MaxValueBytes)})
+			first := len(values)
+			buf, values = appendIDs(buf, values, ids[ks.idOff:ks.idOff+ks.nID], opts.BinaryIDs, opts.MaxValueBytes)
+			t = add(t, Entry{Key: sk.key, Values: values[first:len(values):len(values)]})
 		}
 		ex.Tables[idTable] = t
 	}

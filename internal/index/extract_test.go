@@ -34,15 +34,23 @@ func extractOptions() []Options {
 }
 
 // checkAgainstReference compares Extract with the by-definition loop on the
-// whole Extraction: tables, entry order, values, Entries and Bytes.
+// whole Extraction: tables, entry order, values, Entries and Bytes. The
+// by-definition walk runs once per SkipWords setting, not once per strategy
+// and options.
 func checkAgainstReference(t *testing.T, doc *xmltree.Document, opts []Options, strategies ...Strategy) {
 	t.Helper()
 	if len(strategies) == 0 {
 		strategies = All()
 	}
+	walks := make(map[bool]map[string]*keyInfo, 2)
 	for _, s := range strategies {
 		for _, o := range opts {
-			got, want := Extract(s, doc, o), extractReference(s, doc, o)
+			infos, ok := walks[o.SkipWords]
+			if !ok {
+				infos = collectReference(doc, o.SkipWords, true)
+				walks[o.SkipWords] = infos
+			}
+			got, want := Extract(s, doc, o), assembleReference(s, doc.URI, infos, o)
 			if reflect.DeepEqual(got, want) {
 				continue
 			}
@@ -91,11 +99,14 @@ func TestExtractMatchesReference(t *testing.T) {
 	}
 }
 
-func TestExtractMatchesReferenceEdges(t *testing.T) {
-	deep := func(n int) string {
-		return strings.Repeat("<a>", n) + "x" + strings.Repeat("</a>", n)
-	}
-	cases := []struct{ name, src string }{
+// deepDocument is n nested elements around one text node.
+func deepDocument(n int) string {
+	return strings.Repeat("<a>", n) + "x" + strings.Repeat("</a>", n)
+}
+
+// edgeDocuments are small documents, each the edge case its name says.
+func edgeDocuments() []struct{ name, src string } {
+	return []struct{ name, src string }{
 		{"one node", `<a/>`},
 		{"empty text", `<a><b></b><c> </c><d>&#32;</d></a>`},
 		{"slash and percent in keys", `<a d="07/04/2026" p="100%" q="%2F/"><b d="07/04/2026">50% off/on 1/2</b></a>`},
@@ -107,16 +118,19 @@ func TestExtractMatchesReferenceEdges(t *testing.T) {
 		{"non-ASCII", `<café prix="3€"><naïve>déjà vu — déjà</naïve></café>`},
 		{"kinds share their text", `<e e="e">e ee</e>`},
 		{"mixed content", `<a>one<b>two</b>one<!-- c -->three<b>two</b></a>`},
-		{"deep nesting", deep(300)},
+		{"deep nesting", deepDocument(300)},
 	}
-	for _, tc := range cases {
+}
+
+func TestExtractMatchesReferenceEdges(t *testing.T) {
+	for _, tc := range edgeDocuments() {
 		checkAgainstReference(t, parseDoc(t, tc.name, tc.src), extractOptions())
 	}
 	// 10k levels make 10k paths of up to 30 KB under one key, 150 MB per
 	// extraction that stores paths, and the reference walks 50M ancestors:
 	// once, under the strategy that stores both paths and identifiers.
 	if !testing.Short() {
-		checkAgainstReference(t, parseDoc(t, "10k deep", deep(10_000)), []Options{{BinaryIDs: true}}, TwoLUPI)
+		checkAgainstReference(t, parseDoc(t, "10k deep", deepDocument(10_000)), []Options{{BinaryIDs: true}}, TwoLUPI)
 	}
 }
 
@@ -193,11 +207,17 @@ func TestKeysAndPaths(t *testing.T) {
 	}
 }
 
-// TestExtractAllocsFollowDistinctKeys: extraction allocates per distinct key
-// and per distinct path, not per node. The same document with every text
-// repeated four times has four times the word occurrences and the same keys
-// and paths, and must cost about the same number of allocations.
+// TestExtractAllocsFollowDistinctKeys: extraction allocates neither per node
+// nor per key. The same document with every text repeated four times has
+// four times the word occurrences and the same keys and paths, and must cost
+// about the same number of allocations; and a 16 KB document costs at most
+// maxExtractAllocs of them, its pass state coming from the pool and its
+// identifier values from one buffer.
 func TestExtractAllocsFollowDistinctKeys(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop what is put back")
+	}
+	const maxExtractAllocs = 64
 	cfg := xmark.DefaultConfig(20)
 	cfg.TargetDocBytes = 16 << 10
 	gd := xmark.GenerateDoc(cfg, 0)
@@ -232,8 +252,9 @@ func TestExtractAllocsFollowDistinctKeys(t *testing.T) {
 			fourfold.NodeCount(), fourfold.SourceBytes, once.NodeCount(), once.SourceBytes)
 	}
 	opts := DefaultOptions()
-	if a, b := Extract(TwoLUPI, once, opts), Extract(TwoLUPI, fourfold, opts); a.Entries != b.Entries {
-		t.Fatalf("entries differ: %d and %d", a.Entries, b.Entries)
+	a, b4 := Extract(TwoLUPI, once, opts), Extract(TwoLUPI, fourfold, opts)
+	if a.Entries != b4.Entries {
+		t.Fatalf("entries differ: %d and %d", a.Entries, b4.Entries)
 	}
 	allocs := func(doc *xmltree.Document) float64 {
 		return testing.AllocsPerRun(20, func() { Extract(TwoLUPI, doc, opts) })
@@ -242,5 +263,8 @@ func TestExtractAllocsFollowDistinctKeys(t *testing.T) {
 	t.Logf("allocations per extraction: %.0f, with every text fourfold %.0f (%d nodes)", a1, a4, once.NodeCount())
 	if a4 > 1.25*a1 {
 		t.Errorf("allocations grew from %.0f to %.0f with the text repeated four times", a1, a4)
+	}
+	if a1 > maxExtractAllocs {
+		t.Errorf("%.0f allocations per extraction of a %d-entry document, want at most %d", a1, a.Entries, maxExtractAllocs)
 	}
 }

@@ -134,8 +134,8 @@ func FuzzDecodeIDsBinary(f *testing.F) {
 	// panic), a truncated prefix, and the magic byte bare and with a
 	// checksum that cannot match.
 	for _, blocked := range [][]byte{
-		EncodeIDsBlocked(genSortedIDs(64, 42), 0)[0],
-		EncodeIDsBlocked(outlierIDs(64, 42), 0)[0],
+		EncodeIDs(genSortedIDs(64, 42), true, 0)[0],
+		EncodeIDs(outlierIDs(64, 42), true, 0)[0],
 	} {
 		f.Add(blocked)
 		flipped := append([]byte(nil), blocked...)
@@ -158,7 +158,7 @@ func FuzzDecodeIDsBinary(f *testing.F) {
 		// stream on unsorted hostile decodes).
 		for _, blobs := range [][][]byte{
 			EncodeIDsBinary(ids, 0),
-			EncodeIDsBlocked(ids, 0),
+			EncodeIDs(ids, true, 0),
 		} {
 			if got := decodeAllBinary(t, blobs); !idsEqual(got, ids) {
 				t.Fatalf("re-encode of accepted blob %x: got %v, want %v", blob, got, ids)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -33,44 +34,50 @@ var ErrCorruptIDSet = errors.New("index: corrupt identifier set")
 // maxBlob bytes. Each blob is independently decodable: the delta base
 // restarts per blob, so a large set can split across store items.
 func EncodeIDsBinary(ids []xmltree.NodeID, maxBlob int) [][]byte {
+	_, blobs := appendIDsStream(nil, nil, ids, maxBlob)
+	return blobs
+}
+
+// appendIDsStream is EncodeIDsBinary appending: the blobs' bytes go on buf
+// and the blobs, capacity-limited sub-slices of it, on blobs.
+func appendIDsStream(buf []byte, blobs [][]byte, ids []xmltree.NodeID, maxBlob int) ([]byte, [][]byte) {
 	if maxBlob <= 0 {
 		maxBlob = 1 << 20
 	}
-	var blobs [][]byte
-	var buf []byte
-	var prevPre int32
-	flush := func() {
-		if len(buf) > 0 {
-			blobs = append(blobs, buf)
-			buf = nil
-			prevPre = 0
-		}
+	// A triple takes three bytes at least and most take three to five: when
+	// the set cannot fit, make room for four bytes a triple at once.
+	if cap(buf)-len(buf) < 3*len(ids) {
+		buf = slices.Grow(buf, 4*len(ids))
 	}
-	// MaxVarintLen64, not 32: a negative component sign-extends to a full
-	// 64-bit uvarint (10 bytes), and the encoder must not panic on such
-	// inputs — it round-trips them through the decoder's modular int32
-	// arithmetic instead (the codec fuzz targets exercise this).
-	var tmp [3 * binary.MaxVarintLen64]byte
-	for i, id := range ids {
-		if buf == nil {
-			// Most triples take three to five bytes.
-			buf = make([]byte, 0, min(maxBlob, 4*(len(ids)-i)+4))
+	start := len(buf) // where the current blob begins
+	var prevPre int32
+	for _, id := range ids {
+		at := len(buf)
+		buf = appendTriple(buf, id.Pre-prevPre, id)
+		if len(buf)-start > maxBlob && at > start {
+			// The triple does not fit: close the blob before it and
+			// re-encode it with a fresh delta base.
+			blobs = append(blobs, buf[start:at:at])
+			start = at
+			buf = appendTriple(buf[:at], id.Pre, id)
 		}
-		n := binary.PutUvarint(tmp[:], uint64(id.Pre-prevPre))
-		n += binary.PutUvarint(tmp[n:], uint64(id.Post))
-		n += binary.PutUvarint(tmp[n:], uint64(id.Depth))
-		if len(buf)+n > maxBlob {
-			flush()
-			// Re-encode with a fresh delta base.
-			n = binary.PutUvarint(tmp[:], uint64(id.Pre))
-			n += binary.PutUvarint(tmp[n:], uint64(id.Post))
-			n += binary.PutUvarint(tmp[n:], uint64(id.Depth))
-		}
-		buf = append(buf, tmp[:n]...)
 		prevPre = id.Pre
 	}
-	flush()
-	return blobs
+	if len(buf) > start {
+		blobs = append(blobs, buf[start:len(buf):len(buf)])
+	}
+	return buf, blobs
+}
+
+// appendTriple appends one identifier with its pre component given as a
+// delta. A negative component sign-extends to a full 64-bit uvarint (10
+// bytes): the encoder does not panic on such inputs, it round-trips them
+// through the decoder's modular int32 arithmetic (the codec fuzz targets
+// exercise this).
+func appendTriple(buf []byte, pre int32, id xmltree.NodeID) []byte {
+	buf = binary.AppendUvarint(buf, uint64(pre))
+	buf = binary.AppendUvarint(buf, uint64(id.Post))
+	return binary.AppendUvarint(buf, uint64(id.Depth))
 }
 
 // blockedMinIDs is the set size below which the blocked format is not
@@ -80,19 +87,6 @@ func EncodeIDsBinary(ids []xmltree.NodeID, maxBlob int) [][]byte {
 // — are written headerless; the decoder accepts both, so the cut-off is a
 // pure encoding choice.
 const blockedMinIDs = 32
-
-// EncodeIDsBlocked encodes a pre-sorted identifier set into blocked blobs
-// (package idblock) of at most maxBlob bytes: summary headers over
-// bit-packed or delta+varint block payloads, so that look-ups can skip
-// blocks without decoding them. Sets too small to amortize the framing, and
-// unsorted inputs (which only hostile re-encodes of corrupt blobs produce,
-// never the extraction pipeline), are written as the headerless stream.
-func EncodeIDsBlocked(ids []xmltree.NodeID, maxBlob int) [][]byte {
-	if len(ids) < blockedMinIDs || !idblock.IsSorted(ids) {
-		return EncodeIDsBinary(ids, maxBlob)
-	}
-	return idblock.EncodePacked(ids, idblock.DefaultBlockSize, maxBlob)
-}
 
 // DecodeIDsBinary decodes one binary blob in either binary format: blocked
 // blobs are parsed, fully decoded and pre-sized from their block-header
@@ -255,10 +249,25 @@ func mustDecodeStream(v []byte, n int) []xmltree.NodeID {
 
 // EncodeIDs encodes a sorted identifier set in the codec chosen by
 // binaryIDs, splitting values at maxValue bytes. Binary stores get the
-// blocked format, or the headerless stream for small sets.
+// blocked format (package idblock: summary headers over bit-packed or
+// delta+varint block payloads, so that look-ups can skip blocks without
+// decoding them), or the headerless stream for small sets.
 func EncodeIDs(ids []xmltree.NodeID, binaryIDs bool, maxValue int) [][]byte {
-	if binaryIDs {
-		return EncodeIDsBlocked(ids, maxValue)
+	_, values := appendIDs(nil, nil, ids, binaryIDs, maxValue)
+	return values
+}
+
+// appendIDs is EncodeIDs appending: a headerless stream's bytes go on buf,
+// and the values, for a stream capacity-limited sub-slices of buf, on
+// values. Blocked and text values bring their own bytes. Unsorted inputs,
+// which only hostile re-encodes of corrupt blobs produce, never the
+// extraction pipeline, are written as the headerless stream.
+func appendIDs(buf []byte, values [][]byte, ids []xmltree.NodeID, binaryIDs bool, maxValue int) ([]byte, [][]byte) {
+	switch {
+	case !binaryIDs:
+		return buf, append(values, EncodeIDsText(ids, maxValue)...)
+	case len(ids) >= blockedMinIDs && idblock.IsSorted(ids):
+		return buf, append(values, idblock.EncodePacked(ids, idblock.DefaultBlockSize, maxValue)...)
 	}
-	return EncodeIDsText(ids, maxValue)
+	return appendIDsStream(buf, values, ids, maxValue)
 }

@@ -34,7 +34,7 @@ func TestEncodeIDsBlockedRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, blockedMinIDs - 1, blockedMinIDs, 100, 1000} {
 		for _, maxBlob := range []int{0, 64, 1 << 20} {
 			ids := genSortedIDs(n, int64(n)*31+int64(maxBlob))
-			blobs := EncodeIDsBlocked(ids, maxBlob)
+			blobs := EncodeIDs(ids, true, maxBlob)
 			got := decodeAllBlobs(t, blobs)
 			if n == 0 {
 				if len(got) != 0 {
@@ -54,13 +54,13 @@ func TestEncodeIDsBlockedRoundTrip(t *testing.T) {
 // blocked blobs.
 func TestEncodeIDsBlockedFormatSelection(t *testing.T) {
 	small := genSortedIDs(blockedMinIDs-1, 1)
-	for i, b := range EncodeIDsBlocked(small, 0) {
+	for i, b := range EncodeIDs(small, true, 0) {
 		if _, err := idblock.Parse(b); err == nil {
 			t.Errorf("small-set blob %d parsed as blocked, want legacy", i)
 		}
 	}
 	large := genSortedIDs(4*blockedMinIDs, 2)
-	for i, b := range EncodeIDsBlocked(large, 0) {
+	for i, b := range EncodeIDs(large, true, 0) {
 		if !idblock.Looks(b) {
 			t.Fatalf("large-set blob %d lacks the blocked magic", i)
 		}
@@ -70,7 +70,7 @@ func TestEncodeIDsBlockedFormatSelection(t *testing.T) {
 	}
 	unsorted := append([]xmltree.NodeID(nil), large...)
 	unsorted[0], unsorted[1] = unsorted[1], unsorted[0]
-	for i, b := range EncodeIDsBlocked(unsorted, 0) {
+	for i, b := range EncodeIDs(unsorted, true, 0) {
 		if _, err := idblock.Parse(b); err == nil {
 			t.Errorf("unsorted-input blob %d parsed as blocked, want legacy fallback", i)
 		}
@@ -83,7 +83,7 @@ func TestEncodeIDsBlockedFormatSelection(t *testing.T) {
 func TestBlockedLegacyInterop(t *testing.T) {
 	ids := genSortedIDs(300, 7)
 	legacy := EncodeIDsBinary(ids, 0)
-	blocked := EncodeIDsBlocked(ids, 0)
+	blocked := EncodeIDs(ids, true, 0)
 	if got := decodeAllBlobs(t, legacy); !reflect.DeepEqual(got, ids) {
 		t.Fatal("legacy decode mismatch")
 	}
@@ -149,7 +149,7 @@ func TestFormerV1BlobDecodesAsStream(t *testing.T) {
 // legacy path, which either errors or returns some decodable set.
 func TestDecodeIDsBinaryCorruptBlocked(t *testing.T) {
 	ids := genSortedIDs(200, 11)
-	blob := EncodeIDsBlocked(ids, 0)[0]
+	blob := EncodeIDs(ids, true, 0)[0]
 	for i := range blob {
 		mut := append([]byte(nil), blob...)
 		mut[i] ^= 0x40
@@ -177,7 +177,7 @@ func TestDecodeIDsBinaryAllocs(t *testing.T) {
 		t.Errorf("legacy decode allocs = %v, want 1", allocs)
 	}
 
-	blocked := EncodeIDsBlocked(ids, 1<<20)[0]
+	blocked := EncodeIDs(ids, true, 1<<20)[0]
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, err := DecodeIDsBinary(blocked); err != nil {
 			t.Fatal(err)

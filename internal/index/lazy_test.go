@@ -106,7 +106,7 @@ func TestCorruptValueOutsideCandidatesFailsLookup(t *testing.T) {
 func TestStreamMixedWithBlockedKeepsBoth(t *testing.T) {
 	ids := lazyFixtureIDs(3 + blockedMinIDs)
 	stream := EncodeIDsBinary(ids[:3], 0)[0]
-	blocked := EncodeIDsBlocked(ids[3:], 0)[0]
+	blocked := EncodeIDs(ids[3:], true, 0)[0]
 	if parseBlocked(blocked) == nil || parseBlocked(stream) != nil {
 		t.Fatal("fixture values are not one stream and one blocked blob")
 	}
@@ -144,7 +144,7 @@ func TestRawPostingCacheCharge(t *testing.T) {
 	for i, n := range []int{1, 3, 31} {
 		uri := "doc-" + strconv.Itoa(i) + ".xml"
 		want[uri] = lazyFixtureIDs(n)
-		values[uri] = EncodeIDsBlocked(want[uri], 0)[0]
+		values[uri] = EncodeIDs(want[uri], true, 0)[0]
 	}
 	postings, err := decodeItems(oneValueItems("ename", values), IDPosting, true)
 	if err != nil {

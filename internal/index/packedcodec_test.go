@@ -76,7 +76,7 @@ func TestIDCodecDifferential(t *testing.T) {
 func TestPostingsBytesPackedCharge(t *testing.T) {
 	k := cacheKey{table: "tbl", key: "eitem"}
 	for _, ids := range [][]xmltree.NodeID{genSortedIDs(512, 9), outlierIDs(512, 9)} {
-		set, rest, err := DecodeIDSet(EncodeIDsBlocked(ids, 0)[0], true)
+		set, rest, err := DecodeIDSet(EncodeIDs(ids, true, 0)[0], true)
 		if err != nil || set == nil {
 			t.Fatalf("DecodeIDSet: set=%v rest=%d err=%v", set, len(rest), err)
 		}

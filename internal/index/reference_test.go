@@ -20,17 +20,22 @@ type keyInfo struct {
 
 // extractReference computes I(d) for the strategy (Table 2) by definition.
 func extractReference(s Strategy, doc *xmltree.Document, opts Options) *Extraction {
+	return assembleReference(s, doc.URI, collectReference(doc, opts.SkipWords, s.pathTableName() != ""), opts)
+}
+
+// assembleReference turns what collectReference gathered, with the same
+// SkipWords, into the strategy's extraction.
+func assembleReference(s Strategy, uri string, infos map[string]*keyInfo, opts Options) *Extraction {
 	if opts.MaxValueBytes == 0 {
 		opts.MaxValueBytes = DefaultOptions().MaxValueBytes
 	}
-	infos := collectReference(doc, opts.SkipWords)
 	keys := make([]string, 0, len(infos))
 	for k := range infos {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 
-	ex := &Extraction{URI: doc.URI, Tables: make(map[string][]Entry)}
+	ex := &Extraction{URI: uri, Tables: make(map[string][]Entry)}
 	add := func(table string, e Entry) {
 		if table == "" {
 			return
@@ -76,10 +81,10 @@ func extractReference(s Strategy, doc *xmltree.Document, opts Options) *Extracti
 	return ex
 }
 
-// collectReference gathers the paths and the identifier list of every key.
-// Nodes are visited in pre order, so each key's identifier list is sorted
-// by pre.
-func collectReference(doc *xmltree.Document, skipWords bool) map[string]*keyInfo {
+// collectReference gathers the identifier list of every key, and its paths
+// if paths is set. Nodes are visited in pre order, so each key's identifier
+// list is sorted by pre.
+func collectReference(doc *xmltree.Document, skipWords, paths bool) map[string]*keyInfo {
 	infos := make(map[string]*keyInfo)
 	get := func(k string) *keyInfo {
 		info, ok := infos[k]
@@ -95,7 +100,9 @@ func collectReference(doc *xmltree.Document, skipWords bool) map[string]*keyInfo
 		}
 		for _, k := range NodeKeys(n) {
 			info := get(k)
-			info.paths[PathOf(n, k)] = true
+			if paths {
+				info.paths[PathOf(n, k)] = true
+			}
 			info.ids = append(info.ids, n.ID)
 		}
 	}
