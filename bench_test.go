@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -520,6 +521,70 @@ func BenchmarkBulkBuild(b *testing.B) {
 			b.ReportMetric(float64(len(docs)*b.N)/b.Elapsed().Seconds(), "docs/s")
 		})
 	}
+}
+
+// BenchmarkCompactPass/gate is one compaction pass of the gateable
+// benchmark's serve-mixed-rw write shape without the HTTP harness: the gate
+// corpus in a mutable 2LUPI warehouse, drained, then per pass 12
+// revision-stamped updates and 4 removals round-robin over the corpus,
+// folded by one CompactNow. Only the pass is timed, so ns/op and allocs are
+// per pass. The removals shift by one document a lap, so each removes a
+// document the lap before brought back. It reports the billed store requests
+// and the deleted items of a pass.
+func BenchmarkCompactPass(b *testing.B) {
+	docs, _ := gateCorpus(b)
+	w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, MutableCorpus: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range docs {
+		if err := w.SubmitDocument(d.URI, d.Data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := w.IndexCorpusOn(ec2.LaunchFleet(w.Ledger(), ec2.Large, 8), nil); err != nil {
+		b.Fatal(err)
+	}
+	in := ec2.Launch(w.Ledger(), ec2.XL)
+	for w.Corpus().BufferedEntries() > 0 {
+		if _, err := w.CompactNow(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const writes, removeEvery = 16, 4
+	next := 0 // the write sequence continues across the runs of b.N
+	b.Run("gate", func(b *testing.B) {
+		b.ReportAllocs()
+		var requests, deletes int
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for j := 0; j < writes; j++ {
+				k := next
+				next++
+				d := docs[k%len(docs)]
+				if lap := k / len(docs); (k+lap)%removeEvery == removeEvery-1 {
+					err = w.RemoveDocument(in, d.URI)
+				} else {
+					note := fmt.Sprintf("<note>rev%d</note>", k)
+					root := bytes.IndexByte(d.Data, '>') + 1
+					err = w.UpdateDocument(in, d.URI, slices.Concat(d.Data[:root], []byte(note), d.Data[root:]))
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+			st, err := w.CompactNow(in)
+			if err != nil {
+				b.Fatal(err)
+			}
+			requests += st.Requests
+			deletes += st.Deletes
+		}
+		b.ReportMetric(float64(requests)/float64(b.N), "requests/pass")
+		b.ReportMetric(float64(deletes)/float64(b.N), "deletes/pass")
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/pass")
+	})
 }
 
 // BenchmarkLookupQuery/gate is the index look-up of the gateable benchmark's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -61,8 +62,8 @@ func driveStore(t *testing.T, s kv.Store) []string {
 	note("get", err)
 	_, _, err = kv.BatchGet(context.Background(), s, "t", []string{"h", "b", "missing"})
 	note("batchGet", err)
-	_, err = s.DeleteItem("t", "h", "r00")
-	note("deleteItem", err)
+	_, err = s.BatchDelete("t", []kv.Key{{HashKey: "h", RangeKey: "r00"}, {HashKey: "b", RangeKey: "r01"}, {HashKey: "h", RangeKey: "missing"}})
+	note("batchDelete", err)
 	return trace
 }
 
@@ -89,7 +90,7 @@ func TestZeroRatesAreExactPassThrough(t *testing.T) {
 	if up.String() != uw.String() {
 		t.Errorf("zero-rate chaos changed metered usage:\nplain:\n%s\nwrapped:\n%s", up, uw)
 	}
-	for _, op := range []string{"put", "batchPut", "get", "batchGet", "deleteItem"} {
+	for _, op := range []string{"put", "get"} {
 		if g, w := uw.Get(plain.Backend(), op), up.Get(plain.Backend(), op); g != w {
 			t.Errorf("%s: wrapped counts %+v, unwrapped %+v", op, g, w)
 		}
@@ -179,6 +180,60 @@ func TestPartialBatchPutContract(t *testing.T) {
 	if st.ItemsResubmitted == 0 || st.ItemsResubmitted >= int64(len(batch))*int64(st.PartialBatches) {
 		t.Errorf("resubmitted %d items over %d partial outcomes: remainder-only accounting violated",
 			st.ItemsResubmitted, st.PartialBatches)
+	}
+}
+
+func TestPartialBatchDeleteContract(t *testing.T) {
+	base := dynamodb.New(meter.NewLedger())
+	if err := base.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]kv.Key, 10)
+	for i := range keys {
+		keys[i] = kv.Key{HashKey: "h", RangeKey: fmt.Sprintf("r%02d", i)}
+		if _, err := base.Put("t", item("h", keys[i].RangeKey, "v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj := chaos.NewInjector(chaos.Plan{Seed: 1, Rates: chaos.Rates{PartialBatch: 1}})
+	wrapped := chaos.WrapStore(base, inj)
+
+	pristine := append([]kv.Key(nil), keys...)
+	_, err := wrapped.BatchDelete("t", keys)
+	var pe *kv.PartialDeleteError
+	if !errors.As(err, &pe) {
+		t.Fatalf("BatchDelete error = %v, want PartialDeleteError", err)
+	}
+	n := len(keys) - len(pe.Unprocessed)
+	if n == 0 || n == len(keys) {
+		t.Fatalf("unprocessed = %d keys, want a strict non-empty subset of %d", len(pe.Unprocessed), len(keys))
+	}
+	// The deleted prefix is gone from the store; the reported remainder is
+	// the rest of the batch, in a slice of its own, and still stored.
+	if !reflect.DeepEqual(keys, pristine) || !reflect.DeepEqual(pe.Unprocessed, keys[n:]) || &pe.Unprocessed[0] == &keys[n] {
+		t.Errorf("unprocessed %v of batch %v: want a copy of the batch's tail", pe.Unprocessed, keys)
+	}
+	if got := base.ItemCount("t"); got != int64(len(pe.Unprocessed)) {
+		t.Errorf("store holds %d items after a partial delete, want %d", got, len(pe.Unprocessed))
+	}
+
+	// kv.Retry completes the batch by resubmitting only the remainder.
+	retry := kv.NewRetry(wrapped)
+	retry.BaseBackoff = time.Microsecond
+	if _, err := retry.BatchDelete("t", pe.Unprocessed); err != nil {
+		t.Fatalf("retried BatchDelete: %v", err)
+	}
+	if got := base.ItemCount("t"); got != 0 {
+		t.Errorf("store holds %d items after the retried delete, want 0", got)
+	}
+	if retry.RetryStats().PartialBatches == 0 {
+		t.Error("retry absorbed no partial batches at rate 1")
+	}
+
+	// EveryNth trips batch deletes like any other data operation.
+	nth := &chaos.EveryNth{Store: base, FailEvery: 1}
+	if _, err := nth.BatchDelete("t", keys[:1]); !errors.Is(err, kv.ErrThrottled) || nth.Injected() != 1 {
+		t.Errorf("EveryNth batch delete: %v after %d injections, want ErrThrottled after 1", err, nth.Injected())
 	}
 }
 

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -110,12 +111,23 @@ func (c *Store) Read(ctx context.Context, table string, hashKeys []string, visit
 	return d, &kv.PartialGetError{UnprocessedKeys: rest}
 }
 
-// DeleteItem implements kv.Store with injection.
-func (c *Store) DeleteItem(table, hashKey, rangeKey string) (time.Duration, error) {
+// BatchDelete implements kv.Store with injection. An injected partial
+// outcome deletes a strict non-empty prefix of the keys and reports the
+// remainder as unprocessed, as BatchWriteItem's UnprocessedItems does for
+// delete requests: the caller must resubmit only the remainder.
+func (c *Store) BatchDelete(table string, keys []kv.Key) (time.Duration, error) {
 	if err := c.inj.kvFault(); err != nil {
 		return 0, err
 	}
-	return c.Store.DeleteItem(table, hashKey, rangeKey)
+	n := c.inj.partialCount(len(keys))
+	if n >= len(keys) {
+		return c.Store.BatchDelete(table, keys)
+	}
+	d, err := c.Store.BatchDelete(table, keys[:n])
+	if err != nil {
+		return d, err
+	}
+	return d, &kv.PartialDeleteError{Unprocessed: slices.Clone(keys[n:])}
 }
 
 // EveryNth wraps a kv.Store and makes every n-th data operation fail with
@@ -178,12 +190,12 @@ func (f *EveryNth) BatchPut(table string, items []kv.Item) (time.Duration, error
 	return f.Store.BatchPut(table, items)
 }
 
-// DeleteItem implements kv.Store with injection.
-func (f *EveryNth) DeleteItem(table, hashKey, rangeKey string) (time.Duration, error) {
+// BatchDelete implements kv.Store with injection.
+func (f *EveryNth) BatchDelete(table string, keys []kv.Key) (time.Duration, error) {
 	if err := f.trip(); err != nil {
 		return 0, err
 	}
-	return f.Store.DeleteItem(table, hashKey, rangeKey)
+	return f.Store.BatchDelete(table, keys)
 }
 
 // Read implements kv.Store with injection.

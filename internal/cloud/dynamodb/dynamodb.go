@@ -7,8 +7,8 @@
 //     get(T,k) returns every item with hash key k;
 //   - items of at most 64 KB; arbitrary binary attribute values (the
 //     feature exploited to store compressed structural-ID sets);
-//   - batchGet of up to 100 keys and batchPut (BatchWriteItem) of up to 25
-//     items per API request;
+//   - batchGet of up to 100 keys, and batchPut and batchDelete (the two
+//     halves of BatchWriteItem) of up to 25 items per API request;
 //   - provisioned throughput: the store serves a bounded number of
 //     capacity units per second, shared among concurrent client threads,
 //     which makes DynamoDB the bottleneck during parallel indexing

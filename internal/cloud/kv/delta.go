@@ -1,7 +1,9 @@
 package kv
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -27,6 +29,11 @@ import (
 type Delta struct {
 	mu   sync.Mutex
 	keys map[tableKey]*deltaCell
+	// live holds the cells with entries, in the (table, hash key) order of
+	// the last Pending and then in order of arrival: a fold pass and Len
+	// walk these, not every key ever folded. A cell joins on its first
+	// entry and leaves in the Commit that retires its last.
+	live []*deltaCell
 }
 
 type tableKey struct {
@@ -36,6 +43,8 @@ type tableKey struct {
 
 // deltaCell holds one (table, hash key)'s overlay state.
 type deltaCell struct {
+	key    tableKey
+	inLive bool                    // listed in Delta.live
 	owners map[string][]DeltaEntry // ascending by Version
 	// folded is what the compactor has written to the main store per
 	// owner — the base the next fold diffs against to delete stale items.
@@ -94,14 +103,20 @@ func NewDelta() *Delta {
 	return &Delta{keys: map[tableKey]*deltaCell{}}
 }
 
-func (d *Delta) cell(table, hashKey string) *deltaCell {
+// add appends an entry to (table, hashKey, owner), creating the cell on
+// first use and listing it as live. Requires d.mu.
+func (d *Delta) add(table, hashKey, owner string, e DeltaEntry) {
 	tk := tableKey{table, hashKey}
 	c := d.keys[tk]
 	if c == nil {
-		c = &deltaCell{owners: map[string][]DeltaEntry{}, folded: map[string][]Item{}}
+		c = &deltaCell{key: tk, owners: map[string][]DeltaEntry{}, folded: map[string][]Item{}}
 		d.keys[tk] = c
 	}
-	return c
+	if !c.inLive {
+		c.inLive = true
+		d.live = append(d.live, c)
+	}
+	c.owners[owner] = append(c.owners[owner], e)
 }
 
 // Put appends a replace entry: owner's contribution to (table, hashKey)
@@ -109,8 +124,7 @@ func (d *Delta) cell(table, hashKey string) *deltaCell {
 func (d *Delta) Put(table, hashKey, owner string, ver uint64, items []Item) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	c := d.cell(table, hashKey)
-	c.owners[owner] = append(c.owners[owner], DeltaEntry{Version: ver, Items: items})
+	d.add(table, hashKey, owner, DeltaEntry{Version: ver, Items: items})
 }
 
 // Tombstone appends a removal entry retaining the contribution prev that it
@@ -118,8 +132,7 @@ func (d *Delta) Put(table, hashKey, owner string, ver uint64, items []Item) {
 func (d *Delta) Tombstone(table, hashKey, owner string, ver uint64, prev []Item) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	c := d.cell(table, hashKey)
-	c.owners[owner] = append(c.owners[owner], DeltaEntry{Version: ver, Tombstone: true, Items: prev})
+	d.add(table, hashKey, owner, DeltaEntry{Version: ver, Tombstone: true, Items: prev})
 }
 
 // latestAt returns the latest entry at or below ver, or nil.
@@ -196,37 +209,42 @@ type FoldUnit struct {
 
 // Pending snapshots the fold work at horizon: for every triple with entries
 // at or below horizon, the latest such entry plus its folded base. Units
-// are ordered deterministically (table, hash key, owner).
+// are ordered deterministically (table, hash key, owner). It walks the live
+// cells only, so a pass costs what it folds, not what was ever folded, and
+// it sorts the cells, not the units: a cell rarely has two owners.
 func (d *Delta) Pending(horizon uint64) []FoldUnit {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var units []FoldUnit
-	for tk, c := range d.keys {
+	// Sorted in place, the live list stays nearly sorted for the next pass:
+	// Commit keeps its order, and new cells join at the end.
+	slices.SortFunc(d.live, func(a, b *deltaCell) int {
+		return cmp.Or(strings.Compare(a.key.Table, b.key.Table), strings.Compare(a.key.HashKey, b.key.HashKey))
+	})
+	n := 0 // at most one unit per owner of a live cell
+	for _, c := range d.live {
+		n += len(c.owners)
+	}
+	units := make([]FoldUnit, 0, n)
+	for _, c := range d.live {
+		first := len(units)
 		for owner, es := range c.owners {
 			latest := latestAt(es, horizon)
 			if latest == nil {
 				continue
 			}
 			units = append(units, FoldUnit{
-				Table:   tk.Table,
-				HashKey: tk.HashKey,
+				Table:   c.key.Table,
+				HashKey: c.key.HashKey,
 				Owner:   owner,
 				Entry:   *latest,
 				Base:    c.folded[owner],
 				retire:  latest.Version,
 			})
 		}
+		if len(units)-first > 1 {
+			slices.SortFunc(units[first:], func(a, b FoldUnit) int { return strings.Compare(a.Owner, b.Owner) })
+		}
 	}
-	sort.Slice(units, func(i, j int) bool {
-		a, b := units[i], units[j]
-		if a.Table != b.Table {
-			return a.Table < b.Table
-		}
-		if a.HashKey != b.HashKey {
-			return a.HashKey < b.HashKey
-		}
-		return a.Owner < b.Owner
-	})
 	return units
 }
 
@@ -237,9 +255,9 @@ func (d *Delta) Pending(horizon uint64) []FoldUnit {
 func (d *Delta) Commit(units []FoldUnit) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	emptied := false
 	for _, u := range units {
-		tk := tableKey{u.Table, u.HashKey}
-		c := d.keys[tk]
+		c := d.keys[tableKey{u.Table, u.HashKey}]
 		if c == nil {
 			continue
 		}
@@ -252,6 +270,7 @@ func (d *Delta) Commit(units []FoldUnit) {
 		}
 		if len(kept) == 0 {
 			delete(c.owners, u.Owner)
+			emptied = emptied || len(c.owners) == 0
 		} else {
 			c.owners[u.Owner] = kept
 		}
@@ -265,6 +284,12 @@ func (d *Delta) Commit(units []FoldUnit) {
 			c.foldedStamp = u.retire
 		}
 	}
+	if emptied {
+		d.live = slices.DeleteFunc(d.live, func(c *deltaCell) bool {
+			c.inLive = len(c.owners) > 0
+			return !c.inLive
+		})
+	}
 }
 
 // Len returns the number of live overlay entries (all versions), for tests
@@ -273,7 +298,7 @@ func (d *Delta) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
-	for _, c := range d.keys {
+	for _, c := range d.live {
 		for _, es := range c.owners {
 			n += len(es)
 		}

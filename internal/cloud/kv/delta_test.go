@@ -1,7 +1,10 @@
 package kv
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -168,5 +171,85 @@ func TestDeltaStampOverflowPanics(t *testing.T) {
 			}()
 			d.Capture("ids", []string{"k"}, 1<<stampVersionBits)
 		})
+	}
+}
+
+// fullWalk is the fold work Pending and Len used to find by walking every
+// cell ever written, kept as their oracle.
+func fullWalk(d *Delta, horizon uint64) (units []FoldUnit, entries int) {
+	for tk, c := range d.keys {
+		for owner, es := range c.owners {
+			entries += len(es)
+			latest := latestAt(es, horizon)
+			if latest == nil {
+				continue
+			}
+			units = append(units, FoldUnit{
+				Table: tk.Table, HashKey: tk.HashKey, Owner: owner,
+				Entry: *latest, Base: c.folded[owner], retire: latest.Version,
+			})
+		}
+	}
+	sort.Slice(units, func(i, j int) bool {
+		a, b := units[i], units[j]
+		if a.Table != b.Table {
+			return a.Table < b.Table
+		}
+		if a.HashKey != b.HashKey {
+			return a.HashKey < b.HashKey
+		}
+		return a.Owner < b.Owner
+	})
+	return units, entries
+}
+
+// Pending and Len walk only the live cells; over random sequences of puts,
+// tombstones and commits of all or part of a pass they must agree with a
+// walk over every cell, and the live list must hold exactly the cells with
+// entries, each once.
+func TestDeltaPendingMatchesFullWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	tables := []string{"ids", "paths"}
+	for round := 0; round < 50; round++ {
+		d := NewDelta()
+		var ver uint64
+		for step := 0; step < 200; step++ {
+			tbl, key := tables[rng.Intn(2)], fmt.Sprintf("k%d", rng.Intn(6))
+			owner := fmt.Sprintf("d%d.xml", rng.Intn(3))
+			switch op := rng.Intn(10); {
+			case op < 5:
+				ver++
+				d.Put(tbl, key, owner, ver, []Item{it(key, fmt.Sprintf("r%d", rng.Intn(4)), owner, fmt.Sprint(ver))})
+			case op < 7:
+				ver++
+				d.Tombstone(tbl, key, owner, ver, []Item{it(key, "r0", owner, "old")})
+			default:
+				horizon := uint64(rng.Int63n(int64(ver) + 1))
+				units := d.Pending(horizon)
+				want, _ := fullWalk(d, horizon)
+				if (len(units) > 0 || len(want) > 0) && !reflect.DeepEqual(units, want) {
+					t.Fatalf("round %d step %d: Pending(%d) = %+v, full walk %+v", round, step, horizon, units, want)
+				}
+				if op == 9 && len(units) > 0 {
+					units = units[:rng.Intn(len(units))] // a pass that commits part of its work
+				}
+				d.Commit(units)
+			}
+			if _, entries := fullWalk(d, 0); d.Len() != entries {
+				t.Fatalf("round %d step %d: Len = %d, full walk %d", round, step, d.Len(), entries)
+			}
+			listed := map[*deltaCell]int{}
+			for _, c := range d.live {
+				listed[c]++
+				if !c.inLive || listed[c] > 1 {
+					t.Fatalf("round %d step %d: cell %v listed %d times, flag %v", round, step, c.key, listed[c], c.inLive)
+				}
+			}
+			for tk, c := range d.keys {
+				if (len(c.owners) > 0) != (listed[c] == 1) {
+					t.Fatalf("round %d step %d: cell %v with %d owners listed %d times", round, step, tk, len(c.owners), listed[c])
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package kv_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -54,6 +55,9 @@ type differ struct {
 	step     int
 	rewrites int64           // of tables since deleted
 	lastDump map[string]held // per table: the views of the last dump, re-read at the next
+	// Batch delete shapes driven: over the limit, on a missing table, with
+	// an empty hash key, with a key twice, with a key of no item.
+	delOver, delNoTable, delEmpty, delDup, delMissing int
 }
 
 func newDiffer(t *testing.T, backend string) *differ {
@@ -330,6 +334,52 @@ func (d *differ) items(s *opStream) []kv.Item {
 	return items
 }
 
+// delKeys decodes the keys of a batch delete: over these few primary keys
+// mostly of stored items, some missing, now and then one with the empty hash
+// key, with duplicates in the batch, and sometimes one key over the limit.
+func (d *differ) delKeys(s *opStream) []kv.Key {
+	n := 1 + s.next()%6
+	if n == 6 && s.next()%4 == 0 {
+		n = d.lim.BatchPutItems + 1 // over the batch limit
+	}
+	keys := make([]kv.Key, n)
+	for i := range keys {
+		if i > 0 && s.next()%6 == 0 {
+			keys[i] = keys[s.next()%i] // the same key twice in one batch
+			continue
+		}
+		keys[i] = kv.Key{HashKey: d.hashKey(s), RangeKey: diffRangeKeys[s.next()%len(diffRangeKeys)]}
+	}
+	return keys
+}
+
+// tallyDelete counts the shapes of a batch delete about to run, reading
+// the reference store for the keys of no item.
+func (d *differ) tallyDelete(tbl string, keys []kv.Key) {
+	t := d.want.tables[tbl]
+	switch {
+	case len(keys) > d.lim.BatchPutItems:
+		d.delOver++
+		return
+	case t == nil:
+		d.delNoTable++
+		return
+	}
+	seen := map[kv.Key]bool{}
+	for _, k := range keys {
+		if _, ok := t.groups[k.HashKey][k.RangeKey]; !ok && k.HashKey != "" {
+			d.delMissing++
+		}
+		switch {
+		case k.HashKey == "":
+			d.delEmpty++
+		case seen[k]:
+			d.delDup++
+		}
+		seen[k] = true
+	}
+}
+
 func (d *differ) keys(s *opStream) []string {
 	keys := make([]string, 1+s.next()%3)
 	for i := range keys {
@@ -356,11 +406,21 @@ func (d *differ) run(s *opStream) {
 			d.same("BatchPut", gerr, werr)
 			d.sameDur("BatchPut", gd, wd)
 		case 7, 8, 9:
-			tbl, hk, rk := d.table(s), d.hashKey(s), diffRangeKeys[s.next()%len(diffRangeKeys)]
-			gd, gerr := d.got.DeleteItem(tbl, hk, rk)
-			wd, werr := d.want.DeleteItem(tbl, hk, rk)
-			d.same("DeleteItem", gerr, werr)
-			d.sameDur("DeleteItem", gd, wd)
+			tbl, keys := d.table(s), d.delKeys(s)
+			d.tallyDelete(tbl, keys)
+			before := d.gotLed.Snapshot()
+			gd, gerr := d.got.BatchDelete(tbl, keys)
+			wd, werr := d.want.BatchDelete(tbl, keys)
+			d.same("BatchDelete", gerr, werr)
+			d.sameDur("BatchDelete", gd, wd)
+			if len(keys) > d.lim.BatchPutItems {
+				if !errors.Is(gerr, kv.ErrBatchTooLarge) {
+					d.failf("BatchDelete of %d keys: error %v, want ErrBatchTooLarge", len(keys), gerr)
+				}
+				if after := d.gotLed.Snapshot(); !reflect.DeepEqual(after, before) {
+					d.failf("rejected BatchDelete metered\n%v\nbefore it\n%v", after, before)
+				}
+			}
 		case 10:
 			tbl, hk := d.table(s), d.hashKey(s)
 			gi, gd, gerr := kv.Get(context.Background(), d.got, tbl, hk)
@@ -420,6 +480,10 @@ func TestMemStoreMatchesReference(t *testing.T) {
 			if rewrites < 3 {
 				t.Errorf("%d arena rewrites over %d operations: the sequence no longer exercises them", rewrites, d.step)
 			}
+			if min(d.delOver, d.delNoTable, d.delEmpty, d.delDup, d.delMissing) == 0 {
+				t.Errorf("batch deletes over the limit %d, on a missing table %d, with an empty hash key %d, a key twice %d, a key of no item %d: the sequence no longer exercises them all",
+					d.delOver, d.delNoTable, d.delEmpty, d.delDup, d.delMissing)
+			}
 			t.Logf("%d operations, %d arena rewrites, %d items at the end", d.step, rewrites, d.got.ItemCount(diffTables[0])+d.got.ItemCount(diffTables[1]))
 		})
 	}
@@ -428,6 +492,9 @@ func TestMemStoreMatchesReference(t *testing.T) {
 func FuzzMemStoreDifferential(f *testing.F) {
 	f.Add(false, []byte{0, 0, 0, 0, 1, 1, 10, 0, 0, 0, 14})
 	f.Add(true, []byte{4, 1, 5, 0, 0, 2, 1, 40, 0, 0, 1, 12, 0, 1, 2, 60, 12, 1, 2, 0, 0, 1, 1})
+	// A put, then a batch delete of its key, the same key again and a key
+	// of no item.
+	f.Add(false, []byte{0, 0, 0, 0, 3, 1, 0, 5, 0, 7, 0, 2, 0, 0, 3, 0, 0, 1, 1, 1, 4, 14})
 	f.Fuzz(func(t *testing.T, simple bool, data []byte) {
 		backend := dynamodb.Backend
 		if simple {

@@ -46,6 +46,19 @@
 // with a *PartialGetError has visited exactly the keys it does not list.
 // Callers discard what they were handed on any other error.
 //
+// # Writes are batched
+//
+// Store has two writes, both one request per call: BatchPut stores up to
+// Limits().BatchPutItems items and BatchDelete removes up to as many items
+// by primary key, the two halves of DynamoDB's BatchWriteItem (Put is a
+// one-item BatchPut). Either call validates its whole batch before it
+// touches anything, so a rejected batch writes and meters nothing. A delete
+// is metered like a put of the key: one write unit per key, the key bytes
+// as payload, so batching moves a bill's request count and modeled round
+// trips but not its write units. Under faults a batch may be applied in
+// part (PartialPutError, PartialDeleteError); Retry resubmits the
+// remainder.
+//
 // # One implementation
 //
 // MemStore is the only store: both simulated services are a MemStore with
@@ -83,6 +96,16 @@ func (a Attr) Size() int64 {
 	}
 	return n
 }
+
+// Key is the full primary key of one item.
+type Key struct {
+	HashKey  string
+	RangeKey string
+}
+
+// Size returns the billing-relevant size of the key: its two parts' bytes,
+// what a delete by this key is metered as.
+func (k Key) Size() int64 { return int64(len(k.HashKey) + len(k.RangeKey)) }
 
 // Item is one table row.
 type Item struct {
@@ -141,6 +164,18 @@ func (e *PartialPutError) Error() string {
 	return fmt.Sprintf("kv: batch put partially applied (%d unprocessed items)", len(e.Unprocessed))
 }
 
+// PartialDeleteError reports a DynamoDB-style partially applied
+// BatchDelete (BatchWriteItem's UnprocessedItems for delete requests):
+// every key not listed was deleted; the listed remainder was not. Callers
+// must resubmit only Unprocessed.
+type PartialDeleteError struct {
+	Unprocessed []Key
+}
+
+func (e *PartialDeleteError) Error() string {
+	return fmt.Sprintf("kv: batch delete partially applied (%d unprocessed keys)", len(e.Unprocessed))
+}
+
 // PartialGetError reports a DynamoDB-style partially served read
 // (BatchGetItem's UnprocessedKeys): every key not listed was visited; the
 // listed remainder was not read. Callers must re-fetch only
@@ -157,7 +192,7 @@ func (e *PartialGetError) Error() string {
 type Limits struct {
 	MaxItemBytes   int64 // maximum size of one item (64 KB for DynamoDB)
 	MaxValueBytes  int64 // maximum size of one attribute value
-	BatchPutItems  int   // maximum items per batch put (25 for DynamoDB)
+	BatchPutItems  int   // maximum items per batch put or delete (25 for DynamoDB)
 	BatchGetKeys   int   // maximum keys per batch get (100 for DynamoDB)
 	SupportsBinary bool  // whether values may be arbitrary bytes
 }
@@ -191,9 +226,12 @@ type Store interface {
 	// its records, in ascending range key order. ctx carries the caller's
 	// cancellation and is never nil (see "One read API").
 	Read(ctx context.Context, table string, hashKeys []string, visit Visitor) (time.Duration, error)
-	// DeleteItem removes one item by its full primary key. Deleting a
-	// missing item is not an error (DynamoDB semantics).
-	DeleteItem(table, hashKey, rangeKey string) (time.Duration, error)
+	// BatchDelete removes the items of up to Limits().BatchPutItems
+	// primary keys in one request. Deleting a missing item is not an error
+	// (DynamoDB semantics), and a key listed twice is deleted once but
+	// metered twice. Like BatchPut it neither keeps nor writes into the
+	// caller's slice.
+	BatchDelete(table string, keys []Key) (time.Duration, error)
 
 	// TableBytes returns the user-data bytes stored in a table, and
 	// OverheadBytes the store's own auxiliary structure size for it

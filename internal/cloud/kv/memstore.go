@@ -284,11 +284,13 @@ func (s *MemStore) take(tbl string, hashKeys []string) ([]Records, time.Duration
 	return recs, s.readLatency(sum.Bytes), nil
 }
 
-// DeleteItem implements Store. The write is metered like a put of the
-// item's key size (DynamoDB bills deletes as writes).
-func (s *MemStore) DeleteItem(tbl, hashKey, rangeKey string) (time.Duration, error) {
-	if hashKey == "" {
-		return 0, ErrEmptyKey
+// BatchDelete implements Store: the batch is metered as one request of one
+// write unit per key, with the keys' bytes as payload (DynamoDB bills
+// deletes as writes), and latency-modeled from that payload. Nothing is
+// deleted unless every key is valid.
+func (s *MemStore) BatchDelete(tbl string, keys []Key) (time.Duration, error) {
+	if lim := s.cfg.Limits.BatchPutItems; lim > 0 && len(keys) > lim {
+		return 0, fmt.Errorf("%w: %d keys > %d", ErrBatchTooLarge, len(keys), lim)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -296,11 +298,19 @@ func (s *MemStore) DeleteItem(tbl, hashKey, rangeKey string) (time.Duration, err
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
 	}
-	t.delete(hashKey, rangeKey)
+	var bytes int64
+	for _, k := range keys {
+		if k.HashKey == "" {
+			return 0, ErrEmptyKey
+		}
+		bytes += k.Size()
+	}
+	for _, k := range keys {
+		t.delete(k.HashKey, k.RangeKey)
+	}
 	t.maybeRewrite()
-	keyBytes := int64(len(hashKey) + len(rangeKey))
-	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, 1, keyBytes)
-	return s.writeLatency(keyBytes), nil
+	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, int64(len(keys)), bytes)
+	return s.writeLatency(bytes), nil
 }
 
 // TableBytes implements Store.

@@ -155,6 +155,54 @@ func TestBatchPutAndLimit(t *testing.T) {
 	}
 }
 
+// A batch delete is one request of one write unit per key, validated whole:
+// an over-limit batch, an empty hash key or a missing table deletes and
+// meters nothing.
+func TestBatchDeleteAndLimit(t *testing.T) {
+	led := meter.NewLedger()
+	s := dynamodb.New(led)
+	if err := s.CreateTable("idx"); err != nil {
+		t.Fatal(err)
+	}
+	var keys []kv.Key
+	for i := 0; i < 26; i++ {
+		mustPut(t, s, "idx", item("k", fmt.Sprintf("u%02d", i), attr("a", "v")))
+		keys = append(keys, kv.Key{HashKey: "k", RangeKey: fmt.Sprintf("u%02d", i)})
+	}
+	before := led.Snapshot()
+	if _, err := s.BatchDelete("idx", keys); !errors.Is(err, kv.ErrBatchTooLarge) {
+		t.Errorf("oversized batch: %v", err)
+	}
+	if _, err := s.BatchDelete("idx", append(keys[:3:3], kv.Key{RangeKey: "u00"})); !errors.Is(err, kv.ErrEmptyKey) {
+		t.Errorf("batch with an empty hash key: %v", err)
+	}
+	if _, err := s.BatchDelete("nowhere", keys[:3]); !errors.Is(err, kv.ErrNoSuchTable) {
+		t.Errorf("batch on a missing table: %v", err)
+	}
+	if got := s.ItemCount("idx"); got != 26 {
+		t.Errorf("rejected batches deleted items: %d left, want 26", got)
+	}
+	if after := led.Snapshot(); after.String() != before.String() {
+		t.Errorf("rejected batches were metered:\n%s\nbefore:\n%s", after, before)
+	}
+	// 25 keys, one of them twice and one missing: 23 items go.
+	batch := append(keys[:23:23], keys[0], kv.Key{HashKey: "k", RangeKey: "missing"})
+	if _, err := s.BatchDelete("idx", batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.ItemCount("idx"); got != 3 {
+		t.Errorf("ItemCount = %d, want 3", got)
+	}
+	var keyBytes int64
+	for _, k := range batch {
+		keyBytes += k.Size()
+	}
+	put := led.Snapshot().Sub(before).Get("dynamodb", "put")
+	if put != (meter.Counts{Calls: 1, Units: 25, Bytes: keyBytes}) {
+		t.Errorf("batch delete metered %+v, want 1 call, 25 units, %d bytes", put, keyBytes)
+	}
+}
+
 func TestBatchGetAndLimit(t *testing.T) {
 	s := newDynamo(t)
 	s.Put("idx", item("k1", "u", attr("a", "1")))

@@ -252,11 +252,12 @@ func (s *refStore) Read(ctx context.Context, tbl string, hashKeys []string, visi
 	return d, nil
 }
 
-// DeleteItem implements Store. The write is metered like a put of the
-// item's key size (DynamoDB bills deletes as writes).
-func (s *refStore) DeleteItem(tbl, hashKey, rangeKey string) (time.Duration, error) {
-	if hashKey == "" {
-		return 0, kv.ErrEmptyKey
+// BatchDelete implements Store: the batch is metered as one request of one
+// write unit per key with the keys' bytes as payload (DynamoDB bills
+// deletes as writes). Nothing is deleted unless every key is valid.
+func (s *refStore) BatchDelete(tbl string, keys []kv.Key) (time.Duration, error) {
+	if lim := s.cfg.Limits.BatchPutItems; lim > 0 && len(keys) > lim {
+		return 0, fmt.Errorf("%w: %d keys > %d", kv.ErrBatchTooLarge, len(keys), lim)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -264,19 +265,29 @@ func (s *refStore) DeleteItem(tbl, hashKey, rangeKey string) (time.Duration, err
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", kv.ErrNoSuchTable, tbl)
 	}
-	keyBytes := int64(len(hashKey) + len(rangeKey))
-	if g, ok := t.groups[hashKey]; ok {
-		if old, ok := g[rangeKey]; ok {
+	var keyBytes int64
+	for _, k := range keys {
+		if k.HashKey == "" {
+			return 0, kv.ErrEmptyKey
+		}
+		keyBytes += int64(len(k.HashKey) + len(k.RangeKey))
+	}
+	for _, k := range keys {
+		g, ok := t.groups[k.HashKey]
+		if !ok {
+			continue
+		}
+		if old, ok := g[k.RangeKey]; ok {
 			t.userBytes -= old.Size()
 			t.items--
 			t.attrValues -= attrValuePairs(old)
-			delete(g, rangeKey)
+			delete(g, k.RangeKey)
 			if len(g) == 0 {
-				delete(t.groups, hashKey)
+				delete(t.groups, k.HashKey)
 			}
 		}
 	}
-	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, 1, keyBytes)
+	s.cfg.Ledger.Record(s.cfg.Backend, "put", 1, int64(len(keys)), keyBytes)
 	return s.writeLatency(keyBytes), nil
 }
 

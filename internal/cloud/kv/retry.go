@@ -11,11 +11,11 @@ import (
 
 // Retry wraps a store so that transient data-operation failures (throttling
 // and internal errors) are retried with capped, jittered exponential
-// backoff, and DynamoDB-style partial batch outcomes (PartialPutError /
-// PartialGetError) are completed by resubmitting only the unprocessed
-// remainder. The backoff is charged as modeled latency on the returned
-// duration, so retries cost virtual-machine time exactly like they would on
-// EC2. Non-transient errors pass through unchanged.
+// backoff, and DynamoDB-style partial batch outcomes (PartialPutError,
+// PartialDeleteError, PartialGetError) are completed by resubmitting only
+// the unprocessed remainder. The backoff is charged as modeled latency on
+// the returned duration, so retries cost virtual-machine time exactly like
+// they would on EC2. Non-transient errors pass through unchanged.
 //
 // Backoff uses seeded full jitter: the wait before attempt k is uniform in
 // (0, min(BaseBackoff<<k, MaxBackoff)], drawn from a PRNG seeded with Seed,
@@ -83,7 +83,8 @@ type RetryStats struct {
 	Throttles int64
 	Internal  int64
 	// PartialBatches counts partial batch outcomes absorbed;
-	// ItemsResubmitted and KeysRefetched the remainder sizes resubmitted.
+	// ItemsResubmitted (items put and keys deleted) and KeysRefetched the
+	// remainder sizes resubmitted.
 	PartialBatches   int64
 	ItemsResubmitted int64
 	KeysRefetched    int64
@@ -210,32 +211,57 @@ func (r *Retry) Put(table string, item Item) (time.Duration, error) {
 	return r.retry(context.Background(), func() (time.Duration, error) { return r.Store.Put(table, item) })
 }
 
-// BatchPut implements Store with retries. A partial outcome resubmits only
-// the unprocessed remainder; progress refreshes the attempt budget.
+// BatchPut implements Store with retries (see retryBatch).
 func (r *Retry) BatchPut(table string, items []Item) (time.Duration, error) {
+	return retryBatch(r, items,
+		func(batch []Item) (time.Duration, error) { return r.Store.BatchPut(table, batch) },
+		func(err error) ([]Item, bool) {
+			var pe *PartialPutError
+			if errors.As(err, &pe) {
+				return pe.Unprocessed, true
+			}
+			return nil, false
+		})
+}
+
+// BatchDelete implements Store with retries (see retryBatch).
+func (r *Retry) BatchDelete(table string, keys []Key) (time.Duration, error) {
+	return retryBatch(r, keys,
+		func(batch []Key) (time.Duration, error) { return r.Store.BatchDelete(table, batch) },
+		func(err error) ([]Key, bool) {
+			var pe *PartialDeleteError
+			if errors.As(err, &pe) {
+				return pe.Unprocessed, true
+			}
+			return nil, false
+		})
+}
+
+// retryBatch runs a batch write until it lands whole. A partial outcome,
+// whose remainder unprocessed extracts from the error, resubmits only that
+// remainder; progress refreshes the attempt budget.
+func retryBatch[T any](r *Retry, batch []T, write func([]T) (time.Duration, error), unprocessed func(error) ([]T, bool)) (time.Duration, error) {
 	var total time.Duration
-	pending := items
+	pending := batch
 	for attempt := 0; ; {
-		d, err := r.Store.BatchPut(table, pending)
+		d, err := write(pending)
 		total += d
 		if err == nil {
 			return total, nil
 		}
-		var pe *PartialPutError
-		switch {
-		case errors.As(err, &pe):
+		if rest, partial := unprocessed(err); partial {
 			r.bump(&r.stats.partialBatches, MetricPartialBatches, 1)
-			r.bump(&r.stats.itemsResub, MetricItemsResubmitted, int64(len(pe.Unprocessed)))
-			if len(pe.Unprocessed) < len(pending) {
+			r.bump(&r.stats.itemsResub, MetricItemsResubmitted, int64(len(rest)))
+			if len(rest) < len(pending) {
 				attempt = 0 // progress refreshes the budget
 			} else {
 				attempt++
 			}
-			pending = pe.Unprocessed
-		case IsTransient(err):
+			pending = rest
+		} else if IsTransient(err) {
 			r.classify(err)
 			attempt++
-		default:
+		} else {
 			return total, err
 		}
 		if attempt >= r.attempts() {
@@ -245,13 +271,6 @@ func (r *Retry) BatchPut(table string, items []Item) (time.Duration, error) {
 		r.bump(&r.stats.retries, MetricRetries, 1)
 		total += r.backoff(attempt)
 	}
-}
-
-// DeleteItem implements Store with retries.
-func (r *Retry) DeleteItem(table, hashKey, rangeKey string) (time.Duration, error) {
-	return r.retry(context.Background(), func() (time.Duration, error) {
-		return r.Store.DeleteItem(table, hashKey, rangeKey)
-	})
 }
 
 // Read implements Store with retries. A partial outcome re-reads only the

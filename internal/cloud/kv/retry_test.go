@@ -3,6 +3,8 @@ package kv_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -251,5 +253,75 @@ func TestRetryReturnsImmediatelyOnCancel(t *testing.T) {
 	_, d, err = kv.Get(ctx, retry, "t", "k")
 	if !errors.Is(err, context.Canceled) || d != 0 || cs.ops != 1 {
 		t.Fatalf("pre-cancelled call: d=%v ops=%d err=%v, want 0/1/Canceled", d, cs.ops, err)
+	}
+}
+
+// trickleStore applies only the first key of every batch delete and reports
+// the rest unprocessed (or, with stall, reports every key unprocessed and
+// applies none), recording each batch it was handed.
+type trickleStore struct {
+	kv.Store
+	stall   bool
+	batches [][]kv.Key
+}
+
+func (s *trickleStore) BatchDelete(table string, keys []kv.Key) (time.Duration, error) {
+	s.batches = append(s.batches, append([]kv.Key(nil), keys...))
+	if s.stall {
+		return time.Millisecond, &kv.PartialDeleteError{Unprocessed: append([]kv.Key(nil), keys...)}
+	}
+	d, err := s.Store.BatchDelete(table, keys[:1])
+	if err != nil || len(keys) == 1 {
+		return d, err
+	}
+	return d, &kv.PartialDeleteError{Unprocessed: append([]kv.Key(nil), keys[1:]...)}
+}
+
+// Retry completes a partially applied batch delete by resubmitting only the
+// unprocessed keys. Each attempt that deleted something refreshes the
+// budget, so ten keys trickling out one per call finish under a budget of
+// two attempts; attempts that delete nothing exhaust it.
+func TestRetryResubmitsBatchDeleteRemainder(t *testing.T) {
+	base := dynamodb.New(meter.NewLedger())
+	if err := base.CreateTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	var keys []kv.Key
+	for i := 0; i < 10; i++ {
+		mustPut(t, base, "t", item("k", fmt.Sprintf("r%d", i), attr("a", "v")))
+		keys = append(keys, kv.Key{HashKey: "k", RangeKey: fmt.Sprintf("r%d", i)})
+	}
+	ts := &trickleStore{Store: base}
+	retry := kv.NewRetry(ts)
+	retry.MaxAttempts = 2
+	retry.BaseBackoff = time.Microsecond
+	if _, err := retry.BatchDelete("t", keys); err != nil {
+		t.Fatal(err)
+	}
+	if got := base.ItemCount("t"); got != 0 {
+		t.Errorf("%d items left", got)
+	}
+	if len(ts.batches) != 10 {
+		t.Fatalf("%d attempts, want 10", len(ts.batches))
+	}
+	for i, b := range ts.batches {
+		if !reflect.DeepEqual(b, keys[i:]) {
+			t.Errorf("attempt %d resubmitted %v, want the remainder %v", i, b, keys[i:])
+		}
+	}
+	if st := retry.RetryStats(); st.PartialBatches != 9 || st.ItemsResubmitted != 45 || st.GaveUp != 0 {
+		t.Errorf("stats = %+v, want 9 partial batches, 45 keys resubmitted, none given up", st)
+	}
+
+	stalled := &trickleStore{Store: base, stall: true}
+	retry = kv.NewRetry(stalled)
+	retry.MaxAttempts = 3
+	retry.BaseBackoff = time.Microsecond
+	var pe *kv.PartialDeleteError
+	if _, err := retry.BatchDelete("t", keys); !errors.As(err, &pe) || len(pe.Unprocessed) != len(keys) {
+		t.Errorf("err = %v, want the whole batch unprocessed", err)
+	}
+	if len(stalled.batches) != 3 || retry.RetryStats().GaveUp != 1 {
+		t.Errorf("%d attempts and %+v, want 3 attempts and one give-up", len(stalled.batches), retry.RetryStats())
 	}
 }

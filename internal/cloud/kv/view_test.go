@@ -125,10 +125,12 @@ func TestViewSurvivesOverwriteDeleteAndRewrite(t *testing.T) {
 			for i := 0; i < perGroup; i++ {
 				mustPut(t, s, "idx", gen(g, i, version))
 			}
+			var doomed []kv.Key // 14 keys: one batch
 			for i := 0; i < perGroup; i += 3 {
-				if _, err := s.DeleteItem("idx", key(g), fmt.Sprintf("r%03d", i)); err != nil {
-					t.Fatal(err)
-				}
+				doomed = append(doomed, kv.Key{HashKey: key(g), RangeKey: fmt.Sprintf("r%03d", i)})
+			}
+			if _, err := s.BatchDelete("idx", doomed); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -194,6 +196,18 @@ func TestWriteThroughViewIsDetected(t *testing.T) {
 	// table is rewritten, and the rewrite meets the damaged item.
 	if msg := panics(func() { s.Put("idx", item("k", "v", attr("a", "small"))) }); !strings.Contains(msg, "read-only view") {
 		t.Errorf("rewrite after a write through a view: panic %q, want one naming the read-only view", msg)
+	}
+
+	// The same, with the rewrite triggered by a batch delete of the large
+	// item.
+	s = newDynamo(t)
+	mustPut(t, s, "idx", item("k", "u", attr("a", "orig")), item("k", "v", attr("a", strings.Repeat("x", 8<<10))))
+	mustGet(t, s, "idx", "k")[0].Attrs[0].Values[0][0] = 'X'
+	del := func() {
+		s.BatchDelete("idx", []kv.Key{{HashKey: "k", RangeKey: "v"}, {HashKey: "gone", RangeKey: "v"}})
+	}
+	if msg := panics(del); !strings.Contains(msg, "read-only view") {
+		t.Errorf("rewrite by a batch delete after a write through a view: panic %q, want one naming the read-only view", msg)
 	}
 }
 

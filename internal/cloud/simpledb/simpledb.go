@@ -10,7 +10,8 @@
 //     fragment into many more, smaller items;
 //   - requests have a markedly higher round-trip time and the service
 //     absorbs far fewer concurrent requests (lower capacity);
-//   - there is no batch get; batch put is limited to 25 items.
+//   - there is no batch get; batch put and batch delete are limited to 25
+//     items.
 package simpledb
 
 import (

@@ -130,12 +130,15 @@ type UpdateMetrics struct {
 	// real S3) and the tombstones bill only when compacted, so removes
 	// contribute instance time but no per-call request charge.
 	Removes int64
-	// CompactPuts and CompactDeletes count the index write operations the
-	// compactor issued. DynamoDB bills deletes as writes, so both price at
-	// IDXput$ — these are the "billed re-writes" of the LSM trade-off:
-	// raising the compaction interval amortizes superseded versions before
-	// they ever reach the store, shrinking this pair at the price of a
-	// larger read-side merge buffer.
+	// CompactPuts and CompactDeletes count the index rows the compactor
+	// wrote and deleted. DynamoDB bills a deleted row as a written one, so
+	// both price at IDXput$ per row, whatever the requests they shipped in:
+	// the compactor batches deletes and puts alike, 25 rows a request, and
+	// the batching moves the request count and the write instance's round
+	// trips, not this pair. They are the "billed re-writes" of the LSM
+	// trade-off: raising the compaction interval amortizes superseded
+	// versions before they ever reach the store, shrinking this pair at the
+	// price of a larger read-side merge buffer.
 	CompactPuts    int64
 	CompactDeletes int64
 	// Hours is the instance time spent parsing, extracting and compacting.
@@ -145,8 +148,8 @@ type UpdateMetrics struct {
 }
 
 // UpdateCost extends the Section 7 model to the mutable warehouse: one S3
-// put per update, one index write per compactor put or delete, and the
-// write path's instance time.
+// put per update, one index write per row the compactor put or deleted, and
+// the write path's instance time.
 func UpdateCost(p pricing.PriceBook, m UpdateMetrics) USD {
 	return p.STPut*USD(m.Updates) +
 		p.IDXPut*USD(m.CompactPuts+m.CompactDeletes) +

@@ -23,9 +23,11 @@ type DeleteStats struct {
 }
 
 // DeleteDocument removes every index item of the document under the
-// strategy. It is idempotent: deleting an unindexed document is a no-op.
-// Any posting caches fronting the store must be passed so their entries for
-// the touched keys are invalidated (even on error, since some items may
+// strategy. Per table it reads the document's keys Limits().BatchGetKeys
+// at a time and deletes the items found Limits().BatchPutItems at a time.
+// It is idempotent: deleting an unindexed document is a no-op. Any posting
+// caches fronting the store must be passed so their entries for the
+// touched keys are invalidated (even on error, since some items may
 // already be gone).
 func DeleteDocument(store kv.Store, s Strategy, doc *xmltree.Document, opts Options, caches ...*PostingCache) (time.Duration, DeleteStats, error) {
 	ex := Extract(s, doc, opts)
@@ -34,36 +36,48 @@ func DeleteDocument(store kv.Store, s Strategy, doc *xmltree.Document, opts Opti
 			c.InvalidateExtraction(ex)
 		}
 	}()
+	lim := store.Limits()
+	getLim, delLim := max(lim.BatchGetKeys, 1), max(lim.BatchPutItems, 1)
 	var (
 		total  time.Duration
 		st     DeleteStats
-		doomed []string // range keys of the key's items that are the document's
+		keys   []string
+		doomed []kv.Key // the table's items that are the document's
 	)
-	collect := func(_ string, recs *kv.Records) {
+	// An item is the document's when its one attribute is named by the
+	// document's URI, whatever its ordinal.
+	collect := func(hashKey string, recs *kv.Records) {
 		for recs.Next() {
 			if recs.AttrCount() == 1 && recs.NextAttr() && recs.Name() == doc.URI {
-				doomed = append(doomed, recs.RangeKey())
+				doomed = append(doomed, kv.Key{HashKey: hashKey, RangeKey: recs.RangeKey()})
 			}
 		}
 	}
 	for _, table := range sortedTables(ex) {
+		keys, doomed = keys[:0], doomed[:0]
 		for _, e := range ex.Tables[table] {
-			st.Keys++
-			doomed = doomed[:0]
+			keys = append(keys, e.Key)
+		}
+		st.Keys += len(keys)
+		for rest := keys; len(rest) > 0; {
+			n := min(getLim, len(rest))
 			// Removal is a write: nothing cancels it half-way.
-			d, err := store.Read(context.Background(), table, []string{e.Key}, collect)
+			d, err := store.Read(context.Background(), table, rest[:n], collect)
 			if err != nil {
 				return total, st, err
 			}
 			total += d
-			for _, rangeKey := range doomed {
-				d, err := store.DeleteItem(table, e.Key, rangeKey)
-				if err != nil {
-					return total, st, err
-				}
-				total += d
-				st.ItemsDeleted++
+			rest = rest[n:]
+		}
+		for rest := doomed; len(rest) > 0; {
+			n := min(delLim, len(rest))
+			d, err := store.BatchDelete(table, rest[:n])
+			if err != nil {
+				return total, st, err
 			}
+			total += d
+			st.ItemsDeleted += n
+			rest = rest[n:]
 		}
 	}
 	return total, st, nil

@@ -16,8 +16,8 @@ type CompactStats struct {
 	Horizon  uint64 // fold horizon the pass ran at
 	Folds    int    // (table, key, owner) triples folded
 	Puts     int    // items written
-	Deletes  int    // items deleted
-	Requests int    // billed store requests issued
+	Deletes  int    // items deleted, each billed as one write unit
+	Requests int    // billed store requests issued: batches of puts or deletes
 	Bytes    int64  // payload bytes written
 	Time     time.Duration
 }
@@ -26,9 +26,10 @@ type CompactStats struct {
 // main store and retires it from the buffer. Folded items are the same
 // content-derived items a direct write would produce, re-writes are diffed
 // against what the compactor previously folded (unchanged items are not
-// re-put), and puts are group-committed in batches packed to the store's
-// batch-put limit — the bulk loader's amortization applied to maintenance
-// traffic.
+// re-put), and deletes and puts are group-committed in batches packed to
+// the store's batch limit — the bulk loader's amortization applied to
+// maintenance traffic. Per table the deletes ship before the puts, so a
+// pass issues ⌈deletes/limit⌉ + ⌈puts/limit⌉ requests a table.
 //
 // Buffer entries are retired only after every store write and delete has
 // landed, so a reader that captured its overlays mid-pass saw either the
@@ -51,23 +52,23 @@ func (c *Corpus) Compact() (CompactStats, error) {
 	}
 	stats.Folds = len(units)
 
-	type delKey struct{ hashKey, rangeKey string }
 	puts := map[string][]kv.Item{}
-	dels := map[string][]delKey{}
+	dels := map[string][]kv.Key{}
+	next, prev := map[string]bool{}, map[string]kv.Item{}
 	for _, u := range units {
 		var live []kv.Item
 		if !u.Entry.Tombstone {
 			live = u.Entry.Items
 		}
-		next := map[string]bool{}
+		clear(next)
+		clear(prev)
 		for _, it := range live {
 			next[it.RangeKey] = true
 		}
-		prev := map[string]kv.Item{}
 		for _, it := range u.Base {
 			prev[it.RangeKey] = it
 			if !next[it.RangeKey] {
-				dels[u.Table] = append(dels[u.Table], delKey{u.HashKey, it.RangeKey})
+				dels[u.Table] = append(dels[u.Table], kv.Key{HashKey: u.HashKey, RangeKey: it.RangeKey})
 			}
 		}
 		for _, it := range live {
@@ -79,40 +80,32 @@ func (c *Corpus) Compact() (CompactStats, error) {
 	}
 
 	tables := make([]string, 0, len(puts)+len(dels))
-	seen := map[string]bool{}
 	for t := range puts {
 		tables = append(tables, t)
-		seen[t] = true
 	}
 	for t := range dels {
-		if !seen[t] {
+		if _, ok := puts[t]; !ok {
 			tables = append(tables, t)
 		}
 	}
 	sort.Strings(tables)
 
-	maxBatch := c.lim.BatchPutItems
-	if maxBatch <= 0 {
-		maxBatch = 1
-	}
+	maxBatch := max(c.lim.BatchPutItems, 1)
 	for _, table := range tables {
-		for _, dk := range dels[table] {
-			d, err := c.store.DeleteItem(table, dk.hashKey, dk.rangeKey)
+		for keys := dels[table]; len(keys) > 0; {
+			batch := keys[:min(maxBatch, len(keys))]
+			keys = keys[len(batch):]
+			d, err := c.store.BatchDelete(table, batch)
 			stats.Time += d
 			if err != nil {
-				return stats, fmt.Errorf("compact: delete %s/%s: %w", table, dk.hashKey, err)
+				return stats, fmt.Errorf("compact: batch delete %s: %w", table, err)
 			}
 			stats.Requests++
-			stats.Deletes++
+			stats.Deletes += len(batch)
 		}
-		items := puts[table]
-		for len(items) > 0 {
-			n := maxBatch
-			if n > len(items) {
-				n = len(items)
-			}
-			batch := items[:n]
-			items = items[n:]
+		for items := puts[table]; len(items) > 0; {
+			batch := items[:min(maxBatch, len(items))]
+			items = items[len(batch):]
 			d, err := c.store.BatchPut(table, batch)
 			stats.Time += d
 			if err != nil {

@@ -13,8 +13,8 @@
 //
 // A compactor folds buffered entries at or below the fold horizon — the
 // minimum pinned version — into the main store in group-committed batches
-// packed to the store's batch-put floor, exactly the amortization the bulk
-// loader exploits. Items are the byte-identical content-derived items
+// of deletes and puts packed to the store's batch limit, exactly the
+// amortization the bulk loader exploits. Items are the byte-identical content-derived items
 // every other write path generates, so a fully folded store is
 // indistinguishable from a from-scratch build of the same corpus: that is
 // the invariant the chaos differential and the snapshot property tests

@@ -3,6 +3,7 @@ package mutate
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cloud/dynamodb"
 	"repro/internal/cloud/kv"
@@ -284,32 +285,81 @@ func TestDocStateRetention(t *testing.T) {
 	}
 }
 
-// A compaction pass must batch its puts to the store's batch-put limit:
-// requests, not items, are what the bill charges.
+// tallyStore counts, per table, the items a store was asked to put and the
+// keys it was asked to delete.
+type tallyStore struct {
+	kv.Store
+	puts, dels map[string]int
+}
+
+func (s *tallyStore) BatchPut(table string, items []kv.Item) (time.Duration, error) {
+	s.puts[table] += len(items)
+	return s.Store.BatchPut(table, items)
+}
+
+func (s *tallyStore) BatchDelete(table string, keys []kv.Key) (time.Duration, error) {
+	s.dels[table] += len(keys)
+	return s.Store.BatchDelete(table, keys)
+}
+
+// A compaction pass must batch its deletes and its puts to the store's
+// batch limit: requests, not items, are what the bill charges. Per table a
+// pass issues exactly ⌈puts/limit⌉ + ⌈deletes/limit⌉ requests.
 func TestCompactGroupCommits(t *testing.T) {
-	docs := corpusDocs(t, 6)
-	store := newTestStore(t)
-	opts := index.OptionsFor(store)
-	c := NewCorpus(store, Options{})
+	docs := corpusDocs(t, 12)
+	ledger := meter.NewLedger()
+	base := dynamodb.New(ledger)
+	if err := index.CreateTables(base, index.TwoLUPI); err != nil {
+		t.Fatal(err)
+	}
+	opts := index.OptionsFor(base)
+	lim := base.Limits().BatchPutItems
+	ts := &tallyStore{Store: base}
+	c := NewCorpus(ts, Options{})
 	for _, d := range docs {
 		c.Apply(extractDoc(t, opts, d.URI, d.Data), d.Data)
 	}
-	st, err := c.Compact()
-	if err != nil {
-		t.Fatal(err)
+	ceil := func(n int) int { return (n + lim - 1) / lim }
+	// pass runs one compaction through a fresh tally and checks its
+	// request count against it and against the ledger.
+	pass := func(name string) CompactStats {
+		t.Helper()
+		ts.puts, ts.dels = map[string]int{}, map[string]int{}
+		before := ledger.Snapshot()
+		st, err := c.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, puts, dels := 0, 0, 0
+		for _, tbl := range base.Tables() {
+			want += ceil(ts.puts[tbl]) + ceil(ts.dels[tbl])
+			puts += ts.puts[tbl]
+			dels += ts.dels[tbl]
+		}
+		if st.Puts != puts || st.Deletes != dels || st.Requests != want {
+			t.Errorf("%s: %+v, want %d puts, %d deletes in %d requests", name, st, puts, dels, want)
+		}
+		if got := ledger.Snapshot().Sub(before).Get("dynamodb", "put"); got.Calls != int64(want) || got.Units != int64(puts+dels) {
+			t.Errorf("%s: ledger billed %+v, want %d requests of %d units", name, got, want, puts+dels)
+		}
+		if st.Time <= 0 {
+			t.Errorf("%s: compaction reported no modeled store time", name)
+		}
+		return st
 	}
-	if st.Puts == 0 || st.Requests == 0 {
-		t.Fatalf("compaction did nothing: %+v", st)
+	if st := pass("inserts"); st.Puts <= lim*len(base.Tables()) {
+		t.Fatalf("inserts: %d puts do not fill a batch per table", st.Puts)
 	}
-	lim := store.Limits().BatchPutItems
-	// Per table the last batch may run short; with 4 tables the request
-	// count must stay close to the packed floor.
-	minReq := st.Puts / lim
-	maxReq := st.Puts/lim + len(store.Tables()) + st.Deletes
-	if st.Requests < minReq || st.Requests > maxReq {
-		t.Errorf("%d puts took %d requests; packed bound [%d, %d]", st.Puts, st.Requests, minReq, maxReq)
+	for i, d := range docs {
+		switch i % 4 {
+		case 0:
+			mod := mutateDoc(t, d.Data)
+			c.Apply(extractDoc(t, opts, d.URI, mod), mod)
+		case 1:
+			c.Remove(d.URI)
+		}
 	}
-	if st.Time <= 0 {
-		t.Error("compaction reported no modeled store time")
+	if st := pass("updates and removes"); st.Deletes <= lim*len(base.Tables()) || st.Puts == 0 {
+		t.Fatalf("updates and removes: %d deletes and %d puts do not fill a delete batch per table", st.Deletes, st.Puts)
 	}
 }
