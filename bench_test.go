@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -530,7 +531,10 @@ func BenchmarkBulkBuild(b *testing.B) {
 // folded by one CompactNow. Only the pass is timed, so ns/op and allocs are
 // per pass. The removals shift by one document a lap, so each removes a
 // document the lap before brought back. It reports the billed store requests
-// and the deleted items of a pass.
+// and the deleted items of a pass, and retained-MB: the live heap
+// (HeapAlloc after a forced collection) once the passes are done and the
+// warehouse is drained again — what the mutable warehouse keeps between
+// passes, its store's arena included.
 func BenchmarkCompactPass(b *testing.B) {
 	docs, _ := gateCorpus(b)
 	w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, MutableCorpus: true})
@@ -581,9 +585,20 @@ func BenchmarkCompactPass(b *testing.B) {
 			requests += st.Requests
 			deletes += st.Deletes
 		}
+		b.StopTimer()
+		for w.Corpus().BufferedEntries() > 0 {
+			if _, err := w.CompactNow(in); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
 		b.ReportMetric(float64(requests)/float64(b.N), "requests/pass")
 		b.ReportMetric(float64(deletes)/float64(b.N), "deletes/pass")
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/pass")
+		b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "retained-MB")
+		runtime.KeepAlive(w)
 	})
 }
 

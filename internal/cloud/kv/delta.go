@@ -15,6 +15,12 @@ import (
 // or below their pinned version, and the compactor folds entries at or
 // below the fold horizon into the main store before removing them.
 //
+// The overlay holds items only while an entry is live: the entries alias
+// the caller's items, and a retired entry lets go of them. What the main
+// store holds after a fold is the caller's record to keep (the mutable
+// corpus keeps it as per-document history); a cell whose entries have all
+// retired keeps only its key and its stamp.
+//
 // The overlay carries no billing: it models the warehouse process's own
 // memory. Every billed operation happens when the compactor writes the
 // folded items through the metered store.
@@ -44,11 +50,10 @@ type tableKey struct {
 // deltaCell holds one (table, hash key)'s overlay state.
 type deltaCell struct {
 	key    tableKey
-	inLive bool                    // listed in Delta.live
-	owners map[string][]DeltaEntry // ascending by Version
-	// folded is what the compactor has written to the main store per
-	// owner — the base the next fold diffs against to delete stale items.
-	folded map[string][]Item
+	inLive bool // listed in Delta.live
+	// owners holds the live entries per owner, sorted by owner; nil once
+	// the last entry retires.
+	owners []ownerEntries
 	// foldedStamp is the highest folded version; it keeps reader cache
 	// stamps monotonic across folds, so a cache entry filled before a
 	// fold can never alias a post-fold state.
@@ -62,6 +67,20 @@ type deltaCell struct {
 	// cannot promise that, because a replace entry newer than the
 	// tombstone may fold with it and leave its own version as the stamp.
 	retired uint64
+}
+
+// ownerEntries is one owner's live entries on a cell.
+type ownerEntries struct {
+	owner   string
+	entries []DeltaEntry // ascending by Version
+}
+
+// ownerIndex returns where owner's entries sit in c.owners, or where they
+// would be inserted, and whether they are there.
+func (c *deltaCell) ownerIndex(owner string) (int, bool) {
+	return slices.BinarySearchFunc(c.owners, owner, func(o ownerEntries, owner string) int {
+		return strings.Compare(o.owner, owner)
+	})
 }
 
 // stampVersionBits is the low half of a stamp, which holds a version; the
@@ -109,14 +128,18 @@ func (d *Delta) add(table, hashKey, owner string, e DeltaEntry) {
 	tk := tableKey{table, hashKey}
 	c := d.keys[tk]
 	if c == nil {
-		c = &deltaCell{key: tk, owners: map[string][]DeltaEntry{}, folded: map[string][]Item{}}
+		c = &deltaCell{key: tk}
 		d.keys[tk] = c
 	}
 	if !c.inLive {
 		c.inLive = true
 		d.live = append(d.live, c)
 	}
-	c.owners[owner] = append(c.owners[owner], e)
+	i, ok := c.ownerIndex(owner)
+	if !ok {
+		c.owners = slices.Insert(c.owners, i, ownerEntries{owner: owner})
+	}
+	c.owners[i].entries = append(c.owners[i].entries, e)
 }
 
 // Put appends a replace entry: owner's contribution to (table, hashKey)
@@ -160,8 +183,8 @@ func (d *Delta) Capture(table string, keys []string, ver uint64) map[string]Over
 		}
 		var ov Overlay
 		newest := c.foldedStamp // the newest state the reader sees: a fold or a replace entry
-		for owner, es := range c.owners {
-			latest := latestAt(es, ver)
+		for _, o := range c.owners {
+			latest := latestAt(o.entries, ver)
 			if latest == nil {
 				continue
 			}
@@ -169,12 +192,12 @@ func (d *Delta) Capture(table string, keys []string, ver uint64) map[string]Over
 				if ov.Tombstones == nil {
 					ov.Tombstones = map[string][]Item{}
 				}
-				ov.Tombstones[owner] = latest.Items
+				ov.Tombstones[o.owner] = latest.Items
 			} else {
 				if ov.Replaces == nil {
 					ov.Replaces = map[string][]Item{}
 				}
-				ov.Replaces[owner] = latest.Items
+				ov.Replaces[o.owner] = latest.Items
 				if latest.Version > newest {
 					newest = latest.Version
 				}
@@ -196,22 +219,22 @@ func (d *Delta) Capture(table string, keys []string, ver uint64) map[string]Over
 }
 
 // FoldUnit is one triple's pending fold work: the latest visible entry at
-// the horizon, the main-store base to diff against, and the versions to
-// retire on Commit.
+// the horizon and the versions to retire on Commit. What the main store
+// holds for the triple — the base a fold diffs against — is the caller's
+// record, not the overlay's.
 type FoldUnit struct {
 	Table   string
 	HashKey string
 	Owner   string
 	Entry   DeltaEntry
-	Base    []Item // what the compactor previously folded for this triple
 	retire  uint64 // highest entry version covered by this fold
 }
 
 // Pending snapshots the fold work at horizon: for every triple with entries
-// at or below horizon, the latest such entry plus its folded base. Units
-// are ordered deterministically (table, hash key, owner). It walks the live
-// cells only, so a pass costs what it folds, not what was ever folded, and
-// it sorts the cells, not the units: a cell rarely has two owners.
+// at or below horizon, the latest such entry. Units are ordered
+// deterministically (table, hash key, owner). It walks the live cells only,
+// so a pass costs what it folds, not what was ever folded, and it sorts the
+// cells, not the units: a cell keeps its owners sorted.
 func (d *Delta) Pending(horizon uint64) []FoldUnit {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -226,32 +249,29 @@ func (d *Delta) Pending(horizon uint64) []FoldUnit {
 	}
 	units := make([]FoldUnit, 0, n)
 	for _, c := range d.live {
-		first := len(units)
-		for owner, es := range c.owners {
-			latest := latestAt(es, horizon)
+		for _, o := range c.owners {
+			latest := latestAt(o.entries, horizon)
 			if latest == nil {
 				continue
 			}
 			units = append(units, FoldUnit{
 				Table:   c.key.Table,
 				HashKey: c.key.HashKey,
-				Owner:   owner,
+				Owner:   o.owner,
 				Entry:   *latest,
-				Base:    c.folded[owner],
 				retire:  latest.Version,
 			})
-		}
-		if len(units)-first > 1 {
-			slices.SortFunc(units[first:], func(a, b FoldUnit) int { return strings.Compare(a.Owner, b.Owner) })
 		}
 	}
 	return units
 }
 
 // Commit retires the folded units after their main-store writes landed:
-// entries at or below each unit's covered version are dropped, the folded
-// base advances, and the key's stamp becomes at least the folded version —
-// and, where a tombstone folded, one no reader has seen.
+// entries at or below each unit's covered version are dropped, and the
+// key's stamp becomes at least the folded version — and, where a tombstone
+// folded, one no reader has seen. An owner's surviving entries stay in
+// their own backing array; an owner with none leaves the cell, and a cell
+// with no owners holds no slice.
 func (d *Delta) Commit(units []FoldUnit) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -261,24 +281,27 @@ func (d *Delta) Commit(units []FoldUnit) {
 		if c == nil {
 			continue
 		}
-		es := c.owners[u.Owner]
-		var kept []DeltaEntry
-		for _, e := range es {
-			if e.Version > u.retire {
-				kept = append(kept, e)
+		if i, ok := c.ownerIndex(u.Owner); ok {
+			es := c.owners[i].entries
+			kept := es[:0]
+			for _, e := range es {
+				if e.Version > u.retire {
+					kept = append(kept, e)
+				}
+			}
+			clear(es[len(kept):]) // the retired entries' items are the store's now
+			if len(kept) > 0 {
+				c.owners[i].entries = kept
+			} else {
+				c.owners = slices.Delete(c.owners, i, i+1)
+				if len(c.owners) == 0 {
+					c.owners = nil
+				}
 			}
 		}
-		if len(kept) == 0 {
-			delete(c.owners, u.Owner)
-			emptied = emptied || len(c.owners) == 0
-		} else {
-			c.owners[u.Owner] = kept
-		}
+		emptied = emptied || c.owners == nil
 		if u.Entry.Tombstone {
-			delete(c.folded, u.Owner)
 			c.retired++
-		} else {
-			c.folded[u.Owner] = u.Entry.Items
 		}
 		if u.retire > c.foldedStamp {
 			c.foldedStamp = u.retire
@@ -299,8 +322,8 @@ func (d *Delta) Len() int {
 	defer d.mu.Unlock()
 	n := 0
 	for _, c := range d.live {
-		for _, es := range c.owners {
-			n += len(es)
+		for _, o := range c.owners {
+			n += len(o.entries)
 		}
 	}
 	return n

@@ -87,13 +87,11 @@ func TestDeltaFoldRetiresAndStamps(t *testing.T) {
 		t.Fatalf("tombstoned key capture = %+v", ov)
 	}
 
-	// Fold the rest: a later fold's base is the previous fold's items.
+	// Fold the rest. (The base a fold diffs against is the caller's record;
+	// mutate's TestFoldBaseIsNewestFoldedVersion holds it.)
 	units = d.Pending(4)
 	if len(units) != 1 || units[0].Entry.Version != 4 {
 		t.Fatalf("pending at 4: %+v", units)
-	}
-	if len(units[0].Base) != 1 || units[0].Base[0].RangeKey != "r1" {
-		t.Fatalf("fold base must be the previously folded items: %+v", units[0].Base)
 	}
 	d.Commit(units)
 	if d.Len() != 0 {
@@ -178,15 +176,15 @@ func TestDeltaStampOverflowPanics(t *testing.T) {
 // cell ever written, kept as their oracle.
 func fullWalk(d *Delta, horizon uint64) (units []FoldUnit, entries int) {
 	for tk, c := range d.keys {
-		for owner, es := range c.owners {
-			entries += len(es)
-			latest := latestAt(es, horizon)
+		for _, o := range c.owners {
+			entries += len(o.entries)
+			latest := latestAt(o.entries, horizon)
 			if latest == nil {
 				continue
 			}
 			units = append(units, FoldUnit{
-				Table: tk.Table, HashKey: tk.HashKey, Owner: owner,
-				Entry: *latest, Base: c.folded[owner], retire: latest.Version,
+				Table: tk.Table, HashKey: tk.HashKey, Owner: o.owner,
+				Entry: *latest, retire: latest.Version,
 			})
 		}
 	}
@@ -249,6 +247,84 @@ func TestDeltaPendingMatchesFullWalk(t *testing.T) {
 				if (len(c.owners) > 0) != (listed[c] == 1) {
 					t.Fatalf("round %d step %d: cell %v with %d owners listed %d times", round, step, tk, len(c.owners), listed[c])
 				}
+			}
+		}
+	}
+}
+
+// A drained overlay holds no items: once every entry has folded, no cell
+// is live, every cell's owner slice is nil, and no other field of a cell
+// can reach an item. What the main store holds is the caller's record, so
+// the overlay keeps only keys and stamps. Along the way, a cell outside
+// the live list holds no owner slice, and an owner's backing array keeps
+// no retired entry's items.
+func TestDrainedCellsHoldNoItems(t *testing.T) {
+	itemType := reflect.TypeOf(Item{})
+	var reaches func(t reflect.Type, seen map[reflect.Type]bool) bool
+	reaches = func(t reflect.Type, seen map[reflect.Type]bool) bool {
+		if t == itemType {
+			return true
+		}
+		if seen[t] {
+			return false
+		}
+		seen[t] = true
+		switch t.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			return reaches(t.Elem(), seen)
+		case reflect.Map:
+			return reaches(t.Key(), seen) || reaches(t.Elem(), seen)
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if reaches(t.Field(i).Type, seen) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	rng := rand.New(rand.NewSource(32))
+	d := NewDelta()
+	var ver uint64
+	for step := 0; step < 400; step++ {
+		key, owner := fmt.Sprintf("k%d", rng.Intn(20)), fmt.Sprintf("d%d.xml", rng.Intn(4))
+		ver++
+		items := []Item{it(key, "r0", owner, fmt.Sprint(ver))}
+		if rng.Intn(4) == 0 {
+			d.Tombstone("ids", key, owner, ver, items)
+		} else {
+			d.Put("ids", key, owner, ver, items)
+		}
+		if rng.Intn(25) == 0 {
+			d.Commit(d.Pending(uint64(rng.Int63n(int64(ver) + 1))))
+			for tk, c := range d.keys {
+				if !c.inLive && c.owners != nil {
+					t.Fatalf("step %d: cell %v outside the live list keeps owner slice %v", step, tk, c.owners)
+				}
+				for _, o := range c.owners {
+					for _, e := range o.entries[len(o.entries):cap(o.entries)] {
+						if e.Items != nil {
+							t.Fatalf("step %d: cell %v keeps a retired entry's items past %s's live entries", step, tk, o.owner)
+						}
+					}
+				}
+			}
+		}
+	}
+	d.Commit(d.Pending(ver))
+	if len(d.live) != 0 || d.Len() != 0 {
+		t.Fatalf("drained overlay lists %d live cells, %d entries", len(d.live), d.Len())
+	}
+	cellType := reflect.TypeOf(deltaCell{})
+	for tk, c := range d.keys {
+		if c.inLive || c.owners != nil {
+			t.Fatalf("drained cell %v: listed %v, owner slice %v", tk, c.inLive, c.owners)
+		}
+		v := reflect.ValueOf(*c)
+		for i := 0; i < cellType.NumField(); i++ {
+			if f := cellType.Field(i); reaches(f.Type, map[reflect.Type]bool{}) && !v.Field(i).IsZero() {
+				t.Fatalf("drained cell %v: field %s holds items", tk, f.Name)
 			}
 		}
 	}

@@ -238,29 +238,18 @@ func groupLen(values [][]byte, avail int64) int {
 }
 
 // ExtractionItems returns the store items every write path would generate
-// for the extraction, grouped by table and keyed by hash key — the exact
-// items WriteExtraction and the BulkLoader ship, byte for byte, range keys
-// included. The mutable warehouse records them in its per-document
-// manifest: the write buffer serves them to snapshot reads, and the
+// for the extraction, one slab per table — the exact items WriteExtraction
+// and the BulkLoader ship, byte for byte, range keys included. A slab is in
+// the extraction's key order, sorted by hash key, and a key's items are
+// adjacent. The mutable warehouse keeps the slabs as its per-document
+// history: the write buffer serves them to snapshot reads, and the
 // compactor later folds them into the main store, so a folded store is
 // indistinguishable from a direct-write one.
-func ExtractionItems(lim kv.Limits, ex *Extraction) map[string]map[string][]kv.Item {
+func ExtractionItems(lim kv.Limits, ex *Extraction) map[string][]kv.Item {
 	itemBudget := itemBudgetFor(lim)
-	out := make(map[string]map[string][]kv.Item, len(ex.Tables))
-	for _, table := range sortedTables(ex) {
-		byKey := make(map[string][]kv.Item, len(ex.Tables[table]))
-		items := appendDocItems(nil, ex.URI, table, ex.Tables[table], itemBudget)
-		for len(items) > 0 {
-			// An extraction has one entry per key, and an entry's items are
-			// adjacent.
-			n := 1
-			for n < len(items) && items[n].HashKey == items[0].HashKey {
-				n++
-			}
-			byKey[items[0].HashKey] = items[:n:n]
-			items = items[n:]
-		}
-		out[table] = byKey
+	out := make(map[string][]kv.Item, len(ex.Tables))
+	for table, entries := range ex.Tables {
+		out[table] = appendDocItems(nil, ex.URI, table, entries, itemBudget)
 	}
 	return out
 }

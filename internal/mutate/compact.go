@@ -2,7 +2,9 @@ package mutate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/cloud/kv"
@@ -24,9 +26,10 @@ type CompactStats struct {
 
 // Compact folds every buffered entry at or below the fold horizon into the
 // main store and retires it from the buffer. Folded items are the same
-// content-derived items a direct write would produce, re-writes are diffed
-// against what the compactor previously folded (unchanged items are not
-// re-put), and deletes and puts are group-committed in batches packed to
+// content-derived items a direct write would produce. Re-writes are diffed
+// against what the main store holds, the owner's newest version at or
+// below the last pass's horizon (see foldBases), so unchanged items are
+// not re-put. Deletes and puts are group-committed in batches packed to
 // the store's batch limit — the bulk loader's amortization applied to
 // maintenance traffic. Per table the deletes ship before the puts, so a
 // pass issues ⌈deletes/limit⌉ + ⌈puts/limit⌉ requests a table.
@@ -34,9 +37,11 @@ type CompactStats struct {
 // Buffer entries are retired only after every store write and delete has
 // landed, so a reader that captured its overlays mid-pass saw either the
 // live entry (which wins wholesale over whatever the store returned) or
-// the completed fold. A crashed pass re-runs from the same buffer state
-// over idempotent content-derived keys and converges; one pass runs at a
-// time.
+// the completed fold. A pass that fails part-way retires nothing, and the
+// next pass cannot know which of its writes landed: until a pass succeeds,
+// a pass also deletes every item a failed pass may have put that its own
+// entries drop, and re-puts every item it folds. Over idempotent
+// content-derived keys it converges; one pass runs at a time.
 func (c *Corpus) Compact() (CompactStats, error) {
 	c.compactMu.Lock()
 	defer c.compactMu.Unlock()
@@ -51,11 +56,15 @@ func (c *Corpus) Compact() (CompactStats, error) {
 		return stats, nil
 	}
 	stats.Folds = len(units)
+	bases, unsure := c.foldBases(units)
+	c.mu.Lock()
+	c.attemptedThrough = horizon
+	c.mu.Unlock()
 
 	puts := map[string][]kv.Item{}
 	dels := map[string][]kv.Key{}
 	next, prev := map[string]bool{}, map[string]kv.Item{}
-	for _, u := range units {
+	for i, u := range units {
 		var live []kv.Item
 		if !u.Entry.Tombstone {
 			live = u.Entry.Items
@@ -65,14 +74,24 @@ func (c *Corpus) Compact() (CompactStats, error) {
 		for _, it := range live {
 			next[it.RangeKey] = true
 		}
-		for _, it := range u.Base {
+		for _, it := range bases[i] {
 			prev[it.RangeKey] = it
 			if !next[it.RangeKey] {
 				dels[u.Table] = append(dels[u.Table], kv.Key{HashKey: u.HashKey, RangeKey: it.RangeKey})
 			}
 		}
+		if unsure != nil {
+			for _, it := range unsure[i] {
+				if _, ok := prev[it.RangeKey]; !ok && !next[it.RangeKey] {
+					dels[u.Table] = append(dels[u.Table], kv.Key{HashKey: u.HashKey, RangeKey: it.RangeKey})
+				}
+				prev[it.RangeKey] = it
+			}
+		}
 		for _, it := range live {
-			if old, ok := prev[it.RangeKey]; ok && itemEqual(old, it) {
+			// After a failed pass, any item may have been deleted or
+			// rewritten: re-put them all.
+			if old, ok := prev[it.RangeKey]; ok && unsure == nil && itemEqual(old, it) {
 				continue
 			}
 			puts[u.Table] = append(puts[u.Table], it)
@@ -120,9 +139,11 @@ func (c *Corpus) Compact() (CompactStats, error) {
 	}
 
 	// Every write landed: retire the folded entries so post-pass captures
-	// see the folded stamp, then trim document history the horizon passed.
+	// see the folded stamp, record the horizon the store now holds, and
+	// trim document history it passed.
 	c.delta.Commit(units)
 	c.mu.Lock()
+	c.foldedThrough = horizon
 	c.trimDocsLocked(horizon)
 	c.mutations = 0
 	c.mu.Unlock()
@@ -135,17 +156,62 @@ func (c *Corpus) Compact() (CompactStats, error) {
 	return stats, nil
 }
 
+// foldBases returns, per unit, the base its fold diffs against: what the
+// main store holds for the unit's (table, hash key, owner) after the last
+// pass that succeeded. Every entry at or below a pass's horizon folds in
+// that pass, and an entry carries a whole document version, so that is the
+// owner's items under the key at its newest version at or below the last
+// pass's horizon — the version trimDocsLocked keeps. A pass that failed
+// part-way advances neither the horizon nor the base.
+//
+// When a pass has failed since, unsure holds per unit the items it may
+// have put: the owner's items under the key at every version above the
+// base and at or below the failed pass's horizon, which are the versions
+// of the entries it was folding (history above the folded horizon is
+// never trimmed). Otherwise unsure is nil.
+func (c *Corpus) foldBases(units []kv.FoldUnit) (bases, unsure [][]kv.Item) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	bases = make([][]kv.Item, len(units))
+	if c.attemptedThrough > c.foldedThrough {
+		unsure = make([][]kv.Item, len(units))
+	}
+	for i, u := range units {
+		hist := c.docs[u.Owner] // an absent version has no items
+		if dv := latestDoc(hist, c.foldedThrough); dv != nil {
+			bases[i] = keyItems(dv.items[u.Table], u.HashKey)
+		}
+		if unsure == nil {
+			continue
+		}
+		for _, dv := range hist {
+			if dv.ver > c.foldedThrough && dv.ver <= c.attemptedThrough {
+				unsure[i] = append(unsure[i], keyItems(dv.items[u.Table], u.HashKey)...)
+			}
+		}
+	}
+	return bases, unsure
+}
+
+// keyItems returns a slab's items under one hash key, found by binary
+// search, or nil.
+func keyItems(slab []kv.Item, key string) []kv.Item {
+	i, found := slices.BinarySearchFunc(slab, key, func(it kv.Item, key string) int {
+		return strings.Compare(it.HashKey, key)
+	})
+	if !found {
+		return nil
+	}
+	group, _ := keyGroup(slab[i:])
+	return group
+}
+
 // trimDocsLocked drops retained document versions no pinnable view can
 // reach: everything strictly older than the newest entry at or below
 // horizon. Requires c.mu.
 func (c *Corpus) trimDocsLocked(horizon uint64) {
 	for uri, hist := range c.docs {
-		keepFrom := 0
-		for i := range hist {
-			if hist[i].ver <= horizon {
-				keepFrom = i
-			}
-		}
+		keepFrom := sort.Search(len(hist), func(i int) bool { return hist[i].ver > horizon }) - 1
 		if keepFrom > 0 {
 			c.docs[uri] = append([]docVersion(nil), hist[keepFrom:]...)
 		}

@@ -19,10 +19,20 @@
 // indistinguishable from a from-scratch build of the same corpus: that is
 // the invariant the chaos differential and the snapshot property tests
 // pin.
+//
+// The corpus holds each document's items once, in its per-document
+// history: every version carries the extraction's items as one slab per
+// table, sorted by hash key. The newest present version is the document's
+// manifest (what an update or removal supersedes), and the newest version
+// at or below the last fold horizon is what the main store holds for it
+// (what the next fold diffs against). The buffer's entries alias those
+// slabs and let go of them when they fold.
 package mutate
 
 import (
 	"bytes"
+	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/cloud/kv"
@@ -31,43 +41,47 @@ import (
 )
 
 // Corpus is the mutable-warehouse state machine: the version counter, the
-// per-document manifests, the write buffer, pinned read views, and
-// retained document snapshots. Safe for concurrent use; one compaction
-// runs at a time.
+// per-document history, the write buffer, pinned read views, and the fold
+// horizon the main store has reached. Safe for concurrent use; one
+// compaction runs at a time.
 type Corpus struct {
 	store kv.Store
 	lim   kv.Limits
 	delta *kv.Delta
 	met   metrics
 
-	mu        sync.Mutex
-	version   uint64
-	manifests map[string]*manifest
-	docs      map[string][]docVersion
-	pins      map[uint64]int
-	mutations int64 // mutations since the last compaction
+	mu      sync.Mutex
+	version uint64
+	docs    map[string][]docVersion // ascending by version
+	pins    map[uint64]int
+	// foldedThrough is the horizon of the last successful compaction: every
+	// entry at or below it has folded, so the main store holds each
+	// document's newest version at or below it. attemptedThrough is the
+	// horizon of the last pass that began writing; above foldedThrough,
+	// that pass failed and the store may hold any of its writes.
+	foldedThrough    uint64
+	attemptedThrough uint64
+	mutations        int64 // mutations since the last compaction
 
 	// compactMu serializes compactions; reads proceed concurrently.
 	compactMu sync.Mutex
 }
 
-// manifest records one document's full current contribution to the index:
-// the exact store items, per table and hash key. It is what makes update
-// and remove exactly-once — the items to supersede come from here, never
-// from a re-extraction of whatever happens to be in the file store.
-type manifest struct {
-	ver   uint64
-	items map[string]map[string][]kv.Item
-}
-
-// docVersion retains one version of a document's content so pinned views
-// can evaluate queries against superseded or deleted documents. Retained
-// bytes live in the warehouse's memory (the same memtable the delta
-// models) and are trimmed as the fold horizon passes them.
+// docVersion is one version of a document: its content, so pinned views
+// can evaluate queries against superseded or deleted documents, and its
+// full index contribution. The newest present version is the document's
+// manifest — what makes update and remove exactly-once: the items to
+// supersede come from here, never from a re-extraction of whatever happens
+// to be in the file store. Versions live in the warehouse's memory (the
+// same memtable the delta models) and are trimmed as the fold horizon
+// passes them.
 type docVersion struct {
 	ver     uint64
 	data    []byte
 	present bool
+	// items holds the exact store items per table, one slab sorted by hash
+	// key (index.ExtractionItems); nil for an absent version.
+	items map[string][]kv.Item
 }
 
 type metrics struct {
@@ -107,9 +121,8 @@ func NewCorpus(store kv.Store, opts Options) *Corpus {
 			applies:  reg.Counter("index.mutate.applies"),
 			removes:  reg.Counter("index.mutate.removes"),
 		},
-		manifests: map[string]*manifest{},
-		docs:      map[string][]docVersion{},
-		pins:      map[uint64]int{},
+		docs: map[string][]docVersion{},
+		pins: map[uint64]int{},
 	}
 }
 
@@ -139,54 +152,35 @@ func (c *Corpus) Apply(ex *index.Extraction, docBytes []byte) ApplyResult {
 	newItems := index.ExtractionItems(c.lim, ex)
 	uri := ex.URI
 	res := ApplyResult{}
-	for _, byKey := range newItems {
-		for _, items := range byKey {
-			res.Items += len(items)
-			for _, it := range items {
-				res.Bytes += it.Size()
-			}
+	for _, slab := range newItems {
+		res.Items += len(slab)
+		for _, it := range slab {
+			res.Bytes += it.Size()
 		}
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.manifests[uri]
-	sameItems := old != nil && manifestEqual(old.items, newItems)
-	sameDoc := false
-	if hist := c.docs[uri]; len(hist) > 0 {
-		last := hist[len(hist)-1]
-		sameDoc = last.present && bytes.Equal(last.data, docBytes)
-	}
-	if sameItems && sameDoc {
-		res.Version = c.version
-		return res
+	hist := c.docs[uri]
+	var old map[string][]kv.Item
+	if n := len(hist); n > 0 && hist[n-1].present {
+		last := hist[n-1]
+		if bytes.Equal(last.data, docBytes) && slabsEqual(last.items, newItems) {
+			res.Version = c.version
+			return res
+		}
+		old = last.items
 	}
 	ver := c.version + 1
-	if old != nil {
-		// Tombstone every key the old contribution touched that the new
-		// one no longer does, retaining the superseded items.
-		for table, byKey := range old.items {
-			for key, items := range byKey {
-				if _, ok := newItems[table][key]; !ok {
-					c.delta.Tombstone(table, key, uri, ver, items)
-				}
-			}
+	for table, slab := range newItems {
+		c.supersedeLocked(table, uri, ver, old[table], slab)
+	}
+	for table, slab := range old {
+		if _, ok := newItems[table]; !ok {
+			c.supersedeLocked(table, uri, ver, slab, nil)
 		}
 	}
-	for table, byKey := range newItems {
-		for key, items := range byKey {
-			if old != nil && itemsEqual(old.items[table][key], items) {
-				// Identical contribution: whatever state carries it —
-				// a live buffer entry or the folded store — is already
-				// right, and skipping the re-put keeps caches hot and
-				// the compactor idle for unchanged keys.
-				continue
-			}
-			c.delta.Put(table, key, uri, ver, items)
-		}
-	}
-	c.manifests[uri] = &manifest{ver: ver, items: newItems}
-	c.docs[uri] = append(c.docs[uri], docVersion{ver: ver, data: docBytes, present: true})
+	c.docs[uri] = append(hist, docVersion{ver: ver, data: docBytes, present: true, items: newItems})
 	c.version = ver
 	c.mutations++
 	c.met.applies.Inc()
@@ -195,23 +189,60 @@ func (c *Corpus) Apply(ex *index.Extraction, docBytes []byte) ApplyResult {
 	return res
 }
 
+// supersedeLocked buffers the change of uri's contribution to one table
+// from the old slab to the new one at version ver, with a merge walk over
+// the slabs' sorted hash keys: a key only the old slab has is tombstoned,
+// retaining the superseded items; a key whose items changed or are new is
+// put. A key whose items are identical is skipped: whatever state carries
+// it — a live buffer entry or the folded store — is already right, and
+// skipping the re-put keeps caches hot and the compactor idle for
+// unchanged keys. Requires c.mu.
+func (c *Corpus) supersedeLocked(table, uri string, ver uint64, old, new []kv.Item) {
+	for len(old) > 0 || len(new) > 0 {
+		switch {
+		case len(new) == 0 || len(old) > 0 && old[0].HashKey < new[0].HashKey:
+			var o []kv.Item
+			o, old = keyGroup(old)
+			c.delta.Tombstone(table, o[0].HashKey, uri, ver, o)
+		case len(old) == 0 || new[0].HashKey < old[0].HashKey:
+			var n []kv.Item
+			n, new = keyGroup(new)
+			c.delta.Put(table, n[0].HashKey, uri, ver, n)
+		default:
+			var o, n []kv.Item
+			o, old = keyGroup(old)
+			n, new = keyGroup(new)
+			if !itemsEqual(o, n) {
+				c.delta.Put(table, n[0].HashKey, uri, ver, n)
+			}
+		}
+	}
+}
+
+// keyGroup splits a non-empty slab into its first hash key's items, capped
+// so an append cannot reach the next key's, and the rest.
+func keyGroup(slab []kv.Item) (group, rest []kv.Item) {
+	n := 1
+	for n < len(slab) && slab[n].HashKey == slab[0].HashKey {
+		n++
+	}
+	return slab[:n:n], slab[n:]
+}
+
 // Remove tombstones the document's entire contribution and retires its
 // content, as one version bump. Removing an unknown document is a no-op.
 func (c *Corpus) Remove(uri string) (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := c.manifests[uri]
-	if old == nil {
+	hist := c.docs[uri]
+	if len(hist) == 0 || !hist[len(hist)-1].present {
 		return c.version, false
 	}
 	ver := c.version + 1
-	for table, byKey := range old.items {
-		for key, items := range byKey {
-			c.delta.Tombstone(table, key, uri, ver, items)
-		}
+	for table, slab := range hist[len(hist)-1].items {
+		c.supersedeLocked(table, uri, ver, slab, nil)
 	}
-	delete(c.manifests, uri)
-	c.docs[uri] = append(c.docs[uri], docVersion{ver: ver, present: false})
+	c.docs[uri] = append(hist, docVersion{ver: ver, present: false})
 	c.version = ver
 	c.mutations++
 	c.met.removes.Inc()
@@ -241,7 +272,7 @@ func (c *Corpus) URIs(ver uint64) []string {
 			out = append(out, uri)
 		}
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -269,13 +300,11 @@ func (c *Corpus) DocState(uri string, ver uint64) (data []byte, present bool) {
 
 // latestDoc returns the newest history entry at or below ver, or nil.
 func latestDoc(hist []docVersion, ver uint64) *docVersion {
-	var out *docVersion
-	for i := range hist {
-		if hist[i].ver <= ver {
-			out = &hist[i]
-		}
+	i := sort.Search(len(hist), func(i int) bool { return hist[i].ver > ver })
+	if i == 0 {
+		return nil
 	}
-	return out
+	return &hist[i-1]
 }
 
 // Pin pins the current version and returns the read view. Views must be
@@ -335,20 +364,15 @@ func (v *View) Release() {
 	})
 }
 
-// manifestEqual reports whether two manifests hold byte-identical items.
-func manifestEqual(a, b map[string]map[string][]kv.Item) bool {
+// slabsEqual reports whether two contributions hold byte-identical items.
+func slabsEqual(a, b map[string][]kv.Item) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for table, ak := range a {
-		bk, ok := b[table]
-		if !ok || len(ak) != len(bk) {
+	for table, slab := range a {
+		other, ok := b[table]
+		if !ok || !itemsEqual(slab, other) {
 			return false
-		}
-		for key, items := range ak {
-			if !itemsEqual(items, bk[key]) {
-				return false
-			}
 		}
 	}
 	return true
@@ -383,12 +407,4 @@ func itemEqual(a, b kv.Item) bool {
 		}
 	}
 	return true
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
