@@ -487,10 +487,15 @@ func BenchmarkEvalQuery(b *testing.B) {
 
 // BenchmarkBulkBuild is a from-scratch bulk build of the gateable
 // benchmark's corpus on eight large instances with BulkLoad on. /whole
-// submits every document, then indexes the corpus in one pass. /sliced is
-// the shape the index-build workload times (benchmark/warehouse.go,
-// buildSliced): the documents are submitted and indexed 40 at a time, on
-// one fleet and into one warehouse. ns/op is per build; docs/s is the rate.
+// submits every document, then indexes the corpus in one pass, one commit.
+// /sliced is the shape the index-build workload times
+// (benchmark/warehouse.go, buildSliced): the documents are submitted and
+// indexed 40 at a time, on one fleet and into one warehouse, a commit a
+// slice. ns/op is per build; docs/s is the rate. Of the last build it
+// reports the index items and the index-store requests (reads and puts)
+// per document, and retained-MB: the live heap (HeapAlloc after a forced
+// collection) once its last commit has closed, the warehouse and its
+// store included.
 func BenchmarkBulkBuild(b *testing.B) {
 	docs, bytes := gateCorpus(b)
 	for _, tc := range []struct {
@@ -500,9 +505,11 @@ func BenchmarkBulkBuild(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(bytes)
 			b.ReportAllocs()
+			var w *core.Warehouse
 			for i := 0; i < b.N; i++ {
-				w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true})
-				if err != nil {
+				w = nil
+				var err error
+				if w, err = core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true}); err != nil {
 					b.Fatal(err)
 				}
 				fleet := ec2.LaunchFleet(w.Ledger(), ec2.Large, 8)
@@ -519,7 +526,17 @@ func BenchmarkBulkBuild(b *testing.B) {
 					rest = rest[n:]
 				}
 			}
+			b.StopTimer()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			usage := w.Ledger().Snapshot()
+			requests := usage.Get("dynamodb", "get").Calls + usage.Get("dynamodb", "put").Calls
 			b.ReportMetric(float64(len(docs)*b.N)/b.Elapsed().Seconds(), "docs/s")
+			b.ReportMetric(float64(w.IndexItems())/float64(len(docs)), "items/doc")
+			b.ReportMetric(float64(requests)/float64(len(docs)), "requests/doc")
+			b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "retained-MB")
+			runtime.KeepAlive(w)
 		})
 	}
 }

@@ -22,7 +22,7 @@ import (
 var keptExports = map[string]string{
 	"twigjoin.MatchBinary":          "ablation: BenchmarkAblationTwigVsBinary's binary-join arm",
 	"engine.EvalPatternOnDoc":       "ablation: BenchmarkEvalPattern, one pattern evaluated on a parsed document",
-	"index.ItemRangeKey":            "definition: the content-derived range key the idempotency tests recompute",
+	"index.CheckLayout":             "oracle: the bulk layout and postings the bulk-loading tests hold every packed store to",
 	"index.EncodePathsCompressed":   "oracle: the compressed path encoding the path-codec tests decode against",
 	"index.EncodeIDsBinary":         "ablation: BenchmarkIDCodec, the headerless identifier stream without the blocked format",
 	"workload.XMarkXQuery":          "oracle: the workload in XQuery syntax, which must answer like the pattern form",

@@ -25,22 +25,26 @@ func TestCostModelAgreesWithMeteredBilling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, rep, _, err := BuildWarehouseCfg(c, core.Config{Strategy: index.LUP}, 8, ec2.Large)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// --- indexing: ci$(D,I) vs the billed ledger ---
-	metered := book.Bill(w.Ledger().Snapshot()).Total()
-	formula := costmodel.IndexBuildCost(book, costmodel.DatasetMetrics{
-		Docs:          int64(rep.Docs),
-		IndexPutOps:   int64(rep.Items),
-		IndexingHours: rep.Total.Hours(),
-		VMType:        "l",
-		VMCount:       8,
-	})
-	if rel := relDiff(float64(metered), float64(formula)); rel > 0.15 {
-		t.Errorf("indexing: metered %v vs formula %v (%.1f%% apart)", metered, formula, rel*100)
+	// --- indexing: ci$(D,I) vs the billed ledger, per-document and bulk
+	// (IndexPutOps is then the packed rows) ---
+	var w *core.Warehouse
+	for _, bulk := range []bool{true, false} {
+		var rep core.IndexReport
+		w, rep, _, err = BuildWarehouseCfg(c, core.Config{Strategy: index.LUP, BulkLoad: bulk}, 8, ec2.Large)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metered := book.Bill(w.Ledger().Snapshot()).Total()
+		formula := costmodel.IndexBuildCost(book, costmodel.DatasetMetrics{
+			Docs:          int64(rep.Docs),
+			IndexPutOps:   int64(rep.Items),
+			IndexingHours: rep.Total.Hours(),
+			VMType:        "l",
+			VMCount:       8,
+		})
+		if rel := relDiff(float64(metered), float64(formula)); rel > 0.15 {
+			t.Errorf("indexing (bulk %v): metered %v vs formula %v (%.1f%% apart)", bulk, metered, formula, rel*100)
+		}
 	}
 
 	// --- querying: cq$(q,D,I,DqI) vs the billed delta of one query ---

@@ -109,15 +109,23 @@ func Table6(rows []IndexingRow, byteFrac, docsFrac float64) string {
 }
 
 // Table4Bulk renders Table 4's uploading and total columns with the
-// cross-document bulk loader next to the per-document loader, plus the
-// billed index-store batch-write requests of each run. rows and bulkRows
+// cross-document bulk loader next to the per-document loader, plus, per
+// run, the billed index-store requests, the index items written and the
+// index-store bill extrapolated to 40 GB as Table 6 does. Bulk loading
+// packs each key's postings into one item, so the per-row bill that is the
+// same for LU, LUP and LUI per document separates them. rows and bulkRows
 // come from RunIndexing and RunIndexingCfg(BulkLoad: true) on the same
 // corpus; per-strategy order must match (both iterate Strategies()).
 func Table4Bulk(rows, bulkRows []IndexingRow, frac float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 4 (cont.): per-document vs cross-document bulk loading; extrapolated to 40 GB\n")
-	fmt.Fprintf(&b, "%-8s | %-28s | %-28s | %-28s | %-28s | %-22s\n",
-		"Strategy", "Avg upload (per-doc)", "Avg upload (bulk)", "Total (per-doc)", "Total (bulk)", "BatchPut requests")
+	fmt.Fprintf(&b, "%-8s | %-28s | %-28s | %-28s | %-28s | %-22s | %-24s | %-20s\n",
+		"Strategy", "Avg upload (per-doc)", "Avg upload (bulk)", "Total (per-doc)", "Total (bulk)", "Store requests",
+		"Index items", "IndexStore $")
+	byBytes := pricing.USD(1 / frac)
+	storeUSD := func(r IndexingRow) float64 {
+		return float64((r.Cost.Line("dynamodb") + r.Cost.Line("simpledb")) * byBytes)
+	}
 	for i, r := range rows {
 		if i >= len(bulkRows) {
 			break
@@ -127,11 +135,13 @@ func Table4Bulk(rows, bulkRows []IndexingRow, frac float64) string {
 		if br.Report.Requests > 0 {
 			ratio = float64(r.Report.Requests) / float64(br.Report.Requests)
 		}
-		fmt.Fprintf(&b, "%-8s | %-28s | %-28s | %-28s | %-28s | %-22s\n",
+		fmt.Fprintf(&b, "%-8s | %-28s | %-28s | %-28s | %-28s | %-22s | %-24s | %-20s\n",
 			r.Strategy.Name(),
 			scaledHHMM(r.Upload, frac), scaledHHMM(br.Upload, frac),
 			scaledHHMM(r.Total, frac), scaledHHMM(br.Total, frac),
-			fmt.Sprintf("%d -> %d (%.1fx)", r.Report.Requests, br.Report.Requests, ratio))
+			fmt.Sprintf("%d -> %d (%.1fx)", r.Report.Requests, br.Report.Requests, ratio),
+			fmt.Sprintf("%d -> %d", r.Report.Items, br.Report.Items),
+			fmt.Sprintf("$%.2f -> $%.2f", storeUSD(r), storeUSD(br)))
 	}
 	return b.String()
 }

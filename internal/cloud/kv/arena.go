@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"slices"
 	"strings"
+	"sync"
 	"unsafe"
 )
 
@@ -13,10 +14,14 @@ import (
 // of record references is kept sorted by range key. A record is
 //
 //	u32le len(body) | u32le crc32c(body) | body
-//	body := len(range key) range key | size | #attrs | #values | attr*
-//	attr := name id | #values | (len value)*
+//	body := len(range key) range key | size | #attrs | #values |
+//	        len(attr*) | attr* | (len value)*
+//	attr := name id | #values
 //
-// with every count and length a uvarint. size is Item.Size() as billed; the
+// with every count and length a uvarint, and the values in attribute order.
+// The names come before the values so that a reader after names alone, as
+// a bulk commit's check of which documents a key holds is, steps through
+// them without decoding a value. size is Item.Size() as billed; the
 // modeled figures the store reports (TableBytes, latencies, ledger records)
 // all come from it, never from the record or chunk lengths.
 //
@@ -144,6 +149,15 @@ func readRangeKey(body []byte) (string, int) {
 	return viewString(body[off:end]), end
 }
 
+// uvarintLen returns the length of n as a uvarint.
+func uvarintLen(n uint64) int {
+	l := 1
+	for ; n >= 0x80; n >>= 7 {
+		l++
+	}
+	return l
+}
+
 // readTally returns the tally a record body carries after its range key,
 // and the offset of the first attribute.
 func readTally(body []byte, off int) (Tally, int) {
@@ -164,15 +178,21 @@ type group struct {
 	sum  Tally
 }
 
+// table is one table of a MemStore. Its lock guards everything below it;
+// an operation takes it under the store's read lock, so operations on
+// different tables run in parallel.
 type table struct {
+	mu     sync.RWMutex
 	groups map[string]*group
 	arena
 	rewrites int64
 
 	names    []string // attribute names by id; item URIs, a few per document
 	nameIDs  map[string]uint64
-	lastName uint64 // the id encode used last: a batch's items mostly share one
-	scratch  []byte // encode buffer, reused under the store's write lock
+	lastName uint64   // the id encode used last: a batch's items mostly share one
+	nextName []uint64 // by id, the id encode used after it last time
+	scratch  []byte   // encode buffer, reused under the table's write lock
+	ids      []uint64 // encode\'s name ids, likewise
 
 	// Modeled contents, as the simulated service would report them.
 	sum Tally
@@ -190,9 +210,19 @@ func (t *table) encode(item Item, sum Tally) []byte {
 	b = binary.AppendUvarint(b, uint64(sum.Bytes))
 	b = binary.AppendUvarint(b, uint64(sum.Attrs))
 	b = binary.AppendUvarint(b, uint64(sum.Values))
+	ids, tab := t.ids[:0], 0
 	for _, a := range item.Attrs {
-		b = binary.AppendUvarint(b, t.nameID(a.Name))
+		id := t.nameID(a.Name)
+		ids = append(ids, id)
+		tab += uvarintLen(id) + uvarintLen(uint64(len(a.Values)))
+	}
+	t.ids = ids
+	b = binary.AppendUvarint(b, uint64(tab))
+	for i, a := range item.Attrs {
+		b = binary.AppendUvarint(b, ids[i])
 		b = binary.AppendUvarint(b, uint64(len(a.Values)))
+	}
+	for _, a := range item.Attrs {
 		for _, v := range a.Values {
 			b = binary.AppendUvarint(b, uint64(len(v)))
 			b = append(b, v...)
@@ -205,19 +235,31 @@ func (t *table) encode(item Item, sum Tally) []byte {
 }
 
 // nameID returns the id of an attribute name, interning the name on first
-// use. nameIDs is the source of truth; the previous record's name is checked
-// first because the items of one document, and so most of a bulk batch,
-// carry the same one.
+// use. nameIDs is the source of truth; the name encoded last and the one
+// encoded after it the time before are checked first. The items of one
+// document carry one name, and the packs of a bulk commit carry the same
+// documents, in URI order, key after key.
 func (t *table) nameID(name string) uint64 {
-	if last := t.lastName; last < uint64(len(t.names)) && t.names[last] == name {
-		return last
+	last := t.lastName
+	if last < uint64(len(t.names)) {
+		if t.names[last] == name {
+			return last
+		}
+		if next := t.nextName[last]; t.names[next] == name {
+			t.lastName = next
+			return next
+		}
 	}
 	id, ok := t.nameIDs[name]
 	if !ok {
 		id = uint64(len(t.names))
 		name = strings.Clone(name)
 		t.names = append(t.names, name)
+		t.nextName = append(t.nextName, id)
 		t.nameIDs[name] = id
+	}
+	if last < uint64(len(t.nextName)) {
+		t.nextName[last] = id
 	}
 	t.lastName = id
 	return id
@@ -321,13 +363,13 @@ func (t *table) maybeRewrite() {
 }
 
 // records returns a cursor over a group's records as the table holds them
-// now, for a walk under the store's lock.
+// now, for a walk under the table's lock.
 func (t *table) records(g *group) Records {
 	return Records{sum: g.sum, refs: g.refs, chunks: t.chunks, names: t.names}
 }
 
 // view collects the items of the group of hashKey (Records.collect) under
-// the store's lock. With check set every record's checksum is verified
+// the table's lock. With check set every record's checksum is verified
 // first.
 func (t *table) view(hashKey string, g *group, check bool) []Item {
 	if check {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -57,6 +58,8 @@ type Config struct {
 type MemStore struct {
 	cfg Config
 
+	// mu guards the table set and the client count; an operation on a table
+	// holds it for reading and the table's own lock besides.
 	mu      sync.RWMutex
 	tables  map[string]*table
 	clients int
@@ -161,7 +164,8 @@ func (s *MemStore) validate(item Item) (int64, error) {
 }
 
 // writeLatency computes the modeled duration of a write of the given payload.
-// Must be called with s.mu held (read or write).
+// Must be called with s.mu held (read or write), which guards the client
+// count.
 func (s *MemStore) writeLatency(bytes int64) time.Duration {
 	return s.latency(bytes, s.cfg.Perf.WriteUnitBytes, s.cfg.Perf.ClientWriteUnits, s.cfg.Perf.WriteCapacityUnits)
 }
@@ -206,12 +210,14 @@ func (s *MemStore) BatchPut(tbl string, items []Item) (time.Duration, error) {
 	if lim := s.cfg.Limits.BatchPutItems; lim > 0 && len(items) > lim {
 		return 0, fmt.Errorf("%w: %d items > %d", ErrBatchTooLarge, len(items), lim)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	t, ok := s.tables[tbl]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var bytes int64
 	for _, it := range items {
 		size, err := s.validate(it)
@@ -231,7 +237,7 @@ func (s *MemStore) BatchPut(tbl string, items []Item) (time.Duration, error) {
 // Read implements Store. The whole request is metered once with its key
 // count and payload. Like every read it stops, before anything is read or
 // metered, on a cancelled context. Keys are visited in request order once
-// the store's lock is released: a failed read has visited nothing.
+// the table's lock is released: a failed read has visited nothing.
 func (s *MemStore) Read(ctx context.Context, tbl string, hashKeys []string, visit Visitor) (time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -239,33 +245,57 @@ func (s *MemStore) Read(ctx context.Context, tbl string, hashKeys []string, visi
 	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && len(hashKeys) > lim {
 		return 0, fmt.Errorf("%w: %d keys > %d", ErrBatchTooLarge, len(hashKeys), lim)
 	}
-	recs, d, err := s.take(tbl, hashKeys)
+	buf := readBufs.Get().(*readBuf)
+	defer buf.release()
+	d, err := s.take(buf, tbl, hashKeys)
 	if err != nil {
 		return 0, err
 	}
 	for i, k := range hashKeys {
-		visit(k, &recs[i])
+		visit(k, &buf.recs[i])
 	}
 	return d, nil
 }
 
-// take is the part of a read that runs under the store's lock: it checks
-// every key, takes a cursor over each key's records, meters the request and
-// models its latency. A cursor holds its own copy of the group's references,
-// since writers move them in place, and the table's chunk list and names as
-// they are now, which writers only ever extend.
-func (s *MemStore) take(tbl string, hashKeys []string) ([]Records, time.Duration, error) {
+// readBuf is the cursors of one read and the record references they walk.
+// Visitors keep neither past their return, so a read hands its buffer back
+// to readBufs when it is done.
+type readBuf struct {
+	recs []Records
+	refs []ref
+}
+
+var readBufs = sync.Pool{New: func() any { return new(readBuf) }}
+
+// release clears the cursors, which reference the table's chunk list, and
+// returns the buffer to the pool.
+func (b *readBuf) release() {
+	clear(b.recs)
+	b.recs = b.recs[:0]
+	readBufs.Put(b)
+}
+
+// take is the part of a read that runs under the table's lock: it checks
+// every key, takes a cursor over each key's records into buf, meters the
+// request and models its latency. A cursor holds its own copy of the
+// group's references, since writers move them in place, and the table's
+// chunk list and names as they are now, which writers only ever extend.
+func (s *MemStore) take(buf *readBuf, tbl string, hashKeys []string) (time.Duration, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	t, ok := s.tables[tbl]
-	recs := make([]Records, 0, len(hashKeys))
+	if ok {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+	}
+	recs := slices.Grow(buf.recs[:0], len(hashKeys))
 	var sum Tally
 	for _, k := range hashKeys {
 		if k == "" {
-			return nil, 0, ErrEmptyKey
+			return 0, ErrEmptyKey
 		}
 		if !ok { // checked per key: an empty read of a missing table succeeds
-			return nil, 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
+			return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
 		}
 		var r Records
 		if grp := t.groups[k]; grp != nil {
@@ -274,14 +304,15 @@ func (s *MemStore) take(tbl string, hashKeys []string) ([]Records, time.Duration
 		recs = append(recs, r)
 		sum.add(r.sum)
 	}
-	refs := make([]ref, 0, sum.Items)
+	refs := slices.Grow(buf.refs[:0], int(sum.Items))
 	for i := range recs {
 		n := len(refs)
 		refs = append(refs, recs[i].refs...)
-		recs[i].refs = refs[n:]
+		recs[i].refs = refs[n:len(refs):len(refs)]
 	}
+	buf.recs, buf.refs = recs, refs
 	s.cfg.Ledger.Record(s.cfg.Backend, "get", 1, int64(len(hashKeys)), sum.Bytes)
-	return recs, s.readLatency(sum.Bytes), nil
+	return s.readLatency(sum.Bytes), nil
 }
 
 // BatchDelete implements Store: the batch is metered as one request of one
@@ -292,12 +323,14 @@ func (s *MemStore) BatchDelete(tbl string, keys []Key) (time.Duration, error) {
 	if lim := s.cfg.Limits.BatchPutItems; lim > 0 && len(keys) > lim {
 		return 0, fmt.Errorf("%w: %d keys > %d", ErrBatchTooLarge, len(keys), lim)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	t, ok := s.tables[tbl]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchTable, tbl)
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var bytes int64
 	for _, k := range keys {
 		if k.HashKey == "" {
@@ -318,6 +351,8 @@ func (s *MemStore) TableBytes(tbl string) int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if t, ok := s.tables[tbl]; ok {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
 		return t.sum.Bytes
 	}
 	return 0
@@ -333,6 +368,8 @@ func (s *MemStore) OverheadBytes(tbl string) int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if t, ok := s.tables[tbl]; ok {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
 		return s.overhead(t)
 	}
 	return 0
@@ -344,7 +381,9 @@ func (s *MemStore) TotalBytes() int64 {
 	defer s.mu.RUnlock()
 	var n int64
 	for _, t := range s.tables {
+		t.mu.RLock()
 		n += t.sum.Bytes + s.overhead(t)
+		t.mu.RUnlock()
 	}
 	return n
 }
@@ -354,6 +393,8 @@ func (s *MemStore) ItemCount(tbl string) int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if t, ok := s.tables[tbl]; ok {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
 		return t.sum.Items
 	}
 	return 0
@@ -372,6 +413,8 @@ func (s *MemStore) DumpTable(tbl string) []Item {
 	if !ok {
 		return nil
 	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	hashKeys := make([]string, 0, len(t.groups))
 	for hk := range t.groups {
 		hashKeys = append(hashKeys, hk)
@@ -410,5 +453,7 @@ func (s *MemStore) ArenaStats(tbl string) ArenaStats {
 	if !ok {
 		return ArenaStats{}
 	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	return ArenaStats{LiveBytes: t.live, DeadBytes: t.dead, Chunks: int64(len(t.chunks)), Rewrites: t.rewrites}
 }

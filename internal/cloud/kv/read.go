@@ -65,7 +65,9 @@ type Records struct {
 	// The current record and attribute.
 	rangeKey  string
 	attrs     int    // attributes not yet visited
-	body      []byte // from chunks: the encoded attributes from the cursor on
+	tab       []byte // from chunks: the attribute table from the cursor on
+	vals      []byte // from chunks: the values from the cursor on
+	skip      int    // values of visited attributes not read, ahead of vals
 	itemAttrs []Attr // from items: the attributes not yet visited
 	name      string
 	values    int // values of the current attribute not yet visited
@@ -106,7 +108,10 @@ func (r *Records) Next() bool {
 	r.refs = r.refs[1:]
 	rangeKey, off := readRangeKey(body)
 	sum, off := readTally(body, off)
-	r.rangeKey, r.attrs, r.body = rangeKey, int(sum.Attrs), body[off:]
+	tab, n := binary.Uvarint(body[off:])
+	off += n
+	end := off + int(tab)
+	r.rangeKey, r.attrs, r.tab, r.vals, r.skip = rangeKey, int(sum.Attrs), body[off:end], body[end:], 0
 	return true
 }
 
@@ -118,7 +123,8 @@ func (r *Records) RangeKey() string { return r.rangeKey }
 func (r *Records) AttrCount() int { return r.attrs }
 
 // NextAttr moves to the current record's next attribute and reports whether
-// there is one. Values of the previous attribute left unread are skipped.
+// there is one. Values of the previous attribute left unread are skipped,
+// and only once a later value is read.
 func (r *Records) NextAttr() bool {
 	if r.attrs == 0 {
 		return false
@@ -130,14 +136,32 @@ func (r *Records) NextAttr() bool {
 		r.name, r.itemVals, r.values = a.Name, a.Values, len(a.Values)
 		return true
 	}
-	for r.values > 0 {
-		r.NextValue()
-	}
-	id, n := binary.Uvarint(r.body)
-	count, m := binary.Uvarint(r.body[n:])
-	r.body = r.body[n+m:]
+	r.skip += r.values
+	id, n := binary.Uvarint(r.tab)
+	count, m := binary.Uvarint(r.tab[n:])
+	r.tab = r.tab[n+m:]
 	r.name, r.values = r.names[id], int(count)
 	return true
+}
+
+// LastName returns the name of the current record's last attribute, or ""
+// when NextAttr has no attribute left to visit. It moves no cursor and
+// reads no value.
+func (r *Records) LastName() string {
+	if r.attrs == 0 {
+		return ""
+	}
+	if r.fromItems {
+		return r.itemAttrs[len(r.itemAttrs)-1].Name
+	}
+	var id uint64
+	for tab, i := r.tab, 0; i < r.attrs; i++ {
+		var n, m int
+		id, n = binary.Uvarint(tab)
+		_, m = binary.Uvarint(tab[n:])
+		tab = tab[n+m:]
+	}
+	return r.names[id]
 }
 
 // Name returns the current attribute's name.
@@ -156,10 +180,14 @@ func (r *Records) NextValue() (Value, bool) {
 		r.itemVals = r.itemVals[1:]
 		return v, true
 	}
-	size, n := binary.Uvarint(r.body)
+	for ; r.skip > 0; r.skip-- {
+		size, n := binary.Uvarint(r.vals)
+		r.vals = r.vals[n+int(size):]
+	}
+	size, n := binary.Uvarint(r.vals)
 	end := n + int(size)
-	v := r.body[n:end:end]
-	r.body = r.body[end:]
+	v := r.vals[n:end:end]
+	r.vals = r.vals[end:]
 	if size == 0 {
 		return nil, true
 	}

@@ -142,6 +142,18 @@ func dumpStore(t *testing.T, w *Warehouse) tableDump {
 	return out
 }
 
+// checkLayout holds every table of got's store to the bulk layout and to
+// want's postings (index.CheckLayout).
+func checkLayout(t *testing.T, label string, got, want *Warehouse) {
+	t.Helper()
+	gd, wd := dumpStore(t, got), dumpStore(t, want)
+	for _, tbl := range got.Strategy.Tables() {
+		if err := index.CheckLayout(got.Store().Limits(), tbl, gd[tbl], wd[tbl]); err != nil {
+			t.Errorf("%s, table %s: %v", label, tbl, err)
+		}
+	}
+}
+
 func itemLine(it kv.Item) string {
 	s := it.HashKey + "|" + it.RangeKey
 	for _, a := range it.Attrs {
@@ -206,13 +218,14 @@ func TestChaosDifferentialIndexing(t *testing.T) {
 }
 
 // TestChaosDifferentialIndexingBulkLoad runs the same differential through
-// the bulk driver (IndexCorpusOn with BulkLoad): coalesced cross-document
-// batches under aggressive chaos, rerun until the loader queue drains, must
-// converge to the clean per-document live run — released messages redeliver
-// and content-derived range keys absorb the re-extractions. The clean
-// reference stays per-document, so this also differentially proves bulk and
-// per-document store contents identical. The index lives in one store
-// partition, which names the subtest.
+// the bulk driver (IndexCorpusOn with BulkLoad): packed commits under
+// aggressive chaos, rerun until the loader queue drains, must converge to
+// the postings of the clean per-document live run and of a clean bulk run —
+// released messages redeliver, and a commit drops the contributions that
+// already landed. Byte-identity gives way to index.CheckLayout: re-runs
+// pack the documents of each commit, so the packs differ from a clean
+// commit's. The index lives in one store partition, which names the
+// subtest.
 func TestChaosDifferentialIndexingBulkLoad(t *testing.T) {
 	t.Run("shards=1", func(t *testing.T) {
 		chaosDifferentialIndexing(t, true)
@@ -274,28 +287,33 @@ func chaosDifferentialIndexing(t *testing.T, bulk bool) {
 		t.Errorf("chaotic run dead-letter queue holds %d", n)
 	}
 
-	// Store contents must be byte-identical, table by table, item by item.
-	cleanDump, chaoticDump := dumpStore(t, clean), dumpStore(t, chaotic)
-	for _, tbl := range clean.Strategy.Tables() {
-		a, b := cleanDump[tbl], chaoticDump[tbl]
-		if len(a) != len(b) {
-			t.Errorf("%s: clean %d items, chaotic %d — redelivery duplicated or lost writes", tbl, len(a), len(b))
-			continue
+	if bulk {
+		// The packs of re-runs differ from a clean commit's: hold the
+		// chaotic store to the layout and to the postings of both clean
+		// references — no contribution duplicated or lost.
+		cleanBulk, err := New(Config{Strategy: index.TwoLUPI, BulkLoad: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range a {
-			la, lb := itemLine(a[i]), itemLine(b[i])
-			if la != lb {
-				t.Errorf("%s item %d differs:\n  clean:   %s\n  chaotic: %s", tbl, i, la, lb)
-				break
+		indexByDriverReruns(t, cleanBulk, docs)
+		checkLayout(t, "chaotic vs clean per-document", chaotic, clean)
+		checkLayout(t, "chaotic vs clean bulk", chaotic, cleanBulk)
+	} else {
+		// Store contents must be byte-identical, table by table, item by
+		// item.
+		cleanDump, chaoticDump := dumpStore(t, clean), dumpStore(t, chaotic)
+		for _, tbl := range clean.Strategy.Tables() {
+			a, b := cleanDump[tbl], chaoticDump[tbl]
+			if len(a) != len(b) {
+				t.Errorf("%s: clean %d items, chaotic %d — redelivery duplicated or lost writes", tbl, len(a), len(b))
+				continue
 			}
-		}
-		// No duplicate postings: an item carries exactly one attribute (one
-		// document's contribution), and (hash key, range key) pairs are
-		// unique by store construction — a redelivered write must have
-		// overwritten, not appended.
-		for _, it := range b {
-			if len(it.Attrs) != 1 {
-				t.Errorf("%s item %s/%s carries %d attributes, want 1", tbl, it.HashKey, it.RangeKey, len(it.Attrs))
+			for i := range a {
+				la, lb := itemLine(a[i]), itemLine(b[i])
+				if la != lb {
+					t.Errorf("%s item %d differs:\n  clean:   %s\n  chaotic: %s", tbl, i, la, lb)
+					break
+				}
 			}
 		}
 	}

@@ -150,17 +150,19 @@ type Config struct {
 
 	// BulkLoad enables the cross-document bulk loader on the synchronous
 	// indexing driver (IndexCorpusOn), the paper's batching arm (Table 4
-	// (cont.), Figure 7): index items from many documents are coalesced into
-	// full provider-limit batches (index.BulkLoader), and extraction overlaps
-	// uploading in a bounded two-stage pipeline. Billed BatchPut requests drop
-	// to the per-table floor of ceil(items/batch limit), and modeled upload
+	// (cont.), Figure 7): a run's documents commit at its end, each key's
+	// postings from all of them packed into one item (index.BulkLoader),
+	// and extraction runs ahead of the loader in a bounded pipeline. Billed
+	// rows fall to about one per key and requests to ceil(items/batch limit)
+	// puts plus ceil(keys/read limit) reads per table, and modeled upload
 	// time shrinks with them. Live indexing workers (StartIndexer) always
-	// index per document. Store contents are byte-identical either way: range
-	// keys are content-derived, so coalescing changes request packing only.
-	// Off by default.
+	// index per document. The store holds the same postings either way
+	// (index.CheckLayout). Off by default.
 	BulkLoad bool
 	// PipelineDepth bounds the extraction read-ahead of the bulk indexing
-	// driver's two-stage pipeline. 0 selects 4; 1 removes the overlap.
+	// driver's pipeline: how many documents are received ahead of the
+	// loader, and, less one, how many are extracted at once. 0 selects 4;
+	// 1 runs the driver, and the loader's commit, on one goroutine.
 	// Results, modeled times and billing are identical at every depth —
 	// only real wall-clock time changes.
 	PipelineDepth int

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/cloud/ec2"
@@ -134,11 +136,12 @@ type IndexReport struct {
 //
 // With Config.BulkLoad set, the driver runs the two-stage bulk pipeline
 // instead: extractions are read ahead (bounded by Config.PipelineDepth) and
-// fed to a cross-document index.BulkLoader, and each document's pro-rata
-// upload share is modeled on an asynchronous upload stream per core — so
-// extraction compute overlaps store I/O, Table 4's extract/upload split
-// stays per-document, and the billed request count drops to the bulk
-// loader's packing floor. Store contents are byte-identical either way.
+// fed to a cross-document index.BulkLoader, which packs each key's postings
+// from the whole run into one item at the end (DESIGN §5e), and each
+// document's pro-rata upload share is modeled on an asynchronous upload
+// stream per core — so extraction compute overlaps store I/O and Table 4's
+// extract/upload split stays per-document. The store holds the same
+// postings either way, in far fewer items and requests when bulk-loaded.
 func (w *Warehouse) IndexCorpusOn(fleet []*ec2.Instance, uris []string) (IndexReport, error) {
 	var report IndexReport
 	if len(fleet) == 0 {
@@ -253,10 +256,11 @@ type indexTask struct {
 	res  IndexTaskResult
 	ex   *index.Extraction
 	err  error
+	done chan struct{} // closed once extracted (extractAhead)
 }
 
-// inflightDoc is a task whose extraction has been scheduled and whose items
-// sit (at least partly) in the bulk loader.
+// inflightDoc is a task whose extraction has been scheduled and added to
+// the bulk loader, not yet committed.
 type inflightDoc struct {
 	t    *indexTask
 	core int
@@ -265,11 +269,12 @@ type inflightDoc struct {
 	ready time.Duration
 }
 
-// bulkIndexLoop is the two-stage bulk driver. Stage one (optionally read
-// ahead on a goroutine, bounded by pipeDepth) receives loader messages and
-// runs the EC2-side extraction; stage two — always the calling goroutine,
-// in strict FIFO order — feeds extractions to a cross-document BulkLoader,
-// deletes messages as their documents complete, and accounts the modeled
+// bulkIndexLoop is the two-stage bulk driver. Stage one (read ahead on
+// extractAhead's goroutines, bounded by pipeDepth) receives loader messages
+// and runs the EC2-side extraction; stage two — always the calling goroutine,
+// in strict FIFO order — feeds extractions to a cross-document BulkLoader
+// and, once the queue is empty or an extraction fails, commits them,
+// deletes the messages of the released documents and accounts the modeled
 // time.
 //
 // Modeled overlap: each document's extraction is scheduled on its
@@ -282,11 +287,12 @@ type inflightDoc struct {
 //
 // Every modeled quantity is computed from payload sizes and FIFO positions,
 // never from real goroutine timing, so results, modeled times and billing
-// are identical at any pipeline depth. When a chaos layer is configured the
-// read-ahead goroutine is skipped (depth one, inline) so that the injector's
-// seeded fault schedule is also consumed in a deterministic order.
+// are identical at any pipeline depth. At depth one, or when a chaos layer
+// is configured, both stages run inline and the loader commits its tables
+// one after the other, so that the injector's seeded fault schedule is also
+// consumed in a deterministic order.
 func (w *Warehouse) bulkIndexLoop(fleet []*ec2.Instance, report *IndexReport, perExtract, perUpload map[*ec2.Instance]time.Duration) error {
-	produce := func(i int) *indexTask {
+	receive := func(i int) *indexTask {
 		msg, rtt, err := w.queues.Receive(context.Background(), LoaderQueue, 5*time.Minute, 0)
 		if err != nil {
 			return &indexTask{err: err}
@@ -297,32 +303,29 @@ func (w *Warehouse) bulkIndexLoop(fleet []*ec2.Instance, report *IndexReport, pe
 		t := &indexTask{msg: msg, rtt: rtt, in: fleet[i%len(fleet)]}
 		t.span = w.tracer.Start(obs.SpanIndexDoc)
 		t.span.SetAttr("uri", msg.Body)
-		t.res, t.ex, _, t.err = w.extractDocument(t.in, msg.Body, t.span)
 		return t
 	}
-	var next func() *indexTask
-	if depth := w.pipeDepth(); depth > 1 && w.chaosInj == nil {
-		ch := make(chan *indexTask, depth-1)
-		go func() {
-			defer close(ch)
-			for i := 0; ; i++ {
-				t := produce(i)
-				if t == nil {
-					return
-				}
-				ch <- t
-				if t.err != nil {
-					return
-				}
-			}
-		}()
-		next = func() *indexTask { return <-ch }
+	extract := func(t *indexTask) {
+		t.res, t.ex, _, t.err = w.extractDocument(t.in, t.msg.Body, t.span)
+	}
+	// Concurrency never changes a result, but the chaos injector's seeded
+	// fault schedule needs the requests in a fixed order.
+	concurrent := w.pipeDepth() > 1 && w.chaosInj == nil
+	next, readAhead := func() *indexTask { return nil }, func() []*indexTask { return nil }
+	if concurrent {
+		next, readAhead = extractAhead(w.pipeDepth(), receive, extract)
 	} else {
 		i := 0
-		next = func() *indexTask { t := produce(i); i++; return t }
+		next = func() *indexTask {
+			t := receive(i)
+			if i++; t != nil && t.err == nil {
+				extract(t)
+			}
+			return t
+		}
 	}
 
-	loader := index.NewBulkLoader(w.store, index.BulkOptions{Obs: w.reg}, w.cache)
+	loader := index.NewBulkLoader(w.store, index.BulkOptions{Obs: w.reg, Concurrent: concurrent}, w.cache)
 	var queue []*inflightDoc
 	uploadEnd := make(map[*ec2.Instance][]time.Duration)
 	nackAll := func() {
@@ -376,53 +379,128 @@ func (w *Warehouse) bulkIndexLoop(fleet []*ec2.Instance, report *IndexReport, pe
 		return nil
 	}
 
-	for {
-		t := next()
-		if t == nil {
-			break
-		}
-		if t.err != nil {
+	// releaseAhead stops the read-ahead and releases what it received.
+	releaseAhead := func() {
+		for _, t := range readAhead() {
 			if t.msg != nil {
 				w.nackLoaderMessage(t.msg.Receipt)
 			}
+			t.span.End()
+		}
+	}
+	// commit closes the loader, settles the documents it released and
+	// drains the upload streams: each core is raised to its upload end, so
+	// its elapsed time is the maximum of its extraction and upload streams.
+	// A failed commit releases every message the driver holds.
+	commit := func() error {
+		done, err := loader.Close()
+		if err == nil {
+			err = complete(done)
+		}
+		if err != nil {
+			nackAll()
+			return fmt.Errorf("core: bulk indexing: %w", err)
+		}
+		for _, in := range fleet {
+			for c, end := range uploadEnd[in] {
+				if occ := in.TL.Lane(c); end > occ {
+					in.RunOn(c, end-occ)
+				}
+			}
+		}
+		return nil
+	}
+
+	for {
+		t := next()
+		if t == nil {
+			return commit()
+		}
+		if t.err != nil {
+			// The documents added so far still commit; the failing message
+			// and the read-ahead are released.
 			t.span.SetError(t.err)
 			t.span.End()
-			nackAll()
+			err := t.err
 			if t.msg != nil {
-				return fmt.Errorf("core: indexing %s: %w", t.msg.Body, t.err)
+				w.nackLoaderMessage(t.msg.Receipt)
+				err = fmt.Errorf("core: indexing %s: %w", t.msg.Body, t.err)
 			}
-			return t.err
+			releaseAhead()
+			return errors.Join(err, commit())
 		}
 		core := t.in.RunScheduled(t.rtt + t.res.ExtractTime)
 		perExtract[t.in] += t.res.ExtractTime
 		queue = append(queue, &inflightDoc{t: t, core: core, ready: t.in.TL.Lane(core)})
-		done, err := loader.Add(t.ex)
-		if cerr := complete(done); err == nil {
-			err = cerr
-		}
+		_, err := loader.Add(t.ex)
+		t.ex = nil // the loader keeps a copy of what it needs
 		if err != nil {
 			nackAll()
+			releaseAhead()
 			return fmt.Errorf("core: bulk indexing %s: %w", t.msg.Body, err)
 		}
 	}
-	done, err := loader.Close()
-	if cerr := complete(done); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		nackAll()
-		return fmt.Errorf("core: bulk indexing: %w", err)
-	}
-	// Drain the upload streams: raise each core to its upload end, so its
-	// elapsed time is the maximum of its extraction and upload streams.
-	for _, in := range fleet {
-		for c, end := range uploadEnd[in] {
-			if occ := in.TL.Lane(c); end > occ {
-				in.RunOn(c, end-occ)
+}
+
+// extractAhead runs the bulk driver's first stage on goroutines: one
+// receives loader messages in queue order, at most depth ahead of the
+// caller, and up to depth-1 workers (no more than GOMAXPROCS) extract them.
+// next returns the tasks in receive order, each once extracted, and nil
+// when the queue is empty or after a receive error. stop ends the stage
+// early and returns the tasks received but not yet returned by next, all
+// extracted, for the caller to release.
+func extractAhead(depth int, receive func(int) *indexTask, extract func(*indexTask)) (next func() *indexTask, stop func() []*indexTask) {
+	ordered := make(chan *indexTask, depth-1)
+	work := make(chan *indexTask)
+	quit := make(chan struct{})
+	for range min(depth-1, runtime.GOMAXPROCS(0)) {
+		go func() {
+			for t := range work {
+				extract(t)
+				close(t.done)
 			}
-		}
+		}()
 	}
-	return nil
+	go func() {
+		defer close(work)
+		defer close(ordered)
+		for i := 0; ; i++ {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			t := receive(i)
+			if t == nil {
+				return
+			}
+			t.done = make(chan struct{})
+			ordered <- t // stop drains ordered, so this send always completes
+			if t.err != nil {
+				close(t.done)
+				return
+			}
+			work <- t
+		}
+	}()
+	next = func() *indexTask {
+		t, ok := <-ordered
+		if !ok {
+			return nil
+		}
+		<-t.done
+		return t
+	}
+	stop = func() []*indexTask {
+		close(quit)
+		var left []*indexTask
+		for t := range ordered {
+			<-t.done
+			left = append(left, t)
+		}
+		return left
+	}
+	return next, stop
 }
 
 // nackLoaderMessage releases a leased loader message back to visible. A

@@ -673,10 +673,11 @@ func FromIDs(ids []xmltree.NodeID) *Set {
 }
 
 // Merge combines the Sets parsed from the blobs of one (key, URI) entry
-// into a single pre-ordered Set. It succeeds when the segments' pre ranges
-// do not overlap — always the case for the write path, which splits one
-// sorted list contiguously across items. ok=false means the caller must
-// fall back to decode-everything-and-sort.
+// into a single pre-ordered Set. It succeeds when each segment starts after
+// the previous one ends — always the case for the write path, which splits
+// one sorted list contiguously across items, and never for a segment stored
+// twice. ok=false means the caller must fall back to
+// decode-everything-and-sort.
 func Merge(sets []*Set) (merged *Set, ok bool) {
 	if len(sets) == 0 {
 		return nil, true
@@ -695,7 +696,7 @@ func Merge(sets []*Set) (merged *Set, ok bool) {
 	out := &Set{}
 	var prevMax int32
 	for i, s := range order {
-		if i > 0 && s.blocks[0].MinPre < prevMax {
+		if i > 0 && s.blocks[0].MinPre <= prevMax {
 			return nil, false
 		}
 		out.blocks = append(out.blocks, s.blocks...)

@@ -1,114 +1,200 @@
 package index
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
 	"slices"
-	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/cloud/kv"
 	"repro/internal/obs"
 )
 
-// This file implements the cross-document bulk loader. WriteExtraction
-// flushes a batch per document and per table, so small documents ship
-// mostly-empty batches — the "per-document round trips do not amortize"
-// artifact Section 8.2 / Table 4 of the paper is about. The BulkLoader is a
-// per-table group-commit buffer: items from many documents' extractions
-// accumulate until a batch reaches the provider limit, so nearly every
-// request carries a full batch and the billed request count drops to the
-// floor of ceil(items/limit) per table.
+// This file implements the cross-document bulk loader, a commit-time
+// packer (DESIGN §5e). WriteExtraction writes one item per (key, document);
+// Section 6's mapping names an item's attributes by URI, so one item can
+// carry many documents' postings. The BulkLoader holds every (table, key)'s
+// contributions — one document's values under one key — until Close, then
+// writes one item per key, packed greedily in URI order under the item
+// budget: billed rows drop from one per (key, document) to about one per
+// key, and requests to ceil(packs/BatchPutItems) puts plus
+// ceil(keys/BatchGetKeys) reads per table.
 //
-// Items are built by the same appendDocItems helper as WriteExtraction,
-// directly into the per-table buffer the batches are shipped from, so the
-// store contents are byte-identical to the per-document path and an item is
-// built once. Content-derived range keys (ItemRangeKey, one per document,
-// table and chunk ordinal) keep coalesced retries idempotent exactly as they
-// do per-document writes.
+// A pack of one is WriteExtraction's item byte for byte; a pack of two or
+// more is keyed by its first member at packOrdinal. Close first reads the
+// commit's keys and drops every contribution whose URI the key already
+// names, so a redelivered or re-run commit converges without duplicating a
+// posting.
 
 // ErrLoaderClosed is returned by Add after Close.
 var ErrLoaderClosed = errors.New("index: bulk loader closed")
 
 // BulkOptions tunes a BulkLoader.
 type BulkOptions struct {
-	// Obs, when non-nil, receives the loader's flush metrics
+	// Obs, when non-nil, receives the loader's put metrics
 	// (index.bulk.flushes / items / bytes counters and the index.bulk.flush
 	// modeled-latency histogram). Nil disables them at zero cost.
 	Obs *obs.Registry
+	// Concurrent commits the tables on goroutines of their own. The store
+	// contents, modeled times and bill are the same either way; a store
+	// whose faults are drawn from one seeded sequence needs the requests
+	// in a fixed order, and so a sequential commit.
+	Concurrent bool
 }
 
 // DocLoad is the completed outcome of one document's bulk load, released by
-// Add, Flush or Close once every item of the document has been flushed.
+// a successful Close.
 type DocLoad struct {
 	URI string
-	// Upload is the document's pro-rata share of the modeled latency of
-	// the batches its items rode in, apportioned by payload bytes. Shares
-	// of one batch sum exactly to the batch's duration, so summing Upload
-	// over documents reproduces the total modeled upload time.
+	// Upload is the document's pro-rata share, by contributed bytes, of the
+	// modeled latency of the commit's reads and puts. Shares sum exactly to
+	// the commit's duration.
 	Upload time.Duration
-	// Stats attributes load statistics to the document: Entries, Items and
-	// Bytes are exact; each flushed batch's single Request is charged to
-	// its first contributing document, so Requests also sums exactly to
-	// the number of API calls issued.
+	// Stats attributes load statistics to the document. Entries are the
+	// extraction's. A pack's row and its key bytes are its first member's,
+	// each member's attribute bytes its own, so Items and Bytes sum to the
+	// rows and bytes written. Each read and put request is charged to the
+	// document owning the first contribution it carries, so Requests sums
+	// to the store calls issued.
 	Stats LoadStats
 }
 
-// bulkDoc tracks one added extraction until all its items are flushed.
+// bulkDoc is one added extraction until the commit.
 type bulkDoc struct {
-	uri     string
-	pending int  // items buffered but not yet flushed
-	added   bool // Add finished appending the document's items
-	upload  time.Duration
-	stats   LoadStats
+	uri    string
+	upload time.Duration
+	stats  LoadStats
 }
 
-// itemMeta is what the loader keeps beside a buffered item: its billed size
-// and the document it belongs to.
-type itemMeta struct {
-	size int64
-	doc  *bulkDoc
+// Contribution states.
+const (
+	contribLive      uint32 = iota
+	contribDropped          // already under its key, or a repeat within the commit
+	contribOversized        // larger than the item budget: per-document chunk items
+)
+
+// A contribution is one document's values under one key. It lives in the
+// document's slab: a header of headerLen bytes — the key's next
+// contribution (document and offset; document −1 ends the chain), the value
+// bytes with the state in the top two bits, the value count — and then each
+// value behind its length as a uvarint. A contrib is its place.
+type contrib struct{ doc, off int32 }
+
+const headerLen = 16
+
+// keyChain is one key's contributions, linked through their headers: in
+// Add order until the commit sorts them by URI.
+type keyChain struct {
+	key         string
+	first, last contrib
 }
 
-// tableBuffer is one table's buffer: the items in Add order, built in place
-// by appendDocItems and shipped from here, and their metadata in a
-// parallel slice. items[:head] have been flushed; compact moves the rest to
-// the front.
-type tableBuffer struct {
-	items []kv.Item
-	meta  []itemMeta
-	head  int
+// packTable is what one table's commit holds: its keys and the slabs their
+// contributions live in, and while it commits, its scratch and what it
+// charges each document.
+type packTable struct {
+	index  map[string]int32 // key → chains
+	chains []keyChain
+	slabs  [][]byte // by document
+	// until holds, by document, how many chains there were once it was
+	// added. Its keys are among them, so once the commit has written that
+	// many chains its slab is no longer read.
+	until []int32
+
+	stats   []LoadStats // by document
+	members []contrib
+	pack    []contrib
+	batch   []kv.Item
+	attrs   []kv.Attr
+	vals    []kv.Value
+	keys    []string
 }
 
-// compact moves the unflushed items to the front and clears the slots they
-// vacate, so flushed items do not keep their extraction alive.
-func (tb *tableBuffer) compact() {
-	if tb.head == 0 {
-		return
+// packTables keeps a table's commit state from one commit to the next,
+// without its slabs: the key index and the chains of a commit of forty
+// documents are thousands of keys deep.
+var packTables = sync.Pool{New: func() any { return &packTable{index: make(map[string]int32)} }}
+
+// recycle clears what pt references of the commit — keys, slabs, scratch —
+// and returns it to the pool.
+func (pt *packTable) recycle() {
+	clear(pt.index)
+	clear(pt.chains)
+	clear(pt.slabs)
+	clear(pt.batch[:cap(pt.batch)]) // shipped batches leave views behind len
+	clear(pt.attrs[:cap(pt.attrs)])
+	clear(pt.vals[:cap(pt.vals)])
+	clear(pt.keys[:cap(pt.keys)])
+	pt.chains, pt.slabs, pt.until, pt.stats = pt.chains[:0], pt.slabs[:0], pt.until[:0], nil
+	pt.members, pt.pack, pt.batch, pt.attrs, pt.vals, pt.keys = pt.members[:0], pt.pack[:0], pt.batch[:0], pt.attrs[:0], pt.vals[:0], pt.keys[:0]
+	packTables.Put(pt)
+}
+
+// header returns c's header.
+func (pt *packTable) header(c contrib) []byte {
+	return pt.slabs[c.doc][c.off : c.off+headerLen : c.off+headerLen]
+}
+
+// next returns the contribution after c in its key's chain.
+func (pt *packTable) next(c contrib) contrib {
+	h := pt.header(c)
+	return contrib{int32(binary.LittleEndian.Uint32(h)), int32(binary.LittleEndian.Uint32(h[4:]))}
+}
+
+func (pt *packTable) setNext(c, next contrib) {
+	h := pt.header(c)
+	binary.LittleEndian.PutUint32(h, uint32(next.doc))
+	binary.LittleEndian.PutUint32(h[4:], uint32(next.off))
+}
+
+// size returns c's value bytes, and state its state.
+func (pt *packTable) size(c contrib) int64 {
+	return int64(binary.LittleEndian.Uint32(pt.header(c)[8:]) & (1<<30 - 1))
+}
+
+func (pt *packTable) state(c contrib) uint32 {
+	return binary.LittleEndian.Uint32(pt.header(c)[8:]) >> 30
+}
+
+func (pt *packTable) setState(c contrib, state uint32) {
+	h := pt.header(c)[8:]
+	binary.LittleEndian.PutUint32(h, binary.LittleEndian.Uint32(h)&(1<<30-1)|state<<30)
+}
+
+// values appends c's values, views of the slab, to dst.
+func (pt *packTable) values(dst []kv.Value, c contrib) []kv.Value {
+	h := pt.header(c)
+	buf := pt.slabs[c.doc][c.off+headerLen:]
+	for range binary.LittleEndian.Uint32(h[12:]) {
+		n, w := binary.Uvarint(buf)
+		end := w + int(n)
+		dst = append(dst, kv.Value(buf[w:end:end]))
+		buf = buf[end:]
 	}
-	n := copy(tb.items, tb.items[tb.head:])
-	clear(tb.items[n:])
-	tb.items = tb.items[:n]
-	copy(tb.meta, tb.meta[tb.head:])
-	clear(tb.meta[n:])
-	tb.meta = tb.meta[:n]
-	tb.head = 0
+	return dst
 }
 
-// BulkLoader coalesces index items from many documents into full store
-// batches. It is not safe for concurrent use; the indexing pipeline owns
-// one loader per writer thread.
+// BulkLoader packs index postings from many documents into one item per
+// key at commit time. It is not safe for concurrent use; the indexing
+// pipeline owns one loader per run.
 type BulkLoader struct {
 	store      kv.Store
 	caches     []*PostingCache
-	flushItems int // the store's batch limit: a full batch flushes
+	putItems   int // the store's batch limits
+	getKeys    int
 	itemBudget int64
 
-	buffers map[string]*tableBuffer
-	fifo    []*bulkDoc // docs in Add order, not yet released
-	closed  bool
+	concurrent bool
 
-	// Flush instruments, resolved once at construction (nil-safe no-ops
-	// when BulkOptions.Obs is nil).
+	tables map[string]*packTable
+	docs   []bulkDoc
+	closed bool
+
+	// Put instruments, resolved once at construction (nil-safe no-ops when
+	// BulkOptions.Obs is nil).
 	metFlushes *obs.Counter
 	metItems   *obs.Counter
 	metBytes   *obs.Counter
@@ -116,7 +202,7 @@ type BulkLoader struct {
 }
 
 // NewBulkLoader returns a loader writing to store. Caches fronting the
-// store must be passed so flushed (and failed) batches invalidate them.
+// store must be passed so the commit's keys are invalidated in them.
 func NewBulkLoader(store kv.Store, opts BulkOptions, caches ...*PostingCache) *BulkLoader {
 	lim := store.Limits()
 	live := caches[:0:0]
@@ -128,9 +214,11 @@ func NewBulkLoader(store kv.Store, opts BulkOptions, caches ...*PostingCache) *B
 	return &BulkLoader{
 		store:      store,
 		caches:     live,
-		flushItems: max(lim.BatchPutItems, 1),
+		putItems:   max(lim.BatchPutItems, 1),
+		getKeys:    max(lim.BatchGetKeys, 1),
 		itemBudget: itemBudgetFor(lim),
-		buffers:    make(map[string]*tableBuffer),
+		concurrent: opts.Concurrent,
+		tables:     make(map[string]*packTable),
 		metFlushes: opts.Obs.Counter("index.bulk.flushes"),
 		metItems:   opts.Obs.Counter("index.bulk.items"),
 		metBytes:   opts.Obs.Counter("index.bulk.bytes"),
@@ -138,149 +226,421 @@ func NewBulkLoader(store kv.Store, opts BulkOptions, caches ...*PostingCache) *B
 	}
 }
 
-// Add buffers the extraction's items and flushes any table whose buffer
-// holds a full batch. It returns the documents completed by those
-// flushes, in Add order. On error the failed batch's documents remain
-// pending (their items may have partially landed; the idempotent range keys
-// make a retry of the whole document converge).
+// Add copies the extraction's values into the loader and records its
+// contributions. It issues no request and keeps nothing of ex. It releases
+// no document either — only Close does — so its loads are always nil; they
+// are returned so that a caller can gather loads from Add and Close alike.
 func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 	if b.closed {
 		return nil, ErrLoaderClosed
 	}
-	d := &bulkDoc{uri: ex.URI}
-	b.fifo = append(b.fifo, d)
-	for _, table := range sortedTables(ex) {
-		entries := ex.Tables[table]
-		d.stats.Entries += len(entries)
-		tb := b.buffers[table]
-		if tb == nil {
-			tb = &tableBuffer{}
-			b.buffers[table] = tb
+	doc := int32(len(b.docs))
+	b.docs = append(b.docs, bulkDoc{uri: ex.URI, stats: LoadStats{Entries: ex.Entries}})
+	for table, entries := range ex.Tables {
+		pt := b.tables[table]
+		if pt == nil {
+			pt = packTables.Get().(*packTable)
+			b.tables[table] = pt
 		}
-		start := len(tb.items)
-		tb.items = appendDocItems(tb.items, ex.URI, table, entries, b.itemBudget)
-		tb.meta = slices.Grow(tb.meta, len(tb.items)-start)
-		for _, it := range tb.items[start:] {
-			tb.meta = append(tb.meta, itemMeta{size: it.Size(), doc: d})
+		for int32(len(pt.slabs)) < doc { // documents without this table
+			pt.slabs = append(pt.slabs, nil)
+			pt.until = append(pt.until, int32(len(pt.chains)))
 		}
-		d.pending += len(tb.items) - start
-		if err := b.drain(table, tb, b.flushItems); err != nil {
-			return b.release(), err
+		size := 0
+		for _, e := range entries {
+			size += headerLen
+			for _, v := range e.Values {
+				size += len(v) + uvarintLen(len(v))
+			}
 		}
+		pt.slabs = append(pt.slabs, make([]byte, 0, size))
+		for _, e := range entries {
+			pt.add(doc, ex.URI, e, b.itemBudget)
+		}
+		pt.until = append(pt.until, int32(len(pt.chains)))
 	}
-	d.added = true
-	return b.release(), nil
+	return nil, nil
 }
 
-// Flush drains every partially-filled buffer (tables in sorted order) and
-// returns the documents completed, in Add order.
-func (b *BulkLoader) Flush() ([]DocLoad, error) {
-	tables := make([]string, 0, len(b.buffers))
-	for t, tb := range b.buffers {
-		if len(tb.items) > tb.head {
-			tables = append(tables, t)
-		}
+// add appends one entry's contribution to the document's slab and to the
+// key's chain.
+func (pt *packTable) add(doc int32, uri string, e Entry, itemBudget int64) {
+	size := 0
+	for _, v := range e.Values {
+		size += len(v)
 	}
-	sort.Strings(tables)
-	for _, t := range tables {
-		if err := b.drain(t, b.buffers[t], 1); err != nil {
-			return b.release(), err
-		}
+	state := contribLive
+	if groupLen(e.Values, max(itemBudget-int64(len(e.Key)+len(uri)), 1)) < len(e.Values) {
+		state = contribOversized
 	}
-	return b.release(), nil
+	buf := pt.slabs[doc]
+	c := contrib{doc, int32(len(buf))}
+	buf = binary.LittleEndian.AppendUint32(buf, ^uint32(0))
+	buf = binary.LittleEndian.AppendUint32(buf, 0)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(size)|state<<30)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Values)))
+	for _, v := range e.Values {
+		buf = binary.AppendUvarint(buf, uint64(len(v)))
+		buf = append(buf, v...)
+	}
+	pt.slabs[doc] = buf
+	if k, ok := pt.index[e.Key]; ok {
+		pt.setNext(pt.chains[k].last, c)
+		pt.chains[k].last = c
+		return
+	}
+	pt.index[e.Key] = int32(len(pt.chains))
+	pt.chains = append(pt.chains, keyChain{key: e.Key, first: c, last: c})
 }
 
-// Close flushes all buffers and marks the loader closed. Every added
-// document is released by a successful Close.
+// uvarintLen is the length of n as a uvarint.
+func uvarintLen(n int) int {
+	l := 1
+	for ; n >= 0x80; n >>= 7 {
+		l++
+	}
+	return l
+}
+
+// Close commits everything added and returns every added document, in Add
+// order. On error nothing is released: some items may have landed, and a
+// redelivery of the same documents converges. The loader is spent either
+// way, and the posting caches are invalidated for every key of the commit.
 func (b *BulkLoader) Close() ([]DocLoad, error) {
-	done, err := b.Flush()
-	if err == nil {
-		b.closed = true
+	if b.closed {
+		return nil, nil
 	}
-	return done, err
+	b.closed = true
+	names := make([]string, 0, len(b.tables))
+	for name := range b.tables {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	defer func() {
+		for _, name := range names {
+			pt := b.tables[name]
+			for _, c := range b.caches {
+				for _, ch := range pt.chains {
+					c.Invalidate(name, ch.key)
+				}
+			}
+			pt.recycle()
+		}
+		b.tables, b.docs = nil, nil
+	}()
+	ds, errs := make([]time.Duration, len(names)), make([]error, len(names))
+	commit := func(i int) { ds[i], errs[i] = b.commit(names[i], b.tables[names[i]]) }
+	if b.concurrent && len(names) > 1 {
+		var wg sync.WaitGroup
+		for i := range names {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				commit(i)
+			}()
+		}
+		wg.Wait()
+	} else {
+		for i := range names {
+			if commit(i); errs[i] != nil {
+				break
+			}
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	var total time.Duration
+	for i, name := range names {
+		total += ds[i]
+		for j, st := range b.tables[name].stats {
+			doc := &b.docs[j].stats
+			doc.Items += st.Items
+			doc.Requests += st.Requests
+			doc.Bytes += st.Bytes
+		}
+	}
+	return b.release(total), nil
 }
 
-// drain flushes the table's oldest batches while at least atLeast items are
-// unflushed, then compacts the buffer, whether or not a flush failed.
-func (b *BulkLoader) drain(table string, tb *tableBuffer, atLeast int) error {
-	defer tb.compact()
-	for len(tb.items)-tb.head >= atLeast {
-		if err := b.flushTable(table, tb); err != nil {
+// release apportions the commit's modeled duration over the documents by
+// contributed bytes and returns their loads. The telescoping-sum form
+// (share_i = d·cum_i/bytes − d·cum_{i−1}/bytes) makes integer-duration
+// shares sum exactly to d.
+func (b *BulkLoader) release(d time.Duration) []DocLoad {
+	if len(b.docs) == 0 {
+		return nil
+	}
+	var bytes int64
+	for i := range b.docs {
+		bytes += b.docs[i].stats.Bytes
+	}
+	if bytes == 0 {
+		b.docs[0].upload = d // every contribution was already stored
+	} else {
+		var cum int64
+		var prev time.Duration
+		for i := range b.docs {
+			cum += b.docs[i].stats.Bytes
+			share := time.Duration(int64(d) * cum / bytes)
+			b.docs[i].upload = share - prev
+			prev = share
+		}
+	}
+	out := make([]DocLoad, len(b.docs))
+	for i, doc := range b.docs {
+		out[i] = DocLoad{URI: doc.uri, Upload: doc.upload, Stats: doc.stats}
+	}
+	return out
+}
+
+// commit writes one table's contributions: keys in the order the commit
+// met them, each key's contributions in URI order, repeats and stored URIs
+// dropped, then packed and shipped. A pack depends only on its key's
+// contributions, so the order moves how items share requests, never an
+// item. It reads the loader's documents and writes only pt.
+func (b *BulkLoader) commit(table string, pt *packTable) (time.Duration, error) {
+	pt.stats = make([]LoadStats, len(b.docs))
+	for i := range pt.chains {
+		b.sortChain(pt, &pt.chains[i])
+	}
+	var total time.Duration
+	for rest := pt.chains; len(rest) > 0; {
+		n := min(b.getKeys, len(rest))
+		d, err := b.dropStored(table, pt, rest[:n])
+		total += d
+		if err != nil {
+			return total, err
+		}
+		rest = rest[n:]
+	}
+	d, err := b.put(table, pt)
+	return total + d, err
+}
+
+// sortChain relinks a key's contributions in URI order, Add order among
+// equal URIs, and drops every repeat of a URI.
+func (b *BulkLoader) sortChain(pt *packTable, ch *keyChain) {
+	uri := func(c contrib) string { return b.docs[c.doc].uri }
+	sorted := true // documents mostly arrive in URI order
+	m := pt.members[:0]
+	for c := ch.first; c.doc >= 0; c = pt.next(c) {
+		if len(m) > 0 && sorted {
+			sorted = uri(m[len(m)-1]) < uri(c)
+		}
+		m = append(m, c)
+	}
+	pt.members = m
+	if sorted {
+		return
+	}
+	slices.SortFunc(m, func(x, y contrib) int {
+		if c := strings.Compare(uri(x), uri(y)); c != 0 {
+			return c
+		}
+		return int(x.doc - y.doc)
+	})
+	for i, c := range m {
+		next := contrib{-1, 0}
+		if i+1 < len(m) {
+			next = m[i+1]
+		}
+		pt.setNext(c, next)
+		if i > 0 && uri(c) == uri(m[i-1]) {
+			pt.setState(c, contribDropped)
+		}
+	}
+	ch.first, ch.last = m[0], m[len(m)-1]
+}
+
+// dropStored reads one batch of the commit's keys and drops each
+// contribution whose URI already names an attribute under its key. Chunk
+// items of an oversized contribution are rewritten in place instead: their
+// keys are the content-derived per-document ones. The read is charged to
+// the document owning the batch's first contribution.
+func (b *BulkLoader) dropStored(table string, pt *packTable, chains []keyChain) (time.Duration, error) {
+	pt.keys = pt.keys[:0]
+	for _, ch := range chains {
+		pt.keys = append(pt.keys, ch.key)
+	}
+	uriOf := func(c contrib) string { return b.docs[c.doc].uri }
+	// Writes are not cancelled half-way.
+	next := 0 // a read visits keys in request order; retries may not
+	d, err := b.store.Read(context.Background(), table, pt.keys, func(key string, recs *kv.Records) {
+		i := next
+		if i >= len(chains) || chains[i].key != key {
+			i = slices.IndexFunc(chains, func(ch keyChain) bool { return ch.key == key })
+		}
+		next = i + 1
+		if i < 0 || recs.Tally().Items == 0 {
+			return
+		}
+		// A record's attributes are in URI order, and so are the chain's
+		// contributions: a record outside the chain's range holds none of
+		// them, which its first and last names tell.
+		lo, hi := uriOf(chains[i].first), uriOf(chains[i].last)
+		var m []contrib // the live contributions, once a record may hold one
+		gathered := false
+		for recs.Next() {
+			if recs.AttrCount() == 0 || recs.LastName() < lo {
+				continue
+			}
+			if !gathered {
+				gathered, m = true, pt.members[:0]
+				for c := chains[i].first; c.doc >= 0; c = pt.next(c) {
+					if pt.state(c) == contribLive {
+						m = append(m, c)
+					}
+				}
+				pt.members = m
+			}
+			if len(m) == 0 {
+				return
+			}
+			for recs.NextAttr() {
+				name := recs.Name()
+				if name < lo {
+					continue
+				}
+				if name > hi {
+					break
+				}
+				if j, found := slices.BinarySearchFunc(m, name, func(c contrib, uri string) int {
+					return strings.Compare(uriOf(c), uri)
+				}); found {
+					pt.setState(m[j], contribDropped)
+				}
+			}
+		}
+	})
+	if err != nil {
+		return d, err
+	}
+	pt.stats[chains[0].first.doc].Requests++
+	return d, nil
+}
+
+// put builds the table's items, key by key, and ships them
+// BatchPutItems at a time. Item, attribute and value headers are built into
+// scratch reused from batch to batch; range keys are hashed once per
+// (first member, pack shape).
+func (b *BulkLoader) put(table string, pt *packTable) (time.Duration, error) {
+	var (
+		total  time.Duration
+		owner  int32 // the document the current batch's request is charged to
+		single = make([]string, len(b.docs))
+		multi  = make([]string, len(b.docs))
+	)
+	ship := func() error {
+		if len(pt.batch) == 0 {
+			return nil
+		}
+		d, err := b.store.BatchPut(table, pt.batch)
+		total += d
+		if err != nil {
+			return err
+		}
+		var bytes int64
+		for _, it := range pt.batch {
+			bytes += it.Size()
+		}
+		b.metFlushes.Inc()
+		b.metItems.Add(int64(len(pt.batch)))
+		b.metBytes.Add(bytes)
+		b.metFlush.ObserveModeled(d)
+		pt.stats[owner].Requests++
+		pt.batch, pt.attrs, pt.vals = pt.batch[:0], pt.attrs[:0], pt.vals[:0]
+		return nil
+	}
+	emit := func(it kv.Item, doc int32) error {
+		if len(pt.batch) == 0 {
+			owner = doc
+		}
+		pt.batch = append(pt.batch, it)
+		if len(pt.batch) < b.putItems {
+			return nil
+		}
+		return ship()
+	}
+	// flush writes the pack gathered in pt.pack under key.
+	flush := func(key string) error {
+		if len(pt.pack) == 0 {
+			return nil
+		}
+		first := pt.pack[0].doc
+		keys := single
+		if len(pt.pack) > 1 {
+			keys = multi
+		}
+		if keys[first] == "" {
+			keys[first] = packRangeKey(b.docs[first].uri, table, len(pt.pack))
+		}
+		a0 := len(pt.attrs)
+		for _, c := range pt.pack {
+			v0 := len(pt.vals)
+			pt.vals = pt.values(pt.vals, c)
+			name := b.docs[c.doc].uri
+			pt.attrs = append(pt.attrs, kv.Attr{Name: name, Values: pt.vals[v0:len(pt.vals):len(pt.vals)]})
+			pt.stats[c.doc].Bytes += int64(len(name)) + pt.size(c)
+		}
+		pt.stats[first].Items++
+		pt.stats[first].Bytes += int64(len(key) + len(keys[first]))
+		pt.pack = pt.pack[:0]
+		return emit(kv.Item{HashKey: key, RangeKey: keys[first], Attrs: pt.attrs[a0:len(pt.attrs):len(pt.attrs)]}, first)
+	}
+	// Slabs are dropped once their documents are written, so that the
+	// loader's copy shrinks while the store's grows.
+	done := 0
+	for i, ch := range pt.chains {
+		for ; done < len(pt.slabs) && int(pt.until[done]) <= i; done++ {
+			pt.slabs[done] = nil
+		}
+		var size int64
+		for c := ch.first; c.doc >= 0; c = pt.next(c) {
+			switch pt.state(c) {
+			case contribDropped:
+				continue
+			case contribOversized:
+				if err := b.emitChunks(table, ch.key, pt, c, emit); err != nil {
+					return total, err
+				}
+				continue
+			}
+			member := int64(len(b.docs[c.doc].uri)) + pt.size(c)
+			if len(pt.pack) > 0 && size+member > b.itemBudget {
+				if err := flush(ch.key); err != nil {
+					return total, err
+				}
+			}
+			if len(pt.pack) == 0 {
+				size = int64(len(ch.key))
+			}
+			pt.pack = append(pt.pack, c)
+			size += member
+		}
+		if err := flush(ch.key); err != nil {
+			return total, err
+		}
+	}
+	return total, ship()
+}
+
+// emitChunks emits an oversized contribution as WriteExtraction's chunk
+// items, ItemRangeKey(uri, table, ordinal), split as appendDocItems splits.
+func (b *BulkLoader) emitChunks(table, key string, pt *packTable, c contrib, emit func(kv.Item, int32) error) error {
+	uri := b.docs[c.doc].uri
+	avail := max(b.itemBudget-int64(len(key)+len(uri)), 1)
+	rest := pt.values(nil, c)
+	for ordinal := 0; len(rest) > 0; ordinal++ {
+		n := groupLen(rest, avail)
+		pt.attrs = append(pt.attrs, kv.Attr{Name: uri, Values: rest[:n:n]})
+		rest = rest[n:]
+		it := kv.Item{HashKey: key, RangeKey: ItemRangeKey(uri, table, ordinal), Attrs: pt.attrs[len(pt.attrs)-1 : len(pt.attrs) : len(pt.attrs)]}
+		pt.stats[c.doc].Items++
+		pt.stats[c.doc].Bytes += it.Size()
+		if err := emit(it, c.doc); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// flushTable ships one batch — the oldest unflushed items of the table, up
-// to the batch limit — straight from the buffer, and attributes its cost to
-// the contributing documents. A failed batch stays at the head of the
-// buffer. The posting caches are invalidated for every item in the
-// attempted batch even when the put fails: a partial batch may have landed,
-// and a stale cached posting is the one failure mode invalidation exists to
-// prevent.
-func (b *BulkLoader) flushTable(table string, tb *tableBuffer) error {
-	n := min(b.flushItems, len(tb.items)-tb.head)
-	if n == 0 {
-		return nil
-	}
-	batch := tb.items[tb.head : tb.head+n : tb.head+n]
-	meta := tb.meta[tb.head : tb.head+n]
-	defer func() {
-		for _, c := range b.caches {
-			for _, it := range batch {
-				c.Invalidate(table, it.HashKey)
-			}
-		}
-	}()
-	d, err := b.store.BatchPut(table, batch)
-	if err != nil {
-		return err
-	}
-	var bytes int64
-	for _, m := range meta {
-		bytes += m.size
-	}
-	b.metFlushes.Inc()
-	b.metItems.Add(int64(n))
-	b.metBytes.Add(bytes)
-	b.metFlush.ObserveModeled(d)
-	// The batch's one API call is charged to the first contributor; its
-	// duration is split pro-rata by payload bytes. The telescoping-sum form
-	// (share_i = d·cum_i/bytes − d·cum_{i−1}/bytes) makes integer-duration
-	// shares sum exactly to d, so per-document upload times add up to the
-	// total without rounding drift.
-	meta[0].doc.stats.Requests++
-	var cum int64
-	var prev time.Duration
-	for _, m := range meta {
-		cum += m.size
-		share := time.Duration(int64(d) * cum / bytes)
-		m.doc.upload += share - prev
-		prev = share
-		m.doc.stats.Items++
-		m.doc.stats.Bytes += m.size
-		m.doc.pending--
-	}
-	tb.head += n
-	return nil
-}
-
-// release pops fully-flushed documents off the head of the FIFO, stopping
-// at the first incomplete one. Releasing head-first (rather than any
-// complete document) pins the release order to the Add order, which is what
-// lets the indexing pipeline match DocLoads to its own in-flight queue
-// positionally; a later document whose tables happen to have flushed simply
-// waits for the head's partial batch, which Close always drains.
-func (b *BulkLoader) release() []DocLoad {
-	var done []DocLoad
-	for len(b.fifo) > 0 {
-		d := b.fifo[0]
-		if !d.added || d.pending > 0 {
-			break
-		}
-		done = append(done, DocLoad{URI: d.uri, Upload: d.upload, Stats: d.stats})
-		b.fifo = b.fifo[1:]
-	}
-	return done
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -35,28 +36,75 @@ func testCorpus() []xmark.Doc {
 	return xmark.Generate(xmark.Config{Docs: 24, TargetDocBytes: 2 << 10, Seed: 7})
 }
 
-// recordingStore sums the modeled durations of the BatchPuts that pass
-// through it, so tests can check pro-rata attribution against the truth.
+// recordingStore sums the modeled durations and counts the calls of the
+// reads and puts that pass through it, so tests can check the loader's
+// attribution against the truth.
 type recordingStore struct {
 	kv.Store
-	putTime  time.Duration
-	putCalls int
+	time  time.Duration
+	calls int
 }
 
 func (r *recordingStore) BatchPut(table string, items []kv.Item) (time.Duration, error) {
 	d, err := r.Store.BatchPut(table, items)
 	if err == nil {
-		r.putTime += d
-		r.putCalls++
+		r.time += d
+		r.calls++
 	}
 	return d, err
 }
 
+func (r *recordingStore) Read(ctx context.Context, table string, keys []string, visit kv.Visitor) (time.Duration, error) {
+	d, err := r.Store.Read(ctx, table, keys, visit)
+	if err == nil {
+		r.time += d
+		r.calls++
+	}
+	return d, err
+}
+
+// bulkLoad adds the extractions to a new loader on store and commits them.
+func bulkLoad(t testing.TB, store kv.Store, exs []*Extraction, caches ...*PostingCache) []DocLoad {
+	t.Helper()
+	loader := NewBulkLoader(store, BulkOptions{}, caches...)
+	for _, ex := range exs {
+		if _, err := loader.Add(ex); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done, err := loader.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(done) != len(exs) {
+		t.Fatalf("released %d docs, want %d", len(done), len(exs))
+	}
+	for i, dl := range done {
+		if dl.URI != exs[i].URI {
+			t.Fatalf("doc %d released as %q, want %q (Add order)", i, dl.URI, exs[i].URI)
+		}
+	}
+	return done
+}
+
+// checkLayout holds every table of the strategy on got to the bulk layout
+// and to want's postings (CheckLayout).
+func checkLayout(t testing.TB, s Strategy, got, want kv.Store) {
+	t.Helper()
+	for _, tbl := range s.Tables() {
+		if err := CheckLayout(got.Limits(), tbl, kv.AsDumper(got).DumpTable(tbl), kv.AsDumper(want).DumpTable(tbl)); err != nil {
+			t.Errorf("%s table %s: %v", s.Name(), tbl, err)
+		}
+	}
+}
+
 // TestBulkLoaderMatchesWriteExtraction is the core equivalence property:
-// for every strategy, bulk loading a corpus leaves the store byte-identical
-// to per-document WriteExtraction, with identical aggregate entries, items
-// and bytes, and with per-document attribution that sums exactly to the
-// totals (requests to the call count, upload shares to the modeled time).
+// for every strategy, bulk loading a corpus leaves the store holding the
+// postings per-document WriteExtraction leaves, in the bulk layout
+// (CheckLayout), in fewer rows and requests; the per-document attribution
+// sums exactly to the totals — entries to the extractions', items and bytes
+// to the store's, requests to the calls issued and upload shares to their
+// modeled time.
 func TestBulkLoaderMatchesWriteExtraction(t *testing.T) {
 	docs := testCorpus()
 	for _, s := range All() {
@@ -72,97 +120,64 @@ func TestBulkLoaderMatchesWriteExtraction(t *testing.T) {
 				want.Entries += st.Entries
 				want.Items += st.Items
 				want.Requests += st.Requests
-				want.Bytes += st.Bytes
 			}
 
 			bulkBase := newStore(t, s)
 			bulk := &recordingStore{Store: bulkBase}
-			loader := NewBulkLoader(bulk, BulkOptions{})
-			var done []DocLoad
-			for _, ex := range exs {
-				dls, err := loader.Add(ex)
-				if err != nil {
-					t.Fatal(err)
-				}
-				done = append(done, dls...)
-			}
-			dls, err := loader.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			done = append(done, dls...)
-
-			if len(done) != len(exs) {
-				t.Fatalf("released %d docs, want %d", len(done), len(exs))
-			}
 			var got LoadStats
 			var upload time.Duration
-			for i, dl := range done {
-				if dl.URI != exs[i].URI {
-					t.Fatalf("doc %d released as %q, want %q (FIFO order)", i, dl.URI, exs[i].URI)
-				}
+			for _, dl := range bulkLoad(t, bulk, exs) {
 				got.Entries += dl.Stats.Entries
 				got.Items += dl.Stats.Items
 				got.Requests += dl.Stats.Requests
 				got.Bytes += dl.Stats.Bytes
 				upload += dl.Upload
 			}
-			if got.Entries != want.Entries || got.Items != want.Items || got.Bytes != want.Bytes {
-				t.Errorf("bulk stats %+v, per-doc %+v", got, want)
+			var rows, bytes int64
+			for _, tbl := range s.Tables() {
+				rows += bulkBase.ItemCount(tbl)
+				bytes += bulkBase.TableBytes(tbl)
 			}
-			if got.Requests != bulk.putCalls {
-				t.Errorf("attributed requests %d, issued %d", got.Requests, bulk.putCalls)
+			if got.Entries != want.Entries || int64(got.Items) != rows || got.Bytes != bytes {
+				t.Errorf("bulk stats %+v; want %d entries, %d items, %d bytes", got, want.Entries, rows, bytes)
+			}
+			if got.Items >= want.Items {
+				t.Errorf("bulk wrote %d items, per-doc %d", got.Items, want.Items)
+			}
+			if got.Requests != bulk.calls {
+				t.Errorf("attributed requests %d, issued %d", got.Requests, bulk.calls)
 			}
 			if got.Requests >= want.Requests {
 				t.Errorf("bulk requests %d not below per-doc %d", got.Requests, want.Requests)
 			}
-			if upload != bulk.putTime {
-				t.Errorf("summed upload shares %v != modeled put time %v", upload, bulk.putTime)
+			if upload != bulk.time {
+				t.Errorf("summed upload shares %v != modeled read and put time %v", upload, bulk.time)
 			}
-
-			for _, tbl := range s.Tables() {
-				a := perDoc.(*kv.MemStore).DumpTable(tbl)
-				b := bulkBase.(*kv.MemStore).DumpTable(tbl)
-				if !reflect.DeepEqual(a, b) {
-					t.Errorf("table %s differs between per-doc and bulk load", tbl)
-				}
-			}
+			checkLayout(t, s, bulkBase, perDoc)
 		})
 	}
 }
 
-// TestBulkLoaderRequestFloor checks that bulk loading packs every batch
-// full: the request count hits the per-table floor of ceil(items/limit).
+// TestBulkLoaderRequestFloor checks that a commit on an empty store issues
+// exactly the packing floor: per table, ceil(items/BatchPutItems) puts and
+// ceil(keys/BatchGetKeys) reads.
 func TestBulkLoaderRequestFloor(t *testing.T) {
 	docs := testCorpus()
 	for _, s := range All() {
 		store := newStore(t, s)
 		exs := extractCorpus(t, s, store, docs)
-		loader := NewBulkLoader(store, BulkOptions{})
-		perTable := make(map[string]int)
-		requests := 0
-		for _, ex := range exs {
-			dls, err := loader.Add(ex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requests += sumRequests(dls)
-			budget := itemBudgetFor(store.Limits())
-			for _, tbl := range sortedTables(ex) {
+		requests := sumRequests(bulkLoad(t, store, exs))
+		lim := store.Limits()
+		floor := 0
+		for _, tbl := range s.Tables() {
+			keys := make(map[string]bool)
+			for _, ex := range exs {
 				for _, e := range ex.Tables[tbl] {
-					perTable[tbl] += len(entryItems(ex.URI, tbl, e, budget))
+					keys[e.Key] = true
 				}
 			}
-		}
-		dls, err := loader.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		requests += sumRequests(dls)
-		limit := store.Limits().BatchPutItems
-		floor := 0
-		for _, n := range perTable {
-			floor += (n + limit - 1) / limit
+			items := int(store.ItemCount(tbl))
+			floor += (items+lim.BatchPutItems-1)/lim.BatchPutItems + (len(keys)+lim.BatchGetKeys-1)/lim.BatchGetKeys
 		}
 		if requests != floor {
 			t.Errorf("%s: requests %d, want packing floor %d", s.Name(), requests, floor)
@@ -170,7 +185,7 @@ func TestBulkLoaderRequestFloor(t *testing.T) {
 	}
 }
 
-// sumRequests adds up the batch requests attributed to released documents.
+// sumRequests adds up the requests attributed to released documents.
 func sumRequests(dls []DocLoad) int {
 	n := 0
 	for _, dl := range dls {
@@ -180,53 +195,125 @@ func sumRequests(dls []DocLoad) int {
 }
 
 // TestBulkLoaderSmallFlushAndPending exercises a small batch limit, so that
-// batches fill mid-document, and the pending/release bookkeeping.
+// a batch fills mid-key, and the release contract: nothing is released
+// before Close, everything by it, and Add after Close fails.
 func TestBulkLoaderSmallFlushAndPending(t *testing.T) {
 	docs := testCorpus()[:6]
-	store := kv.NewMemStore(kv.Config{
-		Backend: dynamodb.Backend,
-		Limits: kv.Limits{
-			MaxItemBytes:   dynamodb.MaxItemBytes,
-			MaxValueBytes:  dynamodb.MaxItemBytes,
-			BatchPutItems:  3,
-			BatchGetKeys:   100,
-			SupportsBinary: true,
-		},
-		Perf:   dynamodb.DefaultPerf(),
-		Ledger: meter.NewLedger(),
-	})
-	if err := CreateTables(store, LU); err != nil {
-		t.Fatal(err)
-	}
+	store := smallBatchStore(t, LU, 3)
+	perDoc := smallBatchStore(t, LU, 3)
 	exs := extractCorpus(t, LU, store, docs)
-	loader := NewBulkLoader(store, BulkOptions{})
-	released := 0
 	for _, ex := range exs {
-		dls, err := loader.Add(ex)
-		if err != nil {
+		if _, _, err := WriteExtraction(perDoc, ex); err != nil {
 			t.Fatal(err)
 		}
-		released += len(dls)
-		if released+len(loader.fifo) != 0 && released+len(loader.fifo) > len(exs) {
-			t.Fatalf("released %d + pending %d exceeds added docs", released, len(loader.fifo))
+	}
+	loader := NewBulkLoader(store, BulkOptions{})
+	for _, ex := range exs {
+		if _, err := loader.Add(ex); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if n := store.ItemCount(LU.Tables()[0]); n != 0 {
+		t.Fatalf("%d items landed before Close", n)
 	}
 	dls, err := loader.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	released += len(dls)
-	if released != len(exs) || len(loader.fifo) != 0 {
-		t.Fatalf("released %d (pending %d), want all %d", released, len(loader.fifo), len(exs))
+	if len(dls) != len(exs) {
+		t.Fatalf("released %d, want all %d", len(dls), len(exs))
 	}
 	if _, err := loader.Add(exs[0]); !errors.Is(err, ErrLoaderClosed) {
 		t.Errorf("Add after Close = %v, want ErrLoaderClosed", err)
 	}
+	checkLayout(t, LU, store, perDoc)
 }
 
-// TestBulkLoaderInvalidatesCacheOnFlush: a successful bulk flush must
-// invalidate the cached postings of every key it wrote, so the next read
-// through the cache sees the bulk-loaded document beside the earlier one.
+// TestBulkLoaderPacksEachKeyOnce: a commit writes one item per key when no
+// key's contributions outgrow the budget; its layout depends on the
+// document set and not on the Add order; and a URI added twice contributes
+// once while both of its loads are released.
+func TestBulkLoaderPacksEachKeyOnce(t *testing.T) {
+	s := TwoLUPI
+	docs := testCorpus()
+	forward := newStore(t, s)
+	exs := extractCorpus(t, s, forward, docs)
+	bulkLoad(t, forward, exs)
+	for _, tbl := range s.Tables() {
+		keys := make(map[string]bool)
+		for _, ex := range exs {
+			for _, e := range ex.Tables[tbl] {
+				keys[e.Key] = true
+			}
+		}
+		if n := forward.ItemCount(tbl); n != int64(len(keys)) {
+			t.Errorf("%s: %d items for %d keys", tbl, n, len(keys))
+		}
+	}
+
+	// Reversed, with the first document added a second time.
+	reversed := newStore(t, s)
+	var order []*Extraction
+	for i := len(exs) - 1; i >= 0; i-- {
+		order = append(order, exs[i])
+	}
+	order = append(order, exs[0])
+	done := bulkLoad(t, reversed, order)
+	if last := done[len(done)-1]; last.Stats.Items != 0 || last.Stats.Bytes != 0 {
+		t.Errorf("the repeated document was charged %+v, want nothing written", last.Stats)
+	}
+	for _, tbl := range s.Tables() {
+		a, b := kv.AsDumper(forward).DumpTable(tbl), kv.AsDumper(reversed).DumpTable(tbl)
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: the layout depends on the Add order", tbl)
+		}
+	}
+}
+
+// TestBulkLoaderOversizedContributions: on a store whose item budget is
+// smaller than some contributions, those keep the per-document chunk items
+// beside the packs, and a second commit of the same documents rewrites
+// them in place.
+func TestBulkLoaderOversizedContributions(t *testing.T) {
+	docs := xmark.Generate(xmark.Config{Docs: 8, TargetDocBytes: 32 << 10, Seed: 3})
+	for _, s := range []Strategy{LUP, LUI} {
+		limits := func() kv.Limits {
+			return kv.Limits{MaxItemBytes: 768, MaxValueBytes: 768, BatchPutItems: 25, BatchGetKeys: 100, SupportsBinary: true}
+		}
+		newSmall := func() *kv.MemStore {
+			store := kv.NewMemStore(kv.Config{Backend: dynamodb.Backend, Limits: limits(), Perf: dynamodb.DefaultPerf(), Ledger: meter.NewLedger()})
+			if err := CreateTables(store, s); err != nil {
+				t.Fatal(err)
+			}
+			return store
+		}
+		perDoc, bulk := newSmall(), newSmall()
+		exs := extractCorpus(t, s, perDoc, docs)
+		oversized := 0
+		for _, ex := range exs {
+			if _, _, err := WriteExtraction(perDoc, ex); err != nil {
+				t.Fatal(err)
+			}
+			for _, tbl := range s.Tables() {
+				for _, e := range ex.Tables[tbl] {
+					if len(entryItems(ex.URI, tbl, e, itemBudgetFor(limits()))) > 1 {
+						oversized++
+					}
+				}
+			}
+		}
+		if oversized == 0 {
+			t.Fatalf("%s: no contribution outgrows a %d-byte item", s.Name(), itemBudgetFor(limits()))
+		}
+		bulkLoad(t, bulk, exs)
+		bulkLoad(t, bulk, exs)
+		checkLayout(t, s, bulk, perDoc)
+	}
+}
+
+// TestBulkLoaderInvalidatesCacheOnFlush: a commit must invalidate the
+// cached postings of every key it wrote, so the next read through the
+// cache sees the bulk-loaded document beside the earlier one.
 func TestBulkLoaderInvalidatesCacheOnFlush(t *testing.T) {
 	store := newStore(t, LU)
 	exs := extractCorpus(t, LU, store, testCorpus()[:2])
@@ -259,13 +346,7 @@ func TestBulkLoaderInvalidatesCacheOnFlush(t *testing.T) {
 	}
 	readThrough() // warm the entry
 
-	loader := NewBulkLoader(store, BulkOptions{}, cache)
-	if _, err := loader.Add(exs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loader.Close(); err != nil {
-		t.Fatal(err)
-	}
+	bulkLoad(t, store, exs[1:], cache)
 	got := readThrough()
 	if got[exs[1].URI] == nil {
 		t.Errorf("bulk-loaded write did not invalidate the cached entry of %q", key)
@@ -289,15 +370,16 @@ func (f *failingStore) BatchPut(table string, items []kv.Item) (time.Duration, e
 	return f.Store.BatchPut(table, items)
 }
 
-// TestBulkLoaderInvalidatesCacheOnFailedFlush: even when a flush fails
-// mid-way, every key of the attempted batch must be invalidated in the
-// posting caches — a partially landed batch with a stale cached posting is
-// the §5d failure mode cache invalidation exists to prevent.
+// TestBulkLoaderInvalidatesCacheOnFailedFlush: even when a commit fails
+// mid-way, every key of the commit must be invalidated in the posting
+// caches — a partially landed commit with a stale cached posting is the §5d
+// failure mode cache invalidation exists to prevent — and no document is
+// released.
 func TestBulkLoaderInvalidatesCacheOnFailedFlush(t *testing.T) {
 	docs := testCorpus()[:4]
 	base := newStore(t, LU)
 	exs := extractCorpus(t, LU, base, docs)
-	store := &failingStore{Store: base, allow: 0}
+	store := &failingStore{Store: base, allow: 1}
 	cache := NewPostingCache(1 << 20)
 	table := LU.Tables()[0]
 
@@ -313,46 +395,32 @@ func TestBulkLoaderInvalidatesCacheOnFailedFlush(t *testing.T) {
 	}
 
 	loader := NewBulkLoader(store, BulkOptions{}, cache)
-	var flushErr error
 	for _, ex := range exs {
 		if _, err := loader.Add(ex); err != nil {
-			flushErr = err
-			break
+			t.Fatal(err)
 		}
 	}
-	if flushErr == nil {
-		if _, err := loader.Flush(); err != nil {
-			flushErr = err
+	dls, err := loader.Close()
+	if err == nil {
+		t.Fatal("expected an injected put failure")
+	}
+	if len(dls) != 0 {
+		t.Errorf("a failed commit released %d documents", len(dls))
+	}
+	if n := base.ItemCount(table); n == 0 || n >= int64(len(keys)) {
+		t.Fatalf("%d of %d items landed, want a part", n, len(keys))
+	}
+	for k := range keys {
+		if _, ok := cache.get(cacheKey{table: table, key: k, kind: URIPosting}); ok {
+			t.Fatalf("key %q still cached after a failed commit", k)
 		}
-	}
-	if flushErr == nil {
-		t.Fatal("expected an injected flush failure")
-	}
-	// Every key of the first (failed) batch must be gone from the cache.
-	// The failed batch is a prefix of the corpus' items in Add order.
-	limit := base.Limits().BatchPutItems
-	budget := itemBudgetFor(base.Limits())
-	checked := 0
-	for _, ex := range exs {
-		for _, e := range ex.Tables[table] {
-			for range entryItems(ex.URI, table, e, budget) {
-				if checked < limit {
-					if _, ok := cache.get(cacheKey{table: table, key: e.Key, kind: URIPosting}); ok {
-						t.Fatalf("key %q still cached after failed flush", e.Key)
-					}
-				}
-				checked++
-			}
-		}
-	}
-	if checked < limit {
-		t.Fatalf("corpus too small to fill a batch (%d items)", checked)
 	}
 }
 
 // TestBulkLoaderRetryIdempotent re-adds the same documents after a failed
-// flush (the redelivery path) and checks the store converges to the clean
-// result — the composition with PR 2's exactly-once guarantees.
+// commit (the redelivery path), grouped otherwise, and checks the store
+// converges to the clean postings without a duplicated contribution — the
+// composition with §5d's exactly-once guarantees.
 func TestBulkLoaderRetryIdempotent(t *testing.T) {
 	docs := testCorpus()[:8]
 	clean := newStore(t, LUI)
@@ -366,44 +434,26 @@ func TestBulkLoaderRetryIdempotent(t *testing.T) {
 	base := newStore(t, LUI)
 	flaky := &failingStore{Store: base, allow: 2} // fail after two batches land
 	loader := NewBulkLoader(flaky, BulkOptions{})
-	failed := false
 	for _, ex := range exs {
 		if _, err := loader.Add(ex); err != nil {
-			failed = true
-			break
-		}
-	}
-	if !failed {
-		if _, err := loader.Close(); err != nil {
-			failed = true
-		}
-	}
-	if !failed {
-		t.Fatal("expected the flaky store to fail a flush")
-	}
-	// "Redeliver" the whole corpus to a fresh loader on the now-healthy
-	// store: idempotent range keys make the rewrite converge.
-	flaky.allow = 1 << 30
-	retry := NewBulkLoader(flaky, BulkOptions{})
-	for _, ex := range exs {
-		if _, err := retry.Add(ex); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := retry.Close(); err != nil {
-		t.Fatal(err)
+	if _, err := loader.Close(); err == nil {
+		t.Fatal("expected the flaky store to fail the commit")
 	}
-	for _, tbl := range LUI.Tables() {
-		a := clean.(*kv.MemStore).DumpTable(tbl)
-		b := base.(*kv.MemStore).DumpTable(tbl)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("table %s did not converge after retry", tbl)
-		}
-	}
+	// "Redeliver" the corpus on the now-healthy store in two commits that
+	// group the documents otherwise than the failed one did, so that their
+	// packs take other range keys: each commit must drop what landed.
+	flaky.allow = 1 << 30
+	bulkLoad(t, flaky, exs[len(exs)/2:])
+	bulkLoad(t, flaky, exs[:len(exs)/2])
+	checkLayout(t, LUI, base, clean)
 }
 
-// TestBulkLoaderMeteredRequests confirms the ledger sees exactly the bulk
-// request count (the quantity the cost model bills).
+// TestBulkLoaderMeteredRequests confirms the ledger sees exactly the
+// requests and rows the loader attributes (the quantities the cost model
+// bills).
 func TestBulkLoaderMeteredRequests(t *testing.T) {
 	docs := testCorpus()
 	ledger := meter.NewLedger()
@@ -412,23 +462,69 @@ func TestBulkLoaderMeteredRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	exs := extractCorpus(t, LU, store, docs)
-	loader := NewBulkLoader(store, BulkOptions{})
-	requests := 0
+	requests, items := 0, 0
+	for _, dl := range bulkLoad(t, store, exs) {
+		requests += dl.Stats.Requests
+		items += dl.Stats.Items
+	}
+	u := ledger.Snapshot()
+	put, get := u.Get(dynamodb.Backend, "put"), u.Get(dynamodb.Backend, "get")
+	if put.Calls+get.Calls != int64(requests) {
+		t.Errorf("ledger billed %d put and %d get calls, loader attributes %d", put.Calls, get.Calls, requests)
+	}
+	if put.Units != int64(items) {
+		t.Errorf("ledger billed %d put rows, loader attributes %d", put.Units, items)
+	}
+}
+
+// TestPerDocumentRewriteKeepsPack: a live worker's per-document re-index of
+// a document already in a pack — here the first member of every
+// multi-member pack — adds a pack of one beside the pack instead of
+// overwriting it, and look-ups still see every member, each URI's
+// identifiers once.
+func TestPerDocumentRewriteKeepsPack(t *testing.T) {
+	s := LUI
+	docs := testCorpus()[:6]
+	clean := newStore(t, s)
+	exs := extractCorpus(t, s, clean, docs)
 	for _, ex := range exs {
-		dls, err := loader.Add(ex)
+		if _, _, err := WriteExtraction(clean, ex); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bulk := newStore(t, s)
+	bulkLoad(t, bulk, exs)
+	if _, _, err := WriteExtraction(bulk, exs[0]); err != nil {
+		t.Fatal(err)
+	}
+	table := s.Tables()[0]
+	var keys []string
+	for _, e := range exs[0].Tables[table] {
+		keys = append(keys, e.Key)
+	}
+	for rest := keys; len(rest) > 0; {
+		n := min(100, len(rest))
+		want, _, err := ReadKeys(clean, table, rest[:n], IDPosting, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requests += sumRequests(dls)
-	}
-	dls, err := loader.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requests += sumRequests(dls)
-	billed := ledger.Snapshot().Get(dynamodb.Backend, "put").Calls
-	if billed != int64(requests) {
-		t.Errorf("ledger billed %d put calls, loader attributes %d", billed, requests)
+		got, _, err := ReadKeys(bulk, table, rest[:n], IDPosting, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, ps := range want {
+			if len(got[k]) != len(ps) {
+				t.Fatalf("key %s: %d URIs after the rewrite, want %d", k, len(got[k]), len(ps))
+			}
+			for uri, p := range ps {
+				w, _ := p.DecodedIDs()
+				g, _ := got[k][uri].DecodedIDs()
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("key %s, %s: identifiers %v, want %v", k, uri, g, w)
+				}
+			}
+		}
+		rest = rest[n:]
 	}
 }
 
@@ -487,9 +583,10 @@ func smallBatchStore(t *testing.T, s Strategy, limit int) *kv.MemStore {
 // FuzzBulkLoaderMatchesWriteExtraction holds the bulk loader to the
 // per-document write path under any batch limit (1 to 30 items), any
 // sequence of the scanner's seed documents (repeats included: a reload) and
-// any Flush points: after Close every table dumps byte-identical to
-// per-document WriteExtraction, and the documents are released in Add
-// order.
+// any commit points (a set bit of commits after a document closes the
+// loader and opens a new one): after the last commit every table passes
+// CheckLayout against per-document WriteExtraction, and each commit
+// releases its documents in Add order.
 func FuzzBulkLoaderMatchesWriteExtraction(f *testing.F) {
 	docs := fuzzSeedDocs(f)
 	f.Add(uint8(0), uint8(24), uint64(0), []byte(nil))
@@ -497,7 +594,7 @@ func FuzzBulkLoaderMatchesWriteExtraction(f *testing.F) {
 	f.Add(uint8(3), uint8(2), uint64(0b1011), []byte{0, 1, 2, 3, 2, 1, 0})
 	f.Add(uint8(1), uint8(6), ^uint64(0), []byte{5, 5, 4, 3})
 	f.Add(uint8(2), uint8(29), uint64(1<<3), []byte{7, 6, 5, 4, 3, 2, 1, 0})
-	f.Fuzz(func(t *testing.T, strategy, limit uint8, flushes uint64, picks []byte) {
+	f.Fuzz(func(t *testing.T, strategy, limit uint8, commits uint64, picks []byte) {
 		s := All()[int(strategy)%len(All())]
 		batch := 1 + int(limit)%30
 		order := docs
@@ -511,64 +608,43 @@ func FuzzBulkLoaderMatchesWriteExtraction(f *testing.F) {
 		perDoc := smallBatchStore(t, s, batch)
 		bulk := smallBatchStore(t, s, batch)
 		opts := OptionsFor(perDoc)
-		loader := NewBulkLoader(bulk, BulkOptions{})
-		var released []string
+		var pending []*Extraction
 		for i, d := range order {
 			ex := Extract(s, d, opts)
 			if _, _, err := WriteExtraction(perDoc, ex); err != nil {
 				t.Fatal(err)
 			}
-			dls, err := loader.Add(ex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if flushes>>(i%64)&1 == 1 {
-				more, err := loader.Flush()
-				if err != nil {
-					t.Fatal(err)
-				}
-				dls = append(dls, more...)
-			}
-			for _, dl := range dls {
-				released = append(released, dl.URI)
+			pending = append(pending, ex)
+			if commits>>(i%64)&1 == 1 {
+				bulkLoad(t, bulk, pending)
+				pending = nil
 			}
 		}
-		dls, err := loader.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, dl := range dls {
-			released = append(released, dl.URI)
-		}
-		if len(released) != len(order) {
-			t.Fatalf("released %d documents, added %d", len(released), len(order))
-		}
-		for i, d := range order {
-			if released[i] != d.URI {
-				t.Fatalf("document %d released as %s, added as %s", i, released[i], d.URI)
-			}
-		}
-		for _, tbl := range s.Tables() {
-			if a, b := perDoc.DumpTable(tbl), bulk.DumpTable(tbl); !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s, batch limit %d: table %s holds %d items bulk-loaded, %d written per document, or they differ",
-					s.Name(), batch, tbl, len(b), len(a))
-			}
-		}
+		bulkLoad(t, bulk, pending)
+		checkLayout(t, s, bulk, perDoc)
 	})
 }
 
-// discardStore takes batches of up to limit items and keeps nothing, so
-// allocation and retention tests see the loader alone.
+// discardStore takes batches of up to limit items, keeps nothing and reads
+// every key as empty, so allocation and retention tests see the loader
+// alone.
 type discardStore struct {
 	kv.Store
 	limit int
 }
 
 func (s discardStore) Limits() kv.Limits {
-	return kv.Limits{MaxItemBytes: dynamodb.MaxItemBytes, BatchPutItems: s.limit, SupportsBinary: true}
+	return kv.Limits{MaxItemBytes: dynamodb.MaxItemBytes, BatchPutItems: s.limit, BatchGetKeys: 100, SupportsBinary: true}
 }
 
 func (discardStore) BatchPut(string, []kv.Item) (time.Duration, error) { return time.Millisecond, nil }
+
+func (discardStore) Read(_ context.Context, _ string, keys []string, visit kv.Visitor) (time.Duration, error) {
+	for _, k := range keys {
+		visit(k, &kv.Records{})
+	}
+	return time.Millisecond, nil
+}
 
 // syntheticExtraction is a one-table extraction of n entries, one value of
 // valueBytes each.
@@ -580,17 +656,17 @@ func syntheticExtraction(n, valueBytes int) *Extraction {
 	return &Extraction{URI: "doc.xml", Tables: map[string][]Entry{"t": entries}, Entries: n}
 }
 
-// TestBulkLoaderAddAllocsFlat: Add builds a document's items in the buffer
-// it ships from, so its allocation count is the same for 10 entries as for
-// 1,000 — a few arrays and one range key per table, none per item. Both
-// sizes are whole batches, so every Add releases its own document.
+// TestBulkLoaderAddAllocsFlat: Add copies a document's values into the
+// table's slab and appends its contributions to slices the loader keeps, so
+// once a key is known its allocation count is the same for 10 entries as
+// for 1,000 — amortized growth of a few slices, none per entry.
 func TestBulkLoaderAddAllocsFlat(t *testing.T) {
 	allocs := func(n int) float64 {
 		loader := NewBulkLoader(discardStore{limit: 5}, BulkOptions{})
 		ex := syntheticExtraction(n, 8)
 		return testing.AllocsPerRun(50, func() {
-			if dls, err := loader.Add(ex); err != nil || len(dls) != 1 {
-				t.Fatalf("Add released %d documents (%v), want its own", len(dls), err)
+			if _, err := loader.Add(ex); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
@@ -601,15 +677,14 @@ func TestBulkLoaderAddAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestBulkLoaderDoesNotPinFlushedExtraction: once a document's items are
-// flushed the loader keeps nothing of its extraction, however long the
-// loader lives. The control keeps a few items of the document buffered
-// (a Flush not yet called) and must see the whole extraction retained —
-// its items share the document's value array — which shows the measurement
-// can fail.
+// TestBulkLoaderDoesNotPinFlushedExtraction: the loader keeps nothing of an
+// extraction — Add copies its values — and nothing of the copy once Close
+// has committed it. The control keeps the document uncommitted (no Close)
+// and must see a copy of the whole extraction retained, which shows the
+// measurement can fail.
 func TestBulkLoaderDoesNotPinFlushedExtraction(t *testing.T) {
 	const entries, valueBytes = 256, 16 << 10
-	retained := func(flush bool) int64 {
+	retained := func(commit bool) int64 {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
@@ -617,9 +692,9 @@ func TestBulkLoaderDoesNotPinFlushedExtraction(t *testing.T) {
 		if _, err := loader.Add(syntheticExtraction(entries, valueBytes)); err != nil {
 			t.Fatal(err)
 		}
-		if flush {
-			if dls, err := loader.Flush(); err != nil || len(dls) != 1 {
-				t.Fatalf("Flush released %d documents (%v), want 1", len(dls), err)
+		if commit {
+			if dls, err := loader.Close(); err != nil || len(dls) != 1 {
+				t.Fatalf("Close released %d documents (%v), want 1", len(dls), err)
 			}
 		}
 		runtime.GC()
@@ -628,12 +703,12 @@ func TestBulkLoaderDoesNotPinFlushedExtraction(t *testing.T) {
 		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	}
 	extraction := int64(entries * valueBytes)
-	pinned, flushed := retained(false), retained(true)
-	t.Logf("bytes retained of a %d-byte extraction: %d buffered, %d flushed", extraction, pinned, flushed)
+	pinned, committed := retained(false), retained(true)
+	t.Logf("bytes retained of a %d-byte extraction: %d uncommitted, %d committed", extraction, pinned, committed)
 	if got := pinned; got < extraction/2 {
-		t.Fatalf("a loader holding part of a document kept %d of its %d bytes: the measurement no longer sees a pinned extraction", got, extraction)
+		t.Fatalf("a loader holding an uncommitted document kept %d of its %d bytes: the measurement no longer sees a retained copy", got, extraction)
 	}
-	if got := flushed; got > extraction/16 {
-		t.Fatalf("a loader that flushed the document kept %d of its %d bytes", got, extraction)
+	if got := committed; got > extraction/16 {
+		t.Fatalf("a loader that committed the document kept %d of its %d bytes", got, extraction)
 	}
 }

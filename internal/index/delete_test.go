@@ -174,3 +174,113 @@ func TestDeleteDocumentBatchesRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestDeleteDocumentFromPacks removes a document from a bulk-loaded store:
+// its one-attribute items are deleted, every pack it is a member of is put
+// again without it under the range key of the remainder's first member, and
+// the old pack is deleted when that key changed. The ledger must show
+// exactly ⌈keys/100⌉ gets of the document's keys, and write requests of
+// exactly those puts and deletes, 25 a request. The store must then hold
+// the postings of a clean build without the document, and re-adding it in
+// a new commit must give the postings of a clean build with it.
+func TestDeleteDocumentFromPacks(t *testing.T) {
+	cfg := xmark.DefaultConfig(6)
+	cfg.TargetDocBytes = 8 << 10
+	var gds []xmark.Doc
+	for i := 0; i < cfg.Docs; i++ {
+		gds = append(gds, xmark.GenerateDoc(cfg, i))
+	}
+	ceil := func(n, per int) int64 { return int64((n + per - 1) / per) }
+	for _, s := range All() {
+		for _, victimAt := range []int{0, 3} {
+			led := meter.NewLedger()
+			store := dynamodb.New(led)
+			if err := CreateTables(store, s); err != nil {
+				t.Fatal(err)
+			}
+			without, with := newStore(t, s), newStore(t, s)
+			exs := extractCorpus(t, s, store, gds)
+			victim := exs[victimAt]
+			var others []*Extraction
+			for i, ex := range exs {
+				if i != victimAt {
+					others = append(others, ex)
+				}
+			}
+			bulkLoad(t, store, exs)
+			bulkLoad(t, without, others)
+			for _, ex := range exs {
+				if _, _, err := WriteExtraction(with, ex); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			lim := store.Limits()
+			var wantGets, wantKeys, wantWrites, wantRows int64
+			var wantSt DeleteStats
+			for _, tbl := range s.Tables() {
+				mine := map[string]bool{}
+				for _, e := range victim.Tables[tbl] {
+					mine[e.Key] = true
+				}
+				wantGets += ceil(len(mine), lim.BatchGetKeys)
+				wantKeys += int64(len(mine))
+				wantSt.Keys += len(mine)
+				puts, dels := 0, 0
+				for _, it := range store.DumpTable(tbl) {
+					if !mine[it.HashKey] {
+						continue
+					}
+					var rest []string
+					member := false
+					for _, a := range it.Attrs {
+						if a.Name == victim.URI {
+							member = true
+						} else {
+							rest = append(rest, a.Name)
+						}
+					}
+					switch {
+					case !member:
+					case len(rest) == 0:
+						dels++
+					default:
+						puts++
+						if len(rest) == 1 || rest[0] != it.Attrs[0].Name {
+							dels++ // the remainder's range key differs
+						}
+					}
+				}
+				wantSt.ItemsDeleted += dels
+				wantSt.ItemsRewritten += puts
+				wantWrites += ceil(puts, lim.BatchPutItems) + ceil(dels, lim.BatchPutItems)
+				wantRows += int64(puts + dels)
+			}
+			if wantSt.ItemsRewritten == 0 {
+				t.Fatalf("%s: the victim is a member of no pack", s.Name())
+			}
+
+			before := led.Snapshot()
+			d := parseDoc(t, gds[victimAt].URI, string(gds[victimAt].Data))
+			_, st, err := DeleteDocument(store, s, d, OptionsFor(store))
+			if err != nil {
+				t.Fatal(err)
+			}
+			diff := led.Snapshot().Sub(before)
+			get, put := diff.Get("dynamodb", "get"), diff.Get("dynamodb", "put")
+			if st != wantSt {
+				t.Errorf("%s, victim %d: stats %+v, want %+v", s.Name(), victimAt, st, wantSt)
+			}
+			if get.Calls != wantGets || get.Units != wantKeys {
+				t.Errorf("%s, victim %d: gets %+v, want %d calls of %d keys", s.Name(), victimAt, get, wantGets, wantKeys)
+			}
+			if put.Calls != wantWrites || put.Units != wantRows {
+				t.Errorf("%s, victim %d: write requests %+v, want %d calls of %d rows", s.Name(), victimAt, put, wantWrites, wantRows)
+			}
+			checkLayout(t, s, store, without)
+
+			bulkLoad(t, store, []*Extraction{victim})
+			checkLayout(t, s, store, with)
+		}
+	}
+}

@@ -344,3 +344,48 @@ func TestLookupDecodesOnlyCandidates(t *testing.T) {
 		t.Error("no raw posting left undecoded: the look-up decodes what it fetched")
 	}
 }
+
+// A URI stored in two items under one key — a bulk pack and a later
+// per-document re-index of the same document — decodes its identifiers
+// once, whatever the two values' shapes: a raw stream twice, a blocked blob
+// twice, or one of each in either order.
+func TestDuplicateContributionDecodesOnce(t *testing.T) {
+	small := lazyFixtureIDs(3)
+	large := lazyFixtureIDs(3 * blockedMinIDs)
+	stream := EncodeIDsBinary(small, 0)[0]
+	blocked := EncodeIDs(large, true, 0)[0]
+	if parseBlocked(blocked) == nil || parseBlocked(stream) != nil {
+		t.Fatal("fixture values are not one stream and one blocked blob")
+	}
+	// mixed is a stream of the large set's first identifiers.
+	mixed := EncodeIDsBinary(large[:3], 0)[0]
+	for _, tc := range []struct {
+		name   string
+		values [][]byte
+		want   []xmltree.NodeID
+	}{
+		{"raw+raw", [][]byte{stream, stream}, small},
+		{"blocked+blocked", [][]byte{blocked, blocked}, large},
+		{"stream+blocked", [][]byte{mixed, blocked}, large},
+		{"blocked+stream", [][]byte{blocked, mixed}, large},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			items := []kv.Item{
+				{HashKey: "ename", RangeKey: "a-pack", Attrs: []kv.Attr{
+					{Name: "a.xml", Values: []kv.Value{tc.values[0]}},
+					{Name: "doc.xml", Values: []kv.Value{tc.values[0]}},
+				}},
+				{HashKey: "ename", RangeKey: "b-single", Attrs: []kv.Attr{{Name: "doc.xml", Values: []kv.Value{tc.values[1]}}}},
+			}
+			postings, err := decodeItems(items, IDPosting, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := postings["doc.xml"]
+			got, err := p.DecodedIDs()
+			if err != nil || p.IDCount() != len(tc.want) || !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("count %d, ids %v (%v), want %v", p.IDCount(), got, err, tc.want)
+			}
+		})
+	}
+}

@@ -1,13 +1,14 @@
 package index
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +42,21 @@ import (
 func ItemRangeKey(uri, table string, ordinal int) string {
 	var buf [256]byte
 	return rangeKey(rangeKeyHead(buf[:0], uri, table), ordinal)
+}
+
+// packOrdinal is the ordinal a pack of two or more documents' postings is
+// keyed by (DESIGN §5e): its first member's range key at an ordinal no
+// chunk reaches, hashed as 0xFFFFFFFF. A pack of one is the per-document
+// item, at ordinal 0.
+const packOrdinal = -1
+
+// packRangeKey returns the range key of a pack of members contributions
+// whose first member, in URI order, is uri.
+func packRangeKey(uri, table string, members int) string {
+	if members > 1 {
+		return ItemRangeKey(uri, table, packOrdinal)
+	}
+	return ItemRangeKey(uri, table, 0)
 }
 
 // rangeKeyHead appends the part of the pre-image that the items of one
@@ -226,7 +242,7 @@ func appendDocItems(dst []kv.Item, uri, table string, entries []Entry, itemBudge
 // groupLen returns how many of the leading values go into the next item:
 // as many as fit in avail bytes, and at least one, so a value larger than
 // the budget rides alone instead of being dropped or cut.
-func groupLen(values [][]byte, avail int64) int {
+func groupLen[V ~[]byte](values []V, avail int64) int {
 	var size int64
 	for i, v := range values {
 		if i > 0 && size+int64(len(v)) > avail {
@@ -569,7 +585,7 @@ func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind
 	if kind == IDPosting {
 		for i := range d.slab {
 			p := &d.slab[i]
-			if err := finishIDPosting(p, d.segs[p], d.eager[p]); err != nil {
+			if err := finishIDPosting(p, d.segs[p], d.eager[p], d.several[p]); err != nil {
 				return nil, err
 			}
 		}
@@ -584,7 +600,7 @@ func replacementRecords(replaces map[string][]kv.Item) *kv.Records {
 	for _, owned := range replaces {
 		items = append(items, owned...)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].RangeKey < items[j].RangeKey })
+	slices.SortFunc(items, func(a, b kv.Item) int { return strings.Compare(a.RangeKey, b.RangeKey) })
 	return kv.ItemRecords(items)
 }
 
@@ -600,7 +616,9 @@ type keyDecoder struct {
 	// (headers parsed) and eagerly decoded identifiers.
 	segs  map[*Posting][]*idblock.Set
 	eager map[*Posting][]xmltree.NodeID
-	err   error
+	// several marks the postings that got more than one non-empty value.
+	several map[*Posting]bool
+	err     error
 }
 
 // record decodes the current record of c, unless it is one that replaces
@@ -652,12 +670,18 @@ func (d *keyDecoder) attr(c *kv.Records) {
 				d.err = err
 				return
 			}
+			first := p.n == 0 && len(d.segs[p]) == 0 && d.eager[p] == nil
 			switch {
-			case iv.stream != nil && p.n == 0 && len(d.segs[p]) == 0 && d.eager[p] == nil:
-				p.raw, p.n = iv.stream, iv.n // the first value: stays raw
-				continue
 			case iv.set == nil && iv.stream == nil && iv.ids == nil:
 				continue // an empty value adds nothing
+			case iv.stream != nil && first:
+				p.raw, p.n = iv.stream, iv.n // the first value: stays raw
+				continue
+			case !first:
+				if d.several == nil {
+					d.several = make(map[*Posting]bool)
+				}
+				d.several[p] = true
 			}
 			if p.raw != nil {
 				// Any second value: the held stream joins the eager path,
@@ -731,9 +755,13 @@ func detachPostings(postings map[string]*Posting) {
 // content, and Merge restores pre order from the headers alone. Anything
 // else (text values, several streams, streams mixed with segments,
 // overlapping segments) materializes: decode everything, restore pre order,
-// and wrap the result as a single-block Set so the join kernels are
-// format-blind.
-func finishIDPosting(p *Posting, segs []*idblock.Set, ids []xmltree.NodeID) error {
+// drop identifiers repeated across values when there are several, and wrap
+// the result as a single-block Set so the join kernels are format-blind.
+// Repeats arise when a URI sits in two items under one key — a bulk
+// commit's pack and a later per-document re-index of the same document
+// (DESIGN §5e) — and the URI's identifiers must decode once. One value
+// decodes as it is, as a raw stream does.
+func finishIDPosting(p *Posting, segs []*idblock.Set, ids []xmltree.NodeID, several bool) error {
 	if p.raw != nil {
 		return nil
 	}
@@ -753,12 +781,15 @@ func finishIDPosting(p *Posting, segs []*idblock.Set, ids []xmltree.NodeID) erro
 	if !idblock.IsSorted(ids) {
 		sortIDs(ids)
 	}
+	if several {
+		ids = slices.CompactFunc(ids, func(a, b xmltree.NodeID) bool { return a.Pre == b.Pre })
+	}
 	p.setIDs(ids)
 	return nil
 }
 
 func sortIDs(ids []xmltree.NodeID) {
-	// Items arrive ordered by UUID range key, not by content; restore the
-	// pre order the twig join requires.
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Pre < ids[j].Pre })
+	// Items arrive ordered by range key, not by content; restore the pre
+	// order the twig join requires.
+	slices.SortFunc(ids, func(a, b xmltree.NodeID) int { return cmp.Compare(a.Pre, b.Pre) })
 }
