@@ -76,14 +76,25 @@ const (
 	contribOversized        // larger than the item budget: per-document chunk items
 )
 
-// A contribution is one document's values under one key. It lives in the
-// document's slab: a header of headerLen bytes — the key's next
-// contribution (document and offset; document −1 ends the chain), the value
-// bytes with the state in the top two bits, the value count — and then each
-// value behind its length as a uvarint. A contrib is its place.
-type contrib struct{ doc, off int32 }
+// A contribution is one document's values under one key. It lives in a
+// slab: a header of headerLen bytes — the key's next contribution (slab and
+// offset; slab −1 ends the chain), the value bytes with the state in the
+// top two bits, the value count — and then each value behind its length as
+// a uvarint. A contrib is its place.
+type contrib struct{ slab, off int32 }
 
 const headerLen = 16
+
+// endOfChain is the next of a key's last contribution.
+var endOfChain = contrib{-1, 0}
+
+// slabsPerDoc is how many slabs of about equal size a document's
+// contributions to a table are cut into, laid out in chain order. The
+// commit writes the chains in order and drops each slab once its last chain
+// is written, so the loader's copy shrinks as the store's grows: a commit
+// holds at most a slab a document, an eighth of the copy, more than the
+// store will hold when it is done, however many documents it packs.
+const slabsPerDoc = 8
 
 // keyChain is one key's contributions, linked through their headers: in
 // Add order until the commit sorts them by URI.
@@ -98,11 +109,12 @@ type keyChain struct {
 type packTable struct {
 	index  map[string]int32 // key → chains
 	chains []keyChain
-	slabs  [][]byte // by document
-	// until holds, by document, how many chains there were once it was
-	// added. Its keys are among them, so once the commit has written that
-	// many chains its slab is no longer read.
-	until []int32
+	slabs  [][]byte
+	// slabDoc holds each slab's document, and slabEnd how many chains the
+	// commit has written once the slab is no longer read: its last
+	// contribution's chain, plus one.
+	slabDoc, slabEnd []int32
+	order            []uint64 // Add's and put's sort scratch
 
 	stats   []LoadStats // by document
 	members []contrib
@@ -128,15 +140,18 @@ func (pt *packTable) recycle() {
 	clear(pt.attrs[:cap(pt.attrs)])
 	clear(pt.vals[:cap(pt.vals)])
 	clear(pt.keys[:cap(pt.keys)])
-	pt.chains, pt.slabs, pt.until, pt.stats = pt.chains[:0], pt.slabs[:0], pt.until[:0], nil
+	pt.chains, pt.slabs, pt.slabDoc, pt.slabEnd, pt.order, pt.stats = pt.chains[:0], pt.slabs[:0], pt.slabDoc[:0], pt.slabEnd[:0], pt.order[:0], nil
 	pt.members, pt.pack, pt.batch, pt.attrs, pt.vals, pt.keys = pt.members[:0], pt.pack[:0], pt.batch[:0], pt.attrs[:0], pt.vals[:0], pt.keys[:0]
 	packTables.Put(pt)
 }
 
 // header returns c's header.
 func (pt *packTable) header(c contrib) []byte {
-	return pt.slabs[c.doc][c.off : c.off+headerLen : c.off+headerLen]
+	return pt.slabs[c.slab][c.off : c.off+headerLen : c.off+headerLen]
 }
+
+// doc returns the document c belongs to.
+func (pt *packTable) doc(c contrib) int32 { return pt.slabDoc[c.slab] }
 
 // next returns the contribution after c in its key's chain.
 func (pt *packTable) next(c contrib) contrib {
@@ -146,7 +161,7 @@ func (pt *packTable) next(c contrib) contrib {
 
 func (pt *packTable) setNext(c, next contrib) {
 	h := pt.header(c)
-	binary.LittleEndian.PutUint32(h, uint32(next.doc))
+	binary.LittleEndian.PutUint32(h, uint32(next.slab))
 	binary.LittleEndian.PutUint32(h[4:], uint32(next.off))
 }
 
@@ -167,7 +182,7 @@ func (pt *packTable) setState(c contrib, state uint32) {
 // values appends c's values, views of the slab, to dst.
 func (pt *packTable) values(dst []kv.Value, c contrib) []kv.Value {
 	h := pt.header(c)
-	buf := pt.slabs[c.doc][c.off+headerLen:]
+	buf := pt.slabs[c.slab][c.off+headerLen:]
 	for range binary.LittleEndian.Uint32(h[12:]) {
 		n, w := binary.Uvarint(buf)
 		end := w + int(n)
@@ -242,29 +257,54 @@ func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 			pt = packTables.Get().(*packTable)
 			b.tables[table] = pt
 		}
-		for int32(len(pt.slabs)) < doc { // documents without this table
-			pt.slabs = append(pt.slabs, nil)
-			pt.until = append(pt.until, int32(len(pt.chains)))
-		}
-		size := 0
-		for _, e := range entries {
-			size += headerLen
-			for _, v := range e.Values {
-				size += len(v) + uvarintLen(len(v))
+		// The entries in chain order: a key the commit has not met yet
+		// starts a chain.
+		order := pt.order[:0]
+		for i, e := range entries {
+			k, ok := pt.index[e.Key]
+			if !ok {
+				k = int32(len(pt.chains))
+				pt.index[e.Key] = k
+				pt.chains = append(pt.chains, keyChain{key: e.Key, first: endOfChain, last: endOfChain})
 			}
+			order = append(order, uint64(k)<<32|uint64(i))
 		}
-		pt.slabs = append(pt.slabs, make([]byte, 0, size))
+		slices.Sort(order)
+		pt.order = order
+		total := 0
 		for _, e := range entries {
-			pt.add(doc, ex.URI, e, b.itemBudget)
+			total += contribLen(e)
 		}
-		pt.until = append(pt.until, int32(len(pt.chains)))
+		for cut, done := 1, 0; len(order) > 0; cut++ {
+			n, size := 0, 0
+			for ; n < len(order) && (n == 0 || done+size < total*cut/slabsPerDoc); n++ {
+				size += contribLen(entries[uint32(order[n])])
+			}
+			done += size
+			slab := int32(len(pt.slabs))
+			pt.slabs = append(pt.slabs, make([]byte, 0, size))
+			pt.slabDoc = append(pt.slabDoc, doc)
+			pt.slabEnd = append(pt.slabEnd, int32(order[n-1]>>32)+1)
+			for _, o := range order[:n] {
+				pt.add(slab, &pt.chains[o>>32], ex.URI, entries[uint32(o)], b.itemBudget)
+			}
+			order = order[n:]
+		}
 	}
 	return nil, nil
 }
 
-// add appends one entry's contribution to the document's slab and to the
-// key's chain.
-func (pt *packTable) add(doc int32, uri string, e Entry, itemBudget int64) {
+// contribLen is the slab bytes of e's contribution.
+func contribLen(e Entry) int {
+	size := headerLen
+	for _, v := range e.Values {
+		size += len(v) + uvarintLen(len(v))
+	}
+	return size
+}
+
+// add appends one entry's contribution to the slab and to the key's chain.
+func (pt *packTable) add(slab int32, ch *keyChain, uri string, e Entry, itemBudget int64) {
 	size := 0
 	for _, v := range e.Values {
 		size += len(v)
@@ -273,8 +313,8 @@ func (pt *packTable) add(doc int32, uri string, e Entry, itemBudget int64) {
 	if groupLen(e.Values, max(itemBudget-int64(len(e.Key)+len(uri)), 1)) < len(e.Values) {
 		state = contribOversized
 	}
-	buf := pt.slabs[doc]
-	c := contrib{doc, int32(len(buf))}
+	buf := pt.slabs[slab]
+	c := contrib{slab, int32(len(buf))}
 	buf = binary.LittleEndian.AppendUint32(buf, ^uint32(0))
 	buf = binary.LittleEndian.AppendUint32(buf, 0)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(size)|state<<30)
@@ -283,14 +323,13 @@ func (pt *packTable) add(doc int32, uri string, e Entry, itemBudget int64) {
 		buf = binary.AppendUvarint(buf, uint64(len(v)))
 		buf = append(buf, v...)
 	}
-	pt.slabs[doc] = buf
-	if k, ok := pt.index[e.Key]; ok {
-		pt.setNext(pt.chains[k].last, c)
-		pt.chains[k].last = c
-		return
+	pt.slabs[slab] = buf
+	if ch.first.slab < 0 {
+		ch.first = c
+	} else {
+		pt.setNext(ch.last, c)
 	}
-	pt.index[e.Key] = int32(len(pt.chains))
-	pt.chains = append(pt.chains, keyChain{key: e.Key, first: c, last: c})
+	ch.last = c
 }
 
 // uvarintLen is the length of n as a uvarint.
@@ -421,10 +460,10 @@ func (b *BulkLoader) commit(table string, pt *packTable) (time.Duration, error) 
 // sortChain relinks a key's contributions in URI order, Add order among
 // equal URIs, and drops every repeat of a URI.
 func (b *BulkLoader) sortChain(pt *packTable, ch *keyChain) {
-	uri := func(c contrib) string { return b.docs[c.doc].uri }
+	uri := func(c contrib) string { return b.docs[pt.doc(c)].uri }
 	sorted := true // documents mostly arrive in URI order
 	m := pt.members[:0]
-	for c := ch.first; c.doc >= 0; c = pt.next(c) {
+	for c := ch.first; c.slab >= 0; c = pt.next(c) {
 		if len(m) > 0 && sorted {
 			sorted = uri(m[len(m)-1]) < uri(c)
 		}
@@ -438,10 +477,10 @@ func (b *BulkLoader) sortChain(pt *packTable, ch *keyChain) {
 		if c := strings.Compare(uri(x), uri(y)); c != 0 {
 			return c
 		}
-		return int(x.doc - y.doc)
+		return int(pt.doc(x) - pt.doc(y))
 	})
 	for i, c := range m {
-		next := contrib{-1, 0}
+		next := endOfChain
 		if i+1 < len(m) {
 			next = m[i+1]
 		}
@@ -463,7 +502,7 @@ func (b *BulkLoader) dropStored(table string, pt *packTable, chains []keyChain) 
 	for _, ch := range chains {
 		pt.keys = append(pt.keys, ch.key)
 	}
-	uriOf := func(c contrib) string { return b.docs[c.doc].uri }
+	uriOf := func(c contrib) string { return b.docs[pt.doc(c)].uri }
 	// Writes are not cancelled half-way.
 	next := 0 // a read visits keys in request order; retries may not
 	d, err := b.store.Read(context.Background(), table, pt.keys, func(key string, recs *kv.Records) {
@@ -487,7 +526,7 @@ func (b *BulkLoader) dropStored(table string, pt *packTable, chains []keyChain) 
 			}
 			if !gathered {
 				gathered, m = true, pt.members[:0]
-				for c := chains[i].first; c.doc >= 0; c = pt.next(c) {
+				for c := chains[i].first; c.slab >= 0; c = pt.next(c) {
 					if pt.state(c) == contribLive {
 						m = append(m, c)
 					}
@@ -516,7 +555,7 @@ func (b *BulkLoader) dropStored(table string, pt *packTable, chains []keyChain) 
 	if err != nil {
 		return d, err
 	}
-	pt.stats[chains[0].first.doc].Requests++
+	pt.stats[pt.doc(chains[0].first)].Requests++
 	return d, nil
 }
 
@@ -567,7 +606,7 @@ func (b *BulkLoader) put(table string, pt *packTable) (time.Duration, error) {
 		if len(pt.pack) == 0 {
 			return nil
 		}
-		first := pt.pack[0].doc
+		first := pt.doc(pt.pack[0])
 		keys := single
 		if len(pt.pack) > 1 {
 			keys = multi
@@ -579,24 +618,30 @@ func (b *BulkLoader) put(table string, pt *packTable) (time.Duration, error) {
 		for _, c := range pt.pack {
 			v0 := len(pt.vals)
 			pt.vals = pt.values(pt.vals, c)
-			name := b.docs[c.doc].uri
+			doc := pt.doc(c)
+			name := b.docs[doc].uri
 			pt.attrs = append(pt.attrs, kv.Attr{Name: name, Values: pt.vals[v0:len(pt.vals):len(pt.vals)]})
-			pt.stats[c.doc].Bytes += int64(len(name)) + pt.size(c)
+			pt.stats[doc].Bytes += int64(len(name)) + pt.size(c)
 		}
 		pt.stats[first].Items++
 		pt.stats[first].Bytes += int64(len(key) + len(keys[first]))
 		pt.pack = pt.pack[:0]
 		return emit(kv.Item{HashKey: key, RangeKey: keys[first], Attrs: pt.attrs[a0:len(pt.attrs):len(pt.attrs)]}, first)
 	}
-	// Slabs are dropped once their documents are written, so that the
+	// Slabs are dropped once their last chains are written, so that the
 	// loader's copy shrinks while the store's grows.
-	done := 0
+	drops := pt.order[:0]
+	for slab, end := range pt.slabEnd {
+		drops = append(drops, uint64(end)<<32|uint64(slab))
+	}
+	slices.Sort(drops)
+	pt.order = drops
 	for i, ch := range pt.chains {
-		for ; done < len(pt.slabs) && int(pt.until[done]) <= i; done++ {
-			pt.slabs[done] = nil
+		for ; len(drops) > 0 && int(drops[0]>>32) <= i; drops = drops[1:] {
+			pt.slabs[uint32(drops[0])] = nil
 		}
 		var size int64
-		for c := ch.first; c.doc >= 0; c = pt.next(c) {
+		for c := ch.first; c.slab >= 0; c = pt.next(c) {
 			switch pt.state(c) {
 			case contribDropped:
 				continue
@@ -606,7 +651,7 @@ func (b *BulkLoader) put(table string, pt *packTable) (time.Duration, error) {
 				}
 				continue
 			}
-			member := int64(len(b.docs[c.doc].uri)) + pt.size(c)
+			member := int64(len(b.docs[pt.doc(c)].uri)) + pt.size(c)
 			if len(pt.pack) > 0 && size+member > b.itemBudget {
 				if err := flush(ch.key); err != nil {
 					return total, err
@@ -628,7 +673,8 @@ func (b *BulkLoader) put(table string, pt *packTable) (time.Duration, error) {
 // emitChunks emits an oversized contribution as WriteExtraction's chunk
 // items, ItemRangeKey(uri, table, ordinal), split as appendDocItems splits.
 func (b *BulkLoader) emitChunks(table, key string, pt *packTable, c contrib, emit func(kv.Item, int32) error) error {
-	uri := b.docs[c.doc].uri
+	doc := pt.doc(c)
+	uri := b.docs[doc].uri
 	avail := max(b.itemBudget-int64(len(key)+len(uri)), 1)
 	rest := pt.values(nil, c)
 	for ordinal := 0; len(rest) > 0; ordinal++ {
@@ -636,9 +682,9 @@ func (b *BulkLoader) emitChunks(table, key string, pt *packTable, c contrib, emi
 		pt.attrs = append(pt.attrs, kv.Attr{Name: uri, Values: rest[:n:n]})
 		rest = rest[n:]
 		it := kv.Item{HashKey: key, RangeKey: ItemRangeKey(uri, table, ordinal), Attrs: pt.attrs[len(pt.attrs)-1 : len(pt.attrs) : len(pt.attrs)]}
-		pt.stats[c.doc].Items++
-		pt.stats[c.doc].Bytes += it.Size()
-		if err := emit(it, c.doc); err != nil {
+		pt.stats[doc].Items++
+		pt.stats[doc].Bytes += it.Size()
+		if err := emit(it, doc); err != nil {
 			return err
 		}
 	}

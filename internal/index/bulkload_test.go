@@ -712,3 +712,76 @@ func TestBulkLoaderDoesNotPinFlushedExtraction(t *testing.T) {
 		t.Fatalf("a loader that committed the document kept %d of its %d bytes", got, extraction)
 	}
 }
+
+// slabWatch is a discardStore that records, at every put, the value bytes
+// put so far and the slab bytes the loader still holds.
+type slabWatch struct {
+	discardStore
+	held    func() int64
+	put     int64
+	samples [][2]int64 // put, held
+}
+
+func (s *slabWatch) BatchPut(_ string, items []kv.Item) (time.Duration, error) {
+	for _, it := range items {
+		for _, a := range it.Attrs {
+			for _, v := range a.Values {
+				s.put += int64(len(v))
+			}
+		}
+	}
+	s.samples = append(s.samples, [2]int64{s.put, s.held()})
+	return time.Millisecond, nil
+}
+
+// TestBulkCommitReleasesSlabsAsItWrites: a commit drops the loader's copy
+// of the values as it writes them, so what it holds plus what the store
+// has taken stays about the size of the copy. Most of each document's
+// bytes sit under keys every document shares, which the first document
+// met: a commit that freed a document's copy only once all its keys were
+// written would hold nearly all of it until the last keys.
+func TestBulkCommitReleasesSlabsAsItWrites(t *testing.T) {
+	const docs, shared, own = 200, 40, 40
+	store := &slabWatch{discardStore: discardStore{limit: 25}}
+	loader := NewBulkLoader(store, BulkOptions{})
+	var total int64
+	for d := range docs {
+		var entries []Entry // in key order, as Extract gives them
+		for k := range shared {
+			entries = append(entries, Entry{Key: fmt.Sprintf("s%03d", k), Values: [][]byte{make([]byte, 200)}})
+		}
+		for k := range own {
+			entries = append(entries, Entry{Key: fmt.Sprintf("u%03d-%03d", d, k), Values: [][]byte{make([]byte, 8)}})
+		}
+		uri := fmt.Sprintf("doc%03d.xml", d)
+		if _, err := loader.Add(&Extraction{URI: uri, Tables: map[string][]Entry{"t": entries}, Entries: len(entries)}); err != nil {
+			t.Fatal(err)
+		}
+		total += shared*200 + own*8
+	}
+	pt := loader.tables["t"]
+	store.held = func() (n int64) {
+		for _, s := range pt.slabs {
+			n += int64(cap(s))
+		}
+		return n
+	}
+	start := store.held()
+	if _, err := loader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.put; got != total {
+		t.Fatalf("the commit put %d value bytes, want %d", got, total)
+	}
+	// Headers and lengths make the copy larger than the values it holds.
+	perValue := float64(start) / float64(total)
+	var worst float64
+	for _, s := range store.samples {
+		excess := float64(s[1]) - perValue*float64(total-s[0]) // held beyond what is still to write
+		worst = max(worst, excess/float64(start))
+	}
+	t.Logf("%d puts; a %d-byte copy; at worst %.1f%% of it held beyond the values still to write", len(store.samples), start, 100*worst)
+	if limit := 0.2; worst > limit {
+		t.Errorf("the commit held %.1f%% of its copy beyond the values still to write, want at most %.1f%%", 100*worst, 100*limit)
+	}
+}
