@@ -327,9 +327,9 @@ func resolveMetrics(r *obs.Registry) coreMetrics {
 		cacheMisses:          r.Counter("index.cache.misses"),
 		cacheEvictions:       r.Counter("index.cache.evictions"),
 		joins: index.JoinCounters{
-			BlocksRead:            r.Counter("index.join.blocks_read"),
-			BlocksSkipped:         r.Counter("index.join.blocks_skipped"),
-			ContainersIntersected: r.Counter("index.join.containers_intersected"),
+			BlocksRead:    r.Counter("index.join.blocks_read"),
+			BlocksSkipped: r.Counter("index.join.blocks_skipped"),
+			PostingsBuilt: r.Counter("index.lookup.postings_built"),
 		},
 
 		nodesScanned: r.Counter("xmltree.nodes.scanned"),

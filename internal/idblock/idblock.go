@@ -135,25 +135,6 @@ func (s *Set) PayloadBytes() int64 {
 	return n
 }
 
-// Detach copies the still-encoded payloads into one buffer the Set owns.
-// Parse keeps sub-slices of the blob it was given, which for a blob read
-// from the index store is a view of the store's memory; a Set that outlives
-// the request that parsed it (the posting cache's) detaches so that it
-// holds its own PayloadBytes and nothing else. Call it before the Set is
-// shared.
-func (s *Set) Detach() {
-	if s == nil {
-		return
-	}
-	buf := make([]byte, 0, s.PayloadBytes())
-	for i := range s.blocks {
-		if d := s.blocks[i].data; d != nil {
-			buf = append(buf, d...)
-			s.blocks[i].data = buf[len(buf)-len(d) : len(buf) : len(buf)]
-		}
-	}
-}
-
 // Block decodes (and memoizes) the i-th block. The returned slice is shared
 // across callers and must not be mutated.
 func (s *Set) Block(i int) ([]xmltree.NodeID, error) {

@@ -335,7 +335,7 @@ func TestBulkLoaderInvalidatesCacheOnFlush(t *testing.T) {
 	}
 	readThrough := func() map[string]*Posting {
 		t.Helper()
-		out, _, err := ReadKeys(store, table, []string{key}, URIPosting, false, LookupOptions{Cache: cache})
+		out, _, err := readPostings(store, table, []string{key}, URIPosting, false, LookupOptions{Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,7 +391,9 @@ func TestBulkLoaderInvalidatesCacheOnFailedFlush(t *testing.T) {
 		}
 	}
 	for k := range keys {
-		cache.put(cacheKey{table: table, key: k, kind: URIPosting}, map[string]*Posting{"x": {URI: "x"}})
+		if _, err := cache.put(cacheKey{table: table, key: k, kind: URIPosting}, uriList([]string{"x"})); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	loader := NewBulkLoader(store, BulkOptions{}, cache)
@@ -504,11 +506,11 @@ func TestPerDocumentRewriteKeepsPack(t *testing.T) {
 	}
 	for rest := keys; len(rest) > 0; {
 		n := min(100, len(rest))
-		want, _, err := ReadKeys(clean, table, rest[:n], IDPosting, true)
+		want, _, err := readPostings(clean, table, rest[:n], IDPosting, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := ReadKeys(bulk, table, rest[:n], IDPosting, true)
+		got, _, err := readPostings(bulk, table, rest[:n], IDPosting, true)
 		if err != nil {
 			t.Fatal(err)
 		}

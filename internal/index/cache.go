@@ -2,13 +2,14 @@ package index
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 )
 
 // This file implements the hot-key posting cache. The paper's look-up cost
 // is dominated by index-store round trips (the "DynamoDB get" bar of
 // Figure 9b/c), and real workloads hit a small set of keys — element labels
-// and frequent words — over and over. Caching the *decoded* postings of a
+// and frequent words — over and over. Caching the *decoded* posting list of a
 // (table, key, kind) triple removes both the store round trip and the
 // decode work for repeated look-ups.
 //
@@ -39,20 +40,59 @@ type cacheKey struct {
 	ver uint64
 }
 
-// cacheEntry is one resident posting set with its approximate byte cost.
+// stampKey is a cacheKey without its stamp: one (table, key, kind) at every
+// version.
+type stampKey struct {
+	table string
+	key   string
+	kind  PostingKind
+}
+
+func (k cacheKey) unstamped() stampKey { return stampKey{k.table, k.key, k.kind} }
+
+// cacheEntry is one resident posting list with its approximate byte cost.
 type cacheEntry struct {
-	key      cacheKey
-	postings map[string]*Posting
-	bytes    int64
+	key   cacheKey
+	list  *PostingList
+	bytes int64
 }
 
 // cacheShard is an independently locked LRU over a slice of the key space.
+// The stamps of a (table, key, kind) all hash to one shard, which indexes
+// them, so that invalidating a key touches only that key's entries.
 type cacheShard struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*list.Element
-	lru     *list.List // front = most recently used
+	stamps  map[stampKey][]uint64 // the resident stamps of each key
+	lru     *list.List            // front = most recently used
 	bytes   int64
 	budget  int64
+}
+
+// insert makes e resident and most recently used; its key must not be.
+func (sh *cacheShard) insert(e *cacheEntry) {
+	sh.entries[e.key] = sh.lru.PushFront(e)
+	sk := e.key.unstamped()
+	sh.stamps[sk] = append(sh.stamps[sk], e.key.ver)
+	sh.bytes += e.bytes
+}
+
+// remove drops a resident entry.
+func (sh *cacheShard) remove(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	sh.lru.Remove(el)
+	delete(sh.entries, e.key)
+	sk := e.key.unstamped()
+	vers := sh.stamps[sk]
+	if i := slices.Index(vers, e.key.ver); i >= 0 {
+		vers = slices.Delete(vers, i, i+1)
+	}
+	if len(vers) == 0 {
+		delete(sh.stamps, sk)
+	} else {
+		sh.stamps[sk] = vers
+	}
+	sh.bytes -= e.bytes
 }
 
 // cacheShards is fixed so that the shard of a key is a pure function of the
@@ -85,7 +125,12 @@ func NewPostingCache(maxBytes int64) *PostingCache {
 		per = 1
 	}
 	for i := range c.shards {
-		c.shards[i] = cacheShard{entries: make(map[cacheKey]*list.Element), lru: list.New(), budget: per}
+		c.shards[i] = cacheShard{
+			entries: make(map[cacheKey]*list.Element),
+			stamps:  make(map[stampKey][]uint64),
+			lru:     list.New(),
+			budget:  per,
+		}
 	}
 	return c
 }
@@ -106,9 +151,9 @@ func (c *PostingCache) shardOf(k cacheKey) *cacheShard {
 	return &c.shards[h%cacheShards]
 }
 
-// get returns the cached postings for the key, or (nil, false). The
-// returned map is shared: callers must treat it as immutable.
-func (c *PostingCache) get(k cacheKey) (map[string]*Posting, bool) {
+// get returns the cached list for the key, or (nil, false). The returned
+// list is shared: callers must treat it as immutable.
+func (c *PostingCache) get(k cacheKey) (*PostingList, bool) {
 	sh := c.shardOf(k)
 	sh.mu.Lock()
 	el, ok := sh.entries[k]
@@ -119,62 +164,52 @@ func (c *PostingCache) get(k cacheKey) (map[string]*Posting, bool) {
 	if !ok {
 		return nil, false
 	}
-	return el.Value.(*cacheEntry).postings, true
+	return el.Value.(*cacheEntry).list, true
 }
 
-// put inserts (or replaces) the postings of a key and returns how many
-// entries were evicted to make room.
-func (c *PostingCache) put(k cacheKey, postings map[string]*Posting) int64 {
-	e := &cacheEntry{key: k, postings: postings, bytes: postingsBytes(k, postings)}
+// put inserts (or replaces) the list of a key and returns how many entries
+// were evicted to make room.
+func (c *PostingCache) put(k cacheKey, l *PostingList) (int64, error) {
+	bytes, err := postingsBytes(k, l)
+	if err != nil {
+		return 0, err
+	}
+	e := &cacheEntry{key: k, list: l, bytes: bytes}
 	sh := c.shardOf(k)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if old, ok := sh.entries[k]; ok {
-		sh.bytes -= old.Value.(*cacheEntry).bytes
-		sh.lru.Remove(old)
-		delete(sh.entries, k)
+		sh.remove(old)
 	}
 	var evicted int64
 	if e.bytes <= sh.budget {
-		sh.entries[k] = sh.lru.PushFront(e)
-		sh.bytes += e.bytes
+		sh.insert(e)
 		for sh.bytes > sh.budget {
 			back := sh.lru.Back()
 			if back == nil || back.Value.(*cacheEntry) == e {
 				break
 			}
-			v := back.Value.(*cacheEntry)
-			sh.lru.Remove(back)
-			delete(sh.entries, v.key)
-			sh.bytes -= v.bytes
+			sh.remove(back)
 			evicted++
 		}
 	}
-	sh.mu.Unlock()
-	return evicted
+	return evicted, nil
 }
 
 // Invalidate drops every cached kind of one (table, key) pair — at every
 // overlay stamp, since a direct store write invalidates all versioned
 // carriers of the key. Writers call it after mutating the store so readers
-// refetch fresh postings.
+// refetch fresh postings. It touches only the key's own entries, through
+// the shard's stamp index.
 func (c *PostingCache) Invalidate(table, key string) {
 	for _, kind := range []PostingKind{URIPosting, PathPosting, IDPosting} {
 		k := cacheKey{table: table, key: key, kind: kind}
 		sh := c.shardOf(k)
 		sh.mu.Lock()
-		if el, ok := sh.entries[k]; ok {
-			sh.bytes -= el.Value.(*cacheEntry).bytes
-			sh.lru.Remove(el)
-			delete(sh.entries, k)
-		}
-		// Versioned entries (mutable corpora) share the shard with the
-		// unversioned one; sweep any stamp of this (table, key, kind).
-		for vk, el := range sh.entries {
-			if vk.table == k.table && vk.key == k.key && vk.kind == k.kind {
-				sh.bytes -= el.Value.(*cacheEntry).bytes
-				sh.lru.Remove(el)
-				delete(sh.entries, vk)
-			}
+		sk := k.unstamped()
+		for vers := sh.stamps[sk]; len(vers) > 0; vers = sh.stamps[sk] {
+			k.ver = vers[0]
+			sh.remove(sh.entries[k])
 		}
 		sh.mu.Unlock()
 	}
@@ -205,25 +240,41 @@ func (c *PostingCache) Len() int {
 	return n
 }
 
-// postingsBytes approximates the resident size of a decoded posting set:
-// key bytes, URI bytes, path bytes, and the identifiers. A blocked posting
-// is charged its compressed payload, its headers, and the decoded width of
-// every identifier — blocks decode lazily but the memo retains them, so
-// the eventual resident size is what the budget must account for (and the
-// charge stays a pure function of the content, keeping eviction, and the
-// LookupStats that report it, deterministic).
-func postingsBytes(k cacheKey, postings map[string]*Posting) int64 {
-	n := int64(len(k.table) + len(k.key) + 1)
-	for uri, p := range postings {
-		n += int64(len(uri) + len(p.URI))
-		for _, v := range p.PathVals {
-			n += int64(len(v))
-		}
-		n += int64(p.IDCount()) * 12 // pre, post, depth int32
-		if p.blocked != nil {
-			n += p.blocked.PayloadBytes() + int64(p.blocked.Blocks())*48
-		}
-		n += 48 // map slot and struct overhead
+// postingsBytes approximates the resident size of a decoded posting list:
+// key bytes, URI bytes, path bytes, and the identifiers, as if every URI's
+// posting were built. A blocked posting is charged its compressed payload,
+// its headers, and the decoded width of every identifier — blocks decode
+// lazily but the memo retains them, so the eventual resident size is what
+// the budget must account for (and the charge stays a pure function of the
+// content, keeping eviction, and the LookupStats that report it,
+// deterministic).
+func postingsBytes(k cacheKey, l *PostingList) (int64, error) {
+	n, err := l.cacheCharge()
+	return int64(len(k.table)+len(k.key)+1) + n, err
+}
+
+// uriCharge is what every URI of a list is charged: its bytes twice (a map
+// key and the posting's URI, when postings were kept in a map) and 48 bytes
+// of map slot and struct overhead.
+func uriCharge(uri string) int64 { return int64(2*len(uri)) + 48 }
+
+// idCharge is the identifier part of a built posting's charge.
+func idCharge(p *Posting) int64 {
+	n := int64(p.IDCount()) * 12 // pre, post, depth int32
+	if p.blocked != nil {
+		n += p.blocked.PayloadBytes() + int64(p.blocked.Blocks())*48
 	}
 	return n
+}
+
+// charge is the identifier charge of a posting built from this one value
+// alone.
+func (iv idValue) charge() int64 {
+	switch {
+	case iv.set != nil:
+		return int64(iv.set.Len())*12 + iv.set.PayloadBytes() + int64(iv.set.Blocks())*48
+	case iv.stream != nil:
+		return int64(iv.n) * 12
+	}
+	return int64(len(iv.ids)) * 12
 }

@@ -79,7 +79,7 @@ func TestPostingCacheDoesNotPinArena(t *testing.T) {
 				runtime.ReadMemStats(&after)
 				if cache != nil {
 					// Still served, from the cache's own bytes.
-					again, rs, err := ReadKeys(store, "t", subset, fx.kind, true, opts)
+					again, rs, err := readPostings(store, "t", subset, fx.kind, true, opts)
 					if err != nil || rs.CacheHits != int64(len(subset)) {
 						t.Fatalf("cached read after the table was dropped: %v, %+v", err, rs)
 					}

@@ -369,7 +369,7 @@ func loadCorpus(t *testing.T, store kv.Store, s Strategy, docs []xmark.Doc) {
 func TestStorageRoundTrip(t *testing.T) {
 	store := newStore(t, LUI)
 	loadCorpus(t, store, LUI, xmark.Paintings()[:2])
-	byKey, _, err := ReadKeys(store, LUI.TableName(flatTable), []string{"ename"}, IDPosting, true)
+	byKey, _, err := readPostings(store, LUI.TableName(flatTable), []string{"ename"}, IDPosting, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestStorageSplitsOversizedEntries(t *testing.T) {
 	if stats.Items <= stats.Entries {
 		t.Skipf("no splitting occurred (items=%d entries=%d)", stats.Items, stats.Entries)
 	}
-	byKey, _, err := ReadKeys(sdb, LUI.TableName(flatTable), []string{"wcommon"}, IDPosting, false)
+	byKey, _, err := readPostings(sdb, LUI.TableName(flatTable), []string{"wcommon"}, IDPosting, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,6 @@ import (
 // it did eager ones, concurrent readers of a shared posting agree, and only
 // candidates decode.
 
-// decodeItems runs the record decoder over items, the way a read hands it a
-// key's records.
-func decodeItems(items []kv.Item, kind PostingKind, binaryIDs bool) (map[string]*Posting, error) {
-	return decodeKey(kv.ItemRecords(items), nil, kind, binaryIDs)
-}
-
 // oneValueItems is one key's items with one value per URI, in URI order.
 func oneValueItems(key string, values map[string][]byte) []kv.Item {
 	var items []kv.Item
@@ -137,7 +131,8 @@ func TestStreamMixedWithBlockedKeepsBoth(t *testing.T) {
 
 // A raw posting costs the cache exactly what the eagerly decoded posting of
 // the same identifiers cost: eviction, and with it the bill of a cached
-// workload, must not move.
+// workload, must not move. The list is charged the same before any posting
+// is built and after every one is.
 func TestRawPostingCacheCharge(t *testing.T) {
 	values := map[string][]byte{}
 	want := map[string][]xmltree.NodeID{}
@@ -146,37 +141,46 @@ func TestRawPostingCacheCharge(t *testing.T) {
 		want[uri] = lazyFixtureIDs(n)
 		values[uri] = EncodeIDs(want[uri], true, 0)[0]
 	}
-	postings, err := decodeItems(oneValueItems("ename", values), IDPosting, true)
+	l := listOf(t, oneValueItems("ename", values), IDPosting, true)
+	eager := refPostings{}
+	for uri, ids := range want {
+		e := &Posting{URI: uri}
+		e.setIDs(ids)
+		eager[uri] = e
+	}
+	k := cacheKey{table: "t", key: "ename", kind: IDPosting}
+	charge := func() int64 {
+		t.Helper()
+		n, err := postingsBytes(k, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if got, exp := charge(), refPostingsBytes(k, eager); got != exp {
+		t.Fatalf("raw postings charged %d bytes, eager ones %d", got, exp)
+	}
+	postings, err := allPostings(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager := map[string]*Posting{}
 	for uri, p := range postings {
 		if p.raw == nil || p.wrapped.Load() != nil {
 			t.Fatalf("%s: a one-stream posting is not held raw", uri)
 		}
-		e := &Posting{URI: uri}
-		e.setIDs(want[uri])
-		eager[uri] = e
-	}
-	k := cacheKey{table: "t", key: "ename", kind: IDPosting}
-	if got, exp := postingsBytes(k, postings), postingsBytes(k, eager); got != exp {
-		t.Fatalf("raw postings charged %d bytes, eager ones %d", got, exp)
-	}
-	for uri, p := range postings {
 		ids, err := p.DecodedIDs()
 		if err != nil || !reflect.DeepEqual(ids, want[uri]) || cap(ids) != len(ids) {
 			t.Fatalf("%s: decoded %v (cap %d, %v), want %v", uri, ids, cap(ids), err, want[uri])
 		}
 	}
-	if got, exp := postingsBytes(k, postings), postingsBytes(k, eager); got != exp {
+	if got, exp := charge(), refPostingsBytes(k, eager); got != exp {
 		t.Fatalf("after decode, raw postings charged %d bytes, eager ones %d", got, exp)
 	}
 }
 
-// detachPostings moves raw identifier streams into the key's one buffer with
-// the path values: the postings stop aliasing the store's values and still
-// decode to the same identifiers.
+// detach moves the values of a list into one buffer of its own: postings
+// built afterwards stop aliasing the store's values, hold their raw streams
+// without spare capacity, and still decode to the same identifiers.
 func TestDetachCopiesRawStreams(t *testing.T) {
 	values := map[string][]byte{}
 	want := map[string][]xmltree.NodeID{}
@@ -185,11 +189,12 @@ func TestDetachCopiesRawStreams(t *testing.T) {
 		want[uri] = lazyFixtureIDs(2 + i)
 		values[uri] = EncodeIDsBinary(want[uri], 0)[0]
 	}
-	postings, err := decodeItems(oneValueItems("ename", values), IDPosting, true)
+	l := listOf(t, oneValueItems("ename", values), IDPosting, true)
+	l.detach()
+	postings, err := allPostings(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	detachPostings(postings)
 	for _, uri := range sortedKeys(values) {
 		p := postings[uri]
 		if &p.raw[0] == &values[uri][0] {
@@ -226,7 +231,7 @@ func TestConcurrentDecodeOfSharedRawPostings(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := []string{ElementKey("item"), ElementKey("name"), ElementKey("payment")}
-	shared, _, err := ReadKeys(c.store, LUI.idTableName(), keys, IDPosting, true, LookupOptions{Cache: cache})
+	shared, _, err := readPostings(c.store, LUI.idTableName(), keys, IDPosting, true, LookupOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +278,9 @@ func TestConcurrentDecodeOfSharedRawPostings(t *testing.T) {
 	}
 }
 
-// Only the postings of candidates decode. The twigjoin span's
+// Only the postings of candidates are built and decode. The twigjoin span's
 // postings_decoded is at most candidates × keys, and after a cached 2LUPI
-// look-up the resident raw postings of every other URI are still raw.
+// look-up the resident lists hold postings for the candidates only.
 func TestLookupDecodesOnlyCandidates(t *testing.T) {
 	cfg := xmark.DefaultConfig(120)
 	cfg.TargetDocBytes = 4 << 10
@@ -325,23 +330,21 @@ func TestLookupDecodesOnlyCandidates(t *testing.T) {
 	if err != nil || rs.CacheHits != int64(len(keys)) {
 		t.Fatalf("re-read: %+v, %v", rs, err)
 	}
-	stillRaw := 0
+	unbuilt := 0
 	for _, k := range keys {
-		touched := 0
-		for _, p := range shared[k] {
-			switch {
-			case p.raw != nil && p.wrapped.Load() != nil:
-				touched++
-			case p.raw != nil:
-				stillRaw++
+		l := shared[k]
+		if len(l.built) > candidates {
+			t.Errorf("key %s: %d postings built for %d candidates", k, len(l.built), candidates)
+		}
+		for _, p := range l.built {
+			if p.raw != nil && p.wrapped.Load() == nil {
+				t.Errorf("key %s: candidate %s's raw posting was built but not decoded", k, p.URI)
 			}
 		}
-		if touched > candidates {
-			t.Errorf("key %s: %d raw postings decoded for %d candidates", k, touched, candidates)
-		}
+		unbuilt += l.Len() - len(l.built)
 	}
-	if stillRaw == 0 {
-		t.Error("no raw posting left undecoded: the look-up decodes what it fetched")
+	if unbuilt == 0 {
+		t.Error("every URI has a posting: the look-up builds postings for what it fetched")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -166,11 +167,10 @@ func LookupPattern(store kv.Store, s Strategy, t *pattern.Tree, opts ...LookupOp
 		if err != nil {
 			return nil, st1, err
 		}
-		reduce := make(map[string]bool, len(uris))
-		for _, u := range uris {
-			reduce[u] = true
+		if uris == nil {
+			uris = []string{} // an empty reduction still reduces
 		}
-		out, st2, err := lookupLUI(store, s.idTableName(), aug, reduce, opt)
+		out, st2, err := lookupLUI(store, s.idTableName(), aug, uris, opt)
 		st2.add(st1)
 		return out, st2, err
 	default:
@@ -264,42 +264,76 @@ func (a *augmented) queryPaths() [][]QueryStep {
 
 // readKeysSpanned is ReadKeys wrapped in an index.get span (a no-op chain
 // when opt.Span is nil): the raw store reads of one look-up phase, with the
-// billed get count, bytes and modeled store latency annotated.
-func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opt LookupOptions) (map[string]map[string]*Posting, LookupStats, error) {
+// billed get count, bytes and modeled store latency annotated. It returns
+// the lists in keys' order and leaves the span open: the phase ends it with
+// endGet once it has built the postings of its survivors.
+func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opt LookupOptions) ([]*PostingList, LookupStats, *obs.Span, error) {
 	get := opt.Span.Child(obs.SpanIndexGet)
 	get.SetAttr("table", table)
 	get.SetAttrInt("keys", int64(len(keys)))
-	postings, rs, err := ReadKeys(store, table, keys, kind, binaryIDs, opt)
+	byKey, rs, err := ReadKeys(store, table, keys, kind, binaryIDs, opt)
 	get.SetModeled(rs.GetTime)
 	get.SetAttrInt("get_ops", rs.GetOps)
 	get.SetAttrInt("bytes", rs.BytesFetched)
+	if err != nil {
+		get.SetError(err)
+		get.End()
+		return nil, LookupStats{}, nil, err
+	}
+	lists := make([]*PostingList, len(keys))
+	seen := 0
+	for i, k := range keys {
+		lists[i] = byKey[k]
+		seen += lists[i].Len()
+	}
+	get.SetAttrInt("uris_seen", int64(seen))
+	return lists, rs, get, nil
+}
+
+// buildPostings builds the postings of the survivors of an intersection of
+// lists, in the order intersect returned them (survivor-major, one per
+// list), and ends the phase's index.get span with the count it built.
+func buildPostings(lists []*PostingList, at []int32, get *obs.Span, opt LookupOptions) ([]*Posting, error) {
+	postings := make([]*Posting, len(at))
+	built := 0
+	var err error
+	for i, row := range at {
+		var fresh bool
+		if postings[i], fresh, err = lists[i%len(lists)].postingAt(int(row)); err != nil {
+			break
+		}
+		if fresh {
+			built++
+		}
+	}
+	opt.Joins.addBuilt(built)
+	get.SetAttrInt("postings_built", int64(built))
 	get.SetError(err)
 	get.End()
-	return postings, rs, err
+	return postings, err
 }
 
 // lookupLU implements Section 5.1: look up every key extracted from the
 // query and intersect the URI sets.
 func lookupLU(store kv.Store, table string, aug *augmented, opt LookupOptions) ([]string, LookupStats, error) {
-	keys := aug.distinctKeys()
-	postings, stats, err := readKeysSpanned(store, table, keys, URIPosting, false, opt)
+	lists, stats, get, err := readKeysSpanned(store, table, aug.distinctKeys(), URIPosting, false, opt)
 	if err != nil {
 		return nil, LookupStats{}, err
 	}
-	var uriSets []map[string]*Posting
-	for _, k := range keys {
-		uriSets = append(uriSets, postings[k])
+	uris, _ := intersect(lists)
+	if _, err := buildPostings(lists, nil, get, opt); err != nil {
+		return nil, LookupStats{}, err
 	}
-	return intersectURIs(uriSets, opt.Joins), stats, nil
+	return uris, stats, nil
 }
 
 // lookupLUP implements Section 5.2: for each root-to-leaf query path, look
 // up the key of its last step and keep the URIs having a stored data path
 // that matches the query path; intersect across query paths. A URI that
 // some last-step key lacks cannot survive the intersection, so the keys'
-// URI sets are intersected first and the path matchers run only over the
-// URIs every key holds. Every path value was validated at decode time, so
-// skipping the others hides no error.
+// URI sets are intersected first and postings are built and matched only
+// for the URIs every key holds. Every path value was validated when its key
+// was read, so skipping the others hides no error.
 func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions) ([]string, LookupStats, error) {
 	paths := aug.queryPaths()
 	keySet := make(map[string]bool)
@@ -311,24 +345,27 @@ func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions) 
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	postings, stats, err := readKeysSpanned(store, table, keys, PathPosting, false, opt)
+	lists, stats, get, err := readKeysSpanned(store, table, keys, PathPosting, false, opt)
+	if err != nil {
+		return nil, LookupStats{}, err
+	}
+	uris, at := intersect(lists)
+	postings, err := buildPostings(lists, at, get, opt)
 	if err != nil {
 		return nil, LookupStats{}, err
 	}
 
-	uriSets := make([]map[string]*Posting, len(keys))
-	for i, k := range keys {
-		uriSets[i] = postings[k]
-	}
 	matchers := make([]*PathMatcher, len(paths))
+	keyOf := make([]int, len(paths)) // each query path's last-step key, by index
 	for i, qp := range paths {
 		matchers[i] = NewPathMatcher(qp)
+		keyOf[i], _ = slices.BinarySearch(keys, qp[len(qp)-1].Key)
 	}
 	var out []string
-	for _, uri := range intersectURIs(uriSets, opt.Joins) {
+	for ui, uri := range uris {
 		ok := true
-		for i, qp := range paths {
-			if ok, err = matchesAny(matchers[i], postings[qp[len(qp)-1].Key][uri]); err != nil {
+		for i := range paths {
+			if ok, err = matchesAny(matchers[i], postings[ui*len(keys)+keyOf[i]]); err != nil {
 				return nil, LookupStats{}, err
 			}
 			if !ok {
@@ -355,30 +392,36 @@ func matchesAny(m *PathMatcher, p *Posting) (bool, error) {
 // lookupLUI implements Sections 5.3-5.4: fetch the identifier streams of
 // every query key and run the holistic twig join per candidate document.
 // When reduce is non-nil (the 2LUPI plan of Figure 5), only URIs in it are
-// considered — the semijoin with the LUP result R1.
-func lookupLUI(store kv.Store, table string, aug *augmented, reduce map[string]bool, opt LookupOptions) ([]string, LookupStats, error) {
+// considered — the semijoin with the LUP result R1, which joins the merge
+// as one more list.
+func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, opt LookupOptions) ([]string, LookupStats, error) {
 	keys := aug.distinctKeys()
-	postings, stats, err := readKeysSpanned(store, table, keys, IDPosting, store.Limits().SupportsBinary, opt)
+	lists, stats, get, err := readKeysSpanned(store, table, keys, IDPosting, store.Limits().SupportsBinary, opt)
 	if err != nil {
 		return nil, LookupStats{}, err
 	}
 
 	// Candidate URIs must appear under every key (and pass the reduction).
-	// The bitmap intersector returns them already sorted, which fixes the
-	// fan-out order below without a separate sort.
-	uriSets := make([]map[string]*Posting, len(keys))
-	for i, k := range keys {
-		uriSets[i] = postings[k]
-	}
-	ordered := intersectURIs(uriSets, opt.Joins)
+	// The merge returns them sorted, which fixes the fan-out order below
+	// without a separate sort.
+	merged := lists
 	if reduce != nil {
-		kept := ordered[:0]
-		for _, uri := range ordered {
-			if reduce[uri] {
-				kept = append(kept, uri)
+		merged = append(lists[:len(lists):len(lists)], uriList(reduce))
+	}
+	ordered, at := intersect(merged)
+	if reduce != nil {
+		// The reduction list has no postings: drop its column.
+		kept := at[:0]
+		for i, row := range at {
+			if i%len(merged) < len(keys) {
+				kept = append(kept, row)
 			}
 		}
-		ordered = kept
+		at = kept
+	}
+	postings, err := buildPostings(lists, at, get, opt)
+	if err != nil {
+		return nil, LookupStats{}, err
 	}
 	stats.TwigCandidates = len(ordered)
 	tj := opt.Span.Child(obs.SpanTwigJoin)
@@ -399,11 +442,10 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce map[string]b
 	errs := make([]error, len(ordered))
 	decoded := make([]int, len(ordered))
 	matchOne := func(ci int) {
-		uri := ordered[ci]
 		sets := make(map[string]*idblock.Set, len(keys))
-		for _, k := range keys {
-			p := postings[k][uri]
-			if p == nil || p.IDCount() == 0 {
+		for ki, k := range keys {
+			p := postings[ci*len(keys)+ki]
+			if p.IDCount() == 0 {
 				return
 			}
 			var fresh bool

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cloud/kv"
 	"repro/internal/pattern"
 	"repro/internal/xmltree"
 )
@@ -74,18 +75,21 @@ func TestIDCodecDifferential(t *testing.T) {
 // blocked posting is charged its actual payload bytes, whichever payload its
 // blocks kept, and the charge must equal the documented formula exactly.
 func TestPostingsBytesPackedCharge(t *testing.T) {
-	k := cacheKey{table: "tbl", key: "eitem"}
+	k := cacheKey{table: "tbl", key: "eitem", kind: IDPosting}
 	for _, ids := range [][]xmltree.NodeID{genSortedIDs(512, 9), outlierIDs(512, 9)} {
 		set, rest, err := DecodeIDSet(EncodeIDs(ids, true, 0)[0], true)
 		if err != nil || set == nil {
 			t.Fatalf("DecodeIDSet: set=%v rest=%d err=%v", set, len(rest), err)
 		}
-		p := &Posting{URI: "doc-1", blocked: set}
-		p.PathVals = append(p.PathVals, []byte("/ea/eb"))
-		got := postingsBytes(k, map[string]*Posting{"doc-1": p})
+		l := listOf(t, []kv.Item{{HashKey: k.key, RangeKey: "r", Attrs: []kv.Attr{
+			{Name: "doc-1", Values: []kv.Value{EncodeIDs(ids, true, 0)[0]}},
+		}}}, IDPosting, true)
+		got, err := postingsBytes(k, l)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := int64(len(k.table)+len(k.key)+1) +
 			int64(len("doc-1")*2) +
-			int64(len("/ea/eb")) +
 			int64(len(ids))*12 +
 			set.PayloadBytes() + int64(set.Blocks())*48 +
 			48 // per-posting map slot overhead

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cloud/dynamodb"
+	"repro/internal/cloud/kv"
 	"repro/internal/meter"
 	"repro/internal/pattern"
 	"repro/internal/xmark"
@@ -185,10 +186,14 @@ func TestPostingCacheEviction(t *testing.T) {
 	cache := NewPostingCache(16 << 10) // 1 KiB per shard
 	var evictions int64
 	for i := 0; i < 512; i++ {
-		postings := map[string]*Posting{
-			fmt.Sprintf("doc-%03d.xml", i): {URI: "u", PathVals: [][]byte{[]byte("/ea/eb/ec")}},
+		l := listOf(t, []kv.Item{{HashKey: "k", RangeKey: "r", Attrs: []kv.Attr{
+			{Name: fmt.Sprintf("doc-%03d.xml", i), Values: []kv.Value{[]byte("/ea/eb/ec")}},
+		}}}, PathPosting, false)
+		evicted, err := cache.put(cacheKey{table: "t", key: fmt.Sprintf("k%03d", i), kind: PathPosting}, l)
+		if err != nil {
+			t.Fatal(err)
 		}
-		evictions += cache.put(cacheKey{table: "t", key: fmt.Sprintf("k%03d", i), kind: PathPosting}, postings)
+		evictions += evicted
 	}
 	var resident int64
 	for i := range cache.shards {
@@ -218,7 +223,7 @@ func TestPostingCacheConcurrent(t *testing.T) {
 				k := cacheKey{table: "t", key: fmt.Sprintf("k%d", (g+i)%37), kind: URIPosting}
 				switch i % 3 {
 				case 0:
-					cache.put(k, map[string]*Posting{"d.xml": {URI: "d.xml"}})
+					cache.put(k, uriList([]string{"d.xml"}))
 				case 1:
 					cache.get(k)
 				default:

@@ -295,7 +295,8 @@ const (
 	IDPosting
 )
 
-// Posting is the merged index content of one key for one document.
+// Posting is the merged index content of one key for one document, built
+// from the URI's rows of a PostingList when a look-up first asks for it.
 //
 // Identifier postings come in three shapes, all read through IDCount, IDSet
 // and DecodedIDs:
@@ -305,20 +306,20 @@ const (
 //     every write path. Only block headers were decoded; payloads decode on
 //     demand, memoized inside the Set.
 //   - raw: the pair stored one headerless stream (a small set, the common
-//     case). The stream was validated and its triples counted at decode
-//     time; it decodes on first use, into an exact-size slice.
+//     case). The stream was validated and its triples counted when the key
+//     was read; it decodes on first use, into an exact-size slice.
 //   - eager: anything else — text values, several streams, blocked segments
 //     mixed with streams or overlapping. The identifiers were decoded and
-//     put in pre order at decode time.
+//     put in pre order when the posting was built.
 //
 // Raw and eager identifiers are published through wrapped as one
 // pre-decoded block, so join kernels see one interface either way. The raw
-// decode is deferred and memoized because most postings never reach a join:
-// their URIs fall out of the candidate intersection first.
+// decode is deferred and memoized because a posting built for a candidate
+// may still never reach a join: a key before it can rule the candidate out.
 type Posting struct {
 	URI string
 	// PathVals holds the raw stored path values — plain path strings or
-	// front-coded blocks, validated at decode time — so the LUP matcher
+	// front-coded blocks, validated when the key was read — so the LUP matcher
 	// can run over the compressed form without materializing every path.
 	// The slices alias the decoded store values and must not be mutated.
 	PathVals [][]byte
@@ -384,17 +385,18 @@ func (p *Posting) DecodedIDs() ([]xmltree.NodeID, error) {
 	return s.Block(0) // the one pre-decoded block, no copy
 }
 
-// ReadKeys batch-fetches several hash keys and returns per-key postings.
-// Keys resident in opts' cache are served from it without touching the
-// store; the misses are split into store-batch-limit chunks fanned out over
-// a bounded worker pool (opts' Concurrency), with records decoded on the
-// fetch goroutines as the store's read hands them over. The result and the billed statistics are identical to
-// a sequential read: per-chunk latencies and byte counts are summed in
-// chunk order, and key sets of distinct chunks are disjoint. The statistics
-// are the read's share of a look-up's (TwigCandidates stays zero): only keys
-// actually fetched from the store count toward GetOps, GetTime and
-// BytesFetched.
-func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opts ...LookupOptions) (out map[string]map[string]*Posting, rs LookupStats, err error) {
+// ReadKeys batch-fetches several hash keys and returns each key's posting
+// list. Keys resident in opts' cache are served from it without touching
+// the store; the misses are split into store-batch-limit chunks fanned out
+// over a bounded worker pool (opts' Concurrency), with records decoded on
+// the fetch goroutines as the store's read hands them over. The result and
+// the billed statistics are identical to a sequential read: per-chunk
+// latencies and byte counts are summed in chunk order, and key sets of
+// distinct chunks are disjoint. The statistics are the read's share of a
+// look-up's (TwigCandidates stays zero): only keys actually fetched from the
+// store count toward GetOps, GetTime and BytesFetched. A key without records
+// has no list.
+func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opts ...LookupOptions) (out map[string]*PostingList, rs LookupStats, err error) {
 	opt := resolveLookup(opts)
 	retrySrc, _ := store.(kv.RetryStatsSource)
 	var retriesBefore int64
@@ -406,7 +408,7 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 			rs.StoreRetries = retrySrc.RetryStats().Retries - retriesBefore
 		}
 	}()
-	out = make(map[string]map[string]*Posting, len(keys))
+	out = make(map[string]*PostingList, len(keys))
 
 	// Snapshot reads: capture the write-buffer overlay BEFORE touching the
 	// cache or the store. A concurrent compaction fold that lands after
@@ -423,8 +425,8 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 	if opt.Cache != nil {
 		fetch = make([]string, 0, len(keys))
 		for _, k := range keys {
-			if p, ok := opt.Cache.get(cacheKey{table: table, key: k, kind: kind, ver: stampOf(k)}); ok {
-				out[k] = p
+			if l, ok := opt.Cache.get(cacheKey{table: table, key: k, kind: kind, ver: stampOf(k)}); ok {
+				out[k] = l
 				rs.CacheHits++
 			} else {
 				rs.CacheMisses++
@@ -433,7 +435,7 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 		}
 	}
 	if len(fetch) == 0 {
-		return applyViewTombstones(out, overlays, kind, binaryIDs, rs)
+		return applyViewTombstones(out, overlays, rs)
 	}
 
 	lim := store.Limits().BatchGetKeys
@@ -442,11 +444,11 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 	}
 	chunks := (len(fetch) + lim - 1) / lim
 	type chunkResult struct {
-		postings map[string]map[string]*Posting
-		d        time.Duration
-		bytes    int64
-		gets     int64 // keys billed against the store
-		err      error
+		lists map[string]*PostingList
+		d     time.Duration
+		bytes int64
+		gets  int64 // keys billed against the store
+		err   error
 	}
 	results := make([]chunkResult, chunks)
 	fetchChunk := func(ci int) chunkResult {
@@ -456,7 +458,7 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 			end = len(fetch)
 		}
 		chunk := fetch[start:end]
-		cr := chunkResult{postings: make(map[string]map[string]*Posting, len(chunk)), gets: int64(len(chunk))}
+		cr := chunkResult{lists: make(map[string]*PostingList, len(chunk)), gets: int64(len(chunk))}
 		d, err := store.Read(opt.Ctx, table, chunk, func(k string, recs *kv.Records) {
 			cr.bytes += recs.Tally().Bytes
 			if cr.err != nil {
@@ -465,19 +467,19 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 			// Replacement contributions from the write buffer supersede the
 			// owner's main-store records; they come from memory and bill
 			// nothing.
-			postings, err := decodeKey(recs, overlays[k].Replaces, kind, binaryIDs)
+			l, err := decodeKey(recs, overlays[k].Replaces, kind, binaryIDs)
 			if err != nil {
 				cr.err = fmt.Errorf("key %q: %w", k, err)
 				return
 			}
-			if postings == nil {
+			if l == nil {
 				return
 			}
 			if opt.Cache != nil {
-				// The cache keeps the postings beyond this read.
-				detachPostings(postings)
+				// The cache keeps the list beyond this read.
+				l.detach()
 			}
-			cr.postings[k] = postings
+			cr.lists[k] = l
 		})
 		if err != nil {
 			return chunkResult{err: err}
@@ -516,27 +518,31 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 		rs.GetTime += cr.d
 		rs.BytesFetched += cr.bytes
 		rs.GetOps += cr.gets
-		for k, postings := range cr.postings {
-			out[k] = postings
+		for k, l := range cr.lists {
+			out[k] = l
 			if opt.Cache != nil {
-				rs.CacheEvictions += opt.Cache.put(cacheKey{table: table, key: k, kind: kind, ver: stampOf(k)}, postings)
+				evicted, err := opt.Cache.put(cacheKey{table: table, key: k, kind: kind, ver: stampOf(k)}, l)
+				if err != nil {
+					return nil, rs, fmt.Errorf("key %q: %w", k, err)
+				}
+				rs.CacheEvictions += evicted
 			}
 		}
 	}
-	return applyViewTombstones(out, overlays, kind, binaryIDs, rs)
+	return applyViewTombstones(out, overlays, rs)
 }
 
 // applyViewTombstones subtracts the captured tombstones from the assembled
-// postings on the way out — after cache fills, so the cache keeps the
+// lists on the way out — after cache fills, so the cache keeps the
 // version-agnostic carrier and each pinned view applies its own deletes at
-// decode time.
-func applyViewTombstones(out map[string]map[string]*Posting, overlays map[string]kv.Overlay, kind PostingKind, binaryIDs bool, rs LookupStats) (map[string]map[string]*Posting, LookupStats, error) {
+// read time.
+func applyViewTombstones(out map[string]*PostingList, overlays map[string]kv.Overlay, rs LookupStats) (map[string]*PostingList, LookupStats, error) {
 	for k, ov := range overlays {
-		postings, ok := out[k]
+		l, ok := out[k]
 		if !ok || len(ov.Tombstones) == 0 {
 			continue
 		}
-		filtered, err := applyTombstones(postings, ov, kind, binaryIDs)
+		filtered, err := applyTombstones(l, ov)
 		if err != nil {
 			return nil, rs, err
 		}
@@ -545,29 +551,196 @@ func applyViewTombstones(out map[string]map[string]*Posting, overlays map[string
 	return out, rs, nil
 }
 
-// decodeKey assembles one key's postings from its records, with the
+// PostingList is one key's index content under one posting kind, as a read
+// decoded it: one row per stored value (one per attribute for URIPosting),
+// sorted by URI, so a URI's rows are adjacent and in the order the records
+// held them. A row points at its value in the fetched record bytes, or, for
+// a list the cache keeps, in the list's own copy of them.
+//
+// Every value was validated and classified when the key was read: a
+// corrupt value fails the read even if its URI never reaches a join. The
+// Posting of a URI — a raw stream, a blocked set, eager identifiers or path
+// values — is built from its rows only when a look-up asks for it, which it
+// does for the URIs that survive its intersections, and then memoized: a
+// list is shared read-only between look-ups through the cache.
+type PostingList struct {
+	rows      []uriRow
+	uris      int // distinct URIs
+	kind      PostingKind
+	binaryIDs bool
+	// charge is the list's cache charge before the key (postingsBytes),
+	// counting each ID row as if it were its URI's only one; the URIs with
+	// several ID rows are settled when the cache charges the list.
+	charge int64
+
+	mu    sync.Mutex
+	built map[int32]*Posting // by the index of the URI's first row
+}
+
+// uriRow is one stored value of a URI. A nil v is a presence row: URIPosting
+// rows, and the row of an attribute without values. An empty stored value
+// is emptyValue, which a path posting keeps.
+type uriRow struct {
+	uri string
+	v   kv.Value
+}
+
+// emptyValue is the row value of an empty stored value: empty, not nil.
+var emptyValue = kv.Value{}
+
+// Len returns the number of distinct URIs in the list (0 for a nil list).
+func (l *PostingList) Len() int {
+	if l == nil {
+		return 0
+	}
+	return l.uris
+}
+
+// Posting returns the posting of uri, building it on first use, or nil when
+// the list does not hold uri. The posting is shared — with the cache, and
+// with other look-ups — and must not be mutated.
+func (l *PostingList) Posting(uri string) (*Posting, error) {
+	if l == nil {
+		return nil, nil
+	}
+	i := l.seek(0, uri)
+	if i == len(l.rows) || l.rows[i].uri != uri {
+		return nil, nil
+	}
+	p, _, err := l.postingAt(i)
+	return p, err
+}
+
+// postingAt returns the posting of the URI whose first row is rows[i],
+// also telling whether this call built it.
+func (l *PostingList) postingAt(i int) (p *Posting, fresh bool, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if p := l.built[int32(i)]; p != nil {
+		return p, false, nil
+	}
+	p, err = buildPosting(l.rows[i:l.runEnd(i)], l.kind, l.binaryIDs)
+	if err != nil {
+		return nil, false, err
+	}
+	if l.built == nil {
+		l.built = make(map[int32]*Posting)
+	}
+	l.built[int32(i)] = p
+	return p, true, nil
+}
+
+// runEnd returns the index past the last row of the URI whose first row is
+// rows[i].
+func (l *PostingList) runEnd(i int) int {
+	uri := l.rows[i].uri
+	for i++; i < len(l.rows) && l.rows[i].uri == uri; i++ {
+	}
+	return i
+}
+
+// seek returns the index of the first row at or after from whose URI is not
+// below uri, len(rows) if there is none. It gallops from from, so a merge
+// that seeks forward through a list pays for the distance it moves, not for
+// the list's length.
+func (l *PostingList) seek(from int, uri string) int {
+	rows := l.rows
+	lo, hi := from, from // rows[lo-1] < uri whenever lo > from
+	for step := 1; hi < len(rows) && rows[hi].uri < uri; step <<= 1 {
+		lo = hi + 1
+		hi += step
+	}
+	hi = min(hi, len(rows))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rows[mid].uri < uri {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// detach copies the values the rows point at into one buffer of the list's
+// own. A read hands out read-only views of the store's memory, which is
+// fine for the length of a request; a list that goes into the cache would
+// keep whole store chunks alive for bytes the cache's budget does not
+// count. It runs before any posting is built, so every posting built later
+// aliases the copy.
+func (l *PostingList) detach() {
+	n := 0
+	for _, r := range l.rows {
+		n += len(r.v)
+	}
+	buf := make([]byte, 0, n)
+	for i := range l.rows {
+		if v := l.rows[i].v; len(v) > 0 {
+			buf = append(buf, v...)
+			l.rows[i].v = buf[len(buf)-len(v) : len(buf) : len(buf)]
+		}
+	}
+}
+
+// cacheCharge returns the list's cache charge before the key: the charge
+// counted at decode time, with each URI that holds several identifier rows
+// charged as its built posting, whose identifier count drops repeats and
+// whose blocked segments may merge. Those URIs are rare — a URI in a pack
+// and in a later per-document item, or a value split across items — and
+// their postings are memoized like any other.
+func (l *PostingList) cacheCharge() (int64, error) {
+	n := l.charge
+	if l.kind != IDPosting {
+		return n, nil
+	}
+	for i := 0; i < len(l.rows); {
+		end := l.runEnd(i)
+		if end-i > 1 {
+			for _, r := range l.rows[i:end] {
+				iv, err := classifyIDValue(r.v, l.binaryIDs)
+				if err != nil {
+					return 0, err
+				}
+				n -= iv.charge()
+			}
+			p, _, err := l.postingAt(i)
+			if err != nil {
+				return 0, err
+			}
+			n += idCharge(p)
+		}
+		i = end
+	}
+	return n, nil
+}
+
+// decodeKey decodes one key's records into its posting list, with the
 // overlay's replacement items merged in by range key (DESIGN §5s, "The
 // overlay merge"): a record whose only attribute names a replaced owner is
 // skipped, since replaces holds that owner's whole contribution. It returns
-// nil when there is no record to decode. The postings of a key share one
-// slab, sized from the tallies; identifier values are validated here
-// whatever their shape, so a corrupt value fails the read even if its URI
-// never reaches a join.
-func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind, binaryIDs bool) (map[string]*Posting, error) {
-	attrs := recs.Tally().Attrs
+// nil when there is no record to decode. The rows are one slab, sized from
+// the tallies; every value is validated here whatever its shape, and no
+// posting is built.
+func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind, binaryIDs bool) (*PostingList, error) {
+	sum := recs.Tally()
 	var repl *kv.Records
 	if len(replaces) > 0 {
 		repl = replacementRecords(replaces)
-		attrs += repl.Tally().Attrs
+		r := repl.Tally()
+		sum.Items += r.Items
+		sum.Attrs += r.Attrs
+		sum.Values += r.Values
 	}
-	if recs.Tally().Items == 0 && (repl == nil || repl.Tally().Items == 0) {
+	if sum.Items == 0 {
 		return nil, nil
 	}
+	rows := sum.Values // a row per value, and one per value-less attribute
+	if kind == URIPosting {
+		rows = sum.Attrs
+	}
 	d := keyDecoder{
-		kind:      kind,
-		binaryIDs: binaryIDs,
-		postings:  make(map[string]*Posting, attrs),
-		slab:      make([]Posting, 0, attrs),
+		l:      &PostingList{kind: kind, binaryIDs: binaryIDs, rows: make([]uriRow, 0, rows)},
+		sorted: true,
 	}
 	more := repl != nil && repl.Next()
 	for recs.Next() && d.err == nil {
@@ -579,18 +752,19 @@ func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind
 	for ; more && d.err == nil; more = repl.Next() {
 		d.record(repl, nil)
 	}
-	if d.err != nil || !d.fed {
+	if d.err != nil || len(d.l.rows) == 0 {
 		return nil, d.err
 	}
-	if kind == IDPosting {
-		for i := range d.slab {
-			p := &d.slab[i]
-			if err := finishIDPosting(p, d.segs[p], d.eager[p], d.several[p]); err != nil {
-				return nil, err
-			}
-		}
+	l := d.l
+	if !d.sorted {
+		// Stable: a URI's rows keep the order of its records and values.
+		slices.SortStableFunc(l.rows, func(a, b uriRow) int { return strings.Compare(a.uri, b.uri) })
 	}
-	return d.postings, nil
+	for i := 0; i < len(l.rows); i = l.runEnd(i) {
+		l.uris++
+		l.charge += uriCharge(l.rows[i].uri)
+	}
+	return l, nil
 }
 
 // replacementRecords returns a cursor over an overlay's replacement items
@@ -606,19 +780,9 @@ func replacementRecords(replaces map[string][]kv.Item) *kv.Records {
 
 // keyDecoder is the state of one key's decode.
 type keyDecoder struct {
-	kind      PostingKind
-	binaryIDs bool
-
-	postings map[string]*Posting
-	slab     []Posting
-	fed      bool // some record was decoded
-	// The values that do not stay lazy, by posting: blocked segments
-	// (headers parsed) and eagerly decoded identifiers.
-	segs  map[*Posting][]*idblock.Set
-	eager map[*Posting][]xmltree.NodeID
-	// several marks the postings that got more than one non-empty value.
-	several map[*Posting]bool
-	err     error
+	l      *PostingList
+	sorted bool // the rows so far are in URI order
+	err    error
 }
 
 // record decodes the current record of c, unless it is one that replaces
@@ -629,124 +793,133 @@ func (d *keyDecoder) record(c *kv.Records, replaces map[string][]kv.Item) {
 		if _, replaced := replaces[c.Name()]; replaced {
 			return
 		}
-		d.fed = true
 		d.attr(c)
 		return
 	}
-	d.fed = true
 	for c.NextAttr() && d.err == nil {
 		d.attr(c)
 	}
 }
 
-// attr adds the current attribute of c to its URI's posting. It is the one
-// place stored values are validated and classified.
+// attr adds the current attribute of c to the rows. It is the one place
+// stored values are validated and classified.
 func (d *keyDecoder) attr(c *kv.Records) {
 	name := c.Name()
-	p, ok := d.postings[name]
-	if !ok {
-		d.slab = d.slab[:len(d.slab)+1]
-		p = &d.slab[len(d.slab)-1]
-		p.URI = name
-		d.postings[name] = p
+	if d.kind() == URIPosting {
+		d.add(name, nil) // presence is all that matters
+		return
 	}
-	switch d.kind {
-	case URIPosting:
-		// Presence is all that matters.
-	case PathPosting:
-		for v, ok := c.NextValue(); ok; v, ok = c.NextValue() {
+	n := 0
+	for v, ok := c.NextValue(); ok; v, ok = c.NextValue() {
+		if d.kind() == PathPosting {
 			// Validate now, retain raw: corrupt values fail here, and
 			// matching later runs on the compressed form.
 			if err := ValidatePathValue(v); err != nil {
 				d.err = err
 				return
 			}
-			p.PathVals = append(p.PathVals, v)
-		}
-	case IDPosting:
-		for v, ok := c.NextValue(); ok; v, ok = c.NextValue() {
-			iv, err := classifyIDValue(v, d.binaryIDs)
+			d.l.charge += int64(len(v))
+		} else {
+			iv, err := classifyIDValue(v, d.l.binaryIDs)
 			if err != nil {
 				d.err = err
 				return
 			}
-			first := p.n == 0 && len(d.segs[p]) == 0 && d.eager[p] == nil
-			switch {
-			case iv.set == nil && iv.stream == nil && iv.ids == nil:
-				continue // an empty value adds nothing
-			case iv.stream != nil && first:
-				p.raw, p.n = iv.stream, iv.n // the first value: stays raw
-				continue
-			case !first:
-				if d.several == nil {
-					d.several = make(map[*Posting]bool)
-				}
-				d.several[p] = true
-			}
-			if p.raw != nil {
-				// Any second value: the held stream joins the eager path,
-				// whatever the order the records arrived in.
-				d.eager = appendEager(d.eager, p, mustDecodeStream(p.raw, p.n))
-				p.raw, p.n = nil, 0
-			}
-			switch {
-			case iv.set != nil:
-				if d.segs == nil {
-					d.segs = make(map[*Posting][]*idblock.Set)
-				}
-				d.segs[p] = append(d.segs[p], iv.set)
-			case iv.stream != nil:
-				d.eager = appendEager(d.eager, p, mustDecodeStream(iv.stream, iv.n))
-			default:
-				d.eager = appendEager(d.eager, p, iv.ids)
-			}
+			d.l.charge += iv.charge()
 		}
+		if v == nil {
+			v = emptyValue
+		}
+		d.add(name, v)
+		n++
+	}
+	if n == 0 {
+		d.add(name, nil)
 	}
 }
 
-// appendEager adds decoded identifiers to a posting's eager accumulator,
-// creating the map on first use.
-func appendEager(eager map[*Posting][]xmltree.NodeID, p *Posting, ids []xmltree.NodeID) map[*Posting][]xmltree.NodeID {
-	if len(ids) == 0 {
-		return eager
+func (d *keyDecoder) kind() PostingKind { return d.l.kind }
+
+// add appends one row, noting whether the rows are still in URI order:
+// a pack's attributes are, and so is a key read as one pack.
+func (d *keyDecoder) add(uri string, v kv.Value) {
+	rows := d.l.rows
+	if n := len(rows); d.sorted && n > 0 && rows[n-1].uri > uri {
+		d.sorted = false
 	}
-	if eager == nil {
-		eager = make(map[*Posting][]xmltree.NodeID)
-	}
-	if prev := eager[p]; prev != nil {
-		eager[p] = append(prev, ids...)
-	} else {
-		eager[p] = ids // the decode owns ids: adopt them without a copy
-	}
-	return eager
+	d.l.rows = append(rows, uriRow{uri: uri, v: v})
 }
 
-// detachPostings copies what one key's decoded postings still share with
-// the store: the raw path values and identifier streams (one buffer for
-// the key) and the encoded payloads of lazy identifier sets. A read hands
-// out read-only views of the store's memory, which is fine for the length
-// of a request; postings that go into the cache would keep whole store chunks
-// alive for bytes the cache's budget does not count.
-func detachPostings(postings map[string]*Posting) {
-	n := 0
-	for _, p := range postings {
-		for _, v := range p.PathVals {
-			n += len(v)
+// buildPosting builds the posting of one URI from its rows.
+func buildPosting(rows []uriRow, kind PostingKind, binaryIDs bool) (*Posting, error) {
+	p := &Posting{URI: rows[0].uri}
+	switch kind {
+	case PathPosting:
+		for _, r := range rows {
+			if r.v != nil {
+				p.PathVals = append(p.PathVals, r.v)
+			}
 		}
-		n += len(p.raw)
+	case IDPosting:
+		if err := buildIDs(p, rows, binaryIDs); err != nil {
+			return nil, err
+		}
 	}
-	buf := make([]byte, 0, n)
-	for _, p := range postings {
-		for i, v := range p.PathVals {
-			buf = append(buf, v...)
-			p.PathVals[i] = buf[len(buf)-len(v) : len(buf) : len(buf)]
+	return p, nil
+}
+
+// buildIDs gives an identifier posting its shape from its values. The one
+// non-empty value that is a headerless stream stays raw; blocked segments
+// are collected for finishIDPosting; anything else decodes eagerly.
+func buildIDs(p *Posting, rows []uriRow, binaryIDs bool) error {
+	var (
+		segs    []*idblock.Set
+		eager   []xmltree.NodeID
+		several bool // more than one non-empty value
+	)
+	for _, r := range rows {
+		iv, err := classifyIDValue(r.v, binaryIDs)
+		if err != nil {
+			return err
+		}
+		first := p.n == 0 && len(segs) == 0 && eager == nil
+		switch {
+		case iv.set == nil && iv.stream == nil && iv.ids == nil:
+			continue // an empty value adds nothing
+		case iv.stream != nil && first:
+			p.raw, p.n = iv.stream, iv.n
+			continue
+		case !first:
+			several = true
 		}
 		if p.raw != nil {
-			buf = append(buf, p.raw...)
-			p.raw = buf[len(buf)-len(p.raw) : len(buf) : len(buf)]
+			// Any second value: the held stream joins the eager path,
+			// whatever the order the records arrived in.
+			eager = appendEager(eager, mustDecodeStream(p.raw, p.n))
+			p.raw, p.n = nil, 0
 		}
-		p.blocked.Detach()
+		switch {
+		case iv.set != nil:
+			segs = append(segs, iv.set)
+		case iv.stream != nil:
+			eager = appendEager(eager, mustDecodeStream(iv.stream, iv.n))
+		default:
+			eager = appendEager(eager, iv.ids)
+		}
 	}
+	return finishIDPosting(p, segs, eager, several)
+}
+
+// appendEager adds decoded identifiers to an eager accumulator, adopting
+// the first non-empty slice without a copy: the decode owns it.
+func appendEager(eager, ids []xmltree.NodeID) []xmltree.NodeID {
+	switch {
+	case len(ids) == 0:
+		return eager
+	case eager == nil:
+		return ids
+	}
+	return append(eager, ids...)
 }
 
 // finishIDPosting fixes a decoded identifier posting into its final shape.

@@ -1,22 +1,19 @@
 package index
 
 import (
-	"math/bits"
-	"sort"
-
 	"repro/internal/obs"
 	"repro/internal/twigjoin"
 )
 
 // URI-set intersection for the LU/LUP look-ups and the candidate step of
-// LUI/2LUPI. The previous implementation iterated one map and probed the
-// others per URI, then sorted the survivors; this one builds an interned
-// URI dictionary per look-up — the sorted URIs of the smallest set, which
-// bounds the intersection — and represents every other set as a bitmap
-// over that dictionary, roaring-style: 64-URI containers combined with
-// word-parallel ANDs, with already-empty containers skipped entirely. The
-// output is sorted by construction, and the result is byte-identical to
-// the map version (the strategy property differential asserts this).
+// LUI/2LUPI. Every posting list is sorted by URI, so the intersection is one
+// sorted merge: the list with the fewest rows drives, and every other list
+// gallops forward to the driver's URI (PostingList.seek). When a list
+// overshoots, the driver gallops to where it landed, so lists of very
+// different lengths cost what the short one holds, not what the long one
+// does. 2LUPI's reduction set enters as one more list. The output is sorted
+// by construction, and each survivor comes with its first row in every
+// list, which is where its posting is built from.
 
 // JoinCounters are the obs counters the look-up kernels feed, resolved
 // once at wiring time (see core's metrics resolution) and nil-safe
@@ -27,9 +24,10 @@ type JoinCounters struct {
 	// on their summary headers alone.
 	BlocksRead    *obs.Counter
 	BlocksSkipped *obs.Counter
-	// ContainersIntersected counts the 64-URI bitmap containers combined
-	// across all set intersections.
-	ContainersIntersected *obs.Counter
+	// PostingsBuilt counts the postings look-ups built from posting lists:
+	// one per key of each URI that survived a phase's intersection, unless
+	// a cached list had built it already.
+	PostingsBuilt *obs.Counter
 }
 
 // addJoin folds one join's block-level work into the counters.
@@ -41,102 +39,69 @@ func (j *JoinCounters) addJoin(js twigjoin.JoinStats) {
 	j.BlocksSkipped.Add(js.BlocksSkipped)
 }
 
-// addContainers records n intersected bitmap containers.
-func (j *JoinCounters) addContainers(n int64) {
+// addBuilt records n built postings.
+func (j *JoinCounters) addBuilt(n int) {
 	if j == nil {
 		return
 	}
-	j.ContainersIntersected.Add(n)
+	j.PostingsBuilt.Add(int64(n))
 }
 
-// intersectURIs returns the sorted intersection of the URI sets.
-func intersectURIs(sets []map[string]*Posting, jc *JoinCounters) []string {
-	if len(sets) == 0 {
-		return nil
+// uriList returns a list of presence rows over sorted, distinct URIs: a
+// reduction set entering a merge.
+func uriList(uris []string) *PostingList {
+	l := &PostingList{kind: URIPosting, rows: make([]uriRow, len(uris)), uris: len(uris)}
+	for i, u := range uris {
+		l.rows[i].uri = u
 	}
-	si := 0
-	for i, s := range sets {
-		if len(s) < len(sets[si]) {
-			si = i
+	return l
+}
+
+// intersect returns the sorted URIs every list holds and, for the i-th of
+// them, at[i*len(lists)+j] is the index of its first row in lists[j]. A nil
+// list is empty.
+func intersect(lists []*PostingList) (uris []string, at []int32) {
+	if len(lists) == 0 {
+		return nil, nil
+	}
+	d := 0
+	for j, l := range lists {
+		if l.Len() == 0 {
+			return nil, nil
+		}
+		if len(l.rows) < len(lists[d].rows) {
+			d = j
 		}
 	}
-	if len(sets[si]) == 0 {
-		return nil
-	}
-
-	// The dictionary: sorted URIs of the smallest set, interning every URI
-	// the intersection could contain as its dictionary index.
-	dict := make([]string, 0, len(sets[si]))
-	for uri := range sets[si] {
-		dict = append(dict, uri)
-	}
-	sort.Strings(dict)
-	if len(sets) == 1 {
-		return dict
-	}
-
-	// acc starts all-ones over the dictionary; each remaining set is turned
-	// into a bitmap over the same dictionary and ANDed in, one 64-URI
-	// container word at a time. A container that has gone empty skips both
-	// the membership probes and the AND of every later set.
-	acc := make([]uint64, (len(dict)+63)/64)
-	for w := range acc {
-		acc[w] = ^uint64(0)
-	}
-	if r := len(dict) % 64; r != 0 {
-		acc[len(acc)-1] = 1<<r - 1
-	}
-	other := make([]uint64, len(acc))
-	var containers int64
-	for i, s := range sets {
-		if i == si {
-			continue
-		}
-		live := false
-		for w, accw := range acc {
-			if accw == 0 {
-				other[w] = 0
+	driver := lists[d]
+	pos := make([]int, len(lists))
+	for i := 0; i < len(driver.rows); {
+		uri := driver.rows[i].uri
+		next := "" // the URI a list overshot to, when one did
+		for j, l := range lists {
+			if j == d {
 				continue
 			}
-			containers++
-			base := w << 6
-			end := min(base+64, len(dict))
-			var word uint64
-			for j := base; j < end; j++ {
-				if accw&(1<<uint(j-base)) == 0 {
-					continue
-				}
-				if _, ok := s[dict[j]]; ok {
-					word |= 1 << uint(j-base)
-				}
+			p := l.seek(pos[j], uri)
+			if p == len(l.rows) {
+				return uris, at
 			}
-			other[w] = word
-		}
-		for w := range acc {
-			acc[w] &= other[w]
-			if acc[w] != 0 {
-				live = true
+			pos[j] = p
+			if u := l.rows[p].uri; u != uri {
+				next = u
+				break
 			}
 		}
-		if !live {
-			jc.addContainers(containers)
-			return nil
+		if next != "" {
+			i = driver.seek(i, next)
+			continue
 		}
-	}
-	jc.addContainers(containers)
-
-	n := 0
-	for _, w := range acc {
-		n += bits.OnesCount64(w)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for j, uri := range dict {
-		if acc[j>>6]&(1<<uint(j&63)) != 0 {
-			out = append(out, uri)
+		pos[d] = i
+		uris = append(uris, uri)
+		for _, p := range pos {
+			at = append(at, int32(p))
 		}
+		i = driver.runEnd(i)
 	}
-	return out
+	return uris, at
 }

@@ -23,59 +23,74 @@ type ReadView interface {
 }
 
 // deadSetFor decodes the identifier contribution a tombstone retained for
-// owner into one set, the per-version tombstone consulted at posting-decode
-// time. It goes through the record decoder like any stored value.
+// owner into one set, the per-version tombstone consulted at read time. It
+// goes through the record decoder like any stored value.
 func deadSetFor(owner string, items []kv.Item, binaryIDs bool) (*idblock.Set, error) {
-	postings, err := decodeKey(kv.ItemRecords(items), nil, IDPosting, binaryIDs)
-	if err != nil || postings[owner] == nil {
+	l, err := decodeKey(kv.ItemRecords(items), nil, IDPosting, binaryIDs)
+	if err != nil {
 		return nil, err
 	}
-	return postings[owner].IDSet(), nil
+	p, err := l.Posting(owner)
+	if err != nil || p == nil {
+		return nil, err
+	}
+	return p.IDSet(), nil
 }
 
-// applyTombstones filters one key's assembled postings through the
-// overlay's tombstones. Postings are shared with the cache and with
-// concurrent look-ups pinned at other versions, so the map and any
-// modified posting are copied, never mutated: the tombstone is applied at
-// decode time, on the way out. For identifier postings the subtraction
-// goes through idblock.MergeTombstones, which keeps unaffected blocks
-// encoded; other kinds drop the owner's posting wholesale (the retained
-// contribution is, by construction, the owner's entire posting).
-func applyTombstones(postings map[string]*Posting, ov kv.Overlay, kind PostingKind, binaryIDs bool) (map[string]*Posting, error) {
-	if len(ov.Tombstones) == 0 {
-		return postings, nil
-	}
+// applyTombstones filters one key's list through the overlay's tombstones.
+// Lists are shared with the cache and with concurrent look-ups pinned at
+// other versions, so a list a tombstone touches is copied, never mutated:
+// the tombstone is applied at read time, on the way out. The copy shares
+// the rows' values. For identifier lists the owner's posting is subtracted
+// through idblock.MergeTombstones, which keeps unaffected blocks encoded,
+// and the copy holds the result as the owner's posting; other kinds drop
+// the owner's rows wholesale (the retained contribution is, by
+// construction, the owner's entire posting).
+func applyTombstones(l *PostingList, ov kv.Overlay) (*PostingList, error) {
 	touched := false
 	for owner := range ov.Tombstones {
-		if _, ok := postings[owner]; ok {
+		if i := l.seek(0, owner); i < len(l.rows) && l.rows[i].uri == owner {
 			touched = true
 			break
 		}
 	}
 	if !touched {
-		return postings, nil
+		return l, nil
 	}
-	out := make(map[string]*Posting, len(postings))
-	for owner, p := range postings {
-		tomb, dead := ov.Tombstones[owner]
-		if !dead {
-			out[owner] = p
+	out := &PostingList{kind: l.kind, binaryIDs: l.binaryIDs, rows: make([]uriRow, 0, len(l.rows))}
+	for i := 0; i < len(l.rows); {
+		end := l.runEnd(i)
+		tomb, dead := ov.Tombstones[l.rows[i].uri]
+		switch {
+		case !dead:
+		case l.kind != IDPosting:
+			i = end
 			continue
+		default:
+			p, _, err := l.postingAt(i)
+			if err != nil {
+				return nil, err
+			}
+			deadSet, err := deadSetFor(p.URI, tomb, l.binaryIDs)
+			if err != nil {
+				return nil, err
+			}
+			kept, err := subtractPosting(p, deadSet)
+			if err != nil {
+				return nil, err
+			}
+			if kept == nil {
+				i = end
+				continue
+			}
+			if out.built == nil {
+				out.built = make(map[int32]*Posting)
+			}
+			out.built[int32(len(out.rows))] = kept
 		}
-		if kind != IDPosting {
-			continue
-		}
-		deadSet, err := deadSetFor(owner, tomb, binaryIDs)
-		if err != nil {
-			return nil, err
-		}
-		kept, err := subtractPosting(p, deadSet)
-		if err != nil {
-			return nil, err
-		}
-		if kept != nil {
-			out[owner] = kept
-		}
+		out.rows = append(out.rows, l.rows[i:end]...)
+		out.uris++
+		i = end
 	}
 	return out, nil
 }

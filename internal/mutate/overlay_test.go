@@ -77,7 +77,7 @@ func TestOverlayMergesBetweenStoreRecords(t *testing.T) {
 	apply(newURI, big.String())
 	apply("a.xml", small(5)) // an update: a.xml's stored records are superseded
 
-	read := func(tbl string, kind index.PostingKind) map[string]*index.Posting {
+	read := func(tbl string, kind index.PostingKind) *index.PostingList {
 		t.Helper()
 		v := c.Pin()
 		defer v.Release()
@@ -88,7 +88,7 @@ func TestOverlayMergesBetweenStoreRecords(t *testing.T) {
 		return out[key]
 	}
 	kinds := []index.PostingKind{index.PathPosting, index.IDPosting}
-	var live []map[string]*index.Posting
+	var live []*index.PostingList
 	for i, tbl := range tables {
 		live = append(live, read(tbl, kinds[i]))
 	}
@@ -103,24 +103,29 @@ func TestOverlayMergesBetweenStoreRecords(t *testing.T) {
 	}
 	for i, tbl := range tables {
 		folded := read(tbl, kinds[i])
-		if got := len(live[i][newURI].PathVals); kinds[i] == index.PathPosting && got < 2 {
+		p, err := live[i].Posting(newURI)
+		if err != nil || p == nil {
+			t.Fatalf("%s: the new document's posting: %v, %v", tbl, p, err)
+		}
+		if got := len(p.PathVals); kinds[i] == index.PathPosting && got < 2 {
 			t.Fatalf("%s: the new document stored %d path values under %q, want several items' worth", tbl, got, key)
 		}
-		samePostings(t, tbl, live[i], folded)
+		samePostings(t, tbl, live[i], folded, "a.xml", "b.xml", newURI)
 	}
 }
 
-// samePostings requires two reads of one key to hold the same URIs with the
-// same path values, in order, and the same identifiers.
-func samePostings(t *testing.T, tbl string, live, folded map[string]*index.Posting) {
+// samePostings requires two reads of one key to hold exactly the given URIs
+// with the same path values, in order, and the same identifiers.
+func samePostings(t *testing.T, tbl string, live, folded *index.PostingList, uris ...string) {
 	t.Helper()
-	if len(live) != len(folded) {
-		t.Fatalf("%s: %d URIs through the overlay, %d after the fold", tbl, len(live), len(folded))
+	if live.Len() != len(uris) || folded.Len() != len(uris) {
+		t.Fatalf("%s: %d URIs through the overlay, %d after the fold, want %d", tbl, live.Len(), folded.Len(), len(uris))
 	}
-	for uri, f := range folded {
-		l := live[uri]
-		if l == nil {
-			t.Fatalf("%s: %s missing through the overlay", tbl, uri)
+	for _, uri := range uris {
+		l, lerr := live.Posting(uri)
+		f, ferr := folded.Posting(uri)
+		if lerr != nil || ferr != nil || l == nil || f == nil {
+			t.Fatalf("%s: %s through the overlay %v (%v), after the fold %v (%v)", tbl, uri, l, lerr, f, ferr)
 		}
 		if len(l.PathVals) != len(f.PathVals) {
 			t.Fatalf("%s %s: %d path values through the overlay, %d after the fold", tbl, uri, len(l.PathVals), len(f.PathVals))
