@@ -679,7 +679,7 @@ func BenchmarkLookupQuery(b *testing.B) {
 
 // benchLookup runs the queries' 2LUPI look-ups round robin at the given
 // look-up concurrency and without a cache, and reports the joins' blocks
-// read and skipped per query.
+// read and skipped and the postings built per query.
 func benchLookup(b *testing.B, w *core.Warehouse, queries []workload.Query, concurrency int) {
 	var parsed []*pattern.Query
 	for _, q := range queries {
@@ -689,6 +689,7 @@ func benchLookup(b *testing.B, w *core.Warehouse, queries []workload.Query, conc
 	joins := &index.JoinCounters{
 		BlocksRead:    reg.Counter("blocks_read"),
 		BlocksSkipped: reg.Counter("blocks_skipped"),
+		PostingsBuilt: reg.Counter("postings_built"),
 	}
 	opts := index.LookupOptions{Concurrency: concurrency, Joins: joins}
 	b.ReportAllocs()
@@ -701,6 +702,7 @@ func benchLookup(b *testing.B, w *core.Warehouse, queries []workload.Query, conc
 	b.StopTimer()
 	b.ReportMetric(float64(joins.BlocksRead.Value())/float64(b.N), "blocks-read/op")
 	b.ReportMetric(float64(joins.BlocksSkipped.Value())/float64(b.N), "blocks-skipped/op")
+	b.ReportMetric(float64(joins.PostingsBuilt.Value())/float64(b.N), "postings-built/op")
 }
 
 func BenchmarkLookup(b *testing.B) {

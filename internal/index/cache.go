@@ -58,41 +58,49 @@ type cacheEntry struct {
 }
 
 // cacheShard is an independently locked LRU over a slice of the key space.
-// The stamps of a (table, key, kind) all hash to one shard, which indexes
-// them, so that invalidating a key touches only that key's entries.
+// Every stamp of a (table, key, kind) hashes to one shard, which holds them
+// under one map slot, so that invalidating a key touches only that key's
+// entries.
 type cacheShard struct {
 	mu      sync.Mutex
-	entries map[cacheKey]*list.Element
-	stamps  map[stampKey][]uint64 // the resident stamps of each key
-	lru     *list.List            // front = most recently used
+	entries map[stampKey][]*list.Element // a key's resident stamps
+	lru     *list.List                   // front = most recently used
 	bytes   int64
 	budget  int64
 }
 
+// find returns the resident entry of k, or nil.
+func (sh *cacheShard) find(k cacheKey) *list.Element {
+	for _, el := range sh.entries[k.unstamped()] {
+		if el.Value.(*cacheEntry).key.ver == k.ver {
+			return el
+		}
+	}
+	return nil
+}
+
 // insert makes e resident and most recently used; its key must not be.
 func (sh *cacheShard) insert(e *cacheEntry) {
-	sh.entries[e.key] = sh.lru.PushFront(e)
 	sk := e.key.unstamped()
-	sh.stamps[sk] = append(sh.stamps[sk], e.key.ver)
+	sh.entries[sk] = append(sh.entries[sk], sh.lru.PushFront(e))
 	sh.bytes += e.bytes
 }
 
 // remove drops a resident entry.
 func (sh *cacheShard) remove(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	sh.lru.Remove(el)
-	delete(sh.entries, e.key)
-	sk := e.key.unstamped()
-	vers := sh.stamps[sk]
-	if i := slices.Index(vers, e.key.ver); i >= 0 {
-		vers = slices.Delete(vers, i, i+1)
-	}
-	if len(vers) == 0 {
-		delete(sh.stamps, sk)
+	sk := el.Value.(*cacheEntry).key.unstamped()
+	if stamps := slices.DeleteFunc(sh.entries[sk], func(o *list.Element) bool { return o == el }); len(stamps) > 0 {
+		sh.entries[sk] = stamps
 	} else {
-		sh.stamps[sk] = vers
+		delete(sh.entries, sk)
 	}
-	sh.bytes -= e.bytes
+	sh.unlink(el)
+}
+
+// unlink takes an entry off the LRU list and out of the shard's totals.
+func (sh *cacheShard) unlink(el *list.Element) {
+	sh.lru.Remove(el)
+	sh.bytes -= el.Value.(*cacheEntry).bytes
 }
 
 // cacheShards is fixed so that the shard of a key is a pure function of the
@@ -126,8 +134,7 @@ func NewPostingCache(maxBytes int64) *PostingCache {
 	}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
-			entries: make(map[cacheKey]*list.Element),
-			stamps:  make(map[stampKey][]uint64),
+			entries: make(map[stampKey][]*list.Element),
 			lru:     list.New(),
 			budget:  per,
 		}
@@ -156,14 +163,12 @@ func (c *PostingCache) shardOf(k cacheKey) *cacheShard {
 func (c *PostingCache) get(k cacheKey) (*PostingList, bool) {
 	sh := c.shardOf(k)
 	sh.mu.Lock()
-	el, ok := sh.entries[k]
-	if ok {
-		sh.lru.MoveToFront(el)
-	}
-	sh.mu.Unlock()
-	if !ok {
+	defer sh.mu.Unlock()
+	el := sh.find(k)
+	if el == nil {
 		return nil, false
 	}
+	sh.lru.MoveToFront(el)
 	return el.Value.(*cacheEntry).list, true
 }
 
@@ -178,7 +183,7 @@ func (c *PostingCache) put(k cacheKey, l *PostingList) (int64, error) {
 	sh := c.shardOf(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if old, ok := sh.entries[k]; ok {
+	if old := sh.find(k); old != nil {
 		sh.remove(old)
 	}
 	var evicted int64
@@ -206,11 +211,10 @@ func (c *PostingCache) Invalidate(table, key string) {
 		k := cacheKey{table: table, key: key, kind: kind}
 		sh := c.shardOf(k)
 		sh.mu.Lock()
-		sk := k.unstamped()
-		for vers := sh.stamps[sk]; len(vers) > 0; vers = sh.stamps[sk] {
-			k.ver = vers[0]
-			sh.remove(sh.entries[k])
+		for _, el := range sh.entries[k.unstamped()] {
+			sh.unlink(el)
 		}
+		delete(sh.entries, k.unstamped())
 		sh.mu.Unlock()
 	}
 }
@@ -234,7 +238,7 @@ func (c *PostingCache) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += len(sh.entries)
+		n += sh.lru.Len()
 		sh.mu.Unlock()
 	}
 	return n

@@ -314,8 +314,8 @@ const (
 //
 // Raw and eager identifiers are published through wrapped as one
 // pre-decoded block, so join kernels see one interface either way. The raw
-// decode is deferred and memoized because a posting built for a candidate
-// may still never reach a join: a key before it can rule the candidate out.
+// decode is deferred to the twig join and memoized there, so a posting
+// shared through the cache decodes once, whichever look-up joins it first.
 type Posting struct {
 	URI string
 	// PathVals holds the raw stored path values — plain path strings or
@@ -759,11 +759,13 @@ func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind
 	if !d.sorted {
 		// Stable: a URI's rows keep the order of its records and values.
 		slices.SortStableFunc(l.rows, func(a, b uriRow) int { return strings.Compare(a.uri, b.uri) })
+		l.uris, d.uriCharge = 0, 0
+		for i := 0; i < len(l.rows); i = l.runEnd(i) {
+			l.uris++
+			d.uriCharge += uriCharge(l.rows[i].uri)
+		}
 	}
-	for i := 0; i < len(l.rows); i = l.runEnd(i) {
-		l.uris++
-		l.charge += uriCharge(l.rows[i].uri)
-	}
+	l.charge += d.uriCharge
 	return l, nil
 }
 
@@ -782,7 +784,10 @@ func replacementRecords(replaces map[string][]kv.Item) *kv.Records {
 type keyDecoder struct {
 	l      *PostingList
 	sorted bool // the rows so far are in URI order
-	err    error
+	// uriCharge is the cache charge of the URIs counted in l.uris; both
+	// are final once the rows are sorted.
+	uriCharge int64
+	err       error
 }
 
 // record decodes the current record of c, unless it is one that replaces
@@ -840,11 +845,20 @@ func (d *keyDecoder) attr(c *kv.Records) {
 
 func (d *keyDecoder) kind() PostingKind { return d.l.kind }
 
-// add appends one row, noting whether the rows are still in URI order:
-// a pack's attributes are, and so is a key read as one pack.
+// add appends one row, noting whether the rows are still in URI order — a
+// pack's attributes are, and so is a key read as one pack — and counting
+// the URIs while they are.
 func (d *keyDecoder) add(uri string, v kv.Value) {
 	rows := d.l.rows
-	if n := len(rows); d.sorted && n > 0 && rows[n-1].uri > uri {
+	c := -1
+	if n := len(rows); n > 0 {
+		c = strings.Compare(rows[n-1].uri, uri)
+	}
+	switch {
+	case c < 0:
+		d.l.uris++
+		d.uriCharge += uriCharge(uri)
+	case c > 0:
 		d.sorted = false
 	}
 	d.l.rows = append(rows, uriRow{uri: uri, v: v})
