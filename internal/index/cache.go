@@ -36,7 +36,7 @@ type cacheKey struct {
 	// before keep hitting the old one — version coherence without
 	// explicit invalidation. Live tombstones deliberately do not advance
 	// the stamp: deletions are subtracted from the shared carrier entry
-	// at posting-decode time.
+	// at read time.
 	ver uint64
 }
 

@@ -96,7 +96,7 @@ type LookupOptions struct {
 	// View, when non-nil, pins the look-up to a snapshot of a mutable
 	// corpus: each key's write-buffer overlay is captured before the store
 	// fetch, replacement contributions supersede the key's main-store
-	// items, and tombstones are subtracted at posting-decode time. Cache
+	// items, and tombstones are subtracted from the decoded lists. Cache
 	// identities fold in the overlay stamp, so look-ups pinned across a
 	// mutation boundary never share a stale entry.
 	View ReadView
@@ -265,8 +265,8 @@ func (a *augmented) queryPaths() [][]QueryStep {
 // readKeysSpanned is ReadKeys wrapped in an index.get span (a no-op chain
 // when opt.Span is nil): the raw store reads of one look-up phase, with the
 // billed get count, bytes and modeled store latency annotated. It returns
-// the lists in keys' order and leaves the span open: the phase ends it with
-// endGet once it has built the postings of its survivors.
+// the lists in keys' order and leaves the span open: the phase's
+// buildPostings ends it once it has built the postings of its survivors.
 func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opt LookupOptions) ([]*PostingList, LookupStats, *obs.Span, error) {
 	get := opt.Span.Child(obs.SpanIndexGet)
 	get.SetAttr("table", table)
@@ -321,9 +321,7 @@ func lookupLU(store kv.Store, table string, aug *augmented, opt LookupOptions) (
 		return nil, LookupStats{}, err
 	}
 	uris, _ := intersect(lists)
-	if _, err := buildPostings(lists, nil, get, opt); err != nil {
-		return nil, LookupStats{}, err
-	}
+	buildPostings(lists, nil, get, opt) // none: presence is the answer
 	return uris, stats, nil
 }
 

@@ -108,7 +108,7 @@ func TestIntersectMergesSortedLists(t *testing.T) {
 			if len(l.rows) == 0 || l.rows[len(l.rows)-1].uri != u {
 				l.uris++
 			}
-			l.rows = append(l.rows, uriRow{uri: u, v: emptyValue})
+			l.rows = append(l.rows, uriRow{uri: u})
 		}
 		return l
 	}

@@ -577,16 +577,13 @@ type PostingList struct {
 	built map[int32]*Posting // by the index of the URI's first row
 }
 
-// uriRow is one stored value of a URI. A nil v is a presence row: URIPosting
-// rows, and the row of an attribute without values. An empty stored value
-// is emptyValue, which a path posting keeps.
+// uriRow is one stored value of a URI. An empty v adds nothing to a posting:
+// it is an empty stored value, or a presence row — every URIPosting row,
+// and the row of an attribute without values.
 type uriRow struct {
 	uri string
 	v   kv.Value
 }
-
-// emptyValue is the row value of an empty stored value: empty, not nil.
-var emptyValue = kv.Value{}
 
 // Len returns the number of distinct URIs in the list (0 for a nil list).
 func (l *PostingList) Len() int {
@@ -810,13 +807,13 @@ func (d *keyDecoder) record(c *kv.Records, replaces map[string][]kv.Item) {
 // stored values are validated and classified.
 func (d *keyDecoder) attr(c *kv.Records) {
 	name := c.Name()
-	if d.kind() == URIPosting {
+	if d.l.kind == URIPosting {
 		d.add(name, nil) // presence is all that matters
 		return
 	}
 	n := 0
 	for v, ok := c.NextValue(); ok; v, ok = c.NextValue() {
-		if d.kind() == PathPosting {
+		if d.l.kind == PathPosting {
 			// Validate now, retain raw: corrupt values fail here, and
 			// matching later runs on the compressed form.
 			if err := ValidatePathValue(v); err != nil {
@@ -832,9 +829,6 @@ func (d *keyDecoder) attr(c *kv.Records) {
 			}
 			d.l.charge += iv.charge()
 		}
-		if v == nil {
-			v = emptyValue
-		}
 		d.add(name, v)
 		n++
 	}
@@ -842,8 +836,6 @@ func (d *keyDecoder) attr(c *kv.Records) {
 		d.add(name, nil)
 	}
 }
-
-func (d *keyDecoder) kind() PostingKind { return d.l.kind }
 
 // add appends one row, noting whether the rows are still in URI order — a
 // pack's attributes are, and so is a key read as one pack — and counting
@@ -870,7 +862,7 @@ func buildPosting(rows []uriRow, kind PostingKind, binaryIDs bool) (*Posting, er
 	switch kind {
 	case PathPosting:
 		for _, r := range rows {
-			if r.v != nil {
+			if len(r.v) > 0 {
 				p.PathVals = append(p.PathVals, r.v)
 			}
 		}
