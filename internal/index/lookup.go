@@ -86,8 +86,8 @@ type LookupOptions struct {
 	// operation a no-op.
 	Span *obs.Span
 	// Joins, when non-nil, receives the block-level counters of the
-	// operate-on-compressed kernels (blocks read / blocks skipped /
-	// containers intersected). A nil Joins makes every update a no-op.
+	// operate-on-compressed kernels (blocks read / blocks skipped) and the
+	// postings the look-up built. A nil Joins makes every update a no-op.
 	Joins *JoinCounters
 	// Ctx carries cancellation to every store read: a look-up whose context
 	// is done stops with its error before the next read is billed. A nil Ctx

@@ -105,7 +105,8 @@ func itemsByKey(items []kv.Item) map[string][]kv.Item {
 // of lookup_reference_test.go, which decodes every record of every key into
 // eagerly built postings. The fuzz bytes pick a store (DynamoDB with binary,
 // sometimes blocked identifiers, or SimpleDB with text identifiers split
-// across items), two to six documents, how each is stored — in a bulk
+// across items), whether a key holds a record without attributes, two to
+// six documents, how each is stored — in a bulk
 // commit's packs, as per-document items, or both, so that its URI sits in
 // two items under a key — and how a pinned view overlays it: unchanged,
 // replaced by another document's content, or tombstoned. Every look-up runs
@@ -117,6 +118,7 @@ func FuzzLookupAgreesWithFullDecode(f *testing.F) {
 	f.Add([]byte{4, 1, 0x12, 0x00, 0x01, 0x02, 0x2d, 0x04, 0xfe, 0x33, 0x06, 0x61, 0x77, 0x08})
 	f.Add([]byte{5, 2, 0xe6, 0x00, 0x09, 0x15, 0x16, 0x17, 0x3e, 0x81, 0x83, 0x82, 0x7c, 0x40, 0x41, 0x5a})
 	f.Add([]byte{2, 3, 0x7e, 0x7e, 0x00, 0x01, 0x02, 0x03, 0x1b, 0x24, 0x36})
+	f.Add([]byte{3, 0x14, 0x09, 0x01, 0x02, 0x0c, 0x01, 0x21})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 256 {
 			return
@@ -203,6 +205,15 @@ func checkLookupAgreement(t *testing.T, s Strategy, flags byte, docs []string, l
 	for _, ex := range single {
 		if _, _, err := WriteExtraction(store, ex); err != nil {
 			t.Fatal(err)
+		}
+	}
+	if flags&16 != 0 {
+		// A record without attributes: a key that holds no URI yet is
+		// cached, as the reference's empty map was.
+		for _, table := range s.Tables() {
+			if _, err := store.Put(table, kv.Item{HashKey: ElementKey("b"), RangeKey: "bare"}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	var rv ReadView

@@ -3,7 +3,9 @@ package index
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cloud/kv"
@@ -175,6 +177,49 @@ func BenchmarkInvalidateExtraction(b *testing.B) {
 			b.StopTimer()
 			if n := cache.Len(); n != resident {
 				b.Fatalf("%d entries resident after invalidation, want %d", n, resident)
+			}
+		})
+	}
+}
+
+// A key's rows come out sorted by URI, each URI's rows in record order,
+// whichever order the records arrive in: packs of disjoint URI ranges and
+// per-document items are ordered a record at a time, and a pack that
+// interleaves with another record is sorted row by row.
+func TestDecodeSortsRowsByURI(t *testing.T) {
+	pack := func(rk string, uris ...string) kv.Item {
+		it := kv.Item{HashKey: "k", RangeKey: rk}
+		for _, u := range uris {
+			it.Attrs = append(it.Attrs, kv.Attr{Name: u, Values: []kv.Value{[]byte("/" + rk + "/" + u)}})
+		}
+		return it
+	}
+	for _, tc := range []struct {
+		name  string
+		items []kv.Item
+	}{
+		{"sorted", []kv.Item{pack("1", "a", "b"), pack("2", "c", "d")}},
+		{"disjoint packs", []kv.Item{pack("1", "g", "h"), pack("2", "a", "b", "c"), pack("3", "d", "e")}},
+		{"per-document items", []kv.Item{pack("1", "d"), pack("2", "b"), pack("3", "a"), pack("4", "b"), pack("5", "c")}},
+		{"interleaved", []kv.Item{pack("1", "b"), pack("2", "a", "c", "e"), pack("3", "c"), pack("4", "d")}},
+		{"a pack's last URI in an earlier item", []kv.Item{pack("1", "b"), pack("2", "a", "b"), pack("3", "c")}},
+		{"a chunked URI", []kv.Item{pack("1", "c"), pack("2", "b"), pack("3", "a"), pack("4", "b")}},
+		{"descending pack", []kv.Item{pack("1", "c", "a"), pack("2", "b")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []uriRow
+			for _, it := range tc.items {
+				for _, a := range it.Attrs {
+					want = append(want, uriRow{uri: a.Name, v: a.Values[0]})
+				}
+			}
+			slices.SortStableFunc(want, func(a, b uriRow) int { return strings.Compare(a.uri, b.uri) })
+			l := listOf(t, tc.items, PathPosting, false)
+			if fmt.Sprint(l.rows) != fmt.Sprint(want) {
+				t.Fatalf("rows %s, want %s", l.rows, want)
+			}
+			if uris := len(slices.CompactFunc(slices.Clone(want), func(a, b uriRow) bool { return a.uri == b.uri })); l.Len() != uris {
+				t.Fatalf("Len %d, want %d", l.Len(), uris)
 			}
 		})
 	}

@@ -715,9 +715,9 @@ func (l *PostingList) cacheCharge() (int64, error) {
 // overlay's replacement items merged in by range key (DESIGN §5s, "The
 // overlay merge"): a record whose only attribute names a replaced owner is
 // skipped, since replaces holds that owner's whole contribution. It returns
-// nil when there is no record to decode. The rows are one slab, sized from
-// the tallies; every value is validated here whatever its shape, and no
-// posting is built.
+// nil when there is no record to decode; records without attributes decode
+// to an empty list. The rows are one slab, sized from the tallies; every
+// value is validated here whatever its shape, and no posting is built.
 func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind, binaryIDs bool) (*PostingList, error) {
 	sum := recs.Tally()
 	var repl *kv.Records
@@ -749,13 +749,12 @@ func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind
 	for ; more && d.err == nil; more = repl.Next() {
 		d.record(repl, nil)
 	}
-	if d.err != nil || len(d.l.rows) == 0 {
+	if d.err != nil || !d.fed {
 		return nil, d.err
 	}
 	l := d.l
 	if !d.sorted {
-		// Stable: a URI's rows keep the order of its records and values.
-		slices.SortStableFunc(l.rows, func(a, b uriRow) int { return strings.Compare(a.uri, b.uri) })
+		d.order()
 		l.uris, d.uriCharge = 0, 0
 		for i := 0; i < len(l.rows); i = l.runEnd(i) {
 			l.uris++
@@ -784,20 +783,100 @@ type keyDecoder struct {
 	// uriCharge is the cache charge of the URIs counted in l.uris; both
 	// are final once the rows are sorted.
 	uriCharge int64
+	fed       bool // some record was decoded, if only one without attributes
 	err       error
+
+	// Once the rows stop ascending, order needs the records' bounds: rec is
+	// where the current record's rows start, and the scratch holds every
+	// record's start from the one the rows stopped ascending in on
+	// (everything before it is one ascending run). descends notes a record
+	// whose own rows descend, which only a hand-made store holds.
+	rec      int
+	scratch  *orderScratch
+	descends bool
+}
+
+// orderScratch is the memory order works in, pooled so that ordering a
+// key's rows allocates nothing.
+type orderScratch struct {
+	starts []int32 // where each record's rows start
+	runs   []rowRun
+	rows   []uriRow
+}
+
+// rowRun is one record's rows, rows[start:end].
+type rowRun struct{ start, end int32 }
+
+var orderScratches = sync.Pool{New: func() any { return new(orderScratch) }}
+
+// order sorts the rows by URI, each URI's rows in record order. A record's
+// rows ascend — a pack's attributes are in URI order, and a per-document
+// item has one — so ordering the records by their first URI (ties by
+// position) orders the rows whenever no two records' URIs interleave:
+// packs of disjoint slices of the corpus, or per-document items in range
+// key order. Otherwise, when a URI sits inside a pack and in another
+// record, the rows are sorted stably.
+func (d *keyDecoder) order() {
+	rows, sc := d.l.rows, d.scratch
+	defer func() {
+		clear(sc.rows) // the values are views of the store's memory
+		sc.starts, sc.runs, sc.rows = sc.starts[:0], sc.runs[:0], sc.rows[:0]
+		orderScratches.Put(sc)
+		d.scratch = nil
+	}()
+	if !d.descends {
+		runs := sc.runs[:0]
+		for i, start := range sc.starts {
+			end := int32(len(rows))
+			if i+1 < len(sc.starts) {
+				end = sc.starts[i+1]
+			}
+			if end > start {
+				runs = append(runs, rowRun{start, end})
+			}
+		}
+		sc.runs = runs
+		slices.SortFunc(runs, func(a, b rowRun) int {
+			if c := strings.Compare(rows[a.start].uri, rows[b.start].uri); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.start, b.start)
+		})
+		disjoint := true
+		for i := 1; i < len(runs) && disjoint; i++ {
+			// A URI that ends one record and starts the next keeps its rows
+			// in record order only if the records came in that order.
+			last, first := rows[runs[i-1].end-1].uri, rows[runs[i].start].uri
+			disjoint = last < first || last == first && runs[i-1].start < runs[i].start
+		}
+		if disjoint {
+			for _, r := range runs {
+				sc.rows = append(sc.rows, rows[r.start:r.end]...)
+			}
+			copy(rows, sc.rows)
+			return
+		}
+	}
+	slices.SortStableFunc(rows, func(a, b uriRow) int { return strings.Compare(a.uri, b.uri) })
 }
 
 // record decodes the current record of c, unless it is one that replaces
 // supersedes.
 func (d *keyDecoder) record(c *kv.Records, replaces map[string][]kv.Item) {
+	d.rec = len(d.l.rows)
+	if d.scratch != nil {
+		d.scratch.starts = append(d.scratch.starts, int32(d.rec))
+	}
 	if replaces != nil && c.AttrCount() == 1 {
 		c.NextAttr()
 		if _, replaced := replaces[c.Name()]; replaced {
 			return
 		}
+		d.fed = true
 		d.attr(c)
 		return
 	}
+	d.fed = true
 	for c.NextAttr() && d.err == nil {
 		d.attr(c)
 	}
@@ -851,7 +930,12 @@ func (d *keyDecoder) add(uri string, v kv.Value) {
 		d.l.uris++
 		d.uriCharge += uriCharge(uri)
 	case c > 0:
-		d.sorted = false
+		d.descends = d.descends || len(rows) > d.rec
+		if d.sorted {
+			d.sorted = false
+			d.scratch = orderScratches.Get().(*orderScratch)
+			d.scratch.starts = append(d.scratch.starts, 0, int32(d.rec))
+		}
 	}
 	d.l.rows = append(rows, uriRow{uri: uri, v: v})
 }
