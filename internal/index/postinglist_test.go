@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strconv"
@@ -222,5 +223,33 @@ func TestDecodeSortsRowsByURI(t *testing.T) {
 				t.Fatalf("Len %d, want %d", l.Len(), uris)
 			}
 		})
+	}
+}
+
+// sortRuns orders runs as a stable sort by first URI does, whatever the
+// URIs share: a common prefix, eight or more bytes past it (where the
+// abbreviated keys tie), a URI that is a prefix of another, or nothing.
+func TestSortRunsMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	stems := []string{"", "x", "xmark-000", "xmark-000123456789", "doc/", "doc/aaaaaaaaaaaaaaaa"}
+	var spare []rowRun
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + r.Intn(40)
+		runs := make([]rowRun, n)
+		for i := range runs {
+			u := stems[r.Intn(len(stems))]
+			for k := r.Intn(4); k > 0; k-- {
+				u += string(rune('0' + r.Intn(3)))
+			}
+			runs[i] = rowRun{uri: u, start: int32(2 * i), end: int32(2*i + 1)}
+		}
+		want := slices.Clone(runs)
+		slices.SortStableFunc(want, func(a, b rowRun) int { return strings.Compare(a.uri, b.uri) })
+		spare = sortRuns(runs, spare)
+		for i := range runs {
+			if runs[i].uri != want[i].uri || runs[i].start != want[i].start {
+				t.Fatalf("trial %d: run %d is %q@%d, want %q@%d", trial, i, runs[i].uri, runs[i].start, want[i].uri, want[i].start)
+			}
+		}
 	}
 }

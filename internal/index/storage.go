@@ -739,6 +739,7 @@ func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind
 		l:      &PostingList{kind: kind, binaryIDs: binaryIDs, rows: make([]uriRow, 0, rows)},
 		sorted: true,
 	}
+	defer d.release()
 	more := repl != nil && repl.Next()
 	for recs.Next() && d.err == nil {
 		for ; more && repl.RangeKey() < recs.RangeKey() && d.err == nil; more = repl.Next() {
@@ -786,11 +787,11 @@ type keyDecoder struct {
 	fed       bool // some record was decoded, if only one without attributes
 	err       error
 
-	// Once the rows stop ascending, order needs the records' bounds: rec is
-	// where the current record's rows start, and the scratch holds every
-	// record's start from the one the rows stopped ascending in on
-	// (everything before it is one ascending run). descends notes a record
-	// whose own rows descend, which only a hand-made store holds.
+	// If the rows stop ascending, order needs the records' bounds: rec is
+	// where the current record's rows start, and the scratch, taken when a
+	// second record brings rows, holds every record's start. descends
+	// notes a record whose own rows descend, which only a hand-made store
+	// holds.
 	rec      int
 	scratch  *orderScratch
 	descends bool
@@ -801,11 +802,17 @@ type keyDecoder struct {
 type orderScratch struct {
 	starts []int32 // where each record's rows start
 	runs   []rowRun
+	spare  []rowRun // sortRuns' second buffer
 	rows   []uriRow
 }
 
-// rowRun is one record's rows, rows[start:end].
-type rowRun struct{ start, end int32 }
+// rowRun is one record's rows, rows[start:end], with its first URI and
+// that URI's abbreviated key.
+type rowRun struct {
+	uri        string
+	key        uint64
+	start, end int32
+}
 
 var orderScratches = sync.Pool{New: func() any { return new(orderScratch) }}
 
@@ -818,12 +825,6 @@ var orderScratches = sync.Pool{New: func() any { return new(orderScratch) }}
 // record, the rows are sorted stably.
 func (d *keyDecoder) order() {
 	rows, sc := d.l.rows, d.scratch
-	defer func() {
-		clear(sc.rows) // the values are views of the store's memory
-		sc.starts, sc.runs, sc.rows = sc.starts[:0], sc.runs[:0], sc.rows[:0]
-		orderScratches.Put(sc)
-		d.scratch = nil
-	}()
 	if !d.descends {
 		runs := sc.runs[:0]
 		for i, start := range sc.starts {
@@ -832,21 +833,16 @@ func (d *keyDecoder) order() {
 				end = sc.starts[i+1]
 			}
 			if end > start {
-				runs = append(runs, rowRun{start, end})
+				runs = append(runs, rowRun{uri: rows[start].uri, start: start, end: end})
 			}
 		}
 		sc.runs = runs
-		slices.SortFunc(runs, func(a, b rowRun) int {
-			if c := strings.Compare(rows[a.start].uri, rows[b.start].uri); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.start, b.start)
-		})
+		sc.spare = sortRuns(runs, sc.spare)
 		disjoint := true
 		for i := 1; i < len(runs) && disjoint; i++ {
 			// A URI that ends one record and starts the next keeps its rows
 			// in record order only if the records came in that order.
-			last, first := rows[runs[i-1].end-1].uri, rows[runs[i].start].uri
+			last, first := rows[runs[i-1].end-1].uri, runs[i].uri
 			disjoint = last < first || last == first && runs[i-1].start < runs[i].start
 		}
 		if disjoint {
@@ -860,11 +856,88 @@ func (d *keyDecoder) order() {
 	slices.SortStableFunc(rows, func(a, b uriRow) int { return strings.Compare(a.uri, b.uri) })
 }
 
+// sortRuns sorts runs by first URI, ties by position, and returns spare
+// grown to the runs' length for the next call. runs arrive by position.
+// Each run gets the eight bytes of its URI that follow the prefix every
+// run's URI shares, big-endian and zero-padded, so that unequal keys order
+// as the URIs do: the URIs of one corpus share long prefixes
+// ("xmark-000…"), which string comparisons would walk on every call. A
+// stable radix sort on the key bytes that differ between runs (three for
+// the gate corpus) keeps runs by position, and only runs whose keys tie
+// compare their URIs.
+func sortRuns(runs, spare []rowRun) []rowRun {
+	if len(runs) < 2 {
+		return spare
+	}
+	shared := runs[0].uri
+	for _, r := range runs[1:] {
+		for !strings.HasPrefix(r.uri, shared) {
+			shared = shared[:len(shared)-1]
+		}
+	}
+	all, some := ^uint64(0), uint64(0)
+	for i := range runs {
+		var b [8]byte
+		copy(b[:], runs[i].uri[len(shared):])
+		runs[i].key = binary.BigEndian.Uint64(b[:])
+		all &= runs[i].key
+		some |= runs[i].key
+	}
+	spare = slices.Grow(spare[:0], len(runs))[:len(runs)]
+	src, dst := runs, spare
+	for shift := 0; shift < 64; shift += 8 {
+		if (all^some)>>shift&0xff == 0 {
+			continue // every key has this byte
+		}
+		var at [256]int
+		for _, r := range src {
+			at[r.key>>shift&0xff]++
+		}
+		n := 0
+		for b, c := range at {
+			at[b], n = n, n+c
+		}
+		for _, r := range src {
+			b := r.key >> shift & 0xff
+			dst[at[b]] = r
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	copy(runs, src)
+	for i := 0; i < len(runs); {
+		j := i + 1
+		for j < len(runs) && runs[j].key == runs[i].key {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortStableFunc(runs[i:j], func(a, b rowRun) int { return strings.Compare(a.uri, b.uri) })
+		}
+		i = j
+	}
+	return spare
+}
+
+// release hands the scratch back, holding nothing of the read.
+func (d *keyDecoder) release() {
+	if sc := d.scratch; sc != nil {
+		clear(sc.rows) // the values are views of the store's memory
+		clear(sc.runs)
+		clear(sc.spare)
+		sc.starts, sc.runs, sc.spare, sc.rows = sc.starts[:0], sc.runs[:0], sc.spare[:0], sc.rows[:0]
+		orderScratches.Put(sc)
+		d.scratch = nil
+	}
+}
+
 // record decodes the current record of c, unless it is one that replaces
 // supersedes.
 func (d *keyDecoder) record(c *kv.Records, replaces map[string][]kv.Item) {
-	d.rec = len(d.l.rows)
-	if d.scratch != nil {
+	if d.rec = len(d.l.rows); d.rec > 0 {
+		if d.scratch == nil {
+			d.scratch = orderScratches.Get().(*orderScratch)
+			d.scratch.starts = append(d.scratch.starts, 0)
+		}
 		d.scratch.starts = append(d.scratch.starts, int32(d.rec))
 	}
 	if replaces != nil && c.AttrCount() == 1 {
@@ -930,12 +1003,8 @@ func (d *keyDecoder) add(uri string, v kv.Value) {
 		d.l.uris++
 		d.uriCharge += uriCharge(uri)
 	case c > 0:
+		d.sorted = false
 		d.descends = d.descends || len(rows) > d.rec
-		if d.sorted {
-			d.sorted = false
-			d.scratch = orderScratches.Get().(*orderScratch)
-			d.scratch.starts = append(d.scratch.starts, 0, int32(d.rec))
-		}
 	}
 	d.l.rows = append(rows, uriRow{uri: uri, v: v})
 }
