@@ -350,18 +350,30 @@ func gateCorpus(b *testing.B) ([]xmark.Doc, int64) {
 // gateWarehouse bulk-builds the gateable benchmark's immutable warehouse over
 // docs: 2LUPI, indexed on eight large instances.
 func gateWarehouse(b *testing.B, docs []xmark.Doc) *core.Warehouse {
+	return layoutWarehouse(b, docs, true, len(docs))
+}
+
+// layoutWarehouse is gateWarehouse with the index laid out another way:
+// bulk-loaded slice documents at a time, one commit each, or (bulk false)
+// written one item per key and document.
+func layoutWarehouse(b *testing.B, docs []xmark.Doc, bulk bool, slice int) *core.Warehouse {
 	b.Helper()
-	w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true})
+	w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: bulk})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, d := range docs {
-		if err := w.SubmitDocument(d.URI, d.Data); err != nil {
+	fleet := ec2.LaunchFleet(w.Ledger(), ec2.Large, 8)
+	for rest := docs; len(rest) > 0; {
+		n := min(slice, len(rest))
+		for _, d := range rest[:n] {
+			if err := w.SubmitDocument(d.URI, d.Data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := w.IndexCorpusOn(fleet, nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if _, err := w.IndexCorpusOn(ec2.LaunchFleet(w.Ledger(), ec2.Large, 8), nil); err != nil {
-		b.Fatal(err)
+		rest = rest[n:]
 	}
 	return w
 }
@@ -646,6 +658,19 @@ func BenchmarkLookupQuery(b *testing.B) {
 	// per-candidate twig joins.
 	b.Run("gate-procs", func(b *testing.B) {
 		benchLookup(b, gateOnce(b), workload.XMark()[:5], 0)
+	})
+	// The same look-ups over the two other layouts a key's records take:
+	// the packs of 40-document commits, as the index-build workload builds
+	// (benchmark/warehouse.go, buildSliced), and one item per key and
+	// document, as a mutable corpus folds. Neither key reads as one sorted
+	// pack, so each look-up orders every key's records by URI.
+	b.Run("sliced", func(b *testing.B) {
+		docs, _ := gateCorpus(b)
+		benchLookup(b, layoutWarehouse(b, docs, true, 40), workload.XMark()[:5], 1)
+	})
+	b.Run("per-document", func(b *testing.B) {
+		docs, _ := gateCorpus(b)
+		benchLookup(b, layoutWarehouse(b, docs, false, len(docs)), workload.XMark()[:5], 1)
 	})
 	b.Run("paper-shape", func(b *testing.B) {
 		cfg := xmark.DefaultConfig(12)

@@ -561,8 +561,9 @@ func applyViewTombstones(out map[string]*PostingList, overlays map[string]kv.Ove
 // corrupt value fails the read even if its URI never reaches a join. The
 // Posting of a URI — a raw stream, a blocked set, eager identifiers or path
 // values — is built from its rows only when a look-up asks for it, which it
-// does for the URIs that survive its intersections, and then memoized: a
-// list is shared read-only between look-ups through the cache.
+// does for the URIs that survive its intersections. A list the cache holds
+// is shared read-only between look-ups and memoizes what is built from it;
+// any other is read by one look-up, which asks for each posting once.
 type PostingList struct {
 	rows      []uriRow
 	uris      int // distinct URIs
@@ -573,8 +574,9 @@ type PostingList struct {
 	// several ID rows are settled when the cache charges the list.
 	charge int64
 
-	mu    sync.Mutex
-	built map[int32]*Posting // by the index of the URI's first row
+	mu     sync.Mutex
+	shared bool               // the cache holds the list: memoize postings
+	built  map[int32]*Posting // by the index of the URI's first row
 }
 
 // uriRow is one stored value of a URI. An empty v adds nothing to a posting:
@@ -593,9 +595,9 @@ func (l *PostingList) Len() int {
 	return l.uris
 }
 
-// Posting returns the posting of uri, building it on first use, or nil when
-// the list does not hold uri. The posting is shared — with the cache, and
-// with other look-ups — and must not be mutated.
+// Posting returns the posting of uri, building it unless the list memoized
+// it, or nil when the list does not hold uri. A posting of a cached list is
+// shared with other look-ups and must not be mutated.
 func (l *PostingList) Posting(uri string) (*Posting, error) {
 	if l == nil {
 		return nil, nil
@@ -617,8 +619,8 @@ func (l *PostingList) postingAt(i int) (p *Posting, fresh bool, err error) {
 		return p, false, nil
 	}
 	p, err = buildPosting(l.rows[i:l.runEnd(i)], l.kind, l.binaryIDs)
-	if err != nil {
-		return nil, false, err
+	if err != nil || !l.shared {
+		return p, err == nil, err
 	}
 	if l.built == nil {
 		l.built = make(map[int32]*Posting)
@@ -659,13 +661,15 @@ func (l *PostingList) seek(from int, uri string) int {
 	return lo
 }
 
-// detach copies the values the rows point at into one buffer of the list's
-// own. A read hands out read-only views of the store's memory, which is
-// fine for the length of a request; a list that goes into the cache would
-// keep whole store chunks alive for bytes the cache's budget does not
-// count. It runs before any posting is built, so every posting built later
-// aliases the copy.
+// detach readies a list for the cache: it copies the values the rows point
+// at into one buffer of the list's own, and makes the list memoize the
+// postings built from it. A read hands out read-only views of the store's
+// memory, which is fine for the length of a request; a list that goes into
+// the cache would keep whole store chunks alive for bytes the cache's
+// budget does not count. It runs before any posting is built, so every
+// posting built later aliases the copy.
 func (l *PostingList) detach() {
+	l.shared = true
 	n := 0
 	for _, r := range l.rows {
 		n += len(r.v)
