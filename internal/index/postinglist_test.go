@@ -35,7 +35,7 @@ func survivorStore(t *testing.T, misses int) kv.Store {
 // rows in the posting lists: a 2LUPI look-up with one surviving URI and
 // 100, then 1,000, non-matching URIs under its key ea allocates at most 48
 // bytes more per extra URI (one 40-byte row). A posting and a map slot per
-// URI, as a full decode builds, cost about 140.
+// URI, as a full decode builds, cost about 146.
 func TestLookupAllocationsPerNonSurvivor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop what is put back")
