@@ -34,12 +34,14 @@ benchtest:
 check: fmt vet race benchtest
 
 # liverepeat runs the tests of the live pipeline (front end, dispatcher,
-# worker loop, crash recovery) ten times under the race detector: their
-# outcomes depend on goroutine timing, and it took that many repetitions to
-# find the flakes they once had. 7.9 s of test time on two cores (Go 1.24,
-# linux/amd64); an idle loop's Stop or Close ends its long poll at once.
+# worker loop, crash recovery) and the daemon's slow-client test ten times
+# under the race detector: their outcomes depend on goroutine timing, and it
+# took that many repetitions to find the flakes the pipeline's once had.
+# 7.9 s of test time on two cores for the pipeline (Go 1.24, linux/amd64; an
+# idle loop's Stop or Close ends its long poll at once), 3 s for the daemon.
 liverepeat:
 	$(GO) test -race -count=10 -run 'TestFrontend|TestLivePipelineEndToEnd|TestQueryProcessorCrashRecovery|TestFaultToleranceIndexerCrash|TestConcurrentQueriesOverLiveFleet|TestErrorQueryReportedThroughResponseQueue|TestDriverStepsOverForeignResponse|TestIdleLoopsStopPromptly' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestTricklingBodyIsCutOff' ./internal/serve/
 
 # bench regenerates benchall_output.txt (untracked; see .gitignore) from
 # the full default-scale evaluation. The file is byte-identical from run to

@@ -54,6 +54,7 @@ func (w *Warehouse) extractDocument(in *ec2.Instance, uri string, parent *obs.Sp
 		return res, nil, nil, err
 	}
 	ex := index.Extract(w.Strategy, doc, w.indexOptions())
+	doc.Release()
 	res.ExtractTime = fetch +
 		in.ComputeDuration(res.DocBytes, w.Perf.ParseBytesPerECUSec) +
 		in.ComputeDuration(ex.Bytes, w.Perf.ExtractBytesPerECUSec)
@@ -542,6 +543,7 @@ func (w *Warehouse) RemoveDocument(in *ec2.Instance, uri string) error {
 	}
 	parse := in.ComputeDuration(int64(len(obj.Data)), w.Perf.ParseBytesPerECUSec)
 	dels, _, err := index.DeleteDocument(w.store, w.Strategy, doc, w.indexOptions(), w.cache)
+	doc.Release()
 	if err != nil {
 		return err
 	}

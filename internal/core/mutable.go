@@ -49,6 +49,7 @@ func (w *Warehouse) UpdateDocument(in *ec2.Instance, uri string, data []byte) er
 		return err
 	}
 	ex := index.Extract(w.Strategy, doc, w.indexOptions())
+	doc.Release()
 	put, err := w.files.Put(Bucket, DocKey(uri), data, nil)
 	if err != nil {
 		sp.SetError(err)

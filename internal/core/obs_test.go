@@ -332,7 +332,9 @@ func TestArenaMetrics(t *testing.T) {
 
 // The eval span says what the fetch-and-evaluate step skipped: the nodes the
 // projected parse counted and the ones it built, which the registry sums as
-// xmltree.nodes.*, and its wall time split into fetch + parse and matching.
+// xmltree.nodes.*, and its wall time split into the fan-out (fetch, parse and
+// per-document matching) and the assembly, beside the per-document matching
+// summed over the tasks.
 func TestEvalSpanCountsNodesScannedAndBuilt(t *testing.T) {
 	w, _ := indexCorpus(t, Config{Strategy: index.TwoLUPI, Trace: true}, 2, obsTestCorpus())
 	in := ec2.Launch(w.ledger, ec2.XL)
@@ -361,6 +363,9 @@ func TestEvalSpanCountsNodesScannedAndBuilt(t *testing.T) {
 		}
 		if wall := eval.Wall.Microseconds(); attr("fetch_parse_us")+attr("match_us") > wall {
 			t.Errorf("%s: fetch_parse_us %d + match_us %d exceed the span's %d us", q.Name, attr("fetch_parse_us"), attr("match_us"), wall)
+		}
+		if attr("doc_match_us") <= 0 {
+			t.Errorf("%s: doc_match_us %d, want the per-document matching's time", q.Name, attr("doc_match_us"))
 		}
 		scanned, built = scanned+s, built+b
 	}

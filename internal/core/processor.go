@@ -144,6 +144,10 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	if err != nil {
 		return stats, err
 	}
+	plan, err := engine.NewPlan(q)
+	if err != nil {
+		return stats, err
+	}
 
 	in.TL.Level()
 	t0 := in.TL.Elapsed()
@@ -200,11 +204,14 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 
 	// Step 13: fetch the union of candidate documents and evaluate. Each
 	// document is one task, scheduled on the least-loaded core — the
-	// intra-machine parallelism the paper gets from multi-threading.
-	union := make(map[string]bool)
-	for _, uris := range perPattern {
-		for _, u := range uris {
-			union[u] = true
+	// intra-machine parallelism the paper gets from multi-threading. The
+	// task evaluates every pattern whose candidate list names the document,
+	// so a tree is dead once its task ends; the value joins wait for all
+	// of them (plan.Finish).
+	union := make(map[string]int) // each candidate's place in uris
+	for _, us := range perPattern {
+		for _, u := range us {
+			union[u] = 0
 		}
 	}
 	uris := make([]string, 0, len(union))
@@ -212,30 +219,48 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 		uris = append(uris, u)
 	}
 	sort.Strings(uris)
+	for i, u := range uris {
+		union[u] = i
+	}
+	// evals[i] lists the slots of rows that the i-th document fills: rows
+	// [pi][di] are pattern pi's on the di-th document of its list.
+	evals := make([][]evalSlot, len(uris))
+	rows := make([][][]engine.Row, len(perPattern))
+	for pi, us := range perPattern {
+		rows[pi] = make([][]engine.Row, len(us))
+		for di, u := range us {
+			evals[union[u]] = append(evals[union[u]], evalSlot{pi, di})
+		}
+	}
 	stats.DocsFetched = len(uris)
 	esp := sp.Child(obs.SpanEval)
 	esp.SetAttrInt("docs", int64(len(uris)))
 
-	// The real fetch + parse work fans out over a bounded worker pool with
-	// first-error-wins cancellation; the modeled time is then scheduled on
-	// the instance in URI order, so modeled times, billing and error
-	// reporting are identical to the sequential pipeline at any pool size.
-	// The parse builds only the nodes the query can read; the modeled parse
-	// and evaluation times go by the documents' bytes as before.
-	fetchStart := time.Now()
-	fetched, ferr := w.fetchDocuments(uris, view, engine.ProjectionOf(q))
-	matchStart := time.Now()
-	docs := make(map[string]*xmltree.Document, len(uris))
+	// The real fetch, parse and per-document evaluation fan out over a
+	// bounded worker pool with first-error-wins cancellation; the modeled
+	// time is then scheduled on the instance in URI order, so modeled
+	// times, billing and error reporting are identical to the sequential
+	// pipeline at any pool size. The parse builds only the nodes the query
+	// can read; the modeled parse and evaluation times go by the documents'
+	// bytes as before.
+	fanOutStart := time.Now()
+	fetched, ferr := w.fetchDocuments(uris, view, engine.ProjectionOf(q), func(i int, doc *xmltree.Document) {
+		for _, e := range evals[i] {
+			rows[e.pi][e.di] = plan.EvalPattern(e.pi, doc)
+		}
+	})
+	fanOutEnd := time.Now()
 	var scanned, built int64
-	for i, r := range fetched {
+	var docMatch time.Duration
+	for _, r := range fetched {
 		if r.err != nil {
 			esp.SetError(r.err)
 			esp.End()
 			return stats, r.err
 		}
-		docs[uris[i]] = r.doc
-		scanned += int64(r.doc.NodesScanned())
-		built += int64(r.doc.NodeCount())
+		scanned += int64(r.scanned)
+		built += int64(r.built)
+		docMatch += r.match
 		task := r.fetch +
 			in.ComputeDuration(r.bytes, w.Perf.ParseBytesPerECUSec) +
 			in.ComputeDuration(r.bytes, w.Perf.EvalBytesPerECUSec)
@@ -249,13 +274,8 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 		esp.End()
 		return stats, ferr
 	}
-	docSets := make([][]*xmltree.Document, len(perPattern))
-	for i, us := range perPattern {
-		for _, u := range us {
-			docSets[i] = append(docSets[i], docs[u])
-		}
-	}
-	result, err := engine.EvalQueryOnDocSets(q, docSets, w.docWorkers())
+	finishStart := time.Now()
+	result, err := plan.Finish(rows)
 	if err != nil {
 		esp.SetError(err)
 		esp.End()
@@ -270,8 +290,9 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	esp.SetAttrInt("rows", int64(stats.ResultRows))
 	esp.SetAttrInt("nodes_scanned", scanned)
 	esp.SetAttrInt("nodes_built", built)
-	esp.SetAttrInt("fetch_parse_us", matchStart.Sub(fetchStart).Microseconds())
-	esp.SetAttrInt("match_us", time.Since(matchStart).Microseconds())
+	esp.SetAttrInt("fetch_parse_us", fanOutEnd.Sub(fanOutStart).Microseconds())
+	esp.SetAttrInt("doc_match_us", docMatch.Microseconds())
+	esp.SetAttrInt("match_us", time.Since(finishStart).Microseconds())
 	esp.End()
 
 	// Step 14: write the results to the file store.
@@ -293,19 +314,30 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	return stats, nil
 }
 
-// fetchedDoc is the outcome of one step-13 task: the parsed document plus
-// the modeled quantities the coordinator schedules afterwards.
+// evalSlot names one pattern's rows on one document: rows[pi][di] of
+// processQuery.
+type evalSlot struct{ pi, di int }
+
+// fetchedDoc is the outcome of one step-13 task: the modeled quantities the
+// coordinator schedules afterwards, and what the task counted.
 type fetchedDoc struct {
-	doc   *xmltree.Document
 	fetch time.Duration
 	bytes int64
-	err   error
+	// scanned and built are the document's node counts, match the wall
+	// time eval took on it.
+	scanned, built int
+	match          time.Duration
+	err            error
 }
 
-// fetchDocuments retrieves the candidate documents and parses them under
-// proj, one task per URI, on a pool of at most docWorkers goroutines. The
-// first failing task (in URI order — the order the sequential pipeline would
-// hit it) closes a cancel channel, so no new tasks start after an error. The
+// fetchDocuments retrieves the candidate documents, parses each under proj
+// and hands it to eval with its index in uris, one task per URI, on a pool
+// of at most docWorkers goroutines. A task releases its document once eval
+// returns (xmltree.Document.Release), so eval must keep nothing of its
+// nodes, and the next parse on the worker reuses their memory. eval runs
+// on several goroutines at once, on different documents. The first failing
+// task (in URI order — the order the sequential pipeline would hit it)
+// closes a cancel channel, so no new tasks start after an error. The
 // returned error only signals that cancellation fired; callers scan the
 // slice in order for the authoritative per-URI error.
 //
@@ -315,7 +347,7 @@ type fetchedDoc struct {
 // store as always. A concurrent update can overwrite the file between the
 // resolution and the fetch, so the fetched bytes are re-checked against
 // the view afterwards — the retained copy wins if the fetch raced.
-func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltree.Projection) ([]fetchedDoc, error) {
+func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltree.Projection, eval func(i int, doc *xmltree.Document)) ([]fetchedDoc, error) {
 	results := make([]fetchedDoc, len(uris))
 	parseInto := func(i int, data []byte, fetch time.Duration) error {
 		doc, err := xmltree.ParseProjected(uris[i], data, proj)
@@ -323,7 +355,10 @@ func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltr
 			results[i].err = err
 			return err
 		}
-		results[i] = fetchedDoc{doc: doc, fetch: fetch, bytes: int64(len(data))}
+		start := time.Now()
+		eval(i, doc)
+		results[i] = fetchedDoc{fetch: fetch, bytes: int64(len(data)), scanned: doc.NodesScanned(), built: doc.NodeCount(), match: time.Since(start)}
+		doc.Release()
 		return nil
 	}
 	fetchOne := func(i int) error {

@@ -92,10 +92,12 @@ func nodePath(n *pattern.Node) string {
 	return strings.Join(parts, "/")
 }
 
-// plan is a query compiled for evaluation, shared by all its documents: the
+// Plan is a query compiled for evaluation, shared by all its documents: the
 // column layout of a row and every pattern node with its column slots
-// resolved.
-type plan struct {
+// resolved. Evaluation is in two steps: EvalPattern evaluates one pattern
+// on one document, the paper's per-document task of step 13, and Finish
+// assembles the rows of all of them into the query's result.
+type Plan struct {
 	q *pattern.Query
 	// A row has width columns: the visible ones first, one per val/cont
 	// annotation in pattern order, then one hidden column for every join
@@ -121,12 +123,21 @@ type step struct {
 	tests, emit []*step
 }
 
-// newPlan compiles q. What a step reads of the document node it maps to is
-// decided here and nowhere else: the node itself, its Value where the pattern
-// node has a val annotation, a join variable or a predicate, its Content
-// where it has a cont annotation. ProjectionOf says the same to the parser.
-func newPlan(q *pattern.Query) *plan {
-	p := &plan{q: q, varCol: make(map[string]int)}
+// NewPlan validates q and compiles it.
+func NewPlan(q *pattern.Query) (*Plan, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	return newPlan(q), nil
+}
+
+// newPlan compiles q, which the caller has validated. What a step reads of
+// the document node it maps to is decided here and nowhere else: the node
+// itself, its Value where the pattern node has a val annotation, a join
+// variable or a predicate, its Content where it has a cont annotation.
+// ProjectionOf says the same to the parser.
+func newPlan(q *pattern.Query) *Plan {
+	p := &Plan{q: q, varCol: make(map[string]int)}
 	steps := make(map[*pattern.Node]*step)
 	// Visible columns first, in pattern order.
 	for _, t := range q.Patterns {
@@ -216,12 +227,12 @@ func ProjectionOf(q *pattern.Query) *xmltree.Projection {
 // with no annotations yields a single empty row when the document matches.
 func EvalPatternOnDoc(t *pattern.Tree, doc *xmltree.Document) []Row {
 	p := newPlan(&pattern.Query{Patterns: []*pattern.Tree{t}})
-	return p.project(p.evalPattern(0, doc))
+	return p.project(p.EvalPattern(0, doc))
 }
 
 // project cuts the hidden join columns off the rows and removes the
 // duplicates among what is left.
-func (p *plan) project(rows []Row) []Row {
+func (p *Plan) project(rows []Row) []Row {
 	for i := range rows {
 		rows[i].Cols = rows[i].Cols[:p.visible:p.visible]
 	}
@@ -260,29 +271,17 @@ func EvalQueryOnDocs(q *pattern.Query, docs []*xmltree.Document) (*Result, error
 // The per-(pattern, document) evaluations are independent reads of
 // immutable structures, so they run on a bounded worker pool; the optional
 // trailing argument caps its size (0 or absent selects GOMAXPROCS, 1 runs
-// sequentially). Rows are reassembled in (pattern, document) order, so the
-// result is identical at every concurrency level.
+// sequentially). Finish reassembles the rows in (pattern, document) order,
+// so the result is identical at every concurrency level.
 func EvalQueryOnDocSets(q *pattern.Query, docSets [][]*xmltree.Document, workers ...int) (*Result, error) {
-	if err := q.Validate(); err != nil {
+	p, err := NewPlan(q)
+	if err != nil {
 		return nil, err
 	}
 	if len(docSets) != len(q.Patterns) {
 		return nil, fmt.Errorf("engine: %d document sets for %d patterns", len(docSets), len(q.Patterns))
 	}
-	p := newPlan(q)
-
-	perPattern := evalDocSets(p, docSets, evalWorkers(workers))
-
-	rows, err := p.joinPatterns(perPattern)
-	if err != nil {
-		return nil, err
-	}
-	// The rows of a single pattern without hidden columns are what
-	// evalDocSets made distinct already.
-	if len(q.Patterns) > 1 || p.visible < p.width {
-		rows = p.project(rows)
-	}
-	return &Result{Columns: ColumnNames(q), Rows: rows}, nil
+	return p.Finish(p.evalDocSets(docSets, evalWorkers(workers)))
 }
 
 // evalWorkers resolves the optional trailing worker count of
@@ -295,62 +294,80 @@ func evalWorkers(workers []int) int {
 }
 
 // evalDocSets runs every (pattern, document) evaluation, fanning the tasks
-// out over at most `workers` goroutines, and returns the deduplicated rows
-// of each pattern with documents contributing in docSets order.
-func evalDocSets(p *plan, docSets [][]*xmltree.Document, workers int) [][]Row {
+// out over at most `workers` goroutines, and returns the rows of pattern pi
+// on docSets[pi][di] at [pi][di].
+func (p *Plan) evalDocSets(docSets [][]*xmltree.Document, workers int) [][][]Row {
 	type task struct{ pi, di int }
 	var tasks []task
+	rows := make([][][]Row, len(docSets))
 	for pi, docs := range docSets {
+		rows[pi] = make([][]Row, len(docs))
 		for di := range docs {
 			tasks = append(tasks, task{pi, di})
 		}
 	}
-	rowsOf := make([][]Row, len(tasks))
-	run := func(ti int) {
-		t := tasks[ti]
-		rowsOf[ti] = p.evalPattern(t.pi, docSets[t.pi][t.di])
+	run := func(t task) {
+		rows[t.pi][t.di] = p.EvalPattern(t.pi, docSets[t.pi][t.di])
 	}
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
 	if workers <= 1 {
-		for ti := range tasks {
-			run(ti)
+		for _, t := range tasks {
+			run(t)
 		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ti := range idx {
-					run(ti)
-				}
-			}()
-		}
-		for ti := range tasks {
-			idx <- ti
-		}
-		close(idx)
-		wg.Wait()
+		return rows
 	}
+	var wg sync.WaitGroup
+	next := make(chan task)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range next {
+				run(t)
+			}
+		}()
+	}
+	for _, t := range tasks {
+		next <- t
+	}
+	close(next)
+	wg.Wait()
+	return rows
+}
 
-	counts := make([]int, len(docSets))
-	for ti, t := range tasks {
-		counts[t.pi] += len(rowsOf[ti])
+// Finish assembles the query's result from rows[pi][di], the rows
+// EvalPattern made of pattern pi on the di-th document of the pattern's
+// set: each pattern's rows in document order with the duplicates removed,
+// then the value joins, then the projection onto the visible columns. It
+// reads the rows only, so the documents may be gone.
+func (p *Plan) Finish(rows [][][]Row) (*Result, error) {
+	if len(rows) != len(p.roots) {
+		return nil, fmt.Errorf("engine: rows of %d patterns for %d patterns", len(rows), len(p.roots))
 	}
-	perPattern := make([][]Row, len(docSets))
-	for pi, n := range counts {
-		perPattern[pi] = make([]Row, 0, n)
+	perPattern := make([][]Row, len(rows))
+	for pi, docs := range rows {
+		n := 0
+		for _, r := range docs {
+			n += len(r)
+		}
+		all := make([]Row, 0, n)
+		for _, r := range docs {
+			all = append(all, r...)
+		}
+		perPattern[pi] = dedup(all)
 	}
-	for ti, t := range tasks {
-		perPattern[t.pi] = append(perPattern[t.pi], rowsOf[ti]...)
+	joined, err := p.joinPatterns(perPattern)
+	if err != nil {
+		return nil, err
 	}
-	for pi := range perPattern {
-		perPattern[pi] = dedup(perPattern[pi])
+	// The rows of a single pattern without hidden columns are distinct
+	// already.
+	if len(p.roots) > 1 || p.visible < p.width {
+		joined = p.project(joined)
 	}
-	return perPattern
+	return &Result{Columns: ColumnNames(p.q), Rows: joined}, nil
 }
 
 // isRootCandidate reports whether a document node carrying the label of the
@@ -360,10 +377,13 @@ func isRootCandidate(q *pattern.Node, n *xmltree.Node) bool {
 	return q.IsAttr == (n.Kind == xmltree.Attribute) && (q.Axis == pattern.Descendant || n.ID.Depth == 1)
 }
 
-// evalPattern returns the rows of one pattern over one document, all columns
-// wide, duplicates included. The pattern's own columns are filled; the others
-// are empty.
-func (p *plan) evalPattern(pi int, doc *xmltree.Document) []Row {
+// EvalPattern returns the rows of pattern pi over one document, for
+// Finish: all columns wide, duplicates included, the pattern's own columns
+// filled and the others empty. It only reads the document, so calls may run
+// in parallel, on one document or many. The rows keep nothing of the
+// document's nodes (a column is a Text, a Value or a Content, and the URI
+// is the document's), so the document may be released once it returns.
+func (p *Plan) EvalPattern(pi int, doc *xmltree.Document) []Row {
 	root := p.roots[pi]
 	m := matcher{uri: doc.URI, width: p.width}
 	var rows []Row
@@ -553,7 +573,7 @@ func (m *matcher) product(dst []Row, start, mid int, cols []int) []Row {
 // joinPatterns combines per-pattern rows using the query's value joins.
 // Patterns are joined left to right; a join condition is applied as soon as
 // both sides are available, with hash joins on the variable columns.
-func (p *plan) joinPatterns(perPattern [][]Row) ([]Row, error) {
+func (p *Plan) joinPatterns(perPattern [][]Row) ([]Row, error) {
 	q := p.q
 	// Which pattern binds each variable.
 	varPattern := make(map[string]int)

@@ -410,7 +410,7 @@ func TestOutputlessBranchAllocatesNothing(t *testing.T) {
 	// a row slab, a row list and a candidate stack.
 	p = newPlan(pattern.MustParse(`//a[/k{val}, /b[/c="y", /@id], //c]`))
 	var rows []Row
-	allocs = testing.AllocsPerRun(100, func() { rows = p.evalPattern(0, doc) })
+	allocs = testing.AllocsPerRun(100, func() { rows = p.EvalPattern(0, doc) })
 	if len(rows) != 1 || rows[0].Cols[0] != "v" {
 		t.Fatalf("rows %v, want the one of <k>", rows)
 	}

@@ -1,9 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -41,6 +41,12 @@ const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
+
+// readBodyTimeout bounds how long a request may take to deliver its body,
+// counted from when its handler starts to read it: a MaxDocumentBytes
+// document at about half a megabyte a second. A client that trickles a body
+// is cut off then, and its handler and connection go with it.
+const readBodyTimeout = 30 * time.Second
 
 // Config assembles a Server.
 type Config struct {
@@ -118,10 +124,12 @@ type Server struct {
 	backend Backend
 	adm     *Admission
 	timeout time.Duration
-	reg     *obs.Registry
-	tracer  *obs.Tracer
-	bill    func() pricing.Invoice
-	ready   []func() error
+	// bodyTimeout is readBodyTimeout; tests shorten it.
+	bodyTimeout time.Duration
+	reg         *obs.Registry
+	tracer      *obs.Tracer
+	bill        func() pricing.Invoice
+	ready       []func() error
 
 	mu       sync.Mutex
 	draining bool
@@ -143,13 +151,14 @@ func New(cfg Config) (*Server, error) {
 		cfg.QueryTimeout = DefaultQueryTimeout
 	}
 	s := &Server{
-		backend: cfg.Backend,
-		adm:     NewAdmission(cfg.Limits, cfg.Now),
-		timeout: cfg.QueryTimeout,
-		reg:     cfg.Registry,
-		tracer:  cfg.Tracer,
-		bill:    cfg.Bill,
-		ready:   cfg.Ready,
+		backend:     cfg.Backend,
+		adm:         NewAdmission(cfg.Limits, cfg.Now),
+		timeout:     cfg.QueryTimeout,
+		bodyTimeout: readBodyTimeout,
+		reg:         cfg.Registry,
+		tracer:      cfg.Tracer,
+		bill:        cfg.Bill,
+		ready:       cfg.Ready,
 	}
 	lim := s.adm.Limits()
 	s.queue = make(chan *request, lim.QueueDepth)
@@ -207,13 +216,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxQueryBytes)).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				ErrorResponse{Error: fmt.Sprintf("serve: query body exceeds %d bytes", MaxQueryBytes)})
-			return
-		}
+	data, err := s.readBody(w, r, MaxQueryBytes)
+	if err == nil && len(data) > MaxQueryBytes {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			ErrorResponse{Error: fmt.Sprintf("serve: query body exceeds %d bytes", MaxQueryBytes)})
+		return
+	}
+	if err == nil {
+		err = json.NewDecoder(bytes.NewReader(data)).Decode(&req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -295,6 +307,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
+// readBody reads r's body, up to limit bytes and one more to tell a longer
+// one, and gives it s.bodyTimeout from now to arrive: a client that
+// trickles a body cannot hold a handler and a connection for as long as it
+// likes. The deadline is lifted only once the body is read to its end.
+// Until then the server reads the rest itself before it answers, and that
+// read must hit the deadline too, which ends in closing the connection. A
+// lifted deadline also keeps the read the server goes on with in the
+// background while the handler runs from timing out, which would cancel
+// the request's context.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	// A ResponseWriter without a connection (a test's recorder) takes no
+	// deadline and has no client to wait for.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(s.bodyTimeout))
+	data, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
+	if err == nil && int64(len(data)) <= limit {
+		_ = rc.SetReadDeadline(time.Time{})
+	}
+	return data, err
+}
+
 // answerBody builds the POST /query success body (QueryResponse's schema)
 // without decoding the answer: {"id":…, then the members of the stored result
 // object as they are, then "rowCount" and "elapsedMs"}.
@@ -369,7 +402,7 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 	var data []byte
 	if op == "update" {
 		var err error
-		data, err = io.ReadAll(io.LimitReader(r.Body, MaxDocumentBytes+1))
+		data, err = s.readBody(w, r, MaxDocumentBytes)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, ErrorResponse{Error: "reading body: " + err.Error()})
 			return

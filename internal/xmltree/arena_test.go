@@ -1,0 +1,220 @@
+package xmltree
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// FuzzRecycledParseMatchesFresh parses input a under a projection drawn from
+// it, releases the document and parses input b on the memory it gave back:
+// b's document must be the one a parse into fresh memory builds, node for
+// node and index for index, a's must read as empty, and the Texts a's nodes
+// handed out must be what they were. The seeds are the corpus of
+// FuzzParseDifferential, each paired with the next.
+func FuzzRecycledParseMatchesFresh(f *testing.F) {
+	seeds := corpusSeeds(f, "FuzzParseDifferential")
+	for i := range seeds {
+		f.Add(seeds[i], seeds[(i+1)%len(seeds)])
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		checkRecycled(t, a, b)
+	})
+}
+
+// corpusSeeds reads the inputs of a fuzz target's checked-in corpus, files
+// of one []byte value each.
+func corpusSeeds(tb testing.TB, target string) [][]byte {
+	tb.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil || len(files) == 0 {
+		tb.Fatalf("no corpus for %s: %v", target, err)
+	}
+	var seeds [][]byte
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		quoted, ok := strings.CutPrefix(value, "[]byte(")
+		if header != "go test fuzz v1" || !ok || !strings.HasSuffix(quoted, ")") {
+			tb.Fatalf("%s is not one []byte value", name)
+		}
+		s, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if err != nil {
+			tb.Fatalf("%s: %v", name, err)
+		}
+		seeds = append(seeds, []byte(s))
+	}
+	return seeds
+}
+
+// drawnProjection draws a projection from the names of data when it parses,
+// and returns the empty one when it does not.
+func drawnProjection(data []byte) *Projection {
+	full, err := Parse("d.xml", data)
+	if err != nil {
+		return &Projection{}
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	return drawProjection(rng, full, 1+rng.Intn(4))
+}
+
+// dumpBuilt renders what the recycled-memory contract compares of a
+// document, projected or not: every built node's kind, label, text,
+// identifier, parent and children (by pre rank) and, for an element, its
+// Content; then the nodes of each label in NodesByLabel, in order.
+func dumpBuilt(d *Document) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %d bytes, %d of %d nodes, root %v\n", d.URI, d.SourceBytes, d.NodeCount(), d.NodesScanned(), d.Root != nil)
+	var labels []string
+	seen := map[string]bool{}
+	for _, n := range d.Nodes() {
+		parent := int32(0)
+		if n.Parent != nil {
+			parent = n.Parent.ID.Pre
+		}
+		fmt.Fprintf(&b, "%s %q %q %v parent=%d children=[", n.Kind, n.Label, n.Text, n.ID, parent)
+		for _, c := range n.Children {
+			fmt.Fprintf(&b, " %d", c.ID.Pre)
+		}
+		b.WriteString(" ]")
+		if n.Kind == Element {
+			fmt.Fprintf(&b, " %q", n.Content())
+		}
+		b.WriteString("\n")
+		if !seen[n.Label] {
+			seen[n.Label] = true
+			labels = append(labels, n.Label)
+		}
+	}
+	for _, l := range labels {
+		fmt.Fprintf(&b, "%q:", l)
+		for _, n := range d.NodesByLabel(l) {
+			fmt.Fprintf(&b, " %d", n.ID.Pre)
+		}
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// checkRecycled is the contract of FuzzRecycledParseMatchesFresh on one pair
+// of inputs.
+func checkRecycled(t *testing.T, a, b []byte) {
+	pa, errA := parseWith(new(scratch), new(arena), "a.xml", a, drawnProjection(a))
+	if errA == nil {
+		var texts, labels []string
+		for _, n := range pa.Nodes() {
+			texts, labels = append(texts, n.Text), append(labels, n.Label)
+		}
+		kept := strings.Join(texts, "\x00")
+		pa.Release()
+		if pa.Root != nil || pa.NodeCount() != 0 || len(pa.Nodes()) != 0 || pa.NodesScanned() != 0 {
+			t.Fatalf("a released document reads %d of %d nodes, root %v", pa.NodeCount(), pa.NodesScanned(), pa.Root)
+		}
+		for _, l := range labels {
+			if pa.NodesByLabel(l) != nil {
+				t.Fatalf("a released document has nodes labelled %q", l)
+			}
+		}
+		if pa.URI != "a.xml" || pa.SourceBytes != int64(len(a)) {
+			t.Fatalf("a released document is %q of %d bytes", pa.URI, pa.SourceBytes)
+		}
+		pa.Release()
+		defer func() {
+			if got := strings.Join(texts, "\x00"); got != kept {
+				t.Fatalf("the Texts of a released document changed:\n%q\nwas\n%q", got, kept)
+			}
+		}()
+	}
+	// What a released (or failed) parse gave back is the pool's newest
+	// arena; parse b on it.
+	recycled := arenaPool.Get().(*arena)
+	projB := drawnProjection(b)
+	pb, errB := parseWith(new(scratch), recycled, "b.xml", b, projB)
+	fresh, errF := parseWith(new(scratch), new(arena), "b.xml", b, projB)
+	if fmt.Sprint(errB) != fmt.Sprint(errF) {
+		t.Fatalf("on recycled memory the parse says %v, on fresh memory %v", errB, errF)
+	}
+	if errB != nil {
+		return
+	}
+	if got, want := dumpBuilt(pb), dumpBuilt(fresh); got != want {
+		t.Fatalf("b parsed on recycled memory\n%s\nb parsed on fresh memory\n%s\na %q\nb %q", got, want, a, b)
+	}
+	pb.Release()
+	fresh.Release()
+}
+
+// TestRecycledParseMatchesFresh runs the fuzz target's contract over the
+// gate's XMark documents, each parsed on the memory the one before it gave
+// back.
+func TestRecycledParseMatchesFresh(t *testing.T) {
+	docs := benchDocs()
+	for i := range docs {
+		checkRecycled(t, docs[i].Data, docs[(i+1)%len(docs)].Data)
+	}
+}
+
+// A parse on the memory a released document gave back allocates little
+// beyond the document's header and the text it copies: a quarter at most
+// of what the same parse allocates when the documents are never released.
+func TestRecycledParseAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop what is put back")
+	}
+	// The 16 KB document of the gate's corpus the q6 projection builds
+	// most nodes of.
+	proj := scanProjections[0]
+	var data []byte
+	most := -1
+	for _, d := range benchDocs() {
+		pd, err := ParseProjected(d.URI, d.Data, proj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pd.NodeCount() > most {
+			data, most = d.Data, pd.NodeCount()
+		}
+	}
+	const runs = 200
+	var sink []*Document
+	bytesPerParse := func(release bool) uint64 {
+		parse := func() {
+			d, err := ParseProjected("d.xml", data, proj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if release {
+				d.Release()
+			} else {
+				sink = append(sink, d)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			parse()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			parse()
+		}
+		runtime.ReadMemStats(&after)
+		sink = sink[:0]
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	fresh, recycled := bytesPerParse(false), bytesPerParse(true)
+	t.Logf("%d nodes built of a %d-byte document: %d bytes a parse kept, %d released", most, len(data), fresh, recycled)
+	if 4*recycled > fresh {
+		t.Fatalf("a parse on released memory allocates %d bytes, one that keeps its documents %d: want at most a quarter", recycled, fresh)
+	}
+}

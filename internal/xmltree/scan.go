@@ -55,27 +55,34 @@ type Projection struct {
 func ParseProjected(uri string, data []byte, proj *Projection) (*Document, error) {
 	s := scratchPool.Get().(*scratch)
 	defer s.release()
-	return parseWith(s, uri, data, proj)
+	return parseWith(s, arenaPool.Get().(*arena), uri, data, proj)
 }
 
-// parseWith is ParseProjected on the scratch s.
-func parseWith(s *scratch, uri string, data []byte, proj *Projection) (*Document, error) {
+// parseWith is ParseProjected on the scratch s, building the document in the
+// arena a, which it returns to the pool if the parse fails.
+func parseWith(s *scratch, a *arena, uri string, data []byte, proj *Projection) (*Document, error) {
 	s.begin()
 	// The scan reads data in place: what a built node keeps of it is copied
 	// (keep) and nothing else of it outlives the call, so the caller's
 	// buffer is free to change afterwards.
-	p := parser{scratch: s, src: unsafe.String(unsafe.SliceData(data), len(data)), proj: proj}
+	p := parser{scratch: s, mem: a, src: unsafe.String(unsafe.SliceData(data), len(data)), proj: proj}
 	if proj == nil {
 		p.outer = KeepAll
 	}
 	p.tagsLeft = strings.Count(p.src, "<")
-	if err := p.scan(); err != nil {
-		return nil, fmt.Errorf("xmltree: parsing %s: %w", uri, err)
+	err := p.scan()
+	if err != nil {
+		err = fmt.Errorf("xmltree: parsing %s: %w", uri, err)
+	} else if !p.sawRoot {
+		err = fmt.Errorf("%w: %s", ErrEmptyDocument, uri)
 	}
-	if !p.sawRoot {
-		return nil, fmt.Errorf("%w: %s", ErrEmptyDocument, uri)
+	p.mem.nodes.settle(p.slab)
+	p.mem.kids.settle(p.kidSlab)
+	if err != nil {
+		p.mem.release()
+		return nil, err
 	}
-	doc := &Document{URI: uri, Root: p.root, SourceBytes: int64(len(data)), scanned: int(p.pre)}
+	doc := &Document{URI: uri, Root: p.root, SourceBytes: int64(len(data)), scanned: int(p.pre), mem: p.mem}
 	doc.nodes, doc.byLabel, doc.labels = p.indexes()
 	return doc, nil
 }
@@ -99,14 +106,16 @@ type parser struct {
 	sawRoot   bool
 	pre, post int32
 
-	// Nodes are handed out of slab in pre order; a full slab moves to
-	// chunks and a new one is sized by chunkSize. tagsLeft is the number of
-	// "<" the scan loop has yet to reach, counted once before the scan.
+	// mem is the document's arena. Nodes are handed out of slab, the last
+	// chunk of mem.nodes, in pre order; a full slab is followed by a chunk
+	// of mem's, or by a new one sized by chunkSize. tagsLeft is the number
+	// of "<" the scan loop has yet to reach, counted once before the scan.
+	mem      *arena
 	slab     []Node
-	chunks   [][]Node
 	tagsLeft int
 
-	// kidSlab backs all Children slices; see scratch.kids.
+	// kidSlab, the last chunk of mem.kids, backs the Children slices; see
+	// scratch.kids.
 	kidSlab []*Node
 
 	// text is the chunk of the text slab that keep copies into, and
@@ -725,7 +734,8 @@ func (p *parser) closeElement() {
 	}
 	if kids := p.kids[o.kids:]; len(kids) > 0 {
 		if len(kids) > cap(p.kidSlab)-len(p.kidSlab) {
-			p.kidSlab = make([]*Node, 0, p.chunkSize(len(p.kids), len(p.labelOf)))
+			p.mem.kids.settle(p.kidSlab)
+			p.kidSlab = p.mem.kids.take(len(kids), p.chunkSize(len(p.kids), len(p.labelOf)))
 		}
 		at := len(p.kidSlab)
 		p.kidSlab = append(p.kidSlab, kids...)
@@ -865,10 +875,8 @@ func (p *parser) directive() error {
 // the label table.
 func (p *parser) newNode(label int32) *Node {
 	if len(p.slab) == cap(p.slab) {
-		if p.slab != nil {
-			p.chunks = append(p.chunks, p.slab)
-		}
-		p.slab = make([]Node, 0, p.chunkSize(0, len(p.labelOf)+1))
+		p.mem.nodes.settle(p.slab)
+		p.slab = p.mem.nodes.take(1, p.chunkSize(0, len(p.labelOf)+1))
 	}
 	p.slab = p.slab[:len(p.slab)+1]
 	n := &p.slab[len(p.slab)-1]
@@ -950,16 +958,24 @@ const (
 	maxTextChunk = 8 << 10
 )
 
-// indexes builds the document's two node indexes in one allocation: the
-// nodes in pre order, which is slab order, and after them the nodes of each
-// label in the order of the label table. labels maps each label to its
-// entry.
+// indexes builds the document's two node indexes in one allocation of the
+// arena: the nodes in pre order, which is slab order, and after them the
+// nodes of each label in the order of the label table. labels maps each
+// label to its entry.
 func (p *parser) indexes() (nodes []*Node, byLabel [][]*Node, labels map[string]int32) {
-	n := len(p.labelOf)
-	all := make([]*Node, 2*n)
+	a, n := p.mem, len(p.labelOf)
+	if cap(a.index) < 2*n {
+		a.index = make([]*Node, 2*n)
+	}
+	if cap(a.byLabel) < len(p.labelTab) {
+		a.byLabel = make([][]*Node, len(p.labelTab))
+	}
+	if a.labels == nil {
+		a.labels = make(map[string]int32, len(p.labelTab))
+	}
+	a.index, a.byLabel = a.index[:2*n], a.byLabel[:len(p.labelTab)]
+	all, byLabel, labels := a.index, a.byLabel, a.labels
 	nodes, all = all[:n:n], all[n:]
-	byLabel = make([][]*Node, len(p.labelTab))
-	labels = make(map[string]int32, len(p.labelTab))
 	for i, e := range p.labelTab {
 		byLabel[i], all = all[:0:e.nodes], all[e.nodes:]
 		if i > 0 || e.nodes > 0 {
@@ -967,7 +983,7 @@ func (p *parser) indexes() (nodes []*Node, byLabel [][]*Node, labels map[string]
 		}
 	}
 	i := 0
-	for _, c := range append(p.chunks, p.slab) {
+	for _, c := range a.nodes.list[:a.nodes.used] {
 		for j := range c {
 			nodes[i] = &c[j]
 			l := p.labelOf[i]

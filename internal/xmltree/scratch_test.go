@@ -72,11 +72,11 @@ func TestGenerationWrapRefreshesSymbols(t *testing.T) {
 		if step.gen != 0 {
 			s.gen = step.gen
 		}
-		got, err := parseWith(s, "d.xml", step.data, step.proj)
+		got, err := parseWith(s, new(arena), "d.xml", step.data, step.proj)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := parseWith(new(scratch), "d.xml", step.data, step.proj)
+		want, err := parseWith(new(scratch), new(arena), "d.xml", step.data, step.proj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestGenerationWrapRefreshesSymbols(t *testing.T) {
 // scratch and on one that met a:1b in an earlier document.
 func TestLocalPartIsNoNameOfItsOwn(t *testing.T) {
 	used := new(scratch)
-	if _, err := parseWith(used, "d.xml", []byte(`<a:1b/>`), nil); err != nil {
+	if _, err := parseWith(used, new(arena), "d.xml", []byte(`<a:1b/>`), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct{ src, err string }{
@@ -104,7 +104,7 @@ func TestLocalPartIsNoNameOfItsOwn(t *testing.T) {
 		{`<a:1b 1b="x"/>`, "expected attribute name in element"},
 	} {
 		for _, s := range []*scratch{new(scratch), used} {
-			if _, err := parseWith(s, "d.xml", []byte(tc.src), nil); err == nil || !strings.HasSuffix(err.Error(), tc.err) {
+			if _, err := parseWith(s, new(arena), "d.xml", []byte(tc.src), nil); err == nil || !strings.HasSuffix(err.Error(), tc.err) {
 				t.Errorf("%q on scratch %p (the used one is %p): %v, want %q", tc.src, s, used, err, tc.err)
 			}
 		}
@@ -122,7 +122,7 @@ func TestLargeDocumentKeepsTheSymbolTable(t *testing.T) {
 	}
 	b.WriteString(`</r>`)
 	s := new(scratch)
-	if _, err := parseWith(s, "d.xml", []byte(b.String()), nil); err != nil {
+	if _, err := parseWith(s, new(arena), "d.xml", []byte(b.String()), nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.labelOf) <= maxPooledSlots {

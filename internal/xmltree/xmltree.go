@@ -36,7 +36,8 @@
 // tag, through a symbol table that pooled scratch state carries from parse
 // to parse along with the stacks of the scan (scratch.go). Nodes come out
 // of one slab sized from the input, all Children slices out of another,
-// and a per-document label table is the NodesByLabel index.
+// and a per-document label table is the NodesByLabel index. Release hands
+// that memory, but for the text, to the next parse (arena.go).
 //
 // What Parse accepts is defined by the encoding/xml tokenizer it replaced
 // (Decoder.Token in strict mode, no Entity map, no CharsetReader), which
@@ -165,6 +166,8 @@ type Document struct {
 	// "".
 	labels  map[string]int32
 	byLabel [][]*Node
+
+	mem *arena // what the nodes and indexes live in; nil once released
 }
 
 // Parse errors.
