@@ -39,9 +39,13 @@ check: fmt vet race benchtest
 # took that many repetitions to find the flakes the pipeline's once had.
 # 7.9 s of test time on two cores for the pipeline (Go 1.24, linux/amd64; an
 # idle loop's Stop or Close ends its long poll at once), 3 s for the daemon.
+# The scanner's linear-time test compares two wall-clock timings, so it runs
+# ten times too, without the race detector, whose slowdown is not the
+# scanner's (about 5 s).
 liverepeat:
 	$(GO) test -race -count=10 -run 'TestFrontend|TestLivePipelineEndToEnd|TestQueryProcessorCrashRecovery|TestFaultToleranceIndexerCrash|TestConcurrentQueriesOverLiveFleet|TestErrorQueryReportedThroughResponseQueue|TestDriverStepsOverForeignResponse|TestIdleLoopsStopPromptly' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestTricklingBodyIsCutOff' ./internal/serve/
+	$(GO) test -count=10 -run 'TestManyLookalikeNamesStayLinear' ./internal/xmltree/
 
 # bench regenerates benchall_output.txt (untracked; see .gitignore) from
 # the full default-scale evaluation. The file is byte-identical from run to

@@ -332,9 +332,10 @@ func TestArenaMetrics(t *testing.T) {
 
 // The eval span says what the fetch-and-evaluate step skipped: the nodes the
 // projected parse counted and the ones it built, which the registry sums as
-// xmltree.nodes.*, and its wall time split into the fan-out (fetch, parse and
-// per-document matching) and the assembly, beside the per-document matching
-// summed over the tasks.
+// xmltree.nodes.*, the names the parse looked up by hash (some, and no more
+// than there are nodes), and its wall time split into the fan-out (fetch,
+// parse and per-document matching) and the assembly, beside the
+// per-document matching summed over the tasks.
 func TestEvalSpanCountsNodesScannedAndBuilt(t *testing.T) {
 	w, _ := indexCorpus(t, Config{Strategy: index.TwoLUPI, Trace: true}, 2, obsTestCorpus())
 	in := ec2.Launch(w.ledger, ec2.XL)
@@ -360,6 +361,9 @@ func TestEvalSpanCountsNodesScannedAndBuilt(t *testing.T) {
 		s, b := attr("nodes_scanned"), attr("nodes_built")
 		if attr("docs") != int64(st.DocsFetched) || st.DocsFetched == 0 || b <= 0 || b >= s {
 			t.Errorf("%s: %d documents, %d of %d nodes built, want some and not all", q.Name, attr("docs"), b, s)
+		}
+		if h := attr("names_hashed"); h <= 0 || h > s {
+			t.Errorf("%s: %d names hashed for %d nodes scanned", q.Name, h, s)
 		}
 		if wall := eval.Wall.Microseconds(); attr("fetch_parse_us")+attr("match_us") > wall {
 			t.Errorf("%s: fetch_parse_us %d + match_us %d exceed the span's %d us", q.Name, attr("fetch_parse_us"), attr("match_us"), wall)

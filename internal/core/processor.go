@@ -250,7 +250,7 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 		}
 	})
 	fanOutEnd := time.Now()
-	var scanned, built int64
+	var scanned, built, hashed int64
 	var docMatch time.Duration
 	for _, r := range fetched {
 		if r.err != nil {
@@ -260,6 +260,7 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 		}
 		scanned += int64(r.scanned)
 		built += int64(r.built)
+		hashed += int64(r.hashed)
 		docMatch += r.match
 		task := r.fetch +
 			in.ComputeDuration(r.bytes, w.Perf.ParseBytesPerECUSec) +
@@ -290,6 +291,7 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	esp.SetAttrInt("rows", int64(stats.ResultRows))
 	esp.SetAttrInt("nodes_scanned", scanned)
 	esp.SetAttrInt("nodes_built", built)
+	esp.SetAttrInt("names_hashed", hashed)
 	esp.SetAttrInt("fetch_parse_us", fanOutEnd.Sub(fanOutStart).Microseconds())
 	esp.SetAttrInt("doc_match_us", docMatch.Microseconds())
 	esp.SetAttrInt("match_us", time.Since(finishStart).Microseconds())
@@ -298,7 +300,9 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	// Step 14: write the results to the file store.
 	rsp := sp.Child(obs.SpanResults)
 	key := resultsPrefix + msg.ID
-	putDur, err := w.files.Put(Bucket, key, encodeResult(result), nil)
+	body := encodeResult(result)
+	plan.Release()
+	putDur, err := w.files.Put(Bucket, key, body, nil)
 	if err != nil {
 		rsp.SetError(err)
 		rsp.End()
@@ -323,11 +327,11 @@ type evalSlot struct{ pi, di int }
 type fetchedDoc struct {
 	fetch time.Duration
 	bytes int64
-	// scanned and built are the document's node counts, match the wall
-	// time eval took on it.
-	scanned, built int
-	match          time.Duration
-	err            error
+	// scanned and built are the document's node counts, hashed the names
+	// its parse looked up by hash, match the wall time eval took on it.
+	scanned, built, hashed int
+	match                  time.Duration
+	err                    error
 }
 
 // fetchDocuments retrieves the candidate documents, parses each under proj
@@ -357,7 +361,7 @@ func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltr
 		}
 		start := time.Now()
 		eval(i, doc)
-		results[i] = fetchedDoc{fetch: fetch, bytes: int64(len(data)), scanned: doc.NodesScanned(), built: doc.NodeCount(), match: time.Since(start)}
+		results[i] = fetchedDoc{fetch: fetch, bytes: int64(len(data)), scanned: doc.NodesScanned(), built: doc.NodeCount(), hashed: doc.NamesHashed(), match: time.Since(start)}
 		doc.Release()
 		return nil
 	}

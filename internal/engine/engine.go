@@ -107,6 +107,11 @@ type Plan struct {
 	varCol map[string]int
 	// roots holds the compiled root of each pattern.
 	roots []*step
+
+	// mu guards mem, the memory the rows of EvalPattern and Finish are
+	// carved from (rowmem.go): EvalPattern runs on several goroutines.
+	mu  sync.Mutex
+	mem *rowMem
 }
 
 // step is one pattern node compiled: where its value and its content go in a
@@ -352,7 +357,7 @@ func (p *Plan) Finish(rows [][][]Row) (*Result, error) {
 		for _, r := range docs {
 			n += len(r)
 		}
-		all := make([]Row, 0, n)
+		all := p.rowsOf(n)[:0]
 		for _, r := range docs {
 			all = append(all, r...)
 		}
@@ -382,11 +387,13 @@ func isRootCandidate(q *pattern.Node, n *xmltree.Node) bool {
 // filled and the others empty. It only reads the document, so calls may run
 // in parallel, on one document or many. The rows keep nothing of the
 // document's nodes (a column is a Text, a Value or a Content, and the URI
-// is the document's), so the document may be released once it returns.
+// is the document's), so the document may be released once it returns. They
+// lie in the plan's memory, valid until Release.
 func (p *Plan) EvalPattern(pi int, doc *xmltree.Document) []Row {
 	root := p.roots[pi]
-	m := matcher{uri: doc.URI, width: p.width}
-	var rows []Row
+	m := matcherPool.Get().(*matcher)
+	m.uri, m.width = doc.URI, p.width
+	rows := m.rows
 	for _, n := range doc.NodesByLabel(root.q.Label) {
 		if !isRootCandidate(root.q, n) {
 			continue
@@ -395,10 +402,14 @@ func (p *Plan) EvalPattern(pi int, doc *xmltree.Document) []Row {
 			rows = m.match(root, n, rows)
 		} else if root.embedsAt(n) {
 			// A pattern that fills no column has one empty row to give.
-			return append(rows, m.newRow())
+			rows = append(rows, m.newRow())
+			break
 		}
 	}
-	return rows
+	out := p.keep(rows)
+	m.rows = rows
+	m.release()
+	return out
 }
 
 // The evaluator reads the document through Label, Kind, ID.Depth, Children,
@@ -460,31 +471,6 @@ func (s *step) embedsAt(n *xmltree.Node) bool {
 		return false
 	}
 	return allEmbedBelow(s.tests, n) && allEmbedBelow(s.emit, n)
-}
-
-// matcher builds the rows of one pattern over one document. Rows are carved
-// from slab, a chunk of strings that is replaced by a larger one when used
-// up; scratch is a stack of candidate lists shared by the whole descent:
-// every level appends its candidates and pops them when done.
-type matcher struct {
-	uri     string
-	width   int
-	slab    []string
-	chunk   int // rows in the next chunk of slab
-	scratch []*xmltree.Node
-}
-
-func (m *matcher) newRow() Row {
-	if m.width == 0 {
-		return Row{URI: m.uri, Cols: []string{}}
-	}
-	if len(m.slab) < m.width {
-		m.chunk = min(max(2*m.chunk, 16), 1024)
-		m.slab = make([]string, m.chunk*m.width)
-	}
-	cols := m.slab[:m.width:m.width]
-	m.slab = m.slab[m.width:]
-	return Row{URI: m.uri, Cols: cols}
 }
 
 // match appends to dst one row for every embedding of the pattern subtree of

@@ -16,8 +16,10 @@ import (
 // it, releases the document and parses input b on the memory it gave back:
 // b's document must be the one a parse into fresh memory builds, node for
 // node and index for index, a's must read as empty, and the Texts a's nodes
-// handed out must be what they were. The seeds are the corpus of
-// FuzzParseDifferential, each paired with the next.
+// handed out must be what they were. A second arm parses b on the scratch
+// that parsed a, whose symbols' guesses a trained: b must get the verdict,
+// the error text and the nodes of a parse on a fresh scratch. The seeds are
+// the corpus of FuzzParseDifferential, each paired with the next.
 func FuzzRecycledParseMatchesFresh(f *testing.F) {
 	seeds := corpusSeeds(f, "FuzzParseDifferential")
 	for i := range seeds {
@@ -25,6 +27,7 @@ func FuzzRecycledParseMatchesFresh(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		checkRecycled(t, a, b)
+		checkTrained(t, a, b)
 	})
 }
 
@@ -155,13 +158,33 @@ func checkRecycled(t *testing.T, a, b []byte) {
 	fresh.Release()
 }
 
-// TestRecycledParseMatchesFresh runs the fuzz target's contract over the
-// gate's XMark documents, each parsed on the memory the one before it gave
-// back.
+// checkTrained is the second arm of FuzzRecycledParseMatchesFresh: b parsed
+// on the scratch that parsed a, each under a projection drawn from it,
+// against b parsed on a fresh scratch.
+func checkTrained(t *testing.T, a, b []byte) {
+	s := new(scratch)
+	parseWith(s, new(arena), "a.xml", a, drawnProjection(a))
+	projB := drawnProjection(b)
+	trained, errT := parseWith(s, new(arena), "b.xml", b, projB)
+	fresh, errF := parseWith(new(scratch), new(arena), "b.xml", b, projB)
+	if fmt.Sprint(errT) != fmt.Sprint(errF) {
+		t.Fatalf("on a scratch a trained the parse says %v, on a fresh one %v\na %q\nb %q", errT, errF, a, b)
+	}
+	if errT == nil {
+		if got, want := dumpBuilt(trained), dumpBuilt(fresh); got != want {
+			t.Fatalf("b parsed on a scratch a trained\n%s\nb parsed on a fresh one\n%s\na %q\nb %q", got, want, a, b)
+		}
+	}
+}
+
+// TestRecycledParseMatchesFresh runs the fuzz target's contract, both arms,
+// over the gate's XMark documents, each parsed on the memory, and on the
+// scratch, of the one before it.
 func TestRecycledParseMatchesFresh(t *testing.T) {
 	docs := benchDocs()
 	for i := range docs {
 		checkRecycled(t, docs[i].Data, docs[(i+1)%len(docs)].Data)
+		checkTrained(t, docs[i].Data, docs[(i+1)%len(docs)].Data)
 	}
 }
 

@@ -60,27 +60,35 @@ var scanProjections = []*Projection{
 
 // BenchmarkParse measures the scanner; one op is one document, so MB/s of
 // full is xmltree.parse_mb_per_s of the gateable benchmark and allocs/op is
-// per document. projected is the same scan building only what a serve-scan
-// query reads, which is the parse of the query path, and projected-parallel
-// runs it on GOMAXPROCS goroutines that share the pool of scratches.
+// per document. projected is the parse of the query path: the same scan
+// building only what a serve-scan query reads, each document released once
+// parsed, so that the next parse reuses its memory as a fetch worker's does.
+// projected-parallel runs it on GOMAXPROCS goroutines that share the pools
+// of scratches and arenas.
 func BenchmarkParse(b *testing.B) {
 	b.Run("full", func(b *testing.B) { benchParse(b, Parse) })
 	b.Run("projected", func(b *testing.B) {
-		i := 0
-		benchParse(b, func(uri string, data []byte) (*Document, error) {
-			i++
-			return ParseProjected(uri, data, scanProjections[i%len(scanProjections)])
-		})
+		docs := benchSetup(b)
+		for i := 0; i < b.N; i++ {
+			d := docs[i%len(docs)]
+			doc, err := ParseProjected(d.URI, d.Data, scanProjections[i%len(scanProjections)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			doc.Release()
+		}
 	})
 	b.Run("projected-parallel", func(b *testing.B) {
 		docs := benchSetup(b)
 		b.RunParallel(func(pb *testing.PB) {
 			for i := 0; pb.Next(); i++ {
 				d := docs[i%len(docs)]
-				if _, err := ParseProjected(d.URI, d.Data, scanProjections[i%len(scanProjections)]); err != nil {
+				doc, err := ParseProjected(d.URI, d.Data, scanProjections[i%len(scanProjections)])
+				if err != nil {
 					b.Error(err)
 					return
 				}
+				doc.Release()
 			}
 		})
 	})

@@ -287,6 +287,18 @@ func TestProjectionNamedCases(t *testing.T) {
 			t.Fatalf("content %s", got)
 		}
 	})
+	t.Run("keys that are no local name", func(t *testing.T) {
+		// The parse looks every key up in its symbol table and flags that
+		// symbol; a tag's flags are read off the symbol of its local part. A
+		// prefixed key, one with two colons or none at all must flag nothing
+		// a tag reads, and one with a colon at an end is a local name.
+		d := parse(t, `<r><x:b k="1">2</x:b><:b>3</:b><b>4</b><c: x:k="5"/></r>`, &Projection{
+			Elements:   map[string]Keep{"x:b": KeepAll, ":b": KeepText, "a:b:c": KeepAll, "": KeepAll, "1b": KeepAll, "c:": KeepNode},
+			Attributes: map[string]bool{"x:k": true, "": true}})
+		if got := pres(d.Nodes()); got != " 5 6 9" {
+			t.Fatalf("built:%s", got)
+		}
+	})
 	t.Run("nothing is kept", func(t *testing.T) {
 		d := parse(t, `<a><b c="1">x</b></a>`, &Projection{Elements: map[string]Keep{"z": KeepAll}})
 		if d.Root != nil || d.NodeCount() != 0 || d.NodesScanned() != 4 || d.NodesByLabel("a") != nil {

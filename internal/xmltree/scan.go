@@ -62,6 +62,9 @@ func ParseProjected(uri string, data []byte, proj *Projection) (*Document, error
 // arena a, which it returns to the pool if the parse fails.
 func parseWith(s *scratch, a *arena, uri string, data []byte, proj *Projection) (*Document, error) {
 	s.begin()
+	if proj != nil {
+		s.stamp(proj)
+	}
 	// The scan reads data in place: what a built node keeps of it is copied
 	// (keep) and nothing else of it outlives the call, so the caller's
 	// buffer is free to change afterwards.
@@ -82,7 +85,7 @@ func parseWith(s *scratch, a *arena, uri string, data []byte, proj *Projection) 
 		p.mem.release()
 		return nil, err
 	}
-	doc := &Document{URI: uri, Root: p.root, SourceBytes: int64(len(data)), scanned: int(p.pre), mem: p.mem}
+	doc := &Document{URI: uri, Root: p.root, SourceBytes: int64(len(data)), scanned: int(p.pre), hashed: p.hashed, mem: p.mem}
 	doc.nodes, doc.byLabel, doc.labels = p.indexes()
 	return doc, nil
 }
@@ -105,6 +108,14 @@ type parser struct {
 	root      *Node // the root element, if it was built
 	sawRoot   bool
 	pre, post int32
+
+	// last is the symbol plus one of the last start or end tag, 0 before the
+	// first, and after the guess of it that the next start tag's name is
+	// looked up by: guessChild when that tag opened an element, guessSibling
+	// when it closed one. hashed counts the names scanSymbol resolved.
+	last   int32
+	after  int
+	hashed int
 
 	// mem is the document's arena. Nodes are handed out of slab, the last
 	// chunk of mem.nodes, in pre order; a full slab is followed by a chunk
@@ -493,7 +504,26 @@ func (p *parser) scanSymbol() (int32, bool) {
 	if !ok {
 		return 0, false
 	}
+	p.hashed++
 	return p.lookup(name)
+}
+
+// guessName is scanSymbol tried first with the guess of kind k that symbol
+// from-1 holds (none when from is 0). A guess is a name scanSymbol returned
+// before, so where takeName finds it, scanSymbol would return it again. On
+// a miss scanSymbol's answer becomes the guess.
+func (p *parser) guessName(from int32, k int) (int32, bool) {
+	if from == 0 {
+		return p.scanSymbol()
+	}
+	if g := p.syms[from-1].guess[k]; g != 0 && p.takeName(p.syms[g-1].name) {
+		return g - 1, true
+	}
+	sym, ok := p.scanSymbol()
+	if ok {
+		p.syms[from-1].guess[k] = sym + 1
+	}
+	return sym, ok
 }
 
 // takeName moves past name if it stands at p.pos, byte for byte, and a byte
@@ -517,7 +547,7 @@ func (p *parser) skipSpace() {
 func (p *parser) startTag() error {
 	src, at := p.src, p.pos
 	p.pos++
-	sym, ok := p.scanSymbol()
+	sym, ok := p.guessName(p.last, p.after)
 	if !ok {
 		return p.errorf(at, "expected element name after <")
 	}
@@ -543,9 +573,13 @@ func (p *parser) startTag() error {
 			empty = true
 			break
 		}
-		if err := p.attribute(); err != nil {
+		if err := p.attribute(sym); err != nil {
 			return err
 		}
+	}
+	p.last, p.after = sym+1, guessChild
+	if empty {
+		p.after = guessSibling
 	}
 
 	p.flushText()
@@ -554,7 +588,7 @@ func (p *parser) startTag() error {
 	}
 	nsMark := len(p.ns)
 	for _, a := range p.attrs {
-		if s := &p.syms[a.sym]; s.prefix == "xmlns" {
+		if s := &p.syms[a.sym]; s.prefix() == "xmlns" {
 			p.ns = append(p.ns, nsBinding{p.syms[s.local].name, a.value == "xmlns"})
 		}
 	}
@@ -619,10 +653,15 @@ func (p *parser) push(sym int32, nsMark int) *openElem {
 	return o
 }
 
-// attribute scans name="value" at p.pos into p.attrs.
-func (p *parser) attribute() error {
+// attribute scans name="value" at p.pos into p.attrs, for a start tag of
+// symbol elem.
+func (p *parser) attribute(elem int32) error {
 	src, at := p.src, p.pos
-	sym, ok := p.scanSymbol()
+	from, k := elem, guessAttr
+	if n := len(p.attrs); n > 0 {
+		from, k = p.attrs[n-1].sym, guessNextAttr
+	}
+	sym, ok := p.guessName(from+1, k)
 	if !ok {
 		return p.errorf(at, "expected attribute name in element")
 	}
@@ -666,11 +705,12 @@ func (p *parser) dropAttr(a rawAttr) bool {
 	if s.decl {
 		return true
 	}
-	if s.prefix == "" || s.prefix == "xml" {
+	prefix := s.prefix()
+	if prefix == "" || prefix == "xml" {
 		return false
 	}
 	for i := len(p.ns) - 1; i >= 0; i-- {
-		if p.ns[i].prefix == s.prefix {
+		if p.ns[i].prefix == prefix {
 			return p.ns[i].isXmlns
 		}
 	}
@@ -701,9 +741,11 @@ func (p *parser) endTag() error {
 	if len(p.open) == 0 {
 		return p.errorf(at, "unexpected end element </%s>", name)
 	}
-	if o := p.syms[p.open[len(p.open)-1].sym].name; o != name {
+	sym := p.open[len(p.open)-1].sym
+	if o := p.syms[sym].name; o != name {
 		return p.errorf(at, "element <%s> closed by </%s>", o, name)
 	}
+	p.last, p.after = sym+1, guessSibling
 	p.flushText()
 	p.closeElement()
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -216,20 +217,31 @@ func TestManyLookalikeNamesStayLinear(t *testing.T) {
 		t.Fatalf("%v allocations for %d names", allocs, names)
 	}
 
-	best := func(data []byte) time.Duration {
-		var least time.Duration
-		for i := 0; i < 5; i++ {
-			start := time.Now()
-			if _, err := Parse("d.xml", data); err != nil {
-				t.Fatal(err)
-			}
-			if took := time.Since(start); i == 0 || took < least {
-				least = took
-			}
+	// The two are timed in turn and the best of each kept, so that a stretch
+	// of load on the machine slows both or neither. What is timed is the
+	// processor time the parse used, not the clock: a parse of 10 ms on a
+	// loaded machine waits for a core now and then, one of 2 ms seldom. The
+	// collector runs between the parses, not during them, for the same
+	// reason: its workers would wait for a core too.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	took := func(data []byte) time.Duration {
+		runtime.GC()
+		start := processorTime()
+		if _, err := Parse("d.xml", data); err != nil {
+			t.Fatal(err)
 		}
-		return least
+		return processorTime() - start
 	}
-	l, r := best(lookalike.Bytes()), best(repeated.Bytes())
+	var l, r time.Duration
+	for i := 0; i < 10; i++ {
+		tl, tr := took(lookalike.Bytes()), took(repeated.Bytes())
+		if i == 0 || tl < l {
+			l = tl
+		}
+		if i == 0 || tr < r {
+			r = tr
+		}
+	}
 	t.Logf("%d lookalike names: %v allocations, %v; one name repeated: %v", names, allocs, l, r)
 	if l > 10*r {
 		t.Fatalf("%d lookalike names parse in %v, one name repeated as often in %v", names, l, r)

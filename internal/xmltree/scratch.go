@@ -38,11 +38,11 @@ type scratch struct {
 
 // symbol is one distinct tag or attribute name.
 type symbol struct {
-	name   string // the scratch's copy
-	prefix string // the part before the colon, "" for none
-	hash   uint64
-	local  int32 // the symbol of the local part: itself when there is no prefix
-	decl   bool  // an attribute of this name is a name space declaration
+	name  string // the scratch's copy
+	hash  uint64
+	local int32 // the symbol of the local part: itself when there is no prefix
+	plen  int32 // the length of the part before the colon, 0 for none
+	decl  bool  // an attribute of this name is a name space declaration
 
 	// What the current document says of the symbol as a local name, valid
 	// while gen is the scratch's.
@@ -50,7 +50,27 @@ type symbol struct {
 	elem  Keep  // proj.Elements of it
 	attr  bool  // proj.Attributes of it
 	label int32 // its label-table entry, 0 while no node carries it
+
+	// guess holds, per kind (guessChild, ...), the name that followed this
+	// one the last time the guess missed: a symbol plus one, 0 for none.
+	// Only what scanSymbol returned is ever put here, so every guess is a
+	// name that name scanned and splitName accepted.
+	guess [4]int32
 }
+
+// prefix is the part of the name before the colon, "" for none.
+func (y *symbol) prefix() string { return y.name[:y.plen] }
+
+// What a symbol's guesses are of: the name of the first child of an element
+// of its name, of the element after one of its name closed, of the first
+// attribute of an element of its name, and of the attribute after one of its
+// name.
+const (
+	guessChild = iota
+	guessSibling
+	guessAttr
+	guessNextAttr
+)
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -129,7 +149,7 @@ func (s *scratch) lookup(name string) (sym int32, ok bool) {
 	}
 	y := symbol{name: s.clone(name), hash: h, decl: prefix == "xmlns" || local == "xmlns"}
 	if prefix != "" {
-		y.prefix = y.name[:len(prefix)]
+		y.plen = int32(len(prefix))
 		y.local, _ = s.lookup(local)
 	} else {
 		y.local = int32(len(s.syms))
@@ -178,17 +198,53 @@ const (
 	maxNameChunk = 8 << 10
 )
 
-// local returns the symbol of symbol i's local name, with what the current
-// document says of that name. Symbols outlive documents, so the first look
-// of a parse refreshes the projection's flags and the label-table entry.
-// The pointer is good until the next lookup.
-func (p *parser) local(i int32) *symbol {
-	l := &p.syms[p.syms[i].local]
-	if l.gen != p.gen {
-		l.gen, l.elem, l.attr, l.label = p.gen, 0, false, 0
-		if p.proj != nil {
-			l.elem, l.attr = p.proj.Elements[l.name], p.proj.Attributes[l.name]
+// stamp puts what proj says of each of its names on that name's symbol, for
+// the parse begin started. The empty name and one splitName rejects are no
+// local name of any tag and are skipped.
+func (s *scratch) stamp(proj *Projection) {
+	for name, keep := range proj.Elements {
+		if y := s.current(name); y != nil {
+			y.elem = keep
 		}
 	}
+	for name, want := range proj.Attributes {
+		if y := s.current(name); y != nil {
+			y.attr = want
+		}
+	}
+}
+
+// current returns the symbol of name as the parse sees it (refresh), or nil
+// for the empty name and one splitName rejects.
+func (s *scratch) current(name string) *symbol {
+	if name == "" {
+		return nil
+	}
+	i, ok := s.lookup(name)
+	if !ok {
+		return nil
+	}
+	y := &s.syms[i]
+	y.refresh(s.gen)
+	return y
+}
+
+// refresh clears what a parse before the one of generation gen said of y.
+func (y *symbol) refresh(gen uint32) {
+	if y.gen != gen {
+		y.gen, y.elem, y.attr, y.label = gen, 0, false, 0
+	}
+}
+
+// local returns the symbol of symbol i's local name, with what the current
+// document says of that name. Symbols outlive documents: stamp put the
+// projection's flags on the names it holds, and the first look of a parse at
+// any other symbol clears what an earlier parse left there, the label-table
+// entry included. The name of a local symbol is the local part, which is the
+// name stamp looked up, so its flags are what the projection says of it. The
+// pointer is good until the next lookup.
+func (p *parser) local(i int32) *symbol {
+	l := &p.syms[p.syms[i].local]
+	l.refresh(p.gen)
 	return l
 }

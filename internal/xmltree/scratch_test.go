@@ -134,3 +134,94 @@ func TestLargeDocumentKeepsTheSymbolTable(t *testing.T) {
 			cap(s.labelOf), len(s.syms), cap(s.open), cap(s.labelTab))
 	}
 }
+
+// A symbol's guesses outlive the document that trained them. Each case
+// parses train and then input on one scratch; the second parse must get
+// the verdict, the error text and the nodes of input parsed on a fresh
+// scratch, with the guess wrong in the way the case names. Where a case
+// parses and a guess could hit, some name of input must also have been taken
+// from one.
+func TestTrainedGuesses(t *testing.T) {
+	wide := &Projection{Elements: map[string]Keep{"a": KeepNode, "ab": KeepText, "abc": KeepAll, "b": KeepNode}, Attributes: map[string]bool{"x": true, "yy": true}}
+	docs := benchDocs()
+	for _, tc := range []struct {
+		name, train, input string
+		trainProj, proj    *Projection
+		err                string
+		noHit              bool // no name of input is one a guess names
+	}{
+		{name: "a prefix of the name at hand", train: `<r><ab/><ab/></r>`, input: `<r><ab/><abc/><ab></ab><abc/></r>`},
+		{name: "followed by a colon", train: `<r><a/><a/></r>`, input: `<r><a/><a:b/><a></a><a:b x="1"/></r>`},
+		{name: "a child guess followed by a colon", train: `<r><a/></r>`, input: `<r><a:b/></r>`, proj: wide, noHit: true},
+		{name: "at the end of the input", train: `<r><a/><a/></r>`, input: `<r><a/><a`, err: "unexpected EOF"},
+		{name: "an attribute at the end of the input", train: `<r><a x="1" y="2"/></r>`, input: `<r><a x="1" y`, err: "unexpected EOF"},
+		{name: "an attribute name at hand that is no name", train: `<r><a x="1"/></r>`, input: `<r><a x="1"/><a 1x="2"/></r>`, err: "expected attribute name in element"},
+		{name: "a tag name at hand that is no name", train: `<r><a/><a/></r>`, input: `<r><a/><-a/></r>`, err: "expected element name after <"},
+		{name: "a local part that is no name", train: `<a:1b><a:1b/><a:1b x:1c="1" x:1c="2"/></a:1b>`,
+			input: `<a:1b><1b/></a:1b>`, err: "expected element name after <"},
+		{name: "an attribute's local part that is no name", train: `<a:1b><a:1b x:1c="1" x:1c="2"/></a:1b>`,
+			input: `<a:1b><a:1b x:1c="1" 1c="2"/></a:1b>`, err: "expected attribute name in element"},
+		{name: "wrong for an attribute", train: `<r><a x="1" y="2"/></r>`,
+			input: `<r><a x="1" yy="2"/><a z="3" x="4"/><a x="5" y:z="6" y="7"/><a xx="8"/></r>`, proj: wide},
+		{name: "learned under one projection, used under another", train: string(docs[0].Data), input: string(docs[0].Data),
+			trainProj: scanProjections[3], proj: scanProjections[1]},
+		{name: "learned on one document, used on another", train: string(docs[0].Data), input: string(docs[2].Data),
+			trainProj: scanProjections[0], proj: scanProjections[2]},
+		{name: "learned in full, used projected", train: string(docs[4].Data), input: string(docs[4].Data), proj: scanProjections[2]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := new(scratch)
+			if _, err := parseWith(s, new(arena), "t.xml", []byte(tc.train), tc.trainProj); err != nil {
+				t.Fatal(err)
+			}
+			trained, errT := parseWith(s, new(arena), "d.xml", []byte(tc.input), tc.proj)
+			fresh, errF := parseWith(new(scratch), new(arena), "d.xml", []byte(tc.input), tc.proj)
+			if fmt.Sprint(errT) != fmt.Sprint(errF) {
+				t.Fatalf("on the trained scratch %v, on a fresh one %v", errT, errF)
+			}
+			if tc.err != "" {
+				if errT == nil || !strings.HasSuffix(errT.Error(), tc.err) {
+					t.Fatalf("%v, want %q", errT, tc.err)
+				}
+				return
+			}
+			if errT != nil {
+				t.Fatal(errT)
+			}
+			if got, want := dumpBuilt(trained), dumpBuilt(fresh); got != want {
+				t.Fatalf("on the trained scratch\n%s\non a fresh one\n%s", got, want)
+			}
+			if !tc.noHit && trained.NamesHashed() >= fresh.NamesHashed() {
+				t.Fatalf("%d names hashed on the trained scratch, %d on a fresh one: no guess was taken", trained.NamesHashed(), fresh.NamesHashed())
+			}
+		})
+	}
+}
+
+// On the gate's documents under the serve-scan projections, parsed in turn
+// on one scratch as a fetch worker parses them, most names are the one a
+// neighbour's guess named.
+func TestMostNamesAreGuessed(t *testing.T) {
+	s := new(scratch)
+	hashed, names := 0, 0
+	for i, d := range benchDocs() {
+		doc, err := parseWith(s, new(arena), d.URI, d.Data, scanProjections[i%len(scanProjections)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashed += doc.NamesHashed()
+		full, err := Parse(d.URI, d.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range full.Nodes() {
+			if n.Kind != Text {
+				names++
+			}
+		}
+	}
+	t.Logf("%d of %d names hashed", hashed, names)
+	if 4*hashed > names {
+		t.Fatalf("%d of %d names hashed, want at most a quarter", hashed, names)
+	}
+}

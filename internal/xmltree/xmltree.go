@@ -160,6 +160,7 @@ type Document struct {
 	SourceBytes int64
 
 	scanned int     // nodes the input holds, built or not
+	hashed  int     // names the scan looked up in the symbol table's hash
 	nodes   []*Node // the built nodes in pre order
 	// labels is the table Parse interned the labels in, and byLabel the
 	// nodes of each of its entries in document order. Text nodes are under
@@ -181,6 +182,11 @@ func (d *Document) NodeCount() int { return len(d.nodes) }
 // NodesScanned returns the number of nodes the input holds: NodeCount for a
 // full parse, and what the scan counted, built or not, for a projected one.
 func (d *Document) NodesScanned() int { return d.scanned }
+
+// NamesHashed returns the number of tag and attribute names the parse looked
+// up through the symbol table's hash, the rest having been the name its
+// neighbour's guess named (see DESIGN.md §5m).
+func (d *Document) NamesHashed() int { return d.hashed }
 
 // Nodes returns all built nodes in document (pre) order. The slice is
 // shared; callers must not modify it.
