@@ -87,9 +87,10 @@ obs-smoke:
 
 # fuzzsmoke runs every native fuzz target for FUZZTIME of live mutation on
 # top of the checked-in seed corpora. `go test -fuzz` accepts only one
-# matching target per invocation, so discover and loop.
+# matching target per invocation, so discover and loop: every package of
+# the module, every target its tests list, so a new target cannot be missed.
 fuzzsmoke:
-	@for pkg in ./internal/cloud/kv ./internal/core ./internal/idblock ./internal/index ./internal/obs ./internal/pattern ./internal/serve ./internal/xmltree ./internal/xquery; do \
+	@for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "fuzz $$pkg $$target"; \
 			$(GO) test $$pkg -run="^$$target$$" -fuzz="^$$target$$" -fuzztime=$(FUZZTIME) || exit 1; \

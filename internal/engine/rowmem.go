@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 
+	"repro/internal/slab"
 	"repro/internal/xmltree"
 )
 
@@ -23,7 +24,7 @@ type matcher struct {
 
 	rows    []Row
 	scratch []*xmltree.Node
-	cols    chunks[string]
+	cols    slab.Chunks[string]
 	made    int // rows carved, which bounds how far the row stack reached
 }
 
@@ -43,14 +44,14 @@ func (m *matcher) newRow() Row {
 	if m.width == 0 {
 		return Row{URI: m.uri, Cols: []string{}}
 	}
-	return Row{URI: m.uri, Cols: m.cols.take(m.width, colChunk)}
+	return Row{URI: m.uri, Cols: m.cols.Take(m.width, colChunk)}
 }
 
 // release clears what m holds of a document and returns it to the pool.
 func (m *matcher) release() {
 	clear(m.rows[:min(m.made, cap(m.rows))])
 	clear(m.scratch[:cap(m.scratch)])
-	m.cols.reset(maxMatcherCols)
+	m.cols.Reset(maxMatcherCols)
 	if cap(m.rows) > maxPooledRows {
 		m.rows = nil
 	}
@@ -62,8 +63,8 @@ func (m *matcher) release() {
 // strings, carved at exact size by EvalPattern and Finish under the plan's
 // mutex. Release clears it and pools it for a later plan.
 type rowMem struct {
-	rows chunks[Row]
-	cols chunks[string]
+	rows slab.Chunks[Row]
+	cols slab.Chunks[string]
 }
 
 var rowMemPool = sync.Pool{New: func() any { return new(rowMem) }}
@@ -77,53 +78,6 @@ const (
 	maxPooledCols = 32 << 10
 )
 
-// chunks is memory handed out in slices of exact size: list[:used] are the
-// chunks carved from, cur the unused rest of the last of them, and the
-// others free.
-type chunks[T any] struct {
-	list [][]T
-	used int
-	cur  []T
-}
-
-// take returns n slots, from a new chunk of at least least slots when the
-// current one and the next free one are too short.
-func (c *chunks[T]) take(n, least int) []T {
-	if n > len(c.cur) {
-		if c.used == len(c.list) || len(c.list[c.used]) < n {
-			c.list = append(c.list, make([]T, max(n, least)))
-			last := len(c.list) - 1
-			c.list[c.used], c.list[last] = c.list[last], c.list[c.used]
-		}
-		c.cur = c.list[c.used]
-		c.used++
-	}
-	x := c.cur[:n:n]
-	c.cur = c.cur[n:]
-	return x
-}
-
-// reset clears the chunks carved from, the last as far as it was, and keeps,
-// in order, those that fit in bound slots.
-func (c *chunks[T]) reset(bound int) {
-	for i, ch := range c.list[:c.used] {
-		if i == c.used-1 {
-			ch = ch[:len(ch)-len(c.cur)]
-		}
-		clear(ch)
-	}
-	kept, slots := 0, 0
-	for _, ch := range c.list {
-		if slots+len(ch) <= bound {
-			c.list[kept] = ch
-			kept++
-			slots += len(ch)
-		}
-	}
-	clear(c.list[kept:])
-	c.list, c.used, c.cur = c.list[:kept], 0, nil
-}
-
 // keep copies rows, which lie in a matcher's memory, into the plan's, at
 // exact size.
 func (p *Plan) keep(rows []Row) []Row {
@@ -135,8 +89,8 @@ func (p *Plan) keep(rows []Row) []Row {
 	if p.mem == nil {
 		p.mem = rowMemPool.Get().(*rowMem)
 	}
-	out := p.mem.rows.take(len(rows), rowChunk)
-	cols := p.mem.cols.take(len(rows)*w, colChunk)
+	out := p.mem.rows.Take(len(rows), rowChunk)
+	cols := p.mem.cols.Take(len(rows)*w, colChunk)
 	p.mu.Unlock()
 	for i, r := range rows {
 		if w > 0 {
@@ -158,7 +112,7 @@ func (p *Plan) rowsOf(n int) []Row {
 	if p.mem == nil {
 		p.mem = rowMemPool.Get().(*rowMem)
 	}
-	return p.mem.rows.take(n, rowChunk)
+	return p.mem.rows.Take(n, rowChunk)
 }
 
 // Release hands the plan's row memory to later plans, cleared: it holds
@@ -176,7 +130,7 @@ func (p *Plan) Release() {
 	if m == nil {
 		return
 	}
-	m.rows.reset(maxPooledRows)
-	m.cols.reset(maxPooledCols)
+	m.rows.Reset(maxPooledRows)
+	m.cols.Reset(maxPooledCols)
 	rowMemPool.Put(m)
 }

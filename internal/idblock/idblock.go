@@ -98,6 +98,7 @@ type block struct {
 type Set struct {
 	blocks []block
 	total  int
+	scoped bool // carved from an Arena: see BlockIn
 
 	mu      sync.Mutex
 	decoded [][]xmltree.NodeID
@@ -138,16 +139,28 @@ func (s *Set) PayloadBytes() int64 {
 // Block decodes (and memoizes) the i-th block. The returned slice is shared
 // across callers and must not be mutated.
 func (s *Set) Block(i int) ([]xmltree.NodeID, error) {
+	return s.BlockIn(i, nil)
+}
+
+// BlockIn is Block through the caller's arena. When s was carved from an
+// arena (Arena.Parse, Arena.FromIDs), the decoded block and the memo are
+// carved from a, which must not be reset before the arena s came from; a
+// set on the heap memoizes on the heap, and a is only its column scratch.
+// A nil a is Block.
+func (s *Set) BlockIn(i int, a *Arena) ([]xmltree.NodeID, error) {
+	carve := a
+	if !s.scoped {
+		carve = nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.decoded == nil {
-		s.decoded = make([][]xmltree.NodeID, len(s.blocks))
+		s.decoded = carve.memo(len(s.blocks))
 	}
 	if s.decoded[i] != nil {
 		return s.decoded[i], nil
 	}
-	ids := make([]xmltree.NodeID, 0, s.blocks[i].Count)
-	ids, err := appendBlock(ids, s.blocks[i], nil)
+	ids, err := appendBlock(carve.IDs(s.blocks[i].Count), s.blocks[i], a)
 	if err != nil {
 		return nil, err
 	}
@@ -545,6 +558,12 @@ func Looks(blob []byte) bool {
 // checksum makes a false positive on a headerless stream that merely starts
 // with the magic byte a 2^-32 event on top of the structural checks.
 func Parse(blob []byte) (*Set, error) {
+	return (*Arena)(nil).Parse(blob)
+}
+
+// Parse is the package's Parse with the set and its blocks carved from a
+// (on the heap when a is nil).
+func (a *Arena) Parse(blob []byte) (*Set, error) {
 	if !Looks(blob) {
 		return nil, ErrNotBlocked
 	}
@@ -559,7 +578,8 @@ func Parse(blob []byte) (*Set, error) {
 	}
 	body = body[n:]
 
-	s := &Set{blocks: make([]block, 0, nblocks)}
+	s := a.set()
+	s.blocks = a.blockSlice(int(nblocks))[:0]
 	var payloadTotal uint64
 	for b := uint64(0); b < nblocks; b++ {
 		var raw [8]uint64
@@ -640,17 +660,26 @@ func fnv1a(data []byte) uint32 {
 // retained and must not be mutated afterwards; nil is returned for an empty
 // slice.
 func FromIDs(ids []xmltree.NodeID) *Set {
+	return (*Arena)(nil).FromIDs(ids)
+}
+
+// FromIDs is the package's FromIDs with the set carved from a (on the heap
+// when a is nil). The set retains ids, which must live as long as a's
+// carvings when a is not nil.
+func (a *Arena) FromIDs(ids []xmltree.NodeID) *Set {
 	if len(ids) == 0 {
 		return nil
 	}
 	if !IsSorted(ids) {
 		panic("idblock: FromIDs on unsorted identifiers")
 	}
-	return &Set{
-		blocks:  []block{{Header: summarize(ids)}},
-		total:   len(ids),
-		decoded: [][]xmltree.NodeID{ids},
-	}
+	s := a.set()
+	s.blocks = a.blockSlice(1)
+	s.blocks[0].Header = summarize(ids)
+	s.total = len(ids)
+	s.decoded = a.memo(1)
+	s.decoded[0] = ids
+	return s
 }
 
 // Merge combines the Sets parsed from the blobs of one (key, URI) entry

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"repro/internal/slab"
 	"repro/internal/xmltree"
 )
 
@@ -45,8 +46,17 @@ func bitsFor(v uint32) int { return bits.Len32(v) }
 // uint32 buffer viewed as three columns. Callers that loop over blocks hold
 // one arena (their own or a pooled one from GetArena) so steady-state
 // decoding allocates nothing. An Arena must not be shared concurrently.
+//
+// An arena is also memory for sets that live no longer than a request
+// (arena.go): Parse, FromIDs and IDs carve sets, their blocks and
+// identifiers from it, and Reset clears them for the next request.
 type Arena struct {
 	buf []uint32
+
+	sets   slab.Chunks[Set]
+	blocks slab.Chunks[block]
+	memos  slab.Chunks[[]xmltree.NodeID]
+	ids    slab.Chunks[xmltree.NodeID]
 }
 
 // cols returns three n-wide column views over the arena, growing it as

@@ -391,7 +391,7 @@ func TestBulkLoaderInvalidatesCacheOnFailedFlush(t *testing.T) {
 		}
 	}
 	for k := range keys {
-		if _, err := cache.put(cacheKey{table: table, key: k, kind: URIPosting}, uriList([]string{"x"})); err != nil {
+		if _, err := cache.put(cacheKey{table: table, key: k, kind: URIPosting}, uriList([]string{"x"}, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -31,7 +31,7 @@ func TestPostingCacheDoesNotPinArena(t *testing.T) {
 		t.Fatalf("identifier fixture is not a lazily decoded blocked set: %v %v", set, err)
 	}
 	streams := EncodeIDsBinary(ids, dynamodb.MaxItemBytes/2)
-	if len(streams) != 1 || parseBlocked(streams[0]) != nil {
+	if len(streams) != 1 || parseBlocked(streams[0], nil) != nil {
 		t.Fatalf("stream fixture is %d values, or reads as a blocked blob", len(streams))
 	}
 	fixtures := []struct {

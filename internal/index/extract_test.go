@@ -127,8 +127,8 @@ func TestExtractMatchesReferenceEdges(t *testing.T) {
 		checkAgainstReference(t, parseDoc(t, tc.name, tc.src), extractOptions())
 	}
 	// 10k levels make 10k paths of up to 30 KB under one key, 150 MB per
-	// extraction that stores paths, and the reference walks 50M ancestors:
-	// once, under the strategy that stores both paths and identifiers.
+	// extraction that stores paths: once, under the strategy that stores
+	// both paths and identifiers.
 	if !testing.Short() {
 		checkAgainstReference(t, parseDoc(t, "10k deep", deepDocument(10_000)), []Options{{BinaryIDs: true}}, TwoLUPI)
 	}

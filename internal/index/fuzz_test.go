@@ -147,7 +147,7 @@ func FuzzDecodeIDsBinary(f *testing.F) {
 	f.Add([]byte{0xB2, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		ids, err := DecodeIDsBinary(blob)
-		if parseBlocked(blob) == nil {
+		if parseBlocked(blob, nil) == nil {
 			checkRawPosting(t, blob, ids, err)
 		}
 		if err != nil {

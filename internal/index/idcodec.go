@@ -92,7 +92,7 @@ const blockedMinIDs = 32
 // blobs are parsed, fully decoded and pre-sized from their block-header
 // counts; anything else is a headerless stream.
 func DecodeIDsBinary(blob []byte) ([]xmltree.NodeID, error) {
-	if s := parseBlocked(blob); s != nil {
+	if s := parseBlocked(blob, nil); s != nil {
 		ids, err := s.All()
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrCorruptIDSet, err)
@@ -102,14 +102,15 @@ func DecodeIDsBinary(blob []byte) ([]xmltree.NodeID, error) {
 	return decodeIDsStream(blob)
 }
 
-// parseBlocked returns the parsed Set of a blocked blob, or nil when the
-// blob is a headerless stream. Parse failures mean "not the blocked
-// format": a stream whose first delta byte happens to equal the magic.
-func parseBlocked(blob []byte) *idblock.Set {
+// parseBlocked returns the Set of a blocked blob, parsed into a (the heap
+// when a is nil), or nil when the blob is a headerless stream. Parse
+// failures mean "not the blocked format": a stream whose first delta byte
+// happens to equal the magic.
+func parseBlocked(blob []byte, a *idblock.Arena) *idblock.Set {
 	if !idblock.Looks(blob) {
 		return nil
 	}
-	s, err := idblock.Parse(blob)
+	s, err := a.Parse(blob)
 	if err != nil {
 		return nil
 	}
@@ -196,12 +197,12 @@ func DecodeIDs(v []byte, binaryIDs bool) ([]xmltree.NodeID, error) {
 // only, no payload decoded. Headerless and text values decode eagerly and
 // are returned as a plain slice with a nil Set.
 func DecodeIDSet(v []byte, binaryIDs bool) (*idblock.Set, []xmltree.NodeID, error) {
-	c, err := classifyIDValue(v, binaryIDs)
+	c, err := classifyIDValue(v, binaryIDs, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	if c.stream != nil {
-		return nil, mustDecodeStream(c.stream, c.n), nil
+		return nil, mustDecodeStream(c.stream, c.n, nil), nil
 	}
 	return c.set, c.ids, nil
 }
@@ -217,14 +218,15 @@ type idValue struct {
 }
 
 // classifyIDValue validates one stored identifier value and tells its
-// format. It is the one place that classifies stored values: a headerless
-// stream is counted, not decoded, so the caller chooses when to decode it.
-func classifyIDValue(v []byte, binaryIDs bool) (idValue, error) {
+// format, parsing a blocked blob into a (the heap when a is nil). It is the
+// one place that classifies stored values: a headerless stream is counted,
+// not decoded, so the caller chooses when to decode it.
+func classifyIDValue(v []byte, binaryIDs bool, a *idblock.Arena) (idValue, error) {
 	if !binaryIDs {
 		ids, err := DecodeIDsText(v)
 		return idValue{ids: ids}, err
 	}
-	if s := parseBlocked(v); s != nil {
+	if s := parseBlocked(v, a); s != nil {
 		return idValue{set: s}, nil
 	}
 	n, err := idblock.CountVarintTriples(v)
@@ -238,9 +240,9 @@ func classifyIDValue(v []byte, binaryIDs bool) (idValue, error) {
 }
 
 // mustDecodeStream decodes a stream CountVarintTriples accepted with n
-// triples into an exact-size slice.
-func mustDecodeStream(v []byte, n int) []xmltree.NodeID {
-	ids, err := idblock.AppendVarintTriples(make([]xmltree.NodeID, 0, n), v)
+// triples into an exact-size slice, carved from a (the heap when a is nil).
+func mustDecodeStream(v []byte, n int, a *idblock.Arena) []xmltree.NodeID {
+	ids, err := idblock.AppendVarintTriples(a.IDs(n), v)
 	if err != nil || len(ids) != n {
 		panic(fmt.Sprintf("index: validated identifier stream of %d triples decoded to %d: %v", n, len(ids), err))
 	}

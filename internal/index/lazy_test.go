@@ -101,7 +101,7 @@ func TestStreamMixedWithBlockedKeepsBoth(t *testing.T) {
 	ids := lazyFixtureIDs(3 + blockedMinIDs)
 	stream := EncodeIDsBinary(ids[:3], 0)[0]
 	blocked := EncodeIDs(ids[3:], true, 0)[0]
-	if parseBlocked(blocked) == nil || parseBlocked(stream) != nil {
+	if parseBlocked(blocked, nil) == nil || parseBlocked(stream, nil) != nil {
 		t.Fatal("fixture values are not one stream and one blocked blob")
 	}
 	for _, order := range [][][]byte{{stream, blocked}, {blocked, stream}} {
@@ -357,7 +357,7 @@ func TestDuplicateContributionDecodesOnce(t *testing.T) {
 	large := lazyFixtureIDs(3 * blockedMinIDs)
 	stream := EncodeIDsBinary(small, 0)[0]
 	blocked := EncodeIDs(large, true, 0)[0]
-	if parseBlocked(blocked) == nil || parseBlocked(stream) != nil {
+	if parseBlocked(blocked, nil) == nil || parseBlocked(stream, nil) != nil {
 		t.Fatal("fixture values are not one stream and one blocked blob")
 	}
 	// mixed is a stream of the large set's first identifiers.

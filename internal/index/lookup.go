@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/cloud/kv"
-	"repro/internal/idblock"
 	"repro/internal/obs"
 	"repro/internal/pattern"
 	"repro/internal/twigjoin"
@@ -81,9 +80,11 @@ type LookupOptions struct {
 	// stores.
 	Cache *PostingCache
 	// Span, when non-nil, is the parent under which the look-up emits its
-	// pipeline spans (index.get, semijoin, twigjoin). A nil Span — the
-	// default, and always the case when tracing is off — makes every span
-	// operation a no-op.
+	// pipeline spans (index.get, semijoin, twigjoin), and which it gives a
+	// scratch_kb attribute: the high-water mark of the look-up's scratch
+	// memory, the largest of its patterns'. A nil Span — the default, and
+	// always the case when tracing is off — makes every span operation a
+	// no-op.
 	Span *obs.Span
 	// Joins, when non-nil, receives the block-level counters of the
 	// operate-on-compressed kernels (blocks read / blocks skipped) and the
@@ -100,6 +101,11 @@ type LookupOptions struct {
 	// identities fold in the overlay stamp, so look-ups pinned across a
 	// mutation boundary never share a stale entry.
 	View ReadView
+
+	// scratch is the memory of the look-up a read belongs to: ReadKeys
+	// carves the lists it decodes from it, unless Cache is to keep them.
+	// Only a look-up sets it.
+	scratch *scratch
 }
 
 // resolveLookup flattens the optional trailing options of the exported
@@ -142,24 +148,36 @@ func LookupQuery(store kv.Store, s Strategy, q *pattern.Query, opts ...LookupOpt
 }
 
 // LookupPattern returns the sorted URIs of the documents that may embed the
-// tree pattern, according to the strategy.
+// tree pattern, according to the strategy. The look-up works in a pooled
+// scratch, released when it returns.
 func LookupPattern(store kv.Store, s Strategy, t *pattern.Tree, opts ...LookupOptions) ([]string, LookupStats, error) {
 	opt := resolveLookup(opts)
+	sc := getScratch()
+	defer sc.release()
+	uris, st, err := lookupPattern(store, s, t, opt, sc)
+	// Whole KB rounded up: a look-up that used its scratch never reads 0.
+	opt.Span.MaxAttrInt("scratch_kb", (sc.bytes()+1023)/1024)
+	return uris, st, err
+}
+
+// lookupPattern is LookupPattern in sc's memory. Only the URI list it
+// returns is on the heap.
+func lookupPattern(store kv.Store, s Strategy, t *pattern.Tree, opt LookupOptions, sc *scratch) ([]string, LookupStats, error) {
 	aug := augment(t)
 	switch s {
 	case LU:
-		return lookupLU(store, s.luTableName(), aug, opt)
+		return lookupLU(store, s.luTableName(), aug, opt, sc)
 	case LUP:
-		return lookupLUP(store, s.pathTableName(), aug, opt)
+		return lookupLUP(store, s.pathTableName(), aug, opt, sc)
 	case LUI:
-		return lookupLUI(store, s.idTableName(), aug, nil, opt)
+		return lookupLUI(store, s.idTableName(), aug, nil, opt, sc)
 	case TwoLUPI:
 		// The LUP phase computes R1, the reduction set of Figure 5's
 		// LUP⋉LUI semijoin; its index reads nest under the semijoin span.
 		sj := opt.Span.Child(obs.SpanSemijoin)
 		lupOpt := opt
 		lupOpt.Span = sj
-		uris, st1, err := lookupLUP(store, s.pathTableName(), aug, lupOpt)
+		uris, st1, err := lookupLUP(store, s.pathTableName(), aug, lupOpt, sc)
 		sj.SetModeled(st1.GetTime)
 		sj.SetAttrInt("reduce_uris", int64(len(uris)))
 		sj.SetError(err)
@@ -170,7 +188,10 @@ func LookupPattern(store kv.Store, s Strategy, t *pattern.Tree, opts ...LookupOp
 		if uris == nil {
 			uris = []string{} // an empty reduction still reduces
 		}
-		out, st2, err := lookupLUI(store, s.idTableName(), aug, uris, opt)
+		// R1 is on the heap, and nothing else the LUP phase carved is read
+		// again: the LUI phase reuses its memory.
+		sc.recycle()
+		out, st2, err := lookupLUI(store, s.idTableName(), aug, uris, opt, sc)
 		st2.add(st1)
 		return out, st2, err
 	default:
@@ -214,6 +235,7 @@ func augment(t *pattern.Tree) *augmented {
 				// tells them apart on the fetched documents.
 				words = xmltree.Words(n.Pred.Const)
 			}
+			c.Children = make([]*pattern.Node, 0, len(words)+len(n.Children))
 			for _, w := range words {
 				v := &pattern.Node{Label: "#word:" + w, Axis: pattern.Descendant, Parent: c}
 				a.keys[v] = WordKey(w)
@@ -247,18 +269,19 @@ func (a *augmented) distinctKeys() []string {
 // (Section 5.2).
 func (a *augmented) queryPaths() [][]QueryStep {
 	var out [][]QueryStep
-	var rec func(n *pattern.Node, prefix []QueryStep)
-	rec = func(n *pattern.Node, prefix []QueryStep) {
-		path := append(append([]QueryStep{}, prefix...), QueryStep{Axis: n.Axis, Key: a.keys[n]})
+	var path []QueryStep // from the root to the node at hand
+	var rec func(n *pattern.Node)
+	rec = func(n *pattern.Node) {
+		path = append(path, QueryStep{Axis: n.Axis, Key: a.keys[n]})
 		if len(n.Children) == 0 {
-			out = append(out, path)
-			return
+			out = append(out, slices.Clone(path))
 		}
 		for _, c := range n.Children {
-			rec(c, path)
+			rec(c)
 		}
+		path = path[:len(path)-1]
 	}
-	rec(a.tree.Root, nil)
+	rec(a.tree.Root)
 	return out
 }
 
@@ -267,10 +290,11 @@ func (a *augmented) queryPaths() [][]QueryStep {
 // billed get count, bytes and modeled store latency annotated. It returns
 // the lists in keys' order and leaves the span open: the phase's
 // buildPostings ends it once it has built the postings of its survivors.
-func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opt LookupOptions) ([]*PostingList, LookupStats, *obs.Span, error) {
+func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opt LookupOptions, sc *scratch) ([]*PostingList, LookupStats, *obs.Span, error) {
 	get := opt.Span.Child(obs.SpanIndexGet)
 	get.SetAttr("table", table)
 	get.SetAttrInt("keys", int64(len(keys)))
+	opt.scratch = sc
 	byKey, rs, err := ReadKeys(store, table, keys, kind, binaryIDs, opt)
 	get.SetModeled(rs.GetTime)
 	get.SetAttrInt("get_ops", rs.GetOps)
@@ -280,7 +304,7 @@ func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKi
 		get.End()
 		return nil, LookupStats{}, nil, err
 	}
-	lists := make([]*PostingList, len(keys))
+	lists := sc.listSlice(len(keys))
 	seen := 0
 	for i, k := range keys {
 		lists[i] = byKey[k]
@@ -291,15 +315,15 @@ func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKi
 }
 
 // buildPostings builds the postings of the survivors of an intersection of
-// lists, in the order intersect returned them (survivor-major, one per
-// list), and ends the phase's index.get span with the count it built.
-func buildPostings(lists []*PostingList, at []int32, get *obs.Span, opt LookupOptions) ([]*Posting, error) {
-	postings := make([]*Posting, len(at))
+// lists in sc, in the order intersect returned them (survivor-major, one
+// per list), and ends the phase's index.get span with the count it built.
+func buildPostings(lists []*PostingList, at []int32, get *obs.Span, opt LookupOptions, sc *scratch) ([]*Posting, error) {
+	postings := take(&sc.ptrs, len(at))
 	built := 0
 	var err error
 	for i, row := range at {
 		var fresh bool
-		if postings[i], fresh, err = lists[i%len(lists)].postingAt(int(row)); err != nil {
+		if postings[i], fresh, err = lists[i%len(lists)].postingAt(int(row), sc); err != nil {
 			break
 		}
 		if fresh {
@@ -315,14 +339,14 @@ func buildPostings(lists []*PostingList, at []int32, get *obs.Span, opt LookupOp
 
 // lookupLU implements Section 5.1: look up every key extracted from the
 // query and intersect the URI sets.
-func lookupLU(store kv.Store, table string, aug *augmented, opt LookupOptions) ([]string, LookupStats, error) {
-	lists, stats, get, err := readKeysSpanned(store, table, aug.distinctKeys(), URIPosting, false, opt)
+func lookupLU(store kv.Store, table string, aug *augmented, opt LookupOptions, sc *scratch) ([]string, LookupStats, error) {
+	lists, stats, get, err := readKeysSpanned(store, table, aug.distinctKeys(), URIPosting, false, opt, sc)
 	if err != nil {
 		return nil, LookupStats{}, err
 	}
-	uris, _ := intersect(lists)
-	buildPostings(lists, nil, get, opt) // none: presence is the answer
-	return uris, stats, nil
+	uris, _ := intersect(lists, sc)
+	buildPostings(lists, nil, get, opt, sc) // none: presence is the answer
+	return heapURIs(uris), stats, nil
 }
 
 // lookupLUP implements Section 5.2: for each root-to-leaf query path, look
@@ -332,7 +356,7 @@ func lookupLU(store kv.Store, table string, aug *augmented, opt LookupOptions) (
 // URI sets are intersected first and postings are built and matched only
 // for the URIs every key holds. Every path value was validated when its key
 // was read, so skipping the others hides no error.
-func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions) ([]string, LookupStats, error) {
+func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions, sc *scratch) ([]string, LookupStats, error) {
 	paths := aug.queryPaths()
 	keySet := make(map[string]bool)
 	for _, p := range paths {
@@ -343,12 +367,12 @@ func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions) 
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	lists, stats, get, err := readKeysSpanned(store, table, keys, PathPosting, false, opt)
+	lists, stats, get, err := readKeysSpanned(store, table, keys, PathPosting, false, opt, sc)
 	if err != nil {
 		return nil, LookupStats{}, err
 	}
-	uris, at := intersect(lists)
-	postings, err := buildPostings(lists, at, get, opt)
+	uris, at := intersect(lists, sc)
+	postings, err := buildPostings(lists, at, get, opt, sc)
 	if err != nil {
 		return nil, LookupStats{}, err
 	}
@@ -359,7 +383,7 @@ func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions) 
 		matchers[i] = NewPathMatcher(qp)
 		keyOf[i], _ = slices.BinarySearch(keys, qp[len(qp)-1].Key)
 	}
-	var out []string
+	out := take(&sc.uris, len(uris))[:0]
 	for ui, uri := range uris {
 		ok := true
 		for i := range paths {
@@ -374,7 +398,16 @@ func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions) 
 			out = append(out, uri)
 		}
 	}
-	return out, stats, nil
+	return heapURIs(out), stats, nil
+}
+
+// heapURIs copies the URI list a look-up returns out of its scratch, nil
+// when it is empty.
+func heapURIs(uris []string) []string {
+	if len(uris) == 0 {
+		return nil
+	}
+	return slices.Clone(uris)
 }
 
 // matchesAny reports whether any of the posting's path values matches.
@@ -392,9 +425,9 @@ func matchesAny(m *PathMatcher, p *Posting) (bool, error) {
 // When reduce is non-nil (the 2LUPI plan of Figure 5), only URIs in it are
 // considered — the semijoin with the LUP result R1, which joins the merge
 // as one more list.
-func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, opt LookupOptions) ([]string, LookupStats, error) {
+func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, opt LookupOptions, sc *scratch) ([]string, LookupStats, error) {
 	keys := aug.distinctKeys()
-	lists, stats, get, err := readKeysSpanned(store, table, keys, IDPosting, store.Limits().SupportsBinary, opt)
+	lists, stats, get, err := readKeysSpanned(store, table, keys, IDPosting, store.Limits().SupportsBinary, opt, sc)
 	if err != nil {
 		return nil, LookupStats{}, err
 	}
@@ -404,9 +437,11 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, op
 	// without a separate sort.
 	merged := lists
 	if reduce != nil {
-		merged = append(lists[:len(lists):len(lists)], uriList(reduce))
+		merged = sc.listSlice(len(lists) + 1)
+		copy(merged, lists)
+		merged[len(lists)] = uriList(reduce, sc)
 	}
-	ordered, at := intersect(merged)
+	ordered, at := intersect(merged, sc)
 	if reduce != nil {
 		// The reduction list has no postings: drop its column.
 		kept := at[:0]
@@ -417,7 +452,7 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, op
 		}
 		at = kept
 	}
-	postings, err := buildPostings(lists, at, get, opt)
+	postings, err := buildPostings(lists, at, get, opt, sc)
 	if err != nil {
 		return nil, LookupStats{}, err
 	}
@@ -426,51 +461,60 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, op
 	tj.SetAttrInt("candidates", int64(len(ordered)))
 
 	// The per-candidate holistic twig joins are independent CPU work over
-	// read-only postings; fan them out across the worker pool. Candidates
-	// are in sorted order so the output (and any future tie-breaking) never
-	// depends on scheduling; per-candidate join stats are summed in that
-	// same order, keeping the obs counters deterministic too.
+	// read-only postings; fan them out across the worker pool, each worker
+	// joining in a sub-scratch of its own. Candidates are in sorted order so
+	// the output (and any future tie-breaking) never depends on scheduling;
+	// per-candidate join stats are summed in that same order, keeping the
+	// obs counters deterministic too.
 	//
 	// Only here do identifier sets decode: a raw posting on its first IDSet,
 	// a blocked one block by block inside the join. decoded counts the raw
 	// postings this look-up decoded: none that an earlier look-up sharing
 	// them through the cache decoded already, none that are blocked.
-	matched := make([]bool, len(ordered))
-	joinStats := make([]twigjoin.JoinStats, len(ordered))
-	errs := make([]error, len(ordered))
-	decoded := make([]int, len(ordered))
-	matchOne := func(ci int) {
-		sets := make(map[string]*idblock.Set, len(keys))
-		for ki, k := range keys {
+	type nodeKey struct {
+		n  *pattern.Node
+		ki int
+	}
+	var nodes []nodeKey
+	aug.tree.Walk(func(n *pattern.Node) {
+		ki, _ := slices.BinarySearch(keys, aug.keys[n])
+		nodes = append(nodes, nodeKey{n, ki})
+	})
+	cands := take(&sc.cands, len(ordered))
+	matchOne := func(ci int, w *scratch) {
+		c := &cands[ci]
+		w.sets = slices.Grow(w.sets[:0], len(keys))[:len(keys)]
+		for ki := range keys {
 			p := postings[ci*len(keys)+ki]
 			if p.IDCount() == 0 {
 				return
 			}
 			var fresh bool
-			sets[k], fresh = p.idSet()
+			w.sets[ki], fresh = p.idSet(&w.ids)
 			if fresh {
-				decoded[ci]++
+				c.decoded++
 			}
 		}
-		streams := make(twigjoin.IndexedStreams)
-		aug.tree.Walk(func(n *pattern.Node) { streams[n] = sets[aug.keys[n]] })
-		matched[ci], errs[ci] = twigjoin.MatchIndexed(aug.tree, streams, &joinStats[ci])
+		for _, nk := range nodes {
+			w.streams[nk.n] = w.sets[nk.ki]
+		}
+		c.matched, c.err = w.join.MatchIndexed(aug.tree, w.streams, &c.js)
 	}
 	if workers := min(opt.workers(), len(ordered)); workers <= 1 {
 		for ci := range ordered {
-			matchOne(ci)
+			matchOne(ci, sc)
 		}
 	} else {
 		var wg sync.WaitGroup
 		idx := make(chan int)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func() {
+			go func(w *scratch) {
 				defer wg.Done()
 				for ci := range idx {
-					matchOne(ci)
+					matchOne(ci, w)
 				}
-			}()
+			}(sc.sub())
 		}
 		for ci := range ordered {
 			idx <- ci
@@ -480,28 +524,28 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, op
 	}
 	var total twigjoin.JoinStats
 	postingsDecoded := 0
-	for ci, js := range joinStats {
-		total.Add(js)
-		postingsDecoded += decoded[ci]
+	for _, c := range cands {
+		total.Add(c.js)
+		postingsDecoded += c.decoded
 	}
 	opt.Joins.addJoin(total)
 	tj.SetAttrInt("postings_decoded", int64(postingsDecoded))
 	tj.SetAttrInt("blocks_read", total.BlocksRead)
 	tj.SetAttrInt("blocks_skipped", total.BlocksSkipped)
-	for _, err := range errs {
-		if err != nil {
-			tj.SetError(err)
+	for _, c := range cands {
+		if c.err != nil {
+			tj.SetError(c.err)
 			tj.End()
-			return nil, stats, err
+			return nil, stats, c.err
 		}
 	}
-	var out []string
+	out := take(&sc.uris, len(ordered))[:0]
 	for ci, uri := range ordered {
-		if matched[ci] {
+		if cands[ci].matched {
 			out = append(out, uri)
 		}
 	}
 	tj.SetAttrInt("matched", int64(len(out)))
 	tj.End()
-	return out, stats, nil
+	return heapURIs(out), stats, nil
 }

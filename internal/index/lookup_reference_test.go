@@ -107,7 +107,7 @@ func (d *refKeyDecoder) attr(c *kv.Records) {
 		}
 	case IDPosting:
 		for v, ok := c.NextValue(); ok; v, ok = c.NextValue() {
-			iv, err := classifyIDValue(v, d.binaryIDs)
+			iv, err := classifyIDValue(v, d.binaryIDs, nil)
 			if err != nil {
 				d.err = err
 				return
@@ -129,7 +129,7 @@ func (d *refKeyDecoder) attr(c *kv.Records) {
 				d.eager = map[*Posting][]xmltree.NodeID{}
 			}
 			if p.raw != nil {
-				d.eager[p] = appendEager(d.eager[p], mustDecodeStream(p.raw, p.n))
+				d.eager[p] = appendEager(d.eager[p], mustDecodeStream(p.raw, p.n, nil))
 				p.raw, p.n = nil, 0
 			}
 			switch {
@@ -139,7 +139,7 @@ func (d *refKeyDecoder) attr(c *kv.Records) {
 				}
 				d.segs[p] = append(d.segs[p], iv.set)
 			case iv.stream != nil:
-				d.eager[p] = appendEager(d.eager[p], mustDecodeStream(iv.stream, iv.n))
+				d.eager[p] = appendEager(d.eager[p], mustDecodeStream(iv.stream, iv.n, nil))
 			default:
 				d.eager[p] = appendEager(d.eager[p], iv.ids)
 			}
@@ -394,7 +394,7 @@ func allPostings(l *PostingList) (map[string]*Posting, error) {
 	}
 	out := make(map[string]*Posting, l.Len())
 	for i := 0; i < len(l.rows); i = l.runEnd(i) {
-		p, _, err := l.postingAt(i)
+		p, _, err := l.postingAt(i, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -406,7 +406,7 @@ func allPostings(l *PostingList) (map[string]*Posting, error) {
 // decodeItems runs the record decoder over items, the way a read hands it a
 // key's records, and builds every posting.
 func decodeItems(items []kv.Item, kind PostingKind, binaryIDs bool) (map[string]*Posting, error) {
-	l, err := decodeKey(kv.ItemRecords(items), nil, kind, binaryIDs)
+	l, err := decodeKey(kv.ItemRecords(items), nil, kind, binaryIDs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +432,7 @@ func readPostings(store kv.Store, table string, keys []string, kind PostingKind,
 // listOf decodes items as one key's records.
 func listOf(t testing.TB, items []kv.Item, kind PostingKind, binaryIDs bool) *PostingList {
 	t.Helper()
-	l, err := decodeKey(kv.ItemRecords(items), nil, kind, binaryIDs)
+	l, err := decodeKey(kv.ItemRecords(items), nil, kind, binaryIDs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

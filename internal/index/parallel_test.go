@@ -223,7 +223,7 @@ func TestPostingCacheConcurrent(t *testing.T) {
 				k := cacheKey{table: "t", key: fmt.Sprintf("k%d", (g+i)%37), kind: URIPosting}
 				switch i % 3 {
 				case 0:
-					cache.put(k, uriList([]string{"d.xml"}))
+					cache.put(k, uriList([]string{"d.xml"}, nil))
 				case 1:
 					cache.get(k)
 				default:

@@ -122,16 +122,16 @@ func TestIntersectMergesSortedLists(t *testing.T) {
 	a := rows(long...)
 	b := rows("u000", "u000", "u007", "u150", "u150", "u150", "u299", "u300")
 	c := rows("u007", "u150", "u151", "u299")
-	uris, at := intersect([]*PostingList{a, b, c})
+	uris, at := intersect([]*PostingList{a, b, c}, newScratch())
 	wantURIs := []string{"u007", "u150", "u299"}
 	wantAt := []int32{7, 2, 0, 150, 3, 1, 299, 6, 3}
 	if fmt.Sprint(uris) != fmt.Sprint(wantURIs) || fmt.Sprint(at) != fmt.Sprint(wantAt) {
 		t.Fatalf("intersect = %v %v, want %v %v", uris, at, wantURIs, wantAt)
 	}
-	if uris, _ := intersect([]*PostingList{a, nil}); uris != nil {
+	if uris, _ := intersect([]*PostingList{a, nil}, newScratch()); uris != nil {
 		t.Fatalf("intersect with an empty list = %v", uris)
 	}
-	if uris, _ := intersect([]*PostingList{a, uriList([]string{"u042", "zzz"})}); fmt.Sprint(uris) != "[u042]" {
+	if uris, _ := intersect([]*PostingList{a, uriList([]string{"u042", "zzz"}, nil)}, newScratch()); fmt.Sprint(uris) != "[u042]" {
 		t.Fatalf("intersect with a reduction list = %v", uris)
 	}
 }
@@ -147,7 +147,7 @@ func BenchmarkInvalidateExtraction(b *testing.B) {
 		table := LUP.Tables()[0]
 		ex.Tables[table] = append(ex.Tables[table], Entry{Key: fmt.Sprintf("e%04d", i)})
 	}
-	presence := uriList([]string{"doc.xml"})
+	presence := uriList([]string{"doc.xml"}, nil)
 	for _, resident := range []int{1_000, 50_000} {
 		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
 			cache := NewPostingCache(1 << 40)

@@ -7,8 +7,7 @@ import (
 )
 
 // This file holds extraction as it was before the single-pass collector:
-// one NodeKeys and one PathOf call per key occurrence, a map of path
-// strings per key. It is the definition the collector is tested against
+// one NodeKeys call per key occurrence, a map of path strings per key. It is the definition the collector is tested against
 // (TestExtractMatchesReference, FuzzExtractDifferential); nothing outside
 // the tests calls it.
 
@@ -83,7 +82,10 @@ func assembleReference(s Strategy, uri string, infos map[string]*keyInfo, opts O
 
 // collectReference gathers the identifier list of every key, and its paths
 // if paths is set. Nodes are visited in pre order, so each key's identifier
-// list is sorted by pre.
+// list is sorted by pre, and a node's parent comes before it: a node's path
+// under key k is PathOf(n, k), its parent's path extended by k's component,
+// which is how it is built here — once per node, where PathOf's walk over
+// the ancestors would make the reference quadratic in the depth.
 func collectReference(doc *xmltree.Document, skipWords, paths bool) map[string]*keyInfo {
 	infos := make(map[string]*keyInfo)
 	get := func(k string) *keyInfo {
@@ -94,14 +96,22 @@ func collectReference(doc *xmltree.Document, skipWords, paths bool) map[string]*
 		}
 		return info
 	}
+	elemPaths := make(map[*xmltree.Node]string) // an element's own path
 	for _, n := range doc.Nodes() {
+		var parent string
+		if paths && n.Parent != nil {
+			parent = elemPaths[n.Parent]
+		}
+		if paths && n.Kind == xmltree.Element {
+			elemPaths[n] = parent + "/" + escapeComponent(ElementKey(n.Label))
+		}
 		if skipWords && n.Kind == xmltree.Text {
 			continue
 		}
 		for _, k := range NodeKeys(n) {
 			info := get(k)
 			if paths {
-				info.paths[PathOf(n, k)] = true
+				info.paths[parent+"/"+escapeComponent(k)] = true
 			}
 			info.ids = append(info.ids, n.ID)
 		}

@@ -328,6 +328,7 @@ type Posting struct {
 	n       int                         // identifier count unless blocked
 	blocked *idblock.Set                // lazy set decoded from blocked blobs
 	wrapped atomic.Pointer[idblock.Set] // raw or eager identifiers, one block
+	scoped  bool                        // carved from a look-up's scratch
 }
 
 // setIDs makes p an eager posting over ids, which must be in pre order.
@@ -350,24 +351,29 @@ func (p *Posting) IDCount() int {
 // atomic — racing callers may decode it twice but all end up with one
 // winner.
 func (p *Posting) IDSet() *idblock.Set {
-	s, _ := p.idSet()
+	s, _ := p.idSet(nil)
 	return s
 }
 
 // idSet is IDSet, also telling whether this call decoded a raw stream (the
-// memo was empty when it looked).
-func (p *Posting) idSet() (*idblock.Set, bool) {
+// memo was empty when it looked). A posting carved from a look-up's scratch
+// decodes into a, the arena of the goroutine asking; any other decodes on
+// the heap, since the cache may share it.
+func (p *Posting) idSet(a *idblock.Arena) (*idblock.Set, bool) {
 	if p.blocked != nil {
 		return p.blocked, false
 	}
 	if s := p.wrapped.Load(); s != nil || p.n == 0 {
 		return s, false
 	}
-	ids := mustDecodeStream(p.raw, p.n)
+	if !p.scoped {
+		a = nil
+	}
+	ids := mustDecodeStream(p.raw, p.n, a)
 	if !idblock.IsSorted(ids) {
 		sortIDs(ids)
 	}
-	p.wrapped.CompareAndSwap(nil, idblock.FromIDs(ids))
+	p.wrapped.CompareAndSwap(nil, a.FromIDs(ids))
 	return p.wrapped.Load(), true
 }
 
@@ -396,8 +402,12 @@ func (p *Posting) DecodedIDs() ([]xmltree.NodeID, error) {
 // look-up's (TwigCandidates stays zero): only keys actually fetched from the
 // store count toward GetOps, GetTime and BytesFetched. A key without records
 // has no list.
+//
+// The lists a read decodes are carved from opts' scratch, when a look-up
+// reads into its own memory, unless the cache is to keep them.
 func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opts ...LookupOptions) (out map[string]*PostingList, rs LookupStats, err error) {
 	opt := resolveLookup(opts)
+	sc := opt.scratch
 	retrySrc, _ := store.(kv.RetryStatsSource)
 	var retriesBefore int64
 	if retrySrc != nil {
@@ -408,7 +418,7 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 			rs.StoreRetries = retrySrc.RetryStats().Retries - retriesBefore
 		}
 	}()
-	out = make(map[string]*PostingList, len(keys))
+	lists := sc.listSlice(len(keys)) // in keys' order, nil for a key without records
 
 	// Snapshot reads: capture the write-buffer overlay BEFORE touching the
 	// cache or the store. A concurrent compaction fold that lands after
@@ -421,21 +431,32 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 	}
 	stampOf := func(k string) uint64 { return overlays[k].Stamp }
 
-	fetch := keys
+	// fetch are the keys to read; the i-th is keys[at[i]], or keys[i] when
+	// at is nil.
+	fetch, at := keys, []int32(nil)
 	if opt.Cache != nil {
-		fetch = make([]string, 0, len(keys))
-		for _, k := range keys {
+		fetch, at = make([]string, 0, len(keys)), make([]int32, 0, len(keys))
+		for i, k := range keys {
 			if l, ok := opt.Cache.get(cacheKey{table: table, key: k, kind: kind, ver: stampOf(k)}); ok {
-				out[k] = l
+				lists[i] = l
 				rs.CacheHits++
 			} else {
 				rs.CacheMisses++
 				fetch = append(fetch, k)
+				at = append(at, int32(i))
 			}
 		}
+		// The cache keeps what the read decodes: the heap's.
+		sc = nil
 	}
 	if len(fetch) == 0 {
-		return applyViewTombstones(out, overlays, rs)
+		return byKey(keys, lists, overlays, rs)
+	}
+	keyOf := func(fi int) int {
+		if at == nil {
+			return fi
+		}
+		return int(at[fi])
 	}
 
 	lim := store.Limits().BatchGetKeys
@@ -444,30 +465,32 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 	}
 	chunks := (len(fetch) + lim - 1) / lim
 	type chunkResult struct {
-		lists map[string]*PostingList
 		d     time.Duration
 		bytes int64
 		gets  int64 // keys billed against the store
 		err   error
 	}
 	results := make([]chunkResult, chunks)
-	fetchChunk := func(ci int) chunkResult {
+	fetchChunk := func(ci int, sc *scratch) chunkResult {
 		start := ci * lim
-		end := start + lim
-		if end > len(fetch) {
-			end = len(fetch)
-		}
+		end := min(start+lim, len(fetch))
 		chunk := fetch[start:end]
-		cr := chunkResult{lists: make(map[string]*PostingList, len(chunk)), gets: int64(len(chunk))}
+		cr := chunkResult{gets: int64(len(chunk))}
+		next := 0 // where k is when the store visits in request order
 		d, err := store.Read(opt.Ctx, table, chunk, func(k string, recs *kv.Records) {
 			cr.bytes += recs.Tally().Bytes
 			if cr.err != nil {
 				return
 			}
+			j := next
+			if j >= len(chunk) || chunk[j] != k {
+				j = slices.Index(chunk, k)
+			}
+			next = j + 1
 			// Replacement contributions from the write buffer supersede the
 			// owner's main-store records; they come from memory and bill
 			// nothing.
-			l, err := decodeKey(recs, overlays[k].Replaces, kind, binaryIDs)
+			l, err := decodeKey(recs, overlays[k].Replaces, kind, binaryIDs, sc)
 			if err != nil {
 				cr.err = fmt.Errorf("key %q: %w", k, err)
 				return
@@ -479,7 +502,7 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 				// The cache keeps the list beyond this read.
 				l.detach()
 			}
-			cr.lists[k] = l
+			lists[keyOf(start+j)] = l
 		})
 		if err != nil {
 			return chunkResult{err: err}
@@ -490,19 +513,19 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 
 	if workers := min(opt.workers(), chunks); workers <= 1 {
 		for ci := range results {
-			results[ci] = fetchChunk(ci)
+			results[ci] = fetchChunk(ci, sc)
 		}
 	} else {
 		var wg sync.WaitGroup
 		idx := make(chan int)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func() {
+			go func(sc *scratch) {
 				defer wg.Done()
 				for ci := range idx {
-					results[ci] = fetchChunk(ci)
+					results[ci] = fetchChunk(ci, sc)
 				}
-			}()
+			}(sc.sub())
 		}
 		for ci := 0; ci < chunks; ci++ {
 			idx <- ci
@@ -511,42 +534,49 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 		wg.Wait()
 	}
 
-	for _, cr := range results {
+	for ci, cr := range results {
 		if cr.err != nil {
 			return nil, rs, cr.err
 		}
 		rs.GetTime += cr.d
 		rs.BytesFetched += cr.bytes
 		rs.GetOps += cr.gets
-		for k, l := range cr.lists {
-			out[k] = l
-			if opt.Cache != nil {
-				evicted, err := opt.Cache.put(cacheKey{table: table, key: k, kind: kind, ver: stampOf(k)}, l)
-				if err != nil {
-					return nil, rs, fmt.Errorf("key %q: %w", k, err)
-				}
-				rs.CacheEvictions += evicted
-			}
-		}
-	}
-	return applyViewTombstones(out, overlays, rs)
-}
-
-// applyViewTombstones subtracts the captured tombstones from the assembled
-// lists on the way out — after cache fills, so the cache keeps the
-// version-agnostic carrier and each pinned view applies its own deletes at
-// read time.
-func applyViewTombstones(out map[string]*PostingList, overlays map[string]kv.Overlay, rs LookupStats) (map[string]*PostingList, LookupStats, error) {
-	for k, ov := range overlays {
-		l, ok := out[k]
-		if !ok || len(ov.Tombstones) == 0 {
+		if opt.Cache == nil {
 			continue
 		}
-		filtered, err := applyTombstones(l, ov)
-		if err != nil {
-			return nil, rs, err
+		for fi := ci * lim; fi < min((ci+1)*lim, len(fetch)); fi++ {
+			l := lists[keyOf(fi)]
+			if l == nil {
+				continue
+			}
+			evicted, err := opt.Cache.put(cacheKey{table: table, key: fetch[fi], kind: kind, ver: stampOf(fetch[fi])}, l)
+			if err != nil {
+				return nil, rs, fmt.Errorf("key %q: %w", fetch[fi], err)
+			}
+			rs.CacheEvictions += evicted
 		}
-		out[k] = filtered
+	}
+	return byKey(keys, lists, overlays, rs)
+}
+
+// byKey maps each key to its list, with the captured tombstones subtracted
+// on the way out — after cache fills, so the cache keeps the
+// version-agnostic carrier and each pinned view applies its own deletes at
+// read time.
+func byKey(keys []string, lists []*PostingList, overlays map[string]kv.Overlay, rs LookupStats) (map[string]*PostingList, LookupStats, error) {
+	out := make(map[string]*PostingList, len(keys))
+	for i, k := range keys {
+		l := lists[i]
+		if l == nil {
+			continue
+		}
+		if ov := overlays[k]; len(ov.Tombstones) > 0 {
+			var err error
+			if l, err = applyTombstones(l, ov); err != nil {
+				return nil, rs, err
+			}
+		}
+		out[k] = l
 	}
 	return out, rs, nil
 }
@@ -606,19 +636,24 @@ func (l *PostingList) Posting(uri string) (*Posting, error) {
 	if i == len(l.rows) || l.rows[i].uri != uri {
 		return nil, nil
 	}
-	p, _, err := l.postingAt(i)
+	p, _, err := l.postingAt(i, nil)
 	return p, err
 }
 
 // postingAt returns the posting of the URI whose first row is rows[i],
-// also telling whether this call built it.
-func (l *PostingList) postingAt(i int) (p *Posting, fresh bool, err error) {
+// also telling whether this call built it. A list the cache holds builds
+// on the heap and memoizes; any other builds in sc (the heap when sc is
+// nil).
+func (l *PostingList) postingAt(i int, sc *scratch) (p *Posting, fresh bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if p := l.built[int32(i)]; p != nil {
 		return p, false, nil
 	}
-	p, err = buildPosting(l.rows[i:l.runEnd(i)], l.kind, l.binaryIDs)
+	if l.shared {
+		sc = nil
+	}
+	p, err = buildPosting(l.rows[i:l.runEnd(i)], l.kind, l.binaryIDs, sc)
 	if err != nil || !l.shared {
 		return p, err == nil, err
 	}
@@ -698,13 +733,13 @@ func (l *PostingList) cacheCharge() (int64, error) {
 		end := l.runEnd(i)
 		if end-i > 1 {
 			for _, r := range l.rows[i:end] {
-				iv, err := classifyIDValue(r.v, l.binaryIDs)
+				iv, err := classifyIDValue(r.v, l.binaryIDs, nil)
 				if err != nil {
 					return 0, err
 				}
 				n -= iv.charge()
 			}
-			p, _, err := l.postingAt(i)
+			p, _, err := l.postingAt(i, nil)
 			if err != nil {
 				return 0, err
 			}
@@ -720,9 +755,10 @@ func (l *PostingList) cacheCharge() (int64, error) {
 // overlay merge"): a record whose only attribute names a replaced owner is
 // skipped, since replaces holds that owner's whole contribution. It returns
 // nil when there is no record to decode; records without attributes decode
-// to an empty list. The rows are one slab, sized from the tallies; every
-// value is validated here whatever its shape, and no posting is built.
-func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind, binaryIDs bool) (*PostingList, error) {
+// to an empty list. The list and its rows, one slab sized from the tallies,
+// are carved from sc (the heap when sc is nil); every value is validated
+// here whatever its shape, and no posting is built.
+func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind, binaryIDs bool, sc *scratch) (*PostingList, error) {
 	sum := recs.Tally()
 	var repl *kv.Records
 	if len(replaces) > 0 {
@@ -739,10 +775,8 @@ func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind
 	if kind == URIPosting {
 		rows = sum.Attrs
 	}
-	d := keyDecoder{
-		l:      &PostingList{kind: kind, binaryIDs: binaryIDs, rows: make([]uriRow, 0, rows)},
-		sorted: true,
-	}
+	d := keyDecoder{l: sc.list(), sorted: true, arena: sc.arena()}
+	d.l.kind, d.l.binaryIDs, d.l.rows = kind, binaryIDs, sc.rowSlice(int(rows))[:0]
 	defer d.release()
 	more := repl != nil && repl.Next()
 	for recs.Next() && d.err == nil {
@@ -784,7 +818,8 @@ func replacementRecords(replaces map[string][]kv.Item) *kv.Records {
 // keyDecoder is the state of one key's decode.
 type keyDecoder struct {
 	l      *PostingList
-	sorted bool // the rows so far are in URI order
+	arena  *idblock.Arena // what validating a blocked value parses into
+	sorted bool           // the rows so far are in URI order
 	// uriCharge is the cache charge of the URIs counted in l.uris; both
 	// are final once the rows are sorted.
 	uriCharge int64
@@ -978,7 +1013,7 @@ func (d *keyDecoder) attr(c *kv.Records) {
 			}
 			d.l.charge += int64(len(v))
 		} else {
-			iv, err := classifyIDValue(v, d.l.binaryIDs)
+			iv, err := classifyIDValue(v, d.l.binaryIDs, d.arena)
 			if err != nil {
 				d.err = err
 				return
@@ -1013,35 +1048,48 @@ func (d *keyDecoder) add(uri string, v kv.Value) {
 	d.l.rows = append(rows, uriRow{uri: uri, v: v})
 }
 
-// buildPosting builds the posting of one URI from its rows.
-func buildPosting(rows []uriRow, kind PostingKind, binaryIDs bool) (*Posting, error) {
-	p := &Posting{URI: rows[0].uri}
+// buildPosting builds the posting of one URI from its rows, in sc (the heap
+// when sc is nil).
+func buildPosting(rows []uriRow, kind PostingKind, binaryIDs bool, sc *scratch) (*Posting, error) {
+	p := sc.posting()
+	p.URI = rows[0].uri
 	switch kind {
 	case PathPosting:
+		n := 0
 		for _, r := range rows {
 			if len(r.v) > 0 {
-				p.PathVals = append(p.PathVals, r.v)
+				n++
+			}
+		}
+		if n > 0 {
+			p.PathVals = sc.valSlice(n)[:0]
+			for _, r := range rows {
+				if len(r.v) > 0 {
+					p.PathVals = append(p.PathVals, r.v)
+				}
 			}
 		}
 	case IDPosting:
-		if err := buildIDs(p, rows, binaryIDs); err != nil {
+		if err := buildIDs(p, rows, binaryIDs, sc.arena()); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// buildIDs gives an identifier posting its shape from its values. The one
-// non-empty value that is a headerless stream stays raw; blocked segments
-// are collected for finishIDPosting; anything else decodes eagerly.
-func buildIDs(p *Posting, rows []uriRow, binaryIDs bool) error {
+// buildIDs gives an identifier posting its shape from its values, parsing
+// blocked values into a (the heap when a is nil). The one non-empty value
+// that is a headerless stream stays raw; blocked segments are collected for
+// finishIDPosting; anything else decodes eagerly, on the heap.
+func buildIDs(p *Posting, rows []uriRow, binaryIDs bool, a *idblock.Arena) error {
 	var (
-		segs    []*idblock.Set
+		one     [1]*idblock.Set
+		segs    = one[:0] // most postings hold one segment at most
 		eager   []xmltree.NodeID
 		several bool // more than one non-empty value
 	)
 	for _, r := range rows {
-		iv, err := classifyIDValue(r.v, binaryIDs)
+		iv, err := classifyIDValue(r.v, binaryIDs, a)
 		if err != nil {
 			return err
 		}
@@ -1058,14 +1106,14 @@ func buildIDs(p *Posting, rows []uriRow, binaryIDs bool) error {
 		if p.raw != nil {
 			// Any second value: the held stream joins the eager path,
 			// whatever the order the records arrived in.
-			eager = appendEager(eager, mustDecodeStream(p.raw, p.n))
+			eager = appendEager(eager, mustDecodeStream(p.raw, p.n, nil))
 			p.raw, p.n = nil, 0
 		}
 		switch {
 		case iv.set != nil:
 			segs = append(segs, iv.set)
 		case iv.stream != nil:
-			eager = appendEager(eager, mustDecodeStream(iv.stream, iv.n))
+			eager = appendEager(eager, mustDecodeStream(iv.stream, iv.n, nil))
 		default:
 			eager = appendEager(eager, iv.ids)
 		}

@@ -47,10 +47,11 @@ func (j *JoinCounters) addBuilt(n int) {
 	j.PostingsBuilt.Add(int64(n))
 }
 
-// uriList returns a list of presence rows over sorted, distinct URIs: a
-// reduction set entering a merge.
-func uriList(uris []string) *PostingList {
-	l := &PostingList{kind: URIPosting, rows: make([]uriRow, len(uris)), uris: len(uris)}
+// uriList returns a list of presence rows over sorted, distinct URIs, in
+// sc (the heap when sc is nil): a reduction set entering a merge.
+func uriList(uris []string, sc *scratch) *PostingList {
+	l := sc.list()
+	l.kind, l.rows, l.uris = URIPosting, sc.rowSlice(len(uris)), len(uris)
 	for i, u := range uris {
 		l.rows[i].uri = u
 	}
@@ -59,8 +60,9 @@ func uriList(uris []string) *PostingList {
 
 // intersect returns the sorted URIs every list holds and, for the i-th of
 // them, at[i*len(lists)+j] is the index of its first row in lists[j]. A nil
-// list is empty.
-func intersect(lists []*PostingList) (uris []string, at []int32) {
+// list is empty. Both outputs are carved from sc, at the size the list with
+// the fewest rows bounds them to; they are nil when no URI survives.
+func intersect(lists []*PostingList, sc *scratch) (uris []string, at []int32) {
 	if len(lists) == 0 {
 		return nil, nil
 	}
@@ -74,7 +76,9 @@ func intersect(lists []*PostingList) (uris []string, at []int32) {
 		}
 	}
 	driver := lists[d]
-	pos := make([]int, len(lists))
+	pos := take(&sc.ints, len(lists))
+	uris = take(&sc.uris, driver.Len())[:0]
+	at = take(&sc.ints, driver.Len()*len(lists))[:0]
 	for i := 0; i < len(driver.rows); {
 		uri := driver.rows[i].uri
 		next := "" // the URI a list overshot to, when one did
@@ -82,11 +86,11 @@ func intersect(lists []*PostingList) (uris []string, at []int32) {
 			if j == d {
 				continue
 			}
-			p := l.seek(pos[j], uri)
+			p := l.seek(int(pos[j]), uri)
 			if p == len(l.rows) {
-				return uris, at
+				return survivors(uris, at)
 			}
-			pos[j] = p
+			pos[j] = int32(p)
 			if u := l.rows[p].uri; u != uri {
 				next = u
 				break
@@ -96,12 +100,18 @@ func intersect(lists []*PostingList) (uris []string, at []int32) {
 			i = driver.seek(i, next)
 			continue
 		}
-		pos[d] = i
+		pos[d] = int32(i)
 		uris = append(uris, uri)
-		for _, p := range pos {
-			at = append(at, int32(p))
-		}
+		at = append(at, pos...)
 		i = driver.runEnd(i)
+	}
+	return survivors(uris, at)
+}
+
+// survivors returns intersect's outputs, nil when no URI survived.
+func survivors(uris []string, at []int32) ([]string, []int32) {
+	if len(uris) == 0 {
+		return nil, nil
 	}
 	return uris, at
 }

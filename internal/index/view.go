@@ -26,7 +26,7 @@ type ReadView interface {
 // owner into one set, the per-version tombstone consulted at read time. It
 // goes through the record decoder like any stored value.
 func deadSetFor(owner string, items []kv.Item, binaryIDs bool) (*idblock.Set, error) {
-	l, err := decodeKey(kv.ItemRecords(items), nil, IDPosting, binaryIDs)
+	l, err := decodeKey(kv.ItemRecords(items), nil, IDPosting, binaryIDs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func applyTombstones(l *PostingList, ov kv.Overlay) (*PostingList, error) {
 			i = end
 			continue
 		default:
-			p, _, err := l.postingAt(i)
+			p, _, err := l.postingAt(i, nil)
 			if err != nil {
 				return nil, err
 			}

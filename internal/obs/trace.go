@@ -191,6 +191,26 @@ func (s *Span) SetAttrInt(key string, value int64) {
 	s.SetAttr(key, strconv.FormatInt(value, 10))
 }
 
+// MaxAttrInt annotates the span with an integer value unless it carries a
+// larger one under key already: the largest of several stages' figures.
+func (s *Span) MaxAttrInt(key string, value int64) {
+	if s == nil {
+		return
+	}
+	v := strconv.FormatInt(value, 10)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, a := range s.attrs {
+		if a.Key == key {
+			if old, err := strconv.ParseInt(a.Value, 10, 64); err != nil || value > old {
+				s.attrs[i].Value = v
+			}
+			return
+		}
+	}
+	s.attrs = append(s.attrs, Attr{key, v})
+}
+
 // SetError records an error on the span (no-op for nil error or span).
 func (s *Span) SetError(err error) {
 	if s == nil || err == nil {

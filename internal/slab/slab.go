@@ -1,0 +1,65 @@
+// Package slab is memory whose lifetime is one request: slices carved at
+// exact size from chunks that the request's owner clears and keeps for the
+// next request, instead of leaving them to the collector. The evaluator's
+// rows (package engine) and the index look-up's decode (package index, with
+// package idblock's Arena) are carved this way.
+package slab
+
+import "unsafe"
+
+// Chunks is memory handed out in slices of exact size: list[:used] are the
+// chunks carved from, cur the unused rest of the last of them, and the
+// others free. The zero value is ready for use. Chunks is not safe for
+// concurrent use.
+type Chunks[T any] struct {
+	list   [][]T
+	used   int
+	cur    []T
+	carved int // slots handed out since the last Reset
+}
+
+// Take returns n zeroed slots with capacity n, from a new chunk of at least
+// least slots when the current one and the next free one are too short.
+func (c *Chunks[T]) Take(n, least int) []T {
+	if n > len(c.cur) {
+		if c.used == len(c.list) || len(c.list[c.used]) < n {
+			c.list = append(c.list, make([]T, max(n, least)))
+			last := len(c.list) - 1
+			c.list[c.used], c.list[last] = c.list[last], c.list[c.used]
+		}
+		c.cur = c.list[c.used]
+		c.used++
+	}
+	x := c.cur[:n:n]
+	c.cur = c.cur[n:]
+	c.carved += n
+	return x
+}
+
+// Bytes returns the size of the slots handed out since the last Reset.
+func (c *Chunks[T]) Bytes() int64 {
+	var zero T
+	return int64(c.carved) * int64(unsafe.Sizeof(zero))
+}
+
+// Reset clears the chunks carved from, the last as far as it was, and
+// keeps, in order, those that fit in bound slots. Every slice Take handed
+// out is invalid afterwards.
+func (c *Chunks[T]) Reset(bound int) {
+	for i, ch := range c.list[:c.used] {
+		if i == c.used-1 {
+			ch = ch[:len(ch)-len(c.cur)]
+		}
+		clear(ch)
+	}
+	kept, slots := 0, 0
+	for _, ch := range c.list {
+		if slots+len(ch) <= bound {
+			c.list[kept] = ch
+			kept++
+			slots += len(ch)
+		}
+	}
+	clear(c.list[kept:])
+	c.list, c.used, c.cur, c.carved = c.list[:kept], 0, nil, 0
+}

@@ -3,6 +3,7 @@ package twigjoin
 import (
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/idblock"
 	"repro/internal/pattern"
@@ -61,24 +62,102 @@ type summary struct {
 
 // candView is one node's candidate set during the bottom-up pass: either a
 // lazy unfiltered Set (leaves — probed block-wise, never decoded up front)
-// or a decoded, filtered stream (internal nodes), with the set's summary
-// and, for pooled streams, the buffer to release when the parent is done.
+// or a decoded, filtered stream (internal nodes), with the set's summary.
+// A root view that candidatesIndexed returns holds the pooled Scratch its
+// stream lives in until release.
 type candView struct {
-	set  *idblock.Set
-	ids  Stream
-	pool *Stream
-	sum  summary
-	n    int
+	set   *idblock.Set
+	ids   Stream
+	sum   summary
+	n     int
+	owner *Scratch
 }
 
-var streamPool = sync.Pool{New: func() any { return new(Stream) }}
+// Scratch is the memory of the indexed joins one goroutine runs one after
+// another: the candidate views, the per-edge cursors and the candidate
+// streams of internal nodes. Each join sizes it from the pattern and the
+// sizes of its sets before it starts, so nothing is allocated once the
+// scratch has grown to the largest join, and the next join reuses it. The
+// zero value is ready for use; a Scratch must not be shared between
+// goroutines.
+type Scratch struct {
+	// Arena takes the block decodes of sets carved from an arena
+	// (idblock.Set.BlockIn); it must outlive them. A nil Arena decodes them
+	// on the heap.
+	Arena *idblock.Arena
 
+	views   []candView
+	kids    []*candView
+	cursors []probeCursor
+	ids     Stream
+	// What the current join has carved of each, and the most bytes one
+	// join has held since the last Reset.
+	nviews, nedges, nids int
+	peak                 int64
+}
+
+var scratches = sync.Pool{New: func() any { return new(Scratch) }}
+
+// release returns the view's pooled scratch; the view's stream is invalid
+// afterwards.
 func (cv *candView) release() {
-	if cv != nil && cv.pool != nil {
-		*cv.pool = (*cv.pool)[:0]
-		streamPool.Put(cv.pool)
-		cv.pool, cv.ids = nil, nil
+	if cv != nil && cv.owner != nil {
+		sc := cv.owner
+		cv.owner, cv.ids = nil, nil
+		sc.Reset()
+		scratches.Put(sc)
 	}
+}
+
+// Peak returns the most bytes one join held in the scratch since the last
+// Reset.
+func (sc *Scratch) Peak() int64 { return sc.peak }
+
+// Reset drops what the scratch holds of the joins so far, keeping its
+// memory.
+func (sc *Scratch) Reset() {
+	clear(sc.views[:cap(sc.views)])
+	clear(sc.kids[:cap(sc.kids)])
+	sc.peak = 0
+}
+
+// start sizes the scratch for a join of the subtree at q: one view per
+// node, one cursor per edge, and a candidate stream per node whose view is
+// filtered, as long as its own set or limit.
+func (sc *Scratch) start(q *pattern.Node, st IndexedStreams, pre1 bool, limit int) {
+	var views, edges, ids int
+	var walk func(n *pattern.Node, root bool)
+	walk = func(n *pattern.Node, root bool) {
+		views++
+		edges += len(n.Children)
+		if len(n.Children) > 0 || root && pre1 {
+			k := st[n].Len()
+			if root && limit > 0 {
+				k = min(k, limit)
+			}
+			ids += k
+		}
+		for _, c := range n.Children {
+			walk(c, false)
+		}
+	}
+	walk(q, true)
+	if cap(sc.views) < views {
+		sc.views = make([]candView, views)
+	}
+	if cap(sc.kids) < edges {
+		sc.kids = make([]*candView, edges)
+		sc.cursors = make([]probeCursor, edges)
+	}
+	if cap(sc.ids) < ids {
+		sc.ids = make(Stream, ids)
+	}
+	sc.views, sc.kids, sc.cursors, sc.ids = sc.views[:views], sc.kids[:edges], sc.cursors[:edges], sc.ids[:ids]
+	sc.nviews, sc.nedges, sc.nids = 0, 0, 0
+	held := int64(views)*int64(unsafe.Sizeof(candView{})) +
+		int64(edges)*int64(unsafe.Sizeof(probeCursor{})+unsafe.Sizeof((*candView)(nil))) +
+		int64(ids)*int64(unsafe.Sizeof(xmltree.NodeID{}))
+	sc.peak = max(sc.peak, held)
 }
 
 // setSummary folds a Set's block headers into whole-set bounds; no payload
@@ -163,7 +242,7 @@ func seekAfter(s Stream, from int, pre int32) int {
 
 // hasMatchBelowView is hasMatchBelow against a candidate view, advancing
 // the edge's galloping cursor.
-func hasMatchBelowView(anc xmltree.NodeID, cv *candView, axis pattern.Axis, cur *probeCursor, js *JoinStats) (bool, error) {
+func hasMatchBelowView(anc xmltree.NodeID, cv *candView, axis pattern.Axis, cur *probeCursor, a *idblock.Arena, js *JoinStats) (bool, error) {
 	if cv.ids != nil {
 		j := seekAfter(cv.ids, cur.pos, anc.Pre)
 		cur.pos = j
@@ -177,7 +256,7 @@ func hasMatchBelowView(anc xmltree.NodeID, cv *candView, axis pattern.Axis, cur 
 		}
 		return false, nil
 	}
-	return hasMatchBelowSet(anc, cv.set, axis, cur, js)
+	return hasMatchBelowSet(anc, cv.set, axis, cur, a, js)
 }
 
 // hasMatchBelowSet probes a lazy Set block-wise. The block holding the
@@ -185,7 +264,7 @@ func hasMatchBelowView(anc xmltree.NodeID, cv *candView, axis pattern.Axis, cur 
 // then often resolve on that block's post range alone, and child probes
 // walk the descendant run skipping fully-contained blocks with no element
 // at the child depth.
-func hasMatchBelowSet(anc xmltree.NodeID, set *idblock.Set, axis pattern.Axis, cur *probeCursor, js *JoinStats) (bool, error) {
+func hasMatchBelowSet(anc xmltree.NodeID, set *idblock.Set, axis pattern.Axis, cur *probeCursor, a *idblock.Arena, js *JoinStats) (bool, error) {
 	nb := set.Blocks()
 	bi := cur.block
 	if bi < nb && set.Header(bi).MaxPre <= anc.Pre {
@@ -222,7 +301,7 @@ func hasMatchBelowSet(anc xmltree.NodeID, set *idblock.Set, axis pattern.Axis, c
 			}
 		}
 		js.BlocksRead++
-		ids, err := set.Block(bi)
+		ids, err := set.BlockIn(bi, a)
 		if err != nil {
 			return false, err
 		}
@@ -244,7 +323,7 @@ func hasMatchBelowSet(anc xmltree.NodeID, set *idblock.Set, axis pattern.Axis, c
 			}
 		}
 		js.BlocksRead++
-		ids, err := set.Block(bi)
+		ids, err := set.BlockIn(bi, a)
 		if err != nil {
 			return false, err
 		}
@@ -260,36 +339,55 @@ func hasMatchBelowSet(anc xmltree.NodeID, set *idblock.Set, axis pattern.Axis, c
 	return false, nil
 }
 
-// candidatesIndexed computes C(q) bottom-up over blocked sets. pre1
-// restricts the own-element scan to pre rank 1 (Child-axis roots must match
-// the document root) and limit > 0 stops the scan after that many
-// candidates; both apply only to the root call. A nil view means an empty
-// candidate set.
+// candidatesIndexed computes C(q) bottom-up over blocked sets, in a pooled
+// Scratch that the returned view holds until its release. pre1 restricts
+// the own-element scan to pre rank 1 (Child-axis roots must match the
+// document root) and limit > 0 stops the scan after that many candidates;
+// both apply only to the root call. A nil view means an empty candidate
+// set.
 func candidatesIndexed(q *pattern.Node, st IndexedStreams, js *JoinStats, pre1 bool, limit int) (*candView, error) {
+	sc := scratches.Get().(*Scratch)
+	sc.start(q, st, pre1, limit)
+	cv, err := sc.candidates(q, st, js, pre1, limit)
+	if cv == nil {
+		sc.Reset()
+		scratches.Put(sc)
+		return nil, err
+	}
+	cv.owner = sc
+	return cv, nil
+}
+
+// candidates is the recursion of candidatesIndexed, carving views, cursors
+// and streams from the memory start sized.
+func (sc *Scratch) candidates(q *pattern.Node, st IndexedStreams, js *JoinStats, pre1 bool, limit int) (*candView, error) {
 	own := st[q]
 	if own.Len() == 0 {
 		return nil, nil
 	}
+	cv := &sc.views[sc.nviews]
+	sc.nviews++
 	if len(q.Children) == 0 && !pre1 {
-		return &candView{set: own, sum: setSummary(own), n: own.Len()}, nil
+		*cv = candView{set: own, sum: setSummary(own), n: own.Len()}
+		return cv, nil
 	}
-	kids := make([]*candView, len(q.Children))
-	release := func() {
-		for _, kv := range kids {
-			kv.release()
-		}
-	}
+	kids := sc.kids[sc.nedges : sc.nedges+len(q.Children)]
+	cursors := sc.cursors[sc.nedges : sc.nedges+len(q.Children)]
+	sc.nedges += len(q.Children)
+	clear(cursors)
 	for i, c := range q.Children {
-		kv, err := candidatesIndexed(c, st, js, false, -1)
+		kv, err := sc.candidates(c, st, js, false, -1)
 		if err != nil || kv == nil {
-			release()
 			return nil, err
 		}
 		kids[i] = kv
 	}
-	cursors := make([]probeCursor, len(q.Children))
-	pool := streamPool.Get().(*Stream)
-	out := (*pool)[:0]
+	n := own.Len()
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	out := sc.ids[sc.nids : sc.nids : sc.nids+n]
+	sc.nids += n
 scan:
 	for bi := 0; bi < own.Blocks(); bi++ {
 		h := own.Header(bi)
@@ -304,11 +402,8 @@ scan:
 			}
 		}
 		js.BlocksRead++
-		ids, err := own.Block(bi)
+		ids, err := own.BlockIn(bi, sc.Arena)
 		if err != nil {
-			release()
-			*pool = out[:0]
-			streamPool.Put(pool)
 			return nil, err
 		}
 		for _, id := range ids {
@@ -317,11 +412,8 @@ scan:
 			}
 			ok := true
 			for i, c := range q.Children {
-				m, err := hasMatchBelowView(id, kids[i], c.Axis, &cursors[i], js)
+				m, err := hasMatchBelowView(id, kids[i], c.Axis, &cursors[i], sc.Arena, js)
 				if err != nil {
-					release()
-					*pool = out[:0]
-					streamPool.Put(pool)
 					return nil, err
 				}
 				if !m {
@@ -337,20 +429,17 @@ scan:
 			}
 		}
 	}
-	release()
 	if len(out) == 0 {
-		*pool = out[:0]
-		streamPool.Put(pool)
 		return nil, nil
 	}
-	*pool = out
-	return &candView{ids: out, pool: pool, sum: streamSummary(out), n: len(out)}, nil
+	*cv = candView{ids: out, sum: streamSummary(out), n: len(out)}
+	return cv, nil
 }
 
 // MatchIndexed decides the same predicate as Match over blocked sets,
 // decoding only the blocks the headers cannot rule out and stopping at the
 // first root candidate. Missing streams are treated as empty; js (optional)
-// accumulates the block-level work.
+// accumulates the block-level work. It runs in a pooled Scratch.
 func MatchIndexed(t *pattern.Tree, st IndexedStreams, js *JoinStats) (bool, error) {
 	if t == nil || t.Root == nil {
 		return false, nil
@@ -359,10 +448,15 @@ func MatchIndexed(t *pattern.Tree, st IndexedStreams, js *JoinStats) (bool, erro
 		js = &JoinStats{}
 	}
 	cv, err := candidatesIndexed(t.Root, st, js, t.Root.Axis == pattern.Child, 1)
-	if err != nil || cv == nil {
-		return false, err
-	}
-	matched := cv.n > 0
-	cv.release()
-	return matched, nil
+	defer cv.release()
+	return cv != nil && cv.n > 0, err
+}
+
+// MatchIndexed is the package's MatchIndexed in sc's memory; js must not be
+// nil.
+func (sc *Scratch) MatchIndexed(t *pattern.Tree, st IndexedStreams, js *JoinStats) (bool, error) {
+	pre1 := t.Root.Axis == pattern.Child
+	sc.start(t.Root, st, pre1, 1)
+	cv, err := sc.candidates(t.Root, st, js, pre1, 1)
+	return cv != nil && cv.n > 0, err
 }
