@@ -633,7 +633,7 @@ func BenchmarkCompactPass(b *testing.B) {
 
 // BenchmarkLookupQuery/gate is the index look-up of the gateable benchmark's
 // serve-selective workload without the HTTP harness: q1-q5 under 2LUPI over
-// the gate corpus, one look-up goroutine, no cache. ns/op is per query.
+// the gate corpus, no cache. ns/op is per query.
 //
 // BenchmarkLookupQuery/paper-shape is the look-up of q1-q10 over the paper's
 // document shape: 12 XMark documents of 2 MB each, 2LUPI. There most
@@ -651,13 +651,7 @@ func BenchmarkLookupQuery(b *testing.B) {
 		return gate
 	}
 	b.Run("gate", func(b *testing.B) {
-		benchLookup(b, gateOnce(b), workload.XMark()[:5], 1)
-	})
-	// The same look-ups with a worker pool of GOMAXPROCS (Concurrency 0, the
-	// warehouse's default), which fans out the batch gets and the
-	// per-candidate twig joins.
-	b.Run("gate-procs", func(b *testing.B) {
-		benchLookup(b, gateOnce(b), workload.XMark()[:5], 0)
+		benchLookup(b, gateOnce(b), workload.XMark()[:5])
 	})
 	// The same look-ups over the two other layouts a key's records take:
 	// the packs of 40-document commits, as the index-build workload builds
@@ -666,11 +660,11 @@ func BenchmarkLookupQuery(b *testing.B) {
 	// pack, so each look-up orders every key's records by URI.
 	b.Run("sliced", func(b *testing.B) {
 		docs, _ := gateCorpus(b)
-		benchLookup(b, layoutWarehouse(b, docs, true, 40), workload.XMark()[:5], 1)
+		benchLookup(b, layoutWarehouse(b, docs, true, 40), workload.XMark()[:5])
 	})
 	b.Run("per-document", func(b *testing.B) {
 		docs, _ := gateCorpus(b)
-		benchLookup(b, layoutWarehouse(b, docs, false, len(docs)), workload.XMark()[:5], 1)
+		benchLookup(b, layoutWarehouse(b, docs, false, len(docs)), workload.XMark()[:5])
 	})
 	b.Run("paper-shape", func(b *testing.B) {
 		cfg := xmark.DefaultConfig(12)
@@ -695,17 +689,17 @@ func BenchmarkLookupQuery(b *testing.B) {
 			}
 		}
 		w := gateWarehouse(b, docs)
-		benchLookup(b, w, workload.XMark(), 1)
+		benchLookup(b, w, workload.XMark())
 		raw, overhead := w.IndexBytes()
 		b.ReportMetric(float64(blockedBytes)/float64(idBytes), "blocked-id-bytes-share")
 		b.ReportMetric(float64(raw+overhead)/float64(corpusBytes), "index-bytes/corpus-byte")
 	})
 }
 
-// benchLookup runs the queries' 2LUPI look-ups round robin at the given
-// look-up concurrency and without a cache, and reports the joins' blocks
-// read and skipped and the postings built per query.
-func benchLookup(b *testing.B, w *core.Warehouse, queries []workload.Query, concurrency int) {
+// benchLookup runs the queries' 2LUPI look-ups round robin without a
+// cache, and reports the joins' blocks read and skipped and the postings
+// built per query.
+func benchLookup(b *testing.B, w *core.Warehouse, queries []workload.Query) {
 	var parsed []*pattern.Query
 	for _, q := range queries {
 		parsed = append(parsed, q.Parse())
@@ -716,7 +710,7 @@ func benchLookup(b *testing.B, w *core.Warehouse, queries []workload.Query, conc
 		BlocksSkipped: reg.Counter("blocks_skipped"),
 		PostingsBuilt: reg.Counter("postings_built"),
 	}
-	opts := index.LookupOptions{Concurrency: concurrency, Joins: joins}
+	opts := index.LookupOptions{Joins: joins}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -746,10 +740,9 @@ func BenchmarkLookup(b *testing.B) {
 	_ = c
 }
 
-// BenchmarkLookupPattern compares the sequential, parallel and cached index
-// look-up paths on the same corpus. Results are identical across
-// sub-benchmarks by construction (see internal/index/parallel_test.go); only
-// real wall-clock time differs.
+// BenchmarkLookupPattern compares the index look-up without and with the
+// posting cache on the same corpus. The URIs are the same in both (see
+// internal/index/parallel_test.go); a cached repeat bills no index get.
 func BenchmarkLookupPattern(b *testing.B) {
 	_, env, _ := benchSetup(b)
 	q := workload.XMark()[3].Parse().Patterns[0]
@@ -759,9 +752,8 @@ func BenchmarkLookupPattern(b *testing.B) {
 			name string
 			opts index.LookupOptions
 		}{
-			{"seq", index.LookupOptions{Concurrency: 1}},
-			{"par8", index.LookupOptions{Concurrency: 8}},
-			{"cached", index.LookupOptions{Concurrency: 8, Cache: index.NewPostingCache(index.DefaultCacheBytes)}},
+			{"uncached", index.LookupOptions{}},
+			{"cached", index.LookupOptions{Cache: index.NewPostingCache(index.DefaultCacheBytes)}},
 		}
 		for _, v := range variants {
 			b.Run(s.Name()+"/"+v.name, func(b *testing.B) {
@@ -775,10 +767,10 @@ func BenchmarkLookupPattern(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessQuery runs the full query pipeline (steps 8-18) under the
-// sequential document pipeline, the parallel worker pool, and the pool plus
-// posting cache. The modeled response time is identical in all three; the
-// metric of interest is the real ns/op.
+// BenchmarkProcessQuery runs the full query pipeline (steps 8-18) with one
+// document worker, with eight (QueryWorkers), and with eight plus the
+// posting cache. The modeled response time is the same at one and eight
+// workers; the metric of interest is the real ns/op.
 func BenchmarkProcessQuery(b *testing.B) {
 	c, _, _ := benchSetup(b)
 	query := workload.XMark()[3].Text
@@ -786,10 +778,9 @@ func BenchmarkProcessQuery(b *testing.B) {
 		name string
 		cfg  core.Config
 	}{
-		{"seq", core.Config{Strategy: index.TwoLUPI, QueryWorkers: 1, QueryLookupConcurrency: 1}},
-		{"par8", core.Config{Strategy: index.TwoLUPI, QueryWorkers: 8, QueryLookupConcurrency: 8}},
-		{"par8-cached", core.Config{Strategy: index.TwoLUPI, QueryWorkers: 8, QueryLookupConcurrency: 8,
-			PostingCacheBytes: index.DefaultCacheBytes}},
+		{"workers1", core.Config{Strategy: index.TwoLUPI, QueryWorkers: 1}},
+		{"workers8", core.Config{Strategy: index.TwoLUPI, QueryWorkers: 8}},
+		{"workers8-cached", core.Config{Strategy: index.TwoLUPI, QueryWorkers: 8, PostingCacheBytes: index.DefaultCacheBytes}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {

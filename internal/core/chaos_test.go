@@ -405,9 +405,8 @@ func TestZeroRateChaosBillingParity(t *testing.T) {
 func TestChaosLookupStoreRetries(t *testing.T) {
 	seed := chaosSeed(t)
 	w, _ := buildWarehouse(t, Config{
-		Strategy:               index.TwoLUPI,
-		QueryLookupConcurrency: 1,
-		Chaos:                  &chaos.Plan{Seed: seed}, // zero rates while indexing
+		Strategy: index.TwoLUPI,
+		Chaos:    &chaos.Plan{Seed: seed}, // zero rates while indexing
 	}, chaosCorpus(seed)[:6])
 	w.retry.MaxAttempts = 20 // a throttled read is retried, never given up
 	w.ChaosInjector().SetRates(chaos.Rates{Throttle: 0.5})

@@ -139,8 +139,8 @@ type Config struct {
 	// Results and modeled times are identical at every setting — only real
 	// wall-clock time changes.
 	QueryWorkers int
-	// LookupConcurrency bounds the index look-up fan-out (parallel
-	// batch-gets and twig joins). 0 selects GOMAXPROCS; 1 is sequential.
+	// QueryLookupConcurrency is read by nothing: the index look-up runs on
+	// its query's goroutine. It stays because the benchmark module sets it.
 	QueryLookupConcurrency int
 	// PostingCacheBytes enables a hot-key posting cache of roughly that
 	// many bytes in front of the index store. 0 disables it — the cache
@@ -367,7 +367,6 @@ func New(cfg Config) (*Warehouse, error) {
 		Perf:          cfg.Perf.withDefaults(),
 		compressPaths: cfg.CompressPaths,
 		queryWorkers:  cfg.QueryWorkers,
-		lookupOpts:    index.LookupOptions{Concurrency: cfg.QueryLookupConcurrency},
 		bulkLoad:      cfg.BulkLoad,
 		pipelineDepth: cfg.PipelineDepth,
 		ledger:        ledger,

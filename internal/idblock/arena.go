@@ -5,9 +5,8 @@ import "repro/internal/xmltree"
 // Sets that live no longer than a request are carved from an Arena: the Set,
 // its blocks, the memo of its decoded blocks and the identifiers of those
 // blocks. A carved set decodes a block into the arena its caller hands to
-// BlockIn, so the goroutines of one request can each decode into their own
-// arena the sets another carved. Every carving method takes a nil *Arena
-// for the heap.
+// BlockIn; the index look-up hands it the one the set came from. Every
+// carving method takes a nil *Arena for the heap.
 //
 // Slots are carved from chunks of at least *Chunk slots, about 4 KB, so
 // that a fresh arena allocates about what its request uses, and Reset keeps

@@ -64,7 +64,7 @@ func TestPostingCacheDoesNotPinArena(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				opts := LookupOptions{Concurrency: 1, Cache: cache}
+				opts := LookupOptions{Cache: cache}
 				kept, rs, err := ReadKeys(store, "t", subset, fx.kind, true, opts)
 				if err != nil || rs.GetOps != int64(len(subset)) {
 					t.Fatalf("read: %v, %+v", err, rs)

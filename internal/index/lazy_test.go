@@ -226,7 +226,7 @@ func TestConcurrentDecodeOfSharedRawPostings(t *testing.T) {
 	c := buildCorpus(t, dynamodb.New(meter.NewLedger()), xmark.Generate(cfg))
 	cache := NewPostingCache(0)
 	q := pattern.MustParse(`//item[/name, /payment]`).Patterns[0]
-	want, _, err := LookupPattern(c.store, LUI, q, LookupOptions{Concurrency: 1})
+	want, _, err := LookupPattern(c.store, LUI, q, LookupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestConcurrentDecodeOfSharedRawPostings(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			got, stats, err := LookupPattern(c.store, LUI, q, LookupOptions{Concurrency: 2, Cache: cache})
+			got, stats, err := LookupPattern(c.store, LUI, q, LookupOptions{Cache: cache})
 			if err == nil && stats.CacheHits == 0 {
 				err = errors.New("the look-up did not read the shared postings")
 			}
@@ -291,7 +291,7 @@ func TestLookupDecodesOnlyCandidates(t *testing.T) {
 	tracer := obs.NewTracer(meter.NewLedger(), 64)
 	root := tracer.Start("query")
 	cache := NewPostingCache(0)
-	uris, stats, err := LookupPattern(c.store, TwoLUPI, q, LookupOptions{Concurrency: 1, Cache: cache, Span: root})
+	uris, stats, err := LookupPattern(c.store, TwoLUPI, q, LookupOptions{Cache: cache, Span: root})
 	root.End()
 	if err != nil || len(uris) == 0 {
 		t.Fatalf("look-up: %v, %v", uris, err)
@@ -315,7 +315,7 @@ func TestLookupDecodesOnlyCandidates(t *testing.T) {
 	// first one filled: it decodes nothing.
 	tracer = obs.NewTracer(meter.NewLedger(), 64)
 	root = tracer.Start("query")
-	again, _, err := LookupPattern(c.store, TwoLUPI, q, LookupOptions{Concurrency: 1, Cache: cache, Span: root})
+	again, _, err := LookupPattern(c.store, TwoLUPI, q, LookupOptions{Cache: cache, Span: root})
 	root.End()
 	if err != nil || !reflect.DeepEqual(again, uris) {
 		t.Fatalf("repeated look-up: %v, %v; first %v", again, err, uris)

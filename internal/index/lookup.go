@@ -3,10 +3,8 @@ package index
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/cloud/kv"
@@ -68,12 +66,10 @@ func (s *LookupStats) add(o LookupStats) {
 }
 
 // LookupOptions tunes the execution of a look-up without changing its
-// result: any concurrency level and any cache state return byte-identical
-// URI lists.
+// result: any cache state returns byte-identical URI lists.
 type LookupOptions struct {
-	// Concurrency bounds the worker pool that fans out index batch-gets
-	// and per-candidate twig joins. 0 selects GOMAXPROCS; 1 runs the
-	// sequential path.
+	// Concurrency is read by nothing: a look-up runs on its caller's
+	// goroutine. It stays because the benchmark module sets it.
 	Concurrency int
 	// Cache, when non-nil, is consulted before the store and filled with
 	// fetched postings. The same cache must not front two different
@@ -120,14 +116,6 @@ func resolveLookup(opts []LookupOptions) LookupOptions {
 		opt.Ctx = context.Background()
 	}
 	return opt
-}
-
-// workers returns the effective worker-pool size.
-func (o LookupOptions) workers() int {
-	if o.Concurrency > 0 {
-		return o.Concurrency
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // LookupQuery looks up each tree pattern of the query and returns one URI
@@ -433,8 +421,7 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, op
 	}
 
 	// Candidate URIs must appear under every key (and pass the reduction).
-	// The merge returns them sorted, which fixes the fan-out order below
-	// without a separate sort.
+	// The merge returns them sorted, the order the joins below run in.
 	merged := lists
 	if reduce != nil {
 		merged = sc.listSlice(len(lists) + 1)
@@ -460,12 +447,8 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, op
 	tj := opt.Span.Child(obs.SpanTwigJoin)
 	tj.SetAttrInt("candidates", int64(len(ordered)))
 
-	// The per-candidate holistic twig joins are independent CPU work over
-	// read-only postings; fan them out across the worker pool, each worker
-	// joining in a sub-scratch of its own. Candidates are in sorted order so
-	// the output (and any future tie-breaking) never depends on scheduling;
-	// per-candidate join stats are summed in that same order, keeping the
-	// obs counters deterministic too.
+	// One holistic twig join per candidate. A failed join does not stop the
+	// others, and the first error in candidate order is the look-up's.
 	//
 	// Only here do identifier sets decode: a raw posting on its first IDSet,
 	// a blocked one block by block inside the join. decoded counts the raw
@@ -480,70 +463,44 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, op
 		ki, _ := slices.BinarySearch(keys, aug.keys[n])
 		nodes = append(nodes, nodeKey{n, ki})
 	})
-	cands := take(&sc.cands, len(ordered))
-	matchOne := func(ci int, w *scratch) {
-		c := &cands[ci]
-		w.sets = slices.Grow(w.sets[:0], len(keys))[:len(keys)]
+	var (
+		total   twigjoin.JoinStats
+		decoded int
+		joinErr error
+	)
+	sc.sets = slices.Grow(sc.sets[:0], len(keys))[:len(keys)]
+	out := take(&sc.uris, len(ordered))[:0]
+candidates:
+	for ci, uri := range ordered {
 		for ki := range keys {
 			p := postings[ci*len(keys)+ki]
 			if p.IDCount() == 0 {
-				return
+				continue candidates
 			}
 			var fresh bool
-			w.sets[ki], fresh = p.idSet(&w.ids)
-			if fresh {
-				c.decoded++
+			if sc.sets[ki], fresh = p.idSet(&sc.ids); fresh {
+				decoded++
 			}
 		}
 		for _, nk := range nodes {
-			w.streams[nk.n] = w.sets[nk.ki]
+			sc.streams[nk.n] = sc.sets[nk.ki]
 		}
-		c.matched, c.err = w.join.MatchIndexed(aug.tree, w.streams, &c.js)
-	}
-	if workers := min(opt.workers(), len(ordered)); workers <= 1 {
-		for ci := range ordered {
-			matchOne(ci, sc)
+		matched, err := sc.join.MatchIndexed(aug.tree, sc.streams, &total)
+		if err != nil && joinErr == nil {
+			joinErr = err
 		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w *scratch) {
-				defer wg.Done()
-				for ci := range idx {
-					matchOne(ci, w)
-				}
-			}(sc.sub())
-		}
-		for ci := range ordered {
-			idx <- ci
-		}
-		close(idx)
-		wg.Wait()
-	}
-	var total twigjoin.JoinStats
-	postingsDecoded := 0
-	for _, c := range cands {
-		total.Add(c.js)
-		postingsDecoded += c.decoded
-	}
-	opt.Joins.addJoin(total)
-	tj.SetAttrInt("postings_decoded", int64(postingsDecoded))
-	tj.SetAttrInt("blocks_read", total.BlocksRead)
-	tj.SetAttrInt("blocks_skipped", total.BlocksSkipped)
-	for _, c := range cands {
-		if c.err != nil {
-			tj.SetError(c.err)
-			tj.End()
-			return nil, stats, c.err
-		}
-	}
-	out := take(&sc.uris, len(ordered))[:0]
-	for ci, uri := range ordered {
-		if cands[ci].matched {
+		if matched {
 			out = append(out, uri)
 		}
+	}
+	opt.Joins.addJoin(total)
+	tj.SetAttrInt("postings_decoded", int64(decoded))
+	tj.SetAttrInt("blocks_read", total.BlocksRead)
+	tj.SetAttrInt("blocks_skipped", total.BlocksSkipped)
+	if joinErr != nil {
+		tj.SetError(joinErr)
+		tj.End()
+		return nil, stats, joinErr
 	}
 	tj.SetAttrInt("matched", int64(len(out)))
 	tj.End()

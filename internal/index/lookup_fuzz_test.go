@@ -242,7 +242,7 @@ func checkLookupAgreement(t *testing.T, s Strategy, flags byte, docs []string, l
 			}
 		}
 		lookup := func(cache *PostingCache) ([]string, LookupStats, error) {
-			return LookupPattern(store, s, q, LookupOptions{Concurrency: 1 + int(flags>>3)%2, Cache: cache, View: rv})
+			return LookupPattern(store, s, q, LookupOptions{Cache: cache, View: rv})
 		}
 
 		got, stats, err := lookup(nil)

@@ -14,10 +14,11 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Differential tests of the concurrent query pipeline: at every concurrency
-// level, and with or without the posting cache, a look-up must return the
-// same URI lists and — without a cache — the same billed statistics as the
-// sequential baseline.
+// Differential tests of concurrent look-ups: a look-up runs on its caller's
+// goroutine, and many requests look up at once against one store, each in a
+// pooled scratch that earlier requests on other goroutines used. Whatever
+// runs beside it, a look-up must return the URI lists and — without a cache
+// — the billed statistics it returns alone.
 
 var parallelQueries = []string{
 	`//item[//name~"Obsidian", /location{val}]`,
@@ -29,41 +30,70 @@ var parallelQueries = []string{
 	`//site[//mail[/text~"Zanzibar"]]`,
 }
 
+// TestParallelLookupMatchesSequential runs every query under every strategy
+// one at a time, then on four goroutines at once, twice over, each goroutine
+// starting at a different look-up, without a cache and with one cache they
+// share. Uncached, each look-up must return the URIs and statistics it did
+// alone. Cached, it must return the same URIs, and every key it did not
+// bill must be a cache hit, since which look-up fills the cache first is up
+// to the scheduler.
 func TestParallelLookupMatchesSequential(t *testing.T) {
-	// Randomized corpora: several seeds and sizes, so batch-get chunking
-	// and twig-join fan-out see different shapes.
+	const goroutines = 4
 	for _, seed := range []int64{42, 7, 1234} {
 		cfg := xmark.DefaultConfig(90)
 		cfg.Seed = seed
 		cfg.TargetDocBytes = 3 << 10
 		c := buildCorpus(t, dynamodb.New(meter.NewLedger()), xmark.Generate(cfg))
 
+		type lookup struct {
+			s     Strategy
+			src   string
+			q     *pattern.Tree
+			uris  []string
+			stats LookupStats
+		}
+		var lookups []lookup
 		for _, s := range All() {
-			for _, qs := range parallelQueries {
-				q := pattern.MustParse(qs).Patterns[0]
-				base, baseStats, err := LookupPattern(c.store, s, q, LookupOptions{Concurrency: 1})
+			for _, src := range parallelQueries {
+				q := pattern.MustParse(src).Patterns[0]
+				uris, stats, err := LookupPattern(c.store, s, q)
 				if err != nil {
-					t.Fatalf("seed %d %s %q sequential: %v", seed, s.Name(), qs, err)
+					t.Fatalf("seed %d %s %q alone: %v", seed, s.Name(), src, err)
 				}
-				for _, conc := range []int{2, 8} {
-					got, stats, err := LookupPattern(c.store, s, q, LookupOptions{Concurrency: conc})
-					if err != nil {
-						t.Fatalf("seed %d %s %q conc=%d: %v", seed, s.Name(), qs, conc, err)
+				lookups = append(lookups, lookup{s, src, q, uris, stats})
+			}
+		}
+		for _, cache := range []*PostingCache{nil, NewPostingCache(32 << 20)} {
+			var wg sync.WaitGroup
+			errs := make(chan error, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 2*len(lookups); i++ {
+						l := lookups[(i+g*len(lookups)/goroutines)%len(lookups)]
+						uris, stats, err := LookupPattern(c.store, l.s, l.q, LookupOptions{Cache: cache})
+						switch {
+						case err != nil:
+						case !reflect.DeepEqual(uris, l.uris):
+							err = fmt.Errorf("URIs %v, alone %v", uris, l.uris)
+						case cache == nil && stats != l.stats:
+							err = fmt.Errorf("stats %+v, alone %+v", stats, l.stats)
+						case cache != nil && (stats.GetOps+stats.CacheHits != l.stats.GetOps ||
+							stats.CacheMisses != stats.GetOps || stats.TwigCandidates != l.stats.TwigCandidates):
+							err = fmt.Errorf("cached stats %+v, alone %+v", stats, l.stats)
+						}
+						if err != nil {
+							errs <- fmt.Errorf("seed %d cache %t %s %q: %w", seed, cache != nil, l.s.Name(), l.src, err)
+							return
+						}
 					}
-					if !reflect.DeepEqual(got, base) {
-						t.Errorf("seed %d %s %q conc=%d: URIs %v != sequential %v",
-							seed, s.Name(), qs, conc, got, base)
-					}
-					if stats.GetOps != baseStats.GetOps || stats.BytesFetched != baseStats.BytesFetched {
-						t.Errorf("seed %d %s %q conc=%d: stats (GetOps %d, bytes %d) != sequential (GetOps %d, bytes %d)",
-							seed, s.Name(), qs, conc,
-							stats.GetOps, stats.BytesFetched, baseStats.GetOps, baseStats.BytesFetched)
-					}
-					if stats.GetTime != baseStats.GetTime {
-						t.Errorf("seed %d %s %q conc=%d: modeled GetTime %v != sequential %v",
-							seed, s.Name(), qs, conc, stats.GetTime, baseStats.GetTime)
-					}
-				}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
 			}
 		}
 	}
@@ -71,7 +101,7 @@ func TestParallelLookupMatchesSequential(t *testing.T) {
 
 // TestCachedLookupCoherence interleaves loads, cached look-ups and deletes,
 // checking after every mutation that a cached look-up matches an uncached
-// one at every concurrency level.
+// one.
 func TestCachedLookupCoherence(t *testing.T) {
 	cfg := xmark.DefaultConfig(40)
 	cfg.TargetDocBytes = 3 << 10
@@ -120,15 +150,12 @@ func TestCachedLookupCoherence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s %q uncached: %v", stage, s.Name(), qs, err)
 				}
-				for _, conc := range []int{1, 2, 8} {
-					cached, _, err := LookupPattern(store, s, q, LookupOptions{Concurrency: conc, Cache: cache})
-					if err != nil {
-						t.Fatalf("%s %s %q cached conc=%d: %v", stage, s.Name(), qs, conc, err)
-					}
-					if !reflect.DeepEqual(cached, fresh) {
-						t.Errorf("%s %s %q cached conc=%d: URIs %v != uncached %v",
-							stage, s.Name(), qs, conc, cached, fresh)
-					}
+				cached, _, err := LookupPattern(store, s, q, LookupOptions{Cache: cache})
+				if err != nil {
+					t.Fatalf("%s %s %q cached: %v", stage, s.Name(), qs, err)
+				}
+				if !reflect.DeepEqual(cached, fresh) {
+					t.Errorf("%s %s %q cached: URIs %v != uncached %v", stage, s.Name(), qs, cached, fresh)
 				}
 			}
 		}

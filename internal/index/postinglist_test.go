@@ -43,7 +43,7 @@ func TestLookupAllocationsPerNonSurvivor(t *testing.T) {
 	q := pattern.MustParse(`//a[/b]`).Patterns[0]
 	perLookup := func(misses int) float64 {
 		store := survivorStore(t, misses)
-		opts := LookupOptions{Concurrency: 1}
+		var opts LookupOptions
 		run := func() {
 			uris, _, err := LookupPattern(store, TwoLUPI, q, opts)
 			if err != nil || len(uris) != 1 || uris[0] != "hit.xml" {
@@ -76,7 +76,7 @@ func TestIndexGetSpanCountsURIsAndPostings(t *testing.T) {
 	tracer := obs.NewTracer(meter.NewLedger(), 64)
 	root := tracer.Start("query")
 	q := pattern.MustParse(`//a[/b]`).Patterns[0]
-	if _, _, err := LookupPattern(store, TwoLUPI, q, LookupOptions{Concurrency: 1, Span: root}); err != nil {
+	if _, _, err := LookupPattern(store, TwoLUPI, q, LookupOptions{Span: root}); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

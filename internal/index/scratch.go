@@ -18,12 +18,8 @@ import (
 // every posting built from a cached list, stays on the heap: the cache
 // keeps them past the look-up.
 //
-// A scratch is used by one goroutine. The goroutines a look-up fans out to
-// (ReadKeys' chunk readers, the twig-join workers) each carve from a
-// sub-scratch, reset with its parent and kept with it, so that a pooled
-// scratch holds only the memory of the role it plays: a set one goroutine
-// carved may be decoded by another, into the decoder's own arena
-// (idblock.Set.BlockIn).
+// A look-up runs on its caller's goroutine, and so does everything that
+// carves from its scratch; concurrent look-ups each take their own.
 type scratch struct {
 	rows     slab.Chunks[uriRow]
 	lists    slab.Chunks[PostingList]
@@ -33,25 +29,13 @@ type scratch struct {
 	vals     slab.Chunks[[]byte]
 	uris     slab.Chunks[string]
 	ints     slab.Chunks[int32]
-	cands    slab.Chunks[candidate]
 	ids      idblock.Arena
 
 	join    twigjoin.Scratch
 	sets    []*idblock.Set // a join's sets, by key
 	streams twigjoin.IndexedStreams
 
-	subs  []*scratch
-	nsubs int // the subs handed out since the last reset
-
 	peak int64 // the high-water mark of the phases recycled so far
-}
-
-// candidate is the outcome of one candidate's twig join.
-type candidate struct {
-	matched bool
-	decoded int // raw postings the join decoded
-	js      twigjoin.JoinStats
-	err     error
 }
 
 var scratches = sync.Pool{New: func() any { return newScratch() }}
@@ -74,29 +58,12 @@ const (
 
 func getScratch() *scratch { return scratches.Get().(*scratch) }
 
-// sub returns a scratch for a goroutine the look-up fans out to, reset with
-// sc; nil when sc is.
-func (sc *scratch) sub() *scratch {
-	if sc == nil {
-		return nil
-	}
-	if sc.nsubs == len(sc.subs) {
-		sc.subs = append(sc.subs, newScratch())
-	}
-	sc.nsubs++
-	return sc.subs[sc.nsubs-1]
-}
-
 // bytes returns the scratch's high-water mark: the most that one phase of
-// the look-up carved of it and of its subs, with the largest twig join's
-// state.
+// the look-up carved of it, with the largest twig join's state.
 func (sc *scratch) bytes() int64 {
 	n := sc.rows.Bytes() + sc.lists.Bytes() + sc.listPtrs.Bytes() + sc.postings.Bytes() +
-		sc.ptrs.Bytes() + sc.vals.Bytes() + sc.uris.Bytes() + sc.ints.Bytes() + sc.cands.Bytes() +
+		sc.ptrs.Bytes() + sc.vals.Bytes() + sc.uris.Bytes() + sc.ints.Bytes() +
 		sc.ids.Bytes() + sc.join.Peak()
-	for _, s := range sc.subs[:sc.nsubs] {
-		n += s.bytes()
-	}
 	return max(n, sc.peak)
 }
 
@@ -112,14 +79,10 @@ func (sc *scratch) reset() {
 	sc.peak = 0
 }
 
-// recycle clears everything the look-up carved so far, its subs' included,
-// for its next phase, and notes the high-water mark.
+// recycle clears everything the look-up carved so far, for its next phase,
+// and notes the high-water mark.
 func (sc *scratch) recycle() {
 	sc.peak = sc.bytes()
-	for _, s := range sc.subs[:sc.nsubs] {
-		s.reset()
-	}
-	sc.nsubs = 0
 	keep(&sc.rows)
 	keep(&sc.lists)
 	keep(&sc.listPtrs)
@@ -128,7 +91,6 @@ func (sc *scratch) recycle() {
 	keep(&sc.vals)
 	keep(&sc.uris)
 	keep(&sc.ints)
-	keep(&sc.cands)
 	sc.ids.Reset()
 	sc.join.Reset()
 	clear(sc.sets)

@@ -19,10 +19,10 @@ import (
 
 // FuzzLookupRecycledScratch runs every look-up twice through one scratch
 // that is reset after each, with the cache off and on, and holds it to the
-// same look-up in fresh memory: the same URIs and statistics. The fuzz bytes pick the store, two to six documents
-// (fuzzDoc), whether each is bulk-loaded or written as per-document items,
-// the look-up concurrency, and whether a pinned view tombstones the first
-// document. At the end, every earlier look-up's URI list must still read
+// same look-up in fresh memory: the same URIs and statistics. The fuzz
+// bytes pick the store, two to six documents (fuzzDoc), whether each is
+// bulk-loaded or written as per-document items, and whether a pinned view
+// tombstones the first document. At the end, every earlier look-up's URI list must still read
 // as it did when it was returned: a list that aliased the scratch would
 // read zeroed, or another look-up's URIs, once later look-ups reused it.
 func FuzzLookupRecycledScratch(f *testing.F) {
@@ -94,7 +94,7 @@ func FuzzLookupRecycledScratch(f *testing.F) {
 						cache, freshCache = NewPostingCache(1<<30), NewPostingCache(1<<30)
 					}
 					opt := func(c *PostingCache) LookupOptions {
-						return resolveLookup([]LookupOptions{{Concurrency: 1 + int(flags>>3)%2, Cache: c, View: rv}})
+						return resolveLookup([]LookupOptions{{Cache: c, View: rv}})
 					}
 					for round := 0; round < 2; round++ {
 						got, stats, err := lookupPattern(store, s, q, opt(cache), recycled)
@@ -135,8 +135,7 @@ const gateLookupAllocs = 107.8
 // TestGateLookupAllocations runs q1-q7 of the workload over the gate corpus
 // (400 XMark documents of 16 KB, seed 42, bulk-loaded under 2LUPI in one
 // commit, as the gateable benchmark's warehouse holds it) with the cache
-// off and one look-up goroutine, and holds the allocations per look-up to
-// gateLookupAllocs.
+// off, and holds the allocations per look-up to gateLookupAllocs.
 func TestGateLookupAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop what is put back")
@@ -163,7 +162,7 @@ func TestGateLookupAllocations(t *testing.T) {
 	for _, q := range workload.XMark()[:7] {
 		queries = append(queries, q.Parse())
 	}
-	opt := LookupOptions{Concurrency: 1}
+	var opt LookupOptions
 	candidates := 0
 	perLookup := testing.AllocsPerRun(20, func() {
 		candidates = 0
@@ -190,7 +189,7 @@ func TestLookupSpanReportsScratch(t *testing.T) {
 	for _, cache := range []*PostingCache{nil, NewPostingCache(1 << 20)} {
 		tracer := obs.NewTracer(meter.NewLedger(), 64)
 		root := tracer.Start(obs.SpanLookup)
-		if _, _, err := LookupPattern(store, TwoLUPI, q, LookupOptions{Concurrency: 1, Cache: cache, Span: root}); err != nil {
+		if _, _, err := LookupPattern(store, TwoLUPI, q, LookupOptions{Cache: cache, Span: root}); err != nil {
 			t.Fatal(err)
 		}
 		root.End()

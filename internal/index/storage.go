@@ -357,8 +357,8 @@ func (p *Posting) IDSet() *idblock.Set {
 
 // idSet is IDSet, also telling whether this call decoded a raw stream (the
 // memo was empty when it looked). A posting carved from a look-up's scratch
-// decodes into a, the arena of the goroutine asking; any other decodes on
-// the heap, since the cache may share it.
+// decodes into a, that scratch's arena; any other decodes on the heap,
+// since the cache may share it.
 func (p *Posting) idSet(a *idblock.Arena) (*idblock.Set, bool) {
 	if p.blocked != nil {
 		return p.blocked, false
@@ -393,12 +393,9 @@ func (p *Posting) DecodedIDs() ([]xmltree.NodeID, error) {
 
 // ReadKeys batch-fetches several hash keys and returns each key's posting
 // list. Keys resident in opts' cache are served from it without touching
-// the store; the misses are split into store-batch-limit chunks fanned out
-// over a bounded worker pool (opts' Concurrency), with records decoded on
-// the fetch goroutines as the store's read hands them over. The result and
-// the billed statistics are identical to a sequential read: per-chunk
-// latencies and byte counts are summed in chunk order, and key sets of
-// distinct chunks are disjoint. The statistics are the read's share of a
+// the store; the misses are read in store-batch-limit chunks, one after
+// another on the caller's goroutine, with records decoded as the store's
+// read hands them over. The statistics are the read's share of a
 // look-up's (TwigCandidates stays zero): only keys actually fetched from the
 // store count toward GetOps, GetTime and BytesFetched. A key without records
 // has no list.
@@ -463,23 +460,18 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 	if lim <= 0 {
 		lim = 1
 	}
-	chunks := (len(fetch) + lim - 1) / lim
-	type chunkResult struct {
-		d     time.Duration
-		bytes int64
-		gets  int64 // keys billed against the store
-		err   error
-	}
-	results := make([]chunkResult, chunks)
-	fetchChunk := func(ci int, sc *scratch) chunkResult {
-		start := ci * lim
-		end := min(start+lim, len(fetch))
-		chunk := fetch[start:end]
-		cr := chunkResult{gets: int64(len(chunk))}
+	// Every chunk is read, even after one failed, so a failed read bills
+	// what a whole one does; the first error in chunk order is the read's,
+	// with the statistics and cache fills of the chunks before it.
+	var firstErr error
+	for start := 0; start < len(fetch); start += lim {
+		chunk := fetch[start:min(start+lim, len(fetch))]
+		var bytes int64
+		var decodeErr error
 		next := 0 // where k is when the store visits in request order
 		d, err := store.Read(opt.Ctx, table, chunk, func(k string, recs *kv.Records) {
-			cr.bytes += recs.Tally().Bytes
-			if cr.err != nil {
+			bytes += recs.Tally().Bytes
+			if decodeErr != nil {
 				return
 			}
 			j := next
@@ -492,7 +484,7 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 			// nothing.
 			l, err := decodeKey(recs, overlays[k].Replaces, kind, binaryIDs, sc)
 			if err != nil {
-				cr.err = fmt.Errorf("key %q: %w", k, err)
+				decodeErr = fmt.Errorf("key %q: %w", k, err)
 				return
 			}
 			if l == nil {
@@ -504,57 +496,37 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 			}
 			lists[keyOf(start+j)] = l
 		})
+		if err == nil {
+			err = decodeErr
+		}
+		if firstErr != nil {
+			continue
+		}
 		if err != nil {
-			return chunkResult{err: err}
+			firstErr = err
+			continue
 		}
-		cr.d = d
-		return cr
-	}
-
-	if workers := min(opt.workers(), chunks); workers <= 1 {
-		for ci := range results {
-			results[ci] = fetchChunk(ci, sc)
-		}
-	} else {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(sc *scratch) {
-				defer wg.Done()
-				for ci := range idx {
-					results[ci] = fetchChunk(ci, sc)
-				}
-			}(sc.sub())
-		}
-		for ci := 0; ci < chunks; ci++ {
-			idx <- ci
-		}
-		close(idx)
-		wg.Wait()
-	}
-
-	for ci, cr := range results {
-		if cr.err != nil {
-			return nil, rs, cr.err
-		}
-		rs.GetTime += cr.d
-		rs.BytesFetched += cr.bytes
-		rs.GetOps += cr.gets
+		rs.GetTime += d
+		rs.BytesFetched += bytes
+		rs.GetOps += int64(len(chunk))
 		if opt.Cache == nil {
 			continue
 		}
-		for fi := ci * lim; fi < min((ci+1)*lim, len(fetch)); fi++ {
+		for fi := start; fi < start+len(chunk); fi++ {
 			l := lists[keyOf(fi)]
 			if l == nil {
 				continue
 			}
 			evicted, err := opt.Cache.put(cacheKey{table: table, key: fetch[fi], kind: kind, ver: stampOf(fetch[fi])}, l)
 			if err != nil {
-				return nil, rs, fmt.Errorf("key %q: %w", fetch[fi], err)
+				firstErr = fmt.Errorf("key %q: %w", fetch[fi], err)
+				break
 			}
 			rs.CacheEvictions += evicted
 		}
+	}
+	if firstErr != nil {
+		return nil, rs, firstErr
 	}
 	return byKey(keys, lists, overlays, rs)
 }

@@ -37,19 +37,14 @@ import (
 // IndexedStreams maps each pattern node to its blocked identifier set.
 type IndexedStreams map[*pattern.Node]*idblock.Set
 
-// JoinStats counts the block-level work of one indexed join. BlocksRead
-// counts block-payload consultations (decodes are memoized inside the Set,
-// so a consultation is not necessarily a fresh varint decode);
-// BlocksSkipped counts blocks and probes resolved on headers alone.
+// JoinStats counts the block-level work of the indexed joins that add to
+// it. BlocksRead counts block-payload consultations (decodes are memoized
+// inside the Set, so a consultation is not necessarily a fresh varint
+// decode); BlocksSkipped counts blocks and probes resolved on headers
+// alone.
 type JoinStats struct {
 	BlocksRead    int64
 	BlocksSkipped int64
-}
-
-// Add accumulates o into s.
-func (s *JoinStats) Add(o JoinStats) {
-	s.BlocksRead += o.BlocksRead
-	s.BlocksSkipped += o.BlocksSkipped
 }
 
 // summary are the bounds of a whole candidate set, the other half of every

@@ -126,8 +126,7 @@ func TestIndexedAgreesWithDecoded(t *testing.T) {
 			wantCands := Candidates(q, streams)
 			for _, bs := range []int{1, 3, 7, 128} {
 				st := toIndexed(t, streams, bs)
-				var js JoinStats
-				gotMatch, err := MatchIndexed(q, st, &js)
+				gotMatch, err := MatchIndexed(q, st, &totals)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,12 +134,11 @@ func TestIndexedAgreesWithDecoded(t *testing.T) {
 					t.Errorf("doc %d query %s bs %d: MatchIndexed=%v, Match=%v",
 						i, qs, bs, gotMatch, wantMatch)
 				}
-				gotCands := candidatesIndexedAll(t, q, st, &js)
+				gotCands := candidatesIndexedAll(t, q, st, &totals)
 				if !streamsEqual(gotCands, wantCands) {
 					t.Errorf("doc %d query %s bs %d: candidatesIndexed=%v, Candidates=%v",
 						i, qs, bs, gotCands, wantCands)
 				}
-				totals.Add(js)
 			}
 			st := toIndexedDecoded(streams)
 			if gotMatch, err := MatchIndexed(q, st, nil); err != nil || gotMatch != wantMatch {
