@@ -28,13 +28,14 @@ race:
 benchtest:
 	cd benchmark && $(GO) test ./...
 
-# docsize fails when DESIGN.md or EXPERIMENTS.md is longer than its ceiling
-# below, so the docs cannot grow. A change that shortens one lowers its
-# ceiling to the new count.
-DESIGN_MAX_LINES = 1860
-EXPERIMENTS_MAX_LINES = 3058
+# docsize fails when DESIGN.md, EXPERIMENTS.md or README.md is longer than
+# its ceiling below, so the docs cannot grow. A change that shortens one
+# lowers its ceiling to the new count.
+DESIGN_MAX_LINES = 800
+EXPERIMENTS_MAX_LINES = 774
+README_MAX_LINES = 236
 docsize:
-	@for f in DESIGN.md:$(DESIGN_MAX_LINES) EXPERIMENTS.md:$(EXPERIMENTS_MAX_LINES); do \
+	@for f in DESIGN.md:$(DESIGN_MAX_LINES) EXPERIMENTS.md:$(EXPERIMENTS_MAX_LINES) README.md:$(README_MAX_LINES); do \
 		n=$$(wc -l < $${f%%:*}); if [ $$n -gt $${f##*:} ]; then \
 			echo "$${f%%:*} has $$n lines, at most $${f##*:}"; exit 1; fi; \
 	done
@@ -78,8 +79,10 @@ benchgate:
 # papergate prints the paper's whole evaluation at the default scale and
 # diffs it against the checked-in golden: every table and figure, byte for
 # byte (about 30 s). The tiny scale is held the same way by the suite
-# (cmd/benchall's TestGoldenTiny); `go test ./cmd/benchall -update` rewrites
-# both goldens when a change moves a number on purpose.
+# (cmd/benchall's TestGoldenTiny), and EXPERIMENTS.md's paper section must
+# be the default golden (TestExperimentsShowsDefaultGolden); `go test
+# ./cmd/benchall -update` rewrites all three when a change moves a number on
+# purpose.
 papergate:
 	$(GO) run ./cmd/benchall | diff -u cmd/benchall/testdata/default.golden -
 

@@ -864,7 +864,7 @@ func memStoreGroup(b *testing.B, n int) (*kv.MemStore, []kv.Item) {
 			RangeKey: fmt.Sprintf("%016x", uint64(i)*0x9e3779b97f4a7c15),
 			Attrs:    []kv.Attr{{Name: fmt.Sprintf("doc-%03d.xml", i), Values: []kv.Value{make(kv.Value, 80)}}},
 		}
-		if _, err := store.Put("t", items[i]); err != nil {
+		if _, err := store.BatchPut("t", []kv.Item{items[i]}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -932,7 +932,7 @@ func BenchmarkMemStorePut(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := store.Put("t", items[i%n]); err != nil {
+				if _, err := store.BatchPut("t", []kv.Item{items[i%n]}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -952,7 +952,7 @@ func BenchmarkDynamoDBPut(b *testing.B) {
 			RangeKey: fmt.Sprintf("r-%09d", i),
 			Attrs:    []kv.Attr{{Name: "doc.xml", Values: []kv.Value{{byte(i), byte(i >> 8)}}}},
 		}
-		if _, err := store.Put("t", it); err != nil {
+		if _, err := store.BatchPut("t", []kv.Item{it}); err != nil {
 			b.Fatal(err)
 		}
 	}

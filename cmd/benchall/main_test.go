@@ -45,6 +45,48 @@ func TestGoldenTiny(t *testing.T) {
 	}
 }
 
+// The paper section of EXPERIMENTS.md shows the default golden: between
+// these two marker lines it holds testdata/default.golden verbatim in one
+// fenced block.
+const (
+	experimentsPath = "../../EXPERIMENTS.md"
+	goldenBegin     = "<!-- begin cmd/benchall/testdata/default.golden -->\n"
+	goldenEnd       = "<!-- end cmd/benchall/testdata/default.golden -->\n"
+)
+
+// TestExperimentsShowsDefaultGolden requires EXPERIMENTS.md's measured
+// paper tables to be the default golden byte for byte. With -update it
+// rewrites the block from the golden instead, after TestGoldenTiny has
+// rewritten the golden, so one command moves a number in both.
+func TestExperimentsShowsDefaultGolden(t *testing.T) {
+	doc, err := os.ReadFile(experimentsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "default.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	begin := bytes.Index(doc, []byte(goldenBegin))
+	end := bytes.Index(doc, []byte(goldenEnd))
+	if begin < 0 || end < begin || (begin > 0 && doc[begin-1] != '\n') || doc[end-1] != '\n' {
+		t.Fatalf("%s has no block from a line %q to a later line %q", experimentsPath, goldenBegin, goldenEnd)
+	}
+	begin += len(goldenBegin)
+	want := append(append([]byte("```text\n"), golden...), "```\n"...)
+	if *update {
+		out := append(append(append([]byte(nil), doc[:begin]...), want...), doc[end:]...)
+		if err := os.WriteFile(experimentsPath, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if got := doc[begin:end]; !bytes.Equal(got, want) {
+		t.Errorf("EXPERIMENTS.md's golden block differs from testdata/default.golden (rerun with -update to copy it):\n%s",
+			firstDiff(want, got))
+	}
+}
+
 // firstDiff returns the first line where got departs from want, with its
 // line number.
 func firstDiff(want, got []byte) string {

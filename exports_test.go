@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -205,4 +207,172 @@ func walkGo(t *testing.T, root string, fn func(path string, f *ast.File)) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestDocsNameLiveCode holds the docs to the code. Every backticked Go name
+// in DESIGN.md and README.md of the form pkg.Name, pkg.Type.Member or
+// pkg.(*Type).Member, where pkg is a package under internal/, must be
+// declared in that package's non-test code (a member is a method or a
+// field); unexported names are checked only through a type. And every section of DESIGN or DESIGN.md that a Go file,
+// README.md or the Makefile cites by its section sign and number must
+// number a heading of DESIGN.md.
+func TestDocsNameLiveCode(t *testing.T) {
+	decls := liveDecls(t)
+	codeSpan := regexp.MustCompile("`([^`\n]+)`")
+	name := regexp.MustCompile(`^([a-z][a-z0-9]*)\.(?:\(\*?([A-Za-z_]\w*)\)|([A-Za-z_]\w*))(?:\.([A-Za-z_]\w*))?(?:[({\[].*)?$`)
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		for _, span := range codeSpan.FindAllStringSubmatch(dropFences(readFile(t, doc)), -1) {
+			m := name.FindStringSubmatch(span[1])
+			if m == nil || decls[m[1]] == nil {
+				continue
+			}
+			key := m[2]
+			if key == "" {
+				key = m[3]
+				if !ast.IsExported(key) {
+					continue
+				}
+			}
+			if m[4] != "" {
+				key += "." + m[4]
+			}
+			if !decls[m[1]][key] {
+				t.Errorf("%s names `%s`, which no non-test code under internal/ declares", doc, span[1])
+			}
+		}
+	}
+
+	headings := map[string]bool{}
+	heading := regexp.MustCompile(`(?m)^#{2,3} (\w+(?:\.\w+)*)\.? `)
+	for _, m := range heading.FindAllStringSubmatch(readFile(t, "DESIGN.md"), -1) {
+		headings[m[1]] = true
+	}
+	cite := regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|//)*§\s*(\w+(?:\.\w+)*)`)
+	var citing []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, ".go") {
+			citing = append(citing, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range append(citing, "README.md", "Makefile") {
+		for _, m := range cite.FindAllStringSubmatch(readFile(t, path), -1) {
+			if !headings[m[1]] {
+				t.Errorf("%s cites DESIGN §%s, which is no heading of DESIGN.md", path, m[1])
+			}
+		}
+	}
+}
+
+// liveDecls returns what the non-test files of each package under
+// internal/ declare, by package name: top-level names, and methods, struct
+// fields and interface methods as "Type.Member".
+func liveDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	out := map[string]map[string]bool{}
+	walkGo(t, "internal", func(_ string, f *ast.File) {
+		names := out[f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			out[f.Name.Name] = names
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil {
+					names[recvType(d.Recv.List[0].Type)+"."+d.Name.Name] = true
+				} else {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+						var fields *ast.FieldList
+						switch x := s.Type.(type) {
+						case *ast.StructType:
+							fields = x.Fields
+						case *ast.InterfaceType:
+							fields = x.Methods
+						}
+						for _, field := range fieldNames(fields) {
+							names[s.Name.Name+"."+field] = true
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	})
+	return out
+}
+
+// fieldNames names the members of a field list, an embedded one by its
+// type's name.
+func fieldNames(fields *ast.FieldList) []string {
+	if fields == nil {
+		return nil
+	}
+	var out []string
+	for _, f := range fields.List {
+		for _, n := range f.Names {
+			out = append(out, n.Name)
+		}
+		if len(f.Names) > 0 {
+			continue
+		}
+		typ := f.Type
+		if star, ok := typ.(*ast.StarExpr); ok {
+			typ = star.X
+		}
+		if sel, ok := typ.(*ast.SelectorExpr); ok {
+			typ = sel.Sel
+		}
+		if id, ok := typ.(*ast.Ident); ok {
+			out = append(out, id.Name)
+		}
+	}
+	return out
+}
+
+// dropFences blanks the fenced code blocks of a Markdown text, whose
+// backticks are not code spans.
+func dropFences(s string) string {
+	var b strings.Builder
+	fenced := false
+	for _, line := range strings.SplitAfter(s, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			b.WriteString("\n")
+			continue
+		}
+		if fenced {
+			b.WriteString("\n")
+			continue
+		}
+		b.WriteString(line)
+	}
+	return b.String()
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -49,7 +49,7 @@ func driveStore(t *testing.T, s kv.Store) []string {
 	var trace []string
 	note := func(op string, err error) { trace = append(trace, fmt.Sprintf("%s:%v", op, err)) }
 	for i := 0; i < 10; i++ {
-		_, err := s.Put("t", item("h", fmt.Sprintf("r%02d", i), "v"))
+		_, err := s.BatchPut("t", []kv.Item{item("h", fmt.Sprintf("r%02d", i), "v")})
 		note("put", err)
 	}
 	batch := make([]kv.Item, 8)
@@ -191,7 +191,7 @@ func TestPartialBatchDeleteContract(t *testing.T) {
 	keys := make([]kv.Key, 10)
 	for i := range keys {
 		keys[i] = kv.Key{HashKey: "h", RangeKey: fmt.Sprintf("r%02d", i)}
-		if _, err := base.Put("t", item("h", keys[i].RangeKey, "v")); err != nil {
+		if _, err := base.BatchPut("t", []kv.Item{item("h", keys[i].RangeKey, "v")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +245,7 @@ func TestPartialBatchGetContract(t *testing.T) {
 	keys := make([]string, 8)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("h%02d", i)
-		if _, err := base.Put("t", item(keys[i], "r", "v")); err != nil {
+		if _, err := base.BatchPut("t", []kv.Item{item(keys[i], "r", "v")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -396,7 +396,7 @@ func TestEveryNthCustomError(t *testing.T) {
 	faulty := &chaos.EveryNth{Store: base, FailEvery: 2, Err: kv.ErrInternal}
 	var failures int
 	for i := 0; i < 6; i++ {
-		_, err := faulty.Put("t", item("h", fmt.Sprintf("r%d", i), "v"))
+		_, err := faulty.BatchPut("t", []kv.Item{item("h", fmt.Sprintf("r%d", i), "v")})
 		if err != nil {
 			if !errors.Is(err, kv.ErrInternal) {
 				t.Fatalf("op %d: %v, want ErrInternal", i, err)
@@ -410,7 +410,7 @@ func TestEveryNthCustomError(t *testing.T) {
 
 	// Default error class is throttling.
 	def := &chaos.EveryNth{Store: base, FailEvery: 1}
-	if _, err := def.Put("t", item("h", "r", "v")); !errors.Is(err, kv.ErrThrottled) {
+	if _, err := def.BatchPut("t", []kv.Item{item("h", "r", "v")}); !errors.Is(err, kv.ErrThrottled) {
 		t.Errorf("default injected error = %v, want ErrThrottled", err)
 	}
 }

@@ -61,14 +61,6 @@ func WrapStore(s kv.Store, inj *Injector) *Store {
 // Unwrap returns the wrapped store.
 func (c *Store) Unwrap() kv.Store { return c.Store }
 
-// Put implements kv.Store with injection.
-func (c *Store) Put(table string, item kv.Item) (time.Duration, error) {
-	if err := c.inj.kvFault(); err != nil {
-		return 0, err
-	}
-	return c.Store.Put(table, item)
-}
-
 // BatchPut implements kv.Store with injection. An injected partial outcome
 // applies a strict non-empty prefix of the batch to the underlying store
 // and reports the remainder as unprocessed, exactly like BatchWriteItem's
@@ -172,14 +164,6 @@ func (f *EveryNth) Injected() int {
 		return 0
 	}
 	return f.count / f.FailEvery
-}
-
-// Put implements kv.Store with injection.
-func (f *EveryNth) Put(table string, item kv.Item) (time.Duration, error) {
-	if err := f.trip(); err != nil {
-		return 0, err
-	}
-	return f.Store.Put(table, item)
 }
 
 // BatchPut implements kv.Store with injection.

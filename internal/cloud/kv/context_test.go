@@ -43,7 +43,7 @@ func TestReadsStopOnContext(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range keys {
-			if _, err := s.Put("t", item(k, "r", attr("a", "value of "+k))); err != nil {
+			if _, err := s.BatchPut("t", []kv.Item{item(k, "r", attr("a", "value of "+k))}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -393,10 +393,10 @@ func (d *differ) run(s *opStream) {
 	for !s.done() {
 		d.step++
 		switch op := s.next() % 16; op {
-		case 0, 1, 2, 3: // put, which over these few primary keys is mostly an overwrite
+		case 0, 1, 2, 3: // a one-item put, which over these few primary keys is mostly an overwrite
 			tbl, it := d.table(s), d.item(s)
-			gd, gerr := d.got.Put(tbl, it)
-			wd, werr := d.want.Put(tbl, it)
+			gd, gerr := d.got.BatchPut(tbl, []kv.Item{it})
+			wd, werr := d.want.BatchPut(tbl, []kv.Item{it})
 			d.same("Put", gerr, werr)
 			d.sameDur("Put", gd, wd)
 		case 4, 5, 6:

@@ -50,8 +50,8 @@
 //
 // Store has two writes, both one request per call: BatchPut stores up to
 // Limits().BatchPutItems items and BatchDelete removes up to as many items
-// by primary key, the two halves of DynamoDB's BatchWriteItem (Put is a
-// one-item BatchPut). Either call validates its whole batch before it
+// by primary key, the two halves of DynamoDB's BatchWriteItem; a single
+// item is a one-item batch. Either call validates its whole batch before it
 // touches anything, so a rejected batch writes and meters nothing. A delete
 // is metered like a put of the key: one write unit per key, the key bytes
 // as payload, so batching moves a bill's request count and modeled round
@@ -213,9 +213,8 @@ type Store interface {
 	DeleteTable(name string) error
 	Tables() []string
 
-	// Put inserts or fully replaces one item.
-	Put(table string, item Item) (time.Duration, error)
-	// BatchPut inserts up to Limits().BatchPutItems items in one request.
+	// BatchPut inserts or fully replaces up to Limits().BatchPutItems items
+	// in one request.
 	// A store neither keeps the caller's slice nor writes into it, whatever
 	// the outcome: the items are copied in, and a PartialPutError's
 	// Unprocessed is a slice of its own. The index's bulk loader ships

@@ -198,11 +198,6 @@ func (s *MemStore) latency(bytes, unitBytes int64, clientRate, capacity float64)
 	return d
 }
 
-// Put implements Store: a one-item BatchPut.
-func (s *MemStore) Put(tbl string, item Item) (time.Duration, error) {
-	return s.BatchPut(tbl, []Item{item})
-}
-
 // BatchPut implements Store: the batch is metered as one request and
 // latency-modeled from its combined payload. Nothing is stored unless every
 // item is valid.

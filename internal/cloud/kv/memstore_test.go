@@ -61,7 +61,7 @@ func TestCreateDeleteTable(t *testing.T) {
 
 func TestPutGetRoundTrip(t *testing.T) {
 	s := newDynamo(t)
-	if _, err := s.Put("idx", item("ename", "u1", attr("doc1.xml", "/a/b"))); err != nil {
+	if _, err := s.BatchPut("idx", []kv.Item{item("ename", "u1", attr("doc1.xml", "/a/b"))}); err != nil {
 		t.Fatal(err)
 	}
 	items, _, err := kv.Get(context.Background(), s, "idx", "ename")
@@ -83,7 +83,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestGetReturnsAllRangeKeysSorted(t *testing.T) {
 	s := newDynamo(t)
 	for _, r := range []string{"u3", "u1", "u2"} {
-		if _, err := s.Put("idx", item("k", r, attr("a", r))); err != nil {
+		if _, err := s.BatchPut("idx", []kv.Item{item("k", r, attr("a", r))}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,8 +103,8 @@ func TestGetReturnsAllRangeKeysSorted(t *testing.T) {
 
 func TestPutReplacesSamePrimaryKey(t *testing.T) {
 	s := newDynamo(t)
-	s.Put("idx", item("k", "u1", attr("a", "old"), attr("b", "x")))
-	s.Put("idx", item("k", "u1", attr("a", "new")))
+	s.BatchPut("idx", []kv.Item{item("k", "u1", attr("a", "old"), attr("b", "x"))})
+	s.BatchPut("idx", []kv.Item{item("k", "u1", attr("a", "new"))})
 	items, _, _ := kv.Get(context.Background(), s, "idx", "k")
 	if len(items) != 1 {
 		t.Fatalf("got %d items, want 1", len(items))
@@ -132,7 +132,7 @@ func TestGetMissingKeyAndTable(t *testing.T) {
 	if _, _, err := kv.Get(context.Background(), s, "idx", ""); !errors.Is(err, kv.ErrEmptyKey) {
 		t.Errorf("empty key: %v", err)
 	}
-	if _, err := s.Put("idx", item("", "u")); !errors.Is(err, kv.ErrEmptyKey) {
+	if _, err := s.BatchPut("idx", []kv.Item{item("", "u")}); !errors.Is(err, kv.ErrEmptyKey) {
 		t.Errorf("empty put key: %v", err)
 	}
 }
@@ -205,8 +205,8 @@ func TestBatchDeleteAndLimit(t *testing.T) {
 
 func TestBatchGetAndLimit(t *testing.T) {
 	s := newDynamo(t)
-	s.Put("idx", item("k1", "u", attr("a", "1")))
-	s.Put("idx", item("k2", "u", attr("a", "2")))
+	s.BatchPut("idx", []kv.Item{item("k1", "u", attr("a", "1"))})
+	s.BatchPut("idx", []kv.Item{item("k2", "u", attr("a", "2"))})
 	out, _, err := kv.BatchGet(context.Background(), s, "idx", []string{"k1", "k2", "k3"})
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +226,8 @@ func TestBatchGetAndLimit(t *testing.T) {
 func TestDynamoItemSizeLimit(t *testing.T) {
 	s := newDynamo(t)
 	big := make([]byte, dynamodb.MaxItemBytes+1)
-	_, err := s.Put("idx", kv.Item{HashKey: "k", RangeKey: "u",
-		Attrs: []kv.Attr{{Name: "a", Values: []kv.Value{big}}}})
+	_, err := s.BatchPut("idx", []kv.Item{kv.Item{HashKey: "k", RangeKey: "u",
+		Attrs: []kv.Attr{{Name: "a", Values: []kv.Value{big}}}}})
 	if !errors.Is(err, kv.ErrItemTooLarge) {
 		t.Errorf("oversized item: %v", err)
 	}
@@ -236,8 +236,8 @@ func TestDynamoItemSizeLimit(t *testing.T) {
 func TestDynamoAcceptsBinaryValues(t *testing.T) {
 	s := newDynamo(t)
 	bin := kv.Value{0xff, 0x00, 0x80, 0x01}
-	if _, err := s.Put("idx", kv.Item{HashKey: "k", RangeKey: "u",
-		Attrs: []kv.Attr{{Name: "a", Values: []kv.Value{bin}}}}); err != nil {
+	if _, err := s.BatchPut("idx", []kv.Item{kv.Item{HashKey: "k", RangeKey: "u",
+		Attrs: []kv.Attr{{Name: "a", Values: []kv.Value{bin}}}}}); err != nil {
 		t.Fatalf("binary value rejected: %v", err)
 	}
 	items, _, _ := kv.Get(context.Background(), s, "idx", "k")
@@ -250,8 +250,8 @@ func TestSimpleDBRejectsBinaryAndLargeValues(t *testing.T) {
 	s := simpledb.New(meter.NewLedger())
 	s.CreateTable("idx")
 	bin := kv.Value{0xff, 0xfe}
-	_, err := s.Put("idx", kv.Item{HashKey: "k", RangeKey: "u",
-		Attrs: []kv.Attr{{Name: "a", Values: []kv.Value{bin}}}})
+	_, err := s.BatchPut("idx", []kv.Item{kv.Item{HashKey: "k", RangeKey: "u",
+		Attrs: []kv.Attr{{Name: "a", Values: []kv.Value{bin}}}}})
 	if !errors.Is(err, kv.ErrNotText) {
 		t.Errorf("binary value: %v", err)
 	}
@@ -259,8 +259,8 @@ func TestSimpleDBRejectsBinaryAndLargeValues(t *testing.T) {
 	for i := range big {
 		big[i] = 'a'
 	}
-	_, err = s.Put("idx", kv.Item{HashKey: "k", RangeKey: "u",
-		Attrs: []kv.Attr{{Name: "a", Values: []kv.Value{big}}}})
+	_, err = s.BatchPut("idx", []kv.Item{kv.Item{HashKey: "k", RangeKey: "u",
+		Attrs: []kv.Attr{{Name: "a", Values: []kv.Value{big}}}}})
 	if !errors.Is(err, kv.ErrValueTooLarge) {
 		t.Errorf("oversized value: %v", err)
 	}
@@ -269,7 +269,7 @@ func TestSimpleDBRejectsBinaryAndLargeValues(t *testing.T) {
 func TestSizeAccounting(t *testing.T) {
 	s := newDynamo(t)
 	it := item("key1", "uuid-1", attr("doc.xml", "/a/b", "/a/c"))
-	s.Put("idx", it)
+	s.BatchPut("idx", []kv.Item{it})
 	want := it.Size()
 	if got := s.TableBytes("idx"); got != want {
 		t.Errorf("TableBytes = %d, want %d", got, want)
@@ -281,7 +281,7 @@ func TestSizeAccounting(t *testing.T) {
 		t.Errorf("TotalBytes = %d, want %d", got, want+100)
 	}
 	// Replacement must not leak accounted bytes.
-	s.Put("idx", item("key1", "uuid-1", attr("doc.xml", "/a")))
+	s.BatchPut("idx", []kv.Item{item("key1", "uuid-1", attr("doc.xml", "/a"))})
 	if got := s.TableBytes("idx"); got >= want {
 		t.Errorf("TableBytes after shrink = %d, want < %d", got, want)
 	}
@@ -290,7 +290,7 @@ func TestSizeAccounting(t *testing.T) {
 func TestSimpleDBOverheadCountsAttrPairs(t *testing.T) {
 	s := simpledb.New(meter.NewLedger())
 	s.CreateTable("idx")
-	s.Put("idx", item("k", "u", attr("a", "1", "2"), attr("b", "3")))
+	s.BatchPut("idx", []kv.Item{item("k", "u", attr("a", "1", "2"), attr("b", "3"))})
 	// 45 per item + 45 per attribute-value pair (3 pairs).
 	if got := s.OverheadBytes("idx"); got != 45+3*45 {
 		t.Errorf("OverheadBytes = %d, want %d", got, 45+3*45)
@@ -323,7 +323,7 @@ func TestLatencySaturation(t *testing.T) {
 	s.CreateTable("idx")
 	payload := item("k", "u", attr("a", string(make([]byte, 10<<10))))
 
-	d1, err := s.Put("idx", payload)
+	d1, err := s.BatchPut("idx", []kv.Item{payload})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,14 +332,14 @@ func TestLatencySaturation(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.RegisterClient()
 	}
-	d2, _ := s.Put("idx", payload)
+	d2, _ := s.BatchPut("idx", []kv.Item{payload})
 	if d2 <= d1 {
 		t.Errorf("saturated latency %v not above unsaturated %v", d2, d1)
 	}
 	for i := 0; i < 64; i++ {
 		s.UnregisterClient()
 	}
-	d3, _ := s.Put("idx", payload)
+	d3, _ := s.BatchPut("idx", []kv.Item{payload})
 	if d3 != d1 {
 		t.Errorf("latency after unregister = %v, want %v", d3, d1)
 	}
@@ -347,8 +347,8 @@ func TestLatencySaturation(t *testing.T) {
 
 func TestLatencyMonotoneInSize(t *testing.T) {
 	s := newDynamo(t)
-	small, _ := s.Put("idx", item("k", "u", attr("a", "x")))
-	large, _ := s.Put("idx", item("k", "u2", attr("a", string(make([]byte, 32<<10)))))
+	small, _ := s.BatchPut("idx", []kv.Item{item("k", "u", attr("a", "x"))})
+	large, _ := s.BatchPut("idx", []kv.Item{item("k", "u2", attr("a", string(make([]byte, 32<<10))))})
 	if large <= small {
 		t.Errorf("latency not monotone: small=%v large=%v", small, large)
 	}
@@ -364,8 +364,8 @@ func TestSimpleDBSlowerThanDynamo(t *testing.T) {
 	d.CreateTable("t")
 	sdb.CreateTable("t")
 	it := item("k", "u", attr("a", string(make([]byte, 900))))
-	dd, _ := d.Put("t", it)
-	ds, _ := sdb.Put("t", it)
+	dd, _ := d.BatchPut("t", []kv.Item{it})
+	ds, _ := sdb.BatchPut("t", []kv.Item{it})
 	if ds <= dd {
 		t.Errorf("simpledb put %v not slower than dynamodb %v", ds, dd)
 	}
@@ -379,7 +379,7 @@ func TestConcurrentPuts(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s.Put("idx", item("k", fmt.Sprintf("w%d-%d", w, i), attr("a", "v")))
+				s.BatchPut("idx", []kv.Item{item("k", fmt.Sprintf("w%d-%d", w, i), attr("a", "v"))})
 			}
 		}(w)
 	}
@@ -401,7 +401,7 @@ func TestAccountingProperty(t *testing.T) {
 		var wantBytes int64
 		for i, sz := range sizes {
 			it := item("k", fmt.Sprintf("u%04d", i), attr("a", string(make([]byte, int(sz)))))
-			if _, err := s.Put("idx", it); err != nil {
+			if _, err := s.BatchPut("idx", []kv.Item{it}); err != nil {
 				return false
 			}
 			wantBytes += it.Size()

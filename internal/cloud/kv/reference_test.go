@@ -191,11 +191,6 @@ func (s *refStore) latency(bytes, unitBytes int64, clientRate, capacity float64)
 	return d
 }
 
-// Put implements Store.
-func (s *refStore) Put(tbl string, item kv.Item) (time.Duration, error) {
-	return s.BatchPut(tbl, []kv.Item{item})
-}
-
 // BatchPut implements Store.
 func (s *refStore) BatchPut(tbl string, items []kv.Item) (time.Duration, error) {
 	if lim := s.cfg.Limits.BatchPutItems; lim > 0 && len(items) > lim {

@@ -17,10 +17,12 @@ import (
 // the returned duration, so retries cost virtual-machine time exactly like
 // they would on EC2. Non-transient errors pass through unchanged.
 //
-// Backoff uses seeded full jitter: the wait before attempt k is uniform in
-// (0, min(BaseBackoff<<k, MaxBackoff)], drawn from a PRNG seeded with Seed,
-// so concurrent clients sharing a saturated store do not retry in lockstep
-// while modeled times stay deterministic for a given seed and call order.
+// Backoff uses seeded full jitter: the wait before the retry that follows
+// the n-th attempt in a row without progress is uniform in
+// (0, min(BaseBackoff<<(n-1), MaxBackoff)], drawn from a PRNG seeded with
+// Seed, so concurrent clients sharing a saturated store do not retry in
+// lockstep while modeled times stay deterministic for a given seed and call
+// order.
 type Retry struct {
 	Store
 	// MaxAttempts bounds the tries per operation (default 5). A partial
@@ -134,8 +136,11 @@ func (r *Retry) attempts() int {
 	return 5
 }
 
-// backoff returns the jittered wait before retry number attempt (0-based).
-func (r *Retry) backoff(attempt int) time.Duration {
+// backoff returns the jittered wait before a retry that follows failed
+// consecutive attempts without progress: capped by BaseBackoff for the
+// first, doubled for each further one. A retry after progress (failed is 0)
+// waits like a first one.
+func (r *Retry) backoff(failed int) time.Duration {
 	base := r.BaseBackoff
 	if base <= 0 {
 		base = 50 * time.Millisecond
@@ -150,7 +155,7 @@ func (r *Retry) backoff(attempt int) time.Duration {
 	// Double up to the cap; stopping at the cap keeps the shift from
 	// overflowing for large attempt counts.
 	d := base
-	for i := 0; i < attempt && d < max; i++ {
+	for i := 1; i < failed && d < max; i++ {
 		d <<= 1
 	}
 	if d > max {
@@ -173,47 +178,9 @@ func (r *Retry) classify(err error) {
 	}
 }
 
-// retry runs op until it succeeds, fails hard, or exhausts attempts,
-// accumulating modeled latency across attempts. A cancelled context returns
-// immediately: in particular, a failure observed after cancellation does
-// NOT charge or complete the pending backoff wait. Writes pass
-// context.Background(): the loop is then bounded by MaxAttempts alone.
-func (r *Retry) retry(ctx context.Context, op func() (time.Duration, error)) (time.Duration, error) {
-	var total time.Duration
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return total, err
-		}
-		d, err := op()
-		total += d
-		if err == nil {
-			return total, nil
-		}
-		if !IsTransient(err) {
-			return total, err
-		}
-		r.classify(err)
-		if attempt+1 >= r.attempts() {
-			r.bump(&r.stats.gaveUp, MetricGaveUp, 1)
-			return total, err
-		}
-		// Mid-backoff cancellation: return now, charging none of the wait.
-		if err := ctx.Err(); err != nil {
-			return total, err
-		}
-		r.bump(&r.stats.retries, MetricRetries, 1)
-		total += r.backoff(attempt)
-	}
-}
-
-// Put implements Store with retries.
-func (r *Retry) Put(table string, item Item) (time.Duration, error) {
-	return r.retry(context.Background(), func() (time.Duration, error) { return r.Store.Put(table, item) })
-}
-
-// BatchPut implements Store with retries (see retryBatch).
+// BatchPut implements Store with retries (see retryRemainder).
 func (r *Retry) BatchPut(table string, items []Item) (time.Duration, error) {
-	return retryBatch(r, items,
+	return retryRemainder(context.Background(), r, items, &r.stats.itemsResub, MetricItemsResubmitted,
 		func(batch []Item) (time.Duration, error) { return r.Store.BatchPut(table, batch) },
 		func(err error) ([]Item, bool) {
 			var pe *PartialPutError
@@ -224,9 +191,9 @@ func (r *Retry) BatchPut(table string, items []Item) (time.Duration, error) {
 		})
 }
 
-// BatchDelete implements Store with retries (see retryBatch).
+// BatchDelete implements Store with retries (see retryRemainder).
 func (r *Retry) BatchDelete(table string, keys []Key) (time.Duration, error) {
-	return retryBatch(r, keys,
+	return retryRemainder(context.Background(), r, keys, &r.stats.itemsResub, MetricItemsResubmitted,
 		func(batch []Key) (time.Duration, error) { return r.Store.BatchDelete(table, batch) },
 		func(err error) ([]Key, bool) {
 			var pe *PartialDeleteError
@@ -237,75 +204,58 @@ func (r *Retry) BatchDelete(table string, keys []Key) (time.Duration, error) {
 		})
 }
 
-// retryBatch runs a batch write until it lands whole. A partial outcome,
-// whose remainder unprocessed extracts from the error, resubmits only that
-// remainder; progress refreshes the attempt budget.
-func retryBatch[T any](r *Retry, batch []T, write func([]T) (time.Duration, error), unprocessed func(error) ([]T, bool)) (time.Duration, error) {
+// Read implements Store with retries (see retryRemainder). A partial outcome
+// re-reads only the unprocessed keys, so the visitor sees each key once.
+func (r *Retry) Read(ctx context.Context, table string, hashKeys []string, visit Visitor) (time.Duration, error) {
+	return retryRemainder(ctx, r, hashKeys, &r.stats.keysRefetc, MetricKeysRefetched,
+		func(keys []string) (time.Duration, error) { return r.Store.Read(ctx, table, keys, visit) },
+		func(err error) ([]string, bool) {
+			var pe *PartialGetError
+			if errors.As(err, &pe) {
+				return pe.UnprocessedKeys, true
+			}
+			return nil, false
+		})
+}
+
+// retryRemainder is the one retry loop: it runs op on the pending batch
+// until op succeeds, fails hard, or makes no progress for MaxAttempts
+// attempts in a row, accumulating modeled latency. A partial outcome, whose
+// remainder unprocessed extracts from the error, resubmits only that
+// remainder and, when the remainder shrank, refreshes the budget; its size
+// is added to the resubmitted counter. A cancelled context returns at once:
+// before an attempt, and in particular after a failure, when the pending
+// backoff is neither completed nor charged. Writes pass
+// context.Background(), so MaxAttempts alone bounds them.
+func retryRemainder[T any](ctx context.Context, r *Retry, pending []T, resubmitted *atomic.Int64, metric string,
+	op func([]T) (time.Duration, error), unprocessed func(error) ([]T, bool)) (time.Duration, error) {
 	var total time.Duration
-	pending := batch
-	for attempt := 0; ; {
-		d, err := write(pending)
+	failed := 0 // consecutive attempts without progress
+	for {
+		if err := ctx.Err(); err != nil {
+			return total, err
+		}
+		d, err := op(pending)
 		total += d
 		if err == nil {
 			return total, nil
 		}
 		if rest, partial := unprocessed(err); partial {
 			r.bump(&r.stats.partialBatches, MetricPartialBatches, 1)
-			r.bump(&r.stats.itemsResub, MetricItemsResubmitted, int64(len(rest)))
+			r.bump(resubmitted, metric, int64(len(rest)))
 			if len(rest) < len(pending) {
-				attempt = 0 // progress refreshes the budget
+				failed = 0
 			} else {
-				attempt++
+				failed++
 			}
 			pending = rest
 		} else if IsTransient(err) {
 			r.classify(err)
-			attempt++
+			failed++
 		} else {
 			return total, err
 		}
-		if attempt >= r.attempts() {
-			r.bump(&r.stats.gaveUp, MetricGaveUp, 1)
-			return total, err
-		}
-		r.bump(&r.stats.retries, MetricRetries, 1)
-		total += r.backoff(attempt)
-	}
-}
-
-// Read implements Store with retries. A partial outcome re-reads only the
-// unprocessed keys, so the visitor sees each key once; progress refreshes
-// the attempt budget. Cancellation semantics match retry.
-func (r *Retry) Read(ctx context.Context, table string, hashKeys []string, visit Visitor) (time.Duration, error) {
-	var total time.Duration
-	pending := hashKeys
-	for attempt := 0; ; {
-		if err := ctx.Err(); err != nil {
-			return total, err
-		}
-		d, err := r.Store.Read(ctx, table, pending, visit)
-		total += d
-		if err == nil {
-			return total, nil
-		}
-		var pe *PartialGetError
-		switch {
-		case errors.As(err, &pe):
-			r.bump(&r.stats.partialBatches, MetricPartialBatches, 1)
-			r.bump(&r.stats.keysRefetc, MetricKeysRefetched, int64(len(pe.UnprocessedKeys)))
-			if len(pe.UnprocessedKeys) < len(pending) {
-				attempt = 0 // progress refreshes the budget
-			} else {
-				attempt++
-			}
-			pending = pe.UnprocessedKeys
-		case IsTransient(err):
-			r.classify(err)
-			attempt++
-		default:
-			return total, err
-		}
-		if attempt >= r.attempts() {
+		if failed >= r.attempts() {
 			r.bump(&r.stats.gaveUp, MetricGaveUp, 1)
 			return total, err
 		}
@@ -313,6 +263,6 @@ func (r *Retry) Read(ctx context.Context, table string, hashKeys []string, visit
 			return total, cerr
 		}
 		r.bump(&r.stats.retries, MetricRetries, 1)
-		total += r.backoff(attempt)
+		total += r.backoff(failed)
 	}
 }

@@ -28,7 +28,7 @@ func TestRetryHidesTransientThrottling(t *testing.T) {
 	retry.BaseBackoff = time.Millisecond
 
 	for i := 0; i < 20; i++ {
-		if _, err := retry.Put("t", item("k", string(rune('a'+i)), attr("a", "v"))); err != nil {
+		if _, err := retry.BatchPut("t", []kv.Item{item("k", string(rune('a'+i)), attr("a", "v"))}); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -48,30 +48,47 @@ func TestRetryHidesTransientThrottling(t *testing.T) {
 	}
 }
 
+// The modeled latency of a retried call includes its backoff, and the first
+// retry's wait is at most BaseBackoff, through the write and the read alike.
+// FailEvery=2: call 1 lands, call 2 is throttled once and then lands. The
+// two calls make the same request, so their store latencies match and any
+// excess is the one wait, which must lie in (0, 100ms] at every seed.
 func TestRetryChargesBackoffTime(t *testing.T) {
-	base := dynamodb.New(meter.NewLedger())
-	base.CreateTable("t")
-	faulty := &chaos.EveryNth{Store: base, FailEvery: 2}
-	retry := kv.NewRetry(faulty)
-	retry.BaseBackoff = 100 * time.Millisecond
-
-	// FailEvery=2: op1 ok, op2 throttled then op3 ok. The retried put's
-	// modeled latency must include a positive jittered backoff on top of the
-	// store latency; the items are the same size, so the store latencies
-	// match and any excess is backoff.
-	d1, err := retry.Put("t", item("k", "a", attr("a", "v")))
-	if err != nil {
-		t.Fatal(err)
+	calls := []struct {
+		name string
+		call func(s kv.Store, i int) (time.Duration, error)
+	}{
+		{"BatchPut", func(s kv.Store, i int) (time.Duration, error) {
+			return s.BatchPut("t", []kv.Item{item("k", fmt.Sprint(i), attr("a", "v"))})
+		}},
+		{"Read", func(s kv.Store, i int) (time.Duration, error) {
+			_, d, err := kv.Get(context.Background(), s, "t", "k")
+			return d, err
+		}},
 	}
-	d2, err := retry.Put("t", item("k", "b", attr("a", "v")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2 <= d1 {
-		t.Errorf("retried op latency %v does not include backoff (first %v)", d2, d1)
-	}
-	if d2 > d1+100*time.Millisecond {
-		t.Errorf("backoff %v exceeds the 100ms first-retry cap", d2-d1)
+	for _, c := range calls {
+		for seed := int64(1); seed <= 20; seed++ {
+			base := dynamodb.New(meter.NewLedger())
+			base.CreateTable("t")
+			mustPut(t, base, "t", item("k", "x", attr("a", "v")))
+			retry := kv.NewRetry(&chaos.EveryNth{Store: base, FailEvery: 2})
+			retry.BaseBackoff = 100 * time.Millisecond
+			retry.Seed = seed
+			d1, err := c.call(retry, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d2, err := c.call(retry, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d2 <= d1 {
+				t.Errorf("%s seed %d: retried call latency %v does not include backoff (first %v)", c.name, seed, d2, d1)
+			}
+			if d2 > d1+100*time.Millisecond {
+				t.Errorf("%s seed %d: backoff %v exceeds the 100ms first-retry cap", c.name, seed, d2-d1)
+			}
+		}
 	}
 }
 
@@ -84,7 +101,7 @@ func TestRetryBackoffIsSeeded(t *testing.T) {
 		retry.Seed = seed
 		var total time.Duration
 		for i := 0; i < 10; i++ {
-			d, err := retry.Put("t", item("k", string(rune('a'+i)), attr("a", "v")))
+			d, err := retry.BatchPut("t", []kv.Item{item("k", string(rune('a'+i)), attr("a", "v"))})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +128,7 @@ func TestRetryBackoffCappedWithoutOverflow(t *testing.T) {
 	retry.BaseBackoff = time.Millisecond
 	retry.MaxBackoff = 50 * time.Millisecond
 
-	d, err := retry.Put("t", item("k", "a", attr("a", "v")))
+	d, err := retry.BatchPut("t", []kv.Item{item("k", "a", attr("a", "v"))})
 	if !errors.Is(err, kv.ErrThrottled) {
 		t.Fatalf("err = %v, want throttled", err)
 	}
@@ -133,7 +150,7 @@ func TestRetryGivesUpEventually(t *testing.T) {
 	retry := kv.NewRetry(alwaysFail)
 	retry.BaseBackoff = time.Microsecond
 	retry.MaxAttempts = 3
-	_, err := retry.Put("t", item("k", "a", attr("a", "v")))
+	_, err := retry.BatchPut("t", []kv.Item{item("k", "a", attr("a", "v"))})
 	if !errors.Is(err, kv.ErrThrottled) {
 		t.Errorf("err = %v, want throttled", err)
 	}
@@ -152,7 +169,7 @@ func TestRetryHandlesInternalErrors(t *testing.T) {
 	retry := kv.NewRetry(faulty)
 	retry.BaseBackoff = time.Microsecond
 	for i := 0; i < 10; i++ {
-		if _, err := retry.Put("t", item("k", string(rune('a'+i)), attr("a", "v"))); err != nil {
+		if _, err := retry.BatchPut("t", []kv.Item{item("k", string(rune('a'+i)), attr("a", "v"))}); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -164,7 +181,7 @@ func TestRetryHandlesInternalErrors(t *testing.T) {
 func TestRetryPassesHardErrorsThrough(t *testing.T) {
 	base := dynamodb.New(meter.NewLedger())
 	retry := kv.NewRetry(base) // no table created
-	if _, err := retry.Put("missing", item("k", "a")); !errors.Is(err, kv.ErrNoSuchTable) {
+	if _, err := retry.BatchPut("missing", []kv.Item{item("k", "a")}); !errors.Is(err, kv.ErrNoSuchTable) {
 		t.Errorf("err = %v, want no-such-table", err)
 	}
 }

@@ -22,7 +22,7 @@ import (
 func mustPut(t testing.TB, s kv.Store, tbl string, items ...kv.Item) {
 	t.Helper()
 	for _, it := range items {
-		if _, err := s.Put(tbl, it); err != nil {
+		if _, err := s.BatchPut(tbl, []kv.Item{it}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func TestWriteThroughViewIsDetected(t *testing.T) {
 	}
 	// Overwriting the large item kills more bytes than stay live, so the
 	// table is rewritten, and the rewrite meets the damaged item.
-	if msg := panics(func() { s.Put("idx", item("k", "v", attr("a", "small"))) }); !strings.Contains(msg, "read-only view") {
+	if msg := panics(func() { s.BatchPut("idx", []kv.Item{item("k", "v", attr("a", "small"))}) }); !strings.Contains(msg, "read-only view") {
 		t.Errorf("rewrite after a write through a view: panic %q, want one naming the read-only view", msg)
 	}
 

@@ -25,7 +25,7 @@
 // metering and billing match the cost model — while IndexCorpusOn schedules
 // documents round-robin over a fleet for reproducible modeled times. The
 // response queue is shared: a receiver consumes only the responses it
-// awaits and steps over the rest (DESIGN.md §5b).
+// awaits and steps over the rest (DESIGN.md §7.2).
 package core
 
 import (

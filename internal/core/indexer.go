@@ -138,7 +138,7 @@ type IndexReport struct {
 // With Config.BulkLoad set, the driver runs the two-stage bulk pipeline
 // instead: extractions are read ahead (bounded by Config.PipelineDepth) and
 // fed to a cross-document index.BulkLoader, which packs each key's postings
-// from the whole run into one item at the end (DESIGN §5e), and each
+// from the whole run into one item at the end (DESIGN §7.5), and each
 // document's pro-rata upload share is modeled on an asynchronous upload
 // stream per core — so extraction compute overlaps store I/O and Table 4's
 // extract/upload split stays per-document. The store holds the same

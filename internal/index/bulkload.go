@@ -14,7 +14,7 @@ import (
 )
 
 // This file implements the cross-document bulk loader, a commit-time
-// packer (DESIGN §5e). WriteExtraction writes one item per (key, document);
+// packer (DESIGN §7.5). WriteExtraction writes one item per (key, document);
 // Section 6's mapping names an item's attributes by URI, so one item can
 // carry many documents' postings. The BulkLoader holds every (table, key)'s
 // contributions — one document's values under one key — until Close, then

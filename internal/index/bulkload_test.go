@@ -372,9 +372,9 @@ func (f *failingStore) BatchPut(table string, items []kv.Item) (time.Duration, e
 
 // TestBulkLoaderInvalidatesCacheOnFailedFlush: even when a commit fails
 // mid-way, every key of the commit must be invalidated in the posting
-// caches — a partially landed commit with a stale cached posting is the §5d
-// failure mode cache invalidation exists to prevent — and no document is
-// released.
+// caches — a partially landed commit with a stale cached posting is the
+// failure mode (DESIGN §10) cache invalidation exists to prevent — and no
+// document is released.
 func TestBulkLoaderInvalidatesCacheOnFailedFlush(t *testing.T) {
 	docs := testCorpus()[:4]
 	base := newStore(t, LU)
@@ -422,7 +422,7 @@ func TestBulkLoaderInvalidatesCacheOnFailedFlush(t *testing.T) {
 // TestBulkLoaderRetryIdempotent re-adds the same documents after a failed
 // commit (the redelivery path), grouped otherwise, and checks the store
 // converges to the clean postings without a duplicated contribution — the
-// composition with §5d's exactly-once guarantees.
+// composition with the exactly-once guarantees of DESIGN §10.3.
 func TestBulkLoaderRetryIdempotent(t *testing.T) {
 	docs := testCorpus()[:8]
 	clean := newStore(t, LUI)

@@ -60,7 +60,7 @@ func TestPostingCacheDoesNotPinArena(t *testing.T) {
 				for k := 0; k < keys; k++ {
 					it := kv.Item{HashKey: fmt.Sprintf("key-%04d", k), RangeKey: "r",
 						Attrs: []kv.Attr{{Name: "doc.xml", Values: []kv.Value{fx.value}}}}
-					if _, err := store.Put("t", it); err != nil {
+					if _, err := store.BatchPut("t", []kv.Item{it}); err != nil {
 						t.Fatal(err)
 					}
 				}

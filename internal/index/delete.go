@@ -15,7 +15,7 @@ import (
 // k's items named URI(d). Removal re-extracts I(d) from the document (the
 // caller fetches it from the file store before dropping it there), reads
 // its keys, deletes the items whose one attribute it is, and rewrites each
-// bulk pack it is a member of without it (DESIGN §5e).
+// bulk pack it is a member of without it (DESIGN §7.5).
 
 // DeleteStats summarizes one document's index removal.
 type DeleteStats struct {

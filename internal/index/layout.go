@@ -9,8 +9,8 @@ import (
 	"repro/internal/cloud/kv"
 )
 
-// CheckLayout holds one table's items, got, to the bulk layout of DESIGN
-// §5e and to the postings of a reference dump of the same table, want,
+// CheckLayout holds one table's items, got, to the bulk layout of
+// DESIGN §7.5 and to the postings of a reference dump of the same table, want,
 // which may be laid out per document or packed. It checks that
 //
 //   - each (key, URI) contribution lives in exactly one item, unless it is

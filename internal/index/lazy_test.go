@@ -79,7 +79,7 @@ func TestCorruptValueOutsideCandidatesFailsLookup(t *testing.T) {
 			}
 			bad := kv.Item{HashKey: tc.key, RangeKey: "corrupt",
 				Attrs: []kv.Attr{{Name: outsider, Values: []kv.Value{tc.value}}}}
-			if _, err := store.Put(tc.table, bad); err != nil {
+			if _, err := store.BatchPut(tc.table, []kv.Item{bad}); err != nil {
 				t.Fatal(err)
 			}
 			_, _, err = LookupPattern(store, tc.strategy, q)

@@ -211,7 +211,7 @@ func checkLookupAgreement(t *testing.T, s Strategy, flags byte, docs []string, l
 		// A record without attributes: a key that holds no URI yet is
 		// cached, as the reference's empty map was.
 		for _, table := range s.Tables() {
-			if _, err := store.Put(table, kv.Item{HashKey: ElementKey("b"), RangeKey: "bare"}); err != nil {
+			if _, err := store.BatchPut(table, []kv.Item{kv.Item{HashKey: ElementKey("b"), RangeKey: "bare"}}); err != nil {
 				t.Fatal(err)
 			}
 		}

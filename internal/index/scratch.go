@@ -9,7 +9,7 @@ import (
 	"repro/internal/twigjoin"
 )
 
-// scratch is the memory of one look-up (DESIGN §5h, rule 4 of the look-up
+// scratch is the memory of one look-up (DESIGN §5.3, rule 4 of the look-up
 // decode contract): the posting lists it decodes, the postings it builds
 // from them with their path values and identifier sets, the intersections'
 // outputs and the twig joins' state. Only the URI lists outlive a look-up,

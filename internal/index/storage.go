@@ -45,7 +45,7 @@ func ItemRangeKey(uri, table string, ordinal int) string {
 }
 
 // packOrdinal is the ordinal a pack of two or more documents' postings is
-// keyed by (DESIGN §5e): its first member's range key at an ordinal no
+// keyed by (DESIGN §7.5): its first member's range key at an ordinal no
 // chunk reaches, hashed as 0xFFFFFFFF. A pack of one is the per-document
 // item, at ordinal 0.
 const packOrdinal = -1
@@ -723,9 +723,9 @@ func (l *PostingList) cacheCharge() (int64, error) {
 }
 
 // decodeKey decodes one key's records into its posting list, with the
-// overlay's replacement items merged in by range key (DESIGN §5s, "The
-// overlay merge"): a record whose only attribute names a replaced owner is
-// skipped, since replaces holds that owner's whole contribution. It returns
+// overlay's replacement items merged in by range key (DESIGN §9.3): a
+// record whose only attribute names a replaced owner is skipped, since
+// replaces holds that owner's whole contribution. It returns
 // nil when there is no record to decode; records without attributes decode
 // to an empty list. The list and its rows, one slab sized from the tallies,
 // are carved from sc (the heap when sc is nil); every value is validated
@@ -1115,7 +1115,7 @@ func appendEager(eager, ids []xmltree.NodeID) []xmltree.NodeID {
 // the result as a single-block Set so the join kernels are format-blind.
 // Repeats arise when a URI sits in two items under one key — a bulk
 // commit's pack and a later per-document re-index of the same document
-// (DESIGN §5e) — and the URI's identifiers must decode once. One value
+// (DESIGN §5.2) — and the URI's identifiers must decode once. One value
 // decodes as it is, as a raw stream does.
 func finishIDPosting(p *Posting, segs []*idblock.Set, ids []xmltree.NodeID, several bool) error {
 	if p.raw != nil {

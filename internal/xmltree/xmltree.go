@@ -185,7 +185,7 @@ func (d *Document) NodesScanned() int { return d.scanned }
 
 // NamesHashed returns the number of tag and attribute names the parse looked
 // up through the symbol table's hash, the rest having been the name its
-// neighbour's guess named (see DESIGN.md §5m).
+// neighbour's guess named (see DESIGN.md §4.2).
 func (d *Document) NamesHashed() int { return d.hashed }
 
 // Nodes returns all built nodes in document (pre) order. The slice is
