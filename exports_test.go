@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,9 @@ var keptExports = map[string]string{
 	"index.EncodeIDsBinary":         "ablation: BenchmarkIDCodec, the headerless identifier stream without the blocked format",
 	"workload.XMarkXQuery":          "oracle: the workload in XQuery syntax, which must answer like the pattern form",
 	"cloud/kv.BatchGet":             "oracle: a read collected into items by key, which the store and chaos tests compare across stacks",
+	"cloud/kv.Get":                  "oracle: one key's items collected from a read, which the store, chaos, index and core tests compare",
+	"engine.Matches":                "oracle: whether a document embeds a pattern, which the evaluator's and the look-up's tests hold their answers to",
+	"idblock.Parse":                 "definition: the header-only read of a blocked blob that DESIGN §3.3 names, on the heap, which the codec, join and index tests parse with",
 	"cloud/chaos.EveryNth":          "fault hook for kv.Retry's tests",
 	"cloud/chaos.EveryNth.Injected": "fault hook: how many calls EveryNth failed",
 	"cloud/chaos.Injector.SetRates": "fault hook: quiesces or raises injection mid-run",
@@ -40,17 +44,25 @@ var keptExports = map[string]string{
 
 // TestNoTestOnlyExports fails when an exported top-level name or method
 // under internal/ has no reference outside _test.go files, comments and its
-// own declaration, across this module and the benchmark module. A name is
-// matched by identifier, not by type: any identifier spelled the same counts
-// as a reference. Such a name is either dead (delete it), package-private in
-// all but spelling (unexport it) or kept on purpose (list it in keptExports
-// with its reason).
+// own declaration, across this module and the benchmark module. A top-level
+// name is referenced where pkg.Name selects it through an import of its
+// package, or where a file of its own package names it unqualified. A method
+// is matched by identifier, not by type: any identifier spelled the same
+// counts as a reference. Such a name is either dead (delete it),
+// package-private in all but spelling (unexport it) or kept on purpose (list
+// it in keptExports with its reason).
 func TestNoTestOnlyExports(t *testing.T) {
 	decls := exportedDecls(t, "internal")
-	refs := identifierUses(t, ".")
+	refs := collectUses(t, ".")
+	used := func(key string, d *exportedDecl) bool {
+		if d.method {
+			return refs.idents[d.name] > d.declared
+		}
+		return refs.names[key] > 0
+	}
 	var unused []string
 	for key, d := range decls {
-		if refs[d.name] > d.declared {
+		if used(key, d) {
 			continue
 		}
 		if _, ok := keptExports[key]; !ok {
@@ -60,7 +72,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	var stale []string
 	for key := range keptExports {
 		d, ok := decls[key]
-		if !ok || refs[d.name] > d.declared {
+		if !ok || used(key, d) {
 			stale = append(stale, key)
 		}
 	}
@@ -74,11 +86,13 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// exportedDecl is one exported declaration: the identifier it declares and
-// how many declarations under internal/ spell that same identifier (their
-// own name tokens are not references).
+// exportedDecl is one exported declaration: the identifier it declares,
+// whether it is a method and, for a method, how many declarations under
+// internal/ spell that same identifier (their own name tokens are not
+// references).
 type exportedDecl struct {
 	name     string
+	method   bool
 	declared int
 }
 
@@ -87,12 +101,12 @@ type exportedDecl struct {
 func exportedDecls(t *testing.T, root string) map[string]*exportedDecl {
 	t.Helper()
 	out := map[string]*exportedDecl{}
-	add := func(key, name string) {
+	add := func(key, name string, method bool) {
 		if d, ok := out[key]; ok {
 			d.declared++
 			return
 		}
-		out[key] = &exportedDecl{name: name, declared: 1}
+		out[key] = &exportedDecl{name: name, method: method, declared: 1}
 	}
 	walkGo(t, root, func(path string, f *ast.File) {
 		dir := strings.TrimPrefix(filepath.ToSlash(filepath.Dir(path)), root+"/")
@@ -102,22 +116,22 @@ func exportedDecls(t *testing.T, root string) map[string]*exportedDecl {
 				if !d.Name.IsExported() {
 					continue
 				}
-				key := dir + "." + d.Name.Name
 				if d.Recv != nil {
-					key = dir + "." + recvType(d.Recv.List[0].Type) + "." + d.Name.Name
+					add(dir+"."+recvType(d.Recv.List[0].Type)+"."+d.Name.Name, d.Name.Name, true)
+				} else {
+					add(dir+"."+d.Name.Name, d.Name.Name, false)
 				}
-				add(key, d.Name.Name)
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						if s.Name.IsExported() {
-							add(dir+"."+s.Name.Name, s.Name.Name)
+							add(dir+"."+s.Name.Name, s.Name.Name, false)
 						}
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
 							if n.IsExported() {
-								add(dir+"."+n.Name, n.Name)
+								add(dir+"."+n.Name, n.Name, false)
 							}
 						}
 					}
@@ -125,8 +139,9 @@ func exportedDecls(t *testing.T, root string) map[string]*exportedDecl {
 			}
 		}
 	})
-	// A name declared in several places (a method on two types, say) has
-	// that many declaring tokens; every other token spelling it is a use.
+	// A method name declared in several places (on two types, say), or
+	// spelled by a top-level declaration too, has that many declaring
+	// tokens; every other token spelling it is a use.
 	byName := map[string]int{}
 	for _, d := range out {
 		byName[d.name] += d.declared
@@ -153,20 +168,28 @@ func recvType(e ast.Expr) string {
 	return "?"
 }
 
-// identifierUses counts every identifier token in the non-test Go files
-// under root (comments are not tokens the parser keeps as identifiers),
-// except a method's receiver: naming a type there declares the method, it
-// does not use the type.
-func identifierUses(t *testing.T, root string) map[string]int {
+// uses counts the references in non-test Go files: idents every identifier
+// token (comments are not tokens the parser keeps as identifiers), except a
+// method's receiver, since naming a type there declares the method and does
+// not use the type; names every reference to a top-level name of a package
+// under internal/, keyed "dir.Name" as exportedDecls keys it, not counting
+// its declaration.
+type uses struct {
+	idents map[string]int
+	names  map[string]int
+}
+
+// collectUses counts the references in the non-test Go files under root.
+func collectUses(t *testing.T, root string) uses {
 	t.Helper()
-	uses := map[string]int{}
+	u := uses{idents: map[string]int{}, names: map[string]int{}}
 	var count func(n ast.Node) bool
 	count = func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.Ident:
-			uses[x.Name]++
+			u.idents[x.Name]++
 		case *ast.FuncDecl:
-			uses[x.Name.Name]++
+			u.idents[x.Name.Name]++
 			ast.Inspect(x.Type, count)
 			if x.Body != nil {
 				ast.Inspect(x.Body, count)
@@ -175,8 +198,83 @@ func identifierUses(t *testing.T, root string) map[string]int {
 		}
 		return true
 	}
-	walkGo(t, root, func(_ string, f *ast.File) { ast.Inspect(f, count) })
-	return uses
+	walkGo(t, root, func(path string, f *ast.File) {
+		ast.Inspect(f, count)
+		countNames(u.names, path, f)
+	})
+	return u
+}
+
+// countNames adds to names the references f makes to top-level names of
+// packages under internal/: pkg.Name through an import of such a package,
+// and, when f is in one, every identifier its declarations and bodies
+// spell, but for the names they declare and the Sel of a selector (a field,
+// a method or another package's name).
+func countNames(names map[string]int, path string, f *ast.File) {
+	const module = "repro/internal/"
+	imports := map[string]string{} // local name to directory under internal/
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		if !strings.HasPrefix(p, module) {
+			continue
+		}
+		name := p[strings.LastIndex(p, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		imports[name] = strings.TrimPrefix(p, module)
+	}
+	own := ""
+	if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir, "internal/") {
+		own = strings.TrimPrefix(dir, "internal/")
+	}
+	declared := map[*ast.Ident]bool{}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			declared[d.Name] = true
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					declared[s.Name] = true
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						declared[n] = true
+					}
+				}
+			}
+		}
+	}
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncDecl:
+			// Not the receiver: naming a type there declares the method.
+			ast.Inspect(x.Type, visit)
+			if x.Body != nil {
+				ast.Inspect(x.Body, visit)
+			}
+			return false
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok {
+				if dir, ok := imports[id.Name]; ok {
+					names[dir+"."+x.Sel.Name]++
+					return false
+				}
+			}
+			ast.Inspect(x.X, visit)
+			return false
+		case *ast.Ident:
+			if own != "" && !declared[x] {
+				names[own+"."+x.Name]++
+			}
+		}
+		return true
+	}
+	for _, decl := range f.Decls {
+		ast.Inspect(decl, visit)
+	}
 }
 
 // walkGo parses every non-test Go file under root, including the

@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"sync"
+	"reflect"
 	"testing"
 
 	"repro/internal/cloud/dynamodb"
@@ -14,25 +14,6 @@ import (
 
 // This file holds the acceptance test and the micro-benchmarks of the
 // cross-document bulk loader (Table 4 / Figure 7 with BulkLoad enabled).
-
-var (
-	bulkOnce   sync.Once
-	bulkCorpus *Corpus
-	bulkErr    error
-)
-
-// bulkAcceptanceCorpus is the Small corpus the acceptance criterion is
-// checked on, built once and shared by the subtests. The default scale's
-// request counts are held byte for byte by the default golden's "Table 4
-// (cont.)" (cmd/benchall, make papergate).
-func bulkAcceptanceCorpus(t *testing.T) *Corpus {
-	t.Helper()
-	bulkOnce.Do(func() { bulkCorpus, bulkErr = NewCorpus(Small()) })
-	if bulkErr != nil {
-		t.Fatal(bulkErr)
-	}
-	return bulkCorpus
-}
 
 // newUnbatchedStore returns a DynamoDB-shaped store whose batch limit is a
 // single item, so every index item is billed as its own put request — the
@@ -78,22 +59,26 @@ func checkLayout(t *testing.T, label string, lim kv.Limits, got, want map[string
 }
 
 // TestBulkLoadRequestReduction is the acceptance criterion of the bulk
-// loader: on the Small 200-document corpus, for every strategy, bulk
-// loading bills at least 2x fewer index-store requests than the unbatched
-// (one put per item) path and strictly fewer than the per-document batch
-// loader — in fact exactly the packing floor sum_tables ceil(packs/
-// BatchPutItems) puts plus ceil(keys/BatchGetKeys) reads — writes strictly
-// fewer items, and leaves the postings of both in the bulk layout
-// (index.CheckLayout), with the corpus totals unchanged. The report's
-// Requests and Items are the ledger's index-store calls and rows.
+// loader: on the shape tests' corpus (240 documents), for every strategy,
+// bulk loading bills at least 2x fewer index-store requests than the
+// unbatched (one put per item) path and strictly fewer than the
+// per-document batch loader — in fact exactly the packing floor
+// sum_tables ceil(packs/BatchPutItems) puts plus ceil(keys/BatchGetKeys)
+// reads — writes strictly fewer items, and leaves the postings of both in
+// the bulk layout (index.CheckLayout; the unbatched path writes the very
+// items of the per-document one), with the corpus totals unchanged. The
+// report's Requests and Items are the ledger's index-store calls and rows.
+// The per-document warehouses are the shape tests' (sharedEnv), indexed as
+// Table 4 indexes them; the default scale's request counts are held byte
+// for byte by the default golden's "Table 4 (cont.)" (cmd/benchall, make
+// papergate).
 func TestBulkLoadRequestReduction(t *testing.T) {
-	c := bulkAcceptanceCorpus(t)
-	for _, s := range Strategies() {
+	e, _ := sharedEnv(t)
+	c := e.Corpus
+	for _, row := range e.Rows {
+		s := row.Strategy
 		t.Run(s.Name(), func(t *testing.T) {
-			perDocW, perDocRep, _, err := BuildWarehouseCfg(c, core.Config{Strategy: s}, 8, ec2.Large)
-			if err != nil {
-				t.Fatal(err)
-			}
+			perDocW, perDocRep := row.Warehouse, row.Report
 			bulkW, bulkRep, _, err := BuildWarehouseCfg(c, core.Config{Strategy: s, BulkLoad: true}, 8, ec2.Large)
 			if err != nil {
 				t.Fatal(err)
@@ -150,8 +135,11 @@ func TestBulkLoadRequestReduction(t *testing.T) {
 					bulkRep.Requests, bulkRep.Items, floor, items)
 			}
 
-			checkLayout(t, "bulk vs per-doc", lim, bulkDump, dumpTables(t, perDocW.BaseStore(), s), s)
-			checkLayout(t, "bulk vs unbatched", lim, bulkDump, dumpTables(t, unbatched, s), s)
+			perDocDump := dumpTables(t, perDocW.BaseStore(), s)
+			if !reflect.DeepEqual(dumpTables(t, unbatched, s), perDocDump) {
+				t.Error("the unbatched path wrote other items than the per-document loader")
+			}
+			checkLayout(t, "bulk vs per-doc", lim, bulkDump, perDocDump, s)
 		})
 	}
 }

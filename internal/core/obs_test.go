@@ -273,7 +273,7 @@ func TestServedSpanTree(t *testing.T) {
 			t.Errorf("span %s nested under %q, want %q", name, got, parent)
 		}
 	}
-	if got, want := byName[obs.SpanFetchResults].Attr("bytes"), strconv.Itoa(len(encodeResult(mustDecode(t, out)))); got != want {
+	if got, want := byName[obs.SpanFetchResults].Attr("bytes"), strconv.Itoa(len(encodeResult(nil, mustDecode(t, out)))); got != want {
 		t.Errorf("%s fetched %s bytes, the result encodes to %s", obs.SpanFetchResults, got, want)
 	}
 }

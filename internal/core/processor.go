@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -207,31 +207,12 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	// intra-machine parallelism the paper gets from multi-threading. The
 	// task evaluates every pattern whose candidate list names the document,
 	// so a tree is dead once its task ends; the value joins wait for all
-	// of them (plan.Finish).
-	union := make(map[string]int) // each candidate's place in uris
-	for _, us := range perPattern {
-		for _, u := range us {
-			union[u] = 0
-		}
-	}
-	uris := make([]string, 0, len(union))
-	for u := range union {
-		uris = append(uris, u)
-	}
-	sort.Strings(uris)
-	for i, u := range uris {
-		union[u] = i
-	}
-	// evals[i] lists the slots of rows that the i-th document fills: rows
-	// [pi][di] are pattern pi's on the di-th document of its list.
-	evals := make([][]evalSlot, len(uris))
-	rows := make([][][]engine.Row, len(perPattern))
-	for pi, us := range perPattern {
-		rows[pi] = make([][]engine.Row, len(us))
-		for di, u := range us {
-			evals[union[u]] = append(evals[union[u]], evalSlot{pi, di})
-		}
-	}
+	// of them (plan.Finish). rows[pi][di] are pattern pi's on the di-th
+	// document of its list; every list is sorted (LookupQuery,
+	// DocumentURIs and Corpus.URIs return them so), and so is their union.
+	mem := queryMems.Get().(*queryMem)
+	defer mem.release()
+	uris, rows := mem.layout(perPattern)
 	stats.DocsFetched = len(uris)
 	esp := sp.Child(obs.SpanEval)
 	esp.SetAttrInt("docs", int64(len(uris)))
@@ -244,9 +225,12 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	// can read; the modeled parse and evaluation times go by the documents'
 	// bytes as before.
 	fanOutStart := time.Now()
-	fetched, ferr := w.fetchDocuments(uris, view, engine.ProjectionOf(q), func(i int, doc *xmltree.Document) {
-		for _, e := range evals[i] {
-			rows[e.pi][e.di] = plan.EvalPattern(e.pi, doc)
+	fetched := mem.fetchedDocs(len(uris))
+	ferr := w.fetchDocuments(uris, view, engine.ProjectionOf(q), fetched, func(i int, doc *xmltree.Document) {
+		for pi, us := range perPattern {
+			if di, ok := slices.BinarySearch(us, uris[i]); ok {
+				rows[pi][di] = plan.EvalPattern(pi, doc)
+			}
 		}
 	})
 	fanOutEnd := time.Now()
@@ -300,9 +284,9 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	// Step 14: write the results to the file store.
 	rsp := sp.Child(obs.SpanResults)
 	key := resultsPrefix + msg.ID
-	body := encodeResult(result)
+	mem.body = encodeResult(mem.body[:0], result)
 	plan.Release()
-	putDur, err := w.files.Put(Bucket, key, body, nil)
+	putDur, err := w.files.Put(Bucket, key, mem.body, nil)
 	if err != nil {
 		rsp.SetError(err)
 		rsp.End()
@@ -318,9 +302,67 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	return stats, nil
 }
 
-// evalSlot names one pattern's rows on one document: rows[pi][di] of
-// processQuery.
-type evalSlot struct{ pi, di int }
+// queryMem is the memory processQuery needs beside its plan's (which
+// engine.Plan.Release recycles): the sorted candidates, the table of rows
+// handed to Finish, the fetch tasks' outcomes and the step-14 object, which
+// the file store copies. A query takes one from queryMems and puts it back,
+// cleared, when it returns.
+type queryMem struct {
+	uris    []string
+	cells   [][]engine.Row // rows[pi] of every pattern, end to end
+	rows    [][][]engine.Row
+	fetched []fetchedDoc
+	body    []byte
+}
+
+var queryMems = sync.Pool{New: func() any { return new(queryMem) }}
+
+// A pooled queryMem keeps an object buffer of at most maxPooledBody bytes:
+// a scan query's object is tens of KB, and one huge answer should not ride
+// along with every later query.
+const maxPooledBody = 1 << 20
+
+// layout returns the sorted union of the candidate lists and the table of
+// rows, rows[pi] as long as perPattern[pi] and all nil.
+func (m *queryMem) layout(perPattern [][]string) (uris []string, rows [][][]engine.Row) {
+	total := 0
+	for _, us := range perPattern {
+		total += len(us)
+	}
+	uris = slices.Grow(m.uris[:0], total)
+	for _, us := range perPattern {
+		uris = append(uris, us...)
+	}
+	slices.Sort(uris)
+	m.uris = uris
+	uris = slices.Compact(uris)
+	m.cells = slices.Grow(m.cells[:0], total)[:total]
+	m.rows = slices.Grow(m.rows[:0], len(perPattern))[:len(perPattern)]
+	cells := m.cells
+	for pi, us := range perPattern {
+		m.rows[pi], cells = cells[:len(us):len(us)], cells[len(us):]
+	}
+	return uris, m.rows
+}
+
+// fetchedDocs returns n zeroed fetch outcomes.
+func (m *queryMem) fetchedDocs(n int) []fetchedDoc {
+	m.fetched = slices.Grow(m.fetched[:0], n)[:n]
+	return m.fetched
+}
+
+// release clears what m holds of the query and pools it again.
+func (m *queryMem) release() {
+	clear(m.uris)
+	clear(m.cells)
+	clear(m.rows)
+	clear(m.fetched)
+	if cap(m.body) > maxPooledBody {
+		m.body = nil
+	}
+	m.uris, m.cells, m.rows, m.fetched = m.uris[:0], m.cells[:0], m.rows[:0], m.fetched[:0]
+	queryMems.Put(m)
+}
 
 // fetchedDoc is the outcome of one step-13 task: the modeled quantities the
 // coordinator schedules afterwards, and what the task counted.
@@ -336,14 +378,15 @@ type fetchedDoc struct {
 
 // fetchDocuments retrieves the candidate documents, parses each under proj
 // and hands it to eval with its index in uris, one task per URI, on a pool
-// of at most docWorkers goroutines. A task releases its document once eval
+// of at most docWorkers goroutines, and records task i's outcome in
+// results[i]. A task releases its document once eval
 // returns (xmltree.Document.Release), so eval must keep nothing of its
 // nodes, and the next parse on the worker reuses their memory. eval runs
 // on several goroutines at once, on different documents. The first failing
 // task (in URI order — the order the sequential pipeline would hit it)
 // closes a cancel channel, so no new tasks start after an error. The
-// returned error only signals that cancellation fired; callers scan the
-// slice in order for the authoritative per-URI error.
+// returned error only signals that cancellation fired; callers scan
+// results in order for the authoritative per-URI error.
 //
 // With a pinned view, each document resolves at the view's corpus version:
 // superseded versions read their retained snapshot bytes from the
@@ -351,8 +394,7 @@ type fetchedDoc struct {
 // store as always. A concurrent update can overwrite the file between the
 // resolution and the fetch, so the fetched bytes are re-checked against
 // the view afterwards — the retained copy wins if the fetch raced.
-func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltree.Projection, eval func(i int, doc *xmltree.Document)) ([]fetchedDoc, error) {
-	results := make([]fetchedDoc, len(uris))
+func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltree.Projection, results []fetchedDoc, eval func(i int, doc *xmltree.Document)) error {
 	parseInto := func(i int, data []byte, fetch time.Duration) error {
 		doc, err := xmltree.ParseProjected(uris[i], data, proj)
 		if err != nil {
@@ -400,10 +442,10 @@ func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltr
 	if workers <= 1 {
 		for i := range uris {
 			if err := fetchOne(i); err != nil {
-				return results, err
+				return err
 			}
 		}
-		return results, nil
+		return nil
 	}
 
 	var (
@@ -435,9 +477,9 @@ feed:
 	wg.Wait()
 	select {
 	case <-cancel:
-		return results, fmt.Errorf("core: document fetch cancelled")
+		return fmt.Errorf("core: document fetch cancelled")
 	default:
-		return results, nil
+		return nil
 	}
 }
 

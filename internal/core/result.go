@@ -3,23 +3,25 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"unicode/utf8"
 
 	"repro/internal/engine"
 )
 
-// encodeResult serializes a result for the file store (step 14), once, in
-// the wire form of a served answer: the live front end hands the object's
-// bytes through (QueryOutcome.Body), only the synchronous driver decodes them.
-// It writes what json.Marshal writes for engine.Result, byte for byte
-// (FuzzEncodeResult), without reflection: the object's size is what the put
-// is billed and timed by.
-func encodeResult(r *engine.Result) []byte {
+// encodeResult appends a result serialized for the file store (step 14) to
+// b, in the wire form of a served answer: the live front end hands the
+// object's bytes through (QueryOutcome.Body), only the synchronous driver
+// decodes them. It writes what json.Marshal writes for engine.Result, byte
+// for byte (FuzzEncodeResult), without reflection: the object's size is what
+// the put is billed and timed by. The query processor appends to the
+// recycled buffer of its queryMem; the file store keeps a copy.
+func encodeResult(b []byte, r *engine.Result) []byte {
 	n := len(`{"columns":,"rows":[]}`) + jsonListSize(r.Columns)
 	for _, row := range r.Rows {
 		n += len(`{"uri":"","cols":},`) + len(row.URI) + jsonListSize(row.Cols)
 	}
-	b := make([]byte, 0, n)
+	b = slices.Grow(b, n)
 	b = append(b, `{"columns":`...)
 	b = appendJSONStrings(b, r.Columns)
 	b = append(b, `,"rows":`...)

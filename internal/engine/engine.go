@@ -103,10 +103,15 @@ type Plan struct {
 	// annotation in pattern order, then one hidden column for every join
 	// variable whose node has no val column to share.
 	visible, width int
-	// varCol maps a join variable to its (possibly hidden) column.
-	varCol map[string]int
+	// columns names the visible columns (ColumnNames).
+	columns []string
 	// roots holds the compiled root of each pattern.
 	roots []*step
+	// joins[pi-1] is how Finish joins pattern pi's rows to the rows of the
+	// patterns before it, and filters are the conditions between two
+	// variables of one pattern, applied once all are joined.
+	joins   []joinStep
+	filters []colPair
 
 	// mu guards mem, the memory the rows of EvalPattern and Finish are
 	// carved from (rowmem.go): EvalPattern runs on several goroutines.
@@ -128,6 +133,14 @@ type step struct {
 	tests, emit []*step
 }
 
+// joinStep is how pattern pi's rows (right) join the rows of the patterns
+// before it (left): a left row's columns left[i] must equal a right row's
+// columns right[i], for every i. With none, the join is a cross product.
+type joinStep struct{ left, right []int }
+
+// colPair is a condition between two columns of one row: they are equal.
+type colPair struct{ a, b int }
+
 // NewPlan validates q and compiles it.
 func NewPlan(q *pattern.Query) (*Plan, error) {
 	if err := q.Validate(); err != nil {
@@ -142,7 +155,7 @@ func NewPlan(q *pattern.Query) (*Plan, error) {
 // variable or a predicate, its Content where it has a cont annotation.
 // ProjectionOf says the same to the parser.
 func newPlan(q *pattern.Query) *Plan {
-	p := &Plan{q: q, varCol: make(map[string]int)}
+	p := &Plan{q: q, columns: ColumnNames(q)}
 	steps := make(map[*pattern.Node]*step)
 	// Visible columns first, in pattern order.
 	for _, t := range q.Patterns {
@@ -160,7 +173,11 @@ func newPlan(q *pattern.Query) *Plan {
 		})
 	}
 	p.visible = p.width
-	for _, t := range q.Patterns {
+	// The (possibly hidden) column of each join variable, and the pattern
+	// that binds it.
+	type joinVar struct{ col, pattern int }
+	vars := make(map[string]joinVar)
+	for pi, t := range q.Patterns {
 		t.Walk(func(n *pattern.Node) {
 			if n.Var == "" {
 				return
@@ -172,8 +189,24 @@ func newPlan(q *pattern.Query) *Plan {
 				s.value = p.width
 				p.width++
 			}
-			p.varCol[n.Var] = s.value
+			vars[n.Var] = joinVar{s.value, pi}
 		})
+	}
+	// Patterns are joined left to right; a condition is applied as soon as
+	// both its sides are joined, and one whose two sides lie in one pattern
+	// is a filter on the joined rows.
+	p.joins = make([]joinStep, len(q.Patterns)-1)
+	for _, j := range q.Joins {
+		a, b := vars[j.A], vars[j.B]
+		if a.pattern == b.pattern {
+			p.filters = append(p.filters, colPair{a.col, b.col})
+			continue
+		}
+		if a.pattern > b.pattern {
+			a, b = b, a
+		}
+		js := &p.joins[b.pattern-1]
+		js.left, js.right = append(js.left, a.col), append(js.right, b.col)
 	}
 	var link func(n *pattern.Node) *step
 	link = func(n *pattern.Node) *step {
@@ -232,16 +265,17 @@ func ProjectionOf(q *pattern.Query) *xmltree.Projection {
 // with no annotations yields a single empty row when the document matches.
 func EvalPatternOnDoc(t *pattern.Tree, doc *xmltree.Document) []Row {
 	p := newPlan(&pattern.Query{Patterns: []*pattern.Tree{t}})
-	return p.project(p.EvalPattern(0, doc))
+	rows := p.EvalPattern(0, doc)
+	return p.project(p.memory(), rows)
 }
 
 // project cuts the hidden join columns off the rows and removes the
-// duplicates among what is left.
-func (p *Plan) project(rows []Row) []Row {
+// duplicates among what is left, with dedup's table in m.
+func (p *Plan) project(m *rowMem, rows []Row) []Row {
 	for i := range rows {
 		rows[i].Cols = rows[i].Cols[:p.visible:p.visible]
 	}
-	return dedup(rows)
+	return m.dedup(rows)
 }
 
 // Matches reports whether the document contains at least one embedding of
@@ -346,33 +380,28 @@ func (p *Plan) evalDocSets(docSets [][]*xmltree.Document, workers int) [][][]Row
 // EvalPattern made of pattern pi on the di-th document of the pattern's
 // set: each pattern's rows in document order with the duplicates removed,
 // then the value joins, then the projection onto the visible columns. It
-// reads the rows only, so the documents may be gone.
+// reads the rows only, so the documents may be gone. Everything it builds
+// but the Result itself lies in the plan's memory, valid until Release.
 func (p *Plan) Finish(rows [][][]Row) (*Result, error) {
 	if len(rows) != len(p.roots) {
 		return nil, fmt.Errorf("engine: rows of %d patterns for %d patterns", len(rows), len(p.roots))
 	}
-	perPattern := make([][]Row, len(rows))
-	for pi, docs := range rows {
-		n := 0
-		for _, r := range docs {
-			n += len(r)
-		}
-		all := p.rowsOf(n)[:0]
-		for _, r := range docs {
-			all = append(all, r...)
-		}
-		perPattern[pi] = dedup(all)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	m := p.memory()
+	acc := m.concat(rows[0])
+	for pi, join := range p.joins {
+		acc = m.hashJoin(acc, m.concat(rows[pi+1]), join)
 	}
-	joined, err := p.joinPatterns(perPattern)
-	if err != nil {
-		return nil, err
+	for _, f := range p.filters {
+		acc = filterEqual(acc, f)
 	}
 	// The rows of a single pattern without hidden columns are distinct
 	// already.
 	if len(p.roots) > 1 || p.visible < p.width {
-		joined = p.project(joined)
+		acc = p.project(m, acc)
 	}
-	return &Result{Columns: ColumnNames(p.q), Rows: joined}, nil
+	return &Result{Columns: p.columns, Rows: acc}, nil
 }
 
 // isRootCandidate reports whether a document node carrying the label of the
@@ -556,127 +585,178 @@ func (m *matcher) product(dst []Row, start, mid int, cols []int) []Row {
 	return dst[:start+copy(dst[start:], dst[end:])]
 }
 
-// joinPatterns combines per-pattern rows using the query's value joins.
-// Patterns are joined left to right; a join condition is applied as soon as
-// both sides are available, with hash joins on the variable columns.
-func (p *Plan) joinPatterns(perPattern [][]Row) ([]Row, error) {
-	q := p.q
-	// Which pattern binds each variable.
-	varPattern := make(map[string]int)
-	for pi, t := range q.Patterns {
-		t.Walk(func(n *pattern.Node) {
-			if n.Var != "" {
-				varPattern[n.Var] = pi
-			}
-		})
-	}
-	acc := perPattern[0]
-	joinedUpTo := 1
-	for pi := 1; pi < len(perPattern); pi++ {
-		// Conditions linking the accumulated prefix with pattern pi.
-		var conds []pattern.JoinCond
-		for _, j := range q.Joins {
-			pa, pb := varPattern[j.A], varPattern[j.B]
-			if pb < joinedUpTo && pa == pi {
-				conds = append(conds, pattern.JoinCond{A: j.B, B: j.A}) // normalize: A in prefix
-			} else if pa < joinedUpTo && pb == pi {
-				conds = append(conds, j)
-			}
-		}
-		acc = hashJoin(acc, perPattern[pi], conds, p.varCol)
-		joinedUpTo = pi + 1
-	}
-	// Remaining conditions whose two sides live in the same pattern (or
-	// were otherwise not consumed) are applied as filters.
-	for _, j := range q.Joins {
-		pa, pb := varPattern[j.A], varPattern[j.B]
-		if pa == pb {
-			ca, cb := p.varCol[j.A], p.varCol[j.B]
-			var kept []Row
-			for _, r := range acc {
-				if r.Cols[ca] == r.Cols[cb] {
-					kept = append(kept, r)
-				}
-			}
-			acc = kept
+// filterEqual keeps, in place, the rows whose columns f.a and f.b are
+// equal, and returns nil when none is.
+func filterEqual(rows []Row, f colPair) []Row {
+	kept := rows[:0]
+	for _, r := range rows {
+		if r.Cols[f.a] == r.Cols[f.b] {
+			kept = append(kept, r)
 		}
 	}
-	return acc, nil
+	if len(kept) == 0 {
+		return nil
+	}
+	return kept
 }
 
-// hashJoin joins two row sets on the given equality conditions (A's column
-// from left, B's from right). With no conditions it degrades to a cross
-// product.
-func hashJoin(left, right []Row, conds []pattern.JoinCond, varCol map[string]int) []Row {
-	if len(conds) == 0 {
-		var out []Row
+// hashJoin joins two row sets on the conditions of join, in m: for every
+// right row in order, its merge with every left row that matches it, in left
+// order. With no conditions it is the cross product, left rows major. It
+// returns nil when no pair matches.
+func (m *rowMem) hashJoin(left, right []Row, join joinStep) []Row {
+	if len(join.left) == 0 {
+		out := m.merged(len(left)*len(right), left)
+		k := 0
 		for _, l := range left {
 			for _, r := range right {
-				out = append(out, mergeRows(l, r))
+				m.merge(&out[k], l, r)
+				k++
 			}
 		}
 		return out
 	}
-	key := func(r Row, cols []int) string {
-		if len(cols) == 1 {
-			return r.Cols[cols[0]]
-		}
-		parts := make([]string, len(cols))
-		for i, c := range cols {
-			parts[i] = r.Cols[c]
-		}
-		return strings.Join(parts, "\x00")
+	if len(left) == 0 || len(right) == 0 {
+		return nil
 	}
-	lcols := make([]int, len(conds))
-	rcols := make([]int, len(conds))
-	for i, c := range conds {
-		lcols[i], rcols[i] = varCol[c.A], varCol[c.B]
-	}
-	byKey := make(map[string][]Row)
-	for _, l := range left {
-		k := key(l, lcols)
-		byKey[k] = append(byKey[k], l)
-	}
-	var out []Row
+	x := m.index(left, join)
+	n := 0
 	for _, r := range right {
-		for _, l := range byKey[key(r, rcols)] {
-			out = append(out, mergeRows(l, r))
+		h := colsHash(r, join.right)
+		for j := x.match(r, h, x.head(h)); j != 0; j = x.match(r, h, x.next[j-1]) {
+			n++
+		}
+	}
+	out := m.merged(n, left)
+	k := 0
+	for _, r := range right {
+		h := colsHash(r, join.right)
+		for j := x.match(r, h, x.head(h)); j != 0; j = x.match(r, h, x.next[j-1]) {
+			m.merge(&out[k], left[j-1], r)
+			k++
 		}
 	}
 	return out
 }
 
-func mergeRows(l, r Row) Row {
-	cols := make([]string, len(l.Cols))
-	copy(cols, l.Cols)
-	for i, v := range r.Cols {
-		if v != "" {
-			cols[i] = v
+// joinIndex is a chained hash table over the left rows of a join, in a
+// plan's memory: heads holds, per bucket, the 1-based index of its first
+// row, next the row after each one in its bucket (0 ends it), and hashes
+// each row's key hash, so that a probe compares columns only where the
+// hashes meet.
+type joinIndex struct {
+	left   []Row
+	join   joinStep
+	heads  []int32
+	next   []int32
+	hashes []uint64
+}
+
+// index builds the join index over left.
+func (m *rowMem) index(left []Row, join joinStep) joinIndex {
+	x := joinIndex{left: left, join: join, heads: take(&m.slots, tableSize(len(left))),
+		next: take(&m.slots, len(left)), hashes: take(&m.hashes, len(left))}
+	// Inserted last to first, so that every bucket lists its rows in left
+	// order.
+	for i := len(left) - 1; i >= 0; i-- {
+		h := colsHash(left[i], join.left)
+		b := int(h) & (len(x.heads) - 1)
+		x.hashes[i], x.next[i], x.heads[b] = h, x.heads[b], int32(i+1)
+	}
+	return x
+}
+
+// head returns the first row of the bucket of hash h.
+func (x *joinIndex) head(h uint64) int32 { return x.heads[int(h)&(len(x.heads)-1)] }
+
+// match returns the first row from j on along its bucket that matches r,
+// whose hash is h, or 0.
+func (x *joinIndex) match(r Row, h uint64, j int32) int32 {
+	for ; j != 0; j = x.next[j-1] {
+		if x.hashes[j-1] == h && joinEqual(x.left[j-1], r, x.join) {
+			return j
 		}
 	}
-	uri := l.URI
-	if r.URI != "" && r.URI != l.URI {
-		uri = l.URI + "+" + r.URI
+	return 0
+}
+
+// merged carves n rows as wide as the rows of left from m, for merge to
+// fill; nil when n is 0.
+func (m *rowMem) merged(n int, left []Row) []Row {
+	if n == 0 {
+		return nil
 	}
-	return Row{URI: uri, Cols: cols}
+	w := len(left[0].Cols)
+	out := take(&m.rows, n)
+	cols := take(&m.cols, n*w)
+	if cols == nil {
+		// No columns is an empty list, not a missing one: the stored
+		// object says [] and is billed for it.
+		cols = []string{}
+	}
+	for i := range out {
+		out[i].Cols = cols[i*w : (i+1)*w : (i+1)*w]
+	}
+	return out
+}
+
+// merge fills dst, a row of merged, with l's columns overlaid by r's
+// non-empty ones and the URIs of both.
+func (m *rowMem) merge(dst *Row, l, r Row) {
+	copy(dst.Cols, l.Cols)
+	for i, v := range r.Cols {
+		if v != "" {
+			dst.Cols[i] = v
+		}
+	}
+	dst.URI = l.URI
+	if r.URI != "" && r.URI != l.URI {
+		dst.URI = m.joinURI(l.URI, r.URI)
+	}
+}
+
+// colsHash hashes the columns cols of r.
+func colsHash(r Row, cols []int) uint64 {
+	var h uint64
+	for _, c := range cols {
+		h = h*0x9e3779b97f4a7c15 ^ maphash.String(dedupSeed, r.Cols[c])
+	}
+	return h
+}
+
+// joinEqual reports whether l and r agree on every condition of join.
+func joinEqual(l, r Row, join joinStep) bool {
+	for i, c := range join.left {
+		if l.Cols[c] != r.Cols[join.right[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// tableSize is the size of an open hash table of n entries: a power of two,
+// at least 4 and at least twice n.
+func tableSize(n int) int {
+	size := 4
+	for size < 2*n {
+		size *= 2
+	}
+	return size
 }
 
 // dedup removes, in place, every row that repeats an earlier one (same URI,
 // same columns) and returns the rows that stay, in their order. It hashes the
 // strings of a row where they lie and compares rows whose hashes meet, so it
-// builds no key.
-func dedup(rows []Row) []Row {
+// builds no key; its table and hashes are carved from m.
+func (m *rowMem) dedup(rows []Row) []Row {
 	if len(rows) < 2 {
 		return rows
 	}
 	// An open-addressed table of 1-based indexes into out, at most half
 	// full, with the hashes beside out.
-	size := 4
-	for size < 2*len(rows) {
-		size *= 2
-	}
-	table := make([]int32, size)
-	hashes := make([]uint64, 0, len(rows))
+	size := tableSize(len(rows))
+	table := take(&m.slots, size)
+	hashes := take(&m.hashes, len(rows))[:0]
 	out := rows[:0]
 next:
 	for _, r := range rows {

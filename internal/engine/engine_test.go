@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"sort"
 	"strings"
 	"testing"
@@ -416,5 +417,34 @@ func TestOutputlessBranchAllocatesNothing(t *testing.T) {
 	}
 	if allocs > 3 {
 		t.Errorf("%v allocations for one row beside 600 embeddings of output-less branches, want at most 3", allocs)
+	}
+}
+
+// The stored result object is json.Marshal of the Result, billed by its
+// length, so an empty list and a missing one (nil) differ on the wire. A
+// single pattern with no rows has an empty list; a join or a filter that
+// keeps nothing has none; a merged row of patterns that fill no column has
+// an empty list of columns.
+func TestResultWireForm(t *testing.T) {
+	a, _ := xmltree.Parse("a.xml", []byte(`<a><k>1</k><j>2</j></a>`))
+	c, _ := xmltree.Parse("c.xml", []byte(`<c><k>3</k></c>`))
+	for _, tc := range []struct{ query, want string }{
+		{`//z{val}`, `{"columns":["z.val"],"rows":[]}`},
+		{`//a, //c`, `{"columns":null,"rows":[{"uri":"a.xml+c.xml","cols":[]}]}`},
+		{`//a[/k $x], //c[/k $y] where $x = $y`, `{"columns":null,"rows":null}`},
+		{`//a[/k{val} $x, /j $y] where $x = $y`, `{"columns":["a/k.val"],"rows":null}`},
+		{`//a[/k{val} $x], //c[/k{val}]`, `{"columns":["a/k.val","c/k.val"],"rows":[{"uri":"a.xml+c.xml","cols":["1","3"]}]}`},
+	} {
+		res, err := EvalQueryOnDocs(pattern.MustParse(tc.query), []*xmltree.Document{a, c})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		got, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s: %s, want %s", tc.query, got, tc.want)
+		}
 	}
 }

@@ -171,8 +171,8 @@ func TestUnreleasedResultOutlivesOtherPlans(t *testing.T) {
 // Finish and Release, allocates a quarter at most of what the same
 // evaluation allocated when every EvalPattern had a matcher of its own and
 // Finish a fresh concatenation: 52,430 bytes in 91 allocations (Go 1.24,
-// linux/amd64). What is left is Finish's own: dedup's table, the column
-// names and the Result.
+// linux/amd64). What is left is the run's own table of rows and the
+// Result: the rest of Finish lies in the plan's recycled memory.
 func TestEvalAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop what is put back")

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/slab"
 	"repro/internal/xmltree"
@@ -59,24 +60,50 @@ func (m *matcher) release() {
 	matcherPool.Put(m)
 }
 
-// rowMem is the memory of a plan's rows: chunks of Row headers and of column
-// strings, carved at exact size by EvalPattern and Finish under the plan's
-// mutex. Release clears it and pools it for a later plan.
+// rowMem is the memory of a plan's rows and of everything Finish builds of
+// them: Row headers and column strings, dedup's and the hash join's tables
+// and hashes, and the bytes of the URIs a join concatenates. EvalPattern
+// carves rows from it under the plan's mutex, Finish carves the rest holding
+// that mutex, and Release clears it and pools it for a later plan.
 type rowMem struct {
-	rows slab.Chunks[Row]
-	cols slab.Chunks[string]
+	rows   slab.Chunks[Row]
+	cols   slab.Chunks[string]
+	slots  slab.Chunks[int32]
+	hashes slab.Chunks[uint64]
+	text   slab.Chunks[byte]
 }
 
 var rowMemPool = sync.Pool{New: func() any { return new(rowMem) }}
 
-// A plan's row memory is carved from chunks of at least rowChunk rows and
-// colChunk strings, and a pooled one keeps at most maxPooledRows rows and
-// maxPooledCols strings of them: enough for a scan query's rows, not so much
-// that every later plan carries one odd query's.
+// A plan's memory is carved from chunks of at least memChunk bytes of each
+// kind, and a pooled one keeps at most maxPooledMem bytes of each: enough
+// for a scan query's rows and joins, not so much that every later plan
+// carries one odd query's.
 const (
-	rowChunk      = 256
-	maxPooledCols = 32 << 10
+	memChunk     = 16 << 10
+	maxPooledMem = 512 << 10
 )
+
+// take carves n zeroed slots from c.
+func take[T any](c *slab.Chunks[T], n int) []T {
+	var zero T
+	return c.Take(n, memChunk/int(unsafe.Sizeof(zero)))
+}
+
+// keepPooled resets c, keeping maxPooledMem bytes of its chunks.
+func keepPooled[T any](c *slab.Chunks[T]) {
+	var zero T
+	c.Reset(maxPooledMem / int(unsafe.Sizeof(zero)))
+}
+
+// memory returns the plan's memory, taking it from the pool the first time.
+// The caller holds p.mu or has the plan to itself.
+func (p *Plan) memory() *rowMem {
+	if p.mem == nil {
+		p.mem = rowMemPool.Get().(*rowMem)
+	}
+	return p.mem
+}
 
 // keep copies rows, which lie in a matcher's memory, into the plan's, at
 // exact size.
@@ -86,11 +113,9 @@ func (p *Plan) keep(rows []Row) []Row {
 	}
 	w := p.width
 	p.mu.Lock()
-	if p.mem == nil {
-		p.mem = rowMemPool.Get().(*rowMem)
-	}
-	out := p.mem.rows.Take(len(rows), rowChunk)
-	cols := p.mem.cols.Take(len(rows)*w, colChunk)
+	m := p.memory()
+	out := take(&m.rows, len(rows))
+	cols := take(&m.cols, len(rows)*w)
 	p.mu.Unlock()
 	for i, r := range rows {
 		if w > 0 {
@@ -102,26 +127,40 @@ func (p *Plan) keep(rows []Row) []Row {
 	return out
 }
 
-// rowsOf returns n rows of the plan's memory, for Finish.
-func (p *Plan) rowsOf(n int) []Row {
+// concat returns the rows of one pattern on all its documents, in document
+// order, in m, with the duplicates removed. It returns an empty, not a nil,
+// slice when there are none.
+func (m *rowMem) concat(docs [][]Row) []Row {
+	n := 0
+	for _, r := range docs {
+		n += len(r)
+	}
 	if n == 0 {
 		return []Row{}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.mem == nil {
-		p.mem = rowMemPool.Get().(*rowMem)
+	all := take(&m.rows, n)[:0]
+	for _, r := range docs {
+		all = append(all, r...)
 	}
-	return p.mem.rows.Take(n, rowChunk)
+	return m.dedup(all)
 }
 
-// Release hands the plan's row memory to later plans, cleared: it holds
-// the rows EvalPattern returned and, of Finish's Result, the rows of a query
-// of one pattern. Those are invalid afterwards, so only the plan's owner
-// calls it, once it has read what it needs of them (the query processor
-// once it has encoded the result). A second call does nothing, and a plan
-// that is used again after it takes fresh memory. A plan that is never
-// released is left to the collector with its rows.
+// joinURI returns the URI of a row merged from rows of documents l and r,
+// the two joined with "+", its bytes in m.
+func (m *rowMem) joinURI(l, r string) string {
+	b := take(&m.text, len(l)+1+len(r))
+	copy(b[copy(b, l):], "+")
+	copy(b[len(l)+1:], r)
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// Release hands the plan's memory to later plans, cleared: it holds the rows
+// EvalPattern returned and all of Finish's Result but its Columns. Those are
+// invalid afterwards, so only the plan's owner calls it, once it has read
+// what it needs of them (the query processor once it has encoded the
+// result). A second call does nothing, and a plan that is used again after
+// it takes fresh memory. A plan that is never released is left to the
+// collector with its rows.
 func (p *Plan) Release() {
 	p.mu.Lock()
 	m := p.mem
@@ -130,7 +169,10 @@ func (p *Plan) Release() {
 	if m == nil {
 		return
 	}
-	m.rows.Reset(maxPooledRows)
-	m.cols.Reset(maxPooledCols)
+	keepPooled(&m.rows)
+	keepPooled(&m.cols)
+	keepPooled(&m.slots)
+	keepPooled(&m.hashes)
+	keepPooled(&m.text)
 	rowMemPool.Put(m)
 }

@@ -1,0 +1,102 @@
+package serve
+
+import (
+	"net/http"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/cloud/ec2"
+	"repro/internal/core"
+	"repro/internal/index"
+	"repro/internal/workload"
+	"repro/internal/xmark"
+)
+
+// gateAnswerBytes bounds the bytes one scan query allocates from its
+// submission to the last byte of its POST /query body: 1.5 times the
+// 235,000 measured (median of ten runs, Go 1.24, linux/amd64) once the
+// rows, joins, result object and body of a query lived in recycled memory
+// (570,000 before). What is left is mostly per document fetched, the parse's
+// kept text, and one copy of the result object, which the file store keeps;
+// a per-row or per-join make that slips back in fails.
+const gateAnswerBytes = 352_500
+
+// discardWriter is a ResponseWriter that keeps nothing of the body.
+type discardWriter struct{ h http.Header }
+
+func (d discardWriter) Header() http.Header         { return d.h }
+func (d discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d discardWriter) WriteHeader(int)             {}
+
+// TestGateAnswerAllocations runs the gateable benchmark's serve-scan queries
+// (q6, q7, q9 and q10, 80-160 candidate documents each) on its corpus (400
+// XMark documents of 16 KB, seed 42, bulk-loaded under 2LUPI in one commit)
+// through a warehouse backend with one query processor, which answers each
+// with answerQuery, and writes each answer with the daemon's body writer. It
+// holds the bytes allocated per query to gateAnswerBytes.
+func TestGateAnswerAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop what is put back")
+	}
+	cfg := xmark.DefaultConfig(400)
+	cfg.Seed = 42
+	cfg.TargetDocBytes = 16 << 10
+	// Two processors and two fetch workers, whatever the machine: a pool
+	// keeps what is put back per processor, so how much a warm pool saves
+	// depends on how many there are.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true, QueryWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cfg.Docs; i++ {
+		d := xmark.GenerateDoc(cfg, i)
+		if err := w.SubmitDocument(d.URI, d.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.IndexCorpusOn(ec2.LaunchFleet(w.Ledger(), ec2.Large, 8), nil); err != nil {
+		t.Fatal(err)
+	}
+	b := NewWarehouseBackend(w, 1, ec2.XL, core.WorkerOptions{})
+	defer b.Close()
+	all := workload.XMark()
+	queries := []string{all[5].Text, all[6].Text, all[8].Text, all[9].Text}
+	dw := discardWriter{h: http.Header{}}
+	rows := 0
+	answer := func(q string) {
+		start := time.Now()
+		out, err := b.Do(q, true, time.Minute)
+		if err == nil {
+			err = out.Err
+		}
+		if err == nil {
+			err = checkResultObject(out)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeAnswer(dw, out, time.Since(start))
+		rows += out.Rows
+	}
+	for _, q := range queries {
+		answer(q)
+	}
+	const rounds = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rows = 0
+	for i := 0; i < rounds; i++ {
+		for _, q := range queries {
+			answer(q)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	n := rounds * len(queries)
+	perQuery := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	t.Logf("%.0f bytes a query, %d rows a round", perQuery, rows/rounds)
+	if perQuery > gateAnswerBytes {
+		t.Errorf("%.0f bytes a query, want at most %d", perQuery, gateAnswerBytes)
+	}
+}

@@ -87,7 +87,7 @@ type ResponseRow struct {
 // QueryResponse is the schema of the POST /query success body, as clients
 // decode it. The server does not encode it: it splices the stored result
 // object's members (engine.Result's tagged form) between the ID and the two
-// counters (see answerBody), so an empty columns, rows or cols list arrives as
+// counters (see writeAnswer), so an empty columns, rows or cols list arrives as
 // null rather than left out — the same thing once decoded.
 type QueryResponse struct {
 	ID        string        `json:"id"`
@@ -288,9 +288,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		err = out.Err
 	}
-	var body []byte
 	if err == nil {
-		body, err = answerBody(out, elapsed)
+		err = checkResultObject(out)
 	}
 	if err != nil {
 		s.reg.Counter("serve.failed").Inc()
@@ -301,10 +300,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("serve.completed").Inc()
 	span.SetAttr("query.id", out.ID)
 	span.SetAttrInt("rows", int64(out.Rows))
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	writeAnswer(w, out, elapsed)
 }
 
 // readBody reads r's body, up to limit bytes and one more to tell a longer
@@ -328,24 +324,45 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, limit int64) (
 	return data, err
 }
 
-// answerBody builds the POST /query success body (QueryResponse's schema)
-// without decoding the answer: {"id":…, then the members of the stored result
-// object as they are, then "rowCount" and "elapsedMs"}.
-func answerBody(out *core.QueryOutcome, elapsed time.Duration) ([]byte, error) {
-	obj := out.Body
-	if len(obj) <= 2 || obj[0] != '{' || obj[len(obj)-1] != '}' {
-		return nil, fmt.Errorf("serve: result of %s is not a result object: %.40q", out.ID, obj)
+// checkResultObject fails unless out.Body is a JSON object with members, as
+// the stored result object of a query is.
+func checkResultObject(out *core.QueryOutcome) error {
+	if obj := out.Body; len(obj) <= 2 || obj[0] != '{' || obj[len(obj)-1] != '}' {
+		return fmt.Errorf("serve: result of %s is not a result object: %.40q", out.ID, obj)
 	}
-	b := make([]byte, 0, len(obj)+len(out.ID)+64)
-	b = append(b, `{"id":`...)
+	return nil
+}
+
+// answerBufs holds the buffers writeAnswer builds the ends of a body in.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeAnswer writes the POST /query success body (QueryResponse's schema)
+// without decoding the answer or copying it: {"id":…, then the members of
+// the stored result object as they are, straight from the file store's
+// memory, then "rowCount" and "elapsedMs"}. The two ends are built in a
+// pooled buffer, so that the body takes no memory of its own. out has
+// passed checkResultObject.
+func writeAnswer(w http.ResponseWriter, out *core.QueryOutcome, elapsed time.Duration) {
+	members := out.Body[1 : len(out.Body)-1]
+	buf := answerBufs.Get().(*[]byte)
+	defer answerBufs.Put(buf)
+	b := append((*buf)[:0], `{"id":`...)
 	b = appendString(b, out.ID)
 	b = append(b, ',')
-	b = append(b, obj[1:len(obj)-1]...)
+	head := len(b)
 	b = append(b, `,"rowCount":`...)
 	b = strconv.AppendInt(b, int64(out.Rows), 10)
 	b = append(b, `,"elapsedMs":`...)
 	b = strconv.AppendFloat(b, float64(elapsed)/float64(time.Millisecond), 'f', -1, 64)
-	return append(b, "}\n"...), nil
+	b = append(b, "}\n"...)
+	*buf = b
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)+len(members)))
+	w.WriteHeader(http.StatusOK)
+	// A client gone mid-body is the connection's to notice.
+	_, _ = w.Write(b[:head])
+	_, _ = w.Write(members)
+	_, _ = w.Write(b[head:])
 }
 
 // appendString appends s as a JSON string. Query IDs need no escaping and

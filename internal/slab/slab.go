@@ -18,15 +18,24 @@ type Chunks[T any] struct {
 	carved int // slots handed out since the last Reset
 }
 
-// Take returns n zeroed slots with capacity n, from a new chunk of at least
-// least slots when the current one and the next free one are too short.
+// Take returns n zeroed slots with capacity n. When the current chunk is too
+// short it carves from the shortest free chunk that is long enough, so that
+// a long run finds the long chunk an earlier request left and short runs do
+// not use it up, and from a new chunk of at least least slots when no free
+// one is.
 func (c *Chunks[T]) Take(n, least int) []T {
 	if n > len(c.cur) {
-		if c.used == len(c.list) || len(c.list[c.used]) < n {
-			c.list = append(c.list, make([]T, max(n, least)))
-			last := len(c.list) - 1
-			c.list[c.used], c.list[last] = c.list[last], c.list[c.used]
+		fit := -1
+		for i := c.used; i < len(c.list); i++ {
+			if l := len(c.list[i]); l >= n && (fit < 0 || l < len(c.list[fit])) {
+				fit = i
+			}
 		}
+		if fit < 0 {
+			c.list = append(c.list, make([]T, max(n, least)))
+			fit = len(c.list) - 1
+		}
+		c.list[c.used], c.list[fit] = c.list[fit], c.list[c.used]
 		c.cur = c.list[c.used]
 		c.used++
 	}

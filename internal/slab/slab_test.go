@@ -95,3 +95,25 @@ func TestBytesCountsSinceReset(t *testing.T) {
 		t.Fatalf("after Reset and 2 slots: %d bytes, want 16", got)
 	}
 }
+
+// Take carves from the shortest free chunk that fits: after a Reset, short
+// runs take the short chunks and a long run finds the long one, wherever it
+// lies, instead of a new chunk.
+func TestTakeFitsFreeChunks(t *testing.T) {
+	var c Chunks[int64]
+	c.Take(4, 4)
+	c.Take(4, 4)
+	long := c.Take(32, 4)
+	c.Reset(1 << 10)
+	short := c.Take(4, 4)
+	again := c.Take(32, 4)
+	if &again[0] != &long[0] {
+		t.Fatal("a long Take after Reset did not reuse the long chunk")
+	}
+	if &short[0] == &long[0] {
+		t.Fatal("a short Take used the long chunk")
+	}
+	if len(c.list) != 3 {
+		t.Fatalf("%d chunks, want the 3 the first round made", len(c.list))
+	}
+}

@@ -192,17 +192,6 @@ func Generate(cfg Config) []Doc {
 	return docs
 }
 
-// TotalBytes sums the generated sizes of a corpus without keeping the
-// documents in memory.
-func TotalBytes(cfg Config) int64 {
-	cfg = cfg.withDefaults()
-	var n int64
-	for i := 0; i < cfg.Docs; i++ {
-		n += int64(len(GenerateDoc(cfg, i).Data))
-	}
-	return n
-}
-
 func splitmix(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

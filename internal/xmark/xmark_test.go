@@ -187,18 +187,6 @@ func TestSharedIDSpaces(t *testing.T) {
 	}
 }
 
-func TestTotalBytes(t *testing.T) {
-	cfg := DefaultConfig(10)
-	cfg.TargetDocBytes = 2 << 10
-	var want int64
-	for i := 0; i < cfg.Docs; i++ {
-		want += int64(len(GenerateDoc(cfg, i).Data))
-	}
-	if got := TotalBytes(cfg); got != want {
-		t.Errorf("TotalBytes = %d, want %d", got, want)
-	}
-}
-
 func TestPaintingsCorpus(t *testing.T) {
 	docs := Paintings()
 	if len(docs) != 2+len(paintingSpecs)+len(museumSpecs) {
