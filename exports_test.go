@@ -20,8 +20,9 @@ import (
 // methods, where dir is the package directory under internal/. A name may
 // stay only as a paper ablation of the root bench_test.go, as the definition
 // or oracle a test compares against, as a fault-injection or
-// synchronisation hook that keeps a test deterministic, because ROADMAP
-// reserves it, or because code asserts an interface it implements.
+// synchronisation hook or a test clock that keeps a test deterministic,
+// because ROADMAP reserves it, or because code asserts an interface it
+// implements.
 var keptExports = map[string]string{
 	"twigjoin.MatchBinary":          "ablation: BenchmarkAblationTwigVsBinary's binary-join arm",
 	"engine.EvalPatternOnDoc":       "ablation: BenchmarkEvalPattern, one pattern evaluated on a parsed document",
@@ -38,6 +39,8 @@ var keptExports = map[string]string{
 	"cloud/chaos.Injector.SetRates": "fault hook: quiesces or raises injection mid-run",
 	"core.Warehouse.ChaosInjector":  "fault hook: the injector whose rates SetRates changes",
 	"core.Warehouse.RunQueryOnView": "synchronisation hook: a query against a pinned snapshot",
+	"clock.NewStepped":              "test clock: the clock the SQS, chaos, live-pipeline and admission tests step by hand",
+	"clock.Stepped.BlockUntil":      "test clock: how a test waits until every live loop it drives waits on the clock",
 	"costmodel.UpdateCost":          "reserved by ROADMAP: prices the write-ahead log's puts",
 	"costmodel.PerMillionUpdates":   "reserved by ROADMAP: normalises UpdateCost per million mutations",
 }

@@ -60,7 +60,7 @@ func (s *Summary) scaleFactor() float64 {
 // Advisor estimates per-strategy behaviour from a corpus sample.
 type Advisor struct {
 	Summary *Summary
-	sample  []*xmltree.Document
+	sample  []*index.DocKeys
 	book    pricing.PriceBook
 	perf    core.PerfModel
 	vm      ec2.InstanceType
@@ -94,16 +94,15 @@ func New(docs []*xmltree.Document, cfg Config) (*Advisor, error) {
 			PathDocs: make(map[string]int),
 		},
 		book: pricing.Singapore2012(),
-		perf: cfg.Perf,
+		perf: cfg.Perf.WithDefaults(),
 		vm:   cfg.VM,
 	}
-	a.perf = perfWithDefaults(a.perf)
 	var totalBytes int64
 	for i, d := range docs {
 		if i%cfg.SampleEvery != 0 {
 			continue
 		}
-		a.sample = append(a.sample, d)
+		a.sample = append(a.sample, index.CollectDocKeys(d))
 		totalBytes += d.SourceBytes
 		keys, paths := index.KeysAndPaths(d)
 		for _, k := range keys {
@@ -123,23 +122,6 @@ func New(docs []*xmltree.Document, cfg Config) (*Advisor, error) {
 	}
 	a.Summary.AvgDocBytes = totalBytes / int64(len(a.sample))
 	return a, nil
-}
-
-func perfWithDefaults(p core.PerfModel) core.PerfModel {
-	d := core.DefaultPerfModel()
-	if p.ParseBytesPerECUSec <= 0 {
-		p.ParseBytesPerECUSec = d.ParseBytesPerECUSec
-	}
-	if p.EvalBytesPerECUSec <= 0 {
-		p.EvalBytesPerECUSec = d.EvalBytesPerECUSec
-	}
-	if p.PlanBytesPerECUSec <= 0 {
-		p.PlanBytesPerECUSec = d.PlanBytesPerECUSec
-	}
-	if p.ExtractBytesPerECUSec <= 0 {
-		p.ExtractBytesPerECUSec = d.ExtractBytesPerECUSec
-	}
-	return p
 }
 
 // Estimate is one strategy's predicted behaviour for one query.

@@ -48,12 +48,6 @@ type Rates struct {
 	S3Transient float64
 }
 
-// zero reports whether every rate is zero (pass-through mode).
-func (r Rates) zero() bool {
-	return r.Throttle == 0 && r.Internal == 0 && r.PartialBatch == 0 &&
-		r.DupDeliver == 0 && r.ExpireLease == 0 && r.S3Transient == 0
-}
-
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cloud/chaos"
 	"repro/internal/cloud/dynamodb"
 	"repro/internal/cloud/kv"
@@ -291,7 +292,7 @@ func TestPartialBatchGetContract(t *testing.T) {
 }
 
 func TestQueueDuplicateDelivery(t *testing.T) {
-	q := sqs.New(meter.NewLedger())
+	q := sqs.New(meter.NewLedger(), clock.NewStepped(time.Unix(0, 0)))
 	if err := q.CreateQueue("work"); err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +329,8 @@ func TestQueueDuplicateDelivery(t *testing.T) {
 }
 
 func TestQueueForcedLeaseExpiry(t *testing.T) {
-	q := sqs.New(meter.NewLedger())
+	clk := clock.NewStepped(time.Unix(0, 0))
+	q := sqs.New(meter.NewLedger(), clk)
 	if err := q.CreateQueue("work"); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +345,7 @@ func TestQueueForcedLeaseExpiry(t *testing.T) {
 	if err != nil || m1 == nil {
 		t.Fatalf("receive: %v, %v", m1, err)
 	}
-	time.Sleep(80 * time.Millisecond) // past the shortened lease, well within the requested one
+	clk.Advance(50 * time.Millisecond) // the shortened lease, well within the requested one
 	inj.SetRates(chaos.Rates{})
 	m2, _, err := wrapped.Receive(context.Background(), "work", time.Minute, 0)
 	if err != nil || m2 == nil {

@@ -12,7 +12,7 @@ import (
 // cheaply.
 func TestReceiveWaitBilledOnce(t *testing.T) {
 	led := meter.NewLedger()
-	s := New(led)
+	s := newStepped(led)
 	s.CreateQueue("q")
 	// A leased message forces several internal wake-ups while waiting.
 	s.Send("q", "held")
@@ -21,9 +21,13 @@ func TestReceiveWaitBilledOnce(t *testing.T) {
 		t.Fatal("no message")
 	}
 	before := led.Snapshot().Get(Backend, "receive").Calls
-	got, _, err := s.Receive(bg, "q", time.Minute, 100*time.Millisecond)
-	if err != nil || got == nil {
-		t.Fatalf("Receive = %v, %v", got, err)
+	c := receiveAsync(bg, s, "q", time.Minute, 100*time.Millisecond)
+	// A shortened lease wakes the receive, which finds nothing visible yet
+	// and waits again until the lease lapses.
+	s.ChangeVisibility("q", m.Receipt, 10*time.Millisecond)
+	stepped(s).Advance(10 * time.Millisecond)
+	if got := await(t, c); got == nil {
+		t.Fatal("Receive returned no message")
 	}
 	after := led.Snapshot().Get(Backend, "receive").Calls
 	if after-before != 1 {
@@ -33,7 +37,7 @@ func TestReceiveWaitBilledOnce(t *testing.T) {
 
 func TestChangeVisibilityBilled(t *testing.T) {
 	led := meter.NewLedger()
-	s := New(led)
+	s := newStepped(led)
 	s.CreateQueue("q")
 	s.Send("q", "x")
 	m, _, _ := s.Receive(bg, "q", time.Minute, 0)
@@ -45,7 +49,7 @@ func TestChangeVisibilityBilled(t *testing.T) {
 
 func TestSendPayloadBytesMetered(t *testing.T) {
 	led := meter.NewLedger()
-	s := New(led)
+	s := newStepped(led)
 	s.CreateQueue("q")
 	s.Send("q", "0123456789")
 	if got := led.Snapshot().Get(Backend, "send").Bytes; got != 10 {

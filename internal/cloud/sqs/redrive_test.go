@@ -9,7 +9,7 @@ import (
 
 func newDLQ(t *testing.T, maxReceive int) *Service {
 	t.Helper()
-	s := New(meter.NewLedger())
+	s := newStepped(meter.NewLedger())
 	for _, q := range []string{"work", "dead"} {
 		if err := s.CreateQueue(q); err != nil {
 			t.Fatal(err)
@@ -67,13 +67,14 @@ func TestReceiveWaitRedrives(t *testing.T) {
 	if m == nil {
 		t.Fatal("first delivery missing")
 	}
-	time.Sleep(20 * time.Millisecond)
+	stepped(s).Advance(10 * time.Millisecond)
 	// The long poll must redrive rather than deliver, then time out.
-	m2, _, err := s.Receive(bg, "work", time.Minute, 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	got := receiveAsync(bg, s, "work", time.Minute, 50*time.Millisecond)
+	if s.Len("dead") != 1 {
+		t.Errorf("long poll parked without redriving: dead queue = %d", s.Len("dead"))
 	}
-	if m2 != nil {
+	stepped(s).Advance(50 * time.Millisecond)
+	if m2 := await(t, got); m2 != nil {
 		t.Fatalf("exhausted message delivered: %+v", m2)
 	}
 	if s.Len("dead") != 1 {
@@ -82,7 +83,7 @@ func TestReceiveWaitRedrives(t *testing.T) {
 }
 
 func TestRedrivePolicyValidation(t *testing.T) {
-	s := New(meter.NewLedger())
+	s := newStepped(meter.NewLedger())
 	s.CreateQueue("a")
 	if err := s.SetRedrivePolicy("a", "missing", 3); err == nil {
 		t.Error("missing dead-letter queue accepted")

@@ -21,9 +21,9 @@
 // fails with ErrStaleReceipt rather than acknowledging work the caller no
 // longer owns.
 //
-// Visibility is driven by real time, because the warehouse pipeline runs on
-// real goroutines; each API call additionally returns a modeled latency for
-// the virtual-time accounting, and is metered for billing (QS$ per request,
+// Leases and long polls run on the service's clock, the wall clock or, in
+// tests, a stepped one. Each API call also returns a modeled latency for the
+// virtual-time accounting, and is metered for billing (QS$ per request,
 // Table 3).
 package sqs
 
@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/meter"
 )
 
@@ -91,20 +92,20 @@ func (q *queue) wakeLocked() {
 
 // Service is an in-memory SQS endpoint. It is safe for concurrent use.
 type Service struct {
-	rtt    time.Duration
 	ledger *meter.Ledger
+	clock  clock.Clock
 
 	mu     sync.Mutex
 	queues map[string]*queue
 	seq    int64
 }
 
-// New returns a simulated SQS endpoint recording into ledger.
-func New(ledger *meter.Ledger) *Service {
+// New returns a simulated SQS endpoint on clk recording into ledger.
+func New(ledger *meter.Ledger, clk clock.Clock) *Service {
 	if ledger == nil {
 		panic("sqs: ledger is required")
 	}
-	return &Service{rtt: DefaultRTT, ledger: ledger, queues: make(map[string]*queue)}
+	return &Service{ledger: ledger, clock: clk, queues: make(map[string]*queue)}
 }
 
 // CreateQueue creates an empty queue.
@@ -150,9 +151,9 @@ func (s *Service) SetRedrivePolicy(queueName, deadLetterQueue string, maxReceive
 	return nil
 }
 
-// redriveLocked moves m to q's dead-letter queue if its receive count has
-// exhausted the redrive policy. It reports whether the message moved.
-func (s *Service) redriveLocked(q *queue, m *storedMessage) bool {
+// redriveLocked moves m to q's dead-letter queue, visible from now, if its
+// receive count has exhausted the redrive policy, and reports whether it did.
+func (s *Service) redriveLocked(q *queue, m *storedMessage, now time.Time) bool {
 	if q.redrive == "" || m.receiveCount < q.maxReceive {
 		return false
 	}
@@ -162,7 +163,7 @@ func (s *Service) redriveLocked(q *queue, m *storedMessage) bool {
 	}
 	delete(q.messages, m.id)
 	s.seq++
-	moved := &storedMessage{id: m.id, body: m.body, seq: s.seq, visibleAt: time.Now()}
+	moved := &storedMessage{id: m.id, body: m.body, seq: s.seq, visibleAt: now}
 	dlq.messages[m.id] = moved
 	dlq.wakeLocked()
 	return true
@@ -186,11 +187,11 @@ func (s *Service) Send(queueName, body string) (string, time.Duration, error) {
 	}
 	s.seq++
 	id := fmt.Sprintf("m-%08d", s.seq)
-	q.messages[id] = &storedMessage{id: id, body: body, seq: s.seq, visibleAt: time.Now()}
+	q.messages[id] = &storedMessage{id: id, body: body, seq: s.seq, visibleAt: s.clock.Now()}
 	s.ledger.Record(Backend, "send", 1, 1, int64(len(body)))
 	q.wakeLocked()
 	s.mu.Unlock()
-	return id, s.rtt, nil
+	return id, DefaultRTT, nil
 }
 
 // MaxWait is the longest long poll SQS accepts (ReceiveMessage's
@@ -203,7 +204,7 @@ const MaxWait = 20 * time.Second
 // time or ctx ends the wait first. Like SQS, the call is one billed request
 // whether it delivers or not and however long it waits.
 func (s *Service) Receive(ctx context.Context, queueName string, visibility, wait time.Duration) (*Message, time.Duration, error) {
-	deadline := time.Now().Add(wait)
+	deadline := s.clock.Now().Add(wait)
 	for billed := false; ; billed = true {
 		s.mu.Lock()
 		q, err := s.getQueue(queueName)
@@ -214,38 +215,38 @@ func (s *Service) Receive(ctx context.Context, queueName string, visibility, wai
 		if !billed {
 			s.ledger.Record(Backend, "receive", 1, 1, 0)
 		}
-		msg, nextVisible := s.leaseLocked(q, visibility)
+		now := s.clock.Now()
+		msg, nextVisible := s.leaseLocked(q, now, visibility)
 		wake := q.wake
 		s.mu.Unlock()
 		if msg != nil {
-			return msg, s.rtt, nil
+			return msg, DefaultRTT, nil
 		}
-		sleep := time.Until(deadline)
+		sleep := deadline.Sub(now)
 		if sleep <= 0 {
-			return nil, s.rtt, nil
+			return nil, DefaultRTT, nil
 		}
 		// Sleep until a wake-up, the earliest lease expiry, the deadline or
 		// the end of ctx, whichever comes first.
 		if !nextVisible.IsZero() {
-			sleep = min(sleep, max(time.Until(nextVisible), time.Millisecond))
+			sleep = min(sleep, nextVisible.Sub(now))
 		}
-		timer := time.NewTimer(sleep)
+		timer := s.clock.NewTimer(sleep)
 		select {
 		case <-wake:
 		case <-timer.C:
 		case <-ctx.Done():
 			timer.Stop()
-			return nil, s.rtt, nil
+			return nil, DefaultRTT, nil
 		}
 		timer.Stop()
 	}
 }
 
-// leaseLocked leases q's oldest visible message, redriving exhausted ones on
-// the way. With none visible it returns nil and the instant the next lease
-// expires (zero if no message is leased).
-func (s *Service) leaseLocked(q *queue, visibility time.Duration) (*Message, time.Time) {
-	now := time.Now()
+// leaseLocked leases q's oldest message visible at now, redriving exhausted
+// ones on the way. With none visible it returns nil and the instant the next
+// lease expires, which is after now (zero if no message is leased).
+func (s *Service) leaseLocked(q *queue, now time.Time, visibility time.Duration) (*Message, time.Time) {
 	for {
 		var oldest *storedMessage
 		var nextVisible time.Time
@@ -263,7 +264,7 @@ func (s *Service) leaseLocked(q *queue, visibility time.Duration) (*Message, tim
 		if oldest == nil {
 			return nil, nextVisible
 		}
-		if s.redriveLocked(q, oldest) {
+		if s.redriveLocked(q, oldest, now) {
 			continue // exhausted message moved to the dead-letter queue
 		}
 		oldest.visibleAt = now.Add(visibility)
@@ -294,10 +295,10 @@ func (s *Service) Delete(queueName, receipt string) (time.Duration, error) {
 	for id, m := range q.messages {
 		if m.receipt == receipt && receipt != "" {
 			delete(q.messages, id)
-			return s.rtt, nil
+			return DefaultRTT, nil
 		}
 	}
-	return s.rtt, fmt.Errorf("%w (receipt %q)", ErrStaleReceipt, receipt)
+	return DefaultRTT, fmt.Errorf("%w (receipt %q)", ErrStaleReceipt, receipt)
 }
 
 // ChangeVisibility renews (or shortens) the current lease of a message.
@@ -311,16 +312,16 @@ func (s *Service) ChangeVisibility(queueName, receipt string, visibility time.Du
 	s.ledger.Record(Backend, "changeVisibility", 1, 1, 0)
 	for _, m := range q.messages {
 		if m.receipt == receipt && receipt != "" {
-			visibleAt := time.Now().Add(visibility)
+			visibleAt := s.clock.Now().Add(visibility)
 			if visibleAt.Before(m.visibleAt) {
 				// Released or shortened: a waiter's timer may be too late.
 				q.wakeLocked()
 			}
 			m.visibleAt = visibleAt
-			return s.rtt, nil
+			return DefaultRTT, nil
 		}
 	}
-	return s.rtt, fmt.Errorf("%w (receipt %q)", ErrStaleReceipt, receipt)
+	return DefaultRTT, fmt.Errorf("%w (receipt %q)", ErrStaleReceipt, receipt)
 }
 
 // Len returns the number of messages in the queue (visible or leased).

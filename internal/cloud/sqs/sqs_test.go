@@ -7,19 +7,67 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/meter"
 )
 
 // bg is the context of a receive nothing cancels.
 var bg = context.Background()
 
+// newStepped returns a service recording into led on a stepped clock, which
+// stepped(s) moves.
+func newStepped(led *meter.Ledger) *Service {
+	return New(led, clock.NewStepped(time.Unix(0, 0)))
+}
+
+// stepped is the clock of a service newStepped built.
+func stepped(s *Service) *clock.Stepped { return s.clock.(*clock.Stepped) }
+
 func newSvc(t *testing.T) *Service {
 	t.Helper()
-	s := New(meter.NewLedger())
+	s := newStepped(meter.NewLedger())
 	if err := s.CreateQueue("q"); err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// receiveAsync runs a Receive on its own goroutine and returns it once the
+// receive waits on the clock, with the channel its message arrives on.
+func receiveAsync(ctx context.Context, s *Service, queueName string, visibility, wait time.Duration) <-chan *Message {
+	got := make(chan *Message, 1)
+	clk := stepped(s)
+	var before int
+	clk.BlockUntil(func(n int) bool { before = n; return true }) // the timers waiting now
+	go func() {
+		m, _, _ := s.Receive(ctx, queueName, visibility, wait)
+		got <- m
+	}()
+	clk.BlockUntil(func(n int) bool { return n > before })
+	return got
+}
+
+// await returns what a receive delivered, failing the test if it has not
+// returned within a second.
+func await(t *testing.T, got <-chan *Message) *Message {
+	t.Helper()
+	select {
+	case m := <-got:
+		return m
+	case <-time.After(time.Second):
+		t.Fatal("receive did not return")
+		return nil
+	}
+}
+
+// stillWaiting fails the test if a receive has returned.
+func stillWaiting(t *testing.T, got <-chan *Message) {
+	t.Helper()
+	select {
+	case m := <-got:
+		t.Fatalf("receive returned %+v, want it still waiting", m)
+	default:
+	}
 }
 
 func TestSendReceiveDelete(t *testing.T) {
@@ -71,7 +119,11 @@ func TestLeaseExpiryRedelivers(t *testing.T) {
 	s := newSvc(t)
 	s.Send("q", "job")
 	m1, _, _ := s.Receive(bg, "q", 20*time.Millisecond, 0)
-	time.Sleep(30 * time.Millisecond)
+	stepped(s).Advance(19 * time.Millisecond)
+	if m, _, _ := s.Receive(bg, "q", time.Minute, 0); m != nil {
+		t.Fatalf("lease redelivered before it lapsed: %+v", m)
+	}
+	stepped(s).Advance(time.Millisecond)
 	m2, _, _ := s.Receive(bg, "q", time.Minute, 0)
 	if m2 == nil {
 		t.Fatal("expired lease not redelivered")
@@ -100,7 +152,7 @@ func TestChangeVisibilityRenewsLease(t *testing.T) {
 	if _, err := s.ChangeVisibility("q", m.Receipt, 500*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	stepped(s).Advance(50 * time.Millisecond)
 	if m2, _, _ := s.Receive(bg, "q", time.Minute, 0); m2 != nil {
 		t.Errorf("renewed lease redelivered: %+v", m2)
 	}
@@ -125,31 +177,24 @@ func TestReceiveEmptyQueue(t *testing.T) {
 	}
 }
 
+// A send wakes a waiting receive at once, with no time passing.
 func TestReceiveWaitBlocksUntilSend(t *testing.T) {
 	s := newSvc(t)
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		s.Send("q", "late")
-	}()
-	start := time.Now()
-	m, _, err := s.Receive(bg, "q", time.Minute, time.Second)
-	if err != nil || m == nil {
-		t.Fatalf("Receive = (%+v, %v)", m, err)
-	}
-	if time.Since(start) > 500*time.Millisecond {
-		t.Error("Receive did not wake promptly on send")
+	got := receiveAsync(bg, s, "q", time.Minute, time.Second)
+	s.Send("q", "late")
+	if m := await(t, got); m == nil || m.Body != "late" {
+		t.Fatalf("Receive = %+v, want the late message", m)
 	}
 }
 
 func TestReceiveWaitTimesOut(t *testing.T) {
 	s := newSvc(t)
-	start := time.Now()
-	m, _, err := s.Receive(bg, "q", time.Minute, 30*time.Millisecond)
-	if err != nil || m != nil {
-		t.Fatalf("Receive = (%+v, %v)", m, err)
-	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Errorf("returned too early: %v", elapsed)
+	got := receiveAsync(bg, s, "q", time.Minute, 30*time.Millisecond)
+	stepped(s).Advance(29 * time.Millisecond)
+	stillWaiting(t, got)
+	stepped(s).Advance(time.Millisecond)
+	if m := await(t, got); m != nil {
+		t.Fatalf("Receive = %+v, want none", m)
 	}
 }
 
@@ -157,9 +202,10 @@ func TestReceiveWaitPicksUpExpiredLease(t *testing.T) {
 	s := newSvc(t)
 	s.Send("q", "job")
 	s.Receive(bg, "q", 30*time.Millisecond, 0) // lease and "crash"
-	m, _, err := s.Receive(bg, "q", time.Minute, time.Second)
-	if err != nil || m == nil {
-		t.Fatalf("Receive after lease expiry = (%+v, %v)", m, err)
+	got := receiveAsync(bg, s, "q", time.Minute, time.Second)
+	stepped(s).Advance(30 * time.Millisecond)
+	if m := await(t, got); m == nil || m.ReceiveCount != 2 {
+		t.Fatalf("Receive after lease expiry = %+v", m)
 	}
 }
 
@@ -169,30 +215,18 @@ func TestReceiveWaitPicksUpExpiredLease(t *testing.T) {
 func TestReceiveBurstWakesEveryWaiter(t *testing.T) {
 	s := newSvc(t)
 	const n = 8
-	got := make(chan *Message, n)
+	var got []<-chan *Message
 	for i := 0; i < n; i++ {
-		go func() {
-			m, _, _ := s.Receive(bg, "q", time.Minute, MaxWait)
-			got <- m
-		}()
+		got = append(got, receiveAsync(bg, s, "q", time.Minute, MaxWait))
 	}
-	time.Sleep(20 * time.Millisecond) // let the waiters park
-	start := time.Now()
 	for i := 0; i < n; i++ {
 		s.Send("q", "job")
 	}
-	for i := 0; i < n; i++ {
-		select {
-		case m := <-got:
-			if m == nil {
-				t.Fatal("a waiter came back empty")
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%d of %d messages delivered after 5s", i, n)
+	// No time passes: a waiter that missed its wake-up never returns.
+	for _, c := range got {
+		if m := await(t, c); m == nil {
+			t.Fatal("a waiter came back empty")
 		}
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Errorf("burst took %v to deliver", d)
 	}
 }
 
@@ -200,20 +234,13 @@ func TestReceiveBurstWakesEveryWaiter(t *testing.T) {
 // the call is billed as the one receive it is.
 func TestReceiveCancelledWait(t *testing.T) {
 	led := meter.NewLedger()
-	s := New(led)
+	s := newStepped(led)
 	s.CreateQueue("q")
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	m, _, err := s.Receive(ctx, "q", time.Minute, MaxWait)
-	if err != nil || m != nil {
-		t.Fatalf("cancelled Receive = (%+v, %v)", m, err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Errorf("cancelled wait returned after %v", d)
+	got := receiveAsync(ctx, s, "q", time.Minute, MaxWait)
+	cancel()
+	if m := await(t, got); m != nil {
+		t.Fatalf("cancelled Receive = %+v", m)
 	}
 	if got := led.Snapshot().Get(Backend, "receive").Calls; got != 1 {
 		t.Errorf("cancelled wait billed %d receives, want 1", got)
@@ -227,17 +254,13 @@ func TestReceiveWakesOnShortenedLease(t *testing.T) {
 		s := newSvc(t)
 		s.Send("q", "job")
 		held, _, _ := s.Receive(bg, "q", time.Minute, 0)
-		go func() {
-			time.Sleep(20 * time.Millisecond)
-			s.ChangeVisibility("q", held.Receipt, vis)
-		}()
-		start := time.Now()
-		m, _, err := s.Receive(bg, "q", time.Minute, MaxWait)
-		if err != nil || m == nil || m.ReceiveCount != 2 {
-			t.Fatalf("visibility %v: Receive = (%+v, %v)", vis, m, err)
-		}
-		if d := time.Since(start); d > time.Second {
-			t.Errorf("visibility %v: waiter woke after %v", vis, d)
+		got := receiveAsync(bg, s, "q", time.Minute, MaxWait)
+		s.ChangeVisibility("q", held.Receipt, vis)
+		// The clock moves past the new expiry, not the old one: a waiter
+		// still timed for a minute never returns.
+		stepped(s).Advance(vis)
+		if m := await(t, got); m == nil || m.ReceiveCount != 2 {
+			t.Fatalf("visibility %v: Receive = %+v", vis, m)
 		}
 	}
 }
@@ -266,7 +289,7 @@ func TestQueueErrors(t *testing.T) {
 
 func TestMetering(t *testing.T) {
 	led := meter.NewLedger()
-	s := New(led)
+	s := newStepped(led)
 	s.CreateQueue("q")
 	s.Send("q", "body")
 	m, _, _ := s.Receive(bg, "q", time.Minute, 0)

@@ -64,50 +64,74 @@ func submitWithRetry(t *testing.T, w *Warehouse, uri string, data []byte) {
 	}
 }
 
-// indexLive drives a corpus through live indexer workers. With crash set,
-// one worker is killed mid-message once it has demonstrably started
-// working, and a replacement takes over its redelivered lease.
-func indexLive(t *testing.T, w *Warehouse, docs []xmark.Doc, crash bool) {
+// indexLive drives a corpus through live indexer workers (rescuers of them)
+// on the warehouse's stepped clock (steppedWarehouse), stepping it only
+// while every worker waits. A worker holds each message for a WorkDelay
+// longer than a lease that chaos cut to an eighth, so such a lease lapses
+// mid-task, and shorter than half a lease, so no renewal fires. With crash
+// set, a first worker is killed mid-lease once it has indexed a document,
+// and the rescuers take over its redelivered message.
+func indexLive(t *testing.T, w *Warehouse, docs []xmark.Doc, crash bool, rescuers int) {
 	t.Helper()
+	clk := liveClockOf(w)
 	for _, d := range docs {
 		submitWithRetry(t, w, d.URI, d.Data)
 	}
-	opts := WorkerOptions{Visibility: 150 * time.Millisecond, WorkDelay: 5 * time.Millisecond}
-	var workers []*Worker
+	opts := WorkerOptions{Visibility: 160 * time.Millisecond, WorkDelay: 40 * time.Millisecond}
 	if crash {
-		victim := w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{
-			Visibility: 150 * time.Millisecond,
-			WorkDelay:  40 * time.Millisecond,
-		})
-		deadline := time.Now().Add(20 * time.Second)
-		for victim.Processed() < 1 && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
+		victim := w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), opts)
+		for clk.awaitParked(1); victim.Processed() == 0; clk.awaitParked(1) {
+			clk.Advance(opts.WorkDelay)
 		}
-		if victim.Processed() < 1 {
-			t.Fatal("victim worker never processed a message")
-		}
-		time.Sleep(15 * time.Millisecond) // land inside the next message's work window
-		victim.Crash()
+		victim.Crash() // it holds its next message, sitting out the delay
 	}
-	for i := 0; i < 3; i++ {
+	var workers []*Worker
+	for i := 0; i < rescuers; i++ {
 		workers = append(workers, w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), opts))
 	}
-	deadline := time.Now().Add(90 * time.Second)
-	for time.Now().Before(deadline) {
+	for steps := 0; ; steps++ {
+		clk.awaitParked(rescuers)
 		if w.Queues().Len(LoaderQueue) == 0 {
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
+		if steps == 10000 {
+			t.Fatalf("loader queue still holds %d messages after %d steps", w.Queues().Len(LoaderQueue), steps)
+		}
+		clk.Advance(opts.WorkDelay / 2)
 	}
 	for _, wk := range workers {
 		wk.Stop()
 	}
-	if n := w.Queues().Len(LoaderQueue); n != 0 {
-		t.Fatalf("loader queue still holds %d messages after deadline", n)
-	}
 	if crash {
 		if w.Registry().Counter("core.worker.redeliveries").Value() == 0 {
 			t.Error("crash plus chaos produced no observed redeliveries")
+		}
+	}
+}
+
+// TestChaosLiveCrashRunRepeats: on the stepped clock, a seeded live run
+// under aggressive chaos with a worker crashed mid-lease follows one
+// schedule, so ten runs bill one ledger. It takes one rescuer. With several,
+// which of them takes a released or lapsed message first is the goroutine
+// scheduler's choice, which the clock does not make.
+func TestChaosLiveCrashRunRepeats(t *testing.T) {
+	seed := chaosSeed(t)
+	docs := chaosCorpus(seed)[:8]
+	var want string
+	for run := 0; run < 10; run++ {
+		w := steppedWarehouse(t, Config{
+			Strategy: index.TwoLUPI,
+			Chaos:    &chaos.Plan{Seed: seed, Rates: aggressiveRates()},
+		})
+		if err := w.Queues().SetRedrivePolicy(LoaderQueue, LoaderDeadLetters, 200); err != nil {
+			t.Fatal(err)
+		}
+		indexLive(t, w, docs, true, 1)
+		got := w.Ledger().Snapshot().String()
+		if run == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d billed\n%s\nrun 0 billed\n%s", run, got, want)
 		}
 	}
 }
@@ -239,13 +263,10 @@ func chaosDifferentialIndexing(t *testing.T, bulk bool) {
 	seed := chaosSeed(t)
 	docs := chaosCorpus(seed)
 
-	clean, err := New(Config{Strategy: index.TwoLUPI})
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexLive(t, clean, docs, false)
+	clean := steppedWarehouse(t, Config{Strategy: index.TwoLUPI})
+	indexLive(t, clean, docs, false, 3)
 
-	chaotic, err := New(Config{
+	chaotic := steppedWarehouse(t, Config{
 		Strategy: index.TwoLUPI,
 		BulkLoad: bulk,
 		// Tracing on the chaotic side proves the span journal perturbs
@@ -253,9 +274,6 @@ func chaosDifferentialIndexing(t *testing.T, bulk bool) {
 		Trace: true,
 		Chaos: &chaos.Plan{Seed: seed, Rates: aggressiveRates()},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Injected redeliveries must not push healthy documents into the
 	// dead-letter queue: raise the redrive threshold far above what the
 	// fault rates can produce.
@@ -265,7 +283,7 @@ func chaosDifferentialIndexing(t *testing.T, bulk bool) {
 	if bulk {
 		indexByDriverReruns(t, chaotic, docs)
 	} else {
-		indexLive(t, chaotic, docs, true)
+		indexLive(t, chaotic, docs, true, 3)
 	}
 
 	if n, byClass := chaosFaults(chaotic); n == 0 {

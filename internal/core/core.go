@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cloud/chaos"
 	"repro/internal/cloud/dynamodb"
 	"repro/internal/cloud/kv"
@@ -98,7 +99,8 @@ func DefaultPerfModel() PerfModel {
 	}
 }
 
-func (m PerfModel) withDefaults() PerfModel {
+// WithDefaults returns m with its unset rates taken from DefaultPerfModel.
+func (m PerfModel) WithDefaults() PerfModel {
 	d := DefaultPerfModel()
 	if m.ParseBytesPerECUSec <= 0 {
 		m.ParseBytesPerECUSec = d.ParseBytesPerECUSec
@@ -252,6 +254,8 @@ type Warehouse struct {
 	chaosInj *chaos.Injector
 	retry    *kv.Retry
 
+	clock clock.Clock // times leases, long polls and Frontend.Do (DESIGN §10.5)
+
 	// corpus is the mutable-corpus state machine (nil unless
 	// Config.MutableCorpus); compactEvery its auto-compaction threshold.
 	corpus       *mutate.Corpus
@@ -345,7 +349,10 @@ func resolveMetrics(r *obs.Registry) coreMetrics {
 }
 
 // New provisions the warehouse's bucket, queues and index tables.
-func New(cfg Config) (*Warehouse, error) {
+func New(cfg Config) (*Warehouse, error) { return newOn(cfg, clock.Wall{}) }
+
+// newOn is New with the live pipeline on clk.
+func newOn(cfg Config, clk clock.Clock) (*Warehouse, error) {
 	ledger := cfg.Ledger
 	if ledger == nil {
 		ledger = meter.NewLedger()
@@ -360,11 +367,11 @@ func New(cfg Config) (*Warehouse, error) {
 		return nil, fmt.Errorf("core: unknown backend %q", cfg.Backend)
 	}
 	baseFiles := s3.New(ledger)
-	baseQueues := sqs.New(ledger)
+	baseQueues := sqs.New(ledger, clk)
 	reg := obs.NewRegistry()
 	w := &Warehouse{
 		Strategy:      cfg.Strategy,
-		Perf:          cfg.Perf.withDefaults(),
+		Perf:          cfg.Perf.WithDefaults(),
 		compressPaths: cfg.CompressPaths,
 		queryWorkers:  cfg.QueryWorkers,
 		bulkLoad:      cfg.BulkLoad,
@@ -376,6 +383,7 @@ func New(cfg Config) (*Warehouse, error) {
 		baseFiles:     baseFiles,
 		baseStore:     baseStore,
 		baseQueues:    baseQueues,
+		clock:         clk,
 		reg:           reg,
 		met:           resolveMetrics(reg),
 	}

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cloud/ec2"
+	"repro/internal/cloud/sqs"
 	"repro/internal/index"
 	"repro/internal/xmark"
 )
@@ -18,6 +22,55 @@ func newWarehouse(t *testing.T, s index.Strategy) *Warehouse {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// liveClock is the stepped clock a warehouse's live pipeline runs on in a
+// test, with the number of receives in progress, which tells the test when
+// every live loop waits and time may be stepped.
+type liveClock struct {
+	*clock.Stepped
+	receiving atomic.Int64
+}
+
+// steppedWarehouse builds a warehouse whose live pipeline runs on a stepped
+// clock (liveClockOf returns it).
+func steppedWarehouse(t *testing.T, cfg Config) *Warehouse {
+	t.Helper()
+	clk := &liveClock{Stepped: clock.NewStepped(time.Unix(0, 0))}
+	w, err := newOn(cfg, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.queues = receiveCounter{queueService: w.queues, n: &clk.receiving}
+	return w
+}
+
+// liveClockOf is the clock of a warehouse steppedWarehouse built.
+func liveClockOf(w *Warehouse) *liveClock { return w.clock.(*liveClock) }
+
+// awaitParked returns once each of loops live loops waits on the clock:
+// in a receive, on one timer, or sitting out its WorkDelay, on two (the
+// delay and its lease renewal). A loop at work holds at most its renewal's
+// timer, so the count of timers reaches 2*loops-receiving only when every
+// loop waits. A renewal that fails, because another loop took the message
+// over, renews no more and leaves its loop one timer: where that can
+// happen, a test keeps WorkDelay under half the lease, so that no renewal
+// fires while its loop waits. A Frontend.Do in progress holds a timer of its
+// own, so a test that waits this way submits with Frontend.Submit.
+func (c *liveClock) awaitParked(loops int) {
+	c.BlockUntil(func(timers int) bool { return timers == 2*loops-int(c.receiving.Load()) })
+}
+
+// receiveCounter counts a warehouse's receives in progress.
+type receiveCounter struct {
+	queueService
+	n *atomic.Int64
+}
+
+func (r receiveCounter) Receive(ctx context.Context, queueName string, visibility, wait time.Duration) (*sqs.Message, time.Duration, error) {
+	r.n.Add(1)
+	defer r.n.Add(-1)
+	return r.queueService.Receive(ctx, queueName, visibility, wait)
 }
 
 func loadPaintings(t *testing.T, w *Warehouse, fleet []*ec2.Instance) IndexReport {
@@ -160,7 +213,7 @@ func TestXLFasterThanLSameWorkload(t *testing.T) {
 }
 
 func TestLivePipelineEndToEnd(t *testing.T) {
-	w := newWarehouse(t, index.LUP)
+	w := steppedWarehouse(t, Config{Strategy: index.LUP})
 	// Submit documents through the front end (steps 1-3).
 	for _, d := range xmark.Paintings() {
 		if err := w.SubmitDocument(d.URI, d.Data); err != nil {
@@ -170,10 +223,7 @@ func TestLivePipelineEndToEnd(t *testing.T) {
 	// Two live indexers.
 	idx1 := w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{})
 	idx2 := w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{})
-	deadline := time.Now().Add(10 * time.Second)
-	for w.queues.Len(LoaderQueue) > 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	liveClockOf(w).awaitParked(2) // both wait for work: the queue is drained
 	idx1.Stop()
 	idx2.Stop()
 	if w.queues.Len(LoaderQueue) != 0 {
@@ -201,33 +251,49 @@ func TestLivePipelineEndToEnd(t *testing.T) {
 }
 
 func TestFaultToleranceIndexerCrash(t *testing.T) {
-	w := newWarehouse(t, index.LU)
+	w := steppedWarehouse(t, Config{Strategy: index.LU})
+	clk := liveClockOf(w)
 	for _, d := range xmark.Paintings()[:4] {
 		if err := w.SubmitDocument(d.URI, d.Data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A slow worker with a short lease crashes mid-document.
+	// A slow worker with a short lease takes a document.
+	const lease = 50 * time.Millisecond
 	victim := w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{
-		Visibility: 50 * time.Millisecond,
-		WorkDelay:  200 * time.Millisecond,
+		Visibility: lease,
+		WorkDelay:  time.Second,
 	})
-	time.Sleep(80 * time.Millisecond) // it has received a message by now
+	clk.awaitParked(1)
+	// While it lives it renews the lease at every half lease, so the lease
+	// never lapses; then it crashes mid-document.
+	for i := 0; i < 3; i++ {
+		clk.Advance(lease / 2)
+		clk.awaitParked(1)
+	}
+	if n := w.Registry().Counter("core.worker.lease_renewals").Value(); n != 3 {
+		t.Errorf("%d lease renewals over one and a half leases, want 3", n)
+	}
 	victim.Crash()
 
-	// A healthy worker must pick up everything, including the abandoned
-	// message once its lease expires.
+	// A healthy worker indexes the other documents, waits for the abandoned
+	// lease to lapse and then indexes that one too.
 	rescuer := w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{})
-	deadline := time.Now().Add(10 * time.Second)
-	for w.queues.Len(LoaderQueue) > 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	clk.awaitParked(1)
+	if got := w.queues.Len(LoaderQueue); got != 1 {
+		t.Fatalf("queue holds %d messages before the lease lapses, want the crashed one", got)
 	}
+	clk.Advance(lease)
+	clk.awaitParked(1)
 	rescuer.Stop()
 	if got := w.queues.Len(LoaderQueue); got != 0 {
 		t.Fatalf("queue still holds %d messages after crash recovery", got)
 	}
-	if rescuer.Processed() == 0 {
-		t.Error("rescuer processed nothing")
+	if victim.Processed() != 0 || rescuer.Processed() != 4 {
+		t.Errorf("victim processed %d and rescuer %d, want 0 and 4", victim.Processed(), rescuer.Processed())
+	}
+	if n := w.Registry().Counter("core.worker.redeliveries").Value(); n != 1 {
+		t.Errorf("%d redeliveries, want the crashed document's 1", n)
 	}
 }
 

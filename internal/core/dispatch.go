@@ -77,12 +77,12 @@ func (f *Frontend) Do(queryText string, useIndex bool, timeout time.Duration) (*
 	if err != nil {
 		return nil, err
 	}
-	deadline := time.Now().Add(timeout)
-	t := time.NewTimer(timeout)
+	deadline := f.w.clock.Now().Add(timeout)
+	t := f.w.clock.NewTimer(timeout)
 	defer t.Stop()
 	select {
 	case out := <-ch:
-		if time.Now().Before(deadline) {
+		if f.w.clock.Now().Before(deadline) {
 			return out, nil
 		}
 	case <-t.C:

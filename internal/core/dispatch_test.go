@@ -169,7 +169,7 @@ func TestFrontendTimeoutAbandons(t *testing.T) {
 
 // Close wakes blocked waiters with a frontend-closed error.
 func TestFrontendCloseUnblocksWaiters(t *testing.T) {
-	w := newWarehouse(t, index.LU)
+	w := steppedWarehouse(t, Config{Strategy: index.LU})
 	fleet := []*ec2.Instance{ec2.Launch(w.ledger, ec2.Large)}
 	loadPaintings(t, w, fleet)
 	// No query processor: the submitted query never gets a response.
@@ -179,10 +179,9 @@ func TestFrontendCloseUnblocksWaiters(t *testing.T) {
 		_, err := f.Do(`//painting`, true, time.Minute)
 		errCh <- err
 	}()
-	// Let the submit land before closing.
-	for pending(f) == 0 {
-		time.Sleep(5 * time.Millisecond)
-	}
+	// Close once the dispatcher waits for a response and Do, having
+	// submitted, waits for its timeout: two timers on the clock.
+	liveClockOf(w).BlockUntil(func(timers int) bool { return timers == 2 })
 	f.Close()
 	select {
 	case err := <-errCh:

@@ -123,9 +123,9 @@ type QueryOutcome struct {
 type Worker struct {
 	Instance *ec2.Instance
 
-	// ctx ends the worker's wait for work; cancel is how Stop and Crash
-	// wake it. It never interrupts a message in progress: that is crashed's
-	// job, which renewLease and release watch.
+	// ctx ends the worker's wait for work and its WorkDelay; cancel is how
+	// Stop and Crash wake it. It never interrupts a message's work: that is
+	// crashed's job, which renewLease and release watch.
 	ctx       context.Context
 	cancel    context.CancelFunc
 	crashed   chan struct{}
@@ -139,7 +139,7 @@ type Worker struct {
 func (wk *Worker) Processed() int { return int(wk.processed.Load()) }
 
 // Stop drains the worker gracefully: it finishes (and acknowledges) its
-// current message, then exits. An idle worker's wait ends at once.
+// current message, then exits. A wait for work or a WorkDelay ends at once.
 func (wk *Worker) Stop() {
 	wk.cancel()
 	wk.done.Wait()
@@ -158,8 +158,8 @@ type WorkerOptions struct {
 	// Visibility is the message lease duration; it is renewed at
 	// Visibility/2 while processing. Default 2s (tests use shorter).
 	Visibility time.Duration
-	// WorkDelay artificially stretches real processing time (tests use it
-	// to exercise lease expiry and crashes mid-flight).
+	// WorkDelay holds each leased message that long on the warehouse's clock,
+	// cut short by Stop or Crash (tests crash a worker inside it).
 	WorkDelay time.Duration
 }
 
@@ -209,9 +209,9 @@ func startWorker(in *ec2.Instance, run func(wk *Worker)) *Worker {
 // lease is how every live loop takes its next message: one long poll of up
 // to sqs.MaxWait, a redelivery counted on the worker and in the registry, the
 // lease renewed from here on (release stops that and reports whether the
-// worker has crashed), WorkDelay sat out. msg is nil when the poll came back
-// empty, because the wait ran out or Stop or Crash ended it; that counts as
-// sqs.receive.empty.
+// worker has crashed), WorkDelay sat out unless Stop or Crash cut it short.
+// msg is nil when the poll came back empty, because the wait ran out or Stop
+// or Crash ended it; that counts as sqs.receive.empty.
 func (w *Warehouse) lease(wk *Worker, queue string, opts WorkerOptions) (msg *sqs.Message, rtt time.Duration, release func() (crashed bool)) {
 	msg, rtt, err := w.queues.Receive(wk.ctx, queue, opts.Visibility, sqs.MaxWait)
 	if err != nil {
@@ -226,7 +226,12 @@ func (w *Warehouse) lease(wk *Worker, queue string, opts WorkerOptions) (msg *sq
 	}
 	release = w.renewLease(wk, queue, msg.Receipt, opts.Visibility)
 	if opts.WorkDelay > 0 {
-		time.Sleep(opts.WorkDelay)
+		t := w.clock.NewTimer(opts.WorkDelay)
+		select {
+		case <-t.C:
+		case <-wk.ctx.Done():
+			t.Stop()
+		}
 	}
 	return msg, rtt, release
 }
@@ -322,20 +327,20 @@ func (w *Warehouse) renewLease(wk *Worker, queue, receipt string, visibility tim
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		t := time.NewTicker(visibility / 2)
-		defer t.Stop()
 		for {
+			t := w.clock.NewTimer(visibility / 2)
 			select {
-			case <-stop:
-				return
-			case <-wk.crashed:
-				return // a crashed instance stops renewing: the lease expires
 			case <-t.C:
-				if _, err := w.queues.ChangeVisibility(queue, receipt, visibility); err != nil {
-					return
-				}
-				w.met.leaseRenewals.Inc()
+			case <-stop:
+			case <-wk.crashed: // a crashed instance stops renewing: the lease expires
 			}
+			if t.Stop() { // stopped or crashed before the renewal was due
+				return
+			}
+			if _, err := w.queues.ChangeVisibility(queue, receipt, visibility); err != nil {
+				return
+			}
+			w.met.leaseRenewals.Inc()
 		}
 	}()
 	var once sync.Once

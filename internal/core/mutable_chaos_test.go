@@ -87,7 +87,7 @@ func compactFully(t *testing.T, w *Warehouse, in *ec2.Instance) {
 // buffer down to nothing.
 func mutableLifecycle(t *testing.T, w *Warehouse, docs []xmark.Doc, crash bool) {
 	t.Helper()
-	indexLive(t, w, docs, crash)
+	indexLive(t, w, docs, crash, 3)
 	in := ec2.Launch(w.ledger, ec2.Large)
 	for i, d := range docs {
 		if i%2 == 0 {
@@ -113,22 +113,16 @@ func TestChaosMutableUpdateDifferential(t *testing.T) {
 	seed := chaosSeed(t)
 	docs := chaosCorpus(seed)
 
-	clean, err := New(Config{Strategy: index.TwoLUPI, MutableCorpus: true, CompactEveryDocs: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := steppedWarehouse(t, Config{Strategy: index.TwoLUPI, MutableCorpus: true, CompactEveryDocs: 7})
 	mutableLifecycle(t, clean, docs, false)
 
-	chaotic, err := New(Config{
+	chaotic := steppedWarehouse(t, Config{
 		Strategy:         index.TwoLUPI,
 		MutableCorpus:    true,
 		CompactEveryDocs: 7,
 		Trace:            true,
 		Chaos:            &chaos.Plan{Seed: seed, Rates: aggressiveRates()},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// As in TestChaosDifferentialIndexing: no healthy document dead-letters.
 	if err := chaotic.Queues().SetRedrivePolicy(LoaderQueue, LoaderDeadLetters, 200); err != nil {
 		t.Fatal(err)

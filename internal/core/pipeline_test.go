@@ -63,27 +63,32 @@ func TestParseQueryTextDetection(t *testing.T) {
 }
 
 func TestQueryProcessorCrashRecovery(t *testing.T) {
-	w := newWarehouse(t, index.LU)
+	w := steppedWarehouse(t, Config{Strategy: index.LU})
+	clk := liveClockOf(w)
 	fleet := ec2.LaunchFleet(w.ledger, ec2.Large, 1)
 	loadPaintings(t, w, fleet)
 
-	// A slow processor with a short lease takes the query and crashes.
-	victim := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{
-		Visibility: 50 * time.Millisecond,
-		WorkDelay:  300 * time.Millisecond,
-	})
 	fe := NewFrontend(w)
 	defer fe.Close()
 	_, ch, err := fe.Submit(`//painting[/name{val}]`, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(80 * time.Millisecond)
+	// A slow processor with a short lease takes the query and crashes.
+	const lease = 50 * time.Millisecond
+	victim := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{
+		Visibility: lease,
+		WorkDelay:  lease / 4,
+	})
+	clk.awaitParked(2) // the dispatcher waits for a response, the victim holds the query
 	victim.Crash()
 
-	// A healthy processor picks the redelivered message up and answers.
+	// A healthy processor picks the redelivered message up once the lease
+	// lapses, and answers.
 	rescuer := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), WorkerOptions{})
 	defer rescuer.Stop()
+	clk.awaitParked(2)
+	clk.Advance(lease)
 	out := awaitOutcome(t, ch, 10*time.Second)
 	if out.Err != nil {
 		t.Fatal(out.Err)
@@ -162,14 +167,12 @@ func TestConcurrentQueriesOverLiveFleet(t *testing.T) {
 // live: it steps over a response that is not its own query's, never consumes
 // it, and returns its own rows.
 func TestDriverStepsOverForeignResponse(t *testing.T) {
-	w := newWarehouse(t, index.LU)
+	w := steppedWarehouse(t, Config{Strategy: index.LU})
 	loadPaintings(t, w, ec2.LaunchFleet(w.ledger, ec2.Large, 1))
 
 	idA := submitForeign(t, w, `//painting[/name{val}]`) // 9 rows, never collected
 	qp := w.StartQueryProcessor(ec2.Launch(w.ledger, ec2.XL), WorkerOptions{})
-	for deadline := time.Now().Add(10 * time.Second); w.queues.Len(ResponseQueue) == 0 && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
-	}
+	liveClockOf(w).awaitParked(1) // answered, and waiting for the next query
 	qp.Stop()
 	if n := w.queues.Len(ResponseQueue); n != 1 {
 		t.Fatalf("response queue holds %d messages after the live query, want 1", n)
@@ -189,8 +192,12 @@ func TestDriverStepsOverForeignResponse(t *testing.T) {
 	if n := w.queues.Len(ResponseQueue); n != 1 {
 		t.Fatalf("response queue holds %d messages after the driver, want the 1 foreign response", n)
 	}
-	// It is receivable again once the step-over re-lease lapses.
-	m, _, err := w.queues.Receive(context.Background(), ResponseQueue, time.Second, 5*time.Second)
+	// It is receivable again once the step-over re-lease lapses, not before.
+	if m, _, _ := w.queues.Receive(context.Background(), ResponseQueue, time.Second, 0); m != nil {
+		t.Fatalf("foreign response receivable while stepped over: %s", m.Body)
+	}
+	liveClockOf(w).Advance(100 * time.Millisecond)
+	m, _, err := w.queues.Receive(context.Background(), ResponseQueue, time.Second, 0)
 	if err != nil || m == nil {
 		t.Fatalf("foreign response not receivable: %v, %v", m, err)
 	}

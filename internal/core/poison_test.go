@@ -14,7 +14,8 @@ import (
 // request fails repeatedly, the redrive policy parks it in the dead-letter
 // queue, and every well-formed document still gets indexed.
 func TestPoisonDocumentGoesToDeadLetters(t *testing.T) {
-	w := newWarehouse(t, index.LUP)
+	w := steppedWarehouse(t, Config{Strategy: index.LUP})
+	clk := liveClockOf(w)
 	if err := w.SubmitDocument("broken.xml", []byte("<open><mismatch></open>")); err != nil {
 		t.Fatal(err)
 	}
@@ -24,13 +25,19 @@ func TestPoisonDocumentGoesToDeadLetters(t *testing.T) {
 		}
 	}
 
-	wk := w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{Visibility: 20 * time.Millisecond})
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if w.queues.Len(LoaderQueue) == 0 && w.queues.Len(LoaderDeadLetters) == 1 {
+	// Each time the worker waits, the failed delivery's lease lapses, until
+	// the redrive policy takes the message.
+	const lease = 20 * time.Millisecond
+	wk := w.StartIndexer(ec2.Launch(w.ledger, ec2.Large), WorkerOptions{Visibility: lease})
+	for steps := 0; ; steps++ {
+		clk.awaitParked(1)
+		if w.queues.Len(LoaderQueue) == 0 {
 			break
 		}
-		time.Sleep(10 * time.Millisecond)
+		if steps == MaxLoadAttempts {
+			t.Fatalf("loader queue holds %d messages after %d lapsed leases", w.queues.Len(LoaderQueue), steps)
+		}
+		clk.Advance(lease)
 	}
 	wk.Stop()
 

@@ -6,7 +6,31 @@ import (
 	"repro/internal/xmltree"
 )
 
-// DocPredicate returns a function deciding, from a parsed document alone,
+// DocKeys is a parsed document's index keys, node by node, collected once
+// for the look-up predicates that read them many times.
+type DocKeys struct {
+	entries []nodeKey // in document order, each node's keys in NodeKeys order
+	set     map[string]bool
+}
+
+type nodeKey struct {
+	n   *xmltree.Node
+	key string
+}
+
+// CollectDocKeys collects the index keys of d's nodes.
+func CollectDocKeys(d *xmltree.Document) *DocKeys {
+	dk := &DocKeys{set: make(map[string]bool, d.NodeCount())}
+	for _, n := range d.Nodes() {
+		for _, k := range NodeKeys(n) {
+			dk.entries = append(dk.entries, nodeKey{n, k})
+			dk.set[k] = true
+		}
+	}
+	return dk
+}
+
+// DocPredicate returns a function deciding, from a document's keys alone,
 // whether the look-up of the tree pattern under the strategy would return
 // that document — i.e. the per-document semantics of Sections 5.1-5.4
 // without a key-value store in the loop.
@@ -17,84 +41,59 @@ import (
 // advisor of package advisor (the paper's Sections 8.5/9 future work),
 // which evaluates the predicate on a corpus sample to estimate look-up
 // selectivity per strategy without building any index.
-func DocPredicate(s Strategy, t *pattern.Tree) func(*xmltree.Document) bool {
+func DocPredicate(s Strategy, t *pattern.Tree) func(*DocKeys) bool {
 	aug := augment(t)
 	switch s {
 	case LU:
 		keys := aug.distinctKeys()
-		return func(d *xmltree.Document) bool { return docHasKeys(d, keys) }
+		return func(d *DocKeys) bool { return d.hasKeys(keys) }
 	case LUP:
 		paths := aug.queryPaths()
-		return func(d *xmltree.Document) bool { return docMatchesPaths(d, paths) }
+		return func(d *DocKeys) bool { return d.matchesPaths(paths) }
 	case LUI, TwoLUPI:
 		// 2LUPI returns the same documents as LUI (Section 5.4).
-		return func(d *xmltree.Document) bool { return docMatchesTwig(d, aug) }
+		return func(d *DocKeys) bool { return d.matchesTwig(aug) }
 	default:
-		return func(*xmltree.Document) bool { return false }
+		return func(*DocKeys) bool { return false }
 	}
 }
 
-// docKeySet collects the index keys present in a document.
-func docKeySet(d *xmltree.Document) map[string]bool {
-	set := make(map[string]bool, d.NodeCount())
-	for _, n := range d.Nodes() {
-		for _, k := range NodeKeys(n) {
-			set[k] = true
-		}
-	}
-	return set
-}
-
-func docHasKeys(d *xmltree.Document, keys []string) bool {
-	set := docKeySet(d)
+func (d *DocKeys) hasKeys(keys []string) bool {
 	for _, k := range keys {
-		if !set[k] {
+		if !d.set[k] {
 			return false
 		}
 	}
 	return true
 }
 
-// docMatchesPaths mirrors the LUP look-up: every root-to-leaf query path
-// must match one of the document's data paths.
-func docMatchesPaths(d *xmltree.Document, queryPaths [][]QueryStep) bool {
+// matchesPaths mirrors the LUP look-up: every root-to-leaf query path must
+// match one of the document's data paths.
+func (d *DocKeys) matchesPaths(queryPaths [][]QueryStep) bool {
+next:
 	for _, qp := range queryPaths {
 		last := qp[len(qp)-1].Key
-		matched := false
-		for _, n := range d.Nodes() {
-			for _, k := range NodeKeys(n) {
-				if k != last {
-					continue
-				}
-				if MatchPath(qp, PathOf(n, k)) {
-					matched = true
-					break
-				}
-			}
-			if matched {
-				break
+		for _, e := range d.entries {
+			if e.key == last && MatchPath(qp, PathOf(e.n, e.key)) {
+				continue next
 			}
 		}
-		if !matched {
-			return false
-		}
+		return false
 	}
 	return true
 }
 
-// docMatchesTwig mirrors the LUI look-up: the holistic twig join over the
+// matchesTwig mirrors the LUI look-up: the holistic twig join over the
 // document's per-key identifier streams (including virtual word nodes)
 // must find an embedding.
-func docMatchesTwig(d *xmltree.Document, aug *augmented) bool {
+func (d *DocKeys) matchesTwig(aug *augmented) bool {
 	// Streams per key, as the index would store them.
 	streams := make(map[string]twigjoin.Stream)
 	wanted := make(map[string]bool)
 	aug.tree.Walk(func(n *pattern.Node) { wanted[aug.keys[n]] = true })
-	for _, n := range d.Nodes() {
-		for _, k := range NodeKeys(n) {
-			if wanted[k] {
-				streams[k] = append(streams[k], n.ID)
-			}
+	for _, e := range d.entries {
+		if wanted[e.key] {
+			streams[e.key] = append(streams[e.key], e.n.ID)
 		}
 	}
 	in := make(twigjoin.Streams)

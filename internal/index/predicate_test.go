@@ -29,7 +29,7 @@ func TestDocPredicateAgreesWithStoreLookup(t *testing.T) {
 			pred := DocPredicate(s, tr)
 			var viaPred []string
 			for _, d := range c.docs {
-				if pred(d) {
+				if pred(CollectDocKeys(d)) {
 					viaPred = append(viaPred, d.URI)
 				}
 			}
@@ -42,7 +42,7 @@ func TestDocPredicateAgreesWithStoreLookup(t *testing.T) {
 }
 
 func TestDocPredicateOnPaintings(t *testing.T) {
-	d := parseDoc(t, "manet.xml", xmark.ManetXML)
+	d := CollectDocKeys(parseDoc(t, "manet.xml", xmark.ManetXML))
 	lion := pattern.MustParse(`//painting[/name~"Lion"]`).Patterns[0]
 	if DocPredicate(LU, lion)(d) {
 		t.Error("LU predicate matched manet.xml for the Lion query (no wLion key)")

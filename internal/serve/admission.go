@@ -20,6 +20,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Limits bounds what the admission layer lets through to the scheduler.
@@ -98,7 +100,7 @@ type tenantBucket struct {
 // client's to choose, so the map must not grow with the values it sends.
 type Admission struct {
 	limits Limits
-	now    func() time.Time
+	clock  clock.Clock // refills the token buckets
 
 	mu       sync.Mutex
 	tenants  map[string]*tenantBucket
@@ -106,13 +108,9 @@ type Admission struct {
 	swept    time.Time // when idle buckets were last dropped
 }
 
-// NewAdmission builds the quota layer. now is the clock (nil selects
-// time.Now; tests inject a fake for deterministic refill).
-func NewAdmission(limits Limits, now func() time.Time) *Admission {
-	if now == nil {
-		now = time.Now
-	}
-	return &Admission{limits: limits.withDefaults(), now: now, tenants: make(map[string]*tenantBucket)}
+// newAdmission builds the quota layer, refilling its buckets by clk.
+func newAdmission(limits Limits, clk clock.Clock) *Admission {
+	return &Admission{limits: limits.withDefaults(), clock: clk, tenants: make(map[string]*tenantBucket)}
 }
 
 // Limits returns the effective (default-resolved) limits.
@@ -173,7 +171,7 @@ func (a *Admission) Admit(tenant string) *Rejection {
 		a.inflight++
 		return nil
 	}
-	now := a.now()
+	now := a.clock.Now()
 	a.sweep(now)
 	tb := a.tenants[tenant]
 	if tb == nil {
@@ -241,7 +239,7 @@ func (a *Admission) release(tenant string) *tenantBucket {
 
 // forget drops the tenant's bucket once it is idle.
 func (a *Admission) forget(tenant string, tb *tenantBucket) {
-	if tb != nil && a.idle(tb, a.now()) {
+	if tb != nil && a.idle(tb, a.clock.Now()) {
 		delete(a.tenants, tenant)
 	}
 }
@@ -252,14 +250,4 @@ func (a *Admission) Inflight() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.inflight
-}
-
-// TenantInflight reports one tenant's admitted-but-unfinished count.
-func (a *Admission) TenantInflight(tenant string) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if tb := a.tenants[tenant]; tb != nil {
-		return tb.inflight
-	}
-	return 0
 }

@@ -3,17 +3,13 @@ package serve
 import (
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
-// fakeClock is a hand-advanced admission clock.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
 func TestAdmissionRateQuota(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	a := NewAdmission(Limits{Workers: 1, TenantQPS: 2, TenantBurst: 2}, clk.now)
+	clk := clock.NewStepped(time.Unix(1000, 0))
+	a := newAdmission(Limits{Workers: 1, TenantQPS: 2, TenantBurst: 2}, clk)
 
 	for i := 0; i < 2; i++ {
 		if rej := a.Admit("acme"); rej != nil {
@@ -29,7 +25,7 @@ func TestAdmissionRateQuota(t *testing.T) {
 	}
 
 	// Refill: one second at 2 QPS buys two more admits.
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	for i := 0; i < 2; i++ {
 		if rej := a.Admit("acme"); rej != nil {
 			t.Fatalf("post-refill admit %d rejected: %v", i, rej)
@@ -46,7 +42,7 @@ func TestAdmissionRateQuota(t *testing.T) {
 }
 
 func TestAdmissionInflightQuota(t *testing.T) {
-	a := NewAdmission(Limits{Workers: 4, TenantInflight: 2}, nil)
+	a := newAdmission(Limits{Workers: 4, TenantInflight: 2}, clock.Wall{})
 	if rej := a.Admit("acme"); rej != nil {
 		t.Fatal(rej)
 	}
@@ -65,7 +61,7 @@ func TestAdmissionInflightQuota(t *testing.T) {
 	if rej := a.Admit("acme"); rej != nil {
 		t.Fatalf("admit after release rejected: %v", rej)
 	}
-	if got := a.TenantInflight("acme"); got != 2 {
+	if got := a.tenants["acme"].inflight; got != 2 {
 		t.Errorf("acme inflight = %d, want 2", got)
 	}
 	if got := a.Inflight(); got != 3 {
@@ -74,8 +70,8 @@ func TestAdmissionInflightQuota(t *testing.T) {
 }
 
 func TestAdmissionRefundReturnsToken(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	a := NewAdmission(Limits{Workers: 1, TenantQPS: 1, TenantBurst: 1}, clk.now)
+	clk := clock.NewStepped(time.Unix(1000, 0))
+	a := newAdmission(Limits{Workers: 1, TenantQPS: 1, TenantBurst: 1}, clk)
 	if rej := a.Admit("acme"); rej != nil {
 		t.Fatal(rej)
 	}

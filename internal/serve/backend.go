@@ -115,6 +115,3 @@ var (
 	_ Backend      = (*WarehouseBackend)(nil)
 	_ WriteBackend = (*WarehouseBackend)(nil)
 )
-
-// errBackendClosed is returned by backends that refuse work after Close.
-var errBackendClosed = fmt.Errorf("serve: backend closed")

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pricing"
@@ -68,8 +69,6 @@ type Config struct {
 	// Ready lists extra readiness checks mounted on /readyz alongside the
 	// server's own queue-accepting check.
 	Ready []func() error
-	// Now is the admission clock; nil selects time.Now.
-	Now func() time.Time
 }
 
 // QueryRequest is the POST /query body.
@@ -134,6 +133,9 @@ type Server struct {
 	mu       sync.Mutex
 	draining bool
 	inflight sync.WaitGroup // admitted requests not yet answered
+	// fresh holds Start's connections yet to send a request header, until
+	// Shutdown closes them and sets it nil.
+	fresh map[net.Conn]struct{}
 
 	queue     chan *request
 	workerWG  sync.WaitGroup
@@ -152,7 +154,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		backend:     cfg.Backend,
-		adm:         NewAdmission(cfg.Limits, cfg.Now),
+		adm:         newAdmission(cfg.Limits, clock.Wall{}),
 		timeout:     cfg.QueryTimeout,
 		bodyTimeout: readBodyTimeout,
 		reg:         cfg.Registry,
@@ -521,15 +523,33 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	s.fresh = make(map[net.Conn]struct{})
+	s.httpSrv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
+		ConnState: s.trackFresh}
 	s.httpErrCh = make(chan error, 1)
 	go func() { s.httpErrCh <- s.httpSrv.Serve(ln) }()
 	return ln.Addr().String(), nil
 }
 
+// trackFresh is Start's ConnState hook; once fresh is nil it closes new ones.
+func (s *Server) trackFresh(c net.Conn, state http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(s.fresh, c)
+	case s.fresh == nil:
+		c.Close()
+	default:
+		s.fresh[c] = struct{}{}
+	}
+}
+
 // Shutdown drains the server gracefully: new requests are rejected with
 // 503, every already-admitted request runs to completion and is answered,
-// then the scheduler pool, HTTP listener and backend stop.
+// then the scheduler pool, HTTP listener and backend stop. A client of
+// Start's listener that has sent no request header once they are answered
+// sees its connection closed unanswered, instead of holding Shutdown 5 s.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -554,6 +574,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	var err error
 	if s.httpSrv != nil {
+		s.mu.Lock()
+		for c := range s.fresh {
+			c.Close()
+		}
+		s.fresh = nil
+		s.mu.Unlock()
 		err = s.httpSrv.Shutdown(ctx)
 		if serveErr := <-s.httpErrCh; serveErr != nil && serveErr != http.ErrServerClosed && err == nil {
 			err = serveErr

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cloud/ec2"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -492,6 +496,46 @@ func TestBillingEndpointRoundTrip(t *testing.T) {
 	}
 }
 
+// A client that connects and never sends a request does not hold the
+// drain: Shutdown closes its connection, with no response, instead of
+// waiting out net/http's five-second grace for a new connection.
+func TestShutdownClosesSilentConnection(t *testing.T) {
+	s, err := New(Config{Backend: &fakeBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// A request on a later connection is answered only after the server
+	// has accepted the silent one: it accepts in arrival order.
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Shutdown took %v with one silent connection open, want under 1s", d)
+	}
+	_ = silent.SetReadDeadline(time.Now().Add(time.Second))
+	if n, err := silent.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("silent client read (%d, %v), want its connection closed", n, err)
+	}
+}
+
 func shutdown(t *testing.T, s *Server) {
 	t.Helper()
 	if err := s.Shutdown(context.Background()); err != nil {
@@ -561,7 +605,7 @@ func TestAdmissionForgetsIdleTenants(t *testing.T) {
 		}
 	}
 
-	off := NewAdmission(Limits{Workers: 1}, nil)
+	off := newAdmission(Limits{Workers: 1}, clock.Wall{})
 	churn(off)
 	if n := len(off.tenants); n != 0 {
 		t.Errorf("quotas off: %d buckets, want none", n)
@@ -570,19 +614,19 @@ func TestAdmissionForgetsIdleTenants(t *testing.T) {
 		t.Errorf("quotas off: inflight = %d after every release, want 0", got)
 	}
 
-	inflight := NewAdmission(Limits{Workers: 1, TenantInflight: 2}, nil)
+	inflight := newAdmission(Limits{Workers: 1, TenantInflight: 2}, clock.Wall{})
 	churn(inflight)
 	if n := len(inflight.tenants); n != 0 {
 		t.Errorf("in-flight quota: %d buckets with nothing in flight, want none", n)
 	}
 
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	rate := NewAdmission(Limits{Workers: 1, TenantQPS: 2, TenantBurst: 2}, clk.now)
+	clk := clock.NewStepped(time.Unix(1000, 0))
+	rate := newAdmission(Limits{Workers: 1, TenantQPS: 2, TenantBurst: 2}, clk)
 	churn(rate)
 	if n := len(rate.tenants); n != tenants {
 		t.Fatalf("rate quota: %d buckets, want %d partly spent ones", n, tenants)
 	}
-	clk.advance(time.Second) // refills every bucket to the burst
+	clk.Advance(time.Second) // refills every bucket to the burst
 	if rej := rate.Admit("next"); rej != nil {
 		t.Fatal(rej)
 	}
