@@ -503,8 +503,9 @@ func BenchmarkEvalQuery(b *testing.B) {
 // /sliced is the shape the index-build workload times
 // (benchmark/warehouse.go, buildSliced): the documents are submitted and
 // indexed 40 at a time, on one fleet and into one warehouse, a commit a
-// slice. ns/op is per build; docs/s is the rate. Of the last build it
-// reports the index items and the index-store requests (reads and puts)
+// slice. ns/op is per build; docs/s is the rate, and alloc-KB/doc the
+// bytes allocated per document indexed, the index-build workload's
+// alloc_kb_per_op. Of the last build it reports the index items and the index-store requests (reads and puts)
 // per document, and retained-MB: the live heap (HeapAlloc after a forced
 // collection) once its last commit has closed, the warehouse and its
 // store included.
@@ -518,6 +519,8 @@ func BenchmarkBulkBuild(b *testing.B) {
 			b.SetBytes(bytes)
 			b.ReportAllocs()
 			var w *core.Warehouse
+			var start runtime.MemStats
+			runtime.ReadMemStats(&start)
 			for i := 0; i < b.N; i++ {
 				w = nil
 				var err error
@@ -545,6 +548,7 @@ func BenchmarkBulkBuild(b *testing.B) {
 			usage := w.Ledger().Snapshot()
 			requests := usage.Get("dynamodb", "get").Calls + usage.Get("dynamodb", "put").Calls
 			b.ReportMetric(float64(len(docs)*b.N)/b.Elapsed().Seconds(), "docs/s")
+			b.ReportMetric(float64(ms.TotalAlloc-start.TotalAlloc)/float64(len(docs)*b.N)/1024, "alloc-KB/doc")
 			b.ReportMetric(float64(w.IndexItems())/float64(len(docs)), "items/doc")
 			b.ReportMetric(float64(requests)/float64(len(docs)), "requests/doc")
 			b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "retained-MB")

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cloud/ec2"
 	"repro/internal/index"
 	"repro/internal/xmark"
+	"repro/internal/xmltree"
 )
 
 func bulkTestCorpus() []xmark.Doc {
@@ -109,6 +110,62 @@ func TestBulkIndexingDeterministicAcrossDepths(t *testing.T) {
 					t.Errorf("depth %d: %s item %d differs", depth, tbl, i)
 					break
 				}
+			}
+		}
+	}
+}
+
+// TestSlicedBuildOnRecycledExtractions: the bulk driver releases each
+// extraction once the loader has copied it, and the next document is
+// extracted into that memory. A sliced build so made, read ahead four deep
+// (make check runs this under -race), must leave the store byte for byte as
+// a build whose loaders were fed extractions in memory of their own, kept
+// until each slice's commit, and in the bulk layout (index.CheckLayout).
+func TestSlicedBuildOnRecycledExtractions(t *testing.T) {
+	cfg := xmark.DefaultConfig(60)
+	cfg.Seed = 5
+	cfg.TargetDocBytes = 4 << 10
+	docs := xmark.Generate(cfg)
+	const slice = 20
+	recycled, err := New(Config{Strategy: index.TwoLUPI, BulkLoad: true, PipelineDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(Config{Strategy: index.TwoLUPI, BulkLoad: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := ec2.LaunchFleet(recycled.ledger, ec2.Large, 3)
+	for rest := docs; len(rest) > 0; rest = rest[slice:] {
+		loader := index.NewBulkLoader(fresh.Store(), index.BulkOptions{})
+		for _, d := range rest[:slice] {
+			if err := recycled.SubmitDocument(d.URI, d.Data); err != nil {
+				t.Fatal(err)
+			}
+			doc, err := xmltree.Parse(d.URI, d.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := loader.Add(index.Extract(fresh.Strategy, doc, fresh.indexOptions())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := recycled.IndexCorpusOn(fleet, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loader.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkLayout(t, "recycled vs fresh extractions", recycled, fresh)
+	got, want := dumpStore(t, recycled), dumpStore(t, fresh)
+	for _, tbl := range index.TwoLUPI.Tables() {
+		if len(got[tbl]) != len(want[tbl]) {
+			t.Fatalf("%s: %d items, want %d", tbl, len(got[tbl]), len(want[tbl]))
+		}
+		for i := range got[tbl] {
+			if g, w := itemLine(got[tbl][i]), itemLine(want[tbl][i]); g != w {
+				t.Fatalf("%s item %d:\n got %.200s\nwant %.200s", tbl, i, g, w)
 			}
 		}
 	}

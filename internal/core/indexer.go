@@ -35,7 +35,9 @@ type IndexTaskResult struct {
 // the modeled parse/extract compute. The raw document bytes are returned
 // alongside so the mutable-corpus path can retain them for pinned snapshot
 // reads. The work is traced as an "extract" child of parent (nil parent or
-// tracer: no span).
+// tracer: no span). On an immutable warehouse the extraction is pooled, and
+// the caller releases it once written or added; the mutable corpus keeps
+// what it is given, so there it is Extract's.
 func (w *Warehouse) extractDocument(in *ec2.Instance, uri string, parent *obs.Span) (IndexTaskResult, *index.Extraction, []byte, error) {
 	esp := parent.Child(obs.SpanExtract)
 	res := IndexTaskResult{URI: uri}
@@ -53,7 +55,11 @@ func (w *Warehouse) extractDocument(in *ec2.Instance, uri string, parent *obs.Sp
 		esp.End()
 		return res, nil, nil, err
 	}
-	ex := index.Extract(w.Strategy, doc, w.indexOptions())
+	extract := index.ExtractPooled
+	if w.corpus != nil {
+		extract = index.Extract
+	}
+	ex := extract(w.Strategy, doc, w.indexOptions())
 	doc.Release()
 	res.ExtractTime = fetch +
 		in.ComputeDuration(res.DocBytes, w.Perf.ParseBytesPerECUSec) +
@@ -101,6 +107,8 @@ func (w *Warehouse) indexDocument(in *ec2.Instance, uri string, parent *obs.Span
 		usp.End()
 		return res, err
 	}
+	// Only now: a failed write's error may hold items cut from ex.
+	ex.Release()
 	res.UploadTime = upload
 	res.Stats = stats
 	w.met.indexUpload.ObserveModeled(upload)
@@ -380,11 +388,15 @@ func (w *Warehouse) bulkIndexLoop(fleet []*ec2.Instance, report *IndexReport, pe
 		return nil
 	}
 
-	// releaseAhead stops the read-ahead and releases what it received.
+	// releaseAhead stops the read-ahead and releases what it received:
+	// the messages, and the extractions nobody will add.
 	releaseAhead := func() {
 		for _, t := range readAhead() {
 			if t.msg != nil {
 				w.nackLoaderMessage(t.msg.Receipt)
+			}
+			if t.ex != nil {
+				t.ex.Release()
 			}
 			t.span.End()
 		}
@@ -434,7 +446,8 @@ func (w *Warehouse) bulkIndexLoop(fleet []*ec2.Instance, report *IndexReport, pe
 		perExtract[t.in] += t.res.ExtractTime
 		queue = append(queue, &inflightDoc{t: t, core: core, ready: t.in.TL.Lane(core)})
 		_, err := loader.Add(t.ex)
-		t.ex = nil // the loader keeps a copy of what it needs
+		t.ex.Release() // the loader keeps a copy of what it needs
+		t.ex = nil
 		if err != nil {
 			nackAll()
 			releaseAhead()

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/cloud/kv"
 	"repro/internal/obs"
@@ -109,6 +110,7 @@ type keyChain struct {
 type packTable struct {
 	index  map[string]int32 // key → chains
 	chains []keyChain
+	keyMem []byte // the chains' keys, back to back in the chunk at hand
 	slabs  [][]byte
 	// slabDoc holds each slab's document, and slabEnd how many chains the
 	// commit has written once the slab is no longer read: its last
@@ -140,9 +142,26 @@ func (pt *packTable) recycle() {
 	clear(pt.attrs[:cap(pt.attrs)])
 	clear(pt.vals[:cap(pt.vals)])
 	clear(pt.keys[:cap(pt.keys)])
+	pt.keyMem = nil // dropped, not reused: a failed commit's error may hold items keyed in it
 	pt.chains, pt.slabs, pt.slabDoc, pt.slabEnd, pt.order, pt.stats = pt.chains[:0], pt.slabs[:0], pt.slabDoc[:0], pt.slabEnd[:0], pt.order[:0], nil
 	pt.members, pt.pack, pt.batch, pt.attrs, pt.vals, pt.keys = pt.members[:0], pt.pack[:0], pt.batch[:0], pt.attrs[:0], pt.vals[:0], pt.keys[:0]
 	packTables.Put(pt)
+}
+
+// keyChunk is the size of a chunk of packTable.keyMem.
+const keyChunk = 16 << 10
+
+// own returns a copy of key in pt's memory: chains and index keep the copy,
+// not the string of the extraction that brought the key, which its owner
+// may recycle once Add returns. A chunk is never written again where a key
+// was carved, so the copies stay what they are until the commit's end.
+func (pt *packTable) own(key string) string {
+	if cap(pt.keyMem)-len(pt.keyMem) < len(key) {
+		pt.keyMem = make([]byte, 0, max(keyChunk, len(key)))
+	}
+	start := len(pt.keyMem)
+	pt.keyMem = append(pt.keyMem, key...)
+	return unsafe.String(unsafe.SliceData(pt.keyMem[start:]), len(key))
 }
 
 // header returns c's header.
@@ -241,10 +260,11 @@ func NewBulkLoader(store kv.Store, opts BulkOptions, caches ...*PostingCache) *B
 	}
 }
 
-// Add copies the extraction's values into the loader and records its
-// contributions. It issues no request and keeps nothing of ex. It releases
-// no document either — only Close does — so its loads are always nil; they
-// are returned so that a caller can gather loads from Add and Close alike.
+// Add copies the extraction's values and new keys into the loader and
+// records its contributions. It issues no request and keeps nothing of ex,
+// so the caller may Release ex once Add returns. It releases no document
+// either — only Close does — so its loads are always nil; they are returned
+// so that a caller can gather loads from Add and Close alike.
 func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 	if b.closed {
 		return nil, ErrLoaderClosed
@@ -264,8 +284,9 @@ func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 			k, ok := pt.index[e.Key]
 			if !ok {
 				k = int32(len(pt.chains))
-				pt.index[e.Key] = k
-				pt.chains = append(pt.chains, keyChain{key: e.Key, first: endOfChain, last: endOfChain})
+				key := pt.own(e.Key)
+				pt.index[key] = k
+				pt.chains = append(pt.chains, keyChain{key: key, first: endOfChain, last: endOfChain})
 			}
 			order = append(order, uint64(k)<<32|uint64(i))
 		}
@@ -588,6 +609,9 @@ func (b *BulkLoader) put(table string, pt *packTable) (time.Duration, error) {
 		b.metBytes.Add(bytes)
 		b.metFlush.ObserveModeled(d)
 		pt.stats[owner].Requests++
+		// The store has copied the batch. Left behind len, its value views
+		// would keep each slab they point into until the commit's end.
+		clear(pt.vals)
 		pt.batch, pt.attrs, pt.vals = pt.batch[:0], pt.attrs[:0], pt.vals[:0]
 		return nil
 	}

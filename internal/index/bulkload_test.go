@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -8,10 +9,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/cloud/dynamodb"
 	"repro/internal/cloud/kv"
@@ -785,5 +788,62 @@ func TestBulkCommitReleasesSlabsAsItWrites(t *testing.T) {
 	t.Logf("%d puts; a %d-byte copy; at worst %.1f%% of it held beyond the values still to write", len(store.samples), start, 100*worst)
 	if limit := 0.2; worst > limit {
 		t.Errorf("the commit held %.1f%% of its copy beyond the values still to write, want at most %.1f%%", 100*worst, 100*limit)
+	}
+}
+
+// TestBulkCommitKeepsNoShippedViews: a shipped batch leaves no view of a
+// slab behind in the loader's scratch, so a slab dropped as written is
+// garbage from then on. The value views a long batch left behind a later,
+// shorter one used to keep the shared keys' slabs, most of the copy, until
+// the commit's end, while the store grew beside them.
+func TestBulkCommitKeepsNoShippedViews(t *testing.T) {
+	const docs, shared, own = 200, 40, 40
+	store := &slabWatch{discardStore: discardStore{limit: 25}}
+	loader := NewBulkLoader(store, BulkOptions{})
+	for d := range docs {
+		var entries []Entry
+		for k := range shared {
+			entries = append(entries, Entry{Key: fmt.Sprintf("s%03d", k), Values: [][]byte{make([]byte, 200)}})
+		}
+		for k := range own {
+			entries = append(entries, Entry{Key: fmt.Sprintf("u%03d-%03d", d, k), Values: [][]byte{make([]byte, 8)}})
+		}
+		if _, err := loader.Add(&Extraction{URI: fmt.Sprintf("doc%03d.xml", d), Tables: map[string][]Entry{"t": entries}, Entries: len(entries)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pt := loader.tables["t"]
+	slabs := slices.Clone(pt.slabs)
+	byAddr := make([]int, len(slabs)) // slab indexes in address order
+	for i := range byAddr {
+		byAddr[i] = i
+	}
+	addr := func(b []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(b))) }
+	slices.SortFunc(byAddr, func(i, j int) int { return cmp.Compare(addr(slabs[i][:1]), addr(slabs[j][:1])) })
+	var kept int64 // the most bytes of dropped slabs that views behind a put's batch reached
+	store.held = func() int64 {
+		reached := make(map[int]bool)
+		for _, v := range pt.vals[len(pt.vals):cap(pt.vals)] {
+			if len(v) == 0 {
+				continue
+			}
+			// The last slab starting at or before v is the only one v can be in.
+			k, _ := slices.BinarySearchFunc(byAddr, addr(v)+1, func(i int, p uintptr) int { return cmp.Compare(addr(slabs[i][:1]), p) })
+			if i := byAddr[max(k-1, 0)]; pt.slabs[i] == nil && addr(v) < addr(slabs[i][:1])+uintptr(cap(slabs[i])) {
+				reached[i] = true
+			}
+		}
+		var n int64
+		for i := range reached {
+			n += int64(cap(slabs[i]))
+		}
+		kept = max(kept, n)
+		return n
+	}
+	if _, err := loader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if kept > 0 {
+		t.Errorf("views left behind a shipped batch kept %d bytes of dropped slabs", kept)
 	}
 }

@@ -60,8 +60,9 @@ type collector struct {
 	links     []pathLink // the prefixes of each key, chained from keyState.head
 	pathBytes int        // the length of all the links' paths together
 
-	log   []occurrence     // (key, node) in visit order
-	dealt []xmltree.NodeID // the log dealt out by key; see dealIDs
+	log    []occurrence     // (key, node) in visit order
+	dealt  []xmltree.NodeID // the log dealt out by key; see dealIDs
+	sorted []sortedKey      // sortedKeys' answer
 }
 
 type attrVal struct {
@@ -167,6 +168,8 @@ func (c *collector) release() {
 	c.prefixBuf, c.prefixEnd, c.open = c.prefixBuf[:0], c.prefixEnd[:0], c.open[:0]
 	c.links, c.pathBytes = c.links[:0], 0
 	c.log, c.dealt = c.log[:0], c.dealt[:0]
+	clear(c.sorted) // its strings are the extraction's
+	c.sorted = c.sorted[:0]
 	collectorPool.Put(c)
 }
 
@@ -174,7 +177,7 @@ func (c *collector) release() {
 // which keep the room they grew to, about 32 bytes an entry.
 func (c *collector) size() int {
 	return bytesOf(c.keys) + bytesOf(c.keyBuf) + bytesOf(c.prefixBuf) + bytesOf(c.prefixEnd) +
-		bytesOf(c.open) + bytesOf(c.links) + bytesOf(c.log) + bytesOf(c.dealt) +
+		bytesOf(c.open) + bytesOf(c.links) + bytesOf(c.log) + bytesOf(c.dealt) + bytesOf(c.sorted) +
 		32*(len(c.keys)+len(c.seen))
 }
 
@@ -295,11 +298,12 @@ type sortedKey struct {
 	k    int32
 }
 
-// sortedKeys returns the keys in string order. Their strings are sub-slices
-// of one string, the document's own copy of all its keys.
-func (c *collector) sortedKeys() []sortedKey {
-	all := string(c.keyBuf)
-	out := make([]sortedKey, len(c.keys))
+// sortedKeys returns the keys in string order, in a slice that is c's until
+// release. Their strings are sub-slices of all, which holds what keyBuf
+// holds: the caller's copy of all the document's keys.
+func (c *collector) sortedKeys(all string) []sortedKey {
+	out := slices.Grow(c.sorted[:0], len(c.keys))[:len(c.keys)]
+	c.sorted = out
 	for k := range c.keys {
 		ks := &c.keys[k]
 		var head [8]byte
@@ -346,7 +350,7 @@ func (c *collector) dealIDs(nodes []*xmltree.Node) []xmltree.NodeID {
 func KeysAndPaths(doc *xmltree.Document) (keys, paths []string) {
 	c := collect(doc, false, true, false)
 	defer c.release()
-	sorted := c.sortedKeys()
+	sorted := c.sortedKeys(string(c.keyBuf))
 	keys = make([]string, len(sorted))
 	paths = make([]string, 0, len(c.links))
 	var buf []byte

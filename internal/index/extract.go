@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"sync"
+	"unsafe"
 
 	"repro/internal/xmltree"
 )
@@ -120,6 +122,8 @@ type Extraction struct {
 	Tables  map[string][]Entry
 	Entries int   // total entries across tables
 	Bytes   int64 // total key+value payload (the raw index size sr(D,I))
+
+	mem *extractMem // ExtractPooled's memory, nil for Extract's
 }
 
 // Options tunes extraction for the target store.
@@ -148,22 +152,97 @@ func DefaultOptions() Options {
 // per key of the document in sorted key order, holding nothing (LU), the
 // key's label paths in sorted order (LUP) or its identifiers in pre order
 // (LUI). The collector's pass yields keys, (key, prefix) pairs and
-// identifier lists; this function turns them into entries. Path values,
-// headerless identifier values and the Values slices are capacity-limited
-// sub-slices of one buffer each, fresh per document, so the document costs
-// a handful of allocations, not one per value, and nothing it returns
-// points into the pooled collector.
+// identifier lists; extractMem.fill turns them into entries. The keys, the
+// path values, the headerless identifier values and the Values slices are
+// capacity-limited sub-slices of one buffer each, so the document costs a
+// handful of allocations, not one per value, and nothing it returns points
+// into the pooled collector. The memory is the caller's for good: a caller
+// that keeps nothing of the extraction once it has read it takes
+// ExtractPooled instead.
 func Extract(s Strategy, doc *xmltree.Document, opts Options) *Extraction {
+	m := &extractMem{ex: Extraction{Tables: make(map[string][]Entry, 2)}}
+	m.fill(s, doc, opts)
+	return &m.ex
+}
+
+// ExtractPooled is Extract in memory taken from a pool, which Release gives
+// back. Between the two the extraction reads as Extract's; after Release
+// nothing of it may be read, not a table, a key or a value: the next
+// ExtractPooled writes over them. The bulk-build driver uses it, since the
+// BulkLoader copies what it keeps; the mutable corpus, which keeps what it
+// is given, uses Extract.
+func ExtractPooled(s Strategy, doc *xmltree.Document, opts Options) *Extraction {
+	m := extractPool.Get().(*extractMem)
+	m.fill(s, doc, opts)
+	m.ex.mem = m
+	return &m.ex
+}
+
+// extractMem is an extraction with the buffers its entries live in:
+// entries holds every table's entries, the three value tables the entries'
+// Values slices, paths and ids the path and headerless identifier values,
+// keys the bytes of every key.
+type extractMem struct {
+	ex                     Extraction
+	entries                []Entry
+	none, pathVals, idVals [][]byte
+	paths, ids, keys       []byte
+}
+
+var extractPool = sync.Pool{New: func() any {
+	return &extractMem{ex: Extraction{Tables: make(map[string][]Entry, 2)}}
+}}
+
+// Release gives the memory of an extraction made by ExtractPooled back to
+// the pool, emptied: a buffer that grew past maxPooledBytes is dropped
+// instead, so one huge document does not make every later extraction carry
+// it. Only the extraction's owner may call it, once nothing reads the
+// extraction any more. On an extraction made by Extract, or a second time,
+// it does nothing.
+func (ex *Extraction) Release() {
+	m := ex.mem
+	if m == nil {
+		return
+	}
+	clear(m.ex.Tables)
+	m.ex = Extraction{Tables: m.ex.Tables}
+	m.entries = reuse(m.entries)
+	m.none, m.pathVals, m.idVals = reuse(m.none), reuse(m.pathVals), reuse(m.idVals)
+	// Bytes point at nothing: only their length is reset.
+	m.paths, m.ids, m.keys = reuse(m.paths[:0]), reuse(m.ids[:0]), reuse(m.keys[:0])
+	extractPool.Put(m)
+}
+
+// reuse returns s emptied with its room, its elements zeroed so that the
+// pool pins nothing they pointed to, or nil if s holds more than
+// maxPooledBytes.
+func reuse[T any](s []T) []T {
+	if bytesOf(s) > maxPooledBytes {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// grow returns buf emptied, with room for n elements.
+func grow[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n) }
+
+// fill extracts doc into m.ex, in m's buffers.
+func (m *extractMem) fill(s Strategy, doc *xmltree.Document, opts Options) {
 	if opts.MaxValueBytes == 0 {
 		opts.MaxValueBytes = DefaultOptions().MaxValueBytes
 	}
 	luTable, pathTable, idTable := s.luTableName(), s.pathTableName(), s.idTableName()
 	c := collect(doc, opts.SkipWords, pathTable != "", idTable != "")
 	defer c.release()
-	keys := c.sortedKeys()
+	m.keys = append(m.keys[:0], c.keyBuf...)
+	keys := c.sortedKeys(unsafe.String(unsafe.SliceData(m.keys), len(m.keys)))
 
-	ex := &Extraction{URI: doc.URI, Tables: make(map[string][]Entry, 2)}
-	entries := make([]Entry, len(keys)*len(s.Tables()))
+	ex := &m.ex
+	ex.URI = doc.URI
+	n := len(keys) * len(s.Tables())
+	m.entries = grow(m.entries, n)[:n]
+	entries := m.entries
 	table := func() []Entry {
 		t := entries[:0:len(keys)]
 		entries = entries[len(keys):]
@@ -179,15 +258,18 @@ func Extract(s Strategy, doc *xmltree.Document, opts Options) *Extraction {
 	}
 
 	if luTable != "" {
-		t, none := table(), make([][]byte, len(keys))
+		m.none = grow(m.none, len(keys))[:len(keys)]
+		t, none := table(), m.none
 		for i, sk := range keys {
 			t = add(t, Entry{Key: sk.key, Values: none[i : i+1 : i+1]})
 		}
 		ex.Tables[luTable] = t
 	}
 	if pathTable != "" {
-		buf := make([]byte, 0, c.pathBytes)
-		values := make([][]byte, len(c.links))
+		// pathBytes is exact: buf never moves.
+		m.paths = grow(m.paths, c.pathBytes)
+		m.pathVals = grow(m.pathVals, len(c.links))[:len(c.links)]
+		buf, values := m.paths, m.pathVals
 		t := table()
 		for _, sk := range keys {
 			ks := &c.keys[sk.k]
@@ -230,9 +312,9 @@ func Extract(s Strategy, doc *xmltree.Document, opts Options) *Extraction {
 					streamIDs += n
 				}
 			}
-			buf = make([]byte, 0, 5*streamIDs)
+			buf = grow(m.ids, 5*streamIDs)
 		}
-		values := make([][]byte, 0, len(keys))
+		values := grow(m.idVals, len(keys))
 		t := table()
 		for _, sk := range keys {
 			ks := &c.keys[sk.k]
@@ -240,7 +322,10 @@ func Extract(s Strategy, doc *xmltree.Document, opts Options) *Extraction {
 			buf, values = appendIDs(buf, values, ids[ks.idOff:ks.idOff+ks.nID], opts.BinaryIDs, opts.MaxValueBytes)
 			t = add(t, Entry{Key: sk.key, Values: values[first:len(values):len(values)]})
 		}
+		if opts.BinaryIDs {
+			m.ids = buf
+		}
+		m.idVals = values
 		ex.Tables[idTable] = t
 	}
-	return ex
 }

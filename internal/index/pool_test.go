@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,14 +19,18 @@ type extractStep struct {
 	s    Strategy
 	opts Options
 	want *Extraction
+	// oversized marks the step whose path values outgrow maxPooledBytes.
+	oversized bool
 }
 
 // reuseSequence is a run of very different documents (a 64 KB XMark
-// document, thousands of levels of nesting, the paintings, the edge table,
-// the XMark document again), each extracted under several strategies and
+// document, thousands of levels of nesting, the same a thousand levels deep
+// under 2LUPI, whose paths take 1.5 MB, the paintings, the edge table, the
+// XMark document again), each extracted under several strategies and
 // SkipWords settings in turn: LU and LUP log no identifiers, LU and LUI
 // record no prefixes, and SkipWords leaves the word table unused, so every
-// part of the collector sits out some steps and serves the next.
+// part of the collector and of a pooled extraction sits out some steps and
+// serves the next.
 func reuseSequence(t *testing.T) []extractStep {
 	t.Helper()
 	levels := 10_000
@@ -36,7 +41,8 @@ func reuseSequence(t *testing.T) []extractStep {
 	cfg.TargetDocBytes = 64 << 10
 	gd := xmark.GenerateDoc(cfg, 3)
 	big, deep := parseDoc(t, gd.URI, string(gd.Data)), parseDoc(t, "deep", deepDocument(levels))
-	docs := []*xmltree.Document{big, deep}
+	oversized := parseDoc(t, "1k deep", deepDocument(1000))
+	docs := []*xmltree.Document{big, deep, oversized}
 	for _, p := range xmark.Paintings() {
 		docs = append(docs, parseDoc(t, p.URI, string(p.Data)))
 	}
@@ -62,8 +68,11 @@ func reuseSequence(t *testing.T) []extractStep {
 	var steps []extractStep
 	for _, doc := range docs {
 		run := combos
-		if doc == deep {
+		switch doc {
+		case deep:
 			run = pathless
+		case oversized:
+			run = []combo{{TwoLUPI, false}}
 		}
 		for _, c := range run {
 			w := walk{doc, c.skipWords}
@@ -73,7 +82,7 @@ func reuseSequence(t *testing.T) []extractStep {
 				walks[w] = infos
 			}
 			opts := Options{BinaryIDs: true, SkipWords: c.skipWords}
-			steps = append(steps, extractStep{doc, c.s, opts, assembleReference(c.s, doc.URI, infos, opts)})
+			steps = append(steps, extractStep{doc, c.s, opts, assembleReference(c.s, doc.URI, infos, opts), doc == oversized})
 		}
 	}
 	return steps
@@ -86,30 +95,84 @@ func pooledCollectorIsEmpty() bool {
 	defer collectorPool.Put(c)
 	return len(c.elems)+len(c.attrs)+len(c.words)+len(c.attrVals)+len(c.seen) == 0 &&
 		len(c.keys)+len(c.keyBuf)+len(c.prefixBuf)+len(c.prefixEnd)+len(c.open)+len(c.links)+c.pathBytes == 0 &&
-		len(c.log)+len(c.dealt) == 0
+		len(c.log)+len(c.dealt)+len(c.sorted) == 0 &&
+		!slices.ContainsFunc(c.sorted[:cap(c.sorted)], func(k sortedKey) bool { return k.key != "" })
 }
 
-// runSequence extracts every step in order and returns the first difference
-// from the reference, or from an empty pooled collector between steps.
-func runSequence(steps []extractStep) error {
+// largestBuffer is the byte size of m's largest buffer.
+func (m *extractMem) largestBuffer() int {
+	return max(bytesOf(m.entries), bytesOf(m.none), bytesOf(m.pathVals), bytesOf(m.idVals),
+		bytesOf(m.paths), bytesOf(m.ids), bytesOf(m.keys))
+}
+
+// pooledExtractionIsEmpty takes an extraction's memory from the pool and
+// reports whether it holds nothing: no table, entry, value or key, zeroed
+// room behind them, and no buffer larger than maxPooledBytes.
+func pooledExtractionIsEmpty() bool {
+	m := extractPool.Get().(*extractMem)
+	defer extractPool.Put(m)
+	zeroed := func(values [][]byte) bool {
+		return !slices.ContainsFunc(values[:cap(values)], func(v []byte) bool { return v != nil })
+	}
+	return m.ex.URI == "" && len(m.ex.Tables)+m.ex.Entries+int(m.ex.Bytes) == 0 && m.ex.mem == nil &&
+		len(m.entries)+len(m.none)+len(m.pathVals)+len(m.idVals)+len(m.paths)+len(m.ids)+len(m.keys) == 0 &&
+		!slices.ContainsFunc(m.entries[:cap(m.entries)], func(e Entry) bool { return e.Key != "" || e.Values != nil }) &&
+		zeroed(m.none) && zeroed(m.pathVals) && zeroed(m.idVals) &&
+		m.largestBuffer() <= maxPooledBytes
+}
+
+// sameExtraction reports whether got reads as want, whatever memory it is in.
+func sameExtraction(got, want *Extraction) bool {
+	g := *got
+	g.mem = nil
+	return reflect.DeepEqual(&g, want)
+}
+
+// runSequence extracts every step in order into pooled memory, released
+// after each step, and returns the first difference from the reference, or
+// from an empty pooled collector and extraction between steps. With reuse
+// set, every step must take the memory the step before it released.
+func runSequence(steps []extractStep, reuse bool) error {
+	var last *extractMem
 	for i, st := range steps {
-		if got := Extract(st.s, st.doc, st.opts); !reflect.DeepEqual(got, st.want) {
-			return fmt.Errorf("step %d, %s %s skipWords=%v: extraction differs from the reference", i, st.doc.URI, st.s.Name(), st.opts.SkipWords)
+		at := fmt.Sprintf("step %d, %s %s skipWords=%v", i, st.doc.URI, st.s.Name(), st.opts.SkipWords)
+		got := ExtractPooled(st.s, st.doc, st.opts)
+		if !sameExtraction(got, st.want) {
+			return fmt.Errorf("%s: extraction differs from the reference", at)
 		}
+		if reuse && last != nil && got.mem != last {
+			return fmt.Errorf("%s: the extraction did not reuse the memory the step before released", at)
+		}
+		if big := got.mem.largestBuffer(); st.oversized != (big > maxPooledBytes) {
+			return fmt.Errorf("%s: largest buffer %d bytes, oversized=%v", at, big, st.oversized)
+		}
+		last = got.mem
+		got.Release()
 		if !pooledCollectorIsEmpty() {
-			return fmt.Errorf("step %d, %s %s skipWords=%v: a pooled collector holds state", i, st.doc.URI, st.s.Name(), st.opts.SkipWords)
+			return fmt.Errorf("%s: a pooled collector holds state", at)
+		}
+		if !pooledExtractionIsEmpty() {
+			return fmt.Errorf("%s: a pooled extraction holds state or more than %d bytes in a buffer", at, maxPooledBytes)
 		}
 	}
 	return nil
 }
 
-// TestExtractReusedStateMatchesReference: Extract reuses its collector's
-// tables and slices across documents, so no extraction may see what the
-// one before it left. One goroutine runs the sequence, then eight run it at
-// once (make check runs this under -race).
+// TestExtractReusedStateMatchesReference: ExtractPooled reuses its
+// collector's tables and slices, and Release the extraction's buffers,
+// across documents, so no extraction may see what the one before it left.
+// One goroutine runs the sequence, every step in the memory the step before
+// released (the race detector's pool drops a quarter of what is put back,
+// so there only the answers are checked), then eight run it at once (make
+// check runs this under -race).
 func TestExtractReusedStateMatchesReference(t *testing.T) {
 	steps := reuseSequence(t)
-	if err := runSequence(steps); err != nil {
+	// One P, so that what a step puts back is in the pool the next step
+	// takes from.
+	procs := runtime.GOMAXPROCS(1)
+	err := runSequence(steps, !raceEnabled)
+	runtime.GOMAXPROCS(procs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -118,7 +181,7 @@ func TestExtractReusedStateMatchesReference(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[g] = runSequence(steps)
+			errs[g] = runSequence(steps, false)
 		}()
 	}
 	wg.Wait()

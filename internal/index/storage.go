@@ -127,8 +127,12 @@ func OptionsFor(store kv.Store) Options {
 // them. Any caches fronting the store must be passed so their entries for
 // the touched keys are invalidated.
 func LoadDocument(store kv.Store, s Strategy, doc *xmltree.Document, opts Options, caches ...*PostingCache) (time.Duration, LoadStats, error) {
-	ex := Extract(s, doc, opts)
-	return WriteExtraction(store, ex, caches...)
+	ex := ExtractPooled(s, doc, opts)
+	d, stats, err := WriteExtraction(store, ex, caches...)
+	if err == nil {
+		ex.Release() // a failed write's error may hold items cut from ex
+	}
+	return d, stats, err
 }
 
 // WriteExtraction writes a precomputed extraction to the store and

@@ -100,3 +100,56 @@ func TestGateAnswerAllocations(t *testing.T) {
 		t.Errorf("%.0f bytes a query, want at most %d", perQuery, gateAnswerBytes)
 	}
 }
+
+// gateBuildBytes bounds the bytes a sliced bulk build allocates per
+// document: about 1.2 times the 139,000 measured (median of ten runs, Go
+// 1.24, linux/amd64, two cores) once each document's extraction was
+// recycled after the bulk loader had copied it (222,000–232,000 before).
+const gateBuildBytes = 165_000
+
+// TestGateBuildAllocations builds the gateable benchmark's index-build shape
+// on its corpus (XMark documents of 16 KB, seed 42, 2LUPI, bulk-loaded on
+// eight large instances): 120 documents submitted and indexed 40 at a time
+// into one new warehouse. A first build warms the pools; the second is
+// measured, from core.New to its last commit, and held to gateBuildBytes a
+// document.
+func TestGateBuildAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop what is put back")
+	}
+	cfg := xmark.DefaultConfig(120)
+	cfg.Seed = 42
+	cfg.TargetDocBytes = 16 << 10
+	docs := xmark.Generate(cfg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	build := func() {
+		w, err := core.New(core.Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet := ec2.LaunchFleet(w.Ledger(), ec2.Large, 8)
+		for rest := docs; len(rest) > 0; rest = rest[min(40, len(rest)):] {
+			for _, d := range rest[:min(40, len(rest))] {
+				if err := w.SubmitDocument(d.URI, d.Data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := w.IndexCorpusOn(fleet, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := w.IndexItems(); got == 0 {
+			t.Fatal("the build wrote no index item")
+		}
+	}
+	build()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.ReadMemStats(&after)
+	perDoc := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(docs))
+	t.Logf("%.0f bytes a document", perDoc)
+	if perDoc > gateBuildBytes {
+		t.Errorf("%.0f bytes a document, want at most %d", perDoc, gateBuildBytes)
+	}
+}
