@@ -26,21 +26,21 @@
 //	# load, index, and serve queries over HTTP until SIGINT/SIGTERM
 //	xwh serve -corpus paintings -addr 127.0.0.1:8080 -serve-workers 4
 //
-// The serve daemon exposes POST /query (JSON body {"query","useIndex"},
-// tenant via the X-Tenant header), /billing.json, and the observability
-// endpoints (/metrics, /metrics.json, /trace.json, /healthz, /readyz);
-// admission control is tuned with -serve-queue, -tenant-qps, -tenant-burst
-// and -tenant-inflight. On SIGINT/SIGTERM it drains every admitted request
-// and exits 0.
+// The serve daemon exposes POST /query (JSON body {"query","useIndex"}),
+// /billing.json, and the observability endpoints (/metrics, /trace.json,
+// /healthz, /readyz). -serve-workers is both the query-processor count and
+// how many queries run at once; -serve-queue is how many more may wait, and
+// an arrival beyond that is shed with 429. On SIGINT/SIGTERM it drains every
+// admitted request and exits 0.
 //
 // With -mutable the warehouse runs a mutable corpus: -update and -remove
 // mutate documents atomically before querying, -compact-every sets the
 // delta-compaction interval, and the serve daemon additionally accepts
 // writes on PUT/DELETE /document?uri=... (PUT body = the new XML).
 //
-// -metrics-addr serves Prometheus text format on /metrics (plus
-// /metrics.json and /trace.json) while the process runs; -obs-smoke
-// scrapes the exporter once over HTTP and verifies it parses.
+// -metrics-addr serves Prometheus text format on /metrics (plus /trace.json)
+// while the process runs; -obs-smoke scrapes the exporter once over HTTP and
+// verifies it parses.
 package main
 
 import (
@@ -54,6 +54,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -107,14 +108,11 @@ func main() {
 	update := flag.String("update", "", "mutable: update one document before querying, as uri=path/to.xml")
 	repl := flag.Bool("repl", false, "read queries interactively from stdin after loading")
 	stats := flag.Bool("stats", false, "print warehouse statistics and the bill")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /trace.json on this address while running")
+	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /trace.json on this address while running")
 	obsSmoke := flag.Bool("obs-smoke", false, "scrape the metrics exporter once over HTTP, verify it parses, and report")
 	serveAddr := flag.String("addr", "127.0.0.1:8080", "serve: listen address for the query daemon")
-	serveWorkers := flag.Int("serve-workers", 0, "serve: scheduler pool size (0 = NumCPU); also the query-processor count")
-	serveQueue := flag.Int("serve-queue", 0, "serve: admission queue depth (0 = 4x workers)")
-	tenantQPS := flag.Float64("tenant-qps", 0, "serve: per-tenant sustained QPS quota (0 = unlimited)")
-	tenantBurst := flag.Int("tenant-burst", 0, "serve: per-tenant token-bucket burst (0 = 2x qps)")
-	tenantInflight := flag.Int("tenant-inflight", 0, "serve: per-tenant in-flight cap (0 = unlimited)")
+	serveWorkers := flag.Int("serve-workers", 0, "serve: query processors, and queries run at once (0 = NumCPU)")
+	serveQueue := flag.Int("serve-queue", 0, "serve: queries that may wait beyond those running (0 = 4x workers)")
 	flag.Parse()
 
 	s, err := index.ByName(*strategy)
@@ -195,14 +193,7 @@ func main() {
 		rep.Docs, s.Name(), *instances, typ.Name, rep.Entries, rep.Items, rep.Total)
 
 	if mode == "serve" {
-		runServe(wh, typ, serveConfig{
-			addr:           *serveAddr,
-			workers:        *serveWorkers,
-			queue:          *serveQueue,
-			tenantQPS:      *tenantQPS,
-			tenantBurst:    *tenantBurst,
-			tenantInflight: *tenantInflight,
-		})
+		runServe(wh, typ, serveConfig{addr: *serveAddr, workers: *serveWorkers, queue: *serveQueue})
 		return
 	}
 
@@ -338,18 +329,18 @@ func main() {
 
 // serveConfig carries the daemon flags.
 type serveConfig struct {
-	addr           string
-	workers        int
-	queue          int
-	tenantQPS      float64
-	tenantBurst    int
-	tenantInflight int
+	addr    string
+	workers int // query processors, and queries run at once; 0 = NumCPU
+	queue   int
 }
 
-// runServe turns the loaded warehouse into the query daemon: a live
-// processor fleet behind admission control, served over HTTP until
-// SIGINT/SIGTERM, then drained gracefully.
-func runServe(wh *core.Warehouse, typ ec2.InstanceType, cfg serveConfig) {
+// newServer builds the query daemon over wh: cfg.workers live query
+// processors behind a server that runs as many queries at once. A zero
+// count is resolved here, once, so that the two agree.
+func newServer(wh *core.Warehouse, typ ec2.InstanceType, cfg serveConfig) (*serve.Server, *serve.WarehouseBackend, error) {
+	if cfg.workers <= 0 {
+		cfg.workers = runtime.NumCPU()
+	}
 	backend := serve.NewWarehouseBackend(wh, cfg.workers, typ, core.WorkerOptions{})
 	book := pricing.Singapore2012()
 	s, err := serve.New(serve.Config{
@@ -357,14 +348,25 @@ func runServe(wh *core.Warehouse, typ ec2.InstanceType, cfg serveConfig) {
 		Registry: wh.Registry(),
 		Tracer:   wh.Tracer(),
 		Bill:     func() pricing.Invoice { return book.Bill(wh.Ledger().Snapshot()) },
-		Limits: serve.Limits{
-			Workers:        cfg.workers,
-			QueueDepth:     cfg.queue,
-			TenantQPS:      cfg.tenantQPS,
-			TenantBurst:    cfg.tenantBurst,
-			TenantInflight: cfg.tenantInflight,
-		},
+		Limits:   serve.Limits{Workers: cfg.workers, QueueDepth: cfg.queue},
 	})
+	if err != nil {
+		backend.Close()
+		return nil, nil, err
+	}
+	return s, backend, nil
+}
+
+// banner is the line the daemon announces its address with.
+func banner(addr string, s *serve.Server, backend *serve.WarehouseBackend) string {
+	return fmt.Sprintf("serving queries on http://%s/query (%d query processors, queue %d)",
+		addr, backend.Workers(), s.Limits().QueueDepth)
+}
+
+// runServe turns the loaded warehouse into the query daemon, served over
+// HTTP until SIGINT/SIGTERM, then drained gracefully.
+func runServe(wh *core.Warehouse, typ ec2.InstanceType, cfg serveConfig) {
+	s, backend, err := newServer(wh, typ, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -372,9 +374,7 @@ func runServe(wh *core.Warehouse, typ ec2.InstanceType, cfg serveConfig) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lim := s.Limits()
-	fmt.Printf("serving queries on http://%s/query (%d workers, queue %d, tenant qps %.1f inflight %d)\n",
-		addr, backend.Workers(), lim.QueueDepth, lim.TenantQPS, lim.TenantInflight)
+	fmt.Println(banner(addr, s, backend))
 	if backend.Writable() {
 		fmt.Printf("accepting writes on PUT/DELETE http://%s/document?uri=...\n", addr)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,12 +10,16 @@ import (
 	"net/url"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/cloud/ec2"
+	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/workload"
 	"repro/internal/xmark"
@@ -68,6 +73,27 @@ func TestMutableServeSmoke(t *testing.T) {
 	})
 	d.checkAdmitted(t)
 	d.stop(t)
+}
+
+// With the default -serve-workers 0 the daemon launches one query processor
+// per CPU and runs as many queries at once, and its banner says so.
+func TestServeDefaultWorkersMatchProcessors(t *testing.T) {
+	wh, err := core.New(core.Config{Strategy: index.TwoLUPI})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, backend, err := newServer(wh, ec2.XL, serveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	if got := s.Limits().Workers; got != runtime.NumCPU() {
+		t.Errorf("serve slots = %d, want NumCPU = %d", got, runtime.NumCPU())
+	}
+	want := fmt.Sprintf("(%d query processors,", s.Limits().Workers)
+	if b := banner("127.0.0.1:8080", s, backend); !strings.Contains(b, want) {
+		t.Errorf("banner %q does not announce %q", b, want)
+	}
 }
 
 // daemon is a running `xwh serve` child process.

@@ -39,7 +39,7 @@ var keptExports = map[string]string{
 	"cloud/chaos.Injector.SetRates": "fault hook: quiesces or raises injection mid-run",
 	"core.Warehouse.ChaosInjector":  "fault hook: the injector whose rates SetRates changes",
 	"core.Warehouse.RunQueryOnView": "synchronisation hook: a query against a pinned snapshot",
-	"clock.NewStepped":              "test clock: the clock the SQS, chaos, live-pipeline and admission tests step by hand",
+	"clock.NewStepped":              "test clock: the clock the SQS, chaos and live-pipeline tests step by hand",
 	"clock.Stepped.BlockUntil":      "test clock: how a test waits until every live loop it drives waits on the clock",
 	"costmodel.UpdateCost":          "reserved by ROADMAP: prices the write-ahead log's puts",
 	"costmodel.PerMillionUpdates":   "reserved by ROADMAP: normalises UpdateCost per million mutations",

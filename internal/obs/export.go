@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -58,60 +57,6 @@ func writePromHist(w io.Writer, pn string, s HistSnapshot) {
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, cum)
 	fmt.Fprintf(w, "%s_sum %s\n", pn, strconv.FormatFloat(s.Sum.Seconds(), 'g', -1, 64))
 	fmt.Fprintf(w, "%s_count %d\n", pn, s.Count)
-}
-
-// jsonHist is the JSON shape of one histogram side.
-type jsonHist struct {
-	BoundsNS []int64 `json:"bounds_ns"`
-	Counts   []int64 `json:"counts"`
-	Count    int64   `json:"count"`
-	SumNS    int64   `json:"sum_ns"`
-}
-
-func toJSONHist(s HistSnapshot) jsonHist {
-	bounds := make([]int64, len(s.Bounds))
-	for i, b := range s.Bounds {
-		bounds[i] = int64(b)
-	}
-	return jsonHist{BoundsNS: bounds, Counts: s.Counts, Count: s.Count, SumNS: int64(s.Sum)}
-}
-
-// WriteJSON renders the registry as one JSON object with "counters",
-// "gauges" and "histograms" sections.
-func WriteJSON(w io.Writer, r *Registry) error {
-	doc := struct {
-		Counters   map[string]int64 `json:"counters"`
-		Gauges     map[string]int64 `json:"gauges"`
-		Histograms map[string]struct {
-			Wall    jsonHist `json:"wall"`
-			Modeled jsonHist `json:"modeled"`
-		} `json:"histograms"`
-	}{
-		Counters: map[string]int64{},
-		Gauges:   map[string]int64{},
-		Histograms: map[string]struct {
-			Wall    jsonHist `json:"wall"`
-			Modeled jsonHist `json:"modeled"`
-		}{},
-	}
-	if r != nil {
-		for _, name := range r.CounterNames() {
-			doc.Counters[name] = r.Counter(name).Value()
-		}
-		for _, name := range r.GaugeNames() {
-			doc.Gauges[name] = r.Gauge(name).Value()
-		}
-		for _, name := range r.HistogramNames() {
-			h := r.Histogram(name)
-			doc.Histograms[name] = struct {
-				Wall    jsonHist `json:"wall"`
-				Modeled jsonHist `json:"modeled"`
-			}{toJSONHist(h.Wall()), toJSONHist(h.Modeled())}
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }
 
 // WriteText renders the registry as a human-readable report, the format
@@ -216,11 +161,10 @@ func ParseProm(rd io.Reader) ([]PromSample, error) {
 
 // Handler serves the registry and tracer over HTTP:
 //
-//	/metrics       Prometheus text format
-//	/metrics.json  JSON registry dump
-//	/trace.json    span journal, oldest first
-//	/healthz       liveness: always 200 while the process serves
-//	/readyz        readiness: 200 when every ready check passes, else 503
+//	/metrics     Prometheus text format
+//	/trace.json  span journal, oldest first
+//	/healthz     liveness: always 200 while the process serves
+//	/readyz      readiness: 200 when every ready check passes, else 503
 //
 // tr may be nil, in which case /trace.json serves an empty array. Each
 // ready func reports one readiness precondition (warehouse loaded, queue
@@ -231,10 +175,6 @@ func Handler(r *Registry, tr *Tracer, ready ...func() error) http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WriteProm(w, r)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = WriteJSON(w, r)
 	})
 	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -277,9 +217,8 @@ const (
 	// attributes separately from first-build uploads.
 	SpanCompact = "index.compact"
 
-	// SpanAdmit wraps the serving daemon's admission decision for one HTTP
-	// request: quota check, queue wait, and scheduling onto a worker. Its
-	// children are the per-query pipeline spans.
+	// SpanAdmit wraps one HTTP query in the serving daemon: its admission,
+	// its wait for a slot and the backend's answer.
 	SpanAdmit = "serve.admit"
 
 	SpanQuery        = "query"

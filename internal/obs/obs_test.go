@@ -328,30 +328,6 @@ func TestParsePromRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRegistry(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(1)
-	r.Histogram("h", time.Second).ObserveModeled(time.Second)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Counters   map[string]int64 `json:"counters"`
-		Histograms map[string]struct {
-			Modeled struct {
-				Count int64 `json:"count"`
-			} `json:"modeled"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Counters["c"] != 1 || doc.Histograms["h"].Modeled.Count != 1 {
-		t.Fatalf("unexpected JSON: %s", buf.String())
-	}
-}
-
 func TestWriteText(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("core.query.processed").Add(2)

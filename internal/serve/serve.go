@@ -1,3 +1,18 @@
+// Package serve implements the query-serving daemon: an HTTP/JSON API over
+// the warehouse's frontend/processor pipeline, with one bound in front of it.
+//
+// One query, all on its handler's goroutine:
+//
+//	POST /query -> admitted, unless draining (503) or Workers+QueueDepth
+//	               queries are already admitted (429 queue_full)
+//	            -> waits, in arrival order, for one of Workers slots;
+//	               a client that leaves meanwhile never reaches the backend
+//	            -> Backend.Do (live query processors via core.Frontend)
+//	            -> JSON response
+//
+// Shedding is always explicit: a rejected request gets a 429 (503 while
+// draining) with a machine-readable reason and a Retry-After hint, and is
+// counted in the serve.* metrics — requests are never dropped silently.
 package serve
 
 import (
@@ -13,16 +28,17 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pricing"
 )
 
-// TenantHeader carries the caller's tenant ID; absent means TenantDefault.
+// TenantHeader carries the caller's tenant ID, which the serve.admit span
+// records; absent means TenantDefault. The client chooses it, so it bounds
+// nothing.
 const TenantHeader = "X-Tenant"
 
-// TenantDefault is the tenant requests without a header are accounted to.
+// TenantDefault is the tenant recorded for requests without a header.
 const TenantDefault = "default"
 
 // DefaultQueryTimeout bounds how long one admitted query may take end to
@@ -53,7 +69,8 @@ const readBodyTimeout = 30 * time.Second
 type Config struct {
 	// Backend runs admitted queries. Required.
 	Backend Backend
-	// Limits configures admission control (zero values select defaults).
+	// Limits bounds the queries run and waiting (zero values select
+	// defaults).
 	Limits Limits
 	// QueryTimeout bounds one query's backend execution; 0 selects
 	// DefaultQueryTimeout.
@@ -104,24 +121,11 @@ type ErrorResponse struct {
 	RetryAfterMs int64  `json:"retryAfterMs,omitempty"`
 }
 
-// request is one admitted query waiting for (or on) a scheduler worker.
-type request struct {
-	query    string
-	useIndex bool
-	enqueued time.Time
-	reply    chan schedResult
-}
-
-type schedResult struct {
-	out *core.QueryOutcome
-	err error
-}
-
-// Server is the query-serving daemon: admission control plus a bounded
-// scheduler pool over a Backend, exposed as an HTTP handler.
+// Server is the query-serving daemon: a Backend behind one admission bound,
+// exposed as an HTTP handler.
 type Server struct {
 	backend Backend
-	adm     *Admission
+	limits  Limits
 	timeout time.Duration
 	// bodyTimeout is readBodyTimeout; tests shorten it.
 	bodyTimeout time.Duration
@@ -130,21 +134,24 @@ type Server struct {
 	bill        func() pricing.Invoice
 	ready       []func() error
 
+	// slots holds a token for each query calling the backend: at most
+	// limits.Workers.
+	slots chan struct{}
+
 	mu       sync.Mutex
 	draining bool
-	inflight sync.WaitGroup // admitted requests not yet answered
+	admitted int            // queries admitted and not yet released
+	inflight sync.WaitGroup // admitted queries and accepted writes not yet answered
 	// fresh holds Start's connections yet to send a request header, until
 	// Shutdown closes them and sets it nil.
 	fresh map[net.Conn]struct{}
 
-	queue     chan *request
-	workerWG  sync.WaitGroup
 	httpSrv   *http.Server
 	httpErrCh chan error
 }
 
-// New builds the server and starts its scheduler pool. Callers serve
-// s.Handler() themselves or use Start/Shutdown for a managed listener.
+// New builds the server; it starts no goroutine. Callers serve s.Handler()
+// themselves or use Start/Shutdown for a managed listener.
 func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, fmt.Errorf("serve: Config.Backend is required")
@@ -152,9 +159,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueryTimeout <= 0 {
 		cfg.QueryTimeout = DefaultQueryTimeout
 	}
+	lim := cfg.Limits.withDefaults()
 	s := &Server{
 		backend:     cfg.Backend,
-		adm:         newAdmission(cfg.Limits, clock.Wall{}),
+		limits:      lim,
+		slots:       make(chan struct{}, lim.Workers),
 		timeout:     cfg.QueryTimeout,
 		bodyTimeout: readBodyTimeout,
 		reg:         cfg.Registry,
@@ -162,17 +171,11 @@ func New(cfg Config) (*Server, error) {
 		bill:        cfg.Bill,
 		ready:       cfg.Ready,
 	}
-	lim := s.adm.Limits()
-	s.queue = make(chan *request, lim.QueueDepth)
-	for i := 0; i < lim.Workers; i++ {
-		s.workerWG.Add(1)
-		go s.worker()
-	}
 	return s, nil
 }
 
-// Limits returns the effective admission limits.
-func (s *Server) Limits() Limits { return s.adm.Limits() }
+// Limits returns the effective (default-resolved) limits.
+func (s *Server) Limits() Limits { return s.limits }
 
 // Ready reports whether the server is accepting queries (it is the queue-
 // accepting readiness check behind /readyz).
@@ -187,7 +190,7 @@ func (s *Server) Ready() error {
 
 // Handler returns the full HTTP surface: POST /query, PUT/DELETE /document
 // when the backend accepts writes, /billing.json when configured, and the
-// obs endpoints (/metrics, /metrics.json, /trace.json, /healthz, /readyz)
+// obs endpoints (/metrics, /trace.json, /healthz, /readyz)
 // as the fallback.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -199,16 +202,6 @@ func (s *Server) Handler() http.Handler {
 	ready := append([]func() error{s.Ready}, s.ready...)
 	mux.Handle("/", obs.Handler(s.reg, s.tracer, ready...))
 	return mux
-}
-
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	for rq := range s.queue {
-		s.reg.Gauge("serve.queue.depth").Add(-1)
-		s.reg.Histogram("serve.queue.wait").ObserveWall(time.Since(rq.enqueued))
-		out, err := s.backend.Do(rq.query, rq.useIndex, s.timeout)
-		rq.reply <- schedResult{out: out, err: err}
-	}
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -245,48 +238,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer span.End()
 	start := time.Now()
 
-	rq := &request{query: req.Query, useIndex: req.UseIndex, enqueued: start, reply: make(chan schedResult, 1)}
-
-	// Admission: the draining flag, quota charge, enqueue and WaitGroup
-	// increment commit atomically, so Shutdown's drain (set draining, then
-	// wait) can never miss an admitted request.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.shed(w, span, http.StatusServiceUnavailable,
-			&Rejection{Reason: ReasonDraining, Tenant: tenant, RetryAfter: time.Second})
+	if rej := s.admit(tenant); rej != nil {
+		s.shed(w, span, rej)
 		return
 	}
-	if rej := s.adm.Admit(tenant); rej != nil {
-		s.mu.Unlock()
-		s.shed(w, span, http.StatusTooManyRequests, rej)
-		return
-	}
-	select {
-	case s.queue <- rq:
-		s.inflight.Add(1)
-		s.mu.Unlock()
-	default:
-		s.adm.Refund(tenant)
-		s.mu.Unlock()
-		s.shed(w, span, http.StatusTooManyRequests,
-			&Rejection{Reason: ReasonQueueFull, Tenant: tenant, RetryAfter: s.timeout / 4})
-		return
-	}
-
 	s.reg.Counter("serve.admitted").Inc()
-	s.reg.Gauge("serve.queue.depth").Add(1)
-	s.reg.Gauge("serve.inflight").Set(int64(s.adm.Inflight()))
-
-	res := <-rq.reply
-	s.adm.Release(tenant)
-	s.inflight.Done()
-	s.reg.Gauge("serve.inflight").Set(int64(s.adm.Inflight()))
+	if !s.awaitSlot(r.Context()) {
+		// The client is gone: nothing to answer, and nothing to bill.
+		s.release()
+		s.reg.Counter("serve.cancelled").Inc()
+		span.SetError(r.Context().Err())
+		return
+	}
+	s.reg.Histogram("serve.queue.wait").ObserveWall(time.Since(start))
+	out, err := s.backend.Do(req.Query, req.UseIndex, s.timeout)
+	<-s.slots
+	s.release()
 
 	elapsed := time.Since(start)
 	s.reg.Histogram("serve.latency").ObserveWall(elapsed)
 
-	out, err := res.out, res.err
 	if err == nil {
 		err = out.Err
 	}
@@ -443,11 +414,7 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		rej := &Rejection{Reason: ReasonDraining, RetryAfter: time.Second}
-		s.reg.Counter("serve.rejected.draining").Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
-			ErrorResponse{Error: rej.Error(), Reason: rej.Reason, RetryAfterMs: rej.RetryAfter.Milliseconds()})
+		s.shed(w, nil, &Rejection{Reason: ReasonDraining, RetryAfter: time.Second})
 		return
 	}
 	s.inflight.Add(1)
@@ -474,12 +441,14 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// shed answers one rejected request: the reason is counted, attached to the
-// admission span, and reported to the caller with a Retry-After hint —
-// never silently dropped.
-func (s *Server) shed(w http.ResponseWriter, span *obs.Span, status int, rej *Rejection) {
+// shed answers one rejected request: 503 while draining, else 429. The
+// reason is counted, attached to the admission span (if any) and reported
+// to the caller with a Retry-After hint — never silently dropped.
+func (s *Server) shed(w http.ResponseWriter, span *obs.Span, rej *Rejection) {
+	status := http.StatusTooManyRequests
 	switch rej.Reason {
 	case ReasonDraining:
+		status = http.StatusServiceUnavailable
 		s.reg.Counter("serve.rejected.draining").Inc()
 	default:
 		s.reg.Counter("serve.shed." + rej.Reason).Inc()
@@ -547,7 +516,7 @@ func (s *Server) trackFresh(c net.Conn, state http.ConnState) {
 
 // Shutdown drains the server gracefully: new requests are rejected with
 // 503, every already-admitted request runs to completion and is answered,
-// then the scheduler pool, HTTP listener and backend stop. A client of
+// then the HTTP listener and backend stop. A client of
 // Start's listener that has sent no request header once they are answered
 // sees its connection closed unanswered, instead of holding Shutdown 5 s.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -569,8 +538,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	close(s.queue)
-	s.workerWG.Wait()
 
 	var err error
 	if s.httpSrv != nil {

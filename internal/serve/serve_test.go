@@ -10,12 +10,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/cloud/ec2"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -32,9 +33,17 @@ import (
 type fakeBackend struct {
 	started chan struct{}
 	release chan struct{}
+	// calls counts the calls of Do, running those under way and peak the
+	// most that were ever under way at once.
+	calls, running, peak atomic.Int32
 }
 
 func (f *fakeBackend) Do(query string, useIndex bool, timeout time.Duration) (*core.QueryOutcome, error) {
+	f.calls.Add(1)
+	n := f.running.Add(1)
+	defer f.running.Add(-1)
+	for p := f.peak.Load(); n > p && !f.peak.CompareAndSwap(p, n); p = f.peak.Load() {
+	}
 	if f.started != nil {
 		f.started <- struct{}{}
 	}
@@ -59,17 +68,14 @@ func validQuery(t *testing.T) string {
 	return q
 }
 
-func postQuery(t *testing.T, url, tenant, query string) *http.Response {
+// client is the HTTP client of postQuery: a query a bug leaves unanswered
+// fails its test within a minute instead of hanging the suite.
+var client = &http.Client{Timeout: time.Minute}
+
+func postQuery(t *testing.T, url, query string) *http.Response {
 	t.Helper()
 	body, _ := json.Marshal(QueryRequest{Query: query, UseIndex: true})
-	req, err := http.NewRequest(http.MethodPost, url+"/query", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tenant != "" {
-		req.Header.Set(TenantHeader, tenant)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := client.Post(url+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +110,7 @@ func TestOversizeQueryBodyIs413(t *testing.T) {
 		t.Errorf("listener timeouts unset: read header %v, idle %v", s.httpSrv.ReadHeaderTimeout, s.httpSrv.IdleTimeout)
 	}
 
-	resp := postQuery(t, url, "", validQuery(t)+strings.Repeat(" ", MaxQueryBytes))
+	resp := postQuery(t, url, validQuery(t)+strings.Repeat(" ", MaxQueryBytes))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize body: status %d, want 413", resp.StatusCode)
 	}
@@ -115,7 +121,7 @@ func TestOversizeQueryBodyIs413(t *testing.T) {
 		t.Errorf("serve.admitted = %d after a refused body, want 0", got)
 	}
 
-	resp = postQuery(t, url, "", validQuery(t))
+	resp = postQuery(t, url, validQuery(t))
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after the refusal: status %d, want 200", resp.StatusCode)
@@ -125,125 +131,165 @@ func TestOversizeQueryBodyIs413(t *testing.T) {
 	}
 }
 
-// Queue-full shedding is deterministic: with one worker held and the
-// one-slot queue occupied, the next request must answer 429 queue_full
-// with a Retry-After hint — it is never silently dropped.
+// The bound is Workers+QueueDepth admitted queries, Workers of them in the
+// backend at once: with two slots and three places to wait, five queries are
+// admitted and answered, no more than two run together, and the ones beyond
+// the bound answer 429 queue_full with a Retry-After hint, never dropped
+// silently. The server starts no goroutine of its own: once it has shut
+// down, the goroutine count is back to where it was before New.
 func TestQueueFullSheds429(t *testing.T) {
-	fb := &fakeBackend{started: make(chan struct{}, 4), release: make(chan struct{})}
-	reg := obs.NewRegistry()
-	s, err := New(Config{Backend: fb, Registry: reg, Limits: Limits{Workers: 1, QueueDepth: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	q := validQuery(t)
-
-	done := make(chan int, 2)
-	// First request: admitted, popped by the worker, held in Do.
-	go func() {
-		resp := postQuery(t, ts.URL, "", q)
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}()
-	<-fb.started
-	// Second request: admitted, parked in the queue slot.
-	go func() {
-		resp := postQuery(t, ts.URL, "", q)
-		resp.Body.Close()
-		done <- resp.StatusCode
-	}()
-	waitFor(t, func() bool { return reg.Gauge("serve.queue.depth").Value() == 1 })
-
-	// Third request: queue full, shed.
-	resp := postQuery(t, ts.URL, "", q)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Error("429 missing Retry-After header")
-	}
-	if er := decodeError(t, resp); er.Reason != ReasonQueueFull {
-		t.Errorf("reason = %q, want %q", er.Reason, ReasonQueueFull)
-	}
-	if got := reg.Counter("serve.shed.queue_full").Value(); got != 1 {
-		t.Errorf("serve.shed.queue_full = %d, want 1", got)
-	}
-
-	close(fb.release)
-	for i := 0; i < 2; i++ {
-		if code := <-done; code != http.StatusOK {
-			t.Errorf("held request %d finished with %d, want 200", i, code)
-		}
-	}
-	if got := reg.Counter("serve.admitted").Value(); got != 2 {
-		t.Errorf("serve.admitted = %d, want 2", got)
-	}
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A tenant saturating its in-flight quota is isolated: its own next request
-// sheds with 429 quota_inflight while another tenant sails through.
-func TestTenantQuotaIsolation(t *testing.T) {
+	before := runtime.NumGoroutine()
 	fb := &fakeBackend{started: make(chan struct{}, 8), release: make(chan struct{})}
 	reg := obs.NewRegistry()
-	s, err := New(Config{Backend: fb, Registry: reg,
-		Limits: Limits{Workers: 4, QueueDepth: 8, TenantInflight: 2}})
+	s, err := New(Config{Backend: fb, Registry: reg, Limits: Limits{Workers: 2, QueueDepth: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
 	q := validQuery(t)
 
-	done := make(chan int, 2)
-	for i := 0; i < 2; i++ {
+	const admitted, shed = 5, 2
+	done := make(chan int, admitted)
+	post := func() {
 		go func() {
-			resp := postQuery(t, ts.URL, "acme", q)
+			resp := postQuery(t, ts.URL, q)
 			resp.Body.Close()
 			done <- resp.StatusCode
 		}()
-		<-fb.started // both of acme's requests are held on workers
 	}
-
-	resp := postQuery(t, ts.URL, "acme", q)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("acme over quota: status = %d, want 429", resp.StatusCode)
-	}
-	if er := decodeError(t, resp); er.Reason != ReasonQuotaInflight {
-		t.Errorf("reason = %q, want %q", er.Reason, ReasonQuotaInflight)
-	}
-
-	// Tenant B is admitted and completes while acme saturates its share.
-	bDone := make(chan int, 1)
-	go func() {
-		resp := postQuery(t, ts.URL, "globex", q)
-		resp.Body.Close()
-		bDone <- resp.StatusCode
-	}()
+	// Two queries take both slots and are held in Do; three wait for one.
+	post()
+	post()
 	<-fb.started
-	close(fb.release)
-	if code := <-bDone; code != http.StatusOK {
-		t.Errorf("globex request = %d, want 200", code)
-	}
-	for i := 0; i < 2; i++ {
-		if code := <-done; code != http.StatusOK {
-			t.Errorf("acme request %d = %d, want 200", i, code)
+	<-fb.started
+	post()
+	post()
+	post()
+	waitFor(t, func() bool { return reg.Gauge("serve.queue.depth").Value() == 3 })
+
+	for i := 0; i < shed; i++ {
+		resp := postQuery(t, ts.URL, q)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("query beyond the bound: status = %d, want 429", resp.StatusCode)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra == "" {
+			t.Error("429 missing Retry-After header")
+		}
+		if er := decodeError(t, resp); er.Reason != ReasonQueueFull {
+			t.Errorf("reason = %q, want %q", er.Reason, ReasonQueueFull)
 		}
 	}
-	if got := reg.Counter("serve.shed.quota_inflight").Value(); got != 1 {
-		t.Errorf("serve.shed.quota_inflight = %d, want 1", got)
+	if got := reg.Counter("serve.shed.queue_full").Value(); got != shed {
+		t.Errorf("serve.shed.queue_full = %d, want %d", got, shed)
 	}
+	if got := reg.Gauge("serve.inflight").Value(); got != admitted {
+		t.Errorf("serve.inflight = %d, want %d", got, admitted)
+	}
+
+	close(fb.release)
+	for i := 0; i < admitted; i++ {
+		if code := <-done; code != http.StatusOK {
+			t.Errorf("admitted query %d finished with %d, want 200", i, code)
+		}
+	}
+	if got := reg.Counter("serve.admitted").Value(); got != admitted {
+		t.Errorf("serve.admitted = %d, want %d", got, admitted)
+	}
+	if calls, peak := fb.calls.Load(), fb.peak.Load(); calls != admitted || peak != 2 {
+		t.Errorf("Do ran %d times, at most %d at once; want %d times, at most 2", calls, peak, admitted)
+	}
+	ts.Close()
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	client.CloseIdleConnections()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Shutdown, %d before New", n, before)
+	}
+}
+
+// A client that leaves while its query waits for a slot costs the backend
+// nothing: Do is never called for it, its admission is given back, it is
+// counted in serve.cancelled rather than as shed, and the drain does not
+// wait for it.
+func TestClientLeavesWhileQueued(t *testing.T) {
+	fb := &fakeBackend{started: make(chan struct{}, 2), release: make(chan struct{})}
+	reg := obs.NewRegistry()
+	s, err := New(Config{Backend: fb, Registry: reg, Limits: Limits{Workers: 1, QueueDepth: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + addr
+	q := validQuery(t)
+
+	held := make(chan int, 1)
+	go func() {
+		resp := postQuery(t, url, q)
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	<-fb.started // the first query holds the only slot
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	body, _ := json.Marshal(QueryRequest{Query: q, UseIndex: true})
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	left := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		left <- err
+	}()
+	waitFor(t, func() bool { return reg.Gauge("serve.queue.depth").Value() == 1 })
+	cancel()
+	if err := <-left; err == nil {
+		t.Error("the cancelled request was answered")
+	}
+	waitFor(t, func() bool { return reg.Counter("serve.cancelled").Value() == 1 })
+	if got := reg.Gauge("serve.queue.depth").Value(); got != 0 {
+		t.Errorf("serve.queue.depth = %d after the client left, want 0", got)
+	}
+
+	close(fb.release)
+	if code := <-held; code != http.StatusOK {
+		t.Errorf("held query finished with %d, want 200", code)
+	}
+	if n := fb.calls.Load(); n != 1 {
+		t.Errorf("Do ran %d times, want once", n)
+	}
+	if got := reg.Gauge("serve.inflight").Value(); got != 0 {
+		t.Errorf("serve.inflight = %d, want 0", got)
+	}
+	if got := reg.Counter("serve.shed.queue_full").Value(); got != 0 {
+		t.Errorf("serve.shed.queue_full = %d, want 0: a client that left is not shed", got)
+	}
+	sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer scancel()
+	start := time.Now()
+	if err := s.Shutdown(sctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Shutdown took %v, want under 1s", d)
 	}
 }
 
 // Graceful shutdown drains: the in-flight query completes and is answered,
 // new arrivals are rejected with 503 draining, and Shutdown returns only
-// after the pool stops.
+// after the query is answered.
 func TestGracefulDrain(t *testing.T) {
 	fb := &fakeBackend{started: make(chan struct{}, 1), release: make(chan struct{})}
 	reg := obs.NewRegistry()
@@ -257,7 +303,7 @@ func TestGracefulDrain(t *testing.T) {
 
 	inflight := make(chan int, 1)
 	go func() {
-		resp := postQuery(t, ts.URL, "", q)
+		resp := postQuery(t, ts.URL, q)
 		resp.Body.Close()
 		inflight <- resp.StatusCode
 	}()
@@ -268,7 +314,7 @@ func TestGracefulDrain(t *testing.T) {
 	waitFor(t, func() bool { return s.Ready() != nil })
 
 	// New work is rejected while draining...
-	resp := postQuery(t, ts.URL, "", q)
+	resp := postQuery(t, ts.URL, q)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("request during drain = %d, want 503", resp.StatusCode)
 	}
@@ -585,54 +631,6 @@ func checkServeMetrics(baseURL string) error {
 		}
 	}
 	return fmt.Errorf("xwh_serve_admitted_total missing or zero in /metrics")
-}
-
-// The tenant map holds only buckets that differ from a fresh one, so a
-// client rotating X-Tenant values cannot grow it: with quotas off no tenant
-// gets a bucket, an in-flight quota drops a bucket when its last request
-// ends, and a rate quota drops the buckets of quiet tenants once they have
-// refilled.
-func TestAdmissionForgetsIdleTenants(t *testing.T) {
-	const tenants = 10000
-	churn := func(a *Admission) {
-		t.Helper()
-		for i := 0; i < tenants; i++ {
-			tenant := fmt.Sprintf("tenant-%d", i)
-			if rej := a.Admit(tenant); rej != nil {
-				t.Fatalf("admit %s: %v", tenant, rej)
-			}
-			a.Release(tenant)
-		}
-	}
-
-	off := newAdmission(Limits{Workers: 1}, clock.Wall{})
-	churn(off)
-	if n := len(off.tenants); n != 0 {
-		t.Errorf("quotas off: %d buckets, want none", n)
-	}
-	if got := off.Inflight(); got != 0 {
-		t.Errorf("quotas off: inflight = %d after every release, want 0", got)
-	}
-
-	inflight := newAdmission(Limits{Workers: 1, TenantInflight: 2}, clock.Wall{})
-	churn(inflight)
-	if n := len(inflight.tenants); n != 0 {
-		t.Errorf("in-flight quota: %d buckets with nothing in flight, want none", n)
-	}
-
-	clk := clock.NewStepped(time.Unix(1000, 0))
-	rate := newAdmission(Limits{Workers: 1, TenantQPS: 2, TenantBurst: 2}, clk)
-	churn(rate)
-	if n := len(rate.tenants); n != tenants {
-		t.Fatalf("rate quota: %d buckets, want %d partly spent ones", n, tenants)
-	}
-	clk.Advance(time.Second) // refills every bucket to the burst
-	if rej := rate.Admit("next"); rej != nil {
-		t.Fatal(rej)
-	}
-	if n := len(rate.tenants); n != 1 {
-		t.Errorf("rate quota: %d buckets after the others refilled, want only the new tenant's", n)
-	}
 }
 
 // waitFor polls cond briefly; it fails the test on timeout.

@@ -67,7 +67,7 @@ func TestTricklingBodyIsCutOff(t *testing.T) {
 	}()
 
 	// Another client is served while the trickle goes on.
-	resp := postQuery(t, "http://"+addr, "", validQuery(t))
+	resp := postQuery(t, "http://"+addr, validQuery(t))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("a query beside the trickling client: status %d", resp.StatusCode)

@@ -48,7 +48,7 @@ func buildMutablePaintingsWarehouse(t testing.TB) *core.Warehouse {
 // strings.
 func queryRows(t *testing.T, baseURL, query string) []string {
 	t.Helper()
-	resp := postQuery(t, baseURL, "", query)
+	resp := postQuery(t, baseURL, query)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query status = %d", resp.StatusCode)
