@@ -47,7 +47,8 @@ docsize:
 check: fmt vet docsize race benchtest
 
 # liverepeat runs the tests of the live pipeline (front end, dispatcher,
-# worker loop, crash recovery, dead-lettering) and the daemon's slow-client,
+# worker loop, crash recovery, dead-lettering), of step 13's document pool
+# (two documents in flight at once, no claim after a failure) and the daemon's slow-client,
 # silent-connection and client-leaves-while-queued tests ten times under the race detector: their
 # outcomes depend on goroutine timing, and it took that many repetitions to
 # find the flakes the pipeline's once had. 2.2 s of test time on two cores
@@ -57,7 +58,7 @@ check: fmt vet docsize race benchtest
 # ten times too, without the race detector, whose slowdown is not the
 # scanner's (about 10 s).
 liverepeat:
-	$(GO) test -race -count=10 -run 'TestFrontend|TestLivePipelineEndToEnd|TestQueryProcessorCrashRecovery|TestFaultToleranceIndexerCrash|TestPoisonDocumentGoesToDeadLetters|TestConcurrentQueriesOverLiveFleet|TestErrorQueryReportedThroughResponseQueue|TestDriverStepsOverForeignResponse|TestIdleLoopsStopPromptly' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestFrontend|TestLivePipelineEndToEnd|TestQueryProcessorCrashRecovery|TestFaultToleranceIndexerCrash|TestPoisonDocumentGoesToDeadLetters|TestConcurrentQueriesOverLiveFleet|TestErrorQueryReportedThroughResponseQueue|TestDriverStepsOverForeignResponse|TestIdleLoopsStopPromptly|TestFetchPoolRunsDocumentsInParallel|TestFetchFailureStopsClaims' ./internal/core/
 	$(GO) test -race -count=10 -run 'TestTricklingBodyIsCutOff|TestShutdownClosesSilentConnection|TestClientLeavesWhileQueued' ./internal/serve/
 	$(GO) test -count=10 -run 'TestManyLookalikeNamesStayLinear' ./internal/xmltree/
 

@@ -137,9 +137,9 @@ type Config struct {
 
 	// QueryWorkers bounds the worker pool that fetches, parses and
 	// evaluates candidate documents during one query (step 13 of
-	// Figure 1). 0 selects runtime.NumCPU(); 1 runs the sequential path.
-	// Results and modeled times are identical at every setting — only real
-	// wall-clock time changes.
+	// Figure 1). 0 selects runtime.GOMAXPROCS(0); 1 runs every document on
+	// the query's own goroutine. Results and modeled times are identical at
+	// every setting — only real wall-clock time changes.
 	QueryWorkers int
 	// QueryLookupConcurrency is read by nothing: the index look-up runs on
 	// its query's goroutine. It stays because the benchmark module sets it.
@@ -581,5 +581,5 @@ func (w *Warehouse) docWorkers() int {
 	if w.queryWorkers > 0 {
 		return w.queryWorkers
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }

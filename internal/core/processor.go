@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cloud/ec2"
@@ -218,7 +219,7 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	esp.SetAttrInt("docs", int64(len(uris)))
 
 	// The real fetch, parse and per-document evaluation fan out over a
-	// bounded worker pool with first-error-wins cancellation; the modeled
+	// bounded worker pool that stops claiming after a failure; the modeled
 	// time is then scheduled on the instance in URI order, so modeled
 	// times, billing and error reporting are identical to the sequential
 	// pipeline at any pool size. The parse builds only the nodes the query
@@ -378,15 +379,15 @@ type fetchedDoc struct {
 
 // fetchDocuments retrieves the candidate documents, parses each under proj
 // and hands it to eval with its index in uris, one task per URI, on a pool
-// of at most docWorkers goroutines, and records task i's outcome in
-// results[i]. A task releases its document once eval
-// returns (xmltree.Document.Release), so eval must keep nothing of its
+// of at most docWorkers goroutines, the caller's own among them, and
+// records task i's outcome in results[i]. A task releases its document once
+// eval returns (xmltree.Document.Release), so eval must keep nothing of its
 // nodes, and the next parse on the worker reuses their memory. eval runs
-// on several goroutines at once, on different documents. The first failing
-// task (in URI order — the order the sequential pipeline would hit it)
-// closes a cancel channel, so no new tasks start after an error. The
-// returned error only signals that cancellation fired; callers scan
-// results in order for the authoritative per-URI error.
+// on several goroutines at once, on different documents. Once a task has
+// failed, no worker claims another. The returned error only signals that
+// a task failed; callers scan results in order for the authoritative
+// per-URI error, that of the first failing URI in URI order (the order the
+// sequential pipeline would hit it).
 //
 // With a pinned view, each document resolves at the view's corpus version:
 // superseded versions read their retained snapshot bytes from the
@@ -435,52 +436,37 @@ func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltr
 		return parseInto(i, data, fetch)
 	}
 
-	workers := w.docWorkers()
-	if workers > len(uris) {
-		workers = len(uris)
-	}
-	if workers <= 1 {
-		for i := range uris {
-			if err := fetchOne(i); err != nil {
-				return err
+	// Indexes are claimed in URI order and a claimed task runs to its end,
+	// so every task before the first failing one has run.
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	claim := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(uris) {
+				return
+			}
+			if fetchOne(i) != nil {
+				failed.Store(true)
 			}
 		}
-		return nil
 	}
-
-	var (
-		wg     sync.WaitGroup
-		once   sync.Once
-		cancel = make(chan struct{})
-		idx    = make(chan int)
-	)
-	for p := 0; p < workers; p++ {
+	for range min(w.docWorkers(), len(uris)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				if err := fetchOne(i); err != nil {
-					once.Do(func() { close(cancel) })
-				}
-			}
+			claim()
 		}()
 	}
-feed:
-	for i := range uris {
-		select {
-		case idx <- i:
-		case <-cancel:
-			break feed
-		}
-	}
-	close(idx)
+	claim()
 	wg.Wait()
-	select {
-	case <-cancel:
+	if failed.Load() {
 		return fmt.Errorf("core: document fetch cancelled")
-	default:
-		return nil
 	}
+	return nil
 }
 
 // ParseQueryText compiles a query in either supported surface syntax: the

@@ -83,13 +83,24 @@ type Invoice struct {
 	Lines map[string]USD
 }
 
-// Total sums all lines.
+// Total sums all lines in sorted service order, the order String prints,
+// so the sum's last bit does not depend on the map's iteration order.
 func (inv Invoice) Total() USD {
 	var t USD
-	for _, v := range inv.Lines {
-		t += v
+	for _, k := range inv.services() {
+		t += inv.Lines[k]
 	}
 	return t
+}
+
+// services returns the names of the invoice's lines, sorted.
+func (inv Invoice) services() []string {
+	keys := make([]string, 0, len(inv.Lines))
+	for k := range inv.Lines {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Line returns the amount billed for one service (zero if absent).
@@ -109,13 +120,8 @@ func (inv Invoice) Add(other Invoice) Invoice {
 
 // String renders the invoice with deterministic line order.
 func (inv Invoice) String() string {
-	keys := make([]string, 0, len(inv.Lines))
-	for k := range inv.Lines {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
-	for _, k := range keys {
+	for _, k := range inv.services() {
 		fmt.Fprintf(&b, "%-10s %s\n", k, inv.Lines[k])
 	}
 	fmt.Fprintf(&b, "%-10s %s\n", "total", inv.Total())

@@ -136,6 +136,32 @@ func TestInvoiceTotalAndAdd(t *testing.T) {
 	}
 }
 
+// A bill's total must not depend on the order a map hands out its lines.
+// These lines sum to different float64s in different orders; every freshly
+// built invoice must total to their sum in sorted service order, bit for bit.
+func TestInvoiceTotalIsOrderFree(t *testing.T) {
+	names := []string{"dynamodb", "ec2", "egress", "s3", "sdb", "sqs"} // sorted
+	amounts := []USD{0.3, 0.1, 0.2, 0.7, 0.6, 1e-16}
+	var sorted, reversed USD
+	for i := range amounts {
+		sorted += amounts[i]
+		reversed += amounts[len(amounts)-1-i]
+	}
+	if sorted == reversed {
+		t.Fatal("the lines sum alike in either order, so the test shows nothing")
+	}
+	want := math.Float64bits(float64(sorted))
+	for n := 0; n < 200; n++ {
+		inv := Invoice{Lines: make(map[string]USD, len(names))}
+		for i, name := range names {
+			inv.Lines[name] = amounts[i]
+		}
+		if got := math.Float64bits(float64(inv.Total())); got != want {
+			t.Fatalf("invoice %d totals %#x, the sorted-order sum is %#x", n, got, want)
+		}
+	}
+}
+
 func TestInvoiceString(t *testing.T) {
 	inv := Invoice{Lines: map[string]USD{"s3": 0.5, "ec2": 0.25}}
 	s := inv.String()
