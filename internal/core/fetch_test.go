@@ -33,7 +33,9 @@ func fetchCorpus(n int) ([]xmark.Doc, []string) {
 
 // With a pool of two, two documents are in flight at once: the first two
 // evaluations wait for each other at a barrier, which only a second worker
-// can reach while the first waits.
+// can reach while the first waits. So the caller's goroutine and the
+// helper each ran some of the documents, which the count fetchDocuments
+// returns (the eval span's docs_on_caller) says.
 func TestFetchPoolRunsDocumentsInParallel(t *testing.T) {
 	docs, uris := fetchCorpus(6)
 	w, _ := buildWarehouse(t, Config{Strategy: index.TwoLUPI, QueryWorkers: 2}, docs)
@@ -45,7 +47,7 @@ func TestFetchPoolRunsDocumentsInParallel(t *testing.T) {
 		close(both)
 	}()
 	results := make([]fetchedDoc, len(uris))
-	err := w.fetchDocuments(uris, nil, nil, results, func(i int, doc *xmltree.Document) {
+	onCaller, err := w.fetchDocuments(uris, nil, nil, results, func(i int, doc *xmltree.Document) {
 		if i >= 2 {
 			return
 		}
@@ -63,6 +65,9 @@ func TestFetchPoolRunsDocumentsInParallel(t *testing.T) {
 		if r.err != nil || r.bytes == 0 {
 			t.Errorf("task %d: err %v, %d bytes", i, r.err, r.bytes)
 		}
+	}
+	if onCaller < 1 || onCaller >= len(uris) {
+		t.Errorf("the caller ran %d of %d documents, want some and not all", onCaller, len(uris))
 	}
 }
 

@@ -335,7 +335,8 @@ func TestArenaMetrics(t *testing.T) {
 // xmltree.nodes.*, the names the parse looked up by hash (some, and no more
 // than there are nodes), and its wall time split into the fan-out (fetch,
 // parse and per-document matching) and the assembly, beside the
-// per-document matching summed over the tasks.
+// per-document matching summed over the tasks and the documents the query's
+// own goroutine ran.
 func TestEvalSpanCountsNodesScannedAndBuilt(t *testing.T) {
 	w, _ := indexCorpus(t, Config{Strategy: index.TwoLUPI, Trace: true}, 2, obsTestCorpus())
 	in := ec2.Launch(w.ledger, ec2.XL)
@@ -370,6 +371,9 @@ func TestEvalSpanCountsNodesScannedAndBuilt(t *testing.T) {
 		}
 		if attr("doc_match_us") <= 0 {
 			t.Errorf("%s: doc_match_us %d, want the per-document matching's time", q.Name, attr("doc_match_us"))
+		}
+		if c := attr("docs_on_caller"); c < 0 || c > attr("docs") {
+			t.Errorf("%s: docs_on_caller %d of %d documents", q.Name, c, attr("docs"))
 		}
 		scanned, built = scanned+s, built+b
 	}

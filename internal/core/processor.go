@@ -227,7 +227,7 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	// bytes as before.
 	fanOutStart := time.Now()
 	fetched := mem.fetchedDocs(len(uris))
-	ferr := w.fetchDocuments(uris, view, engine.ProjectionOf(q), fetched, func(i int, doc *xmltree.Document) {
+	onCaller, ferr := w.fetchDocuments(uris, view, engine.ProjectionOf(q), fetched, func(i int, doc *xmltree.Document) {
 		for pi, us := range perPattern {
 			if di, ok := slices.BinarySearch(us, uris[i]); ok {
 				rows[pi][di] = plan.EvalPattern(pi, doc)
@@ -277,6 +277,7 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	esp.SetAttrInt("nodes_scanned", scanned)
 	esp.SetAttrInt("nodes_built", built)
 	esp.SetAttrInt("names_hashed", hashed)
+	esp.SetAttrInt("docs_on_caller", int64(onCaller))
 	esp.SetAttrInt("fetch_parse_us", fanOutEnd.Sub(fanOutStart).Microseconds())
 	esp.SetAttrInt("doc_match_us", docMatch.Microseconds())
 	esp.SetAttrInt("match_us", time.Since(finishStart).Microseconds())
@@ -381,11 +382,12 @@ type fetchedDoc struct {
 // and hands it to eval with its index in uris, one task per URI, on a pool
 // of at most docWorkers goroutines, the caller's own among them, and
 // records task i's outcome in results[i]. A task releases its document once
-// eval returns (xmltree.Document.Release), so eval must keep nothing of its
-// nodes, and the next parse on the worker reuses their memory. eval runs
-// on several goroutines at once, on different documents. Once a task has
-// failed, no worker claims another. The returned error only signals that
-// a task failed; callers scan results in order for the authoritative
+// eval returns (xmltree.Document.Release), so eval must keep nothing of it,
+// not a node and not a string, and the next parse on the worker reuses its
+// memory. eval runs on several goroutines at once, on different documents.
+// Once a task has failed, no worker claims another. It returns how many
+// tasks the caller's own goroutine ran. The returned error only signals
+// that a task failed; callers scan results in order for the authoritative
 // per-URI error, that of the first failing URI in URI order (the order the
 // sequential pipeline would hit it).
 //
@@ -395,7 +397,7 @@ type fetchedDoc struct {
 // store as always. A concurrent update can overwrite the file between the
 // resolution and the fetch, so the fetched bytes are re-checked against
 // the view afterwards — the retained copy wins if the fetch raced.
-func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltree.Projection, results []fetchedDoc, eval func(i int, doc *xmltree.Document)) error {
+func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltree.Projection, results []fetchedDoc, eval func(i int, doc *xmltree.Document)) (onCaller int, err error) {
 	parseInto := func(i int, data []byte, fetch time.Duration) error {
 		doc, err := xmltree.ParseProjected(uris[i], data, proj)
 		if err != nil {
@@ -443,16 +445,18 @@ func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltr
 		failed atomic.Bool
 		wg     sync.WaitGroup
 	)
-	claim := func() {
+	claim := func() (ran int) {
 		for !failed.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= len(uris) {
-				return
+				return ran
 			}
+			ran++
 			if fetchOne(i) != nil {
 				failed.Store(true)
 			}
 		}
+		return ran
 	}
 	for range min(w.docWorkers(), len(uris)) - 1 {
 		wg.Add(1)
@@ -461,12 +465,12 @@ func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltr
 			claim()
 		}()
 	}
-	claim()
+	onCaller = claim()
 	wg.Wait()
 	if failed.Load() {
-		return fmt.Errorf("core: document fetch cancelled")
+		return onCaller, fmt.Errorf("core: document fetch cancelled")
 	}
-	return nil
+	return onCaller, nil
 }
 
 // ParseQueryText compiles a query in either supported surface syntax: the

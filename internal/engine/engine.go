@@ -415,9 +415,9 @@ func isRootCandidate(q *pattern.Node, n *xmltree.Node) bool {
 // Finish: all columns wide, duplicates included, the pattern's own columns
 // filled and the others empty. It only reads the document, so calls may run
 // in parallel, on one document or many. The rows keep nothing of the
-// document's nodes (a column is a Text, a Value or a Content, and the URI
-// is the document's), so the document may be released once it returns. They
-// lie in the plan's memory, valid until Release.
+// document (their column strings are copied, and the URI is the
+// document's), so the document may be released once it returns. They lie in
+// the plan's memory, valid until Release.
 func (p *Plan) EvalPattern(pi int, doc *xmltree.Document) []Row {
 	root := p.roots[pi]
 	m := matcherPool.Get().(*matcher)

@@ -106,25 +106,51 @@ func (p *Plan) memory() *rowMem {
 }
 
 // keep copies rows, which lie in a matcher's memory, into the plan's, at
-// exact size.
+// exact size, and their column strings, which lie in the document's, into
+// the plan's text: the document is released once EvalPattern returns. A
+// column that repeats the one of the row before (the rows of one node's
+// embeddings share its value) shares its copy too.
 func (p *Plan) keep(rows []Row) []Row {
 	if len(rows) == 0 {
 		return nil
 	}
 	w := p.width
+	size := 0
+	for i, r := range rows {
+		for c, s := range r.Cols {
+			if i == 0 || !same(s, rows[i-1].Cols[c]) {
+				size += len(s)
+			}
+		}
+	}
 	p.mu.Lock()
 	m := p.memory()
 	out := take(&m.rows, len(rows))
 	cols := take(&m.cols, len(rows)*w)
+	text := take(&m.text, size)
 	p.mu.Unlock()
 	for i, r := range rows {
 		if w > 0 {
 			r.Cols = cols[i*w : (i+1)*w : (i+1)*w]
-			copy(r.Cols, rows[i].Cols)
+			for c, s := range rows[i].Cols {
+				if i > 0 && same(s, rows[i-1].Cols[c]) {
+					r.Cols[c] = out[i-1].Cols[c]
+				} else if s != "" {
+					n := copy(text, s)
+					r.Cols[c] = unsafe.String(unsafe.SliceData(text), n)
+					text = text[n:]
+				}
+			}
 		}
 		out[i] = r
 	}
 	return out
+}
+
+// same reports whether a and b are one string: the same bytes in the same
+// place.
+func same(a, b string) bool {
+	return len(a) == len(b) && unsafe.StringData(a) == unsafe.StringData(b)
 }
 
 // concat returns the rows of one pattern on all its documents, in document

@@ -5,16 +5,16 @@ import (
 	"sync"
 )
 
-// arena is the memory a Document's nodes and indexes live in, all but the
-// text: the chunks of the node slab and of the Children slab, the one
-// allocation behind Nodes and NodesByLabel, the per-label lists and the
+// arena is the memory a Document's nodes, text and indexes live in: the
+// chunks of the node slab, of the Children slab and of the text slab, the
+// one allocation behind Nodes and NodesByLabel, the per-label lists and the
 // label map. A parse takes a pooled arena and fills it; Release clears it
 // and pools it again, so that the next parse reuses its chunks instead of
-// allocating. The text slab is not in it: a Text or Value kept past Release
-// (a result row's column) must stay what it was.
+// allocating.
 type arena struct {
 	nodes   chunks[Node]
 	kids    chunks[*Node]
+	text    chunks[byte]
 	index   []*Node
 	byLabel [][]*Node
 	labels  map[string]int32
@@ -23,10 +23,15 @@ type arena struct {
 var arenaPool = sync.Pool{New: func() any { return new(arena) }}
 
 // A pooled arena keeps at most maxPooledChunks chunks of each slab and at
-// most maxPooledSlots slots of each in all, the largest chunks first. So one
-// large document does not make every later parse carry its chunks, and the
-// chunks a parse had to make because no free one had room do not pile up.
-const maxPooledChunks = 8
+// most maxPooledSlots slots of the node and Children slabs and
+// maxPooledTextBytes of the text slab in all, the largest chunks first. So
+// one large document does not make every later parse carry its chunks, and
+// the chunks a parse had to make because no free one had room do not pile
+// up.
+const (
+	maxPooledChunks    = 8
+	maxPooledTextBytes = 256 << 10
+)
 
 // chunks is the chunk list of one slab: list[:used] are the chunks the
 // document at hand took, in order, each as long as what it holds; the rest
@@ -61,18 +66,21 @@ func (c *chunks[T]) settle(cur []T) {
 	}
 }
 
-// reset clears the used chunks and keeps, of all, the largest that fit the
-// bounds.
-func (c *chunks[T]) reset() {
+// reset empties the used chunks, clearing them if wipe is set, and keeps,
+// of all, the largest that fit maxPooledChunks and bound slots. Only chunks
+// that hold pointers need wiping, so that the pool pins nothing.
+func (c *chunks[T]) reset(bound int, wipe bool) {
 	for i, ch := range c.list[:c.used] {
-		clear(ch)
+		if wipe {
+			clear(ch)
+		}
 		c.list[i] = ch[:0]
 	}
 	c.used = 0
 	slices.SortFunc(c.list, func(a, b []T) int { return cap(b) - cap(a) })
 	kept, slots := 0, 0
 	for _, ch := range c.list {
-		if kept < maxPooledChunks && slots+cap(ch) <= maxPooledSlots {
+		if kept < maxPooledChunks && slots+cap(ch) <= bound {
 			c.list[kept] = ch
 			kept++
 			slots += cap(ch)
@@ -85,8 +93,9 @@ func (c *chunks[T]) reset() {
 // release clears a, so that it points at nothing a document held, and
 // returns it to the pool.
 func (a *arena) release() {
-	a.nodes.reset()
-	a.kids.reset()
+	a.nodes.reset(maxPooledSlots, true)
+	a.kids.reset(maxPooledSlots, true)
+	a.text.reset(maxPooledTextBytes, false)
 	clear(a.index)
 	clear(a.byLabel)
 	a.index, a.byLabel = a.index[:0], a.byLabel[:0]
@@ -100,18 +109,18 @@ func (a *arena) release() {
 	arenaPool.Put(a)
 }
 
-// Release hands the memory of d's nodes and indexes to later parses: the
-// node slab, the Children slices and the Nodes and NodesByLabel indexes,
-// cleared. Afterwards d reads as empty (no Root, no nodes, NodesScanned 0;
-// URI and SourceBytes stay), and a second call does nothing.
+// Release hands the memory of d's nodes, text and indexes to later parses:
+// the node slab, the Children slices, the text slab and the Nodes and
+// NodesByLabel indexes, cleared. Afterwards d reads as empty (no Root, no
+// nodes, NodesScanned 0; URI and SourceBytes stay), and a second call does
+// nothing.
 //
-// Only the document's owner may call it, once nothing reads its nodes any
-// more: a *Node, a Children slice or a Nodes or NodesByLabel result kept
-// past Release reads another document's nodes or none. What a node handed
-// out as a string stays valid: a Text or Value lies in the text slab, which
-// is not recycled (it pins its chunk as before), or in a string of its own,
-// a Content is built afresh, and a Label is the symbol table's copy. A
-// document that is never released is left to the collector as before.
+// Only the document's owner may call it, once nothing reads the document
+// any more: nothing it handed out may be read after Release, not a *Node, a
+// Children slice or a Nodes or NodesByLabel result, and not a Text or a
+// Value() string either, since the next parse writes over the text slab. A
+// caller that keeps a string past Release copies it first. A document that
+// is never released is left to the collector as before.
 func (d *Document) Release() {
 	a := d.mem
 	if a == nil {

@@ -7,16 +7,19 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // FuzzRecycledParseMatchesFresh parses input a under a projection drawn from
 // it, releases the document and parses input b on the memory it gave back:
-// b's document must be the one a parse into fresh memory builds, node for
-// node and index for index, a's must read as empty, and the Texts a's nodes
-// handed out must be what they were. A second arm parses b on the scratch
+// a's must read as empty, b's first text copied into its slab must land in
+// a's largest text chunk when that has room for it, and b's document must
+// be the one a parse into fresh memory builds, node for node and index for
+// index. A second arm parses b on the scratch
 // that parsed a, whose symbols' guesses a trained: b must get the verdict,
 // the error text and the nodes of a parse on a fresh scratch. The seeds are
 // the corpus of FuzzParseDifferential, each paired with the next.
@@ -111,15 +114,20 @@ func dumpBuilt(d *Document) string {
 }
 
 // checkRecycled is the contract of FuzzRecycledParseMatchesFresh on one pair
-// of inputs.
-func checkRecycled(t *testing.T, a, b []byte) {
+// of inputs. It reports whether b's first text copied into its slab was
+// shown to lie in a text chunk a gave back.
+func checkRecycled(t *testing.T, a, b []byte) (reusedText bool) {
+	var mem *arena
 	pa, errA := parseWith(new(scratch), new(arena), "a.xml", a, drawnProjection(a))
 	if errA == nil {
-		var texts, labels []string
+		var labels []string
 		for _, n := range pa.Nodes() {
-			texts, labels = append(texts, n.Text), append(labels, n.Label)
+			labels = append(labels, n.Label)
 		}
-		kept := strings.Join(texts, "\x00")
+		// Empty the pool's slot for this P, so that the arena the release
+		// puts there is the next one handed out.
+		defer arenaPool.Put(arenaPool.Get())
+		mem = pa.mem
 		pa.Release()
 		if pa.Root != nil || pa.NodeCount() != 0 || len(pa.Nodes()) != 0 || pa.NodesScanned() != 0 {
 			t.Fatalf("a released document reads %d of %d nodes, root %v", pa.NodeCount(), pa.NodesScanned(), pa.Root)
@@ -133,15 +141,15 @@ func checkRecycled(t *testing.T, a, b []byte) {
 			t.Fatalf("a released document is %q of %d bytes", pa.URI, pa.SourceBytes)
 		}
 		pa.Release()
-		defer func() {
-			if got := strings.Join(texts, "\x00"); got != kept {
-				t.Fatalf("the Texts of a released document changed:\n%q\nwas\n%q", got, kept)
-			}
-		}()
 	}
 	// What a released (or failed) parse gave back is the pool's newest
-	// arena; parse b on it.
+	// arena; parse b on it. The text chunks a's arena kept are its free
+	// ones now, the largest first.
 	recycled := arenaPool.Get().(*arena)
+	var largest []byte
+	if recycled == mem && len(mem.text.list) > 0 {
+		largest = mem.text.list[0][:cap(mem.text.list[0])]
+	}
 	projB := drawnProjection(b)
 	pb, errB := parseWith(new(scratch), recycled, "b.xml", b, projB)
 	fresh, errF := parseWith(new(scratch), new(arena), "b.xml", b, projB)
@@ -149,13 +157,41 @@ func checkRecycled(t *testing.T, a, b []byte) {
 		t.Fatalf("on recycled memory the parse says %v, on fresh memory %v", errB, errF)
 	}
 	if errB != nil {
-		return
+		return false
 	}
 	if got, want := dumpBuilt(pb), dumpBuilt(fresh); got != want {
 		t.Fatalf("b parsed on recycled memory\n%s\nb parsed on fresh memory\n%s\na %q\nb %q", got, want, a, b)
 	}
+	// The first text b copied into its slab took the largest free chunk
+	// with room for it: a's largest, if that has room. Copies come in pre
+	// order, and a text the scanner built (references decoded, pieces
+	// joined) lies in no chunk.
+	used := recycled.text.list[:recycled.text.used]
+	for _, n := range pb.Nodes() {
+		if !slices.ContainsFunc(used, func(c []byte) bool { return within(n.Text, c[:cap(c)]) }) {
+			continue
+		}
+		if len(n.Text) <= len(largest) {
+			if !within(n.Text, largest) {
+				t.Fatalf("b's first copied text %q is not in the %d-byte text chunk a gave back\na %q\nb %q", n.Text, len(largest), a, b)
+			}
+			reusedText = true
+		}
+		break
+	}
 	pb.Release()
 	fresh.Release()
+	return reusedText
+}
+
+// within reports whether the bytes of the non-empty s lie in chunk.
+func within(s string, chunk []byte) bool {
+	if s == "" || len(chunk) == 0 {
+		return false
+	}
+	at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(chunk)))
+	return at >= start && at+uintptr(len(s)) <= start+uintptr(len(chunk))
 }
 
 // checkTrained is the second arm of FuzzRecycledParseMatchesFresh: b parsed
@@ -182,15 +218,28 @@ func checkTrained(t *testing.T, a, b []byte) {
 // scratch, of the one before it.
 func TestRecycledParseMatchesFresh(t *testing.T) {
 	docs := benchDocs()
+	reused := 0
 	for i := range docs {
-		checkRecycled(t, docs[i].Data, docs[(i+1)%len(docs)].Data)
+		if checkRecycled(t, docs[i].Data, docs[(i+1)%len(docs)].Data) {
+			reused++
+		}
 		checkTrained(t, docs[i].Data, docs[(i+1)%len(docs)].Data)
+	}
+	t.Logf("%d of %d parses copied text into a chunk the document before gave back", reused, len(docs))
+	if reused == 0 && !raceEnabled {
+		t.Fatalf("no parse of %d copied its text into a chunk the document before it gave back", len(docs))
 	}
 }
 
-// A parse on the memory a released document gave back allocates little
-// beyond the document's header and the text it copies: a quarter at most
-// of what the same parse allocates when the documents are never released.
+// recycledParseBytes bounds what a parse on the memory a released document
+// gave back allocates. That is its Document header and nothing else: 112
+// bytes measured (Go 1.24, linux/amd64), against 33.6 KB when the documents
+// are never released. The bound leaves room for the pool to lose an arena
+// to the collector once in the 200 parses measured.
+const recycledParseBytes = 512
+
+// TestRecycledParseAllocations holds a projected parse on released memory
+// to recycledParseBytes.
 func TestRecycledParseAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop what is put back")
@@ -237,7 +286,7 @@ func TestRecycledParseAllocations(t *testing.T) {
 	}
 	fresh, recycled := bytesPerParse(false), bytesPerParse(true)
 	t.Logf("%d nodes built of a %d-byte document: %d bytes a parse kept, %d released", most, len(data), fresh, recycled)
-	if 4*recycled > fresh {
-		t.Fatalf("a parse on released memory allocates %d bytes, one that keeps its documents %d: want at most a quarter", recycled, fresh)
+	if recycled > recycledParseBytes {
+		t.Fatalf("a parse on released memory allocates %d bytes, one that keeps its documents %d: want at most %d", recycled, fresh, recycledParseBytes)
 	}
 }

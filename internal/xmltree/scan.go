@@ -81,6 +81,7 @@ func parseWith(s *scratch, a *arena, uri string, data []byte, proj *Projection) 
 	}
 	p.mem.nodes.settle(p.slab)
 	p.mem.kids.settle(p.kidSlab)
+	p.mem.text.settle(p.text)
 	if err != nil {
 		p.mem.release()
 		return nil, err
@@ -129,7 +130,7 @@ type parser struct {
 	// scratch.kids.
 	kidSlab []*Node
 
-	// text is the chunk of the text slab that keep copies into, and
+	// text, the last chunk of mem.text, is what keep copies into, and
 	// textNext the size of a projected parse's next chunk.
 	text     []byte
 	textNext int
@@ -975,26 +976,24 @@ func (p *parser) keep(s string) string {
 		return s
 	}
 	if len(s) > cap(p.text)-len(p.text) {
-		switch {
-		case p.proj == nil:
-			// What a full parse copies later lies after s, so one chunk
-			// holds all of it.
-			p.text = make([]byte, 0, len(p.src)-int(off))
-		case len(s) > maxTextChunk:
-			return strings.Clone(s)
-		default:
+		// What a full parse copies later lies after s, so one chunk holds
+		// all of it.
+		want := len(p.src) - int(off)
+		if p.proj != nil {
 			p.textNext = min(max(2*p.textNext, minTextChunk), maxTextChunk)
-			p.text = make([]byte, 0, max(p.textNext, len(s)))
+			want = max(p.textNext, len(s))
 		}
+		p.mem.text.settle(p.text)
+		p.text = p.mem.text.take(len(s), want)
 	}
 	at := len(p.text)
 	p.text = append(p.text, s...)
 	return unsafe.String(&p.text[at], len(s))
 }
 
-// The chunks of a projected parse's text slab double from minTextChunk to
-// maxTextChunk bytes, so that a retained Text pins little; a longer text
-// gets an allocation of its own.
+// The chunks a projected parse adds to its text slab double from
+// minTextChunk to maxTextChunk bytes, so that a parse that keeps little text
+// takes little; a longer text gets a chunk of its own size.
 const (
 	minTextChunk = 256
 	maxTextChunk = 8 << 10

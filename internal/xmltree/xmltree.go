@@ -29,15 +29,16 @@
 // input goes into the document's text slab, and a Label is the symbol
 // table's copy of the name. So the caller's buffer is free to change after
 // the call, a Label kept after the Document is dropped keeps no text
-// alive, and a kept Text keeps its slab chunk, all of the document's text
-// under Parse and a chunk of at most 8 KB (or the text alone, if longer)
-// under a projection. Each distinct tag and attribute name is hashed,
-// split and looked up in the projection once per document, not once per
-// tag, through a symbol table that pooled scratch state carries from parse
-// to parse along with the stacks of the scan (scratch.go). Nodes come out
-// of one slab sized from the input, all Children slices out of another,
-// and a per-document label table is the NodesByLabel index. Release hands
-// that memory, but for the text, to the next parse (arena.go).
+// alive, and a Text kept from a document that is never released keeps its
+// slab chunk, all of the document's text under Parse and a chunk of at
+// most 8 KB (or the text alone, if longer) under a projection. Each
+// distinct tag and attribute name is hashed, split and looked up in the
+// projection once per document, not once per tag, through a symbol table
+// that pooled scratch state carries from parse to parse along with the
+// stacks of the scan (scratch.go). Nodes come out of one slab sized from
+// the input, all Children slices out of another, and a per-document label
+// table is the NodesByLabel index. Release hands that memory, the text
+// slab included, to the next parse (arena.go).
 //
 // What Parse accepts is defined by the encoding/xml tokenizer it replaced
 // (Decoder.Token in strict mode, no Entity map, no CharsetReader), which
@@ -135,8 +136,7 @@ type Node struct {
 	Label string
 	// Text is the character data of a Text node or the value of an
 	// Attribute node; empty for elements. It is a copy, usually in the
-	// document's text slab, so a Text kept past the Document keeps its
-	// chunk of that slab.
+	// document's text slab, and so is not to be read after Release.
 	Text string
 	ID   NodeID
 	Kind NodeKind
