@@ -31,7 +31,7 @@ benchtest:
 # docsize fails when DESIGN.md, EXPERIMENTS.md or README.md is longer than
 # its ceiling below, so the docs cannot grow. A change that shortens one
 # lowers its ceiling to the new count.
-DESIGN_MAX_LINES = 800
+DESIGN_MAX_LINES = 799
 EXPERIMENTS_MAX_LINES = 774
 README_MAX_LINES = 234
 docsize:

@@ -36,7 +36,9 @@
 // With -mutable the warehouse runs a mutable corpus: -update and -remove
 // mutate documents atomically before querying, -compact-every sets the
 // delta-compaction interval, and the serve daemon additionally accepts
-// writes on PUT/DELETE /document?uri=... (PUT body = the new XML).
+// writes on PUT/DELETE /document?uri=... (PUT body = the new XML). Without
+// -mutable the warehouse is append-only, and -update, -remove and
+// -obs-smoke are refused before anything is loaded.
 //
 // -metrics-addr serves Prometheus text format on /metrics (plus /trace.json)
 // while the process runs; -obs-smoke scrapes the exporter once over HTTP and
@@ -102,18 +104,29 @@ func main() {
 	explain := flag.Bool("explain", false, "print the look-up plan before running each query")
 	noIndex := flag.Bool("no-index", false, "answer the query without using the index")
 	runWorkload := flag.Bool("workload", false, "run the 10-query XMark workload")
-	remove := flag.String("remove", "", "remove this document (file + index entries) before querying")
+	remove := flag.String("remove", "", "mutable: remove this document (file and index entries) before querying")
 	mutable := flag.Bool("mutable", false, "run a mutable corpus: atomic updates, snapshot reads, delta compaction")
 	compactEvery := flag.Int("compact-every", 16, "mutable: fold the write buffer after this many mutations (0 = only on demand)")
 	update := flag.String("update", "", "mutable: update one document before querying, as uri=path/to.xml")
 	repl := flag.Bool("repl", false, "read queries interactively from stdin after loading")
 	stats := flag.Bool("stats", false, "print warehouse statistics and the bill")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /trace.json on this address while running")
-	obsSmoke := flag.Bool("obs-smoke", false, "scrape the metrics exporter once over HTTP, verify it parses, and report")
+	obsSmoke := flag.Bool("obs-smoke", false, "mutable: run a short write walk, scrape the metrics exporter once over HTTP, verify it parses, and report")
 	serveAddr := flag.String("addr", "127.0.0.1:8080", "serve: listen address for the query daemon")
 	serveWorkers := flag.Int("serve-workers", 0, "serve: query processors, and queries run at once (0 = NumCPU)")
 	serveQueue := flag.Int("serve-queue", 0, "serve: queries that may wait beyond those running (0 = 4x workers)")
 	flag.Parse()
+	// The write flags act on a mutable corpus only: refuse them before
+	// anything is generated, loaded or indexed.
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"update", *update != ""}, {"remove", *remove != ""}, {"obs-smoke", *obsSmoke}} {
+		if f.set && !*mutable {
+			fmt.Fprintf(os.Stderr, "-%s needs -mutable\n", f.name)
+			os.Exit(2)
+		}
+	}
 
 	s, err := index.ByName(*strategy)
 	if err != nil {
@@ -235,7 +248,7 @@ func main() {
 		lastID = st.ID
 		fmt.Printf("\n%s: %s\n", name, text)
 		fmt.Printf("  index gets=%d  docs fetched=%d  rows=%d  modeled response=%v\n",
-			st.GetOps, st.DocsFetched, len(res.Rows), st.ResponseTime)
+			st.Lookup.GetOps, st.DocsFetched, len(res.Rows), st.ResponseTime)
 		fmt.Printf("  lookup: get time=%v  bytes=%d  twig candidates=%d  cache hits=%d misses=%d  store retries=%d\n",
 			st.Lookup.GetTime, st.Lookup.BytesFetched, st.Lookup.TwigCandidates,
 			st.Lookup.CacheHits, st.Lookup.CacheMisses, st.Lookup.StoreRetries)

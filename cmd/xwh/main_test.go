@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -93,6 +94,31 @@ func TestServeDefaultWorkersMatchProcessors(t *testing.T) {
 	want := fmt.Sprintf("(%d query processors,", s.Limits().Workers)
 	if b := banner("127.0.0.1:8080", s, backend); !strings.Contains(b, want) {
 		t.Errorf("banner %q does not announce %q", b, want)
+	}
+}
+
+// Without -mutable the warehouse is append-only: xwh refuses -update,
+// -remove and -obs-smoke (whose write walk removes documents) at flag
+// parsing, exit status 2, before it generates, loads or indexes a document.
+func TestWriteFlagsNeedMutable(t *testing.T) {
+	for _, args := range [][]string{
+		{"-docs", "4", "-update", "xmark-000001.xml=missing.xml"},
+		{"-docs", "4", "-remove", "xmark-000001.xml"},
+		{"-docs", "4", "-obs-smoke"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), runAsXWH+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("xwh %v: %v, want exit status 2\n%s", args, err, out)
+		}
+		if want := args[2] + " needs -mutable"; !strings.Contains(string(out), want) {
+			t.Errorf("xwh %v does not say %q:\n%s", args, want, out)
+		}
+		if strings.Contains(string(out), "indexed") {
+			t.Errorf("xwh %v indexed before refusing:\n%s", args, out)
+		}
 	}
 }
 

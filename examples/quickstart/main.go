@@ -53,7 +53,7 @@ func main() {
 	}
 	fmt.Printf("\n%s\n", q)
 	fmt.Printf("  looked up %d index keys, fetched %d of %d documents, answered in %v modeled time\n",
-		stats.GetOps, stats.DocsFetched, report.Docs, stats.ResponseTime)
+		stats.Lookup.GetOps, stats.DocsFetched, report.Docs, stats.ResponseTime)
 	for _, row := range result.Rows {
 		fmt.Printf("  %-20s <- %s\n", row.Cols[0], row.URI)
 	}

@@ -58,7 +58,7 @@ func TestCostModelAgreesWithMeteredBilling(t *testing.T) {
 	meteredQ := book.Bill(delta).Total()
 	formulaQ := costmodel.QueryCostIndexed(book, costmodel.QueryMetrics{
 		ResultGB:        float64(stats.ResultBytes) / pricing.GB,
-		IndexGetOps:     stats.GetOps,
+		IndexGetOps:     stats.Lookup.GetOps,
 		DocsRetrieved:   int64(stats.DocsFetched),
 		ProcessingHours: stats.ResponseTime.Hours(),
 		VMType:          "xl",

@@ -157,7 +157,7 @@ func RunFig9(e *QueryEnv) ([]Fig9Cell, error) {
 					Access:    a,
 					Instance:  typ.Name,
 					Response:  stats.ResponseTime,
-					LookupGet: stats.LookupGetTime,
+					LookupGet: stats.Lookup.GetTime,
 					Plan:      stats.PlanTime,
 					FetchEval: stats.FetchEvalTime,
 					Stats:     stats,

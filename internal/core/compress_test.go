@@ -40,12 +40,18 @@ func TestCompressPathsWarehouse(t *testing.T) {
 		}
 	}
 
-	// Removal works on compressed indexes too.
-	in := ec2.Launch(comp.ledger, ec2.Large)
-	if err := comp.RemoveDocument(in, "delacroix.xml"); err != nil {
+	// Removal works on compressed indexes too: the fold deletes the
+	// document's compressed-path items.
+	w, in := mutablePaintings(t, Config{Strategy: index.LUP, CompressPaths: true})
+	items := w.IndexItems()
+	if err := w.RemoveDocument(in, "delacroix.xml"); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := comp.RunQueryOn(in, q, true)
+	compactFully(t, w, in)
+	if w.IndexItems() >= items {
+		t.Error("index did not shrink")
+	}
+	res, _, err := w.RunQueryOn(in, q, true)
 	if err != nil {
 		t.Fatal(err)
 	}

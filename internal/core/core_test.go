@@ -140,8 +140,8 @@ func TestRunQueryOnWithAndWithoutIndex(t *testing.T) {
 		if si.ResponseTime >= sn.ResponseTime {
 			t.Errorf("%s: indexed response %v not faster than %v", s.Name(), si.ResponseTime, sn.ResponseTime)
 		}
-		if si.GetOps == 0 || sn.GetOps != 0 {
-			t.Errorf("%s: get ops with=%d without=%d", s.Name(), si.GetOps, sn.GetOps)
+		if si.Lookup.GetOps == 0 || sn.Lookup.GetOps != 0 {
+			t.Errorf("%s: get ops with=%d without=%d", s.Name(), si.Lookup.GetOps, sn.Lookup.GetOps)
 		}
 		if sn.DocsFetched != 13 {
 			t.Errorf("no-index fetched %d docs, want all 13", sn.DocsFetched)
@@ -183,14 +183,14 @@ func TestQueryStatsDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.LookupGetTime <= 0 || st.PlanTime <= 0 || st.FetchEvalTime <= 0 {
+	if st.Lookup.GetTime <= 0 || st.PlanTime <= 0 || st.FetchEvalTime <= 0 {
 		t.Errorf("decomposition has zero components: %+v", st)
 	}
 	// The multicore overlap property the paper highlights: response time
 	// below the sum of the detailed components is allowed; it must at
 	// least cover the serial look-up part.
-	if st.ResponseTime < st.LookupGetTime+st.PlanTime {
-		t.Errorf("response %v below serial lookup %v", st.ResponseTime, st.LookupGetTime+st.PlanTime)
+	if st.ResponseTime < st.Lookup.GetTime+st.PlanTime {
+		t.Errorf("response %v below serial lookup %v", st.ResponseTime, st.Lookup.GetTime+st.PlanTime)
 	}
 }
 

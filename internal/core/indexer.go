@@ -523,47 +523,3 @@ func extractAhead(depth int, receive func(int) *indexTask, extract func(*indexTa
 func (w *Warehouse) nackLoaderMessage(receipt string) {
 	w.queues.ChangeVisibility(LoaderQueue, receipt, 0)
 }
-
-// RemoveDocument drops a document from the warehouse: its index entries
-// first (while the file is still readable), then the file itself. This is
-// an extension beyond the paper's append-only warehouse; the modeled work
-// is scheduled on the given instance.
-//
-// On a mutable corpus the removal is manifest-driven: the document's
-// retained contribution is tombstoned in the write buffer as one atomic
-// version bump — no fetch, no re-extraction — and queries pinned before
-// the bump keep seeing the document until they drain. Mutable removal is
-// idempotent: re-running a crashed removal (index already tombstoned, or
-// file already deleted) converges to the same fully removed state, like
-// S3's own delete of a missing key.
-func (w *Warehouse) RemoveDocument(in *ec2.Instance, uri string) error {
-	if w.corpus != nil {
-		w.corpus.Remove(uri)
-		drop, err := w.files.Delete(Bucket, DocKey(uri))
-		if err != nil {
-			return fmt.Errorf("core: removing %s: %w", uri, err)
-		}
-		in.Run(drop)
-		return w.maybeCompact(in)
-	}
-	obj, fetch, err := w.files.Get(Bucket, DocKey(uri))
-	if err != nil {
-		return fmt.Errorf("core: removing %s: %w", uri, err)
-	}
-	doc, err := xmltree.Parse(uri, obj.Data)
-	if err != nil {
-		return err
-	}
-	parse := in.ComputeDuration(int64(len(obj.Data)), w.Perf.ParseBytesPerECUSec)
-	dels, _, err := index.DeleteDocument(w.store, w.Strategy, doc, w.indexOptions(), w.cache)
-	doc.Release()
-	if err != nil {
-		return err
-	}
-	drop, err := w.files.Delete(Bucket, DocKey(uri))
-	if err != nil {
-		return err
-	}
-	in.Run(fetch + parse + dels + drop)
-	return nil
-}

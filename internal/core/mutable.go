@@ -11,10 +11,10 @@ import (
 )
 
 // This file is the warehouse-side surface of the mutable corpus
-// (Config.MutableCorpus): atomic updates, manifest-driven removal (see
-// RemoveDocument in indexer.go), snapshot pinning for queries, and the
-// compaction entry points. The state machine itself lives in
-// internal/mutate.
+// (Config.MutableCorpus): atomic updates, manifest-driven removal, snapshot
+// pinning for queries, and the compaction entry points. Updates and
+// removals go through it only: an immutable warehouse, like the paper's,
+// only adds documents. The state machine itself lives in internal/mutate.
 
 // Corpus exposes the mutable-corpus state machine, or nil when
 // Config.MutableCorpus is off. Tests use it to pin explicit snapshot
@@ -62,6 +62,31 @@ func (w *Warehouse) UpdateDocument(in *ec2.Instance, uri string, data []byte) er
 	in.Run(put + compute)
 	sp.SetModeled(put + compute)
 	sp.SetAttrInt("version", int64(ar.Version))
+	return w.maybeCompact(in)
+}
+
+// RemoveDocument drops a document from the warehouse, an extension beyond
+// the paper's append-only warehouse. The document's retained contribution
+// is tombstoned in the write buffer as one atomic version bump — no fetch,
+// no re-extraction — and its file is deleted; the compaction fold deletes
+// its items from the store. Queries pinned before the bump keep seeing the
+// document until they drain. Removal is idempotent: re-running a crashed
+// removal (index already tombstoned, or file already deleted) converges to
+// the same fully removed state, like S3's own delete of a missing key. The
+// modeled work is scheduled on the given instance.
+//
+// Removal requires Config.MutableCorpus, like UpdateDocument: on an
+// immutable warehouse it fails before it sends any request.
+func (w *Warehouse) RemoveDocument(in *ec2.Instance, uri string) error {
+	if w.corpus == nil {
+		return fmt.Errorf("core: removing %s: RemoveDocument requires Config.MutableCorpus", uri)
+	}
+	w.corpus.Remove(uri)
+	drop, err := w.files.Delete(Bucket, DocKey(uri))
+	if err != nil {
+		return fmt.Errorf("core: removing %s: %w", uri, err)
+	}
+	in.Run(drop)
 	return w.maybeCompact(in)
 }
 

@@ -280,11 +280,13 @@ func TestServedSpanTree(t *testing.T) {
 
 // The index store's physical footprint is on the registry as kv.arena.*,
 // read from the store at export time: live bytes and chunks after indexing,
-// dead bytes after a removal, and a rewrite once the removals have killed
-// as many bytes as stay live.
+// dead bytes after a removal is folded, and a rewrite once the removals
+// have killed as many bytes as stay live.
 func TestArenaMetrics(t *testing.T) {
 	docs := obsTestCorpus()
-	w, _ := indexCorpus(t, Config{Strategy: index.TwoLUPI}, 2, docs)
+	w, _ := indexCorpus(t, Config{Strategy: index.TwoLUPI, MutableCorpus: true}, 2, docs)
+	in := ec2.Launch(w.Ledger(), ec2.Large)
+	compactFully(t, w, in)
 	value := func(name string) int64 {
 		t.Helper()
 		var buf strings.Builder
@@ -310,10 +312,10 @@ func TestArenaMetrics(t *testing.T) {
 	if dead, rewrites := value("xwh_kv_arena_dead_bytes"), value("xwh_kv_arena_rewrites_total"); dead != 0 || rewrites != 0 {
 		t.Fatalf("after indexing alone: dead_bytes %d, rewrites %d, want 0 and 0", dead, rewrites)
 	}
-	in := ec2.Launch(w.Ledger(), ec2.Large)
 	if err := w.RemoveDocument(in, docs[0].URI); err != nil {
 		t.Fatal(err)
 	}
+	compactFully(t, w, in)
 	if dead := value("xwh_kv_arena_dead_bytes"); dead <= 0 || value("xwh_kv_arena_live_bytes") >= live {
 		t.Errorf("after one removal: dead_bytes %d, live_bytes %d (was %d)", dead, value("xwh_kv_arena_live_bytes"), live)
 	}
@@ -322,6 +324,7 @@ func TestArenaMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	compactFully(t, w, in)
 	if rewrites := value("xwh_kv_arena_rewrites_total"); rewrites <= 0 {
 		t.Errorf("after removing every document: rewrites %d, want > 0", rewrites)
 	}

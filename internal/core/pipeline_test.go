@@ -29,7 +29,7 @@ func TestXQueryThroughWarehouse(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	if stats.GetOps == 0 || stats.DocsFetched >= 13 {
+	if stats.Lookup.GetOps == 0 || stats.DocsFetched >= 13 {
 		t.Errorf("XQuery did not go through the index: %+v", stats)
 	}
 }

@@ -50,31 +50,29 @@ type QueryStats struct {
 	ID       string
 	Strategy string // "none" for the no-index baseline
 
-	// LookupGetTime is the index-store latency ("DynamoDB get");
-	// PlanTime the local physical plan over the fetched index data
+	// PlanTime is the local physical plan over the fetched index data
 	// ("plan execution"); FetchEvalTime the summed S3 transfer + local
 	// evaluation over candidate documents ("S3 documents transfer and
-	// results extraction"). Per-document work runs on all cores, so
-	// ResponseTime — the modeled elapsed time from message retrieval to
-	// message deletion — is less than the sum of the components.
-	LookupGetTime time.Duration
+	// results extraction"). The index-store latency ("DynamoDB get") is
+	// Lookup.GetTime. Per-document work runs on all cores, so ResponseTime
+	// — the modeled elapsed time from message retrieval to message
+	// deletion — is less than the sum of the components.
 	PlanTime      time.Duration
 	FetchEvalTime time.Duration
 	ResponseTime  time.Duration
 
-	// GetOps is |op(q,D,I)|; DocIDsFromIndex the per-pattern sum of URIs
-	// returned by the look-up (Table 5's "Doc. IDs from index");
-	// DocsFetched the distinct documents transferred from S3.
-	GetOps          int64
+	// DocIDsFromIndex is the per-pattern sum of URIs returned by the
+	// look-up (Table 5's "Doc. IDs from index"); DocsFetched the distinct
+	// documents transferred from S3.
 	DocIDsFromIndex int
 	DocsFetched     int
 
 	ResultRows  int
 	ResultBytes int64
 
-	// Lookup is the full look-up statistics of steps 10-12 (cache traffic,
-	// twig candidates, store retries); GetOps and LookupGetTime above are
-	// its headline numbers, kept for compatibility.
+	// Lookup is the look-up statistics of steps 10-12: among them GetOps,
+	// |op(q,D,I)|, and GetTime, with cache traffic, twig candidates and
+	// store retries.
 	Lookup index.LookupStats
 }
 
@@ -186,8 +184,6 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 			return stats, err
 		}
 		perPattern = sets
-		stats.GetOps = lst.GetOps
-		stats.LookupGetTime = lst.GetTime
 		stats.PlanTime = in.ComputeDuration(lst.BytesFetched, w.Perf.PlanBytesPerECUSec)
 		stats.Lookup = lst
 		in.RunOn(0, lst.GetTime+stats.PlanTime)

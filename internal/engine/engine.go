@@ -19,6 +19,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/pattern"
 	"repro/internal/xmltree"
@@ -308,10 +309,11 @@ func EvalQueryOnDocs(q *pattern.Query, docs []*xmltree.Document) (*Result, error
 // full trees or ones parsed under ProjectionOf(q); the rows are the same.
 //
 // The per-(pattern, document) evaluations are independent reads of
-// immutable structures, so they run on a bounded worker pool; the optional
-// trailing argument caps its size (0 or absent selects GOMAXPROCS, 1 runs
-// sequentially). Finish reassembles the rows in (pattern, document) order,
-// so the result is identical at every concurrency level.
+// immutable structures, so the caller and up to workers-1 helper goroutines
+// share them; the optional trailing argument sets workers (0 or absent
+// selects GOMAXPROCS, 1 runs them all on the caller). Finish reassembles
+// the rows in (pattern, document) order, so the result is identical at
+// every concurrency level.
 func EvalQueryOnDocSets(q *pattern.Query, docSets [][]*xmltree.Document, workers ...int) (*Result, error) {
 	p, err := NewPlan(q)
 	if err != nil {
@@ -332,9 +334,9 @@ func evalWorkers(workers []int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// evalDocSets runs every (pattern, document) evaluation, fanning the tasks
-// out over at most `workers` goroutines, and returns the rows of pattern pi
-// on docSets[pi][di] at [pi][di].
+// evalDocSets runs every (pattern, document) evaluation and returns the
+// rows of pattern pi on docSets[pi][di] at [pi][di]. The caller and up to
+// workers-1 helpers claim the tasks from a shared cursor until none is left.
 func (p *Plan) evalDocSets(docSets [][]*xmltree.Document, workers int) [][][]Row {
 	type task struct{ pi, di int }
 	var tasks []task
@@ -345,33 +347,22 @@ func (p *Plan) evalDocSets(docSets [][]*xmltree.Document, workers int) [][][]Row
 			tasks = append(tasks, task{pi, di})
 		}
 	}
-	run := func(t task) {
-		rows[t.pi][t.di] = p.EvalPattern(t.pi, docSets[t.pi][t.di])
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			run(t)
+	var next atomic.Int64
+	claim := func() {
+		for i := int(next.Add(1)) - 1; i < len(tasks); i = int(next.Add(1)) - 1 {
+			t := tasks[i]
+			rows[t.pi][t.di] = p.EvalPattern(t.pi, docSets[t.pi][t.di])
 		}
-		return rows
 	}
 	var wg sync.WaitGroup
-	next := make(chan task)
-	for w := 0; w < workers; w++ {
+	for range min(workers, len(tasks)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range next {
-				run(t)
-			}
+			claim()
 		}()
 	}
-	for _, t := range tasks {
-		next <- t
-	}
-	close(next)
+	claim()
 	wg.Wait()
 	return rows
 }

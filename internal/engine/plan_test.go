@@ -145,3 +145,45 @@ func TestPlanPerDocumentMatchesDocSets(t *testing.T) {
 		t.Fatal("Finish took the rows of no pattern for a query of one")
 	}
 }
+
+// EvalQueryOnDocSets' rows do not depend on how many goroutines claim its
+// tasks: on the workload's queries over generated documents, every worker
+// count, more than there are tasks included, gives the one-worker result.
+func TestEvalQueryOnDocSetsSameAtEveryWorkerCount(t *testing.T) {
+	cfg := xmark.DefaultConfig(12)
+	cfg.TargetDocBytes = 3 << 10
+	var docs []*xmltree.Document
+	for i := 0; i < cfg.Docs; i++ {
+		gd := xmark.GenerateDoc(cfg, i)
+		d, err := xmltree.Parse(gd.URI, gd.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, d)
+	}
+	rows := 0
+	for _, wq := range workload.XMark() {
+		q := wq.Parse()
+		sets := make([][]*xmltree.Document, len(q.Patterns))
+		for pi := range sets {
+			sets[pi] = docs[pi%2:] // the patterns' sets differ in length
+		}
+		want, err := EvalQueryOnDocSets(q, sets, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", wq.Name, err)
+		}
+		rows += len(want.Rows)
+		for _, workers := range []int{2, 3, 8, 1000} {
+			got, err := EvalQueryOnDocSets(q, sets, workers)
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", wq.Name, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d workers give\n%v\none gives\n%v", wq.Name, workers, got, want)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no query has rows")
+	}
+}

@@ -18,9 +18,11 @@ import (
 // quantities of Section 7. Hits, misses and evictions are reported
 // separately through LookupStats so experiments can tell the two apart.
 //
-// Coherence with writers: WriteExtraction and DeleteDocument invalidate
-// every (table, key) they touch after mutating the store, so a subsequent
-// look-up refetches fresh postings. Cached postings are shared read-only
+// Coherence with writers: WriteExtraction and the bulk loader invalidate
+// every (table, key) they touch after writing the store, so a subsequent
+// look-up refetches fresh postings; on a mutable corpus, which is the only
+// one that removes documents, the write buffer's stamps keep entries
+// coherent (cacheKey.ver). Cached postings are shared read-only
 // between look-ups and must not be mutated by readers.
 
 // cacheKey identifies one cached read: a hash key of a table, decoded under
@@ -220,7 +222,7 @@ func (c *PostingCache) Invalidate(table, key string) {
 }
 
 // InvalidateExtraction drops every (table, key) an extraction touches; it
-// is the invalidation hook WriteExtraction and DeleteDocument call.
+// is the invalidation hook WriteExtraction calls.
 func (c *PostingCache) InvalidateExtraction(ex *Extraction) {
 	if c == nil || ex == nil {
 		return

@@ -355,6 +355,45 @@ func newStore(t *testing.T, s Strategy) kv.Store {
 	return store
 }
 
+// Deleting every item a document's load wrote, through kv's BatchDelete,
+// leaves no item, byte or per-item overhead behind in the store's counts.
+func TestDeleteItemAccounting(t *testing.T) {
+	store := dynamodb.New(meter.NewLedger())
+	if err := CreateTables(store, LU); err != nil {
+		t.Fatal(err)
+	}
+	d := parseDoc(t, "manet.xml", xmark.ManetXML)
+	if _, _, err := LoadDocument(store, LU, d, OptionsFor(store)); err != nil {
+		t.Fatal(err)
+	}
+	per := store.Limits().BatchPutItems
+	for _, tbl := range LU.Tables() {
+		var keys []kv.Key
+		for _, it := range store.DumpTable(tbl) {
+			keys = append(keys, kv.Key{HashKey: it.HashKey, RangeKey: it.RangeKey})
+		}
+		if len(keys) == 0 {
+			t.Fatalf("%s: the load wrote no items", tbl)
+		}
+		for len(keys) > 0 {
+			n := min(per, len(keys))
+			if _, err := store.BatchDelete(tbl, keys[:n]); err != nil {
+				t.Fatal(err)
+			}
+			keys = keys[n:]
+		}
+		if got := store.ItemCount(tbl); got != 0 {
+			t.Errorf("%s: %d items left", tbl, got)
+		}
+		if got := store.TableBytes(tbl); got != 0 {
+			t.Errorf("%s: %d bytes left", tbl, got)
+		}
+		if got := store.OverheadBytes(tbl); got != 0 {
+			t.Errorf("%s: %d overhead bytes left", tbl, got)
+		}
+	}
+}
+
 func loadCorpus(t *testing.T, store kv.Store, s Strategy, docs []xmark.Doc) {
 	t.Helper()
 	opts := OptionsFor(store)
