@@ -35,7 +35,8 @@ func fetchCorpus(n int) ([]xmark.Doc, []string) {
 // evaluations wait for each other at a barrier, which only a second worker
 // can reach while the first waits. So the caller's goroutine and the
 // helper each ran some of the documents, which the count fetchDocuments
-// returns (the eval span's docs_on_caller) says.
+// returns (the eval span's docs_on_caller) says, and the helper came to
+// claim within the fan-out (the eval span's helper_start_us).
 func TestFetchPoolRunsDocumentsInParallel(t *testing.T) {
 	docs, uris := fetchCorpus(6)
 	w, _ := buildWarehouse(t, Config{Strategy: index.TwoLUPI, QueryWorkers: 2}, docs)
@@ -47,7 +48,8 @@ func TestFetchPoolRunsDocumentsInParallel(t *testing.T) {
 		close(both)
 	}()
 	results := make([]fetchedDoc, len(uris))
-	onCaller, err := w.fetchDocuments(uris, nil, nil, results, func(i int, doc *xmltree.Document) {
+	start := time.Now()
+	onCaller, helperStart, err := w.fetchDocuments(uris, nil, nil, results, func(i int, doc *xmltree.Document) {
 		if i >= 2 {
 			return
 		}
@@ -58,6 +60,7 @@ func TestFetchPoolRunsDocumentsInParallel(t *testing.T) {
 			t.Errorf("document %d waited 10 s for a second document in flight", i)
 		}
 	})
+	fanOut := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +71,9 @@ func TestFetchPoolRunsDocumentsInParallel(t *testing.T) {
 	}
 	if onCaller < 1 || onCaller >= len(uris) {
 		t.Errorf("the caller ran %d of %d documents, want some and not all", onCaller, len(uris))
+	}
+	if helperStart <= 0 || helperStart > fanOut {
+		t.Errorf("the helper came to claim %v into a fan-out of %v", helperStart, fanOut)
 	}
 }
 

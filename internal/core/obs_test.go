@@ -378,6 +378,9 @@ func TestEvalSpanCountsNodesScannedAndBuilt(t *testing.T) {
 		if c := attr("docs_on_caller"); c < 0 || c > attr("docs") {
 			t.Errorf("%s: docs_on_caller %d of %d documents", q.Name, c, attr("docs"))
 		}
+		if h := attr("helper_start_us"); h < 0 || h > attr("fetch_parse_us") {
+			t.Errorf("%s: helper_start_us %d in a fan-out of %d us", q.Name, h, attr("fetch_parse_us"))
+		}
 		scanned, built = scanned+s, built+b
 	}
 	reg := w.Registry()

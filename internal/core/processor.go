@@ -223,7 +223,7 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	// bytes as before.
 	fanOutStart := time.Now()
 	fetched := mem.fetchedDocs(len(uris))
-	onCaller, ferr := w.fetchDocuments(uris, view, engine.ProjectionOf(q), fetched, func(i int, doc *xmltree.Document) {
+	onCaller, helperStart, ferr := w.fetchDocuments(uris, view, engine.ProjectionOf(q), fetched, func(i int, doc *xmltree.Document) {
 		for pi, us := range perPattern {
 			if di, ok := slices.BinarySearch(us, uris[i]); ok {
 				rows[pi][di] = plan.EvalPattern(pi, doc)
@@ -274,6 +274,7 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	esp.SetAttrInt("nodes_built", built)
 	esp.SetAttrInt("names_hashed", hashed)
 	esp.SetAttrInt("docs_on_caller", int64(onCaller))
+	esp.SetAttrInt("helper_start_us", helperStart.Microseconds())
 	esp.SetAttrInt("fetch_parse_us", fanOutEnd.Sub(fanOutStart).Microseconds())
 	esp.SetAttrInt("doc_match_us", docMatch.Microseconds())
 	esp.SetAttrInt("match_us", time.Since(finishStart).Microseconds())
@@ -382,7 +383,9 @@ type fetchedDoc struct {
 // not a node and not a string, and the next parse on the worker reuses its
 // memory. eval runs on several goroutines at once, on different documents.
 // Once a task has failed, no worker claims another. It returns how many
-// tasks the caller's own goroutine ran. The returned error only signals
+// tasks the caller's own goroutine ran, and how long after the fan-out's
+// start the first helper goroutine came to claim one (0 when none
+// started). The returned error only signals
 // that a task failed; callers scan results in order for the authoritative
 // per-URI error, that of the first failing URI in URI order (the order the
 // sequential pipeline would hit it).
@@ -393,7 +396,7 @@ type fetchedDoc struct {
 // store as always. A concurrent update can overwrite the file between the
 // resolution and the fetch, so the fetched bytes are re-checked against
 // the view afterwards — the retained copy wins if the fetch raced.
-func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltree.Projection, results []fetchedDoc, eval func(i int, doc *xmltree.Document)) (onCaller int, err error) {
+func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltree.Projection, results []fetchedDoc, eval func(i int, doc *xmltree.Document)) (onCaller int, helperStart time.Duration, err error) {
 	parseInto := func(i int, data []byte, fetch time.Duration) error {
 		doc, err := xmltree.ParseProjected(uris[i], data, proj)
 		if err != nil {
@@ -435,38 +438,42 @@ func (w *Warehouse) fetchDocuments(uris []string, view *mutate.View, proj *xmltr
 	}
 
 	// Indexes are claimed in URI order and a claimed task runs to its end,
-	// so every task before the first failing one has run.
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
+	// so every task before the first failing one has run. The pool's state
+	// is one object, so that the helpers share one allocation.
+	pool := &struct {
+		next, started atomic.Int64 // started: ns from start to the first helper's claim
+		failed        atomic.Bool
+		wg            sync.WaitGroup
+		start         time.Time
+	}{start: time.Now()}
 	claim := func() (ran int) {
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
+		for !pool.failed.Load() {
+			i := int(pool.next.Add(1)) - 1
 			if i >= len(uris) {
 				return ran
 			}
 			ran++
 			if fetchOne(i) != nil {
-				failed.Store(true)
+				pool.failed.Store(true)
 			}
 		}
 		return ran
 	}
 	for range min(w.docWorkers(), len(uris)) - 1 {
-		wg.Add(1)
+		pool.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer pool.wg.Done()
+			pool.started.CompareAndSwap(0, max(int64(time.Since(pool.start)), 1))
 			claim()
 		}()
 	}
 	onCaller = claim()
-	wg.Wait()
-	if failed.Load() {
-		return onCaller, fmt.Errorf("core: document fetch cancelled")
+	pool.wg.Wait()
+	helperStart = time.Duration(pool.started.Load())
+	if pool.failed.Load() {
+		return onCaller, helperStart, fmt.Errorf("core: document fetch cancelled")
 	}
-	return onCaller, nil
+	return onCaller, helperStart, nil
 }
 
 // ParseQueryText compiles a query in either supported surface syntax: the

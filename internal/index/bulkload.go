@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 	"unsafe"
+	"weak"
 
 	"repro/internal/cloud/kv"
 	"repro/internal/obs"
@@ -97,6 +98,42 @@ var endOfChain = contrib{-1, 0}
 // store will hold when it is done, however many documents it packs.
 const slabsPerDoc = 8
 
+// A chunk is what a table's slabs and keys are carved from. Cut k of every
+// document carves from its own open chunk, so a chunk's slabs end near the
+// same chain and the commit is done with the chunk about when it is with
+// each of them. A written chunk is kept for the next commit's Add, so that
+// a build committing slice after slice allocates its copy once.
+type chunk [chunkSize]byte
+
+const (
+	chunkSize = 64 << 10
+	// maxFree bounds the chunks a commit gives back: 2 MB a table.
+	maxFree = 2 << 20 / chunkSize
+	// keyCut is the cut ordinal keys carve from.
+	keyCut = slabsPerDoc
+)
+
+// freeChunks holds the chunks that committed loaders gave back until a
+// loader claims them. A weak pointer is all it keeps of a chunk: a
+// collection that finds the chunk unused takes it back.
+var freeChunks struct {
+	sync.Mutex
+	list []weak.Pointer[chunk]
+}
+
+// slabInfo is a slab's document; end, how many chains the commit has
+// written once the slab is no longer read: its last contribution's chain,
+// plus one; and the chunk it was carved from, −1 for a slab larger than a
+// chunk, which has memory of its own.
+type slabInfo struct{ doc, end, chunk int32 }
+
+// carved is a chunk a commit carves from, nil once given back: how much of
+// it is carved, and how many of its slabs are not dropped yet.
+type carved struct {
+	mem        *chunk
+	used, live int32
+}
+
 // keyChain is one key's contributions, linked through their headers: in
 // Add order until the commit sorts them by URI.
 type keyChain struct {
@@ -110,13 +147,19 @@ type keyChain struct {
 type packTable struct {
 	index  map[string]int32 // key → chains
 	chains []keyChain
-	keyMem []byte // the chains' keys, back to back in the chunk at hand
 	slabs  [][]byte
-	// slabDoc holds each slab's document, and slabEnd how many chains the
-	// commit has written once the slab is no longer read: its last
-	// contribution's chain, plus one.
-	slabDoc, slabEnd []int32
-	order            []uint64 // Add's and put's sort scratch
+	slabAt []slabInfo // by slab
+	order  []uint64   // Add's and put's sort scratch
+
+	// chunks are the chunks the commit carves from, and open the one each
+	// cut ordinal carves from, plus one (0 for none yet).
+	chunks []carved
+	open   [keyCut + 1]int32
+	// written holds the chunks whose slabs are all dropped until the batch
+	// holding their last views has shipped, and shipped those chunks from
+	// then to the commit's end, by weak pointer, as the free list does.
+	written []int32
+	shipped []weak.Pointer[chunk]
 
 	stats   []LoadStats // by document
 	members []contrib
@@ -133,35 +176,88 @@ type packTable struct {
 var packTables = sync.Pool{New: func() any { return &packTable{index: make(map[string]int32)} }}
 
 // recycle clears what pt references of the commit — keys, slabs, scratch —
-// and returns it to the pool.
-func (pt *packTable) recycle() {
+// and returns it to the pool. A failed commit's error may hold items built
+// in its attribute and value scratch, so after one that scratch is dropped.
+func (pt *packTable) recycle(committed bool) {
+	if !committed {
+		pt.attrs, pt.vals = nil, nil
+	}
 	clear(pt.index)
 	clear(pt.chains)
 	clear(pt.slabs)
+	clear(pt.chunks)
+	clear(pt.shipped)
 	clear(pt.batch[:cap(pt.batch)]) // shipped batches leave views behind len
 	clear(pt.attrs[:cap(pt.attrs)])
 	clear(pt.vals[:cap(pt.vals)])
 	clear(pt.keys[:cap(pt.keys)])
-	pt.keyMem = nil // dropped, not reused: a failed commit's error may hold items keyed in it
-	pt.chains, pt.slabs, pt.slabDoc, pt.slabEnd, pt.order, pt.stats = pt.chains[:0], pt.slabs[:0], pt.slabDoc[:0], pt.slabEnd[:0], pt.order[:0], nil
+	pt.open = [keyCut + 1]int32{}
+	pt.chains, pt.slabs, pt.slabAt, pt.order, pt.stats = pt.chains[:0], pt.slabs[:0], pt.slabAt[:0], pt.order[:0], nil
+	pt.chunks, pt.written, pt.shipped = pt.chunks[:0], pt.written[:0], pt.shipped[:0]
 	pt.members, pt.pack, pt.batch, pt.attrs, pt.vals, pt.keys = pt.members[:0], pt.pack[:0], pt.batch[:0], pt.attrs[:0], pt.vals[:0], pt.keys[:0]
 	packTables.Put(pt)
 }
 
-// keyChunk is the size of a chunk of packTable.keyMem.
-const keyChunk = 16 << 10
+// claimFree empties the free list into spare, but for what a collection
+// took back: from then to the commit's end the loader holds the chunks.
+func claimFree(spare []*chunk) []*chunk {
+	freeChunks.Lock()
+	defer freeChunks.Unlock()
+	for _, p := range freeChunks.list {
+		if ch := p.Value(); ch != nil {
+			spare = append(spare, ch)
+		}
+	}
+	clear(freeChunks.list)
+	freeChunks.list = freeChunks.list[:0]
+	return spare
+}
+
+// carve returns size bytes of the open chunk of cut, as an empty slice of
+// that capacity, and the chunk. A new open chunk is the last of spare, if
+// any. A chunk is never written again where it was carved, so what is
+// appended to the slice stays until the commit's end. More than a chunk
+// gets memory of its own, and chunk −1.
+func (pt *packTable) carve(cut, size int, spare *[]*chunk) ([]byte, int32) {
+	if size > chunkSize {
+		return make([]byte, 0, size), -1
+	}
+	c := pt.open[cut] - 1
+	if c < 0 || chunkSize-int(pt.chunks[c].used) < size {
+		var ch *chunk
+		if n := len(*spare); n > 0 {
+			ch, (*spare)[n-1], *spare = (*spare)[n-1], nil, (*spare)[:n-1]
+		} else {
+			ch = new(chunk)
+		}
+		c = int32(len(pt.chunks))
+		pt.chunks = append(pt.chunks, carved{mem: ch})
+		pt.open[cut] = c + 1
+	}
+	ch := &pt.chunks[c]
+	off := int(ch.used)
+	ch.used += int32(size)
+	return ch.mem[off : off : off+size], c
+}
+
+// drop lets a slab go once its last chain is written. Its chunk is written
+// with its last slab, and given back once the batch in hand has shipped.
+func (pt *packTable) drop(slab int) {
+	pt.slabs[slab] = nil
+	if c := pt.slabAt[slab].chunk; c >= 0 {
+		if pt.chunks[c].live--; pt.chunks[c].live == 0 {
+			pt.written = append(pt.written, c)
+		}
+	}
+}
 
 // own returns a copy of key in pt's memory: chains and index keep the copy,
 // not the string of the extraction that brought the key, which its owner
-// may recycle once Add returns. A chunk is never written again where a key
-// was carved, so the copies stay what they are until the commit's end.
-func (pt *packTable) own(key string) string {
-	if cap(pt.keyMem)-len(pt.keyMem) < len(key) {
-		pt.keyMem = make([]byte, 0, max(keyChunk, len(key)))
-	}
-	start := len(pt.keyMem)
-	pt.keyMem = append(pt.keyMem, key...)
-	return unsafe.String(unsafe.SliceData(pt.keyMem[start:]), len(key))
+// may recycle once Add returns.
+func (pt *packTable) own(key string, spare *[]*chunk) string {
+	mem, _ := pt.carve(keyCut, len(key), spare)
+	mem = append(mem, key...)
+	return unsafe.String(unsafe.SliceData(mem), len(key))
 }
 
 // header returns c's header.
@@ -170,7 +266,7 @@ func (pt *packTable) header(c contrib) []byte {
 }
 
 // doc returns the document c belongs to.
-func (pt *packTable) doc(c contrib) int32 { return pt.slabDoc[c.slab] }
+func (pt *packTable) doc(c contrib) int32 { return pt.slabAt[c.slab].doc }
 
 // next returns the contribution after c in its key's chain.
 func (pt *packTable) next(c contrib) contrib {
@@ -226,6 +322,9 @@ type BulkLoader struct {
 	tables map[string]*packTable
 	docs   []bulkDoc
 	closed bool
+	// spare holds the chunks claimed from the free list, which the tables
+	// carve from first.
+	spare []*chunk
 
 	// Put instruments, resolved once at construction (nil-safe no-ops when
 	// BulkOptions.Obs is nil).
@@ -275,6 +374,7 @@ func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 		pt := b.tables[table]
 		if pt == nil {
 			pt = packTables.Get().(*packTable)
+			b.spare = claimFree(b.spare)
 			b.tables[table] = pt
 		}
 		// The entries in chain order: a key the commit has not met yet
@@ -284,7 +384,7 @@ func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 			k, ok := pt.index[e.Key]
 			if !ok {
 				k = int32(len(pt.chains))
-				key := pt.own(e.Key)
+				key := pt.own(e.Key, &b.spare)
 				pt.index[key] = k
 				pt.chains = append(pt.chains, keyChain{key: key, first: endOfChain, last: endOfChain})
 			}
@@ -303,9 +403,12 @@ func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 			}
 			done += size
 			slab := int32(len(pt.slabs))
-			pt.slabs = append(pt.slabs, make([]byte, 0, size))
-			pt.slabDoc = append(pt.slabDoc, doc)
-			pt.slabEnd = append(pt.slabEnd, int32(order[n-1]>>32)+1)
+			mem, c := pt.carve(cut-1, size, &b.spare)
+			if c >= 0 {
+				pt.chunks[c].live++
+			}
+			pt.slabs = append(pt.slabs, mem)
+			pt.slabAt = append(pt.slabAt, slabInfo{doc: doc, end: int32(order[n-1]>>32) + 1, chunk: c})
 			for _, o := range order[:n] {
 				pt.add(slab, &pt.chains[o>>32], ex.URI, entries[uint32(o)], b.itemBudget)
 			}
@@ -376,7 +479,13 @@ func (b *BulkLoader) Close() ([]DocLoad, error) {
 		names = append(names, name)
 	}
 	slices.Sort(names)
+	// A failed commit's error may hold items keyed and valued in the
+	// commit's chunks, so only a successful one gives them back.
+	committed := false
 	defer func() {
+		if committed {
+			b.giveBack()
+		}
 		for _, name := range names {
 			pt := b.tables[name]
 			for _, c := range b.caches {
@@ -384,9 +493,9 @@ func (b *BulkLoader) Close() ([]DocLoad, error) {
 					c.Invalidate(name, ch.key)
 				}
 			}
-			pt.recycle()
+			pt.recycle(committed)
 		}
-		b.tables, b.docs = nil, nil
+		b.tables, b.docs, b.spare = nil, nil, nil
 	}()
 	ds, errs := make([]time.Duration, len(names)), make([]error, len(names))
 	commit := func(i int) { ds[i], errs[i] = b.commit(names[i], b.tables[names[i]]) }
@@ -410,6 +519,7 @@ func (b *BulkLoader) Close() ([]DocLoad, error) {
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
+	committed = true
 	var total time.Duration
 	for i, name := range names {
 		total += ds[i]
@@ -421,6 +531,32 @@ func (b *BulkLoader) Close() ([]DocLoad, error) {
 		}
 	}
 	return b.release(total), nil
+}
+
+// giveBack puts what a successful commit carved or claimed on the free
+// list, but for what a collection took back, up to maxFree a table.
+func (b *BulkLoader) giveBack() {
+	freeChunks.Lock()
+	defer freeChunks.Unlock()
+	limit := maxFree * len(b.tables)
+	keep := func(p weak.Pointer[chunk]) {
+		if len(freeChunks.list) < limit && p.Value() != nil {
+			freeChunks.list = append(freeChunks.list, p)
+		}
+	}
+	for _, pt := range b.tables {
+		for _, ch := range pt.chunks {
+			if ch.mem != nil {
+				keep(weak.Make(ch.mem))
+			}
+		}
+		for _, p := range pt.shipped {
+			keep(p)
+		}
+	}
+	for _, ch := range b.spare {
+		keep(weak.Make(ch))
+	}
 }
 
 // release apportions the commit's modeled duration over the documents by
@@ -610,9 +746,15 @@ func (b *BulkLoader) put(table string, pt *packTable) (time.Duration, error) {
 		b.metFlush.ObserveModeled(d)
 		pt.stats[owner].Requests++
 		// The store has copied the batch. Left behind len, its value views
-		// would keep each slab they point into until the commit's end.
+		// would keep each slab they point into until the commit's end; and
+		// the chunks no later batch reads are given back.
 		clear(pt.vals)
 		pt.batch, pt.attrs, pt.vals = pt.batch[:0], pt.attrs[:0], pt.vals[:0]
+		for _, c := range pt.written {
+			pt.shipped = append(pt.shipped, weak.Make(pt.chunks[c].mem))
+			pt.chunks[c].mem = nil
+		}
+		pt.written = pt.written[:0]
 		return nil
 	}
 	emit := func(it kv.Item, doc int32) error {
@@ -652,17 +794,18 @@ func (b *BulkLoader) put(table string, pt *packTable) (time.Duration, error) {
 		pt.pack = pt.pack[:0]
 		return emit(kv.Item{HashKey: key, RangeKey: keys[first], Attrs: pt.attrs[a0:len(pt.attrs):len(pt.attrs)]}, first)
 	}
-	// Slabs are dropped once their last chains are written, so that the
-	// loader's copy shrinks while the store's grows.
+	// Slabs are dropped once their last chains are written, and chunks
+	// given back once their batches have shipped, so that the loader's copy
+	// shrinks while the store's grows.
 	drops := pt.order[:0]
-	for slab, end := range pt.slabEnd {
-		drops = append(drops, uint64(end)<<32|uint64(slab))
+	for slab, at := range pt.slabAt {
+		drops = append(drops, uint64(at.end)<<32|uint64(slab))
 	}
 	slices.Sort(drops)
 	pt.order = drops
 	for i, ch := range pt.chains {
 		for ; len(drops) > 0 && int(drops[0]>>32) <= i; drops = drops[1:] {
-			pt.slabs[uint32(drops[0])] = nil
+			pt.drop(int(uint32(drops[0])))
 		}
 		var size int64
 		for c := ch.first; c.slab >= 0; c = pt.next(c) {

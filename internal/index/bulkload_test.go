@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"errors"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+	"weak"
 
 	"repro/internal/cloud/dynamodb"
 	"repro/internal/cloud/kv"
@@ -739,37 +741,82 @@ func (s *slabWatch) BatchPut(_ string, items []kv.Item) (time.Duration, error) {
 	return time.Millisecond, nil
 }
 
+// sharedKeyExtractions returns docs one-table extractions, in key order as
+// Extract gives them, in which most of a document's bytes sit under keys
+// every document shares, which the first document met, and the rest under
+// keys of its own. Every value byte is fill.
+func sharedKeyExtractions(docs int, fill byte) []*Extraction {
+	const shared, own = 40, 40
+	value := func(n int) []byte { return bytes.Repeat([]byte{fill}, n) }
+	exs := make([]*Extraction, docs)
+	for d := range exs {
+		var entries []Entry
+		for k := range shared {
+			entries = append(entries, Entry{Key: fmt.Sprintf("s%03d", k), Values: [][]byte{value(200)}})
+		}
+		for k := range own {
+			entries = append(entries, Entry{Key: fmt.Sprintf("u%03d-%03d", d, k), Values: [][]byte{value(8)}})
+		}
+		exs[d] = &Extraction{URI: fmt.Sprintf("doc%03d.xml", d), Tables: map[string][]Entry{"t": entries}, Entries: len(entries)}
+	}
+	return exs
+}
+
+// addAll adds the extractions to loader.
+func addAll(t *testing.T, loader *BulkLoader, exs []*Extraction) {
+	t.Helper()
+	for _, ex := range exs {
+		if _, err := loader.Add(ex); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// within reports whether b's memory starts in ch.
+func within(b []byte, ch *chunk) bool {
+	p, start := uintptr(unsafe.Pointer(unsafe.SliceData(b))), uintptr(unsafe.Pointer(ch))
+	return cap(b) > 0 && p >= start && p < start+chunkSize
+}
+
 // TestBulkCommitReleasesSlabsAsItWrites: a commit drops the loader's copy
 // of the values as it writes them, so what it holds plus what the store
 // has taken stays about the size of the copy. Most of each document's
 // bytes sit under keys every document shares, which the first document
 // met: a commit that freed a document's copy only once all its keys were
-// written would hold nearly all of it until the last keys.
+// written would hold nearly all of it until the last keys, and so would
+// chunks carved in Add order, each of which holds every cut of a few
+// documents.
+//
+// What the loader holds is counted by chunk: every chunk with a slab not
+// dropped yet and every chunk of keys, the slabs larger than a chunk, and
+// the spare chunks it took from the free list and has not carved. A
+// written chunk only the batch in flight reads is given back when the put
+// returns, and a given-back chunk is held by a weak pointer only, which
+// does not keep it from a collection.
 func TestBulkCommitReleasesSlabsAsItWrites(t *testing.T) {
-	const docs, shared, own = 200, 40, 40
 	store := &slabWatch{discardStore: discardStore{limit: 25}}
 	loader := NewBulkLoader(store, BulkOptions{})
+	exs := sharedKeyExtractions(200, 0)
+	addAll(t, loader, exs)
 	var total int64
-	for d := range docs {
-		var entries []Entry // in key order, as Extract gives them
-		for k := range shared {
-			entries = append(entries, Entry{Key: fmt.Sprintf("s%03d", k), Values: [][]byte{make([]byte, 200)}})
+	for _, ex := range exs {
+		for _, e := range ex.Tables["t"] {
+			total += int64(len(e.Values[0]))
 		}
-		for k := range own {
-			entries = append(entries, Entry{Key: fmt.Sprintf("u%03d-%03d", d, k), Values: [][]byte{make([]byte, 8)}})
-		}
-		uri := fmt.Sprintf("doc%03d.xml", d)
-		if _, err := loader.Add(&Extraction{URI: uri, Tables: map[string][]Entry{"t": entries}, Entries: len(entries)}); err != nil {
-			t.Fatal(err)
-		}
-		total += shared*200 + own*8
 	}
 	pt := loader.tables["t"]
 	store.held = func() (n int64) {
-		for _, s := range pt.slabs {
-			n += int64(cap(s))
+		for c, ch := range pt.chunks {
+			if ch.mem != nil && !slices.Contains(pt.written, int32(c)) {
+				n += chunkSize
+			}
 		}
-		return n
+		for s, mem := range pt.slabs {
+			if pt.slabAt[s].chunk < 0 {
+				n += int64(cap(mem))
+			}
+		}
+		return n + int64(len(loader.spare))*chunkSize
 	}
 	start := store.held()
 	if _, err := loader.Close(); err != nil {
@@ -778,7 +825,8 @@ func TestBulkCommitReleasesSlabsAsItWrites(t *testing.T) {
 	if got := store.put; got != total {
 		t.Fatalf("the commit put %d value bytes, want %d", got, total)
 	}
-	// Headers and lengths make the copy larger than the values it holds.
+	// Headers, lengths, keys and the chunks' unused tails make the copy
+	// larger than the values it holds.
 	perValue := float64(start) / float64(total)
 	var worst float64
 	for _, s := range store.samples {
@@ -788,6 +836,145 @@ func TestBulkCommitReleasesSlabsAsItWrites(t *testing.T) {
 	t.Logf("%d puts; a %d-byte copy; at worst %.1f%% of it held beyond the values still to write", len(store.samples), start, 100*worst)
 	if limit := 0.2; worst > limit {
 		t.Errorf("the commit held %.1f%% of its copy beyond the values still to write, want at most %.1f%%", 100*worst, 100*limit)
+	}
+}
+
+// TestBulkCommitRecyclesChunks: the chunks a commit has written are the
+// next commit's to carve from, so its first slab lies in one of them.
+func TestBulkCommitRecyclesChunks(t *testing.T) {
+	exs := sharedKeyExtractions(50, 0)
+	loader := NewBulkLoader(discardStore{limit: 25}, BulkOptions{})
+	addAll(t, loader, exs)
+	if _, err := loader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Hold what the commit gave back, so that no collection takes it before
+	// the next commit looks.
+	released := claimFree(nil)
+	for _, ch := range released {
+		freeChunks.list = append(freeChunks.list, weak.Make(ch))
+	}
+	if len(released) == 0 {
+		t.Fatal("the commit gave back no chunk")
+	}
+	next := NewBulkLoader(discardStore{limit: 25}, BulkOptions{})
+	addAll(t, next, exs[:1])
+	first := next.tables["t"].slabs[0]
+	if !slices.ContainsFunc(released, func(ch *chunk) bool { return within(first, ch) }) {
+		t.Errorf("the second commit's first slab lies in none of the %d chunks the first gave back", len(released))
+	}
+	if _, err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// partialStore puts its first batch, applies only the first half of the
+// second and reports the rest as a kv.PartialPutError, which it keeps.
+type partialStore struct {
+	discardStore
+	puts int
+	err  *kv.PartialPutError
+}
+
+func (s *partialStore) BatchPut(table string, items []kv.Item) (time.Duration, error) {
+	if s.puts++; s.puts != 2 {
+		return s.discardStore.BatchPut(table, items)
+	}
+	s.err = &kv.PartialPutError{Unprocessed: slices.Clone(items[len(items)/2:])}
+	return time.Millisecond, s.err
+}
+
+// TestFailedBulkCommitRecyclesNothing: the items of a failed commit's
+// error are built in the loader's scratch and are views of its chunks, so
+// the commit gives back none of them: a later commit of other values leaves
+// the error's items reading their own keys and bytes.
+func TestFailedBulkCommitRecyclesNothing(t *testing.T) {
+	store := &partialStore{discardStore: discardStore{limit: 25}}
+	loader := NewBulkLoader(store, BulkOptions{})
+	addAll(t, loader, sharedKeyExtractions(200, 'a'))
+	var partial *kv.PartialPutError
+	if _, err := loader.Close(); !errors.As(err, &partial) || partial != store.err {
+		t.Fatalf("the commit returned %v, want the store's partial put", err)
+	}
+	type item struct {
+		key    string
+		values int
+	}
+	read := func() (items []item) {
+		for _, it := range partial.Unprocessed {
+			n := 0
+			for _, a := range it.Attrs {
+				for _, v := range a.Values {
+					if bytes.ContainsFunc(v, func(r rune) bool { return r != 'a' }) {
+						t.Fatalf("a value of unprocessed item %q reads %q", it.HashKey, v)
+					}
+					n++
+				}
+			}
+			items = append(items, item{strings.Clone(it.HashKey), n})
+		}
+		return items
+	}
+	want := read()
+	if len(want) == 0 || want[0].values == 0 {
+		t.Fatalf("the partial put left %v unprocessed: nothing to check", want)
+	}
+	bulkLoad(t, discardStore{limit: 25}, sharedKeyExtractions(200, 'b'))
+	if got := read(); !slices.Equal(got, want) {
+		t.Errorf("after a later commit the unprocessed items read %v, want %v", got, want)
+	}
+}
+
+// shipWatch is a discardStore that counts, at every put, the values of the
+// batch that lie in a chunk its loader has already given back, and the
+// puts at which it had given back any.
+type shipWatch struct {
+	discardStore
+	pt                 *packTable
+	early, puts, after int
+}
+
+func (s *shipWatch) BatchPut(_ string, items []kv.Item) (time.Duration, error) {
+	s.puts++
+	given := false
+	for _, p := range s.pt.shipped {
+		ch := p.Value()
+		if ch == nil {
+			continue
+		}
+		given = true
+		for _, it := range items {
+			for _, a := range it.Attrs {
+				for _, v := range a.Values {
+					if within(v, ch) {
+						s.early++
+					}
+				}
+			}
+		}
+	}
+	if given {
+		s.after++
+	}
+	return time.Millisecond, nil
+}
+
+// TestBulkCommitGivesBackChunksOnlyOnceShipped: a chunk is given back once
+// the batch holding its last views has shipped, not when its last slab is
+// dropped, which is before that batch fills.
+func TestBulkCommitGivesBackChunksOnlyOnceShipped(t *testing.T) {
+	store := &shipWatch{discardStore: discardStore{limit: 25}}
+	loader := NewBulkLoader(store, BulkOptions{})
+	addAll(t, loader, sharedKeyExtractions(200, 0))
+	store.pt = loader.tables["t"]
+	if _, err := loader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if store.after == 0 {
+		t.Fatalf("no chunk was given back before any of the %d puts: the check saw nothing", store.puts)
+	}
+	if store.early > 0 {
+		t.Errorf("%d values were put from chunks already given back", store.early)
 	}
 }
 
