@@ -33,6 +33,7 @@ var keptExports = map[string]string{
 	"cloud/kv.BatchGet":             "oracle: a read collected into items by key, which the store and chaos tests compare across stacks",
 	"cloud/kv.Get":                  "oracle: one key's items collected from a read, which the store, chaos, index and core tests compare",
 	"engine.Matches":                "oracle: whether a document embeds a pattern, which the evaluator's and the look-up's tests hold their answers to",
+	"index.Posting.IDSet":           "oracle: a posting's identifiers, which the index and mutate tests compare across read paths",
 	"idblock.Parse":                 "definition: the header-only read of a blocked blob that DESIGN §3.3 names, on the heap, which the codec, join and index tests parse with",
 	"cloud/chaos.EveryNth":          "fault hook for kv.Retry's tests",
 	"cloud/chaos.EveryNth.Injected": "fault hook: how many calls EveryNth failed",

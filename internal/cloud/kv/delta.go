@@ -10,14 +10,14 @@ import (
 // Delta is the in-memory versioned write overlay of the mutable warehouse —
 // the LSM memtable sitting in front of a Store. Each entry records, for one
 // (table, hash key, owner) triple, either the owner's full replacement
-// contribution to that key or a tombstone retaining the contribution it
-// removed. Entries are version-stamped; readers capture the latest entry at
+// contribution to that key or a tombstone: the owner contributes nothing
+// to it. Entries are version-stamped; readers capture the latest entry at
 // or below their pinned version, and the compactor folds entries at or
 // below the fold horizon into the main store before removing them.
 //
-// The overlay holds items only while an entry is live: the entries alias
-// the caller's items, and a retired entry lets go of them. What the main
-// store holds after a fold is the caller's record to keep (the mutable
+// The overlay holds items only while a replace entry is live: the entries
+// alias the caller's items, and a retired entry lets go of them. What the
+// main store holds after a fold is the caller's record to keep (the mutable
 // corpus keeps it as per-document history); a cell whose entries have all
 // retired keeps only its key and its stamp.
 //
@@ -95,8 +95,7 @@ type DeltaEntry struct {
 	Version   uint64
 	Tombstone bool
 	// Items is the owner's full contribution to the key (replace
-	// semantics). For a tombstone it retains the contribution being
-	// removed, so readers can subtract it at posting-decode time.
+	// semantics); a tombstone has none.
 	Items []Item
 }
 
@@ -104,17 +103,18 @@ type DeltaEntry struct {
 type Overlay struct {
 	// Stamp discriminates posting-cache identities: it advances
 	// when a replace entry becomes visible or when any entry folds, and
-	// deliberately does NOT advance for a live tombstone — deletions are
-	// applied to the shared cached posting at decode time instead of
-	// evicting it. Folding a tombstone moves it past every stamp handed
-	// out while the tombstone was live. Equal stamps mean equal postings;
-	// a stamp is not a version.
+	// deliberately does NOT advance for a live tombstone — a removed
+	// owner's rows are dropped from the shared cached posting on the way
+	// out instead of evicting it. Folding a tombstone moves it past every
+	// stamp handed out while the tombstone was live. Equal stamps mean
+	// equal postings; a stamp is not a version.
 	Stamp uint64
 	// Replaces maps owner -> full replacement items; the owner's
 	// main-store items must be dropped and these used instead.
 	Replaces map[string][]Item
-	// Tombstones maps owner -> the retained contribution to subtract.
-	Tombstones map[string][]Item
+	// Tombstones holds the owners that contribute nothing to the key: their
+	// main-store items must be dropped.
+	Tombstones map[string]bool
 }
 
 // NewDelta returns an empty overlay.
@@ -150,12 +150,12 @@ func (d *Delta) Put(table, hashKey, owner string, ver uint64, items []Item) {
 	d.add(table, hashKey, owner, DeltaEntry{Version: ver, Items: items})
 }
 
-// Tombstone appends a removal entry retaining the contribution prev that it
-// removes.
-func (d *Delta) Tombstone(table, hashKey, owner string, ver uint64, prev []Item) {
+// Tombstone appends a removal entry: owner contributes nothing to (table,
+// hashKey) as of version ver.
+func (d *Delta) Tombstone(table, hashKey, owner string, ver uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.add(table, hashKey, owner, DeltaEntry{Version: ver, Tombstone: true, Items: prev})
+	d.add(table, hashKey, owner, DeltaEntry{Version: ver, Tombstone: true})
 }
 
 // latestAt returns the latest entry at or below ver, or nil.
@@ -190,9 +190,9 @@ func (d *Delta) Capture(table string, keys []string, ver uint64) map[string]Over
 			}
 			if latest.Tombstone {
 				if ov.Tombstones == nil {
-					ov.Tombstones = map[string][]Item{}
+					ov.Tombstones = map[string]bool{}
 				}
-				ov.Tombstones[o.owner] = latest.Items
+				ov.Tombstones[o.owner] = true
 			} else {
 				if ov.Replaces == nil {
 					ov.Replaces = map[string][]Item{}

@@ -18,7 +18,7 @@ func TestDeltaCaptureVersions(t *testing.T) {
 	a2 := []Item{it("k", "r2", "a.xml", "v2")}
 	d.Put("ids", "k", "a.xml", 1, a1)
 	d.Put("ids", "k", "a.xml", 3, a2)
-	d.Tombstone("ids", "k", "b.xml", 2, []Item{it("k", "r9", "b.xml", "old")})
+	d.Tombstone("ids", "k", "b.xml", 2)
 
 	// Version 0: nothing visible.
 	if ov := d.Capture("ids", []string{"k"}, 0); ov != nil {
@@ -31,7 +31,7 @@ func TestDeltaCaptureVersions(t *testing.T) {
 	}
 	// Version 2: replace plus tombstone; tombstone must not move the stamp.
 	ov = d.Capture("ids", []string{"k"}, 2)["k"]
-	if len(ov.Tombstones["b.xml"]) != 1 || ov.Stamp != 1 {
+	if !ov.Tombstones["b.xml"] || ov.Stamp != 1 {
 		t.Fatalf("capture at 2 = %+v", ov)
 	}
 	// Version 3: latest replace wins.
@@ -55,7 +55,7 @@ func TestDeltaFoldRetiresAndStamps(t *testing.T) {
 	d := NewDelta()
 	d.Put("ids", "k", "a.xml", 1, []Item{it("k", "r1", "a.xml", "v1")})
 	d.Put("ids", "k", "a.xml", 4, []Item{it("k", "r2", "a.xml", "v2")})
-	d.Tombstone("ids", "k2", "b.xml", 2, []Item{it("k2", "r3", "b.xml", "old")})
+	d.Tombstone("ids", "k2", "b.xml", 2)
 
 	units := d.Pending(2)
 	if len(units) != 2 {
@@ -106,7 +106,7 @@ func TestDeltaFoldRetiresAndStamps(t *testing.T) {
 // was handed while the tombstone was live. The case a version alone gets
 // wrong: owner b is removed at 2 and owner c, new to the key, arrives at 3.
 // A reader at 3 is handed the stamp of c's entry and caches postings that
-// still hold b's items (the tombstone is subtracted after the cache). The
+// still hold b's items (the tombstone drops them after the cache). The
 // fold of both entries deletes b's items and used to leave the stamp at 3.
 func TestDeltaTombstoneFoldStampIsFresh(t *testing.T) {
 	d := NewDelta()
@@ -124,7 +124,7 @@ func TestDeltaTombstoneFoldStampIsFresh(t *testing.T) {
 		handed[s] = when
 	}
 	hand("after the first fold", 1)
-	d.Tombstone("ids", "k", "b.xml", 2, []Item{it("k", "r2", "b.xml", "v1")})
+	d.Tombstone("ids", "k", "b.xml", 2)
 	if s := d.Capture("ids", []string{"k"}, 2)["k"].Stamp; handed[s] == "" {
 		t.Fatalf("a live tombstone moved the stamp to %#x", s)
 	}
@@ -142,7 +142,7 @@ func TestDeltaTombstoneFoldStampIsFresh(t *testing.T) {
 	// even under an unfolded newer entry.
 	d.Put("ids", "k", "a.xml", 4, []Item{it("k", "r1", "a.xml", "v2")})
 	hand("with a's second entry live", 4)
-	d.Tombstone("ids", "k", "c.xml", 5, []Item{it("k", "r3", "c.xml", "v1")})
+	d.Tombstone("ids", "k", "c.xml", 5)
 	d.Put("ids", "k", "e.xml", 6, []Item{it("k", "r4", "e.xml", "v1")})
 	hand("with e's entry live", 6)
 	d.Commit(d.Pending(5))
@@ -220,7 +220,7 @@ func TestDeltaPendingMatchesFullWalk(t *testing.T) {
 				d.Put(tbl, key, owner, ver, []Item{it(key, fmt.Sprintf("r%d", rng.Intn(4)), owner, fmt.Sprint(ver))})
 			case op < 7:
 				ver++
-				d.Tombstone(tbl, key, owner, ver, []Item{it(key, "r0", owner, "old")})
+				d.Tombstone(tbl, key, owner, ver)
 			default:
 				horizon := uint64(rng.Int63n(int64(ver) + 1))
 				units := d.Pending(horizon)
@@ -292,7 +292,7 @@ func TestDrainedCellsHoldNoItems(t *testing.T) {
 		ver++
 		items := []Item{it(key, "r0", owner, fmt.Sprint(ver))}
 		if rng.Intn(4) == 0 {
-			d.Tombstone("ids", key, owner, ver, items)
+			d.Tombstone("ids", key, owner, ver)
 		} else {
 			d.Put("ids", key, owner, ver, items)
 		}

@@ -66,7 +66,7 @@ func (w *Warehouse) UpdateDocument(in *ec2.Instance, uri string, data []byte) er
 }
 
 // RemoveDocument drops a document from the warehouse, an extension beyond
-// the paper's append-only warehouse. The document's retained contribution
+// the paper's append-only warehouse. Every key the document contributes to
 // is tombstoned in the write buffer as one atomic version bump — no fetch,
 // no re-extraction — and its file is deleted; the compaction fold deletes
 // its items from the store. Queries pinned before the bump keep seeing the

@@ -110,108 +110,110 @@ func mutableLifecycle(t *testing.T, w *Warehouse, docs []xmark.Doc, crash bool) 
 // the ten workload queries, an empty dead-letter queue, and an empty
 // write buffer — the crashed update converges to the clean one.
 func TestChaosMutableUpdateDifferential(t *testing.T) {
-	seed := chaosSeed(t)
-	docs := chaosCorpus(seed)
+	eachStrategy(t, func(t *testing.T, s index.Strategy) {
+		seed := chaosSeed(t)
+		docs := chaosCorpus(seed)
 
-	clean := steppedWarehouse(t, Config{Strategy: index.TwoLUPI, MutableCorpus: true, CompactEveryDocs: 7})
-	mutableLifecycle(t, clean, docs, false)
+		clean := steppedWarehouse(t, Config{Strategy: s, MutableCorpus: true, CompactEveryDocs: 7})
+		mutableLifecycle(t, clean, docs, false)
 
-	chaotic := steppedWarehouse(t, Config{
-		Strategy:         index.TwoLUPI,
-		MutableCorpus:    true,
-		CompactEveryDocs: 7,
-		Trace:            true,
-		Chaos:            &chaos.Plan{Seed: seed, Rates: aggressiveRates()},
-	})
-	// As in TestChaosDifferentialIndexing: no healthy document dead-letters.
-	if err := chaotic.Queues().SetRedrivePolicy(LoaderQueue, LoaderDeadLetters, 200); err != nil {
-		t.Fatal(err)
-	}
-	mutableLifecycle(t, chaotic, docs, true)
-
-	if n, byClass := chaosFaults(chaotic); n == 0 {
-		t.Error("chaotic run injected no faults")
-	} else {
-		t.Logf("chaos: %v", byClass)
-		t.Logf("retry: %+v", chaotic.RetryStats())
-	}
-	for _, w := range []*Warehouse{clean, chaotic} {
-		if n := w.Queues().Len(LoaderDeadLetters); n != 0 {
-			t.Errorf("dead-letter queue holds %d", n)
-		}
-		if n := w.Corpus().BufferedEntries(); n != 0 {
-			t.Errorf("write buffer still holds %d entries after full compaction", n)
-		}
-	}
-
-	cleanDump, chaoticDump := dumpStore(t, clean), dumpStore(t, chaotic)
-	for _, tbl := range clean.Strategy.Tables() {
-		a, b := cleanDump[tbl], chaoticDump[tbl]
-		if len(a) != len(b) {
-			t.Errorf("%s: clean %d items, chaotic %d", tbl, len(a), len(b))
-			continue
-		}
-		for i := range a {
-			if la, lb := itemLine(a[i]), itemLine(b[i]); la != lb {
-				t.Errorf("%s item %d differs:\n  clean:   %s\n  chaotic: %s", tbl, i, la, lb)
-				break
-			}
-		}
-	}
-
-	chaotic.ChaosInjector().SetRates(chaos.Rates{})
-	cleanRows, chaoticRows := runWorkload(t, clean), runWorkload(t, chaotic)
-	for name, want := range cleanRows {
-		got := chaoticRows[name]
-		if len(got) != len(want) {
-			t.Errorf("%s: clean %d rows, chaotic %d", name, len(want), len(got))
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s row %d: clean %q, chaotic %q", name, i, want[i], got[i])
-				break
-			}
-		}
-	}
-
-	// Rebuild equivalence: a from-scratch immutable direct-write build of
-	// the surviving content must match the compacted mutable store byte
-	// for byte — the compactor's folds and deletes left exactly the items
-	// a clean build writes.
-	rebuild, err := New(Config{Strategy: index.TwoLUPI})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var uris []string
-	for i, d := range docs {
-		if i%5 == 1 {
-			continue
-		}
-		data := d.Data
-		if i%2 == 0 {
-			data = editDoc(t, d.Data, 1)
-		}
-		if _, err := rebuild.files.Put(Bucket, DocKey(d.URI), data, nil); err != nil {
+		chaotic := steppedWarehouse(t, Config{
+			Strategy:         s,
+			MutableCorpus:    true,
+			CompactEveryDocs: 7,
+			Trace:            true,
+			Chaos:            &chaos.Plan{Seed: seed, Rates: aggressiveRates()},
+		})
+		// As in TestChaosDifferentialIndexing: no healthy document dead-letters.
+		if err := chaotic.Queues().SetRedrivePolicy(LoaderQueue, LoaderDeadLetters, 200); err != nil {
 			t.Fatal(err)
 		}
-		uris = append(uris, d.URI)
-	}
-	if _, err := rebuild.IndexCorpusOn(ec2.LaunchFleet(rebuild.ledger, ec2.Large, 2), uris); err != nil {
-		t.Fatal(err)
-	}
-	rebuildDump := dumpStore(t, rebuild)
-	for _, tbl := range clean.Strategy.Tables() {
-		a, b := rebuildDump[tbl], cleanDump[tbl]
-		if len(a) != len(b) {
-			t.Errorf("%s: rebuild %d items, compacted mutable %d", tbl, len(a), len(b))
-			continue
+		mutableLifecycle(t, chaotic, docs, true)
+
+		if n, byClass := chaosFaults(chaotic); n == 0 {
+			t.Error("chaotic run injected no faults")
+		} else {
+			t.Logf("chaos: %v", byClass)
+			t.Logf("retry: %+v", chaotic.RetryStats())
 		}
-		for i := range a {
-			if la, lb := itemLine(a[i]), itemLine(b[i]); la != lb {
-				t.Errorf("%s item %d: rebuild %s, mutable %s", tbl, i, la, lb)
-				break
+		for _, w := range []*Warehouse{clean, chaotic} {
+			if n := w.Queues().Len(LoaderDeadLetters); n != 0 {
+				t.Errorf("dead-letter queue holds %d", n)
+			}
+			if n := w.Corpus().BufferedEntries(); n != 0 {
+				t.Errorf("write buffer still holds %d entries after full compaction", n)
 			}
 		}
-	}
+
+		cleanDump, chaoticDump := dumpStore(t, clean), dumpStore(t, chaotic)
+		for _, tbl := range clean.Strategy.Tables() {
+			a, b := cleanDump[tbl], chaoticDump[tbl]
+			if len(a) != len(b) {
+				t.Errorf("%s: clean %d items, chaotic %d", tbl, len(a), len(b))
+				continue
+			}
+			for i := range a {
+				if la, lb := itemLine(a[i]), itemLine(b[i]); la != lb {
+					t.Errorf("%s item %d differs:\n  clean:   %s\n  chaotic: %s", tbl, i, la, lb)
+					break
+				}
+			}
+		}
+
+		chaotic.ChaosInjector().SetRates(chaos.Rates{})
+		cleanRows, chaoticRows := runWorkload(t, clean), runWorkload(t, chaotic)
+		for name, want := range cleanRows {
+			got := chaoticRows[name]
+			if len(got) != len(want) {
+				t.Errorf("%s: clean %d rows, chaotic %d", name, len(want), len(got))
+				continue
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s row %d: clean %q, chaotic %q", name, i, want[i], got[i])
+					break
+				}
+			}
+		}
+
+		// Rebuild equivalence: a from-scratch immutable direct-write build of
+		// the surviving content must match the compacted mutable store byte
+		// for byte — the compactor's folds and deletes left exactly the items
+		// a clean build writes.
+		rebuild, err := New(Config{Strategy: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var uris []string
+		for i, d := range docs {
+			if i%5 == 1 {
+				continue
+			}
+			data := d.Data
+			if i%2 == 0 {
+				data = editDoc(t, d.Data, 1)
+			}
+			if _, err := rebuild.files.Put(Bucket, DocKey(d.URI), data, nil); err != nil {
+				t.Fatal(err)
+			}
+			uris = append(uris, d.URI)
+		}
+		if _, err := rebuild.IndexCorpusOn(ec2.LaunchFleet(rebuild.ledger, ec2.Large, 2), uris); err != nil {
+			t.Fatal(err)
+		}
+		rebuildDump := dumpStore(t, rebuild)
+		for _, tbl := range clean.Strategy.Tables() {
+			a, b := rebuildDump[tbl], cleanDump[tbl]
+			if len(a) != len(b) {
+				t.Errorf("%s: rebuild %d items, compacted mutable %d", tbl, len(a), len(b))
+				continue
+			}
+			for i := range a {
+				if la, lb := itemLine(a[i]), itemLine(b[i]); la != lb {
+					t.Errorf("%s item %d: rebuild %s, mutable %s", tbl, i, la, lb)
+					break
+				}
+			}
+		}
+	})
 }

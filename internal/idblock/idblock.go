@@ -136,17 +136,12 @@ func (s *Set) PayloadBytes() int64 {
 	return n
 }
 
-// Block decodes (and memoizes) the i-th block. The returned slice is shared
-// across callers and must not be mutated.
-func (s *Set) Block(i int) ([]xmltree.NodeID, error) {
-	return s.BlockIn(i, nil)
-}
-
-// BlockIn is Block through the caller's arena. When s was carved from an
-// arena (Arena.Parse, Arena.FromIDs), the decoded block and the memo are
-// carved from a, which must not be reset before the arena s came from; a
-// set on the heap memoizes on the heap, and a is only its column scratch.
-// A nil a is Block.
+// BlockIn decodes (and memoizes) the i-th block through the caller's
+// arena. The returned slice is shared across callers and must not be
+// mutated. When s was carved from an arena (Arena.Parse, Arena.FromIDs),
+// the decoded block and the memo are carved from a, which must not be reset
+// before the arena s came from; a set on the heap memoizes on the heap, and
+// a is only its column scratch (nil borrows one from the pool).
 func (s *Set) BlockIn(i int, a *Arena) ([]xmltree.NodeID, error) {
 	carve := a
 	if !s.scoped {

@@ -90,7 +90,7 @@ func TestHeadersSummarizePayloads(t *testing.T) {
 	blobs := EncodePacked(ids, 64, 2048)
 	for _, s := range parseAll(t, blobs) {
 		for i := 0; i < s.Blocks(); i++ {
-			got, err := s.Block(i)
+			got, err := s.BlockIn(i, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,15 +268,15 @@ func TestBlockMemoization(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	ids := randomSortedIDs(r, 100)
 	s := parseAll(t, EncodePacked(ids, 32, 1<<20))[0]
-	a, err := s.Block(0)
+	a, err := s.BlockIn(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Block(0)
+	b, err := s.BlockIn(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &a[0] != &b[0] {
-		t.Fatal("Block(0) not memoized")
+		t.Fatal("BlockIn(0) not memoized")
 	}
 }

@@ -37,8 +37,8 @@ type cacheKey struct {
 	// pinned after the mutation key a fresh entry while reads pinned
 	// before keep hitting the old one — version coherence without
 	// explicit invalidation. Live tombstones deliberately do not advance
-	// the stamp: deletions are subtracted from the shared carrier entry
-	// at read time.
+	// the stamp: a removed owner's rows are dropped from the shared
+	// carrier entry at read time.
 	ver uint64
 }
 

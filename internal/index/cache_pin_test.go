@@ -84,7 +84,7 @@ func TestPostingCacheDoesNotPinArena(t *testing.T) {
 						t.Fatalf("cached read after the table was dropped: %v, %+v", err, rs)
 					}
 					p := again[subset[3]]["doc.xml"]
-					if got, err := p.DecodedIDs(); fx.kind == IDPosting && (err != nil || len(got) != len(ids) || got[77] != ids[77]) {
+					if got, err := p.IDSet().All(); fx.kind == IDPosting && (err != nil || len(got) != len(ids) || got[77] != ids[77]) {
 						t.Fatalf("cached identifiers: %d of %d, %v", len(got), len(ids), err)
 					}
 					if fx.kind == PathPosting && string(p.PathVals[0]) != string(fx.value) {

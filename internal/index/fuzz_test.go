@@ -196,11 +196,11 @@ func checkRawPosting(t *testing.T, blob []byte, ids []xmltree.NodeID, decodeErr 
 	if len(ids) > 0 && (p.raw == nil || p.wrapped.Load() != nil) {
 		t.Fatalf("stream %x: a one-stream posting is not held raw", blob)
 	}
-	got, err := p.DecodedIDs()
+	got, err := p.IDSet().All()
 	if err != nil {
 		t.Fatalf("stream %x: raw posting: %v", blob, err)
 	}
-	want, _ := e.DecodedIDs()
+	want, _ := e.IDSet().All()
 	if !idsEqual(got, want) || p.IDCount() != e.IDCount() || p.IDSet().Len() != len(want) {
 		t.Fatalf("stream %x: raw posting decoded %v (count %d), eager %v (count %d)", blob, got, p.IDCount(), want, e.IDCount())
 	}

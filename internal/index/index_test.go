@@ -418,7 +418,7 @@ func TestStorageRoundTrip(t *testing.T) {
 	}
 	manet := postings["manet.xml"]
 	want := []xmltree.NodeID{{Pre: 3, Post: 3, Depth: 2}, {Pre: 6, Post: 8, Depth: 3}}
-	got, err := manet.DecodedIDs()
+	got, err := manet.IDSet().All()
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("manet ename IDs = %v (%v), want %v", got, err, want)
 	}
@@ -457,7 +457,7 @@ func TestStorageSplitsOversizedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := byKey["wcommon"]["big.xml"].DecodedIDs()
+	ids, err := byKey["wcommon"]["big.xml"].IDSet().All()
 	if err != nil {
 		t.Fatal(err)
 	}

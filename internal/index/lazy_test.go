@@ -122,7 +122,7 @@ func TestStreamMixedWithBlockedKeepsBoth(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := postings["doc.xml"]
-		got, err := p.DecodedIDs()
+		got, err := p.IDSet().All()
 		if err != nil || p.IDCount() != len(want) || p.IDSet().Len() != len(want) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("stream first %v: count %d, ids %v (%v), want %v", &order[0][0] == &stream[0], p.IDCount(), got, err, want)
 		}
@@ -168,7 +168,7 @@ func TestRawPostingCacheCharge(t *testing.T) {
 		if p.raw == nil || p.wrapped.Load() != nil {
 			t.Fatalf("%s: a one-stream posting is not held raw", uri)
 		}
-		ids, err := p.DecodedIDs()
+		ids, err := p.IDSet().All()
 		if err != nil || !reflect.DeepEqual(ids, want[uri]) || cap(ids) != len(ids) {
 			t.Fatalf("%s: decoded %v (cap %d, %v), want %v", uri, ids, cap(ids), err, want[uri])
 		}
@@ -210,7 +210,7 @@ func TestDetachCopiesRawStreams(t *testing.T) {
 		}
 	}
 	for uri, p := range postings {
-		ids, err := p.DecodedIDs()
+		ids, err := p.IDSet().All()
 		if err != nil || !reflect.DeepEqual(ids, want[uri]) {
 			t.Fatalf("%s: decoded %v (%v) after the stored values changed, want %v", uri, ids, err, want[uri])
 		}
@@ -243,7 +243,7 @@ func TestConcurrentDecodeOfSharedRawPostings(t *testing.T) {
 			defer wg.Done()
 			for _, byURI := range shared {
 				for uri, p := range byURI {
-					ids, err := p.DecodedIDs()
+					ids, err := p.IDSet().All()
 					if err == nil && len(ids) != p.IDCount() {
 						err = fmt.Errorf("%s: %d ids, count %d", uri, len(ids), p.IDCount())
 					}
@@ -385,7 +385,7 @@ func TestDuplicateContributionDecodesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := postings["doc.xml"]
-			got, err := p.DecodedIDs()
+			got, err := p.IDSet().All()
 			if err != nil || p.IDCount() != len(tc.want) || !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("count %d, ids %v (%v), want %v", p.IDCount(), got, err, tc.want)
 			}

@@ -93,7 +93,7 @@ type LookupOptions struct {
 	// View, when non-nil, pins the look-up to a snapshot of a mutable
 	// corpus: each key's write-buffer overlay is captured before the store
 	// fetch, replacement contributions supersede the key's main-store
-	// items, and tombstones are subtracted from the decoded lists. Cache
+	// items, and tombstoned owners are dropped from the decoded lists. Cache
 	// identities fold in the overlay stamp, so look-ups pinned across a
 	// mutation boundary never share a stale entry.
 	View ReadView

@@ -87,7 +87,7 @@ func (v fixedView) overlayOf(table, key string) kv.Overlay {
 		ov.Replaces = map[string][]kv.Item{}
 	}
 	if ov.Tombstones == nil {
-		ov.Tombstones = map[string][]kv.Item{}
+		ov.Tombstones = map[string]bool{}
 	}
 	return ov
 }
@@ -191,9 +191,9 @@ func checkLookupAgreement(t *testing.T, s Strategy, flags byte, docs []string, l
 			}
 		case 2: // tombstoned
 			for table, items := range ExtractionItems(store.Limits(), ex) {
-				for key, owned := range itemsByKey(items) {
+				for key := range itemsByKey(items) {
 					ov := view.overlayOf(table, key)
-					ov.Tombstones[uri(i)] = owned
+					ov.Tombstones[uri(i)] = true
 					view[table][key] = ov
 				}
 			}

@@ -167,54 +167,16 @@ func refPostingsBytes(k cacheKey, postings refPostings) int64 {
 	return n
 }
 
-// refApplyTombstones subtracts an overlay's tombstones from a key's
-// postings: identifier postings lose the dead identifiers, other kinds the
-// owner.
-func refApplyTombstones(postings refPostings, ov kv.Overlay, kind PostingKind, binaryIDs bool) (refPostings, error) {
+// refApplyTombstones drops an overlay's tombstoned owners from a key's
+// postings.
+func refApplyTombstones(postings refPostings, ov kv.Overlay) refPostings {
 	out := refPostings{}
 	for owner, p := range postings {
-		tomb, dead := ov.Tombstones[owner]
-		if !dead {
+		if !ov.Tombstones[owner] {
 			out[owner] = p
-			continue
-		}
-		if kind != IDPosting {
-			continue
-		}
-		deadPostings, err := refDecodeKey(kv.ItemRecords(tomb), nil, IDPosting, binaryIDs)
-		if err != nil {
-			return nil, err
-		}
-		dp := deadPostings[owner]
-		if dp == nil || dp.IDCount() == 0 {
-			out[owner] = p // nothing dead
-			continue
-		}
-		ids, err := p.DecodedIDs()
-		if err != nil {
-			return nil, err
-		}
-		deadIDs, err := dp.DecodedIDs()
-		if err != nil {
-			return nil, err
-		}
-		gone := map[int32]bool{}
-		for _, id := range deadIDs {
-			gone[id.Pre] = true
-		}
-		var kept []xmltree.NodeID
-		for _, id := range ids {
-			if !gone[id.Pre] {
-				kept = append(kept, id)
-			}
-		}
-		if len(kept) > 0 {
-			q := &Posting{URI: owner}
-			q.setIDs(kept)
-			out[owner] = q
 		}
 	}
-	return out, nil
+	return out
 }
 
 // refReadKeys reads keys the way ReadKeys bills them — in chunks of the
@@ -257,11 +219,7 @@ func refReadKeys(store kv.Store, table string, keys []string, kind PostingKind, 
 	}
 	for k, ov := range overlays {
 		if p, ok := out[k]; ok && len(ov.Tombstones) > 0 {
-			filtered, err := refApplyTombstones(p, ov, kind, binaryIDs)
-			if err != nil {
-				return nil, rs, err
-			}
-			out[k] = filtered
+			out[k] = refApplyTombstones(p, ov)
 		}
 	}
 	return out, rs, nil
@@ -368,7 +326,7 @@ func refLookupLUI(store kv.Store, table string, aug *augmented, reduce []string,
 		empty := false
 		byKey := map[string]twigjoin.Stream{}
 		for _, k := range keys {
-			ids, err := postings[k][uri].DecodedIDs()
+			ids, err := postings[k][uri].IDSet().All()
 			if err != nil {
 				return nil, rs, err
 			}

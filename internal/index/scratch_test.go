@@ -63,9 +63,9 @@ func FuzzLookupRecycledScratch(f *testing.F) {
 					continue
 				}
 				for table, items := range ExtractionItems(store.Limits(), ex) {
-					for key, owned := range itemsByKey(items) {
+					for key := range itemsByKey(items) {
 						ov := view.overlayOf(table, key)
-						ov.Tombstones[ex.URI] = owned
+						ov.Tombstones[ex.URI] = true
 						view[table][key] = ov
 					}
 				}

@@ -302,8 +302,8 @@ const (
 // Posting is the merged index content of one key for one document, built
 // from the URI's rows of a PostingList when a look-up first asks for it.
 //
-// Identifier postings come in three shapes, all read through IDCount, IDSet
-// and DecodedIDs:
+// Identifier postings come in three shapes, all read through IDCount and
+// IDSet:
 //
 //   - blocked: every stored value of the (key, URI) pair is a blocked blob
 //     and the segments tile the pre axis without overlap — the invariant of
@@ -381,20 +381,6 @@ func (p *Posting) idSet(a *idblock.Arena) (*idblock.Set, bool) {
 	return p.wrapped.Load(), true
 }
 
-// DecodedIDs materializes the posting's identifiers in pre order. The
-// returned slice is shared — with the cache, and with other look-ups — and
-// must not be mutated.
-func (p *Posting) DecodedIDs() ([]xmltree.NodeID, error) {
-	if p.blocked != nil {
-		return p.blocked.All()
-	}
-	s := p.IDSet()
-	if s == nil {
-		return nil, nil
-	}
-	return s.Block(0) // the one pre-decoded block, no copy
-}
-
 // ReadKeys batch-fetches several hash keys and returns each key's posting
 // list. Keys resident in opts' cache are served from it without touching
 // the store; the misses are read in store-batch-limit chunks, one after
@@ -451,7 +437,7 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 		sc = nil
 	}
 	if len(fetch) == 0 {
-		return byKey(keys, lists, overlays, rs)
+		return byKey(keys, lists, overlays), rs, nil
 	}
 	keyOf := func(fi int) int {
 		if at == nil {
@@ -532,14 +518,14 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 	if firstErr != nil {
 		return nil, rs, firstErr
 	}
-	return byKey(keys, lists, overlays, rs)
+	return byKey(keys, lists, overlays), rs, nil
 }
 
-// byKey maps each key to its list, with the captured tombstones subtracted
-// on the way out — after cache fills, so the cache keeps the
+// byKey maps each key to its list, with the captured tombstones' owners
+// dropped on the way out — after cache fills, so the cache keeps the
 // version-agnostic carrier and each pinned view applies its own deletes at
 // read time.
-func byKey(keys []string, lists []*PostingList, overlays map[string]kv.Overlay, rs LookupStats) (map[string]*PostingList, LookupStats, error) {
+func byKey(keys []string, lists []*PostingList, overlays map[string]kv.Overlay) map[string]*PostingList {
 	out := make(map[string]*PostingList, len(keys))
 	for i, k := range keys {
 		l := lists[i]
@@ -547,14 +533,11 @@ func byKey(keys []string, lists []*PostingList, overlays map[string]kv.Overlay, 
 			continue
 		}
 		if ov := overlays[k]; len(ov.Tombstones) > 0 {
-			var err error
-			if l, err = applyTombstones(l, ov); err != nil {
-				return nil, rs, err
-			}
+			l = applyTombstones(l, ov)
 		}
 		out[k] = l
 	}
-	return out, rs, nil
+	return out
 }
 
 // PostingList is one key's index content under one posting kind, as a read

@@ -7,9 +7,9 @@
 // monotonically bumped corpus version per mutation. Queries pin the
 // current version at admission and read a consistent snapshot: each
 // look-up captures its keys' buffer overlays before fetching, replacement
-// contributions supersede main-store items, and removals are subtracted
-// from shared cached postings at decode time via per-version tombstones
-// (idblock.MergeTombstones).
+// contributions supersede main-store items, and a removal's per-version
+// tombstones drop the owner's rows from shared cached postings on the way
+// out.
 //
 // A compactor folds buffered entries at or below the fold horizon — the
 // minimum pinned version — into the main store in group-committed batches
@@ -191,19 +191,18 @@ func (c *Corpus) Apply(ex *index.Extraction, docBytes []byte) ApplyResult {
 
 // supersedeLocked buffers the change of uri's contribution to one table
 // from the old slab to the new one at version ver, with a merge walk over
-// the slabs' sorted hash keys: a key only the old slab has is tombstoned,
-// retaining the superseded items; a key whose items changed or are new is
-// put. A key whose items are identical is skipped: whatever state carries
-// it — a live buffer entry or the folded store — is already right, and
-// skipping the re-put keeps caches hot and the compactor idle for
-// unchanged keys. Requires c.mu.
+// the slabs' sorted hash keys: a key only the old slab has is tombstoned;
+// a key whose items changed or are new is put. A key whose items are
+// identical is skipped: whatever state carries it — a live buffer entry or
+// the folded store — is already right, and skipping the re-put keeps
+// caches hot and the compactor idle for unchanged keys. Requires c.mu.
 func (c *Corpus) supersedeLocked(table, uri string, ver uint64, old, new []kv.Item) {
 	for len(old) > 0 || len(new) > 0 {
 		switch {
 		case len(new) == 0 || len(old) > 0 && old[0].HashKey < new[0].HashKey:
 			var o []kv.Item
 			o, old = keyGroup(old)
-			c.delta.Tombstone(table, o[0].HashKey, uri, ver, o)
+			c.delta.Tombstone(table, o[0].HashKey, uri, ver)
 		case len(old) == 0 || new[0].HashKey < old[0].HashKey:
 			var n []kv.Item
 			n, new = keyGroup(new)

@@ -135,8 +135,8 @@ func samePostings(t *testing.T, tbl string, live, folded *index.PostingList, uri
 				t.Fatalf("%s %s: path value %d differs", tbl, uri, j)
 			}
 		}
-		lids, lerr := l.DecodedIDs()
-		fids, ferr := f.DecodedIDs()
+		lids, lerr := l.IDSet().All()
+		fids, ferr := f.IDSet().All()
 		if lerr != nil || ferr != nil || l.IDCount() != f.IDCount() || !reflect.DeepEqual(lids, fids) {
 			t.Fatalf("%s %s: identifiers %v (%v) through the overlay, %v (%v) after the fold", tbl, uri, lids, lerr, fids, ferr)
 		}
