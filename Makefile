@@ -59,7 +59,7 @@ check: fmt vet docsize race benchtest
 # scanner's (about 10 s).
 liverepeat:
 	$(GO) test -race -count=10 -run 'TestFrontend|TestLivePipelineEndToEnd|TestQueryProcessorCrashRecovery|TestFaultToleranceIndexerCrash|TestPoisonDocumentGoesToDeadLetters|TestConcurrentQueriesOverLiveFleet|TestErrorQueryReportedThroughResponseQueue|TestDriverStepsOverForeignResponse|TestIdleLoopsStopPromptly|TestFetchPoolRunsDocumentsInParallel|TestFetchFailureStopsClaims' ./internal/core/
-	$(GO) test -race -count=10 -run 'TestTricklingBodyIsCutOff|TestShutdownClosesSilentConnection|TestClientLeavesWhileQueued' ./internal/serve/
+	$(GO) test -race -count=10 -run 'TestTricklingBodyIsCutOff|TestShutdownClosesSilentConnection|TestClientLeavesWhileQueued|TestStalledReaderFreesSlot' ./internal/serve/
 	$(GO) test -count=10 -run 'TestManyLookalikeNamesStayLinear' ./internal/xmltree/
 
 # bench regenerates benchall_output.txt (untracked; see .gitignore) from

@@ -90,6 +90,107 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// pooledMemory lists the sync.Pools under internal/ that stay, each with the
+// reason. Keys are "dir.name" for a pool a package-level variable holds and
+// "dir.Type.field" for one a struct holds, where dir is the package
+// directory under internal/. Any other memory a request reuses belongs to
+// an owner that outlives the request, which a collection does not empty.
+var pooledMemory = map[string]string{
+	"xmltree.arenaPool":   "three parse callers share it (the query path, indexing and updates), and a build gains from the memory earlier warehouses left in it",
+	"xmltree.scratchPool": "three parse callers share it, and a build gains from the memory earlier warehouses left in it",
+	"index.extractPool":   "a build gains from the extraction buffers earlier warehouses left in it",
+	"index.collectorPool": "a build gains from the extraction state earlier warehouses left in it",
+	"index.packTables":    "a build gains from the commit state earlier warehouses left in it",
+	"obs.Tracer.snaps":    "span snapshots, used only when tracing is on",
+}
+
+// TestNoPooledMemory fails when a non-test Go file under internal/ imports
+// weak, or declares a sync.Pool that pooledMemory does not list, and when
+// pooledMemory lists a pool that is gone.
+func TestNoPooledMemory(t *testing.T) {
+	pools := map[string]bool{}
+	walkGo(t, "internal", func(path string, f *ast.File) {
+		dir := strings.TrimPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
+		syncName := ""
+		for _, imp := range f.Imports {
+			switch p, _ := strconv.Unquote(imp.Path.Value); {
+			case p == "weak":
+				t.Errorf("%s imports weak: give the memory an owner instead", path)
+			case p == "sync" && imp.Name != nil:
+				syncName = imp.Name.Name
+			case p == "sync":
+				syncName = "sync"
+			}
+		}
+		// holdsPool reports whether n spells sync.Pool.
+		holdsPool := func(n ast.Node) (found bool) {
+			ast.Inspect(n, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
+					x, ok := sel.X.(*ast.Ident)
+					found = found || ok && x.Name == syncName
+				}
+				return !found
+			})
+			return syncName != "" && found
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if holdsPool(d) {
+					pools[dir+"."+d.Name.Name+" (a function)"] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if holdsPool(s) {
+								pools[dir+"."+n.Name] = true
+							}
+						}
+					case *ast.TypeSpec:
+						st, ok := s.Type.(*ast.StructType)
+						if !ok {
+							if holdsPool(s) {
+								pools[dir+"."+s.Name.Name] = true
+							}
+							continue
+						}
+						for _, field := range st.Fields.List {
+							if !holdsPool(field.Type) {
+								continue
+							}
+							for _, n := range fieldNames(&ast.FieldList{List: []*ast.Field{field}}) {
+								pools[dir+"."+s.Name.Name+"."+n] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+	for _, key := range sortedKeys(pools) {
+		if _, ok := pooledMemory[key]; !ok {
+			t.Errorf("%s holds a sync.Pool: give the memory an owner, or list it in pooledMemory with a reason", key)
+		}
+	}
+	for _, key := range sortedKeys(pooledMemory) {
+		if !pools[key] {
+			t.Errorf("pooledMemory lists %s, which holds no sync.Pool any more: drop the entry", key)
+		}
+	}
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // exportedDecl is one exported declaration: the identifier it declares,
 // whether it is a method and, for a method, how many declarations under
 // internal/ spell that same identifier (their own name tokens are not

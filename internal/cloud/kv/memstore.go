@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/meter"
+	"repro/internal/slab"
 )
 
 // Perf parameterizes the latency model of a store.
@@ -63,6 +64,9 @@ type MemStore struct {
 	mu      sync.RWMutex
 	tables  map[string]*table
 	clients int
+
+	// reads are the buffers of the reads not running.
+	reads slab.Idle[readBuf]
 }
 
 var (
@@ -240,8 +244,8 @@ func (s *MemStore) Read(ctx context.Context, tbl string, hashKeys []string, visi
 	if lim := s.cfg.Limits.BatchGetKeys; lim > 0 && len(hashKeys) > lim {
 		return 0, fmt.Errorf("%w: %d keys > %d", ErrBatchTooLarge, len(hashKeys), lim)
 	}
-	buf := readBufs.Get().(*readBuf)
-	defer buf.release()
+	buf := s.reads.Get()
+	defer s.release(buf)
 	d, err := s.take(buf, tbl, hashKeys)
 	if err != nil {
 		return 0, err
@@ -254,20 +258,18 @@ func (s *MemStore) Read(ctx context.Context, tbl string, hashKeys []string, visi
 
 // readBuf is the cursors of one read and the record references they walk.
 // Visitors keep neither past their return, so a read hands its buffer back
-// to readBufs when it is done.
+// to the store when it is done.
 type readBuf struct {
 	recs []Records
 	refs []ref
 }
 
-var readBufs = sync.Pool{New: func() any { return new(readBuf) }}
-
 // release clears the cursors, which reference the table's chunk list, and
-// returns the buffer to the pool.
-func (b *readBuf) release() {
+// gives the buffer back for the store's next read.
+func (s *MemStore) release(b *readBuf) {
 	clear(b.recs)
 	b.recs = b.recs[:0]
-	readBufs.Put(b)
+	s.reads.Put(b)
 }
 
 // take is the part of a read that runs under the table's lock: it checks

@@ -305,11 +305,8 @@ func groupsOf(t *testing.T, s kv.Store) {
 
 // A Get costs the three slabs the items are cut from, the one-key request
 // and the visitor that collects it, however many items the hash key has;
-// the read's cursors and reference copy come from a pool.
+// the read's cursors and reference copy are the store's, from its last read.
 func TestGetAllocationsDoNotGrowWithItems(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop what is put back")
-	}
 	s := newDynamo(t)
 	groupsOf(t, s)
 	var allocs []float64
@@ -326,13 +323,10 @@ func TestGetAllocationsDoNotGrowWithItems(t *testing.T) {
 	}
 }
 
-// A Read takes its cursors and its copy of the references from a pool, and
-// allocates at most two buffers when the pool has none, whatever the number
-// of records: nothing per record.
+// A Read takes its cursors and its copy of the references from the store's
+// read buffers, and allocates at most two buffers when those are too short,
+// whatever the number of records: nothing per record.
 func TestReadAllocationsDoNotGrowWithItems(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop what is put back")
-	}
 	s := newDynamo(t)
 	groupsOf(t, s)
 	var allocs []float64

@@ -2,6 +2,8 @@ package core
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cloud/ec2"
@@ -255,4 +257,57 @@ func TestBulkIndexingRerunAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkLayout(t, "bulk rerun vs clean per-doc", w, clean)
+}
+
+// TestSlicedBuildAllocationsSurviveCollections: what a build reuses is its
+// warehouse's, not the collector's. The gateable benchmark's index-build
+// shape (400 XMark documents of 16 KB, seed 42, 2LUPI, bulk-loaded 40 at a
+// time on eight large instances) is built five times into a new warehouse
+// as is and five times, in turn, with a collection after every slice; the
+// median of the second may allocate at most 1.15 times the first's a
+// document. When the bulk loader held its chunks by weak pointer, the
+// second read 134 KB a document against 77.
+func TestSlicedBuildAllocationsSurviveCollections(t *testing.T) {
+	cfg := xmark.DefaultConfig(400)
+	cfg.Seed = 42
+	cfg.TargetDocBytes = 16 << 10
+	docs := xmark.Generate(cfg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	build := func(docs []xmark.Doc, collect bool) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w, err := New(Config{Strategy: index.TwoLUPI, Seed: 1, BulkLoad: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet := ec2.LaunchFleet(w.ledger, ec2.Large, 8)
+		for rest := docs; len(rest) > 0; rest = rest[40:] {
+			for _, d := range rest[:40] {
+				if err := w.SubmitDocument(d.URI, d.Data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := w.IndexCorpusOn(fleet, nil); err != nil {
+				t.Fatal(err)
+			}
+			if collect {
+				runtime.GC()
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(docs))
+	}
+	build(docs[:80], false) // the parser's and the extraction's pools warm up
+	var plains, collecteds []float64
+	for range 5 {
+		plains = append(plains, build(docs, false))
+		collecteds = append(collecteds, build(docs, true))
+	}
+	slices.Sort(plains)
+	slices.Sort(collecteds)
+	plain, collected := plains[2], collecteds[2]
+	t.Logf("%.0f bytes a document, %.0f with a collection after every slice", plain, collected)
+	if collected > 1.15*plain {
+		t.Errorf("with a collection after every slice a build allocates %.0f bytes a document, want at most 1.15 times %.0f", collected, plain)
+	}
 }

@@ -47,6 +47,7 @@ import (
 	"repro/internal/meter"
 	"repro/internal/mutate"
 	"repro/internal/obs"
+	"repro/internal/slab"
 )
 
 // Names of the warehouse's cloud resources.
@@ -266,6 +267,12 @@ type Warehouse struct {
 	met    coreMetrics
 
 	querySeq atomic.Int64
+
+	// The memory the warehouse's requests reuse: the query memory of the
+	// queries not running, as many as ever ran at once, and the chunks the
+	// bulk loader gave back.
+	queryMems slab.Idle[queryMem]
+	bulkMem   index.BulkMemory
 }
 
 // coreMetrics holds the warehouse's hot-path instruments, resolved once at

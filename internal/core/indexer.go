@@ -334,7 +334,7 @@ func (w *Warehouse) bulkIndexLoop(fleet []*ec2.Instance, report *IndexReport, pe
 		}
 	}
 
-	loader := index.NewBulkLoader(w.store, index.BulkOptions{Obs: w.reg, Concurrent: concurrent}, w.cache)
+	loader := index.NewBulkLoader(w.store, index.BulkOptions{Obs: w.reg, Concurrent: concurrent, Memory: &w.bulkMem}, w.cache)
 	var queue []*inflightDoc
 	uploadEnd := make(map[*ec2.Instance][]time.Duration)
 	nackAll := func() {

@@ -143,10 +143,13 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	if err != nil {
 		return stats, err
 	}
-	plan, err := engine.NewPlan(q)
+	mem := w.queryMems.Get()
+	defer w.putQueryMem(mem)
+	plan, err := engine.NewPlan(q, &mem.plan)
 	if err != nil {
 		return stats, err
 	}
+	defer plan.Release() // on a failure; step 14 releases it sooner
 
 	in.TL.Level()
 	t0 := in.TL.Elapsed()
@@ -174,6 +177,7 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 		lsp := sp.Child(obs.SpanLookup)
 		lopts := w.lookupOpts
 		lopts.Span = lsp
+		lopts.Scratch = &mem.lookup
 		if view != nil {
 			lopts.View = view
 		}
@@ -207,8 +211,6 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	// of them (plan.Finish). rows[pi][di] are pattern pi's on the di-th
 	// document of its list; every list is sorted (LookupQuery,
 	// DocumentURIs and Corpus.URIs return them so), and so is their union.
-	mem := queryMems.Get().(*queryMem)
-	defer mem.release()
 	uris, rows := mem.layout(perPattern)
 	stats.DocsFetched = len(uris)
 	esp := sp.Child(obs.SpanEval)
@@ -301,12 +303,15 @@ func (w *Warehouse) processQuery(in *ec2.Instance, msg queryMessage, parent *obs
 	return stats, nil
 }
 
-// queryMem is the memory processQuery needs beside its plan's (which
-// engine.Plan.Release recycles): the sorted candidates, the table of rows
-// handed to Finish, the fetch tasks' outcomes and the step-14 object, which
-// the file store copies. A query takes one from queryMems and puts it back,
-// cleared, when it returns.
+// queryMem is the memory one query works in: its look-up's scratch, its
+// plan's rows and matchers (which engine.Plan.Release clears), the sorted
+// candidates, the table of rows handed to Finish, the fetch tasks' outcomes
+// and the step-14 object, which the file store copies. processQuery takes
+// one from the warehouse's queryMems and puts it back, cleared, when it
+// returns.
 type queryMem struct {
+	lookup  index.Scratch
+	plan    engine.Memory
 	uris    []string
 	cells   [][]engine.Row // rows[pi] of every pattern, end to end
 	rows    [][][]engine.Row
@@ -314,12 +319,10 @@ type queryMem struct {
 	body    []byte
 }
 
-var queryMems = sync.Pool{New: func() any { return new(queryMem) }}
-
-// A pooled queryMem keeps an object buffer of at most maxPooledBody bytes:
-// a scan query's object is tens of KB, and one huge answer should not ride
+// An idle queryMem keeps an object buffer of at most maxKeptBody bytes: a
+// scan query's object is tens of KB, and one huge answer should not ride
 // along with every later query.
-const maxPooledBody = 1 << 20
+const maxKeptBody = 1 << 20
 
 // layout returns the sorted union of the candidate lists and the table of
 // rows, rows[pi] as long as perPattern[pi] and all nil.
@@ -350,17 +353,17 @@ func (m *queryMem) fetchedDocs(n int) []fetchedDoc {
 	return m.fetched
 }
 
-// release clears what m holds of the query and pools it again.
-func (m *queryMem) release() {
+// putQueryMem clears what m holds of its query and makes it idle again.
+func (w *Warehouse) putQueryMem(m *queryMem) {
 	clear(m.uris)
 	clear(m.cells)
 	clear(m.rows)
 	clear(m.fetched)
-	if cap(m.body) > maxPooledBody {
+	if cap(m.body) > maxKeptBody {
 		m.body = nil
 	}
 	m.uris, m.cells, m.rows, m.fetched = m.uris[:0], m.cells[:0], m.rows[:0], m.fetched[:0]
-	queryMems.Put(m)
+	w.queryMems.Put(m)
 }
 
 // fetchedDoc is the outcome of one step-13 task: the modeled quantities the

@@ -117,7 +117,7 @@ type Plan struct {
 	// mu guards mem, the memory the rows of EvalPattern and Finish are
 	// carved from (rowmem.go): EvalPattern runs on several goroutines.
 	mu  sync.Mutex
-	mem *rowMem
+	mem *Memory
 }
 
 // step is one pattern node compiled: where its value and its content go in a
@@ -142,12 +142,15 @@ type joinStep struct{ left, right []int }
 // colPair is a condition between two columns of one row: they are equal.
 type colPair struct{ a, b int }
 
-// NewPlan validates q and compiles it.
-func NewPlan(q *pattern.Query) (*Plan, error) {
+// NewPlan validates q and compiles it into a plan whose rows lie in mem
+// (a new Memory when mem is nil).
+func NewPlan(q *pattern.Query, mem *Memory) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	return newPlan(q), nil
+	p := newPlan(q)
+	p.mem = mem
+	return p, nil
 }
 
 // newPlan compiles q, which the caller has validated. What a step reads of
@@ -272,7 +275,7 @@ func EvalPatternOnDoc(t *pattern.Tree, doc *xmltree.Document) []Row {
 
 // project cuts the hidden join columns off the rows and removes the
 // duplicates among what is left, with dedup's table in m.
-func (p *Plan) project(m *rowMem, rows []Row) []Row {
+func (p *Plan) project(m *Memory, rows []Row) []Row {
 	for i := range rows {
 		rows[i].Cols = rows[i].Cols[:p.visible:p.visible]
 	}
@@ -315,7 +318,7 @@ func EvalQueryOnDocs(q *pattern.Query, docs []*xmltree.Document) (*Result, error
 // the rows in (pattern, document) order, so the result is identical at
 // every concurrency level.
 func EvalQueryOnDocSets(q *pattern.Query, docSets [][]*xmltree.Document, workers ...int) (*Result, error) {
-	p, err := NewPlan(q)
+	p, err := NewPlan(q, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +414,10 @@ func isRootCandidate(q *pattern.Node, n *xmltree.Node) bool {
 // the plan's memory, valid until Release.
 func (p *Plan) EvalPattern(pi int, doc *xmltree.Document) []Row {
 	root := p.roots[pi]
-	m := matcherPool.Get().(*matcher)
+	p.mu.Lock()
+	mem := p.memory()
+	p.mu.Unlock()
+	m := mem.matchers.Get()
 	m.uri, m.width = doc.URI, p.width
 	rows := m.rows
 	for _, n := range doc.NodesByLabel(root.q.Label) {
@@ -428,7 +434,8 @@ func (p *Plan) EvalPattern(pi int, doc *xmltree.Document) []Row {
 	}
 	out := p.keep(rows)
 	m.rows = rows
-	m.release()
+	m.reset()
+	mem.matchers.Put(m)
 	return out
 }
 
@@ -595,7 +602,7 @@ func filterEqual(rows []Row, f colPair) []Row {
 // right row in order, its merge with every left row that matches it, in left
 // order. With no conditions it is the cross product, left rows major. It
 // returns nil when no pair matches.
-func (m *rowMem) hashJoin(left, right []Row, join joinStep) []Row {
+func (m *Memory) hashJoin(left, right []Row, join joinStep) []Row {
 	if len(join.left) == 0 {
 		out := m.merged(len(left)*len(right), left)
 		k := 0
@@ -644,7 +651,7 @@ type joinIndex struct {
 }
 
 // index builds the join index over left.
-func (m *rowMem) index(left []Row, join joinStep) joinIndex {
+func (m *Memory) index(left []Row, join joinStep) joinIndex {
 	x := joinIndex{left: left, join: join, heads: take(&m.slots, tableSize(len(left))),
 		next: take(&m.slots, len(left)), hashes: take(&m.hashes, len(left))}
 	// Inserted last to first, so that every bucket lists its rows in left
@@ -673,7 +680,7 @@ func (x *joinIndex) match(r Row, h uint64, j int32) int32 {
 
 // merged carves n rows as wide as the rows of left from m, for merge to
 // fill; nil when n is 0.
-func (m *rowMem) merged(n int, left []Row) []Row {
+func (m *Memory) merged(n int, left []Row) []Row {
 	if n == 0 {
 		return nil
 	}
@@ -693,7 +700,7 @@ func (m *rowMem) merged(n int, left []Row) []Row {
 
 // merge fills dst, a row of merged, with l's columns overlaid by r's
 // non-empty ones and the URIs of both.
-func (m *rowMem) merge(dst *Row, l, r Row) {
+func (m *Memory) merge(dst *Row, l, r Row) {
 	copy(dst.Cols, l.Cols)
 	for i, v := range r.Cols {
 		if v != "" {
@@ -739,7 +746,7 @@ func tableSize(n int) int {
 // same columns) and returns the rows that stay, in their order. It hashes the
 // strings of a row where they lie and compares rows whose hashes meet, so it
 // builds no key; its table and hashes are carved from m.
-func (m *rowMem) dedup(rows []Row) []Row {
+func (m *Memory) dedup(rows []Row) []Row {
 	if len(rows) < 2 {
 		return rows
 	}

@@ -82,7 +82,7 @@ func TestPlanPerDocumentMatchesDocSets(t *testing.T) {
 	}
 	joinedRows, hidden := 0, 0
 	for qi, q := range queries {
-		plan, err := NewPlan(q)
+		plan, err := NewPlan(q, nil)
 		if err != nil {
 			t.Fatalf("query %d %s: %v", qi, q, err)
 		}
@@ -139,7 +139,7 @@ func TestPlanPerDocumentMatchesDocSets(t *testing.T) {
 	if joinedRows < 20 || hidden < 20 {
 		t.Fatalf("%d queries with joins and %d with hidden columns gave rows; generator too hostile", joinedRows, hidden)
 	}
-	if p, err := NewPlan(queries[0]); err != nil {
+	if p, err := NewPlan(queries[0], nil); err != nil {
 		t.Fatal(err)
 	} else if _, err := p.Finish(nil); err == nil {
 		t.Fatal("Finish took the rows of no pattern for a query of one")

@@ -43,13 +43,13 @@ func releaseSources(t *testing.T, docBytes int) []releaseSource {
 	return docs
 }
 
-// evalReleased is the query processor's path: every document parsed under
-// the query's projection, each pattern evaluated on it on one of four
-// goroutines, the document released, then Finish. It returns the plan
-// unreleased with the result.
-func evalReleased(t *testing.T, q *pattern.Query, docs []releaseSource) (*Plan, *Result) {
+// evalReleased is the query processor's path: a plan in mem, every document
+// parsed under the query's projection, each pattern evaluated on it on one
+// of four goroutines, the document released, then Finish. It returns the
+// plan unreleased with the result.
+func evalReleased(t *testing.T, q *pattern.Query, docs []releaseSource, mem *Memory) (*Plan, *Result) {
 	t.Helper()
-	plan, err := NewPlan(q)
+	plan, err := NewPlan(q, mem)
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
@@ -93,12 +93,13 @@ func encode(t *testing.T, res *Result) string {
 	return string(body)
 }
 
-// Plans release their row memory, and later plans take what they gave back:
-// query after query, the result encoded before Release must be
+// Plans release their row memory, and later plans in the same Memory reuse
+// it: query after query, the result encoded before Release must be
 // EvalQueryOnDocSets' on the full documents, byte for byte. Two plans are
-// alive at a time, the first released (twice) before the second is encoded,
-// so that memory handed to two plans at once shows. The queries are the
-// workload's and random ones of one or two patterns with value joins.
+// alive at a time, each in a Memory of its own, the first released (twice)
+// before the second is encoded, so that one plan's release that reached the
+// other's memory shows. The queries are the workload's and random ones of
+// one or two patterns with value joins.
 func TestReleasedPlansMatchDocSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261017))
 	docs := releaseSources(t, 3<<10)
@@ -118,11 +119,12 @@ func TestReleasedPlansMatchDocSets(t *testing.T) {
 		}
 	}
 	withRows := 0
+	var mems [2]Memory
 	for qi := 0; qi < len(queries); qi += 2 {
 		var plans [2]*Plan
 		var got [2]*Result
 		for k := range plans {
-			plans[k], got[k] = evalReleased(t, queries[qi+k], docs)
+			plans[k], got[k] = evalReleased(t, queries[qi+k], docs, &mems[k])
 		}
 		for k, q := range queries[qi : qi+2] {
 			sets := make([][]*xmltree.Document, len(q.Patterns))
@@ -153,13 +155,14 @@ func TestReleasedPlansMatchDocSets(t *testing.T) {
 func TestUnreleasedResultOutlivesOtherPlans(t *testing.T) {
 	docs := releaseSources(t, 3<<10)
 	queries := workload.XMark()
-	_, kept := evalReleased(t, queries[5].Parse(), docs)
+	_, kept := evalReleased(t, queries[5].Parse(), docs, nil)
 	if len(kept.Rows) == 0 {
 		t.Fatal("q6 gave no rows")
 	}
 	want := encode(t, kept)
+	var mem Memory
 	for i := 0; i < 100; i++ {
-		plan, _ := evalReleased(t, queries[i%len(queries)].Parse(), docs[:4])
+		plan, _ := evalReleased(t, queries[i%len(queries)].Parse(), docs[:4], &mem)
 		plan.Release()
 	}
 	if got := encode(t, kept); got != want {
@@ -167,16 +170,13 @@ func TestUnreleasedResultOutlivesOtherPlans(t *testing.T) {
 	}
 }
 
-// Once the pools are warm, evaluating q6 on the gate's 20 documents, then
-// Finish and Release, allocates a quarter at most of what the same
-// evaluation allocated when every EvalPattern had a matcher of its own and
-// Finish a fresh concatenation: 52,430 bytes in 91 allocations (Go 1.24,
-// linux/amd64). What is left is the run's own table of rows and the
-// Result: the rest of Finish lies in the plan's recycled memory.
+// Once a Memory has served a few plans, evaluating q6 on the gate's 20
+// documents in it, then Finish and Release, allocates a quarter at most of
+// what the same evaluation allocated when every EvalPattern had a matcher of
+// its own and Finish a fresh concatenation: 52,430 bytes in 91 allocations
+// (Go 1.24, linux/amd64). What is left is the run's own table of rows and
+// the Result: the rest of Finish lies in the plan's recycled memory.
 func TestEvalAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop what is put back")
-	}
 	const parentBytes = 52_430
 	q := workload.XMark()[5].Parse()
 	cfg := xmark.DefaultConfig(20)
@@ -190,8 +190,9 @@ func TestEvalAllocations(t *testing.T) {
 		}
 		docs = append(docs, pd)
 	}
+	var mem Memory
 	run := func() int {
-		plan, err := NewPlan(q)
+		plan, err := NewPlan(q, &mem)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func TestEvalAllocations(t *testing.T) {
 	const runs = 200
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if _, err := NewPlan(q); err != nil {
+		if _, err := NewPlan(q, &mem); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"sync"
 	"unsafe"
 
 	"repro/internal/slab"
@@ -10,15 +9,16 @@ import (
 
 // The rows of one pattern on one document are built in a matcher's memory,
 // which also holds rows that a later step drops (a failed branch, the
-// factors of a product), and are then copied at exact size into memory the
-// plan owns. Both are recycled: a matcher's when EvalPattern returns, a
-// plan's when its owner calls Release.
+// factors of a product), and are then copied at exact size into the plan's
+// memory. Both belong to the Memory the plan's owner hands to NewPlan: a
+// matcher is reused when EvalPattern returns, the plan's rows when its
+// owner calls Release.
 
 // matcher builds the rows of one pattern over one document. Rows are carved
 // from cols and collected on rows, the row stack every level of match
 // appends to; scratch is a stack of candidate lists shared by the whole
 // descent: every level appends its candidates and pops them when done. A
-// matcher is pooled, so a stream of evaluations reuses all three.
+// Memory keeps its matchers, so a stream of evaluations reuses all three.
 type matcher struct {
 	uri   string
 	width int
@@ -29,15 +29,13 @@ type matcher struct {
 	made    int // rows carved, which bounds how far the row stack reached
 }
 
-var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
-
 // Column memory comes in chunks of colChunk strings (a row's width where
-// that is more). A pooled matcher keeps maxMatcherCols strings of it and a
-// row stack of at most maxPooledRows.
+// that is more). A reset matcher keeps maxMatcherCols strings of it and a
+// row stack of at most maxKeptRows.
 const (
 	colChunk       = 1024
 	maxMatcherCols = 8 * colChunk
-	maxPooledRows  = 8 << 10
+	maxKeptRows    = 8 << 10
 )
 
 func (m *matcher) newRow() Row {
@@ -48,40 +46,41 @@ func (m *matcher) newRow() Row {
 	return Row{URI: m.uri, Cols: m.cols.Take(m.width, colChunk)}
 }
 
-// release clears what m holds of a document and returns it to the pool.
-func (m *matcher) release() {
+// reset clears what m holds of a document.
+func (m *matcher) reset() {
 	clear(m.rows[:min(m.made, cap(m.rows))])
 	clear(m.scratch[:cap(m.scratch)])
 	m.cols.Reset(maxMatcherCols)
-	if cap(m.rows) > maxPooledRows {
+	if cap(m.rows) > maxKeptRows {
 		m.rows = nil
 	}
 	m.uri, m.rows, m.scratch, m.made = "", m.rows[:0], m.scratch[:0], 0
-	matcherPool.Put(m)
 }
 
-// rowMem is the memory of a plan's rows and of everything Finish builds of
-// them: Row headers and column strings, dedup's and the hash join's tables
-// and hashes, and the bytes of the URIs a join concatenates. EvalPattern
-// carves rows from it under the plan's mutex, Finish carves the rest holding
-// that mutex, and Release clears it and pools it for a later plan.
-type rowMem struct {
+// Memory is what an owner's plans, one after another, build their rows in:
+// the rows of EvalPattern and everything Finish builds of them (Row headers
+// and column strings, dedup's and the hash join's tables and hashes, the
+// bytes of the URIs a join concatenates), carved under the plan's mutex,
+// and the matchers EvalPattern works in, as many as evaluated at once. The
+// owner hands it to NewPlan and to the next plan once the last one has
+// called Release. The zero value is ready for use.
+type Memory struct {
 	rows   slab.Chunks[Row]
 	cols   slab.Chunks[string]
 	slots  slab.Chunks[int32]
 	hashes slab.Chunks[uint64]
 	text   slab.Chunks[byte]
+
+	matchers slab.Idle[matcher]
 }
 
-var rowMemPool = sync.Pool{New: func() any { return new(rowMem) }}
-
 // A plan's memory is carved from chunks of at least memChunk bytes of each
-// kind, and a pooled one keeps at most maxPooledMem bytes of each: enough
+// kind, and a released one keeps at most maxKeptMem bytes of each: enough
 // for a scan query's rows and joins, not so much that every later plan
 // carries one odd query's.
 const (
-	memChunk     = 16 << 10
-	maxPooledMem = 512 << 10
+	memChunk   = 16 << 10
+	maxKeptMem = 512 << 10
 )
 
 // take carves n zeroed slots from c.
@@ -90,17 +89,17 @@ func take[T any](c *slab.Chunks[T], n int) []T {
 	return c.Take(n, memChunk/int(unsafe.Sizeof(zero)))
 }
 
-// keepPooled resets c, keeping maxPooledMem bytes of its chunks.
-func keepPooled[T any](c *slab.Chunks[T]) {
+// keepBounded resets c, keeping maxKeptMem bytes of its chunks.
+func keepBounded[T any](c *slab.Chunks[T]) {
 	var zero T
-	c.Reset(maxPooledMem / int(unsafe.Sizeof(zero)))
+	c.Reset(maxKeptMem / int(unsafe.Sizeof(zero)))
 }
 
-// memory returns the plan's memory, taking it from the pool the first time.
-// The caller holds p.mu or has the plan to itself.
-func (p *Plan) memory() *rowMem {
+// memory returns the plan's memory, a new one if it has none. The caller
+// holds p.mu or has the plan to itself.
+func (p *Plan) memory() *Memory {
 	if p.mem == nil {
-		p.mem = rowMemPool.Get().(*rowMem)
+		p.mem = new(Memory)
 	}
 	return p.mem
 }
@@ -156,7 +155,7 @@ func same(a, b string) bool {
 // concat returns the rows of one pattern on all its documents, in document
 // order, in m, with the duplicates removed. It returns an empty, not a nil,
 // slice when there are none.
-func (m *rowMem) concat(docs [][]Row) []Row {
+func (m *Memory) concat(docs [][]Row) []Row {
 	n := 0
 	for _, r := range docs {
 		n += len(r)
@@ -173,20 +172,20 @@ func (m *rowMem) concat(docs [][]Row) []Row {
 
 // joinURI returns the URI of a row merged from rows of documents l and r,
 // the two joined with "+", its bytes in m.
-func (m *rowMem) joinURI(l, r string) string {
+func (m *Memory) joinURI(l, r string) string {
 	b := take(&m.text, len(l)+1+len(r))
 	copy(b[copy(b, l):], "+")
 	copy(b[len(l)+1:], r)
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// Release hands the plan's memory to later plans, cleared: it holds the rows
-// EvalPattern returned and all of Finish's Result but its Columns. Those are
-// invalid afterwards, so only the plan's owner calls it, once it has read
-// what it needs of them (the query processor once it has encoded the
-// result). A second call does nothing, and a plan that is used again after
-// it takes fresh memory. A plan that is never released is left to the
-// collector with its rows.
+// Release clears the plan's memory for its owner's next plan: it holds the
+// rows EvalPattern returned and all of Finish's Result but its Columns.
+// Those are invalid afterwards, so only the plan's owner calls it, once it
+// has read what it needs of them (the query processor once it has encoded
+// the result). A second call does nothing, and a plan that is used again
+// after it takes new memory. A plan that is never released leaves its rows
+// to the collector, and its Memory to no later plan.
 func (p *Plan) Release() {
 	p.mu.Lock()
 	m := p.mem
@@ -195,10 +194,9 @@ func (p *Plan) Release() {
 	if m == nil {
 		return
 	}
-	keepPooled(&m.rows)
-	keepPooled(&m.cols)
-	keepPooled(&m.slots)
-	keepPooled(&m.hashes)
-	keepPooled(&m.text)
-	rowMemPool.Put(m)
+	keepBounded(&m.rows)
+	keepBounded(&m.cols)
+	keepBounded(&m.slots)
+	keepBounded(&m.hashes)
+	keepBounded(&m.text)
 }

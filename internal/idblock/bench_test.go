@@ -13,7 +13,7 @@ import (
 // varint kernel the bit-packed payload was built to beat.
 func BenchmarkDecodeBlockPacked(b *testing.B) {
 	ids := randomSortedIDs(rand.New(rand.NewSource(7)), 1<<16)
-	blobs := EncodePacked(ids, DefaultBlockSize, 1<<20)
+	blobs := EncodePacked(ids, DefaultBlockSize, 1<<20, nil)
 	sets := make([]*Set, 0, len(blobs))
 	var bytes int64
 	for _, blob := range blobs {

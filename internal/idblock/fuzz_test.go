@@ -15,10 +15,10 @@ func FuzzParse(f *testing.F) {
 	ids := randomSortedIDs(r, 300)
 	for _, bs := range []int{1, 3, 128} {
 		// Blocks that keep the varint payload, then blocks that pack.
-		for _, blob := range EncodePacked(outlierIDs(300), bs, 1<<20) {
+		for _, blob := range EncodePacked(outlierIDs(300), bs, 1<<20, nil) {
 			f.Add(blob)
 		}
-		for _, blob := range EncodePacked(ids, bs, 1<<20) {
+		for _, blob := range EncodePacked(ids, bs, 1<<20, nil) {
 			f.Add(blob)
 		}
 	}
@@ -28,7 +28,7 @@ func FuzzParse(f *testing.F) {
 		dup = append(dup, ids[i%4])
 	}
 	sortByPre(dup)
-	for _, blob := range EncodePacked(dup, DefaultBlockSize, 1<<20) {
+	for _, blob := range EncodePacked(dup, DefaultBlockSize, 1<<20, nil) {
 		f.Add(blob)
 	}
 	f.Add([]byte{Magic2, 0, 0, 0, 0, 1})
@@ -41,8 +41,7 @@ func FuzzParse(f *testing.F) {
 		// Per-block decode must agree with All, errors and contents alike.
 		var per []int
 		perOK := true
-		a := GetArena()
-		defer PutArena(a)
+		a := new(Arena)
 		for i := 0; i < s.Blocks(); i++ {
 			out, err := s.AppendBlockArena(nil, i, a)
 			if err != nil {
@@ -69,7 +68,7 @@ func FuzzParse(f *testing.F) {
 		}
 		// Re-encode and decode back.
 		var got []int32
-		for _, b := range EncodePacked(all, DefaultBlockSize, 1<<20) {
+		for _, b := range EncodePacked(all, DefaultBlockSize, 1<<20, nil) {
 			s2, err := Parse(b)
 			if err != nil {
 				t.Fatalf("re-encoded blob does not parse: %v", err)

@@ -141,7 +141,7 @@ func (s *Set) PayloadBytes() int64 {
 // mutated. When s was carved from an arena (Arena.Parse, Arena.FromIDs),
 // the decoded block and the memo are carved from a, which must not be reset
 // before the arena s came from; a set on the heap memoizes on the heap, and
-// a is only its column scratch (nil borrows one from the pool).
+// a is only its column scratch (nil decodes through a new one).
 func (s *Set) BlockIn(i int, a *Arena) ([]xmltree.NodeID, error) {
 	carve := a
 	if !s.scoped {
@@ -166,8 +166,7 @@ func (s *Set) BlockIn(i int, a *Arena) ([]xmltree.NodeID, error) {
 // AppendBlockArena decodes the i-th block into dst without touching the
 // memo, through the caller's arena: a packed payload unpacks its columns
 // into it, so a loop over blocks reuses one arena and the steady-state
-// decode allocates nothing. A nil arena borrows one from the pool for the
-// duration of the call.
+// decode allocates nothing. A nil arena decodes through a new one.
 func (s *Set) AppendBlockArena(dst []xmltree.NodeID, i int, a *Arena) ([]xmltree.NodeID, error) {
 	s.mu.Lock()
 	memo := s.decoded
@@ -181,18 +180,17 @@ func (s *Set) AppendBlockArena(dst []xmltree.NodeID, i int, a *Arena) ([]xmltree
 // All decodes every block and returns the concatenated identifiers in pre
 // order, pre-sized from the headers' counts. It reads through the per-block
 // memo but does not populate it: a full decode is typically one-shot, and
-// skipping the memo keeps it at a single allocation (plus a pooled arena
+// skipping the memo keeps it at a single allocation (plus an arena's columns
 // when payloads are packed).
 func (s *Set) All() ([]xmltree.NodeID, error) {
 	if s == nil {
 		return nil, nil
 	}
 	out := make([]xmltree.NodeID, 0, s.total)
-	a := GetArena()
-	defer PutArena(a)
+	var a Arena
 	var err error
 	for i := range s.blocks {
-		if out, err = s.AppendBlockArena(out, i, a); err != nil {
+		if out, err = s.AppendBlockArena(out, i, &a); err != nil {
 			return nil, err
 		}
 	}
@@ -203,7 +201,7 @@ func (s *Set) All() ([]xmltree.NodeID, error) {
 // header: triple count, exact byte length, pre ordering, and the min/max
 // summaries must all agree — that is what lets skip logic trust a header
 // it never cross-checks against the payload. The payload's format byte
-// selects the decoder; a nil arena borrows a pooled one when the payload
+// selects the decoder; a nil arena is replaced by a new one when the payload
 // needs it.
 func appendBlock(dst []xmltree.NodeID, b block, a *Arena) ([]xmltree.NodeID, error) {
 	if b.data == nil {
@@ -212,8 +210,7 @@ func appendBlock(dst []xmltree.NodeID, b block, a *Arena) ([]xmltree.NodeID, err
 	switch b.data[0] { // Parse guarantees plen >= 1
 	case payloadPacked:
 		if a == nil {
-			a = GetArena()
-			defer PutArena(a)
+			a = new(Arena)
 		}
 		return appendBlockPacked(dst, b, a)
 	case payloadVarint: // decoded below
@@ -404,10 +401,11 @@ func IsSorted(ids []xmltree.NodeID) bool {
 // and a block at least one triple, so hostile caps are exceeded by at most
 // one header plus one oversized triple — the same overshoot contract as the
 // headerless codec. blockSize <= 0 selects DefaultBlockSize; maxBlob <= 0
-// selects 1 MiB. EncodePacked panics on unsorted input: the headers it would
-// write could silently corrupt skip decisions, so callers gate on IsSorted
-// and fall back to the headerless codec.
-func EncodePacked(ids []xmltree.NodeID, blockSize, maxBlob int) [][]byte {
+// selects 1 MiB. The packed payloads are built through a's columns (a new
+// arena's when a is nil). EncodePacked panics on unsorted input: the headers
+// it would write could silently corrupt skip decisions, so callers gate on
+// IsSorted and fall back to the headerless codec.
+func EncodePacked(ids []xmltree.NodeID, blockSize, maxBlob int, a *Arena) [][]byte {
 	if len(ids) == 0 {
 		return nil
 	}
@@ -420,8 +418,9 @@ func EncodePacked(ids []xmltree.NodeID, blockSize, maxBlob int) [][]byte {
 	if !IsSorted(ids) {
 		panic("idblock: EncodePacked on unsorted identifiers")
 	}
-	arena := GetArena()
-	defer PutArena(arena)
+	if a == nil {
+		a = new(Arena)
+	}
 
 	// Cut the set into blocks: at most blockSize ids each, and a payload
 	// that stops growing at the blob cap so single-block blobs stay near it.
@@ -454,7 +453,7 @@ func EncodePacked(ids []xmltree.NodeID, blockSize, maxBlob int) [][]byte {
 		wPre, wPost, wDepth := headerWidths(h)
 		packable := wPre|wPost|wDepth != 0 || h.Count <= maxZeroSpanCount
 		if ps := packedPayloadSize(h); packable && ps < 1+len(payload) {
-			payload = packPayload(make([]byte, 0, ps), ids[start:end], h, arena)
+			payload = packPayload(make([]byte, 0, ps), ids[start:end], h, a)
 		} else {
 			payload = append([]byte{payloadVarint}, payload...)
 		}

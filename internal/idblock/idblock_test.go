@@ -41,7 +41,7 @@ func TestRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for _, n := range []int{1, 2, 100, 128, 129, 1000, 5000} {
 		ids := randomSortedIDs(r, n)
-		blobs := EncodePacked(ids, DefaultBlockSize, 4096)
+		blobs := EncodePacked(ids, DefaultBlockSize, 4096, nil)
 		sets := parseAll(t, blobs)
 		merged, ok := Merge(sets)
 		if !ok {
@@ -69,7 +69,7 @@ func TestRoundTripDuplicatePres(t *testing.T) {
 		{Pre: 5, Post: 3, Depth: 4},
 		{Pre: 7, Post: 1, Depth: 1},
 	}
-	blobs := EncodePacked(ids, 2, 1<<20)
+	blobs := EncodePacked(ids, 2, 1<<20, nil)
 	sets := parseAll(t, blobs)
 	merged, ok := Merge(sets)
 	if !ok {
@@ -87,7 +87,7 @@ func TestRoundTripDuplicatePres(t *testing.T) {
 func TestHeadersSummarizePayloads(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	ids := randomSortedIDs(r, 1000)
-	blobs := EncodePacked(ids, 64, 2048)
+	blobs := EncodePacked(ids, 64, 2048, nil)
 	for _, s := range parseAll(t, blobs) {
 		for i := 0; i < s.Blocks(); i++ {
 			got, err := s.BlockIn(i, nil)
@@ -108,7 +108,7 @@ func TestEncodeRespectsMaxBlob(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	ids := randomSortedIDs(r, 3000)
 	const maxBlob = 512
-	blobs := EncodePacked(ids, DefaultBlockSize, maxBlob)
+	blobs := EncodePacked(ids, DefaultBlockSize, maxBlob, nil)
 	if len(blobs) < 2 {
 		t.Fatalf("expected multiple blobs, got %d", len(blobs))
 	}
@@ -127,7 +127,7 @@ func TestEncodePanicsOnUnsorted(t *testing.T) {
 			t.Fatal("expected panic on unsorted input")
 		}
 	}()
-	EncodePacked([]xmltree.NodeID{{Pre: 9}, {Pre: 1}}, 0, 0)
+	EncodePacked([]xmltree.NodeID{{Pre: 9}, {Pre: 1}}, 0, 0, nil)
 }
 
 func TestParseRejectsGarbage(t *testing.T) {
@@ -147,7 +147,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 func TestParseRejectsFlippedBits(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	ids := randomSortedIDs(r, 300)
-	blobs := EncodePacked(ids, 32, 1<<20)
+	blobs := EncodePacked(ids, 32, 1<<20, nil)
 	if len(blobs) != 1 {
 		t.Fatalf("want 1 blob, got %d", len(blobs))
 	}
@@ -213,7 +213,7 @@ func TestFromIDs(t *testing.T) {
 func TestMergeOrdersSegments(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	ids := randomSortedIDs(r, 900)
-	blobs := EncodePacked(ids, 32, 700)
+	blobs := EncodePacked(ids, 32, 700, nil)
 	if len(blobs) < 3 {
 		t.Fatalf("want >=3 blobs, got %d", len(blobs))
 	}
@@ -248,7 +248,7 @@ func TestMergeDetectsOverlap(t *testing.T) {
 func TestAppendBlockReusesBuffer(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	ids := randomSortedIDs(r, 200)
-	blobs := EncodePacked(ids, 64, 1<<20)
+	blobs := EncodePacked(ids, 64, 1<<20, nil)
 	s := parseAll(t, blobs)[0]
 	buf := make([]xmltree.NodeID, 0, 256)
 	var got []xmltree.NodeID
@@ -267,7 +267,7 @@ func TestAppendBlockReusesBuffer(t *testing.T) {
 func TestBlockMemoization(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	ids := randomSortedIDs(r, 100)
-	s := parseAll(t, EncodePacked(ids, 32, 1<<20))[0]
+	s := parseAll(t, EncodePacked(ids, 32, 1<<20, nil))[0]
 	a, err := s.BlockIn(0, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"repro/internal/slab"
 	"repro/internal/xmltree"
@@ -44,8 +43,8 @@ func bitsFor(v uint32) int { return bits.Len32(v) }
 
 // Arena is reusable scratch for column-at-a-time block decoding: one grown
 // uint32 buffer viewed as three columns. Callers that loop over blocks hold
-// one arena (their own or a pooled one from GetArena) so steady-state
-// decoding allocates nothing. An Arena must not be shared concurrently.
+// one arena of their own so steady-state decoding allocates nothing. An
+// Arena must not be shared concurrently.
 //
 // An arena is also memory for sets that live no longer than a request
 // (arena.go): Parse, FromIDs and IDs carve sets, their blocks and
@@ -68,14 +67,6 @@ func (a *Arena) cols(n int) (pre, post, depth []uint32) {
 	b := a.buf[:3*n]
 	return b[0:n:n], b[n : 2*n : 2*n], b[2*n : 3*n : 3*n]
 }
-
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}
-
-// GetArena returns a pooled decode arena.
-func GetArena() *Arena { return arenaPool.Get().(*Arena) }
-
-// PutArena returns an arena to the pool; the caller must not use it after.
-func PutArena(a *Arena) { arenaPool.Put(a) }
 
 // maxZeroSpanCount caps the id count of a packed block whose three spans
 // are all zero (every triple identical): such a block packs to four bytes

@@ -70,7 +70,7 @@ func TestPackedRoundTripWidths(t *testing.T) {
 		for _, bs := range []int{1, 3, 128} {
 			for _, n := range []int{1, 3, 129, 1000} {
 				ids := idsWithWidth(r, n, w)
-				packed := EncodePacked(ids, bs, 1<<20)
+				packed := EncodePacked(ids, bs, 1<<20, nil)
 				var gotP []xmltree.NodeID
 				for _, blob := range packed {
 					s, err := Parse(blob)
@@ -123,7 +123,7 @@ func TestPackedColKernels(t *testing.T) {
 // the varint payload.
 func TestEncodePackedNegotiation(t *testing.T) {
 	ids := randomSortedIDs(rand.New(rand.NewSource(813)), 1000)
-	for _, s := range parseAll(t, EncodePacked(ids, DefaultBlockSize, 1<<20)) {
+	for _, s := range parseAll(t, EncodePacked(ids, DefaultBlockSize, 1<<20, nil)) {
 		for i := range s.blocks {
 			if s.blocks[i].data[0] != payloadPacked {
 				t.Fatalf("block %d of a wide random set kept the varint payload", i)
@@ -134,7 +134,7 @@ func TestEncodePackedNegotiation(t *testing.T) {
 	// One triple with zero spans: 4 packed bytes do not beat 3 varint bytes
 	// plus the format byte, so negotiation must keep varint.
 	one := []xmltree.NodeID{{Pre: 1, Post: 1, Depth: 1}}
-	blob := EncodePacked(one, 1, 1<<20)[0]
+	blob := EncodePacked(one, 1, 1<<20, nil)[0]
 	s, err := Parse(blob)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
@@ -158,7 +158,7 @@ func TestPackedParseRejectsFlippedBits(t *testing.T) {
 	r := rand.New(rand.NewSource(814))
 	for _, bs := range []int{1, 3, 128} {
 		ids := randomSortedIDs(r, 300)
-		for _, blob := range EncodePacked(ids, bs, 1<<20) {
+		for _, blob := range EncodePacked(ids, bs, 1<<20, nil) {
 			for i := range blob {
 				mut := append([]byte(nil), blob...)
 				mut[i] ^= 0x40
@@ -186,7 +186,7 @@ func TestPackedParseRejectsFlippedBits(t *testing.T) {
 // them — and asserts block decode reports corruption.
 func TestPackedCorruptPayloads(t *testing.T) {
 	ids := idsWithWidth(rand.New(rand.NewSource(815)), 64, 7)
-	blob := EncodePacked(ids, DefaultBlockSize, 1<<20)
+	blob := EncodePacked(ids, DefaultBlockSize, 1<<20, nil)
 	if len(blob) != 1 {
 		t.Fatalf("want one blob, got %d", len(blob))
 	}
@@ -226,7 +226,7 @@ func TestAppendBlockArenaZeroAllocs(t *testing.T) {
 		{"varint", payloadVarint, outlierIDs(1024)},
 	} {
 		ids := enc.ids
-		sets := parseAll(t, EncodePacked(ids, DefaultBlockSize, 1<<20))
+		sets := parseAll(t, EncodePacked(ids, DefaultBlockSize, 1<<20, nil))
 		if kind := sets[0].blocks[0].data[0]; kind != enc.kind {
 			t.Fatalf("%s: first block has payload kind %#x", enc.name, kind)
 		}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 	"unsafe"
-	"weak"
 
 	"repro/internal/cloud/kv"
 	"repro/internal/obs"
@@ -45,6 +44,10 @@ type BulkOptions struct {
 	// whose faults are drawn from one seeded sequence needs the requests
 	// in a fixed order, and so a sequential commit.
 	Concurrent bool
+	// Memory, when non-nil, is where the loader takes the chunks it carves
+	// from and gives back what it wrote: a build whose loaders share one
+	// allocates its copy once. A nil Memory starts the loader from none.
+	Memory *BulkMemory
 }
 
 // DocLoad is the completed outcome of one document's bulk load, released by
@@ -107,18 +110,31 @@ type chunk [chunkSize]byte
 
 const (
 	chunkSize = 64 << 10
-	// maxFree bounds the chunks a commit gives back: 2 MB a table.
+	// maxFree bounds the chunks a commit keeps and gives back: 2 MB a
+	// table.
 	maxFree = 2 << 20 / chunkSize
 	// keyCut is the cut ordinal keys carve from.
 	keyCut = slabsPerDoc
 )
 
-// freeChunks holds the chunks that committed loaders gave back until a
-// loader claims them. A weak pointer is all it keeps of a chunk: a
-// collection that finds the chunk unused takes it back.
-var freeChunks struct {
-	sync.Mutex
-	list []weak.Pointer[chunk]
+// BulkMemory holds the chunks that committed loaders gave back, at most
+// maxFree a table, until a loader claims them. Its owner passes it in
+// BulkOptions and keeps it as long as it builds. The zero value is ready for
+// use; it is safe for concurrent use.
+type BulkMemory struct {
+	mu   sync.Mutex
+	free []*chunk
+}
+
+// claim moves the chunks m holds to spare: from then to the commit's end
+// the loader holds them.
+func (m *BulkMemory) claim(spare []*chunk) []*chunk {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	spare = append(spare, m.free...)
+	clear(m.free)
+	m.free = m.free[:0]
+	return spare
 }
 
 // slabInfo is a slab's document; end, how many chains the commit has
@@ -156,10 +172,10 @@ type packTable struct {
 	chunks []carved
 	open   [keyCut + 1]int32
 	// written holds the chunks whose slabs are all dropped until the batch
-	// holding their last views has shipped, and shipped those chunks from
-	// then to the commit's end, by weak pointer, as the free list does.
+	// holding their last views has shipped, and shipped up to maxFree of
+	// those chunks from then to the commit's end.
 	written []int32
-	shipped []weak.Pointer[chunk]
+	shipped []*chunk
 
 	stats   []LoadStats // by document
 	members []contrib
@@ -196,21 +212,6 @@ func (pt *packTable) recycle(committed bool) {
 	pt.chunks, pt.written, pt.shipped = pt.chunks[:0], pt.written[:0], pt.shipped[:0]
 	pt.members, pt.pack, pt.batch, pt.attrs, pt.vals, pt.keys = pt.members[:0], pt.pack[:0], pt.batch[:0], pt.attrs[:0], pt.vals[:0], pt.keys[:0]
 	packTables.Put(pt)
-}
-
-// claimFree empties the free list into spare, but for what a collection
-// took back: from then to the commit's end the loader holds the chunks.
-func claimFree(spare []*chunk) []*chunk {
-	freeChunks.Lock()
-	defer freeChunks.Unlock()
-	for _, p := range freeChunks.list {
-		if ch := p.Value(); ch != nil {
-			spare = append(spare, ch)
-		}
-	}
-	clear(freeChunks.list)
-	freeChunks.list = freeChunks.list[:0]
-	return spare
 }
 
 // carve returns size bytes of the open chunk of cut, as an empty slice of
@@ -322,8 +323,9 @@ type BulkLoader struct {
 	tables map[string]*packTable
 	docs   []bulkDoc
 	closed bool
-	// spare holds the chunks claimed from the free list, which the tables
-	// carve from first.
+	// mem is where the loader claims chunks and gives them back, and spare
+	// holds the claimed chunks, which the tables carve from first.
+	mem   *BulkMemory
 	spare []*chunk
 
 	// Put instruments, resolved once at construction (nil-safe no-ops when
@@ -344,7 +346,12 @@ func NewBulkLoader(store kv.Store, opts BulkOptions, caches ...*PostingCache) *B
 			live = append(live, c)
 		}
 	}
+	mem := opts.Memory
+	if mem == nil {
+		mem = new(BulkMemory)
+	}
 	return &BulkLoader{
+		mem:        mem,
 		store:      store,
 		caches:     live,
 		putItems:   max(lim.BatchPutItems, 1),
@@ -374,7 +381,7 @@ func (b *BulkLoader) Add(ex *Extraction) ([]DocLoad, error) {
 		pt := b.tables[table]
 		if pt == nil {
 			pt = packTables.Get().(*packTable)
-			b.spare = claimFree(b.spare)
+			b.spare = b.mem.claim(b.spare)
 			b.tables[table] = pt
 		}
 		// The entries in chain order: a key the commit has not met yet
@@ -533,29 +540,30 @@ func (b *BulkLoader) Close() ([]DocLoad, error) {
 	return b.release(total), nil
 }
 
-// giveBack puts what a successful commit carved or claimed on the free
-// list, but for what a collection took back, up to maxFree a table.
+// giveBack puts what a successful commit carved, kept or claimed in the
+// loader's memory, up to maxFree a table.
 func (b *BulkLoader) giveBack() {
-	freeChunks.Lock()
-	defer freeChunks.Unlock()
+	m := b.mem
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	limit := maxFree * len(b.tables)
-	keep := func(p weak.Pointer[chunk]) {
-		if len(freeChunks.list) < limit && p.Value() != nil {
-			freeChunks.list = append(freeChunks.list, p)
+	keep := func(ch *chunk) {
+		if len(m.free) < limit {
+			m.free = append(m.free, ch)
 		}
 	}
 	for _, pt := range b.tables {
 		for _, ch := range pt.chunks {
 			if ch.mem != nil {
-				keep(weak.Make(ch.mem))
+				keep(ch.mem)
 			}
 		}
-		for _, p := range pt.shipped {
-			keep(p)
+		for _, ch := range pt.shipped {
+			keep(ch)
 		}
 	}
 	for _, ch := range b.spare {
-		keep(weak.Make(ch))
+		keep(ch)
 	}
 }
 
@@ -751,7 +759,9 @@ func (b *BulkLoader) put(table string, pt *packTable) (time.Duration, error) {
 		clear(pt.vals)
 		pt.batch, pt.attrs, pt.vals = pt.batch[:0], pt.attrs[:0], pt.vals[:0]
 		for _, c := range pt.written {
-			pt.shipped = append(pt.shipped, weak.Make(pt.chunks[c].mem))
+			if len(pt.shipped) < maxFree {
+				pt.shipped = append(pt.shipped, pt.chunks[c].mem)
+			}
 			pt.chunks[c].mem = nil
 		}
 		pt.written = pt.written[:0]
@@ -794,9 +804,10 @@ func (b *BulkLoader) put(table string, pt *packTable) (time.Duration, error) {
 		pt.pack = pt.pack[:0]
 		return emit(kv.Item{HashKey: key, RangeKey: keys[first], Attrs: pt.attrs[a0:len(pt.attrs):len(pt.attrs)]}, first)
 	}
-	// Slabs are dropped once their last chains are written, and chunks
-	// given back once their batches have shipped, so that the loader's copy
-	// shrinks while the store's grows.
+	// Slabs are dropped once their last chains are written, and chunks let
+	// go of once their batches have shipped (but for the maxFree kept for
+	// the next commit), so that the loader's copy shrinks while the store's
+	// grows.
 	drops := pt.order[:0]
 	for slab, at := range pt.slabAt {
 		drops = append(drops, uint64(at.end)<<32|uint64(slab))

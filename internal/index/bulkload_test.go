@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 	"unsafe"
-	"weak"
 
 	"repro/internal/cloud/dynamodb"
 	"repro/internal/cloud/kv"
@@ -811,10 +810,10 @@ func within(b []byte, ch *chunk) bool {
 //
 // What the loader holds is counted by chunk: every chunk with a slab not
 // dropped yet and every chunk of keys, the slabs larger than a chunk, and
-// the spare chunks it took from the free list and has not carved. A
-// written chunk only the batch in flight reads is given back when the put
-// returns, and a given-back chunk is held by a weak pointer only, which
-// does not keep it from a collection.
+// the spare chunks it took from its memory and has not carved. A written
+// chunk only the batch in flight reads is let go of when the put returns;
+// the at most maxFree of them kept for the next commit are the loader's
+// memory between commits, not its copy, and are not counted.
 func TestBulkCommitReleasesSlabsAsItWrites(t *testing.T) {
 	store := &slabWatch{discardStore: discardStore{limit: 25}}
 	loader := NewBulkLoader(store, BulkOptions{})
@@ -865,21 +864,19 @@ func TestBulkCommitReleasesSlabsAsItWrites(t *testing.T) {
 // next commit's to carve from, so its first slab lies in one of them.
 func TestBulkCommitRecyclesChunks(t *testing.T) {
 	exs := sharedKeyExtractions(50, 0)
-	loader := NewBulkLoader(discardStore{limit: 25}, BulkOptions{})
+	var mem BulkMemory
+	loader := NewBulkLoader(discardStore{limit: 25}, BulkOptions{Memory: &mem})
 	addAll(t, loader, exs)
 	if _, err := loader.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Hold what the commit gave back, so that no collection takes it before
-	// the next commit looks.
-	released := claimFree(nil)
-	for _, ch := range released {
-		freeChunks.list = append(freeChunks.list, weak.Make(ch))
-	}
+	// A collection takes nothing back: the memory holds the chunks.
+	runtime.GC()
+	released := slices.Clone(mem.free)
 	if len(released) == 0 {
 		t.Fatal("the commit gave back no chunk")
 	}
-	next := NewBulkLoader(discardStore{limit: 25}, BulkOptions{})
+	next := NewBulkLoader(discardStore{limit: 25}, BulkOptions{Memory: &mem})
 	addAll(t, next, exs[:1])
 	first := next.tables["t"].slabs[0]
 	if !slices.ContainsFunc(released, func(ch *chunk) bool { return within(first, ch) }) {
@@ -959,11 +956,7 @@ type shipWatch struct {
 func (s *shipWatch) BatchPut(_ string, items []kv.Item) (time.Duration, error) {
 	s.puts++
 	given := false
-	for _, p := range s.pt.shipped {
-		ch := p.Value()
-		if ch == nil {
-			continue
-		}
+	for _, ch := range s.pt.shipped {
 		given = true
 		for _, it := range items {
 			for _, a := range it.Attrs {

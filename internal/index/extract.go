@@ -7,6 +7,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/internal/idblock"
 	"repro/internal/xmltree"
 )
 
@@ -181,12 +182,14 @@ func ExtractPooled(s Strategy, doc *xmltree.Document, opts Options) *Extraction 
 // extractMem is an extraction with the buffers its entries live in:
 // entries holds every table's entries, the three value tables the entries'
 // Values slices, paths and ids the path and headerless identifier values,
-// keys the bytes of every key.
+// keys the bytes of every key; packing is the column scratch of the blocked
+// identifier values.
 type extractMem struct {
 	ex                     Extraction
 	entries                []Entry
 	none, pathVals, idVals [][]byte
 	paths, ids, keys       []byte
+	packing                idblock.Arena
 }
 
 var extractPool = sync.Pool{New: func() any {
@@ -319,7 +322,7 @@ func (m *extractMem) fill(s Strategy, doc *xmltree.Document, opts Options) {
 		for _, sk := range keys {
 			ks := &c.keys[sk.k]
 			first := len(values)
-			buf, values = appendIDs(buf, values, ids[ks.idOff:ks.idOff+ks.nID], opts.BinaryIDs, opts.MaxValueBytes)
+			buf, values = appendIDs(buf, values, ids[ks.idOff:ks.idOff+ks.nID], opts.BinaryIDs, opts.MaxValueBytes, &m.packing)
 			t = add(t, Entry{Key: sk.key, Values: values[first:len(values):len(values)]})
 		}
 		if opts.BinaryIDs {

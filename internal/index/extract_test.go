@@ -215,7 +215,7 @@ func TestKeysAndPaths(t *testing.T) {
 // identifier values from one buffer.
 func TestExtractAllocsFollowDistinctKeys(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop what is put back")
+		t.Skip("the race detector makes extractPool and collectorPool drop what is put back")
 	}
 	const maxExtractAllocs = 64
 	cfg := xmark.DefaultConfig(20)

@@ -255,21 +255,22 @@ func mustDecodeStream(v []byte, n int, a *idblock.Arena) []xmltree.NodeID {
 // delta+varint block payloads, so that look-ups can skip blocks without
 // decoding them), or the headerless stream for small sets.
 func EncodeIDs(ids []xmltree.NodeID, binaryIDs bool, maxValue int) [][]byte {
-	_, values := appendIDs(nil, nil, ids, binaryIDs, maxValue)
+	_, values := appendIDs(nil, nil, ids, binaryIDs, maxValue, nil)
 	return values
 }
 
 // appendIDs is EncodeIDs appending: a headerless stream's bytes go on buf,
 // and the values, for a stream capacity-limited sub-slices of buf, on
-// values. Blocked and text values bring their own bytes. Unsorted inputs,
-// which only hostile re-encodes of corrupt blobs produce, never the
+// values. Blocked and text values bring their own bytes; a blocked value's
+// packed payloads are built through a (a new arena when a is nil). Unsorted
+// inputs, which only hostile re-encodes of corrupt blobs produce, never the
 // extraction pipeline, are written as the headerless stream.
-func appendIDs(buf []byte, values [][]byte, ids []xmltree.NodeID, binaryIDs bool, maxValue int) ([]byte, [][]byte) {
+func appendIDs(buf []byte, values [][]byte, ids []xmltree.NodeID, binaryIDs bool, maxValue int, a *idblock.Arena) ([]byte, [][]byte) {
 	switch {
 	case !binaryIDs:
 		return buf, append(values, EncodeIDsText(ids, maxValue)...)
 	case len(ids) >= blockedMinIDs && idblock.IsSorted(ids):
-		return buf, append(values, idblock.EncodePacked(ids, idblock.DefaultBlockSize, maxValue)...)
+		return buf, append(values, idblock.EncodePacked(ids, idblock.DefaultBlockSize, maxValue, a)...)
 	}
 	return appendIDsStream(buf, values, ids, maxValue)
 }

@@ -97,11 +97,12 @@ type LookupOptions struct {
 	// identities fold in the overlay stamp, so look-ups pinned across a
 	// mutation boundary never share a stale entry.
 	View ReadView
-
-	// scratch is the memory of the look-up a read belongs to: ReadKeys
-	// carves the lists it decodes from it, unless Cache is to keep them.
-	// Only a look-up sets it.
-	scratch *scratch
+	// Scratch, when non-nil, is the memory the look-up works in: it clears
+	// it when it returns, and the caller's next look-up reuses its chunks.
+	// A nil Scratch gives each look-up a new one. ReadKeys carves the lists
+	// it decodes from it, unless Cache is to keep them, and leaves them
+	// there until the scratch's next look-up clears it.
+	Scratch *Scratch
 }
 
 // resolveLookup flattens the optional trailing options of the exported
@@ -136,12 +137,15 @@ func LookupQuery(store kv.Store, s Strategy, q *pattern.Query, opts ...LookupOpt
 }
 
 // LookupPattern returns the sorted URIs of the documents that may embed the
-// tree pattern, according to the strategy. The look-up works in a pooled
-// scratch, released when it returns.
+// tree pattern, according to the strategy. The look-up works in the options'
+// Scratch, or a new one, and clears it when it returns.
 func LookupPattern(store kv.Store, s Strategy, t *pattern.Tree, opts ...LookupOptions) ([]string, LookupStats, error) {
 	opt := resolveLookup(opts)
-	sc := getScratch()
-	defer sc.release()
+	sc := opt.Scratch
+	if sc == nil {
+		sc = new(Scratch)
+	}
+	defer sc.reset()
 	uris, st, err := lookupPattern(store, s, t, opt, sc)
 	// Whole KB rounded up: a look-up that used its scratch never reads 0.
 	opt.Span.MaxAttrInt("scratch_kb", (sc.bytes()+1023)/1024)
@@ -150,7 +154,7 @@ func LookupPattern(store kv.Store, s Strategy, t *pattern.Tree, opts ...LookupOp
 
 // lookupPattern is LookupPattern in sc's memory. Only the URI list it
 // returns is on the heap.
-func lookupPattern(store kv.Store, s Strategy, t *pattern.Tree, opt LookupOptions, sc *scratch) ([]string, LookupStats, error) {
+func lookupPattern(store kv.Store, s Strategy, t *pattern.Tree, opt LookupOptions, sc *Scratch) ([]string, LookupStats, error) {
 	aug := augment(t)
 	switch s {
 	case LU:
@@ -278,11 +282,11 @@ func (a *augmented) queryPaths() [][]QueryStep {
 // billed get count, bytes and modeled store latency annotated. It returns
 // the lists in keys' order and leaves the span open: the phase's
 // buildPostings ends it once it has built the postings of its survivors.
-func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opt LookupOptions, sc *scratch) ([]*PostingList, LookupStats, *obs.Span, error) {
+func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opt LookupOptions, sc *Scratch) ([]*PostingList, LookupStats, *obs.Span, error) {
 	get := opt.Span.Child(obs.SpanIndexGet)
 	get.SetAttr("table", table)
 	get.SetAttrInt("keys", int64(len(keys)))
-	opt.scratch = sc
+	opt.Scratch = sc
 	byKey, rs, err := ReadKeys(store, table, keys, kind, binaryIDs, opt)
 	get.SetModeled(rs.GetTime)
 	get.SetAttrInt("get_ops", rs.GetOps)
@@ -305,7 +309,7 @@ func readKeysSpanned(store kv.Store, table string, keys []string, kind PostingKi
 // buildPostings builds the postings of the survivors of an intersection of
 // lists in sc, in the order intersect returned them (survivor-major, one
 // per list), and ends the phase's index.get span with the count it built.
-func buildPostings(lists []*PostingList, at []int32, get *obs.Span, opt LookupOptions, sc *scratch) ([]*Posting, error) {
+func buildPostings(lists []*PostingList, at []int32, get *obs.Span, opt LookupOptions, sc *Scratch) ([]*Posting, error) {
 	postings := take(&sc.ptrs, len(at))
 	built := 0
 	var err error
@@ -327,7 +331,7 @@ func buildPostings(lists []*PostingList, at []int32, get *obs.Span, opt LookupOp
 
 // lookupLU implements Section 5.1: look up every key extracted from the
 // query and intersect the URI sets.
-func lookupLU(store kv.Store, table string, aug *augmented, opt LookupOptions, sc *scratch) ([]string, LookupStats, error) {
+func lookupLU(store kv.Store, table string, aug *augmented, opt LookupOptions, sc *Scratch) ([]string, LookupStats, error) {
 	lists, stats, get, err := readKeysSpanned(store, table, aug.distinctKeys(), URIPosting, false, opt, sc)
 	if err != nil {
 		return nil, LookupStats{}, err
@@ -344,7 +348,7 @@ func lookupLU(store kv.Store, table string, aug *augmented, opt LookupOptions, s
 // URI sets are intersected first and postings are built and matched only
 // for the URIs every key holds. Every path value was validated when its key
 // was read, so skipping the others hides no error.
-func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions, sc *scratch) ([]string, LookupStats, error) {
+func lookupLUP(store kv.Store, table string, aug *augmented, opt LookupOptions, sc *Scratch) ([]string, LookupStats, error) {
 	paths := aug.queryPaths()
 	keySet := make(map[string]bool)
 	for _, p := range paths {
@@ -413,7 +417,7 @@ func matchesAny(m *PathMatcher, p *Posting) (bool, error) {
 // When reduce is non-nil (the 2LUPI plan of Figure 5), only URIs in it are
 // considered — the semijoin with the LUP result R1, which joins the merge
 // as one more list.
-func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, opt LookupOptions, sc *scratch) ([]string, LookupStats, error) {
+func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, opt LookupOptions, sc *Scratch) ([]string, LookupStats, error) {
 	keys := aug.distinctKeys()
 	lists, stats, get, err := readKeysSpanned(store, table, keys, IDPosting, store.Limits().SupportsBinary, opt, sc)
 	if err != nil {
@@ -469,6 +473,10 @@ func lookupLUI(store kv.Store, table string, aug *augmented, reduce []string, op
 		joinErr error
 	)
 	sc.sets = slices.Grow(sc.sets[:0], len(keys))[:len(keys)]
+	if sc.streams == nil {
+		sc.streams = make(twigjoin.IndexedStreams)
+	}
+	sc.join.Arena = &sc.ids
 	out := take(&sc.uris, len(ordered))[:0]
 candidates:
 	for ci, uri := range ordered {

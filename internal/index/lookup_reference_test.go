@@ -52,7 +52,7 @@ func refDecodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingK
 	}
 	if kind == IDPosting {
 		for _, p := range d.postings {
-			if err := finishIDPosting(p, d.segs[p], d.eager[p], d.several[p]); err != nil {
+			if err := finishIDPosting(p, d.segs[p], d.eager[p], d.several[p], nil); err != nil {
 				return nil, err
 			}
 		}
@@ -364,7 +364,7 @@ func allPostings(l *PostingList) (map[string]*Posting, error) {
 // decodeItems runs the record decoder over items, the way a read hands it a
 // key's records, and builds every posting.
 func decodeItems(items []kv.Item, kind PostingKind, binaryIDs bool) (map[string]*Posting, error) {
-	l, err := decodeKey(kv.ItemRecords(items), nil, kind, binaryIDs, nil)
+	l, err := decodeKey(kv.ItemRecords(items), nil, kind, binaryIDs, nil, new(orderScratch))
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +390,7 @@ func readPostings(store kv.Store, table string, keys []string, kind PostingKind,
 // listOf decodes items as one key's records.
 func listOf(t testing.TB, items []kv.Item, kind PostingKind, binaryIDs bool) *PostingList {
 	t.Helper()
-	l, err := decodeKey(kv.ItemRecords(items), nil, kind, binaryIDs, nil)
+	l, err := decodeKey(kv.ItemRecords(items), nil, kind, binaryIDs, nil, new(orderScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,13 +37,10 @@ func survivorStore(t *testing.T, misses int) kv.Store {
 // bytes more per extra URI (one 40-byte row). A posting and a map slot per
 // URI, as a full decode builds, cost about 146.
 func TestLookupAllocationsPerNonSurvivor(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop what is put back")
-	}
 	q := pattern.MustParse(`//a[/b]`).Patterns[0]
 	perLookup := func(misses int) float64 {
 		store := survivorStore(t, misses)
-		var opts LookupOptions
+		opts := LookupOptions{Scratch: new(Scratch)}
 		run := func() {
 			uris, _, err := LookupPattern(store, TwoLUPI, q, opts)
 			if err != nil || len(uris) != 1 || uris[0] != "hit.xml" {
@@ -122,16 +119,16 @@ func TestIntersectMergesSortedLists(t *testing.T) {
 	a := rows(long...)
 	b := rows("u000", "u000", "u007", "u150", "u150", "u150", "u299", "u300")
 	c := rows("u007", "u150", "u151", "u299")
-	uris, at := intersect([]*PostingList{a, b, c}, newScratch())
+	uris, at := intersect([]*PostingList{a, b, c}, new(Scratch))
 	wantURIs := []string{"u007", "u150", "u299"}
 	wantAt := []int32{7, 2, 0, 150, 3, 1, 299, 6, 3}
 	if fmt.Sprint(uris) != fmt.Sprint(wantURIs) || fmt.Sprint(at) != fmt.Sprint(wantAt) {
 		t.Fatalf("intersect = %v %v, want %v %v", uris, at, wantURIs, wantAt)
 	}
-	if uris, _ := intersect([]*PostingList{a, nil}, newScratch()); uris != nil {
+	if uris, _ := intersect([]*PostingList{a, nil}, new(Scratch)); uris != nil {
 		t.Fatalf("intersect with an empty list = %v", uris)
 	}
-	if uris, _ := intersect([]*PostingList{a, uriList([]string{"u042", "zzz"}, nil)}, newScratch()); fmt.Sprint(uris) != "[u042]" {
+	if uris, _ := intersect([]*PostingList{a, uriList([]string{"u042", "zzz"}, nil)}, new(Scratch)); fmt.Sprint(uris) != "[u042]" {
 		t.Fatalf("intersect with a reduction list = %v", uris)
 	}
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"sync"
 	"unsafe"
 
 	"repro/internal/idblock"
@@ -9,18 +8,21 @@ import (
 	"repro/internal/twigjoin"
 )
 
-// scratch is the memory of one look-up (DESIGN §5.3, rule 4 of the look-up
-// decode contract): the posting lists it decodes, the postings it builds
-// from them with their path values and identifier sets, the intersections'
+// Scratch is the memory of look-ups that run one after another (DESIGN
+// §5.3, rule 4 of the look-up decode contract): the posting lists a look-up
+// decodes and the order it sorts their rows in, the postings it builds from
+// them with their path values and identifier sets, the intersections'
 // outputs and the twig joins' state. Only the URI lists outlive a look-up,
-// and they are made on the heap, so the look-up takes a pooled scratch and
-// releases it when it returns. A list headed for the posting cache, and
-// every posting built from a cached list, stays on the heap: the cache
-// keeps them past the look-up.
+// and they are made on the heap, so a look-up clears the scratch when it
+// returns and the next one reuses its memory. A list headed for the posting
+// cache, and every posting built from a cached list, stays on the heap: the
+// cache keeps them past the look-up.
 //
-// A look-up runs on its caller's goroutine, and so does everything that
-// carves from its scratch; concurrent look-ups each take their own.
-type scratch struct {
+// The caller owns a Scratch and passes it in LookupOptions; a look-up
+// without one works in a new one. A look-up runs on its caller's goroutine,
+// and so does everything that carves from its scratch: a Scratch serves one
+// look-up at a time. The zero value is ready for use.
+type Scratch struct {
 	rows     slab.Chunks[uriRow]
 	lists    slab.Chunks[PostingList]
 	listPtrs slab.Chunks[*PostingList]
@@ -30,6 +32,7 @@ type scratch struct {
 	uris     slab.Chunks[string]
 	ints     slab.Chunks[int32]
 	ids      idblock.Arena
+	order    orderScratch
 
 	join    twigjoin.Scratch
 	sets    []*idblock.Set // a join's sets, by key
@@ -38,50 +41,34 @@ type scratch struct {
 	peak int64 // the high-water mark of the phases recycled so far
 }
 
-var scratches = sync.Pool{New: func() any { return newScratch() }}
-
-func newScratch() *scratch {
-	sc := &scratch{streams: make(twigjoin.IndexedStreams)}
-	sc.join.Arena = &sc.ids
-	return sc
-}
-
-// Slots are carved from chunks of at least chunkBytes, so that a scratch
-// fresh from the pool allocates about what its look-up uses, and a
-// released scratch keeps at most keepBytes of each kind's chunks: a scan
-// look-up on the gate corpus carves at most 123 KB of one kind, and one
-// odd query's memory should not ride along with every later look-up.
+// Slots are carved from chunks of at least chunkBytes, so that a new
+// scratch allocates about what its look-up uses, and a cleared scratch
+// keeps at most keepBytes of each kind's chunks: a scan look-up on the gate
+// corpus carves at most 123 KB of one kind, and one odd query's memory
+// should not ride along with every later look-up.
 const (
 	chunkBytes = 4 << 10
 	keepBytes  = 256 << 10
 )
 
-func getScratch() *scratch { return scratches.Get().(*scratch) }
-
 // bytes returns the scratch's high-water mark: the most that one phase of
 // the look-up carved of it, with the largest twig join's state.
-func (sc *scratch) bytes() int64 {
+func (sc *Scratch) bytes() int64 {
 	n := sc.rows.Bytes() + sc.lists.Bytes() + sc.listPtrs.Bytes() + sc.postings.Bytes() +
 		sc.ptrs.Bytes() + sc.vals.Bytes() + sc.uris.Bytes() + sc.ints.Bytes() +
 		sc.ids.Bytes() + sc.join.Peak()
 	return max(n, sc.peak)
 }
 
-// release resets sc and pools it again.
-func (sc *scratch) release() {
-	sc.reset()
-	scratches.Put(sc)
-}
-
 // reset readies sc for another look-up.
-func (sc *scratch) reset() {
+func (sc *Scratch) reset() {
 	sc.recycle()
 	sc.peak = 0
 }
 
 // recycle clears everything the look-up carved so far, for its next phase,
 // and notes the high-water mark.
-func (sc *scratch) recycle() {
+func (sc *Scratch) recycle() {
 	sc.peak = sc.bytes()
 	keep(&sc.rows)
 	keep(&sc.lists)
@@ -112,21 +99,21 @@ func keep[T any](c *slab.Chunks[T]) {
 
 // The carving methods take a nil scratch for the heap.
 
-func (sc *scratch) arena() *idblock.Arena {
+func (sc *Scratch) arena() *idblock.Arena {
 	if sc == nil {
 		return nil
 	}
 	return &sc.ids
 }
 
-func (sc *scratch) list() *PostingList {
+func (sc *Scratch) list() *PostingList {
 	if sc == nil {
 		return new(PostingList)
 	}
 	return &take(&sc.lists, 1)[0]
 }
 
-func (sc *scratch) posting() *Posting {
+func (sc *Scratch) posting() *Posting {
 	if sc == nil {
 		return new(Posting)
 	}
@@ -135,23 +122,31 @@ func (sc *scratch) posting() *Posting {
 	return p
 }
 
-func (sc *scratch) rowSlice(n int) []uriRow {
+func (sc *Scratch) rowSlice(n int) []uriRow {
 	if sc == nil {
 		return make([]uriRow, n)
 	}
 	return take(&sc.rows, n)
 }
 
-func (sc *scratch) listSlice(n int) []*PostingList {
+func (sc *Scratch) listSlice(n int) []*PostingList {
 	if sc == nil {
 		return make([]*PostingList, n)
 	}
 	return take(&sc.listPtrs, n)
 }
 
-func (sc *scratch) valSlice(n int) [][]byte {
+func (sc *Scratch) valSlice(n int) [][]byte {
 	if sc == nil {
 		return make([][]byte, n)
 	}
 	return take(&sc.vals, n)
+}
+
+// orderMem is the memory a key's decode orders its rows in.
+func (sc *Scratch) orderMem() *orderScratch {
+	if sc == nil {
+		return new(orderScratch)
+	}
+	return &sc.order
 }

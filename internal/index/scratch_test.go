@@ -79,7 +79,7 @@ func FuzzLookupRecycledScratch(f *testing.F) {
 			rv = view
 		}
 
-		recycled := newScratch()
+		recycled := new(Scratch)
 		type returned struct{ got, want []string }
 		var earlier []returned
 		for _, s := range All() {
@@ -99,7 +99,7 @@ func FuzzLookupRecycledScratch(f *testing.F) {
 					for round := 0; round < 2; round++ {
 						got, stats, err := lookupPattern(store, s, q, opt(cache), recycled)
 						recycled.reset()
-						want, wantStats, wantErr := lookupPattern(store, s, q, opt(freshCache), newScratch())
+						want, wantStats, wantErr := lookupPattern(store, s, q, opt(freshCache), new(Scratch))
 						where := fmt.Sprintf("%s %s cache %t round %d", s.Name(), src, cached, round)
 						if (err != nil) != (wantErr != nil) {
 							t.Fatalf("%s: err %v, in fresh memory %v", where, err, wantErr)
@@ -135,11 +135,9 @@ const gateLookupAllocs = 107.8
 // TestGateLookupAllocations runs q1-q7 of the workload over the gate corpus
 // (400 XMark documents of 16 KB, seed 42, bulk-loaded under 2LUPI in one
 // commit, as the gateable benchmark's warehouse holds it) with the cache
-// off, and holds the allocations per look-up to gateLookupAllocs.
+// off, one look-up after another in one Scratch, and holds the allocations
+// per look-up to gateLookupAllocs.
 func TestGateLookupAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop what is put back")
-	}
 	cfg := xmark.DefaultConfig(400)
 	cfg.Seed = 42
 	cfg.TargetDocBytes = 16 << 10
@@ -162,7 +160,7 @@ func TestGateLookupAllocations(t *testing.T) {
 	for _, q := range workload.XMark()[:7] {
 		queries = append(queries, q.Parse())
 	}
-	var opt LookupOptions
+	opt := LookupOptions{Scratch: new(Scratch)}
 	candidates := 0
 	perLookup := testing.AllocsPerRun(20, func() {
 		candidates = 0

@@ -390,11 +390,11 @@ func (p *Posting) idSet(a *idblock.Arena) (*idblock.Set, bool) {
 // store count toward GetOps, GetTime and BytesFetched. A key without records
 // has no list.
 //
-// The lists a read decodes are carved from opts' scratch, when a look-up
-// reads into its own memory, unless the cache is to keep them.
+// The lists a read decodes are carved from opts' Scratch, when it has one,
+// unless the cache is to keep them.
 func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, binaryIDs bool, opts ...LookupOptions) (out map[string]*PostingList, rs LookupStats, err error) {
 	opt := resolveLookup(opts)
-	sc := opt.scratch
+	sc, ord := opt.Scratch, opt.Scratch.orderMem()
 	retrySrc, _ := store.(kv.RetryStatsSource)
 	var retriesBefore int64
 	if retrySrc != nil {
@@ -472,7 +472,7 @@ func ReadKeys(store kv.Store, table string, keys []string, kind PostingKind, bin
 			// Replacement contributions from the write buffer supersede the
 			// owner's main-store records; they come from memory and bill
 			// nothing.
-			l, err := decodeKey(recs, overlays[k].Replaces, kind, binaryIDs, sc)
+			l, err := decodeKey(recs, overlays[k].Replaces, kind, binaryIDs, sc, ord)
 			if err != nil {
 				decodeErr = fmt.Errorf("key %q: %w", k, err)
 				return
@@ -603,7 +603,7 @@ func (l *PostingList) Posting(uri string) (*Posting, error) {
 // also telling whether this call built it. A list the cache holds builds
 // on the heap and memoizes; any other builds in sc (the heap when sc is
 // nil).
-func (l *PostingList) postingAt(i int, sc *scratch) (p *Posting, fresh bool, err error) {
+func (l *PostingList) postingAt(i int, sc *Scratch) (p *Posting, fresh bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if p := l.built[int32(i)]; p != nil {
@@ -715,9 +715,10 @@ func (l *PostingList) cacheCharge() (int64, error) {
 // replaces holds that owner's whole contribution. It returns
 // nil when there is no record to decode; records without attributes decode
 // to an empty list. The list and its rows, one slab sized from the tallies,
-// are carved from sc (the heap when sc is nil); every value is validated
-// here whatever its shape, and no posting is built.
-func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind, binaryIDs bool, sc *scratch) (*PostingList, error) {
+// are carved from sc (the heap when sc is nil), and rows out of URI order
+// are sorted in ord; every value is validated here whatever its shape, and
+// no posting is built.
+func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind, binaryIDs bool, sc *Scratch, ord *orderScratch) (*PostingList, error) {
 	sum := recs.Tally()
 	var repl *kv.Records
 	if len(replaces) > 0 {
@@ -734,7 +735,7 @@ func decodeKey(recs *kv.Records, replaces map[string][]kv.Item, kind PostingKind
 	if kind == URIPosting {
 		rows = sum.Attrs
 	}
-	d := keyDecoder{l: sc.list(), sorted: true, arena: sc.arena()}
+	d := keyDecoder{l: sc.list(), sorted: true, arena: sc.arena(), scratch: ord}
 	d.l.kind, d.l.binaryIDs, d.l.rows = kind, binaryIDs, sc.rowSlice(int(rows))[:0]
 	defer d.release()
 	more := repl != nil && repl.Next()
@@ -786,7 +787,7 @@ type keyDecoder struct {
 	err       error
 
 	// If the rows stop ascending, order needs the records' bounds: rec is
-	// where the current record's rows start, and the scratch, taken when a
+	// where the current record's rows start, and the scratch, from when a
 	// second record brings rows, holds every record's start. descends
 	// notes a record whose own rows descend, which only a hand-made store
 	// holds.
@@ -795,8 +796,8 @@ type keyDecoder struct {
 	descends bool
 }
 
-// orderScratch is the memory order works in, pooled so that ordering a
-// key's rows allocates nothing.
+// orderScratch is the memory order works in, a look-up's, so that ordering
+// a key's rows allocates nothing.
 type orderScratch struct {
 	starts []int32 // where each record's rows start
 	runs   []rowRun
@@ -811,8 +812,6 @@ type rowRun struct {
 	key        uint64
 	start, end int32
 }
-
-var orderScratches = sync.Pool{New: func() any { return new(orderScratch) }}
 
 // order sorts the rows by URI, each URI's rows in record order. A record's
 // rows ascend — a pack's attributes are in URI order, and a per-document
@@ -916,24 +915,20 @@ func sortRuns(runs, spare []rowRun) []rowRun {
 	return spare
 }
 
-// release hands the scratch back, holding nothing of the read.
+// release clears the scratch, which then holds nothing of the read.
 func (d *keyDecoder) release() {
-	if sc := d.scratch; sc != nil {
-		clear(sc.rows) // the values are views of the store's memory
-		clear(sc.runs)
-		clear(sc.spare)
-		sc.starts, sc.runs, sc.spare, sc.rows = sc.starts[:0], sc.runs[:0], sc.spare[:0], sc.rows[:0]
-		orderScratches.Put(sc)
-		d.scratch = nil
-	}
+	sc := d.scratch
+	clear(sc.rows) // the values are views of the store's memory
+	clear(sc.runs)
+	clear(sc.spare)
+	sc.starts, sc.runs, sc.spare, sc.rows = sc.starts[:0], sc.runs[:0], sc.spare[:0], sc.rows[:0]
 }
 
 // record decodes the current record of c, unless it is one that replaces
 // supersedes.
 func (d *keyDecoder) record(c *kv.Records, replaces map[string][]kv.Item) {
 	if d.rec = len(d.l.rows); d.rec > 0 {
-		if d.scratch == nil {
-			d.scratch = orderScratches.Get().(*orderScratch)
+		if len(d.scratch.starts) == 0 {
 			d.scratch.starts = append(d.scratch.starts, 0)
 		}
 		d.scratch.starts = append(d.scratch.starts, int32(d.rec))
@@ -1009,7 +1004,7 @@ func (d *keyDecoder) add(uri string, v kv.Value) {
 
 // buildPosting builds the posting of one URI from its rows, in sc (the heap
 // when sc is nil).
-func buildPosting(rows []uriRow, kind PostingKind, binaryIDs bool, sc *scratch) (*Posting, error) {
+func buildPosting(rows []uriRow, kind PostingKind, binaryIDs bool, sc *Scratch) (*Posting, error) {
 	p := sc.posting()
 	p.URI = rows[0].uri
 	switch kind {
@@ -1077,7 +1072,7 @@ func buildIDs(p *Posting, rows []uriRow, binaryIDs bool, a *idblock.Arena) error
 			eager = appendEager(eager, iv.ids)
 		}
 	}
-	return finishIDPosting(p, segs, eager, several)
+	return finishIDPosting(p, segs, eager, several, a)
 }
 
 // appendEager adds decoded identifiers to an eager accumulator, adopting
@@ -1103,8 +1098,9 @@ func appendEager(eager, ids []xmltree.NodeID) []xmltree.NodeID {
 // Repeats arise when a URI sits in two items under one key — a bulk
 // commit's pack and a later per-document re-index of the same document
 // (DESIGN §5.2) — and the URI's identifiers must decode once. One value
-// decodes as it is, as a raw stream does.
-func finishIDPosting(p *Posting, segs []*idblock.Set, ids []xmltree.NodeID, several bool) error {
+// decodes as it is, as a raw stream does. Packed blocks decode through a's
+// columns (a new arena's when a is nil).
+func finishIDPosting(p *Posting, segs []*idblock.Set, ids []xmltree.NodeID, several bool, a *idblock.Arena) error {
 	if p.raw != nil {
 		return nil
 	}
@@ -1115,11 +1111,12 @@ func finishIDPosting(p *Posting, segs []*idblock.Set, ids []xmltree.NodeID, seve
 		}
 	}
 	for _, s := range segs {
-		decoded, err := s.All()
-		if err != nil {
-			return err
+		for i := range s.Blocks() {
+			var err error
+			if ids, err = s.AppendBlockArena(ids, i, a); err != nil {
+				return err
+			}
 		}
-		ids = append(ids, decoded...)
 	}
 	if !idblock.IsSorted(ids) {
 		sortIDs(ids)

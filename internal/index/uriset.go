@@ -49,7 +49,7 @@ func (j *JoinCounters) addBuilt(n int) {
 
 // uriList returns a list of presence rows over sorted, distinct URIs, in
 // sc (the heap when sc is nil): a reduction set entering a merge.
-func uriList(uris []string, sc *scratch) *PostingList {
+func uriList(uris []string, sc *Scratch) *PostingList {
 	l := sc.list()
 	l.kind, l.rows, l.uris = URIPosting, sc.rowSlice(len(uris)), len(uris)
 	for i, u := range uris {
@@ -62,7 +62,7 @@ func uriList(uris []string, sc *scratch) *PostingList {
 // them, at[i*len(lists)+j] is the index of its first row in lists[j]. A nil
 // list is empty. Both outputs are carved from sc, at the size the list with
 // the fewest rows bounds them to; they are nil when no URI survives.
-func intersect(lists []*PostingList, sc *scratch) (uris []string, at []int32) {
+func intersect(lists []*PostingList, sc *Scratch) (uris []string, at []int32) {
 	if len(lists) == 0 {
 		return nil, nil
 	}

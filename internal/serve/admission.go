@@ -75,16 +75,17 @@ func (s *Server) release() {
 	s.inflight.Done()
 }
 
-// awaitSlot waits for one of the Workers slots; the waiters take them in
-// arrival order. It reports false, holding no slot, if ctx ends first: the
-// client has gone, and nothing is sent to the backend for it.
-func (s *Server) awaitSlot(ctx context.Context) bool {
+// awaitSlot waits for one of the Workers slots and returns its answer
+// buffer; the waiters take them in arrival order. It reports false, holding
+// no slot, if ctx ends first: the client has gone, and nothing is sent to
+// the backend for it.
+func (s *Server) awaitSlot(ctx context.Context) ([]byte, bool) {
 	s.reg.Gauge("serve.queue.depth").Add(1)
 	defer s.reg.Gauge("serve.queue.depth").Add(-1)
 	select {
-	case s.slots <- struct{}{}:
-		return true
+	case buf := <-s.slots:
+		return buf, true
 	case <-ctx.Done():
-		return false
+		return nil, false
 	}
 }

@@ -8,7 +8,7 @@
 //	            -> waits, in arrival order, for one of Workers slots;
 //	               a client that leaves meanwhile never reaches the backend
 //	            -> Backend.Do (live query processors via core.Frontend)
-//	            -> JSON response
+//	            -> JSON response, its ends built in the slot's buffer
 //
 // Shedding is always explicit: a rejected request gets a 429 (503 while
 // draining) with a machine-readable reason and a Retry-After hint, and is
@@ -134,9 +134,10 @@ type Server struct {
 	bill        func() pricing.Invoice
 	ready       []func() error
 
-	// slots holds a token for each query calling the backend: at most
-	// limits.Workers.
-	slots chan struct{}
+	// slots holds the answer buffer of each of the limits.Workers slots no
+	// query holds: a query takes one to call the backend and write its
+	// answer, and puts it back.
+	slots chan []byte
 
 	mu       sync.Mutex
 	draining bool
@@ -163,13 +164,16 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		backend:     cfg.Backend,
 		limits:      lim,
-		slots:       make(chan struct{}, lim.Workers),
+		slots:       make(chan []byte, lim.Workers),
 		timeout:     cfg.QueryTimeout,
 		bodyTimeout: readBodyTimeout,
 		reg:         cfg.Registry,
 		tracer:      cfg.Tracer,
 		bill:        cfg.Bill,
 		ready:       cfg.Ready,
+	}
+	for range lim.Workers {
+		s.slots <- nil
 	}
 	return s, nil
 }
@@ -243,16 +247,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reg.Counter("serve.admitted").Inc()
-	if !s.awaitSlot(r.Context()) {
+	buf, ok := s.awaitSlot(r.Context())
+	if !ok {
 		// The client is gone: nothing to answer, and nothing to bill.
 		s.release()
 		s.reg.Counter("serve.cancelled").Inc()
 		span.SetError(r.Context().Err())
 		return
 	}
+	defer func() { s.slots <- buf }()
 	s.reg.Histogram("serve.queue.wait").ObserveWall(time.Since(start))
 	out, err := s.backend.Do(req.Query, req.UseIndex, s.timeout)
-	<-s.slots
 	s.release()
 
 	elapsed := time.Since(start)
@@ -273,7 +278,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("serve.completed").Inc()
 	span.SetAttr("query.id", out.ID)
 	span.SetAttrInt("rows", int64(out.Rows))
-	writeAnswer(w, out, elapsed)
+	// The slot is held until the answer is written, so a client that stops
+	// reading it holds the slot for QueryTimeout at most.
+	rc := http.NewResponseController(w)
+	_ = rc.SetWriteDeadline(time.Now().Add(s.timeout))
+	buf = writeAnswer(w, buf, out, elapsed)
+	_ = rc.SetWriteDeadline(time.Time{})
 }
 
 // readBody reads r's body, up to limit bytes and one more to tell a longer
@@ -306,20 +316,15 @@ func checkResultObject(out *core.QueryOutcome) error {
 	return nil
 }
 
-// answerBufs holds the buffers writeAnswer builds the ends of a body in.
-var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
-
 // writeAnswer writes the POST /query success body (QueryResponse's schema)
 // without decoding the answer or copying it: {"id":…, then the members of
 // the stored result object as they are, straight from the file store's
-// memory, then "rowCount" and "elapsedMs"}. The two ends are built in a
-// pooled buffer, so that the body takes no memory of its own. out has
-// passed checkResultObject.
-func writeAnswer(w http.ResponseWriter, out *core.QueryOutcome, elapsed time.Duration) {
+// memory, then "rowCount" and "elapsedMs"}. The two ends are built in buf,
+// the slot's, so that the body takes no memory of its own; it returns buf
+// grown to them. out has passed checkResultObject.
+func writeAnswer(w http.ResponseWriter, buf []byte, out *core.QueryOutcome, elapsed time.Duration) []byte {
 	members := out.Body[1 : len(out.Body)-1]
-	buf := answerBufs.Get().(*[]byte)
-	defer answerBufs.Put(buf)
-	b := append((*buf)[:0], `{"id":`...)
+	b := append(buf[:0], `{"id":`...)
 	b = appendString(b, out.ID)
 	b = append(b, ',')
 	head := len(b)
@@ -328,7 +333,6 @@ func writeAnswer(w http.ResponseWriter, out *core.QueryOutcome, elapsed time.Dur
 	b = append(b, `,"elapsedMs":`...)
 	b = strconv.AppendFloat(b, float64(elapsed)/float64(time.Millisecond), 'f', -1, 64)
 	b = append(b, "}\n"...)
-	*buf = b
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)+len(members)))
 	w.WriteHeader(http.StatusOK)
@@ -336,6 +340,7 @@ func writeAnswer(w http.ResponseWriter, out *core.QueryOutcome, elapsed time.Dur
 	_, _ = w.Write(b[:head])
 	_, _ = w.Write(members)
 	_, _ = w.Write(b[head:])
+	return b
 }
 
 // appendString appends s as a JSON string. Query IDs need no escaping and

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -642,5 +643,50 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 2s")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// bigBackend answers every query with one row of a 24 MB column, more than
+// a loopback connection buffers for a client that does not read.
+type bigBackend struct{ calls atomic.Int32 }
+
+var bigBody = []byte(`{"columns":["c"],"rows":[{"uri":"doc","cols":["` + strings.Repeat("x", 24<<20) + `"]}]}`)
+
+func (b *bigBackend) Do(string, bool, time.Duration) (*core.QueryOutcome, error) {
+	b.calls.Add(1)
+	return &core.QueryOutcome{ID: "q-big", Body: bigBody, Rows: 1}, nil
+}
+
+func (b *bigBackend) Close() error { return nil }
+
+// A query holds its slot until its answer is written, so a client that
+// stops reading holds it for QueryTimeout at most: with one slot, a query
+// behind such a client is answered once the stalled write times out.
+func TestStalledReaderFreesSlot(t *testing.T) {
+	fb := &bigBackend{}
+	s, err := New(Config{Backend: fb, Registry: obs.NewRegistry(), QueryTimeout: 200 * time.Millisecond, Limits: Limits{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body, _ := json.Marshal(QueryRequest{Query: validQuery(t), UseIndex: true})
+	fmt.Fprintf(conn, "POST /query HTTP/1.1\r\nHost: serve\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	waitFor(t, func() bool { return fb.calls.Load() == 1 })
+
+	c := &http.Client{Timeout: 10 * time.Second}
+	resp, err := c.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("the query behind a stalled reader: %v", err)
+	}
+	defer resp.Body.Close()
+	n, err := io.Copy(io.Discard, resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || n < int64(len(bigBody)) {
+		t.Fatalf("the query behind a stalled reader: status %d, %d bytes, %v", resp.StatusCode, n, err)
 	}
 }

@@ -2,10 +2,14 @@
 // exact size from chunks that the request's owner clears and keeps for the
 // next request, instead of leaving them to the collector. The evaluator's
 // rows (package engine) and the index look-up's decode (package index, with
-// package idblock's Arena) are carved this way.
+// package idblock's Arena) are carved this way, and an Idle list keeps the
+// memory of the requests that are not running.
 package slab
 
-import "unsafe"
+import (
+	"sync"
+	"unsafe"
+)
 
 // Chunks is memory handed out in slices of exact size: list[:used] are the
 // chunks carved from, cur the unused rest of the last of them, and the
@@ -71,4 +75,35 @@ func (c *Chunks[T]) Reset(bound int) {
 	}
 	clear(c.list[kept:])
 	c.list, c.used, c.cur, c.carved = c.list[:kept], 0, nil, 0
+}
+
+// Idle holds the memory of requests that are not running, for the owner that
+// runs them: Get takes the memory last put back, or a new zero T when all of
+// it is out, and Put puts it back once its request is done. The list grows
+// to the most requests that ran at once and keeps what it holds until its
+// owner goes. The zero value is ready for use; it is safe for concurrent
+// use.
+type Idle[T any] struct {
+	mu   sync.Mutex
+	list []*T
+}
+
+// Get returns memory that no running request holds.
+func (l *Idle[T]) Get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.list)
+	if n == 0 {
+		return new(T)
+	}
+	x := l.list[n-1]
+	l.list[n-1], l.list = nil, l.list[:n-1]
+	return x
+}
+
+// Put returns x, which its request no longer reads, to the list.
+func (l *Idle[T]) Put(x *T) {
+	l.mu.Lock()
+	l.list = append(l.list, x)
+	l.mu.Unlock()
 }

@@ -2,7 +2,6 @@ package twigjoin
 
 import (
 	"sort"
-	"sync"
 	"unsafe"
 
 	"repro/internal/idblock"
@@ -58,14 +57,12 @@ type summary struct {
 // candView is one node's candidate set during the bottom-up pass: either a
 // lazy unfiltered Set (leaves — probed block-wise, never decoded up front)
 // or a decoded, filtered stream (internal nodes), with the set's summary.
-// A root view that candidatesIndexed returns holds the pooled Scratch its
-// stream lives in until release.
+// A view and its stream lie in the Scratch of its join.
 type candView struct {
-	set   *idblock.Set
-	ids   Stream
-	sum   summary
-	n     int
-	owner *Scratch
+	set *idblock.Set
+	ids Stream
+	sum summary
+	n   int
 }
 
 // Scratch is the memory of the indexed joins one goroutine runs one after
@@ -78,7 +75,7 @@ type candView struct {
 type Scratch struct {
 	// Arena takes the block decodes of sets carved from an arena
 	// (idblock.Set.BlockIn); it must outlive them. A nil Arena decodes them
-	// on the heap.
+	// on the heap, each block through a new arena's columns.
 	Arena *idblock.Arena
 
 	views   []candView
@@ -89,19 +86,6 @@ type Scratch struct {
 	// join has held since the last Reset.
 	nviews, nedges, nids int
 	peak                 int64
-}
-
-var scratches = sync.Pool{New: func() any { return new(Scratch) }}
-
-// release returns the view's pooled scratch; the view's stream is invalid
-// afterwards.
-func (cv *candView) release() {
-	if cv != nil && cv.owner != nil {
-		sc := cv.owner
-		cv.owner, cv.ids = nil, nil
-		sc.Reset()
-		scratches.Put(sc)
-	}
 }
 
 // Peak returns the most bytes one join held in the scratch since the last
@@ -334,23 +318,15 @@ func hasMatchBelowSet(anc xmltree.NodeID, set *idblock.Set, axis pattern.Axis, c
 	return false, nil
 }
 
-// candidatesIndexed computes C(q) bottom-up over blocked sets, in a pooled
-// Scratch that the returned view holds until its release. pre1 restricts
-// the own-element scan to pre rank 1 (Child-axis roots must match the
-// document root) and limit > 0 stops the scan after that many candidates;
-// both apply only to the root call. A nil view means an empty candidate
-// set.
-func candidatesIndexed(q *pattern.Node, st IndexedStreams, js *JoinStats, pre1 bool, limit int) (*candView, error) {
-	sc := scratches.Get().(*Scratch)
+// candidatesIndexed computes C(q) bottom-up over blocked sets, in sc's
+// memory, where the returned view's stream lies until sc's next join. pre1
+// restricts the own-element scan to pre rank 1 (Child-axis roots must match
+// the document root) and limit > 0 stops the scan after that many
+// candidates; both apply only to the root call. A nil view means an empty
+// candidate set.
+func (sc *Scratch) candidatesIndexed(q *pattern.Node, st IndexedStreams, js *JoinStats, pre1 bool, limit int) (*candView, error) {
 	sc.start(q, st, pre1, limit)
-	cv, err := sc.candidates(q, st, js, pre1, limit)
-	if cv == nil {
-		sc.Reset()
-		scratches.Put(sc)
-		return nil, err
-	}
-	cv.owner = sc
-	return cv, nil
+	return sc.candidates(q, st, js, pre1, limit)
 }
 
 // candidates is the recursion of candidatesIndexed, carving views, cursors
@@ -434,7 +410,7 @@ scan:
 // MatchIndexed decides the same predicate as Match over blocked sets,
 // decoding only the blocks the headers cannot rule out and stopping at the
 // first root candidate. Missing streams are treated as empty; js (optional)
-// accumulates the block-level work. It runs in a pooled Scratch.
+// accumulates the block-level work. It runs in a new Scratch.
 func MatchIndexed(t *pattern.Tree, st IndexedStreams, js *JoinStats) (bool, error) {
 	if t == nil || t.Root == nil {
 		return false, nil
@@ -442,16 +418,12 @@ func MatchIndexed(t *pattern.Tree, st IndexedStreams, js *JoinStats) (bool, erro
 	if js == nil {
 		js = &JoinStats{}
 	}
-	cv, err := candidatesIndexed(t.Root, st, js, t.Root.Axis == pattern.Child, 1)
-	defer cv.release()
-	return cv != nil && cv.n > 0, err
+	return (&Scratch{Arena: new(idblock.Arena)}).MatchIndexed(t, st, js)
 }
 
 // MatchIndexed is the package's MatchIndexed in sc's memory; js must not be
 // nil.
 func (sc *Scratch) MatchIndexed(t *pattern.Tree, st IndexedStreams, js *JoinStats) (bool, error) {
-	pre1 := t.Root.Axis == pattern.Child
-	sc.start(t.Root, st, pre1, 1)
-	cv, err := sc.candidates(t.Root, st, js, pre1, 1)
+	cv, err := sc.candidatesIndexed(t.Root, st, js, t.Root.Axis == pattern.Child, 1)
 	return cv != nil && cv.n > 0, err
 }

@@ -20,7 +20,7 @@ func toIndexed(t *testing.T, streams Streams, blockSize int) IndexedStreams {
 		if len(s) == 0 {
 			continue
 		}
-		blobs := idblock.EncodePacked(s, blockSize, 1<<10)
+		blobs := idblock.EncodePacked(s, blockSize, 1<<10, nil)
 		sets := make([]*idblock.Set, 0, len(blobs))
 		for _, b := range blobs {
 			set, err := idblock.Parse(b)
@@ -159,14 +159,13 @@ func TestIndexedAgreesWithDecoded(t *testing.T) {
 // element of.
 func candidatesIndexedAll(t *testing.T, q *pattern.Tree, st IndexedStreams, js *JoinStats) Stream {
 	t.Helper()
-	cv, err := candidatesIndexed(q.Root, st, js, q.Root.Axis == pattern.Child, -1)
+	cv, err := new(Scratch).candidatesIndexed(q.Root, st, js, q.Root.Axis == pattern.Child, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cv == nil {
 		return nil
 	}
-	defer cv.release()
 	if cv.ids != nil {
 		return append(Stream(nil), cv.ids...)
 	}

@@ -242,7 +242,7 @@ const recycledParseBytes = 512
 // to recycledParseBytes.
 func TestRecycledParseAllocations(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop what is put back")
+		t.Skip("the race detector makes arenaPool and scratchPool drop what is put back")
 	}
 	// The 16 KB document of the gate's corpus the q6 projection builds
 	// most nodes of.
